@@ -55,7 +55,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use bskip_index::{
-    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, ReclamationStats,
+    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{EbrCollector, EbrStats, RawRwSpinLock, RelaxedCounter};
 
@@ -382,14 +382,6 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             (*node).lock.unlock_shared();
             result
         }
-    }
-
-    /// Range scan: visits up to `len` pairs with keys `>= start` in order.
-    ///
-    /// Compatibility wrapper over the cursor scan path (the single live
-    /// traversal is the private `fetch_batch` primitive).
-    pub fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
-        ConcurrentIndex::range(self, start, len, visit)
     }
 
     /// Cursor batch-fetch primitive: appends up to `max` entries with keys
@@ -1204,14 +1196,13 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
         "OCC B+-tree"
     }
     fn stats(&self) -> IndexStats {
-        ReclamationStats::from(self.collector.stats()).append_to(
-            IndexStats::new()
-                .with("root_write_locks", self.root_write_locks())
-                .with("nodes_merged", self.nodes_merged())
-                .with("nodes_borrowed", self.nodes_borrowed())
-                .with("root_collapses", self.root_collapses())
-                .with("live_nodes", self.live_nodes()),
-        )
+        IndexStats::new()
+            .with("root_write_locks", self.root_write_locks())
+            .with("nodes_merged", self.nodes_merged())
+            .with("nodes_borrowed", self.nodes_borrowed())
+            .with("root_collapses", self.root_collapses())
+            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
+            .with_reclamation(self.collector.stats())
     }
     fn reset_stats(&self) {
         self.reset_root_write_locks();

@@ -117,11 +117,6 @@ impl<K: IndexKey, V: IndexValue> MasstreeLite<K, V> {
         self.layer.remove(key)
     }
 
-    /// Range scan over up to `len` keys `>= start`.
-    pub fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
-        self.layer.range(start, len, visit)
-    }
-
     /// Number of keys stored.
     pub fn len(&self) -> usize {
         self.layer.len()

@@ -32,7 +32,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use bskip_index::{
-    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, ReclamationStats,
+    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{Backoff, EbrCollector, EbrStats, RawRwSpinLock, RwSpinLock};
 use rand::rngs::SmallRng;
@@ -402,14 +402,6 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         }
     }
 
-    /// Range scan over live keys `>= start`.
-    ///
-    /// Compatibility wrapper over the cursor scan path (the single live
-    /// traversal is the private `fetch_batch` primitive).
-    pub fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
-        ConcurrentIndex::range(self, start, len, visit)
-    }
-
     /// Cursor batch-fetch primitive: appends up to `max` live, fully
     /// linked entries at or after `from`'s key in ascending order (the
     /// adapter enforces exclusive bounds).
@@ -504,11 +496,10 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
         "lazy skiplist"
     }
     fn stats(&self) -> IndexStats {
-        ReclamationStats::from(self.collector.stats()).append_to(
-            IndexStats::new()
-                .with("keys", self.len() as u64)
-                .with("live_nodes", self.live_nodes()),
-        )
+        IndexStats::new()
+            .with_kind("keys", StatKind::Gauge, self.len() as u64)
+            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
+            .with_reclamation(self.collector.stats())
     }
 }
 

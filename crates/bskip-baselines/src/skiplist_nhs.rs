@@ -64,7 +64,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bskip_index::{
-    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, ReclamationStats,
+    BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{EbrCollector, EbrStats, RwSpinLock, SpinLatch};
 
@@ -554,14 +554,6 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
         }
     }
 
-    /// Range scan over live keys `>= start`.
-    ///
-    /// Compatibility wrapper over the cursor scan path (the single live
-    /// traversal is the private `fetch_batch` primitive).
-    pub fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
-        ConcurrentIndex::range(self, start, len, visit)
-    }
-
     /// Cursor batch-fetch primitive: appends up to `max` live entries at
     /// or after `from`'s key in ascending order, starting the bottom-lane
     /// walk from the index-provided guard (the adapter enforces exclusive
@@ -645,13 +637,12 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
         "NHS skiplist"
     }
     fn stats(&self) -> IndexStats {
-        ReclamationStats::from(self.reclamation()).append_to(
-            IndexStats::new()
-                .with("keys", self.len() as u64)
-                .with("index_rebuilds", self.index_rebuilds() as u64)
-                .with("live_nodes", self.live_nodes())
-                .with("limbo", self.limbo_len() as u64),
-        )
+        IndexStats::new()
+            .with_kind("keys", StatKind::Gauge, self.len() as u64)
+            .with("index_rebuilds", self.index_rebuilds() as u64)
+            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
+            .with_kind("limbo", StatKind::Gauge, self.limbo_len() as u64)
+            .with_reclamation(self.reclamation())
     }
 }
 

@@ -76,9 +76,7 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use bskip_index::cursor::clone_bound;
-use bskip_index::{
-    ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, ReclamationStats,
-};
+use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
 use bskip_sync::{Backoff, EbrCollector, EbrGuard, EbrStats};
 
 use self::cursor::LeafCursor;
@@ -159,8 +157,7 @@ where
 /// list.insert(7, 70);
 /// list.insert(3, 30);
 /// assert_eq!(list.get(&7), Some(70));
-/// let mut pairs = Vec::new();
-/// list.range(&0, 10, &mut |k, v| pairs.push((*k, *v)));
+/// let pairs: Vec<(u64, u64)> = list.scan(0..10).collect();
 /// assert_eq!(pairs, vec![(3, 30), (7, 70)]);
 /// ```
 ///
@@ -741,16 +738,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         ))
     }
 
-    /// Range scan (the paper's `range(k, f, length)`): visits up to `len`
-    /// key-value pairs with keys `>= start` in ascending order, returning
-    /// how many were visited.
-    ///
-    /// Compatibility wrapper over [`BSkipList::scan`]; prefer cursors in
-    /// new code.
-    pub fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
-        ConcurrentIndex::range(self, start, len, visit)
-    }
-
     /// Visits every key-value pair in ascending key order.
     ///
     /// Equivalent to a full-index range scan; useful for validation and for
@@ -897,8 +884,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> ConcurrentIndex<K, V> for BSkip
     }
 
     fn stats(&self) -> IndexStats {
-        ReclamationStats::from(self.collector.stats())
-            .append_to(self.stats.snapshot().with("live_nodes", self.live_nodes()))
+        self.stats
+            .snapshot()
+            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
+            .with_reclamation(self.collector.stats())
     }
 
     fn reset_stats(&self) {

@@ -1,164 +1,80 @@
 //! Structural statistics counters for the B-skiplist.
 
-use bskip_index::IndexStats;
 use bskip_sync::{CachePadded, RelaxedCounter};
 
-/// Counters mirroring the measurements reported in Section 5 of the paper.
-///
-/// All counters use relaxed atomics and are only bumped when the owning
-/// list was configured with `collect_stats = true`, so the hot path pays a
-/// single predictable branch when statistics are disabled.
-#[derive(Debug, Default)]
-pub struct BSkipStats {
-    /// Point lookups executed.
-    pub finds: CachePadded<RelaxedCounter>,
-    /// Insertions executed (including updates of existing keys).
-    pub inserts: CachePadded<RelaxedCounter>,
-    /// Removals executed.
-    pub removes: CachePadded<RelaxedCounter>,
-    /// Range queries executed.
-    pub ranges: CachePadded<RelaxedCounter>,
-    /// Horizontal (`next`-pointer) steps taken across all operations.
-    pub horizontal_steps: CachePadded<RelaxedCounter>,
-    /// Levels descended across all operations (denominator for the
-    /// horizontal-steps-per-level statistic the paper reports as ~1.7).
-    pub levels_visited: CachePadded<RelaxedCounter>,
-    /// Write locks taken on the top-level head node — the B-skiplist
-    /// equivalent of the B+-tree "root write lock" count (7 vs. 26K in the
-    /// paper's load phase).
-    pub top_level_write_locks: CachePadded<RelaxedCounter>,
-    /// Splits caused by randomized promotion.
-    pub promotion_splits: CachePadded<RelaxedCounter>,
-    /// Splits caused by fixed-size node overflow.
-    pub overflow_splits: CachePadded<RelaxedCounter>,
-    /// Leaf nodes visited by range queries (the paper reports ~2 nodes per
-    /// scan of length 100 for the B-skiplist vs. ~1.5 for the B+-tree).
-    pub range_leaf_nodes: CachePadded<RelaxedCounter>,
-    /// Batches executed through the native `execute` path (each pins the
-    /// epoch collector exactly once).
-    pub batch_executes: CachePadded<RelaxedCounter>,
-    /// Operations carried by those batches.
-    pub batched_ops: CachePadded<RelaxedCounter>,
-    /// Leaf write-lock acquisitions performed by the batch path (descents
-    /// plus right-walk steps); a whole same-leaf run costs one.
-    pub batch_leaf_locks: CachePadded<RelaxedCounter>,
-    /// Batch operations that fell back to the per-op point path (splits,
-    /// promoted inserts, header removals).
-    pub batch_fallbacks: CachePadded<RelaxedCounter>,
-    /// Batch frontier repositionings that established the two-level
-    /// frontier through the optimistic (OLC) descent — no locks taken
-    /// above level 1.
-    pub batch_optimistic_descents: CachePadded<RelaxedCounter>,
-    /// Batch frontier repositionings that exhausted their optimistic
-    /// attempts and fell back to the fully locked hand-over-hand descent.
-    /// Zero in any single-threaded run.
-    pub batch_descent_fallbacks: CachePadded<RelaxedCounter>,
-    /// Point reads (`get`/`peek`/`contains_key`) that completed through the
-    /// optimistic lock-free descent — zero lock acquisitions end to end.
-    pub optimistic_reads: CachePadded<RelaxedCounter>,
-    /// Optimistic descents abandoned because a version validation failed
-    /// (a writer overlapped the traversal); each restart retries from the
-    /// top with backoff.
-    pub optimistic_restarts: CachePadded<RelaxedCounter>,
-    /// Point reads that exhausted their optimistic attempts and fell back
-    /// to the hand-over-hand read-locked descent.  Zero in any
-    /// single-threaded run — the acceptance gate for the lock-free path.
-    pub locked_fallbacks: CachePadded<RelaxedCounter>,
-    /// Underflowing leaves merged into their left neighbour by the remove
-    /// path (sparse-deletion compaction).
-    pub nodes_merged: CachePadded<RelaxedCounter>,
+bskip_index::stat_block! {
+    /// Counters mirroring the measurements reported in Section 5 of the paper.
+    ///
+    /// All counters use relaxed atomics and are only bumped when the owning
+    /// list was configured with `collect_stats = true`, so the hot path pays a
+    /// single predictable branch when statistics are disabled.
+    pub struct BSkipStats {
+        /// Point lookups executed.
+        pub finds: CachePadded<RelaxedCounter> => Counter "finds",
+        /// Insertions executed (including updates of existing keys).
+        pub inserts: CachePadded<RelaxedCounter> => Counter "inserts",
+        /// Removals executed.
+        pub removes: CachePadded<RelaxedCounter> => Counter "removes",
+        /// Range queries executed.
+        pub ranges: CachePadded<RelaxedCounter> => Counter "ranges",
+        /// Horizontal (`next`-pointer) steps taken across all operations.
+        pub horizontal_steps: CachePadded<RelaxedCounter> => Counter "horizontal_steps",
+        /// Levels descended across all operations (denominator for the
+        /// horizontal-steps-per-level statistic the paper reports as ~1.7).
+        pub levels_visited: CachePadded<RelaxedCounter> => Counter "levels_visited",
+        /// Write locks taken on the top-level head node — the B-skiplist
+        /// equivalent of the B+-tree "root write lock" count (7 vs. 26K in the
+        /// paper's load phase).
+        pub top_level_write_locks: CachePadded<RelaxedCounter> => Counter "top_level_write_locks",
+        /// Splits caused by randomized promotion.
+        pub promotion_splits: CachePadded<RelaxedCounter> => Counter "promotion_splits",
+        /// Splits caused by fixed-size node overflow.
+        pub overflow_splits: CachePadded<RelaxedCounter> => Counter "overflow_splits",
+        /// Leaf nodes visited by range queries (the paper reports ~2 nodes per
+        /// scan of length 100 for the B-skiplist vs. ~1.5 for the B+-tree).
+        pub range_leaf_nodes: CachePadded<RelaxedCounter> => Counter "range_leaf_nodes",
+        /// Batches executed through the native `execute` path (each pins the
+        /// epoch collector exactly once).
+        pub batch_executes: CachePadded<RelaxedCounter> => Counter "batch_executes",
+        /// Operations carried by those batches.
+        pub batched_ops: CachePadded<RelaxedCounter> => Counter "batched_ops",
+        /// Leaf write-lock acquisitions performed by the batch path (descents
+        /// plus right-walk steps); a whole same-leaf run costs one.
+        pub batch_leaf_locks: CachePadded<RelaxedCounter> => Counter "batch_leaf_locks",
+        /// Batch operations that fell back to the per-op point path (splits,
+        /// promoted inserts, header removals).
+        pub batch_fallbacks: CachePadded<RelaxedCounter> => Counter "batch_fallbacks",
+        /// Batch frontier repositionings that established the two-level
+        /// frontier through the optimistic (OLC) descent — no locks taken
+        /// above level 1.
+        pub batch_optimistic_descents: CachePadded<RelaxedCounter>
+            => Counter "batch_optimistic_descents",
+        /// Batch frontier repositionings that exhausted their optimistic
+        /// attempts and fell back to the fully locked hand-over-hand descent.
+        /// Zero in any single-threaded run.
+        pub batch_descent_fallbacks: CachePadded<RelaxedCounter>
+            => Counter "batch_descent_fallbacks",
+        /// Point reads (`get`/`peek`/`contains_key`) that completed through the
+        /// optimistic lock-free descent — zero lock acquisitions end to end.
+        pub optimistic_reads: CachePadded<RelaxedCounter> => Counter "optimistic_reads",
+        /// Optimistic descents abandoned because a version validation failed
+        /// (a writer overlapped the traversal); each restart retries from the
+        /// top with backoff.
+        pub optimistic_restarts: CachePadded<RelaxedCounter> => Counter "optimistic_restarts",
+        /// Point reads that exhausted their optimistic attempts and fell back
+        /// to the hand-over-hand read-locked descent.  Zero in any
+        /// single-threaded run — the acceptance gate for the lock-free path.
+        pub locked_fallbacks: CachePadded<RelaxedCounter> => Counter "locked_fallbacks",
+        /// Underflowing leaves merged into their left neighbour by the remove
+        /// path (sparse-deletion compaction).
+        pub nodes_merged: CachePadded<RelaxedCounter> => Counter "nodes_merged",
+    }
 }
 
 impl BSkipStats {
     /// Creates a zeroed statistics block.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.finds.reset();
-        self.inserts.reset();
-        self.removes.reset();
-        self.ranges.reset();
-        self.horizontal_steps.reset();
-        self.levels_visited.reset();
-        self.top_level_write_locks.reset();
-        self.promotion_splits.reset();
-        self.overflow_splits.reset();
-        self.range_leaf_nodes.reset();
-        self.batch_executes.reset();
-        self.batched_ops.reset();
-        self.batch_leaf_locks.reset();
-        self.batch_fallbacks.reset();
-        self.batch_optimistic_descents.reset();
-        self.batch_descent_fallbacks.reset();
-        self.optimistic_reads.reset();
-        self.optimistic_restarts.reset();
-        self.locked_fallbacks.reset();
-        self.nodes_merged.reset();
-    }
-
-    /// Folds `other`'s counters into this block (field-wise sums).  Takes
-    /// `&self` because the counters are relaxed atomics; merging a live
-    /// block is safe, if racy in the usual relaxed-counter way.  Used to
-    /// aggregate per-shard statistics blocks into one rollup.
-    pub fn merge(&self, other: &BSkipStats) {
-        self.finds.add(other.finds.get());
-        self.inserts.add(other.inserts.get());
-        self.removes.add(other.removes.get());
-        self.ranges.add(other.ranges.get());
-        self.horizontal_steps.add(other.horizontal_steps.get());
-        self.levels_visited.add(other.levels_visited.get());
-        self.top_level_write_locks
-            .add(other.top_level_write_locks.get());
-        self.promotion_splits.add(other.promotion_splits.get());
-        self.overflow_splits.add(other.overflow_splits.get());
-        self.range_leaf_nodes.add(other.range_leaf_nodes.get());
-        self.batch_executes.add(other.batch_executes.get());
-        self.batched_ops.add(other.batched_ops.get());
-        self.batch_leaf_locks.add(other.batch_leaf_locks.get());
-        self.batch_fallbacks.add(other.batch_fallbacks.get());
-        self.batch_optimistic_descents
-            .add(other.batch_optimistic_descents.get());
-        self.batch_descent_fallbacks
-            .add(other.batch_descent_fallbacks.get());
-        self.optimistic_reads.add(other.optimistic_reads.get());
-        self.optimistic_restarts
-            .add(other.optimistic_restarts.get());
-        self.locked_fallbacks.add(other.locked_fallbacks.get());
-        self.nodes_merged.add(other.nodes_merged.get());
-    }
-
-    /// Exports the counters in the uniform [`IndexStats`] format.
-    pub fn snapshot(&self) -> IndexStats {
-        IndexStats::new()
-            .with("finds", self.finds.get())
-            .with("inserts", self.inserts.get())
-            .with("removes", self.removes.get())
-            .with("ranges", self.ranges.get())
-            .with("horizontal_steps", self.horizontal_steps.get())
-            .with("levels_visited", self.levels_visited.get())
-            .with("top_level_write_locks", self.top_level_write_locks.get())
-            .with("promotion_splits", self.promotion_splits.get())
-            .with("overflow_splits", self.overflow_splits.get())
-            .with("range_leaf_nodes", self.range_leaf_nodes.get())
-            .with("batch_executes", self.batch_executes.get())
-            .with("batched_ops", self.batched_ops.get())
-            .with("batch_leaf_locks", self.batch_leaf_locks.get())
-            .with("batch_fallbacks", self.batch_fallbacks.get())
-            .with(
-                "batch_optimistic_descents",
-                self.batch_optimistic_descents.get(),
-            )
-            .with(
-                "batch_descent_fallbacks",
-                self.batch_descent_fallbacks.get(),
-            )
-            .with("optimistic_reads", self.optimistic_reads.get())
-            .with("optimistic_restarts", self.optimistic_restarts.get())
-            .with("locked_fallbacks", self.locked_fallbacks.get())
-            .with("nodes_merged", self.nodes_merged.get())
     }
 
     /// Average horizontal steps per level descended, the statistic the
@@ -195,35 +111,6 @@ impl BSkipStats {
     }
 }
 
-impl std::ops::Add for BSkipStats {
-    type Output = BSkipStats;
-    fn add(self, other: BSkipStats) -> BSkipStats {
-        self.merge(&other);
-        self
-    }
-}
-
-impl std::ops::AddAssign<&BSkipStats> for BSkipStats {
-    fn add_assign(&mut self, other: &BSkipStats) {
-        self.merge(other);
-    }
-}
-
-impl std::iter::Sum for BSkipStats {
-    fn sum<I: Iterator<Item = BSkipStats>>(iter: I) -> BSkipStats {
-        iter.fold(BSkipStats::new(), |acc, stats| acc + stats)
-    }
-}
-
-impl<'a> std::iter::Sum<&'a BSkipStats> for BSkipStats {
-    fn sum<I: Iterator<Item = &'a BSkipStats>>(iter: I) -> BSkipStats {
-        iter.fold(BSkipStats::new(), |acc, stats| {
-            acc.merge(stats);
-            acc
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,29 +133,6 @@ mod tests {
         stats.overflow_splits.add(2);
         stats.reset();
         assert_eq!(stats.snapshot().iter().map(|s| s.value).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn merge_and_sum_aggregate_every_counter() {
-        let a = BSkipStats::new();
-        a.finds.add(3);
-        a.batch_executes.add(1);
-        a.batched_ops.add(64);
-        let b = BSkipStats::new();
-        b.finds.add(4);
-        b.batch_executes.add(2);
-        b.batched_ops.add(100);
-        b.nodes_merged.incr();
-        let merged: BSkipStats = [&a, &b].into_iter().sum();
-        assert_eq!(merged.finds.get(), 7);
-        assert_eq!(merged.batch_executes.get(), 3);
-        assert_eq!(merged.batched_ops.get(), 164);
-        assert_eq!(merged.nodes_merged.get(), 1);
-        // Snapshot-level totals agree: merging then snapshotting equals
-        // snapshotting then merging through the IndexStats API.
-        let mut via_snapshots = a.snapshot();
-        via_snapshots.merge(&b.snapshot());
-        assert_eq!(merged.snapshot(), via_snapshots);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * [`BatchCursor`] — a fallback adapter that turns a "fetch the next
 //!   batch of entries at or above a key" primitive into a full cursor, for
 //!   indices that cannot pause mid-traversal (lock-free structures have no
-//!   way to hold a position without pinning memory).
+//!   way to hold a position without pinning memory);
+//! * [`MergeCursor`] — the workspace's one K-way merge: sorted sources in
+//!   priority order composed into a single bidirectional cursor (hash
+//!   shards of a [`crate::ShardedIndex`], the layers of the LSM engine).
 //!
 //! # Consistency contract
 //!
@@ -33,6 +36,7 @@
 //! * each yielded `(key, value)` pair is internally consistent (values are
 //!   read under the same lock/validation protocol as point lookups).
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 use crate::{IndexKey, IndexValue};
@@ -370,6 +374,180 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
 
     fn entry(&self) -> Option<(K, V)> {
         self.current
+    }
+}
+
+/// Which direction a composed cursor last moved, which dictates what the
+/// cached per-source state means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// No positioning call has succeeded (or the last `seek` missed
+    /// entirely): cached state is invalid.
+    Fresh,
+    /// Cached state describes *next* candidates (keys above the current
+    /// position).
+    Forward,
+    /// Cached state describes *previous* candidates (keys below the
+    /// current position).
+    Backward,
+}
+
+/// One merge input: a source cursor with its cached frontier entry kept
+/// inline, so a merge owns a single allocation however many sources it has.
+struct MergeSource<'a, K: IndexKey, T: IndexValue> {
+    cursor: Cursor<'a, K, T>,
+    /// In [`Mode::Forward`] the source's next unconsumed entry (strictly
+    /// above the merge's position), in [`Mode::Backward`] its greatest
+    /// entry strictly below it.
+    head: Option<(K, T)>,
+}
+
+/// K-way merging cursor over sorted sources given in **priority order**.
+///
+/// The merged stream holds every key any source holds, once: when several
+/// sources are at the same key, the *lowest-indexed* source supplies the
+/// entry and every tied source steps past the key — in `next`, `prev` and
+/// `seek` alike.  That single rule serves both users:
+///
+/// * hash shards of a [`crate::ShardedIndex`] never tie (each key routes
+///   to exactly one shard), so the merge is a plain interleave;
+/// * the LSM engine orders its layers newest first, so the rule is
+///   *newest wins*: the merged `(K, Slot<V>)` stream is the raw view
+///   compaction writes out (tombstones included, shadowed versions gone),
+///   and filtering the tombstones out of it is the live view scans serve.
+///
+/// Every step consumes the minimum (respectively maximum) head and refills
+/// only the sources that were at it, so the steady state costs one source
+/// step per tied source plus an O(sources) scan of the heads; direction
+/// changes resynchronize all sources with the `seek` / `seek`-then-`prev`
+/// primitives.  `prev` is supported when every source supports it.
+pub struct MergeCursor<'a, K: IndexKey, T: IndexValue> {
+    sources: Vec<MergeSource<'a, K, T>>,
+    current: Option<(K, T)>,
+    mode: Mode,
+    supports_prev: bool,
+}
+
+impl<'a, K: IndexKey, T: IndexValue> MergeCursor<'a, K, T> {
+    /// Builds a merge over `sources`, highest priority first: index 0
+    /// shadows index 1 shadows index 2 …
+    pub fn new(sources: impl IntoIterator<Item = Cursor<'a, K, T>>) -> Self {
+        let sources: Vec<_> = sources
+            .into_iter()
+            .map(|cursor| MergeSource { cursor, head: None })
+            .collect();
+        let supports_prev = sources.iter().all(|source| source.cursor.supports_prev());
+        MergeCursor {
+            sources,
+            current: None,
+            mode: Mode::Fresh,
+            supports_prev,
+        }
+    }
+
+    /// Consumes the winning head: the minimum key when `forward`, else the
+    /// maximum, taken from the lowest-indexed source holding it.  Every
+    /// source at that key is stepped past it in the same direction.
+    fn take_winner(&mut self, forward: bool) -> Option<(K, T)> {
+        let wanted = if forward {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        };
+        let mut winner: Option<(K, T)> = None;
+        for source in &self.sources {
+            if let Some(head) = source.head {
+                // Strict comparison: an equal key later in priority order
+                // never displaces the earlier source.
+                if winner.is_none_or(|(best, _)| head.0.cmp(&best) == wanted) {
+                    winner = Some(head);
+                }
+            }
+        }
+        let (key, _) = winner?;
+        for source in &mut self.sources {
+            if source.head.is_some_and(|(k, _)| k == key) {
+                source.head = if forward {
+                    source.cursor.next()
+                } else {
+                    source.cursor.prev()
+                };
+            }
+        }
+        self.current = winner;
+        winner
+    }
+}
+
+impl<K: IndexKey, T: IndexValue> IndexCursor<K, T> for MergeCursor<'_, K, T> {
+    fn next(&mut self) -> Option<(K, T)> {
+        match (self.mode, self.current) {
+            (Mode::Forward, _) => {}
+            (Mode::Backward, Some((key, _))) => {
+                // Re-aim every source forward from the resting position:
+                // first entry at or above `key`, stepped past an exact hit
+                // (every source that holds `key` returns it again).
+                for source in &mut self.sources {
+                    source.head = source.cursor.seek(&key);
+                    if source.head.is_some_and(|(k, _)| k == key) {
+                        source.head = source.cursor.next();
+                    }
+                }
+            }
+            (Mode::Fresh, _) | (Mode::Backward, None) => {
+                for source in &mut self.sources {
+                    source.head = source.cursor.next();
+                }
+            }
+        }
+        self.mode = Mode::Forward;
+        self.take_winner(true)
+    }
+
+    fn prev(&mut self) -> Option<(K, T)> {
+        if !self.supports_prev {
+            return None;
+        }
+        if self.mode != Mode::Backward {
+            // Resynchronize every source to "greatest entry strictly
+            // below the current position" — `seek` then `prev` yields
+            // exactly that in every source state, including after the
+            // source was drained or a seek missed; a fresh `prev` yields
+            // the last entry of the source's range.
+            for source in &mut self.sources {
+                if let Some((key, _)) = self.current {
+                    source.cursor.seek(&key);
+                }
+                source.head = source.cursor.prev();
+            }
+            self.mode = Mode::Backward;
+        }
+        self.take_winner(false)
+    }
+
+    fn seek(&mut self, key: &K) -> Option<(K, T)> {
+        for source in &mut self.sources {
+            source.head = source.cursor.seek(key);
+        }
+        self.mode = Mode::Forward;
+        let entry = self.take_winner(true);
+        if entry.is_none() {
+            // Total miss: like a single cursor's failed seek — `next`
+            // reports exhaustion, `prev` falls back to the last entry of
+            // the range (both delegated to the sources, which are now in
+            // exactly that state).
+            self.current = None;
+            self.mode = Mode::Fresh;
+        }
+        entry
+    }
+
+    fn entry(&self) -> Option<(K, T)> {
+        self.current
+    }
+
+    fn supports_prev(&self) -> bool {
+        self.supports_prev
     }
 }
 

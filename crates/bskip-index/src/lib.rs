@@ -37,12 +37,17 @@
 //!   scoped thread pool), and compose per-shard cursors into one merged
 //!   (hash) or concatenated (range) globally ordered scan.  See
 //!   [`sharded`].
-//! * [`IndexStats`] — a uniform way to export the structural counters the
-//!   evaluation section reports (root write-lock acquisitions, horizontal
-//!   steps per level, leaf nodes per range query, OCC retries, ...), plus
-//!   [`ReclamationStats`] — the epoch-reclamation block (retired / freed /
-//!   backlog node counts) exported by every index that retires removed
-//!   nodes to an [`bskip_sync::EbrCollector`].
+//! * [`IndexStats`] — the one statistics model of the workspace: named
+//!   values that each carry a [`StatKind`] (`Counter`, `Gauge`, `Max`),
+//!   which is the only thing [`IndexStats::merge`] consults to aggregate
+//!   per-shard or server + backend snapshots.  A layer declares its
+//!   counters once with [`stat_block!`]; [`ReclamationStats`] (the
+//!   collector's own `EbrStats`) is the epoch-reclamation block every
+//!   index that retires nodes to an [`bskip_sync::EbrCollector`] exports
+//!   under the uniform `ebr_*` names.
+//! * [`cursor::MergeCursor`] — the one K-way merging cursor: sorted
+//!   sources in priority order, lowest index wins a tie.  Hash shards and
+//!   the LSM engine's layers (newest first) both merge through it.
 //!
 //! # Cursor consistency contract
 //!
@@ -63,9 +68,9 @@ pub mod sharded;
 mod stats;
 mod traits;
 
-pub use cursor::{BatchCursor, Cursor, IndexCursor};
+pub use cursor::{BatchCursor, Cursor, IndexCursor, MergeCursor};
 pub use key::{IndexKey, IndexValue};
 pub use ops::{Op, OpResult};
 pub use sharded::{ShardPartition, ShardSpec, ShardedIndex};
-pub use stats::{IndexStats, ReclamationStats, StatValue};
+pub use stats::{IndexStats, ReclamationStats, StatKind, StatValue};
 pub use traits::{ConcurrentIndex, ConcurrentIndexExt};

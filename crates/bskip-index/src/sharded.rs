@@ -13,17 +13,17 @@
 //!   constant-factor work cannot buy;
 //! * **scans** ([`ConcurrentIndex::scan_bounds`]) open one cursor per
 //!   shard and compose them: hash partitioning interleaves keys across
-//!   shards, so the shards' cursors are *K-way merged* (each step picks
-//!   the minimum head); range partitioning keeps each shard a contiguous
+//!   shards, so the shards' cursors are *K-way merged* (the shared
+//!   [`MergeCursor`]); range partitioning keeps each shard a contiguous
 //!   key interval, so the per-shard cursors are simply *concatenated* in
 //!   shard order — no per-entry comparison fan-out at all.  Both composed
 //!   cursors support `seek` and (when every shard's cursor does) `prev`
 //!   across shard boundaries.
 //!
-//! The partitioning strategy and the parallelism threshold live in a
-//! [`ShardSpec`]; [`ShardPartition::Hash`] balances arbitrary key
-//! distributions, [`ShardPartition::Range`] preserves locality (and buys
-//! the concatenating scan fast path) when the key distribution is known.
+//! The partitioning strategy lives in a [`ShardSpec`]:
+//! [`ShardPartition::Hash`] balances arbitrary key distributions,
+//! [`ShardPartition::Range`] preserves locality (and buys the
+//! concatenating scan fast path) when the key distribution is known.
 //!
 //! Because the combinator needs nothing but the trait surface, it
 //! composes with every index in the workspace — the B-skiplist, the five
@@ -80,10 +80,10 @@ use std::ops::Bound;
 
 use bskip_sync::{CachePadded, RelaxedCounter};
 
-use crate::cursor::Cursor;
+use crate::cursor::{Cursor, MergeCursor, Mode};
 use crate::ops::Op;
 use crate::traits::ConcurrentIndex;
-use crate::{IndexCursor, IndexKey, IndexStats, IndexValue};
+use crate::{IndexCursor, IndexKey, IndexStats, IndexValue, StatKind};
 
 /// One shard's slice of a split batch: the shard index, the caller's
 /// slot indices, and the copied operations (both in slot order).
@@ -91,7 +91,7 @@ type ShardBatch<K, V> = (usize, Vec<usize>, Vec<Op<K, V>>);
 
 /// Batches below this many operations are applied shard-by-shard on the
 /// calling thread; at or above it, shard sub-batches run on scoped worker
-/// threads (see [`ShardSpec::with_parallel_threshold`]).
+/// threads — below it the spawns cost more than the sub-batches.
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 64;
 
 /// How a [`ShardedIndex`] maps keys to shards.
@@ -137,13 +137,10 @@ impl<K: Ord + Hash> ShardPartition<K> {
     }
 }
 
-/// Configuration for a [`ShardedIndex`]: the partitioning strategy plus
-/// the batch-size threshold above which shard sub-batches run in
-/// parallel.
+/// Configuration for a [`ShardedIndex`]: the partitioning strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec<K> {
     partition: ShardPartition<K>,
-    parallel_threshold: usize,
 }
 
 impl<K: Ord + Hash> ShardSpec<K> {
@@ -153,7 +150,6 @@ impl<K: Ord + Hash> ShardSpec<K> {
             partition: ShardPartition::Hash {
                 shards: shards.max(1),
             },
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 
@@ -172,17 +168,7 @@ impl<K: Ord + Hash> ShardSpec<K> {
             partition: ShardPartition::Range {
                 boundaries: boundaries.into_boxed_slice(),
             },
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
-    }
-
-    /// Sets the batch size at which [`ConcurrentIndex::execute`] switches
-    /// from applying shard sub-batches sequentially to spawning scoped
-    /// worker threads (default [`DEFAULT_PARALLEL_THRESHOLD`]).  `0`
-    /// parallelizes every multi-shard batch.
-    pub fn with_parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = threshold;
-        self
     }
 
     /// Number of shards this spec builds.
@@ -202,24 +188,25 @@ impl ShardSpec<u64> {
     }
 }
 
-/// The sharded front-end's own counters (shard routing and batch-split
-/// accounting), exported through [`ConcurrentIndex::stats`] alongside the
-/// merged per-shard snapshots.
-#[derive(Debug, Default)]
-struct ShardedCounters {
-    /// Batches accepted by `execute`.
-    batches: RelaxedCounter,
-    /// Batches whose keys all landed in one shard (delegated whole).
-    single_shard_batches: RelaxedCounter,
-    /// Multi-shard batches applied on scoped worker threads.
-    parallel_batches: RelaxedCounter,
-    /// Multi-shard batches below the parallel threshold, applied
-    /// shard-by-shard on the calling thread.
-    sequential_batches: RelaxedCounter,
-    /// Scans served by a K-way merging cursor (hash partitioning).
-    merge_scans: RelaxedCounter,
-    /// Scans served by a concatenating cursor (range partitioning).
-    concat_scans: RelaxedCounter,
+crate::stat_block! {
+    /// The sharded front-end's own counters (shard routing and batch-split
+    /// accounting), exported through [`ConcurrentIndex::stats`] alongside
+    /// the merged per-shard snapshots.
+    struct ShardedCounters {
+        /// Batches accepted by `execute`.
+        batches: RelaxedCounter => Counter "sharded_batches",
+        /// Batches whose keys all landed in one shard (delegated whole).
+        single_shard_batches: RelaxedCounter => Counter "sharded_single_shard_batches",
+        /// Multi-shard batches applied on scoped worker threads.
+        parallel_batches: RelaxedCounter => Counter "sharded_parallel_batches",
+        /// Multi-shard batches below the parallel threshold, applied
+        /// shard-by-shard on the calling thread.
+        sequential_batches: RelaxedCounter => Counter "sharded_sequential_batches",
+        /// Scans served by a K-way merging cursor (hash partitioning).
+        merge_scans: RelaxedCounter => Counter "sharded_merge_scans",
+        /// Scans served by a concatenating cursor (range partitioning).
+        concat_scans: RelaxedCounter => Counter "sharded_concat_scans",
+    }
 }
 
 /// A partitioned index: N inner indices behind one [`ConcurrentIndex`]
@@ -227,7 +214,6 @@ struct ShardedCounters {
 pub struct ShardedIndex<K, V, I> {
     shards: Box<[CachePadded<I>]>,
     partition: ShardPartition<K>,
-    parallel_threshold: usize,
     counters: ShardedCounters,
     _marker: PhantomData<fn() -> (K, V)>,
 }
@@ -245,7 +231,6 @@ where
         ShardedIndex {
             shards: (0..count).map(|i| CachePadded::new(factory(i))).collect(),
             partition: spec.partition,
-            parallel_threshold: spec.parallel_threshold,
             counters: ShardedCounters::default(),
             _marker: PhantomData,
         }
@@ -348,7 +333,7 @@ where
             self.shards[split[0].0].execute(ops);
             return;
         }
-        if ops.len() >= self.parallel_threshold {
+        if ops.len() >= DEFAULT_PARALLEL_THRESHOLD {
             self.counters.parallel_batches.incr();
             std::thread::scope(|scope| {
                 let mut parts = split.iter_mut();
@@ -385,12 +370,9 @@ where
         match &self.partition {
             ShardPartition::Hash { .. } => {
                 self.counters.merge_scans.incr();
-                let sources = self
-                    .shards
-                    .iter()
-                    .map(|shard| shard.scan_bounds(lo, hi))
-                    .collect();
-                Cursor::new(MergeCursor::new(sources))
+                Cursor::new(MergeCursor::new(
+                    self.shards.iter().map(|shard| shard.scan_bounds(lo, hi)),
+                ))
             }
             ShardPartition::Range { boundaries } => {
                 self.counters.concat_scans.incr();
@@ -451,48 +433,24 @@ where
     }
 
     fn stats(&self) -> IndexStats {
-        let mut stats = IndexStats::new()
-            .with("shards", self.shards.len() as u64)
-            .with("sharded_batches", self.counters.batches.get())
-            .with(
-                "sharded_single_shard_batches",
-                self.counters.single_shard_batches.get(),
-            )
-            .with(
-                "sharded_parallel_batches",
-                self.counters.parallel_batches.get(),
-            )
-            .with(
-                "sharded_sequential_batches",
-                self.counters.sequential_batches.get(),
-            )
-            .with("sharded_merge_scans", self.counters.merge_scans.get())
-            .with("sharded_concat_scans", self.counters.concat_scans.get());
+        // `shards` is a level counting *leaf* indices: a shard that is
+        // itself sharded reports its own count, any other shard is one
+        // leaf, and the merge adds the levels up.
         let shard_snapshots = self.shard_stats();
-        stats.merge(&shard_snapshots.iter().sum::<IndexStats>());
-        // The name-keyed merge sums every entry, but `ebr_epoch` is a
-        // gauge; re-derive the reclamation block through its typed merge
-        // (which takes the maximum epoch) when the shards export one.
-        if let Some(reclamation) = shard_snapshots
+        let leaves = shard_snapshots
             .iter()
-            .filter_map(|snapshot| snapshot.reclamation())
-            .reduce(|mut acc, block| {
-                acc.merge(&block);
-                acc
-            })
-        {
-            stats.set("ebr_epoch", reclamation.epoch);
+            .filter(|snapshot| snapshot.get("shards").is_none())
+            .count();
+        let mut stats = IndexStats::new().with_kind("shards", StatKind::Gauge, leaves as u64);
+        stats.merge(&self.counters.snapshot());
+        for snapshot in &shard_snapshots {
+            stats.merge(snapshot);
         }
         stats
     }
 
     fn reset_stats(&self) {
-        self.counters.batches.reset();
-        self.counters.single_shard_batches.reset();
-        self.counters.parallel_batches.reset();
-        self.counters.sequential_batches.reset();
-        self.counters.merge_scans.reset();
-        self.counters.concat_scans.reset();
+        self.counters.reset();
         for shard in self.shards.iter() {
             shard.reset_stats();
         }
@@ -505,168 +463,6 @@ impl<K: IndexKey, V, I> fmt::Debug for ShardedIndex<K, V, I> {
             .field("shards", &self.shards.len())
             .field("partition", &self.partition)
             .finish_non_exhaustive()
-    }
-}
-
-/// Which direction the composed cursor last moved, which dictates what
-/// the cached per-source state means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// No positioning call has succeeded (or the last `seek` missed
-    /// entirely): cached state is invalid.
-    Fresh,
-    /// Cached state describes *next* candidates (keys above the current
-    /// position).
-    Forward,
-    /// Cached state describes *previous* candidates (keys below the
-    /// current position).
-    Backward,
-}
-
-/// K-way merging cursor over per-shard cursors (hash partitioning).
-///
-/// `heads[i]` caches source `i`'s frontier entry: in [`Mode::Forward`]
-/// the next unconsumed entry (strictly above `current`), in
-/// [`Mode::Backward`] the greatest entry strictly below `current`.  Every
-/// step consumes the minimum (respectively maximum) head and refills only
-/// the winning source, so the steady state costs one source step plus an
-/// O(shards) scan of the head array; direction changes resynchronize all
-/// sources with the `seek`/`seek`-then-`prev` primitives.  Keys are
-/// unique across shards (each key routes to exactly one), so the merged
-/// stream is strictly ordered with no duplicate handling.
-struct MergeCursor<'a, K: IndexKey, V: IndexValue> {
-    sources: Vec<Cursor<'a, K, V>>,
-    heads: Vec<Option<(K, V)>>,
-    current: Option<(K, V)>,
-    mode: Mode,
-    supports_prev: bool,
-}
-
-impl<'a, K: IndexKey, V: IndexValue> MergeCursor<'a, K, V> {
-    fn new(sources: Vec<Cursor<'a, K, V>>) -> Self {
-        let supports_prev = sources.iter().all(|source| source.supports_prev());
-        let heads = vec![None; sources.len()];
-        MergeCursor {
-            sources,
-            heads,
-            current: None,
-            mode: Mode::Fresh,
-            supports_prev,
-        }
-    }
-
-    /// Index of the minimum (forward) head.
-    fn min_head(&self) -> Option<usize> {
-        self.heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| head.map(|(key, _)| (key, i)))
-            .min_by_key(|&(key, _)| key)
-            .map(|(_, i)| i)
-    }
-
-    /// Index of the maximum (backward) head.
-    fn max_head(&self) -> Option<usize> {
-        self.heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| head.map(|(key, _)| (key, i)))
-            .max_by_key(|&(key, _)| key)
-            .map(|(_, i)| i)
-    }
-}
-
-impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for MergeCursor<'_, K, V> {
-    fn next(&mut self) -> Option<(K, V)> {
-        match (self.mode, self.current) {
-            (Mode::Forward, _) => {}
-            (Mode::Backward, Some((key, _))) => {
-                // Re-aim every source forward from the resting position:
-                // first entry at or above `key`, stepped past an exact hit
-                // (the shard that owns `key` returns it again).
-                for (head, source) in self.heads.iter_mut().zip(self.sources.iter_mut()) {
-                    *head = source.seek(&key);
-                    if head.is_some_and(|(k, _)| k == key) {
-                        *head = source.next();
-                    }
-                }
-            }
-            (Mode::Fresh, _) | (Mode::Backward, None) => {
-                for (head, source) in self.heads.iter_mut().zip(self.sources.iter_mut()) {
-                    *head = source.next();
-                }
-            }
-        }
-        self.mode = Mode::Forward;
-        let best = self.min_head()?;
-        let entry = self.heads[best].take();
-        self.heads[best] = self.sources[best].next();
-        self.current = entry;
-        entry
-    }
-
-    fn prev(&mut self) -> Option<(K, V)> {
-        if !self.supports_prev {
-            return None;
-        }
-        if self.mode != Mode::Backward {
-            // Resynchronize every source to "greatest entry strictly
-            // below the current position" — `seek` then `prev` yields
-            // exactly that in every source state, including after the
-            // source was drained or a seek missed; a fresh `prev` yields
-            // the last entry of the source's range.
-            match self.current {
-                Some((key, _)) => {
-                    for (head, source) in self.heads.iter_mut().zip(self.sources.iter_mut()) {
-                        source.seek(&key);
-                        *head = source.prev();
-                    }
-                }
-                None => {
-                    for (head, source) in self.heads.iter_mut().zip(self.sources.iter_mut()) {
-                        *head = source.prev();
-                    }
-                }
-            }
-            self.mode = Mode::Backward;
-        }
-        let best = self.max_head()?;
-        let entry = self.heads[best].take();
-        self.heads[best] = self.sources[best].prev();
-        self.current = entry;
-        entry
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        for (head, source) in self.heads.iter_mut().zip(self.sources.iter_mut()) {
-            *head = source.seek(key);
-        }
-        match self.min_head() {
-            Some(best) => {
-                let entry = self.heads[best].take();
-                self.heads[best] = self.sources[best].next();
-                self.current = entry;
-                self.mode = Mode::Forward;
-                entry
-            }
-            None => {
-                // Total miss: like a single cursor's failed seek — `next`
-                // reports exhaustion, `prev` falls back to the last entry
-                // of the range (both delegated to the sources, which are
-                // now in exactly that state).
-                self.current = None;
-                self.mode = Mode::Fresh;
-                None
-            }
-        }
-    }
-
-    fn entry(&self) -> Option<(K, V)> {
-        self.current
-    }
-
-    fn supports_prev(&self) -> bool {
-        self.supports_prev
     }
 }
 
@@ -1058,10 +854,13 @@ mod tests {
         assert_eq!(ShardSpec::<u64>::hash(0).shards(), 1);
     }
 
-    /// Differential check of the composed cursors against a `BTreeMap`
-    /// over a battery of bounds, including seeks and reverse steps that
-    /// cross shard boundaries.
-    fn cursor_battery(sharded: &ShardedIndex<u64, u64, MirrorIndex>, oracle: &BTreeMap<u64, u64>) {
+    /// Differential check of a composed cursor (one per `open` call)
+    /// against a `BTreeMap` over a battery of bounds, including seeks and
+    /// reverse steps that cross source boundaries.
+    fn cursor_battery<'a>(
+        open: impl Fn(Bound<u64>, Bound<u64>) -> Cursor<'a, u64, u64>,
+        oracle: &BTreeMap<u64, u64>,
+    ) {
         let bounds: Vec<(Bound<u64>, Bound<u64>)> = vec![
             (Bound::Unbounded, Bound::Unbounded),
             (Bound::Included(13), Bound::Excluded(77)),
@@ -1078,12 +877,12 @@ mod tests {
             };
 
             // Forward drain.
-            let got: Vec<(u64, u64)> = sharded.scan_bounds(lo, hi).collect();
+            let got: Vec<(u64, u64)> = open(lo, hi).collect();
             assert_eq!(got, expected, "forward drain over {lo:?}..{hi:?}");
 
             // Reverse drain from a fresh cursor (prev starts at the last
             // in-range entry).
-            let mut cursor = sharded.scan_bounds(lo, hi);
+            let mut cursor = open(lo, hi);
             assert!(cursor.supports_prev());
             let mut reversed = Vec::new();
             while let Some(entry) = cursor.prev() {
@@ -1103,7 +902,7 @@ mod tests {
             // Seek battery: every probe lands where the oracle says, and
             // both directions continue correctly from there.
             for probe in [0u64, 13, 14, 42, 76, 77, 90, 200] {
-                let mut cursor = sharded.scan_bounds(lo, hi);
+                let mut cursor = open(lo, hi);
                 let expect_at = expected.iter().find(|(k, _)| *k >= probe).copied();
                 assert_eq!(
                     cursor.seek(&probe),
@@ -1143,7 +942,7 @@ mod tests {
             }
 
             // Direction zigzag starting mid-range.
-            let mut cursor = sharded.scan_bounds(lo, hi);
+            let mut cursor = open(lo, hi);
             if expected.len() >= 3 {
                 let mid = expected[expected.len() / 2];
                 assert_eq!(cursor.seek(&mid.0), Some(mid));
@@ -1163,7 +962,7 @@ mod tests {
         let sharded = populated(ShardSpec::hash(4), (0..100).map(|i| i * 3 % 101));
         let oracle: BTreeMap<u64, u64> =
             (0..100).map(|i| i * 3 % 101).map(|k| (k, k * 10)).collect();
-        cursor_battery(&sharded, &oracle);
+        cursor_battery(|lo, hi| sharded.scan_bounds(lo, hi), &oracle);
         assert!(sharded.stats().get("sharded_merge_scans").unwrap() > 0);
         assert_eq!(sharded.stats().get("sharded_concat_scans"), Some(0));
     }
@@ -1177,9 +976,97 @@ mod tests {
         );
         let oracle: BTreeMap<u64, u64> =
             (0..100).map(|i| i * 3 % 101).map(|k| (k, k * 10)).collect();
-        cursor_battery(&sharded, &oracle);
+        cursor_battery(|lo, hi| sharded.scan_bounds(lo, hi), &oracle);
         assert!(sharded.stats().get("sharded_concat_scans").unwrap() > 0);
         assert_eq!(sharded.stats().get("sharded_merge_scans"), Some(0));
+    }
+
+    /// Stand-in for the LSM engine's tombstone slot in the layered
+    /// inputs below (the merge itself never looks at values).
+    const TOMB: u64 = u64::MAX;
+
+    /// The merge over *overlapping* sources in priority order — how the
+    /// LSM engine stacks its layers, newest first.  The oracle applies
+    /// the layers oldest to newest, so the newest version of every key
+    /// survives; the battery then checks `next`, `prev`, `seek`-then-
+    /// `prev` and direction changes against it.  That merged stream is
+    /// the engine's raw view (tombstones included); dropping the
+    /// tombstones from it must give the live view.
+    #[test]
+    fn merging_cursor_resolves_overlapping_sources_by_priority() {
+        /// One source's contents, in ascending key order.
+        type Layer = Vec<(u64, u64)>;
+        let dense = |step: u64, value: fn(u64) -> u64| -> Layer {
+            (0..100)
+                .map(|i| i * 3 % 101)
+                .filter(|k| k % step == 0)
+                .map(|k| (k, value(k)))
+                .collect()
+        };
+        let cases: Vec<(&str, Vec<Layer>)> = vec![
+            (
+                "newest source wins ties",
+                vec![vec![(1, 100), (3, 300)], vec![(1, 1), (2, 2), (3, 3)]],
+            ),
+            (
+                "tombstones survive raw, shadow live",
+                vec![vec![(2, TOMB)], vec![(1, 1), (2, 2), (3, 3)]],
+            ),
+            (
+                "three-layer history",
+                vec![
+                    vec![(1, 111)],
+                    vec![(1, TOMB), (2, TOMB)],
+                    vec![(1, 1), (2, 2), (3, 3)],
+                ],
+            ),
+            (
+                "empty and disjoint sources",
+                vec![vec![], vec![(5, 5)], vec![(1, 1), (9, 9)]],
+            ),
+            ("no sources", vec![]),
+            (
+                // Keys the battery's bounds and probes land on, most of
+                // them held by two or three layers at once.
+                "dense three-layer overlap",
+                vec![
+                    dense(6, |_| TOMB),
+                    dense(2, |k| k * 10 + 1),
+                    dense(1, |k| k * 10),
+                ],
+            ),
+        ];
+        for (label, layers) in cases {
+            let mut oracle = BTreeMap::new();
+            for layer in layers.iter().rev() {
+                oracle.extend(layer.iter().copied());
+            }
+            let sources: Vec<MirrorIndex> = layers
+                .iter()
+                .map(|layer| {
+                    let source = MirrorIndex::new();
+                    for &(key, value) in layer {
+                        source.insert(key, value);
+                    }
+                    source
+                })
+                .collect();
+            let open = |lo, hi| {
+                Cursor::new(MergeCursor::new(
+                    sources.iter().map(|source| source.scan_bounds(lo, hi)),
+                ))
+            };
+            cursor_battery(open, &oracle);
+            let live: Vec<(u64, u64)> = open(Bound::Unbounded, Bound::Unbounded)
+                .filter(|&(_, value)| value != TOMB)
+                .collect();
+            let expected: Vec<(u64, u64)> = oracle
+                .iter()
+                .map(|(k, v)| (*k, *v))
+                .filter(|&(_, value)| value != TOMB)
+                .collect();
+            assert_eq!(live, expected, "live view of {label}");
+        }
     }
 
     #[test]
@@ -1196,30 +1083,37 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(drained, (0..60).collect::<Vec<_>>());
+        // `shards` counts leaf indices (2 x 2), not every level's fan-out
+        // summed (2 + 2 + 2).
+        assert_eq!(sharded.stats().get("shards"), Some(4));
     }
 
     #[test]
     fn execute_matches_slot_order_semantics_and_routes_results() {
-        for (spec, threshold_label) in [
+        // The batch size picks the path: four ops per key, so 15 keys
+        // stay under DEFAULT_PARALLEL_THRESHOLD and 50 keys clear it.
+        for (spec, keys, path) in [
+            (ShardSpec::hash(4), 15u64, "sharded_sequential_batches"),
+            (ShardSpec::hash(4), 50, "sharded_parallel_batches"),
             (
-                ShardSpec::hash(4).with_parallel_threshold(usize::MAX),
-                "sequential",
+                ShardSpec::range(vec![25, 50, 75]),
+                50,
+                "sharded_parallel_batches",
             ),
-            (ShardSpec::hash(4).with_parallel_threshold(0), "parallel"),
-            (ShardSpec::range(vec![25, 50, 75]), "range"),
         ] {
+            let label = format!("{path} over {keys} keys");
             let sharded: ShardedIndex<u64, u64, MirrorIndex> =
                 ShardedIndex::new(spec, |_| MirrorIndex::new());
             let oracle = MirrorIndex::new();
             // Same-key runs (insert/get/remove on one key) must keep
             // their relative order; distinct keys spread over shards.
-            let template: Vec<Op<u64, u64>> = (0..50u64)
+            let template: Vec<Op<u64, u64>> = (0..keys)
                 .flat_map(|k| {
                     [
                         Op::insert(k, k),
                         Op::get(k),
                         Op::insert(k, k + 1),
-                        Op::remove(k + 25),
+                        Op::remove(k + keys / 2),
                     ]
                 })
                 .collect();
@@ -1229,14 +1123,15 @@ mod tests {
             }
             let mut got = template;
             sharded.execute(&mut got);
-            assert_eq!(got, expected, "{threshold_label} execute results");
+            assert_eq!(got, expected, "{label} execute results");
+            assert_eq!(sharded.stats().get(path), Some(1), "{label}");
             let drained: Vec<(u64, u64)> = sharded
                 .scan_bounds(Bound::Unbounded, Bound::Unbounded)
                 .collect();
             let oracle_drained: Vec<(u64, u64)> = oracle
                 .scan_bounds(Bound::Unbounded, Bound::Unbounded)
                 .collect();
-            assert_eq!(drained, oracle_drained, "{threshold_label} final state");
+            assert_eq!(drained, oracle_drained, "{label} final state");
         }
     }
 
@@ -1331,17 +1226,16 @@ mod tests {
         let shards = 3usize;
         let entered = Arc::new(AtomicUsize::new(0));
         let saw_rendezvous = Arc::new(AtomicUsize::new(0));
-        let sharded: ShardedIndex<u64, u64, GateIndex> = ShardedIndex::new(
-            ShardSpec::range(vec![100, 200]).with_parallel_threshold(0),
-            |_| GateIndex {
+        let sharded: ShardedIndex<u64, u64, GateIndex> =
+            ShardedIndex::new(ShardSpec::range(vec![220, 440]), |_| GateIndex {
                 inner: MirrorIndex::new(),
                 entered: Arc::clone(&entered),
                 target: shards,
                 saw_rendezvous: Arc::clone(&saw_rendezvous),
-            },
-        );
-        // Ten keys per shard, so every shard receives a sub-batch.
-        let mut ops: Vec<Op<u64, u64>> = (0..30u64).map(|i| Op::insert(i * 10, i)).collect();
+            });
+        // 22 keys per shard: every shard receives a sub-batch, and the 66
+        // operations clear DEFAULT_PARALLEL_THRESHOLD.
+        let mut ops: Vec<Op<u64, u64>> = (0..66u64).map(|i| Op::insert(i * 10, i)).collect();
         sharded.execute(&mut ops);
         assert_eq!(
             saw_rendezvous.load(Ordering::SeqCst),
@@ -1349,7 +1243,7 @@ mod tests {
             "all {shards} shard sub-batches must be in flight simultaneously"
         );
         assert_eq!(sharded.stats().get("sharded_parallel_batches"), Some(1));
-        assert_eq!(sharded.len(), 30);
+        assert_eq!(sharded.len(), 66);
         assert!(ops
             .iter()
             .all(|op| matches!(op.result(), OpResult::Missing)));

@@ -1,6 +1,32 @@
-//! Uniform export of per-index structural statistics.
+//! Uniform export of per-index statistics: one model for every layer.
+//!
+//! Every layer of the stack — the B-skiplist, the baselines, the sharded
+//! front-end, the LSM engine, the network server — exports its statistics
+//! as an [`IndexStats`] snapshot of [`StatValue`]s.  Each value carries a
+//! [`StatKind`], and the kind is the *only* place an aggregation rule
+//! lives: [`IndexStats::merge`] folds two snapshots entry by entry
+//! according to it.  A layer declares its counters once, with
+//! [`stat_block!`](crate::stat_block) (field, wire name, kind); `reset`
+//! and `snapshot` are derived from that one list.
 
 use std::fmt;
+
+/// How a statistic aggregates when two snapshots are merged (per-shard
+/// rollups, server + backend) and what a stats reset does to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// A monotone event count.  Merges as a saturating sum; reset zeroes
+    /// it.
+    Counter,
+    /// An instantaneous level (live nodes, retired-but-unfreed backlog,
+    /// leaf shard count).  Levels of disjoint parts add, so it merges as
+    /// a saturating sum too, but a reset leaves it alone.
+    Gauge,
+    /// A high-water mark or a clock (`ebr_epoch`, `server_max_batch`):
+    /// the merge keeps the maximum — summing unrelated epochs or batch
+    /// peaks would mean nothing.
+    Max,
+}
 
 /// A single named statistic exported by an index.
 ///
@@ -11,15 +37,10 @@ use std::fmt;
 pub struct StatValue {
     /// Short, stable identifier (e.g. `"root_write_locks"`).
     pub name: &'static str,
-    /// Counter value at the time of the snapshot.
+    /// How the value aggregates; see [`StatKind`].
+    pub kind: StatKind,
+    /// Value at the time of the snapshot.
     pub value: u64,
-}
-
-impl StatValue {
-    /// Convenience constructor.
-    pub const fn new(name: &'static str, value: u64) -> Self {
-        StatValue { name, value }
-    }
 }
 
 impl fmt::Display for StatValue {
@@ -46,30 +67,22 @@ impl IndexStats {
     }
 
     /// Adds a named counter to the snapshot (builder style).
-    pub fn with(mut self, name: &'static str, value: u64) -> Self {
-        self.entries.push(StatValue::new(name, value));
+    pub fn with(self, name: &'static str, value: u64) -> Self {
+        self.with_kind(name, StatKind::Counter, value)
+    }
+
+    /// Adds a named statistic of the given kind (builder style).
+    pub fn with_kind(mut self, name: &'static str, kind: StatKind, value: u64) -> Self {
+        self.push(name, kind, value);
         self
     }
 
-    /// Adds a named counter to the snapshot.
-    pub fn push(&mut self, name: &'static str, value: u64) {
-        self.entries.push(StatValue::new(name, value));
+    /// Adds a named statistic of the given kind to the snapshot.
+    pub fn push(&mut self, name: &'static str, kind: StatKind, value: u64) {
+        self.entries.push(StatValue { name, kind, value });
     }
 
-    /// Overwrites the counter named `name` (appending it when absent).
-    /// The escape hatch for gauge-like entries after a [`merge`]
-    /// (which sums everything): re-derive the gauge through its typed
-    /// aggregation and `set` the corrected value.
-    ///
-    /// [`merge`]: IndexStats::merge
-    pub fn set(&mut self, name: &'static str, value: u64) {
-        match self.entries.iter_mut().find(|entry| entry.name == name) {
-            Some(existing) => existing.value = value,
-            None => self.entries.push(StatValue::new(name, value)),
-        }
-    }
-
-    /// Looks up a counter by name.
+    /// Looks up a statistic by name.
     pub fn get(&self, name: &str) -> Option<u64> {
         self.entries
             .iter()
@@ -77,12 +90,12 @@ impl IndexStats {
             .map(|entry| entry.value)
     }
 
-    /// Iterates over all counters in insertion order.
+    /// Iterates over all statistics in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &StatValue> {
         self.entries.iter()
     }
 
-    /// Number of counters in the snapshot.
+    /// Number of statistics in the snapshot.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -92,23 +105,24 @@ impl IndexStats {
         self.entries.is_empty()
     }
 
-    /// Folds `other` into this snapshot: counters present in both are
-    /// summed by name (saturating), counters only in `other` are appended
-    /// in their original order.  This is the one aggregation primitive the
-    /// workspace uses for per-shard / per-backend rollups — a sharded
-    /// index merges its shards' snapshots, the network server merges its
-    /// own counters with the backend's.
-    ///
-    /// Merging treats every entry as a monotone counter.  Gauge-like
-    /// entries (e.g. `ebr_epoch`, which should aggregate as a maximum)
-    /// need the typed [`ReclamationStats::merge`] instead; name-keyed
-    /// summation is the right default for everything else the indices
-    /// export.
+    /// Folds `other` into this snapshot: entries present in both are
+    /// combined by name according to their [`StatKind`] (counters and
+    /// gauges sum, saturating; maxima keep the larger value), entries only
+    /// in `other` are appended in their original order.  This is the one
+    /// aggregation primitive of the workspace — a sharded index merges its
+    /// shards' snapshots, the network server merges its own counters with
+    /// the backend's — and the only place an aggregation rule is written
+    /// down.
     pub fn merge(&mut self, other: &IndexStats) {
         for entry in &other.entries {
             match self.entries.iter_mut().find(|e| e.name == entry.name) {
                 Some(existing) => {
-                    existing.value = existing.value.saturating_add(entry.value);
+                    existing.value = match existing.kind {
+                        StatKind::Counter | StatKind::Gauge => {
+                            existing.value.saturating_add(entry.value)
+                        }
+                        StatKind::Max => existing.value.max(entry.value),
+                    };
                 }
                 None => self.entries.push(*entry),
             }
@@ -116,202 +130,67 @@ impl IndexStats {
     }
 }
 
-impl std::ops::AddAssign<&IndexStats> for IndexStats {
-    fn add_assign(&mut self, other: &IndexStats) {
-        self.merge(other);
-    }
-}
-
-impl std::ops::AddAssign for IndexStats {
-    fn add_assign(&mut self, other: IndexStats) {
-        self.merge(&other);
-    }
-}
-
-impl std::ops::Add for IndexStats {
-    type Output = IndexStats;
-    fn add(mut self, other: IndexStats) -> IndexStats {
-        self.merge(&other);
-        self
-    }
-}
-
-impl std::ops::Add<&IndexStats> for IndexStats {
-    type Output = IndexStats;
-    fn add(mut self, other: &IndexStats) -> IndexStats {
-        self.merge(other);
-        self
-    }
-}
-
-impl std::iter::Sum for IndexStats {
-    fn sum<I: Iterator<Item = IndexStats>>(iter: I) -> IndexStats {
-        iter.fold(IndexStats::new(), |acc, stats| acc + stats)
-    }
-}
-
-impl<'a> std::iter::Sum<&'a IndexStats> for IndexStats {
-    fn sum<I: Iterator<Item = &'a IndexStats>>(iter: I) -> IndexStats {
-        iter.fold(IndexStats::new(), |acc, stats| acc + stats)
-    }
-}
-
-/// The memory-reclamation counters an epoch-collecting index exports.
+/// The memory-reclamation counters an epoch-collecting index exports: the
+/// collector's own [`bskip_sync::EbrStats`] block.
 ///
 /// Every index that retires removed nodes through an
 /// [`bskip_sync::EbrCollector`] surfaces that collector's counters in its
-/// [`IndexStats`] snapshot under a uniform set of names, so drivers and
-/// experiment binaries (the `stat_reclamation` binary, the churn stress
-/// tests) can track live-vs-retired node counts without knowing the
-/// concrete index type.  `backlog` is the quantity the epoch machinery
-/// keeps bounded: retired-but-unfreed nodes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReclamationStats {
-    /// Nodes handed to the collector since construction.
-    pub retired: u64,
-    /// Nodes whose deferred drop has run.
-    pub freed: u64,
-    /// Nodes retired but not yet freed (`retired - freed`).
-    pub backlog: u64,
-    /// The collector's current global epoch.
-    pub epoch: u64,
-    /// Successful epoch advancements.
-    pub advances: u64,
-    /// Guards created (collector pins) since construction; batched
-    /// operations amortize this — one pin per batch, not per op.
-    pub pins: u64,
-    /// Pins served by the pinning thread's cached participant slot (one
-    /// publication store, no CAS slot scan); the steady-state pin path.
-    pub slot_cache_hits: u64,
-    /// Cold-path pins that claimed and registered a participant slot as a
-    /// thread's cached handle (at most one per live thread).
-    pub slot_registrations: u64,
-    /// Overflow-mode pins taken with every participant slot occupied
-    /// (reclamation-suspending degraded mode; should stay 0).
-    pub overflow_pins: u64,
-}
+/// [`IndexStats`] snapshot under a uniform set of `ebr_*` names
+/// ([`IndexStats::with_reclamation`]), so drivers and experiment binaries
+/// (the `stat_reclamation` binary, the churn stress tests) can read them
+/// back ([`IndexStats::reclamation`]) without knowing the concrete index
+/// type.  `backlog` is the quantity the epoch machinery keeps bounded:
+/// retired-but-unfreed nodes.
+pub use bskip_sync::EbrStats as ReclamationStats;
 
-impl ReclamationStats {
-    /// The stat names under which the counters appear in an
-    /// [`IndexStats`] snapshot, in field order.
-    pub const NAMES: [&'static str; 9] = [
-        "ebr_retired",
-        "ebr_freed",
-        "ebr_backlog",
-        "ebr_epoch",
-        "ebr_advances",
-        "ebr_pins",
-        "ebr_slot_cache_hits",
-        "ebr_slot_registrations",
-        "ebr_overflow_pins",
-    ];
+/// One [`ReclamationStats`] field: its wire name, its kind, and where it
+/// lives in the block.
+type ReclamationField = (
+    &'static str,
+    StatKind,
+    fn(&mut ReclamationStats) -> &mut u64,
+);
 
-    /// Appends the counters to a snapshot under the uniform names.
-    pub fn append_to(self, stats: IndexStats) -> IndexStats {
-        stats
-            .with("ebr_retired", self.retired)
-            .with("ebr_freed", self.freed)
-            .with("ebr_backlog", self.backlog)
-            .with("ebr_epoch", self.epoch)
-            .with("ebr_advances", self.advances)
-            .with("ebr_pins", self.pins)
-            .with("ebr_slot_cache_hits", self.slot_cache_hits)
-            .with("ebr_slot_registrations", self.slot_registrations)
-            .with("ebr_overflow_pins", self.overflow_pins)
-    }
-
-    /// Folds `other`'s counters into this block.  Every field is a
-    /// monotone counter summed saturating — except `epoch`, a gauge
-    /// (each collector's *current* global epoch), for which the merge
-    /// keeps the maximum so an aggregate over shards reports the most
-    /// advanced collector rather than a meaningless sum.
-    pub fn merge(&mut self, other: &ReclamationStats) {
-        self.retired = self.retired.saturating_add(other.retired);
-        self.freed = self.freed.saturating_add(other.freed);
-        self.backlog = self.backlog.saturating_add(other.backlog);
-        self.epoch = self.epoch.max(other.epoch);
-        self.advances = self.advances.saturating_add(other.advances);
-        self.pins = self.pins.saturating_add(other.pins);
-        self.slot_cache_hits = self.slot_cache_hits.saturating_add(other.slot_cache_hits);
-        self.slot_registrations = self
-            .slot_registrations
-            .saturating_add(other.slot_registrations);
-        self.overflow_pins = self.overflow_pins.saturating_add(other.overflow_pins);
-    }
-
-    /// Recovers the counters from a snapshot; `None` when the index does
-    /// not export reclamation statistics.
-    pub fn from_stats(stats: &IndexStats) -> Option<Self> {
-        Some(ReclamationStats {
-            retired: stats.get("ebr_retired")?,
-            freed: stats.get("ebr_freed")?,
-            backlog: stats.get("ebr_backlog")?,
-            epoch: stats.get("ebr_epoch")?,
-            advances: stats.get("ebr_advances")?,
-            pins: stats.get("ebr_pins")?,
-            slot_cache_hits: stats.get("ebr_slot_cache_hits")?,
-            slot_registrations: stats.get("ebr_slot_registrations")?,
-            overflow_pins: stats.get("ebr_overflow_pins")?,
-        })
-    }
-}
-
-impl std::ops::AddAssign<&ReclamationStats> for ReclamationStats {
-    fn add_assign(&mut self, other: &ReclamationStats) {
-        self.merge(other);
-    }
-}
-
-impl std::ops::AddAssign for ReclamationStats {
-    fn add_assign(&mut self, other: ReclamationStats) {
-        self.merge(&other);
-    }
-}
-
-impl std::ops::Add for ReclamationStats {
-    type Output = ReclamationStats;
-    fn add(mut self, other: ReclamationStats) -> ReclamationStats {
-        self.merge(&other);
-        self
-    }
-}
-
-impl std::iter::Sum for ReclamationStats {
-    fn sum<I: Iterator<Item = ReclamationStats>>(iter: I) -> ReclamationStats {
-        iter.fold(ReclamationStats::default(), |acc, stats| acc + stats)
-    }
-}
-
-impl<'a> std::iter::Sum<&'a ReclamationStats> for ReclamationStats {
-    fn sum<I: Iterator<Item = &'a ReclamationStats>>(iter: I) -> ReclamationStats {
-        iter.fold(ReclamationStats::default(), |mut acc, stats| {
-            acc.merge(stats);
-            acc
-        })
-    }
-}
-
-impl From<bskip_sync::EbrStats> for ReclamationStats {
-    fn from(ebr: bskip_sync::EbrStats) -> Self {
-        ReclamationStats {
-            retired: ebr.retired,
-            freed: ebr.freed,
-            backlog: ebr.backlog,
-            epoch: ebr.epoch,
-            advances: ebr.advances,
-            pins: ebr.pins,
-            slot_cache_hits: ebr.slot_cache_hits,
-            slot_registrations: ebr.slot_registrations,
-            overflow_pins: ebr.overflow_pins,
-        }
-    }
-}
+/// The one table tying the [`ReclamationStats`] fields to their snapshot
+/// names and kinds; export and read-back both walk it.  `backlog` is a
+/// level and `epoch` a clock (an aggregate over shards reports the most
+/// advanced collector); everything else counts events.
+const RECLAMATION_FIELDS: [ReclamationField; 9] = [
+    ("ebr_retired", StatKind::Counter, |s| &mut s.retired),
+    ("ebr_freed", StatKind::Counter, |s| &mut s.freed),
+    ("ebr_backlog", StatKind::Gauge, |s| &mut s.backlog),
+    ("ebr_epoch", StatKind::Max, |s| &mut s.epoch),
+    ("ebr_advances", StatKind::Counter, |s| &mut s.advances),
+    ("ebr_pins", StatKind::Counter, |s| &mut s.pins),
+    ("ebr_slot_cache_hits", StatKind::Counter, |s| {
+        &mut s.slot_cache_hits
+    }),
+    ("ebr_slot_registrations", StatKind::Counter, |s| {
+        &mut s.slot_registrations
+    }),
+    ("ebr_overflow_pins", StatKind::Counter, |s| {
+        &mut s.overflow_pins
+    }),
+];
 
 impl IndexStats {
-    /// The reclamation counters embedded in this snapshot, if the index
-    /// exports them (see [`ReclamationStats`]).
+    /// Appends a collector's counters under the uniform `ebr_*` names
+    /// (builder style).
+    pub fn with_reclamation(mut self, mut block: ReclamationStats) -> Self {
+        for (name, kind, field) in RECLAMATION_FIELDS {
+            self.push(name, kind, *field(&mut block));
+        }
+        self
+    }
+
+    /// The reclamation counters embedded in this snapshot; `None` when the
+    /// index does not export them (see [`ReclamationStats`]).
     pub fn reclamation(&self) -> Option<ReclamationStats> {
-        ReclamationStats::from_stats(self)
+        let mut block = ReclamationStats::default();
+        for (name, _, field) in RECLAMATION_FIELDS {
+            *field(&mut block) = self.get(name)?;
+        }
+        Some(block)
     }
 }
 
@@ -327,15 +206,73 @@ impl fmt::Display for IndexStats {
     }
 }
 
-impl FromIterator<(&'static str, u64)> for IndexStats {
-    fn from_iter<I: IntoIterator<Item = (&'static str, u64)>>(iter: I) -> Self {
-        IndexStats {
-            entries: iter
-                .into_iter()
-                .map(|(name, value)| StatValue::new(name, value))
-                .collect(),
+/// Declares a layer's block of relaxed statistics cells **once**: each
+/// line gives the field (with its cell type — anything that derefs to a
+/// [`bskip_sync::RelaxedCounter`]), the [`StatKind`] and the wire name.
+/// The macro emits the struct (`Debug + Default`) plus the two things
+/// that used to be hand-copied lists:
+///
+/// * `reset(&self)` — zeroes every cell;
+/// * `snapshot(&self) -> IndexStats` — every cell under its wire name and
+///   kind, in declaration order.
+///
+/// Adding a statistic to a layer is therefore one line in its block.
+///
+/// ```
+/// use bskip_sync::RelaxedCounter;
+///
+/// bskip_index::stat_block! {
+///     /// Toy layer.
+///     pub struct ToyStats {
+///         /// Requests seen.
+///         pub requests: RelaxedCounter => Counter "toy_requests",
+///         /// Largest request seen.
+///         pub largest: RelaxedCounter => Max "toy_largest",
+///     }
+/// }
+///
+/// let stats = ToyStats::default();
+/// stats.requests.add(3);
+/// stats.largest.record_max(9);
+/// let mut total = stats.snapshot();
+/// total.merge(&stats.snapshot());
+/// assert_eq!(total.get("toy_requests"), Some(6)); // counters sum
+/// assert_eq!(total.get("toy_largest"), Some(9)); // maxima do not
+/// stats.reset();
+/// assert_eq!(stats.snapshot().get("toy_requests"), Some(0));
+/// ```
+#[macro_export]
+macro_rules! stat_block {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field_vis:vis $field:ident : $cell:ty => $kind:ident $wire:literal
+            ),* $(,)?
         }
-    }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $( $(#[$field_meta])* $field_vis $field: $cell, )*
+        }
+
+        impl $name {
+            /// Resets every statistic in the block to zero.
+            $vis fn reset(&self) {
+                $( self.$field.reset(); )*
+            }
+
+            /// Exports the block in the uniform `IndexStats` format, each
+            /// statistic under its wire name and kind.
+            $vis fn snapshot(&self) -> $crate::IndexStats {
+                let mut stats = $crate::IndexStats::new();
+                $( stats.push($wire, $crate::StatKind::$kind, self.$field.get()); )*
+                stats
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -361,23 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn from_iterator_collects() {
-        let stats: IndexStats = [("x", 10u64), ("y", 20)].into_iter().collect();
-        assert_eq!(stats.get("x"), Some(10));
-        assert_eq!(stats.get("y"), Some(20));
-    }
-
-    #[test]
     fn empty_snapshot() {
         let stats = IndexStats::new();
         assert!(stats.is_empty());
         assert_eq!(stats.len(), 0);
         assert_eq!(stats.to_string(), "");
-    }
-
-    #[test]
-    fn stat_value_display() {
-        assert_eq!(StatValue::new("k", 3).to_string(), "k=3");
     }
 
     #[test]
@@ -393,22 +318,15 @@ mod tests {
             slot_registrations: 10,
             overflow_pins: 0,
         };
-        let stats = reclamation.append_to(IndexStats::new().with("finds", 1));
+        let stats = IndexStats::new()
+            .with("finds", 1)
+            .with_reclamation(reclamation);
         assert_eq!(stats.get("finds"), Some(1));
         assert_eq!(stats.get("ebr_backlog"), Some(10));
+        assert_eq!(stats.len(), 10);
         assert_eq!(stats.reclamation(), Some(reclamation));
         // Indices without a collector export no reclamation block.
         assert_eq!(IndexStats::new().with("keys", 3).reclamation(), None);
-    }
-
-    #[test]
-    fn set_overwrites_or_appends() {
-        let mut stats = IndexStats::new().with("ebr_epoch", 12);
-        stats.set("ebr_epoch", 7);
-        assert_eq!(stats.get("ebr_epoch"), Some(7));
-        stats.set("shards", 4);
-        assert_eq!(stats.get("shards"), Some(4));
-        assert_eq!(stats.len(), 2);
     }
 
     #[test]
@@ -432,63 +350,33 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_add_aggregate_shard_snapshots() {
-        let shards = vec![
-            IndexStats::new().with("finds", 1).with("live_nodes", 4),
-            IndexStats::new().with("finds", 2).with("live_nodes", 6),
-            IndexStats::new().with("finds", 3),
-        ];
-        let by_ref: IndexStats = shards.iter().sum();
-        let by_value: IndexStats = shards.into_iter().sum();
-        assert_eq!(by_ref, by_value);
-        assert_eq!(by_ref.get("finds"), Some(6));
-        assert_eq!(by_ref.get("live_nodes"), Some(10));
-
-        let mut acc = IndexStats::new().with("finds", 10);
-        acc += IndexStats::new().with("finds", 5);
-        acc += &IndexStats::new().with("ranges", 1);
-        assert_eq!(acc.get("finds"), Some(15));
-        assert_eq!(acc.get("ranges"), Some(1));
-    }
-
-    #[test]
-    fn reclamation_merge_sums_counters_and_maxes_the_epoch_gauge() {
-        let a = ReclamationStats {
-            retired: 10,
-            freed: 8,
-            backlog: 2,
-            epoch: 5,
-            advances: 4,
-            pins: 100,
-            slot_cache_hits: 90,
-            slot_registrations: 10,
-            overflow_pins: 0,
+    fn merge_folds_by_kind() {
+        let shard = |epoch, backlog, pins, peak| {
+            IndexStats::new()
+                .with_reclamation(ReclamationStats {
+                    epoch,
+                    backlog,
+                    pins,
+                    ..ReclamationStats::default()
+                })
+                .with_kind("peak_batch", StatKind::Max, peak)
         };
-        let b = ReclamationStats {
-            retired: 1,
-            freed: 1,
-            backlog: 0,
-            epoch: 9,
-            advances: 8,
-            pins: 50,
-            slot_cache_hits: 49,
-            slot_registrations: 1,
-            overflow_pins: 0,
-        };
-        let merged: ReclamationStats = [a, b].iter().sum();
-        assert_eq!(merged.retired, 11);
-        assert_eq!(merged.pins, 150);
-        // The epoch is a gauge: the aggregate reports the most advanced
-        // collector, not the sum of unrelated epoch counters.
-        assert_eq!(merged.epoch, 9);
-        assert_eq!(merged, a + b);
-    }
-
-    #[test]
-    fn reclamation_from_collector_stats() {
-        let collector = bskip_sync::EbrCollector::new();
-        let reclamation = ReclamationStats::from(collector.stats());
-        assert_eq!(reclamation, ReclamationStats::default());
-        assert_eq!(ReclamationStats::NAMES.len(), 9);
+        let mut merged = shard(5, 2, 100, 32);
+        merged.merge(&shard(9, 1, 50, 17));
+        // A clock and a high-water mark: the aggregate reports the most
+        // advanced collector and the largest batch, not meaningless sums.
+        assert_eq!(merged.get("ebr_epoch"), Some(9));
+        assert_eq!(merged.get("peak_batch"), Some(32));
+        // Levels of disjoint parts add, counters sum.
+        assert_eq!(merged.get("ebr_backlog"), Some(3));
+        assert_eq!(merged.get("ebr_pins"), Some(150));
+        // The kind of the receiving entry decides, in either order.
+        let mut reversed = shard(9, 1, 50, 17);
+        reversed.merge(&shard(5, 2, 100, 32));
+        assert_eq!(reversed, merged);
+        // Gauges saturate like counters do.
+        let mut level = IndexStats::new().with_kind("live_nodes", StatKind::Gauge, u64::MAX);
+        level.merge(&IndexStats::new().with_kind("live_nodes", StatKind::Gauge, 1));
+        assert_eq!(level.get("live_nodes"), Some(u64::MAX));
     }
 }

@@ -35,8 +35,10 @@
 //! memtables, L0 tables by recency, then one candidate table per deeper
 //! level — and resolves at the first layer that mentions the key (a
 //! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).  Range
-//! scans open a K-way [`MergeCursor`] over the same layers with the same
-//! newest-wins rule.
+//! scans open the workspace's K-way [`MergeCursor`] over the same layers,
+//! newest first, so its lowest-index-wins rule is the same newest-wins
+//! rule; compaction writes that merged stream out as is (tombstones
+//! included), scans drop the tombstones from it.
 //!
 //! # Crash recovery
 //!
@@ -89,13 +91,14 @@ use std::collections::HashSet;
 use std::io;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bskip_index::{
-    BatchCursor, ConcurrentIndex, Cursor, IndexCursor, IndexKey, IndexStats, IndexValue, Op,
+    BatchCursor, ConcurrentIndex, Cursor, IndexCursor, IndexKey, IndexStats, IndexValue,
+    MergeCursor, Op, StatKind,
 };
-use bskip_sync::Backoff;
+use bskip_sync::{Backoff, RelaxedCounter};
 
 use crate::codec::Persist;
 use crate::entry::Slot;
@@ -103,7 +106,6 @@ use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
 };
 use crate::memtable::Memtable;
-use crate::merge::MergeCursor;
 use crate::sstable::{Table, TableBuilder, TableOptions};
 use crate::storage::{StdFs, Storage};
 use crate::wal::{decode_batch, encode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
@@ -195,27 +197,21 @@ struct EngineState<K: IndexKey, V: IndexValue> {
     levels: Vec<Vec<Arc<Table<K, V>>>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    wal_bytes: AtomicU64,
-    wal_records: AtomicU64,
-    rotations: AtomicU64,
-    flushes: AtomicU64,
-    compactions: AtomicU64,
-}
-
-/// I/O health: the counters behind the degraded-mode contract (see the
-/// module docs).
-#[derive(Default)]
-struct IoHealth {
-    /// Read-path and maintenance I/O failures (including checksum
-    /// mismatches).  Shared with table cursors, which count into it.
-    io_errors: Arc<AtomicU64>,
-    /// Foreground WAL append failures — each one degrades the engine.
-    write_failures: AtomicU64,
-    /// Sticky read-only flag; set on the first write failure, cleared
-    /// only by reopening the engine.
-    degraded: AtomicBool,
+bskip_index::stat_block! {
+    /// The engine's event counters; the last two are the I/O-health pair
+    /// behind the degraded-mode contract (see the module docs).
+    struct Counters {
+        wal_bytes: RelaxedCounter => Counter "wal_bytes",
+        wal_records: RelaxedCounter => Counter "wal_records",
+        rotations: RelaxedCounter => Counter "memtable_rotations",
+        flushes: RelaxedCounter => Counter "sst_flushes",
+        compactions: RelaxedCounter => Counter "compactions",
+        /// Read-path and maintenance I/O failures (including checksum
+        /// mismatches).  Shared with table cursors, which count into it.
+        io_errors: Arc<RelaxedCounter> => Counter "io_errors",
+        /// Foreground WAL append failures — each one degrades the engine.
+        write_failures: RelaxedCounter => Counter "write_failures",
+    }
 }
 
 /// One compaction's inputs and placement, decided under a read lock.
@@ -259,7 +255,19 @@ pub struct LsmEngine<K: IndexKey + Persist, V: IndexValue + Persist> {
     write: Mutex<WriteState>,
     state: RwLock<EngineState<K, V>>,
     counters: Counters,
-    health: IoHealth,
+    /// Sticky read-only flag; set on the first write failure, cleared
+    /// only by reopening the engine.
+    degraded: AtomicBool,
+}
+
+/// The live view of a merged layer stream: the merge already let the
+/// newest version of every key win, so dropping the tombstones is all
+/// that is left to do.
+fn live<'m, 'a, K: IndexKey, V: IndexValue>(
+    merge: &'m mut MergeCursor<'a, K, Slot<V>>,
+) -> impl Iterator<Item = (K, V)> + use<'m, 'a, K, V> {
+    std::iter::from_fn(|| merge.next())
+        .filter_map(|(key, slot)| slot.value().map(|value| (key, value)))
 }
 
 fn degraded_error() -> io::Error {
@@ -371,18 +379,14 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 levels,
             }),
             counters: Counters::default(),
-            health: IoHealth::default(),
+            degraded: AtomicBool::new(false),
         };
 
         // Exact live-key count: one merged sweep over every layer.
         let live_keys = {
             let state = engine.read_state();
             let mut merge = MergeCursor::new(engine.sources_from(&state, Bound::Unbounded));
-            let mut count = 0u64;
-            while merge.next_live().is_some() {
-                count += 1;
-            }
-            count
+            live(&mut merge).count() as u64
         };
         engine.write_lock().live_keys = live_keys;
         Ok(engine)
@@ -403,18 +407,18 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// errors (or are dropped on the infallible surface).  Cleared only
     /// by reopening the engine.
     pub fn degraded(&self) -> bool {
-        self.health.degraded.load(Ordering::Acquire)
+        self.degraded.load(Ordering::Acquire)
     }
 
     /// Read-path and maintenance I/O failures observed so far (including
     /// block checksum mismatches).
     pub fn io_errors(&self) -> u64 {
-        self.health.io_errors.load(Ordering::Relaxed)
+        self.counters.io_errors.get()
     }
 
     /// Foreground WAL append failures observed so far.
     pub fn write_failures(&self) -> u64 {
-        self.health.write_failures.load(Ordering::Relaxed)
+        self.counters.write_failures.get()
     }
 
     /// Number of tables at each level, `[l0, l1, …]`.
@@ -455,25 +459,21 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// engine's `io_errors` and end their stream early instead of
     /// panicking.
     fn sources_from<'a>(
-        &self,
+        &'a self,
         state: &'a EngineState<K, V>,
         from: Bound<K>,
-    ) -> Vec<Box<dyn IndexCursor<K, Slot<V>> + 'a>> {
-        let mut sources: Vec<Box<dyn IndexCursor<K, Slot<V>> + 'a>> = Vec::new();
-        sources.push(Box::new(state.memtable.cursor(from, Bound::Unbounded)));
-        for immutable in &state.immutables {
-            sources.push(Box::new(immutable.cursor(from, Bound::Unbounded)));
-        }
-        for level in &state.levels {
-            for table in level {
-                sources.push(Box::new(table.cursor_counted(
-                    from,
-                    Bound::Unbounded,
-                    Arc::clone(&self.health.io_errors),
-                )));
-            }
-        }
-        sources
+    ) -> impl Iterator<Item = Cursor<'a, K, Slot<V>>> + 'a {
+        let memtables = std::iter::once(&state.memtable)
+            .chain(&state.immutables)
+            .map(move |memtable| memtable.cursor(from, Bound::Unbounded));
+        let tables = state.levels.iter().flatten().map(move |table| {
+            Cursor::new(table.cursor_counted(
+                from,
+                Bound::Unbounded,
+                Arc::clone(&self.counters.io_errors),
+            ))
+        });
+        memtables.chain(tables)
     }
 
     /// Newest-first lookup across every layer; a tombstone answer settles
@@ -520,14 +520,40 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     }
 
     fn table_get(&self, table: &Table<K, V>, key: &K) -> io::Result<Option<Slot<V>>> {
-        table.get(key).inspect_err(|_| {
-            self.health.io_errors.fetch_add(1, Ordering::Relaxed);
-        })
+        table
+            .get(key)
+            .inspect_err(|_| self.counters.io_errors.incr())
+    }
+
+    /// Applies one slot to the mutable memtable and returns the live
+    /// value it displaced — taken from the older layers when the memtable
+    /// held no version of the key — keeping `live_keys` exact.
+    fn apply_slot(
+        &self,
+        write: &mut WriteState,
+        state: &EngineState<K, V>,
+        key: K,
+        slot: Slot<V>,
+    ) -> Option<V> {
+        let previous = match state.memtable.apply(key, slot) {
+            Some(slot) => Some(slot),
+            // A table-read failure here loses only the previous-value
+            // answer (already counted in io_errors); the mutation itself
+            // is durable and applied.  live_keys may drift until the next
+            // reopen recounts it.
+            None => self.lookup(state, &key, true).unwrap_or(None),
+        }
+        .and_then(Slot::value);
+        match (previous.is_some(), slot.is_tombstone()) {
+            (false, false) => write.live_keys += 1,
+            (true, true) => write.live_keys -= 1,
+            _ => {}
+        }
+        previous
     }
 
     /// The serialized write path shared by the insert and remove lanes:
-    /// degraded check, WAL append, previous-value lookup, memtable apply,
-    /// rotation check.
+    /// degraded check, WAL append, memtable apply, rotation check.
     fn try_put_slot(&self, key: K, slot: Slot<V>) -> io::Result<Option<V>> {
         let mut write = self.write_lock();
         if self.degraded() {
@@ -538,23 +564,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             Slot::Tombstone => WalOp::Delete { key },
         };
         self.wal_append(&mut write, &encode_batch(&[wal_op]))?;
-        let previous = {
-            let state = self.read_state();
-            let previous = match state.memtable.apply(key, slot) {
-                Some(slot) => Some(slot),
-                // A table-read failure here loses only the previous-value
-                // answer (already counted in io_errors); the mutation
-                // itself is durable and applied.  live_keys may drift
-                // until the next reopen recounts it.
-                None => self.lookup(&state, &key, true).unwrap_or(None),
-            };
-            previous.and_then(Slot::value)
-        };
-        match (previous.is_some(), slot.is_tombstone()) {
-            (false, false) => write.live_keys += 1,
-            (true, true) => write.live_keys -= 1,
-            _ => {}
-        }
+        let previous = self.apply_slot(&mut write, &self.read_state(), key, slot);
         self.maybe_rotate(&mut write);
         Ok(previous)
     }
@@ -617,26 +627,14 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                             .into();
                     }
                     Op::Insert { key, value, result } | Op::Update { key, value, result } => {
-                        let previous = match state.memtable.apply(*key, Slot::Put(*value)) {
-                            Some(slot) => Some(slot),
-                            None => self.lookup(&state, key, true).unwrap_or(None),
-                        }
-                        .and_then(Slot::value);
-                        if previous.is_none() {
-                            write.live_keys += 1;
-                        }
-                        *result = previous.into();
+                        *result = self
+                            .apply_slot(&mut write, &state, *key, Slot::Put(*value))
+                            .into();
                     }
                     Op::Remove { key, result } => {
-                        let previous = match state.memtable.apply(*key, Slot::Tombstone) {
-                            Some(slot) => Some(slot),
-                            None => self.lookup(&state, key, true).unwrap_or(None),
-                        }
-                        .and_then(Slot::value);
-                        if previous.is_some() {
-                            write.live_keys -= 1;
-                        }
-                        *result = previous.into();
+                        *result = self
+                            .apply_slot(&mut write, &state, *key, Slot::Tombstone)
+                            .into();
                     }
                 }
             }
@@ -650,13 +648,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     fn wal_append(&self, write: &mut WriteState, payload: &[u8]) -> io::Result<()> {
         match write.wal.append(payload) {
             Ok(frame) => {
-                self.counters.wal_bytes.fetch_add(frame, Ordering::Relaxed);
-                self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
+                self.counters.wal_bytes.add(frame);
+                self.counters.wal_records.incr();
                 Ok(())
             }
             Err(error) => {
-                self.health.write_failures.fetch_add(1, Ordering::Relaxed);
-                self.health.degraded.store(true, Ordering::Release);
+                self.counters.write_failures.incr();
+                self.degraded.store(true, Ordering::Release);
                 Err(error)
             }
         }
@@ -676,7 +674,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 Err(error) => last = Some(error),
             }
         }
-        self.health.io_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.io_errors.incr();
         Err(last.unwrap_or_else(|| io::Error::other("bskip-lsm: maintenance failed")))
     }
 
@@ -717,7 +715,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let sealed = std::mem::replace(&mut state.memtable, Arc::new(Memtable::new(vec![new_id])));
         state.immutables.insert(0, sealed);
         drop(state);
-        self.counters.rotations.fetch_add(1, Ordering::Relaxed);
+        self.counters.rotations.incr();
         Ok(())
     }
 
@@ -776,7 +774,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                     return Err(error);
                 }
             }
-            self.counters.flushes.fetch_add(1, Ordering::Relaxed);
+            self.counters.flushes.incr();
         }
         // The manifest now covers (or never needed) this memtable's data;
         // its WAL segments are done.
@@ -797,27 +795,22 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let Some(plan) = self.plan_compaction() else {
             return Ok(false);
         };
-        let read_errors = Arc::new(AtomicU64::new(0));
+        let read_errors = Arc::new(RelaxedCounter::new());
         let mut output_ids: Vec<u64> = Vec::new();
         let next_table_id_before = write.next_table_id;
         let build = |write: &mut WriteState,
                      output_ids: &mut Vec<u64>|
          -> io::Result<Vec<(u64, crate::sstable::TableMeta<K>)>> {
-            let sources = plan
-                .inputs
-                .iter()
-                .map(|table| {
-                    Box::new(table.cursor_counted(
-                        Bound::Unbounded,
-                        Bound::Unbounded,
-                        Arc::clone(&read_errors),
-                    )) as Box<dyn IndexCursor<K, Slot<V>>>
-                })
-                .collect();
-            let mut merge = MergeCursor::new(sources);
+            let mut merge = MergeCursor::new(plan.inputs.iter().map(|table| {
+                Cursor::new(table.cursor_counted(
+                    Bound::Unbounded,
+                    Bound::Unbounded,
+                    Arc::clone(&read_errors),
+                ))
+            }));
             let mut metas = Vec::new();
             let mut builder: Option<(u64, TableBuilder<K, V>)> = None;
-            while let Some((key, slot)) = merge.next_raw() {
+            while let Some((key, slot)) = merge.next() {
                 if plan.drop_tombstones && slot.is_tombstone() {
                     continue;
                 }
@@ -844,7 +837,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             }
             // An input cursor that hit a read error ended its stream
             // early; committing would silently drop the unread suffix.
-            if read_errors.load(Ordering::Relaxed) > 0 {
+            if read_errors.get() > 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "bskip-lsm: compaction input read failed; aborting to avoid data loss",
@@ -899,7 +892,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         for table in &plan.inputs {
             let _ = self.storage.remove(table.path());
         }
-        self.counters.compactions.fetch_add(1, Ordering::Relaxed);
+        self.counters.compactions.incr();
         Ok(true)
     }
 
@@ -1049,12 +1042,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             Box::new(move |from, max, out| {
                 let state = self.read_state();
                 let mut merge = MergeCursor::new(self.sources_from(&state, from));
-                while out.len() < max {
-                    match merge.next_live() {
-                        Some(entry) => out.push(entry),
-                        None => break,
-                    }
-                }
+                out.extend(live(&mut merge).take(max - out.len()));
             }),
         ))
     }
@@ -1079,28 +1067,16 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
         // Lock order everywhere: writer mutex before state lock.
         let write = self.write_lock();
         let state = self.read_state();
-        let mut stats = IndexStats::new()
-            .with("wal_bytes", self.counters.wal_bytes.load(Ordering::Relaxed))
-            .with(
-                "wal_records",
-                self.counters.wal_records.load(Ordering::Relaxed),
-            )
-            .with(
-                "memtable_rotations",
-                self.counters.rotations.load(Ordering::Relaxed),
-            )
-            .with("sst_flushes", self.counters.flushes.load(Ordering::Relaxed))
-            .with(
-                "compactions",
-                self.counters.compactions.load(Ordering::Relaxed),
-            )
-            .with("io_errors", self.io_errors())
-            .with("write_failures", self.write_failures())
-            .with("degraded", LsmEngine::degraded(self) as u64)
-            .with("live_keys", write.live_keys)
-            .with("memtable_bytes", state.memtable.bytes())
-            .with("memtable_live_nodes", state.memtable.live_nodes())
-            .with("immutable_memtables", state.immutables.len() as u64);
+        // Everything below the counters is a level read at snapshot time.
+        let gauge = StatKind::Gauge;
+        let mut stats = self
+            .counters
+            .snapshot()
+            .with_kind("degraded", gauge, LsmEngine::degraded(self) as u64)
+            .with_kind("live_keys", gauge, write.live_keys)
+            .with_kind("memtable_bytes", gauge, state.memtable.bytes())
+            .with_kind("memtable_live_nodes", gauge, state.memtable.live_nodes())
+            .with_kind("immutable_memtables", gauge, state.immutables.len() as u64);
         const LEVEL_NAMES: [&str; 7] = [
             "tables_l0",
             "tables_l1",
@@ -1111,21 +1087,16 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             "tables_l6",
         ];
         for (at, name) in LEVEL_NAMES.iter().enumerate() {
-            stats.push(name, state.levels.get(at).map_or(0, |l| l.len() as u64));
+            let tables = state.levels.get(at).map_or(0, |l| l.len() as u64);
+            stats.push(name, gauge, tables);
         }
-        state.memtable.reclamation().append_to(stats)
+        stats.with_reclamation(state.memtable.reclamation())
     }
 
     fn reset_stats(&self) {
-        self.counters.wal_bytes.store(0, Ordering::Relaxed);
-        self.counters.wal_records.store(0, Ordering::Relaxed);
-        self.counters.rotations.store(0, Ordering::Relaxed);
-        self.counters.flushes.store(0, Ordering::Relaxed);
-        self.counters.compactions.store(0, Ordering::Relaxed);
         // The error counters reset too, but the sticky degraded flag does
         // not — only a reopen clears that.
-        self.health.io_errors.store(0, Ordering::Relaxed);
-        self.health.write_failures.store(0, Ordering::Relaxed);
+        self.counters.reset();
     }
 }
 
@@ -1135,6 +1106,7 @@ mod tests {
     use crate::storage::FaultFs;
     use bskip_index::ConcurrentIndexExt;
     use std::fs;
+    use std::sync::atomic::AtomicU64;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);

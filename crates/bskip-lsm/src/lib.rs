@@ -31,10 +31,11 @@
 //! production, the fault-injecting [`FaultFs`] in tests), [`wal`]
 //! (framed, CRC-checked log with torn-tail recovery), [`memtable`] (the
 //! B-skiplist write buffer), [`sstable`] (block-structured tables with
-//! prefix compression, bloom filters and per-block CRC32), [`merge`]
-//! (the newest-wins K-way merge), [`manifest`] (the durable table
-//! listing), [`engine`] (the assembled engine), with [`codec`], [`crc`]
-//! and [`entry`] underneath.
+//! prefix compression, bloom filters and per-block CRC32), [`manifest`]
+//! (the durable table listing), [`engine`] (the assembled engine), with
+//! [`codec`], [`crc`] and [`entry`] underneath.  The newest-wins K-way
+//! merge behind scans and compaction is the workspace's shared
+//! [`bskip_index::MergeCursor`] over the layers in newest-first order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,7 +47,6 @@ pub mod engine;
 pub mod entry;
 pub mod manifest;
 pub mod memtable;
-pub mod merge;
 pub mod sstable;
 pub mod storage;
 pub mod wal;
@@ -55,7 +55,6 @@ pub use codec::Persist;
 pub use engine::{LsmConfig, LsmEngine};
 pub use entry::Slot;
 pub use memtable::Memtable;
-pub use merge::MergeCursor;
 pub use sstable::{Table, TableBuilder, TableCursor, TableOptions};
 pub use storage::{FaultFs, StdFs, Storage, StorageFile};
 pub use wal::{SyncPolicy, WalOp, WalWriter};

@@ -100,7 +100,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Memtable<K, V> {
 
     /// The underlying list's reclamation counters.
     pub fn reclamation(&self) -> ReclamationStats {
-        ReclamationStats::from(self.list.reclamation())
+        self.list.reclamation()
     }
 
     /// Live structural nodes in the underlying list (bounded-memory

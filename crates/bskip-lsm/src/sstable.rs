@@ -58,11 +58,11 @@ use std::io;
 use std::marker::PhantomData;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bskip_index::cursor::{above_lower, below_upper};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
+use bskip_sync::RelaxedCounter;
 
 use crate::bloom::{bloom_hash, Bloom};
 use crate::codec::{get_uvarint, put_uvarint, shared_prefix, Persist};
@@ -532,7 +532,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
         self: &Arc<Self>,
         lo: Bound<K>,
         hi: Bound<K>,
-        errors: Arc<AtomicU64>,
+        errors: Arc<RelaxedCounter>,
     ) -> TableCursor<K, V> {
         let mut cursor = self.cursor(lo, hi);
         cursor.error_counter = Some(errors);
@@ -569,7 +569,7 @@ pub struct TableCursor<K: IndexKey, V: IndexValue> {
     current: Option<(K, Slot<V>)>,
     finished: bool,
     io_error: bool,
-    error_counter: Option<Arc<AtomicU64>>,
+    error_counter: Option<Arc<RelaxedCounter>>,
 }
 
 impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
@@ -595,7 +595,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
                 self.finished = true;
                 self.io_error = true;
                 if let Some(counter) = &self.error_counter {
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    counter.incr();
                 }
             }
         }
@@ -892,7 +892,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let table: Arc<Table<u64, u64>> = Arc::new(Table::open(&StdFs, &path, 1).unwrap());
-        let errors = Arc::new(AtomicU64::new(0));
+        let errors = Arc::new(RelaxedCounter::new());
         let mut cursor = table.cursor_counted(Bound::Unbounded, Bound::Unbounded, errors.clone());
         let streamed = std::iter::from_fn(|| cursor.next()).count();
         assert!(
@@ -900,7 +900,7 @@ mod tests {
             "the stream must end at the corrupt block, not fabricate entries"
         );
         assert!(cursor.had_io_error());
-        assert_eq!(errors.load(Ordering::Relaxed), 1, "one block, one error");
+        assert_eq!(errors.get(), 1, "one block, one error");
         assert_eq!(cursor.next(), None, "the cursor stays cleanly finished");
         std::fs::remove_file(&path).unwrap();
     }

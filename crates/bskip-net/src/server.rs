@@ -28,12 +28,13 @@
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bskip_index::{ConcurrentIndex, IndexStats, Op};
+use bskip_index::{ConcurrentIndex, Op, StatKind};
+use bskip_sync::RelaxedCounter;
 
 use crate::proto::{
     encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request, Response,
@@ -66,65 +67,50 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters describing the server's coalescing behaviour,
-/// exported through the protocol's `Stats` request (prefixed `server_`).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted and served.
-    pub connections: AtomicU64,
-    /// Connections turned away at the cap with a `Busy` frame.
-    pub rejected: AtomicU64,
-    /// Requests decoded (one `Batch` request counts once).
-    pub requests: AtomicU64,
-    /// `execute` calls issued for coalesced point-operation runs.
-    pub batches: AtomicU64,
-    /// Point operations carried by those `execute` calls; the mean
-    /// coalesced batch size is `batched_ops / batches`.
-    pub batched_ops: AtomicU64,
-    /// Largest single coalesced batch observed.
-    pub max_batch: AtomicU64,
-    /// `Scan` requests served.
-    pub scans: AtomicU64,
-    /// Entries returned across all scans.
-    pub scan_entries: AtomicU64,
-    /// Requests answered with an `Unavailable` error frame because the
-    /// backend reported itself degraded.
-    pub unavailable: AtomicU64,
+bskip_index::stat_block! {
+    /// Counters describing the server's coalescing behaviour, exported
+    /// through the protocol's `Stats` request (prefixed `server_`).
+    /// [`ServerStats::snapshot`] is in the uniform
+    /// [`bskip_index::IndexStats`] format, so the `Stats` opcode merges it
+    /// with whatever the index exports (per-shard rollups included).
+    pub struct ServerStats {
+        /// Connections accepted and served.
+        pub connections: RelaxedCounter => Counter "server_connections",
+        /// Connections turned away at the cap with a `Busy` frame.
+        pub rejected: RelaxedCounter => Counter "server_rejected",
+        /// Requests decoded (one `Batch` request counts once).
+        pub requests: RelaxedCounter => Counter "server_requests",
+        /// `execute` calls issued for coalesced point-operation runs.
+        pub batches: RelaxedCounter => Counter "server_batches",
+        /// Point operations carried by those `execute` calls; the mean
+        /// coalesced batch size is `batched_ops / batches`.
+        pub batched_ops: RelaxedCounter => Counter "server_batched_ops",
+        /// Largest single coalesced batch observed.
+        pub max_batch: RelaxedCounter => Max "server_max_batch",
+        /// `Scan` requests served.
+        pub scans: RelaxedCounter => Counter "server_scans",
+        /// Entries returned across all scans.
+        pub scan_entries: RelaxedCounter => Counter "server_scan_entries",
+        /// Requests answered with an `Unavailable` error frame because the
+        /// backend reported itself degraded.
+        pub unavailable: RelaxedCounter => Counter "server_unavailable",
+    }
 }
 
 impl ServerStats {
     fn note_batch(&self, ops: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_ops.fetch_add(ops as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(ops as u64, Ordering::Relaxed);
+        self.batches.incr();
+        self.batched_ops.add(ops as u64);
+        self.max_batch.record_max(ops as u64);
     }
+}
 
-    /// Snapshot in the uniform [`IndexStats`] format (names prefixed
-    /// `server_`), so the counters compose with backend snapshots through
-    /// [`IndexStats::merge`] — the `Stats` opcode merges this with
-    /// whatever the index exports (per-shard rollups included).
-    pub fn index_snapshot(&self) -> IndexStats {
-        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        IndexStats::new()
-            .with("server_connections", read(&self.connections))
-            .with("server_rejected", read(&self.rejected))
-            .with("server_requests", read(&self.requests))
-            .with("server_batches", read(&self.batches))
-            .with("server_batched_ops", read(&self.batched_ops))
-            .with("server_max_batch", read(&self.max_batch))
-            .with("server_scans", read(&self.scans))
-            .with("server_scan_entries", read(&self.scan_entries))
-            .with("server_unavailable", read(&self.unavailable))
-    }
-
-    /// Snapshot as `(name, value)` pairs, in the order they appear in a
-    /// `Stats` response.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.index_snapshot()
-            .iter()
-            .map(|stat| (stat.name.to_string(), stat.value))
-            .collect()
-    }
+/// A snapshot as the `(name, value)` pairs of a `Stats` response.
+fn wire_entries(stats: &bskip_index::IndexStats) -> Vec<(String, u64)> {
+    stats
+        .iter()
+        .map(|stat| (stat.name.to_string(), stat.value))
+        .collect()
 }
 
 struct Shared {
@@ -218,11 +204,11 @@ impl KvServer {
             // the cap; back out if we lost.
             if shared.active.fetch_add(1, Ordering::AcqRel) >= shared.config.max_connections {
                 shared.active.fetch_sub(1, Ordering::AcqRel);
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                shared.stats.rejected.incr();
                 reject_busy(stream);
                 continue;
             }
-            shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+            shared.stats.connections.incr();
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 let _ = serve_connection(&shared, stream);
@@ -260,9 +246,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot of the server's coalescing counters.
+    /// Snapshot of the server's coalescing counters, as the `(name,
+    /// value)` pairs they appear as in a `Stats` response.
     pub fn stats(&self) -> Vec<(String, u64)> {
-        self.shared.stats.snapshot()
+        wire_entries(&self.shared.stats.snapshot())
     }
 
     /// Raises the shutdown flag, wakes the accept loop with a throwaway
@@ -370,10 +357,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         write_buf: &mut Vec<u8>,
     ) -> std::io::Result<()> {
         write_buf.clear();
-        shared
-            .stats
-            .requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
+        shared.stats.requests.add(requests.len() as u64);
 
         // Pass 1: translate the run into one flat op vector plus one
         // reply descriptor per request.  Non-point requests (Ping, Scan,
@@ -386,7 +370,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         // stats keep being served off the surviving state.
         let degraded = shared.index.degraded();
         let unavailable = |replies: &mut Vec<PendingReply>| {
-            shared.stats.unavailable.fetch_add(1, Ordering::Relaxed);
+            shared.stats.unavailable.incr();
             replies.push(PendingReply::Ready(Response::Error {
                 code: ErrorCode::Unavailable,
                 message: "backend degraded: node is read-only".into(),
@@ -471,7 +455,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
 }
 
 fn serve_scan(shared: &Shared, lo: u64, hi: u64, limit: u32) -> Response {
-    shared.stats.scans.fetch_add(1, Ordering::Relaxed);
+    shared.stats.scans.incr();
     let mut cursor = shared
         .index
         .scan_bounds(Bound::Included(lo), Bound::Excluded(hi));
@@ -482,10 +466,7 @@ fn serve_scan(shared: &Shared, lo: u64, hi: u64, limit: u32) -> Response {
             None => break,
         }
     }
-    shared
-        .stats
-        .scan_entries
-        .fetch_add(entries.len() as u64, Ordering::Relaxed);
+    shared.stats.scan_entries.add(entries.len() as u64);
     Response::Entries { entries }
 }
 
@@ -495,16 +476,14 @@ fn serve_stats(shared: &Shared) -> Response {
     // for a sharded backend) compose through `IndexStats::merge` — the
     // `server_*` names and the backend's names are disjoint, so the
     // merge is a pure concatenation here.
+    let index_len = shared.index.len() as u64;
     let mut stats = shared
         .stats
-        .index_snapshot()
-        .with("index_len", shared.index.len() as u64);
+        .snapshot()
+        .with_kind("index_len", StatKind::Gauge, index_len);
     stats.merge(&shared.index.stats());
     Response::Stats {
-        entries: stats
-            .iter()
-            .map(|stat| (stat.name.to_string(), stat.value))
-            .collect(),
+        entries: wire_entries(&stats),
     }
 }
 
@@ -516,5 +495,25 @@ fn error_response(error: &ProtoError) -> Response {
     Response::Error {
         code,
         message: error.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two servers' (or two collection rounds') snapshots merge by kind:
+    /// the batch peak is a maximum, everything else a sum.
+    #[test]
+    fn merged_server_snapshots_keep_the_largest_batch() {
+        let (a, b) = (ServerStats::default(), ServerStats::default());
+        a.note_batch(32);
+        b.note_batch(17);
+        b.note_batch(3);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged.get("server_max_batch"), Some(32));
+        assert_eq!(merged.get("server_batches"), Some(3));
+        assert_eq!(merged.get("server_batched_ops"), Some(52));
     }
 }

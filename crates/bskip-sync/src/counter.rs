@@ -49,6 +49,13 @@ impl RelaxedCounter {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Raises the stored value to `value` if it is larger — the cell then
+    /// tracks a high-water mark instead of an event count.
+    #[inline]
+    pub fn record_max(&self, value: u64) {
+        self.value.fetch_max(value, Ordering::Relaxed);
+    }
+
     /// Returns the current count.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -87,6 +94,14 @@ mod tests {
         counter.incr();
         counter.add(10);
         assert_eq!(counter.get(), 12);
+    }
+
+    #[test]
+    fn record_max_keeps_the_high_water_mark() {
+        let counter = RelaxedCounter::new();
+        counter.record_max(7);
+        counter.record_max(3);
+        assert_eq!(counter.get(), 7);
     }
 
     #[test]

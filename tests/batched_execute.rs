@@ -44,9 +44,9 @@ proptest! {
     /// agree, result-for-result and in final contents, with a `BTreeMap`
     /// oracle that applies the same batch sequentially.  The B-skiplist
     /// takes its native sorted-batch path, the baselines the shared
-    /// sorted-loop override, and the oracle the slot-order default.  The
-    /// hash shard runs with `with_parallel_threshold(0)` so every
-    /// multi-shard batch exercises the scoped-thread parallel path.
+    /// sorted-loop override, and the oracle the slot-order default.  Batch
+    /// sizes straddle the sharded front-end's parallel threshold (64), so
+    /// both its sequential and its scoped-thread apply paths are drawn.
     #[test]
     fn execute_matches_a_sequential_oracle_on_all_indices(
         batches in proptest::collection::vec(
@@ -62,7 +62,7 @@ proptest! {
         let btree: OccBTree<u64, u64, 8> = OccBTree::new();
         let masstree: MasstreeLite<u64, u64> = MasstreeLite::new();
         let sharded_hash: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> = ShardedIndex::new(
-            ShardSpec::hash(4).with_parallel_threshold(0),
+            ShardSpec::hash(4),
             |_| BSkipList::with_config(BSkipConfig::default().with_max_height(4)),
         );
         let sharded_range: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
@@ -205,22 +205,21 @@ fn concurrent_batch_and_point_mutations_stay_consistent() {
 /// the shards in parallel: each *touched* shard's stats-enabled B-skiplist
 /// records exactly one `batch_executes` with its slice of the ops, the
 /// per-shard counters aggregate through the mergeable-stats API
-/// (`IndexStats: Sum`), and the front-end's own counters confirm the
+/// (`IndexStats::merge`), and the front-end's own counters confirm the
 /// scoped-thread parallel path ran.
 #[test]
 fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
     use bskip_suite::IndexStats;
 
     let shards = 4;
-    let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> = ShardedIndex::new(
-        // Threshold 0: any batch touching more than one shard goes down
-        // the scoped-thread parallel path.
-        ShardSpec::hash(shards).with_parallel_threshold(0),
-        |_| BSkipList::with_config(BSkipConfig::paper_default().with_stats(true)),
-    );
+    let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
+        ShardedIndex::new(ShardSpec::hash(shards), |_| {
+            BSkipList::with_config(BSkipConfig::paper_default().with_stats(true))
+        });
 
     // One insert per key: slots end up in per-shard sub-batches, and every
-    // shard's `execute` sees only its own keys.
+    // shard's `execute` sees only its own keys.  64 operations reach the
+    // parallel threshold, so the sub-batches run on scoped threads.
     let mut ops: Vec<Op<u64, u64>> = (0..64u64).map(|k| Op::insert(k, k * 3)).collect();
     let touched: std::collections::BTreeSet<usize> =
         (0..64u64).map(|k| sharded.shard_of(&k)).collect();
@@ -249,7 +248,10 @@ fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
     // The same numbers through the mergeable-stats aggregation: summing
     // the per-shard snapshots and asking the front-end (which merges
     // internally) must agree.
-    let summed: IndexStats = per_shard.into_iter().sum();
+    let mut summed = IndexStats::new();
+    for stats in &per_shard {
+        summed.merge(stats);
+    }
     assert_eq!(summed.get("batch_executes"), Some(touched.len() as u64));
     assert_eq!(summed.get("batched_ops"), Some(64));
     let merged = sharded.stats();

@@ -164,8 +164,8 @@ fn concurrent_removes_do_not_lose_unrelated_keys() {
 }
 
 /// The sharded front-end under a real race: many threads drive batches
-/// (which fan out onto the front-end's own scoped threads — parallel
-/// threshold 0 forces that path) and point operations into the same
+/// (which fan out onto the front-end's own scoped threads — 64 operations
+/// per batch reach the parallel threshold) and point operations into the same
 /// hash-partitioned index at once.  Per-thread key stripes keep every
 /// per-key history deterministic while the shard executors race on shared
 /// leaves, so TSan sees the split/apply/copy-back machinery under
@@ -178,10 +178,10 @@ fn sharded_concurrent_batches_and_points_agree_at_quiescence() {
     let threads = 4u64;
     let rounds = 20u64;
     let per_round = 64u64;
-    let sharded: Arc<ShardedIndex<u64, u64, BSkipList<u64, u64, 8>>> = Arc::new(ShardedIndex::new(
-        ShardSpec::hash(4).with_parallel_threshold(0),
-        |_| BSkipList::with_config(BSkipConfig::default().with_max_height(5)),
-    ));
+    let sharded: Arc<ShardedIndex<u64, u64, BSkipList<u64, u64, 8>>> =
+        Arc::new(ShardedIndex::new(ShardSpec::hash(4), |_| {
+            BSkipList::with_config(BSkipConfig::default().with_max_height(5))
+        }));
 
     std::thread::scope(|scope| {
         for thread_id in 0..threads {
@@ -263,6 +263,13 @@ fn sharded_concurrent_batches_and_points_agree_at_quiescence() {
         .collect();
     let contents: Vec<(u64, u64)> = expected.into_iter().collect();
     assert_eq!(scanned, contents, "merged contents after the race");
+    // Every batch went down the scoped-thread fan-out the race is about.
+    let stats = sharded.stats();
+    assert_eq!(
+        stats.get("sharded_parallel_batches"),
+        Some(threads / 2 * rounds * 2)
+    );
+    assert_eq!(stats.get("sharded_sequential_batches"), Some(0));
     for shard in 0..sharded.shards() {
         sharded
             .shard(shard)

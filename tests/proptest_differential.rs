@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use bskip_suite::core::seq::SeqBSkipList;
-use bskip_suite::{BSkipConfig, BSkipList};
+use bskip_suite::{BSkipConfig, BSkipList, ConcurrentIndex};
 
 /// A single dictionary operation drawn by proptest.
 #[derive(Debug, Clone)]
