@@ -43,7 +43,7 @@
 //! so nobody can reach an unlinked node.  Retirement through the
 //! collector adds grace-period slack on top of that argument and exports
 //! the uniform [`bskip_index::ReclamationStats`] surface the churn tests
-//! and `stat_shrink` rely on.
+//! (`tests/reclamation_churn.rs`, `tests/shrink_churn.rs`) rely on.
 //!
 //! Sibling pairs are always locked left-to-right, the same order as the
 //! leaf chain, so rebalancing cannot deadlock against range scans.

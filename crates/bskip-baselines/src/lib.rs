@@ -18,7 +18,8 @@
 //! The goal is not to beat the original C++/Java systems on absolute
 //! numbers but to preserve the *shape* of the comparison: unblocked
 //! skiplists pay one cache line per element, the OCC B+-tree pays root
-//! retries on splits, and so on.  DESIGN.md documents this substitution.
+//! retries on splits, and so on.  The README's *Substitutions* section
+//! records what stands in for what.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

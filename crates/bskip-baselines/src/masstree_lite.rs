@@ -15,7 +15,7 @@
 //! B-skiplist).  The narrow nodes make the tree deeper, which reproduces
 //! Masstree's relative behaviour in the paper: competitive but slightly
 //! slower point operations and much slower range scans than the blocked
-//! indices.  DESIGN.md records this substitution.
+//! indices.  The README's *Substitutions* section records this one.
 //!
 //! # Structural deletion
 //!

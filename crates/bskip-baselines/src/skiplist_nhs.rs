@@ -359,9 +359,9 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
     /// to the op count since the last rebuild.  A rebuild is an O(n) walk
     /// of the whole bottom lane, so an idle list must not pay it every
     /// 100µs forever — that starved foreground threads on single-core
-    /// hosts (and made the NHS rows in `BENCH_hotpath.json` 100–1000x
-    /// outliers, since the read-only `get` phase ran against a busy-loop
-    /// of full-lane walks).
+    /// hosts (and made NHS a 100–1000x outlier in read-only `get`
+    /// measurements, which ran against a busy-loop of full-lane walks);
+    /// `idle_worker_skips_rebuilds_until_traffic_resumes` pins the fix.
     pub fn with_sleep_time(sleep_time: Duration) -> Self {
         let inner = Arc::new(Inner::new());
         let worker_inner = Arc::clone(&inner);

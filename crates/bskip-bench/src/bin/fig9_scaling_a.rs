@@ -1,63 +1,13 @@
 //! Figure 9: strong scaling of every index on YCSB workload A (50% finds /
 //! 50% inserts), uniform keys, as the thread count grows.
-//!
-//! Speedups are reported relative to each index's own single-thread
-//! throughput, matching the paper's presentation.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
+use bskip_bench::scaling_experiment;
 use bskip_ycsb::Workload;
 
-fn thread_points(max_threads: usize) -> Vec<usize> {
-    let mut points = vec![1usize];
-    let mut t = 2;
-    while t < max_threads {
-        points.push(t);
-        t *= 2;
-    }
-    if *points.last().unwrap() != max_threads {
-        points.push(max_threads);
-    }
-    points
-}
-
 fn main() {
-    scaling_experiment(Workload::A, "Figure 9 — strong scaling on YCSB A");
-}
-
-pub fn scaling_experiment(workload: Workload, title: &str) {
-    let (base_config, _) = experiment_config();
-    let points = thread_points(base_config.threads.max(1));
-    println!(
-        "{title}: {} records, {} ops, thread points {:?}",
-        base_config.record_count, base_config.operation_count, points
+    scaling_experiment(
+        Workload::A,
+        "Figure 9 — strong scaling on YCSB A",
+        "Paper (128 threads): 35-45x speedups on workload A, 50-60x on workload C.",
     );
-    let mut columns = vec!["index".to_string()];
-    columns.extend(points.iter().map(|t| format!("{t}T ops/us")));
-    columns.push("speedup@max".to_string());
-    print_header(
-        title,
-        &columns.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    for kind in IndexKind::ALL {
-        let mut cells = vec![kind.label().to_string()];
-        let mut single = 0.0f64;
-        let mut last = 0.0f64;
-        for &threads in &points {
-            let config = base_config.with_threads(threads);
-            let (result, _) = run_workload_fresh(kind, workload, &config);
-            let throughput = result.throughput_ops_per_us;
-            if threads == 1 {
-                single = throughput;
-            }
-            last = throughput;
-            cells.push(format!("{throughput:.2}"));
-        }
-        cells.push(if single > 0.0 {
-            format!("{:.1}x", last / single)
-        } else {
-            "-".into()
-        });
-        println!("{}", format_row(&cells));
-    }
-    println!("\nPaper (128 threads): 35-45x speedups on workload A, 50-60x on workload C.");
 }

@@ -42,7 +42,6 @@ fn main() {
         config.threads
     );
 
-    let mut rows: Vec<bskip_bench::JsonRow> = Vec::new();
     for kind in RECLAIMING {
         let index = kind.build();
         let handle = index.as_index();
@@ -87,15 +86,6 @@ fn main() {
                     reclamation.epoch.to_string(),
                 ])
             );
-            rows.push(vec![
-                ("index", kind.label().to_string()),
-                ("slice", slice.to_string()),
-                ("mops", format!("{:.3}", result.mops())),
-                ("live_keys", handle.len().to_string()),
-                ("retired", reclamation.retired.to_string()),
-                ("freed", reclamation.freed.to_string()),
-                ("backlog", reclamation.backlog.to_string()),
-            ]);
         }
         let final_stats = handle.stats();
         let reclamation = final_stats.reclamation().unwrap();
@@ -131,6 +121,5 @@ fn main() {
             ])
         );
     }
-    bskip_bench::write_artifact("stat_reclamation", &rows);
     println!("\nA bounded backlog column (flat, not growing with slices) is the pass criterion.");
 }

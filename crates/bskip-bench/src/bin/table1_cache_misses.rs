@@ -2,7 +2,8 @@
 //! B-skiplist during YCSB Load + C and Load + E.
 //!
 //! The paper measures hardware LLC load misses with `perf`; this harness
-//! uses the `bskip-cachesim` I/O-model simulator instead (see DESIGN.md).
+//! uses the `bskip-cachesim` I/O-model simulator instead (see the README's
+//! *Substitutions* section).
 //! The interesting output is the ratio columns SL/BSL and BT/BSL, which the
 //! paper reports as 3.2/1.4 (Load + C) and 5.6/1.2 (Load + E).
 //!

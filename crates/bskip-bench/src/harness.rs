@@ -3,11 +3,8 @@
 
 use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 use bskip_core::{BSkipConfig, BSkipList};
-use bskip_index::{ConcurrentIndex, IndexStats, ShardSpec, ShardedIndex};
-use bskip_lsm::{LsmConfig, LsmEngine};
+use bskip_index::{ConcurrentIndex, IndexStats};
 use bskip_ycsb::{run_load_phase, run_run_phase, PhaseResult, Workload, YcsbConfig};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The indices evaluated in the paper's Section 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,24 +21,6 @@ pub enum IndexKind {
     OccBTree,
     /// Masstree-style narrow-node B+-tree.
     Masstree,
-    /// The durable LSM engine (B-skiplist memtable + WAL + SSTables).
-    /// Not part of the paper's in-memory comparison; opt-in for the
-    /// persistence experiments (`stat_lsm`, YCSB with durability).
-    Lsm,
-    /// Hash-partitioned B-skiplist shards behind the `ShardedIndex`
-    /// front-end ([`shard_count`] shards, `BSKIP_SHARDS`).  Not part of
-    /// the paper's comparison set; opt-in for the sharding experiments.
-    ShardedBSkip,
-    /// Range-partitioned B-skiplist shards (uniform key-space split into
-    /// [`shard_count`] intervals) — the concatenating-scan fast path.
-    ShardedBSkipRange,
-}
-
-/// The shard count the `Sharded*` kinds build with and every JSON
-/// artifact records: the `BSKIP_SHARDS` environment knob, default 4,
-/// clamped to at least 1.
-pub fn shard_count() -> usize {
-    env_usize("BSKIP_SHARDS", 4).max(1)
 }
 
 impl IndexKind {
@@ -80,9 +59,6 @@ impl IndexKind {
             IndexKind::NhsSkipList => "NoHotSpot SL",
             IndexKind::OccBTree => "OCC B+-tree",
             IndexKind::Masstree => "Masstree-lite",
-            IndexKind::Lsm => "bskip-lsm",
-            IndexKind::ShardedBSkip => "Sharded B-skiplist",
-            IndexKind::ShardedBSkipRange => "Sharded B-skiplist/range",
         }
     }
 
@@ -97,110 +73,7 @@ impl IndexKind {
             IndexKind::NhsSkipList => AnyIndex::Nhs(Box::new(NhsSkipList::new())),
             IndexKind::OccBTree => AnyIndex::BTree(Box::new(OccBTree::new())),
             IndexKind::Masstree => AnyIndex::Masstree(Box::new(MasstreeLite::new())),
-            IndexKind::Lsm => AnyIndex::Lsm(Box::new(LsmHandle::fresh())),
-            IndexKind::ShardedBSkip => AnyIndex::Sharded(Box::new(ShardedIndex::new(
-                ShardSpec::hash(shard_count()),
-                |_| BSkipList::with_config(BSkipConfig::paper_default()),
-            ))),
-            IndexKind::ShardedBSkipRange => AnyIndex::Sharded(Box::new(ShardedIndex::new(
-                ShardSpec::range_uniform(shard_count()),
-                |_| BSkipList::with_config(BSkipConfig::paper_default()),
-            ))),
         }
-    }
-}
-
-/// A freshly-opened [`LsmEngine`] rooted in a scratch directory that is
-/// removed when the handle is dropped.  Benchmarks get a disposable,
-/// self-cleaning durable engine with the same lifecycle as the in-memory
-/// indices.
-pub struct LsmHandle {
-    engine: LsmEngine<u64, u64>,
-    dir: PathBuf,
-}
-
-impl LsmHandle {
-    /// Opens a fresh engine in a unique scratch directory.  Honours
-    /// `BSKIP_LSM_DIR` as the parent for the scratch directories (so the
-    /// benchmark can target a specific device); defaults to the system
-    /// temp dir.
-    pub fn fresh() -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let parent = std::env::var_os("BSKIP_LSM_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let dir = parent.join(format!(
-            "bskip-lsm-bench-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let engine = LsmEngine::open(&dir, LsmConfig::default())
-            .expect("open scratch LSM engine for benchmarking");
-        LsmHandle { engine, dir }
-    }
-
-    /// The engine itself.
-    pub fn engine(&self) -> &LsmEngine<u64, u64> {
-        &self.engine
-    }
-
-    /// The scratch directory backing the engine.
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
-    }
-}
-
-impl Drop for LsmHandle {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-/// The handle forwards the index trait to its engine, so a whole
-/// `LsmHandle` can stand wherever a [`ConcurrentIndex`] is expected —
-/// in particular behind the network service's `Arc<dyn ConcurrentIndex>`
-/// backend slot, where the handle's drop keeps the scratch directory
-/// self-cleaning after the server shuts down.
-impl ConcurrentIndex<u64, u64> for LsmHandle {
-    fn insert(&self, key: u64, value: u64) -> Option<u64> {
-        self.engine.insert(key, value)
-    }
-    fn get(&self, key: &u64) -> Option<u64> {
-        self.engine.get(key)
-    }
-    fn contains_key(&self, key: &u64) -> bool {
-        self.engine.contains_key(key)
-    }
-    fn execute(&self, ops: &mut [bskip_index::Op<u64, u64>]) {
-        self.engine.execute(ops)
-    }
-    fn remove(&self, key: &u64) -> Option<u64> {
-        self.engine.remove(key)
-    }
-    fn scan_bounds(
-        &self,
-        lo: std::ops::Bound<u64>,
-        hi: std::ops::Bound<u64>,
-    ) -> bskip_index::Cursor<'_, u64, u64> {
-        self.engine.scan_bounds(lo, hi)
-    }
-    fn try_reclaim(&self) -> usize {
-        self.engine.try_reclaim()
-    }
-    fn len(&self) -> usize {
-        ConcurrentIndex::len(&self.engine)
-    }
-    fn name(&self) -> &'static str {
-        self.engine.name()
-    }
-    fn degraded(&self) -> bool {
-        self.engine.degraded()
-    }
-    fn stats(&self) -> IndexStats {
-        ConcurrentIndex::stats(&self.engine)
-    }
-    fn reset_stats(&self) {
-        self.engine.reset_stats()
     }
 }
 
@@ -218,10 +91,6 @@ pub enum AnyIndex {
     BTree(Box<OccBTree<u64, u64>>),
     /// The Masstree-style tree.
     Masstree(Box<MasstreeLite<u64, u64>>),
-    /// The durable LSM engine, rooted in a self-cleaning scratch dir.
-    Lsm(Box<LsmHandle>),
-    /// A `ShardedIndex` of B-skiplist shards (hash- or range-partitioned).
-    Sharded(Box<ShardedIndex<u64, u64, BSkipList<u64, u64>>>),
 }
 
 impl AnyIndex {
@@ -234,8 +103,6 @@ impl AnyIndex {
             AnyIndex::Nhs(index) => index.as_ref(),
             AnyIndex::BTree(index) => index.as_ref(),
             AnyIndex::Masstree(index) => index.as_ref(),
-            AnyIndex::Lsm(handle) => handle.engine(),
-            AnyIndex::Sharded(index) => index.as_ref(),
         }
     }
 
@@ -244,39 +111,14 @@ impl AnyIndex {
     /// run phase (and does not count that time); this does the same
     /// deterministically.
     pub fn settle_after_load(&self) {
-        match self {
-            AnyIndex::Nhs(index) => index.rebuild_index_now(),
-            // Drain the flush/compaction backlog so the run phase starts
-            // from a settled on-disk shape (mirrors LevelDB's practice of
-            // waiting for compactions between fill and read benchmarks).
-            AnyIndex::Lsm(handle) => handle
-                .engine()
-                .maintain()
-                .expect("settle LSM maintenance after load"),
-            _ => {}
+        if let AnyIndex::Nhs(index) = self {
+            index.rebuild_index_now();
         }
     }
 
     /// Index statistics (root write locks, structural counters, ...).
     pub fn stats(&self) -> IndexStats {
         self.as_index().stats()
-    }
-
-    /// Drives reclamation at a known-quiescent point: repeatedly calls
-    /// the index's [`ConcurrentIndex::try_reclaim`] (for the NHS skiplist
-    /// each call also publishes a fresh index snapshot, which is what
-    /// moves its unlinked nodes out of limbo and into the collector).
-    /// With no operation in flight, the retired backlog drains to zero.
-    pub fn quiesce(&self) {
-        for _ in 0..8 {
-            self.as_index().try_reclaim();
-        }
-    }
-
-    /// The index's live structural node count (the `live_nodes` statistic
-    /// every index now exports).
-    pub fn live_nodes(&self) -> u64 {
-        self.stats().get("live_nodes").unwrap_or(0)
     }
 }
 
@@ -309,7 +151,7 @@ pub fn experiment_config() -> (YcsbConfig, usize) {
 
 /// Reads a `usize` experiment knob from the environment, falling back to
 /// `default` when the variable is unset or unparsable.
-pub fn env_usize(name: &str, default: usize) -> usize {
+fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
         .and_then(|value| value.parse().ok())
@@ -336,6 +178,63 @@ pub fn run_workload_fresh(
     (result, index)
 }
 
+/// Figures 9 and 10: strong scaling of every index on `workload` as the
+/// thread count doubles from 1 up to `BSKIP_THREADS`.  Speedups are
+/// relative to each index's own single-thread throughput, matching the
+/// paper's presentation; `paper_note` is the paper's result, printed
+/// under the table for comparison.
+pub fn scaling_experiment(workload: Workload, title: &str, paper_note: &str) {
+    let (base_config, _) = experiment_config();
+    let points = thread_points(base_config.threads.max(1));
+    println!(
+        "{title}: {} records, {} ops, thread points {:?}",
+        base_config.record_count, base_config.operation_count, points
+    );
+    let mut columns = vec!["index".to_string()];
+    columns.extend(points.iter().map(|t| format!("{t}T ops/us")));
+    columns.push("speedup@max".to_string());
+    print_header(
+        title,
+        &columns.iter().map(String::as_str).collect::<Vec<_>>(),
+    );
+    for kind in IndexKind::ALL {
+        let mut cells = vec![kind.label().to_string()];
+        let mut single = 0.0f64;
+        let mut last = 0.0f64;
+        for &threads in &points {
+            let config = base_config.with_threads(threads);
+            let (result, _) = run_workload_fresh(kind, workload, &config);
+            let throughput = result.throughput_ops_per_us;
+            if threads == 1 {
+                single = throughput;
+            }
+            last = throughput;
+            cells.push(format!("{throughput:.2}"));
+        }
+        cells.push(if single > 0.0 {
+            format!("{:.1}x", last / single)
+        } else {
+            "-".into()
+        });
+        println!("{}", format_row(&cells));
+    }
+    println!("\n{paper_note}");
+}
+
+/// Powers of two below `max_threads`, then `max_threads` itself.
+fn thread_points(max_threads: usize) -> Vec<usize> {
+    let mut points = vec![1usize];
+    let mut t = 2;
+    while t < max_threads {
+        points.push(t);
+        t *= 2;
+    }
+    if *points.last().unwrap() != max_threads {
+        points.push(max_threads);
+    }
+    points
+}
+
 /// Prints a header line followed by a separator of matching width.
 pub fn print_header(title: &str, columns: &[&str]) {
     println!("\n=== {title} ===");
@@ -353,20 +252,9 @@ pub fn format_row(cells: &[String]) -> String {
 mod tests {
     use super::*;
 
-    /// Every registry kind: the paper's six in-memory indices plus the
-    /// durable engine and the two sharded front-ends (kept out of `ALL`
-    /// so the figure binaries keep the paper's exact comparison set).
-    fn every_kind() -> impl Iterator<Item = IndexKind> {
-        IndexKind::ALL.into_iter().chain([
-            IndexKind::Lsm,
-            IndexKind::ShardedBSkip,
-            IndexKind::ShardedBSkipRange,
-        ])
-    }
-
     #[test]
     fn every_kind_builds_and_serves_operations() {
-        for kind in every_kind() {
+        for kind in IndexKind::ALL {
             let index = kind.build();
             let handle = index.as_index();
             assert!(handle.is_empty(), "{} should start empty", kind.label());
@@ -384,7 +272,7 @@ mod tests {
     #[test]
     fn every_kind_serves_cursor_scans() {
         use std::ops::Bound;
-        for kind in every_kind() {
+        for kind in IndexKind::ALL {
             let index = kind.build();
             let handle = index.as_index();
             for key in 0..64u64 {
@@ -404,21 +292,10 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let all: Vec<_> = every_kind().collect();
-        let mut labels: Vec<_> = all.iter().map(|k| k.label()).collect();
+        let mut labels: Vec<_> = IndexKind::ALL.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), all.len());
-    }
-
-    #[test]
-    fn lsm_handle_cleans_its_scratch_dir() {
-        let handle = LsmHandle::fresh();
-        let dir = handle.dir().clone();
-        handle.engine().insert(7, 70);
-        assert!(dir.is_dir());
-        drop(handle);
-        assert!(!dir.exists());
+        assert_eq!(labels.len(), IndexKind::ALL.len());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Experiment harness shared by the per-table/per-figure binaries.
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper
-//! (see DESIGN.md §3 for the index).  They all share the helpers here:
+//! (the README's "Running the experiments" section is the index), with
+//! two exceptions: `stat_reclamation` and `stat_churn_throughput` run the
+//! delete-churn mix, which the paper's YCSB workloads never exercise.
+//! They all share the helpers here:
 //!
 //! * [`AnyIndex`] — a uniform handle over the six evaluated indices
 //!   (B-skiplist + five baselines) so experiments can iterate over them;
@@ -12,16 +15,16 @@
 //! * [`run_workload_fresh`] — the paper's protocol for one cell of a
 //!   throughput table: build a fresh index, run the load phase, let the
 //!   index settle (NHS index rebuild), then run the requested workload;
+//! * [`scaling_experiment`] — the thread-count sweep behind Figures 9
+//!   and 10;
 //! * small table-formatting helpers.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod harness;
-pub mod json;
 
 pub use harness::{
-    experiment_config, format_row, print_header, run_workload_fresh, shard_count, AnyIndex,
-    IndexKind, LsmHandle,
+    experiment_config, format_row, print_header, run_workload_fresh, scaling_experiment, AnyIndex,
+    IndexKind,
 };
-pub use json::{write_artifact, JsonRow};

@@ -3,9 +3,10 @@
 //! The paper motivates the B-skiplist with hardware-counter measurements
 //! (LLC load misses measured with `perf`, Table 1).  Hardware counters are
 //! not portable across reproduction environments, so this crate provides
-//! the substitution documented in DESIGN.md: a software **set-associative
-//! LRU cache simulator** ([`CacheSim`]) fed by **structural traversal
-//! models** of the three indices compared in Table 1:
+//! the substitution recorded in the README's *Substitutions* section: a
+//! software **set-associative LRU cache simulator** ([`CacheSim`]) fed by
+//! **structural traversal models** of the three indices compared in
+//! Table 1:
 //!
 //! * [`TraceSkipList`] — a traditional skiplist, one element per node;
 //! * [`TraceBTree`] — a B+-tree with multi-kilobyte nodes;

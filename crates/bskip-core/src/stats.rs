@@ -90,7 +90,7 @@ impl BSkipStats {
 
     /// Fraction of point reads that completed through the optimistic
     /// lock-free path (0.0 when no reads were recorded).  The uncontended
-    /// expectation is 1.0; the `stat_hotpath` smoke gate asserts > 0.95.
+    /// expectation is 1.0, asserted by `tests/optimistic_reads.rs`.
     pub fn optimistic_hit_rate(&self) -> f64 {
         let finds = self.finds.get();
         if finds == 0 {

@@ -18,7 +18,7 @@
 //! Module map: [`proto`] (frames, request/response types, the incremental
 //! decoder), [`server`] (blocking thread-per-connection server with
 //! request coalescing), [`client`] (pipelined windowed connection +
-//! pool).  The `stat_service` loadgen binary lives in `bskip-bench`,
+//! pool).  The loadgen is the `svc_pipe` workload of `bskip_perf/`,
 //! which owns the benchmark-harness machinery.
 
 #![warn(missing_docs)]

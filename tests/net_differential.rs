@@ -50,18 +50,21 @@ fn check(expected: Expect, response: Response) {
     }
 }
 
-/// Drives one striped client against the server; returns its oracle.
+/// Drives one striped client against the server; returns its oracle and
+/// the number of operation-carrying frames (point ops and explicit
+/// batches, not pings) it sent.
 fn striped_client(
     addr: std::net::SocketAddr,
     id: u64,
     clients: u64,
     ops: usize,
     window: usize,
-) -> BTreeMap<u64, u64> {
+) -> (BTreeMap<u64, u64>, u64) {
     let mut conn = Connection::connect_windowed(addr, window).expect("client connect");
     let mut rng = SmallRng::seed_from_u64(0xD1FF ^ (id << 40) ^ clients);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut expected: VecDeque<Expect> = VecDeque::new();
+    let mut op_frames = 0u64;
     // Keys stay in a narrow per-stripe range so gets/dels actually hit.
     let stripe_key = |rng: &mut SmallRng| -> u64 { rng.gen_range(0..512u64) * clients + id };
 
@@ -116,6 +119,9 @@ fn striped_client(
                 }
             }
         };
+        if !matches!(request, Request::Ping) {
+            op_frames += 1;
+        }
         conn.send(&request).expect("send");
         while conn.ready() > 0 {
             let response = conn.recv().expect("recv");
@@ -126,7 +132,7 @@ fn striped_client(
         check(expected.pop_front().expect("tracked request"), response);
     }
     assert!(expected.is_empty(), "every request must be answered");
-    oracle
+    (oracle, op_frames)
 }
 
 /// Paginated full-range scan through the protocol.
@@ -152,7 +158,7 @@ fn run_differential(index: SharedIndex, clients: u64, ops: usize, window: usize)
         .expect("spawn");
     let addr = handle.addr();
 
-    let oracles: Vec<BTreeMap<u64, u64>> = std::thread::scope(|scope| {
+    let outcomes: Vec<(BTreeMap<u64, u64>, u64)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..clients)
             .map(|id| scope.spawn(move || striped_client(addr, id, clients, ops, window)))
             .collect();
@@ -165,8 +171,10 @@ fn run_differential(index: SharedIndex, clients: u64, ops: usize, window: usize)
     // Quiescent now: the merged oracles must be exactly the server's
     // contents, observed through the protocol's own scan.
     let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-    for oracle in oracles {
+    let mut op_frames = 0u64;
+    for (oracle, frames) in outcomes {
         merged.extend(oracle);
+        op_frames += frames;
     }
     assert_eq!(
         scan_everything(addr),
@@ -181,6 +189,15 @@ fn run_differential(index: SharedIndex, clients: u64, ops: usize, window: usize)
     assert!(
         stat("server_max_batch") > 1,
         "pipelined clients produced no coalesced batch"
+    );
+    // Mean coalesced batch > 1.  An explicit `Batch` frame carries
+    // several operations by itself, so also count in frames: fewer
+    // `execute` calls than operation-carrying frames, which strict
+    // request/response traffic (window 1) never achieves.
+    let (batches, batched_ops) = (stat("server_batches"), stat("server_batched_ops"));
+    assert!(
+        batched_ops > batches && batches < op_frames,
+        "window {window}: {batched_ops} ops from {op_frames} frames took {batches} execute calls"
     );
     handle.shutdown();
 }

@@ -16,25 +16,35 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bskip_suite::ycsb::keygen::record_key;
 use bskip_suite::{BSkipConfig, BSkipList};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Value derived from a key; any torn read breaks the relation.
 fn tag(key: u64, round: u64) -> u64 {
     key ^ (round << 32) ^ 0x9E37_79B9_7F4A_7C15
 }
 
-#[test]
-fn single_threaded_reads_never_take_a_lock() {
-    let list: BSkipList<u64, u64, 16> =
-        BSkipList::with_config(BSkipConfig::default().with_max_height(5).with_stats(true));
-    for key in 0..10_000u64 {
-        list.insert(key, tag(key, 0));
+/// Loads records `0..records` under `key_of`, then on the same thread
+/// reads back the records `probes` names (plus, for each, a key that was
+/// never inserted) and asserts the whole run stayed on the lock-free path.
+fn conflict_free_reads_take_no_lock<const B: usize>(
+    config: BSkipConfig,
+    records: u64,
+    key_of: impl Fn(u64) -> u64,
+    probes: impl Iterator<Item = u64>,
+) {
+    let list: BSkipList<u64, u64, B> = BSkipList::with_config(config.with_stats(true));
+    for record in 0..records {
+        list.insert(key_of(record), tag(key_of(record), 0));
     }
     list.stats().reset();
-    for key in 0..10_000u64 {
+    for record in probes {
+        let key = key_of(record);
         assert_eq!(list.get(&key), Some(tag(key, 0)));
         assert!(list.contains_key(&key));
-        assert_eq!(list.get(&(key + 10_000)), None);
+        assert_eq!(list.get(&key_of(record + records)), None);
     }
     let stats = list.stats();
     // Conflict-free reads must resolve on the first optimistic attempt:
@@ -43,6 +53,27 @@ fn single_threaded_reads_never_take_a_lock() {
     assert_eq!(stats.optimistic_restarts.get(), 0);
     assert_eq!(stats.optimistic_reads.get(), stats.finds.get());
     assert!(stats.optimistic_hit_rate() > 0.999);
+}
+
+#[test]
+fn single_threaded_reads_never_take_a_lock() {
+    // Small nodes, sequential keys read back in insertion order.
+    conflict_free_reads_take_no_lock::<16>(
+        BSkipConfig::default().with_max_height(5),
+        10_000,
+        |record| record,
+        0..10_000,
+    );
+    // The geometry the benchmarks ship (`paper_default`: B = 128,
+    // p = 1/64) under the YCSB driver's access pattern: hashed record
+    // keys, uniform random gets.
+    let mut rng = SmallRng::seed_from_u64(0x0B5E);
+    conflict_free_reads_take_no_lock::<128>(
+        BSkipConfig::paper_default(),
+        10_000,
+        record_key,
+        (0..10_000).map(|_| rng.gen_range(0..10_000u64)),
+    );
 }
 
 #[test]
