@@ -1,13 +1,20 @@
 //! CRC-32 (IEEE 802.3, reflected) for WAL record and block integrity.
 //!
 //! The workspace builds offline, so the checksum is implemented here rather
-//! than pulled from a crate: the standard table-driven byte-at-a-time form,
-//! with the 256-entry table computed at compile time.  This is the same
-//! polynomial (0xEDB88320 reflected) used by zlib, gzip and LevelDB's log
-//! format, which keeps the WAL frames externally checkable.
+//! than pulled from a crate: table-driven **slicing-by-8** — eight
+//! 256-entry tables computed at compile time, eight input bytes folded per
+//! step through eight independent lookups, the tail byte at a time.  The
+//! checksum is on the path of every table read (one whole block per point
+//! lookup), every block written by flush and compaction and every WAL
+//! frame, and the word-at-a-time form costs about a quarter of the classic
+//! one-byte loop on a 4 KiB block.  This is the same polynomial
+//! (0xEDB88320 reflected) used by zlib, gzip and LevelDB's log format,
+//! which keeps the WAL frames externally checkable.
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC state
+/// after byte `b` followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -20,19 +27,42 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes` (IEEE, reflected, init/final XOR `0xFFFFFFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -40,6 +70,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::TestRng;
+
+    /// The one-byte-per-step form the slicing tables are derived from: the
+    /// reference the differential tests hold [`crc32`] to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -51,6 +92,30 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn matches_the_bytewise_reference_at_every_length_and_offset() {
+        // Every length across several 8-byte words, at every alignment of
+        // the first byte: the word loop, the tail loop and their hand-over.
+        let mut rng = TestRng::for_test("crc-differential");
+        let buffer: Vec<u8> = (0..80).map(|_| rng.gen_u64() as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        // Block-sized random inputs.
+        for _ in 0..64 {
+            let len = rng.gen_range(1024..8193usize);
+            let input: Vec<u8> = (0..len).map(|_| rng.gen_u64() as u8).collect();
+            assert_eq!(crc32(&input), crc32_bytewise(&input), "len {len}");
+        }
     }
 
     #[test]

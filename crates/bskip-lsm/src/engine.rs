@@ -9,7 +9,8 @@
 //! memtable, a `BSkipList<K, Slot<V>>`.  Writes are acknowledged after the
 //! WAL append returns, so an acknowledged write survives process death
 //! (and, with [`SyncPolicy::Always`], power loss).  All mutations and all
-//! maintenance serialize on one writer mutex; reads never take it.
+//! maintenance serialize on one writer mutex; reads — point gets, scans
+//! and batches made only of gets — never take it.
 //!
 //! # Rotation, flush, compaction
 //!
@@ -594,10 +595,29 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// apply in slot order.
     ///
     /// On `Err` nothing was applied and every result slot is untouched.
-    /// A read-only batch never touches the WAL and is served even on a
-    /// degraded engine.
+    /// A read-only batch takes neither the writer mutex nor the WAL — it
+    /// never queues behind writers, flushes or compactions — and is
+    /// served even on a degraded engine.
     pub fn try_execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
+        let get = |state: &EngineState<K, V>, key: &K| {
+            self.lookup(state, key, false)
+                .unwrap_or(None)
+                .and_then(Slot::value)
+                .into()
+        };
+        if ops.iter().all(|op| matches!(op, Op::Get { .. })) {
+            let state = self.read_state();
+            for op in ops.iter_mut() {
+                if let Op::Get { key, result } = op {
+                    *result = get(&state, key);
+                }
+            }
+            return Ok(());
+        }
         let mut write = self.write_lock();
+        if self.degraded() {
+            return Err(degraded_error());
+        }
         let wal_ops: Vec<WalOp<K, V>> = ops
             .iter()
             .filter_map(|op| match op {
@@ -609,23 +629,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 Op::Get { .. } => None,
             })
             .collect();
-        if !wal_ops.is_empty() {
-            if self.degraded() {
-                return Err(degraded_error());
-            }
-            self.wal_append(&mut write, &encode_batch(&wal_ops))?;
-        }
+        self.wal_append(&mut write, &encode_batch(&wal_ops))?;
         {
             let state = self.read_state();
             for op in ops.iter_mut() {
                 match op {
-                    Op::Get { key, result } => {
-                        *result = self
-                            .lookup(&state, key, false)
-                            .unwrap_or(None)
-                            .and_then(Slot::value)
-                            .into();
-                    }
+                    Op::Get { key, result } => *result = get(&state, key),
                     Op::Insert { key, value, result } | Op::Update { key, value, result } => {
                         *result = self
                             .apply_slot(&mut write, &state, *key, Slot::Put(*value))
@@ -1103,10 +1112,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::FaultFs;
+    use crate::storage::{FaultFs, StorageFile};
     use bskip_index::ConcurrentIndexExt;
     use std::fs;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1373,5 +1384,128 @@ mod tests {
         for key in (0..2_000u64).step_by(193) {
             assert_eq!(engine.get(&key), Some(key));
         }
+    }
+
+    /// A [`FaultFs`] whose files can be made to park inside `append`: while
+    /// armed, an append announces itself on `entered` and then waits for
+    /// `release`.
+    struct GateFs {
+        inner: FaultFs,
+        gate: Arc<Gate>,
+    }
+
+    struct Gate {
+        armed: AtomicBool,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    struct GateFile {
+        inner: Box<dyn StorageFile>,
+        gate: Arc<Gate>,
+    }
+
+    impl GateFs {
+        fn gated(&self, inner: Box<dyn StorageFile>) -> Box<dyn StorageFile> {
+            Box::new(GateFile {
+                inner,
+                gate: Arc::clone(&self.gate),
+            })
+        }
+    }
+
+    impl Storage for GateFs {
+        fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            Ok(self.gated(self.inner.create(path)?))
+        }
+        fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn StorageFile>> {
+            Ok(self.gated(self.inner.open_append(path, valid_len)?))
+        }
+        fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            self.inner.open_read(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn read_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.inner.read_dir(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.inner.sync_dir(dir)
+        }
+    }
+
+    impl StorageFile for GateFile {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            if self.gate.armed.load(Ordering::SeqCst) {
+                self.gate.entered.lock().unwrap().send(()).unwrap();
+                self.gate.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.append(data)
+        }
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            self.inner.read_at(buf, offset)
+        }
+        fn sync_data(&self) -> io::Result<()> {
+            self.inner.sync_data()
+        }
+        fn sync_all(&self) -> io::Result<()> {
+            self.inner.sync_all()
+        }
+        fn len(&self) -> io::Result<u64> {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn read_only_batch_does_not_queue_behind_a_writer() {
+        let (entered, writer_entered) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let gate = Arc::new(Gate {
+            armed: AtomicBool::new(false),
+            entered: Mutex::new(entered),
+            release: Mutex::new(released),
+        });
+        let storage = GateFs {
+            inner: FaultFs::new(),
+            gate: Arc::clone(&gate),
+        };
+        let engine: LsmEngine<u64, u64> =
+            LsmEngine::open_with(Arc::new(storage), "/db", LsmConfig::small()).unwrap();
+        for key in 0..8u64 {
+            engine.insert(key, key * 3);
+        }
+
+        gate.armed.store(true, Ordering::SeqCst);
+        let engine = &engine;
+        std::thread::scope(|scope| {
+            scope.spawn(|| engine.insert(100, 1));
+            // The writer now holds the writer mutex, parked in its WAL append.
+            writer_entered.recv().unwrap();
+            let (done, batch_done) = mpsc::channel();
+            scope.spawn(move || {
+                let mut reads: Vec<Op<u64, u64>> = (0..8).map(Op::get).collect();
+                engine.execute(&mut reads);
+                done.send(reads).unwrap();
+            });
+            let reads = batch_done.recv_timeout(Duration::from_secs(5));
+            // Let the writer go whatever happened, so the scope can join.
+            gate.armed.store(false, Ordering::SeqCst);
+            release.send(()).unwrap();
+            let reads = reads.expect("a batch of gets must not wait for the writer mutex");
+            for (key, op) in reads.iter().enumerate() {
+                assert_eq!(op.result().value(), Some(key as u64 * 3));
+            }
+        });
+        assert_eq!(engine.get(&100), Some(1));
     }
 }

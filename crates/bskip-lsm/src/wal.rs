@@ -456,4 +456,26 @@ mod tests {
         assert!(!rescan.torn_tail);
         assert_eq!(rescan.records, vec![b"alpha".to_vec(), b"gamma".to_vec()]);
     }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // The frame a fixed batch produces, captured before `crc32` went
+        // word-at-a-time: segments written by earlier builds replay under
+        // this one, and the other way round, as long as this holds.
+        let fs = FaultFs::new();
+        let path = PathBuf::from("/db/wal-golden.log");
+        let mut writer = WalWriter::create(&fs, &path, SyncPolicy::Never).unwrap();
+        let ops: Vec<WalOp<u64, u64>> = vec![
+            WalOp::Put { key: 1, value: 10 },
+            WalOp::Delete { key: 2 },
+            WalOp::Put {
+                key: u64::MAX,
+                value: 0xDEAD_BEEF,
+            },
+        ];
+        writer.append(&encode_batch(&ops)).unwrap();
+        let frame = fs.live_contents(&path).unwrap();
+        assert_eq!(frame[..FRAME_HEADER], [49, 0, 0, 0, 40, 137, 213, 207]);
+        assert_eq!((frame.len(), crc32(&frame)), (57, 0x53A7_435F));
+    }
 }

@@ -1,0 +1,143 @@
+//! Allocation budget of the LSM point-read path: once a thread is warm, a
+//! lookup that a table answers — bloom probe, block read, checksum,
+//! restart seek — performs **zero** heap allocations.  The budget is an
+//! ordinary test so that it cannot rot: a `Vec` that creeps back into
+//! `Table::get` fails here, not in a benchmark somebody has to read.
+//!
+//! The counting allocator counts per thread, so the harness's other
+//! threads cannot leak into the figures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::Bound;
+use std::sync::Arc;
+
+use bskip_suite::lsm::Table;
+use bskip_suite::{ConcurrentIndex, IndexCursor, LsmConfig, LsmEngine, StdFs};
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator can neither allocate nor observe a torn-down
+    // slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a thread-local statistic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations the calling thread performs inside `work`.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    work();
+    ALLOCS.with(Cell::get) - before
+}
+
+const KEYS: u64 = 40_000;
+const CALLS: u64 = 10_000;
+
+/// The `i`-th pseudo-random draw.
+fn draw(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16
+}
+
+/// Present keys are the even numbers below `2 * KEYS`.
+fn present(i: u64) -> u64 {
+    (draw(i) % KEYS) * 2
+}
+
+#[test]
+fn warm_point_reads_allocate_nothing() {
+    let dir = std::env::temp_dir().join(format!("bskip-alloc-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The production configuration, but for a memtable small enough that
+    // the data ends up spread over several tables on more than one level.
+    let config = LsmConfig {
+        memtable_bytes: 128 << 10,
+        ..LsmConfig::default()
+    };
+    let engine: LsmEngine<u64, u64> = LsmEngine::open(&dir, config).expect("open engine");
+    for key in 0..KEYS {
+        engine.insert(key * 2, key);
+    }
+    engine.maintain().expect("settle everything into tables");
+    let levels = engine.tables_per_level();
+    assert!(levels.iter().sum::<usize>() > 1, "{levels:?}");
+
+    // The engine: every get misses the (empty) memtable and is answered
+    // by a table.
+    assert_eq!(engine.get(&present(0)), Some(present(0) / 2), "warm-up");
+    let allocs = allocations_in(|| {
+        for i in 0..CALLS {
+            assert_eq!(engine.get(&present(i)), Some(present(i) / 2));
+        }
+    });
+    assert_eq!(allocs, 0, "LsmEngine::get answered by a table");
+
+    // One table, directly: the largest on disk.
+    let largest = std::fs::read_dir(&dir)
+        .expect("list the engine directory")
+        .filter_map(Result::ok)
+        .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "sst"))
+        .max_by_key(|entry| entry.metadata().map_or(0, |meta| meta.len()))
+        .expect("the engine has a table")
+        .path();
+    let table: Arc<Table<u64, u64>> = Arc::new(Table::open(&StdFs, &largest, 0).expect("open"));
+    let mut cursor = table.cursor(Bound::Unbounded, Bound::Unbounded);
+    let keys: Vec<u64> = std::iter::from_fn(|| cursor.next())
+        .map(|(key, _)| key)
+        .collect();
+    assert!(table.blocks() > 8 && keys.len() > 1_000);
+
+    assert!(table.get(&keys[0]).expect("warm-up").is_some());
+    let allocs = allocations_in(|| {
+        for i in 0..CALLS {
+            let key = keys[draw(i) as usize % keys.len()];
+            assert!(table.get(&key).expect("table read").is_some());
+        }
+    });
+    assert_eq!(allocs, 0, "Table::get on present keys");
+
+    let allocs = allocations_in(|| {
+        let admitted = (0..CALLS)
+            .filter(|&i| table.may_contain(&(keys[draw(i) as usize % keys.len()] + 1)))
+            .count();
+        assert!(admitted < CALLS as usize / 10, "bloom admitted {admitted}");
+    });
+    assert_eq!(allocs, 0, "Table::may_contain on absent keys");
+
+    drop(engine);
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
