@@ -4,7 +4,10 @@
 //! coin flips with probability `p = 1/(c·B)`, capped at `max_height - 1`.
 //! Crucially — and this is what both the top-down insertion algorithm and
 //! the top-down concurrency-control scheme exploit — the height is drawn
-//! *up front*, independently of the current structure of the list.
+//! *before the structure is modified*, independently of its current shape.
+//! It is drawn once per key that is actually inserted: an overwrite of a
+//! present key draws nothing, so the heights of the stored keys are exactly
+//! geometric whatever the operation history.
 
 use std::cell::Cell;
 
@@ -14,7 +17,7 @@ use rand::{Rng, RngCore, SeedableRng};
 thread_local! {
     /// Per-thread RNG used for promotion coin flips.  `SmallRng` keeps the
     /// cost of a flip to a few nanoseconds, which matters because every
-    /// insert samples a height.
+    /// insert of a new key samples a height.
     static HEIGHT_RNG: std::cell::RefCell<SmallRng> =
         std::cell::RefCell::new(SmallRng::from_entropy());
     /// Thread-local override used by deterministic tests.

@@ -11,12 +11,15 @@
 //!   that a key's promotion height is drawn up front, independent of the
 //!   current structure, so all nodes an insertion will create can be
 //!   pre-allocated and the traversal never has to revisit a level; and
-//! * a **top-down concurrency-control scheme** built on hand-over-hand
-//!   reader/writer locking that takes read locks above the key's promotion
-//!   height and write locks only at the levels actually modified, holding a
-//!   constant number of locks (≤ 3) on at most two adjacent levels at a
-//!   time, with a total lock order (left-to-right, then top-to-bottom) that
-//!   rules out deadlock.
+//! * a **top-down concurrency-control scheme** that takes write locks
+//!   only at the levels an operation actually modifies — at and below the
+//!   key's promotion height — hand-over-hand, holding a constant number
+//!   of locks (≤ 3) on at most two adjacent levels at a time, with a
+//!   total lock order (left-to-right, then top-to-bottom) that rules out
+//!   deadlock.  Above those levels the paper takes read locks; this
+//!   implementation takes none: reads and writes alike descend through
+//!   version-validated optimistic lock coupling and fall back to the
+//!   paper's read locks only after repeated conflicts.
 //!
 //! ## Quick start
 //!
@@ -122,10 +125,15 @@
 //!
 //! ## Concurrency notes
 //!
-//! All operations are safe to invoke from any number of threads.  Every
-//! operation makes a single root-to-leaf pass and never restarts, which is
-//! what gives the B-skiplist its low tail latency compared to optimistic
-//! B-trees (which retire to the root on structural modification).
+//! All operations are safe to invoke from any number of threads.  A point
+//! write locks the leaf it changes and nothing else in the common case
+//! (an overwrite, or an insert that draws height 0 — 63 of 64 at the
+//! paper's `p = 1/64`); structural work makes a single top-down pass from
+//! the key's promotion height and never revisits a level, which is what
+//! gives the B-skiplist its low tail latency compared to optimistic
+//! B-trees (which retire to the root on structural modification).  The
+//! lock-free descents in front of both restart on a version conflict, a
+//! bounded number of times before they take locks instead.
 //!
 //! One documented limitation mirrors the paper's scope: concurrent
 //! `insert` and `remove` racing **on the same key** may leave that key's

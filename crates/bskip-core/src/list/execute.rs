@@ -34,34 +34,22 @@
 //! Under the held leaf lock the path executes, per operation:
 //!
 //! * `Get` — a leaf binary search;
-//! * `Insert`/`Update` of a present key — an in-place value replacement;
-//! * `Insert`/`Update` of an absent key — a direct slot insertion, *iff*
-//!   the freshly sampled promotion height is 0 and the leaf has room;
-//! * `Remove` of an absent key — a no-op;
-//! * `Remove` of a present key that is not a node header (or lives in the
-//!   head sentinel) — a direct slot removal.
+//! * `Insert`/`Update`/`Remove` — the **leaf kernel** (`leaf.rs`), the
+//!   very function the point methods run on the leaf they lock: a present
+//!   key's value is replaced in place, an absent key is inserted directly
+//!   *iff* the promotion height drawn for it is 0 and the leaf has room,
+//!   an absent key's removal is a no-op, and a present key that is not a
+//!   node header (or lives in the head sentinel) is removed directly.
 //!
-//! Everything structural falls back to the per-op point path mid-batch
-//! (releasing the leaf lock first): promoted inserts, overflow splits and
-//! removals of node headers, which may own towers and may empty (and thus
-//! unlink and retire) nodes.  The fallback preserves the already-sampled
-//! promotion height, so batching does not bias the height distribution.
-//!
-//! # Why header-less leaf mutations are complete
-//!
-//! The fast path relies on a structural invariant: **a key stored at slot
-//! `> 0` of a leaf has promotion height 0** — it exists nowhere else in
-//! the structure, so replacing or removing it leaf-locally is the whole
-//! job.  Inductively: a key is promoted only by an insertion (or
-//! duplicate re-insertion) whose promotion split makes it the *header* of
-//! its own pre-allocated leaf; overflow splits and splices only move node
-//! *suffixes* (slots `≥ 1`, height 0 by induction) into the non-header
-//! slots of their destination, and head-sentinel leaves only ever receive
-//! height-0 insertions (a promoted insertion at the front of a head node
-//! moves the head's whole content into the new key's node).  Removing a
-//! non-header slot also can never empty a node, so the fast path never
-//! needs to unlink — the one operation that requires the wider write-lock
-//! protocol.
+//! Everything structural falls back mid-batch (releasing the frontier
+//! first) to the point path's **write-locked passes**, called directly —
+//! not to the point methods, whose leaf-first entry would only repeat the
+//! check the kernel just made: promoted inserts and overflow splits run
+//! `insert_structural` with the height the kernel drew, so batching does
+//! not bias the height distribution, and removals of node headers, which
+//! may own towers and may empty (and thus unlink and retire) nodes, run
+//! `remove_inner`.  Both run under the batch's one epoch pin.  `leaf.rs`
+//! has the invariant that makes the leaf-local cases complete.
 //!
 //! Ordering semantics are those of [`bskip_index::ops`]: the sorted
 //! schedule ([`sorted_order`]) reorders only operations on distinct keys,
@@ -72,8 +60,9 @@ use std::ptr;
 
 use bskip_index::ops::{sorted_order, Op, OpResult};
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::Backoff;
+use bskip_sync::{Backoff, EbrGuard};
 
+use super::leaf::HeaderKey;
 use super::{lock_node, unlock_node, BSkipList, Mode, Restart, OPTIMISTIC_ATTEMPTS};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
@@ -83,13 +72,14 @@ use crate::node::{prefetch_node, Node, NodeSearch};
 /// sorted-batch stride, while a distant jump is cheaper through the tower.
 const L1_WALK_BUDGET: usize = 8;
 
-/// What the fast path decided about one operation.
-enum Outcome {
-    /// Applied under the held leaf lock.
-    Done,
-    /// Needs the per-op point path; for inserts, carries the already
-    /// sampled promotion height so the distribution stays unbiased.
-    Fallback(Option<usize>),
+/// The write-locked pass an operation needs when the leaf kernel could
+/// not finish it under the held leaf lock.
+enum Pass<V> {
+    /// An absent key's insertion that is structural work, with the value
+    /// and the promotion height drawn for it.
+    Insert(V, usize),
+    /// The removal of a non-head leaf's header key.
+    RemoveHeader,
 }
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
@@ -101,8 +91,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// key keep their relative order), pinning the epoch collector once
     /// and holding each leaf's write lock across every operation that
     /// lands in it.  Structural work — promoted inserts, splits, header
-    /// removals — falls back to the per-op point path mid-batch, so every
-    /// batch is exactly as correct as the point loop it replaces.
+    /// removals — falls back to the point path's write-locked passes
+    /// mid-batch, so every batch is exactly as correct as the point loop
+    /// it replaces.
     ///
     /// ```
     /// use bskip_core::BSkipList;
@@ -128,18 +119,17 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         }
         let order = sorted_order(ops);
         // One pin for the whole batch: every traversal below (descents,
-        // right-walks, lock spins on possibly-retired nodes) runs under
-        // this guard.  Fallback point operations pin again internally,
-        // which is safe (slots are per-guard) and rare.
-        let _guard = self.collector().pin();
+        // right-walks, lock spins on possibly-retired nodes) and every
+        // structural fallback runs under this guard.
+        let guard = self.collector().pin();
         // SAFETY: the body upholds the hand-over-hand protocol — guarded
         // node state is only read under a shared or exclusive lock and
         // only written under an exclusive lock, with the left-to-right /
         // top-to-bottom total lock order all traversals share.
-        unsafe { self.execute_inner(ops, &order) }
+        unsafe { self.execute_inner(ops, &order, &guard) }
     }
 
-    unsafe fn execute_inner(&self, ops: &mut [Op<K, V>], order: &[usize]) {
+    unsafe fn execute_inner(&self, ops: &mut [Op<K, V>], order: &[usize], guard: &EbrGuard<'_>) {
         // The two-level frontier: the current write-locked leaf and (when
         // the list has internal levels) its read-locked level-1 ancestor,
         // each with the captured upper bound of the key range it covers
@@ -241,34 +231,31 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             }
 
             // ---- apply under the held leaf lock, or fall back ----
-            match self.apply_op_in_leaf(leaf, &mut ops[slot]) {
-                Outcome::Done => {
-                    idx += 1;
+            if let Some(pass) = self.apply_op_in_leaf(leaf, &mut ops[slot]) {
+                // The passes take their own locks top-down, so the whole
+                // frontier must be released first.
+                unlock_node(leaf, Mode::Write);
+                leaf = ptr::null_mut();
+                if !l1.is_null() {
+                    unlock_node(l1, Mode::Read);
+                    l1 = ptr::null_mut();
                 }
-                Outcome::Fallback(height) => {
-                    // The point path takes its own locks top-down, so the
-                    // whole frontier must be released first.
-                    unlock_node(leaf, Mode::Write);
-                    leaf = ptr::null_mut();
-                    if !l1.is_null() {
-                        unlock_node(l1, Mode::Read);
-                        l1 = ptr::null_mut();
-                    }
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.batch_fallbacks.incr();
-                    }
-                    match (&mut ops[slot], height) {
-                        (
-                            Op::Insert { key, value, result } | Op::Update { key, value, result },
-                            Some(height),
-                        ) => {
-                            *result = self.insert_with_height(*key, *value, height).into();
-                        }
-                        (op, _) => op.apply_point(self),
-                    }
-                    idx += 1;
+                if let Some(stats) = self.stats_enabled() {
+                    stats.batch_fallbacks.incr();
                 }
+                let previous = match pass {
+                    Pass::Insert(value, height) => {
+                        self.insert_structural(key, value, height, guard)
+                    }
+                    Pass::RemoveHeader => self.remove_inner(&key, guard),
+                };
+                let (Op::Get { result, .. }
+                | Op::Insert { result, .. }
+                | Op::Update { result, .. }
+                | Op::Remove { result, .. }) = &mut ops[slot];
+                *result = previous.into();
             }
+            idx += 1;
         }
         if !leaf.is_null() {
             unlock_node(leaf, Mode::Write);
@@ -472,15 +459,17 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     }
 
     /// Applies one operation against the write-locked `leaf` covering its
-    /// key, or reports that it needs the point path.
+    /// key — mutations through the leaf kernel the point path shares — or
+    /// returns the write-locked pass it needs.
     ///
     /// # Safety
     ///
-    /// `leaf` must be a leaf node, write-locked by this thread, whose key
-    /// range covers the operation's key (its header is `<=` the key, or it
-    /// is the head sentinel, and its successor's header — if any — is
-    /// `>` the key).
-    unsafe fn apply_op_in_leaf(&self, leaf: *mut Node<K, V, B>, op: &mut Op<K, V>) -> Outcome {
+    /// As for the kernel ([`Self::upsert_in_leaf`]).
+    unsafe fn apply_op_in_leaf(
+        &self,
+        leaf: *mut Node<K, V, B>,
+        op: &mut Op<K, V>,
+    ) -> Option<Pass<V>> {
         match op {
             Op::Get { key, result } => {
                 if let Some(stats) = self.stats_enabled() {
@@ -490,78 +479,19 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     NodeSearch::Found(slot) => OpResult::Value((*leaf).value_at(slot)),
                     NodeSearch::Pred(_) | NodeSearch::Before => OpResult::Missing,
                 };
-                Outcome::Done
             }
             Op::Insert { key, value, result } | Op::Update { key, value, result } => {
-                match (*leaf).search(key) {
-                    NodeSearch::Found(slot) => {
-                        // Present: an in-place value replacement, exactly
-                        // what the point path does for duplicates.
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.inserts.incr();
-                        }
-                        *result = OpResult::Value((*leaf).replace_value_at(slot, *value));
-                        Outcome::Done
-                    }
-                    found @ (NodeSearch::Pred(_) | NodeSearch::Before) => {
-                        let height = self.sample_height();
-                        if height > 0 || (*leaf).is_full() {
-                            // Promotion or overflow split: structural work
-                            // for the point path (with this height).
-                            return Outcome::Fallback(Some(height));
-                        }
-                        let position = match found {
-                            NodeSearch::Pred(slot) => slot + 1,
-                            NodeSearch::Before => {
-                                debug_assert!(
-                                    (*leaf).is_head(),
-                                    "batch positioned a key below a non-head leaf's header"
-                                );
-                                0
-                            }
-                            NodeSearch::Found(_) => unreachable!(),
-                        };
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.inserts.incr();
-                        }
-                        (*leaf).insert_leaf_at(position, *key, *value);
-                        self.bump_len();
-                        *result = OpResult::Missing;
-                        Outcome::Done
-                    }
+                match self.upsert_in_leaf(leaf, *key, *value, None) {
+                    Ok(previous) => *result = previous.into(),
+                    Err(height) => return Some(Pass::Insert(*value, height)),
                 }
             }
-            Op::Remove { key, result } => {
-                match (*leaf).search(key) {
-                    NodeSearch::Found(slot) if slot > 0 || (*leaf).is_head() => {
-                        // Not a (non-head) node header, hence height 0 and
-                        // present only in this leaf (see the module docs);
-                        // removing it cannot empty a non-head node.
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.removes.incr();
-                        }
-                        let value = (*leaf)
-                            .remove_at(slot)
-                            .expect("leaf removals always yield the value");
-                        self.drop_len();
-                        *result = OpResult::Value(value);
-                        Outcome::Done
-                    }
-                    NodeSearch::Found(_) => {
-                        // A header key may own a tower and its removal may
-                        // empty (and retire) nodes: point path.
-                        Outcome::Fallback(None)
-                    }
-                    NodeSearch::Pred(_) | NodeSearch::Before => {
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.removes.incr();
-                        }
-                        *result = OpResult::Missing;
-                        Outcome::Done
-                    }
-                }
-            }
+            Op::Remove { key, result } => match self.remove_in_leaf(leaf, key) {
+                Ok(removed) => *result = removed.into(),
+                Err(HeaderKey) => return Some(Pass::RemoveHeader),
+            },
         }
+        None
     }
 }
 
@@ -760,6 +690,7 @@ mod tests {
             list.insert_with_height(key, key, 0);
         }
         list.reset_stats();
+        let pins_before = list.reclamation().pins;
 
         let mut batch = vec![
             Op::insert(11, 11), // lands in the full leaf: overflow split
@@ -770,7 +701,17 @@ mod tests {
         let stats = ConcurrentIndex::stats(&list);
         assert!(
             stats.get("batch_fallbacks").unwrap() >= 2,
-            "split and header removal must take the point path"
+            "split and header removal must take the write-locked passes"
+        );
+        assert_eq!(
+            stats.get("structural_writes"),
+            stats.get("batch_fallbacks"),
+            "a fallback enters its pass directly, once"
+        );
+        assert_eq!(
+            list.reclamation().pins - pins_before,
+            1,
+            "the passes run under the batch's own pin"
         );
         assert_eq!(*batch[0].result(), OpResult::Missing);
         assert_eq!(batch[1].result().value(), Some(45));

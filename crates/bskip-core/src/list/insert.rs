@@ -1,27 +1,39 @@
 //! Top-down single-pass insertion (paper Section 3 + Algorithm 1) and the
 //! corresponding top-down concurrency-control scheme (Section 4).
 //!
-//! The insertion of a key with promotion height `h` proceeds as follows:
+//! An insertion goes **leaf first, height second**:
 //!
-//! 1. Draw `h` up front and pre-allocate the `h` new nodes the insertion
-//!    will create (one per level `h-1..0`), already containing the key (and
-//!    the value at the leaf) and chained together through their first down
-//!    pointer.  The new nodes are created *write-locked*: they are not yet
-//!    reachable, so holding their locks costs nothing, and it guarantees
-//!    that as soon as one of them becomes reachable (via a down pointer
-//!    installed at the level above) any concurrent traversal blocks until
-//!    this insert has finished populating and linking it.
-//! 2. Traverse once from the top-level head: read locks above level `h`,
-//!    write locks at and below it, hand-over-hand within and across levels.
-//! 3. At level `h`, write the key into the node that contains its
-//!    predecessor (splitting the node in half first if it is full — an
-//!    *overflow split*).
-//! 4. At every level below `h`, perform a *promotion split*: the
-//!    pre-allocated node becomes the right half of the predecessor's node,
-//!    headed by the new key.
+//! 1. Reach the covering leaf through the optimistic descent and lock it —
+//!    the first lock taken (`leaf.rs`, `lock_covering`).  A present key
+//!    has its value replaced there and the insertion is over: no height is
+//!    drawn, no node allocated, the structure is untouched.
+//! 2. An absent key draws its promotion height `h` *now*.  With `h = 0`
+//!    the key is written into the held leaf — through the pass below,
+//!    entered at `(level 0, this leaf)`, if the leaf is full and has to be
+//!    split in half first (an *overflow split*).
+//! 3. With `h > 0` the leaf is released, the `h` new nodes the insertion
+//!    will create are pre-allocated (one per level `h-1..0`), already
+//!    containing the key (and the value at the leaf) and chained together
+//!    through their first down pointer, and the node covering the key at
+//!    level `h` is reached and locked the same optimistic way.  The new
+//!    nodes are created *write-locked*: they are not yet reachable, so
+//!    holding their locks costs nothing, and it guarantees that as soon as
+//!    one of them becomes reachable (via a down pointer installed at the
+//!    level above) any concurrent traversal blocks until this insert has
+//!    finished populating and linking it.
+//! 4. The **pass** ([`BSkipList::insert_inner`]) runs once from level `h`
+//!    down to the leaf under write locks, hand-over-hand within and across
+//!    levels, with nothing locked above `h`: at level `h` it writes the
+//!    key into the node that contains its predecessor (overflow-splitting
+//!    a full node first); at every level below `h` it performs a
+//!    *promotion split* — the pre-allocated node becomes the right half of
+//!    the predecessor's node, headed by the new key.
 //!
 //! A single pass suffices because the height is independent of the current
-//! structure — the one property that distinguishes skiplists from B-trees.
+//! structure — the one property that distinguishes skiplists from B-trees;
+//! drawing it only for keys that are actually inserted keeps the height
+//! distribution of the stored keys exactly geometric, whatever the
+//! overwrite history.
 
 use std::ptr;
 
@@ -31,12 +43,12 @@ use bskip_sync::EbrGuard;
 use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
-/// Nodes locked at the current level that must be released before moving to
-/// the next level (after the child has been locked).  At most five nodes
-/// are ever held at once: the retained predecessor, the current node, the
-/// pre-allocated node, a spill node and a just-locked successor.
+/// Write-locked nodes of the current level that must be released before
+/// moving to the next level (after the child has been locked).  At most
+/// five nodes are ever held at once: the retained predecessor, the current
+/// node, the pre-allocated node, a spill node and a just-locked successor.
 struct ReleaseSet<K, V, const B: usize> {
-    nodes: [(*mut Node<K, V, B>, Mode); 5],
+    nodes: [*mut Node<K, V, B>; 5],
     len: usize,
 }
 
@@ -47,14 +59,14 @@ where
 {
     fn new() -> Self {
         ReleaseSet {
-            nodes: [(ptr::null_mut(), Mode::Read); 5],
+            nodes: [ptr::null_mut(); 5],
             len: 0,
         }
     }
 
-    fn push(&mut self, node: *mut Node<K, V, B>, mode: Mode) {
+    fn push(&mut self, node: *mut Node<K, V, B>) {
         debug_assert!(self.len < self.nodes.len());
-        self.nodes[self.len] = (node, mode);
+        self.nodes[self.len] = node;
         self.len += 1;
     }
 
@@ -62,11 +74,10 @@ where
     ///
     /// # Safety
     ///
-    /// Every registered node must still be locked by this thread in the
-    /// registered mode.
+    /// Every registered node must still be write-locked by this thread.
     unsafe fn release(&self) {
-        for &(node, mode) in &self.nodes[..self.len] {
-            unlock_node(node, mode);
+        for &node in &self.nodes[..self.len] {
+            unlock_node(node, Mode::Write);
         }
     }
 }
@@ -74,37 +85,68 @@ where
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// Inserts `key → value` with an explicit promotion height instead of a
     /// randomly sampled one.  Returns the previous value if the key was
-    /// already present.
+    /// already present — in which case only the value changes and `height`
+    /// is **ignored**: a stored key keeps the tower it was inserted with.
     ///
     /// This is the deterministic entry point used by tests, benchmarks and
-    /// structure-shape experiments; [`BSkipList::insert`] simply samples the
-    /// height from the configured geometric distribution and calls this.
-    /// Heights are clamped to `max_height - 1`.
+    /// structure-shape experiments; [`BSkipList::insert`] is the same call
+    /// with the height drawn from the configured geometric distribution
+    /// once the key is known to be absent.  Heights are clamped to
+    /// `max_height - 1`.
     pub fn insert_with_height(&self, key: K, value: V, height: usize) -> Option<V> {
-        let height = height.min(self.max_height() - 1);
-        if let Some(stats) = self.stats_enabled() {
-            stats.inserts.incr();
-        }
-        // Pin for the whole pass: the traversal needs epoch protection and
-        // duplicate-key splices retire the nodes they empty (step 4's
-        // never-linked pre-allocations stay thread-private and are freed
-        // directly under the same guard).
-        let guard = self.collector().pin();
-        // SAFETY: the body upholds the hand-over-hand locking protocol
-        // documented on `Node`: guarded state is only read under a shared
-        // or exclusive lock and only written under an exclusive lock.
-        unsafe { self.insert_inner(key, value, height, &guard) }
+        self.insert_impl(key, value, Some(height.min(self.top_level())))
     }
 
-    unsafe fn insert_inner(
+    /// The one point-insert entry: leaf first, height second (steps 1–3 of
+    /// the module docs).  `height` is `None` to draw one.
+    pub(super) fn insert_impl(&self, key: K, value: V, height: Option<usize>) -> Option<V> {
+        // One pin for the whole operation: the descents need epoch
+        // protection and the pass runs under the same guard.
+        let guard = self.collector().pin();
+        // SAFETY: the pin spans every descent; `lock_covering` returns the
+        // covering leaf write-locked, which is the kernel's contract; the
+        // lock is released here or handed to the pass, which releases it.
+        unsafe {
+            let leaf = self.lock_covering(&key, 0);
+            match self.upsert_in_leaf(leaf, key, value, height) {
+                Ok(previous) => {
+                    unlock_node(leaf, Mode::Write);
+                    if let Some(stats) = self.stats_enabled() {
+                        stats.optimistic_writes.incr();
+                    }
+                    previous
+                }
+                // Overflow split: it touches only this leaf and the node
+                // it allocates, so the pass starts right here.
+                Err(0) => self.insert_inner(key, value, Vec::new(), leaf, &guard),
+                Err(height) => {
+                    unlock_node(leaf, Mode::Write);
+                    self.insert_structural(key, value, height, &guard)
+                }
+            }
+        }
+    }
+
+    /// Inserts a key that the leaf kernel found absent and could not place
+    /// leaf-locally, with the height already drawn for it: pre-allocates
+    /// the key's tower (before any lock is taken), reaches the node
+    /// covering the key at level `height` and runs the pass from there.
+    /// The key may have appeared since the kernel looked; the pass handles
+    /// that.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector; the caller must hold no
+    /// node lock; `height <= top_level()`.
+    pub(super) unsafe fn insert_structural(
         &self,
         key: K,
         value: V,
         height: usize,
         guard: &EbrGuard<'_>,
     ) -> Option<V> {
-        // Step 1: pre-allocate (and pre-lock) the nodes for levels
-        // `height-1 .. 0`, chained through their first child pointer.
+        // The nodes for levels `height-1 .. 0`, pre-locked and chained
+        // through their first child pointer.
         let mut prealloc: Vec<*mut Node<K, V, B>> = Vec::with_capacity(height);
         if height > 0 {
             let leaf = Node::<K, V, B>::alloc_leaf(false);
@@ -122,64 +164,51 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 prealloc.push(internal);
             }
         }
+        let entry = self.lock_covering(&key, height);
+        self.insert_inner(key, value, prealloc, entry, guard)
+    }
+
+    /// The write-locked pass (step 4 of the module docs) for a key of
+    /// promotion height `prealloc.len()`: from `entry` — the node covering
+    /// `key` at that level, write-locked by the caller — down to the leaf,
+    /// linking in `prealloc[level]` at every level below.  Releases every
+    /// lock it is handed or takes.
+    ///
+    /// # Safety
+    ///
+    /// As stated for `entry`; `prealloc` as built by
+    /// [`Self::insert_structural`]; `guard` must pin this list's collector.
+    pub(super) unsafe fn insert_inner(
+        &self,
+        key: K,
+        value: V,
+        prealloc: Vec<*mut Node<K, V, B>>,
+        entry: *mut Node<K, V, B>,
+        guard: &EbrGuard<'_>,
+    ) -> Option<V> {
+        let height = prealloc.len();
+        if let Some(stats) = self.stats_enabled() {
+            stats.inserts.incr();
+            stats.structural_writes.incr();
+            if height == self.top_level() {
+                stats.top_level_write_locks.incr();
+            }
+        }
         // Pre-allocated nodes below `free_below` have not been linked into
         // the structure (they are consumed from the top down); whatever
         // remains unconsumed when the pass finishes is freed.
         let mut free_below = height;
 
-        let mode_of = |level: usize| {
-            if level <= height {
-                Mode::Write
-            } else {
-                Mode::Read
-            }
-        };
-
-        // Step 2: single top-down pass.
-        let mut level = self.top_level();
-        let mut mode = mode_of(level);
-        let mut curr = self.head(level);
-        lock_node(curr, mode);
-        if mode == Mode::Write {
-            if let Some(stats) = self.stats_enabled() {
-                stats.top_level_write_locks.incr();
-            }
-        }
-        // Predecessor node retained (locked) at write levels so that a node
-        // emptied by a duplicate-key splice can be unlinked immediately.
+        let mut level = height;
+        let mut curr = entry;
+        // Predecessor node retained (locked) below the entry level so that
+        // a node emptied by a duplicate-key splice can be unlinked
+        // immediately.
         let mut prev: *mut Node<K, V, B> = ptr::null_mut();
         let mut existing_found = false;
         let mut old_value: Option<V> = None;
 
         loop {
-            // ---- horizontal traversal: move right while the successor's
-            // header is not past the key ----
-            loop {
-                let next = (*curr).next();
-                if next.is_null() {
-                    break;
-                }
-                prefetch_node(next);
-                lock_node(next, mode);
-                if (*next).header_covers(&key) {
-                    match mode {
-                        Mode::Write => {
-                            if !prev.is_null() {
-                                unlock_node(prev, Mode::Write);
-                            }
-                            prev = curr;
-                        }
-                        Mode::Read => unlock_node(curr, Mode::Read),
-                    }
-                    curr = next;
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.horizontal_steps.incr();
-                    }
-                } else {
-                    unlock_node(next, mode);
-                    break;
-                }
-            }
             if let Some(stats) = self.stats_enabled() {
                 stats.levels_visited.incr();
             }
@@ -187,33 +216,35 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             // ---- per-level processing ----
             let mut release = ReleaseSet::new();
             if !prev.is_null() {
-                release.push(prev, Mode::Write);
+                release.push(prev);
             }
-            release.push(curr, mode);
+            release.push(curr);
             // Node unlinked at this level (duplicate-key splice that emptied
             // a non-head node); reclaimed after its lock is dropped.
             let mut unlinked: *mut Node<K, V, B> = ptr::null_mut();
             let mut descend_child: *mut Node<K, V, B> = ptr::null_mut();
 
-            if mode == Mode::Write && !existing_found {
+            if !existing_found {
                 let found = (*curr).search(&key);
                 match found {
+                    // The key was absent when the leaf kernel looked, so
+                    // finding it means another thread inserted it since.
                     NodeSearch::Found(idx) => {
                         existing_found = true;
                         if level == height {
-                            // The key already exists and we have not written
-                            // anything yet: reuse its existing tower and just
-                            // update the value at the leaf.
+                            // We have not written anything yet: reuse the
+                            // existing tower and just update the value at
+                            // the leaf.
                             if level == 0 {
                                 old_value = Some((*curr).replace_value_at(idx, value));
                             } else {
                                 descend_child = (*curr).child_at(idx);
                             }
                         } else {
-                            // The key already exists but the level above now
-                            // points at the pre-allocated node for this level
-                            // (the key's previous height was exactly this
-                            // level).  Make the key the header of that node,
+                            // The level above now points at the
+                            // pre-allocated node for this level (the other
+                            // insertion's height was exactly this level).
+                            // Make the key the header of that node,
                             // reusing its existing downward structure, and
                             // splice it in right after `curr`.
                             let pnode = prealloc[level];
@@ -228,7 +259,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                             (*curr).remove_at(idx);
                             (*pnode).set_next((*curr).next());
                             (*curr).set_next(pnode);
-                            release.push(pnode, Mode::Write);
+                            release.push(pnode);
                             if let Some(stats) = self.stats_enabled() {
                                 stats.promotion_splits.incr();
                             }
@@ -263,7 +294,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                                 (*curr).move_suffix_to(half, &*new_node);
                                 (*new_node).set_next((*curr).next());
                                 (*curr).set_next(new_node);
-                                release.push(new_node, Mode::Write);
+                                release.push(new_node);
                                 self.note_nodes_linked(1);
                                 if let Some(stats) = self.stats_enabled() {
                                     stats.overflow_splits.incr();
@@ -318,7 +349,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                                 (*spill).set_next((*curr).next());
                                 (*pnode).set_next(spill);
                                 (*curr).set_next(pnode);
-                                release.push(spill, Mode::Write);
+                                release.push(spill);
                                 self.note_nodes_linked(1);
                                 if let Some(stats) = self.stats_enabled() {
                                     stats.overflow_splits.incr();
@@ -328,7 +359,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                                 (*pnode).set_next((*curr).next());
                                 (*curr).set_next(pnode);
                             }
-                            release.push(pnode, Mode::Write);
+                            release.push(pnode);
                             if let Some(stats) = self.stats_enabled() {
                                 stats.promotion_splits.incr();
                             }
@@ -350,15 +381,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     if old_value.is_none() {
                         old_value = Some((*curr).replace_value_at(idx, value));
                     }
-                } else {
-                    // Only possible if a concurrent remove raced this insert
-                    // on the same key; see the crate-level concurrency notes.
-                    debug_assert!(existing_found);
                 }
+                // Otherwise a concurrent remove raced this insert on the
+                // same key; see the crate-level concurrency notes.
             } else {
-                // Read level (above the promotion height) or post-duplicate
-                // navigation: follow the down pointer of the largest key not
-                // exceeding the search key.
+                // Post-duplicate navigation: follow the down pointer of
+                // the largest key not exceeding the search key.
                 descend_child = self.descend_pointer(curr, &key);
             }
 
@@ -372,20 +400,43 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             }
             debug_assert!(!descend_child.is_null());
             prefetch_node(descend_child);
-            let child_mode = mode_of(level - 1);
-            lock_node(descend_child, child_mode);
+            lock_node(descend_child, Mode::Write);
             release.release();
             if !unlinked.is_null() {
                 self.defer_free(guard, unlinked);
             }
             curr = descend_child;
             prev = ptr::null_mut();
-            mode = child_mode;
             level -= 1;
+
+            // ---- horizontal traversal at the new level: move right while
+            // the successor's header is not past the key, retaining the
+            // predecessor (the entry node needs none: it covers the key)
+            loop {
+                let next = (*curr).next();
+                if next.is_null() {
+                    break;
+                }
+                prefetch_node(next);
+                lock_node(next, Mode::Write);
+                if (*next).header_covers(&key) {
+                    if !prev.is_null() {
+                        unlock_node(prev, Mode::Write);
+                    }
+                    prev = curr;
+                    curr = next;
+                    if let Some(stats) = self.stats_enabled() {
+                        stats.horizontal_steps.incr();
+                    }
+                } else {
+                    unlock_node(next, Mode::Write);
+                    break;
+                }
+            }
         }
 
-        // Step 4: discard pre-allocated nodes that were never linked in
-        // (only happens when the key already existed).  They were never
+        // Discard pre-allocated nodes that were never linked in (only
+        // happens when the key turned out to exist).  They were never
         // reachable from any head, so no other thread can hold a pointer
         // to them and they are freed directly rather than retired.
         for &node in &prealloc[..free_below] {
@@ -435,6 +486,17 @@ mod tests {
         assert_eq!(list.len(), plan.len());
     }
 
+    /// Everything an overwrite must leave alone: the shape of every level,
+    /// the live node count, the key count and the retirement count.
+    fn structure(list: &List) -> (Vec<(usize, usize)>, u64, usize, u64) {
+        (
+            list.level_shape(),
+            list.live_nodes(),
+            list.len(),
+            list.reclamation().retired,
+        )
+    }
+
     #[test]
     fn promoted_insert_splits_existing_nodes() {
         let list = list();
@@ -444,32 +506,86 @@ mod tests {
         }
         list.validate().expect("pre-split structure");
         // Now promote a key in the middle of an existing node.
+        let leaves = list.level_shape()[0].0;
         list.insert_with_height(100, 100, 2);
+        assert_eq!(list.level_shape()[0].0, leaves + 1, "promotion split");
+        let before = structure(&list);
         list.insert_with_height(5, 500, 0); // 5 already exists -> update
         assert_eq!(list.get(&5), Some(500));
-        list.insert_with_height(6, 600, 2); // existing key, larger height
+        // An existing key with a larger height: the value changes, the
+        // height is ignored and the structure stays exactly as it was.
+        assert_eq!(list.insert_with_height(6, 600, 2), Some(6));
         assert_eq!(list.get(&6), Some(600));
+        assert_eq!(structure(&list), before);
         list.validate().expect("post-split structure");
         assert_eq!(list.len(), 13);
     }
 
     #[test]
-    fn reinserting_with_larger_height_keeps_all_keys_reachable() {
+    fn reinserting_with_larger_height_changes_values_only() {
         let list = list();
         for key in 0..32u64 {
             list.insert_with_height(key, key, 0);
         }
+        let before = structure(&list);
         // Re-insert several existing keys with the maximum height; their
-        // values must be updated and every other key must stay reachable.
+        // values must be updated and nothing else may move.
         for key in (0..32u64).step_by(5) {
             assert_eq!(list.insert_with_height(key, key + 1000, 3), Some(key));
         }
+        assert_eq!(structure(&list), before, "an overwrite reshaped the list");
         for key in 0..32u64 {
             let expected = if key % 5 == 0 { key + 1000 } else { key };
             assert_eq!(list.get(&key), Some(expected), "key {key}");
         }
-        list.validate().expect("structure after re-promotion");
-        assert_eq!(list.len(), 32);
+        list.validate().expect("structure after overwrites");
+    }
+
+    #[test]
+    fn structural_pass_splices_a_key_that_appeared_since_the_leaf_check() {
+        // The duplicate-splice branch of the pass handles one race: the
+        // key was absent when the leaf kernel looked, a height was drawn,
+        // and another thread inserted the key before the pass arrived.  It
+        // cannot happen on one thread through the public entry, so drive
+        // the pass directly with a key that is already there.
+        let list = list();
+        for key in 0..32u64 {
+            list.insert_with_height(key, key, 0);
+        }
+        list.insert_with_height(40, 40, 1);
+        let nodes = list.live_nodes();
+        let guard = list.collector().pin();
+        // SAFETY: the guard pins this list's collector and no node lock is
+        // held; heights are below `max_height`.
+        unsafe {
+            // Interior key of a leaf, taller tower: spliced in as a header.
+            assert_eq!(list.insert_structural(9, 900, 3, &guard), Some(9));
+            // Header of a non-head leaf (the overflow splits of a B = 4
+            // build leave one every two keys): the splice empties that
+            // leaf, which must be unlinked and retired.
+            let retired = list.reclamation().retired;
+            assert_eq!(list.insert_structural(2, 200, 2, &guard), Some(2));
+            assert_eq!(list.reclamation().retired, retired + 1);
+            // Same height as the tower that is there: reused as it is.
+            assert_eq!(list.insert_structural(40, 400, 1, &guard), Some(40));
+            // Shorter than the tower that is there: only the value moves.
+            assert_eq!(list.insert_structural(9, 901, 1, &guard), Some(900));
+        }
+        drop(guard);
+        list.validate().expect("structure after duplicate splices");
+        assert_eq!(list.len(), 33);
+        // Three new nodes for key 9 and two for key 2, one leaf retired;
+        // the pre-allocations of the last two calls were freed unlinked.
+        assert_eq!(list.live_nodes(), nodes + 5 - 1);
+        for key in (0..32u64).chain([40]) {
+            let expected = match key {
+                2 => 200,
+                9 => 901,
+                40 => 400,
+                other => other,
+            };
+            assert_eq!(list.get(&key), Some(expected), "key {key}");
+        }
     }
 
     #[test]

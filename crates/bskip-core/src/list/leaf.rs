@@ -1,0 +1,334 @@
+//! The leaf-first write entry and the leaf kernel.
+//!
+//! Every point write and every batched operation funnels through the two
+//! halves of this module:
+//!
+//! * [`BSkipList::lock_covering`] — reach the node that covers a key at a
+//!   given level **without locking anything above it** and return it
+//!   write-locked (the writer half of optimistic lock coupling; the
+//!   sufficiency argument is in the parent module's *write path* notes);
+//! * the **leaf kernel**, [`BSkipList::upsert_in_leaf`] and
+//!   [`BSkipList::remove_in_leaf`] — apply one mutation under a held,
+//!   covering leaf lock, or say that it needs structural work.  The point
+//!   methods call it on the leaf `lock_covering` hands them, `execute`
+//!   calls it on its frontier leaf; neither has a second copy of the
+//!   logic.
+//!
+//! # Why header-less leaf mutations are complete
+//!
+//! The kernel relies on a structural invariant: **a key stored at slot
+//! `> 0` of a leaf has promotion height 0** — it exists nowhere else in
+//! the structure, so replacing or removing it leaf-locally is the whole
+//! job.  Inductively: a key is promoted only by an insertion whose
+//! promotion split makes it the *header* of its own pre-allocated leaf;
+//! overflow splits and splices only move node *suffixes* (slots `≥ 1`,
+//! height 0 by induction) into the non-header slots of their destination,
+//! and head-sentinel leaves only ever receive height-0 insertions (a
+//! promoted insertion at the front of a head node moves the head's whole
+//! content into the new key's node).  Removing a non-header slot also can
+//! never empty a node, so the kernel never needs to unlink — the one
+//! operation that requires the wider write-lock protocol.  Replacing a
+//! value needs no such argument at all: values live only at the leaf
+//! level, whatever the key's height.
+
+use bskip_index::{IndexKey, IndexValue};
+use bskip_sync::Backoff;
+
+use super::{BSkipList, Mode, OPTIMISTIC_ATTEMPTS};
+use crate::node::{Node, NodeSearch};
+
+/// The key is the header of a non-head leaf: it may own a tower and its
+/// removal may empty (and thus unlink and retire) nodes, which is work for
+/// the write-locked removal pass.
+pub(super) struct HeaderKey;
+
+impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+    /// Returns the node covering `key` at `level`, **write-locked**.
+    ///
+    /// The conflict-free path takes exactly that one lock: an optimistic
+    /// descent reaches the node with its version, and
+    /// [`lock_exclusive_at`](bskip_sync::RawRwSpinLock::lock_exclusive_at)
+    /// acquires it only if the version is still the validated one — an
+    /// unchanged version under the exclusive hold means the node still
+    /// covers `key` and is still linked.  After [`OPTIMISTIC_ATTEMPTS`]
+    /// failed validations the descent falls back to hand-over-hand shared
+    /// locks down to `level`, so a writer can never livelock.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold an epoch pin across the call and must release
+    /// the returned node's write lock; `level <= top_level()`.
+    pub(super) unsafe fn lock_covering(&self, key: &K, level: usize) -> *mut Node<K, V, B> {
+        let mut backoff = Backoff::new();
+        for _ in 0..OPTIMISTIC_ATTEMPTS {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level) {
+                #[cfg(test)]
+                tests::run_interleaved(level);
+                if (*node).lock.lock_exclusive_at(version) {
+                    return node;
+                }
+            }
+            if let Some(stats) = self.stats_enabled() {
+                stats.optimistic_restarts.incr();
+            }
+            backoff.spin();
+        }
+        if let Some(stats) = self.stats_enabled() {
+            stats.write_descent_fallbacks.incr();
+        }
+        self.descend_locked(key, level, Mode::Write)
+    }
+
+    /// Upserts `key → value` under the held leaf lock: replaces the value
+    /// of a present key (no height is drawn — an overwrite never reshapes
+    /// the list), or inserts an absent one when that is leaf-local.
+    ///
+    /// `height` is the promotion height to use should the key turn out to
+    /// be absent; `None` draws one, *after* the search.  An absent key
+    /// that is promoted (`height > 0`) or meets a full leaf is structural
+    /// work: `Err` carries the height so that it is drawn exactly once
+    /// per inserted key, whichever path finishes the job.
+    ///
+    /// # Safety
+    ///
+    /// `leaf` must be a leaf node, write-locked by this thread, whose key
+    /// range covers `key` (its header is `<=` the key, or it is the head
+    /// sentinel, and its successor's header — if any — is `>` the key).
+    pub(super) unsafe fn upsert_in_leaf(
+        &self,
+        leaf: *mut Node<K, V, B>,
+        key: K,
+        value: V,
+        height: Option<usize>,
+    ) -> Result<Option<V>, usize> {
+        let position = match (*leaf).search(&key) {
+            NodeSearch::Found(slot) => {
+                if let Some(stats) = self.stats_enabled() {
+                    stats.inserts.incr();
+                }
+                return Ok(Some((*leaf).replace_value_at(slot, value)));
+            }
+            NodeSearch::Pred(slot) => slot + 1,
+            NodeSearch::Before => {
+                debug_assert!(
+                    (*leaf).is_head(),
+                    "positioned a key below a non-head leaf's header"
+                );
+                0
+            }
+        };
+        let height = height.unwrap_or_else(|| self.sample_height());
+        if height > 0 || (*leaf).is_full() {
+            return Err(height);
+        }
+        if let Some(stats) = self.stats_enabled() {
+            stats.inserts.incr();
+        }
+        (*leaf).insert_leaf_at(position, key, value);
+        self.bump_len();
+        Ok(None)
+    }
+
+    /// Removes `key` under the held leaf lock unless it is the header of
+    /// a non-head leaf (see [`HeaderKey`]); an absent key is `Ok(None)`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Self::upsert_in_leaf`].
+    pub(super) unsafe fn remove_in_leaf(
+        &self,
+        leaf: *mut Node<K, V, B>,
+        key: &K,
+    ) -> Result<Option<V>, HeaderKey> {
+        let removed = match (*leaf).search(key) {
+            // Not a (non-head) node header, hence height 0 and present
+            // only in this leaf; removing it cannot empty a non-head node.
+            NodeSearch::Found(slot) if slot > 0 || (*leaf).is_head() => {
+                self.drop_len();
+                (*leaf).remove_at(slot)
+            }
+            NodeSearch::Found(_) => return Err(HeaderKey),
+            NodeSearch::Pred(_) | NodeSearch::Before => None,
+        };
+        if let Some(stats) = self.stats_enabled() {
+            stats.removes.incr();
+        }
+        Ok(removed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The one new failure mode of the optimistic write path is a write
+    //! landing in a node that was unlinked, or stopped covering the key,
+    //! *between the descent and the lock*.  The window is a few
+    //! instructions wide and only matters if a complete exclusive cycle
+    //! of another writer fits into it, so a stress test meets it a
+    //! handful of times per second at best; these tests force it instead,
+    //! by running the interfering operation from a hook at exactly that
+    //! point.
+
+    use std::cell::RefCell;
+    use std::sync::Arc;
+
+    use crate::config::BSkipConfig;
+    use crate::BSkipList;
+
+    type List = BSkipList<u64, u64, 4>;
+    type Interleaved = (usize, Box<dyn FnOnce()>);
+
+    thread_local! {
+        /// Runs once, on this thread, inside the next `lock_covering` for
+        /// the given level: after its descent validated, before it locks.
+        static INTERLEAVED: RefCell<Option<Interleaved>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn run_interleaved(level: usize) {
+        let due = INTERLEAVED.with(|cell| {
+            let mut slot = cell.borrow_mut();
+            match &*slot {
+                Some((at, _)) if *at == level => slot.take(),
+                _ => None,
+            }
+        });
+        // Taken out first: the operation re-enters `lock_covering`.
+        if let Some((_, operation)) = due {
+            operation();
+        }
+    }
+
+    fn interleave(level: usize, operation: impl FnOnce() + 'static) {
+        INTERLEAVED.with(|cell| *cell.borrow_mut() = Some((level, Box::new(operation))));
+    }
+
+    fn list() -> Arc<List> {
+        Arc::new(List::with_config(
+            BSkipConfig::default().with_max_height(4).with_stats(true),
+        ))
+    }
+
+    /// Head leaf `{10, 20, 30, 40}`; the interleaved promoted insert of 25
+    /// splits it into `{10, 20} → {25, 30, 40}`.
+    fn split_scenario() -> Arc<List> {
+        let list = list();
+        for key in [10u64, 20, 30, 40] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        let other = Arc::clone(&list);
+        interleave(0, move || {
+            assert_eq!(other.insert_with_height(25, 250, 1), None);
+        });
+        list
+    }
+
+    #[test]
+    fn insert_follows_a_key_that_a_split_moved_away() {
+        let list = split_scenario();
+        // The descent reaches the head leaf, which holds 30; by the time
+        // it is locked, 30 lives in the new leaf.  Writing into the old
+        // one would insert a second 30 and report a fresh key.
+        assert_eq!(list.insert(30, 301), Some(300));
+        assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        assert_eq!(list.len(), 5);
+        assert_eq!(list.get(&30), Some(301));
+        list.validate().expect("structure");
+    }
+
+    #[test]
+    fn remove_follows_a_key_that_a_split_moved_away() {
+        let list = split_scenario();
+        assert_eq!(list.remove(&30), Some(300), "looked in the stale leaf");
+        assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        assert_eq!(
+            list.to_vec(),
+            vec![(10, 100), (20, 200), (25, 250), (40, 400)]
+        );
+        list.validate().expect("structure");
+    }
+
+    #[test]
+    fn insert_never_lands_in_an_unlinked_leaf() {
+        // `head{10,11,12,13} → {20,21} → {22,23,24}` (see `remove.rs`):
+        // removing the promoted header 20 leaves the lone survivor 21,
+        // which is merged into the right neighbour; its old leaf is
+        // unlinked and retired.
+        let list = Arc::new(List::with_config(
+            BSkipConfig::default()
+                .with_max_height(4)
+                .with_stats(true)
+                .with_underflow_divisor(4),
+        ));
+        for key in [10u64, 11, 12, 13] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        list.insert_with_height(20, 200, 1);
+        for key in [21u64, 22, 23, 24] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        let other = Arc::clone(&list);
+        interleave(0, move || {
+            assert_eq!(other.remove(&20), Some(200));
+            assert_eq!(other.stats().nodes_merged.get(), 1);
+        });
+        // Reaches `{20, 21}`, which is dead by the time it is locked: an
+        // update stored there is lost.
+        assert_eq!(list.insert(21, 211), Some(210));
+        assert_eq!(
+            list.get(&21),
+            Some(211),
+            "the update went into the dead leaf"
+        );
+        assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        list.validate().expect("structure");
+    }
+
+    #[test]
+    fn promoted_insert_reenters_when_its_entry_node_was_split() {
+        // Level 1 is `head{10, 20, 30}`.  A height-1 insert of 25 enters
+        // the pass there; the interleaved height-2 insert of 15 splits
+        // that node into `head{10} → {15, 20, 30}`, so the head no longer
+        // covers 25 and writing it there would break the level's order.
+        let list = list();
+        for key in [10u64, 20, 30] {
+            list.insert_with_height(key, key * 10, 1);
+        }
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.insert_with_height(15, 150, 2), None);
+        });
+        assert_eq!(list.insert_with_height(25, 250, 1), None);
+        list.validate().expect("structure");
+        assert_eq!(list.level_shape()[1], (2, 5));
+        assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        for key in [10u64, 15, 20, 25, 30] {
+            assert_eq!(list.get(&key), Some(key * 10));
+        }
+    }
+
+    #[test]
+    fn exhausted_attempts_fall_back_to_the_locked_descent() {
+        // An interfering write before *every* lock attempt: the writer
+        // must give up validating after `OPTIMISTIC_ATTEMPTS` and still
+        // finish, under hand-over-hand locks.
+        let list = list();
+        list.insert_with_height(1, 10, 0);
+        fn keep_interfering(list: Arc<List>, round: u64) {
+            let next = Arc::clone(&list);
+            interleave(0, move || {
+                next.insert(1, 10 + round);
+                keep_interfering(next.clone(), round + 1);
+            });
+        }
+        keep_interfering(Arc::clone(&list), 1);
+        list.insert(2, 20);
+        INTERLEAVED.with(|cell| cell.borrow_mut().take());
+        let stats = list.stats();
+        assert_eq!(stats.write_descent_fallbacks.get(), 1);
+        assert_eq!(
+            stats.optimistic_restarts.get(),
+            super::OPTIMISTIC_ATTEMPTS as u64
+        );
+        assert_eq!(list.get(&2), Some(20));
+        list.validate().expect("structure");
+    }
+}

@@ -15,17 +15,26 @@
 //! * Range queries ([`BSkipList::range`], cursors) take their per-leaf
 //!   snapshots under read locks (Section 4, "concurrent finds and range
 //!   queries"); only the *positioning* descent is optimistic.
-//! * Inserts ([`BSkipList::insert`]) draw the key's promotion height `h`
-//!   up front, pre-allocate (and pre-lock) the `h` new nodes the insertion
-//!   will link in, and then perform a single top-down pass that takes read
-//!   locks above level `h` and write locks at and below it (Section 3 and
-//!   Algorithm 1).
-//! * Removals ([`BSkipList::remove`]) perform the symmetric top-down pass
-//!   with write locks, merging underflowing leaves into their left
-//!   neighbour along the way.
+//! * Inserts ([`BSkipList::insert`]) go **leaf first, height second**: an
+//!   optimistic descent reaches the covering leaf, which is the first and
+//!   usually the only node locked.  A present key has its value replaced
+//!   and nothing else happens — no height is drawn, no node allocated, the
+//!   structure is untouched.  Only an absent key draws its promotion
+//!   height `h`; with `h = 0` (63 of 64 inserts at the paper's `p = 1/64`)
+//!   it is finished under the leaf lock already held, otherwise the `h`
+//!   new nodes are pre-allocated (and pre-locked) and the paper's single
+//!   top-down pass runs from level `h` down with write locks — and with
+//!   nothing locked above `h` at all (Section 3 and Algorithm 1).
+//! * Removals ([`BSkipList::remove`]) enter the same way: a key that is
+//!   absent, sits at slot `> 0` of its leaf or lives in the head leaf has
+//!   height 0 and is removed under the leaf lock.  Only the header key of
+//!   a non-head leaf — which may own a tower and whose removal may unlink
+//!   nodes — takes the symmetric top-down pass with write locks, merging
+//!   an underflowing leaf into its right neighbour along the way.
 //!
 //! The lock order — left-to-right within a level, then top-to-bottom across
-//! levels — is total, so the scheme is deadlock-free (Appendix B).
+//! levels — is total, so the scheme is deadlock-free (Appendix B); a writer
+//! that enters at level `h` simply starts further down that order.
 //!
 //! # The optimistic read protocol
 //!
@@ -64,10 +73,41 @@
 //! rejects any traversal step that overlapped one.  A node that validates
 //! was therefore — at the validation instant — the genuine, reachable
 //! node for the reader's key, which is the linearization argument.
+//!
+//! # The write path
+//!
+//! The paper's rule is that an insert with promotion height `h` *modifies*
+//! only levels `<= h`.  The point writers therefore replace the locked
+//! prefix of the top-down pass by the validation the readers use: descend
+//! optimistically to the node covering the key at the entry level (the
+//! leaf first; level `h` for a promoted insert), then acquire that node
+//! with [`bskip_sync::RawRwSpinLock::lock_exclusive_at`], which succeeds
+//! only if the node's version is still the one the descent validated
+//! (`leaf.rs`, `lock_covering`).
+//!
+//! Why an unchanged version is sufficient — the same argument the
+//! cursor's snapshot positioning and the batch frontier make under a
+//! shared lock: the descent validated that the node was the reachable,
+//! covering node for the key when its version was captured.  A node's
+//! content, its `next` pointer and the lower end of its covering range
+//! change only under its own exclusive lock (splits of it, merges into
+//! it, its own unlink), and its range's upper end — its successor's
+//! header — can only *grow* without it (a successor is only ever headed
+//! by a smaller key through a split of, or a merge out of, this node).
+//! Each of those bumps the version.  An unchanged version under the
+//! exclusive hold therefore means the node still covers the key and is
+//! still linked, so what the writer finds there — the key or its absence —
+//! is the truth about the whole list, and the write-locked pass may start
+//! from it exactly as if it had lock-coupled its way down.
+//!
+//! After [`OPTIMISTIC_ATTEMPTS`] failed validations the descent takes
+//! hand-over-hand shared locks instead (`descend_locked`), the only place
+//! a point write ever read-locks a node, so a writer cannot livelock.
 
 pub(crate) mod cursor;
 mod execute;
 mod insert;
+mod leaf;
 mod remove;
 mod validate;
 
@@ -453,7 +493,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // and the unlock runs even if `f` panics (the drop guard below),
         // keeping the spinlock protocol intact on unwind.
         unsafe {
-            let leaf = self.descend_to_leaf_read(key);
+            let leaf = self.descend_locked(key, 0, Mode::Read);
             struct Unlock<K: IndexKey, V: IndexValue, const B: usize>(*mut Node<K, V, B>);
             impl<K: IndexKey, V: IndexValue, const B: usize> Drop for Unlock<K, V, B> {
                 fn drop(&mut self) {
@@ -639,13 +679,16 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         if let Some(stats) = self.stats_enabled() {
             stats.locked_fallbacks.incr();
         }
-        self.descend_to_leaf_read(key)
+        self.descend_locked(key, 0, Mode::Read)
     }
 
-    /// Hand-over-hand read-locked descent to the leaf whose key range
-    /// covers `key`: the contention fallback behind the optimistic point
-    /// reads and cursor positioning.  Returns the leaf locked in read
-    /// mode.
+    /// Hand-over-hand locked descent to the node whose key range covers
+    /// `key` at `stop_level`: the contention fallback behind every
+    /// optimistic descent — point reads and cursor positioning
+    /// (`stop_level` 0, `Mode::Read`) and the point writers' entry
+    /// (`Mode::Write` at the level they start modifying).  Levels above
+    /// `stop_level` are read-locked; the returned node is locked in
+    /// `mode`.
     ///
     /// (The batched [`BSkipList::execute`] path does not reuse this — it
     /// needs the level-1 ancestor retained and coverage bounds captured,
@@ -653,18 +696,31 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// # Safety
     ///
-    /// The caller must release the returned leaf's read lock.
-    pub(crate) unsafe fn descend_to_leaf_read(&self, key: &K) -> *mut Node<K, V, B> {
+    /// The caller must release the returned node's lock;
+    /// `stop_level <= top_level()`.
+    pub(crate) unsafe fn descend_locked(
+        &self,
+        key: &K,
+        stop_level: usize,
+        mode: Mode,
+    ) -> *mut Node<K, V, B> {
+        let mode_at = |level: usize| {
+            if level == stop_level {
+                mode
+            } else {
+                Mode::Read
+            }
+        };
         let mut level = self.top_level();
         let mut curr = self.head(level);
-        lock_node(curr, Mode::Read);
+        lock_node(curr, mode_at(level));
         loop {
-            curr = self.walk_right_read(curr, key);
-            if level == 0 {
+            curr = self.walk_right(curr, key, mode_at(level));
+            if level == stop_level {
                 return curr;
             }
             let child = self.descend_pointer(curr, key);
-            lock_node(child, Mode::Read);
+            lock_node(child, mode_at(level - 1));
             unlock_node(curr, Mode::Read);
             curr = child;
             level -= 1;
@@ -757,11 +813,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     }
 
     /// Inserts `key → value`, returning the previous value if the key was
-    /// already present.  The promotion height is drawn from the configured
-    /// geometric distribution.
+    /// already present.  An overwrite replaces the value in place and
+    /// changes nothing else; only a key that turns out to be absent draws
+    /// a promotion height from the configured geometric distribution.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        let height = self.sample_height();
-        self.insert_with_height(key, value, height)
+        self.insert_impl(key, value, None)
     }
 
     /// Removes `key`, returning its value if present.
@@ -769,29 +825,34 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.remove_impl(key)
     }
 
-    /// Moves right along a level in read mode while the successor's header
-    /// is `<= key`, maintaining HOH read locks.  Returns the final node,
-    /// locked in read mode.
+    /// Moves right along a level while the successor's header is
+    /// `<= key`, maintaining HOH locks in `mode`.  Returns the final node,
+    /// locked in `mode`.
     ///
     /// # Safety
     ///
-    /// `curr` must be locked in read mode by this thread.
-    unsafe fn walk_right_read(&self, mut curr: *mut Node<K, V, B>, key: &K) -> *mut Node<K, V, B> {
+    /// `curr` must be locked in `mode` by this thread.
+    unsafe fn walk_right(
+        &self,
+        mut curr: *mut Node<K, V, B>,
+        key: &K,
+        mode: Mode,
+    ) -> *mut Node<K, V, B> {
         loop {
             let next = (*curr).next();
             if next.is_null() {
                 return curr;
             }
             prefetch_node(next);
-            lock_node(next, Mode::Read);
+            lock_node(next, mode);
             if (*next).header_covers(key) {
-                unlock_node(curr, Mode::Read);
+                unlock_node(curr, mode);
                 curr = next;
                 if let Some(stats) = self.stats_enabled() {
                     stats.horizontal_steps.incr();
                 }
             } else {
-                unlock_node(next, Mode::Read);
+                unlock_node(next, mode);
                 return curr;
             }
         }

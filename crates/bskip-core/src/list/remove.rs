@@ -1,12 +1,20 @@
-//! Top-down removal.
+//! Removal: leaf first, then — for header keys only — the top-down pass.
 //!
-//! Deletions are symmetric to insertions (paper, footnote 3): the key is
-//! removed from every level it was promoted to, in one top-down pass.
-//! Because the height of an existing key is *not* known up front (it is a
-//! property of the stored structure, unlike the freshly drawn height of an
-//! insertion), the removal pass conservatively takes write locks at every
-//! level.  This keeps the scheme simple and is irrelevant to the paper's
-//! evaluation, whose YCSB workloads contain no deletes.
+//! Like insertion, a removal enters at the covering leaf, reached through
+//! the optimistic descent and locked first (`leaf.rs`, `lock_covering`).
+//! An absent key is a miss; a key at slot `> 0` of its leaf, or anywhere
+//! in the head leaf, has promotion height 0 (the leaf kernel's invariant)
+//! and is removed under that one lock.
+//!
+//! What remains is the **header key of a non-head leaf** (about one key in
+//! `B/2`).  Deletions are symmetric to insertions (paper, footnote 3): the
+//! key is removed from every level it was promoted to, in one top-down
+//! pass.  Because the height of an existing key is *not* known up front
+//! (it is a property of the stored structure, unlike the freshly drawn
+//! height of an insertion), that pass conservatively takes write locks at
+//! every level, from the top head.  This keeps the scheme simple and is
+//! irrelevant to the paper's evaluation, whose YCSB workloads contain no
+//! deletes.
 //!
 //! When removing a key empties a non-head node, the node is unlinked from
 //! its level.  Removing a leaf's *header* key additionally triggers the
@@ -18,9 +26,10 @@
 //! The merge is gated on header removal because only then are the
 //! survivor's keys provably unpromoted (no upper-level down pointer can
 //! dangle at the unlinked node), and it merges *rightward* because the
-//! cursor contract forbids entries migrating behind a paused scan.  The predecessor needed for the unlink is available because
-//! the traversal retains the previous node's lock at each level (the same
-//! "at most three locks, two levels" discipline as insertion).  Unlinked
+//! cursor contract forbids entries migrating behind a paused scan.  The
+//! predecessor needed for the unlink is available because the traversal
+//! retains the previous node's lock at each level (the same "at most three
+//! locks, two levels" discipline as insertion).  Unlinked
 //! nodes are **retired to the list's epoch-based collector** under the
 //! removal's pinned guard: their memory is freed once every traversal
 //! that was in flight at unlink time (and could therefore still hold a
@@ -33,24 +42,49 @@ use std::ptr;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
+use super::leaf::HeaderKey;
 use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+    /// The one point-remove entry: leaf first (see the module docs).
     pub(super) fn remove_impl(&self, key: &K) -> Option<V> {
-        if let Some(stats) = self.stats_enabled() {
-            stats.removes.incr();
-        }
-        // Pin for the whole pass: the traversal itself needs epoch
-        // protection (like any read path), and every node this removal
-        // unlinks is retired under this guard.
+        // One pin for the whole operation: the descent needs epoch
+        // protection (like any read path), and every node the pass unlinks
+        // is retired under this guard.
         let guard = self.collector().pin();
-        // SAFETY: hand-over-hand write locking throughout; guarded node
-        // state is only accessed under the corresponding lock.
-        unsafe { self.remove_inner(key, &guard) }
+        // SAFETY: the pin spans the descent; `lock_covering` returns the
+        // covering leaf write-locked, which is the kernel's contract, and
+        // the pass is entered with no lock held.
+        unsafe {
+            let leaf = self.lock_covering(key, 0);
+            let outcome = self.remove_in_leaf(leaf, key);
+            unlock_node(leaf, Mode::Write);
+            match outcome {
+                Ok(removed) => {
+                    if let Some(stats) = self.stats_enabled() {
+                        stats.optimistic_writes.incr();
+                    }
+                    removed
+                }
+                Err(HeaderKey) => self.remove_inner(key, &guard),
+            }
+        }
     }
 
-    unsafe fn remove_inner(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+    /// The write-locked removal pass, from the top head.  Makes no
+    /// assumption about `key` — it may be gone, or no longer a header, by
+    /// the time the pass reaches its leaf.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector; the caller must hold no
+    /// node lock.
+    pub(super) unsafe fn remove_inner(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+        if let Some(stats) = self.stats_enabled() {
+            stats.removes.incr();
+            stats.structural_writes.incr();
+        }
         let mut level = self.top_level();
         let mut curr = self.head(level);
         lock_node(curr, Mode::Write);

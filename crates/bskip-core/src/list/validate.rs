@@ -56,6 +56,42 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         Ok(())
     }
 
+    /// The shape of the structure: `(nodes, keys)` per level, index 0 the
+    /// leaf level, head sentinels included in the node counts.  The key
+    /// count of level `l` is the number of stored keys whose tower reaches
+    /// `l`, so the sequence is the realised promotion-height distribution.
+    ///
+    /// Walks every level under hand-over-hand read locks (`O(nodes)`);
+    /// like [`BSkipList::validate`] it may run against a live list but is
+    /// only exact at quiescence.
+    pub fn level_shape(&self) -> Vec<(usize, usize)> {
+        (0..self.max_height())
+            .map(|level| {
+                let (mut nodes, mut keys) = (0, 0);
+                // SAFETY: HOH read locking along the level, so every node
+                // is read under its own shared lock and reached through a
+                // pointer read under its predecessor's.
+                unsafe {
+                    let mut curr = self.head(level);
+                    lock_node(curr, Mode::Read);
+                    loop {
+                        nodes += 1;
+                        keys += (*curr).len();
+                        let next = (*curr).next();
+                        if next.is_null() {
+                            unlock_node(curr, Mode::Read);
+                            break;
+                        }
+                        lock_node(next, Mode::Read);
+                        unlock_node(curr, Mode::Read);
+                        curr = next;
+                    }
+                }
+                (nodes, keys)
+            })
+            .collect()
+    }
+
     /// Validates a single level and returns the set of keys stored in it.
     fn validate_level(&self, level: usize) -> Result<BTreeSet<K>, String> {
         let mut keys = BTreeSet::new();

@@ -193,19 +193,25 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
         }
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// The leaf whose key range covers `key`: one root-to-leaf descent.
+    fn covering_leaf(&self, key: &K) -> NodeId {
         let mut level = self.config.max_height - 1;
         let mut node = self.heads[level];
         loop {
             node = self.walk_right(node, key);
             if level == 0 {
-                let n = self.node(node);
-                return n.keys.binary_search(key).ok().map(|index| n.values[index]);
+                return node;
             }
             node = self.descend(node, key);
             level -= 1;
         }
+    }
+
+    /// Point lookup.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let leaf = self.node(self.covering_leaf(key));
+        let index = leaf.keys.binary_search(key).ok()?;
+        Some(leaf.values[index])
     }
 
     /// Whether `key` is present.
@@ -218,17 +224,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
         if len == 0 {
             return 0;
         }
-        let mut level = self.config.max_height - 1;
-        let mut node = self.heads[level];
-        while level > 0 {
-            node = self.walk_right(node, start);
-            node = self.descend(node, start);
-            level -= 1;
-        }
-        node = self.walk_right(node, start);
-        let mut index = self.node(node).keys.partition_point(|k| k < start);
+        let mut current = self.covering_leaf(start);
+        let mut index = self.node(current).keys.partition_point(|k| k < start);
         let mut visited = 0;
-        let mut current = node;
         loop {
             let n = self.node(current);
             while index < n.keys.len() && visited < len {
@@ -258,18 +256,44 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
         out
     }
 
-    /// Inserts `key → value` with a height drawn from the deterministic
-    /// sampler, returning the previous value if the key existed.
+    /// Replaces the value of a present key, returning the old one; the
+    /// "leaf first" half of an insertion.
+    fn replace_existing(&mut self, key: &K, value: V) -> Option<V> {
+        let leaf = self.covering_leaf(key);
+        let index = self.node(leaf).keys.binary_search(key).ok()?;
+        Some(std::mem::replace(
+            &mut self.node_mut(leaf).values[index],
+            value,
+        ))
+    }
+
+    /// Inserts `key → value`, returning the previous value if the key
+    /// existed.  Leaf first, height second, like the concurrent list: an
+    /// overwrite only replaces the value, and only a key that is absent
+    /// draws a height from the deterministic sampler.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        if let Some(previous) = self.replace_existing(&key, value) {
+            return Some(previous);
+        }
         let height = self.sampler.sample();
-        self.insert_with_height(key, value, height)
+        self.insert_absent(key, value, height);
+        None
     }
 
     /// Inserts with an explicit promotion height (clamped to the maximum).
-    /// This is the sequential version of the paper's Algorithm 1.
+    /// On a present key only the value changes and `height` is ignored.
     pub fn insert_with_height(&mut self, key: K, value: V, height: usize) -> Option<V> {
-        let height = height.min(self.config.max_height - 1);
+        if let Some(previous) = self.replace_existing(&key, value) {
+            return Some(previous);
+        }
+        self.insert_absent(key, value, height.min(self.config.max_height - 1));
+        None
+    }
 
+    /// The sequential version of the paper's Algorithm 1, for a key known
+    /// to be absent: one top-down pass that navigates above `height`,
+    /// writes the key at level `height` and promotion-splits below it.
+    fn insert_absent(&mut self, key: K, value: V, height: usize) {
         // Pre-allocate the nodes for levels height-1 .. 0, chained through
         // their first child pointer, exactly as the concurrent version does.
         let mut prealloc: Vec<NodeId> = Vec::with_capacity(height);
@@ -289,104 +313,30 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
 
         let mut level = self.config.max_height - 1;
         let mut node = self.heads[level];
-        let mut existing_found = false;
-        let mut old_value = None;
-
         loop {
-            // Walk right, remembering the predecessor node (needed if a
-            // duplicate-key splice empties a node).
-            let mut prev = NIL;
-            loop {
-                let next = self.node(node).next;
-                if next == NIL || self.node(next).keys[0] > key {
-                    break;
+            node = self.walk_right(node, &key);
+            let descend_child = if level > height {
+                self.descend(node, &key)
+            } else {
+                let insert_pos = self
+                    .node(node)
+                    .keys
+                    .binary_search(&key)
+                    .expect_err("insert_absent is only called for absent keys");
+                if level == height {
+                    self.insert_at_top_level(node, insert_pos, key, value, level, &prealloc)
+                } else {
+                    self.promotion_split(node, insert_pos, level, &prealloc)
                 }
-                prev = node;
-                node = next;
-            }
-            let position = self.node(node).keys.binary_search(&key);
-            // Child to descend into (levels above 0 only).  Filled in by the
-            // branch that knows where the key's predecessor ended up.
-            let mut descend_child = NIL;
-
-            if level <= height && !existing_found {
-                match position {
-                    Ok(index) => {
-                        existing_found = true;
-                        if level == height {
-                            // Nothing written yet: reuse the existing tower.
-                            if level == 0 {
-                                old_value = Some(std::mem::replace(
-                                    &mut self.node_mut(node).values[index],
-                                    value,
-                                ));
-                            } else {
-                                descend_child = self.node(node).children[index];
-                            }
-                        } else {
-                            // The level above already points at prealloc[level]:
-                            // splice it in headed by the key, reusing the key's
-                            // existing downward structure.
-                            let pnode = prealloc[level];
-                            if level == 0 {
-                                old_value = Some(self.node(node).values[index]);
-                            } else {
-                                let existing_child = self.node(node).children[index];
-                                self.node_mut(pnode).children[0] = existing_child;
-                                descend_child = existing_child;
-                            }
-                            self.split_off_into(node, index + 1, pnode);
-                            // Drop the key's old entry from `node`.
-                            let n = self.node_mut(node);
-                            n.keys.remove(index);
-                            if n.level == 0 {
-                                n.values.remove(index);
-                            } else {
-                                n.children.remove(index);
-                            }
-                            self.link_after(node, pnode);
-                            // Unlink the node if the splice emptied it.
-                            if self.node(node).keys.is_empty() && !self.node(node).is_head {
-                                debug_assert_ne!(prev, NIL);
-                                self.node_mut(prev).next = pnode;
-                            }
-                        }
-                    }
-                    Err(insert_pos) => {
-                        descend_child = if level == height {
-                            self.insert_at_top_level(node, insert_pos, key, value, level, &prealloc)
-                        } else {
-                            self.promotion_split(node, insert_pos, level, &prealloc)
-                        };
-                    }
-                }
-            } else if level > 0 {
-                // Read levels above the promotion height, and all levels
-                // once an existing key has been detected: pure navigation.
-                descend_child = self.descend(node, &key);
-            }
-
+            };
             if level == 0 {
-                if existing_found && old_value.is_none() {
-                    // The key was found at an internal level; update the leaf.
-                    if let Ok(index) = self.node(node).keys.binary_search(&key) {
-                        old_value = Some(std::mem::replace(
-                            &mut self.node_mut(node).values[index],
-                            value,
-                        ));
-                    }
-                }
                 break;
             }
             debug_assert_ne!(descend_child, NIL);
             node = descend_child;
             level -= 1;
         }
-
-        if old_value.is_none() {
-            self.len += 1;
-        }
-        old_value
+        self.len += 1;
     }
 
     /// Plain insertion at the key's topmost level, with an overflow split

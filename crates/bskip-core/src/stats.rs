@@ -65,7 +65,22 @@ bskip_index::stat_block! {
         /// to the hand-over-hand read-locked descent.  Zero in any
         /// single-threaded run — the acceptance gate for the lock-free path.
         pub locked_fallbacks: CachePadded<RelaxedCounter> => Counter "locked_fallbacks",
-        /// Underflowing leaves merged into their left neighbour by the remove
+        /// Point writes (`insert`/`remove`) finished by the leaf kernel under
+        /// the leaf-first entry: one lock taken, the leaf's, and nothing
+        /// above it touched.
+        pub optimistic_writes: CachePadded<RelaxedCounter> => Counter "optimistic_writes",
+        /// Writes that entered a write-locked pass: an overflow split under
+        /// the held leaf, a promoted insert from its level `h >= 1`, a header
+        /// removal from the top.  Every point write is exactly one of the
+        /// two; `execute`'s structural fallbacks count here as well.
+        pub structural_writes: CachePadded<RelaxedCounter> => Counter "structural_writes",
+        /// Point-write descents that exhausted their optimistic attempts and
+        /// reached their entry node under hand-over-hand shared locks — the
+        /// only place a point write read-locks anything.  Zero in any
+        /// single-threaded run.
+        pub write_descent_fallbacks: CachePadded<RelaxedCounter>
+            => Counter "write_descent_fallbacks",
+        /// Underflowing leaves merged into their right neighbour by the remove
         /// path (sparse-deletion compaction).
         pub nodes_merged: CachePadded<RelaxedCounter> => Counter "nodes_merged",
     }
@@ -123,7 +138,7 @@ mod tests {
         let snapshot = stats.snapshot();
         assert_eq!(snapshot.get("finds"), Some(3));
         assert_eq!(snapshot.get("top_level_write_locks"), Some(1));
-        assert_eq!(snapshot.len(), 20);
+        assert_eq!(snapshot.len(), 23);
     }
 
     #[test]

@@ -53,6 +53,30 @@
 //! Shared (read) acquisitions do not change the version: they cannot modify
 //! the data, so optimistic readers may overlap them freely.
 //!
+//! ## Optimistic writers
+//!
+//! A writer that reached a node through an optimistic (lock-free)
+//! traversal holds a version, not a lock, and must learn *under its own
+//! exclusive hold* that nothing changed since the version was captured.
+//! `validate_version` cannot say — it fails under the caller's own
+//! `WRITER_ACTIVE` — and "lock, compare, unlock on mismatch" would bump
+//! the version of a node the writer never modified, costing every
+//! optimistic reader in flight a restart.
+//! [`lock_exclusive_at`](RawRwSpinLock::lock_exclusive_at) is that step as
+//! one primitive: every state transition it makes is a compare-exchange
+//! whose expected value carries the captured version, so it either
+//! acquires the lock at exactly that version or returns `false` having
+//! stored nothing.  It waits for shared holders (a cursor holds a leaf's
+//! read lock for a whole snapshot; giving up on readers would restart
+//! spuriously) and gives up on any other writer, pending or active,
+//! because that writer's release is a version bump.  The unconditional
+//! `lock_exclusive` is the same primitive retried at whichever version is
+//! current, so there is one implementation of the pend-drain-activate
+//! conversion.
+//! On success it issues the same `Acquire` + `Release`-fence pair as every
+//! other exclusive acquisition, so the reader-side argument above is
+//! unchanged.
+//!
 //! The version is 32 bits wide, so it wraps after 2³² exclusive cycles *on
 //! one node*.  A stalled optimistic reader could in principle validate
 //! against a wrapped version; like every published OLC structure we accept
@@ -204,60 +228,88 @@ impl RawRwSpinLock {
     /// Acquires the lock in exclusive (write) mode, spinning until all
     /// readers have drained.  Sets the pending bit while waiting so new
     /// readers back off.
+    ///
+    /// This is [`lock_exclusive_at`](RawRwSpinLock::lock_exclusive_at)
+    /// with no opinion about the version: acquire at whichever one is
+    /// current, and try again behind any other writer.
     pub fn lock_exclusive(&self) {
         let mut backoff = Backoff::new();
         loop {
-            // Fast path: completely free.
-            if self.try_lock_exclusive() {
+            let version = self.state.load(Ordering::Relaxed) & VERSION_MASK;
+            if self.lock_exclusive_at(version) {
                 return;
             }
-            // Announce intent so readers stop arriving, then wait for the
-            // reader count to drain and for any other writer to finish.
+            backoff.snooze();
+        }
+    }
+
+    /// Acquires the lock in exclusive (write) mode **at a version**: the
+    /// writer half of optimistic lock coupling (see *Optimistic writers*
+    /// in the module docs).  Returns `true` holding the lock iff no
+    /// exclusive cycle has started since `version` was returned by
+    /// [`optimistic_version`](RawRwSpinLock::optimistic_version); returns
+    /// `false` **without acquiring** otherwise, leaving the state word
+    /// exactly as it found it — in particular it never bumps the version
+    /// of a node it did not get to modify.
+    ///
+    /// Readers are waited out (claim the pending bit so that new readers
+    /// back off, let the count drain, convert pending to active): shared
+    /// holders do not change the data, so they are no reason to give up.
+    /// Another writer — active *or pending* — is: it will bump the version
+    /// when it releases, so the call returns `false` at once instead of
+    /// waiting for the inevitable.
+    pub fn lock_exclusive_at(&self, version: u64) -> bool {
+        debug_assert_eq!(
+            version & LOCK_MASK,
+            0,
+            "not a value from optimistic_version"
+        );
+        let mut backoff = Backoff::new();
+        loop {
             let state = self.state.load(Ordering::Relaxed);
-            if state & (WRITER_ACTIVE | WRITER_PENDING) == 0 {
-                // Readers only: claim the pending slot.
-                if self
-                    .state
-                    .compare_exchange_weak(
-                        state,
-                        state | WRITER_PENDING,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_err()
-                {
-                    backoff.snooze();
-                    continue;
-                }
-                // We own the pending bit; wait for readers to drain, then
-                // convert pending -> active.  The version half cannot move
-                // while we hold the pending bit (only an *active* writer's
-                // unlock bumps it, and the pending bit excludes writers),
-                // so re-reading `state` inside the loop keeps the compare
-                // value exact.
+            // Every compare-exchange below compares the whole word, so a
+            // version that moves after this check fails the exchange and
+            // is caught here on the next round.
+            if state & (VERSION_MASK | WRITER_ACTIVE | WRITER_PENDING) != version {
+                return false;
+            }
+            let readers_only = state & READER_MASK != 0;
+            let claim = if readers_only {
+                WRITER_PENDING
+            } else {
+                WRITER_ACTIVE
+            };
+            if self
+                .state
+                .compare_exchange_weak(state, state | claim, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                backoff.snooze();
+                continue;
+            }
+            if readers_only {
+                // We own the pending bit, which blocks new readers and
+                // pins the version: only an *active* writer's unlock bumps
+                // it, and the pending bit excludes other writers.  Wait
+                // for the readers to drain, then convert pending → active.
                 let mut drain = Backoff::new();
-                loop {
-                    let state = self.state.load(Ordering::Relaxed);
-                    debug_assert!(state & WRITER_PENDING != 0);
-                    if state & READER_MASK == 0
-                        && self
-                            .state
-                            .compare_exchange_weak(
-                                (state & VERSION_MASK) | WRITER_PENDING,
-                                (state & VERSION_MASK) | WRITER_ACTIVE,
-                                Ordering::Acquire,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                    {
-                        // Same fence as in `try_lock_exclusive`.
-                        fence(Ordering::Release);
-                        return;
-                    }
+                while self.state.load(Ordering::Relaxed) & READER_MASK != 0
+                    || self
+                        .state
+                        .compare_exchange_weak(
+                            version | WRITER_PENDING,
+                            version | WRITER_ACTIVE,
+                            Ordering::Acquire,
+                            Ordering::Relaxed,
+                        )
+                        .is_err()
+                {
                     drain.snooze();
                 }
             }
-            backoff.snooze();
+            // Same fence as in `try_lock_exclusive`.
+            fence(Ordering::Release);
+            return true;
         }
     }
 
@@ -626,6 +678,136 @@ mod tests {
         lock.lock_exclusive();
         lock.unlock_exclusive();
         assert_eq!(lock.optimistic_version(), Some(VERSION_UNIT));
+    }
+
+    #[test]
+    fn lock_exclusive_at_acquires_at_the_captured_version() {
+        let lock = RawRwSpinLock::new();
+        lock.lock_exclusive();
+        lock.unlock_exclusive();
+        let version = lock.optimistic_version().unwrap();
+        assert!(lock.lock_exclusive_at(version));
+        assert!(lock.is_locked_exclusive());
+        assert!(!lock.try_lock_shared());
+        lock.unlock_exclusive();
+        // The hold it took is an ordinary exclusive cycle: one bump.
+        assert_eq!(lock.optimistic_version(), Some(version + VERSION_UNIT));
+    }
+
+    #[test]
+    fn lock_exclusive_at_stores_nothing_when_the_version_moved() {
+        let lock = RawRwSpinLock::new();
+        let stale = lock.optimistic_version().unwrap();
+        lock.lock_exclusive();
+        // Another writer active: doomed, and must not wait for it.
+        let held = lock.state.load(Ordering::Relaxed);
+        assert!(!lock.lock_exclusive_at(stale));
+        assert_eq!(lock.state.load(Ordering::Relaxed), held);
+        lock.unlock_exclusive();
+        // After the intervening cycle the word must come back bit for
+        // bit: no version bump, no stuck pending bit — with and without
+        // a shared holder present.
+        let before = lock.state.load(Ordering::Relaxed);
+        assert!(!lock.lock_exclusive_at(stale));
+        assert_eq!(lock.state.load(Ordering::Relaxed), before);
+        lock.lock_shared();
+        let shared = lock.state.load(Ordering::Relaxed);
+        assert!(!lock.lock_exclusive_at(stale));
+        assert_eq!(lock.state.load(Ordering::Relaxed), shared);
+        lock.unlock_shared();
+        assert_eq!(lock.state.load(Ordering::Relaxed), before);
+        // A writer that has only announced itself still means a bump.
+        let current = lock.optimistic_version().unwrap();
+        lock.state.fetch_or(WRITER_PENDING, Ordering::Relaxed);
+        assert!(!lock.lock_exclusive_at(current));
+        lock.state.fetch_and(!WRITER_PENDING, Ordering::Relaxed);
+        assert_eq!(lock.state.load(Ordering::Relaxed), before);
+        assert!(lock.lock_exclusive_at(current));
+        lock.unlock_exclusive();
+    }
+
+    #[test]
+    fn lock_exclusive_at_works_across_version_wraparound() {
+        let lock = RawRwSpinLock::new();
+        lock.state.store((u32::MAX as u64) << 32, Ordering::Relaxed);
+        let last = lock.optimistic_version().unwrap();
+        assert!(lock.lock_exclusive_at(last));
+        lock.unlock_exclusive();
+        assert_eq!(lock.optimistic_version(), Some(0), "version wraps to zero");
+        assert!(!lock.is_locked());
+        assert!(!lock.lock_exclusive_at(last), "pre-wrap version is stale");
+        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+        assert!(lock.lock_exclusive_at(0));
+        lock.unlock_exclusive();
+        assert_eq!(lock.optimistic_version(), Some(VERSION_UNIT));
+    }
+
+    // Two threads, few hand-offs: cheap enough for Miri, which explores
+    // the interleavings of the pend-drain-activate conversion.
+    #[test]
+    fn lock_exclusive_at_waits_out_a_shared_holder() {
+        let lock = Arc::new(RawRwSpinLock::new());
+        let version = lock.optimistic_version().unwrap();
+        lock.lock_shared();
+        let writer = {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                let acquired = lock.lock_exclusive_at(version);
+                if acquired {
+                    lock.unlock_exclusive();
+                }
+                acquired
+            })
+        };
+        // The writer must announce itself (blocking new readers) and then
+        // wait: a shared holder is no reason to give up.
+        while lock.state.load(Ordering::Relaxed) & WRITER_PENDING == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!lock.try_lock_shared(), "pending writer must block readers");
+        assert!(!lock.is_locked_exclusive());
+        lock.unlock_shared();
+        assert!(writer.join().unwrap(), "reader drained: the claim succeeds");
+        assert_eq!(lock.optimistic_version(), Some(version + VERSION_UNIT));
+    }
+
+    #[test]
+    fn lock_exclusive_at_lets_exactly_one_of_two_racers_win() {
+        // Both threads capture the same version behind a barrier, then
+        // race for it: the winner's release bumps the version, so the
+        // loser must see `false` — a lost update would show up as a
+        // counter that moved twice in one round.
+        let lock = RawRwSpinLock::new();
+        let data = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        let rounds: u64 = if cfg!(miri) { 16 } else { 20_000 };
+        std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut wins = 0u64;
+                        for round in 0..rounds {
+                            barrier.wait();
+                            let version = lock.optimistic_version().unwrap();
+                            assert_eq!(version, round << 32);
+                            barrier.wait();
+                            if lock.lock_exclusive_at(version) {
+                                let seen = data.load(Ordering::Relaxed);
+                                assert_eq!(seen, round, "two winners in one round");
+                                data.store(seen + 1, Ordering::Relaxed);
+                                lock.unlock_exclusive();
+                                wins += 1;
+                            }
+                        }
+                        wins
+                    })
+                })
+                .collect();
+            let wins: u64 = racers.into_iter().map(|r| r.join().unwrap()).sum();
+            assert_eq!(wins, rounds, "exactly one racer wins each round");
+        });
+        assert_eq!(data.load(Ordering::Relaxed), rounds);
+        assert_eq!(lock.state.load(Ordering::Relaxed), rounds << 32);
     }
 
     // Spin-waits on another thread's progress; too slow under Miri's
