@@ -102,6 +102,7 @@ use bskip_index::{
 use bskip_sync::{Backoff, RelaxedCounter};
 
 use crate::codec::Persist;
+use crate::crc;
 use crate::entry::Slot;
 use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
@@ -109,7 +110,7 @@ use crate::manifest::{
 use crate::memtable::Memtable;
 use crate::sstable::{Table, TableBuilder, TableOptions};
 use crate::storage::{StdFs, Storage};
-use crate::wal::{decode_batch, encode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
+use crate::wal::{decode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
 
 /// Maintenance attempts before an operation gives up for this rotation
 /// point (it will be retried at the next one — the WAL keeps growing in
@@ -564,7 +565,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             Slot::Put(value) => WalOp::Put { key, value },
             Slot::Tombstone => WalOp::Delete { key },
         };
-        self.wal_append(&mut write, &encode_batch(&[wal_op]))?;
+        self.wal_append(&mut write, std::iter::once(wal_op))?;
         let previous = self.apply_slot(&mut write, &self.read_state(), key, slot);
         self.maybe_rotate(&mut write);
         Ok(previous)
@@ -618,18 +619,15 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         if self.degraded() {
             return Err(degraded_error());
         }
-        let wal_ops: Vec<WalOp<K, V>> = ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::Insert { key, value, .. } | Op::Update { key, value, .. } => Some(WalOp::Put {
-                    key: *key,
-                    value: *value,
-                }),
-                Op::Remove { key, .. } => Some(WalOp::Delete { key: *key }),
-                Op::Get { .. } => None,
-            })
-            .collect();
-        self.wal_append(&mut write, &encode_batch(&wal_ops))?;
+        let wal_ops = ops.iter().filter_map(|op| match op {
+            Op::Insert { key, value, .. } | Op::Update { key, value, .. } => Some(WalOp::Put {
+                key: *key,
+                value: *value,
+            }),
+            Op::Remove { key, .. } => Some(WalOp::Delete { key: *key }),
+            Op::Get { .. } => None,
+        });
+        self.wal_append(&mut write, wal_ops)?;
         {
             let state = self.read_state();
             for op in ops.iter_mut() {
@@ -654,8 +652,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     /// Appends one record; on failure the mutation was not acknowledged,
     /// so the engine flips into sticky degraded mode.
-    fn wal_append(&self, write: &mut WriteState, payload: &[u8]) -> io::Result<()> {
-        match write.wal.append(payload) {
+    fn wal_append(
+        &self,
+        write: &mut WriteState,
+        ops: impl Iterator<Item = WalOp<K, V>> + Clone,
+    ) -> io::Result<()> {
+        match write.wal.append_ops(ops) {
             Ok(frame) => {
                 self.counters.wal_bytes.add(frame);
                 self.counters.wal_records.incr();
@@ -1085,7 +1087,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             .with_kind("live_keys", gauge, write.live_keys)
             .with_kind("memtable_bytes", gauge, state.memtable.bytes())
             .with_kind("memtable_live_nodes", gauge, state.memtable.live_nodes())
-            .with_kind("immutable_memtables", gauge, state.immutables.len() as u64);
+            .with_kind("immutable_memtables", gauge, state.immutables.len() as u64)
+            // Which checksum kernel this process runs: a property of the
+            // CPU, so merged shards still read 0 or 1.
+            .with_kind("crc_clmul", StatKind::Max, crc::accelerated() as u64);
         const LEVEL_NAMES: [&str; 7] = [
             "tables_l0",
             "tables_l1",
@@ -1242,7 +1247,9 @@ mod tests {
         assert_eq!(batch[4].result().value(), None);
         assert_eq!(batch[5].result().value(), Some(10));
         // One record for the whole batch (group commit).
-        assert_eq!(engine.stats().get("wal_records"), Some(1));
+        let stats = engine.stats();
+        assert_eq!(stats.get("wal_records"), Some(1));
+        assert_eq!(stats.get("crc_clmul"), Some(crc::accelerated() as u64));
         assert_eq!(engine.len(), 1);
         // A read-only batch appends nothing.
         let mut reads = vec![Op::<u64, u64>::get(1)];

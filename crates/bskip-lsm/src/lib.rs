@@ -39,6 +39,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The crate's only `unsafe` is the checksum kernel's dispatch (`crc.rs`);
+// whatever joins it has to argue its case the same way.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;
 pub mod codec;

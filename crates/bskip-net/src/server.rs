@@ -253,9 +253,10 @@ impl ServerHandle {
     }
 
     /// Raises the shutdown flag, wakes the accept loop with a throwaway
-    /// connection, and joins the accept thread.  In-flight connection
-    /// threads notice the flag within one poll interval and exit; the
-    /// listener socket closes with the accept thread.
+    /// connection, and joins the accept thread.  Connection threads
+    /// notice the flag within one poll interval — a busy one after the
+    /// window it is answering — and exit; the listener socket closes with
+    /// the accept thread.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         // Unblock `accept` (ignore failure — the loop also wakes on any
@@ -309,13 +310,17 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
     let mut write_buf: Vec<u8> = Vec::new();
 
     loop {
+        // Checked on every turn, not only on an idle timeout: a client
+        // that keeps its pipeline full would otherwise be served for ever
+        // by a server that has shut down.  A thread parked in `read` when
+        // the flag goes up answers the window that wakes it, then leaves.
+        if shared.shutdown.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let n = match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return Ok(());
-                }
                 continue;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -1,8 +1,10 @@
-//! Allocation budget of the LSM point-read path: once a thread is warm, a
+//! Allocation budget of the LSM point paths: once a thread is warm, a
 //! lookup that a table answers — bloom probe, block read, checksum,
-//! restart seek — performs **zero** heap allocations.  The budget is an
-//! ordinary test so that it cannot rot: a `Vec` that creeps back into
-//! `Table::get` fails here, not in a benchmark somebody has to read.
+//! restart seek — performs **zero** heap allocations, and so does logging
+//! a point write — record encoding, framing, checksum, append.  The
+//! budget is an ordinary test so that it cannot rot: a `Vec` that creeps
+//! back into `Table::get` or `WalWriter::append_ops` fails here, not in a
+//! benchmark somebody has to read.
 //!
 //! The counting allocator counts per thread, so the harness's other
 //! threads cannot leak into the figures.
@@ -12,8 +14,8 @@ use std::cell::Cell;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use bskip_suite::lsm::Table;
-use bskip_suite::{ConcurrentIndex, IndexCursor, LsmConfig, LsmEngine, StdFs};
+use bskip_suite::lsm::{Table, WalOp, WalWriter};
+use bskip_suite::{ConcurrentIndex, IndexCursor, LsmConfig, LsmEngine, StdFs, SyncPolicy};
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it from
@@ -140,4 +142,31 @@ fn warm_point_reads_allocate_nothing() {
 
     drop(engine);
     std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+#[test]
+fn warm_wal_appends_allocate_nothing() {
+    let path = std::env::temp_dir().join(format!("bskip-alloc-budget-{}.log", std::process::id()));
+    let mut wal = WalWriter::create(&StdFs, &path, SyncPolicy::Never).expect("create the WAL");
+    // What the engine logs for a point put and a point delete: the record
+    // is encoded into the writer's own frame buffer.
+    let record = |i: u64| {
+        let key = draw(i);
+        std::iter::once(if i.is_multiple_of(4) {
+            WalOp::Delete { key }
+        } else {
+            WalOp::Put { key, value: i }
+        })
+    };
+    wal.append_ops(record(1)).expect("warm-up");
+    let allocs = allocations_in(|| {
+        for i in 0..CALLS {
+            wal.append_ops(record(i)).expect("WAL append");
+        }
+    });
+    assert_eq!(allocs, 0, "WalWriter::append_ops of single-op records");
+    assert_eq!(wal.records(), CALLS + 1);
+
+    drop(wal);
+    std::fs::remove_file(&path).expect("clean up");
 }
