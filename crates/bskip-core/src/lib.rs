@@ -96,12 +96,13 @@
 //! their relative order, so the batch behaves exactly like slot-order
 //! application): the epoch collector is pinned **once**, each *run* of
 //! operations landing in the same fat leaf executes under a single leaf
-//! write-lock acquisition, and between nearby runs the path walks the
-//! leaf level rightward instead of re-descending.  Structural work
-//! (promoted inserts, splits, header removals) falls back to the per-op
-//! point path mid-batch.  This is the workspace's bulk ingest path — the
-//! YCSB driver's `batch_size` knob and the memtable example's write
-//! batches both feed it; see [`bskip_index::ops`] for the semantics.
+//! write-lock acquisition, and the next run is reached by resuming the
+//! writers' optimistic descent from the level-1 node the last one
+//! validated — retained with its version, not with a lock.  Structural
+//! work (promoted inserts, splits, header removals) falls back to the
+//! per-op point path mid-batch.  This is the workspace's bulk ingest
+//! path — the YCSB driver's `batch_size` knob and the memtable example's
+//! write batches both feed it; see [`bskip_index::ops`] for the semantics.
 //!
 //! ## Memory reclamation
 //!

@@ -4,30 +4,27 @@
 //! exploiting exactly the property the paper builds the structure around:
 //! fat fixed-size leaves concentrate many neighbouring keys, so a batch
 //! applied in key order repeatedly lands in the node it is already
-//! holding.  Compared with looping over the point methods, the native path
-//! amortizes three per-operation costs:
+//! holding.  The collector is pinned once for the batch, and between
+//! operations the path keeps three things:
 //!
-//! 1. **Epoch pinning** — the collector is pinned *once* for the whole
-//!    batch instead of once per operation;
-//! 2. **Tower descent** — operations are applied in sorted key order
-//!    behind a two-level **frontier**: the current leaf (write-locked)
-//!    and its level-1 ancestor (read-locked), each with a captured upper
-//!    bound of the key range it covers.  A run of operations landing in
-//!    the held leaf costs nothing to position; the next run under the
-//!    same level-1 region costs one child lookup and one leaf lock
-//!    instead of a full descent; longer strides walk the level-1 list (a
-//!    budgeted walk — each step skips a whole region of ~`B` leaves), and
-//!    only a genuinely distant jump re-descends through the tower;
-//! 3. **Leaf locking** — every operation of a run executes under a single
-//!    write-lock acquisition of its leaf.
+//! * the **leaf** covering the last key, write-locked — every operation
+//!   of a run that lands in it executes under that one acquisition;
+//! * the leaf's upper **bound** — its successor's header, read once under
+//!   the successor's shared lock.  It cannot move while the leaf's write
+//!   lock is held: a node is linked in behind the leaf only by splitting
+//!   it, and the successor is unlinked, or re-headed by a removal or a
+//!   merge, only with its predecessor — this leaf — write-locked;
+//! * a **position** — the level-1 node the last descent passed through
+//!   and the version it validated there, with *no lock held*.
 //!
-//! The captured bounds stay valid for as long as the frontier's locks are
-//! held: a leaf's covering range can only change through its own write
-//! lock (splits), its predecessor's (unlinks), or — for the boundary key
-//! itself, which is its successor's promoted header — through level-1
-//! write locks the retained read lock excludes.  The frontier therefore
-//! never needs re-validation, only repositioning when a key falls past a
-//! bound.
+//! A key at or past the bound releases the leaf and repositions through
+//! the point writers' own entry, `lock_covering`: the one optimistic
+//! descent, resumed from the position instead of the top-level head, then
+//! `lock_exclusive_at` on the leaf it reaches.  A position that no longer
+//! validates is dropped and the descent starts from the top (the parent
+//! module's *write path* notes have the argument); after
+//! `OPTIMISTIC_ATTEMPTS` failures `descend_locked` takes over, the only
+//! place positioning locks anything above a leaf.
 //!
 //! # Fast path and fallback
 //!
@@ -41,8 +38,8 @@
 //!   an absent key's removal is a no-op, and a present key that is not a
 //!   node header (or lives in the head sentinel) is removed directly.
 //!
-//! Everything structural falls back mid-batch (releasing the frontier
-//! first) to the point path's **write-locked passes**, called directly —
+//! Everything structural falls back mid-batch (releasing the leaf first)
+//! to the point path's **write-locked passes**, called directly —
 //! not to the point methods, whose leaf-first entry would only repeat the
 //! check the kernel just made: promoted inserts and overflow splits run
 //! `insert_structural` with the height the kernel drew, so batching does
@@ -60,17 +57,11 @@ use std::ptr;
 
 use bskip_index::ops::{sorted_order, Op, OpResult};
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::{Backoff, EbrGuard};
+use bskip_sync::EbrGuard;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, BSkipList, Mode, Restart, OPTIMISTIC_ATTEMPTS};
-use crate::node::{prefetch_node, Node, NodeSearch};
-
-/// Level-1 right-walk budget between runs before the batch path gives up
-/// and re-descends through the tower: one level-1 step skips a whole
-/// region (~`B` leaves), so a short budget already covers every realistic
-/// sorted-batch stride, while a distant jump is cheaper through the tower.
-const L1_WALK_BUDGET: usize = 8;
+use super::{lock_node, unlock_node, BSkipList, Mode};
+use crate::node::{Node, NodeSearch};
 
 /// The write-locked pass an operation needs when the leaf kernel could
 /// not finish it under the held leaf lock.
@@ -118,128 +109,62 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             stats.batched_ops.add(ops.len() as u64);
         }
         let order = sorted_order(ops);
-        // One pin for the whole batch: every traversal below (descents,
-        // right-walks, lock spins on possibly-retired nodes) and every
-        // structural fallback runs under this guard.
+        // One pin for the whole batch: every descent below, the position
+        // retained between them (a node that may be unlinked meanwhile)
+        // and every structural fallback run under this guard.
         let guard = self.collector().pin();
-        // SAFETY: the body upholds the hand-over-hand protocol — guarded
-        // node state is only read under a shared or exclusive lock and
-        // only written under an exclusive lock, with the left-to-right /
-        // top-to-bottom total lock order all traversals share.
+        // SAFETY: `guard` pins this list's collector for the whole call;
+        // the body reads guarded node state only under a lock it holds
+        // and writes it only under an exclusive one, and holds at most
+        // the leaf and — to its right, as the lock order has it — the
+        // leaf's successor.
         unsafe { self.execute_inner(ops, &order, &guard) }
     }
 
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector; the caller holds no node
+    /// lock.
     unsafe fn execute_inner(&self, ops: &mut [Op<K, V>], order: &[usize], guard: &EbrGuard<'_>) {
-        // The two-level frontier: the current write-locked leaf and (when
-        // the list has internal levels) its read-locked level-1 ancestor,
-        // each with the captured upper bound of the key range it covers
-        // (`None` = unbounded).  Null pointers mean "not positioned".
+        // Leaf, bound and position (module docs): the write-locked leaf
+        // (null = none held), the first key it does not cover (`None` =
+        // it is the last leaf), and where the next descent resumes.
         let mut leaf: *mut Node<K, V, B> = ptr::null_mut();
-        let mut upper0: Option<K> = None;
-        let mut l1: *mut Node<K, V, B> = ptr::null_mut();
-        let mut upper1: Option<K> = None;
+        let mut upper: Option<K> = None;
+        let mut position = None;
 
-        fn covered<K: Ord>(upper: &Option<K>, key: &K) -> bool {
-            match upper {
-                Some(bound) => key < bound,
-                None => true,
-            }
-        }
-
-        let mut idx = 0usize;
-        while idx < order.len() {
-            let slot = order[idx];
+        for &slot in order {
             let key = *ops[slot].key();
 
-            // ---- position the frontier over `key` ----
-            if leaf.is_null() || !covered(&upper0, &key) {
-                if !leaf.is_null() && (l1.is_null() || covered(&upper1, &key)) {
-                    // Still inside the retained region (or the list has a
-                    // single level).  If a level-1 separator lands
-                    // strictly ahead of the held leaf, jump through it;
-                    // otherwise walk right — keys ascend, so across the
-                    // whole batch every leaf in the separator gaps is
-                    // walked over at most once.
-                    let jump = if l1.is_null() {
-                        ptr::null_mut()
-                    } else {
-                        match (*l1).search(&key) {
-                            NodeSearch::Found(slot) | NodeSearch::Pred(slot) => {
-                                let separator = (*l1).key_at(slot);
-                                if (*leaf).is_empty() || separator > (*leaf).header() {
-                                    (*l1).child_at(slot)
-                                } else {
-                                    ptr::null_mut()
-                                }
-                            }
-                            NodeSearch::Before => ptr::null_mut(),
-                        }
-                    };
-                    let start = if jump.is_null() {
-                        leaf
-                    } else {
-                        prefetch_node(jump);
-                        unlock_node(leaf, Mode::Write);
-                        lock_node(jump, Mode::Write);
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.batch_leaf_locks.incr();
-                        }
-                        jump
-                    };
-                    let (node, upper, _) =
-                        self.walk_right_capture(start, &key, Mode::Write, usize::MAX);
-                    leaf = node;
-                    upper0 = upper;
-                } else {
-                    // Left the region: reposition through level 1 (a
-                    // budgeted walk — each step skips a whole region of
-                    // ~B leaves) or, for genuinely distant jumps, a full
-                    // descent.  Both paths below re-establish `leaf`.
-                    if !leaf.is_null() {
-                        unlock_node(leaf, Mode::Write);
-                    }
-                    if !l1.is_null() && !covered(&upper1, &key) {
-                        let (node, upper, exhausted) =
-                            self.walk_right_capture(l1, &key, Mode::Read, L1_WALK_BUDGET);
-                        if exhausted {
-                            unlock_node(node, Mode::Read);
-                            l1 = ptr::null_mut();
-                        } else {
-                            l1 = node;
-                            upper1 = upper;
-                        }
-                    }
-                    if !l1.is_null() {
-                        // Descend within the retained level-1 region.
-                        let child = self.descend_pointer(l1, &key);
-                        lock_node(child, Mode::Write);
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.batch_leaf_locks.incr();
-                        }
-                        let (node, upper, _) =
-                            self.walk_right_capture(child, &key, Mode::Write, usize::MAX);
-                        leaf = node;
-                        upper0 = upper;
-                    } else {
-                        let frontier = self.descend_frontier(&key);
-                        l1 = frontier.0;
-                        upper1 = frontier.1;
-                        leaf = frontier.2;
-                        upper0 = frontier.3;
-                    }
+            if leaf.is_null() || upper.is_some_and(|bound| key >= bound) {
+                // Released first: the descent may come back to this leaf.
+                if !leaf.is_null() {
+                    unlock_node(leaf, Mode::Write);
                 }
+                leaf = self.lock_covering(&key, 0, &mut position);
+                if let Some(stats) = self.stats_enabled() {
+                    stats.batch_leaf_locks.incr();
+                }
+                let next = (*leaf).next();
+                upper = if next.is_null() {
+                    None
+                } else {
+                    lock_node(next, Mode::Read);
+                    let header = (*next).header();
+                    unlock_node(next, Mode::Read);
+                    Some(header)
+                };
             }
 
             // ---- apply under the held leaf lock, or fall back ----
             if let Some(pass) = self.apply_op_in_leaf(leaf, &mut ops[slot]) {
-                // The passes take their own locks top-down, so the whole
-                // frontier must be released first.
+                // The passes take their own locks top-down, so the leaf
+                // goes first.  A promoted pass rewrites the level-1 node,
+                // which would cost the next descent a failed attempt, so
+                // that one starts from the top.
                 unlock_node(leaf, Mode::Write);
                 leaf = ptr::null_mut();
-                if !l1.is_null() {
-                    unlock_node(l1, Mode::Read);
-                    l1 = ptr::null_mut();
-                }
+                position = None;
                 if let Some(stats) = self.stats_enabled() {
                     stats.batch_fallbacks.incr();
                 }
@@ -255,207 +180,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 | Op::Remove { result, .. }) = &mut ops[slot];
                 *result = previous.into();
             }
-            idx += 1;
         }
         if !leaf.is_null() {
             unlock_node(leaf, Mode::Write);
         }
-        if !l1.is_null() {
-            unlock_node(l1, Mode::Read);
-        }
-    }
-
-    /// Walks right from `curr` (locked in `mode`) while the successor's
-    /// header is `<= key`, up to `budget` steps, capturing the stopping
-    /// successor's header — the first key *not* covered by the returned
-    /// node — as the covering upper bound (`None` when the chain ends).
-    ///
-    /// Returns `(node, upper, exhausted)` with `node` locked in `mode`;
-    /// `exhausted` means the budget ran out with the successor still
-    /// qualifying, so the caller should release `node` and re-descend.
-    ///
-    /// # Safety
-    ///
-    /// `curr` must be locked in `mode` by this thread.
-    unsafe fn walk_right_capture(
-        &self,
-        mut curr: *mut Node<K, V, B>,
-        key: &K,
-        mode: Mode,
-        budget: usize,
-    ) -> (*mut Node<K, V, B>, Option<K>, bool) {
-        let mut steps = 0usize;
-        loop {
-            let next = (*curr).next();
-            if next.is_null() {
-                return (curr, None, false);
-            }
-            prefetch_node(next);
-            lock_node(next, mode);
-            let header = (*next).header();
-            if header <= *key {
-                if steps >= budget {
-                    unlock_node(next, mode);
-                    return (curr, Some(header), true);
-                }
-                unlock_node(curr, mode);
-                curr = next;
-                steps += 1;
-                if let Some(stats) = self.stats_enabled() {
-                    stats.horizontal_steps.incr();
-                    if mode == Mode::Write {
-                        stats.batch_leaf_locks.incr();
-                    }
-                }
-            } else {
-                unlock_node(next, mode);
-                return (curr, Some(header), false);
-            }
-        }
-    }
-
-    /// Establishes the two-level frontier for `key`: the covering level-1
-    /// node read-locked (null/`None` when the list has no internal level)
-    /// and the covering leaf write-locked, each with its captured upper
-    /// bound.
-    ///
-    /// The positioning above level 1 is read-mostly, so it goes
-    /// **optimistic-first**: an OLC descent (the same machinery as the
-    /// lock-free point reads) reaches the candidate level-1 node with
-    /// zero lock acquisitions, which is then read-locked and
-    /// version-validated; only the leaf's write lock and the level-1 read
-    /// lock — the two locks the frontier retains anyway — are ever taken.
-    /// After [`OPTIMISTIC_ATTEMPTS`] failed validations the descent falls
-    /// back to the fully locked hand-over-hand walk
-    /// ([`Self::descend_frontier_locked`]).  The
-    /// `batch_optimistic_descents` / `batch_descent_fallbacks` counters
-    /// record which path ran.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call and must release
-    /// both returned locks (leaf in write mode, level-1 node — when
-    /// non-null — in read mode).
-    #[allow(clippy::type_complexity)]
-    unsafe fn descend_frontier(
-        &self,
-        key: &K,
-    ) -> (*mut Node<K, V, B>, Option<K>, *mut Node<K, V, B>, Option<K>) {
-        // The single-level layout has no read-mostly prefix to skip — the
-        // first lock taken is the retained leaf write lock either way.
-        if self.top_level() >= 1 {
-            let mut backoff = Backoff::new();
-            for _ in 0..OPTIMISTIC_ATTEMPTS {
-                match self.try_descend_frontier_optimistic(key) {
-                    Ok(frontier) => {
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.batch_optimistic_descents.incr();
-                        }
-                        return frontier;
-                    }
-                    Err(Restart) => {
-                        if let Some(stats) = self.stats_enabled() {
-                            stats.optimistic_restarts.incr();
-                        }
-                        backoff.spin();
-                    }
-                }
-            }
-            if let Some(stats) = self.stats_enabled() {
-                stats.batch_descent_fallbacks.incr();
-            }
-        }
-        self.descend_frontier_locked(key)
-    }
-
-    /// One optimistic attempt at [`Self::descend_frontier`]: an OLC
-    /// descent to level 1, then lock-validate and finish exactly like the
-    /// locked path's final two steps.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::descend_frontier`]; the list must have a level 1
-    /// (`top_level() >= 1`).
-    #[allow(clippy::type_complexity)]
-    unsafe fn try_descend_frontier_optimistic(
-        &self,
-        key: &K,
-    ) -> Result<(*mut Node<K, V, B>, Option<K>, *mut Node<K, V, B>, Option<K>), Restart> {
-        let (candidate, version) = self.try_descend_optimistic_to(key, 1)?;
-        lock_node(candidate, Mode::Read);
-        // An unchanged version means the node still covers `key` (its
-        // content and next pointer can only change under its exclusive
-        // lock, which would have bumped it); shared acquisitions do not
-        // bump versions, so an untouched node validates under our lock.
-        if !(*candidate).lock.validate_version(version) {
-            unlock_node(candidate, Mode::Read);
-            return Err(Restart);
-        }
-        // From here this is the locked path's tail: capture the level-1
-        // upper bound under the held read lock (the successor's header is
-        // re-read under its own lock, so a concurrently shifted boundary
-        // is simply walked over), then descend to the write-locked leaf.
-        let (l1, upper1, _) = self.walk_right_capture(candidate, key, Mode::Read, usize::MAX);
-        let child = self.descend_pointer(l1, key);
-        lock_node(child, Mode::Write);
-        if let Some(stats) = self.stats_enabled() {
-            stats.levels_visited.incr();
-            stats.batch_leaf_locks.incr();
-        }
-        let (leaf, upper0, _) = self.walk_right_capture(child, key, Mode::Write, usize::MAX);
-        Ok((l1, upper1, leaf, upper0))
-    }
-
-    /// Full hand-over-hand locked descent establishing the two-level
-    /// frontier: the contention fallback behind
-    /// [`Self::descend_frontier`], and the whole story for single-level
-    /// lists.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::descend_frontier`].
-    #[allow(clippy::type_complexity)]
-    unsafe fn descend_frontier_locked(
-        &self,
-        key: &K,
-    ) -> (*mut Node<K, V, B>, Option<K>, *mut Node<K, V, B>, Option<K>) {
-        let top = self.top_level();
-        if top == 0 {
-            let head = self.head(0);
-            lock_node(head, Mode::Write);
-            if let Some(stats) = self.stats_enabled() {
-                stats.batch_leaf_locks.incr();
-            }
-            let (leaf, upper0, _) = self.walk_right_capture(head, key, Mode::Write, usize::MAX);
-            return (ptr::null_mut(), None, leaf, upper0);
-        }
-        let mut level = top;
-        let mut curr = self.head(level);
-        lock_node(curr, Mode::Read);
-        let (l1, upper1) = loop {
-            let (node, upper, _) = self.walk_right_capture(curr, key, Mode::Read, usize::MAX);
-            curr = node;
-            if level == 1 {
-                break (node, upper);
-            }
-            let child = self.descend_pointer(curr, key);
-            lock_node(child, Mode::Read);
-            unlock_node(curr, Mode::Read);
-            curr = child;
-            level -= 1;
-            if let Some(stats) = self.stats_enabled() {
-                stats.levels_visited.incr();
-            }
-        };
-        // Final step retains the level-1 lock while the leaf is acquired.
-        let child = self.descend_pointer(l1, key);
-        lock_node(child, Mode::Write);
-        if let Some(stats) = self.stats_enabled() {
-            stats.levels_visited.incr();
-            stats.batch_leaf_locks.incr();
-        }
-        let (leaf, upper0, _) = self.walk_right_capture(child, key, Mode::Write, usize::MAX);
-        (l1, upper1, leaf, upper0)
     }
 
     /// Applies one operation against the write-locked `leaf` covering its
@@ -642,38 +370,37 @@ mod tests {
     }
 
     #[test]
-    fn frontier_positioning_goes_through_the_optimistic_descent() {
+    fn repositioning_resumes_one_level_above_the_leaf() {
         let list = List::with_config(small_config().with_stats(true));
-        // Promoted keys every 32 build a real tower (top level >= 1), so
-        // frontier positioning has a read-mostly prefix to skip.
-        for key in 0..256u64 {
-            let height = usize::from(key % 32 == 0);
+        // A tower of height 1 every 8 keys and of height 2 every 64:
+        // three populated levels, eight level-1 nodes.
+        for key in 0..512u64 {
+            let height = usize::from(key % 8 == 0) + usize::from(key % 64 == 0);
             list.insert_with_height(key, key, height);
         }
-        assert!(list.top_level() >= 1, "test needs an internal level");
-        list.reset_stats();
+        assert!(list.level_shape()[2].1 > 0, "test needs three levels");
 
-        let batches = 5u64;
-        for round in 0..batches {
-            let mut batch: Vec<Op<u64, u64>> = (0..32u64).map(|i| Op::get(round + 8 * i)).collect();
+        for round in 0..5u64 {
+            list.reset_stats();
+            let mut batch: Vec<Op<u64, u64>> =
+                (0..32u64).map(|i| Op::get(round + 16 * i)).collect();
             list.execute(&mut batch);
             for op in &batch {
                 assert_eq!(op.result().value(), Some(*op.key()));
             }
+            let stats = list.stats();
+            let leaf_locks = stats.batch_leaf_locks.get();
+            assert_eq!(leaf_locks, 32, "every key of the batch is in its own leaf");
+            // The first positioning descends from the top; every later
+            // one resumes at level 1 — walking right there when the key
+            // has left the retained node's range — and descends one level.
+            assert_eq!(
+                stats.levels_visited.get(),
+                list.top_level() as u64 + leaf_locks - 1
+            );
+            assert_eq!(stats.optimistic_restarts.get(), 0);
+            assert_eq!(stats.write_descent_fallbacks.get(), 0);
         }
-
-        let stats = ConcurrentIndex::stats(&list);
-        let optimistic = stats.get("batch_optimistic_descents").unwrap();
-        assert!(
-            optimistic >= batches,
-            "every batch's first positioning must engage the OLC descent, \
-             got {optimistic} for {batches} batches"
-        );
-        assert_eq!(
-            stats.get("batch_descent_fallbacks"),
-            Some(0),
-            "single-threaded batches must never exhaust optimistic attempts"
-        );
     }
 
     #[test]

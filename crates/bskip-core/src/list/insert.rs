@@ -107,7 +107,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // covering leaf write-locked, which is the kernel's contract; the
         // lock is released here or handed to the pass, which releases it.
         unsafe {
-            let leaf = self.lock_covering(&key, 0);
+            let leaf = self.lock_covering(&key, 0, &mut None);
             match self.upsert_in_leaf(leaf, key, value, height) {
                 Ok(previous) => {
                     unlock_node(leaf, Mode::Write);
@@ -164,7 +164,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 prealloc.push(internal);
             }
         }
-        let entry = self.lock_covering(&key, height);
+        let entry = self.lock_covering(&key, height, &mut None);
         self.insert_inner(key, value, prealloc, entry, guard)
     }
 

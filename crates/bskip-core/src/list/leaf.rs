@@ -11,8 +11,8 @@
 //!   [`BSkipList::remove_in_leaf`] — apply one mutation under a held,
 //!   covering leaf lock, or say that it needs structural work.  The point
 //!   methods call it on the leaf `lock_covering` hands them, `execute`
-//!   calls it on its frontier leaf; neither has a second copy of the
-//!   logic.
+//!   on the leaf it holds across a run of operations; neither has a
+//!   second copy of the logic.
 //!
 //! # Why header-less leaf mutations are complete
 //!
@@ -34,7 +34,7 @@
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Backoff;
 
-use super::{BSkipList, Mode, OPTIMISTIC_ATTEMPTS};
+use super::{BSkipList, Mode, Position, OPTIMISTIC_ATTEMPTS};
 use crate::node::{Node, NodeSearch};
 
 /// The key is the header of a non-head leaf: it may own a tower and its
@@ -54,20 +54,33 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// failed validations the descent falls back to hand-over-hand shared
     /// locks down to `level`, so a writer can never livelock.
     ///
+    /// `position` is where the first attempt resumes from and what the
+    /// successful one leaves behind for the next call
+    /// (`try_descend_optimistic_to`); a failed attempt drops it.  The
+    /// point writers pass `&mut None`.
+    ///
     /// # Safety
     ///
-    /// The caller must hold an epoch pin across the call and must release
-    /// the returned node's write lock; `level <= top_level()`.
-    pub(super) unsafe fn lock_covering(&self, key: &K, level: usize) -> *mut Node<K, V, B> {
+    /// The caller must hold an epoch pin across the call — the same one
+    /// since `position` was filled — and must release the returned node's
+    /// write lock; `level <= top_level()`.
+    pub(super) unsafe fn lock_covering(
+        &self,
+        key: &K,
+        level: usize,
+        position: &mut Option<Position<K, V, B>>,
+    ) -> *mut Node<K, V, B> {
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level) {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level, position) {
                 #[cfg(test)]
                 tests::run_interleaved(level);
                 if (*node).lock.lock_exclusive_at(version) {
                     return node;
                 }
             }
+            // Whatever failed, the next attempt starts from the top.
+            *position = None;
             if let Some(stats) = self.stats_enabled() {
                 stats.optimistic_restarts.incr();
             }
@@ -167,9 +180,16 @@ mod tests {
     //! handful of times per second at best; these tests force it instead,
     //! by running the interfering operation from a hook at exactly that
     //! point.
+    //!
+    //! A batch adds the level-1 node it resumes its next descent from,
+    //! retained unlocked and changed *between two descents*; the same hook
+    //! reaches that too — what runs after the first descent of a batch
+    //! runs before its second.
 
     use std::cell::RefCell;
     use std::sync::Arc;
+
+    use bskip_index::ops::{Op, OpResult};
 
     use crate::config::BSkipConfig;
     use crate::BSkipList;
@@ -199,6 +219,18 @@ mod tests {
 
     fn interleave(level: usize, operation: impl FnOnce() + 'static) {
         INTERLEAVED.with(|cell| *cell.borrow_mut() = Some((level, Box::new(operation))));
+    }
+
+    /// Overwrites `key` before each of the next `times` level-0 lock
+    /// attempts: every one of them finds its leaf's version moved.
+    fn interfere(list: &Arc<List>, key: u64, times: usize) {
+        if times > 0 {
+            let list = Arc::clone(list);
+            interleave(0, move || {
+                list.insert(key, times as u64);
+                interfere(&list, key, times - 1);
+            });
+        }
     }
 
     fn list() -> Arc<List> {
@@ -312,16 +344,8 @@ mod tests {
         // finish, under hand-over-hand locks.
         let list = list();
         list.insert_with_height(1, 10, 0);
-        fn keep_interfering(list: Arc<List>, round: u64) {
-            let next = Arc::clone(&list);
-            interleave(0, move || {
-                next.insert(1, 10 + round);
-                keep_interfering(next.clone(), round + 1);
-            });
-        }
-        keep_interfering(Arc::clone(&list), 1);
+        interfere(&list, 1, super::OPTIMISTIC_ATTEMPTS);
         list.insert(2, 20);
-        INTERLEAVED.with(|cell| cell.borrow_mut().take());
         let stats = list.stats();
         assert_eq!(stats.write_descent_fallbacks.get(), 1);
         assert_eq!(
@@ -330,5 +354,120 @@ mod tests {
         );
         assert_eq!(list.get(&2), Some(20));
         list.validate().expect("structure");
+    }
+
+    /// Level 1 `head{100, 200, 300, 400}` over the leaves `head{50}`,
+    /// `{100, 110}`, `{200, 210, 220, 230}` (full), `{300, 310}`,
+    /// `{400, 410}`; every value is its key.
+    fn batch_scenario() -> Arc<List> {
+        let list = list();
+        list.insert_with_height(50, 50, 0);
+        for key in [100u64, 200, 300, 400] {
+            list.insert_with_height(key, key, 1);
+            list.insert_with_height(key + 10, key + 10, 0);
+        }
+        for key in [220u64, 230] {
+            list.insert_with_height(key, key, 0);
+        }
+        list
+    }
+
+    /// Runs a batch of gets and checks each found its key, then the
+    /// structure and the two counters every case here is about.
+    fn check_batch(list: &List, keys: &[u64], restarts: u64, fallbacks: u64) {
+        let mut batch: Vec<Op<u64, u64>> = keys.iter().map(|&key| Op::get(key)).collect();
+        list.execute(&mut batch);
+        for op in &batch {
+            assert_eq!(*op.result(), OpResult::Value(*op.key()), "{op:?}");
+        }
+        list.validate().expect("structure");
+        let stats = list.stats();
+        assert_eq!(stats.optimistic_restarts.get(), restarts);
+        assert_eq!(stats.write_descent_fallbacks.get(), fallbacks);
+    }
+
+    #[test]
+    fn batch_drops_a_position_that_was_split() {
+        // The first descent retains the level-1 head; before the second,
+        // a height-2 insert of 250 splits that node into
+        // `head{100, 200} → {250, 300, 400}` (and touches neither leaf the
+        // batch locks).  The stale head fails its first validation, once.
+        let list = batch_scenario();
+        let other = Arc::clone(&list);
+        interleave(0, move || {
+            assert_eq!(other.insert_with_height(250, 250, 2), None);
+            assert_eq!(other.level_shape()[1], (2, 5));
+        });
+        check_batch(&list, &[110, 310, 410], 1, 0);
+    }
+
+    #[test]
+    fn batch_drops_a_position_that_was_unlinked() {
+        // Level 1 is `head → {20} → {40}` and the first descent retains
+        // `{20}`, passing through it to the leaf `{24, 25, 26}`, two
+        // overflow splits to the right of `{20, 21}`.  Removing 20 empties
+        // and unlinks `{20}`; its frozen `next` still leads to `{40}`, and
+        // only its version says that it is dead.
+        let list = list();
+        for key in [20u64, 40] {
+            list.insert_with_height(key, key, 2);
+        }
+        for key in [21u64, 22, 23, 24, 25, 26, 41] {
+            list.insert_with_height(key, key, 0);
+        }
+        assert_eq!(list.level_shape(), [(5, 9), (3, 2), (1, 2), (1, 0)]);
+        let other = Arc::clone(&list);
+        interleave(0, move || {
+            assert_eq!(other.remove(&20), Some(20));
+            assert_eq!(other.level_shape()[1], (2, 1));
+        });
+        check_batch(&list, &[25, 41], 1, 0);
+    }
+
+    #[test]
+    fn batch_follows_a_key_that_a_split_moved_away_after_a_resumed_descent() {
+        // The second descent resumes from the (valid) level-1 head and
+        // reaches the full leaf `{200, 210, 220, 230}`; the insert of 240
+        // splits it into `{200, 210} → {220, 230, 240}` before it is
+        // locked.  An update stored in the stale leaf would report a
+        // fresh key and leave a second 220 behind.
+        let list = batch_scenario();
+        let other = Arc::clone(&list);
+        // Armed from inside the first lock attempt, so it runs in the second.
+        interleave(0, move || {
+            interleave(0, move || {
+                assert_eq!(other.insert_with_height(240, 240, 0), None);
+            });
+        });
+        let mut batch = vec![Op::get(110), Op::update(220, 221), Op::get(230)];
+        list.execute(&mut batch);
+        assert_eq!(*batch[1].result(), OpResult::Value(220));
+        assert_eq!(*batch[2].result(), OpResult::Value(230));
+        assert_eq!(list.get(&220), Some(221));
+        assert_eq!(list.len(), 12);
+        assert_eq!(list.stats().batch_leaf_locks.get(), 2);
+        check_batch(&list, &[110, 230, 240], 1, 0);
+    }
+
+    #[test]
+    fn batch_repositioning_falls_back_to_the_locked_descent() {
+        // Every attempt of the second repositioning fails at the lock;
+        // the third, after the fallback, descends from the top again.
+        let list = batch_scenario();
+        let other = Arc::clone(&list);
+        interleave(0, move || {
+            interfere(&other, 310, super::OPTIMISTIC_ATTEMPTS)
+        });
+        let mut batch = vec![Op::get(110), Op::get(300), Op::get(410)];
+        list.execute(&mut batch);
+        assert_eq!(*batch[1].result(), OpResult::Value(300));
+        assert_eq!(list.get(&310), Some(1), "the last interfering overwrite");
+        list.insert(310, 310);
+        check_batch(
+            &list,
+            &[110, 300, 410],
+            super::OPTIMISTIC_ATTEMPTS as u64,
+            1,
+        );
     }
 }

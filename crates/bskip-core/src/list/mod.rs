@@ -86,10 +86,10 @@
 //! (`leaf.rs`, `lock_covering`).
 //!
 //! Why an unchanged version is sufficient — the same argument the
-//! cursor's snapshot positioning and the batch frontier make under a
-//! shared lock: the descent validated that the node was the reachable,
-//! covering node for the key when its version was captured.  A node's
-//! content, its `next` pointer and the lower end of its covering range
+//! cursor's snapshot positioning makes under a shared lock: the descent
+//! validated that the node was the reachable, covering node for the key
+//! when its version was captured.  A node's content, its `next` pointer
+//! and the lower end of its covering range
 //! change only under its own exclusive lock (splits of it, merges into
 //! it, its own unlink), and its range's upper end — its successor's
 //! header — can only *grow* without it (a successor is only ever headed
@@ -100,9 +100,23 @@
 //! is the truth about the whole list, and the write-locked pass may start
 //! from it exactly as if it had lock-coupled its way down.
 //!
+//! **Corollary — the batch's retained position.**  [`BSkipList::execute`]
+//! applies its operations in ascending key order under one epoch pin, and
+//! between them keeps the level-1 node its last descent passed through
+//! together with the version that descent validated — and no lock on it.
+//! The next descent *resumes* there: it enters the node at the retained
+//! version, so its first validation fails unless the node is unchanged,
+//! and an unchanged node is, by the argument above, still linked and still
+//! begins at or below the key it was validated for — hence at or below
+//! the next, larger key — while its range can only have grown, which the
+//! resumed right-walk follows like any other.  The pin keeps the node
+//! readable if it was unlinked instead.  A position that fails is dropped
+//! and the descent starts over from the top; nothing else is new.
+//!
 //! After [`OPTIMISTIC_ATTEMPTS`] failed validations the descent takes
 //! hand-over-hand shared locks instead (`descend_locked`), the only place
-//! a point write ever read-locks a node, so a writer cannot livelock.
+//! a write, point or batched, ever read-locks a node above the one it
+//! changes, so a writer cannot livelock.
 
 pub(crate) mod cursor;
 mod execute;
@@ -137,6 +151,11 @@ pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
 /// and the whole descent must restart from the top-level head.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Restart;
+
+/// A node and the version an optimistic descent validated it at: what a
+/// descent returns, and — for a level-1 node — what a batch keeps between
+/// operations to resume from, with no lock held on it.
+pub(crate) type Position<K, V, const B: usize> = (*mut Node<K, V, B>, u64);
 
 /// Lock mode used during a traversal step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -550,30 +569,42 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must hold an epoch pin across the call *and* across any
     /// subsequent use of the returned pointer.
-    unsafe fn try_descend_optimistic(&self, key: &K) -> Result<(*mut Node<K, V, B>, u64), Restart> {
-        self.try_descend_optimistic_to(key, 0)
+    unsafe fn try_descend_optimistic(&self, key: &K) -> Result<Position<K, V, B>, Restart> {
+        self.try_descend_optimistic_to(key, 0, &mut None)
     }
 
     /// [`Self::try_descend_optimistic`], stopped at `stop_level` instead
-    /// of the leaf level: returns the covering node *at that level* with
-    /// the version to re-validate.  The batch `execute` path uses
-    /// `stop_level = 1` to re-establish its two-level frontier without
-    /// locking the upper tower.
+    /// of the leaf level — returns the covering node *at that level* with
+    /// the version to re-validate — and started from `position` instead
+    /// of the top-level head when the caller retained one (only the batch
+    /// path does; see *The write path* in the module docs).
+    ///
+    /// The retained node is entered at the version it was retained with,
+    /// so the first validation below rejects it if anything happened to
+    /// it since (the caller then drops it).  A descent that passes level 1
+    /// stores the node it validated there.
     ///
     /// # Safety
     ///
-    /// As [`Self::try_descend_optimistic`]; additionally the list's top
-    /// level must be `>= stop_level` (the caller checks — the level count
-    /// only grows, so the check cannot go stale).
+    /// As [`Self::try_descend_optimistic`], with one pin spanning every
+    /// descent that shares a `position`; additionally the starting level
+    /// — the list's top level, or 1 with a position — must be
+    /// `>= stop_level` (the caller checks; the level count never changes).
     unsafe fn try_descend_optimistic_to(
         &self,
         key: &K,
         stop_level: usize,
-    ) -> Result<(*mut Node<K, V, B>, u64), Restart> {
-        let mut level = self.top_level();
-        debug_assert!(level >= stop_level, "descent below the current tower");
-        let mut curr = self.head(level);
-        let mut version = (*curr).lock.optimistic_version().ok_or(Restart)?;
+        position: &mut Option<Position<K, V, B>>,
+    ) -> Result<Position<K, V, B>, Restart> {
+        let (mut curr, mut version) = match *position {
+            Some(retained) => retained,
+            None => {
+                let head = self.head(self.top_level());
+                (head, (*head).lock.optimistic_version().ok_or(Restart)?)
+            }
+        };
+        let mut level = usize::from((*curr).level());
+        debug_assert!(level >= stop_level, "descent below its starting level");
         loop {
             // Walk right while the successor's header covers the key.
             loop {
@@ -640,6 +671,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             if !(*curr).lock.validate_version(version) {
                 return Err(Restart);
             }
+            if level == 1 {
+                *position = Some((curr, version));
+            }
             curr = child;
             version = child_version;
             level -= 1;
@@ -685,14 +719,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// Hand-over-hand locked descent to the node whose key range covers
     /// `key` at `stop_level`: the contention fallback behind every
     /// optimistic descent — point reads and cursor positioning
-    /// (`stop_level` 0, `Mode::Read`) and the point writers' entry
-    /// (`Mode::Write` at the level they start modifying).  Levels above
+    /// (`stop_level` 0, `Mode::Read`) and the writers' entry, point or
+    /// batched (`Mode::Write` at the level they start modifying).  Levels above
     /// `stop_level` are read-locked; the returned node is locked in
     /// `mode`.
-    ///
-    /// (The batched [`BSkipList::execute`] path does not reuse this — it
-    /// needs the level-1 ancestor retained and coverage bounds captured,
-    /// so it descends through its own `descend_frontier`.)
     ///
     /// # Safety
     ///

@@ -57,7 +57,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // covering leaf write-locked, which is the kernel's contract, and
         // the pass is entered with no lock held.
         unsafe {
-            let leaf = self.lock_covering(key, 0);
+            let leaf = self.lock_covering(key, 0, &mut None);
             let outcome = self.remove_in_leaf(leaf, key);
             unlock_node(leaf, Mode::Write);
             match outcome {

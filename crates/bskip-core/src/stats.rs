@@ -38,22 +38,12 @@ bskip_index::stat_block! {
         pub batch_executes: CachePadded<RelaxedCounter> => Counter "batch_executes",
         /// Operations carried by those batches.
         pub batched_ops: CachePadded<RelaxedCounter> => Counter "batched_ops",
-        /// Leaf write-lock acquisitions performed by the batch path (descents
-        /// plus right-walk steps); a whole same-leaf run costs one.
+        /// Leaf write-lock acquisitions performed by the batch path, one per
+        /// repositioning; a whole same-leaf run costs one.
         pub batch_leaf_locks: CachePadded<RelaxedCounter> => Counter "batch_leaf_locks",
         /// Batch operations that fell back to the per-op point path (splits,
         /// promoted inserts, header removals).
         pub batch_fallbacks: CachePadded<RelaxedCounter> => Counter "batch_fallbacks",
-        /// Batch frontier repositionings that established the two-level
-        /// frontier through the optimistic (OLC) descent — no locks taken
-        /// above level 1.
-        pub batch_optimistic_descents: CachePadded<RelaxedCounter>
-            => Counter "batch_optimistic_descents",
-        /// Batch frontier repositionings that exhausted their optimistic
-        /// attempts and fell back to the fully locked hand-over-hand descent.
-        /// Zero in any single-threaded run.
-        pub batch_descent_fallbacks: CachePadded<RelaxedCounter>
-            => Counter "batch_descent_fallbacks",
         /// Point reads (`get`/`peek`/`contains_key`) that completed through the
         /// optimistic lock-free descent — zero lock acquisitions end to end.
         pub optimistic_reads: CachePadded<RelaxedCounter> => Counter "optimistic_reads",
@@ -74,10 +64,10 @@ bskip_index::stat_block! {
         /// removal from the top.  Every point write is exactly one of the
         /// two; `execute`'s structural fallbacks count here as well.
         pub structural_writes: CachePadded<RelaxedCounter> => Counter "structural_writes",
-        /// Point-write descents that exhausted their optimistic attempts and
-        /// reached their entry node under hand-over-hand shared locks — the
-        /// only place a point write read-locks anything.  Zero in any
-        /// single-threaded run.
+        /// Write descents — a point write's, or a batch repositioning — that
+        /// exhausted their optimistic attempts and reached their entry node
+        /// under hand-over-hand shared locks, the only place a write
+        /// read-locks anything above it.  Zero in any single-threaded run.
         pub write_descent_fallbacks: CachePadded<RelaxedCounter>
             => Counter "write_descent_fallbacks",
         /// Underflowing leaves merged into their right neighbour by the remove
@@ -138,7 +128,7 @@ mod tests {
         let snapshot = stats.snapshot();
         assert_eq!(snapshot.get("finds"), Some(3));
         assert_eq!(snapshot.get("top_level_write_locks"), Some(1));
-        assert_eq!(snapshot.len(), 23);
+        assert_eq!(snapshot.len(), 21);
     }
 
     #[test]

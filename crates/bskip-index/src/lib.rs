@@ -33,9 +33,9 @@
 //!   out.
 //! * [`ShardedIndex`] / [`ShardSpec`] — a partitioned front-end
 //!   combinator: hash- or range-shard keys across N inner indices, route
-//!   point operations, split batches per shard (applied in parallel on a
-//!   scoped thread pool), and compose per-shard cursors into one merged
-//!   (hash) or concatenated (range) globally ordered scan.  See
+//!   point operations, split batches per shard (applied shard after
+//!   shard on the calling thread), and compose per-shard cursors into one
+//!   merged (hash) or concatenated (range) globally ordered scan.  See
 //!   [`sharded`].
 //! * [`IndexStats`] — the one statistics model of the workspace: named
 //!   values that each carry a [`StatKind`] (`Counter`, `Gauge`, `Max`),

@@ -7,10 +7,9 @@
 //!   synchronization, so uncontended throughput is the inner index's;
 //! * **batches** ([`ConcurrentIndex::execute`]) are split per shard,
 //!   preserving each operation's result slot, and the per-shard
-//!   sub-batches are applied *in parallel* on a scoped thread pool once
-//!   the batch is large enough to pay for the threads — the
-//!   multiplicative lever on multi-core hardware that single-instance
-//!   constant-factor work cannot buy;
+//!   sub-batches are applied one after the other on the calling thread —
+//!   callers that want shards to work in parallel bring their own
+//!   threads, as the network server's connections do;
 //! * **scans** ([`ConcurrentIndex::scan_bounds`]) open one cursor per
 //!   shard and compose them: hash partitioning interleaves keys across
 //!   shards, so the shards' cursors are *K-way merged* (the shared
@@ -84,15 +83,6 @@ use crate::cursor::{Cursor, MergeCursor, Mode};
 use crate::ops::Op;
 use crate::traits::ConcurrentIndex;
 use crate::{IndexCursor, IndexKey, IndexStats, IndexValue, StatKind};
-
-/// One shard's slice of a split batch: the shard index, the caller's
-/// slot indices, and the copied operations (both in slot order).
-type ShardBatch<K, V> = (usize, Vec<usize>, Vec<Op<K, V>>);
-
-/// Batches below this many operations are applied shard-by-shard on the
-/// calling thread; at or above it, shard sub-batches run on scoped worker
-/// threads — below it the spawns cost more than the sub-batches.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 64;
 
 /// How a [`ShardedIndex`] maps keys to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,11 +187,6 @@ crate::stat_block! {
         batches: RelaxedCounter => Counter "sharded_batches",
         /// Batches whose keys all landed in one shard (delegated whole).
         single_shard_batches: RelaxedCounter => Counter "sharded_single_shard_batches",
-        /// Multi-shard batches applied on scoped worker threads.
-        parallel_batches: RelaxedCounter => Counter "sharded_parallel_batches",
-        /// Multi-shard batches below the parallel threshold, applied
-        /// shard-by-shard on the calling thread.
-        sequential_batches: RelaxedCounter => Counter "sharded_sequential_batches",
         /// Scans served by a K-way merging cursor (hash partitioning).
         merge_scans: RelaxedCounter => Counter "sharded_merge_scans",
         /// Scans served by a concatenating cursor (range partitioning).
@@ -271,26 +256,6 @@ where
     pub fn shard_stats(&self) -> Vec<IndexStats> {
         self.shards.iter().map(|shard| shard.stats()).collect()
     }
-
-    /// Splits `ops` into per-shard sub-batches (slot indices plus copied
-    /// operations, both in slot order).  Same-key operations always land
-    /// in the same shard in their original relative order, so the split
-    /// preserves the batch reordering contract of [`crate::ops`].
-    fn split_batch(&self, ops: &[Op<K, V>]) -> Vec<ShardBatch<K, V>> {
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (slot, op) in ops.iter().enumerate() {
-            buckets[self.partition.shard_of(op.key())].push(slot);
-        }
-        buckets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, slots)| !slots.is_empty())
-            .map(|(shard, slots)| {
-                let sub: Vec<Op<K, V>> = slots.iter().map(|&slot| ops[slot]).collect();
-                (shard, slots, sub)
-            })
-            .collect()
-    }
 }
 
 impl<K, V, I> ConcurrentIndex<K, V> for ShardedIndex<K, V, I>
@@ -325,44 +290,36 @@ where
             self.shards[0].execute(ops);
             return;
         }
-        let mut split = self.split_batch(ops);
-        if split.len() == 1 {
+        // Every operation's `(shard, slot)`, in slot order.
+        let mut order: Vec<(usize, usize)> = ops
+            .iter()
+            .enumerate()
+            .map(|(slot, op)| (self.partition.shard_of(op.key()), slot))
+            .collect();
+        let first = order[0].0;
+        if order.iter().all(|&(shard, _)| shard == first) {
             // Every key lives in one shard: delegate the caller's slice
             // directly, no copies.
             self.counters.single_shard_batches.incr();
-            self.shards[split[0].0].execute(ops);
+            self.shards[first].execute(ops);
             return;
         }
-        if ops.len() >= DEFAULT_PARALLEL_THRESHOLD {
-            self.counters.parallel_batches.incr();
-            std::thread::scope(|scope| {
-                let mut parts = split.iter_mut();
-                let first = parts.next().expect("split is non-empty");
-                let workers: Vec<_> = parts
-                    .map(|(shard, _, sub)| {
-                        let index: &I = &self.shards[*shard];
-                        scope.spawn(move || index.execute(sub))
-                    })
-                    .collect();
-                // The calling thread applies the first sub-batch itself
-                // instead of idling on the joins.
-                self.shards[first.0].execute(&mut first.2);
-                for worker in workers {
-                    worker.join().expect("shard batch worker panicked");
-                }
-            });
-        } else {
-            self.counters.sequential_batches.incr();
-            for (shard, _, sub) in split.iter_mut() {
-                self.shards[*shard].execute(sub);
-            }
+        // Sorted by shard, then slot: each shard's operations stay in
+        // slot order — same-key operations always share a shard, so the
+        // split preserves the batch reordering contract of [`crate::ops`]
+        // — and become one contiguous run of the scratch copy.
+        order.sort_unstable();
+        let mut scratch: Vec<Op<K, V>> = order.iter().map(|&(_, slot)| ops[slot]).collect();
+        let mut start = 0;
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len();
+            self.shards[run[0].0].execute(&mut scratch[start..end]);
+            start = end;
         }
         // Copy each executed operation (result slot included) back into
         // the caller's slot.
-        for (_, slots, sub) in &split {
-            for (&slot, executed) in slots.iter().zip(sub.iter()) {
-                ops[slot] = *executed;
-            }
+        for (&(_, slot), executed) in order.iter().zip(&scratch) {
+            ops[slot] = *executed;
         }
     }
 
@@ -609,9 +566,8 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for ConcatCursor<'_, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::OpResult;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     /// A reference shard: `Mutex<BTreeMap>` with a native, prev-capable
@@ -1090,24 +1046,13 @@ mod tests {
 
     #[test]
     fn execute_matches_slot_order_semantics_and_routes_results() {
-        // The batch size picks the path: four ops per key, so 15 keys
-        // stay under DEFAULT_PARALLEL_THRESHOLD and 50 keys clear it.
-        for (spec, keys, path) in [
-            (ShardSpec::hash(4), 15u64, "sharded_sequential_batches"),
-            (ShardSpec::hash(4), 50, "sharded_parallel_batches"),
-            (
-                ShardSpec::range(vec![25, 50, 75]),
-                50,
-                "sharded_parallel_batches",
-            ),
-        ] {
-            let label = format!("{path} over {keys} keys");
-            let sharded: ShardedIndex<u64, u64, MirrorIndex> =
-                ShardedIndex::new(spec, |_| MirrorIndex::new());
-            let oracle = MirrorIndex::new();
-            // Same-key runs (insert/get/remove on one key) must keep
-            // their relative order; distinct keys spread over shards.
-            let template: Vec<Op<u64, u64>> = (0..keys)
+        // Four operations per key — same-key runs (insert/get/insert,
+        // plus a remove reaching half a batch ahead) must keep their
+        // relative order while distinct keys spread over shards — and
+        // the two degenerate splits: every operation in one shard, and
+        // one operation per shard.
+        let mixed = |keys: u64| -> Vec<Op<u64, u64>> {
+            (0..keys)
                 .flat_map(|k| {
                     [
                         Op::insert(k, k),
@@ -1116,7 +1061,26 @@ mod tests {
                         Op::remove(k + keys / 2),
                     ]
                 })
-                .collect();
+                .collect()
+        };
+        let one_shard: Vec<Op<u64, u64>> = (50..60).map(|k| Op::insert(k, k)).collect();
+        let one_op_per_shard: Vec<Op<u64, u64>> =
+            [80, 5, 55, 30].into_iter().map(Op::get).collect();
+        for (spec, template, multi_shard) in [
+            (ShardSpec::hash(4), mixed(15), true),
+            (ShardSpec::hash(4), mixed(50), true),
+            (ShardSpec::range(vec![25, 50, 75]), mixed(50), true),
+            (ShardSpec::range(vec![25, 50, 75]), one_shard, false),
+            (ShardSpec::range(vec![25, 50, 75]), one_op_per_shard, true),
+        ] {
+            let label = format!("{} ops over {spec:?}", template.len());
+            let sharded: ShardedIndex<u64, u64, MirrorIndex> =
+                ShardedIndex::new(spec, |_| MirrorIndex::new());
+            let oracle = MirrorIndex::new();
+            for key in (0..100).step_by(5) {
+                sharded.insert(key, key * 10);
+                oracle.insert(key, key * 10);
+            }
             let mut expected = template.clone();
             for op in expected.iter_mut() {
                 op.apply_point(&oracle);
@@ -1124,7 +1088,13 @@ mod tests {
             let mut got = template;
             sharded.execute(&mut got);
             assert_eq!(got, expected, "{label} execute results");
-            assert_eq!(sharded.stats().get(path), Some(1), "{label}");
+            let stats = sharded.stats();
+            assert_eq!(stats.get("sharded_batches"), Some(1), "{label}");
+            assert_eq!(
+                stats.get("sharded_single_shard_batches"),
+                Some(u64::from(!multi_shard)),
+                "{label}"
+            );
             let drained: Vec<(u64, u64)> = sharded
                 .scan_bounds(Bound::Unbounded, Bound::Unbounded)
                 .collect();
@@ -1144,7 +1114,6 @@ mod tests {
         let stats = sharded.stats();
         assert_eq!(stats.get("sharded_batches"), Some(1));
         assert_eq!(stats.get("sharded_single_shard_batches"), Some(1));
-        assert_eq!(stats.get("sharded_parallel_batches"), Some(0));
         assert!(ops.iter().all(|op| op.result().is_executed()));
         // Empty batches are not counted.
         sharded.execute(&mut []);
@@ -1168,85 +1137,6 @@ mod tests {
         let stats = sharded.stats();
         assert_eq!(stats.get("mirror_inserts"), Some(0));
         assert_eq!(stats.get("sharded_batches"), Some(0));
-    }
-
-    /// A shard that blocks inside `execute` until *every* shard of the
-    /// group has entered `execute`.  If the sharded front-end applied
-    /// sub-batches sequentially, the first shard would wait out the
-    /// deadline alone and the full-rendezvous count would come up short —
-    /// so this asserts actual parallelism without timing anything
-    /// (yield-loop rendezvous also works on a single-core box).
-    struct GateIndex {
-        inner: MirrorIndex,
-        entered: std::sync::Arc<AtomicUsize>,
-        target: usize,
-        saw_rendezvous: std::sync::Arc<AtomicUsize>,
-    }
-
-    impl ConcurrentIndex<u64, u64> for GateIndex {
-        fn insert(&self, key: u64, value: u64) -> Option<u64> {
-            self.inner.insert(key, value)
-        }
-        fn get(&self, key: &u64) -> Option<u64> {
-            self.inner.get(key)
-        }
-        fn remove(&self, key: &u64) -> Option<u64> {
-            self.inner.remove(key)
-        }
-        fn scan_bounds(&self, lo: Bound<u64>, hi: Bound<u64>) -> Cursor<'_, u64, u64> {
-            self.inner.scan_bounds(lo, hi)
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn name(&self) -> &'static str {
-            "gate"
-        }
-        fn execute(&self, ops: &mut [Op<u64, u64>]) {
-            self.entered.fetch_add(1, Ordering::SeqCst);
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while self.entered.load(Ordering::SeqCst) < self.target {
-                if std::time::Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            if self.entered.load(Ordering::SeqCst) >= self.target {
-                self.saw_rendezvous.fetch_add(1, Ordering::SeqCst);
-            }
-            for op in ops.iter_mut() {
-                op.apply_point(&self.inner);
-            }
-        }
-    }
-
-    #[test]
-    fn large_batches_apply_shards_in_parallel() {
-        use std::sync::Arc;
-        let shards = 3usize;
-        let entered = Arc::new(AtomicUsize::new(0));
-        let saw_rendezvous = Arc::new(AtomicUsize::new(0));
-        let sharded: ShardedIndex<u64, u64, GateIndex> =
-            ShardedIndex::new(ShardSpec::range(vec![220, 440]), |_| GateIndex {
-                inner: MirrorIndex::new(),
-                entered: Arc::clone(&entered),
-                target: shards,
-                saw_rendezvous: Arc::clone(&saw_rendezvous),
-            });
-        // 22 keys per shard: every shard receives a sub-batch, and the 66
-        // operations clear DEFAULT_PARALLEL_THRESHOLD.
-        let mut ops: Vec<Op<u64, u64>> = (0..66u64).map(|i| Op::insert(i * 10, i)).collect();
-        sharded.execute(&mut ops);
-        assert_eq!(
-            saw_rendezvous.load(Ordering::SeqCst),
-            shards,
-            "all {shards} shard sub-batches must be in flight simultaneously"
-        );
-        assert_eq!(sharded.stats().get("sharded_parallel_batches"), Some(1));
-        assert_eq!(sharded.len(), 66);
-        assert!(ops
-            .iter()
-            .all(|op| matches!(op.result(), OpResult::Missing)));
     }
 
     #[test]

@@ -92,7 +92,7 @@ use std::collections::HashSet;
 use std::io;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bskip_index::{
@@ -181,9 +181,6 @@ impl LsmConfig {
 /// Everything the serialized write path owns.
 struct WriteState {
     wal: WalWriter,
-    /// Exact number of live (non-deleted) keys across all layers;
-    /// maintained from the previous-value of every mutation.
-    live_keys: u64,
     next_wal_id: u64,
     next_table_id: u64,
 }
@@ -256,6 +253,11 @@ pub struct LsmEngine<K: IndexKey + Persist, V: IndexValue + Persist> {
     config: LsmConfig,
     write: Mutex<WriteState>,
     state: RwLock<EngineState<K, V>>,
+    /// Exact number of live (non-deleted) keys across all layers;
+    /// maintained from the previous-value of every mutation, so written
+    /// only with the writer mutex held — and read without it: `len` and
+    /// `stats` must answer while a flush or compaction holds that mutex.
+    live_keys: AtomicU64,
     counters: Counters,
     /// Sticky read-only flag; set on the first write failure, cleared
     /// only by reopening the engine.
@@ -371,7 +373,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             config,
             write: Mutex::new(WriteState {
                 wal,
-                live_keys: 0,
                 next_wal_id,
                 next_table_id,
             }),
@@ -380,6 +381,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 immutables: Vec::new(),
                 levels,
             }),
+            live_keys: AtomicU64::new(0),
             counters: Counters::default(),
             degraded: AtomicBool::new(false),
         };
@@ -390,7 +392,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             let mut merge = MergeCursor::new(engine.sources_from(&state, Bound::Unbounded));
             live(&mut merge).count() as u64
         };
-        engine.write_lock().live_keys = live_keys;
+        engine.live_keys.store(live_keys, Ordering::Relaxed);
         Ok(engine)
     }
 
@@ -529,14 +531,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     /// Applies one slot to the mutable memtable and returns the live
     /// value it displaced — taken from the older layers when the memtable
-    /// held no version of the key — keeping `live_keys` exact.
-    fn apply_slot(
-        &self,
-        write: &mut WriteState,
-        state: &EngineState<K, V>,
-        key: K,
-        slot: Slot<V>,
-    ) -> Option<V> {
+    /// held no version of the key — keeping `live_keys` exact, which is
+    /// why the callers hold the writer mutex across it.
+    fn apply_slot(&self, state: &EngineState<K, V>, key: K, slot: Slot<V>) -> Option<V> {
         let previous = match state.memtable.apply(key, slot) {
             Some(slot) => Some(slot),
             // A table-read failure here loses only the previous-value
@@ -547,8 +544,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
         .and_then(Slot::value);
         match (previous.is_some(), slot.is_tombstone()) {
-            (false, false) => write.live_keys += 1,
-            (true, true) => write.live_keys -= 1,
+            (false, false) => {
+                self.live_keys.fetch_add(1, Ordering::Relaxed);
+            }
+            (true, true) => {
+                self.live_keys.fetch_sub(1, Ordering::Relaxed);
+            }
             _ => {}
         }
         previous
@@ -566,7 +567,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             Slot::Tombstone => WalOp::Delete { key },
         };
         self.wal_append(&mut write, std::iter::once(wal_op))?;
-        let previous = self.apply_slot(&mut write, &self.read_state(), key, slot);
+        let previous = self.apply_slot(&self.read_state(), key, slot);
         self.maybe_rotate(&mut write);
         Ok(previous)
     }
@@ -634,14 +635,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 match op {
                     Op::Get { key, result } => *result = get(&state, key),
                     Op::Insert { key, value, result } | Op::Update { key, value, result } => {
-                        *result = self
-                            .apply_slot(&mut write, &state, *key, Slot::Put(*value))
-                            .into();
+                        *result = self.apply_slot(&state, *key, Slot::Put(*value)).into();
                     }
                     Op::Remove { key, result } => {
-                        *result = self
-                            .apply_slot(&mut write, &state, *key, Slot::Tombstone)
-                            .into();
+                        *result = self.apply_slot(&state, *key, Slot::Tombstone).into();
                     }
                 }
             }
@@ -1063,7 +1060,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     }
 
     fn len(&self) -> usize {
-        self.write_lock().live_keys as usize
+        self.live_keys.load(Ordering::Relaxed) as usize
     }
 
     fn name(&self) -> &'static str {
@@ -1075,8 +1072,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     }
 
     fn stats(&self) -> IndexStats {
-        // Lock order everywhere: writer mutex before state lock.
-        let write = self.write_lock();
+        // The state read lock only: like `len`, this must answer while a
+        // flush or compaction holds the writer mutex.
         let state = self.read_state();
         // Everything below the counters is a level read at snapshot time.
         let gauge = StatKind::Gauge;
@@ -1084,7 +1081,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             .counters
             .snapshot()
             .with_kind("degraded", gauge, LsmEngine::degraded(self) as u64)
-            .with_kind("live_keys", gauge, write.live_keys)
+            .with_kind("live_keys", gauge, self.live_keys.load(Ordering::Relaxed))
             .with_kind("memtable_bytes", gauge, state.memtable.bytes())
             .with_kind("memtable_live_nodes", gauge, state.memtable.live_nodes())
             .with_kind("immutable_memtables", gauge, state.immutables.len() as u64)
@@ -1120,7 +1117,6 @@ mod tests {
     use crate::storage::{FaultFs, StorageFile};
     use bskip_index::ConcurrentIndexExt;
     use std::fs;
-    use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -1473,8 +1469,10 @@ mod tests {
         }
     }
 
+    /// What the server's `Stats` handler asks for rides along: the
+    /// request that should explain a stall must not wait for it to end.
     #[test]
-    fn read_only_batch_does_not_queue_behind_a_writer() {
+    fn read_only_batch_and_health_probes_do_not_queue_behind_a_writer() {
         let (entered, writer_entered) = mpsc::channel();
         let (release, released) = mpsc::channel();
         let gate = Arc::new(Gate {
@@ -1499,12 +1497,18 @@ mod tests {
             // The writer now holds the writer mutex, parked in its WAL append.
             writer_entered.recv().unwrap();
             let (done, batch_done) = mpsc::channel();
+            let (probed, probes_done) = mpsc::channel();
             scope.spawn(move || {
                 let mut reads: Vec<Op<u64, u64>> = (0..8).map(Op::get).collect();
                 engine.execute(&mut reads);
                 done.send(reads).unwrap();
+                let live_keys = engine.stats().get("live_keys");
+                probed
+                    .send((engine.len(), live_keys, engine.degraded()))
+                    .unwrap();
             });
             let reads = batch_done.recv_timeout(Duration::from_secs(5));
+            let probes = probes_done.recv_timeout(Duration::from_secs(5));
             // Let the writer go whatever happened, so the scope can join.
             gate.armed.store(false, Ordering::SeqCst);
             release.send(()).unwrap();
@@ -1512,6 +1516,11 @@ mod tests {
             for (key, op) in reads.iter().enumerate() {
                 assert_eq!(op.result().value(), Some(key as u64 * 3));
             }
+            // The parked insert is not applied yet.
+            assert_eq!(
+                probes.expect("len, stats and degraded must not wait for the writer mutex"),
+                (8, Some(8), false)
+            );
         });
         assert_eq!(engine.get(&100), Some(1));
     }

@@ -306,7 +306,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
     let mut decoder = FrameDecoder::new();
     let mut chunk = vec![0u8; shared.config.read_chunk];
+    // Per-connection scratch, cleared and refilled for every window.
     let mut requests: Vec<Request> = Vec::new();
+    let mut ops: Vec<Op<u64, u64>> = Vec::new();
+    let mut replies: Vec<PendingReply> = Vec::new();
     let mut write_buf: Vec<u8> = Vec::new();
 
     loop {
@@ -339,7 +342,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
                     // Answer everything decoded before the poisoned
                     // frame, then one terminal error frame.
                     if !requests.is_empty() {
-                        answer_requests(shared, &requests, &mut write_buf)?;
+                        answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
                     }
                     write_buf.clear();
                     encode_response(&error_response(&error), &mut write_buf)?;
@@ -352,15 +355,19 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         if requests.is_empty() {
             continue;
         }
-        answer_requests(shared, &requests, &mut write_buf)?;
+        answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
         stream.write_all(&write_buf)?;
     }
 
     fn answer_requests(
         shared: &Shared,
         requests: &[Request],
+        ops: &mut Vec<Op<u64, u64>>,
+        replies: &mut Vec<PendingReply>,
         write_buf: &mut Vec<u8>,
     ) -> std::io::Result<()> {
+        // `replies` is drained by pass 3 on every way out of here.
+        ops.clear();
         write_buf.clear();
         shared.stats.requests.add(requests.len() as u64);
 
@@ -381,17 +388,15 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
                 message: "backend degraded: node is read-only".into(),
             }));
         };
-        let mut ops: Vec<Op<u64, u64>> = Vec::new();
-        let mut replies: Vec<PendingReply> = Vec::with_capacity(requests.len());
         for request in requests {
             match request {
-                Request::Ping if degraded => unavailable(&mut replies),
+                Request::Ping if degraded => unavailable(replies),
                 Request::Ping => replies.push(PendingReply::Ready(Response::Pong)),
                 Request::Get { key } => {
                     ops.push(Op::get(*key));
                     replies.push(PendingReply::Point);
                 }
-                Request::Put { .. } | Request::Del { .. } if degraded => unavailable(&mut replies),
+                Request::Put { .. } | Request::Del { .. } if degraded => unavailable(replies),
                 Request::Put { key, value, .. } => {
                     ops.push(Op::insert(*key, *value));
                     replies.push(PendingReply::Point);
@@ -403,7 +408,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
                 Request::Batch { ops: batch }
                     if degraded && batch.iter().any(|op| !matches!(op, BatchOp::Get { .. })) =>
                 {
-                    unavailable(&mut replies)
+                    unavailable(replies)
                 }
                 Request::Batch { ops: batch } => {
                     for op in batch {
@@ -428,12 +433,12 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         // B-skiplist, one WAL group commit on the LSM engine.
         if !ops.is_empty() {
             shared.stats.note_batch(ops.len());
-            shared.index.execute(&mut ops);
+            shared.index.execute(ops);
         }
 
         // Pass 3: emit responses in request order.
         let mut next_op = 0usize;
-        for reply in replies {
+        for reply in replies.drain(..) {
             let response = match reply {
                 PendingReply::Ready(response) => response,
                 PendingReply::Point => {

@@ -44,9 +44,7 @@ proptest! {
     /// agree, result-for-result and in final contents, with a `BTreeMap`
     /// oracle that applies the same batch sequentially.  The B-skiplist
     /// takes its native sorted-batch path, the baselines the shared
-    /// sorted-loop override, and the oracle the slot-order default.  Batch
-    /// sizes straddle the sharded front-end's parallel threshold (64), so
-    /// both its sequential and its scoped-thread apply paths are drawn.
+    /// sorted-loop override, and the oracle the slot-order default.
     #[test]
     fn execute_matches_a_sequential_oracle_on_all_indices(
         batches in proptest::collection::vec(
@@ -201,12 +199,12 @@ fn concurrent_batch_and_point_mutations_stay_consistent() {
         .expect("B-skiplist structure after the race");
 }
 
-/// A sharded `execute` demonstrably splits the batch per shard and applies
-/// the shards in parallel: each *touched* shard's stats-enabled B-skiplist
-/// records exactly one `batch_executes` with its slice of the ops, the
-/// per-shard counters aggregate through the mergeable-stats API
-/// (`IndexStats::merge`), and the front-end's own counters confirm the
-/// scoped-thread parallel path ran.
+/// A sharded `execute` demonstrably splits the batch per shard: each
+/// *touched* shard's stats-enabled B-skiplist records exactly one
+/// `batch_executes` with its slice of the ops, the per-shard counters
+/// aggregate through the mergeable-stats API (`IndexStats::merge`), and
+/// the front-end's own counters confirm the batch was split, not
+/// delegated.
 #[test]
 fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
     use bskip_suite::IndexStats;
@@ -218,8 +216,7 @@ fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
         });
 
     // One insert per key: slots end up in per-shard sub-batches, and every
-    // shard's `execute` sees only its own keys.  64 operations reach the
-    // parallel threshold, so the sub-batches run on scoped threads.
+    // shard's `execute` sees only its own keys.
     let mut ops: Vec<Op<u64, u64>> = (0..64u64).map(|k| Op::insert(k, k * 3)).collect();
     let touched: std::collections::BTreeSet<usize> =
         (0..64u64).map(|k| sharded.shard_of(&k)).collect();
@@ -258,10 +255,8 @@ fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
     assert_eq!(merged.get("batch_executes"), Some(touched.len() as u64));
     assert_eq!(merged.get("batched_ops"), Some(64));
 
-    // And the front-end's own counters show the batch was split and
-    // applied on the parallel path, not delegated or serialized.
+    // And the front-end's own counters show the batch was split, not
+    // delegated.
     assert_eq!(merged.get("sharded_batches"), Some(1));
-    assert_eq!(merged.get("sharded_parallel_batches"), Some(1));
     assert_eq!(merged.get("sharded_single_shard_batches"), Some(0));
-    assert_eq!(merged.get("sharded_sequential_batches"), Some(0));
 }
