@@ -312,6 +312,8 @@ impl<'a, K: IndexKey, V: IndexValue> BatchCursor<'a, K, V> {
         // bound; request one extra entry so dropping it below cannot turn a
         // full batch into a short one.
         let request = self.batch_size + usize::from(matches!(from, Bound::Excluded(_)));
+        // Sized once: primitives fill it from iterators of unknown length.
+        self.batch.reserve(request);
         (self.fetch)(from, request, &mut self.batch);
         self.source_drained = self.batch.len() < request;
         // Enforce the lower bound here so fetch primitives only need

@@ -41,6 +41,16 @@
 //! rule; compaction writes that merged stream out as is (tombstones
 //! included), scans drop the tombstones from it.
 //!
+//! A merge source is a memtable, a level-0 table, or a whole deeper level:
+//! the tables of a level ≥ 1 do not overlap, so the level is one *sorted
+//! run* behind one [`crate::TableCursor`], which finds its first table by
+//! binary search and opens the next only when that one is exhausted.  A
+//! scan therefore merges `1 + immutables + |L0| + non-empty deeper levels`
+//! sources and positioning it reads one block per table source, however
+//! many tables the levels hold; compaction merges its plan the same way
+//! (the upper level's tables, then the output level's overlapping tables
+//! as one run), and every source stops at the scan's upper bound.
+//!
 //! # Crash recovery
 //!
 //! There is no shutdown path at all — dropping the engine flushes nothing,
@@ -206,8 +216,8 @@ bskip_index::stat_block! {
         flushes: RelaxedCounter => Counter "sst_flushes",
         compactions: RelaxedCounter => Counter "compactions",
         /// Read-path and maintenance I/O failures (including checksum
-        /// mismatches).  Shared with table cursors, which count into it.
-        io_errors: Arc<RelaxedCounter> => Counter "io_errors",
+        /// mismatches).  Table cursors count into it too.
+        io_errors: RelaxedCounter => Counter "io_errors",
         /// Foreground WAL append failures — each one degrades the engine.
         write_failures: RelaxedCounter => Counter "write_failures",
     }
@@ -215,8 +225,12 @@ bskip_index::stat_block! {
 
 /// One compaction's inputs and placement, decided under a read lock.
 struct CompactionPlan<K: IndexKey, V: IndexValue> {
-    /// Input tables in newest-first priority order.
-    inputs: Vec<Arc<Table<K, V>>>,
+    /// The input tables, shaped like a level set (see `table_sources`):
+    /// `inputs[0]` are the upper level's — all of level 0, or the one
+    /// victim of a deeper level — each a merge source of its own, newest
+    /// first; `inputs[1]` are the output level's tables they overlap, one
+    /// sorted run.
+    inputs: [Vec<Arc<Table<K, V>>>; 2],
     output_level: usize,
     drop_tombstones: bool,
 }
@@ -389,7 +403,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         // Exact live-key count: one merged sweep over every layer.
         let live_keys = {
             let state = engine.read_state();
-            let mut merge = MergeCursor::new(engine.sources_from(&state, Bound::Unbounded));
+            let everything = engine.sources_from(&state, Bound::Unbounded, Bound::Unbounded);
+            let mut merge = MergeCursor::new(everything);
             live(&mut merge).count() as u64
         };
         engine.live_keys.store(live_keys, Ordering::Relaxed);
@@ -458,26 +473,47 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
     }
 
-    /// Every layer as merge sources in newest-first priority order, from
-    /// `from` upward.  Table cursors count read failures into the
-    /// engine's `io_errors` and end their stream early instead of
-    /// panicking.
+    /// The tables of a level set as merge sources over `[lo, hi]`, in
+    /// newest-first priority order: one per table of `levels[0]` (they
+    /// overlap, newest first), then one per non-empty deeper level — a
+    /// sorted run behind a single cursor that opens the tables it reads
+    /// and no others.  Every merge the engine runs gets its table sources
+    /// here: scans and the recovery sweep over the live levels, compaction
+    /// over its plan.  The cursors count read failures into `errors` and
+    /// end their stream early instead of panicking.
+    fn table_sources<'a>(
+        levels: &'a [Vec<Arc<Table<K, V>>>],
+        lo: Bound<K>,
+        hi: Bound<K>,
+        errors: &'a RelaxedCounter,
+    ) -> impl Iterator<Item = Cursor<'a, K, Slot<V>>> {
+        let (overlapping, runs) = match levels {
+            [level0, deeper @ ..] => (level0.as_slice(), deeper),
+            [] => (&[][..], &[][..]),
+        };
+        overlapping
+            .iter()
+            .map(std::slice::from_ref)
+            .chain(runs.iter().map(Vec::as_slice).filter(|run| !run.is_empty()))
+            .map(move |run| Cursor::new(Table::run_cursor(run, lo, hi).counted(errors)))
+    }
+
+    /// Every layer as merge sources over `[lo, hi]` in newest-first
+    /// priority order — memtables, then the tables — in a vector sized
+    /// once.
     fn sources_from<'a>(
         &'a self,
         state: &'a EngineState<K, V>,
-        from: Bound<K>,
-    ) -> impl Iterator<Item = Cursor<'a, K, Slot<V>>> + 'a {
-        let memtables = std::iter::once(&state.memtable)
-            .chain(&state.immutables)
-            .map(move |memtable| memtable.cursor(from, Bound::Unbounded));
-        let tables = state.levels.iter().flatten().map(move |table| {
-            Cursor::new(table.cursor_counted(
-                from,
-                Bound::Unbounded,
-                Arc::clone(&self.counters.io_errors),
-            ))
-        });
-        memtables.chain(tables)
+        lo: Bound<K>,
+        hi: Bound<K>,
+    ) -> Vec<Cursor<'a, K, Slot<V>>> {
+        let tables = state.levels.first().map_or(0, Vec::len) + state.levels.len();
+        let mut sources = Vec::with_capacity(1 + state.immutables.len() + tables);
+        let memtables = std::iter::once(&state.memtable).chain(&state.immutables);
+        sources.extend(memtables.map(|memtable| memtable.cursor(lo, hi)));
+        let errors = &self.counters.io_errors;
+        sources.extend(Self::table_sources(&state.levels, lo, hi, errors));
+        sources
     }
 
     /// Newest-first lookup across every layer; a tombstone answer settles
@@ -803,19 +839,18 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let Some(plan) = self.plan_compaction() else {
             return Ok(false);
         };
-        let read_errors = Arc::new(RelaxedCounter::new());
+        let read_errors = RelaxedCounter::new();
         let mut output_ids: Vec<u64> = Vec::new();
         let next_table_id_before = write.next_table_id;
         let build = |write: &mut WriteState,
                      output_ids: &mut Vec<u64>|
          -> io::Result<Vec<(u64, crate::sstable::TableMeta<K>)>> {
-            let mut merge = MergeCursor::new(plan.inputs.iter().map(|table| {
-                Cursor::new(table.cursor_counted(
-                    Bound::Unbounded,
-                    Bound::Unbounded,
-                    Arc::clone(&read_errors),
-                ))
-            }));
+            let mut merge = MergeCursor::new(Self::table_sources(
+                &plan.inputs,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                &read_errors,
+            ));
             let mut metas = Vec::new();
             let mut builder: Option<(u64, TableBuilder<K, V>)> = None;
             while let Some((key, slot)) = merge.next() {
@@ -878,7 +913,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 }
             }
         }
-        let input_ids: HashSet<u64> = plan.inputs.iter().map(|table| table.id).collect();
+        let input_ids: HashSet<u64> = plan.inputs.iter().flatten().map(|table| table.id).collect();
         {
             let mut state = self.write_state();
             let snapshot = state.levels.clone();
@@ -897,7 +932,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 return Err(error);
             }
         }
-        for table in &plan.inputs {
+        for table in plan.inputs.iter().flatten() {
             let _ = self.storage.remove(table.path());
         }
         self.counters.compactions.incr();
@@ -906,31 +941,29 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     fn plan_compaction(&self) -> Option<CompactionPlan<K, V>> {
         let state = self.read_state();
-        let drop_below = |output_level: usize| {
-            state
-                .levels
-                .iter()
-                .enumerate()
-                .all(|(at, level)| at <= output_level || level.is_empty())
+        // Merge `upper`, tables of the level above `output_level`, with
+        // the run of `output_level`'s tables that overlap their key range.
+        let plan = |upper: Vec<Arc<Table<K, V>>>, output_level: usize| {
+            let lo = upper.iter().map(|t| t.min_key).min()?;
+            let hi = upper.iter().map(|t| t.max_key).max()?;
+            let overlapped = state.levels.get(output_level).map_or(Vec::new(), |level| {
+                let overlaps = |t: &&Arc<Table<K, V>>| t.min_key <= hi && t.max_key >= lo;
+                level.iter().filter(overlaps).cloned().collect()
+            });
+            Some(CompactionPlan {
+                inputs: [upper, overlapped],
+                output_level,
+                drop_tombstones: state
+                    .levels
+                    .iter()
+                    .skip(output_level + 1)
+                    .all(Vec::is_empty),
+            })
         };
         // L0 → L1: too many overlapping tables.
         let l0 = state.levels.first().map_or(0, Vec::len);
         if l0 >= self.config.l0_compaction_trigger {
-            let mut inputs: Vec<Arc<Table<K, V>>> = state.levels[0].clone();
-            let lo = inputs.iter().map(|t| t.min_key).min().unwrap();
-            let hi = inputs.iter().map(|t| t.max_key).max().unwrap();
-            if let Some(next) = state.levels.get(1) {
-                inputs.extend(
-                    next.iter()
-                        .filter(|t| t.min_key <= hi && t.max_key >= lo)
-                        .cloned(),
-                );
-            }
-            return Some(CompactionPlan {
-                output_level: 1,
-                drop_tombstones: drop_below(1),
-                inputs,
-            });
+            return plan(state.levels[0].clone(), 1);
         }
         // Deeper levels: spill one table down when over budget.
         for (at, level) in state.levels.iter().enumerate().skip(1) {
@@ -942,20 +975,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             if bytes <= budget || level.is_empty() {
                 continue;
             }
-            let victim = Arc::clone(&level[0]);
-            let mut inputs = vec![Arc::clone(&victim)];
-            if let Some(next) = state.levels.get(at + 1) {
-                inputs.extend(
-                    next.iter()
-                        .filter(|t| t.min_key <= victim.max_key && t.max_key >= victim.min_key)
-                        .cloned(),
-                );
-            }
-            return Some(CompactionPlan {
-                output_level: at + 1,
-                drop_tombstones: drop_below(at + 1),
-                inputs,
-            });
+            return plan(vec![Arc::clone(&level[0])], at + 1);
         }
         None
     }
@@ -1039,9 +1059,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     }
 
     /// A merged scan: each batch refill snapshots the layer set under the
-    /// state lock and K-way-merges all layers from the resume key, so the
-    /// cursor observes rotations and compactions without ever yielding a
-    /// shadowed or deleted version.
+    /// state lock and K-way-merges its sources — every memtable, every
+    /// level-0 table, one run cursor per deeper level — from the resume key
+    /// to `hi`, so the cursor observes rotations and compactions without
+    /// ever yielding a shadowed or deleted version.
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
         Cursor::new(BatchCursor::new(
             lo,
@@ -1049,7 +1070,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             128,
             Box::new(move |from, max, out| {
                 let state = self.read_state();
-                let mut merge = MergeCursor::new(self.sources_from(&state, from));
+                let mut merge = MergeCursor::new(self.sources_from(&state, from, hi));
                 out.extend(live(&mut merge).take(max - out.len()));
             }),
         ))
@@ -1115,7 +1136,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
 mod tests {
     use super::*;
     use crate::storage::{FaultFs, StorageFile};
+    use bskip_index::cursor::{above_lower, below_upper};
     use bskip_index::ConcurrentIndexExt;
+    use std::collections::BTreeMap;
     use std::fs;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1387,6 +1410,326 @@ mod tests {
         for key in (0..2_000u64).step_by(193) {
             assert_eq!(engine.get(&key), Some(key));
         }
+    }
+
+    // ---- Sorted runs: what a merge opens, reads and writes ----
+
+    /// [`LsmConfig::small`] pumped by hand, with budgets that leave several
+    /// tables on each of two deeper levels.
+    fn manual_config() -> LsmConfig {
+        LsmConfig {
+            auto_maintain: false,
+            level_base_bytes: 24 << 10,
+            table_target_bytes: 4 << 10,
+            ..LsmConfig::small()
+        }
+    }
+
+    /// A fixed history: rounds of 600 writes and deletes over one
+    /// overlapping key range, each flushed to level 0, every second one
+    /// compacted.  Returns what the engine must hold afterwards.
+    fn load_rounds(engine: &LsmEngine<u64, u64>, rounds: u64) -> BTreeMap<u64, u64> {
+        let mut oracle = BTreeMap::new();
+        for round in 0..rounds {
+            for i in 0..600u64 {
+                let key = (i * 37 + round * 3) % 6_000;
+                if (i + round) % 5 == 0 {
+                    engine.remove(&key);
+                    oracle.remove(&key);
+                } else {
+                    engine.insert(key, round << 32 | i);
+                    oracle.insert(key, round << 32 | i);
+                }
+            }
+            engine.rotate().unwrap();
+            engine.flush().unwrap();
+            if round % 2 == 1 {
+                engine.compact().unwrap();
+            }
+        }
+        oracle
+    }
+
+    fn open_manual(fs: &FaultFs) -> LsmEngine<u64, u64> {
+        LsmEngine::open_with(Arc::new(fs.clone()), "/db", manual_config()).unwrap()
+    }
+
+    /// `(file name, length, whole-file CRC)` of every table file in `dir`.
+    fn table_files(storage: &dyn Storage, dir: &Path) -> Vec<(String, usize, u32)> {
+        let mut names = storage.read_dir(dir).unwrap();
+        names.retain(|name| name.ends_with(".sst"));
+        names.sort();
+        let describe = |name: String| {
+            let bytes = storage.read(&dir.join(&name)).unwrap();
+            (name, bytes.len(), crc::crc32(&bytes))
+        };
+        names.into_iter().map(describe).collect()
+    }
+
+    #[test]
+    fn compaction_outputs_are_byte_identical_to_the_pinned_files() {
+        // Names, lengths and whole-file CRCs of the tables this history
+        // leaves behind, captured from the engine as it stood when
+        // compaction merged one cursor per input table.  Fourteen
+        // compactions feed them: level 0 into four and five overlapping
+        // level-1 tables, level-1 victims into up to four of level 2.
+        let fs = FaultFs::new();
+        let engine = open_manual(&fs);
+        load_rounds(&engine, 12);
+        assert_eq!(engine.tables_per_level(), [0, 5, 5]);
+        assert_eq!(engine.stats().get("compactions"), Some(14));
+        let golden = [
+            ("tab-00000114.sst", 0x1210, 0x6774_6CC2u32),
+            ("tab-00000115.sst", 0x1211, 0xF60A_3CD1),
+            ("tab-00000116.sst", 0x120E, 0x36EA_680C),
+            ("tab-00000117.sst", 0x1210, 0xF40D_094A),
+            ("tab-00000118.sst", 0x0701, 0x448E_4AAE),
+            ("tab-00000119.sst", 0x11F1, 0xBA6B_AF0D),
+            ("tab-00000120.sst", 0x11F2, 0x7D0E_DFD8),
+            ("tab-00000122.sst", 0x11F2, 0x3D98_4787),
+            ("tab-00000123.sst", 0x0E62, 0xFD91_B28E),
+            ("tab-00000124.sst", 0x10A7, 0xD427_7DCB),
+        ];
+        let written = table_files(&fs, Path::new("/db"));
+        let written: Vec<_> = written
+            .iter()
+            .map(|(name, len, crc)| (name.as_str(), *len, *crc))
+            .collect();
+        assert_eq!(written, golden);
+    }
+
+    /// The history above, then more of it left where reads have to merge:
+    /// six tables in level 0, a sealed memtable and a live one, each with
+    /// overwrites and tombstones of keys the levels below still hold.
+    fn layered(fs: &FaultFs) -> (LsmEngine<u64, u64>, BTreeMap<u64, u64>) {
+        let engine = open_manual(fs);
+        let mut oracle = load_rounds(&engine, 13);
+        for i in 0..150u64 {
+            let key = (i * 41 + 7) % 6_000;
+            if i % 3 == 0 {
+                engine.remove(&key);
+                oracle.remove(&key);
+            } else {
+                engine.insert(key, i);
+                oracle.insert(key, i);
+            }
+        }
+        (engine, oracle)
+    }
+
+    #[test]
+    fn a_scan_merges_one_source_per_sorted_run() {
+        let fs = FaultFs::new();
+        let (engine, _) = layered(&fs);
+        let state = engine.read_state();
+        let tables: Vec<usize> = state.levels.iter().map(Vec::len).collect();
+        assert_eq!(tables, [6, 5, 5]);
+        assert_eq!(state.immutables.len(), 1);
+        let sources = |lo, hi| engine.sources_from(&state, lo, hi).len();
+        // Memtable, sealed memtable, six level-0 tables, two runs.
+        assert_eq!(sources(Bound::Unbounded, Bound::Unbounded), 1 + 1 + 6 + 2);
+        assert_eq!(sources(Bound::Included(5_999), Bound::Included(0)), 10);
+        // An empty level contributes none.
+        let gappy = [state.levels[0].clone(), Vec::new(), state.levels[2].clone()];
+        let errors = RelaxedCounter::new();
+        let count = |levels| {
+            let unbounded = Bound::Unbounded;
+            LsmEngine::table_sources(levels, unbounded, unbounded, &errors).count()
+        };
+        assert_eq!(
+            (count(&gappy), count(&gappy[..1]), count(&[])),
+            (6 + 1, 6, 0)
+        );
+    }
+
+    #[test]
+    fn bounded_scans_match_a_btreemap_and_stop_in_the_sources() {
+        let fs = FaultFs::new();
+        let (engine, oracle) = layered(&fs);
+        let check = |lo: Bound<u64>, hi: Bound<u64>| {
+            let expected: Vec<(u64, u64)> = oracle
+                .iter()
+                .filter(|(key, _)| above_lower(*key, &lo) && below_upper(*key, &hi))
+                .map(|(key, value)| (*key, *value))
+                .collect();
+            let got: Vec<(u64, u64)> = engine.scan_bounds(lo, hi).collect();
+            assert_eq!(got, expected, "{lo:?}..{hi:?}");
+        };
+        let bound = |kind: u64, key: u64| match kind % 3 {
+            0 => Bound::Included(key),
+            1 => Bound::Excluded(key),
+            _ => Bound::Unbounded,
+        };
+        // Windows that end (and begin) exactly on a table's last key ...
+        let edges: Vec<u64> = {
+            let state = engine.read_state();
+            let tables = state.levels.iter().flatten();
+            tables
+                .flat_map(|table| [table.min_key, table.max_key])
+                .collect()
+        };
+        for &edge in &edges {
+            for kind in 0..2 {
+                check(Bound::Included(edge.saturating_sub(40)), bound(kind, edge));
+                check(bound(kind, edge), Bound::Included(edge + 40));
+                check(bound(kind, edge), bound(kind, edge));
+            }
+        }
+        // ... and pseudo-random ones: short, long, empty, reversed.
+        let mut draw = 0x5EED_u64;
+        let mut next = || {
+            draw = draw.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            draw >> 33
+        };
+        for _ in 0..300 {
+            let (lo, width) = (next() % 6_200, next() % 700);
+            let hi = if next() % 8 == 0 {
+                lo.saturating_sub(width)
+            } else {
+                lo + width / 7
+            };
+            check(bound(next(), lo), bound(next(), hi));
+        }
+        assert_eq!(engine.io_errors(), 0);
+
+        // A three-key window costs no more block reads than positioning
+        // each source once (plus one crossing), not a 128-entry refill.
+        let state = engine.read_state();
+        let sources = state.levels[0].len() + 2;
+        drop(state);
+        let before = fs.read_count();
+        let window: Vec<(u64, u64)> = engine.scan_range(3_000..3_003).collect();
+        assert_eq!(
+            window,
+            oracle
+                .range(3_000..3_003)
+                .map(|(k, v)| (*k, *v))
+                .collect::<Vec<_>>()
+        );
+        let reads = fs.read_count() - before;
+        assert!(reads <= sources as u64 + 1, "{reads} block reads");
+    }
+
+    /// An engine whose whole content sits in one run: level 1, ten-odd
+    /// tables of ~4 KiB.
+    fn single_run(storage: Arc<dyn Storage>, dir: &Path) -> LsmEngine<u64, u64> {
+        let config = LsmConfig {
+            level_base_bytes: 1 << 20,
+            ..manual_config()
+        };
+        let engine = LsmEngine::open_with(storage, dir, config).unwrap();
+        for key in 0..3_000u64 {
+            engine.insert(key * 2, key);
+        }
+        engine.maintain().unwrap();
+        let tables = engine.tables_per_level();
+        assert!(
+            tables[0] == 0 && tables[1] >= 5 && tables.len() == 2,
+            "{tables:?}"
+        );
+        engine
+    }
+
+    /// Flips a byte in the middle data block of `table`, in place (open
+    /// handles see it); returns the keys `(after, up_to]` the block holds.
+    fn corrupt_middle_block(table: &Table<u64, u64>) -> (u64, u64) {
+        use std::os::unix::fs::FileExt;
+        let victim = table.blocks() / 2;
+        let (up_to, offset, len) = table.block_extent(victim);
+        let (after, _, _) = table.block_extent(victim - 1);
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(table.path())
+            .unwrap();
+        let at = offset + u64::from(len) / 2;
+        let mut byte = [0u8];
+        file.read_exact_at(&mut byte, at).unwrap();
+        file.write_all_at(&[byte[0] ^ 0xFF], at).unwrap();
+        (after, up_to)
+    }
+
+    #[test]
+    fn a_corrupt_table_in_a_run_ends_the_scan_at_the_bad_block() {
+        let dir = temp_dir("run-corrupt");
+        let engine = single_run(Arc::new(StdFs), &dir);
+        let (table_min, after, up_to) = {
+            let state = engine.read_state();
+            let middle = &state.levels[1][state.levels[1].len() / 2];
+            let (after, up_to) = corrupt_middle_block(middle);
+            (middle.min_key, after, up_to)
+        };
+        // The run is the scan's only non-empty source, so what the scan
+        // yields is what the run cursor yields: everything below the bad
+        // block and nothing above it — the cursor does not skip ahead to
+        // the run's next table — at one `io_error` per failed load.
+        let below = |from: u64| (from..=after).step_by(2).map(|key| (key, key / 2));
+        let scanned: Vec<(u64, u64)> = engine.scan_range(table_min..).collect();
+        assert_eq!(scanned, below(table_min).collect::<Vec<_>>());
+        assert_eq!(engine.io_errors(), 1);
+        // (From further away the bad block can fail twice: the merge looks
+        // one entry ahead, so a refill that ends on the block before it
+        // already tries it, and the next refill positions into it again.)
+        let scanned: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        assert_eq!(scanned, below(0).collect::<Vec<_>>());
+        let failed = engine.io_errors();
+        assert!((2..=3).contains(&failed), "{failed}");
+        // Behind the bad block the run reads on, other tables included.
+        let scanned: Vec<(u64, u64)> = engine.scan_range(up_to + 1..).collect();
+        let behind = (up_to + 2..6_000).step_by(2).map(|key| (key, key / 2));
+        assert_eq!(scanned, behind.collect::<Vec<_>>());
+        assert_eq!(engine.io_errors(), failed);
+        drop(engine);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_aborts_on_an_unreadable_input_and_leaves_everything_in_place() {
+        let dir = temp_dir("compact-abort");
+        let engine = single_run(Arc::new(StdFs), &dir);
+        // Three level-0 tables across the whole key range: the next
+        // compaction takes them and every level-1 table as its inputs.
+        for round in 0..3u64 {
+            for key in (round..3_000).step_by(40) {
+                engine.insert(key * 2, round);
+            }
+            engine.rotate().unwrap();
+            engine.flush().unwrap();
+        }
+        let tables_before = engine.tables_per_level();
+        assert_eq!(tables_before[0], 3);
+        let (after, up_to) = {
+            let state = engine.read_state();
+            corrupt_middle_block(&state.levels[1][state.levels[1].len() / 2])
+        };
+        let table_files = || table_files(&StdFs, &dir);
+        let files_before = table_files();
+        let compactions_before = engine.stats().get("compactions");
+
+        let error = engine.compact().expect_err("an input cannot be read");
+        assert!(error.to_string().contains("input read failed"), "{error}");
+        assert_eq!(engine.tables_per_level(), tables_before);
+        assert_eq!(table_files(), files_before, "no output, no input touched");
+        assert_eq!(engine.stats().get("compactions"), compactions_before);
+        // The inputs stay live: every key outside the bad block reads as
+        // before, from whichever layer holds its newest version.
+        for key in (0..3_000u64).map(|key| key * 2) {
+            let newest = (0..3).rev().find(|round| (key / 2) % 40 == *round);
+            if newest.is_none() && after < key && key <= up_to {
+                assert!(
+                    engine.try_get(&key).is_err(),
+                    "key {key} is in the bad block"
+                );
+            } else {
+                let expected = newest.unwrap_or(key / 2);
+                assert_eq!(engine.try_get(&key).unwrap(), Some(expected), "key {key}");
+            }
+        }
+        // And a second attempt fails the same way instead of wedging.
+        assert!(engine.compact().is_err());
+        assert_eq!(table_files(), files_before);
+        drop(engine);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A [`FaultFs`] whose files can be made to park inside `append`: while

@@ -35,7 +35,10 @@
 //! (the durable table listing), [`engine`] (the assembled engine), with
 //! [`codec`], [`crc`] and [`entry`] underneath.  The newest-wins K-way
 //! merge behind scans and compaction is the workspace's shared
-//! [`bskip_index::MergeCursor`] over the layers in newest-first order.
+//! [`bskip_index::MergeCursor`] over the layers in newest-first order:
+//! one source per memtable and per level-0 table, and one per deeper
+//! level — a sorted run of non-overlapping tables behind a single
+//! [`TableCursor`] that opens the tables it reads and no others.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

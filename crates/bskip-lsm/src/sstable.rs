@@ -67,11 +67,18 @@
 //!   scratch (encoded probe key, block bytes, current entry key), so a
 //!   point lookup allocates nothing once the thread is warm.
 //! * [`TableCursor`] streams a bounded range block by block through the
-//!   same decoder over a block buffer it owns and reuses, and plugs into
-//!   the same [`IndexCursor`] interface every in-memory index serves.  It
-//!   validates every entry it yields, as it yields it: a malformed or
-//!   out-of-order entry ends the stream there (entries before it have
-//!   already been handed out) and reports an I/O error.
+//!   same decoder, and plugs into the same [`IndexCursor`] interface every
+//!   in-memory index serves.  It validates every entry it yields, as it
+//!   yields it: a malformed or out-of-order entry ends the stream there
+//!   (entries before it have already been handed out) and reports an I/O
+//!   error.  What it streams is a *sorted run* — ascending tables that do
+//!   not overlap, such as a level ≥ 1 of the engine; one table is a run of
+//!   one.  The run's first table is found by binary search on the resident
+//!   `max_key`s, table `i + 1` is opened only when table `i` is exhausted,
+//!   and one block is held at a time, so positioning a cursor costs one
+//!   block read whatever the run's length.  Its decoder is borrowed from a
+//!   per-thread free list of at most eight (64 KiB per scanning thread at
+//!   the default block size), so a warm scan allocates no buffer.
 
 use std::cell::RefCell;
 use std::io;
@@ -403,7 +410,8 @@ fn parse_entry(entries: &[u8], mut at: usize) -> Option<RawEntry> {
 /// a block whose checksum [`BlockIter::load`] has verified, with a `seek`
 /// through the restart array.  It owns the block's bytes and the current
 /// key, and both buffers are reused from block to block: the per-thread
-/// point-read scratch holds one, every [`TableCursor`] another.
+/// point-read scratch holds one, every [`TableCursor`] that has loaded a
+/// block another, on loan from the thread's free list.
 ///
 /// Nothing read from the block is trusted beyond its checksum: lengths
 /// are cut with [`take`], tags are matched, and keys must ascend strictly
@@ -557,20 +565,51 @@ impl BlockIter {
     }
 }
 
-/// Per-thread buffers of the point-read path.
+/// Per-thread buffers of the read paths.
 struct ReadScratch {
     /// Encoding of the key being looked up.
     probe: Vec<u8>,
+    /// The point-read path's decoder.
     block: BlockIter,
+    /// Decoders parked by dropped cursors, at most [`PARKED_DECODERS`].
+    parked: Vec<BlockIter>,
 }
+
+/// How many decoders a thread keeps for its next cursors — a scan holds one
+/// per merge source that has loaded a block, and past this many the extra
+/// ones are freed on drop.  A decoder's buffers fit the largest block it
+/// has streamed, rounded up to a power of two, plus one key: 8 KiB at the
+/// default 4 KiB block size, so 64 KiB per thread that has scanned.
+const PARKED_DECODERS: usize = 8;
 
 thread_local! {
     static SCRATCH: RefCell<ReadScratch> = const {
         RefCell::new(ReadScratch {
             probe: Vec::new(),
             block: BlockIter::new(),
+            parked: Vec::new(),
         })
     };
+}
+
+/// A decoder for a cursor's first block: a parked one, buffers warm, if the
+/// thread has any.  Not to be called from inside [`with_scratch`].
+fn take_decoder() -> BlockIter {
+    SCRATCH
+        .with(|scratch| scratch.borrow_mut().parked.pop())
+        .unwrap_or(BlockIter::new())
+}
+
+/// Parks a dropped cursor's decoder for the thread's next one.  Runs in
+/// `Drop`, so a thread-local already torn down, or borrowed, just frees it.
+fn park_decoder(decoder: BlockIter) {
+    let _ = SCRATCH.try_with(|scratch| {
+        if let Ok(mut scratch) = scratch.try_borrow_mut() {
+            if scratch.parked.len() < PARKED_DECODERS {
+                scratch.parked.push(decoder);
+            }
+        }
+    });
 }
 
 /// Runs `f` on the encoding of `key` and the calling thread's block
@@ -578,7 +617,7 @@ thread_local! {
 /// thread's point reads do not allocate.  `f` may not come back here.
 fn with_scratch<K: Persist, R>(key: &K, f: impl FnOnce(&[u8], &mut BlockIter) -> R) -> R {
     SCRATCH.with(|scratch| {
-        let ReadScratch { probe, block } = &mut *scratch.borrow_mut();
+        let ReadScratch { probe, block, .. } = &mut *scratch.borrow_mut();
         probe.clear();
         key.encode(probe);
         f(probe, block)
@@ -736,16 +775,31 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
         iter.load(self.file.as_ref(), offset, len)
     }
 
-    /// Opens a streaming cursor over `[lo, hi]`; the cursor shares the
-    /// table through the `Arc` so it is `'static` (compaction and merged
-    /// scans hold cursors across engine-state changes).
-    pub fn cursor(self: &Arc<Self>, lo: Bound<K>, hi: Bound<K>) -> TableCursor<K, V> {
+    /// Opens a streaming cursor over `[lo, hi]` of this table: a sorted run
+    /// of one (see [`Table::run_cursor`]).
+    pub fn cursor(self: &Arc<Self>, lo: Bound<K>, hi: Bound<K>) -> TableCursor<'_, K, V> {
+        Self::run_cursor(std::slice::from_ref(self), lo, hi)
+    }
+
+    /// Opens a streaming cursor over `[lo, hi]` of a *sorted run*: tables in
+    /// ascending key order whose key ranges do not overlap — a level ≥ 1 of
+    /// the engine, or any contiguous part of one.  The cursor finds its
+    /// first table by binary search on the resident `max_key`s, opens the
+    /// next one only when the one before it is exhausted, and holds one
+    /// block at a time, so positioning it costs one block read however many
+    /// tables the run has (none if the run ends below `lo` or begins above
+    /// `hi`).
+    pub fn run_cursor(run: &[Arc<Self>], lo: Bound<K>, hi: Bound<K>) -> TableCursor<'_, K, V> {
+        debug_assert!(
+            run.windows(2).all(|pair| pair[0].max_key < pair[1].min_key),
+            "a run's tables must ascend without overlapping"
+        );
         TableCursor {
-            table: Arc::clone(self),
+            run,
             lo,
             hi,
             next_block: None,
-            block: BlockIter::new(),
+            block: None,
             pending: None,
             current: None,
             finished: false,
@@ -754,54 +808,54 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
         }
     }
 
-    /// Like [`Table::cursor`], but read failures additionally increment
-    /// `errors` — the engine plugs its `io_errors` health counter in here
-    /// so degraded media shows up in stats rather than vanishing.
-    pub fn cursor_counted(
-        self: &Arc<Self>,
-        lo: Bound<K>,
-        hi: Bound<K>,
-        errors: Arc<RelaxedCounter>,
-    ) -> TableCursor<K, V> {
-        let mut cursor = self.cursor(lo, hi);
-        cursor.error_counter = Some(errors);
-        cursor
-    }
-
     /// First block that can contain a key satisfying `lo`.
     fn first_block_for(&self, lo: &Bound<K>) -> usize {
-        match lo {
-            Bound::Unbounded => 0,
-            Bound::Included(key) => self.index.partition_point(|(last, _, _)| last < key),
-            Bound::Excluded(key) => self.index.partition_point(|(last, _, _)| last <= key),
-        }
+        first_reaching(&self.index, |(last, _, _)| last, lo)
     }
 }
 
-/// A seekable streaming cursor over one table (see [`Table::cursor`]).
+/// Index of the first of `parts` — ascending and disjoint, `last` giving
+/// each one's largest key — that can hold a key satisfying `lo`: how a run
+/// finds its table and a table its block, both from resident keys.
+fn first_reaching<T, K: Ord>(parts: &[T], last: impl Fn(&T) -> &K, lo: &Bound<K>) -> usize {
+    match lo {
+        Bound::Unbounded => 0,
+        Bound::Included(key) => parts.partition_point(|part| last(part) < key),
+        Bound::Excluded(key) => parts.partition_point(|part| last(part) <= key),
+    }
+}
+
+/// A seekable streaming cursor over a sorted run of tables — one table
+/// ([`Table::cursor`]) or a whole level ([`Table::run_cursor`]).
 ///
 /// Yields `(K, Slot<V>)` — tombstones included, because both consumers
 /// (the merged read path and compaction) need to see them.  A disk or
-/// checksum error mid-stream ends the cursor early instead of panicking;
-/// [`TableCursor::had_io_error`] reports it, and cursors built with
-/// [`Table::cursor_counted`] also bump the shared error counter, so
-/// callers that cannot tolerate a silently short stream (compaction)
-/// can detect and abort.
-pub struct TableCursor<K: IndexKey, V: IndexValue> {
-    table: Arc<Table<K, V>>,
+/// checksum error mid-stream ends the cursor early instead of panicking —
+/// where it happened: the rest of the run is *not* streamed, so a consumer
+/// never sees a run with a hole in it.  [`TableCursor::had_io_error`]
+/// reports it, and cursors built with [`TableCursor::counted`] also bump a
+/// shared error counter, so callers that cannot tolerate a silently short
+/// stream (compaction) can detect and abort.
+///
+/// The block decoder comes from a small per-thread free list with the
+/// first block the cursor loads and goes back when the cursor drops, so a
+/// thread that has scanned before allocates no block or key buffer.
+pub struct TableCursor<'a, K: IndexKey, V: IndexValue> {
+    run: &'a [Arc<Table<K, V>>],
     lo: Bound<K>,
     hi: Bound<K>,
-    /// Next block to load; `None` before the initial position is resolved.
-    next_block: Option<usize>,
-    /// Decoder over the block being streamed; its buffers are reused from
-    /// block to block.
-    block: BlockIter,
+    /// `(table of the run, block in it)` to load next; `None` before the
+    /// initial position is resolved.
+    next_block: Option<(usize, usize)>,
+    /// Decoder over the block being streamed, held from the first load on;
+    /// its buffers are reused from block to block and cursor to cursor.
+    block: Option<BlockIter>,
     /// The entry a reposition landed on, not yet yielded.
     pending: Option<(K, Slot<V>)>,
     current: Option<(K, Slot<V>)>,
     finished: bool,
     io_error: bool,
-    error_counter: Option<Arc<RelaxedCounter>>,
+    error_counter: Option<&'a RelaxedCounter>,
 }
 
 fn typed<K: Persist, V: Persist>(entry: Entry<'_>) -> io::Result<(K, Slot<V>)> {
@@ -810,7 +864,15 @@ fn typed<K: Persist, V: Persist>(entry: Entry<'_>) -> io::Result<(K, Slot<V>)> {
         .ok_or_else(|| corrupt("bad data block"))
 }
 
-impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
+impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'a, K, V> {
+    /// Read failures additionally increment `errors` — the engine plugs its
+    /// `io_errors` health counter in here so degraded media shows up in
+    /// stats rather than vanishing.
+    pub fn counted(mut self, errors: &'a RelaxedCounter) -> Self {
+        self.error_counter = Some(errors);
+        self
+    }
+
     /// Whether any block read failed during this cursor's lifetime (the
     /// stream ended early at the failure point).
     pub fn had_io_error(&self) -> bool {
@@ -821,19 +883,31 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
     /// observable via had_io_error / the counter.
     fn fail(&mut self) {
         self.pending = None;
-        self.next_block = Some(self.table.index.len());
         self.finished = true;
         self.io_error = true;
-        if let Some(counter) = &self.error_counter {
+        if let Some(counter) = self.error_counter {
             counter.incr();
         }
     }
 
-    /// Loads `block` and positions before its first entry; `false` (after
-    /// [`Self::fail`]) if it cannot be read.
-    fn load_block(&mut self, block: usize) -> bool {
-        self.next_block = Some(block + 1);
-        let loaded = self.table.read_block(block, &mut self.block).is_ok();
+    /// Loads block `block` of the run's table `table` and positions before
+    /// its first entry.  `false`, with the stream ended: the run has no
+    /// such table, the table lies wholly above `hi` (neither reads
+    /// anything), or — after [`Self::fail`] — the block cannot be read.
+    fn load_block(&mut self, table: usize, block: usize) -> bool {
+        let source = self.run.get(table);
+        let Some(source) = source.filter(|source| below_upper(&source.min_key, &self.hi)) else {
+            self.next_block = Some((table, block));
+            self.finished = true;
+            return false;
+        };
+        self.next_block = Some(if block + 1 < source.index.len() {
+            (table, block + 1)
+        } else {
+            (table + 1, 0)
+        });
+        let decoder = self.block.get_or_insert_with(take_decoder);
+        let loaded = source.read_block(block, decoder).is_ok();
         if !loaded {
             self.fail();
         }
@@ -845,6 +919,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
     fn step(&mut self) -> Option<(K, Slot<V>)> {
         match self
             .block
+            .as_mut()?
             .step()
             .and_then(|entry| entry.map(typed).transpose())
         {
@@ -860,13 +935,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
     fn position_at(&mut self, from: &Bound<K>) {
         self.finished = false;
         self.pending = None;
-        let block = self.table.first_block_for(from);
-        if block >= self.table.index.len() {
-            self.next_block = Some(block);
-            self.finished = true;
-            return;
-        }
-        if !self.load_block(block) {
+        let table = first_reaching(self.run, |table| &table.max_key, from);
+        let first_block = |table: &Arc<Table<K, V>>| table.first_block_for(from);
+        let block = self.run.get(table).map_or(0, first_block);
+        if !self.load_block(table, block) {
             return;
         }
         let (key, inclusive) = match from {
@@ -874,9 +946,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
             Bound::Included(key) => (key, true),
             Bound::Excluded(key) => (key, false),
         };
+        let decoder = self.block.as_mut().expect("`load_block` holds a decoder");
         let landed = with_scratch(key, |probe, _| {
-            let entry = match self.block.seek(probe)? {
-                Some(entry) if !inclusive && entry.key == probe => self.block.step()?,
+            let entry = match decoder.seek(probe)? {
+                Some(entry) if !inclusive && entry.key == probe => decoder.step()?,
                 entry => entry,
             };
             entry.map(typed).transpose()
@@ -890,7 +963,17 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<K, V> {
     }
 }
 
-impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for TableCursor<K, V> {
+impl<K: IndexKey, V: IndexValue> Drop for TableCursor<'_, K, V> {
+    fn drop(&mut self) {
+        if let Some(decoder) = self.block.take() {
+            park_decoder(decoder);
+        }
+    }
+}
+
+impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
+    for TableCursor<'_, K, V>
+{
     fn next(&mut self) -> Option<(K, Slot<V>)> {
         if self.next_block.is_none() {
             let lo = self.lo;
@@ -905,10 +988,11 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for
                 self.current = Some(entry);
                 return Some(entry);
             }
-            // End of the block (or of the stream, if `step` failed).
+            // End of the block (or of the stream, if `step` failed); past
+            // a table's last block the run's next table opens.
             match self.next_block {
-                Some(block) if !self.finished && block < self.table.index.len() => {
-                    self.load_block(block);
+                Some((table, block)) if !self.finished => {
+                    self.load_block(table, block);
                 }
                 _ => self.finished = true,
             }
@@ -1157,8 +1241,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let table: Arc<Table<u64, u64>> = Arc::new(Table::open(&StdFs, &path, 1).unwrap());
-        let errors = Arc::new(RelaxedCounter::new());
-        let mut cursor = table.cursor_counted(Bound::Unbounded, Bound::Unbounded, errors.clone());
+        let errors = RelaxedCounter::new();
+        let mut cursor = table
+            .cursor(Bound::Unbounded, Bound::Unbounded)
+            .counted(&errors);
         let streamed = std::iter::from_fn(|| cursor.next()).count();
         assert!(
             streamed < 1_000,
@@ -1222,7 +1308,7 @@ mod tests {
         Table::open(fs, &mem_path(), 1).map(Arc::new)
     }
 
-    fn drain(cursor: &mut TableCursor<u64, u64>) -> Vec<(u64, Slot<u64>)> {
+    fn drain(cursor: &mut TableCursor<'_, u64, u64>) -> Vec<(u64, Slot<u64>)> {
         std::iter::from_fn(|| cursor.next()).collect()
     }
 
@@ -1375,8 +1461,8 @@ mod tests {
                 let _ = seeker.seek(&keys[keys.len() - 2]);
                 for footprint in [
                     scratch_footprint(),
-                    cursor.block.footprint(),
-                    seeker.block.footprint(),
+                    cursor.block.as_ref().map_or(0, BlockIter::footprint),
+                    seeker.block.as_ref().map_or(0, BlockIter::footprint),
                 ] {
                     assert!(
                         footprint <= 4 * largest,
@@ -1417,6 +1503,207 @@ mod tests {
         let mut cursor = table.cursor(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(drain(&mut cursor), [(0, Slot::Put(0)), (2, Slot::Put(2))]);
         assert!(cursor.had_io_error());
+    }
+
+    // ---- Sorted runs: one cursor over several tables ----
+
+    fn run_path(table: usize) -> PathBuf {
+        PathBuf::from(format!("/t/run-{table}.sst"))
+    }
+
+    /// Writes one table per entry list to `fs` and opens them as a run.
+    fn build_run(
+        fs: &FaultFs,
+        options: TableOptions,
+        tables: &[Vec<(u64, Slot<u64>)>],
+    ) -> Vec<Arc<Table<u64, u64>>> {
+        let open = |(at, entries): (usize, &Vec<(u64, Slot<u64>)>)| {
+            let mut builder: TableBuilder<u64, u64> =
+                TableBuilder::create(fs, &run_path(at), options).unwrap();
+            for &(key, slot) in entries {
+                builder.add(key, slot).unwrap();
+            }
+            builder.finish().unwrap();
+            Arc::new(Table::open(fs, &run_path(at), at as u64).unwrap())
+        };
+        tables.iter().enumerate().map(open).collect()
+    }
+
+    /// Four tables of 200 even keys each — `[0, 398]`, `[1000, 1398]`,
+    /// `[2000, 2398]`, `[3000, 3398]` — a dozen blocks apiece.
+    fn spaced_run(fs: &FaultFs) -> Vec<Arc<Table<u64, u64>>> {
+        let table = |base: u64| (0..200).map(|k| (base + 2 * k, Slot::Put(k))).collect();
+        let tables: Vec<Vec<_>> = [0, 1000, 2000, 3000].into_iter().map(table).collect();
+        let run = build_run(fs, small_options(), &tables);
+        assert!(run.iter().all(|table| table.blocks() > 4));
+        run
+    }
+
+    #[test]
+    fn run_cursor_opens_only_the_tables_it_reads() {
+        let fs = FaultFs::new();
+        let run = spaced_run(&fs);
+        // What `next` yields first from `[lo, hi]`, and the block reads
+        // that took.
+        let first = |lo: Bound<u64>, hi: Bound<u64>| {
+            let before = fs.read_count();
+            let entry = Table::run_cursor(&run, lo, hi).next();
+            (entry.map(|(key, _)| key), fs.read_count() - before)
+        };
+        let (unbounded, at, after) = (Bound::Unbounded, Bound::Included, Bound::Excluded);
+        // One block positions the cursor wherever the start key falls:
+        // inside a table, in the gap between two, on a table's last key.
+        assert_eq!(first(unbounded, unbounded), (Some(0), 1));
+        assert_eq!(first(at(2100), unbounded), (Some(2100), 1));
+        assert_eq!(first(at(500), unbounded), (Some(1000), 1), "in a gap");
+        assert_eq!(first(at(399), unbounded), (Some(1000), 1));
+        assert_eq!(first(at(398), unbounded), (Some(398), 1));
+        assert_eq!(first(after(398), unbounded), (Some(1000), 1), "max_key");
+        assert_eq!(first(after(1396), unbounded), (Some(1398), 1));
+        // Beyond the last table, or wholly above `hi`: nothing is read.
+        assert_eq!(first(at(3399), unbounded), (None, 0));
+        assert_eq!(first(after(3398), unbounded), (None, 0));
+        assert_eq!(first(unbounded, after(0)), (None, 0));
+        assert_eq!(first(at(400), at(999)), (None, 0), "a gap holds nothing");
+        assert_eq!(first(at(400), at(1000)), (Some(1000), 1));
+        assert_eq!(
+            Table::run_cursor(&run[..0], unbounded, unbounded).next(),
+            None
+        );
+
+        // A window ending on a table's last key, or in the gap behind it,
+        // never opens the next table; one that crosses the gap does.
+        let tail_blocks = run[0].blocks() - run[0].first_block_for(&at(390));
+        for (hi, last, reads) in [
+            (at(398), 398, tail_blocks),
+            (at(700), 398, tail_blocks),
+            (after(1000), 398, tail_blocks),
+            (at(1000), 1000, tail_blocks + 1),
+        ] {
+            let before = fs.read_count();
+            let mut cursor = Table::run_cursor(&run, at(390), hi);
+            let window = drain(&mut cursor);
+            assert_eq!(window.first().map(|entry| entry.0), Some(390));
+            assert_eq!(window.last().map(|entry| entry.0), Some(last), "{hi:?}");
+            assert_eq!(fs.read_count() - before, reads as u64, "{hi:?}");
+        }
+
+        // A full drain reads every block once and crosses every boundary.
+        let before = fs.read_count();
+        let mut cursor = Table::run_cursor(&run, unbounded, unbounded);
+        let all: Vec<u64> = drain(&mut cursor).into_iter().map(|(key, _)| key).collect();
+        let expected: Vec<u64> = [0, 1000, 2000, 3000]
+            .into_iter()
+            .flat_map(|base| (0..200).map(move |k| base + 2 * k))
+            .collect();
+        assert_eq!(all, expected);
+        let blocks: usize = run.iter().map(|table| table.blocks()).sum();
+        assert_eq!(fs.read_count() - before, blocks as u64);
+        assert!(!cursor.had_io_error());
+    }
+
+    #[test]
+    fn run_cursor_seeks_across_table_boundaries() {
+        let fs = FaultFs::new();
+        let run = spaced_run(&fs);
+        let mut cursor = Table::run_cursor(&run, Bound::Included(100), Bound::Included(3300));
+        assert_eq!(cursor.seek(&2100), Some((2100, Slot::Put(50))));
+        assert_eq!(cursor.next(), Some((2102, Slot::Put(51))));
+        // Backwards into an earlier table, forwards over a gap.
+        assert_eq!(cursor.seek(&50), Some((100, Slot::Put(50))), "clamps to lo");
+        assert_eq!(cursor.seek(&396), Some((396, Slot::Put(198))));
+        assert_eq!(cursor.next(), Some((398, Slot::Put(199))));
+        assert_eq!(cursor.next(), Some((1000, Slot::Put(0))), "next table");
+        assert_eq!(cursor.seek(&1399), Some((2000, Slot::Put(0))), "over a gap");
+        assert_eq!(cursor.entry(), Some((2000, Slot::Put(0))));
+        // Past `hi` and past the run; then a seek repositions all the same.
+        let before = fs.read_count();
+        assert_eq!(cursor.seek(&3302), None);
+        assert_eq!(cursor.seek(&9000), None);
+        assert_eq!(cursor.next(), None);
+        assert_eq!(fs.read_count() - before, 1, "only 3302 lies in a table");
+        assert_eq!(cursor.seek(&3299), Some((3300, Slot::Put(150))));
+        assert_eq!(cursor.next(), None, "hi");
+        assert_eq!(cursor.seek(&1001), Some((1002, Slot::Put(1))));
+    }
+
+    #[test]
+    fn a_failed_block_ends_the_run_where_it_happened() {
+        let fs = FaultFs::new();
+        let run = spaced_run(&fs);
+        // Flip a byte in a middle block of the second table.  Open handles
+        // keep the file they opened, so the table is opened again.
+        let victim = run[1].blocks() / 2;
+        let (_, offset, len) = run[1].block_extent(victim);
+        let (last_good, _, _) = run[1].block_extent(victim - 1);
+        let mut bytes = fs.live_contents(&run_path(1)).unwrap();
+        bytes[offset as usize + (len as usize - BLOCK_CRC) / 2] ^= 0xFF;
+        fs.create(&run_path(1)).unwrap().append(&bytes).unwrap();
+        let reopened = Arc::new(Table::open(&fs, &run_path(1), 1).unwrap());
+        let run = [run[0].clone(), reopened, run[2].clone(), run[3].clone()];
+
+        let errors = RelaxedCounter::new();
+        let mut cursor =
+            Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded).counted(&errors);
+        let streamed: Vec<u64> = drain(&mut cursor).into_iter().map(|(key, _)| key).collect();
+        // Everything below the bad block, nothing of the run above it: the
+        // cursor does not skip ahead to the third table.
+        let expected: Vec<u64> = (0..200)
+            .map(|k| 2 * k)
+            .chain(
+                (0..200)
+                    .map(|k| 1000 + 2 * k)
+                    .filter(|&key| key <= last_good),
+            )
+            .collect();
+        assert_eq!(streamed, expected);
+        assert!(cursor.had_io_error());
+        assert_eq!(cursor.next(), None, "the cursor stays cleanly finished");
+        assert_eq!(errors.get(), 1, "one failed load, one error");
+
+        // Positioning straight into the bad block fails the same way, and
+        // a cursor that starts behind it never meets it.
+        let (bad_last, _, _) = run[1].block_extent(victim);
+        let mut into =
+            Table::run_cursor(&run, Bound::Included(bad_last), Bound::Unbounded).counted(&errors);
+        assert_eq!((into.next(), errors.get()), (None, 2));
+        let mut behind =
+            Table::run_cursor(&run, Bound::Excluded(bad_last), Bound::Unbounded).counted(&errors);
+        assert_eq!(
+            drain(&mut behind).len(),
+            200 - (bad_last - 1000) as usize / 2 - 1 + 400
+        );
+        assert_eq!(errors.get(), 2);
+    }
+
+    #[test]
+    fn dropped_cursors_park_a_bounded_number_of_decoders() {
+        let fs = FaultFs::new();
+        let run = spaced_run(&fs);
+        let parked = || SCRATCH.with(|scratch| scratch.borrow().parked.len());
+        // Tests share threads: start from whatever is parked already.
+        let mut cursors: Vec<_> = (0..2 * PARKED_DECODERS)
+            .map(|_| Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded))
+            .collect();
+        for cursor in &mut cursors {
+            assert_eq!(cursor.next(), Some((0, Slot::Put(0))));
+        }
+        assert_eq!(parked(), 0, "every parked decoder is on loan");
+        // One that never loaded a block holds no decoder to give back.
+        drop(Table::run_cursor(
+            &run,
+            Bound::Included(9_000),
+            Bound::Unbounded,
+        ));
+        assert_eq!(parked(), 0);
+        drop(cursors);
+        assert_eq!(parked(), PARKED_DECODERS);
+        // The next cursor streams through a parked decoder's buffers.
+        let warm = SCRATCH.with(|scratch| scratch.borrow().parked.last().unwrap().footprint());
+        let mut cursor = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(drain(&mut cursor).len(), 800);
+        assert_eq!(parked(), PARKED_DECODERS - 1);
+        assert_eq!(cursor.block.as_ref().map(BlockIter::footprint), Some(warm));
     }
 
     /// Every `get` and every cursor stream of `table` against the oracle.
@@ -1517,6 +1804,61 @@ mod tests {
             let bytes = write_table(&fs, options, oracle.iter().map(|(k, v)| (*k, *v)));
             let table = open_bytes(&fs, &bytes).unwrap();
             check_against_oracle(&table, &oracle, interval)?;
+        }
+
+        /// A run cursor over the same entries cut into several tables
+        /// agrees with a `BTreeMap`: drains, windows with either kind of
+        /// bound on either end at every table's first and last key ± 1,
+        /// and seeks on a long-lived cursor.
+        #[test]
+        fn run_cursor_agrees_with_a_btreemap(
+            raw_keys in proptest::collection::btree_set(1u64..3_000, 1..300),
+            cuts in proptest::collection::vec(1usize..300, 0..5),
+            block_bytes in 24usize..400,
+            salt in any::<u64>(),
+        ) {
+            let oracle: BTreeMap<u64, Slot<u64>> = raw_keys
+                .iter()
+                .map(|&raw| {
+                    let slot = match (raw ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 {
+                        0 => Slot::Tombstone,
+                        _ => Slot::Put(raw ^ salt),
+                    };
+                    (raw * 2, slot)
+                })
+                .collect();
+            let entries: Vec<(u64, Slot<u64>)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().filter(|&cut| cut < entries.len()).collect();
+            cuts.extend([0, entries.len()]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let tables: Vec<Vec<_>> = cuts.windows(2).map(|cut| entries[cut[0]..cut[1]].to_vec()).collect();
+            let options = TableOptions { block_bytes, restart_interval: 4, bloom_bits_per_key: 10 };
+            let fs = FaultFs::new();
+            let run = build_run(&fs, options, &tables);
+
+            let mut full = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded);
+            prop_assert_eq!(drain(&mut full), entries);
+            for edge in run.iter().flat_map(|table| [table.min_key, table.max_key]) {
+                for key in [edge - 1, edge, edge + 1] {
+                    let expected: Vec<_> = oracle.range(key..).take(3).map(|(k, v)| (*k, *v)).collect();
+                    let mut got: Vec<_> = full.seek(&key).into_iter().collect();
+                    got.extend(std::iter::from_fn(|| full.next()).take(expected.len().saturating_sub(1)));
+                    prop_assert_eq!(got, expected, "seek {}", key);
+                    for (lo, hi) in [
+                        (Bound::Included(key), Bound::Unbounded),
+                        (Bound::Excluded(key), Bound::Unbounded),
+                        (Bound::Unbounded, Bound::Included(key)),
+                        (Bound::Unbounded, Bound::Excluded(key)),
+                        (Bound::Excluded(key), Bound::Included(key + 90)),
+                        (Bound::Included(key.saturating_sub(90)), Bound::Excluded(key)),
+                    ] {
+                        let expected: Vec<_> = oracle.range((lo, hi)).map(|(k, v)| (*k, *v)).collect();
+                        let mut cursor = Table::run_cursor(&run, lo, hi);
+                        prop_assert_eq!(drain(&mut cursor), expected, "range {:?}..{:?}", lo, hi);
+                    }
+                }
+            }
         }
     }
 }

@@ -214,6 +214,8 @@ struct FaultState {
     writes: u64,
     /// Syncs performed so far (a subset of `ops`).
     syncs: u64,
+    /// Positioned reads performed so far (not part of `ops`).
+    reads: u64,
     /// Once true, every mutating op fails until [`FaultFs::reboot`].
     crashed: bool,
     /// Crash when the mutating-op index reaches this value.
@@ -301,6 +303,14 @@ impl FaultFs {
         self.lock().syncs
     }
 
+    /// Positioned reads (`read_at` calls) performed so far, failed ones
+    /// included — what a read path's block-load budget is counted in.
+    /// Reads are not mutating ops: they do not move
+    /// [`op_count`](FaultFs::op_count) or any fault schedule.
+    pub fn read_count(&self) -> u64 {
+        self.lock().reads
+    }
+
     /// Fail the `n`th append from now (1 = the next one) with `kind`.
     pub fn fail_nth_write(&self, n: u64, kind: io::ErrorKind) {
         assert!(n >= 1, "fault indices are 1-based");
@@ -368,6 +378,7 @@ impl FaultFs {
         state.ops = 0;
         state.writes = 0;
         state.syncs = 0;
+        state.reads = 0;
     }
 
     /// Test helper: mark every file's current content durable, as if
@@ -568,6 +579,10 @@ impl StorageFile for FaultFile {
     }
 
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reads += 1;
         let inode = self.inode.lock().unwrap_or_else(PoisonError::into_inner);
         let start = offset as usize;
         let end = start.checked_add(buf.len());
@@ -780,7 +795,15 @@ mod tests {
                 }
             }
             fs.rename(&path("f"), &path("g")).expect("rename");
-            fs.op_count()
+            // Reads are counted apart, failed ones included, and move no
+            // mutating-op index.
+            let ops = fs.op_count();
+            let reader = fs.open_read(&path("g")).expect("open");
+            let mut buf = [0u8; 4];
+            reader.read_at(&mut buf, 6).expect("in range");
+            reader.read_at(&mut buf, 7).expect_err("past the end");
+            assert_eq!((fs.read_count(), fs.op_count()), (2, ops));
+            ops
         };
         assert_eq!(run(), run(), "same workload, same op count");
     }

@@ -1,10 +1,16 @@
-//! Allocation budget of the LSM point paths: once a thread is warm, a
-//! lookup that a table answers — bloom probe, block read, checksum,
-//! restart seek — performs **zero** heap allocations, and so does logging
-//! a point write — record encoding, framing, checksum, append.  The
-//! budget is an ordinary test so that it cannot rot: a `Vec` that creeps
-//! back into `Table::get` or `WalWriter::append_ops` fails here, not in a
-//! benchmark somebody has to read.
+//! Allocation and block-read budgets of the LSM read and log paths.
+//!
+//! Once a thread is warm, a lookup that a table answers — bloom probe,
+//! block read, checksum, restart seek — performs **zero** heap
+//! allocations, and so does logging a point write — record encoding,
+//! framing, checksum, append.  A scan merges one source per memtable, per
+//! level-0 table and per deeper *level*: positioning it reads one block
+//! per table source however many tables the levels hold, and a warm
+//! 100-entry scan allocates a dozen times at most (its cursors' boxes and
+//! vectors — no block or key buffer).  The budgets are ordinary tests so
+//! that they cannot rot: a `Vec` that creeps back into `Table::get` or
+//! `WalWriter::append_ops`, or a scan that opens a cursor per table
+//! again, fails here, not in a benchmark somebody has to read.
 //!
 //! The counting allocator counts per thread, so the harness's other
 //! threads cannot leak into the figures.
@@ -15,7 +21,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use bskip_suite::lsm::{Table, WalOp, WalWriter};
-use bskip_suite::{ConcurrentIndex, IndexCursor, LsmConfig, LsmEngine, StdFs, SyncPolicy};
+use bskip_suite::{ConcurrentIndex, FaultFs, IndexCursor, LsmConfig, LsmEngine, StdFs, SyncPolicy};
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it from
@@ -97,6 +103,15 @@ fn warm_point_reads_allocate_nothing() {
     engine.maintain().expect("settle everything into tables");
     let levels = engine.tables_per_level();
     assert!(levels.iter().sum::<usize>() > 1, "{levels:?}");
+    // Scans first: the decoders their cursors park on this thread's free
+    // list sit beside the point-read scratch and must not disturb it.
+    for i in 0..8 {
+        let from = Bound::Included(present(i));
+        assert_eq!(
+            engine.scan_bounds(from, Bound::Unbounded).take(100).count(),
+            100
+        );
+    }
 
     // The engine: every get misses the (empty) memtable and is answered
     // by a table.
@@ -169,4 +184,98 @@ fn warm_wal_appends_allocate_nothing() {
 
     drop(wal);
     std::fs::remove_file(&path).expect("clean up");
+}
+
+/// An engine in memory holding the even keys below `2 * KEYS`, written in
+/// a scattered order and settled into tables of about `table_target_bytes`
+/// on two deeper levels, with whatever the last flush left in level 0.
+fn settled(fs: &FaultFs, table_target_bytes: u64) -> LsmEngine<u64, u64> {
+    let config = LsmConfig {
+        memtable_bytes: 128 << 10,
+        level_base_bytes: 256 << 10,
+        table_target_bytes,
+        ..LsmConfig::default()
+    };
+    let engine = LsmEngine::open_with(Arc::new(fs.clone()), "/db", config).expect("open engine");
+    for i in 0..KEYS {
+        // 7919 is coprime to `KEYS`: every key once.
+        let key = (i * 7_919 % KEYS) * 2;
+        engine.insert(key, key / 2);
+    }
+    engine.maintain().expect("settle everything into tables");
+    engine
+}
+
+/// Mean `read_at` calls of a scan that yields one entry, over 400 start
+/// keys, and the table sources such a scan merges.
+fn reads_per_short_scan(fs: &FaultFs, engine: &LsmEngine<u64, u64>) -> (f64, usize) {
+    const SCANS: u64 = 400;
+    let before = fs.read_count();
+    for i in 0..SCANS {
+        let from = Bound::Included(present(i));
+        let mut cursor = engine.scan_bounds(from, Bound::Unbounded);
+        assert_eq!(cursor.next(), Some((present(i), present(i) / 2)));
+    }
+    let levels = engine.tables_per_level();
+    let runs = levels[1..].iter().filter(|&&tables| tables > 0).count();
+    (
+        (fs.read_count() - before) as f64 / SCANS as f64,
+        levels[0] + runs,
+    )
+}
+
+#[test]
+fn a_scan_reads_one_block_per_sorted_run_however_many_tables_it_has() {
+    let fs = FaultFs::new();
+    let engine = settled(&fs, 64 << 10);
+    let levels = engine.tables_per_level();
+    assert!(
+        levels.len() == 3 && levels[1] >= 3 && levels[2] >= 3,
+        "{levels:?}"
+    );
+    // One block positions each table source; the 128 entries a refill
+    // merges cross into a next block less than once on average.
+    let (reads, sources) = reads_per_short_scan(&fs, &engine);
+    assert!(reads <= sources as f64 + 1.0, "{reads} reads, {levels:?}");
+
+    // The same data in four times the tables: no source more, no read more.
+    let fs = FaultFs::new();
+    let finer = settled(&fs, 16 << 10);
+    let finer_levels = finer.tables_per_level();
+    assert!(
+        finer_levels[0] == levels[0]
+            && finer_levels[1..].iter().sum::<usize>() >= 3 * levels[1..].iter().sum::<usize>(),
+        "{finer_levels:?} against {levels:?}"
+    );
+    let (finer_reads, finer_sources) = reads_per_short_scan(&fs, &finer);
+    assert_eq!(finer_sources, sources);
+    assert!(
+        finer_reads <= sources as f64 + 1.0,
+        "{finer_reads} reads, {finer_levels:?}"
+    );
+}
+
+#[test]
+fn a_warm_hundred_entry_scan_allocates_a_dozen_times_at_most() {
+    let fs = FaultFs::new();
+    let engine = settled(&fs, 64 << 10);
+    let levels = engine.tables_per_level();
+    assert!(
+        levels.len() == 3 && (1..=3).contains(&levels[0]) && levels[1] >= 3 && levels[2] >= 3,
+        "{levels:?}"
+    );
+    let scan = |i: u64| {
+        let from = Bound::Included(present(i));
+        let scanned = engine.scan_bounds(from, Bound::Unbounded).take(100);
+        assert_eq!(scanned.count(), 100);
+    };
+    scan(0);
+    // The scan's own two boxes and batch, the merge's two vectors, the
+    // memtable cursor's two, one box per table source — and no block or
+    // key buffer: those come off the thread's free list.
+    // Start keys from the lower half: the top would run out of entries.
+    for i in (1..).filter(|&i| present(i) < KEYS).take(50) {
+        let allocs = allocations_in(|| scan(i));
+        assert!(allocs <= 12, "scan {i}: {allocs} allocations, {levels:?}");
+    }
 }
