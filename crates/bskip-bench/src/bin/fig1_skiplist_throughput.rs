@@ -6,63 +6,17 @@
 //!
 //! Scale with `BSKIP_RECORDS`, `BSKIP_OPS`, `BSKIP_THREADS`, `BSKIP_TRIALS`.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
-use bskip_ycsb::{median, run_trials, Workload};
+use bskip_bench::{throughput_experiment, IndexKind};
 
 fn main() {
-    let (config, trials) = experiment_config();
-    println!(
-        "Figure 1 / Table 4: skiplist throughput, {} records, {} ops, {} threads, {} trial(s)",
-        config.record_count, config.operation_count, config.threads, trials
-    );
-    let mut columns = vec!["workload".to_string()];
-    columns.extend(IndexKind::SKIPLISTS.iter().map(|k| k.label().to_string()));
-    columns.push("BSL/NHS".to_string());
-    columns.push("BSL/best-other".to_string());
-    print_header(
+    throughput_experiment(
+        &IndexKind::SKIPLISTS,
+        "Figure 1 / Table 4: skiplist throughput",
         "Throughput (ops/us); ratios normalized as in Figure 1",
-        &columns.iter().map(String::as_str).collect::<Vec<_>>(),
+        &[
+            ("BSL/NHS", IndexKind::BSkipList, Some(IndexKind::NhsSkipList)),
+            ("BSL/best-other", IndexKind::BSkipList, None),
+        ],
+        "Paper (128 threads, 100M keys): B-skiplist is 2x-9x the other skiplists on every workload.",
     );
-
-    for workload in Workload::ALL {
-        let mut cells = vec![workload.label().to_string()];
-        let mut results = Vec::new();
-        for kind in IndexKind::SKIPLISTS {
-            let samples = run_trials(trials, false, |_| {
-                run_workload_fresh(kind, workload, &config)
-                    .0
-                    .throughput_ops_per_us
-            });
-            let throughput = median(&samples);
-            results.push((kind, throughput));
-            cells.push(format!("{throughput:.2}"));
-        }
-        let bsl = results
-            .iter()
-            .find(|(k, _)| *k == IndexKind::BSkipList)
-            .map(|(_, t)| *t)
-            .unwrap_or(0.0);
-        let nhs = results
-            .iter()
-            .find(|(k, _)| *k == IndexKind::NhsSkipList)
-            .map(|(_, t)| *t)
-            .unwrap_or(0.0);
-        let best_other = results
-            .iter()
-            .filter(|(k, _)| *k != IndexKind::BSkipList)
-            .map(|(_, t)| *t)
-            .fold(0.0f64, f64::max);
-        cells.push(if nhs > 0.0 {
-            format!("{:.2}", bsl / nhs)
-        } else {
-            "-".into()
-        });
-        cells.push(if best_other > 0.0 {
-            format!("{:.2}", bsl / best_other)
-        } else {
-            "-".into()
-        });
-        println!("{}", format_row(&cells));
-    }
-    println!("\nPaper (128 threads, 100M keys): B-skiplist is 2x-9x the other skiplists on every workload.");
 }

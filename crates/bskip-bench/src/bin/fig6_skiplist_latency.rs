@@ -4,51 +4,14 @@
 //! The paper reports the B-skiplist at 3.5x–103x lower 99th-percentile
 //! latency than the other concurrent skiplists.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
-use bskip_ycsb::Workload;
+use bskip_bench::{latency_experiment, IndexKind};
 
 fn main() {
-    let (config, _) = experiment_config();
-    println!(
-        "Figure 6: workload A latency percentiles, {} records, {} ops, {} threads",
-        config.record_count, config.operation_count, config.threads
+    latency_experiment(
+        &IndexKind::SKIPLISTS,
+        "Figure 6: workload A latency percentiles",
+        Some(IndexKind::BSkipList),
+        false,
+        "Paper: B-skiplist p99 is 3.5x-103x lower than the other skiplists on workload A.",
     );
-    print_header(
-        "Latency (us) on YCSB A, uniform keys",
-        &["index", "p50", "p90", "p99", "p99.9", "mean"],
-    );
-    let mut bsl_p99 = None;
-    let mut rows = Vec::new();
-    for kind in IndexKind::SKIPLISTS {
-        let (result, _) = run_workload_fresh(kind, Workload::A, &config);
-        let latency = result.latency;
-        if kind == IndexKind::BSkipList {
-            bsl_p99 = Some(latency.p99_us);
-        }
-        rows.push((kind, latency));
-        println!(
-            "{}",
-            format_row(&[
-                kind.label().to_string(),
-                format!("{:.2}", latency.p50_us),
-                format!("{:.2}", latency.p90_us),
-                format!("{:.2}", latency.p99_us),
-                format!("{:.2}", latency.p999_us),
-                format!("{:.2}", latency.mean_us),
-            ])
-        );
-    }
-    if let Some(bsl) = bsl_p99 {
-        println!();
-        for (kind, latency) in rows {
-            if kind != IndexKind::BSkipList && bsl > 0.0 {
-                println!(
-                    "p99 ratio {} / B-skiplist = {:.1}x",
-                    kind.label(),
-                    latency.p99_us / bsl
-                );
-            }
-        }
-    }
-    println!("\nPaper: B-skiplist p99 is 3.5x-103x lower than the other skiplists on workload A.");
 }

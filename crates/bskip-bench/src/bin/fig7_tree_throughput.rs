@@ -5,48 +5,17 @@
 //! Masstree on point workloads, and the B+-tree ~1.4x faster on the
 //! range-scan workload E.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
-use bskip_ycsb::{median, run_trials, Workload};
+use bskip_bench::{throughput_experiment, IndexKind};
 
 fn main() {
-    let (config, trials) = experiment_config();
-    println!(
-        "Figure 7 / Table 5: tree vs B-skiplist throughput, {} records, {} ops, {} threads",
-        config.record_count, config.operation_count, config.threads
-    );
-    print_header(
+    throughput_experiment(
+        &IndexKind::TREES,
+        "Figure 7 / Table 5: tree vs B-skiplist throughput",
         "Throughput (ops/us), normalized to the B-skiplist",
         &[
-            "workload",
-            "B-skiplist",
-            "OCC B+-tree",
-            "Masstree-lite",
-            "OBT/BSL",
-            "MT/BSL",
+            ("OBT/BSL", IndexKind::OccBTree, Some(IndexKind::BSkipList)),
+            ("MT/BSL", IndexKind::Masstree, Some(IndexKind::BSkipList)),
         ],
+        "Paper: trees are 0.7x-1.1x the B-skiplist on Load/A-C; the B+-tree is ~1.4x faster on E.",
     );
-    for workload in Workload::ALL {
-        let mut throughput = Vec::new();
-        for kind in IndexKind::TREES {
-            let samples = run_trials(trials, false, |_| {
-                run_workload_fresh(kind, workload, &config)
-                    .0
-                    .throughput_ops_per_us
-            });
-            throughput.push(median(&samples));
-        }
-        let (bsl, obt, mt) = (throughput[0], throughput[1], throughput[2]);
-        println!(
-            "{}",
-            format_row(&[
-                workload.label().to_string(),
-                format!("{bsl:.2}"),
-                format!("{obt:.2}"),
-                format!("{mt:.2}"),
-                format!("{:.2}", if bsl > 0.0 { obt / bsl } else { 0.0 }),
-                format!("{:.2}", if bsl > 0.0 { mt / bsl } else { 0.0 }),
-            ])
-        );
-    }
-    println!("\nPaper: trees are 0.7x-1.1x the B-skiplist on Load/A-C; the B+-tree is ~1.4x faster on E.");
 }

@@ -4,49 +4,14 @@
 //! The paper attributes the B+-tree's and Masstree's heavier tails to OCC
 //! retries that retire to the root with write locks.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
-use bskip_ycsb::Workload;
+use bskip_bench::{latency_experiment, IndexKind};
 
 fn main() {
-    let (config, _) = experiment_config();
-    println!(
-        "Figure 8: tree-index latency percentiles on workload A, {} records, {} ops, {} threads",
-        config.record_count, config.operation_count, config.threads
-    );
-    print_header(
-        "Latency (us) on YCSB A, uniform keys",
-        &[
-            "index",
-            "p50",
-            "p90",
-            "p99",
-            "p99.9",
-            "mean",
-            "root write locks",
-        ],
-    );
-    for kind in IndexKind::TREES {
-        let (result, index) = run_workload_fresh(kind, Workload::A, &config);
-        let latency = result.latency;
-        let root_locks = index
-            .stats()
-            .get("root_write_locks")
-            .or_else(|| index.stats().get("top_level_write_locks"))
-            .unwrap_or(0);
-        println!(
-            "{}",
-            format_row(&[
-                kind.label().to_string(),
-                format!("{:.2}", latency.p50_us),
-                format!("{:.2}", latency.p90_us),
-                format!("{:.2}", latency.p99_us),
-                format!("{:.2}", latency.p999_us),
-                format!("{:.2}", latency.mean_us),
-                root_locks.to_string(),
-            ])
-        );
-    }
-    println!(
-        "\nPaper: the B-skiplist has the lowest p99/p99.9 because it never retires to the root."
+    latency_experiment(
+        &IndexKind::TREES,
+        "Figure 8: tree-index latency percentiles on workload A",
+        None,
+        true,
+        "Paper: the B-skiplist has the lowest p99/p99.9 because it never retires to the root.",
     );
 }

@@ -11,8 +11,9 @@
 
 use bskip_bench::{experiment_config, format_row, print_header};
 use bskip_cachesim::{
-    CacheConfig, CacheSim, TraceBSkipList, TraceBTree, TraceIndexModel, TraceSkipList,
+    CacheConfig, CacheSim, TraceBTree, TraceIndexModel, TraceSkipList, TracedBSkipList,
 };
+use bskip_core::BSkipConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,7 +88,7 @@ fn main() {
             11,
         );
         let bsl = run_model(
-            &mut TraceBSkipList::paper_default(1),
+            &mut TracedBSkipList::<128>::new(BSkipConfig::paper_default(), 1),
             records,
             operations,
             workload_e,

@@ -4,7 +4,9 @@
 use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::{ConcurrentIndex, IndexStats};
-use bskip_ycsb::{run_load_phase, run_run_phase, PhaseResult, Workload, YcsbConfig};
+use bskip_ycsb::{
+    median, run_load_phase, run_run_phase, run_trials, PhaseResult, Workload, YcsbConfig,
+};
 
 /// The indices evaluated in the paper's Section 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +219,122 @@ pub fn scaling_experiment(workload: Workload, title: &str, paper_note: &str) {
             "-".into()
         });
         println!("{}", format_row(&cells));
+    }
+    println!("\n{paper_note}");
+}
+
+/// One ratio column of a throughput table: its label, the numerator, and
+/// the denominator — an index, or `None` for the best of the others.
+pub type RatioColumn = (&'static str, IndexKind, Option<IndexKind>);
+
+/// Figures 1 and 7: throughput of every index in `kinds` on YCSB Load, A,
+/// B, C and E (median over `BSKIP_TRIALS` fresh runs), followed by the
+/// `ratios` columns the figure normalizes by.
+pub fn throughput_experiment(
+    kinds: &[IndexKind],
+    banner: &str,
+    title: &str,
+    ratios: &[RatioColumn],
+    paper_note: &str,
+) {
+    let (config, trials) = experiment_config();
+    println!(
+        "{banner}, {} records, {} ops, {} threads, {} trial(s)",
+        config.record_count, config.operation_count, config.threads, trials
+    );
+    let mut columns = vec!["workload"];
+    columns.extend(kinds.iter().map(IndexKind::label));
+    columns.extend(ratios.iter().map(|(label, ..)| *label));
+    print_header(title, &columns);
+    for workload in Workload::ALL {
+        let throughput: Vec<f64> = kinds
+            .iter()
+            .map(|&kind| {
+                median(&run_trials(trials, false, |_| {
+                    run_workload_fresh(kind, workload, &config)
+                        .0
+                        .throughput_ops_per_us
+                }))
+            })
+            .collect();
+        let of = |wanted| kinds.iter().position(|&kind| kind == wanted);
+        let mut cells = vec![workload.label().to_string()];
+        cells.extend(throughput.iter().map(|t| format!("{t:.2}")));
+        for &(_, numerator, denominator) in ratios {
+            let numerator = of(numerator).expect("ratio of an index not in the table");
+            let base = match denominator {
+                Some(kind) => throughput[of(kind).expect("ratio to an index not in the table")],
+                None => throughput
+                    .iter()
+                    .enumerate()
+                    .filter(|(slot, _)| *slot != numerator)
+                    .fold(0.0, |best, (_, &t)| f64::max(best, t)),
+            };
+            cells.push(if base > 0.0 {
+                format!("{:.2}", throughput[numerator] / base)
+            } else {
+                "-".into()
+            });
+        }
+        println!("{}", format_row(&cells));
+    }
+    println!("\n{paper_note}");
+}
+
+/// Figures 6 and 8: latency percentiles (50/90/99/99.9 and mean) of every
+/// index in `kinds` on YCSB workload A with uniform keys; optionally a
+/// column of root (top-level) write locks taken, and each index's p99 as a
+/// multiple of `p99_baseline`'s under the table.
+pub fn latency_experiment(
+    kinds: &[IndexKind],
+    banner: &str,
+    p99_baseline: Option<IndexKind>,
+    root_locks: bool,
+    paper_note: &str,
+) {
+    let (config, _) = experiment_config();
+    println!(
+        "{banner}, {} records, {} ops, {} threads",
+        config.record_count, config.operation_count, config.threads
+    );
+    let mut columns = vec!["index", "p50", "p90", "p99", "p99.9", "mean"];
+    if root_locks {
+        columns.push("root write locks");
+    }
+    print_header("Latency (us) on YCSB A, uniform keys", &columns);
+    let mut p99 = Vec::new();
+    for &kind in kinds {
+        let (result, index) = run_workload_fresh(kind, Workload::A, &config);
+        let latency = result.latency;
+        p99.push(latency.p99_us);
+        let percentiles = [
+            latency.p50_us,
+            latency.p90_us,
+            latency.p99_us,
+            latency.p999_us,
+            latency.mean_us,
+        ];
+        let mut cells = vec![kind.label().to_string()];
+        cells.extend(percentiles.iter().map(|us| format!("{us:.2}")));
+        if root_locks {
+            let stats = index.stats();
+            let locks = stats
+                .get("root_write_locks")
+                .or_else(|| stats.get("top_level_write_locks"));
+            cells.push(locks.unwrap_or(0).to_string());
+        }
+        println!("{}", format_row(&cells));
+    }
+    if let Some(baseline) = p99_baseline {
+        let slot = kinds.iter().position(|&kind| kind == baseline);
+        let base = p99[slot.expect("baseline not in the table")];
+        println!();
+        for (kind, p99) in kinds.iter().zip(&p99) {
+            if *kind != baseline && base > 0.0 {
+                let (label, base_label) = (kind.label(), baseline.label());
+                println!("p99 ratio {label} / {base_label} = {:.1}x", p99 / base);
+            }
+        }
     }
     println!("\n{paper_note}");
 }

@@ -15,8 +15,10 @@
 //! * [`run_workload_fresh`] — the paper's protocol for one cell of a
 //!   throughput table: build a fresh index, run the load phase, let the
 //!   index settle (NHS index rebuild), then run the requested workload;
-//! * [`scaling_experiment`] — the thread-count sweep behind Figures 9
-//!   and 10;
+//! * [`throughput_experiment`], [`latency_experiment`] and
+//!   [`scaling_experiment`] — the table loops behind Figures 1 / 7, 6 / 8
+//!   and 9 / 10, each shared by the two binaries that differ in index set
+//!   and normalization only;
 //! * small table-formatting helpers.
 
 #![warn(missing_docs)]
@@ -25,6 +27,6 @@
 pub mod harness;
 
 pub use harness::{
-    experiment_config, format_row, print_header, run_workload_fresh, scaling_experiment, AnyIndex,
-    IndexKind,
+    experiment_config, format_row, latency_experiment, print_header, run_workload_fresh,
+    scaling_experiment, throughput_experiment, AnyIndex, IndexKind, RatioColumn,
 };

@@ -1,16 +1,21 @@
-//! Structural traversal models of the three indices compared in Table 1.
+//! The three indices compared in Table 1, as sources of cache touches.
 //!
-//! Each model maintains the real node/pointer structure of its index in an
-//! arena, assigns every node a synthetic byte address from a bump allocator
-//! (mimicking allocation order in a real heap), and — for every operation —
-//! touches in the [`CacheSim`] exactly the byte ranges the corresponding
-//! real implementation reads or writes: binary-search probes inside blocked
-//! nodes, header peeks during horizontal skiplist steps, the shifted suffix
-//! of an insertion, whole-node copies during splits, and so on.
-//!
-//! Keys are `u64`; every stored entry is modelled as a 16-byte key/value
-//! pair, matching the paper's 8-byte keys and 8-byte values.
+//! [`TraceSkipList`] and [`TraceBTree`] are *models*: each keeps the
+//! node/pointer structure of its index in an arena and touches in the
+//! [`CacheSim`] the byte ranges the real implementation reads or writes.
+//! [`TracedBSkipList`] is not a model of the traversal: it runs
+//! `bskip-core`'s sequential reference list and turns the events of its
+//! [`Tracer`] (header peeks of a right-walk, in-node searches, the shifted
+//! suffix of an insertion, both sides of a split, ...) into touches.  What
+//! all three share, and what *is* modelled, is the byte layout: nodes at
+//! synthetic addresses in allocation order (as a bump allocator would place
+//! them), a fixed header, and 16-byte entries for `u64` keys with 8-byte
+//! values or child pointers, as in the paper.
 
+use std::cell::{Cell, RefCell};
+
+use bskip_core::seq::{SeqBSkipList, Tracer};
+use bskip_core::BSkipConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,12 +49,12 @@ pub trait TraceIndexModel {
 
 /// Touches the probe positions of a binary search over `len` entries laid
 /// out from `base` (used for searches inside blocked nodes).
-fn touch_binary_search(cache: &mut CacheSim, base: u64, len: usize) {
+fn touch_binary_search(mut touch: impl FnMut(u64, usize), base: u64, len: usize) {
     let lo = 0usize;
     let mut hi = len;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        cache.touch(base + mid as u64 * ENTRY_BYTES, 8);
+        touch(base + mid as u64 * ENTRY_BYTES, 8);
         // The model only needs the probe *positions*; which way the search
         // turns does not change how many lines are touched, so always
         // narrow towards the lower half.
@@ -331,7 +336,7 @@ impl TraceIndexModel for TraceBTree {
         loop {
             cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
             touch_binary_search(
-                cache,
+                |address, bytes| cache.touch(address, bytes),
                 self.arena[node].addr + NODE_HEADER_BYTES,
                 self.arena[node].keys.len(),
             );
@@ -368,7 +373,7 @@ impl TraceIndexModel for TraceBTree {
         loop {
             cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
             touch_binary_search(
-                cache,
+                |address, bytes| cache.touch(address, bytes),
                 self.arena[node].addr + NODE_HEADER_BYTES,
                 self.arena[node].keys.len(),
             );
@@ -385,7 +390,7 @@ impl TraceIndexModel for TraceBTree {
         loop {
             cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
             touch_binary_search(
-                cache,
+                |address, bytes| cache.touch(address, bytes),
                 self.arena[node].addr + NODE_HEADER_BYTES,
                 self.arena[node].keys.len(),
             );
@@ -422,351 +427,103 @@ impl TraceIndexModel for TraceBTree {
 }
 
 // ---------------------------------------------------------------------------
-// B-skiplist with fixed-size blocked nodes.
+// B-skiplist: the real sequential list, traced.
 // ---------------------------------------------------------------------------
 
-struct BsNode {
-    addr: u64,
-    #[allow(dead_code)]
-    is_head: bool,
-    keys: Vec<u64>,
-    children: Vec<usize>,
-    head_child: usize,
-    next: usize,
+/// [`Tracer`] that lays the `B`-entry nodes of a [`SeqBSkipList`] out in
+/// allocation order and records every event as the byte range `(address,
+/// bytes)` it covers under the layout constants above.
+#[derive(Default)]
+struct LayoutTracer<const B: usize> {
+    allocated: Cell<usize>,
+    touches: RefCell<Vec<(u64, usize)>>,
 }
 
-/// Traversal model of the B-skiplist: blocked nodes of `node_keys` entries,
-/// promotion probability `1/(c·B)`, fixed-size nodes with overflow splits —
-/// the same structure as [`bskip-core`](https://docs.rs)'s `BSkipList`, with
-/// cache-line touches for every byte an operation reads or writes.
-pub struct TraceBSkipList {
-    arena: Vec<BsNode>,
-    heads: Vec<usize>,
-    node_keys: usize,
-    denominator: u32,
-    max_height: usize,
-    rng: SmallRng,
-    next_addr: u64,
-    len: usize,
+impl<const B: usize> LayoutTracer<B> {
+    fn touch(&self, id: usize, offset: u64, bytes: usize) {
+        assert!(id < self.allocated.get(), "event for unallocated node {id}");
+        let stride = (NODE_HEADER_BYTES + B as u64 * ENTRY_BYTES).div_ceil(64) * 64;
+        self.touches
+            .borrow_mut()
+            .push((id as u64 * stride + offset, bytes));
+    }
 }
 
-impl TraceBSkipList {
-    /// Creates an empty model (`node_keys` entries per node, promotion
-    /// denominator `c·B`, `max_height` levels).
-    pub fn new(node_keys: usize, denominator: u32, max_height: usize, seed: u64) -> Self {
-        assert!(node_keys >= 4 && max_height >= 1);
-        let mut model = TraceBSkipList {
-            arena: Vec::new(),
-            heads: Vec::new(),
-            node_keys,
-            denominator: denominator.max(2),
-            max_height,
-            rng: SmallRng::seed_from_u64(seed),
-            next_addr: 0,
-            len: 0,
-        };
-        for level in 0..max_height {
-            let id = model.alloc_node(true);
-            if level > 0 {
-                model.arena[id].head_child = model.heads[level - 1];
-            }
-            model.heads.push(id);
-        }
-        model
+impl<const B: usize> Tracer for LayoutTracer<B> {
+    fn node_allocated(&self, id: usize) {
+        assert_eq!(id, self.allocated.replace(id + 1), "node ids are dense");
+        // Initialising the fresh node's header is a write to it.
+        self.touch(id, 0, NODE_HEADER_BYTES as usize);
     }
 
-    /// The paper's default configuration: 128-entry (2048-byte) nodes,
-    /// promotion probability 1/64, maximum height 5.
-    pub fn paper_default(seed: u64) -> Self {
-        TraceBSkipList::new(128, 64, 5, seed)
+    fn header_peeked(&self, id: usize) {
+        self.touch(id, NODE_HEADER_BYTES, 8);
     }
 
-    fn node_footprint(&self) -> u64 {
-        NODE_HEADER_BYTES + self.node_keys as u64 * ENTRY_BYTES
+    fn node_searched(&self, id: usize, len: usize) {
+        self.touch(id, 0, NODE_HEADER_BYTES as usize);
+        let probe = |offset, bytes| self.touch(id, offset, bytes);
+        touch_binary_search(probe, NODE_HEADER_BYTES, len);
     }
 
-    fn alloc_node(&mut self, is_head: bool) -> usize {
-        let addr = self.next_addr;
-        self.next_addr += self.node_footprint().div_ceil(64) * 64;
-        self.arena.push(BsNode {
-            addr,
-            is_head,
-            keys: Vec::new(),
-            children: Vec::new(),
-            head_child: NIL,
-            next: NIL,
-        });
-        self.arena.len() - 1
+    fn slots_read(&self, id: usize, from: usize, count: usize) {
+        let offset = NODE_HEADER_BYTES + from as u64 * ENTRY_BYTES;
+        self.touch(id, offset, count * ENTRY_BYTES as usize);
     }
 
-    fn sample_height(&mut self) -> usize {
-        let mut height = 0;
-        while height + 1 < self.max_height && self.rng.gen_range(0..self.denominator) == 0 {
-            height += 1;
-        }
-        height
+    fn slots_written(&self, id: usize, from: usize, count: usize) {
+        self.slots_read(id, from, count); // a write touches the same lines
+    }
+}
+
+/// The B-skiplist of Table 1: `bskip-core`'s sequential reference list
+/// ([`SeqBSkipList`], the structure and algorithm the differential tests
+/// verify against the concurrent list) with `B`-entry nodes, reporting to
+/// a tracer that turns its events into cache touches.
+pub struct TracedBSkipList<const B: usize> {
+    list: SeqBSkipList<u64, u64, B, LayoutTracer<B>>,
+}
+
+impl<const B: usize> TracedBSkipList<B> {
+    /// Creates an empty list with the given configuration (promotion
+    /// probability `1/(c·B)`, maximum height) and height-sampler seed.
+    pub fn new(config: BSkipConfig, seed: u64) -> Self {
+        let list = SeqBSkipList::with_tracer(config, seed, LayoutTracer::default());
+        TracedBSkipList { list }
     }
 
-    /// Membership test that does not charge the cache.  Used to demote
-    /// re-insertions of existing keys to pure value updates: the concurrent
-    /// implementation handles that case by splicing the key's existing
-    /// tower (see `bskip-core`), which would needlessly complicate a
-    /// single-threaded traffic model.
-    fn contains_quiet(&self, key: u64) -> bool {
-        let mut level = self.max_height - 1;
-        let mut node = self.heads[level];
-        loop {
-            loop {
-                let next = self.arena[node].next;
-                if next == NIL || self.arena[next].keys[0] > key {
-                    break;
-                }
-                node = next;
-            }
-            if level == 0 {
-                return self.arena[node].keys.binary_search(&key).is_ok();
-            }
-            node = self.descend(node, key);
-            level -= 1;
-        }
-    }
-
-    /// Walks right at a level while the successor's header does not exceed
-    /// `key`, touching the header of every peeked node.
-    fn walk_right(&self, mut node: usize, key: u64, cache: &mut CacheSim) -> usize {
-        loop {
-            let next = self.arena[node].next;
-            if next == NIL {
-                return node;
-            }
-            cache.touch(self.arena[next].addr + NODE_HEADER_BYTES, 8);
-            if self.arena[next].keys[0] > key {
-                return node;
-            }
-            node = next;
-        }
-    }
-
-    fn descend(&self, node: usize, key: u64) -> usize {
-        let n = &self.arena[node];
-        match n.keys.partition_point(|k| *k <= key) {
-            0 => n.head_child,
-            pos => n.children[pos - 1],
-        }
-    }
-
-    fn touch_search(&self, node: usize, cache: &mut CacheSim) {
-        cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
-        touch_binary_search(
-            cache,
-            self.arena[node].addr + NODE_HEADER_BYTES,
-            self.arena[node].keys.len(),
-        );
-    }
-
-    fn link_after(&mut self, node: usize, new_node: usize) {
-        let next = self.arena[node].next;
-        self.arena[new_node].next = next;
-        self.arena[node].next = new_node;
-    }
-
-    /// Moves `src[from..]` to the end of `dst`, charging the copy.
-    fn split_off_into(&mut self, src: usize, from: usize, dst: usize, cache: &mut CacheSim) {
-        let count = self.arena[src].keys.len() - from;
-        if count > 0 {
-            cache.touch(
-                self.arena[src].addr + NODE_HEADER_BYTES + from as u64 * ENTRY_BYTES,
-                count * ENTRY_BYTES as usize,
-            );
-            let dst_len = self.arena[dst].keys.len();
-            cache.touch(
-                self.arena[dst].addr + NODE_HEADER_BYTES + dst_len as u64 * ENTRY_BYTES,
-                count * ENTRY_BYTES as usize,
-            );
-        }
-        let keys = self.arena[src].keys.split_off(from);
-        self.arena[dst].keys.extend(keys);
-        if !self.arena[src].children.is_empty() {
-            let children = self.arena[src].children.split_off(from);
-            self.arena[dst].children.extend(children);
+    /// Replays the touches recorded since the last call into `cache`.
+    fn charge(&self, cache: &mut CacheSim) {
+        for (address, bytes) in self.list.tracer().touches.borrow_mut().drain(..) {
+            cache.touch(address, bytes);
         }
     }
 }
 
-impl TraceIndexModel for TraceBSkipList {
+impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
     fn name(&self) -> &'static str {
         "B-skiplist"
     }
 
     fn insert(&mut self, key: u64, cache: &mut CacheSim) {
-        let mut height = self.sample_height();
-        if height > 0 && self.contains_quiet(key) {
-            height = 0;
-        }
-        // Pre-allocate the new nodes (a write to each).
-        let mut prealloc = Vec::with_capacity(height);
-        for level in 0..height {
-            let id = self.alloc_node(false);
-            self.arena[id].keys.push(key);
-            if level > 0 {
-                let child = prealloc[level - 1];
-                self.arena[id].children.push(child);
-            }
-            cache.touch(
-                self.arena[id].addr,
-                (NODE_HEADER_BYTES + ENTRY_BYTES) as usize,
-            );
-            prealloc.push(id);
-        }
-        let mut level = self.max_height - 1;
-        let mut node = self.heads[level];
-        loop {
-            node = self.walk_right(node, key, cache);
-            self.touch_search(node, cache);
-            let position = self.arena[node].keys.binary_search(&key);
-            let mut descend_child = NIL;
-            if level <= height {
-                match position {
-                    Ok(index) => {
-                        // Existing key: value update at the leaf.
-                        if level == 0 {
-                            cache.touch(
-                                self.arena[node].addr
-                                    + NODE_HEADER_BYTES
-                                    + index as u64 * ENTRY_BYTES
-                                    + 8,
-                                8,
-                            );
-                            return;
-                        }
-                        descend_child = self.arena[node].children[index];
-                    }
-                    Err(insert_pos) => {
-                        if level == height {
-                            // Plain insert (with an overflow split if full).
-                            let (target, local_pos) =
-                                if self.arena[node].keys.len() == self.node_keys {
-                                    let new_node = self.alloc_node(false);
-                                    let half = self.node_keys / 2;
-                                    self.split_off_into(node, half, new_node, cache);
-                                    self.link_after(node, new_node);
-                                    if insert_pos <= half {
-                                        (node, insert_pos)
-                                    } else {
-                                        (new_node, insert_pos - half)
-                                    }
-                                } else {
-                                    (node, insert_pos)
-                                };
-                            let shifted = (self.arena[target].keys.len() - local_pos + 1) as u64
-                                * ENTRY_BYTES;
-                            cache.touch(
-                                self.arena[target].addr
-                                    + NODE_HEADER_BYTES
-                                    + local_pos as u64 * ENTRY_BYTES,
-                                shifted as usize,
-                            );
-                            self.arena[target].keys.insert(local_pos, key);
-                            if level > 0 {
-                                let child = prealloc[level - 1];
-                                self.arena[target].children.insert(local_pos, child);
-                            } else {
-                                self.len += 1;
-                            }
-                            if level > 0 {
-                                descend_child = if local_pos == 0 {
-                                    self.arena[target].head_child
-                                } else {
-                                    self.arena[target].children[local_pos - 1]
-                                };
-                            }
-                        } else {
-                            // Promotion split: the pre-allocated node becomes
-                            // the right half headed by the key.
-                            let pnode = prealloc[level];
-                            let move_count = self.arena[node].keys.len() - insert_pos;
-                            if 1 + move_count > self.node_keys {
-                                let spill = self.alloc_node(false);
-                                let spill_from = insert_pos + (self.node_keys - 1);
-                                self.split_off_into(node, spill_from, spill, cache);
-                                self.split_off_into(node, insert_pos, pnode, cache);
-                                self.link_after(node, pnode);
-                                self.link_after(pnode, spill);
-                            } else {
-                                self.split_off_into(node, insert_pos, pnode, cache);
-                                self.link_after(node, pnode);
-                            }
-                            if level == 0 {
-                                self.len += 1;
-                            } else {
-                                descend_child = if insert_pos == 0 {
-                                    self.arena[node].head_child
-                                } else {
-                                    self.arena[node].children[insert_pos - 1]
-                                };
-                            }
-                        }
-                    }
-                }
-            } else {
-                descend_child = self.descend(node, key);
-            }
-            if level == 0 {
-                return;
-            }
-            debug_assert_ne!(descend_child, NIL);
-            node = descend_child;
-            level -= 1;
-        }
+        self.list.insert(key, key);
+        self.charge(cache);
     }
 
     fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
-        let mut level = self.max_height - 1;
-        let mut node = self.heads[level];
-        loop {
-            node = self.walk_right(node, key, cache);
-            self.touch_search(node, cache);
-            if level == 0 {
-                return self.arena[node].keys.binary_search(&key).is_ok();
-            }
-            node = self.descend(node, key);
-            level -= 1;
-        }
+        let found = self.list.get(&key).is_some();
+        self.charge(cache);
+        found
     }
 
     fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
-        let mut level = self.max_height - 1;
-        let mut node = self.heads[level];
-        while level > 0 {
-            node = self.walk_right(node, start, cache);
-            self.touch_search(node, cache);
-            node = self.descend(node, start);
-            level -= 1;
-        }
-        node = self.walk_right(node, start, cache);
-        self.touch_search(node, cache);
-        let mut position = self.arena[node].keys.partition_point(|k| *k < start);
-        let mut visited = 0;
-        loop {
-            let keys_len = self.arena[node].keys.len();
-            let take = (keys_len - position).min(len - visited);
-            if take > 0 {
-                cache.touch(
-                    self.arena[node].addr + NODE_HEADER_BYTES + position as u64 * ENTRY_BYTES,
-                    take * ENTRY_BYTES as usize,
-                );
-                visited += take;
-            }
-            if visited == len || self.arena[node].next == NIL {
-                return visited;
-            }
-            node = self.arena[node].next;
-            position = 0;
-        }
+        let visited = self.list.range(&start, len, &mut |_, _| {});
+        self.charge(cache);
+        visited
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.list.len()
     }
 }
 
@@ -774,6 +531,12 @@ impl TraceIndexModel for TraceBSkipList {
 mod tests {
     use super::*;
     use crate::cache::{CacheConfig, CacheSim};
+
+    /// A B-skiplist of `B`-entry nodes, promotion probability `1/(c·B)`
+    /// with `c` = 0.5, and `max_height` levels.
+    fn bskip<const B: usize>(max_height: usize, seed: u64) -> TracedBSkipList<B> {
+        TracedBSkipList::new(BSkipConfig::default().with_max_height(max_height), seed)
+    }
 
     fn drive<M: TraceIndexModel>(model: &mut M, keys: u64) -> CacheSim {
         let mut cache = CacheSim::new(CacheConfig::default());
@@ -788,7 +551,7 @@ mod tests {
         let mut cache = CacheSim::new(CacheConfig::default());
         let mut skip = TraceSkipList::new(1);
         let mut btree = TraceBTree::new(16);
-        let mut bskip = TraceBSkipList::new(16, 8, 4, 1);
+        let mut bskip = bskip::<16>(4, 1);
         for i in 0..5000u64 {
             let key = i.wrapping_mul(0x9E3779B97F4A7C15);
             skip.insert(key, &mut cache);
@@ -813,7 +576,7 @@ mod tests {
     fn duplicate_inserts_do_not_grow_models() {
         let mut cache = CacheSim::new(CacheConfig::default());
         let mut btree = TraceBTree::new(8);
-        let mut bskip = TraceBSkipList::new(8, 4, 4, 2);
+        let mut bskip = bskip::<8>(4, 2);
         let mut skip = TraceSkipList::new(2);
         for _ in 0..3 {
             for key in 0..100u64 {
@@ -830,7 +593,7 @@ mod tests {
     #[test]
     fn scans_return_requested_counts() {
         let mut cache = CacheSim::new(CacheConfig::default());
-        let mut bskip = TraceBSkipList::new(16, 8, 4, 3);
+        let mut bskip = bskip::<16>(4, 3);
         let mut btree = TraceBTree::new(16);
         for key in 0..1000u64 {
             bskip.insert(key * 2, &mut cache);
@@ -851,7 +614,7 @@ mod tests {
         let keys = 60_000u64;
         let skip_cache = drive(&mut TraceSkipList::new(7), keys);
         let btree_cache = drive(&mut TraceBTree::new(64), keys);
-        let bskip_cache = drive(&mut TraceBSkipList::new(128, 64, 5, 7), keys);
+        let bskip_cache = drive(&mut bskip::<128>(5, 7), keys);
         let skip_misses = skip_cache.stats().misses as f64;
         let btree_misses = btree_cache.stats().misses as f64;
         let bskip_misses = bskip_cache.stats().misses as f64;
@@ -866,11 +629,29 @@ mod tests {
     }
 
     #[test]
+    fn traced_runs_are_deterministic() {
+        // Load + C twice: addresses derived from pointers or hash order
+        // would show up as differing counts.
+        let run = || {
+            let mut model = bskip::<128>(5, 1);
+            let mut cache = drive(&mut model, 20_000);
+            for i in (0..20_000u64).rev() {
+                assert!(model.get(i.wrapping_mul(0x9E3779B97F4A7C15), &mut cache));
+            }
+            cache.stats()
+        };
+        let first = run();
+        assert!(first.misses > 0 && first.accesses > 20 * 20_000);
+        assert_eq!(first, run());
+    }
+
+    #[test]
     fn paper_default_model_matches_parameters() {
-        let model = TraceBSkipList::paper_default(1);
-        assert_eq!(model.node_keys, 128);
-        assert_eq!(model.denominator, 64);
-        assert_eq!(model.max_height, 5);
+        let config = BSkipConfig::paper_default();
+        let model = TracedBSkipList::<128>::new(config, 1);
+        assert_eq!(model.list.node_capacity(), 128);
+        assert_eq!(model.list.max_height(), 5);
+        assert_eq!(config.promotion_denominator(model.list.node_capacity()), 64);
         assert!(model.is_empty());
     }
 }

@@ -8,11 +8,21 @@
 //! 1. it is the differential-testing oracle for the concurrent list (both
 //!    are driven with identical keys *and identical promotion heights*, so
 //!    their structure must match node for node);
-//! 2. it is the structure walked by the cache simulator experiments, where
+//! 2. it is the structure walked by the cache simulator experiments
+//!    (`bskip-cachesim` drives it through a [`Tracer`]), where
 //!    single-threaded determinism matters more than parallel throughput;
 //! 3. it documents the algorithm of Section 3 without the concurrency
 //!    machinery of Section 4, which makes it the easiest entry point for
 //!    readers of the code.
+//!
+//! The last type parameter is a [`Tracer`], told which nodes an operation
+//! allocates, peeks at, searches, reads and writes (`to_vec`,
+//! `nodes_per_level` and `validate` are diagnostics and report nothing).
+//! It only observes; the default, [`NoTrace`], is zero-sized and its empty
+//! inlined methods compile to nothing.  An insertion reports both of its
+//! descents — `replace_existing`, then `insert_absent` from the top again:
+//! the second revisits nodes the first just loaded, so a cache model sees
+//! more accesses, not more misses.
 
 use bskip_index::{IndexKey, IndexValue};
 
@@ -24,6 +34,38 @@ type NodeId = usize;
 
 /// Sentinel meaning "no node".
 const NIL: NodeId = usize::MAX;
+
+/// Observer of the memory a [`SeqBSkipList`] operation touches.  The `n`-th
+/// node allocated has id `n`, announced by [`Tracer::node_allocated`] before
+/// any other event names it.  Slot `i` of a node is its `i`-th key with the
+/// value or child pointer aligned with it; `count` may be zero (an empty
+/// split half, a scan starting behind a node's last key).
+pub trait Tracer {
+    /// Node `id` was allocated: a level head, a tower, split or spill node.
+    #[inline]
+    fn node_allocated(&self, _id: usize) {}
+    /// A right-walk read successor `id`'s first key to decide on stepping.
+    #[inline]
+    fn header_peeked(&self, _id: usize) {}
+    /// Node `id`'s header was read and its `len` keys binary-searched.
+    #[inline]
+    fn node_searched(&self, _id: usize, _len: usize) {}
+    /// `count` slots of node `id` from slot `from` were read: the value of
+    /// a `get`, the run a scan visits, the source of a split.
+    #[inline]
+    fn slots_read(&self, _id: usize, _from: usize, _count: usize) {}
+    /// `count` slots of node `id` from slot `from` were written: a replaced
+    /// value, the suffix an insert (new entry included) or remove shifts,
+    /// the destination of a split, a pre-allocated tower's entry.
+    #[inline]
+    fn slots_written(&self, _id: usize, _from: usize, _count: usize) {}
+}
+
+/// The default [`Tracer`]: zero-sized, observes nothing, costs nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoTrace;
+
+impl Tracer for NoTrace {}
 
 /// A node of the sequential B-skiplist.
 #[derive(Debug, Clone)]
@@ -72,7 +114,8 @@ impl<K, V> SeqNode<K, V> {
 /// assert_eq!(list.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SeqBSkipList<K, V, const B: usize = 128> {
+pub struct SeqBSkipList<K, V, const B: usize = 128, T = NoTrace> {
+    tracer: T,
     arena: Vec<SeqNode<K, V>>,
     /// Head node of every level, bottom (index 0) to top.
     heads: Vec<NodeId>,
@@ -97,6 +140,14 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
     /// Creates an empty list with an explicit configuration and seed for
     /// the promotion-height sampler.
     pub fn with_config_and_seed(config: BSkipConfig, seed: u64) -> Self {
+        Self::with_tracer(config, seed, NoTrace)
+    }
+}
+
+impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B, T> {
+    /// [`SeqBSkipList::with_config_and_seed`], reporting to `tracer` from
+    /// the allocation of the level heads on.
+    pub fn with_tracer(config: BSkipConfig, seed: u64, tracer: T) -> Self {
         config
             .validate()
             .unwrap_or_else(|err| panic!("invalid BSkipConfig: {err}"));
@@ -111,15 +162,22 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
             }
             arena.push(node);
             heads.push(id);
+            tracer.node_allocated(id);
         }
         let denominator = config.promotion_denominator(B);
         SeqBSkipList {
+            tracer,
             arena,
             heads,
             config,
             sampler: HeightSampler::new(denominator, config.max_height, seed),
             len: 0,
         }
+    }
+
+    /// The tracer the list reports to.
+    pub fn tracer(&self) -> &T {
+        &self.tracer
     }
 
     /// Number of keys stored.
@@ -167,6 +225,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
     fn alloc(&mut self, level: usize) -> NodeId {
         let id = self.arena.len();
         self.arena.push(SeqNode::new(level, false));
+        self.tracer.node_allocated(id);
         id
     }
 
@@ -174,16 +233,29 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
     fn walk_right(&self, mut node: NodeId, key: &K) -> NodeId {
         loop {
             let next = self.node(node).next;
-            if next == NIL || self.node(next).keys[0] > *key {
+            if next == NIL || self.peek(next) > *key {
                 return node;
             }
             node = next;
         }
     }
 
+    /// The header (first key) of `next`, as a right-walk reads it.
+    fn peek(&self, next: NodeId) -> K {
+        self.tracer.header_peeked(next);
+        self.node(next).keys[0]
+    }
+
+    /// `node`, reported as searched: every caller binary-searches its keys.
+    fn searched(&self, node: NodeId) -> &SeqNode<K, V> {
+        let n = self.node(node);
+        self.tracer.node_searched(node, n.keys.len());
+        n
+    }
+
     /// The child to descend into from `node` when searching for `key`.
     fn descend(&self, node: NodeId, key: &K) -> NodeId {
-        let n = self.node(node);
+        let n = self.searched(node);
         match n.keys.partition_point(|k| k <= key) {
             0 => {
                 debug_assert!(n.is_head);
@@ -209,9 +281,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
 
     /// Point lookup.
     pub fn get(&self, key: &K) -> Option<V> {
-        let leaf = self.node(self.covering_leaf(key));
-        let index = leaf.keys.binary_search(key).ok()?;
-        Some(leaf.values[index])
+        let leaf = self.covering_leaf(key);
+        let index = self.searched(leaf).keys.binary_search(key).ok()?;
+        self.tracer.slots_read(leaf, index, 1);
+        Some(self.node(leaf).values[index])
     }
 
     /// Whether `key` is present.
@@ -225,15 +298,17 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
             return 0;
         }
         let mut current = self.covering_leaf(start);
-        let mut index = self.node(current).keys.partition_point(|k| k < start);
+        let mut index = self.searched(current).keys.partition_point(|k| k < start);
         let mut visited = 0;
         loop {
             let n = self.node(current);
+            let from = index;
             while index < n.keys.len() && visited < len {
                 visit(&n.keys[index], &n.values[index]);
                 visited += 1;
                 index += 1;
             }
+            self.tracer.slots_read(current, from, index - from);
             if visited == len || n.next == NIL {
                 return visited;
             }
@@ -260,7 +335,8 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
     /// "leaf first" half of an insertion.
     fn replace_existing(&mut self, key: &K, value: V) -> Option<V> {
         let leaf = self.covering_leaf(key);
-        let index = self.node(leaf).keys.binary_search(key).ok()?;
+        let index = self.searched(leaf).keys.binary_search(key).ok()?;
+        self.tracer.slots_written(leaf, index, 1);
         Some(std::mem::replace(
             &mut self.node_mut(leaf).values[index],
             value,
@@ -301,12 +377,14 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
             let leaf = self.alloc(0);
             self.node_mut(leaf).keys.push(key);
             self.node_mut(leaf).values.push(value);
+            self.tracer.slots_written(leaf, 0, 1);
             prealloc.push(leaf);
             for level in 1..height {
                 let internal = self.alloc(level);
                 self.node_mut(internal).keys.push(key);
                 let child = prealloc[level - 1];
                 self.node_mut(internal).children.push(child);
+                self.tracer.slots_written(internal, 0, 1);
                 prealloc.push(internal);
             }
         }
@@ -319,7 +397,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
                 self.descend(node, &key)
             } else {
                 let insert_pos = self
-                    .node(node)
+                    .searched(node)
                     .keys
                     .binary_search(&key)
                     .expect_err("insert_absent is only called for absent keys");
@@ -364,6 +442,8 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
         } else {
             (node, insert_pos)
         };
+        let shifted = self.node(target).keys.len() + 1 - local_pos;
+        self.tracer.slots_written(target, local_pos, shifted);
         let target_node = self.node_mut(target);
         target_node.keys.insert(local_pos, key);
         if level == 0 {
@@ -418,6 +498,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
     /// Moves `src`'s entries from `from` onward to the end of `dst`.
     fn split_off_into(&mut self, src: NodeId, from: usize, dst: NodeId) {
         let level = self.node(src).level;
+        let count = self.node(src).keys.len() - from;
+        self.tracer.slots_read(src, from, count);
+        self.tracer
+            .slots_written(dst, self.node(dst).keys.len(), count);
         let keys: Vec<K> = self.node_mut(src).keys.split_off(from);
         self.node_mut(dst).keys.extend(keys);
         if level == 0 {
@@ -447,16 +531,18 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
             // Walk right, remembering the predecessor node.
             loop {
                 let next = self.node(node).next;
-                if next == NIL || self.node(next).keys[0] > *key {
+                if next == NIL || self.peek(next) > *key {
                     break;
                 }
                 prev = node;
                 node = next;
             }
-            let position = self.node(node).keys.binary_search(key);
+            let position = self.searched(node).keys.binary_search(key);
             let mut descend_from = node;
             let mut descend_index: Option<usize> = None;
             if let Ok(index) = position {
+                let shifted = self.node(node).keys.len() - 1 - index;
+                self.tracer.slots_written(node, index, shifted);
                 let n = self.node_mut(node);
                 n.keys.remove(index);
                 let value = if n.level == 0 {
@@ -481,6 +567,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
                         } else {
                             None
                         };
+                        if let Some(last) = descend_index {
+                            self.tracer.slots_read(prev, last, 1);
+                        }
                     }
                 }
                 // Unlink the node if it became empty (head nodes may stay).
@@ -655,6 +744,116 @@ mod tests {
         }
         list.validate().unwrap();
         assert_eq!(list.to_vec(), oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Counts the events of each kind, in trait order.
+    #[derive(Default)]
+    struct Counting([std::cell::Cell<u64>; 5]);
+
+    impl Counting {
+        fn bump(&self, kind: usize) {
+            self.0[kind].set(self.0[kind].get() + 1);
+        }
+    }
+
+    impl Tracer for Counting {
+        fn node_allocated(&self, _: usize) {
+            self.bump(0);
+        }
+        fn header_peeked(&self, _: usize) {
+            self.bump(1);
+        }
+        fn node_searched(&self, _: usize, _: usize) {
+            self.bump(2);
+        }
+        fn slots_read(&self, _: usize, _: usize, _: usize) {
+            self.bump(3);
+        }
+        fn slots_written(&self, _: usize, _: usize, _: usize) {
+            self.bump(4);
+        }
+    }
+
+    /// One operation stream — forced heights with an overflow, a spill and
+    /// promotion splits, overwrites, removes, gets and ranges — applied to
+    /// `list`; returns everything observable about the run.
+    #[allow(clippy::type_complexity)]
+    fn observe<const B: usize, T: Tracer>(
+        list: &mut SeqBSkipList<u64, u64, B, T>,
+    ) -> (Vec<Option<u64>>, Vec<(u64, u64)>, Vec<usize>) {
+        let b = B as u64;
+        let mut results = Vec::new();
+        // `B` ascending height-0 keys fill the head leaf; one more
+        // overflows it, leaving the lower half behind.
+        for key in 0..b {
+            results.push(list.insert_with_height(100 + key * 10, key, 0));
+        }
+        assert_eq!(list.nodes_per_level(), [1, 1, 1, 1]);
+        results.push(list.insert_with_height(100 + b * 10, b, 0));
+        assert_eq!(list.nodes_per_level(), [2, 1, 1, 1], "overflow split");
+        // Refill the head leaf to exactly `B` keys, then promote a key
+        // smaller than all of them: the `B` keys behind it do not fit into
+        // the pre-allocated node next to it, so one extra node takes the
+        // tail.
+        for key in 0..b - b / 2 {
+            results.push(list.insert_with_height(101 + key * 10, key, 0));
+        }
+        assert_eq!(list.nodes_per_level(), [2, 1, 1, 1]);
+        results.push(list.insert_with_height(5, 55, 2));
+        assert_eq!(list.nodes_per_level(), [4, 2, 1, 1], "spill split");
+        // Scattered keys of every height: promotion splits at all levels.
+        let mut heights = HeightSampler::new(2, 4, 99);
+        for i in 0..100 * b {
+            let key = 100 + (i * 2654435761) % (1_000 * b);
+            results.push(list.insert_with_height(key, i, heights.sample()));
+        }
+        for i in 0..300u64 {
+            let key = 100 + (i * 40503) % (1_000 * b);
+            results.push(list.insert(key, i)); // overwrites and fresh keys
+            results.push(list.get(&(key + i % 2)));
+            if i % 3 == 0 {
+                results.push(list.remove(&key));
+            }
+            let mut seen = Vec::new();
+            let visited = list.range(&key, 1 + (i as usize % (3 * B)), &mut |k, v| {
+                seen.push(Some(*k ^ *v));
+            });
+            assert_eq!(visited, seen.len());
+            results.extend(seen);
+        }
+        // Header keys of non-head nodes: removal continues in the
+        // predecessor node.
+        for key in list.to_vec().iter().map(|(key, _)| *key).step_by(B / 2) {
+            results.push(list.remove(&key));
+        }
+        list.validate().unwrap();
+        (results, list.to_vec(), list.nodes_per_level())
+    }
+
+    fn tracer_is_observational<const B: usize>() {
+        let config = BSkipConfig::default().with_max_height(4);
+        let mut plain: SeqBSkipList<u64, u64, B> = SeqBSkipList::with_config_and_seed(config, 9);
+        let mut traced: SeqBSkipList<u64, u64, B, Counting> =
+            SeqBSkipList::with_tracer(config, 9, Counting::default());
+        assert_eq!(observe(&mut plain), observe(&mut traced));
+        let nodes: usize = traced.nodes_per_level().iter().sum();
+        // The tracer saw events of every kind.
+        let counts = traced.tracer().0.each_ref().map(std::cell::Cell::get);
+        assert!(counts.iter().all(|&count| count > 0), "{counts:?}");
+        assert!(counts[0] >= nodes as u64, "every node was announced");
+    }
+
+    #[test]
+    fn tracing_changes_nothing_and_sees_every_kind_of_event() {
+        tracer_is_observational::<4>();
+        tracer_is_observational::<8>();
+        assert_eq!(std::mem::size_of::<NoTrace>(), 0);
+        // The default tracer adds no bytes to the list either.
+        assert_eq!(
+            std::mem::size_of::<SeqBSkipList<u64, u64>>(),
+            std::mem::size_of::<SeqBSkipList<u64, u64, 128, Counting>>()
+                - std::mem::size_of::<Counting>()
+        );
     }
 
     #[test]

@@ -704,6 +704,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
     }
 
+    /// The one place a failed maintenance operation is counted: once in
+    /// `io_errors`, whether it was retried (rotation points) or called
+    /// directly (`rotate` / `flush` / `compact` / `maintain`).
+    fn count_failure<T>(&self, result: io::Result<T>) -> io::Result<T> {
+        result.inspect_err(|_| self.counters.io_errors.incr())
+    }
+
     /// Runs `step` up to [`MAINTENANCE_ATTEMPTS`] times under exponential
     /// backoff; a final failure counts one `io_error` and is returned.
     fn retry_maintenance(&self, mut step: impl FnMut() -> io::Result<()>) -> io::Result<()> {
@@ -718,8 +725,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 Err(error) => last = Some(error),
             }
         }
-        self.counters.io_errors.incr();
-        Err(last.unwrap_or_else(|| io::Error::other("bskip-lsm: maintenance failed")))
+        let last = last.unwrap_or_else(|| io::Error::other("bskip-lsm: maintenance failed"));
+        self.count_failure(Err(last))
     }
 
     /// Seals the memtable if it has outgrown its budget, then (in
@@ -1001,7 +1008,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let mut write = self.write_lock();
         let non_empty = !self.read_state().memtable.is_empty();
         if non_empty {
-            self.rotate_locked(&mut write)?;
+            self.count_failure(self.rotate_locked(&mut write))?;
         }
         Ok(())
     }
@@ -1011,7 +1018,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     pub fn flush(&self) -> io::Result<usize> {
         let mut write = self.write_lock();
         let mut drained = 0;
-        while self.flush_locked(&mut write)? {
+        while self.count_failure(self.flush_locked(&mut write))? {
             drained += 1;
         }
         Ok(drained)
@@ -1022,7 +1029,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     pub fn compact(&self) -> io::Result<usize> {
         let mut write = self.write_lock();
         let mut ran = 0;
-        while self.compact_locked(&mut write)? {
+        while self.count_failure(self.compact_locked(&mut write))? {
             ran += 1;
         }
         Ok(ran)
@@ -1034,7 +1041,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     pub fn maintain(&self) -> io::Result<()> {
         self.rotate()?;
         let mut write = self.write_lock();
-        self.maintain_locked(&mut write)
+        self.count_failure(self.maintain_locked(&mut write))
     }
 }
 
@@ -1708,6 +1715,7 @@ mod tests {
 
         let error = engine.compact().expect_err("an input cannot be read");
         assert!(error.to_string().contains("input read failed"), "{error}");
+        assert_eq!(engine.io_errors(), 1, "one per failed `compact()`");
         assert_eq!(engine.tables_per_level(), tables_before);
         assert_eq!(table_files(), files_before, "no output, no input touched");
         assert_eq!(engine.stats().get("compactions"), compactions_before);

@@ -220,6 +220,50 @@ mod tests {
         handle.shutdown();
     }
 
+    #[test]
+    fn requests_before_a_malformed_frame_are_answered_before_the_error() {
+        use std::io::{Read as _, Write as _};
+        let handle = start_server(ServerConfig::default());
+        // A healthy window first, so the connection's write buffer holds
+        // stale bytes when the poisoned window arrives.
+        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let mut bytes = Vec::new();
+        crate::proto::encode_request(&Request::Ping, &mut bytes).unwrap();
+        raw.write_all(&bytes).unwrap();
+        let mut pong = [0u8; 5];
+        raw.read_exact(&mut pong).unwrap();
+
+        // One write: Put 7, Get 7, then a frame with an unknown opcode.
+        bytes.clear();
+        crate::proto::encode_request(&Request::put(7, 70), &mut bytes).unwrap();
+        crate::proto::encode_request(&Request::Get { key: 7 }, &mut bytes).unwrap();
+        bytes.extend_from_slice(&[1, 0, 0, 0, 0x7F]);
+        raw.write_all(&bytes).unwrap();
+        let mut buf = Vec::new();
+        raw.read_to_end(&mut buf).unwrap();
+        let mut decoder = crate::FrameDecoder::new();
+        decoder.extend(&buf);
+        let mut responses = Vec::new();
+        while let Some(response) = decoder.decode_response().unwrap() {
+            responses.push(response);
+        }
+        match responses.as_slice() {
+            [Response::Missing, Response::Found { value: 70 }, Response::Error { code, .. }] => {
+                assert_eq!(*code, ErrorCode::Malformed)
+            }
+            other => panic!("expected Missing, Found, Error{{Malformed}}; got {other:?}"),
+        }
+
+        // The mutation was applied exactly once.
+        let mut conn = Connection::connect(handle.addr()).expect("connect");
+        assert_eq!(conn.put(7, 71).unwrap(), Some(70));
+        let stats = conn.stats().unwrap();
+        let get = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(get("index_len"), 1);
+        assert_eq!(get("server_batched_ops"), 3);
+        handle.shutdown();
+    }
+
     /// Wraps an in-memory index with a switchable degraded flag, standing
     /// in for an LSM engine whose WAL failed.
     struct DegradedSwitch {

@@ -340,11 +340,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
                 Ok(None) => break,
                 Err(error) => {
                     // Answer everything decoded before the poisoned
-                    // frame, then one terminal error frame.
-                    if !requests.is_empty() {
-                        answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
-                    }
-                    write_buf.clear();
+                    // frame (an empty run only clears the previous
+                    // window's bytes out of `write_buf`), then one
+                    // terminal error frame behind those answers.
+                    answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
                     encode_response(&error_response(&error), &mut write_buf)?;
                     let _ = stream.write_all(&write_buf);
                     let _ = stream.shutdown(Shutdown::Both);
