@@ -1,9 +1,12 @@
 //! Section 5.2 statistic: how often each index takes its root/top-level
-//! lock in write mode during the load phase and during workload A.
+//! lock in write mode during the load phase, during workload A and — the
+//! paper's workloads delete nothing — during the delete-churn mix.
 //!
 //! The paper reports 26 K root write locks for the B+-tree versus 7 for the
 //! B-skiplist during the load phase (8.3 K vs 3 during workload A) — the
-//! structural explanation for the B+-tree's heavier latency tail.
+//! structural explanation for the B+-tree's heavier latency tail.  Deletes
+//! are symmetric (footnote 3): a removal write-locks the B-skiplist's top
+//! level only when the removed key's tower reaches it.
 
 use bskip_baselines::OccBTree;
 use bskip_bench::{experiment_config, format_row, print_header};
@@ -19,41 +22,37 @@ fn main() {
     );
     print_header(
         "Root / top-level write-lock acquisitions",
-        &["index", "load phase", "workload A"],
+        &["index", "load phase", "workload A", "churn"],
     );
 
     // B-skiplist with statistics enabled.
     let bsl: BSkipList<u64, u64> =
         BSkipList::with_config(BSkipConfig::paper_default().with_stats(true));
     run_load_phase(&bsl, &config);
-    let bsl_load = bsl.stats().top_level_write_locks.get();
-    bsl.stats().reset();
-    run_run_phase(&bsl, Workload::A, &config);
-    let bsl_run = bsl.stats().top_level_write_locks.get();
-    println!(
-        "{}",
-        format_row(&[
-            "B-skiplist".into(),
-            bsl_load.to_string(),
-            bsl_run.to_string()
-        ])
-    );
+    let mut row = vec![
+        "B-skiplist".to_string(),
+        bsl.stats().top_level_write_locks.get().to_string(),
+    ];
+    for workload in [Workload::A, Workload::Churn] {
+        bsl.stats().reset();
+        run_run_phase(&bsl, workload, &config);
+        row.push(bsl.stats().top_level_write_locks.get().to_string());
+    }
+    println!("{}", format_row(&row));
 
     // OCC B+-tree.
     let obt: OccBTree<u64, u64> = OccBTree::new();
     run_load_phase(&obt, &config);
-    let obt_load = obt.root_write_locks();
-    obt.reset_root_write_locks();
-    run_run_phase(&obt, Workload::A, &config);
-    let obt_run = obt.root_write_locks();
-    println!(
-        "{}",
-        format_row(&[
-            "OCC B+-tree".into(),
-            obt_load.to_string(),
-            obt_run.to_string()
-        ])
-    );
+    let mut row = vec![
+        "OCC B+-tree".to_string(),
+        obt.root_write_locks().to_string(),
+    ];
+    for workload in [Workload::A, Workload::Churn] {
+        obt.reset_root_write_locks();
+        run_run_phase(&obt, workload, &config);
+        row.push(obt.root_write_locks().to_string());
+    }
+    println!("{}", format_row(&row));
 
     println!("\nPaper (100M keys): B+-tree 26K / 8.3K vs B-skiplist 7 / 3.");
     println!(

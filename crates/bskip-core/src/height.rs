@@ -9,8 +9,6 @@
 //! present key draws nothing, so the heights of the stored keys are exactly
 //! geometric whatever the operation history.
 
-use std::cell::Cell;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -20,8 +18,6 @@ thread_local! {
     /// insert of a new key samples a height.
     static HEIGHT_RNG: std::cell::RefCell<SmallRng> =
         std::cell::RefCell::new(SmallRng::from_entropy());
-    /// Thread-local override used by deterministic tests.
-    static FORCED_HEIGHT: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Samples a promotion height in `0..max_height`.
@@ -29,9 +25,6 @@ thread_local! {
 /// The height is geometric with success probability `1/denominator`:
 /// `P(height ≥ l) = denominator^{-l}` for `l < max_height`.
 pub fn sample_height(denominator: u32, max_height: usize) -> usize {
-    if let Some(forced) = FORCED_HEIGHT.with(Cell::get) {
-        return forced.min(max_height.saturating_sub(1));
-    }
     debug_assert!(denominator >= 2);
     debug_assert!(max_height >= 1);
     HEIGHT_RNG.with(|rng| {
@@ -42,18 +35,6 @@ pub fn sample_height(denominator: u32, max_height: usize) -> usize {
         }
         height
     })
-}
-
-/// Forces every subsequent call to [`sample_height`] *on this thread* to
-/// return `height` (clamped to the maximum) until [`clear_forced_height`]
-/// is called.  Only intended for tests that need deterministic structure.
-pub fn force_height(height: usize) {
-    FORCED_HEIGHT.with(|cell| cell.set(Some(height)));
-}
-
-/// Clears a previous [`force_height`] override on this thread.
-pub fn clear_forced_height() {
-    FORCED_HEIGHT.with(|cell| cell.set(None));
 }
 
 /// Reseeds this thread's height RNG.  Benchmarks use this to make runs
@@ -116,17 +97,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(sample_height(2, 1), 0);
         }
-    }
-
-    #[test]
-    fn forced_height_overrides_sampling() {
-        force_height(3);
-        assert_eq!(sample_height(64, 6), 3);
-        // Clamped to the maximum level.
-        assert_eq!(sample_height(64, 2), 1);
-        clear_forced_height();
-        // After clearing, values are random but bounded again.
-        assert!(sample_height(64, 6) < 6);
     }
 
     #[test]

@@ -75,8 +75,9 @@
 //! serves entries from the buffer with no locks held, so a scan never
 //! blocks writers for longer than one node and streams whole
 //! cache-resident nodes (the property the paper's Section 4 range query
-//! has).  `seek` re-descends; `prev` is supported through descents biased
-//! to the greatest qualifying key (the leaf level is forward-linked only).
+//! has).  `seek` re-descends; `prev` is supported through the same
+//! lock-free descent, probing for the greatest qualifying key once per
+//! leaf (the leaf level is forward-linked only).
 //!
 //! **Consistency contract** (also documented in [`bskip_index::cursor`]):
 //! a cursor over a concurrently mutated list yields every in-range entry
@@ -130,7 +131,8 @@
 //! write locks the leaf it changes and nothing else in the common case
 //! (an overwrite, or an insert that draws height 0 — 63 of 64 at the
 //! paper's `p = 1/64`); structural work makes a single top-down pass from
-//! the key's promotion height and never revisits a level, which is what
+//! the key's promotion height — drawn by an insertion, read off the
+//! structure by a removal — and never revisits a level, which is what
 //! gives the B-skiplist its low tail latency compared to optimistic
 //! B-trees (which retire to the root on structural modification).  The
 //! lock-free descents in front of both restart on a version conflict, a

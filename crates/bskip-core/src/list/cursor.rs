@@ -11,11 +11,12 @@
 //!
 //! # Traversal scheme
 //!
-//! * **Forward** (`next`): the initial position comes from an optimistic
-//!   (lock-free, version-validated) descent to the leaf covering the lower
-//!   bound; the leaf itself is then read-locked for the snapshot and its
-//!   version re-checked under that lock, with the classic hand-over-hand
-//!   read-locked descent as the contention fallback.
+//! * **Forward** (`next`): the initial position comes from the list's one
+//!   positioning entry (`leaf.rs`, `lock_covering`, in shared mode): an
+//!   optimistic (lock-free, version-validated) descent to the leaf covering
+//!   the lower bound; the leaf itself is then read-locked for the snapshot
+//!   and its version re-checked under that lock, with the classic
+//!   hand-over-hand read-locked descent as the contention fallback.
 //!   While snapshotting a leaf, the cursor captures the leaf's `next`
 //!   pointer under the same lock; the following refill locks that
 //!   neighbour directly, so steady-state forward scans cost one lock
@@ -41,10 +42,13 @@
 //! and lets the retired-node backlog grow.  `seek` re-pins, and dropping
 //! the cursor releases the epoch entirely.
 //! * **Reverse** (`prev`): the leaf level has no back pointers, so every
-//!   reverse refill performs a fresh descent biased to the *greatest* key
-//!   below the current position and snapshots that leaf's in-range slots in
-//!   descending order.  A reverse scan therefore costs one descent per
-//!   node, which matches the structure (the paper's B-skiplist is
+//!   reverse refill positions afresh — through the same entry and the same
+//!   optimistic descent, probing for the *greatest* key below the current
+//!   position (or the last key of the list) instead of the key itself —
+//!   and snapshots that leaf's in-range slots in descending order.  A
+//!   reverse scan therefore costs one lock-free descent and one leaf read
+//!   lock per node, and locks neither the root nor any level above the
+//!   leaf, which matches the structure (the paper's B-skiplist is
 //!   forward-linked only).
 //!
 //! # Consistency
@@ -65,7 +69,7 @@ use bskip_index::cursor::{above_lower, below_upper};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::{lock_node, unlock_node, AtMost, BSkipList, Below, Last, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 /// Iteration direction of the batch currently buffered.
@@ -150,21 +154,19 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
     /// Descends to the leaf covering the forward resume position and
     /// snapshots it.  `bound` must be the value of [`Self::resume_bound`].
     fn descend_and_snapshot_forward(&mut self, bound: Bound<K>) {
-        // SAFETY: hand-over-hand read locking; the leaf returned by the
-        // descent is locked, as `snapshot_forward` requires.
+        // SAFETY: the leaf either way is read-locked, as `snapshot_forward`
+        // requires; `self.guard` supplies the epoch pin `lock_covering`'s
+        // optimistic descent requires.
         unsafe {
+            let list = self.list;
             let leaf = match &bound {
                 Bound::Unbounded => {
-                    let head = self.list.head(0);
+                    let head = list.head(0);
                     lock_node(head, Mode::Read);
                     head
                 }
                 Bound::Included(key) | Bound::Excluded(key) => {
-                    // Optimistic-first: the descent takes no locks; only
-                    // the leaf to snapshot is read-locked (and validated
-                    // under that lock).  `self.guard` supplies the epoch
-                    // pin the optimistic walk requires.
-                    self.list.descend_to_leaf_for_snapshot(key)
+                    list.lock_covering(AtMost(key), 0, Mode::Read, &mut None)
                 }
             };
             self.snapshot_forward(leaf, &bound);
@@ -232,82 +234,16 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
     /// Descends to the leaf containing the greatest key satisfying `upper`
     /// and snapshots its qualifying slots in descending order.
     fn descend_and_snapshot_reverse(&mut self, upper: Bound<K>) {
-        // SAFETY: hand-over-hand read locking, mirroring the forward
-        // descent but biased right: at every level the traversal advances
-        // while the successor still holds keys satisfying `upper`, then
-        // follows the child of the greatest qualifying separator.
+        // SAFETY: as for the forward positioning; the probe is the greatest
+        // key satisfying `upper`, and the leaf holding it comes back
+        // read-locked and validated.
         unsafe {
             let list = self.list;
-            let mut level = list.top_level();
-            let mut curr = list.head(level);
-            lock_node(curr, Mode::Read);
-            loop {
-                // Walk right while the successor still qualifies.
-                loop {
-                    let next = (*curr).next();
-                    if next.is_null() {
-                        break;
-                    }
-                    prefetch_node(next);
-                    lock_node(next, Mode::Read);
-                    let advance = match &upper {
-                        Bound::Unbounded => true,
-                        Bound::Included(key) => (*next).header_covers(key),
-                        Bound::Excluded(key) => (*next).header_below(key),
-                    };
-                    if advance {
-                        unlock_node(curr, Mode::Read);
-                        curr = next;
-                        if let Some(stats) = list.stats_enabled() {
-                            stats.horizontal_steps.incr();
-                        }
-                    } else {
-                        unlock_node(next, Mode::Read);
-                        break;
-                    }
-                }
-                if level == 0 {
-                    break;
-                }
-                let child = match &upper {
-                    Bound::Unbounded => {
-                        if !(*curr).is_empty() {
-                            (*curr).child_at((*curr).len() - 1)
-                        } else {
-                            debug_assert!((*curr).is_head());
-                            (*curr).head_child()
-                        }
-                    }
-                    Bound::Included(key) => list.descend_pointer(curr, key),
-                    Bound::Excluded(key) => match (*curr).search(key) {
-                        NodeSearch::Found(idx) => {
-                            if idx > 0 {
-                                (*curr).child_at(idx - 1)
-                            } else {
-                                // The walk invariant guarantees a non-head
-                                // node's header is strictly below an
-                                // exclusive upper bound, so `Found(0)` can
-                                // only happen on the head sentinel.
-                                debug_assert!((*curr).is_head());
-                                (*curr).head_child()
-                            }
-                        }
-                        NodeSearch::Pred(idx) => (*curr).child_at(idx),
-                        NodeSearch::Before => {
-                            debug_assert!((*curr).is_head());
-                            (*curr).head_child()
-                        }
-                    },
-                };
-                prefetch_node(child);
-                lock_node(child, Mode::Read);
-                unlock_node(curr, Mode::Read);
-                curr = child;
-                level -= 1;
-                if let Some(stats) = list.stats_enabled() {
-                    stats.levels_visited.incr();
-                }
-            }
+            let curr = match &upper {
+                Bound::Unbounded => list.lock_covering(Last, 0, Mode::Read, &mut None),
+                Bound::Included(key) => list.lock_covering(AtMost(key), 0, Mode::Read, &mut None),
+                Bound::Excluded(key) => list.lock_covering(Below(key), 0, Mode::Read, &mut None),
+            };
             // `curr` is the read-locked leaf; snapshot descending.
             self.batch.clear();
             self.pos = 0;
@@ -541,6 +477,119 @@ mod tests {
             seen.push(k);
         }
         assert_eq!(seen, (30..64).rev().collect::<Vec<_>>());
+    }
+
+    /// Forty keys over three levels (a tower of height 1 every 8 keys, of
+    /// height 2 every 16), values ten times the keys, statistics on.
+    fn tall_listing() -> std::sync::Arc<List> {
+        let list = List::with_config(BSkipConfig::default().with_max_height(4).with_stats(true));
+        for key in 0..40u64 {
+            let height = usize::from(key % 8 == 0) + usize::from(key % 16 == 0);
+            list.insert_with_height(key, key * 10, height);
+        }
+        assert!(list.level_shape()[2].1 > 0, "test needs three levels");
+        std::sync::Arc::new(list)
+    }
+
+    #[test]
+    fn reverse_refills_position_through_the_optimistic_descent() {
+        use crate::list::leaf::tests::{assert_unlocked, interleave};
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        let list = tall_listing();
+        let stats = BSkipList::stats(&list);
+        stats.reset();
+        let mut cursor = list.scan(..);
+        assert_eq!(cursor.prev(), Some((39, 390)));
+        // The next refill enters through `lock_covering`: its descent has
+        // reached the leaf, and nothing — no root, no level — is locked.
+        let (other, entered) = (std::sync::Arc::clone(&list), Rc::new(Cell::new(false)));
+        let seen = Rc::clone(&entered);
+        interleave(0, move || {
+            assert_unlocked(&other);
+            seen.set(true);
+        });
+        let mut keys = vec![39];
+        keys.extend(std::iter::from_fn(|| cursor.prev()).map(|(key, _)| key));
+        assert_eq!(keys, (0..40).rev().collect::<Vec<_>>());
+        assert!(entered.get(), "a reverse refill went down some other way");
+        assert_eq!(stats.locked_fallbacks.get(), 0);
+        assert_eq!(stats.optimistic_restarts.get(), 0);
+        assert!(stats.range_leaf_nodes.get() >= 10);
+    }
+
+    #[test]
+    fn contended_reverse_positioning_falls_back_under_every_probe() {
+        use crate::list::leaf::tests::{assert_unlocked, interfere};
+        use crate::list::OPTIMISTIC_ATTEMPTS;
+
+        // The leaf the descent reaches changes before every attempt to
+        // lock it, so the positioning gives up validating and goes down
+        // under hand-over-hand shared locks — probing for the last key,
+        // the greatest key below 20 and the greatest key up to 20.
+        let list = tall_listing();
+        let stats = BSkipList::stats(&list);
+        let cases: [(Bound<u64>, u64); 3] = [
+            (Bound::Unbounded, 39),
+            (Bound::Excluded(20), 19),
+            (Bound::Included(20), 20),
+        ];
+        for (hi, first) in cases {
+            list.insert(first, first * 10);
+            stats.reset();
+            let mut cursor = list.scan_bounds(Bound::Unbounded, hi);
+            interfere(&list, first, OPTIMISTIC_ATTEMPTS);
+            assert_eq!(cursor.prev(), Some((first, 1)), "the last overwrite");
+            assert_eq!(stats.locked_fallbacks.get(), 1, "{hi:?}");
+            assert_eq!(stats.optimistic_restarts.get(), OPTIMISTIC_ATTEMPTS as u64);
+            let rest: Vec<u64> = std::iter::from_fn(|| cursor.prev())
+                .map(|(key, _)| key)
+                .collect();
+            assert_eq!(rest, (0..first).rev().collect::<Vec<_>>(), "{hi:?}");
+            assert_eq!(stats.locked_fallbacks.get(), 1);
+            drop(cursor);
+            assert_unlocked(&list);
+        }
+    }
+
+    #[test]
+    fn reverse_scan_stays_strictly_descending_while_splits_and_header_removals_race() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Even keys stay for the whole test; the writer keeps inserting
+        // the odd ones (splitting leaves, promoting some) and removing
+        // them again (every so often a leaf's header, which unlinks nodes
+        // and folds survivors into the right neighbour).
+        let list = BSkipList::<u64, u64, 8>::with_config(BSkipConfig::default().with_max_height(4));
+        for key in (0..4_000u64).step_by(2) {
+            list.insert(key, key);
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (list, stop) = (&list, &stop);
+            scope.spawn(move || {
+                let mut key = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    list.insert(key % 4_000, key % 4_000);
+                    list.remove(&((key + 1_000) % 4_000));
+                    key += 2;
+                }
+            });
+            for _ in 0..30 {
+                let mut cursor = list.scan(1_000..3_000u64);
+                let (mut previous, mut even) = (u64::MAX, 0);
+                while let Some((key, value)) = cursor.prev() {
+                    assert_eq!(key, value, "torn entry");
+                    assert!(key < previous, "went forwards: {previous} then {key}");
+                    assert!((1_000..3_000).contains(&key));
+                    previous = key;
+                    even += u64::from(key % 2 == 0);
+                }
+                assert_eq!(even, 1_000, "a key that was there throughout was skipped");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        list.validate().expect("structure");
     }
 
     #[test]

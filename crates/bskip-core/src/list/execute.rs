@@ -45,8 +45,9 @@
 //! `insert_structural` with the height the kernel drew, so batching does
 //! not bias the height distribution, and removals of node headers, which
 //! may own towers and may empty (and thus unlink and retire) nodes, run
-//! `remove_inner`.  Both run under the batch's one epoch pin.  `leaf.rs`
-//! has the invariant that makes the leaf-local cases complete.
+//! `remove_structural`.  Both run under the batch's one epoch pin and
+//! enter at the key's own level.  `leaf.rs` has the invariant that makes
+//! the leaf-local cases complete.
 //!
 //! Ordering semantics are those of [`bskip_index::ops`]: the sorted
 //! schedule ([`sorted_order`]) reorders only operations on distinct keys,
@@ -60,7 +61,7 @@ use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::{lock_node, unlock_node, AtMost, BSkipList, Mode};
 use crate::node::{Node, NodeSearch};
 
 /// The write-locked pass an operation needs when the leaf kernel could
@@ -141,7 +142,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 if !leaf.is_null() {
                     unlock_node(leaf, Mode::Write);
                 }
-                leaf = self.lock_covering(&key, 0, &mut position);
+                leaf = self.lock_covering(AtMost(&key), 0, Mode::Write, &mut position);
                 if let Some(stats) = self.stats_enabled() {
                     stats.batch_leaf_locks.incr();
                 }
@@ -172,7 +173,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     Pass::Insert(value, height) => {
                         self.insert_structural(key, value, height, guard)
                     }
-                    Pass::RemoveHeader => self.remove_inner(&key, guard),
+                    Pass::RemoveHeader => self.remove_structural(&key, guard),
                 };
                 let (Op::Get { result, .. }
                 | Op::Insert { result, .. }

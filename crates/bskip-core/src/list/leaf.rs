@@ -5,8 +5,9 @@
 //!
 //! * [`BSkipList::lock_covering`] — reach the node that covers a key at a
 //!   given level **without locking anything above it** and return it
-//!   write-locked (the writer half of optimistic lock coupling; the
-//!   sufficiency argument is in the parent module's *write path* notes);
+//!   locked (exclusive: the writer half of optimistic lock coupling, whose
+//!   sufficiency argument is in the parent module's *write path* notes;
+//!   shared: the cursor's snapshot positioning, forward and reverse);
 //! * the **leaf kernel**, [`BSkipList::upsert_in_leaf`] and
 //!   [`BSkipList::remove_in_leaf`] — apply one mutation under a held,
 //!   covering leaf lock, or say that it needs structural work.  The point
@@ -34,7 +35,7 @@
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Backoff;
 
-use super::{BSkipList, Mode, Position, OPTIMISTIC_ATTEMPTS};
+use super::{BSkipList, Mode, Position, Probe, OPTIMISTIC_ATTEMPTS};
 use crate::node::{Node, NodeSearch};
 
 /// The key is the header of a non-head leaf: it may own a tower and its
@@ -43,39 +44,56 @@ use crate::node::{Node, NodeSearch};
 pub(super) struct HeaderKey;
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
-    /// Returns the node covering `key` at `level`, **write-locked**.
+    /// Returns the node `probe` positions on at `level` — for a point
+    /// operation, the node covering its key — locked in `mode`.
     ///
     /// The conflict-free path takes exactly that one lock: an optimistic
-    /// descent reaches the node with its version, and
+    /// descent reaches the node with its version, and the node is kept
+    /// only if the version is still the validated one under the lock —
     /// [`lock_exclusive_at`](bskip_sync::RawRwSpinLock::lock_exclusive_at)
-    /// acquires it only if the version is still the validated one — an
-    /// unchanged version under the exclusive hold means the node still
-    /// covers `key` and is still linked.  After [`OPTIMISTIC_ATTEMPTS`]
-    /// failed validations the descent falls back to hand-over-hand shared
-    /// locks down to `level`, so a writer can never livelock.
+    /// for a writer, `lock_shared` then `validate_version` for a snapshot
+    /// (shared acquisitions do not bump the version).  An unchanged
+    /// version under the hold means the node still covers what it covered
+    /// and is still linked.  After [`OPTIMISTIC_ATTEMPTS`] failed
+    /// validations the descent falls back to hand-over-hand shared locks
+    /// down to `level`, so no caller can livelock.
     ///
     /// `position` is where the first attempt resumes from and what the
     /// successful one leaves behind for the next call
-    /// (`try_descend_optimistic_to`); a failed attempt drops it.  The
-    /// point writers pass `&mut None`.
+    /// (`try_descend_optimistic_to`); a failed attempt drops it.  Only a
+    /// batch keeps one; everyone else passes `&mut None`.
     ///
     /// # Safety
     ///
     /// The caller must hold an epoch pin across the call — the same one
     /// since `position` was filled — and must release the returned node's
-    /// write lock; `level <= top_level()`.
-    pub(super) unsafe fn lock_covering(
+    /// lock; `level <= top_level()`.
+    pub(super) unsafe fn lock_covering<P: Probe<K>>(
         &self,
-        key: &K,
+        probe: P,
         level: usize,
+        mode: Mode,
         position: &mut Option<Position<K, V, B>>,
     ) -> *mut Node<K, V, B> {
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level, position) {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(probe, level, position) {
                 #[cfg(test)]
                 tests::run_interleaved(level);
-                if (*node).lock.lock_exclusive_at(version) {
+                let unchanged = match mode {
+                    Mode::Write => (*node).lock.lock_exclusive_at(version),
+                    Mode::Read => {
+                        (*node).lock.lock_shared();
+                        // The node changed (or was unlinked) between the
+                        // descent and the lock: it may cover something else.
+                        let unchanged = (*node).lock.validate_version(version);
+                        if !unchanged {
+                            (*node).lock.unlock_shared();
+                        }
+                        unchanged
+                    }
+                };
+                if unchanged {
                     return node;
                 }
             }
@@ -87,9 +105,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             backoff.spin();
         }
         if let Some(stats) = self.stats_enabled() {
-            stats.write_descent_fallbacks.incr();
+            match mode {
+                Mode::Read => stats.locked_fallbacks.incr(),
+                Mode::Write => stats.write_descent_fallbacks.incr(),
+            }
         }
-        self.descend_locked(key, level, Mode::Write)
+        self.descend_locked(probe, level, mode)
     }
 
     /// Upserts `key → value` under the held leaf lock: replaces the value
@@ -171,7 +192,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     //! The one new failure mode of the optimistic write path is a write
     //! landing in a node that was unlinked, or stopped covering the key,
     //! *between the descent and the lock*.  The window is a few
@@ -185,6 +206,12 @@ mod tests {
     //! retained unlocked and changed *between two descents*; the same hook
     //! reaches that too — what runs after the first descent of a batch
     //! runs before its second.
+    //!
+    //! A header removal adds its probes: it reads the key's height off the
+    //! structure one level at a time, with no lock held from one probe to
+    //! the next, so the key may be removed, re-inserted taller or shorter,
+    //! moved by a split or lose its leaf to a merge *between a probe's
+    //! descent and its lock* — the hook at that probe's level.
 
     use std::cell::RefCell;
     use std::sync::Arc;
@@ -217,13 +244,13 @@ mod tests {
         }
     }
 
-    fn interleave(level: usize, operation: impl FnOnce() + 'static) {
+    pub(in crate::list) fn interleave(level: usize, operation: impl FnOnce() + 'static) {
         INTERLEAVED.with(|cell| *cell.borrow_mut() = Some((level, Box::new(operation))));
     }
 
     /// Overwrites `key` before each of the next `times` level-0 lock
     /// attempts: every one of them finds its leaf's version moved.
-    fn interfere(list: &Arc<List>, key: u64, times: usize) {
+    pub(in crate::list) fn interfere(list: &Arc<List>, key: u64, times: usize) {
         if times > 0 {
             let list = Arc::clone(list);
             interleave(0, move || {
@@ -354,6 +381,144 @@ mod tests {
         );
         assert_eq!(list.get(&2), Some(20));
         list.validate().expect("structure");
+    }
+
+    /// No node of the list is locked in either mode (at quiescence).
+    pub(in crate::list) fn assert_unlocked<const B: usize>(list: &BSkipList<u64, u64, B>) {
+        for level in 0..list.max_height() {
+            let mut node = list.head(level);
+            while !node.is_null() {
+                // SAFETY: single-threaded walk over linked, live nodes.
+                unsafe {
+                    assert!(!(*node).lock.is_locked(), "a level-{level} node is locked");
+                    node = (*node).next();
+                }
+            }
+        }
+    }
+
+    /// `head{10, 11, 12, 13} → {20, 21, 22}`, the second leaf headed by a
+    /// key of the given height (`>= 1`) with two survivors behind it, so
+    /// that removing it merges nothing.
+    fn header_scenario(height: usize) -> Arc<List> {
+        let list = list();
+        for key in [10u64, 11, 12, 13] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        list.insert_with_height(20, 200, height);
+        for key in [21u64, 22] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        list
+    }
+
+    /// Removes `key` — the interleaved operation runs inside — and checks
+    /// the answer, that the key is gone, the structure, that no lock
+    /// leaked, and how many descents had to be repeated.
+    fn check_header_removal(list: &List, key: u64, removed: Option<u64>, restarts: u64) {
+        assert_eq!(list.remove(&key), removed);
+        assert_eq!(list.get(&key), None);
+        list.validate().expect("structure");
+        assert_unlocked(list);
+        let stats = list.stats();
+        assert_eq!(stats.optimistic_restarts.get(), restarts);
+        assert_eq!(stats.write_descent_fallbacks.get(), 0);
+        assert_eq!(stats.top_level_write_locks.get(), 0);
+    }
+
+    #[test]
+    fn header_removal_follows_a_key_reinserted_taller() {
+        // The level-1 probe reaches `head{20}`, the top of 20's tower.
+        // Before it is locked 20 is removed and comes back with height 2:
+        // the pass must enter at level 2, not at the stale level 1 —
+        // which would leave 20 behind on level 2, above nothing.
+        let list = header_scenario(1);
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.remove(&20), Some(200));
+            assert_eq!(other.insert_with_height(20, 201, 2), None);
+        });
+        check_header_removal(&list, 20, Some(201), 1);
+        assert_eq!(list.level_shape()[2], (1, 0));
+    }
+
+    #[test]
+    fn header_removal_follows_a_key_reinserted_shorter() {
+        // Level 1 says "20 heads its node, look higher"; before the
+        // level-2 node is locked 20 comes back with height 1, and the
+        // level-2 head no longer holds it.
+        let list = header_scenario(2);
+        let other = Arc::clone(&list);
+        interleave(2, move || {
+            assert_eq!(other.remove(&20), Some(200));
+            assert_eq!(other.insert_with_height(20, 201, 1), None);
+        });
+        check_header_removal(&list, 20, Some(201), 1);
+        assert_eq!(list.level_shape()[1], (1, 0));
+    }
+
+    #[test]
+    fn header_removal_finds_a_key_that_stopped_being_a_header() {
+        // `head{10, 11} → {12, 13, 14}`: 12 heads its leaf with height 0
+        // (an overflow split), so the pass enters at level 1, where 12 is
+        // absent.  Meanwhile 12 is removed and re-inserted — into the
+        // *head* leaf, since its old one is now headed by 13.  The level-1
+        // head is as empty as before (the interleaved pass only locked
+        // it, which costs this one a repeated descent); the pass makes no
+        // assumption about where the key is and finds it.
+        let list = list();
+        for key in [10u64, 11, 12, 13, 14] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        assert_eq!(list.level_shape()[0], (2, 5));
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.remove(&12), Some(120));
+            assert_eq!(other.insert_with_height(12, 121, 0), None);
+        });
+        check_header_removal(&list, 12, Some(121), 1);
+    }
+
+    #[test]
+    fn header_removal_reenters_when_its_entry_node_was_split() {
+        // Level 1 is `head{20, 30, 40, 50}`, the top of 30's tower.  The
+        // interleaved height-2 insert of 25 splits that node into
+        // `head{20} → {25, 30, 40, 50}`: the head no longer covers 30.
+        let list = list();
+        for key in [20u64, 30, 40, 50] {
+            list.insert_with_height(key, key * 10, 1);
+            list.insert_with_height(key + 1, key * 10 + 10, 0);
+        }
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.insert_with_height(25, 250, 2), None);
+            assert_eq!(other.level_shape()[1], (2, 5));
+        });
+        check_header_removal(&list, 30, Some(300), 1);
+        assert_eq!(list.level_shape()[1], (2, 4));
+        assert_eq!(list.len(), 8);
+    }
+
+    #[test]
+    fn header_removal_misses_a_key_whose_leaf_was_unlinked() {
+        // `head{10, 11} → {12, 13} → {14, 15, 16}`, all of height 0.  The
+        // interleaved removal of 12 folds the survivor 13 into the right
+        // neighbour and unlinks the leaf — and changes no level-1 node, so
+        // the pass is entered all the same and has to come back empty.
+        let list = list();
+        for key in 10u64..=17 {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        assert_eq!(list.remove(&17), Some(170));
+        assert_eq!(list.level_shape()[0], (3, 7));
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.remove(&12), Some(120));
+            assert_eq!(other.stats().nodes_merged.get(), 1);
+            assert_eq!(other.level_shape()[0], (2, 6));
+        });
+        check_header_removal(&list, 12, None, 1);
+        assert_eq!(list.len(), 6);
     }
 
     /// Level 1 `head{100, 200, 300, 400}` over the leaves `head{50}`,

@@ -14,7 +14,8 @@
 //!   paper's hand-over-hand read-locked descent.
 //! * Range queries ([`BSkipList::range`], cursors) take their per-leaf
 //!   snapshots under read locks (Section 4, "concurrent finds and range
-//!   queries"); only the *positioning* descent is optimistic.
+//!   queries"); the *positioning* descent, of a forward scan and of every
+//!   reverse refill alike, is optimistic.
 //! * Inserts ([`BSkipList::insert`]) go **leaf first, height second**: an
 //!   optimistic descent reaches the covering leaf, which is the first and
 //!   usually the only node locked.  A present key has its value replaced
@@ -29,12 +30,20 @@
 //!   absent, sits at slot `> 0` of its leaf or lives in the head leaf has
 //!   height 0 and is removed under the leaf lock.  Only the header key of
 //!   a non-head leaf — which may own a tower and whose removal may unlink
-//!   nodes — takes the symmetric top-down pass with write locks, merging
+//!   nodes — takes the symmetric top-down pass with write locks, from the
+//!   top of *its* tower down and with nothing locked above that, merging
 //!   an underflowing leaf into its right neighbour along the way.
 //!
 //! The lock order — left-to-right within a level, then top-to-bottom across
 //! levels — is total, so the scheme is deadlock-free (Appendix B); a writer
-//! that enters at level `h` simply starts further down that order.
+//! that enters at level `h`, inserting or removing, simply starts further
+//! down that order.
+//!
+//! **Two ways down.**  Only `try_descend_optimistic_to`, and
+//! `descend_locked` behind it when validation keeps failing, walk down
+//! from the top-level head; `lock_covering` (`leaf.rs`) is the one retry
+//! loop around them, for every write and every cursor positioning.  What
+//! a descent looks for is a type parameter ([`Probe`]), not a traversal.
 //!
 //! # The optimistic read protocol
 //!
@@ -115,8 +124,8 @@
 //!
 //! After [`OPTIMISTIC_ATTEMPTS`] failed validations the descent takes
 //! hand-over-hand shared locks instead (`descend_locked`), the only place
-//! a write, point or batched, ever read-locks a node above the one it
-//! changes, so a writer cannot livelock.
+//! a write — point or batched, insert or removal — ever read-locks a node
+//! above the one it changes, so a writer cannot livelock.
 
 pub(crate) mod cursor;
 mod execute;
@@ -156,6 +165,69 @@ pub(crate) struct Restart;
 /// descent returns, and — for a level-1 node — what a batch keeps between
 /// operations to resume from, with no lock held on it.
 pub(crate) type Position<K, V, const B: usize> = (*mut Node<K, V, B>, u64);
+
+/// The key a descent positions on, as a type: every probe is compiled
+/// into its own copy of the one descent, so the point operations'
+/// [`AtMost`] pays nothing for the reverse cursor's other two.
+pub(crate) trait Probe<K>: Copy {
+    /// Whether the key sought lies in or beyond a node headed by `header`
+    /// — the right-walk's "advance into the successor?" test.
+    fn admits(self, header: &K) -> bool;
+
+    /// The slot to descend through in a node of `len` keys, given a
+    /// `search` of it; `None` is a head node's implicit `-∞` entry.
+    fn slot(self, len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize>;
+}
+
+/// The greatest key `<=` the given one: every point operation, and a
+/// forward cursor's positioning.
+#[derive(Clone, Copy)]
+pub(crate) struct AtMost<'k, K>(pub(crate) &'k K);
+
+/// The greatest key `<` the given one: a reverse refill.
+#[derive(Clone, Copy)]
+pub(crate) struct Below<'k, K>(pub(crate) &'k K);
+
+/// The last key of the list: a reverse scan's first refill.
+#[derive(Clone, Copy)]
+pub(crate) struct Last;
+
+impl<K: IndexKey> Probe<K> for AtMost<'_, K> {
+    fn admits(self, header: &K) -> bool {
+        *header <= *self.0
+    }
+
+    fn slot(self, _len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
+        match search(self.0) {
+            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => Some(idx),
+            NodeSearch::Before => None,
+        }
+    }
+}
+
+impl<K: IndexKey> Probe<K> for Below<'_, K> {
+    fn admits(self, header: &K) -> bool {
+        *header < *self.0
+    }
+
+    fn slot(self, _len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
+        match search(self.0) {
+            NodeSearch::Found(idx) => idx.checked_sub(1),
+            NodeSearch::Pred(idx) => Some(idx),
+            NodeSearch::Before => None,
+        }
+    }
+}
+
+impl<K> Probe<K> for Last {
+    fn admits(self, _header: &K) -> bool {
+        true
+    }
+
+    fn slot(self, len: usize, _search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
+        len.checked_sub(1)
+    }
+}
 
 /// Lock mode used during a traversal step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -512,7 +584,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // and the unlock runs even if `f` panics (the drop guard below),
         // keeping the spinlock protocol intact on unwind.
         unsafe {
-            let leaf = self.descend_locked(key, 0, Mode::Read);
+            let leaf = self.descend_locked(AtMost(key), 0, Mode::Read);
             struct Unlock<K: IndexKey, V: IndexValue, const B: usize>(*mut Node<K, V, B>);
             impl<K: IndexKey, V: IndexValue, const B: usize> Drop for Unlock<K, V, B> {
                 fn drop(&mut self) {
@@ -539,7 +611,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must hold an epoch pin across the call.
     unsafe fn try_peek_optimistic(&self, key: &K) -> Result<Option<V>, Restart> {
-        let (leaf, version) = self.try_descend_optimistic(key)?;
+        let (leaf, version) = self.try_descend_optimistic_to(AtMost(key), 0, &mut None)?;
         let len = (*leaf).len();
         let found = match (*leaf).search_racy(key, len) {
             NodeSearch::Found(idx) => Some((*leaf).value_at_racy(idx)),
@@ -553,46 +625,36 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         Ok(found)
     }
 
-    /// Optimistic lock-coupled descent to the leaf whose range covers
-    /// `key`.  On success the returned leaf was — at the moment its
-    /// parent validated — the reachable leaf for `key`, and the returned
+    /// Optimistic lock-coupled descent to the node `probe` positions on at
+    /// `stop_level` — for [`AtMost`], the node whose range covers the key.
+    /// On success the returned node was — at the moment its parent
+    /// validated — the reachable node for the probe, and the returned
     /// version is the one the caller must re-validate after reading from
-    /// the leaf (or after read-locking it, for the cursor's
-    /// snapshot-under-lock positioning).
+    /// it (or after locking it: `lock_covering`).
     ///
     /// Every internal step follows the OLC discipline (see the module
     /// docs): capture the child's or successor's version *before*
     /// validating the node the pointer was read from, so there is no
     /// window in which the traversal stands on unverified ground.
     ///
+    /// The descent starts from `position` instead of the top-level head
+    /// when the caller retained one (only the batch path does; see *The
+    /// write path* in the module docs).  The retained node is entered at
+    /// the version it was retained with, so the first validation below
+    /// rejects it if anything happened to it since (the caller then drops
+    /// it).  A descent that passes level 1 stores the node it validated
+    /// there.
+    ///
     /// # Safety
     ///
     /// The caller must hold an epoch pin across the call *and* across any
-    /// subsequent use of the returned pointer.
-    unsafe fn try_descend_optimistic(&self, key: &K) -> Result<Position<K, V, B>, Restart> {
-        self.try_descend_optimistic_to(key, 0, &mut None)
-    }
-
-    /// [`Self::try_descend_optimistic`], stopped at `stop_level` instead
-    /// of the leaf level — returns the covering node *at that level* with
-    /// the version to re-validate — and started from `position` instead
-    /// of the top-level head when the caller retained one (only the batch
-    /// path does; see *The write path* in the module docs).
-    ///
-    /// The retained node is entered at the version it was retained with,
-    /// so the first validation below rejects it if anything happened to
-    /// it since (the caller then drops it).  A descent that passes level 1
-    /// stores the node it validated there.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::try_descend_optimistic`], with one pin spanning every
+    /// subsequent use of the returned pointer — one pin spanning every
     /// descent that shares a `position`; additionally the starting level
     /// — the list's top level, or 1 with a position — must be
     /// `>= stop_level` (the caller checks; the level count never changes).
-    unsafe fn try_descend_optimistic_to(
+    unsafe fn try_descend_optimistic_to<P: Probe<K>>(
         &self,
-        key: &K,
+        probe: P,
         stop_level: usize,
         position: &mut Option<Position<K, V, B>>,
     ) -> Result<Position<K, V, B>, Restart> {
@@ -606,7 +668,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         let mut level = usize::from((*curr).level());
         debug_assert!(level >= stop_level, "descent below its starting level");
         loop {
-            // Walk right while the successor's header covers the key.
+            // Walk right while the probe admits the successor's header.
             loop {
                 let next = (*curr).next();
                 if next.is_null() {
@@ -621,7 +683,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     // stale/torn read; restart rather than guess.
                     return Err(Restart);
                 }
-                let covers = (*next).key_at_racy(0) <= *key;
+                let covers = probe.admits(&(*next).key_at_racy(0));
                 // The `next` pointer and the successor's header were read
                 // without locks: re-validate the node they were read from
                 // before acting on them.
@@ -647,13 +709,13 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 return Ok((curr, version));
             }
             let len = (*curr).len();
-            let child = match (*curr).search_racy(key, len) {
-                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at_racy(idx),
-                NodeSearch::Before => {
+            let child = match probe.slot(len, |key| (*curr).search_racy(key, len)) {
+                Some(idx) => (*curr).child_at(idx),
+                None => {
                     if !(*curr).is_head() {
-                        // A non-head node whose header exceeds the key is
-                        // a torn read (the locked walk can never stand
-                        // here); restart.
+                        // A non-head node whose header the probe does not
+                        // admit is a torn read (the locked walk can never
+                        // stand here); restart.
                         return Err(Restart);
                     }
                     (*curr).head_child()
@@ -683,44 +745,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         }
     }
 
-    /// Optimistic-first positioning for the cursor: descends without
-    /// locks, read-locks the candidate leaf and validates the version it
-    /// had when reached (shared acquisitions do not bump the version, so
-    /// an unchanged leaf still validates under the lock).  Falls back to
-    /// the hand-over-hand locked descent after bounded retries.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call and must release
-    /// the returned leaf's read lock.
-    pub(crate) unsafe fn descend_to_leaf_for_snapshot(&self, key: &K) -> *mut Node<K, V, B> {
-        let mut backoff = Backoff::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((leaf, version)) = self.try_descend_optimistic(key) {
-                lock_node(leaf, Mode::Read);
-                if (*leaf).lock.validate_version(version) {
-                    return leaf;
-                }
-                // The leaf changed (or was unlinked) between the descent
-                // and the lock: it may no longer cover `key`.
-                unlock_node(leaf, Mode::Read);
-            }
-            if let Some(stats) = self.stats_enabled() {
-                stats.optimistic_restarts.incr();
-            }
-            backoff.spin();
-        }
-        if let Some(stats) = self.stats_enabled() {
-            stats.locked_fallbacks.incr();
-        }
-        self.descend_locked(key, 0, Mode::Read)
-    }
-
-    /// Hand-over-hand locked descent to the node whose key range covers
-    /// `key` at `stop_level`: the contention fallback behind every
-    /// optimistic descent — point reads and cursor positioning
-    /// (`stop_level` 0, `Mode::Read`) and the writers' entry, point or
-    /// batched (`Mode::Write` at the level they start modifying).  Levels above
+    /// Hand-over-hand locked descent to the node `probe` positions on at
+    /// `stop_level`: the contention fallback behind every optimistic
+    /// descent — point reads and cursor positioning (`stop_level` 0,
+    /// `Mode::Read`) and the writers' entry, point or batched
+    /// (`Mode::Write` at the level they start modifying).  Levels above
     /// `stop_level` are read-locked; the returned node is locked in
     /// `mode`.
     ///
@@ -728,9 +757,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must release the returned node's lock;
     /// `stop_level <= top_level()`.
-    pub(crate) unsafe fn descend_locked(
+    pub(crate) unsafe fn descend_locked<P: Probe<K>>(
         &self,
-        key: &K,
+        probe: P,
         stop_level: usize,
         mode: Mode,
     ) -> *mut Node<K, V, B> {
@@ -745,11 +774,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         let mut curr = self.head(level);
         lock_node(curr, mode_at(level));
         loop {
-            curr = self.walk_right(curr, key, mode_at(level));
+            curr = self.walk_right(curr, probe, mode_at(level));
             if level == stop_level {
                 return curr;
             }
-            let child = self.descend_pointer(curr, key);
+            let child = self.descend_pointer(curr, probe);
             lock_node(child, mode_at(level - 1));
             unlock_node(curr, Mode::Read);
             curr = child;
@@ -855,17 +884,17 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.remove_impl(key)
     }
 
-    /// Moves right along a level while the successor's header is
-    /// `<= key`, maintaining HOH locks in `mode`.  Returns the final node,
+    /// Moves right along a level while `probe` admits the successor's
+    /// header, maintaining HOH locks in `mode`.  Returns the final node,
     /// locked in `mode`.
     ///
     /// # Safety
     ///
     /// `curr` must be locked in `mode` by this thread.
-    unsafe fn walk_right(
+    unsafe fn walk_right<P: Probe<K>>(
         &self,
         mut curr: *mut Node<K, V, B>,
-        key: &K,
+        probe: P,
         mode: Mode,
     ) -> *mut Node<K, V, B> {
         loop {
@@ -875,7 +904,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             }
             prefetch_node(next);
             lock_node(next, mode);
-            if (*next).header_covers(key) {
+            if probe.admits(&(*next).header()) {
                 unlock_node(curr, mode);
                 curr = next;
                 if let Some(stats) = self.stats_enabled() {
@@ -889,23 +918,23 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     }
 
     /// Returns the child pointer to follow when descending from `curr` for
-    /// `key`: the down pointer of the largest key `<= key`, or the head
-    /// child when every key in the node is larger.
+    /// `probe`: the down pointer of the greatest key it admits, or the head
+    /// child when it admits none.
     ///
     /// # Safety
     ///
     /// `curr` must be locked by this thread and must be an internal node.
-    pub(crate) unsafe fn descend_pointer(
+    pub(crate) unsafe fn descend_pointer<P: Probe<K>>(
         &self,
         curr: *mut Node<K, V, B>,
-        key: &K,
+        probe: P,
     ) -> *mut Node<K, V, B> {
-        let child = match (*curr).search(key) {
-            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
-            NodeSearch::Before => {
+        let child = match probe.slot((*curr).len(), |key| (*curr).search(key)) {
+            Some(idx) => (*curr).child_at(idx),
+            None => {
                 debug_assert!(
                     (*curr).is_head(),
-                    "descended into a non-head node whose header exceeds the key"
+                    "descended into a non-head node whose header the probe does not admit"
                 );
                 (*curr).head_child()
             }

@@ -9,12 +9,16 @@
 //! What remains is the **header key of a non-head leaf** (about one key in
 //! `B/2`).  Deletions are symmetric to insertions (paper, footnote 3): the
 //! key is removed from every level it was promoted to, in one top-down
-//! pass.  Because the height of an existing key is *not* known up front
-//! (it is a property of the stored structure, unlike the freshly drawn
-//! height of an insertion), that pass conservatively takes write locks at
-//! every level, from the top head.  This keeps the scheme simple and is
-//! irrelevant to the paper's evaluation, whose YCSB workloads contain no
-//! deletes.
+//! write-locked pass that, like a promoted insertion's, locks nothing
+//! above the level it enters at.  A stored key's height is read off the
+//! structure: the pass enters at the first level `1, 2, …` whose covering
+//! node (`lock_covering`) does *not* hold the key as the header of a
+//! non-head node.  By `validate()`'s invariant 3 — **a key present at
+//! level `ℓ + 1` heads a non-head node at level `ℓ`** — the key is on no
+//! level above that one; and the entry node is never emptied or unlinked,
+//! so the pass needs no predecessor there and retains one on every level
+//! below.  Only a key heading a non-head node *on the top level* has no
+//! level above to enter at: its pass starts from the top head.
 //!
 //! When removing a key empties a non-head node, the node is unlinked from
 //! its level.  Removing a leaf's *header* key additionally triggers the
@@ -43,7 +47,7 @@ use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::{lock_node, unlock_node, AtMost, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
@@ -57,7 +61,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // covering leaf write-locked, which is the kernel's contract, and
         // the pass is entered with no lock held.
         unsafe {
-            let leaf = self.lock_covering(key, 0, &mut None);
+            let leaf = self.lock_covering(AtMost(key), 0, Mode::Write, &mut None);
             let outcome = self.remove_in_leaf(leaf, key);
             unlock_node(leaf, Mode::Write);
             match outcome {
@@ -67,27 +71,61 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     }
                     removed
                 }
-                Err(HeaderKey) => self.remove_inner(key, &guard),
+                Err(HeaderKey) => self.remove_structural(key, &guard),
             }
         }
     }
 
-    /// The write-locked removal pass, from the top head.  Makes no
-    /// assumption about `key` — it may be gone, or no longer a header, by
-    /// the time the pass reaches its leaf.
+    /// Removes a key that the leaf kernel found heading a non-head leaf:
+    /// finds the level the pass enters at (module docs) and runs it.  The
+    /// key may be removed, re-inserted with another height or moved
+    /// between any two probes; the pass handles whatever it meets.
     ///
     /// # Safety
     ///
     /// `guard` must pin this list's collector; the caller must hold no
     /// node lock.
-    pub(super) unsafe fn remove_inner(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+    pub(super) unsafe fn remove_structural(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+        for level in 1..=self.top_level() {
+            let entry = self.lock_covering(AtMost(key), level, Mode::Write, &mut None);
+            if (*entry).is_head() || (*entry).header() != *key {
+                return self.remove_inner(key, entry, guard);
+            }
+            unlock_node(entry, Mode::Write);
+        }
+        // Unlinking a top-level node needs its predecessor, which the
+        // pass retains while it walks right from the head.
+        let head = self.head(self.top_level());
+        lock_node(head, Mode::Write);
+        self.remove_inner(key, head, guard)
+    }
+
+    /// The write-locked removal pass, from `entry` down to the leaf.  Makes
+    /// no assumption about `key` — it may be gone, or no longer a header,
+    /// by the time the pass reaches its leaf.  Releases every lock it is
+    /// handed or takes.
+    ///
+    /// # Safety
+    ///
+    /// `entry` must be write-locked by this thread, must not be a non-head
+    /// node headed by `key`, and must cover `key` at its level or — the
+    /// top head — lie to the left of the node that does; `guard` must pin
+    /// this list's collector.
+    unsafe fn remove_inner(
+        &self,
+        key: &K,
+        entry: *mut Node<K, V, B>,
+        guard: &EbrGuard<'_>,
+    ) -> Option<V> {
+        let mut level = usize::from((*entry).level());
         if let Some(stats) = self.stats_enabled() {
             stats.removes.incr();
             stats.structural_writes.incr();
+            if level == self.top_level() {
+                stats.top_level_write_locks.incr();
+            }
         }
-        let mut level = self.top_level();
-        let mut curr = self.head(level);
-        lock_node(curr, Mode::Write);
+        let mut curr = entry;
         let mut prev: *mut Node<K, V, B> = ptr::null_mut();
         let mut removed: Option<V> = None;
 
@@ -364,6 +402,59 @@ mod tests {
         for key in (10u64..14).chain(21..25) {
             assert_eq!(list.get(&key), Some(key * 10), "key {key} lost by merge");
         }
+    }
+
+    #[test]
+    fn header_removals_write_lock_the_top_level_only_when_the_tower_reaches_it() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        use std::sync::Arc;
+
+        use crate::list::leaf::tests::{assert_unlocked, interleave};
+
+        // `head{10,11,12,13} → {20,21} → {22,23,24} → {30} → {50,60,70}`:
+        // 22 heads its leaf with height 0 (an overflow split), 20 with
+        // height 1, 30 with the full height 3; 50 even heads a node *on*
+        // the top level (`head{30, 40} → {50, 60, 70}` up there, 40 having
+        // gone since) and has to be unlinked from it.
+        let list = Arc::new(merge_scenario(0));
+        for key in [30u64, 40, 50, 60, 70] {
+            list.insert_with_height(key, key * 10, 3);
+        }
+        assert_eq!(list.remove(&40), Some(400));
+        assert_eq!(list.level_shape()[3], (2, 4));
+        let stats = list.stats();
+        let top_locks = || stats.top_level_write_locks.get();
+
+        // Height 0: the pass runs over levels 1 and 0, not all four.
+        stats.reset();
+        let (other, before_pass) = (Arc::clone(&list), Rc::new(Cell::new(0)));
+        let seen = Rc::clone(&before_pass);
+        // Runs once the level-1 probe has descended, before it locks.
+        interleave(1, move || seen.set(other.stats().levels_visited.get()));
+        assert_eq!(list.remove(&22), Some(220));
+        assert_eq!(stats.levels_visited.get() - before_pass.get(), 2);
+        assert_eq!(stats.structural_writes.get(), 1);
+        assert_eq!(top_locks(), 0);
+
+        // Height 1: entered at level 1, in the head node.
+        assert_eq!(list.remove(&20), Some(200));
+        assert_eq!(top_locks(), 0);
+
+        // Height `top`, in the top level's head node: entered there.
+        assert_eq!(list.remove(&30), Some(300));
+        assert_eq!(top_locks(), 1);
+
+        // Heading a non-head node on the top level: from the top head.
+        assert_eq!(list.remove(&50), Some(500));
+        assert_eq!(top_locks(), 2);
+        assert_eq!(list.level_shape()[3], (2, 2));
+
+        assert_eq!(stats.structural_writes.get(), 4);
+        assert_eq!(stats.optimistic_restarts.get(), 0);
+        assert_eq!(stats.write_descent_fallbacks.get(), 0);
+        list.validate().expect("structure");
+        assert_unlocked(&list);
     }
 
     #[test]

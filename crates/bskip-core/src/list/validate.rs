@@ -5,8 +5,10 @@
 //!
 //! 1. every level is strictly sorted, within and across nodes;
 //! 2. non-head nodes are never empty and never exceed the fixed capacity;
-//! 3. every internal entry's down pointer leads to a node one level below
-//!    whose header equals the entry's key;
+//! 3. every internal entry's down pointer leads to a non-head node one
+//!    level below whose header equals the entry's key (so a key present at
+//!    level `ℓ + 1` heads its own node at level `ℓ` — what the removal
+//!    pass reads a stored key's height from);
 //! 4. the head spine is linked level by level;
 //! 5. the inclusion invariant: every key present at level `ℓ > 0` is also
 //!    present at level `ℓ - 1`;
@@ -151,6 +153,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                         }
                         lock_node(child, Mode::Read);
                         let child_level = (*child).level();
+                        let child_is_head = (*child).is_head();
                         let child_header = if (*child).is_empty() {
                             None
                         } else {
@@ -168,6 +171,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                             return Err(format!(
                                 "level {level}: child of {key:?} has header {child_header:?}"
                             ));
+                        }
+                        if child_is_head {
+                            unlock_node(curr, Mode::Read);
+                            return Err(format!("level {level}: child of {key:?} is a head node"));
                         }
                     }
                 }
@@ -210,6 +217,26 @@ mod tests {
             list.validate()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_down_pointer_to_a_head_node() {
+        // The head leaf holds 10 as its first key, and a level-1 entry for
+        // 10 points at it: sorted, included, the child's header matches —
+        // everything the other checks ask — but 10 does not head a node of
+        // its own, which is what the removal pass's entry rule relies on.
+        let list: BSkipList<u64, u64, 4> =
+            BSkipList::with_config(BSkipConfig::default().with_max_height(3));
+        list.insert_with_height(10, 100, 0);
+        list.validate().expect("healthy before the corruption");
+        // SAFETY: single-threaded; both heads are live nodes of this list.
+        unsafe { (*list.head(1)).insert_internal_at(0, 10, list.head(0)) };
+        let error = list.validate().expect_err("head-targeting down pointer");
+        assert!(error.contains("is a head node"), "{error}");
+        // Undo it, so that dropping the list frees every node once.
+        // SAFETY: as above.
+        unsafe { (*list.head(1)).remove_at(0) };
+        list.validate().expect("healthy again");
     }
 
     #[test]

@@ -406,28 +406,19 @@ where
         old
     }
 
-    /// Child pointer at slot `index` (internal nodes only).
+    /// Child pointer at slot `index` (internal nodes only).  One
+    /// single-word atomic load, so it serves both read modes: under the
+    /// node's lock it is the down pointer of `keys[index]`; read
+    /// optimistically it is never torn — but possibly stale or belonging
+    /// to a different separator key than the reader thinks, and only
+    /// validation makes it meaningful.
     ///
     /// # Safety
     ///
-    /// The node's lock must be held, the node must be internal and
-    /// `index < len()`.
+    /// The node must be internal and `index < len()` under its lock,
+    /// `index < B` without.
     #[inline]
     pub(crate) unsafe fn child_at(&self, index: usize) -> *mut Self {
-        debug_assert!(index < self.len());
-        self.children()[index].load(Ordering::Relaxed)
-    }
-
-    /// Racy child read at slot `index`: the optimistic counterpart of
-    /// [`Node::child_at`].  Single-word atomic, so never torn — but
-    /// possibly stale or belonging to a different separator key than the
-    /// reader thinks; only validation makes it meaningful.
-    ///
-    /// # Safety
-    ///
-    /// The node must be internal and `index < B`.
-    #[inline]
-    pub(crate) unsafe fn child_at_racy(&self, index: usize) -> *mut Self {
         debug_assert!(index < B);
         self.children()[index].load(Ordering::Relaxed)
     }
@@ -565,19 +556,6 @@ where
     pub(crate) unsafe fn header_covers(&self, key: &K) -> bool {
         debug_assert!(!self.is_empty());
         *key >= *(*self.keys_ptr()).assume_init_ref()
-    }
-
-    /// Whether this node's header key is strictly `< key`; the reverse
-    /// traversal's variant of [`Node::header_covers`] (exclusive upper
-    /// bounds advance only while the successor stays strictly below).
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::header_covers`].
-    #[inline]
-    pub(crate) unsafe fn header_below(&self, key: &K) -> bool {
-        debug_assert!(!self.is_empty());
-        *(*self.keys_ptr()).assume_init_ref() < *key
     }
 
     /// Inserts `key`/`value` at slot `index`, shifting later slots right.
@@ -882,18 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn racy_child_reads_match_locked_reads() {
-        unsafe {
-            let internal = TestNode::alloc_internal(1, false);
-            let child = TestNode::alloc_leaf(false);
-            (*internal).insert_internal_at(0, 5, child);
-            assert_eq!((*internal).child_at_racy(0), (*internal).child_at(0));
-            TestNode::free(child);
-            TestNode::free(internal);
-        }
-    }
-
-    #[test]
     fn replace_value_returns_old() {
         unsafe {
             let node = TestNode::alloc_leaf(false);
@@ -1096,7 +1062,6 @@ mod tests {
             (*node).push_leaf(60, 0);
             for probe in [0u64, 49, 50, 51, 60, 100] {
                 assert_eq!((*node).header_covers(&probe), (*node).header() <= probe);
-                assert_eq!((*node).header_below(&probe), (*node).header() < probe);
             }
             TestNode::free(node);
         }

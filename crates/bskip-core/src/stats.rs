@@ -22,7 +22,8 @@ bskip_index::stat_block! {
         /// Levels descended across all operations (denominator for the
         /// horizontal-steps-per-level statistic the paper reports as ~1.7).
         pub levels_visited: CachePadded<RelaxedCounter> => Counter "levels_visited",
-        /// Write locks taken on the top-level head node — the B-skiplist
+        /// Write-locked passes that entered at the top level, an insertion's
+        /// or a removal's (a key whose tower reaches it) — the B-skiplist
         /// equivalent of the B+-tree "root write lock" count (7 vs. 26K in the
         /// paper's load phase).
         pub top_level_write_locks: CachePadded<RelaxedCounter> => Counter "top_level_write_locks",
@@ -51,8 +52,9 @@ bskip_index::stat_block! {
         /// (a writer overlapped the traversal); each restart retries from the
         /// top with backoff.
         pub optimistic_restarts: CachePadded<RelaxedCounter> => Counter "optimistic_restarts",
-        /// Point reads that exhausted their optimistic attempts and fell back
-        /// to the hand-over-hand read-locked descent.  Zero in any
+        /// Point reads and cursor positionings (forward or reverse) that
+        /// exhausted their optimistic attempts and fell back to the
+        /// hand-over-hand read-locked descent.  Zero in any
         /// single-threaded run — the acceptance gate for the lock-free path.
         pub locked_fallbacks: CachePadded<RelaxedCounter> => Counter "locked_fallbacks",
         /// Point writes (`insert`/`remove`) finished by the leaf kernel under
@@ -61,8 +63,8 @@ bskip_index::stat_block! {
         pub optimistic_writes: CachePadded<RelaxedCounter> => Counter "optimistic_writes",
         /// Writes that entered a write-locked pass: an overflow split under
         /// the held leaf, a promoted insert from its level `h >= 1`, a header
-        /// removal from the top.  Every point write is exactly one of the
-        /// two; `execute`'s structural fallbacks count here as well.
+        /// removal from the top of its tower.  Every point write is exactly
+        /// one of the two; `execute`'s structural fallbacks count here as well.
         pub structural_writes: CachePadded<RelaxedCounter> => Counter "structural_writes",
         /// Write descents — a point write's, or a batch repositioning — that
         /// exhausted their optimistic attempts and reached their entry node

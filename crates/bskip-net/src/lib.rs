@@ -370,6 +370,70 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A window the backend rejects *while executing it* — the WAL append
+    /// of this very window fails, after the server saw a healthy engine —
+    /// leaves every result slot `Pending`.  None of it was applied, so
+    /// none of it may be acknowledged: not the put as "stored fresh", not
+    /// the get of a present key as "absent".
+    #[test]
+    fn a_window_the_backend_rejects_is_answered_unavailable_not_missing() {
+        use bskip_lsm::{FaultFs, LsmConfig, LsmEngine};
+
+        let serve = |fs: &FaultFs| {
+            let engine: LsmEngine<u64, u64> =
+                LsmEngine::open_with(Arc::new(fs.clone()), "/db", LsmConfig::small()).unwrap();
+            engine.try_insert(5, 50).unwrap();
+            KvServer::bind(engine, ("127.0.0.1", 0), ServerConfig::default())
+                .expect("bind")
+                .spawn()
+                .expect("spawn")
+        };
+        fn unavailable(response: &Response) -> bool {
+            let unavailable = ErrorCode::Unavailable;
+            matches!(response, Response::Error { code, .. } if *code == unavailable)
+        }
+
+        // Two point requests in one write, hence one window, one batch.
+        let fs = FaultFs::new();
+        let handle = serve(&fs);
+        let mut conn = Connection::connect_windowed(handle.addr(), 8).expect("connect");
+        fs.fail_nth_write(1, std::io::ErrorKind::StorageFull);
+        conn.send(&Request::put(7, 70)).unwrap();
+        conn.send(&Request::Get { key: 5 }).unwrap();
+        let responses = conn.drain().unwrap();
+        assert!(
+            responses.len() == 2 && responses.iter().all(unavailable),
+            "a dropped put and an unanswered get were acknowledged: {responses:?}"
+        );
+        // The engine is read-only now, and still has what it had.
+        assert_eq!(conn.get(5).unwrap(), Some(50));
+        assert_eq!(conn.get(7).unwrap(), None);
+        let stats = handle.stats();
+        let counted = stats.iter().find(|(n, _)| n == "server_unavailable");
+        assert_eq!(counted.map(|(_, v)| *v), Some(2));
+        handle.shutdown();
+
+        // An explicit batch with such a slot is rejected as one request.
+        let fs = FaultFs::new();
+        let handle = serve(&fs);
+        let mut conn = Connection::connect(handle.addr()).expect("connect");
+        fs.fail_nth_write(1, std::io::ErrorKind::StorageFull);
+        let batch = Request::Batch {
+            ops: vec![
+                BatchOp::Get { key: 5 },
+                BatchOp::Put {
+                    key: 7,
+                    value: 70,
+                    value_len: 8,
+                },
+            ],
+        };
+        let response = conn.call(&batch).unwrap();
+        assert!(unavailable(&response), "{response:?}");
+        assert_eq!(conn.get(5).unwrap(), Some(50));
+        handle.shutdown();
+    }
+
     #[test]
     fn client_read_timeout_fires_on_silent_server() {
         use crate::client::ClientOptions;

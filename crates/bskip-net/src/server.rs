@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bskip_index::{ConcurrentIndex, Op, StatKind};
+use bskip_index::{ConcurrentIndex, Op, OpResult, StatKind};
 use bskip_sync::RelaxedCounter;
 
 use crate::proto::{
@@ -92,7 +92,8 @@ bskip_index::stat_block! {
         /// Entries returned across all scans.
         pub scan_entries: RelaxedCounter => Counter "server_scan_entries",
         /// Requests answered with an `Unavailable` error frame because the
-        /// backend reported itself degraded.
+        /// backend reported itself degraded, or rejected their window's
+        /// batch whole.
         pub unavailable: RelaxedCounter => Counter "server_unavailable",
     }
 }
@@ -257,20 +258,16 @@ impl ServerHandle {
     /// notice the flag within one poll interval — a busy one after the
     /// window it is answering — and exit; the listener socket closes with
     /// the accept thread.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Unblock `accept` (ignore failure — the loop also wakes on any
-        // real client, and the thread exits either way once it polls).
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-    }
+    ///
+    /// Dropping the handle is the stop sequence; this is its name.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Unblock `accept` (ignore failure — the loop also wakes on any
+        // real client, and the thread exits either way once it polls).
         let _ = TcpStream::connect(self.addr);
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
@@ -381,11 +378,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         // stats keep being served off the surviving state.
         let degraded = shared.index.degraded();
         let unavailable = |replies: &mut Vec<PendingReply>| {
-            shared.stats.unavailable.incr();
-            replies.push(PendingReply::Ready(Response::Error {
-                code: ErrorCode::Unavailable,
-                message: "backend degraded: node is read-only".into(),
-            }));
+            replies.push(PendingReply::Ready(unavailable_response(
+                shared,
+                "backend degraded: node is read-only",
+            )));
         };
         for request in requests {
             match request {
@@ -435,26 +431,36 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
             shared.index.execute(ops);
         }
 
-        // Pass 3: emit responses in request order.
+        // Pass 3: emit responses in request order.  A slot the backend
+        // left `Pending` belongs to a batch it rejected whole — the WAL
+        // append of this very window failed, after pass 1 saw a healthy
+        // engine — so nothing of it was applied: that is `Unavailable`,
+        // never the `Missing` an absent key or a fresh put answers with.
+        let rejected =
+            || unavailable_response(shared, "backend rejected the batch: nothing was applied");
         let mut next_op = 0usize;
         for reply in replies.drain(..) {
             let response = match reply {
                 PendingReply::Ready(response) => response,
                 PendingReply::Point => {
-                    let value = ops[next_op].result().value();
+                    let result = *ops[next_op].result();
                     next_op += 1;
-                    match value {
-                        Some(value) => Response::Found { value },
-                        None => Response::Missing,
+                    match result {
+                        OpResult::Value(value) => Response::Found { value },
+                        OpResult::Missing => Response::Missing,
+                        OpResult::Pending => rejected(),
                     }
                 }
                 PendingReply::Batch { count } => {
-                    let results = ops[next_op..next_op + count]
-                        .iter()
-                        .map(|op| op.result().value())
-                        .collect();
+                    let slots = &ops[next_op..next_op + count];
                     next_op += count;
-                    Response::Results { results }
+                    if slots.iter().all(|op| op.result().is_executed()) {
+                        Response::Results {
+                            results: slots.iter().map(|op| op.result().value()).collect(),
+                        }
+                    } else {
+                        rejected()
+                    }
                 }
             };
             encode_response(&response, write_buf)?;
@@ -493,6 +499,15 @@ fn serve_stats(shared: &Shared) -> Response {
     stats.merge(&shared.index.stats());
     Response::Stats {
         entries: wire_entries(&stats),
+    }
+}
+
+/// An `Unavailable` error frame, counted in `server_unavailable`.
+fn unavailable_response(shared: &Shared, message: &str) -> Response {
+    shared.stats.unavailable.incr();
+    Response::Error {
+        code: ErrorCode::Unavailable,
+        message: message.into(),
     }
 }
 
