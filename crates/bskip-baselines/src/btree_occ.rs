@@ -1169,11 +1169,6 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
     fn get(&self, key: &K) -> Option<V> {
         OccBTree::get(self, key)
     }
-    fn execute(&self, ops: &mut [bskip_index::Op<K, V>]) {
-        // Shared sorted-loop strategy: a key-ordered sweep keeps the
-        // descent path warm (and the OCC root uncontended) between ops.
-        bskip_index::ops::execute_sorted(self, ops);
-    }
     fn remove(&self, key: &K) -> Option<V> {
         OccBTree::remove(self, key)
     }

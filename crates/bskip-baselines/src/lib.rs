@@ -114,8 +114,7 @@ mod cursor_contract_tests {
                 Op::remove(20),
                 Op::remove(500),
                 Op::get(10),
-                // Same-key sequence: slot order must be preserved even
-                // though the sorted loop reorders across keys.
+                // Same-key sequence: slot order must be preserved.
                 Op::insert(7, 70),
                 Op::remove(7),
             ];

@@ -140,11 +140,6 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for MasstreeLite<K, V> {
     fn get(&self, key: &K) -> Option<V> {
         MasstreeLite::get(self, key)
     }
-    fn execute(&self, ops: &mut [bskip_index::Op<K, V>]) {
-        // Shared sorted-loop strategy: consecutive ops revisit the same
-        // narrow trie-layer nodes instead of hopping across the key space.
-        bskip_index::ops::execute_sorted(self, ops);
-    }
     fn remove(&self, key: &K) -> Option<V> {
         MasstreeLite::remove(self, key)
     }

@@ -470,11 +470,6 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
     fn get(&self, key: &K) -> Option<V> {
         LazySkipList::get(self, key)
     }
-    fn execute(&self, ops: &mut [bskip_index::Op<K, V>]) {
-        // Shared sorted-loop strategy: the optimistic traversals of a
-        // key-ordered sweep validate against warm predecessor chains.
-        bskip_index::ops::execute_sorted(self, ops);
-    }
     fn remove(&self, key: &K) -> Option<V> {
         LazySkipList::remove(self, key)
     }

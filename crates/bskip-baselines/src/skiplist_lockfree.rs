@@ -581,11 +581,6 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
     fn get(&self, key: &K) -> Option<V> {
         LockFreeSkipList::get(self, key)
     }
-    fn execute(&self, ops: &mut [bskip_index::Op<K, V>]) {
-        // Shared sorted-loop strategy: CAS traversals of a key-ordered
-        // sweep walk cache-resident towers.
-        bskip_index::ops::execute_sorted(self, ops);
-    }
     fn remove(&self, key: &K) -> Option<V> {
         LockFreeSkipList::remove(self, key)
     }

@@ -611,11 +611,6 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
     fn get(&self, key: &K) -> Option<V> {
         NhsSkipList::get(self, key)
     }
-    fn execute(&self, ops: &mut [bskip_index::Op<K, V>]) {
-        // Shared sorted-loop strategy: the bottom-lane walk of a
-        // key-ordered sweep resumes near the previous op's position.
-        bskip_index::ops::execute_sorted(self, ops);
-    }
     fn remove(&self, key: &K) -> Option<V> {
         NhsSkipList::remove(self, key)
     }

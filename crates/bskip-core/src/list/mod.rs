@@ -511,8 +511,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
 
     /// Point lookup (the paper's `find(k)`).
     ///
-    /// Takes read locks hand-over-hand, left-to-right within a level and
-    /// top-to-bottom across levels, holding at most two locks at a time.
+    /// Takes no lock on the conflict-free path — the optimistic descent
+    /// of [`BSkipList::peek`]; only after repeated failed validations does
+    /// it read-lock hand-over-hand, holding at most two locks at a time.
     pub fn get(&self, key: &K) -> Option<V> {
         // One shared read path: `peek` pins, descends and searches; values
         // are `Copy`, so copying out of the borrow is the whole operation.

@@ -16,8 +16,8 @@
 //!   point methods, so every index takes batches; indices with exploitable
 //!   structure override it (the B-skiplist amortizes its epoch pin, its
 //!   descent and its leaf locks over every operation landing in the same
-//!   fat leaf; the baselines apply the shared sorted-loop strategy of
-//!   [`ops::execute_sorted`]).  See [`ops`] for the batch semantics.
+//!   fat leaf; the baselines keep the default).  See [`ops`] for the batch
+//!   semantics.
 //! * [`Cursor`] / [`IndexCursor`] — the seekable-cursor scan interface:
 //!   every index opens cursors via [`ConcurrentIndex::scan`] (any
 //!   `RangeBounds` expression) or the object-safe

@@ -18,12 +18,13 @@
 //! * [`OpResult`] — `Pending` until executed, then `Value(previous)` or
 //!   [`OpResult::Missing`] with the same meaning the point methods give
 //!   `Option<V>`;
-//! * [`execute_sorted`] — the shared sorted-loop strategy: apply the batch
-//!   through the point methods but in ascending key order, which turns a
-//!   random batch into a cache-friendly sweep.  Indices without a native
-//!   batch path (the `BatchCursor`-based baselines) override
-//!   [`ConcurrentIndex::execute`] with
-//!   this so `dyn` callers get the sorted loop for free.
+//! * [`sorted_order`] — the key-order schedule a native batch path walks
+//!   (the B-skiplist's, so that a run of keys meets one leaf under one
+//!   lock).  Sorting alone is not such a path: the same point methods
+//!   called in key order measured slower than in slot order on the tree
+//!   baselines and no better overall on the skiplists, so an index without
+//!   a native path keeps the provided slot-order loop of
+//!   [`ConcurrentIndex::execute`].
 //!
 //! # Semantics
 //!
@@ -257,27 +258,6 @@ pub fn sorted_order<K: IndexKey, V: IndexValue>(ops: &[Op<K, V>]) -> Vec<usize> 
     let mut order: Vec<usize> = (0..ops.len()).collect();
     order.sort_unstable_by_key(|&slot| (*ops[slot].key(), slot));
     order
-}
-
-/// The shared sorted-loop batch strategy: applies `ops` through the
-/// index's point methods in ascending key order ([`sorted_order`]).
-///
-/// Every descent-based index benefits — consecutive operations revisit the
-/// same upper-level nodes and the same (or adjacent) leaves, so the sweep
-/// runs against a warm cache instead of hopping across the key space.
-/// Indices without a native batch path override
-/// [`ConcurrentIndex::execute`] with this
-/// function, which keeps the behaviour reachable through
-/// `dyn ConcurrentIndex` references.
-pub fn execute_sorted<K, V, I>(index: &I, ops: &mut [Op<K, V>])
-where
-    K: IndexKey,
-    V: IndexValue,
-    I: ConcurrentIndex<K, V> + ?Sized,
-{
-    for slot in sorted_order(ops) {
-        ops[slot].apply_point(index);
-    }
 }
 
 #[cfg(test)]

@@ -31,9 +31,8 @@ use crate::{IndexKey, IndexStats, IndexValue};
 /// box; indices with exploitable structure override it — the B-skiplist
 /// sort-groups the batch, pins its epoch collector **once**, and applies
 /// every run of keys landing in the same fat leaf under a single leaf lock
-/// acquisition, while the `BatchCursor`-based baselines use the shared
-/// sorted-loop strategy ([`crate::ops::execute_sorted`]).  See
-/// [`crate::ops`] for the equivalence contract batches must satisfy.
+/// acquisition; the baselines keep the default.  See [`crate::ops`] for
+/// the equivalence contract batches must satisfy.
 ///
 /// # Scanning
 ///
@@ -414,32 +413,6 @@ mod tests {
         boxed.execute(&mut batch);
         assert_eq!(batch[1].result().value(), Some(40));
         assert!(!boxed.contains_key(&4));
-    }
-
-    #[test]
-    fn execute_sorted_matches_slot_order_semantics() {
-        use crate::ops::{execute_sorted, Op};
-        let sequential = MutexBTreeMap::new();
-        let sorted = MutexBTreeMap::new();
-        // Includes same-key sequences whose order must be preserved.
-        let batch = vec![
-            Op::insert(5, 50),
-            Op::insert(2, 20),
-            Op::remove(5),
-            Op::get(5),
-            Op::insert(5, 51),
-            Op::update(2, 21),
-            Op::get(2),
-        ];
-        let mut a = batch.clone();
-        sequential.execute(&mut a);
-        let mut b = batch;
-        execute_sorted(&sorted, &mut b);
-        assert_eq!(a, b, "results must agree op-for-op");
-        assert_eq!(
-            sequential.scan(..).collect::<Vec<_>>(),
-            sorted.scan(..).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! oversized deeper levels downward, dropping shadowed versions always and
 //! tombstones once nothing below could still hold the key.
 //!
+//! Both change the table layout one way (`write_tables`, `install`): the
+//! outputs are written, the *next* level set is built aside and its
+//! manifest committed under the writer mutex alone; the exclusive state
+//! lock covers only the pointer swap (and rotation's) — never I/O, so no
+//! read waits for an fsync.
+//!
 //! With [`LsmConfig::auto_maintain`] (the default) flush and compaction
 //! run inline on the writer thread at rotation points — the LevelDB-style
 //! write stall, deterministic and sanitizer-friendly (no background
@@ -89,10 +95,11 @@
 //!   since retrying or reading other keys may well succeed.
 //! - **Maintenance** (rotate / flush / compaction / manifest commit)
 //!   retries under [`bskip_sync::Backoff`] and, if an operation still
-//!   fails, rolls its in-memory state back, deletes any partial output
-//!   files, counts one `io_error`, and leaves the engine serving — the
-//!   WAL still covers everything, so durability is unaffected; only disk
-//!   shape is behind.
+//!   fails, has never changed the in-memory state (a level set that did
+//!   not commit is not swapped in), deletes any partial output files,
+//!   counts one `io_error`, and leaves the engine serving — the WAL still
+//!   covers everything, so durability is unaffected; only disk shape is
+//!   behind.
 //!
 //! The three health indicators are exported through
 //! [`ConcurrentIndex::stats`] as `io_errors`, `write_failures` and
@@ -777,8 +784,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     }
 
     /// Flushes the oldest immutable memtable into an L0 table.  Returns
-    /// whether an immutable memtable was drained.  On error all in-memory
-    /// state is rolled back and partial output files are removed; the
+    /// whether an immutable memtable was drained.  On error nothing in
+    /// memory has changed and partial output files are removed; the
     /// memtable stays sealed and flushable.
     fn flush_locked(&self, write: &mut WriteState) -> io::Result<bool> {
         let Some(immutable) = self.read_state().immutables.last().cloned() else {
@@ -787,44 +794,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         if immutable.is_empty() {
             self.write_state().immutables.pop();
         } else {
-            let id = write.next_table_id;
-            let path = table_file(&self.dir, id);
-            let build = || -> io::Result<Arc<Table<K, V>>> {
-                let mut builder: TableBuilder<K, V> =
-                    TableBuilder::create(self.storage.as_ref(), &path, self.config.table)?;
-                for (key, slot) in immutable.cursor(Bound::Unbounded, Bound::Unbounded) {
-                    builder.add(key, slot)?;
-                }
-                builder.finish()?;
-                Ok(Arc::new(Table::open(self.storage.as_ref(), &path, id)?))
-            };
-            let table = match build() {
-                Ok(table) => table,
-                Err(error) => {
-                    let _ = self.storage.remove(&path);
-                    return Err(error);
-                }
-            };
-            write.next_table_id = id + 1;
-            {
-                let mut state = self.write_state();
+            let entries = immutable.cursor(Bound::Unbounded, Bound::Unbounded);
+            let outputs = self.write_tables(write, entries, u64::MAX, || Ok(()))?;
+            // The table becomes visible in the step that retires the memtable
+            // it replaces: the oldest, last in the newest-first list.
+            self.install(write, &HashSet::new(), &outputs, 0, |state| {
                 state.immutables.pop();
-                if state.levels.is_empty() {
-                    state.levels.push(Vec::new());
-                }
-                state.levels[0].insert(0, table);
-                if let Err(error) = self.persist_manifest(&state) {
-                    // Roll back: the table never becomes visible, the
-                    // memtable stays sealed (push re-appends at the oldest
-                    // position — the list is newest-first).
-                    state.levels[0].remove(0);
-                    state.immutables.push(immutable);
-                    drop(state);
-                    write.next_table_id = id;
-                    let _ = self.storage.remove(&path);
-                    return Err(error);
-                }
-            }
+            })?;
             self.counters.flushes.incr();
         }
         // The manifest now covers (or never needed) this memtable's data;
@@ -840,51 +816,22 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     /// Runs one compaction if any trigger fires.  Returns whether work
     /// was done.  On any failure — an input read error, an output write
-    /// error, a manifest commit error — the level set is restored,
+    /// error, a manifest commit error — the level set was never touched,
     /// partial outputs are deleted, and the inputs stay live.
     fn compact_locked(&self, write: &mut WriteState) -> io::Result<bool> {
         let Some(plan) = self.plan_compaction() else {
             return Ok(false);
         };
         let read_errors = RelaxedCounter::new();
-        let mut output_ids: Vec<u64> = Vec::new();
-        let next_table_id_before = write.next_table_id;
-        let build = |write: &mut WriteState,
-                     output_ids: &mut Vec<u64>|
-         -> io::Result<Vec<(u64, crate::sstable::TableMeta<K>)>> {
-            let mut merge = MergeCursor::new(Self::table_sources(
-                &plan.inputs,
-                Bound::Unbounded,
-                Bound::Unbounded,
-                &read_errors,
-            ));
-            let mut metas = Vec::new();
-            let mut builder: Option<(u64, TableBuilder<K, V>)> = None;
-            while let Some((key, slot)) = merge.next() {
-                if plan.drop_tombstones && slot.is_tombstone() {
-                    continue;
-                }
-                if builder.is_none() {
-                    let id = write.next_table_id;
-                    write.next_table_id += 1;
-                    output_ids.push(id);
-                    let built = TableBuilder::create(
-                        self.storage.as_ref(),
-                        &table_file(&self.dir, id),
-                        self.config.table,
-                    )?;
-                    builder = Some((id, built));
-                }
-                let (_, active) = builder.as_mut().expect("builder was just ensured");
-                active.add(key, slot)?;
-                if active.bytes_estimate() >= self.config.table_target_bytes {
-                    let (id, full) = builder.take().expect("builder is active");
-                    metas.push((id, full.finish()?));
-                }
-            }
-            if let Some((id, rest)) = builder.take() {
-                metas.push((id, rest.finish()?));
-            }
+        let mut merge = MergeCursor::new(Self::table_sources(
+            &plan.inputs,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            &read_errors,
+        ));
+        let kept = std::iter::from_fn(|| merge.next())
+            .filter(|(_, slot)| !(plan.drop_tombstones && slot.is_tombstone()));
+        let outputs = self.write_tables(write, kept, self.config.table_target_bytes, || {
             // An input cursor that hit a read error ended its stream
             // early; committing would silently drop the unread suffix.
             if read_errors.get() > 0 {
@@ -893,57 +840,105 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                     "bskip-lsm: compaction input read failed; aborting to avoid data loss",
                 ));
             }
-            Ok(metas)
-        };
-        let abort = |write: &mut WriteState, output_ids: &[u64]| {
-            for &id in output_ids {
-                let _ = self.storage.remove(&table_file(&self.dir, id));
-            }
-            write.next_table_id = next_table_id_before;
-        };
-        let output_metas = match build(write, &mut output_ids) {
-            Ok(metas) => metas,
-            Err(error) => {
-                abort(write, &output_ids);
-                return Err(error);
-            }
-        };
-        // Open every output before touching the level set, so commit
-        // below cannot fail halfway through.
-        let mut outputs: Vec<Arc<Table<K, V>>> = Vec::new();
-        for (id, meta) in &output_metas {
-            match Table::open(self.storage.as_ref(), &meta.path, *id) {
-                Ok(table) => outputs.push(Arc::new(table)),
-                Err(error) => {
-                    abort(write, &output_ids);
-                    return Err(error);
-                }
-            }
-        }
+            Ok(())
+        })?;
         let input_ids: HashSet<u64> = plan.inputs.iter().flatten().map(|table| table.id).collect();
-        {
-            let mut state = self.write_state();
-            let snapshot = state.levels.clone();
-            for level in state.levels.iter_mut() {
-                level.retain(|table| !input_ids.contains(&table.id));
-            }
-            if state.levels.len() <= plan.output_level {
-                state.levels.resize_with(plan.output_level + 1, Vec::new);
-            }
-            state.levels[plan.output_level].extend(outputs);
-            state.levels[plan.output_level].sort_by_key(|table| table.min_key);
-            if let Err(error) = self.persist_manifest(&state) {
-                state.levels = snapshot;
-                drop(state);
-                abort(write, &output_ids);
-                return Err(error);
-            }
-        }
+        self.install(write, &input_ids, &outputs, plan.output_level, |_| {})?;
         for table in plan.inputs.iter().flatten() {
             let _ = self.storage.remove(table.path());
         }
         self.counters.compactions.incr();
         Ok(true)
+    }
+
+    /// Streams `entries` into new tables, starting a fresh one whenever the
+    /// current one reaches `split_bytes`, runs `verify` once the stream has
+    /// ended, and opens every output, so that `install` has nothing left
+    /// that can fail but the manifest commit.  The only place maintenance
+    /// allocates table ids; on any error the files written here are removed
+    /// and the ids given back.
+    fn write_tables(
+        &self,
+        write: &mut WriteState,
+        entries: impl Iterator<Item = (K, Slot<V>)>,
+        split_bytes: u64,
+        verify: impl FnOnce() -> io::Result<()>,
+    ) -> io::Result<Vec<Arc<Table<K, V>>>> {
+        let first_id = write.next_table_id;
+        let build = |write: &mut WriteState| -> io::Result<Vec<Arc<Table<K, V>>>> {
+            let mut builder: Option<TableBuilder<K, V>> = None;
+            let mut finished = Vec::new();
+            for (key, slot) in entries {
+                let active = match builder.as_mut() {
+                    Some(active) => active,
+                    None => {
+                        let path = table_file(&self.dir, write.next_table_id);
+                        write.next_table_id += 1;
+                        let storage = self.storage.as_ref();
+                        builder.insert(TableBuilder::create(storage, &path, self.config.table)?)
+                    }
+                };
+                active.add(key, slot)?;
+                if active.bytes_estimate() >= split_bytes {
+                    let full = builder.take().expect("builder is active");
+                    finished.push(full.finish()?.path);
+                }
+            }
+            if let Some(rest) = builder {
+                finished.push(rest.finish()?.path);
+            }
+            verify()?;
+            // Every id handed out above names a finished table, in order.
+            let open = |(path, id): (&PathBuf, u64)| {
+                Table::open(self.storage.as_ref(), path, id).map(Arc::new)
+            };
+            finished.iter().zip(first_id..).map(open).collect()
+        };
+        build(write).inspect_err(|_| self.discard_tables(write, first_id))
+    }
+
+    /// Undoes a maintenance job that will not commit: removes the table
+    /// files it wrote — ids `first_id` and up — and gives the ids back.
+    fn discard_tables(&self, write: &mut WriteState, first_id: u64) {
+        for id in first_id..write.next_table_id {
+            let _ = self.storage.remove(&table_file(&self.dir, id));
+        }
+        write.next_table_id = first_id;
+    }
+
+    /// The one commit path of the level set: builds the next `levels`
+    /// aside — `inputs` out, `outputs` in at `level` — commits its manifest
+    /// with no state lock held, and only then swaps it in, running `retire`
+    /// under the same exclusive guard.  The writer mutex (`write`) is what
+    /// keeps `levels` from changing in between; readers carry on over the
+    /// old set until the swap.  A failed commit discards the outputs and
+    /// swaps nothing.
+    fn install(
+        &self,
+        write: &mut WriteState,
+        inputs: &HashSet<u64>,
+        outputs: &[Arc<Table<K, V>>],
+        level: usize,
+        retire: impl FnOnce(&mut EngineState<K, V>),
+    ) -> io::Result<()> {
+        let mut levels = self.read_state().levels.clone();
+        for tables in levels.iter_mut() {
+            tables.retain(|table| !inputs.contains(&table.id));
+        }
+        if levels.len() <= level {
+            levels.resize_with(level + 1, Vec::new);
+        }
+        levels[level].extend(outputs.iter().cloned());
+        Self::sort_levels(&mut levels);
+        if let Err(error) = self.persist_manifest(&levels) {
+            // The outputs hold the newest ids: `write_tables` handed them out.
+            self.discard_tables(write, write.next_table_id - outputs.len() as u64);
+            return Err(error);
+        }
+        let mut state = self.write_state();
+        state.levels = levels;
+        retire(&mut state);
+        Ok(())
     }
 
     fn plan_compaction(&self) -> Option<CompactionPlan<K, V>> {
@@ -987,9 +982,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         None
     }
 
-    fn persist_manifest(&self, state: &EngineState<K, V>) -> io::Result<()> {
+    fn persist_manifest(&self, levels: &[Vec<Arc<Table<K, V>>>]) -> io::Result<()> {
         let mut tables = Vec::new();
-        for (level, level_tables) in state.levels.iter().enumerate() {
+        for (level, level_tables) in levels.iter().enumerate() {
             for table in level_tables {
                 tables.push(ManifestTable {
                     level,
@@ -1740,9 +1735,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A [`FaultFs`] whose files can be made to park inside `append`: while
-    /// armed, an append announces itself on `entered` and then waits for
-    /// `release`.
+    /// A [`FaultFs`] that can be made to park inside a file's `append`
+    /// (while `armed`) or inside `rename` — the manifest's commit point —
+    /// (while `rename_armed`): the call announces itself to `wait_parked`
+    /// and then waits for `release`.  `rename_fails` fails the next rename.
     struct GateFs {
         inner: FaultFs,
         gate: Arc<Gate>,
@@ -1750,8 +1746,55 @@ mod tests {
 
     struct Gate {
         armed: AtomicBool,
-        entered: Mutex<mpsc::Sender<()>>,
-        release: Mutex<mpsc::Receiver<()>>,
+        rename_armed: AtomicBool,
+        rename_fails: AtomicBool,
+        entered: mpsc::Sender<()>,
+        parked: Mutex<mpsc::Receiver<()>>,
+        release: mpsc::Sender<()>,
+        released: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Gate {
+        fn park_if(&self, armed: &AtomicBool) {
+            if armed.load(Ordering::SeqCst) {
+                self.entered.send(()).unwrap();
+                self.released.lock().unwrap().recv().unwrap();
+            }
+        }
+
+        /// Returns once a call is parked in the gate.
+        fn wait_parked(&self) {
+            self.parked.lock().unwrap().recv().unwrap();
+        }
+
+        /// Disarms the gate and lets the parked call go.
+        fn release(&self) {
+            self.armed.store(false, Ordering::SeqCst);
+            self.rename_armed.store(false, Ordering::SeqCst);
+            self.release.send(()).unwrap();
+        }
+    }
+
+    /// A gated filesystem with nothing armed, and a handle on the
+    /// [`FaultFs`] under it.
+    fn gate_fs() -> (GateFs, FaultFs, Arc<Gate>) {
+        let (entered, parked) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        let gate = Arc::new(Gate {
+            armed: AtomicBool::new(false),
+            rename_armed: AtomicBool::new(false),
+            rename_fails: AtomicBool::new(false),
+            entered,
+            parked: Mutex::new(parked),
+            release,
+            released: Mutex::new(released),
+        });
+        let inner = FaultFs::new();
+        let storage = GateFs {
+            inner: inner.clone(),
+            gate: Arc::clone(&gate),
+        };
+        (storage, inner, gate)
     }
 
     struct GateFile {
@@ -1782,6 +1825,10 @@ mod tests {
             self.inner.read(path)
         }
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.gate.park_if(&self.gate.rename_armed);
+            if self.gate.rename_fails.swap(false, Ordering::SeqCst) {
+                return Err(io::Error::other("GateFs: injected rename failure"));
+            }
             self.inner.rename(from, to)
         }
         fn remove(&self, path: &Path) -> io::Result<()> {
@@ -1800,10 +1847,7 @@ mod tests {
 
     impl StorageFile for GateFile {
         fn append(&mut self, data: &[u8]) -> io::Result<()> {
-            if self.gate.armed.load(Ordering::SeqCst) {
-                self.gate.entered.lock().unwrap().send(()).unwrap();
-                self.gate.release.lock().unwrap().recv().unwrap();
-            }
+            self.gate.park_if(&self.gate.armed);
             self.inner.append(data)
         }
         fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
@@ -1824,17 +1868,7 @@ mod tests {
     /// request that should explain a stall must not wait for it to end.
     #[test]
     fn read_only_batch_and_health_probes_do_not_queue_behind_a_writer() {
-        let (entered, writer_entered) = mpsc::channel();
-        let (release, released) = mpsc::channel();
-        let gate = Arc::new(Gate {
-            armed: AtomicBool::new(false),
-            entered: Mutex::new(entered),
-            release: Mutex::new(released),
-        });
-        let storage = GateFs {
-            inner: FaultFs::new(),
-            gate: Arc::clone(&gate),
-        };
+        let (storage, _, gate) = gate_fs();
         let engine: LsmEngine<u64, u64> =
             LsmEngine::open_with(Arc::new(storage), "/db", LsmConfig::small()).unwrap();
         for key in 0..8u64 {
@@ -1846,7 +1880,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| engine.insert(100, 1));
             // The writer now holds the writer mutex, parked in its WAL append.
-            writer_entered.recv().unwrap();
+            gate.wait_parked();
             let (done, batch_done) = mpsc::channel();
             let (probed, probes_done) = mpsc::channel();
             scope.spawn(move || {
@@ -1861,8 +1895,7 @@ mod tests {
             let reads = batch_done.recv_timeout(Duration::from_secs(5));
             let probes = probes_done.recv_timeout(Duration::from_secs(5));
             // Let the writer go whatever happened, so the scope can join.
-            gate.armed.store(false, Ordering::SeqCst);
-            release.send(()).unwrap();
+            gate.release();
             let reads = reads.expect("a batch of gets must not wait for the writer mutex");
             for (key, op) in reads.iter().enumerate() {
                 assert_eq!(op.result().value(), Some(key as u64 * 3));
@@ -1874,5 +1907,176 @@ mod tests {
             );
         });
         assert_eq!(engine.get(&100), Some(1));
+    }
+
+    // ---- The level set's one commit path ----
+
+    /// `rounds` flushed level-0 tables of 100 overlapping keys each, then a
+    /// sealed memtable of 100 more waiting for its flush.
+    fn flushed_rounds(engine: &LsmEngine<u64, u64>, rounds: u64) {
+        for round in 0..=rounds {
+            for i in 0..100u64 {
+                engine.insert(i * 3 + round, round << 16 | i);
+            }
+            engine.rotate().unwrap();
+            if round < rounds {
+                engine.flush().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn readers_do_not_wait_for_a_manifest_commit() {
+        let (storage, _, gate) = gate_fs();
+        let engine: LsmEngine<u64, u64> =
+            LsmEngine::open_with(Arc::new(storage), "/db", manual_config()).unwrap();
+        flushed_rounds(&engine, 2);
+        let engine = &engine;
+        // Runs `job` until its manifest commit parks in the rename, reads
+        // the engine four ways from another thread, and lets the job go.
+        let read_during = |job: &(dyn Fn() + Sync)| {
+            gate.rename_armed.store(true, Ordering::SeqCst);
+            std::thread::scope(|scope| {
+                scope.spawn(job);
+                gate.wait_parked();
+                let (done, reads_done) = mpsc::channel();
+                scope.spawn(move || {
+                    let got = engine.get(&3);
+                    let mut batch = vec![Op::<u64, u64>::get(3), Op::get(4)];
+                    engine.execute(&mut batch);
+                    let page = engine.scan_range(..).take(10).count();
+                    let stats = engine.stats();
+                    done.send((got, batch[1].result().value(), page, stats))
+                        .unwrap();
+                });
+                let reads = reads_done.recv_timeout(Duration::from_secs(3));
+                // Let the job go whatever happened, so the scope can join.
+                gate.release();
+                reads.expect("reads must not wait for a manifest commit")
+            })
+        };
+
+        let (got, batched, page, stats) = read_during(&|| assert_eq!(engine.flush().unwrap(), 1));
+        assert_eq!((got, batched, page), (Some(1), Some(1 << 16 | 1), 10));
+        // The level set is not swapped before its manifest is committed.
+        assert_eq!(stats.get("immutable_memtables"), Some(1), "{stats}");
+        assert_eq!(stats.get("tables_l0"), Some(2), "{stats}");
+        assert_eq!(engine.tables_per_level(), [3]);
+
+        let (got, batched, page, stats) = read_during(&|| assert_eq!(engine.compact().unwrap(), 1));
+        assert_eq!((got, batched, page), (Some(1), Some(1 << 16 | 1), 10));
+        assert_eq!(stats.get("tables_l0"), Some(3), "{stats}");
+        assert_eq!(engine.tables_per_level()[0], 0);
+        assert_eq!(engine.get(&3), Some(1));
+    }
+
+    /// Every file name in the engine directory, sorted.
+    fn dir_listing(fs: &FaultFs) -> Vec<String> {
+        let mut names = fs.read_dir(Path::new("/db")).unwrap();
+        names.sort();
+        names
+    }
+
+    /// What a failed commit must leave as it was.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        tables: Vec<usize>,
+        sealed: Option<u64>,
+        names: Vec<String>,
+        contents: Vec<(u64, u64)>,
+    }
+
+    fn observe(engine: &LsmEngine<u64, u64>, fs: &FaultFs) -> Observed {
+        let contents: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        for (key, value) in &contents {
+            assert_eq!(engine.get(key), Some(*value));
+        }
+        Observed {
+            tables: engine.tables_per_level(),
+            sealed: engine.stats().get("immutable_memtables"),
+            names: dir_listing(fs),
+            contents,
+        }
+    }
+
+    #[test]
+    fn a_failed_manifest_commit_leaves_nothing_behind() {
+        for (compaction, failing_rename, reopen) in [
+            (false, false, false),
+            (false, true, false),
+            (true, false, false),
+            (true, true, false),
+            (false, false, true),
+            (true, true, true),
+        ] {
+            let case = format!("compaction {compaction}, rename {failing_rename}, reopen {reopen}");
+            let job = |engine: &LsmEngine<u64, u64>| match compaction {
+                true => engine.compact(),
+                false => engine.flush(),
+            };
+            let rounds = if compaction { 3 } else { 1 };
+            // The unfaulted run: what the job writes, and how many syncs in.
+            let clean = FaultFs::new();
+            let reference = open_manual(&clean);
+            flushed_rounds(&reference, rounds);
+            let syncs_before = clean.sync_count();
+            assert_eq!(job(&reference).unwrap(), 1, "{case}");
+            // A commit's last two syncs: the manifest's own, the directory's.
+            let manifest_sync = clean.sync_count() - syncs_before - 1;
+
+            let (storage, fs, gate) = gate_fs();
+            let storage: Arc<dyn Storage> = Arc::new(storage);
+            let engine: LsmEngine<u64, u64> =
+                LsmEngine::open_with(Arc::clone(&storage), "/db", manual_config()).unwrap();
+            flushed_rounds(&engine, rounds);
+            let before = observe(&engine, &fs);
+            if failing_rename {
+                gate.rename_fails.store(true, Ordering::SeqCst);
+            } else {
+                fs.fail_nth_sync(manifest_sync, io::ErrorKind::Other);
+            }
+            job(&engine).expect_err(&case);
+            assert_eq!(engine.io_errors(), 1, "{case}");
+            // All a failed commit leaves is the temporary that recovery
+            // deletes: no table, no sealed memtable lost, no value changed.
+            let mut after = observe(&engine, &fs);
+            assert!(after.names.contains(&"MANIFEST.tmp".to_string()), "{case}");
+            after.names.retain(|name| name != "MANIFEST.tmp");
+            assert_eq!(after, before, "{case}");
+
+            if reopen {
+                drop(engine);
+                let engine: LsmEngine<u64, u64> =
+                    LsmEngine::open_with(storage, "/db", manual_config()).unwrap();
+                // Recovery replays the sealed memtable's WAL into the live one.
+                let sealed = Some(0);
+                assert_eq!(observe(&engine, &fs), Observed { sealed, ..before });
+            } else {
+                // The ids went back too: the retry writes the files the
+                // unfaulted run wrote, byte for byte.
+                assert_eq!(job(&engine).unwrap(), 1, "{case}");
+                assert_eq!(engine.tables_per_level(), reference.tables_per_level());
+                let db = Path::new("/db");
+                assert_eq!(table_files(&fs, db), table_files(&clean, db), "{case}");
+                assert_eq!(observe(&engine, &fs).contents, before.contents, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn flushing_an_empty_sealed_memtable_writes_nothing() {
+        let fs = FaultFs::new();
+        let engine = open_manual(&fs);
+        // `rotate()` never seals an empty memtable; the step under it does.
+        engine.rotate_locked(&mut engine.write_lock()).unwrap();
+        assert_eq!(engine.stats().get("immutable_memtables"), Some(1));
+        let (writes, syncs) = (fs.write_count(), fs.sync_count());
+        assert_eq!(engine.flush().unwrap(), 1);
+        assert_eq!((fs.write_count(), fs.sync_count()), (writes, syncs));
+        assert_eq!(engine.stats().get("immutable_memtables"), Some(0));
+        assert_eq!(engine.stats().get("sst_flushes"), Some(0));
+        assert!(!dir_listing(&fs)
+            .iter()
+            .any(|name| name.contains("MANIFEST")));
     }
 }

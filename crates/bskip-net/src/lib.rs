@@ -128,6 +128,35 @@ mod tests {
     }
 
     #[test]
+    fn a_full_scan_page_is_answered_with_the_rest_of_its_window() {
+        use crate::proto::MAX_SCAN_LIMIT;
+
+        // More entries than the largest page, so the scan fills its limit.
+        let list = BSkipList::<u64, u64>::new();
+        for key in 0..u64::from(MAX_SCAN_LIMIT) + 10 {
+            list.insert(key, key + 1);
+        }
+        let handle = KvServer::bind(list, ("127.0.0.1", 0), ServerConfig::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let mut conn = Connection::connect_windowed(handle.addr(), 2).expect("connect");
+        conn.send(&Request::put(5, 50)).unwrap();
+        let (lo, hi, limit) = (0, u64::MAX, MAX_SCAN_LIMIT);
+        conn.send(&Request::Scan { lo, hi, limit }).unwrap();
+        let responses = conn
+            .drain()
+            .expect("both requests of the window are answered");
+        assert_eq!(responses[0], Response::Found { value: 6 });
+        match &responses[1] {
+            Response::Entries { entries } => assert_eq!(entries.len(), MAX_SCAN_LIMIT as usize),
+            other => panic!("expected a full page, got {other:?}"),
+        }
+        assert_eq!(conn.get(5).unwrap(), Some(50));
+        handle.shutdown();
+    }
+
+    #[test]
     fn pipelined_window_coalesces_server_side() {
         let handle = start_server(ServerConfig::default());
         let mut conn = Connection::connect_windowed(handle.addr(), 64).expect("connect");

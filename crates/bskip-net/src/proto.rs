@@ -68,9 +68,11 @@ pub const MAX_VALUE_LEN: usize = 64 << 10;
 /// Upper bound on operations in one `Batch` request.
 pub const MAX_BATCH_OPS: usize = 64 << 10;
 
-/// Upper bound on the entry count a `Scan` may request; larger windows
-/// are paginated by issuing the next scan from the last returned key.
-pub const MAX_SCAN_LIMIT: u32 = 64 << 10;
+/// Upper bound on the entry count a `Scan` may request — what one
+/// `Entries` frame can carry (tag, count, 16 bytes a pair), so decode
+/// rejects the request encode could not answer; larger windows are
+/// paginated by issuing the next scan from the last returned key.
+pub const MAX_SCAN_LIMIT: u32 = ((MAX_FRAME_LEN - 5) / 16) as u32;
 
 /// Consumed-prefix size past which the decoder's buffer is compacted.
 const COMPACT_THRESHOLD: usize = 32 << 10;
@@ -921,6 +923,17 @@ mod tests {
             decoder.decode_request(),
             Err(ProtoError::BadField("value length"))
         );
+    }
+
+    #[test]
+    fn the_largest_admitted_answers_fit_a_frame() {
+        let mut wire = Vec::new();
+        let entries = vec![(u64::MAX, u64::MAX); MAX_SCAN_LIMIT as usize];
+        encode_response(&Response::Entries { entries }, &mut wire).expect("a full scan page");
+        assert!(wire.len() - 4 <= MAX_FRAME_LEN && wire.len() - 4 + 16 > MAX_FRAME_LEN);
+        wire.clear();
+        let results = vec![Some(u64::MAX); MAX_BATCH_OPS];
+        encode_response(&Response::Results { results }, &mut wire).expect("a full batch");
     }
 
     #[test]
