@@ -18,7 +18,7 @@
 //!   indices that cannot pause mid-traversal (lock-free structures have no
 //!   way to hold a position without pinning memory);
 //! * [`MergeCursor`] — the workspace's one K-way merge: sorted sources in
-//!   priority order composed into a single bidirectional cursor (hash
+//!   priority order composed into a single bidirectional cursor (the
 //!   shards of a [`crate::ShardedIndex`], the layers of the LSM engine).
 //!
 //! # Consistency contract
@@ -382,7 +382,7 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
 /// Which direction a composed cursor last moved, which dictates what the
 /// cached per-source state means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
+enum Mode {
     /// No positioning call has succeeded (or the last `seek` missed
     /// entirely): cached state is invalid.
     Fresh,

@@ -31,11 +31,10 @@
 //!   `RangeBounds` scan sugar for `dyn ConcurrentIndex` callers, which the
 //!   `Self: Sized` bound on [`ConcurrentIndex::scan`] would otherwise lock
 //!   out.
-//! * [`ShardedIndex`] / [`ShardSpec`] — a partitioned front-end
-//!   combinator: hash- or range-shard keys across N inner indices, route
-//!   point operations, split batches per shard (applied shard after
-//!   shard on the calling thread), and compose per-shard cursors into one
-//!   merged (hash) or concatenated (range) globally ordered scan.  See
+//! * [`ShardedIndex`] — a partitioned front-end combinator: hash-shard
+//!   keys across N inner indices, route point operations, split batches
+//!   per shard (applied shard after shard on the calling thread), and
+//!   merge per-shard cursors into one globally ordered scan.  See
 //!   [`sharded`].
 //! * [`IndexStats`] — the one statistics model of the workspace: named
 //!   values that each carry a [`StatKind`] (`Counter`, `Gauge`, `Max`),
@@ -71,6 +70,6 @@ mod traits;
 pub use cursor::{BatchCursor, Cursor, IndexCursor, MergeCursor};
 pub use key::{IndexKey, IndexValue};
 pub use ops::{Op, OpResult};
-pub use sharded::{ShardPartition, ShardSpec, ShardedIndex};
+pub use sharded::ShardedIndex;
 pub use stats::{IndexStats, ReclamationStats, StatKind, StatValue};
 pub use traits::{ConcurrentIndex, ConcurrentIndexExt};

@@ -19,7 +19,8 @@ use crate::{IndexKey, IndexStats, IndexValue};
 /// plus `remove`, which the paper describes as symmetric to insert.  All
 /// methods take `&self` and must be safe to call from many threads
 /// simultaneously; implementations provide their own concurrency control
-/// (hand-over-hand RW locking for the B-skiplist, CAS for the lock-free
+/// (version-validated optimistic descents plus write locks only at the
+/// levels an operation modifies for the B-skiplist, CAS for the lock-free
 /// skiplist, OCC for the B+-tree, ...).
 ///
 /// # Batched execution

@@ -1,4 +1,4 @@
-//! The pipelined driver client: a windowed connection plus a small pool.
+//! The pipelined driver client: a windowed connection.
 //!
 //! [`Connection`] is the unit of pipelining.  It keeps an **in-flight
 //! window**: [`Connection::send`] encodes a request into a write buffer
@@ -10,12 +10,6 @@
 //! request IDs — FIFO per connection is the contract), so callers track
 //! correspondence positionally; drained-but-unconsumed responses queue
 //! internally until [`Connection::recv`] claims them.
-//!
-//! [`Pool`] is the multi-connection form: a fixed set of connections
-//! dealt round-robin, for drivers that want more server-side parallelism
-//! than one socket (= one server thread) can express.  A pool built with
-//! a [`RetryPolicy`] additionally rides out broken members: a failed
-//! `send` reconnects that member under exponential backoff.
 //!
 //! Fault tolerance on the client side is deliberately bounded:
 //! [`ClientOptions`] puts read/write timeouts on the socket so a hung
@@ -31,7 +25,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::proto::{encode_request, FrameDecoder, Request, Response};
+use crate::proto::{encode_request, FrameDecoder, Request, Response, READ_CHUNK};
 
 /// Default in-flight window for [`Connection::connect`].
 pub const DEFAULT_WINDOW: usize = 32;
@@ -125,7 +119,7 @@ impl Connection {
             ready: VecDeque::new(),
             in_flight: 0,
             window: options.window.max(1),
-            chunk: vec![0u8; 16 << 10],
+            chunk: vec![0u8; READ_CHUNK],
         })
     }
 
@@ -303,139 +297,4 @@ fn unexpected(response: &Response) -> std::io::Error {
         ErrorKind::InvalidData,
         format!("unexpected response: {response:?}"),
     )
-}
-
-/// Reconnect-with-backoff policy for [`Pool::send`] on a broken member.
-///
-/// After a send error the pool sleeps `initial`, reconnects the member,
-/// and re-sends; each further attempt doubles the delay up to `max`.
-/// `attempts` bounds the reconnect attempts (0 disables retry).  The
-/// original request is re-sent on the fresh connection, but responses
-/// that were in flight on the broken member are lost — positional
-/// bookkeeping for that member starts over.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Reconnect attempts after the initial failure (0 = no retry).
-    pub attempts: u32,
-    /// Delay before the first reconnect attempt.
-    pub initial: Duration,
-    /// Cap on the doubled delay.
-    pub max: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            initial: Duration::from_millis(10),
-            max: Duration::from_millis(500),
-        }
-    }
-}
-
-/// A small fixed-size pool of pipelined connections, dealt round-robin.
-pub struct Pool {
-    connections: Vec<Connection>,
-    next: usize,
-    retry: Option<RetryPolicy>,
-}
-
-impl Pool {
-    /// Opens `size` connections to `addr`, each with `window` in-flight
-    /// slots.
-    pub fn connect<A: ToSocketAddrs + Copy>(
-        addr: A,
-        size: usize,
-        window: usize,
-    ) -> std::io::Result<Self> {
-        Pool::connect_with(
-            addr,
-            size,
-            ClientOptions {
-                window,
-                ..ClientOptions::default()
-            },
-        )
-    }
-
-    /// Opens `size` connections with full [`ClientOptions`] each.
-    pub fn connect_with<A: ToSocketAddrs + Copy>(
-        addr: A,
-        size: usize,
-        options: ClientOptions,
-    ) -> std::io::Result<Self> {
-        let mut connections = Vec::with_capacity(size.max(1));
-        for _ in 0..size.max(1) {
-            connections.push(Connection::connect_with(addr, options)?);
-        }
-        Ok(Pool {
-            connections,
-            next: 0,
-            retry: None,
-        })
-    }
-
-    /// Enables reconnect-with-backoff on send failures (builder style).
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Number of pooled connections.
-    pub fn len(&self) -> usize {
-        self.connections.len()
-    }
-
-    /// Whether the pool is empty (it never is; pools hold ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        self.connections.is_empty()
-    }
-
-    /// Borrows connection `i` (for drivers that pin work to members).
-    pub fn connection(&mut self, i: usize) -> &mut Connection {
-        &mut self.connections[i]
-    }
-
-    /// Enqueues `request` on the next connection round-robin.  Returns
-    /// the member index the request went to, so the caller can `recv`
-    /// its response positionally from that member.
-    pub fn send(&mut self, request: &Request) -> std::io::Result<usize> {
-        let i = self.next;
-        self.next = (self.next + 1) % self.connections.len();
-        match self.connections[i].send(request) {
-            Ok(()) => Ok(i),
-            Err(error) => match self.retry {
-                Some(policy) => self.resend(i, request, error, policy),
-                None => Err(error),
-            },
-        }
-    }
-
-    /// Reconnects member `i` under exponential backoff and re-sends
-    /// `request`.  Returns the last error once attempts are exhausted.
-    fn resend(
-        &mut self,
-        i: usize,
-        request: &Request,
-        mut last: std::io::Error,
-        policy: RetryPolicy,
-    ) -> std::io::Result<usize> {
-        let mut delay = policy.initial;
-        for _ in 0..policy.attempts {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(policy.max);
-            let member = &mut self.connections[i];
-            match member.reconnect().and_then(|()| member.send(request)) {
-                Ok(()) => return Ok(i),
-                Err(error) => last = error,
-            }
-        }
-        Err(last)
-    }
-
-    /// Flushes and drains every member, returning each member's
-    /// responses in request order.
-    pub fn drain_all(&mut self) -> std::io::Result<Vec<Vec<Response>>> {
-        self.connections.iter_mut().map(Connection::drain).collect()
-    }
 }

@@ -77,6 +77,10 @@ pub const MAX_SCAN_LIMIT: u32 = ((MAX_FRAME_LEN - 5) / 16) as u32;
 /// Consumed-prefix size past which the decoder's buffer is compacted.
 const COMPACT_THRESHOLD: usize = 32 << 10;
 
+/// Bytes one socket `read` may hand a [`FrameDecoder`], on the server's
+/// connections and the client's alike.
+pub(crate) const READ_CHUNK: usize = 16 << 10;
+
 const OP_PING: u8 = 0x01;
 const OP_GET: u8 = 0x02;
 const OP_PUT: u8 = 0x03;

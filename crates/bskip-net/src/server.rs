@@ -37,7 +37,7 @@ use bskip_index::{ConcurrentIndex, Op, OpResult, StatKind};
 use bskip_sync::RelaxedCounter;
 
 use crate::proto::{
-    encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request, Response,
+    encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request, Response, READ_CHUNK,
 };
 
 /// The index type the service runs over: any [`ConcurrentIndex`] behind a
@@ -50,8 +50,6 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; further clients receive a
     /// `Busy` error frame and are closed.
     pub max_connections: usize,
-    /// Socket read chunk size per connection.
-    pub read_chunk: usize,
     /// Per-read socket timeout; its only role is to bound how long a
     /// parked connection thread takes to notice a shutdown.
     pub poll_interval: Duration,
@@ -61,7 +59,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            read_chunk: 16 << 10,
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -302,7 +299,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
     let mut decoder = FrameDecoder::new();
-    let mut chunk = vec![0u8; shared.config.read_chunk];
+    let mut chunk = vec![0u8; READ_CHUNK];
     // Per-connection scratch, cleared and refilled for every window.
     let mut requests: Vec<Request> = Vec::new();
     let mut ops: Vec<Op<u64, u64>> = Vec::new();

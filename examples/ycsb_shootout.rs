@@ -7,9 +7,9 @@
 //!
 //! The last rows are the durable `bskip-lsm` engine (WAL + SSTables with
 //! the B-skiplist as its memtable) — the cost of durability in one table —
-//! and two `ShardedIndex` front-ends (hash- and uniform-range-partitioned
-//! over `BSKIP_SHARDS` B-skiplist shards, default 4), all running the same
-//! workloads through the same `ConcurrentIndex` surface.
+//! and a hash-partitioned `ShardedIndex` over `BSKIP_SHARDS` B-skiplist
+//! shards (default 4), all running the same workloads through the same
+//! `ConcurrentIndex` surface.
 //!
 //! Run with: `cargo run --release --example ycsb_shootout`
 //! Scale with the BSKIP_RECORDS / BSKIP_OPS / BSKIP_THREADS variables.
@@ -30,7 +30,7 @@ fn env(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Shard count for the `Sharded B-skiplist*` rows (`BSKIP_SHARDS`).
+/// Shard count for the `Sharded B-skiplist` row (`BSKIP_SHARDS`).
 fn sharded_shards() -> usize {
     env("BSKIP_SHARDS", 4).max(1)
 }
@@ -115,15 +115,6 @@ fn main() {
                 })) as _
             }),
         ),
-        (
-            "Sharded B-skiplist/range",
-            Box::new(|| {
-                Box::new(bskip_suite::ShardedIndex::new(
-                    bskip_suite::ShardSpec::range_uniform(sharded_shards()),
-                    |_| BSkipList::<u64, u64>::with_config(BSkipConfig::paper_default()),
-                )) as _
-            }),
-        ),
     ];
 
     // Engine selector: BSKIP_ENGINES=label,label keeps matching rows only.
@@ -150,7 +141,7 @@ fn main() {
     }
 
     println!(
-        "\n{:<16} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "\n{:<18} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "index", "Load", "A", "B", "C", "E"
     );
     let mut bskip_row = Vec::new();
@@ -163,7 +154,7 @@ fn main() {
             bskip_row = row.clone();
         }
         println!(
-            "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             label, row[0], row[1], row[2], row[3], row[4]
         );
     }
@@ -174,7 +165,7 @@ fn main() {
     const BATCH_SIZES: [usize; 4] = [1, 64, 256, 1024];
     println!(
         "\nbatch_size sweep, workload A (ops/us; batch 1 is the point path)\n\
-         {:<16} {:>8} {:>8} {:>8} {:>8}",
+         {:<18} {:>8} {:>8} {:>8} {:>8}",
         "index", "b=1", "b=64", "b=256", "b=1024"
     );
     for (label, build) in &systems {
@@ -186,7 +177,7 @@ fn main() {
             })
             .collect();
         println!(
-            "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             label, row[0], row[1], row[2], row[3]
         );
     }

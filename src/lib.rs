@@ -20,11 +20,10 @@ pub use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipL
 pub use bskip_core::{BSkipConfig, BSkipList, BSkipStats};
 pub use bskip_index::{
     BatchCursor, ConcurrentIndex, ConcurrentIndexExt, Cursor, IndexCursor, IndexStats, Op,
-    OpResult, ReclamationStats, ShardPartition, ShardSpec, ShardedIndex,
+    OpResult, ReclamationStats, ShardedIndex,
 };
 pub use bskip_lsm::{FaultFs, LsmConfig, LsmEngine, StdFs, Storage, StorageFile, SyncPolicy};
 pub use bskip_net::{
-    BatchOp, ClientOptions, Connection, KvServer, Pool, Request, Response, RetryPolicy,
-    ServerConfig, SharedIndex,
+    BatchOp, ClientOptions, Connection, KvServer, Request, Response, ServerConfig, SharedIndex,
 };
 pub use bskip_sync::{EbrCollector, EbrGuard, EbrStats};

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use bskip_suite::{
     BSkipConfig, BSkipList, ConcurrentIndex, LazySkipList, LockFreeSkipList, MasstreeLite,
-    NhsSkipList, OccBTree, Op, ShardSpec, ShardedIndex,
+    NhsSkipList, OccBTree, Op, ShardedIndex,
 };
 
 fn op_strategy(key_space: u64) -> impl Strategy<Value = Op<u64, u64>> {
@@ -39,8 +39,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random `Op` batches through `execute` on all six indices — plus the
-    /// hash- and range-sharded front-ends, whose `execute` splits the batch
-    /// per shard and reassembles results into the original slots — must
+    /// sharded front-end, whose `execute` splits the batch per shard and
+    /// reassembles results into the original slots — must
     /// agree, result-for-result and in final contents, with a `BTreeMap`
     /// oracle that applies the same batch sequentially.  The B-skiplist
     /// takes its native sorted-batch path, the baselines and the oracle
@@ -59,17 +59,12 @@ proptest! {
         let nhs: NhsSkipList<u64, u64> = NhsSkipList::new();
         let btree: OccBTree<u64, u64, 8> = OccBTree::new();
         let masstree: MasstreeLite<u64, u64> = MasstreeLite::new();
-        let sharded_hash: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> = ShardedIndex::new(
-            ShardSpec::hash(4),
-            |_| BSkipList::with_config(BSkipConfig::default().with_max_height(4)),
-        );
-        let sharded_range: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
-            ShardedIndex::new(ShardSpec::range(vec![100, 200]), |_| {
+        let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
+            ShardedIndex::hash(4, |_| {
                 BSkipList::with_config(BSkipConfig::default().with_max_height(4))
             });
-        let indices: Vec<&dyn ConcurrentIndex<u64, u64>> = vec![
-            &bskip, &lockfree, &lazy, &nhs, &btree, &masstree, &sharded_hash, &sharded_range,
-        ];
+        let indices: Vec<&dyn ConcurrentIndex<u64, u64>> =
+            vec![&bskip, &lockfree, &lazy, &nhs, &btree, &masstree, &sharded];
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
 
         for (round, batch) in batches.into_iter().enumerate() {
@@ -211,7 +206,7 @@ fn sharded_execute_splits_per_shard_and_aggregates_batch_counters() {
 
     let shards = 4;
     let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
-        ShardedIndex::new(ShardSpec::hash(shards), |_| {
+        ShardedIndex::hash(shards, |_| {
             BSkipList::with_config(BSkipConfig::paper_default().with_stats(true))
         });
 

@@ -172,13 +172,13 @@ fn concurrent_removes_do_not_lose_unrelated_keys() {
 /// and every shard's B-skiplist must still validate.
 #[test]
 fn sharded_concurrent_batches_and_points_agree_at_quiescence() {
-    use bskip_suite::{ShardSpec, ShardedIndex};
+    use bskip_suite::ShardedIndex;
 
     let threads = 4u64;
     let rounds = 20u64;
     let per_round = 64u64;
     let sharded: Arc<ShardedIndex<u64, u64, BSkipList<u64, u64, 8>>> =
-        Arc::new(ShardedIndex::new(ShardSpec::hash(4), |_| {
+        Arc::new(ShardedIndex::hash(4, |_| {
             BSkipList::with_config(BSkipConfig::default().with_max_height(5))
         }));
 

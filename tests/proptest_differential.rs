@@ -148,16 +148,15 @@ proptest! {
     }
 
     /// Cursor differential: on every `ConcurrentIndex` implementation —
-    /// the six in-memory indices, the durable LSM engine, and the two
-    /// sharded front-ends (hash-partitioned with a K-way merging cursor
-    /// and range-partitioned with a concatenating cursor) —
+    /// the six in-memory indices, the durable LSM engine, and the sharded
+    /// front-end (hash-partitioned with a K-way merging cursor) —
     /// `scan_bounds` must agree with `BTreeMap::range` for arbitrary
     /// bounded ranges (half-open and inclusive), empty ranges, full scans,
     /// trait-level `range` calls, and seeks past the end of the data.
     /// The LSM engine runs with a tiny memtable and is pumped mid-load, so
     /// its cursors merge memtable, immutables and SSTables; the sharded
-    /// ranges and seeks all cross shard boundaries (the range partition's
-    /// boundaries sit inside the key space).
+    /// ranges and seeks cross shard boundaries (hashed keys interleave
+    /// across shards).
     #[test]
     fn cursors_match_btreemap_range_on_all_implementations(
         pairs in proptest::collection::vec((0u64..600, any::<u64>()), 0..250),
@@ -168,7 +167,7 @@ proptest! {
         use std::ops::Bound;
         use bskip_suite::{
             ConcurrentIndex, LazySkipList, LockFreeSkipList, LsmConfig, LsmEngine, MasstreeLite,
-            NhsSkipList, OccBTree, ShardSpec, ShardedIndex,
+            NhsSkipList, OccBTree, ShardedIndex,
         };
 
         let bskip: BSkipList<u64, u64, 8> =
@@ -181,18 +180,12 @@ proptest! {
         let lsm_dir = lsm_scratch();
         let lsm: LsmEngine<u64, u64> =
             LsmEngine::open(&lsm_dir, LsmConfig::small()).expect("open LSM engine");
-        let sharded_hash: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
+        let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
             ShardedIndex::hash(4, |_| {
                 BSkipList::with_config(BSkipConfig::default().with_max_height(4))
             });
-        let sharded_range: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
-            ShardedIndex::new(ShardSpec::range(vec![150, 300, 450]), |_| {
-                BSkipList::with_config(BSkipConfig::default().with_max_height(4))
-            });
-        let indices: Vec<&dyn ConcurrentIndex<u64, u64>> = vec![
-            &bskip, &lockfree, &lazy, &nhs, &btree, &masstree, &lsm, &sharded_hash,
-            &sharded_range,
-        ];
+        let indices: Vec<&dyn ConcurrentIndex<u64, u64>> =
+            vec![&bskip, &lockfree, &lazy, &nhs, &btree, &masstree, &lsm, &sharded];
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         for (at, (key, value)) in pairs.iter().enumerate() {
             oracle.insert(*key, *value);
@@ -366,9 +359,8 @@ proptest! {
         }
     }
 
-    /// Reverse and seek-then-prev differential for the sharded front-ends:
-    /// the hash partition's K-way merging cursor and the range partition's
-    /// concatenating cursor must both replay `BTreeMap` windows backwards,
+    /// Reverse and seek-then-prev differential for the sharded front-end:
+    /// its K-way merging cursor must replay `BTreeMap` windows backwards,
     /// pivot around arbitrary seek targets, and cross shard boundaries in
     /// either direction exactly like a single index would.
     #[test]
@@ -378,58 +370,52 @@ proptest! {
         span in 0u64..800,
         seek_to in 0u64..2_400,
     ) {
-        use bskip_suite::{ConcurrentIndex, ShardSpec, ShardedIndex};
+        use bskip_suite::{ConcurrentIndex, ShardedIndex};
 
-        let hash: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
+        let sharded: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
             ShardedIndex::hash(4, |_| BSkipList::new());
-        let range: ShardedIndex<u64, u64, BSkipList<u64, u64, 8>> =
-            ShardedIndex::new(ShardSpec::range(vec![500, 1_000, 1_500]), |_| BSkipList::new());
         for &key in &keys {
-            hash.insert(key, key ^ 0xF0F0);
-            range.insert(key, key ^ 0xF0F0);
+            sharded.insert(key, key ^ 0xF0F0);
         }
         let hi = lo.saturating_add(span);
-        let indices: Vec<&dyn ConcurrentIndex<u64, u64>> = vec![&hash, &range];
-        for index in indices {
-            // Reverse drain of a bounded window.
-            let mut cursor = index.scan_bounds(
-                std::ops::Bound::Included(lo),
-                std::ops::Bound::Included(hi),
-            );
-            prop_assert!(cursor.supports_prev(), "{}", index.name());
-            let mut reversed = Vec::new();
-            while let Some((k, _)) = cursor.prev() {
-                reversed.push(k);
-            }
-            let expected: Vec<u64> = keys.range(lo..=hi).rev().copied().collect();
-            prop_assert_eq!(reversed, expected, "{} reverse drain", index.name());
-
-            // After draining backwards, walking forward replays the window
-            // from just above the resting position.
-            if let Some(first_in_window) = keys.range(lo..=hi).next().copied() {
-                let forward_again: Vec<u64> = std::iter::from_fn(|| cursor.next())
-                    .map(|(k, _)| k)
-                    .collect();
-                let expected: Vec<u64> = keys
-                    .range(lo..=hi)
-                    .copied()
-                    .filter(|k| *k > first_in_window)
-                    .collect();
-                prop_assert_eq!(forward_again, expected, "{} forward resume", index.name());
-            }
-
-            // Seek pivots: the entry at the target, then one step back
-            // lands strictly below it (or below the end of the data when
-            // the seek misses entirely).
-            let mut cursor = index.scan_bounds(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
-            let landed = cursor.seek(&seek_to);
-            let expected = keys.range(seek_to..).next().map(|k| (*k, *k ^ 0xF0F0));
-            prop_assert_eq!(landed, expected, "{} seek", index.name());
-            let pivot = landed.map_or(seek_to, |(k, _)| k);
-            let back = cursor.prev();
-            let expected = keys.range(..pivot).next_back().map(|k| (*k, *k ^ 0xF0F0));
-            prop_assert_eq!(back, expected, "{} prev after seek", index.name());
+        // Reverse drain of a bounded window.
+        let mut cursor = sharded.scan_bounds(
+            std::ops::Bound::Included(lo),
+            std::ops::Bound::Included(hi),
+        );
+        prop_assert!(cursor.supports_prev());
+        let mut reversed = Vec::new();
+        while let Some((k, _)) = cursor.prev() {
+            reversed.push(k);
         }
+        let expected: Vec<u64> = keys.range(lo..=hi).rev().copied().collect();
+        prop_assert_eq!(reversed, expected, "reverse drain");
+
+        // After draining backwards, walking forward replays the window
+        // from just above the resting position.
+        if let Some(first_in_window) = keys.range(lo..=hi).next().copied() {
+            let forward_again: Vec<u64> = std::iter::from_fn(|| cursor.next())
+                .map(|(k, _)| k)
+                .collect();
+            let expected: Vec<u64> = keys
+                .range(lo..=hi)
+                .copied()
+                .filter(|k| *k > first_in_window)
+                .collect();
+            prop_assert_eq!(forward_again, expected, "forward resume");
+        }
+
+        // Seek pivots: the entry at the target, then one step back lands
+        // strictly below it (or below the end of the data when the seek
+        // misses entirely).
+        let mut cursor = sharded.scan_bounds(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
+        let landed = cursor.seek(&seek_to);
+        let expected = keys.range(seek_to..).next().map(|k| (*k, *k ^ 0xF0F0));
+        prop_assert_eq!(landed, expected, "seek");
+        let pivot = landed.map_or(seek_to, |(k, _)| k);
+        let back = cursor.prev();
+        let expected = keys.range(..pivot).next_back().map(|k| (*k, *k ^ 0xF0F0));
+        prop_assert_eq!(back, expected, "prev after seek");
     }
 
     /// The baselines also agree with BTreeMap on insert/get/range sequences
