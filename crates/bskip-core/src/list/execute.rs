@@ -56,7 +56,7 @@
 
 use std::ptr;
 
-use bskip_index::ops::{sorted_order, Op, OpResult};
+use bskip_index::ops::{sorted_order, with_scratch, Op, OpResult};
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
@@ -85,7 +85,8 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// lands in it.  Structural work — promoted inserts, splits, header
     /// removals — falls back to the point path's write-locked passes
     /// mid-batch, so every batch is exactly as correct as the point loop
-    /// it replaces.
+    /// it replaces.  The sorted schedule sits on the stack for batches of
+    /// up to [`bskip_index::ops::STACK_SCRATCH`] operations.
     ///
     /// ```
     /// use bskip_core::BSkipList;
@@ -109,17 +110,20 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             stats.batch_executes.incr();
             stats.batched_ops.add(ops.len() as u64);
         }
-        let order = sorted_order(ops);
-        // One pin for the whole batch: every descent below, the position
-        // retained between them (a node that may be unlinked meanwhile)
-        // and every structural fallback run under this guard.
-        let guard = self.collector().pin();
-        // SAFETY: `guard` pins this list's collector for the whole call;
-        // the body reads guarded node state only under a lock it holds
-        // and writes it only under an exclusive one, and holds at most
-        // the leaf and — to its right, as the lock order has it — the
-        // leaf's successor.
-        unsafe { self.execute_inner(ops, &order, &guard) }
+        with_scratch(ops.len(), 0, |order| {
+            sorted_order(ops, order);
+            // One pin for the whole batch: every descent below, the
+            // position retained between them (a node that may be unlinked
+            // meanwhile) and every structural fallback run under this
+            // guard.
+            let guard = self.collector().pin();
+            // SAFETY: `guard` pins this list's collector for the whole
+            // call; the body reads guarded node state only under a lock
+            // it holds and writes it only under an exclusive one, and
+            // holds at most the leaf and — to its right, as the lock
+            // order has it — the leaf's successor.
+            unsafe { self.execute_inner(ops, order, &guard) }
+        })
     }
 
     /// # Safety

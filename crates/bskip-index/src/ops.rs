@@ -4,9 +4,9 @@
 //! *single* trip into the index: one traversal, one epoch pin, one lock
 //! protocol run.  Real write paths — LSM memtable ingest, YCSB-style
 //! drivers, replication apply loops, a network server draining a
-//! pipelined connection window (`bskip-net` folds every complete frame
-//! a socket read yields into one batch) — hold *many* operations at
-//! once, and
+//! pipelined connection window (`bskip-net` folds each run of point
+//! requests between a window's scans into one batch) — hold *many*
+//! operations at once, and
 //! an index that concentrates neighbouring keys in fat nodes (the
 //! B-skiplist's whole design) can amortize traversal, pinning and locking
 //! across every operation that lands in the same node.  This module defines
@@ -24,7 +24,9 @@
 //!   called in key order measured slower than in slot order on the tree
 //!   baselines and no better overall on the skiplists, so an index without
 //!   a native path keeps the provided slot-order loop of
-//!   [`ConcurrentIndex::execute`].
+//!   [`ConcurrentIndex::execute`];
+//! * [`with_scratch`] — per-batch scratch that stays on the stack for
+//!   batches of up to [`STACK_SCRATCH`] operations.
 //!
 //! # Semantics
 //!
@@ -249,15 +251,39 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
     }
 }
 
-/// The key-order application schedule of a batch: indices into `ops`
-/// sorted by key, with the original slot position as tie-break so that
-/// operations on the *same* key keep their relative order (the reordering
-/// constraint under which sorted application is observationally equivalent
-/// to slot-order application — see the module docs).
-pub fn sorted_order<K: IndexKey, V: IndexValue>(ops: &[Op<K, V>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ops.len()).collect();
+/// Writes the key-order application schedule of a batch into `order`
+/// (one entry per operation): indices into `ops` sorted by key, with the
+/// original slot position as tie-break so that operations on the *same*
+/// key keep their relative order (the reordering constraint under which
+/// sorted application is observationally equivalent to slot-order
+/// application — see the module docs).
+///
+/// # Panics
+///
+/// If `order` and `ops` differ in length.
+pub fn sorted_order<K: IndexKey, V: IndexValue>(ops: &[Op<K, V>], order: &mut [usize]) {
+    assert_eq!(order.len(), ops.len(), "one schedule entry per operation");
+    for (slot, entry) in order.iter_mut().enumerate() {
+        *entry = slot;
+    }
     order.sort_unstable_by_key(|&slot| (*ops[slot].key(), slot));
-    order
+}
+
+/// Batches of at most this many operations keep their per-batch scratch
+/// on the stack (see [`with_scratch`]): it covers a network server's
+/// 32-request windows and 64-op driver batches.
+pub const STACK_SCRATCH: usize = 64;
+
+/// Runs `work` over `len` copies of `fill` — a stack array when `len` is
+/// at most [`STACK_SCRATCH`], a `Vec` above that — so that a batch path
+/// sizes its scratch per call without a heap allocation for the batches
+/// it usually sees.
+pub fn with_scratch<T: Copy, R>(len: usize, fill: T, work: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= STACK_SCRATCH {
+        work(&mut [fill; STACK_SCRATCH][..len])
+    } else {
+        work(&mut vec![fill; len])
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +329,19 @@ mod tests {
             Op::get(3),       // slot 3
             Op::remove(5),    // slot 4: same key again, must stay last
         ];
-        assert_eq!(sorted_order(&ops), vec![1, 3, 0, 2, 4]);
+        let mut order = [0; 5];
+        sorted_order(&ops, &mut order);
+        assert_eq!(order, [1, 3, 0, 2, 4]);
+    }
+
+    #[test]
+    fn scratch_has_the_asked_length_on_both_sides_of_the_stack_bound() {
+        for len in [0, 1, STACK_SCRATCH, STACK_SCRATCH + 1, 300] {
+            let sum = with_scratch(len, 2u32, |scratch| {
+                assert_eq!(scratch.len(), len);
+                scratch.iter().sum::<u32>()
+            });
+            assert_eq!(sum, 2 * len as u32);
+        }
     }
 }

@@ -11,7 +11,9 @@
 //!   preserving each operation's result slot, and the per-shard
 //!   sub-batches are applied one after the other on the calling thread —
 //!   callers that want shards to work in parallel bring their own
-//!   threads, as the network server's connections do;
+//!   threads, as the network server's connections do.  The split's
+//!   scratch comes from [`crate::ops::with_scratch`], on the stack for
+//!   the batches of up to 64 operations a server window makes;
 //! * **scans** ([`ConcurrentIndex::scan_bounds`]) open one cursor per
 //!   shard and *K-way merge* them with the shared [`MergeCursor`], which
 //!   supports `seek` and (when every shard's cursor does) `prev` across
@@ -73,7 +75,7 @@ use std::ops::Bound;
 use bskip_sync::{CachePadded, RelaxedCounter};
 
 use crate::cursor::{Cursor, MergeCursor};
-use crate::ops::Op;
+use crate::ops::{with_scratch, Op};
 use crate::traits::ConcurrentIndex;
 use crate::{IndexKey, IndexStats, IndexValue, StatKind};
 
@@ -175,36 +177,41 @@ where
             return;
         }
         // Every operation's `(shard, slot)`, in slot order.
-        let mut order: Vec<(usize, usize)> = ops
-            .iter()
-            .enumerate()
-            .map(|(slot, op)| (self.shard_of(op.key()), slot))
-            .collect();
-        let first = order[0].0;
-        if order.iter().all(|&(shard, _)| shard == first) {
-            // Every key lives in one shard: delegate the caller's slice
-            // directly, no copies.
-            self.counters.single_shard_batches.incr();
-            self.shards[first].execute(ops);
-            return;
-        }
-        // Sorted by shard, then slot: each shard's operations stay in
-        // slot order — same-key operations always share a shard, so the
-        // split preserves the batch reordering contract of [`crate::ops`]
-        // — and become one contiguous run of the scratch copy.
-        order.sort_unstable();
-        let mut scratch: Vec<Op<K, V>> = order.iter().map(|&(_, slot)| ops[slot]).collect();
-        let mut start = 0;
-        for run in order.chunk_by(|a, b| a.0 == b.0) {
-            let end = start + run.len();
-            self.shards[run[0].0].execute(&mut scratch[start..end]);
-            start = end;
-        }
-        // Copy each executed operation (result slot included) back into
-        // the caller's slot.
-        for (&(_, slot), executed) in order.iter().zip(&scratch) {
-            ops[slot] = *executed;
-        }
+        with_scratch(ops.len(), (0, 0), |order| {
+            for (slot, (entry, op)) in order.iter_mut().zip(ops.iter()).enumerate() {
+                *entry = (self.shard_of(op.key()), slot);
+            }
+            let first = order[0].0;
+            if order.iter().all(|&(shard, _)| shard == first) {
+                // Every key lives in one shard: delegate the caller's
+                // slice directly, no copies.
+                self.counters.single_shard_batches.incr();
+                self.shards[first].execute(ops);
+                return;
+            }
+            // Sorted by shard, then slot: each shard's operations stay in
+            // slot order — same-key operations always share a shard, so
+            // the split preserves the batch reordering contract of
+            // [`crate::ops`] — and become one contiguous run of the
+            // scratch copy.
+            order.sort_unstable();
+            with_scratch(ops.len(), ops[0], |scratch| {
+                for (copy, &(_, slot)) in scratch.iter_mut().zip(order.iter()) {
+                    *copy = ops[slot];
+                }
+                let mut start = 0;
+                for run in order.chunk_by(|a, b| a.0 == b.0) {
+                    let end = start + run.len();
+                    self.shards[run[0].0].execute(&mut scratch[start..end]);
+                    start = end;
+                }
+                // Copy each executed operation (result slot included)
+                // back into the caller's slot.
+                for (&(_, slot), executed) in order.iter().zip(scratch.iter()) {
+                    ops[slot] = *executed;
+                }
+            });
+        });
     }
 
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
@@ -269,6 +276,7 @@ impl<K, V, I> fmt::Debug for ShardedIndex<K, V, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::STACK_SCRATCH;
     use crate::IndexCursor;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -745,8 +753,18 @@ mod tests {
             .into_iter()
             .map(|shard| Op::get(stored().find(|k| probe.shard_of(k) == shard).unwrap()))
             .collect();
+        // Both sides of the split scratch's stack bound.
+        let at_bound = mixed(16);
+        let mut past_bound = mixed(16);
+        past_bound.push(Op::get(3));
+        assert_eq!(
+            (at_bound.len(), past_bound.len()),
+            (STACK_SCRATCH, STACK_SCRATCH + 1)
+        );
         for (name, template, multi_shard) in [
             ("mixed", mixed(15), true),
+            ("mixed", at_bound, true),
+            ("mixed", past_bound, true),
             ("mixed", mixed(50), true),
             ("one shard", one_shard, false),
             ("one op per shard", one_op_per_shard, true),

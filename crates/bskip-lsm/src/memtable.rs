@@ -4,8 +4,10 @@
 //! skiplist memtable (bLSM, LevelDB, RocksDB): absorb writes in sorted
 //! order so a flush is a single sequential cursor walk.  The B-skiplist is
 //! *better* suited than the classic one-element-per-node skiplist — flush
-//! drains fat leaves sequentially, and the engine's group-commit ingest
-//! rides the native sorted batch path of `execute`.
+//! drains fat leaves sequentially.  The engine's group-commit ingest
+//! writes one WAL record per batch but applies it here op by op, each
+//! through [`Memtable::apply`] (a point `insert`), not through the list's
+//! native sorted batch path.
 //!
 //! A memtable stores `Slot<V>` values, not `V`: deletions insert
 //! [`Slot::Tombstone`] so they shadow older on-disk versions (see

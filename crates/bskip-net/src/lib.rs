@@ -11,8 +11,9 @@
 //! driver ──frames──▶ socket ──▶ FrameDecoder ──▶ [Get, Put, Del, …] run
 //!   ▲  (window of N                                   │ coalesce
 //!   │   in flight)                                    ▼
-//!   └──────────── responses ◀── one execute(&mut [Op]) per drained window
-//!                                (one EBR pin / one WAL record)
+//!   └──────────── responses ◀── one execute(&mut [Op]) per run of point
+//!                                requests (one EBR pin / one WAL record);
+//!                                Scan/Stats answered between the runs
 //! ```
 //!
 //! Module map: [`proto`] (frames, request/response types, the incremental
@@ -37,6 +38,7 @@ pub use server::{KvServer, ServerConfig, ServerHandle, ServerStats, SharedIndex}
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     use bskip_core::BSkipList;
@@ -461,6 +463,183 @@ mod tests {
         assert!(unavailable(&response), "{response:?}");
         assert_eq!(conn.get(5).unwrap(), Some(50));
         handle.shutdown();
+
+        // A scan ends the rejected run: it is served off what the engine
+        // has, and the read-only run after it is answered.
+        let fs = FaultFs::new();
+        let handle = serve(&fs);
+        let mut conn = Connection::connect_windowed(handle.addr(), 8).expect("connect");
+        fs.fail_nth_write(1, std::io::ErrorKind::StorageFull);
+        let (lo, hi, limit) = (0, 10, 10);
+        conn.send(&Request::put(7, 70)).unwrap();
+        conn.send(&Request::Scan { lo, hi, limit }).unwrap();
+        conn.send(&Request::Get { key: 5 }).unwrap();
+        let responses = conn.drain().unwrap();
+        match responses.as_slice() {
+            [put, Response::Entries { entries }, Response::Found { value: 50 }]
+                if unavailable(put) && entries == &[(5, 50)] => {}
+            other => panic!("expected Unavailable, the scan without 7, Found 50; got {other:?}"),
+        }
+        handle.shutdown();
+    }
+
+    /// A window's requests take effect in the order sent: a scan sees the
+    /// writes sent before it and none sent after it, and so does `Stats`.
+    #[test]
+    fn a_window_takes_effect_in_the_order_sent() {
+        let handle = start_server(ServerConfig::default());
+        let mut conn = Connection::connect_windowed(handle.addr(), 8).expect("connect");
+        let scan = Request::Scan {
+            lo: 0,
+            hi: 10,
+            limit: 100,
+        };
+        let window = [
+            Request::put(5, 50),
+            scan.clone(),
+            Request::put(6, 60),
+            scan,
+            Request::Stats,
+        ];
+        for request in &window {
+            conn.send(request).unwrap();
+        }
+        let responses = conn.drain().unwrap();
+        let entries = |entries: &[(u64, u64)]| Response::Entries {
+            entries: entries.to_vec(),
+        };
+        assert_eq!(
+            responses[..4],
+            [
+                Response::Missing,
+                entries(&[(5, 50)]),
+                Response::Missing,
+                entries(&[(5, 50), (6, 60)]),
+            ]
+        );
+        match &responses[4] {
+            Response::Stats { entries } => {
+                let index_len = entries.iter().find(|(name, _)| name == "index_len");
+                assert_eq!(index_len.map(|(_, len)| *len), Some(2));
+            }
+            other => panic!("expected Stats, got {other:?}"),
+        }
+        handle.shutdown();
+    }
+
+    /// What a sequential per-connection oracle answers to `request`;
+    /// `Stats` answers with the one entry the check compares, `index_len`.
+    fn oracle_answer(oracle: &mut BTreeMap<u64, u64>, request: &Request) -> Response {
+        let point =
+            |value: Option<u64>| value.map_or(Response::Missing, |value| Response::Found { value });
+        match request {
+            Request::Ping => Response::Pong,
+            Request::Get { key } => point(oracle.get(key).copied()),
+            Request::Put { key, value, .. } => point(oracle.insert(*key, *value)),
+            Request::Del { key } => point(oracle.remove(key)),
+            Request::Batch { ops } => Response::Results {
+                results: ops
+                    .iter()
+                    .map(|op| match *op {
+                        BatchOp::Get { key } => oracle.get(&key).copied(),
+                        BatchOp::Put { key, value, .. } => oracle.insert(key, value),
+                        BatchOp::Del { key } => oracle.remove(&key),
+                    })
+                    .collect(),
+            },
+            Request::Scan { lo, hi, limit } => Response::Entries {
+                entries: oracle
+                    .range(lo..hi)
+                    .take(*limit as usize)
+                    .map(|(key, value)| (*key, *value))
+                    .collect(),
+            },
+            Request::Stats => Response::Stats {
+                entries: vec![("index_len".into(), oracle.len() as u64)],
+            },
+        }
+    }
+
+    /// Random windows over a dozen keys, so that gets, deletes and scans
+    /// meet the window's own writes.
+    fn window_strategy() -> impl proptest::strategy::Strategy<Value = Vec<Request>> {
+        use proptest::prelude::*;
+        let key = || 0u64..12;
+        let batch_op = prop_oneof![
+            key().prop_map(|key| BatchOp::Get { key }),
+            (key(), any::<u64>()).prop_map(|(key, value)| BatchOp::Put {
+                key,
+                value,
+                value_len: 8,
+            }),
+            key().prop_map(|key| BatchOp::Del { key }),
+        ];
+        let request = prop_oneof![
+            4 => key().prop_map(|key| Request::Get { key }),
+            4 => (key(), any::<u64>()).prop_map(|(key, value)| Request::put(key, value)),
+            2 => key().prop_map(|key| Request::Del { key }),
+            1 => proptest::collection::vec(batch_op, 0..5).prop_map(|ops| Request::Batch { ops }),
+            2 => (key(), 0u64..8, 1u32..8).prop_map(|(lo, span, limit)| Request::Scan {
+                lo,
+                hi: lo + span,
+                limit,
+            }),
+            1 => (0u64..1).prop_map(|_| Request::Stats),
+            1 => (0u64..1).prop_map(|_| Request::Ping),
+        ];
+        proptest::collection::vec(request, 1..24)
+    }
+
+    /// Sends each window in one write and checks every answer against the
+    /// oracle, advanced one request at a time.
+    fn windows_match_the_oracle(
+        index: crate::SharedIndex,
+        windows: &[Vec<Request>],
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let handle = KvServer::bind(index, ("127.0.0.1", 0), ServerConfig::default())
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let mut conn = Connection::connect_windowed(handle.addr(), 32).expect("connect");
+        let mut oracle = BTreeMap::new();
+        for window in windows {
+            for request in window {
+                conn.send(request).unwrap();
+            }
+            for (request, response) in window.iter().zip(conn.drain().unwrap()) {
+                let response = match response {
+                    Response::Stats { entries } => Response::Stats {
+                        entries: entries
+                            .into_iter()
+                            .filter(|(name, _)| name == "index_len")
+                            .collect(),
+                    },
+                    response => response,
+                };
+                prop_assert_eq!(
+                    response,
+                    oracle_answer(&mut oracle, request),
+                    "{:?}",
+                    request
+                );
+            }
+        }
+        handle.shutdown();
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_windows_match_a_sequential_oracle(
+            windows in proptest::collection::vec(window_strategy(), 1..4),
+        ) {
+            windows_match_the_oracle(Arc::new(BSkipList::<u64, u64>::new()), &windows)?;
+            let sharded = bskip_index::ShardedIndex::hash(2, |_| BSkipList::<u64, u64>::new());
+            windows_match_the_oracle(Arc::new(sharded), &windows)?;
+        }
     }
 
     #[test]

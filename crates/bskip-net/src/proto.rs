@@ -504,12 +504,7 @@ pub fn encode_response(response: &Response, out: &mut Vec<u8>) -> Result<(), Pro
             }
         }
         Response::Entries { entries } => {
-            out.push(TAG_ENTRIES);
-            push_u32(out, entries.len() as u32);
-            for (key, value) in entries {
-                push_u64(out, *key);
-                push_u64(out, *value);
-            }
+            push_entries(entries.iter().copied(), out);
         }
         Response::Stats { entries } => {
             out.push(TAG_STATS);
@@ -529,6 +524,40 @@ pub fn encode_response(response: &Response, out: &mut Vec<u8>) -> Result<(), Pro
             out.extend_from_slice(message);
         }
     })
+}
+
+/// Appends an `Entries` frame holding every pair `entries` yields, in
+/// order, and returns how many that was — the [`Response::Entries`]
+/// encoding without the `Vec`: a scan's cursor streams straight into
+/// `out`.
+///
+/// The caller bounds the pairs (the server takes at most the scan's
+/// limit, and [`MAX_SCAN_LIMIT`] pairs fit a frame); a body past
+/// [`MAX_FRAME_LEN`] is refused as for [`encode_response`], with `out`
+/// left untouched.
+pub fn encode_entries(
+    entries: impl IntoIterator<Item = (u64, u64)>,
+    out: &mut Vec<u8>,
+) -> Result<u32, ProtoError> {
+    let mut count = 0;
+    encode_frame(out, |out| count = push_entries(entries, out))?;
+    Ok(count)
+}
+
+/// The body of an `Entries` frame: the tag, a count placeholder, the
+/// pairs, then the count patched in.  Returns the count.
+fn push_entries(entries: impl IntoIterator<Item = (u64, u64)>, out: &mut Vec<u8>) -> u32 {
+    out.push(TAG_ENTRIES);
+    let count_at = out.len();
+    push_u32(out, 0);
+    let mut count = 0u32;
+    for (key, value) in entries {
+        push_u64(out, key);
+        push_u64(out, value);
+        count += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    count
 }
 
 fn parse_request(body: &[u8]) -> Result<Request, ProtoError> {
@@ -933,8 +962,19 @@ mod tests {
     fn the_largest_admitted_answers_fit_a_frame() {
         let mut wire = Vec::new();
         let entries = vec![(u64::MAX, u64::MAX); MAX_SCAN_LIMIT as usize];
-        encode_response(&Response::Entries { entries }, &mut wire).expect("a full scan page");
+        let page = Response::Entries {
+            entries: entries.clone(),
+        };
+        encode_response(&page, &mut wire).expect("a full scan page");
         assert!(wire.len() - 4 <= MAX_FRAME_LEN && wire.len() - 4 + 16 > MAX_FRAME_LEN);
+        // The streamed page is the same frame; one pair more is refused
+        // and leaves the buffer as it was.
+        let mut streamed = Vec::new();
+        let count = encode_entries(entries.iter().copied(), &mut streamed);
+        assert_eq!((count, &streamed), (Ok(MAX_SCAN_LIMIT), &wire));
+        let one_more = entries.iter().copied().chain([(0, 0)]);
+        assert!(encode_entries(one_more, &mut streamed).is_err());
+        assert_eq!(streamed, wire);
         wire.clear();
         let results = vec![Some(u64::MAX); MAX_BATCH_OPS];
         encode_response(&Response::Results { results }, &mut wire).expect("a full batch");

@@ -7,21 +7,28 @@
 //! what each connection thread does with a **pipelined** client:
 //!
 //! 1. read whatever the socket has — possibly many frames at once;
-//! 2. drain *every* complete frame out of the [`FrameDecoder`];
-//! 3. map each maximal run of point operations (`Get`/`Put`/`Del`, and
-//!    the contents of explicit `Batch` requests) onto **one**
-//!    [`ConcurrentIndex::execute`] call — one EBR pin on the B-skiplist,
-//!    one WAL group-commit record on the LSM engine — then write all the
-//!    responses back in request order with a single `write_all`.
+//! 2. drain *every* complete frame out of the [`FrameDecoder`] — the
+//!    window;
+//! 3. walk the window in request order as maximal runs of point requests
+//!    (`Get`/`Put`/`Del`, and explicit `Batch` requests), each mapped onto
+//!    **one** [`ConcurrentIndex::execute`] call — one EBR pin on the
+//!    B-skiplist, one WAL group-commit record on the LSM engine — and
+//!    answer every other request (`Scan`, `Stats`, `Ping`, a write a
+//!    degraded backend refuses) where it stands, between the runs;
+//! 4. write all the answers back with a single `write_all`.
 //!
-//! A client that keeps 32 requests in flight therefore pays roughly one
-//! index-batch and two syscalls per socket read, not per request; the
-//! [`ServerStats`] counters (`server_batches`, `server_batched_ops`, …)
-//! make the achieved coalescing factor observable through the protocol's
-//! own `Stats` request, which the loadgen turns into a CI tripwire.
+//! A connection's requests therefore take effect in the order it sent
+//! them: a `Scan` sees every write sent before it and none sent after.
+//! A client that keeps 32 requests in flight pays one index-batch per
+//! run — one per socket read when the window holds no scan — and two
+//! syscalls per socket read, not per request; the [`ServerStats`]
+//! counters (`server_batches`, `server_batched_ops`, …) make the achieved
+//! coalescing factor observable through the protocol's own `Stats`
+//! request, which the loadgen turns into a CI tripwire.
 //!
 //! `Scan` is answered through the index's seekable-cursor API
-//! ([`ConcurrentIndex::scan_bounds`]) and `Stats` merges the server's own
+//! ([`ConcurrentIndex::scan_bounds`]), its pairs encoded straight from
+//! the cursor into the write buffer, and `Stats` merges the server's own
 //! counters with the backend's [`bskip_index::IndexStats`] snapshot
 //! (which, for the LSM engine, carries WAL/flush/compaction counters).
 
@@ -33,11 +40,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bskip_index::{ConcurrentIndex, Op, OpResult, StatKind};
+use bskip_index::{ConcurrentIndex, Op, StatKind};
 use bskip_sync::RelaxedCounter;
 
 use crate::proto::{
-    encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request, Response, READ_CHUNK,
+    encode_entries, encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request,
+    Response, READ_CHUNK,
 };
 
 /// The index type the service runs over: any [`ConcurrentIndex`] behind a
@@ -89,7 +97,7 @@ bskip_index::stat_block! {
         /// Entries returned across all scans.
         pub scan_entries: RelaxedCounter => Counter "server_scan_entries",
         /// Requests answered with an `Unavailable` error frame because the
-        /// backend reported itself degraded, or rejected their window's
+        /// backend reported itself degraded, or rejected their run's
         /// batch whole.
         pub unavailable: RelaxedCounter => Counter "server_unavailable",
     }
@@ -284,17 +292,6 @@ fn reject_busy(mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One request's claim on the coalesced op vector: which ops are its, and
-/// whether it answers as a single `Found`/`Missing` or a `Results` list.
-enum PendingReply {
-    /// A point request owning one op slot.
-    Point,
-    /// A `Batch` request owning `count` op slots.
-    Batch { count: usize },
-    /// A request answered immediately, out of band of the op vector.
-    Ready(Response),
-}
-
 fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(shared.config.poll_interval))?;
@@ -303,7 +300,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
     // Per-connection scratch, cleared and refilled for every window.
     let mut requests: Vec<Request> = Vec::new();
     let mut ops: Vec<Op<u64, u64>> = Vec::new();
-    let mut replies: Vec<PendingReply> = Vec::new();
     let mut write_buf: Vec<u8> = Vec::new();
 
     loop {
@@ -337,7 +333,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
                     // frame (an empty run only clears the previous
                     // window's bytes out of `write_buf`), then one
                     // terminal error frame behind those answers.
-                    answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
+                    answer_requests(shared, &requests, &mut ops, &mut write_buf)?;
                     encode_response(&error_response(&error), &mut write_buf)?;
                     let _ = stream.write_all(&write_buf);
                     let _ = stream.shutdown(Shutdown::Both);
@@ -348,138 +344,143 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<(
         if requests.is_empty() {
             continue;
         }
-        answer_requests(shared, &requests, &mut ops, &mut replies, &mut write_buf)?;
+        answer_requests(shared, &requests, &mut ops, &mut write_buf)?;
         stream.write_all(&write_buf)?;
-    }
-
-    fn answer_requests(
-        shared: &Shared,
-        requests: &[Request],
-        ops: &mut Vec<Op<u64, u64>>,
-        replies: &mut Vec<PendingReply>,
-        write_buf: &mut Vec<u8>,
-    ) -> std::io::Result<()> {
-        // `replies` is drained by pass 3 on every way out of here.
-        ops.clear();
-        write_buf.clear();
-        shared.stats.requests.add(requests.len() as u64);
-
-        // Pass 1: translate the run into one flat op vector plus one
-        // reply descriptor per request.  Non-point requests (Ping, Scan,
-        // Stats) are answered inline but do NOT flush the op vector —
-        // the whole drained window still executes as one batch.
-        //
-        // A degraded backend (sticky read-only after an I/O failure)
-        // turns every mutation — and Ping, so health checks drain the
-        // node — into an `Unavailable` error frame.  Reads, scans and
-        // stats keep being served off the surviving state.
-        let degraded = shared.index.degraded();
-        let unavailable = |replies: &mut Vec<PendingReply>| {
-            replies.push(PendingReply::Ready(unavailable_response(
-                shared,
-                "backend degraded: node is read-only",
-            )));
-        };
-        for request in requests {
-            match request {
-                Request::Ping if degraded => unavailable(replies),
-                Request::Ping => replies.push(PendingReply::Ready(Response::Pong)),
-                Request::Get { key } => {
-                    ops.push(Op::get(*key));
-                    replies.push(PendingReply::Point);
-                }
-                Request::Put { .. } | Request::Del { .. } if degraded => unavailable(replies),
-                Request::Put { key, value, .. } => {
-                    ops.push(Op::insert(*key, *value));
-                    replies.push(PendingReply::Point);
-                }
-                Request::Del { key } => {
-                    ops.push(Op::remove(*key));
-                    replies.push(PendingReply::Point);
-                }
-                Request::Batch { ops: batch }
-                    if degraded && batch.iter().any(|op| !matches!(op, BatchOp::Get { .. })) =>
-                {
-                    unavailable(replies)
-                }
-                Request::Batch { ops: batch } => {
-                    for op in batch {
-                        ops.push(match op {
-                            BatchOp::Get { key } => Op::get(*key),
-                            BatchOp::Put { key, value, .. } => Op::insert(*key, *value),
-                            BatchOp::Del { key } => Op::remove(*key),
-                        });
-                    }
-                    replies.push(PendingReply::Batch { count: batch.len() });
-                }
-                Request::Scan { lo, hi, limit } => {
-                    replies.push(PendingReply::Ready(serve_scan(shared, *lo, *hi, *limit)));
-                }
-                Request::Stats => {
-                    replies.push(PendingReply::Ready(serve_stats(shared)));
-                }
-            }
-        }
-
-        // Pass 2: one `execute` for the whole run — one EBR pin on the
-        // B-skiplist, one WAL group commit on the LSM engine.
-        if !ops.is_empty() {
-            shared.stats.note_batch(ops.len());
-            shared.index.execute(ops);
-        }
-
-        // Pass 3: emit responses in request order.  A slot the backend
-        // left `Pending` belongs to a batch it rejected whole — the WAL
-        // append of this very window failed, after pass 1 saw a healthy
-        // engine — so nothing of it was applied: that is `Unavailable`,
-        // never the `Missing` an absent key or a fresh put answers with.
-        let rejected =
-            || unavailable_response(shared, "backend rejected the batch: nothing was applied");
-        let mut next_op = 0usize;
-        for reply in replies.drain(..) {
-            let response = match reply {
-                PendingReply::Ready(response) => response,
-                PendingReply::Point => {
-                    let result = *ops[next_op].result();
-                    next_op += 1;
-                    match result {
-                        OpResult::Value(value) => Response::Found { value },
-                        OpResult::Missing => Response::Missing,
-                        OpResult::Pending => rejected(),
-                    }
-                }
-                PendingReply::Batch { count } => {
-                    let slots = &ops[next_op..next_op + count];
-                    next_op += count;
-                    if slots.iter().all(|op| op.result().is_executed()) {
-                        Response::Results {
-                            results: slots.iter().map(|op| op.result().value()).collect(),
-                        }
-                    } else {
-                        rejected()
-                    }
-                }
-            };
-            encode_response(&response, write_buf)?;
-        }
-        Ok(())
     }
 }
 
-fn serve_scan(shared: &Shared, lo: u64, hi: u64, limit: u32) -> Response {
-    shared.stats.scans.incr();
-    let mut cursor = shared
-        .index
-        .scan_bounds(Bound::Included(lo), Bound::Excluded(hi));
-    let mut entries = Vec::new();
-    while entries.len() < limit as usize {
-        match cursor.next() {
-            Some(entry) => entries.push(entry),
-            None => break,
+/// Answers a window into `write_buf` (cleared first), one answer per
+/// request, in request order: each maximal run of point requests is one
+/// `execute`, and every other request is answered where it stands, after
+/// the run before it took effect.  `ops` is scratch that comes in and
+/// leaves empty.
+///
+/// A degraded backend (sticky read-only after an I/O failure) turns every
+/// mutation — and Ping, so health checks drain the node — into an
+/// `Unavailable` error frame.  Reads, scans and stats keep being served
+/// off the surviving state.
+fn answer_requests(
+    shared: &Shared,
+    requests: &[Request],
+    ops: &mut Vec<Op<u64, u64>>,
+    write_buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    write_buf.clear();
+    shared.stats.requests.add(requests.len() as u64);
+    let degraded = shared.index.degraded();
+    let mut run_start = 0;
+    for (at, request) in requests.iter().enumerate() {
+        if !join_run(request, degraded, ops) {
+            answer_run(shared, &requests[run_start..at], ops, write_buf)?;
+            answer_alone(shared, request, degraded, write_buf)?;
+            run_start = at + 1;
         }
     }
-    shared.stats.scan_entries.add(entries.len() as u64);
-    Response::Entries { entries }
+    answer_run(shared, &requests[run_start..], ops, write_buf)
+}
+
+/// Appends `request`'s operations to the run being gathered in `ops`, or
+/// returns `false` — leaving `ops` alone — if it ends the run instead.
+fn join_run(request: &Request, degraded: bool, ops: &mut Vec<Op<u64, u64>>) -> bool {
+    match request {
+        Request::Get { key } => ops.push(Op::get(*key)),
+        Request::Put { key, value, .. } if !degraded => ops.push(Op::insert(*key, *value)),
+        Request::Del { key } if !degraded => ops.push(Op::remove(*key)),
+        Request::Batch { ops: batch }
+            if !degraded || batch.iter().all(|op| matches!(op, BatchOp::Get { .. })) =>
+        {
+            ops.extend(batch.iter().map(|op| match *op {
+                BatchOp::Get { key } => Op::get(key),
+                BatchOp::Put { key, value, .. } => Op::insert(key, value),
+                BatchOp::Del { key } => Op::remove(key),
+            }));
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Executes the run's operations, gathered in `ops`, as one batch — one
+/// EBR pin on the B-skiplist, one WAL group commit on the LSM engine —
+/// then answers its requests in order, each taking its own slots: one a
+/// point request, `count` a `Batch`.  Leaves `ops` empty.
+///
+/// A slot the backend left `Pending` belongs to a batch it rejected whole
+/// — the WAL append of this very run failed, after the window began on a
+/// healthy engine — so nothing of it was applied: that is `Unavailable`,
+/// never the `Missing` an absent key or a fresh put answers with.
+fn answer_run(
+    shared: &Shared,
+    run: &[Request],
+    ops: &mut Vec<Op<u64, u64>>,
+    write_buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    if !ops.is_empty() {
+        shared.stats.note_batch(ops.len());
+        shared.index.execute(ops);
+    }
+    let mut next = 0;
+    for request in run {
+        let claimed = match request {
+            Request::Batch { ops: batch } => batch.len(),
+            _ => 1,
+        };
+        let slots = &ops[next..next + claimed];
+        next += claimed;
+        let response = if !slots.iter().all(|op| op.result().is_executed()) {
+            unavailable_response(shared, "backend rejected the batch: nothing was applied")
+        } else if let Request::Batch { .. } = request {
+            Response::Results {
+                results: slots.iter().map(|op| op.result().value()).collect(),
+            }
+        } else {
+            match slots[0].result().value() {
+                Some(value) => Response::Found { value },
+                None => Response::Missing,
+            }
+        };
+        encode_response(&response, write_buf)?;
+    }
+    ops.clear();
+    Ok(())
+}
+
+/// Answers a request that ends a run of point requests.
+fn answer_alone(
+    shared: &Shared,
+    request: &Request,
+    degraded: bool,
+    write_buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    match request {
+        Request::Scan { lo, hi, limit } => serve_scan(shared, *lo, *hi, *limit, write_buf)?,
+        Request::Stats => encode_response(&serve_stats(shared), write_buf)?,
+        Request::Ping if !degraded => encode_response(&Response::Pong, write_buf)?,
+        // Ping or a write on a degraded backend.
+        _ => encode_response(
+            &unavailable_response(shared, "backend degraded: node is read-only"),
+            write_buf,
+        )?,
+    }
+    Ok(())
+}
+
+/// Streams up to `limit` entries of `lo ..< hi` from the index's cursor
+/// into one `Entries` frame.
+fn serve_scan(
+    shared: &Shared,
+    lo: u64,
+    hi: u64,
+    limit: u32,
+    write_buf: &mut Vec<u8>,
+) -> Result<(), ProtoError> {
+    shared.stats.scans.incr();
+    let cursor = shared
+        .index
+        .scan_bounds(Bound::Included(lo), Bound::Excluded(hi));
+    let count = encode_entries(cursor.take(limit as usize), write_buf)?;
+    shared.stats.scan_entries.add(u64::from(count));
+    Ok(())
 }
 
 fn serve_stats(shared: &Shared) -> Response {
