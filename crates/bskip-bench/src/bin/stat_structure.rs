@@ -4,10 +4,13 @@
 //!   workloads — the paper reports ~1.7 for workloads A–C;
 //! * average leaf nodes visited per range query in workload E — the paper
 //!   reports ~2 for the B-skiplist (vs ~1.5 for the B+-tree);
-//! * node counts per level and average node fill, which explain both.
+//! * node counts per level and average node fill, which explain both —
+//!   for a fresh build, and for the concurrent list before and after a
+//!   FIFO insert/delete churn, which must leave its shape as loaded.
 
 use bskip_bench::{experiment_config, format_row, print_header};
 use bskip_core::{seq::SeqBSkipList, BSkipConfig, BSkipList};
+use bskip_ycsb::keygen::record_key;
 use bskip_ycsb::{run_load_phase, run_run_phase, Workload};
 
 fn main() {
@@ -49,7 +52,7 @@ fn main() {
     let mut seq: SeqBSkipList<u64, u64> =
         SeqBSkipList::with_config_and_seed(BSkipConfig::paper_default(), 42);
     for i in 0..config.record_count as u64 {
-        seq.insert(bskip_ycsb::keygen::record_key(i), i);
+        seq.insert(record_key(i), i);
     }
     let per_level = seq.nodes_per_level();
     print_header(
@@ -66,6 +69,48 @@ fn main() {
         println!(
             "{}",
             format_row(&[level.to_string(), nodes.to_string(), fill])
+        );
+    }
+    // Occupancy under FIFO churn: the concurrent list loaded with the
+    // records, then one fresh key per operation, each paired with the
+    // removal of the oldest live key (a memtable's steady state).  Header
+    // removals fold survivors back into the left neighbour, so the shape
+    // after the churn should be the loaded one.
+    let list: BSkipList<u64, u64> = BSkipList::with_config(BSkipConfig::paper_default());
+    let records = config.record_count as u64;
+    for i in 0..records {
+        list.insert(record_key(i), i);
+    }
+    let loaded = list.level_shape();
+    for i in 0..config.operation_count as u64 {
+        list.insert(record_key(records + i), records + i);
+        list.remove(&record_key(i));
+    }
+    let churned = list.level_shape();
+    print_header(
+        &format!(
+            "Occupancy after {} FIFO churn ops (concurrent list)",
+            config.operation_count
+        ),
+        &[
+            "level",
+            "nodes loaded",
+            "keys/node loaded",
+            "nodes churned",
+            "keys/node churned",
+        ],
+    );
+    let per_node = |(nodes, keys): (usize, usize)| format!("{:.1}", keys as f64 / nodes as f64);
+    for (level, (&before, &after)) in loaded.iter().zip(&churned).enumerate() {
+        println!(
+            "{}",
+            format_row(&[
+                level.to_string(),
+                before.0.to_string(),
+                per_node(before),
+                after.0.to_string(),
+                per_node(after),
+            ])
         );
     }
     println!("\nPaper: ~1.7 horizontal steps per level on A-C; ~2 leaf nodes per scan on E.");

@@ -15,13 +15,9 @@
 ///   counters reported in Section 5 (horizontal steps, split counts,
 ///   top-level write locks, leaf nodes per range query).  Disabled by
 ///   default because shared counters add cache-coherence traffic.
-/// * `underflow_divisor` — leaf-merge aggressiveness under sparse
-///   deletion.  Removing a leaf's header key leaves a node whose
-///   remaining keys are provably unpromoted; if its occupancy is then at
-///   most `B / underflow_divisor`, the remove path folds the node into
-///   its right neighbour (when the combined occupancy fits) and unlinks
-///   it, so delete-heavy workloads shrink the structure instead of
-///   accumulating near-empty fat nodes.  `0` disables merging.
+///
+/// Node merging has no knob: a header removal folds the survivors back
+/// into the left neighbour whenever they fit (`list/remove.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BSkipConfig {
     /// Number of levels including the leaf level.  Must be at least 1.
@@ -30,9 +26,6 @@ pub struct BSkipConfig {
     pub promotion_c: f64,
     /// Whether to maintain structural statistics counters.
     pub collect_stats: bool,
-    /// Divisor of the leaf-merge underflow threshold `B /
-    /// underflow_divisor`; `0` disables leaf merging.
-    pub underflow_divisor: usize,
 }
 
 impl Default for BSkipConfig {
@@ -41,7 +34,6 @@ impl Default for BSkipConfig {
             max_height: 6,
             promotion_c: 0.5,
             collect_stats: false,
-            underflow_divisor: 4,
         }
     }
 }
@@ -55,7 +47,6 @@ impl BSkipConfig {
             max_height: 5,
             promotion_c: 0.5,
             collect_stats: false,
-            underflow_divisor: 4,
         }
     }
 
@@ -75,20 +66,6 @@ impl BSkipConfig {
     pub fn with_stats(mut self, collect_stats: bool) -> Self {
         self.collect_stats = collect_stats;
         self
-    }
-
-    /// Builder-style setter for [`BSkipConfig::underflow_divisor`]
-    /// (`0` disables leaf merging).
-    pub fn with_underflow_divisor(mut self, underflow_divisor: usize) -> Self {
-        self.underflow_divisor = underflow_divisor;
-        self
-    }
-
-    /// The leaf occupancy at or below which a header removal triggers a
-    /// merge into the right neighbour, for node capacity `b`.  Zero means
-    /// merging is disabled.
-    pub fn underflow_threshold(&self, b: usize) -> usize {
-        b.checked_div(self.underflow_divisor).unwrap_or(0)
     }
 
     /// The denominator of the promotion probability for node capacity `b`:
@@ -171,23 +148,10 @@ mod tests {
         let config = BSkipConfig::default()
             .with_max_height(4)
             .with_promotion_c(2.0)
-            .with_stats(true)
-            .with_underflow_divisor(8);
+            .with_stats(true);
         assert_eq!(config.max_height, 4);
         assert_eq!(config.promotion_c, 2.0);
         assert!(config.collect_stats);
-        assert_eq!(config.underflow_divisor, 8);
-    }
-
-    #[test]
-    fn underflow_threshold_scales_and_disables() {
-        let config = BSkipConfig::default();
-        assert_eq!(config.underflow_threshold(128), 32);
-        assert_eq!(config.underflow_threshold(8), 2);
-        // Tiny nodes round down to "merge only singleton leaves"…
-        assert_eq!(config.with_underflow_divisor(8).underflow_threshold(8), 1);
-        // …and zero disables merging entirely.
-        assert_eq!(config.with_underflow_divisor(0).underflow_threshold(128), 0);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   While snapshotting a leaf, the cursor captures the leaf's `next`
 //!   pointer under the same lock; the following refill locks that
 //!   neighbour directly, so steady-state forward scans cost one lock
-//!   acquisition per node, not one descent per node.  Unlinked (empty)
-//!   nodes encountered on the walk are skipped.
+//!   acquisition per node, not one descent per node.  A neighbour found
+//!   empty — unlinked since — sends the cursor back through the
+//!   positioning descent instead (see *Consistency*).
 //!
 //! # Why the paused pointer walk is memory-safe
 //!
@@ -31,12 +32,10 @@
 //! safe because it holds a **pinned [`EbrGuard`]** for its entire
 //! lifetime, created *before* any pointer is captured: the collector
 //! never frees a node retired after the guard pinned, so every pointer
-//! the cursor captured since — including an unlinked node's frozen `next`
-//! pointer, which the unlink protocol leaves intact — stays dereferenceable
-//! until the cursor drops (or [`IndexCursor::seek`] re-pins, which first
-//! discards every captured pointer).  This replaces the seed's blunter
-//! argument ("unlinked nodes are never freed until the list drops"), which
-//! no longer holds now that removal reclaims memory eagerly.
+//! the cursor captured since stays dereferenceable — long enough to lock
+//! the node and find it empty — until the cursor drops (or
+//! [`IndexCursor::seek`] re-pins, which first discards every captured
+//! pointer).
 //!
 //! The flip side: a cursor parked for a long time holds its epoch pinned
 //! and lets the retired-node backlog grow.  `seek` re-pins, and dropping
@@ -57,10 +56,20 @@
 //! proceed freely.  Monotonicity of emitted keys is guaranteed by filtering
 //! every snapshot against the last emitted key; headers are strictly
 //! ascending along the leaf level, so entries that split into a new right
-//! sibling after being snapshotted are never seen twice, and keys can never
-//! move "behind" the cursor (removals unlink whole empty nodes, they never
-//! migrate entries between nodes).  This yields the workspace-wide cursor
-//! contract documented in [`bskip_index::cursor`].
+//! sibling after being snapshotted are never seen twice.
+//!
+//! Entries also move *left*: a header removal folds a leaf's survivors
+//! into its left neighbour and unlinks the emptied leaf (`remove.rs`).
+//! If that neighbour is the leaf the cursor last snapshotted, the folded
+//! keys now sit behind the captured `next_leaf`, which is exactly the
+//! leaf that was emptied.  So the rule is: **a forward refill that locks
+//! an empty leaf re-positions** through the optimistic descent at the
+//! resume bound (`Excluded(last emitted key)`), which lands in the leaf
+//! now holding the folded keys.  A fold always empties the leaf it folds,
+//! and a non-head leaf is empty only once unlinked, so the cursor cannot
+//! miss one; reverse refills re-descend every time anyway.  This yields
+//! the workspace-wide cursor contract documented in
+//! [`bskip_index::cursor`].
 
 use std::ops::Bound;
 use std::ptr;
@@ -311,7 +320,14 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
             // alive; locking it (re-)establishes the protocol.
             unsafe {
                 lock_node(leaf, Mode::Read);
-                self.snapshot_forward(leaf, &bound);
+                if (*leaf).is_empty() {
+                    // Unlinked: its keys may have folded into a leaf
+                    // behind the cursor (module docs, *Consistency*).
+                    unlock_node(leaf, Mode::Read);
+                    self.descend_and_snapshot_forward(bound);
+                } else {
+                    self.snapshot_forward(leaf, &bound);
+                }
             }
         }
     }
@@ -559,7 +575,7 @@ mod tests {
         // Even keys stay for the whole test; the writer keeps inserting
         // the odd ones (splitting leaves, promoting some) and removing
         // them again (every so often a leaf's header, which unlinks nodes
-        // and folds survivors into the right neighbour).
+        // and folds survivors into the left neighbour).
         let list = BSkipList::<u64, u64, 8>::with_config(BSkipConfig::default().with_max_height(4));
         for key in (0..4_000u64).step_by(2) {
             list.insert(key, key);
@@ -617,6 +633,41 @@ mod tests {
             .collect();
         assert!(!rest.contains(&12));
         assert_eq!(rest.last(), Some(&15));
+    }
+
+    #[test]
+    fn a_parked_cursor_yields_keys_folded_behind_it_exactly_once() {
+        use crate::list::leaf::tests::{assert_unlocked, interleave};
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        // `head{5} → {10, 11} → {20, 21, 22}`, 10 and 20 of height 1.
+        let list = std::sync::Arc::new(listing(std::iter::empty()));
+        for (key, height) in [(5, 0), (10, 1), (11, 0), (20, 1), (21, 0), (22, 0)] {
+            list.insert_with_height(key, key * 10, height);
+        }
+        assert_eq!(list.level_shape()[0], (3, 6));
+        // The cursor snapshots `{10, 11}` and parks with `{20, 21, 22}`
+        // as its next leaf.  Removing 20 folds 21 and 22 into `{10, 11}`,
+        // behind the cursor, and unlinks the leaf it was about to lock.
+        let mut cursor = list.scan(10..);
+        assert_eq!(cursor.next(), Some((10, 100)));
+        assert_eq!(list.remove(&20), Some(200));
+        assert_eq!(list.level_shape()[0], (2, 5));
+        // Runs inside the next positioning descent: the refill that finds
+        // its leaf empty goes back down instead of following the dead
+        // leaf's frozen `next`, which would end the scan here.
+        let seen = Rc::new(Cell::new(false));
+        let flag = Rc::clone(&seen);
+        interleave(0, move || flag.set(true));
+        let rest: Vec<u64> = std::iter::from_fn(|| cursor.next())
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(rest, vec![11, 21, 22], "each folded key, once, in order");
+        assert!(seen.get(), "the refill did not re-position");
+        drop(cursor);
+        assert_unlocked(&list);
+        list.validate().expect("structure");
     }
 
     #[test]

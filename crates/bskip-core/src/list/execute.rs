@@ -12,8 +12,8 @@
 //! * the leaf's upper **bound** — its successor's header, read once under
 //!   the successor's shared lock.  It cannot move while the leaf's write
 //!   lock is held: a node is linked in behind the leaf only by splitting
-//!   it, and the successor is unlinked, or re-headed by a removal or a
-//!   merge, only with its predecessor — this leaf — write-locked;
+//!   it, and the successor is unlinked, folded into the leaf or re-headed
+//!   by a removal only with its predecessor — this leaf — write-locked;
 //! * a **position** — the level-1 node the last descent passed through
 //!   and the version it validated there, with *no lock held*.
 //!

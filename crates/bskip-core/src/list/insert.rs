@@ -152,15 +152,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             let leaf = Node::<K, V, B>::alloc_leaf(false);
             (*leaf).lock.lock_exclusive();
             (*leaf).push_leaf(key, value);
-            // A pre-allocated node is always headed by the key being
-            // promoted, and promoted it stays until that header is removed.
-            (*leaf).set_header_promoted(true);
             prealloc.push(leaf);
             for level in 1..height {
                 let internal = Node::<K, V, B>::alloc_internal(level as u8, false);
                 (*internal).lock.lock_exclusive();
                 (*internal).push_internal(key, prealloc[level - 1]);
-                (*internal).set_header_promoted(true);
                 prealloc.push(internal);
             }
         }

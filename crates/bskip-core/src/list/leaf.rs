@@ -24,7 +24,9 @@
 //! promotion split makes it the *header* of its own pre-allocated leaf;
 //! overflow splits and splices only move node *suffixes* (slots `≥ 1`,
 //! height 0 by induction) into the non-header slots of their destination,
-//! and head-sentinel leaves only ever receive height-0 insertions (a
+//! a fold moves a node's survivors — its slots `≥ 1` once its header is
+//! gone — behind the entries of its left neighbour, and head-sentinel
+//! leaves only ever receive height-0 keys (a
 //! promoted insertion at the front of a head node moves the head's whole
 //! content into the new key's node).  Removing a non-header slot also can
 //! never empty a node, so the kernel never needs to unlink — the one
@@ -210,7 +212,7 @@ pub(super) mod tests {
     //! A header removal adds its probes: it reads the key's height off the
     //! structure one level at a time, with no lock held from one probe to
     //! the next, so the key may be removed, re-inserted taller or shorter,
-    //! moved by a split or lose its leaf to a merge *between a probe's
+    //! moved by a split or lose its node to a fold *between a probe's
     //! descent and its lock* — the hook at that probe's level.
 
     use std::cell::RefCell;
@@ -305,32 +307,32 @@ pub(super) mod tests {
         list.validate().expect("structure");
     }
 
+    /// `head{10, 11} → {20, 21, 22}`, 20 of the given height: removing it
+    /// folds the survivors 21 and 22 back into the head leaf.
+    fn fold_scenario(height: usize) -> Arc<List> {
+        let list = list();
+        for key in [10u64, 11] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        list.insert_with_height(20, 200, height);
+        for key in [21u64, 22] {
+            list.insert_with_height(key, key * 10, 0);
+        }
+        list
+    }
+
     #[test]
     fn insert_never_lands_in_an_unlinked_leaf() {
-        // `head{10,11,12,13} → {20,21} → {22,23,24}` (see `remove.rs`):
-        // removing the promoted header 20 leaves the lone survivor 21,
-        // which is merged into the right neighbour; its old leaf is
-        // unlinked and retired.
-        let list = Arc::new(List::with_config(
-            BSkipConfig::default()
-                .with_max_height(4)
-                .with_stats(true)
-                .with_underflow_divisor(4),
-        ));
-        for key in [10u64, 11, 12, 13] {
-            list.insert_with_height(key, key * 10, 0);
-        }
-        list.insert_with_height(20, 200, 1);
-        for key in [21u64, 22, 23, 24] {
-            list.insert_with_height(key, key * 10, 0);
-        }
+        // The descent reaches `{20, 21, 22}`; before it is locked, 20 is
+        // removed and the survivors fold left into the head leaf, which
+        // unlinks their old leaf.  An update stored there would be lost.
+        let list = fold_scenario(1);
         let other = Arc::clone(&list);
         interleave(0, move || {
             assert_eq!(other.remove(&20), Some(200));
             assert_eq!(other.stats().nodes_merged.get(), 1);
+            assert_eq!(other.level_shape()[0], (1, 4));
         });
-        // Reaches `{20, 21}`, which is dead by the time it is locked: an
-        // update stored there is lost.
         assert_eq!(list.insert(21, 211), Some(210));
         assert_eq!(
             list.get(&21),
@@ -338,7 +340,34 @@ pub(super) mod tests {
             "the update went into the dead leaf"
         );
         assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        assert_eq!(list.level_shape()[0], (1, 4));
         list.validate().expect("structure");
+    }
+
+    #[test]
+    fn header_removal_reenters_after_its_entry_node_folded_left() {
+        // Level 1 is `head{10} → {20, 21, 22}`, every key the top of its
+        // tower, 20 of height 2.  Removing 21 enters at level 1, in the
+        // node 20 heads; before that node is locked, 20 is removed and
+        // the level-1 survivors fold into the level-1 head.  The pass
+        // restarts, enters at the head and removes 21 from the middle of
+        // it, unlinking 21's leaf below.
+        let list = list();
+        list.insert_with_height(10, 100, 1);
+        list.insert_with_height(20, 200, 2);
+        for key in [21u64, 22] {
+            list.insert_with_height(key, key * 10, 1);
+        }
+        assert_eq!(list.level_shape()[1], (2, 4));
+        let other = Arc::clone(&list);
+        interleave(1, move || {
+            assert_eq!(other.remove(&20), Some(200));
+            assert_eq!(other.level_shape()[1], (1, 3));
+            other.validate().expect("structure after the level-1 fold");
+        });
+        check_header_removal(&list, 21, Some(210), 1);
+        assert_eq!(list.level_shape()[..2], [(3, 2), (1, 2)]);
+        assert_eq!(list.stats().nodes_merged.get(), 1);
     }
 
     #[test]
@@ -399,7 +428,7 @@ pub(super) mod tests {
 
     /// `head{10, 11, 12, 13} → {20, 21, 22}`, the second leaf headed by a
     /// key of the given height (`>= 1`) with two survivors behind it, so
-    /// that removing it merges nothing.
+    /// that removing it folds nothing (the head leaf is full).
     fn header_scenario(height: usize) -> Arc<List> {
         let list = list();
         for key in [10u64, 11, 12, 13] {
@@ -461,11 +490,11 @@ pub(super) mod tests {
     fn header_removal_finds_a_key_that_stopped_being_a_header() {
         // `head{10, 11} → {12, 13, 14}`: 12 heads its leaf with height 0
         // (an overflow split), so the pass enters at level 1, where 12 is
-        // absent.  Meanwhile 12 is removed and re-inserted — into the
-        // *head* leaf, since its old one is now headed by 13.  The level-1
-        // head is as empty as before (the interleaved pass only locked
-        // it, which costs this one a repeated descent); the pass makes no
-        // assumption about where the key is and finds it.
+        // absent.  Meanwhile 12 is removed — 13 and 14 fold into the head
+        // leaf — and re-inserted, overflow-splitting the head leaf again.
+        // The level-1 head is as empty as before (the interleaved pass
+        // only locked it, which costs this one a repeated descent); the
+        // pass makes no assumption about where the key is and finds it.
         let list = list();
         for key in [10u64, 11, 12, 13, 14] {
             list.insert_with_height(key, key * 10, 0);
@@ -502,9 +531,9 @@ pub(super) mod tests {
     #[test]
     fn header_removal_misses_a_key_whose_leaf_was_unlinked() {
         // `head{10, 11} → {12, 13} → {14, 15, 16}`, all of height 0.  The
-        // interleaved removal of 12 folds the survivor 13 into the right
-        // neighbour and unlinks the leaf — and changes no level-1 node, so
-        // the pass is entered all the same and has to come back empty.
+        // interleaved removal of 12 folds the survivor 13 into the head
+        // leaf and unlinks its own — and changes no level-1 node, so the
+        // pass is entered all the same and has to come back empty.
         let list = list();
         for key in 10u64..=17 {
             list.insert_with_height(key, key * 10, 0);

@@ -31,8 +31,9 @@
 //!   height 0 and is removed under the leaf lock.  Only the header key of
 //!   a non-head leaf — which may own a tower and whose removal may unlink
 //!   nodes — takes the symmetric top-down pass with write locks, from the
-//!   top of *its* tower down and with nothing locked above that, merging
-//!   an underflowing leaf into its right neighbour along the way.
+//!   top of *its* tower down and with nothing locked above that, folding
+//!   the survivors of every node it removes the header of back into the
+//!   left neighbour where they fit — the inverse of the split.
 //!
 //! The lock order — left-to-right within a level, then top-to-bottom across
 //! levels — is total, so the scheme is deadlock-free (Appendix B); a writer
@@ -99,10 +100,10 @@
 //! validated that the node was the reachable, covering node for the key
 //! when its version was captured.  A node's content, its `next` pointer
 //! and the lower end of its covering range
-//! change only under its own exclusive lock (splits of it, merges into
+//! change only under its own exclusive lock (splits of it, folds into
 //! it, its own unlink), and its range's upper end — its successor's
 //! header — can only *grow* without it (a successor is only ever headed
-//! by a smaller key through a split of, or a merge out of, this node).
+//! by a smaller key through a split of this node).
 //! Each of those bumps the version.  An unchanged version under the
 //! exclusive hold therefore means the node still covers the key and is
 //! still linked, so what the writer finds there — the key or its absence —

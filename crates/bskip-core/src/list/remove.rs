@@ -20,25 +20,25 @@
 //! below.  Only a key heading a non-head node *on the top level* has no
 //! level above to enter at: its pass starts from the top head.
 //!
-//! When removing a key empties a non-head node, the node is unlinked from
-//! its level.  Removing a leaf's *header* key additionally triggers the
-//! sparse-deletion merge: if the survivor is at or below the configured
-//! underflow threshold ([`crate::BSkipConfig::underflow_divisor`]) and its
-//! right neighbour has room, its entries are folded into the front of that
-//! neighbour and the emptied node is unlinked, so deletion churn shrinks
-//! the structure instead of leaving near-empty fixed-size nodes behind.
-//! The merge is gated on header removal because only then are the
-//! survivor's keys provably unpromoted (no upper-level down pointer can
-//! dangle at the unlinked node), and it merges *rightward* because the
-//! cursor contract forbids entries migrating behind a paused scan.  The
-//! predecessor needed for the unlink is available because the traversal
-//! retains the previous node's lock at each level (the same "at most three
-//! locks, two levels" discipline as insertion).  Unlinked
+//! Removing a key that heads a non-head node `curr`, at any level, **undoes
+//! the split** that made it a header: when `curr`'s survivors fit into its
+//! left neighbour `prev`, they are appended there and `curr`, now empty,
+//! is unlinked — so a promoted insert followed by the removal of the same
+//! key leaves the level as it found it, instead of a demoted header over a
+//! half-empty node.  The fold is legal because the survivors are interior
+//! keys: nothing above points at them (the removed key's upper entries
+//! went earlier in this same top-down pass), and `prev` keeps its own
+//! header.  Entries thus move *left*, behind a paused forward cursor; the
+//! cursor re-positions when the leaf it resumes on turns out to be empty
+//! (`cursor.rs`, *Consistency*).  Survivors that do not fit stay where
+//! they are, under a demoted header.  `prev` is at hand because the
+//! traversal retains the previous node's lock at each level (the same
+//! "at most three locks, two levels" discipline as insertion).  Unlinked
 //! nodes are **retired to the list's epoch-based collector** under the
 //! removal's pinned guard: their memory is freed once every traversal
 //! that was in flight at unlink time (and could therefore still hold a
 //! pointer to the node — e.g. a reader spinning on its lock, or a paused
-//! cursor about to follow a frozen `next` pointer) has finished.  See the
+//! cursor about to lock it and find it empty) has finished.  See the
 //! crate-level documentation for the full reclamation discussion.
 
 use std::ptr;
@@ -165,11 +165,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     if level == 0 {
                         removed = value;
                     }
-                    if idx == 0 && !(*curr).is_head() && !(*curr).is_empty() {
-                        // The node's new header is a former interior key,
-                        // and interior keys are never promoted.
-                        (*curr).set_header_promoted(false);
-                    }
+                    let header = idx == 0 && !(*curr).is_head();
+                    debug_assert!(
+                        !header || !prev.is_null(),
+                        "removed the header of the first node after the head"
+                    );
                     if level > 0 {
                         // Descend from the predecessor of the removed key: if
                         // the key was not the first entry its predecessor is
@@ -180,59 +180,29 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                             (*curr).child_at(idx - 1)
                         } else if (*curr).is_head() {
                             (*curr).head_child()
+                        } else if (*prev).is_empty() {
+                            debug_assert!((*prev).is_head());
+                            (*prev).head_child()
                         } else {
-                            debug_assert!(
-                                !prev.is_null(),
-                                "removed the header of the first node after the head"
-                            );
-                            if (*prev).is_empty() {
-                                debug_assert!((*prev).is_head());
-                                (*prev).head_child()
-                            } else {
-                                (*prev).child_at((*prev).len() - 1)
-                            }
+                            (*prev).child_at((*prev).len() - 1)
                         };
                     }
-                    // Leaf merge under sparse deletion: removing a node's
-                    // *header* (idx == 0) leaves a node whose remaining
-                    // keys are provably unpromoted — this same pass just
-                    // removed the header's entries from every upper level,
-                    // and non-header keys are never promoted — so no down
-                    // pointer anywhere can target `curr`.  If it is now
-                    // underflowing, fold it into the *right* neighbour
-                    // (entries only ever migrate forward, preserving the
-                    // cursor contract) and let the empty-node unlink
-                    // below retire it.  The neighbour must be gated on
-                    // `header_promoted`: folding into a node whose header
-                    // still has upper-level entries would demote that
-                    // header to an interior slot while a level-1 down
-                    // pointer keeps targeting the neighbour — a later
-                    // merge would then unlink it out from under that
-                    // pointer.  All three nodes involved are write-locked,
-                    // so every touched version is bumped.
-                    if level == 0 && idx == 0 && !(*curr).is_head() && !(*curr).is_empty() {
-                        let threshold = self.config().underflow_threshold(B);
-                        if threshold > 0 && (*curr).len() <= threshold {
-                            let next = (*curr).next();
-                            if !next.is_null() {
-                                lock_node(next, Mode::Write);
-                                if !(*next).header_promoted() && (*curr).len() + (*next).len() <= B
-                                {
-                                    (*curr).merge_into_right(&*next);
-                                    if let Some(stats) = self.stats_enabled() {
-                                        stats.nodes_merged.incr();
-                                    }
-                                }
-                                unlock_node(next, Mode::Write);
+                    if header {
+                        // Undo the split: the survivors fold back into
+                        // the node they were split from when they fit.
+                        // They are interior keys, so nothing above points
+                        // at them (this pass already removed the header's
+                        // upper entries); `prev` keeps its own header.
+                        if !(*curr).is_empty() && (*prev).len() + (*curr).len() <= B {
+                            (*curr).move_suffix_to(0, &*prev);
+                            if let Some(stats) = self.stats_enabled() {
+                                stats.nodes_merged.incr();
                             }
                         }
-                    }
-                    // Unlink the node if the removal (or the merge above)
-                    // emptied it.
-                    if (*curr).is_empty() && !(*curr).is_head() {
-                        debug_assert!(!prev.is_null());
-                        (*prev).set_next((*curr).next());
-                        unlinked = curr;
+                        if (*curr).is_empty() {
+                            (*prev).set_next((*curr).next());
+                            unlinked = curr;
+                        }
                     }
                 }
                 NodeSearch::Pred(idx) => {
@@ -362,18 +332,15 @@ mod tests {
         assert!(list.is_empty());
     }
 
-    /// Builds the canonical merge scenario on a `B = 4` list: the leaf
-    /// chain ends up `head{10,11,12,13} → {20,21} → {22,23,24}` where the
-    /// second leaf is headed by the promoted key 20 and the third was
-    /// created by an overflow split (so its header 22 is *not* promoted —
-    /// the precondition for merging into it).
-    fn merge_scenario(divisor: usize) -> BSkipList<u64, u64, 4> {
-        let list = BSkipList::<u64, u64, 4>::with_config(
-            BSkipConfig::default()
-                .with_max_height(4)
-                .with_stats(true)
-                .with_underflow_divisor(divisor),
-        );
+    fn stats_list() -> List {
+        List::with_config(BSkipConfig::default().with_max_height(4).with_stats(true))
+    }
+
+    /// Builds `head{10,11,12,13} → {20,21} → {22,23,24}` on a `B = 4`
+    /// list: the second leaf is headed by the promoted key 20, the third
+    /// by 22, which an overflow split left there with height 0.
+    fn full_head_scenario() -> List {
+        let list = stats_list();
         for key in [10u64, 11, 12, 13] {
             list.insert_with_height(key, key * 10, 0);
         }
@@ -387,21 +354,42 @@ mod tests {
     }
 
     #[test]
-    fn header_removal_merges_underflowing_leaf_into_right_neighbour() {
-        // B = 4, divisor 4 → threshold 1: removing header 20 leaves the
-        // lone survivor 21, which must migrate right into {22,23,24}
-        // instead of living alone in a fat node.
-        let list = merge_scenario(4);
-        assert_eq!(list.remove(&20), Some(200));
-        assert_eq!(
-            list.stats().nodes_merged.get(),
-            1,
-            "header removal of an underflowing leaf must merge it"
-        );
-        list.validate().expect("post-merge structure");
-        for key in (10u64..14).chain(21..25) {
-            assert_eq!(list.get(&key), Some(key * 10), "key {key} lost by merge");
+    fn header_removal_folds_the_survivors_into_the_left_neighbour() {
+        // `head{10, 20, 30}`; the promoted insert of 15 splits it on
+        // levels 0 and 1, and removing 15 again undoes exactly that: the
+        // survivors 20 and 30 go back into the head leaf, the emptied
+        // level-1 node is unlinked, and the shape is the one before.
+        let list = stats_list();
+        for key in [10u64, 20, 30] {
+            list.insert_with_height(key, key * 10, 0);
         }
+        let before = list.level_shape();
+        list.insert_with_height(15, 150, 2);
+        assert_eq!(list.level_shape()[..3], [(2, 4), (2, 1), (1, 1)]);
+        assert_eq!(list.remove(&15), Some(150));
+        assert_eq!(list.level_shape(), before);
+        assert_eq!(list.stats().nodes_merged.get(), 1);
+        list.validate().expect("post-fold structure");
+        assert_eq!(list.to_vec(), vec![(10, 100), (20, 200), (30, 300)]);
+    }
+
+    #[test]
+    fn header_removal_without_room_on_the_left_folds_nothing() {
+        // Removing 20 leaves the survivor 21, which does not fit into the
+        // full head leaf: it stays in its own leaf, under a demoted header.
+        let list = full_head_scenario();
+        assert_eq!(list.remove(&20), Some(200));
+        assert_eq!(list.stats().nodes_merged.get(), 0);
+        assert_eq!(list.level_shape()[0], (3, 8));
+        list.validate().expect("structure without a fold");
+        for key in (10u64..14).chain(21..25) {
+            assert_eq!(list.get(&key), Some(key * 10));
+        }
+        // The next header removal finds room in the demoted leaf.
+        assert_eq!(list.remove(&22), Some(220));
+        assert_eq!(list.stats().nodes_merged.get(), 1);
+        assert_eq!(list.level_shape()[0], (2, 7));
+        list.validate().expect("post-fold structure");
     }
 
     #[test]
@@ -416,8 +404,8 @@ mod tests {
         // 22 heads its leaf with height 0 (an overflow split), 20 with
         // height 1, 30 with the full height 3; 50 even heads a node *on*
         // the top level (`head{30, 40} → {50, 60, 70}` up there, 40 having
-        // gone since) and has to be unlinked from it.
-        let list = Arc::new(merge_scenario(0));
+        // gone since), whose survivors fold into the top head.
+        let list = Arc::new(full_head_scenario());
         for key in [30u64, 40, 50, 60, 70] {
             list.insert_with_height(key, key * 10, 3);
         }
@@ -448,49 +436,13 @@ mod tests {
         // Heading a non-head node on the top level: from the top head.
         assert_eq!(list.remove(&50), Some(500));
         assert_eq!(top_locks(), 2);
-        assert_eq!(list.level_shape()[3], (2, 2));
+        assert_eq!(list.level_shape()[3], (1, 2));
 
         assert_eq!(stats.structural_writes.get(), 4);
         assert_eq!(stats.optimistic_restarts.get(), 0);
         assert_eq!(stats.write_descent_fallbacks.get(), 0);
         list.validate().expect("structure");
         assert_unlocked(&list);
-    }
-
-    #[test]
-    fn merging_disabled_by_zero_divisor() {
-        let list = merge_scenario(0);
-        assert_eq!(list.remove(&20), Some(200));
-        assert_eq!(list.stats().nodes_merged.get(), 0);
-        list.validate().expect("structure without merging");
-        for key in (10u64..14).chain(21..25) {
-            assert_eq!(list.get(&key), Some(key * 10));
-        }
-    }
-
-    #[test]
-    fn merge_refuses_neighbour_with_promoted_header() {
-        // Folding into a node whose header still has upper-level entries
-        // would strand the upper level's down pointer; the gate must keep
-        // the underflowing leaf alive instead.
-        let list = BSkipList::<u64, u64, 4>::with_config(
-            BSkipConfig::default().with_max_height(4).with_stats(true),
-        );
-        for key in [10u64, 11, 12, 13] {
-            list.insert_with_height(key, key * 10, 0);
-        }
-        list.insert_with_height(20, 200, 1); // leaf {20}, header promoted
-        list.insert_with_height(21, 210, 0); // leaf {20,21}
-        list.insert_with_height(30, 300, 1); // leaf {30}, header promoted
-        list.validate().expect("scenario structure");
-        // Removing 20 underflows its leaf to {21}, but the right
-        // neighbour's header 30 is promoted: no merge may happen.
-        assert_eq!(list.remove(&20), Some(200));
-        assert_eq!(list.stats().nodes_merged.get(), 0);
-        list.validate().expect("post-remove structure");
-        for key in [10u64, 11, 12, 13, 21, 30] {
-            assert_eq!(list.get(&key), Some(key * 10));
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use bskip_sync::{racy, RawRwSpinLock};
 
@@ -93,17 +93,6 @@ pub(crate) struct Node<K, V, const B: usize> {
     level: u8,
     /// Whether this node is the left sentinel of its level.
     is_head: bool,
-    /// Whether this node's header key is a *promoted* key (the node was
-    /// created by a promotion split and its header has not been removed
-    /// since).  At the leaf level this is exactly "some upper level holds
-    /// a down pointer keyed by this node's header" — the predicate the
-    /// sparse-deletion merge must respect: folding a node whose header is
-    /// promoted into a neighbour would demote that header to an interior
-    /// slot while an upper-level down pointer still targets the node,
-    /// leaving the pointer dangling after the unlink.  Overflow splits
-    /// create nodes with unpromoted headers; removing a header (or
-    /// inheriting one through a merge) clears the flag.
-    header_promoted: AtomicBool,
     /// Number of occupied key slots.  A single word, so racy readers see a
     /// genuine (if possibly stale) length, never a torn one; every stored
     /// value is `<= B`, which keeps unvalidated slot indices in bounds.
@@ -131,7 +120,6 @@ where
             lock: RawRwSpinLock::new(),
             level: 0,
             is_head,
-            header_promoted: AtomicBool::new(false),
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
             head_child: AtomicPtr::new(ptr::null_mut()),
@@ -147,7 +135,6 @@ where
             lock: RawRwSpinLock::new(),
             level,
             is_head,
-            header_promoted: AtomicBool::new(false),
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
             head_child: AtomicPtr::new(ptr::null_mut()),
@@ -179,28 +166,6 @@ where
     #[inline]
     pub(crate) fn is_head(&self) -> bool {
         self.is_head
-    }
-
-    /// Whether this node's header key is promoted (see the field docs).
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held (shared or exclusive), or the node must
-    /// not yet be published.
-    #[inline]
-    pub(crate) unsafe fn header_promoted(&self) -> bool {
-        self.header_promoted.load(Ordering::Relaxed)
-    }
-
-    /// Records whether this node's header key is promoted.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, or the node must not yet
-    /// be published.
-    #[inline]
-    pub(crate) unsafe fn set_header_promoted(&self, promoted: bool) {
-        self.header_promoted.store(promoted, Ordering::Relaxed);
     }
 
     /// Base pointer of the key slot array.
@@ -633,7 +598,10 @@ where
 
     /// Moves all entries in slots `from..len()` of `self` into `dst`,
     /// appending them after `dst`'s current entries.  Used by overflow and
-    /// promotion splits, and (with `from == 0`) by leaf merges.
+    /// promotion splits, which move a suffix into the new right node, and
+    /// — with `from == 0` and `dst` the left neighbour — by the fold that
+    /// undoes a split when a header removal leaves survivors that fit
+    /// back into the node they were split from.
     ///
     /// # Safety
     ///
@@ -673,64 +641,6 @@ where
         }
         dst.set_len(dst_len + count);
         self.set_len(from);
-    }
-
-    /// Moves **all** entries of `self` into the *front* of `dst`, leaving
-    /// `self` empty (ready for the unlink protocol).  The leaf-merge
-    /// direction: entries migrate only rightward/forward, so a paused
-    /// forward scan can never lose keys behind itself (it re-encounters
-    /// them in `dst` and its monotone filter drops any it already
-    /// emitted).
-    ///
-    /// # Safety
-    ///
-    /// Both nodes' locks must be held exclusively, both nodes must be at
-    /// the same level and of the same kind, every key in `self` must be
-    /// smaller than every key in `dst`, and
-    /// `self.len() + dst.len() <= B`.
-    pub(crate) unsafe fn merge_into_right(&self, dst: &Self) {
-        let src_len = self.len();
-        let dst_len = dst.len();
-        debug_assert!(src_len + dst_len <= B);
-        let src_keys = self.keys_ptr() as *const K;
-        let dst_keys = dst.keys_ptr() as *mut K;
-        // Make room at the front of `dst` (overlapping shift — the racy
-        // copy walks backward), then move `self`'s entries in.  Reads
-        // from `self` are plain (exclusively locked, nothing races a
-        // read); every store into `dst` is racy (optimistic readers may
-        // probe mid-merge and get rejected by validation).
-        racy::copy(dst_keys as *const K, dst_keys.add(src_len), dst_len);
-        for offset in 0..src_len {
-            racy::store(dst_keys.add(offset), *src_keys.add(offset));
-        }
-        match (&self.data, &dst.data) {
-            (Data::Leaf(_), Data::Leaf(_)) => {
-                let src_values = self.values_ptr() as *const V;
-                let dst_values = dst.values_ptr() as *mut V;
-                racy::copy(dst_values as *const V, dst_values.add(src_len), dst_len);
-                for offset in 0..src_len {
-                    racy::store(dst_values.add(offset), *src_values.add(offset));
-                }
-            }
-            (Data::Internal(src_children), Data::Internal(dst_children)) => {
-                for slot in (0..dst_len).rev() {
-                    let moved = dst_children[slot].load(Ordering::Relaxed);
-                    dst_children[slot + src_len].store(moved, Ordering::Relaxed);
-                }
-                for offset in 0..src_len {
-                    let moved = src_children[offset].load(Ordering::Relaxed);
-                    dst_children[offset].store(moved, Ordering::Relaxed);
-                }
-            }
-            _ => unreachable!("merge_into_right across node kinds"),
-        }
-        dst.set_len(dst_len + src_len);
-        self.set_len(0);
-        // `dst`'s header is now `self`'s old header, so it inherits the
-        // promotion flag (in the remove path this is always `false`: the
-        // merge is only attempted right after `self`'s promoted header was
-        // removed).
-        dst.set_header_promoted(self.header_promoted());
     }
 
     /// Appends a single `key`/`value` pair to a leaf node.
@@ -931,8 +841,8 @@ mod tests {
 
     #[test]
     fn move_whole_prefix_empties_the_source() {
-        // The leaf-merge path: `from == 0` moves *everything* into `dst`,
-        // leaving the source empty (ready for the unlink protocol).
+        // The fold: `from == 0` moves *everything* into the left
+        // neighbour, leaving the source empty (ready for the unlink).
         unsafe {
             let left = TestNode::alloc_leaf(false);
             let right = TestNode::alloc_leaf(false);
@@ -944,55 +854,6 @@ mod tests {
             assert!((*right).is_empty());
             assert_eq!((*left).keys_vec(), vec![0, 1, 2, 100, 101, 102]);
             assert_eq!((*left).value_at(5), 2);
-            TestNode::free(left);
-            TestNode::free(right);
-        }
-    }
-
-    #[test]
-    fn merge_into_right_prepends_and_empties_the_source() {
-        unsafe {
-            let left = TestNode::alloc_leaf(false);
-            let right = TestNode::alloc_leaf(false);
-            for i in 0..3u64 {
-                (*left).push_leaf(i, i + 100);
-                (*right).push_leaf(10 + i, i + 200);
-            }
-            (*left).merge_into_right(&*right);
-            assert!((*left).is_empty());
-            assert_eq!((*right).keys_vec(), vec![0, 1, 2, 10, 11, 12]);
-            assert_eq!((*right).value_at(0), 100);
-            assert_eq!((*right).value_at(3), 200);
-            assert_eq!((*right).value_at(5), 202);
-            TestNode::free(left);
-            TestNode::free(right);
-        }
-    }
-
-    #[test]
-    fn merge_into_right_internal_carries_children() {
-        unsafe {
-            let left = TestNode::alloc_internal(1, false);
-            let right = TestNode::alloc_internal(1, false);
-            let mut children = Vec::new();
-            for i in 0..4u64 {
-                let child = TestNode::alloc_leaf(false);
-                children.push(child);
-                if i < 2 {
-                    (*left).push_internal(i, child);
-                } else {
-                    (*right).push_internal(10 + i, child);
-                }
-            }
-            (*left).merge_into_right(&*right);
-            assert!((*left).is_empty());
-            assert_eq!((*right).keys_vec(), vec![0, 1, 12, 13]);
-            for (slot, child) in children.iter().enumerate() {
-                assert_eq!((*right).child_at(slot), *child);
-            }
-            for child in children {
-                TestNode::free(child);
-            }
             TestNode::free(left);
             TestNode::free(right);
         }

@@ -72,8 +72,8 @@ bskip_index::stat_block! {
         /// read-locks anything above it.  Zero in any single-threaded run.
         pub write_descent_fallbacks: CachePadded<RelaxedCounter>
             => Counter "write_descent_fallbacks",
-        /// Underflowing leaves merged into their right neighbour by the remove
-        /// path (sparse-deletion compaction).
+        /// Nodes, at any level, whose survivors a header removal folded
+        /// back into their left neighbour (the inverse of a split).
         pub nodes_merged: CachePadded<RelaxedCounter> => Counter "nodes_merged",
     }
 }

@@ -110,12 +110,9 @@ fn optimistic_counters_are_monotone_and_exhaustive() {
 #[cfg(not(miri))]
 #[test]
 fn reads_race_splits_removes_and_merges_without_tearing() {
-    // Small nodes + merging enabled: maximum structural churn per op.
+    // Small nodes: maximum structural churn per op.
     let list: Arc<BSkipList<u64, u64, 8>> = Arc::new(BSkipList::with_config(
-        BSkipConfig::default()
-            .with_max_height(5)
-            .with_stats(true)
-            .with_underflow_divisor(2),
+        BSkipConfig::default().with_max_height(5).with_stats(true),
     ));
     const STABLE: u64 = 1 << 20;
     // A permanently-resident stripe the readers may demand answers for.

@@ -103,6 +103,43 @@ fn cycle(
     Ok(())
 }
 
+/// A bijective scramble, so that fresh keys land all over the key space.
+fn hashed(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The steady FIFO churn of a long-running memtable: hashed keys are
+/// loaded, then every fresh hashed key is paired with the removal of the
+/// oldest live one.  The live set keeps its size, and so must the list.
+/// Each promoted fresh key splits a leaf on every level it reaches;
+/// removing that key later must undo the split, not leave a demoted
+/// header over a half-empty node behind.
+#[test]
+fn fifo_churn_keeps_the_loaded_shape() {
+    const LOADED: u64 = 20_000;
+    const FRESH: u64 = 3 * LOADED;
+    bskip_suite::core::height::reseed_thread_rng(7);
+    let list: BSkipList<u64, u64, 16> = BSkipList::with_config(BSkipConfig::default());
+    for i in 0..LOADED {
+        list.insert(hashed(i), i);
+    }
+    let loaded = list.level_shape();
+    for i in 0..FRESH {
+        assert_eq!(list.insert(hashed(LOADED + i), LOADED + i), None);
+        assert_eq!(list.remove(&hashed(i)), Some(i));
+    }
+    let churned = list.level_shape();
+    list.validate().expect("structure after the churn");
+    assert_eq!(list.len() as u64, LOADED);
+    for level in 0..2 {
+        let (before, after) = (loaded[level].0 as f64, churned[level].0 as f64);
+        assert!(
+            (after - before).abs() <= 0.1 * before,
+            "level {level}: {before} nodes loaded, {after} after the churn"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -110,9 +147,9 @@ proptest! {
     /// across randomized record counts.
     #[test]
     fn every_index_shrinks_structurally(records in 1200u64..2600) {
-        // Stats on so the leaf-merge counter is visible: a contiguous
-        // prefix delete underflows leaf after leaf, and the sparse-deletion
-        // merge must fold them into their right neighbours.
+        // Stats on so the fold counter is visible: a contiguous prefix
+        // delete takes out header after header, and each removal must
+        // fold the leaf's survivors back into its left neighbour.
         let bskip: BSkipList<u64, u64, 16> =
             BSkipList::with_config(BSkipConfig::default().with_max_height(8).with_stats(true));
         cycle("B-skiplist", &bskip, records, true)?;
