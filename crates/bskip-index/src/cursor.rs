@@ -37,6 +37,7 @@
 //!   read under the same lock/validation protocol as point lookups).
 
 use std::cmp::Ordering;
+use std::marker::PhantomData;
 use std::ops::Bound;
 
 use crate::{IndexKey, IndexValue};
@@ -396,8 +397,8 @@ enum Mode {
 
 /// One merge input: a source cursor with its cached frontier entry kept
 /// inline, so a merge owns a single allocation however many sources it has.
-struct MergeSource<'a, K: IndexKey, T: IndexValue> {
-    cursor: Cursor<'a, K, T>,
+struct MergeSource<K: IndexKey, T: IndexValue, S> {
+    cursor: S,
     /// In [`Mode::Forward`] the source's next unconsumed entry (strictly
     /// above the merge's position), in [`Mode::Backward`] its greatest
     /// entry strictly below it.
@@ -423,27 +424,35 @@ struct MergeSource<'a, K: IndexKey, T: IndexValue> {
 /// step per tied source plus an O(sources) scan of the heads; direction
 /// changes resynchronize all sources with the `seek` / `seek`-then-`prev`
 /// primitives.  `prev` is supported when every source supports it.
-pub struct MergeCursor<'a, K: IndexKey, T: IndexValue> {
-    sources: Vec<MergeSource<'a, K, T>>,
+///
+/// The sources are boxed [`Cursor`]s unless the caller names a concrete
+/// source type `S` (the LSM engine merges an enum of its two cursor kinds,
+/// so its merges box nothing).
+pub struct MergeCursor<'a, K: IndexKey, T: IndexValue, S = Cursor<'a, K, T>> {
+    sources: Vec<MergeSource<K, T, S>>,
     current: Option<(K, T)>,
     mode: Mode,
     supports_prev: bool,
+    _sources: PhantomData<&'a ()>,
 }
 
-impl<'a, K: IndexKey, T: IndexValue> MergeCursor<'a, K, T> {
+impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> {
     /// Builds a merge over `sources`, highest priority first: index 0
-    /// shadows index 1 shadows index 2 …
-    pub fn new(sources: impl IntoIterator<Item = Cursor<'a, K, T>>) -> Self {
-        let sources: Vec<_> = sources
-            .into_iter()
-            .map(|cursor| MergeSource { cursor, head: None })
-            .collect();
-        let supports_prev = sources.iter().all(|source| source.cursor.supports_prev());
+    /// shadows index 1 shadows index 2 …  The one vector is sized from the
+    /// iterator's upper size hint, so a filtered source list still
+    /// allocates once.
+    pub fn new(sources: impl IntoIterator<Item = S>) -> Self {
+        let sources = sources.into_iter();
+        let (lower, upper) = sources.size_hint();
+        let mut merged = Vec::with_capacity(upper.unwrap_or(lower));
+        merged.extend(sources.map(|cursor| MergeSource { cursor, head: None }));
+        let supports_prev = merged.iter().all(|source| source.cursor.supports_prev());
         MergeCursor {
-            sources,
+            sources: merged,
             current: None,
             mode: Mode::Fresh,
             supports_prev,
+            _sources: PhantomData,
         }
     }
 
@@ -481,7 +490,9 @@ impl<'a, K: IndexKey, T: IndexValue> MergeCursor<'a, K, T> {
     }
 }
 
-impl<K: IndexKey, T: IndexValue> IndexCursor<K, T> for MergeCursor<'_, K, T> {
+impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> IndexCursor<K, T>
+    for MergeCursor<'_, K, T, S>
+{
     fn next(&mut self) -> Option<(K, T)> {
         match (self.mode, self.current) {
             (Mode::Forward, _) => {}

@@ -64,8 +64,9 @@
 //!
 //! # Safety
 //!
-//! The crate's one `unsafe` block is the dispatcher's call into the
-//! `#[target_feature]` kernel, sound because it is made only after
+//! This module's one `unsafe` block (the crate's other one lets a scan
+//! borrow the version it owns, in `engine.rs`) is the dispatcher's call
+//! into the `#[target_feature]` kernel, sound because it is made only after
 //! `is_x86_feature_detected!` reported both features.  The kernel itself is
 //! safe code: every intrinsic it uses takes and returns values (none
 //! dereferences a pointer; lanes are loaded with `u128::from_le_bytes` from

@@ -26,9 +26,11 @@
 //!
 //! Both change the table layout one way (`write_tables`, `install`): the
 //! outputs are written, the *next* level set is built aside and its
-//! manifest committed under the writer mutex alone; the exclusive state
-//! lock covers only the pointer swap (and rotation's) — never I/O, so no
-//! read waits for an fsync.
+//! manifest committed under the writer mutex alone.  The layer set itself
+//! is an immutable *version* — memtables and levels — behind an
+//! `RwLock<Arc<_>>`: rotation and `install` build the next version aside
+//! and swap the `Arc` (`commit_version`), so the exclusive state lock
+//! covers a pointer swap and never I/O, and no read waits for an fsync.
 //!
 //! With [`LsmConfig::auto_maintain`] (the default) flush and compaction
 //! run inline on the writer thread at rotation points — the LevelDB-style
@@ -38,14 +40,24 @@
 //!
 //! # Read path
 //!
-//! A lookup consults the layers newest-first — mutable memtable, immutable
-//! memtables, L0 tables by recency, then one candidate table per deeper
-//! level — and resolves at the first layer that mentions the key (a
-//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).  Range
-//! scans open the workspace's K-way [`MergeCursor`] over the same layers,
-//! newest first, so its lowest-index-wins rule is the same newest-wins
-//! rule; compaction writes that merged stream out as is (tombstones
-//! included), scans drop the tombstones from it.
+//! A lookup consults the layers of the current version newest-first —
+//! mutable memtable, immutable memtables, L0 tables by recency, then one
+//! candidate table per deeper level — under the state read guard, and
+//! resolves at the first layer that mentions the key (a
+//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).
+//!
+//! A range scan clones the current version's `Arc` once and opens one
+//! K-way [`MergeCursor`] over its layers, newest first, so the merge's
+//! lowest-index-wins rule is the same newest-wins rule; the scan pulls it
+//! an entry at a time and drops the tombstones, and compaction writes the
+//! same merged stream out as is.  Because the scan owns its version,
+//! nothing under its merge changes shape: every data block in range is
+//! read once, a bad block fails the scan once, and no lock is held
+//! between entries.  The price of a parked scan is what it pins: its
+//! version's memtables (sealed and flushed since, or not), the files of
+//! tables compacted away since (unlinked but open), and an epoch pin on
+//! each of its memtables, which keeps their retired nodes unfreed until
+//! the cursor drops.
 //!
 //! A merge source is a memtable, a level-0 table, or a whole deeper level:
 //! the tables of a level ≥ 1 do not overlap, so the level is one *sorted
@@ -110,11 +122,11 @@ use std::io;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 use bskip_index::{
-    BatchCursor, ConcurrentIndex, Cursor, IndexCursor, IndexKey, IndexStats, IndexValue,
-    MergeCursor, Op, StatKind,
+    ConcurrentIndex, Cursor, IndexCursor, IndexKey, IndexStats, IndexValue, MergeCursor, Op,
+    StatKind,
 };
 use bskip_sync::{Backoff, RelaxedCounter};
 
@@ -125,7 +137,7 @@ use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
 };
 use crate::memtable::Memtable;
-use crate::sstable::{Table, TableBuilder, TableOptions};
+use crate::sstable::{Table, TableBuilder, TableCursor, TableOptions};
 use crate::storage::{StdFs, Storage};
 use crate::wal::{decode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
 
@@ -202,15 +214,120 @@ struct WriteState {
     next_table_id: u64,
 }
 
-/// The layer set readers traverse; swapped under a write lock only at
-/// rotation / flush / compaction commit points.
-struct EngineState<K: IndexKey, V: IndexValue> {
+/// One layer set, immutable once shared: rotation, flush and compaction
+/// build the next version aside and swap the engine's `Arc` to it
+/// (`commit_version`), so a reader that cloned the `Arc` keeps every layer
+/// it opened on for as long as it holds it.
+#[derive(Clone)]
+struct Version<K: IndexKey, V: IndexValue> {
+    /// The memtable writes apply to.
     memtable: Arc<Memtable<K, V>>,
     /// Sealed memtables awaiting flush, newest first.
     immutables: Vec<Arc<Memtable<K, V>>>,
     /// `levels[0]` newest-first by table id (overlapping); `levels[n≥1]`
     /// sorted by `min_key` (non-overlapping within the level).
     levels: Vec<Vec<Arc<Table<K, V>>>>,
+}
+
+/// One merge source: a memtable's cursor, or a sorted run of tables.  An
+/// enum, not a boxed [`Cursor`], so a merge allocates no box per source.
+enum Source<'a, K: IndexKey, V: IndexValue> {
+    Memtable(Cursor<'a, K, Slot<V>>),
+    Run(TableCursor<'a, K, V>),
+}
+
+// Merges over tables never step backwards (a table cursor cannot), so
+// `prev` keeps the trait's default.
+impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for Source<'_, K, V> {
+    fn next(&mut self) -> Option<(K, Slot<V>)> {
+        match self {
+            Source::Memtable(cursor) => cursor.next(),
+            Source::Run(cursor) => cursor.next(),
+        }
+    }
+
+    fn seek(&mut self, key: &K) -> Option<(K, Slot<V>)> {
+        match self {
+            Source::Memtable(cursor) => cursor.seek(key),
+            Source::Run(cursor) => cursor.seek(key),
+        }
+    }
+
+    fn entry(&self) -> Option<(K, Slot<V>)> {
+        match self {
+            Source::Memtable(cursor) => cursor.entry(),
+            Source::Run(cursor) => cursor.entry(),
+        }
+    }
+}
+
+/// A scan: one newest-wins merge over the version it opened on, pulled an
+/// entry at a time, tombstones dropped.
+///
+/// The merge borrows the layers of the version the scan owns, so `merge`
+/// is declared first: it drops first.
+struct Scan<'a, K: IndexKey, V: IndexValue> {
+    merge: MergeCursor<'a, K, Slot<V>, Source<'a, K, V>>,
+    /// Never read: it keeps the merge's layers alive.
+    _version: Arc<Version<K, V>>,
+    current: Option<(K, V)>,
+}
+
+impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> Scan<'a, K, V> {
+    fn new(
+        version: Arc<Version<K, V>>,
+        lo: Bound<K>,
+        hi: Bound<K>,
+        errors: &'a RelaxedCounter,
+    ) -> Self {
+        // SAFETY: `layers` points into the `Arc`'s heap allocation, which
+        // does not move when the `Arc` moves into the scan and stays alive
+        // while the scan holds it — as long as the merge that borrows it:
+        // `merge` is declared before `_version`, so it drops first, and no
+        // field is replaced after construction.  A version is never mutated
+        // once shared (`commit_version` swaps in a new one), so the shared
+        // borrow aliases nothing mutable; the merge yields copies, so no
+        // borrow of the layers leaves the scan.
+        let layers: &'a Version<K, V> = unsafe { &*Arc::as_ptr(&version) };
+        let memtables = std::iter::once(&layers.memtable).chain(&layers.immutables);
+        let sources = LsmEngine::sources(memtables, &layers.levels, lo, hi, errors);
+        Scan {
+            merge: MergeCursor::new(sources),
+            _version: version,
+            current: None,
+        }
+    }
+
+    /// The first live entry from `entry` on: the merge already let the
+    /// newest version of every key win, so a tombstone just means the key
+    /// is deleted.
+    fn live_from(&mut self, mut entry: Option<(K, Slot<V>)>) -> Option<(K, V)> {
+        while let Some((key, slot)) = entry {
+            if let Some(value) = slot.value() {
+                self.current = Some((key, value));
+                return self.current;
+            }
+            entry = self.merge.next();
+        }
+        None
+    }
+}
+
+impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, V> for Scan<'_, K, V> {
+    fn next(&mut self) -> Option<(K, V)> {
+        let entry = self.merge.next();
+        self.live_from(entry)
+    }
+
+    fn seek(&mut self, key: &K) -> Option<(K, V)> {
+        self.current = None;
+        let entry = self.merge.seek(key);
+        self.live_from(entry)
+    }
+
+    fn entry(&self) -> Option<(K, V)> {
+        self.current
+    }
 }
 
 bskip_index::stat_block! {
@@ -232,7 +349,7 @@ bskip_index::stat_block! {
 
 /// One compaction's inputs and placement, decided under a read lock.
 struct CompactionPlan<K: IndexKey, V: IndexValue> {
-    /// The input tables, shaped like a level set (see `table_sources`):
+    /// The input tables, shaped like a level set (see `sources`):
     /// `inputs[0]` are the upper level's — all of level 0, or the one
     /// victim of a deeper level — each a merge source of its own, newest
     /// first; `inputs[1]` are the output level's tables they overlap, one
@@ -273,7 +390,9 @@ pub struct LsmEngine<K: IndexKey + Persist, V: IndexValue + Persist> {
     dir: PathBuf,
     config: LsmConfig,
     write: Mutex<WriteState>,
-    state: RwLock<EngineState<K, V>>,
+    /// The current version.  Point reads look through the read guard;
+    /// a scan clones the `Arc` and reads its version without the lock.
+    state: RwLock<Arc<Version<K, V>>>,
     /// Exact number of live (non-deleted) keys across all layers;
     /// maintained from the previous-value of every mutation, so written
     /// only with the writer mutex held — and read without it: `len` and
@@ -283,16 +402,6 @@ pub struct LsmEngine<K: IndexKey + Persist, V: IndexValue + Persist> {
     /// Sticky read-only flag; set on the first write failure, cleared
     /// only by reopening the engine.
     degraded: AtomicBool,
-}
-
-/// The live view of a merged layer stream: the merge already let the
-/// newest version of every key win, so dropping the tombstones is all
-/// that is left to do.
-fn live<'m, 'a, K: IndexKey, V: IndexValue>(
-    merge: &'m mut MergeCursor<'a, K, Slot<V>>,
-) -> impl Iterator<Item = (K, V)> + use<'m, 'a, K, V> {
-    std::iter::from_fn(|| merge.next())
-        .filter_map(|(key, slot)| slot.value().map(|value| (key, value)))
 }
 
 fn degraded_error() -> io::Error {
@@ -397,24 +506,21 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 next_wal_id,
                 next_table_id,
             }),
-            state: RwLock::new(EngineState {
+            state: RwLock::new(Arc::new(Version {
                 memtable,
                 immutables: Vec::new(),
                 levels,
-            }),
+            })),
             live_keys: AtomicU64::new(0),
             counters: Counters::default(),
             degraded: AtomicBool::new(false),
         };
 
         // Exact live-key count: one merged sweep over every layer.
-        let live_keys = {
-            let state = engine.read_state();
-            let everything = engine.sources_from(&state, Bound::Unbounded, Bound::Unbounded);
-            let mut merge = MergeCursor::new(everything);
-            live(&mut merge).count() as u64
-        };
-        engine.live_keys.store(live_keys, Ordering::Relaxed);
+        let live_keys = engine
+            .scan_bounds(Bound::Unbounded, Bound::Unbounded)
+            .count();
+        engine.live_keys.store(live_keys as u64, Ordering::Relaxed);
         Ok(engine)
     }
 
@@ -462,12 +568,24 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         self.write.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn read_state(&self) -> RwLockReadGuard<'_, EngineState<K, V>> {
+    fn read_state(&self) -> RwLockReadGuard<'_, Arc<Version<K, V>>> {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_state(&self) -> RwLockWriteGuard<'_, EngineState<K, V>> {
-        self.state.write().unwrap_or_else(PoisonError::into_inner)
+    /// Makes a changed copy of the current version current.  Only the
+    /// holder of the writer mutex (`_write`) swaps versions, so the version
+    /// copied here is still current at the swap, and the exclusive state
+    /// lock covers the pointer swap alone.  Readers that pinned the old
+    /// version keep it; the last one to let go frees it.
+    fn commit_version(&self, _write: &mut WriteState, change: impl FnOnce(&mut Version<K, V>)) {
+        let mut next = Version::clone(&self.read_state());
+        change(&mut next);
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *state, Arc::new(next));
+        drop(state);
+        // Outside the lock: this may be the last reference to a memtable
+        // or a table.
+        drop(old);
     }
 
     fn sort_levels(levels: &mut [Vec<Arc<Table<K, V>>>]) {
@@ -480,47 +598,34 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
     }
 
-    /// The tables of a level set as merge sources over `[lo, hi]`, in
-    /// newest-first priority order: one per table of `levels[0]` (they
-    /// overlap, newest first), then one per non-empty deeper level — a
-    /// sorted run behind a single cursor that opens the tables it reads
-    /// and no others.  Every merge the engine runs gets its table sources
-    /// here: scans and the recovery sweep over the live levels, compaction
-    /// over its plan.  The cursors count read failures into `errors` and
-    /// end their stream early instead of panicking.
-    fn table_sources<'a>(
+    /// Merge sources over `[lo, hi]` in newest-first priority order: one
+    /// per memtable, one per table of `levels[0]` (they overlap, newest
+    /// first), then one per non-empty deeper level — a sorted run behind a
+    /// single cursor that opens the tables it reads and no others.  Every
+    /// merge the engine runs gets its sources here: a scan (and the open
+    /// sweep, which is one) over its version, compaction over its plan and
+    /// no memtables.  The table cursors count read failures into `errors`
+    /// and end their stream early instead of panicking.
+    fn sources<'a>(
+        memtables: impl IntoIterator<Item = &'a Arc<Memtable<K, V>>>,
         levels: &'a [Vec<Arc<Table<K, V>>>],
         lo: Bound<K>,
         hi: Bound<K>,
         errors: &'a RelaxedCounter,
-    ) -> impl Iterator<Item = Cursor<'a, K, Slot<V>>> {
+    ) -> impl Iterator<Item = Source<'a, K, V>> {
         let (overlapping, runs) = match levels {
             [level0, deeper @ ..] => (level0.as_slice(), deeper),
             [] => (&[][..], &[][..]),
         };
-        overlapping
+        let runs = overlapping
             .iter()
             .map(std::slice::from_ref)
             .chain(runs.iter().map(Vec::as_slice).filter(|run| !run.is_empty()))
-            .map(move |run| Cursor::new(Table::run_cursor(run, lo, hi).counted(errors)))
-    }
-
-    /// Every layer as merge sources over `[lo, hi]` in newest-first
-    /// priority order — memtables, then the tables — in a vector sized
-    /// once.
-    fn sources_from<'a>(
-        &'a self,
-        state: &'a EngineState<K, V>,
-        lo: Bound<K>,
-        hi: Bound<K>,
-    ) -> Vec<Cursor<'a, K, Slot<V>>> {
-        let tables = state.levels.first().map_or(0, Vec::len) + state.levels.len();
-        let mut sources = Vec::with_capacity(1 + state.immutables.len() + tables);
-        let memtables = std::iter::once(&state.memtable).chain(&state.immutables);
-        sources.extend(memtables.map(|memtable| memtable.cursor(lo, hi)));
-        let errors = &self.counters.io_errors;
-        sources.extend(Self::table_sources(&state.levels, lo, hi, errors));
-        sources
+            .map(move |run| Source::Run(Table::run_cursor(run, lo, hi).counted(errors)));
+        memtables
+            .into_iter()
+            .map(move |memtable| Source::Memtable(memtable.cursor(lo, hi)))
+            .chain(runs)
     }
 
     /// Newest-first lookup across every layer; a tombstone answer settles
@@ -528,7 +633,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// has already consulted the mutable memtable.
     fn lookup(
         &self,
-        state: &EngineState<K, V>,
+        state: &Version<K, V>,
         key: &K,
         skip_memtable: bool,
     ) -> io::Result<Option<Slot<V>>> {
@@ -576,7 +681,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// value it displaced — taken from the older layers when the memtable
     /// held no version of the key — keeping `live_keys` exact, which is
     /// why the callers hold the writer mutex across it.
-    fn apply_slot(&self, state: &EngineState<K, V>, key: K, slot: Slot<V>) -> Option<V> {
+    fn apply_slot(&self, state: &Version<K, V>, key: K, slot: Slot<V>) -> Option<V> {
         let previous = match state.memtable.apply(key, slot) {
             Some(slot) => Some(slot),
             // A table-read failure here loses only the previous-value
@@ -644,7 +749,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// never queues behind writers, flushes or compactions — and is
     /// served even on a degraded engine.
     pub fn try_execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
-        let get = |state: &EngineState<K, V>, key: &K| {
+        let get = |state: &Version<K, V>, key: &K| {
             self.lookup(state, key, false)
                 .unwrap_or(None)
                 .and_then(Slot::value)
@@ -769,10 +874,11 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         )?;
         write.next_wal_id = new_id + 1;
         write.wal = new_wal;
-        let mut state = self.write_state();
-        let sealed = std::mem::replace(&mut state.memtable, Arc::new(Memtable::new(vec![new_id])));
-        state.immutables.insert(0, sealed);
-        drop(state);
+        let fresh = Arc::new(Memtable::new(vec![new_id]));
+        self.commit_version(write, |next| {
+            let sealed = std::mem::replace(&mut next.memtable, fresh);
+            next.immutables.insert(0, sealed);
+        });
         self.counters.rotations.incr();
         Ok(())
     }
@@ -791,16 +897,18 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let Some(immutable) = self.read_state().immutables.last().cloned() else {
             return Ok(false);
         };
+        // The oldest memtable, last in the newest-first list.
+        let retire = |next: &mut Version<K, V>| {
+            next.immutables.pop();
+        };
         if immutable.is_empty() {
-            self.write_state().immutables.pop();
+            self.commit_version(write, retire);
         } else {
             let entries = immutable.cursor(Bound::Unbounded, Bound::Unbounded);
             let outputs = self.write_tables(write, entries, u64::MAX, || Ok(()))?;
-            // The table becomes visible in the step that retires the memtable
-            // it replaces: the oldest, last in the newest-first list.
-            self.install(write, &HashSet::new(), &outputs, 0, |state| {
-                state.immutables.pop();
-            })?;
+            // The table becomes visible in the version that retires the
+            // memtable it replaces.
+            self.install(write, &HashSet::new(), &outputs, 0, retire)?;
             self.counters.flushes.incr();
         }
         // The manifest now covers (or never needed) this memtable's data;
@@ -823,12 +931,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             return Ok(false);
         };
         let read_errors = RelaxedCounter::new();
-        let mut merge = MergeCursor::new(Self::table_sources(
-            &plan.inputs,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            &read_errors,
-        ));
+        let (lo, hi) = (Bound::Unbounded, Bound::Unbounded);
+        let mut merge = MergeCursor::new(Self::sources([], &plan.inputs, lo, hi, &read_errors));
         let kept = std::iter::from_fn(|| merge.next())
             .filter(|(_, slot)| !(plan.drop_tombstones && slot.is_tombstone()));
         let outputs = self.write_tables(write, kept, self.config.table_target_bytes, || {
@@ -908,18 +1012,18 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     /// The one commit path of the level set: builds the next `levels`
     /// aside — `inputs` out, `outputs` in at `level` — commits its manifest
-    /// with no state lock held, and only then swaps it in, running `retire`
-    /// under the same exclusive guard.  The writer mutex (`write`) is what
+    /// with no state lock held, and only then commits the version holding
+    /// it, changed further by `retire`.  The writer mutex (`write`) is what
     /// keeps `levels` from changing in between; readers carry on over the
-    /// old set until the swap.  A failed commit discards the outputs and
-    /// swaps nothing.
+    /// old version until the swap, and scans opened on it after that.  A
+    /// failed commit discards the outputs and swaps nothing.
     fn install(
         &self,
         write: &mut WriteState,
         inputs: &HashSet<u64>,
         outputs: &[Arc<Table<K, V>>],
         level: usize,
-        retire: impl FnOnce(&mut EngineState<K, V>),
+        retire: impl FnOnce(&mut Version<K, V>),
     ) -> io::Result<()> {
         let mut levels = self.read_state().levels.clone();
         for tables in levels.iter_mut() {
@@ -935,9 +1039,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             self.discard_tables(write, write.next_table_id - outputs.len() as u64);
             return Err(error);
         }
-        let mut state = self.write_state();
-        state.levels = levels;
-        retire(&mut state);
+        self.commit_version(write, |next| {
+            next.levels = levels;
+            retire(next);
+        });
         Ok(())
     }
 
@@ -1060,22 +1165,16 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
         let _ = self.try_execute(ops);
     }
 
-    /// A merged scan: each batch refill snapshots the layer set under the
-    /// state lock and K-way-merges its sources — every memtable, every
-    /// level-0 table, one run cursor per deeper level — from the resume key
-    /// to `hi`, so the cursor observes rotations and compactions without
-    /// ever yielding a shadowed or deleted version.
+    /// A merged scan over the version current when it opens: one K-way
+    /// merge of its sources — every memtable, every level-0 table, one run
+    /// cursor per deeper level — from `lo` to `hi`, pulled an entry at a
+    /// time and never yielding a shadowed or deleted version.  The cursor
+    /// holds that version until it drops: it sees the writes that reach
+    /// its memtable before the memtable rotates and none after, and it
+    /// reads tables that a compaction has unlinked since.
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
-        Cursor::new(BatchCursor::new(
-            lo,
-            hi,
-            128,
-            Box::new(move |from, max, out| {
-                let state = self.read_state();
-                let mut merge = MergeCursor::new(self.sources_from(&state, from, hi));
-                out.extend(live(&mut merge).take(max - out.len()));
-            }),
-        ))
+        let version = Arc::clone(&self.read_state());
+        Cursor::new(Scan::new(version, lo, hi, &self.counters.io_errors))
     }
 
     fn try_reclaim(&self) -> usize {
@@ -1527,19 +1626,34 @@ mod tests {
         let tables: Vec<usize> = state.levels.iter().map(Vec::len).collect();
         assert_eq!(tables, [6, 5, 5]);
         assert_eq!(state.immutables.len(), 1);
-        let sources = |lo, hi| engine.sources_from(&state, lo, hi).len();
+        let errors = RelaxedCounter::new();
+        let count = |memtables: &[&Arc<Memtable<u64, u64>>], levels, lo, hi| {
+            let memtables = memtables.iter().copied();
+            let sources = LsmEngine::sources(memtables, levels, lo, hi, &errors);
+            // The merge sizes its one vector from the upper bound.
+            let upper = sources.size_hint().1;
+            let count = sources.count();
+            assert!(upper.is_some_and(|upper| upper >= count), "{upper:?}");
+            count
+        };
+        let memtables = [&state.memtable, &state.immutables[0]];
+        let (memtables, levels) = (&memtables[..], &state.levels[..]);
+        let unbounded = Bound::Unbounded;
         // Memtable, sealed memtable, six level-0 tables, two runs.
-        assert_eq!(sources(Bound::Unbounded, Bound::Unbounded), 1 + 1 + 6 + 2);
-        assert_eq!(sources(Bound::Included(5_999), Bound::Included(0)), 10);
+        assert_eq!(
+            count(memtables, levels, unbounded, unbounded),
+            1 + 1 + 6 + 2
+        );
+        let reversed = (Bound::Included(5_999), Bound::Included(0));
+        assert_eq!(count(memtables, levels, reversed.0, reversed.1), 10);
         // An empty level contributes none.
         let gappy = [state.levels[0].clone(), Vec::new(), state.levels[2].clone()];
-        let errors = RelaxedCounter::new();
-        let count = |levels| {
-            let unbounded = Bound::Unbounded;
-            LsmEngine::table_sources(levels, unbounded, unbounded, &errors).count()
-        };
         assert_eq!(
-            (count(&gappy), count(&gappy[..1]), count(&[])),
+            (
+                count(&[], &gappy, unbounded, unbounded),
+                count(&[], &gappy[..1], unbounded, unbounded),
+                count(&[], &[], unbounded, unbounded)
+            ),
             (6 + 1, 6, 0)
         );
     }
@@ -1595,7 +1709,7 @@ mod tests {
         assert_eq!(engine.io_errors(), 0);
 
         // A three-key window costs no more block reads than positioning
-        // each source once (plus one crossing), not a 128-entry refill.
+        // each table source once.
         let state = engine.read_state();
         let sources = state.levels[0].len() + 2;
         drop(state);
@@ -1609,7 +1723,40 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         let reads = fs.read_count() - before;
-        assert!(reads <= sources as u64 + 1, "{reads} block reads");
+        assert!(reads <= sources as u64, "{reads} block reads");
+    }
+
+    /// Data blocks of every table `engine` holds.
+    fn blocks_held(engine: &LsmEngine<u64, u64>) -> u64 {
+        let state = engine.read_state();
+        state
+            .levels
+            .iter()
+            .flatten()
+            .map(|table| table.blocks() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn a_full_scan_reads_each_block_once() {
+        let fs = FaultFs::new();
+        let (engine, oracle) = layered(&fs);
+        let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
+        // Six overlapping level-0 tables and two runs under two memtables,
+        // then the same data settled by a full maintenance pump.
+        for settle in [false, true] {
+            if settle {
+                engine.maintain().unwrap();
+            }
+            let before = fs.read_count();
+            let scanned: Vec<(u64, u64)> = engine
+                .scan_bounds(Bound::Unbounded, Bound::Unbounded)
+                .collect();
+            assert_eq!(scanned, expected);
+            let tables = engine.tables_per_level();
+            assert_eq!(fs.read_count() - before, blocks_held(&engine), "{tables:?}");
+        }
+        assert_eq!(engine.io_errors(), 0);
     }
 
     /// An engine whose whole content sits in one run: level 1, ten-odd
@@ -1664,18 +1811,15 @@ mod tests {
         // The run is the scan's only non-empty source, so what the scan
         // yields is what the run cursor yields: everything below the bad
         // block and nothing above it — the cursor does not skip ahead to
-        // the run's next table — at one `io_error` per failed load.
+        // the run's next table — at one `io_error` per scan.
         let below = |from: u64| (from..=after).step_by(2).map(|key| (key, key / 2));
         let scanned: Vec<(u64, u64)> = engine.scan_range(table_min..).collect();
         assert_eq!(scanned, below(table_min).collect::<Vec<_>>());
         assert_eq!(engine.io_errors(), 1);
-        // (From further away the bad block can fail twice: the merge looks
-        // one entry ahead, so a refill that ends on the block before it
-        // already tries it, and the next refill positions into it again.)
         let scanned: Vec<(u64, u64)> = engine.scan_range(..).collect();
         assert_eq!(scanned, below(0).collect::<Vec<_>>());
         let failed = engine.io_errors();
-        assert!((2..=3).contains(&failed), "{failed}");
+        assert_eq!(failed, 2);
         // Behind the bad block the run reads on, other tables included.
         let scanned: Vec<(u64, u64)> = engine.scan_range(up_to + 1..).collect();
         let behind = (up_to + 2..6_000).step_by(2).map(|key| (key, key / 2));
@@ -1975,6 +2119,74 @@ mod tests {
         let mut names = fs.read_dir(Path::new("/db")).unwrap();
         names.sort();
         names
+    }
+
+    #[test]
+    fn a_scan_outlives_the_version_it_opened_on() {
+        let fs = FaultFs::new();
+        let engine = open_manual(&fs);
+        // Two level-0 tables and a sealed memtable, their keys interleaved.
+        flushed_rounds(&engine, 2);
+        let oracle: BTreeMap<u64, u64> = engine.scan_range(..).collect();
+        let pinned: Vec<PathBuf> = engine.read_state().levels[0]
+            .iter()
+            .map(|table| table.path().to_path_buf())
+            .collect();
+        assert_eq!(pinned.len(), 2);
+        let unlinked = || {
+            let listing = dir_listing(&fs);
+            let listed = |path: &PathBuf| listing.iter().any(|name| path.ends_with(name));
+            !pinned.iter().any(listed)
+        };
+
+        let mut cursor = engine.scan_range(..);
+        let mut scanned: Vec<(u64, u64)> = cursor.by_ref().take(10).collect();
+        // Deletes on both sides of the cursor, keys above everything, then
+        // rotation, flush and a compaction of the tables the cursor reads.
+        let removed = |key: &u64| key.is_multiple_of(7);
+        for key in oracle.keys().filter(|key| removed(key)) {
+            engine.remove(key);
+        }
+        let fresh = 1_000..1_100u64;
+        for key in fresh.clone() {
+            engine.insert(key, key);
+        }
+        let maintenance = || {
+            let stats = engine.stats();
+            ["memtable_rotations", "sst_flushes", "compactions"].map(|name| stats.get(name))
+        };
+        let before = maintenance();
+        engine.maintain().unwrap();
+        let after = maintenance();
+        assert!(
+            before.iter().zip(&after).all(|(b, a)| a > b),
+            "{before:?} {after:?}"
+        );
+        assert!(unlinked(), "{:?}", dir_listing(&fs));
+
+        // The cursor drains its own version, unlinked tables included.
+        scanned.extend(cursor.by_ref());
+        assert!(scanned.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        let got: BTreeMap<u64, u64> = scanned.iter().copied().collect();
+        for (key, value) in oracle.iter().filter(|(key, _)| !removed(key)) {
+            assert_eq!(
+                got.get(key),
+                Some(value),
+                "key {key} was present throughout"
+            );
+        }
+        for (key, value) in &got {
+            assert!(oracle.get(key) == Some(value) || (fresh.contains(key) && key == value));
+        }
+        assert_eq!(engine.io_errors(), 0);
+
+        drop(cursor);
+        let mut expected = oracle;
+        expected.retain(|key, _| !removed(key));
+        expected.extend(fresh.map(|key| (key, key)));
+        let now: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        assert_eq!(now, expected.into_iter().collect::<Vec<_>>());
+        assert!(unlinked(), "{:?}", dir_listing(&fs));
     }
 
     /// What a failed commit must leave as it was.

@@ -38,12 +38,15 @@
 //! [`bskip_index::MergeCursor`] over the layers in newest-first order:
 //! one source per memtable and per level-0 table, and one per deeper
 //! level — a sorted run of non-overlapping tables behind a single
-//! [`TableCursor`] that opens the tables it reads and no others.
+//! [`TableCursor`] that opens the tables it reads and no others.  A scan
+//! is one such merge over the immutable layer set (the *version*) that
+//! was current when it opened, which it holds until it drops.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The crate's only `unsafe` is the checksum kernel's dispatch (`crc.rs`);
-// whatever joins it has to argue its case the same way.
+// The crate has two `unsafe` blocks: the checksum kernel's dispatch
+// (`crc.rs`) and a scan's borrow of the version it owns (`engine.rs`).
+// Whatever joins them has to argue its case the same way.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;

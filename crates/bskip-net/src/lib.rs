@@ -639,6 +639,17 @@ mod tests {
             windows_match_the_oracle(Arc::new(BSkipList::<u64, u64>::new()), &windows)?;
             let sharded = bskip_index::ShardedIndex::hash(2, |_| BSkipList::<u64, u64>::new());
             windows_match_the_oracle(Arc::new(sharded), &windows)?;
+            // A memtable of three writes and a compaction every
+            // second flush, so the windows' scans read versions that
+            // rotation, flush and compaction keep replacing.
+            let config = bskip_lsm::LsmConfig {
+                memtable_bytes: 96,
+                l0_compaction_trigger: 2,
+                ..bskip_lsm::LsmConfig::small()
+            };
+            let fs = Arc::new(bskip_lsm::FaultFs::new());
+            let lsm = bskip_lsm::LsmEngine::<u64, u64>::open_with(fs, "/db", config).unwrap();
+            windows_match_the_oracle(Arc::new(lsm), &windows)?;
         }
     }
 
