@@ -7,13 +7,18 @@
 //!
 //! 1. it is the differential-testing oracle for the concurrent list (both
 //!    are driven with identical keys *and identical promotion heights*, so
-//!    their structure must match node for node);
+//!    after insertions their structure must match node for node);
 //! 2. it is the structure walked by the cache simulator experiments
 //!    (`bskip-cachesim` drives it through a [`Tracer`]), where
 //!    single-threaded determinism matters more than parallel throughput;
 //! 3. it documents the algorithm of Section 3 without the concurrency
 //!    machinery of Section 4, which makes it the easiest entry point for
 //!    readers of the code.
+//!
+//! Removal does not fold: [`SeqBSkipList::remove`] leaves the survivors
+//! of a removed header in their node, where [`crate::BSkipList::remove`]
+//! folds them into the left neighbour.  After removals the two lists hold
+//! the same entries, but not necessarily the same nodes.
 //!
 //! The last type parameter is a [`Tracer`], told which nodes an operation
 //! allocates, peeks at, searches, reads and writes (`to_vec`,
@@ -872,7 +877,8 @@ mod tests {
     #[test]
     fn matches_concurrent_list_structure() {
         // Drive the sequential and concurrent implementations with the same
-        // keys and heights; their contents must agree exactly.
+        // keys and heights; their contents and their node counts per level
+        // (head sentinels included on both sides) must agree exactly.
         let mut seq: SeqBSkipList<u64, u64, 8> =
             SeqBSkipList::with_config_and_seed(BSkipConfig::default().with_max_height(4), 5);
         let conc: crate::BSkipList<u64, u64, 8> =
@@ -885,6 +891,8 @@ mod tests {
             conc.insert_with_height(key, i, height);
         }
         assert_eq!(seq.to_vec(), conc.to_vec());
+        let conc_nodes: Vec<usize> = conc.level_shape().iter().map(|&(nodes, _)| nodes).collect();
+        assert_eq!(seq.nodes_per_level(), conc_nodes);
         seq.validate().unwrap();
         conc.validate().unwrap();
     }

@@ -31,8 +31,7 @@ pub mod server;
 
 pub use client::{ClientOptions, Connection, DEFAULT_WINDOW};
 pub use proto::{
-    BatchOp, ErrorCode, FrameDecoder, ProtoError, Request, Response, MAX_BATCH_OPS, MAX_FRAME_LEN,
-    MAX_SCAN_LIMIT, MAX_VALUE_LEN,
+    ErrorCode, FrameDecoder, ProtoError, Request, Response, MAX_FRAME_LEN, MAX_SCAN_LIMIT,
 };
 pub use server::{KvServer, ServerConfig, ServerHandle, ServerStats, SharedIndex};
 
@@ -44,7 +43,7 @@ mod tests {
     use bskip_core::BSkipList;
 
     use crate::client::Connection;
-    use crate::proto::{BatchOp, ErrorCode, Request, Response};
+    use crate::proto::{ErrorCode, Request, Response};
     use crate::server::{KvServer, ServerConfig};
 
     fn start_server(config: ServerConfig) -> crate::server::ServerHandle {
@@ -186,33 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_batch_request_returns_slot_ordered_results() {
-        let handle = start_server(ServerConfig::default());
-        let mut conn = Connection::connect(handle.addr()).expect("connect");
-        let response = conn
-            .call(&Request::Batch {
-                ops: vec![
-                    BatchOp::Put {
-                        key: 5,
-                        value: 50,
-                        value_len: 8,
-                    },
-                    BatchOp::Get { key: 5 },
-                    BatchOp::Del { key: 5 },
-                    BatchOp::Get { key: 5 },
-                ],
-            })
-            .unwrap();
-        assert_eq!(
-            response,
-            Response::Results {
-                results: vec![None, Some(50), Some(50), None],
-            }
-        );
-        handle.shutdown();
-    }
-
-    #[test]
     fn connection_cap_rejects_with_busy() {
         let handle = start_server(ServerConfig {
             max_connections: 1,
@@ -233,42 +205,32 @@ mod tests {
         handle.shutdown();
     }
 
-    #[test]
-    fn malformed_frame_gets_error_then_close() {
-        use std::io::{Read as _, Write as _};
-        let handle = start_server(ServerConfig::default());
-        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-        // A 1-byte frame with an unknown opcode.
-        raw.write_all(&[1, 0, 0, 0, 0x7F]).unwrap();
-        let mut buf = Vec::new();
-        raw.read_to_end(&mut buf).unwrap();
-        let mut decoder = crate::FrameDecoder::new();
-        decoder.extend(&buf);
-        match decoder.decode_response().unwrap() {
-            Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
-            other => panic!("expected error frame, got {other:?}"),
-        }
-        handle.shutdown();
+    /// Frames the server answers with one `Malformed` error and a close:
+    /// an unknown opcode, and the protocol's older Put (with a
+    /// value-length field) and retired `Batch` opcode.
+    fn malformed_frames() -> [Vec<u8>; 3] {
+        let frame = |body: &[u8]| [&(body.len() as u32).to_le_bytes()[..], body].concat();
+        let key = 7u64.to_le_bytes();
+        [
+            frame(&[0x7F]),
+            frame(&[&[0x03][..], &key, &8u32.to_le_bytes(), &70u64.to_le_bytes()].concat()),
+            frame(&[&[0x05][..], &1u32.to_le_bytes(), &[0], &key].concat()),
+        ]
     }
 
-    #[test]
-    fn requests_before_a_malformed_frame_are_answered_before_the_error() {
+    /// Writes `window` and then the raw `tail` in one write, and decodes
+    /// every answer until the server closes the connection.
+    fn answers_until_close(
+        raw: &mut std::net::TcpStream,
+        window: &[Request],
+        tail: &[u8],
+    ) -> Vec<Response> {
         use std::io::{Read as _, Write as _};
-        let handle = start_server(ServerConfig::default());
-        // A healthy window first, so the connection's write buffer holds
-        // stale bytes when the poisoned window arrives.
-        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
         let mut bytes = Vec::new();
-        crate::proto::encode_request(&Request::Ping, &mut bytes).unwrap();
-        raw.write_all(&bytes).unwrap();
-        let mut pong = [0u8; 5];
-        raw.read_exact(&mut pong).unwrap();
-
-        // One write: Put 7, Get 7, then a frame with an unknown opcode.
-        bytes.clear();
-        crate::proto::encode_request(&Request::put(7, 70), &mut bytes).unwrap();
-        crate::proto::encode_request(&Request::Get { key: 7 }, &mut bytes).unwrap();
-        bytes.extend_from_slice(&[1, 0, 0, 0, 0x7F]);
+        for request in window {
+            crate::proto::encode_request(request, &mut bytes).unwrap();
+        }
+        bytes.extend_from_slice(tail);
         raw.write_all(&bytes).unwrap();
         let mut buf = Vec::new();
         raw.read_to_end(&mut buf).unwrap();
@@ -278,21 +240,52 @@ mod tests {
         while let Some(response) = decoder.decode_response().unwrap() {
             responses.push(response);
         }
-        match responses.as_slice() {
-            [Response::Missing, Response::Found { value: 70 }, Response::Error { code, .. }] => {
-                assert_eq!(*code, ErrorCode::Malformed)
-            }
-            other => panic!("expected Missing, Found, Error{{Malformed}}; got {other:?}"),
-        }
+        responses
+    }
 
-        // The mutation was applied exactly once.
-        let mut conn = Connection::connect(handle.addr()).expect("connect");
-        assert_eq!(conn.put(7, 71).unwrap(), Some(70));
-        let stats = conn.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
-        assert_eq!(get("index_len"), 1);
-        assert_eq!(get("server_batched_ops"), 3);
+    #[test]
+    fn malformed_frame_gets_error_then_close() {
+        let handle = start_server(ServerConfig::default());
+        let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+        match answers_until_close(&mut raw, &[], &[1, 0, 0, 0, 0x7F]).as_slice() {
+            [Response::Error { code, .. }] => assert_eq!(*code, ErrorCode::Malformed),
+            other => panic!("expected one error frame, got {other:?}"),
+        }
         handle.shutdown();
+    }
+
+    #[test]
+    fn requests_before_a_malformed_frame_are_answered_before_the_error() {
+        use std::io::{Read as _, Write as _};
+        for tail in malformed_frames() {
+            let handle = start_server(ServerConfig::default());
+            // A healthy window first, so the connection's write buffer
+            // holds stale bytes when the poisoned window arrives.
+            let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+            let mut bytes = Vec::new();
+            crate::proto::encode_request(&Request::Ping, &mut bytes).unwrap();
+            raw.write_all(&bytes).unwrap();
+            let mut pong = [0u8; 5];
+            raw.read_exact(&mut pong).unwrap();
+
+            // One write: Put 7, Get 7, then the malformed frame.
+            let window = [Request::put(7, 70), Request::Get { key: 7 }];
+            match answers_until_close(&mut raw, &window, &tail).as_slice() {
+                [Response::Missing, Response::Found { value: 70 }, Response::Error { code, .. }] => {
+                    assert_eq!(*code, ErrorCode::Malformed)
+                }
+                other => panic!("expected Missing, Found, Error{{Malformed}}; got {other:?}"),
+            }
+
+            // The mutation was applied exactly once.
+            let mut conn = Connection::connect(handle.addr()).expect("connect");
+            assert_eq!(conn.put(7, 71).unwrap(), Some(70));
+            let stats = conn.stats().unwrap();
+            let get = |name: &str| stats.iter().find(|(n, _)| n == name).unwrap().1;
+            assert_eq!(get("index_len"), 1);
+            assert_eq!(get("server_batched_ops"), 3);
+            handle.shutdown();
+        }
     }
 
     /// Wraps an in-memory index with a switchable degraded flag, standing
@@ -359,40 +352,16 @@ mod tests {
                 other => panic!("expected Unavailable for {request:?}, got {other:?}"),
             }
         }
-        // A batch with any mutating op is rejected whole...
-        let mixed = Request::Batch {
-            ops: vec![
-                BatchOp::Get { key: 1 },
-                BatchOp::Put {
-                    key: 3,
-                    value: 30,
-                    value_len: 8,
-                },
-            ],
-        };
-        match conn.call(&mixed).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Unavailable),
-            other => panic!("expected Unavailable, got {other:?}"),
-        }
-        // ...but read-only traffic is still served.
+        // Read-only traffic is still served.
         assert_eq!(conn.get(1).unwrap(), Some(10));
         assert_eq!(conn.scan(0, 100, 10).unwrap(), vec![(1, 10)]);
-        let read_only = Request::Batch {
-            ops: vec![BatchOp::Get { key: 1 }, BatchOp::Get { key: 99 }],
-        };
-        assert_eq!(
-            conn.call(&read_only).unwrap(),
-            Response::Results {
-                results: vec![Some(10), None],
-            }
-        );
         let stats = conn.stats().unwrap();
         let unavailable = stats
             .iter()
             .find(|(n, _)| n == "server_unavailable")
             .map(|(_, v)| *v)
             .expect("server_unavailable stat");
-        assert_eq!(unavailable, 4);
+        assert_eq!(unavailable, 3);
 
         // Recovery clears the rejection without reconnecting.
         backend.degraded.store(false, Ordering::Release);
@@ -442,26 +411,6 @@ mod tests {
         let stats = handle.stats();
         let counted = stats.iter().find(|(n, _)| n == "server_unavailable");
         assert_eq!(counted.map(|(_, v)| *v), Some(2));
-        handle.shutdown();
-
-        // An explicit batch with such a slot is rejected as one request.
-        let fs = FaultFs::new();
-        let handle = serve(&fs);
-        let mut conn = Connection::connect(handle.addr()).expect("connect");
-        fs.fail_nth_write(1, std::io::ErrorKind::StorageFull);
-        let batch = Request::Batch {
-            ops: vec![
-                BatchOp::Get { key: 5 },
-                BatchOp::Put {
-                    key: 7,
-                    value: 70,
-                    value_len: 8,
-                },
-            ],
-        };
-        let response = conn.call(&batch).unwrap();
-        assert!(unavailable(&response), "{response:?}");
-        assert_eq!(conn.get(5).unwrap(), Some(50));
         handle.shutdown();
 
         // A scan ends the rejected run: it is served off what the engine
@@ -535,18 +484,8 @@ mod tests {
         match request {
             Request::Ping => Response::Pong,
             Request::Get { key } => point(oracle.get(key).copied()),
-            Request::Put { key, value, .. } => point(oracle.insert(*key, *value)),
+            Request::Put { key, value } => point(oracle.insert(*key, *value)),
             Request::Del { key } => point(oracle.remove(key)),
-            Request::Batch { ops } => Response::Results {
-                results: ops
-                    .iter()
-                    .map(|op| match *op {
-                        BatchOp::Get { key } => oracle.get(&key).copied(),
-                        BatchOp::Put { key, value, .. } => oracle.insert(key, value),
-                        BatchOp::Del { key } => oracle.remove(&key),
-                    })
-                    .collect(),
-            },
             Request::Scan { lo, hi, limit } => Response::Entries {
                 entries: oracle
                     .range(lo..hi)
@@ -560,25 +499,17 @@ mod tests {
         }
     }
 
-    /// Random windows over a dozen keys, so that gets, deletes and scans
-    /// meet the window's own writes.
-    fn window_strategy() -> impl proptest::strategy::Strategy<Value = Vec<Request>> {
+    /// A random window over a dozen keys, so that gets, deletes and scans
+    /// meet the window's own writes.  One window in four ends with one of
+    /// the [`malformed_frames`], named by its index.
+    fn window_strategy() -> impl proptest::strategy::Strategy<Value = (Vec<Request>, Option<usize>)>
+    {
         use proptest::prelude::*;
         let key = || 0u64..12;
-        let batch_op = prop_oneof![
-            key().prop_map(|key| BatchOp::Get { key }),
-            (key(), any::<u64>()).prop_map(|(key, value)| BatchOp::Put {
-                key,
-                value,
-                value_len: 8,
-            }),
-            key().prop_map(|key| BatchOp::Del { key }),
-        ];
         let request = prop_oneof![
             4 => key().prop_map(|key| Request::Get { key }),
             4 => (key(), any::<u64>()).prop_map(|(key, value)| Request::put(key, value)),
             2 => key().prop_map(|key| Request::Del { key }),
-            1 => proptest::collection::vec(batch_op, 0..5).prop_map(|ops| Request::Batch { ops }),
             2 => (key(), 0u64..8, 1u32..8).prop_map(|(lo, span, limit)| Request::Scan {
                 lo,
                 hi: lo + span,
@@ -587,27 +518,54 @@ mod tests {
             1 => (0u64..1).prop_map(|_| Request::Stats),
             1 => (0u64..1).prop_map(|_| Request::Ping),
         ];
-        proptest::collection::vec(request, 1..24)
+        (proptest::collection::vec(request, 1..24), 0usize..12)
+            .prop_map(|(window, tail)| (window, (tail < 3).then_some(tail)))
     }
 
     /// Sends each window in one write and checks every answer against the
-    /// oracle, advanced one request at a time.
+    /// oracle, advanced one request at a time.  A window with a malformed
+    /// tail goes out on a connection of its own, which must answer every
+    /// request, then one `Malformed` error frame, then close.
     fn windows_match_the_oracle(
         index: crate::SharedIndex,
-        windows: &[Vec<Request>],
+        windows: &[(Vec<Request>, Option<usize>)],
     ) -> Result<(), proptest::prelude::TestCaseError> {
-        use proptest::prop_assert_eq;
+        use proptest::{prop_assert, prop_assert_eq};
         let handle = KvServer::bind(index, ("127.0.0.1", 0), ServerConfig::default())
             .expect("bind")
             .spawn()
             .expect("spawn");
         let mut conn = Connection::connect_windowed(handle.addr(), 32).expect("connect");
         let mut oracle = BTreeMap::new();
-        for window in windows {
-            for request in window {
-                conn.send(request).unwrap();
-            }
-            for (request, response) in window.iter().zip(conn.drain().unwrap()) {
+        for (window, tail) in windows {
+            let responses = match tail {
+                None => {
+                    for request in window {
+                        conn.send(request).unwrap();
+                    }
+                    conn.drain().unwrap()
+                }
+                Some(tail) => {
+                    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+                    let mut responses =
+                        answers_until_close(&mut raw, window, &malformed_frames()[*tail]);
+                    let error = responses.pop();
+                    prop_assert!(
+                        matches!(
+                            error,
+                            Some(Response::Error {
+                                code: ErrorCode::Malformed,
+                                ..
+                            })
+                        ),
+                        "expected a Malformed error frame last, got {:?}",
+                        error
+                    );
+                    responses
+                }
+            };
+            prop_assert_eq!(responses.len(), window.len());
+            for (request, response) in window.iter().zip(responses) {
                 let response = match response {
                     Response::Stats { entries } => Response::Stats {
                         entries: entries

@@ -19,9 +19,8 @@
 //! |--------|---------|---------|
 //! | `0x01` | `Ping`  | — |
 //! | `0x02` | `Get`   | `key:u64` |
-//! | `0x03` | `Put`   | `key:u64  vlen:u32  value:[u8; vlen]` |
+//! | `0x03` | `Put`   | `key:u64  value:u64` |
 //! | `0x04` | `Del`   | `key:u64` |
-//! | `0x05` | `Batch` | `count:u32` then `count ×` [`BatchOp`] entries |
 //! | `0x06` | `Scan`  | `lo:u64  hi:u64  limit:u32` (`hi` exclusive) |
 //! | `0x07` | `Stats` | — |
 //!
@@ -30,19 +29,13 @@
 //! | `0x81` | `Pong`    | — |
 //! | `0x82` | `Found`   | `value:u64` |
 //! | `0x83` | `Missing` | — |
-//! | `0x84` | `Results` | `count:u32` then `count × (present:u8 [value:u64])` |
 //! | `0x85` | `Entries` | `count:u32` then `count × (key:u64 value:u64)` |
 //! | `0x86` | `Stats`   | `count:u32` then `count × (nlen:u16 name value:u64)` |
 //! | `0x87` | `Error`   | `code:u8  mlen:u16  message` |
 //!
-//! # Value padding
-//!
-//! The storage engines behind the service are `u64`-valued, but service
-//! throughput depends heavily on *frame* size — so `Put` carries a
-//! variable-length value field of `value_len ≥ 8` bytes: the first 8 bytes
-//! are the stored `u64`, the rest is zero padding the server skips.  The
-//! loadgen's value-size sweep uses this to measure the socket/framing path
-//! at realistic record sizes without changing the engines' value type.
+//! Every request carries one operation.  A client batches by pipelining:
+//! the server runs each run of point requests a connection's window
+//! delivers as one `execute` call.
 //!
 //! # The incremental decoder
 //!
@@ -51,9 +44,9 @@
 //! frame ([`FrameDecoder::decode_request`] /
 //! [`FrameDecoder::decode_response`]); a partial trailing frame simply
 //! stays buffered until more bytes arrive.  Parsing reads straight out of
-//! the receive buffer (values are folded to `u64` in place; only
-//! multi-entry payloads allocate, with every count validated against the
-//! bytes actually present before a vector is sized), and the buffer
+//! the receive buffer (only multi-entry payloads allocate, with every
+//! count validated against the bytes actually present before a vector is
+//! sized), and the buffer
 //! compacts itself once the consumed prefix grows past a threshold, so a
 //! long-lived connection holds at most one frame plus one read chunk.
 
@@ -61,12 +54,6 @@ use std::fmt;
 
 /// Upper bound on a frame body, enforced on both encode and decode.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
-
-/// Upper bound on a `Put` value field (stored 8 bytes + padding).
-pub const MAX_VALUE_LEN: usize = 64 << 10;
-
-/// Upper bound on operations in one `Batch` request.
-pub const MAX_BATCH_OPS: usize = 64 << 10;
 
 /// Upper bound on the entry count a `Scan` may request — what one
 /// `Entries` frame can carry (tag, count, 16 bytes a pair), so decode
@@ -85,21 +72,15 @@ const OP_PING: u8 = 0x01;
 const OP_GET: u8 = 0x02;
 const OP_PUT: u8 = 0x03;
 const OP_DEL: u8 = 0x04;
-const OP_BATCH: u8 = 0x05;
 const OP_SCAN: u8 = 0x06;
 const OP_STATS: u8 = 0x07;
 
 const TAG_PONG: u8 = 0x81;
 const TAG_FOUND: u8 = 0x82;
 const TAG_MISSING: u8 = 0x83;
-const TAG_RESULTS: u8 = 0x84;
 const TAG_ENTRIES: u8 = 0x85;
 const TAG_STATS: u8 = 0x86;
 const TAG_ERROR: u8 = 0x87;
-
-const BATCH_GET: u8 = 0;
-const BATCH_PUT: u8 = 1;
-const BATCH_DEL: u8 = 2;
 
 /// Why a frame could not be encoded or decoded.
 ///
@@ -185,31 +166,6 @@ impl ErrorCode {
     }
 }
 
-/// One operation inside a [`Request::Batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchOp {
-    /// Point lookup.
-    Get {
-        /// Key to look up.
-        key: u64,
-    },
-    /// Upsert; `value_len` is the on-wire value size (see the module docs
-    /// on padding).
-    Put {
-        /// Key to store under.
-        key: u64,
-        /// Stored value (the first 8 wire bytes).
-        value: u64,
-        /// On-wire value size, `8 ..= MAX_VALUE_LEN`.
-        value_len: u32,
-    },
-    /// Removal.
-    Del {
-        /// Key to remove.
-        key: u64,
-    },
-}
-
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -227,19 +183,11 @@ pub enum Request {
         key: u64,
         /// Stored value.
         value: u64,
-        /// On-wire value size, `8 ..= MAX_VALUE_LEN` (see module docs).
-        value_len: u32,
     },
     /// Removal; answered with the removed value (`Found`/`Missing`).
     Del {
         /// Key to remove.
         key: u64,
-    },
-    /// A client-composed batch; answered with [`Response::Results`], one
-    /// slot per operation in order.
-    Batch {
-        /// The operations, applied in slot order semantics.
-        ops: Vec<BatchOp>,
     },
     /// Range scan over `lo ..< hi`, at most `limit` entries; answered
     /// with [`Response::Entries`] in ascending key order.
@@ -257,23 +205,9 @@ pub enum Request {
 }
 
 impl Request {
-    /// A `Put` with the minimal (8-byte) wire value.
+    /// A `Put` of `value` under `key`.
     pub fn put(key: u64, value: u64) -> Self {
-        Request::Put {
-            key,
-            value,
-            value_len: 8,
-        }
-    }
-
-    /// A `Put` whose wire value is padded out to `value_len` bytes
-    /// (clamped to `8 ..= MAX_VALUE_LEN`).
-    pub fn put_padded(key: u64, value: u64, value_len: usize) -> Self {
-        Request::Put {
-            key,
-            value,
-            value_len: value_len.clamp(8, MAX_VALUE_LEN) as u32,
-        }
+        Request::Put { key, value }
     }
 }
 
@@ -290,12 +224,6 @@ pub enum Response {
     },
     /// The key was absent.
     Missing,
-    /// Answer to [`Request::Batch`]: one `Option<value>` per operation,
-    /// in slot order.
-    Results {
-        /// Per-operation outcomes.
-        results: Vec<Option<u64>>,
-    },
     /// Answer to [`Request::Scan`]: the entries in ascending key order.
     Entries {
         /// `(key, value)` pairs.
@@ -379,25 +307,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Folds a wire value field (8 stored bytes + padding) back to its `u64`.
-fn fold_value(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().unwrap())
-}
-
-/// Appends a value field of `value_len` bytes: the value plus zero padding.
-fn push_value(out: &mut Vec<u8>, value: u64, value_len: u32) {
-    push_u64(out, value);
-    out.resize(out.len() + (value_len as usize - 8), 0);
-}
-
-fn check_value_len(value_len: u32) -> Result<(), ProtoError> {
-    if (8..=MAX_VALUE_LEN as u32).contains(&value_len) {
-        Ok(())
-    } else {
-        Err(ProtoError::BadField("value length"))
-    }
-}
-
 /// Encodes one frame around an already-encoded body producer.
 fn encode_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> Result<(), ProtoError> {
     let prefix_at = out.len();
@@ -415,60 +324,23 @@ fn encode_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> Result<()
 
 /// Appends `request` to `out` as one frame.
 ///
-/// Fails only if the message violates the protocol's own bounds (a batch
-/// or padded value so large the body would exceed [`MAX_FRAME_LEN`]);
-/// `out` is left untouched in that case.
+/// Every request body is at most 21 bytes, so this never fails; it
+/// returns a `Result` to share [`encode_response`]'s contract.
 pub fn encode_request(request: &Request, out: &mut Vec<u8>) -> Result<(), ProtoError> {
-    if let Request::Batch { ops } = request {
-        if ops.len() > MAX_BATCH_OPS {
-            return Err(ProtoError::BadField("batch op count"));
-        }
-    }
     encode_frame(out, |out| match request {
         Request::Ping => out.push(OP_PING),
         Request::Get { key } => {
             out.push(OP_GET);
             push_u64(out, *key);
         }
-        Request::Put {
-            key,
-            value,
-            value_len,
-        } => {
+        Request::Put { key, value } => {
             out.push(OP_PUT);
             push_u64(out, *key);
-            push_u32(out, *value_len);
-            push_value(out, *value, *value_len);
+            push_u64(out, *value);
         }
         Request::Del { key } => {
             out.push(OP_DEL);
             push_u64(out, *key);
-        }
-        Request::Batch { ops } => {
-            out.push(OP_BATCH);
-            push_u32(out, ops.len() as u32);
-            for op in ops {
-                match op {
-                    BatchOp::Get { key } => {
-                        out.push(BATCH_GET);
-                        push_u64(out, *key);
-                    }
-                    BatchOp::Put {
-                        key,
-                        value,
-                        value_len,
-                    } => {
-                        out.push(BATCH_PUT);
-                        push_u64(out, *key);
-                        push_u32(out, *value_len);
-                        push_value(out, *value, *value_len);
-                    }
-                    BatchOp::Del { key } => {
-                        out.push(BATCH_DEL);
-                        push_u64(out, *key);
-                    }
-                }
-            }
         }
         Request::Scan { lo, hi, limit } => {
             out.push(OP_SCAN);
@@ -490,19 +362,6 @@ pub fn encode_response(response: &Response, out: &mut Vec<u8>) -> Result<(), Pro
             push_u64(out, *value);
         }
         Response::Missing => out.push(TAG_MISSING),
-        Response::Results { results } => {
-            out.push(TAG_RESULTS);
-            push_u32(out, results.len() as u32);
-            for result in results {
-                match result {
-                    Some(value) => {
-                        out.push(1);
-                        push_u64(out, *value);
-                    }
-                    None => out.push(0),
-                }
-            }
-        }
         Response::Entries { entries } => {
             push_entries(entries.iter().copied(), out);
         }
@@ -565,47 +424,11 @@ fn parse_request(body: &[u8]) -> Result<Request, ProtoError> {
     let request = match r.u8()? {
         OP_PING => Request::Ping,
         OP_GET => Request::Get { key: r.u64()? },
-        OP_PUT => {
-            let key = r.u64()?;
-            let value_len = r.u32()?;
-            check_value_len(value_len)?;
-            let value = fold_value(r.take(value_len as usize)?);
-            Request::Put {
-                key,
-                value,
-                value_len,
-            }
-        }
+        OP_PUT => Request::Put {
+            key: r.u64()?,
+            value: r.u64()?,
+        },
         OP_DEL => Request::Del { key: r.u64()? },
-        OP_BATCH => {
-            let count = r.u32()? as usize;
-            // The smallest entry is 9 bytes (kind + key): a count that
-            // could not fit in the bytes actually present is rejected
-            // before any allocation is sized from it.
-            if count > MAX_BATCH_OPS || count > r.remaining() / 9 {
-                return Err(ProtoError::BadField("batch op count"));
-            }
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                ops.push(match r.u8()? {
-                    BATCH_GET => BatchOp::Get { key: r.u64()? },
-                    BATCH_PUT => {
-                        let key = r.u64()?;
-                        let value_len = r.u32()?;
-                        check_value_len(value_len)?;
-                        let value = fold_value(r.take(value_len as usize)?);
-                        BatchOp::Put {
-                            key,
-                            value,
-                            value_len,
-                        }
-                    }
-                    BATCH_DEL => BatchOp::Del { key: r.u64()? },
-                    _ => return Err(ProtoError::BadField("batch op kind")),
-                });
-            }
-            Request::Batch { ops }
-        }
         OP_SCAN => {
             let lo = r.u64()?;
             let hi = r.u64()?;
@@ -628,21 +451,6 @@ fn parse_response(body: &[u8]) -> Result<Response, ProtoError> {
         TAG_PONG => Response::Pong,
         TAG_FOUND => Response::Found { value: r.u64()? },
         TAG_MISSING => Response::Missing,
-        TAG_RESULTS => {
-            let count = r.u32()? as usize;
-            if count > r.remaining() {
-                return Err(ProtoError::BadField("result count"));
-            }
-            let mut results = Vec::with_capacity(count);
-            for _ in 0..count {
-                results.push(match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    _ => return Err(ProtoError::BadField("result presence flag")),
-                });
-            }
-            Response::Results { results }
-        }
         TAG_ENTRIES => {
             let count = r.u32()? as usize;
             if count > r.remaining() / 16 {
@@ -813,25 +621,7 @@ mod tests {
             Request::Ping,
             Request::Get { key: 7 },
             Request::put(1, u64::MAX),
-            Request::put_padded(2, 3, 512),
             Request::Del { key: u64::MAX },
-            Request::Batch {
-                ops: vec![
-                    BatchOp::Get { key: 1 },
-                    BatchOp::Put {
-                        key: 2,
-                        value: 20,
-                        value_len: 8,
-                    },
-                    BatchOp::Put {
-                        key: 3,
-                        value: 30,
-                        value_len: 64,
-                    },
-                    BatchOp::Del { key: 4 },
-                ],
-            },
-            Request::Batch { ops: vec![] },
             Request::Scan {
                 lo: 10,
                 hi: 20,
@@ -850,10 +640,6 @@ mod tests {
             Response::Pong,
             Response::Found { value: 42 },
             Response::Missing,
-            Response::Results {
-                results: vec![Some(1), None, Some(u64::MAX)],
-            },
-            Response::Results { results: vec![] },
             Response::Entries {
                 entries: vec![(1, 10), (2, 20)],
             },
@@ -926,35 +712,57 @@ mod tests {
         assert!(decoder.decode_request().is_err());
     }
 
+    /// A decoder holding `body` behind its length prefix.
+    fn decoder_over(body: &[u8]) -> FrameDecoder {
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&(body.len() as u32).to_le_bytes());
+        decoder.extend(body);
+        decoder
+    }
+
     #[test]
     fn inflated_counts_and_bad_fields_are_rejected() {
-        // A Batch frame whose count field promises more entries than the
+        // An Entries frame whose count field promises more pairs than the
         // body could hold must be rejected before sizing an allocation.
-        let mut body = vec![OP_BATCH];
+        let mut body = vec![TAG_ENTRIES];
         push_u32(&mut body, u32::MAX);
-        let mut wire = Vec::new();
-        push_u32(&mut wire, body.len() as u32);
-        wire.extend_from_slice(&body);
-        let mut decoder = FrameDecoder::new();
-        decoder.extend(&wire);
         assert_eq!(
-            decoder.decode_request(),
-            Err(ProtoError::BadField("batch op count"))
+            decoder_over(&body).decode_response(),
+            Err(ProtoError::BadField("entry count"))
         );
 
-        // A Put with a sub-8-byte value length.
-        let mut body = vec![OP_PUT];
-        push_u64(&mut body, 1);
-        push_u32(&mut body, 4);
+        // A Scan asking for no entries.
+        let mut body = vec![OP_SCAN];
+        push_u64(&mut body, 0);
+        push_u64(&mut body, 10);
         push_u32(&mut body, 0);
-        let mut wire = Vec::new();
-        push_u32(&mut wire, body.len() as u32);
-        wire.extend_from_slice(&body);
-        let mut decoder = FrameDecoder::new();
-        decoder.extend(&wire);
         assert_eq!(
-            decoder.decode_request(),
-            Err(ProtoError::BadField("value length"))
+            decoder_over(&body).decode_request(),
+            Err(ProtoError::BadField("scan limit"))
+        );
+    }
+
+    /// Frames in the protocol's older, wider format are refused, never
+    /// misread: a Put that still carries its value-length field, and the
+    /// retired `Batch` opcode.
+    #[test]
+    fn old_format_frames_are_rejected() {
+        let mut put = vec![OP_PUT];
+        push_u64(&mut put, 7);
+        push_u32(&mut put, 8);
+        push_u64(&mut put, 70);
+        assert_eq!(
+            decoder_over(&put).decode_request(),
+            Err(ProtoError::TrailingBytes)
+        );
+
+        let mut batch = vec![0x05];
+        push_u32(&mut batch, 1);
+        batch.push(0);
+        push_u64(&mut batch, 7);
+        assert_eq!(
+            decoder_over(&batch).decode_request(),
+            Err(ProtoError::UnknownOpcode(0x05))
         );
     }
 
@@ -975,27 +783,16 @@ mod tests {
         let one_more = entries.iter().copied().chain([(0, 0)]);
         assert!(encode_entries(one_more, &mut streamed).is_err());
         assert_eq!(streamed, wire);
-        wire.clear();
-        let results = vec![Some(u64::MAX); MAX_BATCH_OPS];
-        encode_response(&Response::Results { results }, &mut wire).expect("a full batch");
     }
 
     #[test]
     fn trailing_bytes_and_unknown_opcodes_are_rejected() {
-        let mut wire = Vec::new();
-        push_u32(&mut wire, 2);
-        wire.extend_from_slice(&[OP_PING, 0xEE]);
-        let mut decoder = FrameDecoder::new();
-        decoder.extend(&wire);
-        assert_eq!(decoder.decode_request(), Err(ProtoError::TrailingBytes));
-
-        let mut wire = Vec::new();
-        push_u32(&mut wire, 1);
-        wire.push(0x55);
-        let mut decoder = FrameDecoder::new();
-        decoder.extend(&wire);
         assert_eq!(
-            decoder.decode_request(),
+            decoder_over(&[OP_PING, 0xEE]).decode_request(),
+            Err(ProtoError::TrailingBytes)
+        );
+        assert_eq!(
+            decoder_over(&[0x55]).decode_request(),
             Err(ProtoError::UnknownOpcode(0x55))
         );
     }
@@ -1003,7 +800,7 @@ mod tests {
     #[test]
     fn long_streams_compact_the_consumed_prefix() {
         let mut wire = Vec::new();
-        encode_request(&Request::put_padded(1, 1, 1024), &mut wire).unwrap();
+        encode_request(&Request::put(1, 1), &mut wire).unwrap();
         let mut decoder = FrameDecoder::new();
         for _ in 0..256 {
             decoder.extend(&wire);
@@ -1016,24 +813,11 @@ mod tests {
 
     /// Strategy for arbitrary (valid) requests.
     fn request_strategy() -> impl proptest::strategy::Strategy<Value = Request> {
-        let batch_op = prop_oneof![
-            any::<u64>().prop_map(|key| BatchOp::Get { key }),
-            (any::<u64>(), any::<u64>(), 8u32..256).prop_map(|(key, value, value_len)| {
-                BatchOp::Put {
-                    key,
-                    value,
-                    value_len,
-                }
-            }),
-            any::<u64>().prop_map(|key| BatchOp::Del { key }),
-        ];
         prop_oneof![
             (0u64..1).prop_map(|_| Request::Ping),
             any::<u64>().prop_map(|key| Request::Get { key }),
-            (any::<u64>(), any::<u64>(), 8usize..600)
-                .prop_map(|(key, value, len)| Request::put_padded(key, value, len)),
+            (any::<u64>(), any::<u64>()).prop_map(|(key, value)| Request::put(key, value)),
             any::<u64>().prop_map(|key| Request::Del { key }),
-            proptest::collection::vec(batch_op, 0..20).prop_map(|ops| Request::Batch { ops }),
             (any::<u64>(), any::<u64>(), 1u32..1000).prop_map(|(lo, hi, limit)| Request::Scan {
                 lo,
                 hi,

@@ -10,7 +10,7 @@
 //! 2. drain *every* complete frame out of the [`FrameDecoder`] — the
 //!    window;
 //! 3. walk the window in request order as maximal runs of point requests
-//!    (`Get`/`Put`/`Del`, and explicit `Batch` requests), each mapped onto
+//!    (`Get`/`Put`/`Del`), each mapped onto
 //!    **one** [`ConcurrentIndex::execute`] call — one EBR pin on the
 //!    B-skiplist, one WAL group-commit record on the LSM engine — and
 //!    answer every other request (`Scan`, `Stats`, `Ping`, a write a
@@ -44,8 +44,8 @@ use bskip_index::{ConcurrentIndex, Op, StatKind};
 use bskip_sync::RelaxedCounter;
 
 use crate::proto::{
-    encode_entries, encode_response, BatchOp, ErrorCode, FrameDecoder, ProtoError, Request,
-    Response, READ_CHUNK,
+    encode_entries, encode_response, ErrorCode, FrameDecoder, ProtoError, Request, Response,
+    READ_CHUNK,
 };
 
 /// The index type the service runs over: any [`ConcurrentIndex`] behind a
@@ -83,7 +83,7 @@ bskip_index::stat_block! {
         pub connections: RelaxedCounter => Counter "server_connections",
         /// Connections turned away at the cap with a `Busy` frame.
         pub rejected: RelaxedCounter => Counter "server_rejected",
-        /// Requests decoded (one `Batch` request counts once).
+        /// Requests decoded.
         pub requests: RelaxedCounter => Counter "server_requests",
         /// `execute` calls issued for coalesced point-operation runs.
         pub batches: RelaxedCounter => Counter "server_batches",
@@ -368,33 +368,22 @@ fn answer_requests(
     write_buf.clear();
     shared.stats.requests.add(requests.len() as u64);
     let degraded = shared.index.degraded();
-    let mut run_start = 0;
-    for (at, request) in requests.iter().enumerate() {
+    for request in requests {
         if !join_run(request, degraded, ops) {
-            answer_run(shared, &requests[run_start..at], ops, write_buf)?;
+            answer_run(shared, ops, write_buf)?;
             answer_alone(shared, request, degraded, write_buf)?;
-            run_start = at + 1;
         }
     }
-    answer_run(shared, &requests[run_start..], ops, write_buf)
+    answer_run(shared, ops, write_buf)
 }
 
-/// Appends `request`'s operations to the run being gathered in `ops`, or
+/// Appends `request`'s operation to the run being gathered in `ops`, or
 /// returns `false` — leaving `ops` alone — if it ends the run instead.
 fn join_run(request: &Request, degraded: bool, ops: &mut Vec<Op<u64, u64>>) -> bool {
     match request {
         Request::Get { key } => ops.push(Op::get(*key)),
-        Request::Put { key, value, .. } if !degraded => ops.push(Op::insert(*key, *value)),
+        Request::Put { key, value } if !degraded => ops.push(Op::insert(*key, *value)),
         Request::Del { key } if !degraded => ops.push(Op::remove(*key)),
-        Request::Batch { ops: batch }
-            if !degraded || batch.iter().all(|op| matches!(op, BatchOp::Get { .. })) =>
-        {
-            ops.extend(batch.iter().map(|op| match *op {
-                BatchOp::Get { key } => Op::get(key),
-                BatchOp::Put { key, value, .. } => Op::insert(key, value),
-                BatchOp::Del { key } => Op::remove(key),
-            }));
-        }
         _ => return false,
     }
     true
@@ -402,8 +391,8 @@ fn join_run(request: &Request, degraded: bool, ops: &mut Vec<Op<u64, u64>>) -> b
 
 /// Executes the run's operations, gathered in `ops`, as one batch — one
 /// EBR pin on the B-skiplist, one WAL group commit on the LSM engine —
-/// then answers its requests in order, each taking its own slots: one a
-/// point request, `count` a `Batch`.  Leaves `ops` empty.
+/// then answers its requests in order, one slot each.  Leaves `ops`
+/// empty.
 ///
 /// A slot the backend left `Pending` belongs to a batch it rejected whole
 /// — the WAL append of this very run failed, after the window began on a
@@ -411,7 +400,6 @@ fn join_run(request: &Request, degraded: bool, ops: &mut Vec<Op<u64, u64>>) -> b
 /// never the `Missing` an absent key or a fresh put answers with.
 fn answer_run(
     shared: &Shared,
-    run: &[Request],
     ops: &mut Vec<Op<u64, u64>>,
     write_buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
@@ -419,22 +407,11 @@ fn answer_run(
         shared.stats.note_batch(ops.len());
         shared.index.execute(ops);
     }
-    let mut next = 0;
-    for request in run {
-        let claimed = match request {
-            Request::Batch { ops: batch } => batch.len(),
-            _ => 1,
-        };
-        let slots = &ops[next..next + claimed];
-        next += claimed;
-        let response = if !slots.iter().all(|op| op.result().is_executed()) {
+    for op in ops.iter() {
+        let response = if !op.result().is_executed() {
             unavailable_response(shared, "backend rejected the batch: nothing was applied")
-        } else if let Request::Batch { .. } = request {
-            Response::Results {
-                results: slots.iter().map(|op| op.result().value()).collect(),
-            }
         } else {
-            match slots[0].result().value() {
+            match op.result().value() {
                 Some(value) => Response::Found { value },
                 None => Response::Missing,
             }

@@ -6,8 +6,7 @@
 //! 1. an in-process [`KvServer`] is bound to an ephemeral port over a
 //!    `BSkipList` (any [`ConcurrentIndex`] works — swap in `LsmEngine`
 //!    for a durable service);
-//! 2. a strict request/response client does point ops and an explicit
-//!    `Batch` request (several ops in one frame, answered slot-ordered);
+//! 2. a strict request/response client does point ops;
 //! 3. a **pipelined** client keeps a window of requests in flight, which
 //!    the server drains as a unit and coalesces into single `execute`
 //!    batches — one EBR pin for a window's worth of frames;
@@ -17,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example kv_service`
 
-use bskip_suite::{BSkipList, BatchOp, Connection, KvServer, Request, Response, ServerConfig};
+use bskip_suite::{BSkipList, Connection, KvServer, Request, ServerConfig};
 
 fn main() {
     // 1. Server over a fresh B-skiplist on an ephemeral loopback port.
@@ -40,27 +39,6 @@ fn main() {
     assert_eq!(conn.del(7).expect("del"), Some(700));
     assert_eq!(conn.get(7).expect("get after del"), None);
     println!("point ops: put/get/del round-tripped");
-
-    // An explicit batch: one frame, several ops, slot-ordered results.
-    let response = conn
-        .call(&Request::Batch {
-            ops: vec![
-                BatchOp::Put {
-                    key: 1,
-                    value: 100,
-                    value_len: 8,
-                },
-                BatchOp::Get { key: 1 },
-                BatchOp::Del { key: 1 },
-                BatchOp::Get { key: 1 },
-            ],
-        })
-        .expect("batch call");
-    let Response::Results { results } = response else {
-        panic!("batch must answer with Results");
-    };
-    assert_eq!(results, vec![None, Some(100), Some(100), None]);
-    println!("explicit batch: {} slot-ordered results", results.len());
 
     // 3. Pipelined writes: a deep in-flight window lets the server drain
     // many frames per socket read and fold them into one `execute`.

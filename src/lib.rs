@@ -24,6 +24,6 @@ pub use bskip_index::{
 };
 pub use bskip_lsm::{FaultFs, LsmConfig, LsmEngine, StdFs, Storage, StorageFile, SyncPolicy};
 pub use bskip_net::{
-    BatchOp, ClientOptions, Connection, KvServer, Request, Response, ServerConfig, SharedIndex,
+    ClientOptions, Connection, KvServer, Request, Response, ServerConfig, SharedIndex,
 };
 pub use bskip_sync::{EbrCollector, EbrGuard, EbrStats};

@@ -2,15 +2,16 @@
 //! clients race against one server while each checks every response
 //! against its own `BTreeMap` oracle.
 //!
-//! Each client owns a **disjoint key stripe** (`key % clients == id`), so
-//! even though the server freely coalesces frames from different
-//! connections' windows into shared `execute` batches, every response a
-//! client receives is deterministic: the FIFO per-connection contract
-//! plus stripe disjointness means the oracle can be advanced at send time
-//! and compared verbatim at receive time.  The mix covers point ops,
-//! explicit `Batch` requests and interleaved `Ping`s; after the workers
-//! join, a paginated `Scan` sweep must reproduce the merged oracles
-//! exactly.
+//! Each client owns a **disjoint key stripe** (`key % clients == id`).
+//! The server runs each connection's window as its own `execute` batches,
+//! and those batches race one another in the shared index; still, every
+//! point response a client receives is deterministic: the FIFO
+//! per-connection contract plus stripe disjointness means the oracle can
+//! be advanced at send time and compared verbatim at receive time.  The
+//! mix covers point ops, interleaved `Ping`s and in-window `Scan`s, whose
+//! answers a client checks on its own stripe only, since other stripes'
+//! keys interleave nondeterministically.  After the workers join, a
+//! paginated `Scan` sweep must reproduce the merged oracles exactly.
 //!
 //! This test runs in the ThreadSanitizer CI job: the server's
 //! drain-coalesce-respond loop, the shared index under multi-connection
@@ -20,9 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use bskip_core::BSkipList;
-use bskip_net::{
-    BatchOp, Connection, KvServer, Request, Response, ServerConfig, ServerHandle, SharedIndex,
-};
+use bskip_net::{Connection, KvServer, Request, Response, ServerConfig, ServerHandle, SharedIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,18 +30,35 @@ use rand::{Rng, SeedableRng};
 enum Expect {
     Pong,
     Point(Option<u64>),
-    Results(Vec<Option<u64>>),
+    /// A scan's limit, and the client's own entries in its range when it
+    /// was sent.
+    Scan {
+        limit: usize,
+        own: Vec<(u64, u64)>,
+    },
 }
 
-fn check(expected: Expect, response: Response) {
+/// Checks `response` against `expected`; `own_key` tells the client's
+/// stripe from the others'.
+fn check(expected: Expect, response: Response, own_key: impl Fn(u64) -> bool) {
     match (expected, response) {
         (Expect::Pong, Response::Pong) => {}
         (Expect::Point(None), Response::Missing) => {}
         (Expect::Point(Some(value)), Response::Found { value: got }) => {
             assert_eq!(got, value, "point response diverged from oracle");
         }
-        (Expect::Results(values), Response::Results { results }) => {
-            assert_eq!(results, values, "batch results diverged from oracle");
+        (Expect::Scan { limit, mut own }, Response::Entries { entries }) => {
+            assert!(entries.len() <= limit, "scan returned past its limit");
+            // A full page covers its range only up to its last key.
+            if entries.len() == limit {
+                let (last, _) = entries[limit - 1];
+                own.retain(|&(key, _)| key <= last);
+            }
+            let got: Vec<_> = entries
+                .into_iter()
+                .filter(|&(key, _)| own_key(key))
+                .collect();
+            assert_eq!(got, own, "scan diverged from oracle on the client's stripe");
         }
         (expected, response) => {
             panic!("oracle expected {expected:?}, server sent {response:?}");
@@ -51,8 +67,7 @@ fn check(expected: Expect, response: Response) {
 }
 
 /// Drives one striped client against the server; returns its oracle and
-/// the number of operation-carrying frames (point ops and explicit
-/// batches, not pings) it sent.
+/// the number of point-operation frames (not pings or scans) it sent.
 fn striped_client(
     addr: std::net::SocketAddr,
     id: u64,
@@ -67,39 +82,26 @@ fn striped_client(
     let mut op_frames = 0u64;
     // Keys stay in a narrow per-stripe range so gets/dels actually hit.
     let stripe_key = |rng: &mut SmallRng| -> u64 { rng.gen_range(0..512u64) * clients + id };
+    let own_key = |key: u64| key % clients == id;
 
     for i in 0..ops {
         let request = if i % 97 == 0 {
             expected.push_back(Expect::Pong);
             Request::Ping
-        } else if i % 31 == 0 {
-            // An explicit client-side batch: applied by the server in
-            // slot order inside whatever coalesced run it lands in.
-            let batch: Vec<BatchOp> = (0..rng.gen_range(1..8usize))
-                .map(|_| {
-                    let key = stripe_key(&mut rng);
-                    match rng.gen_range(0..3u32) {
-                        0 => BatchOp::Get { key },
-                        1 => BatchOp::Put {
-                            key,
-                            value: rng.gen(),
-                            value_len: 8,
-                        },
-                        _ => BatchOp::Del { key },
-                    }
-                })
-                .collect();
-            let results = batch
-                .iter()
-                .map(|op| match *op {
-                    BatchOp::Get { key } => oracle.get(&key).copied(),
-                    BatchOp::Put { key, value, .. } => oracle.insert(key, value),
-                    BatchOp::Del { key } => oracle.remove(&key),
-                })
-                .collect();
-            expected.push_back(Expect::Results(results));
-            Request::Batch { ops: batch }
+        } else if i % 17 == 0 {
+            // A scan over a few stripes' worth of keys, sometimes cut
+            // short by its limit.
+            let lo = stripe_key(&mut rng);
+            let hi = lo + rng.gen_range(1..8 * clients);
+            let limit = rng.gen_range(1..16u32);
+            let own = oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+            expected.push_back(Expect::Scan {
+                limit: limit as usize,
+                own,
+            });
+            Request::Scan { lo, hi, limit }
         } else {
+            op_frames += 1;
             let key = stripe_key(&mut rng);
             match rng.gen_range(0..10u32) {
                 0..=4 => {
@@ -109,9 +111,7 @@ fn striped_client(
                 5..=7 => {
                     let value = rng.gen();
                     expected.push_back(Expect::Point(oracle.insert(key, value)));
-                    // Vary the wire size of values so coalesced runs mix
-                    // frame lengths.
-                    Request::put_padded(key, value, [8, 64, 300][i % 3])
+                    Request::put(key, value)
                 }
                 _ => {
                     expected.push_back(Expect::Point(oracle.remove(&key)));
@@ -119,17 +119,15 @@ fn striped_client(
                 }
             }
         };
-        if !matches!(request, Request::Ping) {
-            op_frames += 1;
-        }
         conn.send(&request).expect("send");
         while conn.ready() > 0 {
-            let response = conn.recv().expect("recv");
-            check(expected.pop_front().expect("tracked request"), response);
+            let next = expected.pop_front().expect("tracked request");
+            check(next, conn.recv().expect("recv"), own_key);
         }
     }
     for response in conn.drain().expect("drain") {
-        check(expected.pop_front().expect("tracked request"), response);
+        let next = expected.pop_front().expect("tracked request");
+        check(next, response, own_key);
     }
     assert!(expected.is_empty(), "every request must be answered");
     (oracle, op_frames)
@@ -190,13 +188,12 @@ fn run_differential(index: SharedIndex, clients: u64, ops: usize, window: usize)
         stat("server_max_batch") > 1,
         "pipelined clients produced no coalesced batch"
     );
-    // Mean coalesced batch > 1.  An explicit `Batch` frame carries
-    // several operations by itself, so also count in frames: fewer
-    // `execute` calls than operation-carrying frames, which strict
+    // Each point frame is one operation, and the mean coalesced batch is
+    // > 1: fewer `execute` calls than point frames, which strict
     // request/response traffic (window 1) never achieves.
     let (batches, batched_ops) = (stat("server_batches"), stat("server_batched_ops"));
     assert!(
-        batched_ops > batches && batches < op_frames,
+        batched_ops == op_frames && batches < op_frames,
         "window {window}: {batched_ops} ops from {op_frames} frames took {batches} execute calls"
     );
     handle.shutdown();
@@ -210,10 +207,11 @@ fn pipelined_clients_vs_oracle_bskiplist() {
 
 #[test]
 fn pipelined_clients_vs_oracle_sharded_bskiplist() {
-    // A hash-sharded backend behind the same wire protocol: coalesced
-    // multi-connection batches now split per shard and run on the
-    // sharded executor's scoped threads, and the quiescent scan sweep
-    // exercises the K-way merging cursor through the protocol.
+    // A hash-sharded backend behind the same wire protocol: each
+    // coalesced batch splits per shard, and the sub-batches run one after
+    // another on the connection's thread; the in-window scans and the
+    // quiescent sweep exercise the K-way merging cursor through the
+    // protocol.
     let index: SharedIndex = Arc::new(bskip_index::ShardedIndex::hash(4, |_| {
         BSkipList::<u64, u64>::new()
     }));

@@ -123,6 +123,9 @@ proptest! {
         conc_list.validate().map_err(TestCaseError::fail)?;
         prop_assert_eq!(seq_list.to_vec(), conc_list.to_vec());
         prop_assert_eq!(seq_list.len(), conc_list.len());
+        let conc_nodes: Vec<usize> =
+            conc_list.level_shape().iter().map(|&(nodes, _)| nodes).collect();
+        prop_assert_eq!(seq_list.nodes_per_level(), conc_nodes);
     }
 
     /// Range scans always return sorted, deduplicated keys bounded by the
