@@ -10,10 +10,12 @@
 //! | Java `ConcurrentSkipListMap` | [`LazySkipList`] | optimistic traversal + per-node locks with validation (Herlihy et al. style) |
 //! | No Hot Spot skiplist (NHS) | [`NhsSkipList`] | lock-free bottom lane, background thread rebuilds the index lanes |
 //! | tlx/BP-tree concurrent B+-tree (OBT) | [`OccBTree`] | reader-lock descent, writer-locked leaf, *retire to the root* with write locks on structural modification (classical OCC) |
-//! | Masstree | [`MasstreeLite`] | cache-line-sized internal nodes, version-validated optimistic reads, B+-tree leaves |
+//! | Masstree | [`MasstreeLite`] | an alias: `OccBTree` with 15-key nodes, the one trie layer Masstree is for 8-byte keys |
 //!
-//! All of them implement [`bskip_index::ConcurrentIndex`], so the YCSB
-//! driver and every experiment binary treats them uniformly.
+//! Each one is a `new()` plus its [`bskip_index::ConcurrentIndex`] impl,
+//! which holds the operations and exports every counter through
+//! `stats()`, so the YCSB driver and every experiment binary treats them
+//! uniformly.
 //!
 //! The goal is not to beat the original C++/Java systems on absolute
 //! numbers but to preserve the *shape* of the comparison: unblocked
@@ -25,13 +27,11 @@
 #![warn(rust_2018_idioms)]
 
 mod btree_occ;
-mod masstree_lite;
 mod skiplist_lazy;
 mod skiplist_lockfree;
 mod skiplist_nhs;
 
-pub use btree_occ::OccBTree;
-pub use masstree_lite::MasstreeLite;
+pub use btree_occ::{MasstreeLite, OccBTree};
 pub use skiplist_lazy::LazySkipList;
 pub use skiplist_lockfree::LockFreeSkipList;
 pub use skiplist_nhs::NhsSkipList;
@@ -51,7 +51,7 @@ mod cursor_contract_tests {
             Box::new(LazySkipList::new()),
             Box::new(NhsSkipList::new()),
             Box::new(OccBTree::<u64, u64>::new()),
-            Box::new(MasstreeLite::new()),
+            Box::new(MasstreeLite::<u64, u64>::new()),
         ]
     }
 

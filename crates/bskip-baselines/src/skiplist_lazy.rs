@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, EbrStats, RawRwSpinLock, RwSpinLock};
+use bskip_sync::{Backoff, EbrCollector, RawRwSpinLock, RwSpinLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,25 +143,6 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         }
     }
 
-    /// Epoch-reclamation counters for towers retired by `remove`.
-    pub fn reclamation(&self) -> EbrStats {
-        self.collector.stats()
-    }
-
-    /// Live structural node count: towers linked in minus towers retired.
-    pub fn live_nodes(&self) -> u64 {
-        self.towers_published
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.collector.stats().retired)
-    }
-
-    /// Attempts one epoch advancement (see
-    /// [`bskip_sync::EbrCollector::try_collect`]); returns the number of
-    /// towers freed.
-    pub fn try_reclaim(&self) -> usize {
-        self.collector.try_collect()
-    }
-
     /// # Safety: `pred`, when non-null, must point to a live node of
     /// sufficient height.
     unsafe fn slot(&self, pred: *mut LazyNode<K, V>, level: usize) -> &AtomicPtr<LazyNode<K, V>> {
@@ -208,8 +189,59 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         found
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Cursor batch-fetch primitive: appends up to `max` live, fully
+    /// linked entries at or after `from`'s key in ascending order (the
+    /// adapter enforces exclusive bounds).
+    ///
+    /// The optimistic traversal cannot pause mid-walk (a parked position
+    /// could be invalidated by a concurrent validate-and-link), so cursors
+    /// re-enter through [`LazySkipList::find`] once per batch.
+    fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
+        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
+        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
+        let _guard = self.collector.pin();
+        // SAFETY: optimistic traversal; the guard pins the epoch for the
+        // duration of the batch, so concurrently unlinked towers (whose
+        // forward pointers stay intact) remain dereferenceable.
+        unsafe {
+            let mut curr = match &from {
+                Bound::Unbounded => self.head[0].load(Ordering::Acquire),
+                Bound::Included(key) | Bound::Excluded(key) => {
+                    self.find(key, &mut preds, &mut succs);
+                    succs[0]
+                }
+            };
+            while !curr.is_null() && out.len() < max {
+                if (*curr).fully_linked.load(Ordering::Acquire)
+                    && !(*curr).marked.load(Ordering::Acquire)
+                {
+                    out.push(((*curr).key, *(*curr).value.read()));
+                }
+                curr = (*curr).next[0].load(Ordering::Acquire);
+            }
+        }
+    }
+}
+
+impl<K, V> Drop for LazySkipList<K, V> {
+    fn drop(&mut self) {
+        // SAFETY: exclusive access; every still-linked tower appears on the
+        // bottom level exactly once.  Removed towers were unlinked from
+        // every level and retired, so the collector (dropped right after
+        // this body) frees them — nothing is freed twice.
+        unsafe {
+            let mut curr = self.head[0].load(Ordering::Relaxed);
+            while !curr.is_null() {
+                let next = (*curr).next[0].load(Ordering::Relaxed);
+                drop(Box::from_raw(curr));
+                curr = next;
+            }
+        }
+    }
+}
+
+impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
+    fn get(&self, key: &K) -> Option<V> {
         let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
         let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
         let _guard = self.collector.pin();
@@ -229,7 +261,7 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
     }
 
     /// Inserts `key → value` with upsert semantics.
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
+    fn insert(&self, key: K, value: V) -> Option<V> {
         let height = sample_height();
         let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
         let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
@@ -320,7 +352,7 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
 
     /// Removes `key`: logical deletion (`marked`) followed by physical
     /// unlinking at every level and retirement to the epoch collector.
-    pub fn remove(&self, key: &K) -> Option<V> {
+    fn remove(&self, key: &K) -> Option<V> {
         let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
         let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
         let mut backoff = Backoff::new();
@@ -402,77 +434,6 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         }
     }
 
-    /// Cursor batch-fetch primitive: appends up to `max` live, fully
-    /// linked entries at or after `from`'s key in ascending order (the
-    /// adapter enforces exclusive bounds).
-    ///
-    /// The optimistic traversal cannot pause mid-walk (a parked position
-    /// could be invalidated by a concurrent validate-and-link), so cursors
-    /// re-enter through [`LazySkipList::find`] once per batch.
-    fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
-        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
-        let _guard = self.collector.pin();
-        // SAFETY: optimistic traversal; the guard pins the epoch for the
-        // duration of the batch, so concurrently unlinked towers (whose
-        // forward pointers stay intact) remain dereferenceable.
-        unsafe {
-            let mut curr = match &from {
-                Bound::Unbounded => self.head[0].load(Ordering::Acquire),
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    self.find(key, &mut preds, &mut succs);
-                    succs[0]
-                }
-            };
-            while !curr.is_null() && out.len() < max {
-                if (*curr).fully_linked.load(Ordering::Acquire)
-                    && !(*curr).marked.load(Ordering::Acquire)
-                {
-                    out.push(((*curr).key, *(*curr).value.read()));
-                }
-                curr = (*curr).next[0].load(Ordering::Acquire);
-            }
-        }
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K, V> Drop for LazySkipList<K, V> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; every still-linked tower appears on the
-        // bottom level exactly once.  Removed towers were unlinked from
-        // every level and retired, so the collector (dropped right after
-        // this body) frees them — nothing is freed twice.
-        unsafe {
-            let mut curr = self.head[0].load(Ordering::Relaxed);
-            while !curr.is_null() {
-                let next = (*curr).next[0].load(Ordering::Relaxed);
-                drop(Box::from_raw(curr));
-                curr = next;
-            }
-        }
-    }
-}
-
-impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
-    fn insert(&self, key: K, value: V) -> Option<V> {
-        LazySkipList::insert(self, key, value)
-    }
-    fn get(&self, key: &K) -> Option<V> {
-        LazySkipList::get(self, key)
-    }
-    fn remove(&self, key: &K) -> Option<V> {
-        LazySkipList::remove(self, key)
-    }
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
         Cursor::new(BatchCursor::new(
             lo,
@@ -482,19 +443,29 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
         ))
     }
     fn len(&self) -> usize {
-        LazySkipList::len(self)
+        self.len.load(Ordering::Relaxed)
     }
+    /// Attempts one epoch advancement (see
+    /// [`bskip_sync::EbrCollector::try_collect`]); returns the number of
+    /// towers freed.
     fn try_reclaim(&self) -> usize {
-        LazySkipList::try_reclaim(self)
+        self.collector.try_collect()
     }
     fn name(&self) -> &'static str {
         "lazy skiplist"
     }
+    /// `live_nodes` counts towers linked in minus towers retired.
     fn stats(&self) -> IndexStats {
+        let reclamation = self.collector.stats();
+        let published = self.towers_published.load(Ordering::Relaxed);
         IndexStats::new()
             .with_kind("keys", StatKind::Gauge, self.len() as u64)
-            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
-            .with_reclamation(self.collector.stats())
+            .with_kind(
+                "live_nodes",
+                StatKind::Gauge,
+                published.saturating_sub(reclamation.retired),
+            )
+            .with_reclamation(reclamation)
     }
 }
 
@@ -576,7 +547,7 @@ mod tests {
             }
         }
         assert_eq!(list.len(), 0);
-        let stats = list.reclamation();
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, 20 * 200, "every removed tower is retired");
         assert!(
             stats.backlog < stats.retired / 2,
@@ -586,7 +557,7 @@ mod tests {
         for _ in 0..4 {
             list.try_reclaim();
         }
-        assert_eq!(list.reclamation().backlog, 0);
+        assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
         // Keys are re-insertable after physical removal.
         assert_eq!(list.insert(7, 70), None);
         assert_eq!(list.get(&7), Some(70));
@@ -615,12 +586,12 @@ mod tests {
             }
         });
         assert_eq!(list.len(), 0);
-        let stats = list.reclamation();
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, threads * 40 * 250);
         for _ in 0..4 {
             list.try_reclaim();
         }
-        assert_eq!(list.reclamation().backlog, 0);
+        assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
     }
 
     #[test]

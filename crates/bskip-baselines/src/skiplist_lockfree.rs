@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, EbrStats, RwSpinLock};
+use bskip_sync::{Backoff, EbrCollector, RwSpinLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -194,25 +194,6 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
         }
     }
 
-    /// Epoch-reclamation counters for towers retired by `remove`.
-    pub fn reclamation(&self) -> EbrStats {
-        self.collector.stats()
-    }
-
-    /// Live structural node count: towers linked in minus towers retired.
-    pub fn live_nodes(&self) -> u64 {
-        self.towers_published
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.collector.stats().retired)
-    }
-
-    /// Attempts one epoch advancement (see
-    /// [`bskip_sync::EbrCollector::try_collect`]); returns the number of
-    /// towers freed.
-    pub fn try_reclaim(&self) -> usize {
-        self.collector.try_collect()
-    }
-
     /// The forward-pointer slot following `pred` at `level` (`pred == null`
     /// addresses the head).
     ///
@@ -277,176 +258,6 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
                 succs[level] = curr;
             }
             return (preds, succs);
-        }
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let _guard = self.collector.pin();
-        // SAFETY: the pinned guard keeps every reachable tower alive, even
-        // ones concurrently unlinked and retired.
-        unsafe {
-            let mut pred: *mut Tower<K, V> = std::ptr::null_mut();
-            for level in (0..MAX_LEVELS).rev() {
-                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-                while !curr.is_null() && (*curr).key < *key {
-                    pred = curr;
-                    curr = unmark((*curr).next[level].load(Ordering::Acquire));
-                }
-                // On a key match, report the value only if the tower is
-                // live.  A *deleted* match must not end the search: a
-                // fresh live tower for the same key may exist in front of
-                // it at lower levels (inserts link new same-key towers
-                // before mid-unlink old ones), so keep descending.
-                if !curr.is_null()
-                    && (*curr).key == *key
-                    && !(*curr).deleted.load(Ordering::Acquire)
-                {
-                    return Some(*(*curr).value.read());
-                }
-            }
-            None
-        }
-    }
-
-    /// Inserts `key → value`, returning the previous value when the key was
-    /// already present (upsert semantics).
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
-        let _guard = self.collector.pin();
-        // SAFETY: CAS-linking protocol described in the module docs; the
-        // guard keeps traversed towers alive.
-        unsafe {
-            loop {
-                let (mut preds, mut succs) = self.find_preds(&key);
-                // Key already present and live: update the value in place.
-                // (A deleted same-key tower may still be mid-unlink; the
-                // fresh tower below is simply linked in front of it.)
-                if !succs[0].is_null()
-                    && (*succs[0]).key == key
-                    && !(*succs[0]).deleted.load(Ordering::Acquire)
-                {
-                    let node = succs[0];
-                    let mut value_guard = (*node).value.write();
-                    // Re-validate under the value lock: `remove` reads the
-                    // victim's value (through this same lock) only *after*
-                    // setting `deleted`, so seeing it still clear here
-                    // means a racing remove will observe — and report —
-                    // this update rather than silently discarding it.
-                    if (*node).deleted.load(Ordering::Acquire) {
-                        drop(value_guard);
-                        continue; // Lost to a remove: insert a fresh tower.
-                    }
-                    let old = std::mem::replace(&mut *value_guard, value);
-                    return Some(old);
-                }
-
-                let height = sample_tower_height();
-                let node = Box::into_raw(Tower::new(key, value, height));
-                (*node).next[0].store(succs[0], Ordering::Relaxed);
-                if self
-                    .slot(preds[0], 0)
-                    .compare_exchange(succs[0], node, Ordering::Release, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Lost the race at the bottom level: reclaim and retry.
-                    // The tower was never shared, so a direct free is fine.
-                    drop(Box::from_raw(node));
-                    continue;
-                }
-
-                // Linked at the bottom level; now raise the upper levels.
-                // Only this thread writes `node.next[level]` until the
-                // level is linked (a marked predecessor makes the slot CAS
-                // fail, never this tower's own pointers: `remove` waits
-                // for `link_done` before touching them).
-                for level in 1..height {
-                    loop {
-                        let succ = succs[level];
-                        (*node).next[level].store(succ, Ordering::Relaxed);
-                        if self
-                            .slot(preds[level], level)
-                            .compare_exchange(succ, node, Ordering::Release, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            break;
-                        }
-                        // The neighbourhood changed: recompute it.
-                        let (new_preds, new_succs) = self.find_preds(&key);
-                        preds = new_preds;
-                        succs = new_succs;
-                        if succs[level] == node {
-                            // Another retry already linked this level (cannot
-                            // happen for distinct keys, but keeps the loop
-                            // robust).
-                            break;
-                        }
-                    }
-                }
-                (*node).link_done.store(true, Ordering::Release);
-                self.len.fetch_add(1, Ordering::Relaxed);
-                self.towers_published.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-    }
-
-    /// Removes `key`: logical deletion, pointer marking, physical unlink
-    /// from every level, and retirement to the epoch collector.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let guard = self.collector.pin();
-        // SAFETY: the marking/unlink protocol described in the module
-        // docs; the guard keeps traversed towers alive and covers the
-        // retirement.
-        unsafe {
-            let (_, succs) = self.find_preds(key);
-            let node = succs[0];
-            if node.is_null() || (*node).key != *key {
-                return None;
-            }
-            // Wait for the inserting thread to finish raising the tower,
-            // so marking and unlinking below see every level.
-            let mut backoff = Backoff::new();
-            while !(*node).link_done.load(Ordering::Acquire) {
-                backoff.snooze();
-            }
-            if (*node).deleted.swap(true, Ordering::AcqRel) {
-                return None; // Another remover owns this tower.
-            }
-            let value = *(*node).value.read();
-            self.len.fetch_sub(1, Ordering::Relaxed);
-
-            // Freeze the tower: mark every `next` pointer, top level down.
-            // Each mark CAS races only with inserts using this tower as a
-            // predecessor; once set, no such insert can succeed.
-            let height = (*node).height();
-            for level in (0..height).rev() {
-                loop {
-                    let current = (*node).next[level].load(Ordering::Acquire);
-                    if is_marked(current) {
-                        break;
-                    }
-                    if (*node).next[level]
-                        .compare_exchange(
-                            current,
-                            marked(current),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        break;
-                    }
-                }
-            }
-            // Physically unlink from every level (traversals may help).
-            for level in (0..height).rev() {
-                self.unlink_level(node, level);
-            }
-            // SAFETY: the tower is confirmed unlinked from every level and
-            // this thread won the `deleted` race, so it is retired exactly
-            // once.
-            guard.retire_box(node);
-            Some(value)
         }
     }
 
@@ -544,16 +355,6 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
             }
         }
     }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<K, V> Drop for LockFreeSkipList<K, V> {
@@ -575,15 +376,175 @@ impl<K, V> Drop for LockFreeSkipList<K, V> {
 }
 
 impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V> {
-    fn insert(&self, key: K, value: V) -> Option<V> {
-        LockFreeSkipList::insert(self, key, value)
-    }
     fn get(&self, key: &K) -> Option<V> {
-        LockFreeSkipList::get(self, key)
+        let _guard = self.collector.pin();
+        // SAFETY: the pinned guard keeps every reachable tower alive, even
+        // ones concurrently unlinked and retired.
+        unsafe {
+            let mut pred: *mut Tower<K, V> = std::ptr::null_mut();
+            for level in (0..MAX_LEVELS).rev() {
+                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
+                while !curr.is_null() && (*curr).key < *key {
+                    pred = curr;
+                    curr = unmark((*curr).next[level].load(Ordering::Acquire));
+                }
+                // On a key match, report the value only if the tower is
+                // live.  A *deleted* match must not end the search: a
+                // fresh live tower for the same key may exist in front of
+                // it at lower levels (inserts link new same-key towers
+                // before mid-unlink old ones), so keep descending.
+                if !curr.is_null()
+                    && (*curr).key == *key
+                    && !(*curr).deleted.load(Ordering::Acquire)
+                {
+                    return Some(*(*curr).value.read());
+                }
+            }
+            None
+        }
     }
+
+    /// Inserts `key → value`, returning the previous value when the key was
+    /// already present (upsert semantics).
+    fn insert(&self, key: K, value: V) -> Option<V> {
+        let _guard = self.collector.pin();
+        // SAFETY: CAS-linking protocol described in the module docs; the
+        // guard keeps traversed towers alive.
+        unsafe {
+            loop {
+                let (mut preds, mut succs) = self.find_preds(&key);
+                // Key already present and live: update the value in place.
+                // (A deleted same-key tower may still be mid-unlink; the
+                // fresh tower below is simply linked in front of it.)
+                if !succs[0].is_null()
+                    && (*succs[0]).key == key
+                    && !(*succs[0]).deleted.load(Ordering::Acquire)
+                {
+                    let node = succs[0];
+                    let mut value_guard = (*node).value.write();
+                    // Re-validate under the value lock: `remove` reads the
+                    // victim's value (through this same lock) only *after*
+                    // setting `deleted`, so seeing it still clear here
+                    // means a racing remove will observe — and report —
+                    // this update rather than silently discarding it.
+                    if (*node).deleted.load(Ordering::Acquire) {
+                        drop(value_guard);
+                        continue; // Lost to a remove: insert a fresh tower.
+                    }
+                    let old = std::mem::replace(&mut *value_guard, value);
+                    return Some(old);
+                }
+
+                let height = sample_tower_height();
+                let node = Box::into_raw(Tower::new(key, value, height));
+                (*node).next[0].store(succs[0], Ordering::Relaxed);
+                if self
+                    .slot(preds[0], 0)
+                    .compare_exchange(succs[0], node, Ordering::Release, Ordering::Relaxed)
+                    .is_err()
+                {
+                    // Lost the race at the bottom level: reclaim and retry.
+                    // The tower was never shared, so a direct free is fine.
+                    drop(Box::from_raw(node));
+                    continue;
+                }
+
+                // Linked at the bottom level; now raise the upper levels.
+                // Only this thread writes `node.next[level]` until the
+                // level is linked (a marked predecessor makes the slot CAS
+                // fail, never this tower's own pointers: `remove` waits
+                // for `link_done` before touching them).
+                for level in 1..height {
+                    loop {
+                        let succ = succs[level];
+                        (*node).next[level].store(succ, Ordering::Relaxed);
+                        if self
+                            .slot(preds[level], level)
+                            .compare_exchange(succ, node, Ordering::Release, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            break;
+                        }
+                        // The neighbourhood changed: recompute it.
+                        let (new_preds, new_succs) = self.find_preds(&key);
+                        preds = new_preds;
+                        succs = new_succs;
+                        if succs[level] == node {
+                            // Another retry already linked this level (cannot
+                            // happen for distinct keys, but keeps the loop
+                            // robust).
+                            break;
+                        }
+                    }
+                }
+                (*node).link_done.store(true, Ordering::Release);
+                self.len.fetch_add(1, Ordering::Relaxed);
+                self.towers_published.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        }
+    }
+
+    /// Removes `key`: logical deletion, pointer marking, physical unlink
+    /// from every level, and retirement to the epoch collector.
     fn remove(&self, key: &K) -> Option<V> {
-        LockFreeSkipList::remove(self, key)
+        let guard = self.collector.pin();
+        // SAFETY: the marking/unlink protocol described in the module
+        // docs; the guard keeps traversed towers alive and covers the
+        // retirement.
+        unsafe {
+            let (_, succs) = self.find_preds(key);
+            let node = succs[0];
+            if node.is_null() || (*node).key != *key {
+                return None;
+            }
+            // Wait for the inserting thread to finish raising the tower,
+            // so marking and unlinking below see every level.
+            let mut backoff = Backoff::new();
+            while !(*node).link_done.load(Ordering::Acquire) {
+                backoff.snooze();
+            }
+            if (*node).deleted.swap(true, Ordering::AcqRel) {
+                return None; // Another remover owns this tower.
+            }
+            let value = *(*node).value.read();
+            self.len.fetch_sub(1, Ordering::Relaxed);
+
+            // Freeze the tower: mark every `next` pointer, top level down.
+            // Each mark CAS races only with inserts using this tower as a
+            // predecessor; once set, no such insert can succeed.
+            let height = (*node).height();
+            for level in (0..height).rev() {
+                loop {
+                    let current = (*node).next[level].load(Ordering::Acquire);
+                    if is_marked(current) {
+                        break;
+                    }
+                    if (*node).next[level]
+                        .compare_exchange(
+                            current,
+                            marked(current),
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        break;
+                    }
+                }
+            }
+            // Physically unlink from every level (traversals may help).
+            for level in (0..height).rev() {
+                self.unlink_level(node, level);
+            }
+            // SAFETY: the tower is confirmed unlinked from every level and
+            // this thread won the `deleted` race, so it is retired exactly
+            // once.
+            guard.retire_box(node);
+            Some(value)
+        }
     }
+
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
         Cursor::new(BatchCursor::new(
             lo,
@@ -592,20 +553,30 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
             Box::new(move |from, max, out| self.fetch_batch(from, max, out)),
         ))
     }
+    /// Attempts one epoch advancement (see
+    /// [`bskip_sync::EbrCollector::try_collect`]); returns the number of
+    /// towers freed.
     fn try_reclaim(&self) -> usize {
-        LockFreeSkipList::try_reclaim(self)
+        self.collector.try_collect()
     }
     fn len(&self) -> usize {
-        LockFreeSkipList::len(self)
+        self.len.load(Ordering::Relaxed)
     }
     fn name(&self) -> &'static str {
         "lock-free skiplist"
     }
+    /// `live_nodes` counts towers linked in minus towers retired.
     fn stats(&self) -> IndexStats {
+        let reclamation = self.collector.stats();
+        let published = self.towers_published.load(Ordering::Relaxed);
         IndexStats::new()
             .with_kind("keys", StatKind::Gauge, self.len() as u64)
-            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
-            .with_reclamation(self.collector.stats())
+            .with_kind(
+                "live_nodes",
+                StatKind::Gauge,
+                published.saturating_sub(reclamation.retired),
+            )
+            .with_reclamation(reclamation)
     }
 }
 
@@ -694,7 +665,7 @@ mod tests {
             }
         }
         assert_eq!(list.len(), 0);
-        let stats = list.reclamation();
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, 20 * 200, "every removed tower is retired");
         assert!(
             stats.backlog < stats.retired / 2,
@@ -704,7 +675,7 @@ mod tests {
         for _ in 0..4 {
             list.try_reclaim();
         }
-        assert_eq!(list.reclamation().backlog, 0);
+        assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
         assert_eq!(list.insert(7, 70), None);
         assert_eq!(list.get(&7), Some(70));
     }
@@ -782,12 +753,12 @@ mod tests {
             }
         });
         assert_eq!(list.len(), 0);
-        let stats = list.reclamation();
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, threads * 40 * 250);
         for _ in 0..4 {
             list.try_reclaim();
         }
-        assert_eq!(list.reclamation().backlog, 0);
+        assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
         assert!(list.range(&0, usize::MAX - 1, &mut |_, _| {}) == 0);
     }
 
@@ -813,13 +784,13 @@ mod tests {
                 });
             }
         });
-        let stats = list.reclamation();
+        let stats = list.stats().reclamation().unwrap();
         // Quiesce, then verify the live structure agrees with `len` and
         // that the backlog drains fully.
         for _ in 0..4 {
             list.try_reclaim();
         }
-        assert_eq!(list.reclamation().backlog, 0);
+        assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
         let mut live = 0usize;
         let mut previous = None;
         list.range(&0, usize::MAX - 1, &mut |k, _| {
@@ -830,6 +801,6 @@ mod tests {
             live += 1;
         });
         assert_eq!(live, list.len(), "len must match the live bottom level");
-        assert_eq!(stats.retired, list.reclamation().freed);
+        assert_eq!(stats.retired, list.stats().reclamation().unwrap().freed);
     }
 }

@@ -66,7 +66,7 @@ use std::time::Duration;
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{EbrCollector, EbrStats, RwSpinLock, SpinLatch};
+use bskip_sync::{EbrCollector, RwSpinLock, SpinLatch};
 
 /// Every `INDEX_STRIDE`-th bottom-lane node becomes a guard in the index.
 const INDEX_STRIDE: usize = 16;
@@ -406,49 +406,48 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
         }
     }
 
-    /// Forces an immediate index rebuild (the paper waits for the
-    /// background thread to finish balancing between the load and run
-    /// phases; benchmarks call this to do the same deterministically).
+    /// Cursor batch-fetch primitive: appends up to `max` live entries at
+    /// or after `from`'s key in ascending order, starting the bottom-lane
+    /// walk from the index-provided guard (the adapter enforces exclusive
+    /// bounds).
     ///
-    /// Rebuilds also drive reclamation: each publication advances the
-    /// retirement generation and retires limbo nodes that have aged out.
-    pub fn rebuild_index_now(&self) {
-        self.inner.rebuild_index();
+    /// The lag between the bottom lane and the index snapshot only affects
+    /// how far the walk starts from the target key, never which entries are
+    /// produced, so cursors see the same contract as the other baselines.
+    fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
+        let _guard = self.inner.collector.pin();
+        // SAFETY: the pin protects the whole walk; marked nodes are
+        // skipped but their frozen `next` pointers remain walkable.
+        unsafe {
+            let mut curr = match &from {
+                Bound::Unbounded => self.inner.head.load(Ordering::SeqCst),
+                Bound::Included(key) | Bound::Excluded(key) => {
+                    let (_, curr) = self.inner.find(key);
+                    curr
+                }
+            };
+            while !curr.is_null() && out.len() < max {
+                let next = (*curr).next.load(Ordering::SeqCst);
+                if !is_marked(next) {
+                    out.push(((*curr).key, *(*curr).value.read()));
+                }
+                curr = unmark(next);
+            }
+        }
     }
+}
 
-    /// Number of index rebuilds performed so far.
-    pub fn index_rebuilds(&self) -> usize {
-        self.inner.rebuilds.load(Ordering::Relaxed)
+impl<K, V> Drop for NhsSkipList<K, V> {
+    fn drop(&mut self) {
+        self.inner.stop.set();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
+        }
     }
+}
 
-    /// Epoch-reclamation counters for nodes retired by `remove`.
-    pub fn reclamation(&self) -> EbrStats {
-        self.inner.collector.stats()
-    }
-
-    /// Nodes structurally linked into the bottom lane minus nodes marked
-    /// and unlinked: the live structural node count.
-    pub fn live_nodes(&self) -> u64 {
-        self.inner
-            .published
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.inner.unlinked.load(Ordering::Relaxed))
-    }
-
-    /// Unlinked nodes still awaiting their retirement generation.
-    pub fn limbo_len(&self) -> usize {
-        self.inner.limbo.lock().unwrap().len()
-    }
-
-    /// Publishes a fresh index snapshot (advancing the retirement
-    /// generation, which moves limbo nodes into the collector) and
-    /// attempts one epoch advancement; returns the number of nodes freed.
-    pub fn try_reclaim(&self) -> usize {
-        self.inner.rebuild_index()
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<V> {
+impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
+    fn get(&self, key: &K) -> Option<V> {
         let _guard = self.inner.collector.pin();
         // SAFETY: the pin protects every node the traversal can reach.
         unsafe {
@@ -463,7 +462,7 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
 
     /// Inserts `key → value` with upsert semantics (bottom lane only; the
     /// index catches up at the next adaptation).
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
+    fn insert(&self, key: K, value: V) -> Option<V> {
         let _guard = self.inner.collector.pin();
         // SAFETY: CAS insertion into the bottom lane under the pin.
         unsafe {
@@ -505,7 +504,7 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
     /// Removes `key`: marks the node (freezing its successor), physically
     /// unlinks it from the bottom lane, and queues it for retirement (see
     /// the module docs for the deferral protocol).
-    pub fn remove(&self, key: &K) -> Option<V> {
+    fn remove(&self, key: &K) -> Option<V> {
         let _guard = self.inner.collector.pin();
         // SAFETY: mark-then-unlink under the pin; the victim is pushed to
         // limbo exactly once (only the winning marker reaches that code).
@@ -554,66 +553,6 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
         }
     }
 
-    /// Cursor batch-fetch primitive: appends up to `max` live entries at
-    /// or after `from`'s key in ascending order, starting the bottom-lane
-    /// walk from the index-provided guard (the adapter enforces exclusive
-    /// bounds).
-    ///
-    /// The lag between the bottom lane and the index snapshot only affects
-    /// how far the walk starts from the target key, never which entries are
-    /// produced, so cursors see the same contract as the other baselines.
-    fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
-        let _guard = self.inner.collector.pin();
-        // SAFETY: the pin protects the whole walk; marked nodes are
-        // skipped but their frozen `next` pointers remain walkable.
-        unsafe {
-            let mut curr = match &from {
-                Bound::Unbounded => self.inner.head.load(Ordering::SeqCst),
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    let (_, curr) = self.inner.find(key);
-                    curr
-                }
-            };
-            while !curr.is_null() && out.len() < max {
-                let next = (*curr).next.load(Ordering::SeqCst);
-                if !is_marked(next) {
-                    out.push(((*curr).key, *(*curr).value.read()));
-                }
-                curr = unmark(next);
-            }
-        }
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.inner.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K, V> Drop for NhsSkipList<K, V> {
-    fn drop(&mut self) {
-        self.inner.stop.set();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
-    fn insert(&self, key: K, value: V) -> Option<V> {
-        NhsSkipList::insert(self, key, value)
-    }
-    fn get(&self, key: &K) -> Option<V> {
-        NhsSkipList::get(self, key)
-    }
-    fn remove(&self, key: &K) -> Option<V> {
-        NhsSkipList::remove(self, key)
-    }
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
         Cursor::new(BatchCursor::new(
             lo,
@@ -622,22 +561,42 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
             Box::new(move |from, max, out| self.fetch_batch(from, max, out)),
         ))
     }
+    /// Publishes a fresh index snapshot (advancing the retirement
+    /// generation, which moves limbo nodes into the collector) and
+    /// attempts one epoch advancement; returns the number of nodes freed.
+    /// This is also the rebuild the paper waits for between the load and
+    /// run phases.
     fn try_reclaim(&self) -> usize {
-        NhsSkipList::try_reclaim(self)
+        self.inner.rebuild_index()
     }
     fn len(&self) -> usize {
-        NhsSkipList::len(self)
+        self.inner.len.load(Ordering::Relaxed)
     }
     fn name(&self) -> &'static str {
         "NHS skiplist"
     }
+    /// `rebuilds` counts index snapshot publications, `live_nodes` nodes
+    /// linked into the bottom lane minus nodes unlinked, and `limbo`
+    /// unlinked nodes still awaiting their retirement generation.
     fn stats(&self) -> IndexStats {
+        let inner = &self.inner;
+        let published = inner.published.load(Ordering::Relaxed);
+        let unlinked = inner.unlinked.load(Ordering::Relaxed);
+        let limbo = inner
+            .limbo
+            .lock()
+            .expect("no thread panics while holding the limbo lock")
+            .len();
         IndexStats::new()
             .with_kind("keys", StatKind::Gauge, self.len() as u64)
-            .with("index_rebuilds", self.index_rebuilds() as u64)
-            .with_kind("live_nodes", StatKind::Gauge, self.live_nodes())
-            .with_kind("limbo", StatKind::Gauge, self.limbo_len() as u64)
-            .with_reclamation(self.reclamation())
+            .with("rebuilds", inner.rebuilds.load(Ordering::Relaxed) as u64)
+            .with_kind(
+                "live_nodes",
+                StatKind::Gauge,
+                published.saturating_sub(unlinked),
+            )
+            .with_kind("limbo", StatKind::Gauge, limbo as u64)
+            .with_reclamation(inner.collector.stats())
     }
 }
 
@@ -648,6 +607,11 @@ mod tests {
 
     fn fast_list() -> NhsSkipList<u64, u64> {
         NhsSkipList::with_sleep_time(Duration::from_millis(1))
+    }
+
+    /// One statistic of `list`'s `stats()` snapshot.
+    fn stat(list: &NhsSkipList<u64, u64>, name: &str) -> u64 {
+        list.stats().get(name).unwrap()
     }
 
     #[test]
@@ -670,7 +634,7 @@ mod tests {
         // The key is re-insertable (a fresh node, not a resurrection).
         assert_eq!(list.insert(7, 71), None);
         assert_eq!(list.get(&7), Some(71));
-        assert_eq!(list.live_nodes(), 1);
+        assert_eq!(stat(&list, "live_nodes"), 1);
     }
 
     #[test]
@@ -679,19 +643,23 @@ mod tests {
         for key in 0..500u64 {
             list.insert(key, key);
         }
-        assert_eq!(list.live_nodes(), 500);
+        assert_eq!(stat(&list, "live_nodes"), 500);
         for key in 0..450u64 {
             assert_eq!(list.remove(&key), Some(key));
         }
         assert_eq!(list.len(), 50);
-        assert_eq!(list.live_nodes(), 50, "unlinked nodes leave the lane");
+        assert_eq!(
+            stat(&list, "live_nodes"),
+            50,
+            "unlinked nodes leave the lane"
+        );
         // Quiesce: rebuilds advance the retirement generation, then epoch
         // advances free the retired backlog.
         for _ in 0..8 {
             list.try_reclaim();
         }
-        assert_eq!(list.limbo_len(), 0, "limbo drains after two rebuilds");
-        let stats = list.reclamation();
+        assert_eq!(stat(&list, "limbo"), 0, "limbo drains after two rebuilds");
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, 450);
         assert_eq!(stats.backlog, 0, "backlog drains at quiescence");
         let mut scanned = Vec::new();
@@ -713,8 +681,8 @@ mod tests {
         for (key, value) in reference.iter().take(100) {
             assert_eq!(list.get(key), Some(*value));
         }
-        list.rebuild_index_now();
-        assert!(list.index_rebuilds() >= 1);
+        list.try_reclaim();
+        assert!(stat(&list, "rebuilds") >= 1);
         for (key, value) in &reference {
             assert_eq!(list.get(key), Some(*value));
         }
@@ -741,7 +709,7 @@ mod tests {
             }
         });
         assert_eq!(list.len() as u64, threads * per_thread);
-        list.rebuild_index_now();
+        list.try_reclaim();
         let mut previous = None;
         let mut count = 0u64;
         list.range(&0, usize::MAX - 1, &mut |k, _| {
@@ -780,9 +748,9 @@ mod tests {
         for _ in 0..8 {
             list.try_reclaim();
         }
-        assert_eq!(list.live_nodes(), 0);
-        assert_eq!(list.limbo_len(), 0);
-        let stats = list.reclamation();
+        assert_eq!(stat(&list, "live_nodes"), 0);
+        assert_eq!(stat(&list, "limbo"), 0);
+        let stats = list.stats().reclamation().unwrap();
         assert_eq!(stats.retired, threads * 40 * 100);
         assert_eq!(stats.backlog, 0);
     }
@@ -794,7 +762,7 @@ mod tests {
         // nothing to observe and must not burn O(n) walks.
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(
-            list.index_rebuilds(),
+            stat(&list, "rebuilds"),
             0,
             "an idle list must not rebuild in the background"
         );
@@ -804,11 +772,11 @@ mod tests {
             list.insert(key, key);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while list.index_rebuilds() == 0 && std::time::Instant::now() < deadline {
+        while stat(&list, "rebuilds") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(
-            list.index_rebuilds() >= 1,
+            stat(&list, "rebuilds") >= 1,
             "write traffic must wake the adaptive worker"
         );
         // Removals leave limbo nodes behind; even with no further inserts
@@ -817,11 +785,11 @@ mod tests {
             list.remove(&key);
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while list.limbo_len() > 0 && std::time::Instant::now() < deadline {
+        while stat(&list, "limbo") > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(
-            list.limbo_len(),
+            stat(&list, "limbo"),
             0,
             "the worker must drain limbo without explicit rebuilds"
         );

@@ -46,9 +46,8 @@ fn main() {
 
     for kind in IndexKind::ALL {
         let index = kind.build();
-        let handle = index.as_index();
-        run_load_phase(&handle, &config);
-        index.settle_after_load();
+        run_load_phase(&index, &config);
+        kind.settle_after_load(index.as_ref());
 
         print_header(
             &format!("{} — 25/25/25/25 churn", kind.label()),
@@ -60,7 +59,7 @@ fn main() {
         };
         let mut throughputs = Vec::with_capacity(SLICES);
         for slice in 0..SLICES {
-            let result = run_run_phase(&handle, Workload::Churn, &slice_config);
+            let result = run_run_phase(&index, Workload::Churn, &slice_config);
             throughputs.push(result.mops());
             println!(
                 "{}",
@@ -70,7 +69,7 @@ fn main() {
                     format!("{:.3}", result.mops()),
                     format!("{:.2}", result.latency.p50_us),
                     format!("{:.2}", result.latency.p999_us),
-                    handle.len().to_string(),
+                    index.len().to_string(),
                 ])
             );
         }

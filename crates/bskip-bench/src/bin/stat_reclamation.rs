@@ -44,9 +44,8 @@ fn main() {
 
     for kind in RECLAIMING {
         let index = kind.build();
-        let handle = index.as_index();
-        run_load_phase(&handle, &config);
-        index.settle_after_load();
+        run_load_phase(&index, &config);
+        kind.settle_after_load(index.as_ref());
 
         print_header(
             &format!("{} — churn mix", kind.label()),
@@ -67,8 +66,8 @@ fn main() {
         };
         let mut max_backlog = 0u64;
         for slice in 0..SLICES {
-            let result = run_run_phase(&handle, Workload::Churn, &slice_config);
-            let stats = handle.stats();
+            let result = run_run_phase(&index, Workload::Churn, &slice_config);
+            let stats = index.stats();
             let reclamation = stats
                 .reclamation()
                 .expect("reclaiming index exports EBR stats");
@@ -79,7 +78,7 @@ fn main() {
                     slice.to_string(),
                     result.operations.to_string(),
                     format!("{:.3}", result.mops()),
-                    handle.len().to_string(),
+                    index.len().to_string(),
                     reclamation.retired.to_string(),
                     reclamation.freed.to_string(),
                     reclamation.backlog.to_string(),
@@ -87,7 +86,7 @@ fn main() {
                 ])
             );
         }
-        let final_stats = handle.stats();
+        let final_stats = index.stats();
         let reclamation = final_stats.reclamation().unwrap();
         println!(
             "max backlog {} over {} retirements ({:.2}% of retired kept in flight)",
@@ -107,10 +106,9 @@ fn main() {
     );
     for kind in IndexKind::ALL {
         let index = kind.build();
-        let handle = index.as_index();
-        run_load_phase(&handle, &config);
-        index.settle_after_load();
-        let result = run_run_phase(&handle, Workload::D, &config);
+        run_load_phase(&index, &config);
+        kind.settle_after_load(index.as_ref());
+        let result = run_run_phase(&index, Workload::D, &config);
         println!(
             "{}",
             format_row(&[

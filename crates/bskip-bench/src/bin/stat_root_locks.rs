@@ -7,12 +7,16 @@
 //! structural explanation for the B+-tree's heavier latency tail.  Deletes
 //! are symmetric (footnote 3): a removal write-locks the B-skiplist's top
 //! level only when the removed key's tower reaches it.
+//!
+//! Each run column runs on its own freshly loaded index, the protocol of
+//! `run_workload_fresh`: a second run phase on the same index would start
+//! its fresh inserts at the keys the first one already inserted.
 
 use bskip_baselines::OccBTree;
 use bskip_bench::{experiment_config, format_row, print_header};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::ConcurrentIndex;
-use bskip_ycsb::{run_load_phase, run_run_phase, Workload};
+use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
 
 fn main() {
     let (config, _) = experiment_config();
@@ -24,45 +28,46 @@ fn main() {
         "Root / top-level write-lock acquisitions",
         &["index", "load phase", "workload A", "churn"],
     );
-
-    // B-skiplist with statistics enabled.
-    let bsl: BSkipList<u64, u64> =
-        BSkipList::with_config(BSkipConfig::paper_default().with_stats(true));
-    run_load_phase(&bsl, &config);
-    let mut row = vec![
-        "B-skiplist".to_string(),
-        bsl.stats().top_level_write_locks.get().to_string(),
-    ];
-    for workload in [Workload::A, Workload::Churn] {
-        bsl.stats().reset();
-        run_run_phase(&bsl, workload, &config);
-        row.push(bsl.stats().top_level_write_locks.get().to_string());
-    }
-    println!("{}", format_row(&row));
-
-    // OCC B+-tree.
-    let obt: OccBTree<u64, u64> = OccBTree::new();
-    run_load_phase(&obt, &config);
-    let mut row = vec![
-        "OCC B+-tree".to_string(),
-        obt.root_write_locks().to_string(),
-    ];
-    for workload in [Workload::A, Workload::Churn] {
-        obt.reset_root_write_locks();
-        run_run_phase(&obt, workload, &config);
-        row.push(obt.root_write_locks().to_string());
-    }
-    println!("{}", format_row(&row));
+    print_row(
+        "B-skiplist",
+        "top_level_write_locks",
+        || BSkipList::<u64, u64>::with_config(BSkipConfig::paper_default().with_stats(true)),
+        &config,
+    );
+    print_row(
+        "OCC B+-tree",
+        "root_write_locks",
+        OccBTree::<u64, u64>::new,
+        &config,
+    );
 
     println!("\nPaper (100M keys): B+-tree 26K / 8.3K vs B-skiplist 7 / 3.");
     println!(
         "(The absolute counts scale with the dataset; the orders-of-magnitude gap is the result.)"
     );
-    // Keep the indices alive until the end so the length check below reads
-    // sensible values.
-    println!(
-        "\nfinal sizes: B-skiplist {} keys, B+-tree {} keys",
-        ConcurrentIndex::len(&bsl),
-        obt.len()
-    );
+}
+
+/// One table row: `stat` after the load phase, then after workload A and
+/// after the churn mix, each on a fresh index loaded for that column.
+fn print_row<I: ConcurrentIndex<u64, u64>>(
+    label: &str,
+    stat: &str,
+    build: impl Fn() -> I,
+    config: &YcsbConfig,
+) {
+    let mut row = vec![label.to_string()];
+    for workload in [Workload::Load, Workload::A, Workload::Churn] {
+        let index = build();
+        run_load_phase(&index, config);
+        if workload != Workload::Load {
+            index.reset_stats();
+            run_run_phase(&index, workload, config);
+        }
+        let count = index
+            .stats()
+            .get(stat)
+            .expect("the index exports the statistic");
+        row.push(count.to_string());
+    }
+    println!("{}", format_row(&row));
 }

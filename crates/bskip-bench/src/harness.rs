@@ -3,7 +3,7 @@
 
 use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 use bskip_core::{BSkipConfig, BSkipList};
-use bskip_index::{ConcurrentIndex, IndexStats};
+use bskip_index::ConcurrentIndex;
 use bskip_ycsb::{
     median, run_load_phase, run_run_phase, run_trials, PhaseResult, Workload, YcsbConfig,
 };
@@ -65,62 +65,28 @@ impl IndexKind {
     }
 
     /// Builds a fresh instance of the index.
-    pub fn build(&self) -> AnyIndex {
+    pub fn build(&self) -> Box<dyn ConcurrentIndex<u64, u64>> {
         match self {
-            IndexKind::BSkipList => AnyIndex::BSkip(Box::new(BSkipList::with_config(
+            IndexKind::BSkipList => Box::new(BSkipList::<u64, u64>::with_config(
                 BSkipConfig::paper_default(),
-            ))),
-            IndexKind::LockFreeSkipList => AnyIndex::LockFree(Box::new(LockFreeSkipList::new())),
-            IndexKind::LazySkipList => AnyIndex::Lazy(Box::new(LazySkipList::new())),
-            IndexKind::NhsSkipList => AnyIndex::Nhs(Box::new(NhsSkipList::new())),
-            IndexKind::OccBTree => AnyIndex::BTree(Box::new(OccBTree::new())),
-            IndexKind::Masstree => AnyIndex::Masstree(Box::new(MasstreeLite::new())),
-        }
-    }
-}
-
-/// A uniform owner of any of the evaluated indices.
-pub enum AnyIndex {
-    /// The concurrent B-skiplist.
-    BSkip(Box<BSkipList<u64, u64>>),
-    /// The lock-free skiplist.
-    LockFree(Box<LockFreeSkipList<u64, u64>>),
-    /// The lazy (optimistic lock-based) skiplist.
-    Lazy(Box<LazySkipList<u64, u64>>),
-    /// The NHS-style skiplist.
-    Nhs(Box<NhsSkipList<u64, u64>>),
-    /// The OCC B+-tree.
-    BTree(Box<OccBTree<u64, u64>>),
-    /// The Masstree-style tree.
-    Masstree(Box<MasstreeLite<u64, u64>>),
-}
-
-impl AnyIndex {
-    /// Borrows the contained index as a `ConcurrentIndex` trait object.
-    pub fn as_index(&self) -> &dyn ConcurrentIndex<u64, u64> {
-        match self {
-            AnyIndex::BSkip(index) => index.as_ref(),
-            AnyIndex::LockFree(index) => index.as_ref(),
-            AnyIndex::Lazy(index) => index.as_ref(),
-            AnyIndex::Nhs(index) => index.as_ref(),
-            AnyIndex::BTree(index) => index.as_ref(),
-            AnyIndex::Masstree(index) => index.as_ref(),
+            )),
+            IndexKind::LockFreeSkipList => Box::new(LockFreeSkipList::<u64, u64>::new()),
+            IndexKind::LazySkipList => Box::new(LazySkipList::<u64, u64>::new()),
+            IndexKind::NhsSkipList => Box::new(NhsSkipList::<u64, u64>::new()),
+            IndexKind::OccBTree => Box::new(OccBTree::<u64, u64>::new()),
+            IndexKind::Masstree => Box::new(MasstreeLite::<u64, u64>::new()),
         }
     }
 
-    /// Work performed between the load and run phases.  The paper waits for
-    /// the NHS background thread to rebalance its index before starting the
-    /// run phase (and does not count that time); this does the same
-    /// deterministically.
-    pub fn settle_after_load(&self) {
-        if let AnyIndex::Nhs(index) = self {
-            index.rebuild_index_now();
+    /// Work performed on a freshly loaded `index` of this kind before its
+    /// run phase.  The paper waits for the NHS background thread to
+    /// rebalance its index before starting the run phase (and does not
+    /// count that time); NHS's `try_reclaim` publishes a fresh index
+    /// snapshot, which does the same deterministically.
+    pub fn settle_after_load(&self, index: &dyn ConcurrentIndex<u64, u64>) {
+        if *self == IndexKind::NhsSkipList {
+            index.try_reclaim();
         }
-    }
-
-    /// Index statistics (root write locks, structural counters, ...).
-    pub fn stats(&self) -> IndexStats {
-        self.as_index().stats()
     }
 }
 
@@ -168,14 +134,14 @@ pub fn run_workload_fresh(
     kind: IndexKind,
     workload: Workload,
     config: &YcsbConfig,
-) -> (PhaseResult, AnyIndex) {
+) -> (PhaseResult, Box<dyn ConcurrentIndex<u64, u64>>) {
     let index = kind.build();
-    let load_result = run_load_phase(&index.as_index(), config);
-    index.settle_after_load();
+    let load_result = run_load_phase(&index, config);
+    kind.settle_after_load(index.as_ref());
     let result = if workload == Workload::Load {
         load_result
     } else {
-        run_run_phase(&index.as_index(), workload, config)
+        run_run_phase(&index, workload, config)
     };
     (result, index)
 }
@@ -283,8 +249,9 @@ pub fn throughput_experiment(
 
 /// Figures 6 and 8: latency percentiles (50/90/99/99.9 and mean) of every
 /// index in `kinds` on YCSB workload A with uniform keys; optionally a
-/// column of root (top-level) write locks taken, and each index's p99 as a
-/// multiple of `p99_baseline`'s under the table.
+/// column of root write locks taken (`-` for an index that does not export
+/// `root_write_locks`), and each index's p99 as a multiple of
+/// `p99_baseline`'s under the table.
 pub fn latency_experiment(
     kinds: &[IndexKind],
     banner: &str,
@@ -317,13 +284,16 @@ pub fn latency_experiment(
         let mut cells = vec![kind.label().to_string()];
         cells.extend(percentiles.iter().map(|us| format!("{us:.2}")));
         if root_locks {
-            let stats = index.stats();
-            let locks = stats
-                .get("root_write_locks")
-                .or_else(|| stats.get("top_level_write_locks"));
-            cells.push(locks.unwrap_or(0).to_string());
+            let locks = index.stats().get("root_write_locks");
+            cells.push(locks.map_or("-".into(), |locks| locks.to_string()));
         }
         println!("{}", format_row(&cells));
+    }
+    if root_locks {
+        println!(
+            "(`-`: the index does not export root_write_locks; stat_root_locks counts \
+             the B-skiplist's top-level write locks with statistics on.)"
+        );
     }
     if let Some(baseline) = p99_baseline {
         let slot = kinds.iter().position(|&kind| kind == baseline);
@@ -374,16 +344,15 @@ mod tests {
     fn every_kind_builds_and_serves_operations() {
         for kind in IndexKind::ALL {
             let index = kind.build();
-            let handle = index.as_index();
-            assert!(handle.is_empty(), "{} should start empty", kind.label());
-            handle.insert(1, 10);
-            handle.insert(2, 20);
-            assert_eq!(handle.get(&1), Some(10), "{}", kind.label());
+            assert!(index.is_empty(), "{} should start empty", kind.label());
+            index.insert(1, 10);
+            index.insert(2, 20);
+            assert_eq!(index.get(&1), Some(10), "{}", kind.label());
             let mut seen = Vec::new();
-            handle.range(&1, 10, &mut |k, _| seen.push(*k));
+            index.range(&1, 10, &mut |k, _| seen.push(*k));
             assert_eq!(seen, vec![1, 2], "{}", kind.label());
-            index.settle_after_load();
-            assert_eq!(handle.get(&2), Some(20), "{}", kind.label());
+            kind.settle_after_load(index.as_ref());
+            assert_eq!(index.get(&2), Some(20), "{}", kind.label());
         }
     }
 
@@ -392,17 +361,16 @@ mod tests {
         use std::ops::Bound;
         for kind in IndexKind::ALL {
             let index = kind.build();
-            let handle = index.as_index();
             for key in 0..64u64 {
-                handle.insert(key, key * 2);
+                index.insert(key, key * 2);
             }
-            index.settle_after_load();
-            let mut cursor = handle.scan_bounds(Bound::Included(10), Bound::Excluded(20));
+            kind.settle_after_load(index.as_ref());
+            let mut cursor = index.scan_bounds(Bound::Included(10), Bound::Excluded(20));
             let window: Vec<u64> = std::iter::from_fn(|| cursor.next())
                 .map(|(k, _)| k)
                 .collect();
             assert_eq!(window, (10..20).collect::<Vec<_>>(), "{}", kind.label());
-            let mut cursor = handle.scan_bounds(Bound::Unbounded, Bound::Unbounded);
+            let mut cursor = index.scan_bounds(Bound::Unbounded, Bound::Unbounded);
             assert_eq!(cursor.seek(&60), Some((60, 120)), "{}", kind.label());
             assert_eq!(cursor.seek(&64), None, "{}", kind.label());
         }
@@ -424,7 +392,7 @@ mod tests {
             .with_threads(2);
         let (result, index) = run_workload_fresh(IndexKind::BSkipList, Workload::A, &config);
         assert_eq!(result.operations, 5_000);
-        assert!(index.as_index().len() >= 5_000);
+        assert!(index.len() >= 5_000);
         let (load_result, _) = run_workload_fresh(IndexKind::OccBTree, Workload::Load, &config);
         assert_eq!(load_result.operations, 5_000);
     }

@@ -6,8 +6,10 @@
 //! delete-churn mix, which the paper's YCSB workloads never exercise.
 //! They all share the helpers here:
 //!
-//! * [`AnyIndex`] — a uniform handle over the six evaluated indices
-//!   (B-skiplist + five baselines) so experiments can iterate over them;
+//! * [`IndexKind`] — the six evaluated indices (B-skiplist + five
+//!   baselines); [`IndexKind::build`] hands out a fresh one as a
+//!   `Box<dyn ConcurrentIndex<u64, u64>>`, so experiments iterate over them
+//!   and read every counter through `stats()`;
 //! * [`experiment_config`] — the experiment scale, read from environment
 //!   variables so the same binaries run laptop-sized by default and
 //!   paper-sized when asked (`BSKIP_RECORDS`, `BSKIP_OPS`, `BSKIP_THREADS`,
@@ -28,5 +30,5 @@ pub mod harness;
 
 pub use harness::{
     experiment_config, format_row, latency_experiment, print_header, run_workload_fresh,
-    scaling_experiment, throughput_experiment, AnyIndex, IndexKind, RatioColumn,
+    scaling_experiment, throughput_experiment, IndexKind, RatioColumn,
 };

@@ -27,10 +27,6 @@
 //!   cannot pause mid-traversal.  The paper's `range(k, f, length)`
 //!   callback operation survives as a provided compatibility method
 //!   implemented over cursors.
-//! * [`ConcurrentIndexExt`] — blanket extension restoring the
-//!   `RangeBounds` scan sugar for `dyn ConcurrentIndex` callers, which the
-//!   `Self: Sized` bound on [`ConcurrentIndex::scan`] would otherwise lock
-//!   out.
 //! * [`ShardedIndex`] — a partitioned front-end combinator: hash-shard
 //!   keys across N inner indices, route point operations, split batches
 //!   per shard (applied shard after shard on the calling thread), and
@@ -72,4 +68,4 @@ pub use key::{IndexKey, IndexValue};
 pub use ops::{Op, OpResult};
 pub use sharded::ShardedIndex;
 pub use stats::{IndexStats, ReclamationStats, StatKind, StatValue};
-pub use traits::{ConcurrentIndex, ConcurrentIndexExt};
+pub use traits::ConcurrentIndex;

@@ -197,45 +197,6 @@ pub trait ConcurrentIndex<K: IndexKey, V: IndexValue>: Send + Sync {
     fn reset_stats(&self) {}
 }
 
-/// Range-expression scans for unsized (`dyn`) indices.
-///
-/// [`ConcurrentIndex::scan`] is generic over [`RangeBounds`], which forces
-/// a `Self: Sized` bound — so `&dyn ConcurrentIndex<K, V>` callers were
-/// locked out of the sugar and had to spell out
-/// [`ConcurrentIndex::scan_bounds`] with explicit [`Bound`]s.  This
-/// extension trait restores the ergonomic form for every index shape,
-/// sized or not; it is blanket-implemented, so bringing it into scope is
-/// all a caller needs:
-///
-/// ```ignore
-/// use bskip_index::{ConcurrentIndex, ConcurrentIndexExt};
-///
-/// fn page(index: &dyn ConcurrentIndex<u64, u64>) -> Vec<(u64, u64)> {
-///     index.scan_range(100..200).take(50).collect()
-/// }
-/// ```
-///
-/// (The method is named `scan_range` rather than `scan` so that calls on
-/// sized indices, where both traits apply, stay unambiguous.)
-pub trait ConcurrentIndexExt<K: IndexKey, V: IndexValue>: ConcurrentIndex<K, V> {
-    /// Opens a [`Cursor`] over `range` (any [`RangeBounds`] expression);
-    /// the `dyn`-friendly equivalent of [`ConcurrentIndex::scan`].
-    fn scan_range<R: RangeBounds<K>>(&self, range: R) -> Cursor<'_, K, V> {
-        self.scan_bounds(
-            clone_bound(range.start_bound()),
-            clone_bound(range.end_bound()),
-        )
-    }
-}
-
-impl<K, V, I> ConcurrentIndexExt<K, V> for I
-where
-    K: IndexKey,
-    V: IndexValue,
-    I: ConcurrentIndex<K, V> + ?Sized,
-{
-}
-
 /// Forwards every `ConcurrentIndex` method through one level of
 /// indirection; used by the `&I`, `Arc<I>` and `Box<I>` blanket
 /// implementations below so the driver can accept any of them.
@@ -490,22 +451,6 @@ mod tests {
         // `dyn` callers reach cursors through the object-safe primitive.
         let mut cursor = by_ref.scan_bounds(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(cursor.next(), Some((1, 2)));
-
-        // ... or through the extension trait's range sugar, which does not
-        // carry `scan`'s `Self: Sized` bound.
-        let window: Vec<(u64, u64)> = by_ref.scan_range(..).collect();
-        assert_eq!(window, vec![(1, 2)]);
-        index.insert(5, 50);
-        index.insert(9, 90);
-        let bounded: Vec<u64> = by_ref.scan_range(2..=5).map(|(k, _)| k).collect();
-        assert_eq!(bounded, vec![5]);
-        let mut cursor = by_ref.scan_range(..9);
-        assert_eq!(cursor.seek(&4), Some((5, 50)));
-        // The sugar also works through `Box<dyn ...>` and on sized types.
-        let boxed: Box<dyn ConcurrentIndex<u64, u64>> = Box::new(MutexBTreeMap::new());
-        boxed.insert(3, 30);
-        assert_eq!(boxed.scan_range(..).count(), 1);
-        assert_eq!(index.scan_range(..=1).count(), 1);
 
         let arc = std::sync::Arc::new(MutexBTreeMap::new());
         arc.insert(3, 4);

@@ -1238,7 +1238,6 @@ mod tests {
     use super::*;
     use crate::storage::{FaultFs, StorageFile};
     use bskip_index::cursor::{above_lower, below_upper};
-    use bskip_index::ConcurrentIndexExt;
     use std::collections::BTreeMap;
     use std::fs;
     use std::sync::mpsc;
@@ -1295,7 +1294,7 @@ mod tests {
             };
             assert_eq!(engine.get(&key), expected, "key {key}");
         }
-        let live: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let live: Vec<(u64, u64)> = engine.scan(..).collect();
         assert_eq!(live.len(), engine.len());
         assert!(live.windows(2).all(|w| w[0].0 < w[1].0));
         drop(engine);
@@ -1312,13 +1311,13 @@ mod tests {
         for key in (0..2_000u64).step_by(5) {
             engine.remove(&key);
         }
-        let before: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let before: Vec<(u64, u64)> = engine.scan(..).collect();
         let len_before = engine.len();
         drop(engine);
 
         let engine = open_small(&dir);
         assert_eq!(engine.len(), len_before);
-        let after: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let after: Vec<(u64, u64)> = engine.scan(..).collect();
         assert_eq!(after, before);
         // And the reopened engine keeps accepting writes.
         engine.insert(5_000, 1);
@@ -1390,7 +1389,7 @@ mod tests {
         // Updates and deletes land in the memtable, above the tables.
         engine.insert(10, 999);
         engine.remove(&20);
-        let window: Vec<(u64, u64)> = engine.scan_range(8..=24).collect();
+        let window: Vec<(u64, u64)> = engine.scan(8..=24).collect();
         assert_eq!(
             window,
             vec![
@@ -1405,7 +1404,7 @@ mod tests {
             ]
         );
         {
-            let mut cursor = engine.scan_range(..);
+            let mut cursor = engine.scan(..);
             assert_eq!(cursor.seek(&9), Some((10, 999)));
             assert_eq!(cursor.next(), Some((12, 6)));
         }
@@ -1436,7 +1435,7 @@ mod tests {
                         let key = (round * 31 + seed) % 500;
                         let _ = engine.get(&key);
                         if round % 100 == 0 {
-                            let page: Vec<_> = engine.scan_range(key..).take(20).collect();
+                            let page: Vec<_> = engine.scan(key..).take(20).collect();
                             assert!(page.windows(2).all(|w| w[0].0 < w[1].0));
                         }
                     }
@@ -1482,7 +1481,7 @@ mod tests {
         // Reads, scans and read-only batches keep working.
         assert_eq!(engine.get(&42), Some(126));
         assert_eq!(engine.try_get(&42).unwrap(), Some(126));
-        assert_eq!(engine.scan_range(..).count(), 100);
+        assert_eq!(engine.scan(..).count(), 100);
         let mut reads = vec![Op::<u64, u64>::get(7)];
         engine.try_execute(&mut reads).expect("read-only batch ok");
         assert_eq!(reads[0].result().value(), Some(21));
@@ -1714,7 +1713,7 @@ mod tests {
         let sources = state.levels[0].len() + 2;
         drop(state);
         let before = fs.read_count();
-        let window: Vec<(u64, u64)> = engine.scan_range(3_000..3_003).collect();
+        let window: Vec<(u64, u64)> = engine.scan(3_000..3_003).collect();
         assert_eq!(
             window,
             oracle
@@ -1813,15 +1812,15 @@ mod tests {
         // block and nothing above it — the cursor does not skip ahead to
         // the run's next table — at one `io_error` per scan.
         let below = |from: u64| (from..=after).step_by(2).map(|key| (key, key / 2));
-        let scanned: Vec<(u64, u64)> = engine.scan_range(table_min..).collect();
+        let scanned: Vec<(u64, u64)> = engine.scan(table_min..).collect();
         assert_eq!(scanned, below(table_min).collect::<Vec<_>>());
         assert_eq!(engine.io_errors(), 1);
-        let scanned: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let scanned: Vec<(u64, u64)> = engine.scan(..).collect();
         assert_eq!(scanned, below(0).collect::<Vec<_>>());
         let failed = engine.io_errors();
         assert_eq!(failed, 2);
         // Behind the bad block the run reads on, other tables included.
-        let scanned: Vec<(u64, u64)> = engine.scan_range(up_to + 1..).collect();
+        let scanned: Vec<(u64, u64)> = engine.scan(up_to + 1..).collect();
         let behind = (up_to + 2..6_000).step_by(2).map(|key| (key, key / 2));
         assert_eq!(scanned, behind.collect::<Vec<_>>());
         assert_eq!(engine.io_errors(), failed);
@@ -2088,7 +2087,7 @@ mod tests {
                     let got = engine.get(&3);
                     let mut batch = vec![Op::<u64, u64>::get(3), Op::get(4)];
                     engine.execute(&mut batch);
-                    let page = engine.scan_range(..).take(10).count();
+                    let page = engine.scan(..).take(10).count();
                     let stats = engine.stats();
                     done.send((got, batch[1].result().value(), page, stats))
                         .unwrap();
@@ -2127,7 +2126,7 @@ mod tests {
         let engine = open_manual(&fs);
         // Two level-0 tables and a sealed memtable, their keys interleaved.
         flushed_rounds(&engine, 2);
-        let oracle: BTreeMap<u64, u64> = engine.scan_range(..).collect();
+        let oracle: BTreeMap<u64, u64> = engine.scan(..).collect();
         let pinned: Vec<PathBuf> = engine.read_state().levels[0]
             .iter()
             .map(|table| table.path().to_path_buf())
@@ -2139,7 +2138,7 @@ mod tests {
             !pinned.iter().any(listed)
         };
 
-        let mut cursor = engine.scan_range(..);
+        let mut cursor = engine.scan(..);
         let mut scanned: Vec<(u64, u64)> = cursor.by_ref().take(10).collect();
         // Deletes on both sides of the cursor, keys above everything, then
         // rotation, flush and a compaction of the tables the cursor reads.
@@ -2184,7 +2183,7 @@ mod tests {
         let mut expected = oracle;
         expected.retain(|key, _| !removed(key));
         expected.extend(fresh.map(|key| (key, key)));
-        let now: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let now: Vec<(u64, u64)> = engine.scan(..).collect();
         assert_eq!(now, expected.into_iter().collect::<Vec<_>>());
         assert!(unlinked(), "{:?}", dir_listing(&fs));
     }
@@ -2199,7 +2198,7 @@ mod tests {
     }
 
     fn observe(engine: &LsmEngine<u64, u64>, fs: &FaultFs) -> Observed {
-        let contents: Vec<(u64, u64)> = engine.scan_range(..).collect();
+        let contents: Vec<(u64, u64)> = engine.scan(..).collect();
         for (key, value) in &contents {
             assert_eq!(engine.get(key), Some(*value));
         }

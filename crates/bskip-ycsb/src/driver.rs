@@ -226,6 +226,11 @@ where
 /// Run-phase inserts create brand-new records (logical indices beyond
 /// `record_count`, allocated from a shared atomic counter), reads and scans
 /// target loaded records chosen by the configured distribution.
+///
+/// The counter starts at `record_count` on every call, so a second run
+/// phase on the same index re-inserts the first one's keys: its "inserts"
+/// are overwrites.  Measure each run phase on a freshly loaded index when
+/// fresh inserts matter.
 pub fn run_run_phase<I>(index: &I, workload: Workload, config: &YcsbConfig) -> PhaseResult
 where
     I: ConcurrentIndex<u64, u64>,

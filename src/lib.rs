@@ -19,8 +19,8 @@ pub use bskip_ycsb as ycsb;
 pub use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 pub use bskip_core::{BSkipConfig, BSkipList, BSkipStats};
 pub use bskip_index::{
-    BatchCursor, ConcurrentIndex, ConcurrentIndexExt, Cursor, IndexCursor, IndexStats, Op,
-    OpResult, ReclamationStats, ShardedIndex,
+    BatchCursor, ConcurrentIndex, Cursor, IndexCursor, IndexStats, Op, OpResult, ReclamationStats,
+    ShardedIndex,
 };
 pub use bskip_lsm::{FaultFs, LsmConfig, LsmEngine, StdFs, Storage, StorageFile, SyncPolicy};
 pub use bskip_net::{

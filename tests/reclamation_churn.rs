@@ -147,8 +147,13 @@ fn nhs_skiplist_churn_backlog_stays_bounded() {
     for _ in 0..3 {
         list.try_reclaim();
     }
-    assert_eq!(list.limbo_len(), 0, "limbo must be empty at quiescence");
-    assert_eq!(list.live_nodes(), 0);
+    let stats = list.stats();
+    assert_eq!(
+        stats.get("limbo"),
+        Some(0),
+        "limbo must be empty at quiescence"
+    );
+    assert_eq!(stats.get("live_nodes"), Some(0));
 }
 
 #[test]
@@ -157,14 +162,13 @@ fn occ_btree_churn_backlog_stays_bounded() {
     // and retire them — constantly rather than occasionally.
     let tree: OccBTree<u64, u64, 8> = OccBTree::new();
     let retired = churn(&tree);
-    println!(
-        "OCC B+-tree: merged {} node pairs, retired {retired}",
-        tree.nodes_merged()
-    );
-    assert!(tree.nodes_merged() > 0, "churn must trigger merges");
+    let stats = tree.stats();
+    let merged = stats.get("nodes_merged").unwrap();
+    println!("OCC B+-tree: merged {merged} node pairs, retired {retired}");
+    assert!(merged > 0, "churn must trigger merges");
     assert_eq!(
-        tree.live_nodes(),
-        1,
+        stats.get("live_nodes"),
+        Some(1),
         "an emptied tree shrinks back to a single root leaf"
     );
 }
@@ -173,12 +177,11 @@ fn occ_btree_churn_backlog_stays_bounded() {
 fn masstree_churn_backlog_stays_bounded() {
     let tree: MasstreeLite<u64, u64> = MasstreeLite::new();
     let retired = churn(&tree);
-    println!(
-        "Masstree-lite: merged {} node pairs, retired {retired}",
-        tree.nodes_merged()
-    );
-    assert!(tree.nodes_merged() > 0);
-    assert_eq!(tree.live_nodes(), 1);
+    let stats = tree.stats();
+    let merged = stats.get("nodes_merged").unwrap();
+    println!("Masstree-lite: merged {merged} node pairs, retired {retired}");
+    assert!(merged > 0);
+    assert_eq!(stats.get("live_nodes"), Some(1));
 }
 
 /// Mixed churn with overlapping key ranges plus concurrent scans: no

@@ -199,7 +199,7 @@ fn root_write_lock_gap_between_btree_and_bskiplist() {
     let bskip: BSkipList<u64, u64> =
         BSkipList::with_config(BSkipConfig::paper_default().with_stats(true));
     run_load_phase(&bskip, &config);
-    let btree_root_locks = btree.root_write_locks();
+    let btree_root_locks = btree.stats().get("root_write_locks").unwrap();
     let bskip_top_locks = bskip.stats().top_level_write_locks.get();
     assert!(
         btree_root_locks > 10,
