@@ -50,7 +50,7 @@
 //! assert_eq!(window.len(), 5);
 //! let mut cursor = index.scan(100..=200);
 //! assert_eq!(cursor.seek(&150), Some((150, 150 % 1000)));
-//! assert_eq!(cursor.prev(), Some((149, 149 % 1000)));
+//! assert_eq!(cursor.next(), Some((151, 151 % 1000)));
 //!
 //! // Bulk operations go through `execute`: one epoch pin per batch, one
 //! // leaf lock per run of neighbouring keys.
@@ -75,14 +75,13 @@
 //! serves entries from the buffer with no locks held, so a scan never
 //! blocks writers for longer than one node and streams whole
 //! cache-resident nodes (the property the paper's Section 4 range query
-//! has).  `seek` re-descends; `prev` is supported through the same
-//! lock-free descent, probing for the greatest qualifying key once per
-//! leaf (the leaf level is forward-linked only).
+//! has).  `seek` re-descends.  Like the paper's leaf level, the cursor
+//! moves forward only.
 //!
 //! **Consistency contract** (also documented in [`bskip_index::cursor`]):
 //! a cursor over a concurrently mutated list yields every in-range entry
 //! that is present for the cursor's entire lifetime exactly once, in
-//! strictly ascending (forward) key order; entries concurrently inserted
+//! strictly ascending key order; entries concurrently inserted
 //! or removed may or may not be observed; each yielded pair is copied
 //! under the node's read lock, so it is never torn.  The cursor's
 //! pause-and-resume pointer walk is memory-safe because every cursor

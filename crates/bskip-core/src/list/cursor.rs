@@ -6,23 +6,22 @@
 //! lock hold time of a scan bounded by a single node — the same property
 //! the paper's `range` operation has (Section 4, "concurrent finds and
 //! range queries") — while adding the cursor capabilities the callback API
-//! could not express: bounded ranges, early termination, `seek`-then-resume
-//! and reverse steps.
+//! could not express: bounded ranges, early termination and
+//! `seek`-then-resume.
 //!
 //! # Traversal scheme
 //!
-//! * **Forward** (`next`): the initial position comes from the list's one
-//!   positioning entry (`leaf.rs`, `lock_covering`, in shared mode): an
-//!   optimistic (lock-free, version-validated) descent to the leaf covering
-//!   the lower bound; the leaf itself is then read-locked for the snapshot
-//!   and its version re-checked under that lock, with the classic
-//!   hand-over-hand read-locked descent as the contention fallback.
-//!   While snapshotting a leaf, the cursor captures the leaf's `next`
-//!   pointer under the same lock; the following refill locks that
-//!   neighbour directly, so steady-state forward scans cost one lock
-//!   acquisition per node, not one descent per node.  A neighbour found
-//!   empty — unlinked since — sends the cursor back through the
-//!   positioning descent instead (see *Consistency*).
+//! The initial position comes from the list's one positioning entry
+//! (`leaf.rs`, `lock_covering`, in shared mode): an optimistic (lock-free,
+//! version-validated) descent to the leaf covering the lower bound; the
+//! leaf itself is then read-locked for the snapshot and its version
+//! re-checked under that lock, with the classic hand-over-hand read-locked
+//! descent as the contention fallback.  While snapshotting a leaf, the
+//! cursor captures the leaf's `next` pointer under the same lock; the
+//! following refill locks that neighbour directly, so steady-state scans
+//! cost one lock acquisition per node, not one descent per node.  A
+//! neighbour found empty — unlinked since — sends the cursor back through
+//! the positioning descent instead (see *Consistency*).
 //!
 //! # Why the paused pointer walk is memory-safe
 //!
@@ -40,15 +39,6 @@
 //! The flip side: a cursor parked for a long time holds its epoch pinned
 //! and lets the retired-node backlog grow.  `seek` re-pins, and dropping
 //! the cursor releases the epoch entirely.
-//! * **Reverse** (`prev`): the leaf level has no back pointers, so every
-//!   reverse refill positions afresh — through the same entry and the same
-//!   optimistic descent, probing for the *greatest* key below the current
-//!   position (or the last key of the list) instead of the key itself —
-//!   and snapshots that leaf's in-range slots in descending order.  A
-//!   reverse scan therefore costs one lock-free descent and one leaf read
-//!   lock per node, and locks neither the root nor any level above the
-//!   leaf, which matches the structure (the paper's B-skiplist is
-//!   forward-linked only).
 //!
 //! # Consistency
 //!
@@ -62,13 +52,12 @@
 //! into its left neighbour and unlinks the emptied leaf (`remove.rs`).
 //! If that neighbour is the leaf the cursor last snapshotted, the folded
 //! keys now sit behind the captured `next_leaf`, which is exactly the
-//! leaf that was emptied.  So the rule is: **a forward refill that locks
-//! an empty leaf re-positions** through the optimistic descent at the
-//! resume bound (`Excluded(last emitted key)`), which lands in the leaf
-//! now holding the folded keys.  A fold always empties the leaf it folds,
-//! and a non-head leaf is empty only once unlinked, so the cursor cannot
-//! miss one; reverse refills re-descend every time anyway.  This yields
-//! the workspace-wide cursor contract documented in
+//! leaf that was emptied.  So the rule is: **a refill that locks an empty
+//! leaf re-positions** through the optimistic descent at the resume bound
+//! (`Excluded(last emitted key)`), which lands in the leaf now holding the
+//! folded keys.  A fold always empties the leaf it folds, and a non-head
+//! leaf is empty only once unlinked, so the cursor cannot miss one.  This
+//! yields the workspace-wide cursor contract documented in
 //! [`bskip_index::cursor`].
 
 use std::ops::Bound;
@@ -78,15 +67,8 @@ use bskip_index::cursor::{above_lower, below_upper};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
-use super::{lock_node, unlock_node, AtMost, BSkipList, Below, Last, Mode};
+use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
-
-/// Iteration direction of the batch currently buffered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Reverse,
-}
 
 /// The native cursor over a [`BSkipList`]; wrapped in
 /// [`bskip_index::Cursor`] by [`BSkipList::scan`].
@@ -102,24 +84,22 @@ where
     guard: EbrGuard<'a>,
     lo: Bound<K>,
     hi: Bound<K>,
-    /// Slots copied out of the most recently visited leaf; ascending for
-    /// forward batches, descending for reverse batches.
+    /// Slots copied out of the most recently visited leaf, ascending and
+    /// all within `hi`.
     batch: Vec<(K, V)>,
     /// Next unconsumed index into `batch`.
     pos: usize,
-    direction: Direction,
     /// Entry the cursor rests on (last one emitted).
     current: Option<(K, V)>,
-    /// Lower bound for forward refills while no entry has been emitted
-    /// (the range's `lo`, tightened by `seek`).
-    forward_floor: Bound<K>,
-    /// Right neighbour of the last forward-snapshotted leaf, captured under
-    /// its lock; null means the end of the leaf level was reached.
+    /// Lower bound for refills while no entry has been emitted (the
+    /// range's `lo`, tightened by `seek`).
+    floor: Bound<K>,
+    /// Right neighbour of the last snapshotted leaf, captured under its
+    /// lock; null once positioned means the walk is over (the end of the
+    /// leaf level, or a key beyond `hi`, was reached).
     next_leaf: *mut Node<K, V, B>,
     /// Whether any positioning call has happened yet.
     started: bool,
-    finished_forward: bool,
-    finished_reverse: bool,
     /// Whether leaf snapshots feed the `range_leaf_nodes` statistic —
     /// true for range queries (`scan`), false for full iterations
     /// (`iter`), which would otherwise skew the paper's "leaf nodes per
@@ -141,29 +121,26 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
             hi,
             batch: Vec::with_capacity(B),
             pos: 0,
-            direction: Direction::Forward,
             current: None,
-            forward_floor: lo,
+            floor: lo,
             next_leaf: ptr::null_mut(),
             started: false,
-            finished_forward: false,
-            finished_reverse: false,
             record_stats,
         }
     }
 
-    /// The lower bound the next forward refill must respect.
+    /// The lower bound the next refill must respect.
     fn resume_bound(&self) -> Bound<K> {
         match &self.current {
             Some((key, _)) => Bound::Excluded(*key),
-            None => self.forward_floor,
+            None => self.floor,
         }
     }
 
-    /// Descends to the leaf covering the forward resume position and
-    /// snapshots it.  `bound` must be the value of [`Self::resume_bound`].
-    fn descend_and_snapshot_forward(&mut self, bound: Bound<K>) {
-        // SAFETY: the leaf either way is read-locked, as `snapshot_forward`
+    /// Descends to the leaf covering the resume position and snapshots
+    /// it.  `bound` must be the value of [`Self::resume_bound`].
+    fn descend_and_snapshot(&mut self, bound: Bound<K>) {
+        // SAFETY: the leaf either way is read-locked, as `snapshot`
         // requires; `self.guard` supplies the epoch pin `lock_covering`'s
         // optimistic descent requires.
         unsafe {
@@ -175,21 +152,22 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
                     head
                 }
                 Bound::Included(key) | Bound::Excluded(key) => {
-                    list.lock_covering(AtMost(key), 0, Mode::Read, &mut None)
+                    list.lock_covering(key, 0, Mode::Read, &mut None)
                 }
             };
-            self.snapshot_forward(leaf, &bound);
+            self.snapshot(leaf, &bound);
         }
     }
 
-    /// Copies the slots of `leaf` that satisfy the lower `bound` into the
-    /// batch (ascending), captures the leaf's `next` pointer and unlocks it.
+    /// Copies the slots of `leaf` that satisfy the lower `bound` and the
+    /// upper bound into the batch, captures the leaf's `next` pointer and
+    /// unlocks it.
     ///
     /// # Safety
     ///
     /// `leaf` must be a leaf node locked in read mode by this thread; the
     /// lock is released before returning.
-    unsafe fn snapshot_forward(&mut self, leaf: *mut Node<K, V, B>, bound: &Bound<K>) {
+    unsafe fn snapshot(&mut self, leaf: *mut Node<K, V, B>, bound: &Bound<K>) {
         self.batch.clear();
         self.pos = 0;
         let len = (*leaf).len();
@@ -214,8 +192,8 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
             debug_assert!(above_lower(&key, bound), "leaf slots must be sorted");
             if !below_upper(&key, &self.hi) {
                 // Nothing at or after this slot can be in range; stop
-                // copying and mark the walk finished so the cursor never
-                // touches the leaves beyond the upper bound.
+                // copying and end the walk so the cursor never touches
+                // the leaves beyond the upper bound.
                 clamped = true;
                 break;
             }
@@ -239,81 +217,27 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
             }
         }
     }
-
-    /// Descends to the leaf containing the greatest key satisfying `upper`
-    /// and snapshots its qualifying slots in descending order.
-    fn descend_and_snapshot_reverse(&mut self, upper: Bound<K>) {
-        // SAFETY: as for the forward positioning; the probe is the greatest
-        // key satisfying `upper`, and the leaf holding it comes back
-        // read-locked and validated.
-        unsafe {
-            let list = self.list;
-            let curr = match &upper {
-                Bound::Unbounded => list.lock_covering(Last, 0, Mode::Read, &mut None),
-                Bound::Included(key) => list.lock_covering(AtMost(key), 0, Mode::Read, &mut None),
-                Bound::Excluded(key) => list.lock_covering(Below(key), 0, Mode::Read, &mut None),
-            };
-            // `curr` is the read-locked leaf; snapshot descending.
-            self.batch.clear();
-            self.pos = 0;
-            for slot in (0..(*curr).len()).rev() {
-                let key = (*curr).key_at(slot);
-                if !below_upper(&key, &upper) {
-                    continue;
-                }
-                self.batch.push((key, (*curr).value_at(slot)));
-            }
-            unlock_node(curr, Mode::Read);
-            if self.record_stats {
-                if let Some(stats) = self.list.stats_enabled() {
-                    stats.range_leaf_nodes.incr();
-                }
-            }
-        }
-    }
-
-    /// Emits the next buffered forward entry, enforcing the upper bound.
-    fn emit_forward(&mut self) -> Option<(K, V)> {
-        let entry = self.batch[self.pos];
-        self.pos += 1;
-        if !below_upper(&entry.0, &self.hi) {
-            self.finished_forward = true;
-            return None;
-        }
-        self.current = Some(entry);
-        // Stepping forward re-opens the door for reverse steps.
-        self.finished_reverse = false;
-        Some(entry)
-    }
 }
 
 impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCursor<'_, K, V, B> {
     fn next(&mut self) -> Option<(K, V)> {
         loop {
-            if self.direction == Direction::Forward && self.pos < self.batch.len() {
-                match self.emit_forward() {
-                    Some(entry) => return Some(entry),
-                    None => return None,
-                }
-            }
-            if self.finished_forward {
-                return None;
+            if let Some(&entry) = self.batch.get(self.pos) {
+                self.pos += 1;
+                self.current = Some(entry);
+                return Some(entry);
             }
             let bound = self.resume_bound();
-            if !self.started || self.direction == Direction::Reverse {
-                // First positioning, or a direction switch: both need a
-                // fresh descent to the forward resume position.
+            if !self.started {
                 self.started = true;
-                self.direction = Direction::Forward;
-                self.descend_and_snapshot_forward(bound);
+                self.descend_and_snapshot(bound);
                 continue;
             }
-            // Steady-state forward walk: follow the captured neighbour.
-            if self.next_leaf.is_null() {
-                self.finished_forward = true;
+            // Steady-state walk: follow the captured neighbour.
+            let leaf = self.next_leaf;
+            if leaf.is_null() {
                 return None;
             }
-            let leaf = self.next_leaf;
             // SAFETY: `leaf` was read from a locked node after `self.guard`
             // pinned, so even if a concurrent remove has since unlinked and
             // retired it, the collector cannot free it while the guard is
@@ -324,41 +248,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
                     // Unlinked: its keys may have folded into a leaf
                     // behind the cursor (module docs, *Consistency*).
                     unlock_node(leaf, Mode::Read);
-                    self.descend_and_snapshot_forward(bound);
+                    self.descend_and_snapshot(bound);
                 } else {
-                    self.snapshot_forward(leaf, &bound);
+                    self.snapshot(leaf, &bound);
                 }
-            }
-        }
-    }
-
-    fn prev(&mut self) -> Option<(K, V)> {
-        loop {
-            if self.direction == Direction::Reverse && self.pos < self.batch.len() {
-                let entry = self.batch[self.pos];
-                self.pos += 1;
-                if !above_lower(&entry.0, &self.lo) {
-                    self.finished_reverse = true;
-                    return None;
-                }
-                self.current = Some(entry);
-                // Stepping backward re-opens the door for forward steps.
-                self.finished_forward = false;
-                return Some(entry);
-            }
-            if self.finished_reverse {
-                return None;
-            }
-            let upper = match &self.current {
-                Some((key, _)) => Bound::Excluded(*key),
-                None => self.hi,
-            };
-            self.started = true;
-            self.direction = Direction::Reverse;
-            self.descend_and_snapshot_reverse(upper);
-            if self.batch.is_empty() {
-                self.finished_reverse = true;
-                return None;
             }
         }
     }
@@ -370,26 +263,19 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
             self.lo
         };
         self.started = true;
-        self.direction = Direction::Forward;
-        self.finished_forward = false;
-        self.finished_reverse = false;
         self.current = None;
-        self.forward_floor = from;
+        self.floor = from;
         self.next_leaf = ptr::null_mut();
         // Every captured pointer has just been discarded, so this is a
         // safe point to re-pin: long-lived cursors that seek periodically
         // do not hold the epoch (and thus the retired-node backlog) back.
         self.guard.repin();
-        self.descend_and_snapshot_forward(from);
+        self.descend_and_snapshot(from);
         self.next()
     }
 
     fn entry(&self) -> Option<(K, V)> {
         self.current
-    }
-
-    fn supports_prev(&self) -> bool {
-        true
     }
 }
 
@@ -457,44 +343,6 @@ mod tests {
         assert_eq!(cursor.next(), None, "15 is outside the half-open range");
     }
 
-    #[test]
-    fn reverse_iteration_from_fresh_cursor_starts_at_the_back() {
-        let list = listing(0..10);
-        let mut cursor = list.scan(2..=7);
-        assert!(cursor.supports_prev());
-        let mut seen = Vec::new();
-        while let Some((k, _)) = cursor.prev() {
-            seen.push(k);
-        }
-        assert_eq!(seen, vec![7, 6, 5, 4, 3, 2]);
-        assert_eq!(cursor.prev(), None);
-        // Forward steps resume from the resting position.
-        assert_eq!(cursor.next(), Some((3, 30)));
-    }
-
-    #[test]
-    fn directions_interleave_around_the_current_entry() {
-        let list = listing(0..100);
-        let mut cursor = list.scan(..);
-        assert_eq!(cursor.seek(&50), Some((50, 500)));
-        assert_eq!(cursor.prev(), Some((49, 490)));
-        assert_eq!(cursor.prev(), Some((48, 480)));
-        assert_eq!(cursor.next(), Some((49, 490)));
-        assert_eq!(cursor.next(), Some((50, 500)));
-        assert_eq!(cursor.next(), Some((51, 510)));
-    }
-
-    #[test]
-    fn reverse_respects_the_lower_bound_across_nodes() {
-        let list = listing(0..64);
-        let mut cursor = list.scan(30..);
-        let mut seen = Vec::new();
-        while let Some((k, _)) = cursor.prev() {
-            seen.push(k);
-        }
-        assert_eq!(seen, (30..64).rev().collect::<Vec<_>>());
-    }
-
     /// Forty keys over three levels (a tower of height 1 every 8 keys, of
     /// height 2 every 16), values ten times the keys, statistics on.
     fn tall_listing() -> std::sync::Arc<List> {
@@ -508,61 +356,27 @@ mod tests {
     }
 
     #[test]
-    fn reverse_refills_position_through_the_optimistic_descent() {
-        use crate::list::leaf::tests::{assert_unlocked, interleave};
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let list = tall_listing();
-        let stats = BSkipList::stats(&list);
-        stats.reset();
-        let mut cursor = list.scan(..);
-        assert_eq!(cursor.prev(), Some((39, 390)));
-        // The next refill enters through `lock_covering`: its descent has
-        // reached the leaf, and nothing — no root, no level — is locked.
-        let (other, entered) = (std::sync::Arc::clone(&list), Rc::new(Cell::new(false)));
-        let seen = Rc::clone(&entered);
-        interleave(0, move || {
-            assert_unlocked(&other);
-            seen.set(true);
-        });
-        let mut keys = vec![39];
-        keys.extend(std::iter::from_fn(|| cursor.prev()).map(|(key, _)| key));
-        assert_eq!(keys, (0..40).rev().collect::<Vec<_>>());
-        assert!(entered.get(), "a reverse refill went down some other way");
-        assert_eq!(stats.locked_fallbacks.get(), 0);
-        assert_eq!(stats.optimistic_restarts.get(), 0);
-        assert!(stats.range_leaf_nodes.get() >= 10);
-    }
-
-    #[test]
-    fn contended_reverse_positioning_falls_back_under_every_probe() {
+    fn contended_positioning_falls_back_to_the_locked_descent() {
         use crate::list::leaf::tests::{assert_unlocked, interfere};
         use crate::list::OPTIMISTIC_ATTEMPTS;
 
         // The leaf the descent reaches changes before every attempt to
         // lock it, so the positioning gives up validating and goes down
-        // under hand-over-hand shared locks — probing for the last key,
-        // the greatest key below 20 and the greatest key up to 20.
+        // under hand-over-hand shared locks — from the first key, a key
+        // inside a leaf and the last key.
         let list = tall_listing();
         let stats = BSkipList::stats(&list);
-        let cases: [(Bound<u64>, u64); 3] = [
-            (Bound::Unbounded, 39),
-            (Bound::Excluded(20), 19),
-            (Bound::Included(20), 20),
-        ];
-        for (hi, first) in cases {
-            list.insert(first, first * 10);
+        for first in [0u64, 20, 39] {
             stats.reset();
-            let mut cursor = list.scan_bounds(Bound::Unbounded, hi);
+            let mut cursor = list.scan_bounds(Bound::Included(first), Bound::Unbounded);
             interfere(&list, first, OPTIMISTIC_ATTEMPTS);
-            assert_eq!(cursor.prev(), Some((first, 1)), "the last overwrite");
-            assert_eq!(stats.locked_fallbacks.get(), 1, "{hi:?}");
+            assert_eq!(cursor.next(), Some((first, 1)), "the last overwrite");
+            assert_eq!(stats.locked_fallbacks.get(), 1, "from {first}");
             assert_eq!(stats.optimistic_restarts.get(), OPTIMISTIC_ATTEMPTS as u64);
-            let rest: Vec<u64> = std::iter::from_fn(|| cursor.prev())
+            let rest: Vec<u64> = std::iter::from_fn(|| cursor.next())
                 .map(|(key, _)| key)
                 .collect();
-            assert_eq!(rest, (0..first).rev().collect::<Vec<_>>(), "{hi:?}");
+            assert_eq!(rest, (first + 1..40).collect::<Vec<_>>(), "from {first}");
             assert_eq!(stats.locked_fallbacks.get(), 1);
             drop(cursor);
             assert_unlocked(&list);
@@ -570,50 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn reverse_scan_stays_strictly_descending_while_splits_and_header_removals_race() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        // Even keys stay for the whole test; the writer keeps inserting
-        // the odd ones (splitting leaves, promoting some) and removing
-        // them again (every so often a leaf's header, which unlinks nodes
-        // and folds survivors into the left neighbour).
-        let list = BSkipList::<u64, u64, 8>::with_config(BSkipConfig::default().with_max_height(4));
-        for key in (0..4_000u64).step_by(2) {
-            list.insert(key, key);
-        }
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (list, stop) = (&list, &stop);
-            scope.spawn(move || {
-                let mut key = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    list.insert(key % 4_000, key % 4_000);
-                    list.remove(&((key + 1_000) % 4_000));
-                    key += 2;
-                }
-            });
-            for _ in 0..30 {
-                let mut cursor = list.scan(1_000..3_000u64);
-                let (mut previous, mut even) = (u64::MAX, 0);
-                while let Some((key, value)) = cursor.prev() {
-                    assert_eq!(key, value, "torn entry");
-                    assert!(key < previous, "went forwards: {previous} then {key}");
-                    assert!((1_000..3_000).contains(&key));
-                    previous = key;
-                    even += u64::from(key % 2 == 0);
-                }
-                assert_eq!(even, 1_000, "a key that was there throughout was skipped");
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        list.validate().expect("structure");
-    }
-
-    #[test]
-    fn empty_list_yields_nothing_in_either_direction() {
+    fn empty_list_yields_nothing() {
         let list = listing(std::iter::empty());
         assert_eq!(list.scan(..).next(), None);
         let mut cursor = list.scan(..);
-        assert_eq!(cursor.prev(), None);
         assert_eq!(cursor.seek(&5), None);
         assert_eq!(cursor.entry(), None);
     }
@@ -704,24 +478,40 @@ mod tests {
 
     #[test]
     fn range_leaf_node_stats_count_snapshots() {
+        // Full leaves `{8i, …, 8i + 7}`: every eighth key heads its own
+        // leaf, behind the head leaf that key 0's promotion emptied.
         let list = BSkipList::<u64, u64, 8>::with_config(
             BSkipConfig::default().with_max_height(4).with_stats(true),
         );
-        for key in 0..64u64 {
-            list.insert(key, key);
+        for key in 0..96u64 {
+            let height = usize::from(key % 8 == 0) + usize::from(key % 32 == 0);
+            list.insert_with_height(key, key, height);
         }
+        assert_eq!(list.level_shape()[0], (13, 96));
         list.reset_stats();
         let collected: Vec<u64> = list.scan(..).map(|(k, _)| k).collect();
-        assert_eq!(collected.len(), 64);
+        assert_eq!(collected, (0..96).collect::<Vec<_>>());
         let stats = ConcurrentIndex::stats(&list);
         assert_eq!(stats.get("ranges"), Some(1));
-        assert!(stats.get("range_leaf_nodes").unwrap() >= 64 / 8);
+        assert_eq!(stats.get("range_leaf_nodes"), Some(13));
+
+        // One descent positions the scan, then it takes one lock per leaf
+        // — here the ten leaves from `{16, …, 23}` on — and none above.
+        list.reset_stats();
+        let collected: Vec<u64> = list.scan(20..).map(|(k, _)| k).collect();
+        assert_eq!(collected, (20..96).collect::<Vec<_>>());
+        let stats = ConcurrentIndex::stats(&list);
+        assert_eq!(
+            stats.get("levels_visited"),
+            Some(list.max_height() as u64 - 1)
+        );
+        assert_eq!(stats.get("range_leaf_nodes"), Some((96 - 16) / 8));
 
         // Full iterations are not range queries: they must not pollute
         // either side of the "leaf nodes per range query" ratio.
         list.reset_stats();
-        assert_eq!(list.iter().count(), 64);
-        assert_eq!(list.to_vec().len(), 64);
+        assert_eq!(list.iter().count(), 96);
+        assert_eq!(list.to_vec().len(), 96);
         let stats = ConcurrentIndex::stats(&list);
         assert_eq!(stats.get("ranges"), Some(0));
         assert_eq!(stats.get("range_leaf_nodes"), Some(0));

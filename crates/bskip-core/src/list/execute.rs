@@ -61,7 +61,7 @@ use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, AtMost, BSkipList, Mode};
+use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{Node, NodeSearch};
 
 /// The write-locked pass an operation needs when the leaf kernel could
@@ -146,7 +146,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 if !leaf.is_null() {
                     unlock_node(leaf, Mode::Write);
                 }
-                leaf = self.lock_covering(AtMost(&key), 0, Mode::Write, &mut position);
+                leaf = self.lock_covering(&key, 0, Mode::Write, &mut position);
                 if let Some(stats) = self.stats_enabled() {
                     stats.batch_leaf_locks.incr();
                 }

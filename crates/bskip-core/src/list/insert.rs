@@ -40,7 +40,7 @@ use std::ptr;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
-use super::{lock_node, unlock_node, AtMost, BSkipList, Mode};
+use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 /// Write-locked nodes of the current level that must be released before
@@ -107,7 +107,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // covering leaf write-locked, which is the kernel's contract; the
         // lock is released here or handed to the pass, which releases it.
         unsafe {
-            let leaf = self.lock_covering(AtMost(&key), 0, Mode::Write, &mut None);
+            let leaf = self.lock_covering(&key, 0, Mode::Write, &mut None);
             match self.upsert_in_leaf(leaf, key, value, height) {
                 Ok(previous) => {
                     unlock_node(leaf, Mode::Write);
@@ -160,7 +160,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 prealloc.push(internal);
             }
         }
-        let entry = self.lock_covering(AtMost(&key), height, Mode::Write, &mut None);
+        let entry = self.lock_covering(&key, height, Mode::Write, &mut None);
         self.insert_inner(key, value, prealloc, entry, guard)
     }
 
@@ -383,7 +383,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             } else {
                 // Post-duplicate navigation: follow the down pointer of
                 // the largest key not exceeding the search key.
-                descend_child = self.descend_pointer(curr, AtMost(&key));
+                descend_child = self.descend_pointer(curr, &key);
             }
 
             // ---- descend or finish ----

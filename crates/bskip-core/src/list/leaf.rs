@@ -7,7 +7,7 @@
 //!   given level **without locking anything above it** and return it
 //!   locked (exclusive: the writer half of optimistic lock coupling, whose
 //!   sufficiency argument is in the parent module's *write path* notes;
-//!   shared: the cursor's snapshot positioning, forward and reverse);
+//!   shared: the cursor's snapshot positioning);
 //! * the **leaf kernel**, [`BSkipList::upsert_in_leaf`] and
 //!   [`BSkipList::remove_in_leaf`] — apply one mutation under a held,
 //!   covering leaf lock, or say that it needs structural work.  The point
@@ -37,7 +37,7 @@
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Backoff;
 
-use super::{BSkipList, Mode, Position, Probe, OPTIMISTIC_ATTEMPTS};
+use super::{BSkipList, Mode, Position, OPTIMISTIC_ATTEMPTS};
 use crate::node::{Node, NodeSearch};
 
 /// The key is the header of a non-head leaf: it may own a tower and its
@@ -46,8 +46,7 @@ use crate::node::{Node, NodeSearch};
 pub(super) struct HeaderKey;
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
-    /// Returns the node `probe` positions on at `level` — for a point
-    /// operation, the node covering its key — locked in `mode`.
+    /// Returns the node covering `key` at `level`, locked in `mode`.
     ///
     /// The conflict-free path takes exactly that one lock: an optimistic
     /// descent reaches the node with its version, and the node is kept
@@ -70,16 +69,16 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// The caller must hold an epoch pin across the call — the same one
     /// since `position` was filled — and must release the returned node's
     /// lock; `level <= top_level()`.
-    pub(super) unsafe fn lock_covering<P: Probe<K>>(
+    pub(super) unsafe fn lock_covering(
         &self,
-        probe: P,
+        key: &K,
         level: usize,
         mode: Mode,
         position: &mut Option<Position<K, V, B>>,
     ) -> *mut Node<K, V, B> {
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((node, version)) = self.try_descend_optimistic_to(probe, level, position) {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level, position) {
                 #[cfg(test)]
                 tests::run_interleaved(level);
                 let unchanged = match mode {
@@ -112,7 +111,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 Mode::Write => stats.write_descent_fallbacks.incr(),
             }
         }
-        self.descend_locked(probe, level, mode)
+        self.descend_locked(key, level, mode)
     }
 
     /// Upserts `key → value` under the held leaf lock: replaces the value

@@ -14,8 +14,7 @@
 //!   paper's hand-over-hand read-locked descent.
 //! * Range queries ([`BSkipList::range`], cursors) take their per-leaf
 //!   snapshots under read locks (Section 4, "concurrent finds and range
-//!   queries"); the *positioning* descent, of a forward scan and of every
-//!   reverse refill alike, is optimistic.
+//!   queries"); the descent that positions a scan is optimistic.
 //! * Inserts ([`BSkipList::insert`]) go **leaf first, height second**: an
 //!   optimistic descent reaches the covering leaf, which is the first and
 //!   usually the only node locked.  A present key has its value replaced
@@ -43,8 +42,9 @@
 //! **Two ways down.**  Only `try_descend_optimistic_to`, and
 //! `descend_locked` behind it when validation keeps failing, walk down
 //! from the top-level head; `lock_covering` (`leaf.rs`) is the one retry
-//! loop around them, for every write and every cursor positioning.  What
-//! a descent looks for is a type parameter ([`Probe`]), not a traversal.
+//! loop around them, for every write and every cursor positioning.  Every
+//! descent looks for the same thing: the node holding the greatest key
+//! `<=` the one given.
 //!
 //! # The optimistic read protocol
 //!
@@ -166,69 +166,6 @@ pub(crate) struct Restart;
 /// descent returns, and — for a level-1 node — what a batch keeps between
 /// operations to resume from, with no lock held on it.
 pub(crate) type Position<K, V, const B: usize> = (*mut Node<K, V, B>, u64);
-
-/// The key a descent positions on, as a type: every probe is compiled
-/// into its own copy of the one descent, so the point operations'
-/// [`AtMost`] pays nothing for the reverse cursor's other two.
-pub(crate) trait Probe<K>: Copy {
-    /// Whether the key sought lies in or beyond a node headed by `header`
-    /// — the right-walk's "advance into the successor?" test.
-    fn admits(self, header: &K) -> bool;
-
-    /// The slot to descend through in a node of `len` keys, given a
-    /// `search` of it; `None` is a head node's implicit `-∞` entry.
-    fn slot(self, len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize>;
-}
-
-/// The greatest key `<=` the given one: every point operation, and a
-/// forward cursor's positioning.
-#[derive(Clone, Copy)]
-pub(crate) struct AtMost<'k, K>(pub(crate) &'k K);
-
-/// The greatest key `<` the given one: a reverse refill.
-#[derive(Clone, Copy)]
-pub(crate) struct Below<'k, K>(pub(crate) &'k K);
-
-/// The last key of the list: a reverse scan's first refill.
-#[derive(Clone, Copy)]
-pub(crate) struct Last;
-
-impl<K: IndexKey> Probe<K> for AtMost<'_, K> {
-    fn admits(self, header: &K) -> bool {
-        *header <= *self.0
-    }
-
-    fn slot(self, _len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
-        match search(self.0) {
-            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => Some(idx),
-            NodeSearch::Before => None,
-        }
-    }
-}
-
-impl<K: IndexKey> Probe<K> for Below<'_, K> {
-    fn admits(self, header: &K) -> bool {
-        *header < *self.0
-    }
-
-    fn slot(self, _len: usize, search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
-        match search(self.0) {
-            NodeSearch::Found(idx) => idx.checked_sub(1),
-            NodeSearch::Pred(idx) => Some(idx),
-            NodeSearch::Before => None,
-        }
-    }
-}
-
-impl<K> Probe<K> for Last {
-    fn admits(self, _header: &K) -> bool {
-        true
-    }
-
-    fn slot(self, len: usize, _search: impl FnOnce(&K) -> NodeSearch) -> Option<usize> {
-        len.checked_sub(1)
-    }
-}
 
 /// Lock mode used during a traversal step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -586,7 +523,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // and the unlock runs even if `f` panics (the drop guard below),
         // keeping the spinlock protocol intact on unwind.
         unsafe {
-            let leaf = self.descend_locked(AtMost(key), 0, Mode::Read);
+            let leaf = self.descend_locked(key, 0, Mode::Read);
             struct Unlock<K: IndexKey, V: IndexValue, const B: usize>(*mut Node<K, V, B>);
             impl<K: IndexKey, V: IndexValue, const B: usize> Drop for Unlock<K, V, B> {
                 fn drop(&mut self) {
@@ -613,7 +550,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must hold an epoch pin across the call.
     unsafe fn try_peek_optimistic(&self, key: &K) -> Result<Option<V>, Restart> {
-        let (leaf, version) = self.try_descend_optimistic_to(AtMost(key), 0, &mut None)?;
+        let (leaf, version) = self.try_descend_optimistic_to(key, 0, &mut None)?;
         let len = (*leaf).len();
         let found = match (*leaf).search_racy(key, len) {
             NodeSearch::Found(idx) => Some((*leaf).value_at_racy(idx)),
@@ -627,10 +564,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         Ok(found)
     }
 
-    /// Optimistic lock-coupled descent to the node `probe` positions on at
-    /// `stop_level` — for [`AtMost`], the node whose range covers the key.
+    /// Optimistic lock-coupled descent to the node whose range covers
+    /// `key` at `stop_level`: the one holding the greatest key `<=` it.
     /// On success the returned node was — at the moment its parent
-    /// validated — the reachable node for the probe, and the returned
+    /// validated — the reachable node for the key, and the returned
     /// version is the one the caller must re-validate after reading from
     /// it (or after locking it: `lock_covering`).
     ///
@@ -654,9 +591,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// descent that shares a `position`; additionally the starting level
     /// — the list's top level, or 1 with a position — must be
     /// `>= stop_level` (the caller checks; the level count never changes).
-    unsafe fn try_descend_optimistic_to<P: Probe<K>>(
+    unsafe fn try_descend_optimistic_to(
         &self,
-        probe: P,
+        key: &K,
         stop_level: usize,
         position: &mut Option<Position<K, V, B>>,
     ) -> Result<Position<K, V, B>, Restart> {
@@ -670,7 +607,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         let mut level = usize::from((*curr).level());
         debug_assert!(level >= stop_level, "descent below its starting level");
         loop {
-            // Walk right while the probe admits the successor's header.
+            // Walk right while the successor's header is `<=` the key.
             loop {
                 let next = (*curr).next();
                 if next.is_null() {
@@ -685,7 +622,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     // stale/torn read; restart rather than guess.
                     return Err(Restart);
                 }
-                let covers = probe.admits(&(*next).key_at_racy(0));
+                let covers = (*next).key_at_racy(0) <= *key;
                 // The `next` pointer and the successor's header were read
                 // without locks: re-validate the node they were read from
                 // before acting on them.
@@ -711,13 +648,13 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 return Ok((curr, version));
             }
             let len = (*curr).len();
-            let child = match probe.slot(len, |key| (*curr).search_racy(key, len)) {
-                Some(idx) => (*curr).child_at(idx),
-                None => {
+            let child = match (*curr).search_racy(key, len) {
+                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
+                NodeSearch::Before => {
                     if !(*curr).is_head() {
-                        // A non-head node whose header the probe does not
-                        // admit is a torn read (the locked walk can never
-                        // stand here); restart.
+                        // A non-head node whose header is above the key
+                        // is a torn read (the locked walk can never stand
+                        // here); restart.
                         return Err(Restart);
                     }
                     (*curr).head_child()
@@ -747,7 +684,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         }
     }
 
-    /// Hand-over-hand locked descent to the node `probe` positions on at
+    /// Hand-over-hand locked descent to the node covering `key` at
     /// `stop_level`: the contention fallback behind every optimistic
     /// descent — point reads and cursor positioning (`stop_level` 0,
     /// `Mode::Read`) and the writers' entry, point or batched
@@ -759,9 +696,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must release the returned node's lock;
     /// `stop_level <= top_level()`.
-    pub(crate) unsafe fn descend_locked<P: Probe<K>>(
+    pub(crate) unsafe fn descend_locked(
         &self,
-        probe: P,
+        key: &K,
         stop_level: usize,
         mode: Mode,
     ) -> *mut Node<K, V, B> {
@@ -776,11 +713,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         let mut curr = self.head(level);
         lock_node(curr, mode_at(level));
         loop {
-            curr = self.walk_right(curr, probe, mode_at(level));
+            curr = self.walk_right(curr, key, mode_at(level));
             if level == stop_level {
                 return curr;
             }
-            let child = self.descend_pointer(curr, probe);
+            let child = self.descend_pointer(curr, key);
             lock_node(child, mode_at(level - 1));
             unlock_node(curr, Mode::Read);
             curr = child;
@@ -803,9 +740,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// The cursor walks the leaf level, snapshotting one read-locked node's
     /// slots at a time into a batch buffer, so lock hold time stays bounded
     /// by one node and the scan streams whole cache-resident nodes
-    /// (Section 4 of the paper).  It supports `seek` and reverse steps with
-    /// `prev`; see [`bskip_index::cursor`] for the consistency contract
-    /// under concurrent mutation.
+    /// (Section 4 of the paper).  It supports `seek`; see
+    /// [`bskip_index::cursor`] for the consistency contract under
+    /// concurrent mutation.
     ///
     /// ```
     /// use bskip_core::BSkipList;
@@ -816,7 +753,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// let mut cursor = list.scan(..);
     /// assert_eq!(cursor.seek(&7), Some((7, 14)));
-    /// assert_eq!(cursor.prev(), Some((6, 12)));
+    /// assert_eq!(cursor.next(), Some((8, 16)));
     /// ```
     pub fn scan<R: RangeBounds<K>>(&self, range: R) -> Cursor<'_, K, V> {
         self.scan_bounds(
@@ -886,17 +823,17 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.remove_impl(key)
     }
 
-    /// Moves right along a level while `probe` admits the successor's
-    /// header, maintaining HOH locks in `mode`.  Returns the final node,
+    /// Moves right along a level while the successor's header is `<=`
+    /// `key`, maintaining HOH locks in `mode`.  Returns the final node,
     /// locked in `mode`.
     ///
     /// # Safety
     ///
     /// `curr` must be locked in `mode` by this thread.
-    unsafe fn walk_right<P: Probe<K>>(
+    unsafe fn walk_right(
         &self,
         mut curr: *mut Node<K, V, B>,
-        probe: P,
+        key: &K,
         mode: Mode,
     ) -> *mut Node<K, V, B> {
         loop {
@@ -906,7 +843,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             }
             prefetch_node(next);
             lock_node(next, mode);
-            if probe.admits(&(*next).header()) {
+            if (*next).header() <= *key {
                 unlock_node(curr, mode);
                 curr = next;
                 if let Some(stats) = self.stats_enabled() {
@@ -920,23 +857,23 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     }
 
     /// Returns the child pointer to follow when descending from `curr` for
-    /// `probe`: the down pointer of the greatest key it admits, or the head
-    /// child when it admits none.
+    /// `key`: the down pointer of the greatest key `<=` it, or the head
+    /// child when there is none.
     ///
     /// # Safety
     ///
     /// `curr` must be locked by this thread and must be an internal node.
-    pub(crate) unsafe fn descend_pointer<P: Probe<K>>(
+    pub(crate) unsafe fn descend_pointer(
         &self,
         curr: *mut Node<K, V, B>,
-        probe: P,
+        key: &K,
     ) -> *mut Node<K, V, B> {
-        let child = match probe.slot((*curr).len(), |key| (*curr).search(key)) {
-            Some(idx) => (*curr).child_at(idx),
-            None => {
+        let child = match (*curr).search(key) {
+            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
+            NodeSearch::Before => {
                 debug_assert!(
                     (*curr).is_head(),
-                    "descended into a non-head node whose header the probe does not admit"
+                    "descended into a non-head node whose header is above the key"
                 );
                 (*curr).head_child()
             }

@@ -47,7 +47,7 @@ use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::EbrGuard;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, AtMost, BSkipList, Mode};
+use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
@@ -61,7 +61,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         // covering leaf write-locked, which is the kernel's contract, and
         // the pass is entered with no lock held.
         unsafe {
-            let leaf = self.lock_covering(AtMost(key), 0, Mode::Write, &mut None);
+            let leaf = self.lock_covering(key, 0, Mode::Write, &mut None);
             let outcome = self.remove_in_leaf(leaf, key);
             unlock_node(leaf, Mode::Write);
             match outcome {
@@ -87,7 +87,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// node lock.
     pub(super) unsafe fn remove_structural(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
         for level in 1..=self.top_level() {
-            let entry = self.lock_covering(AtMost(key), level, Mode::Write, &mut None);
+            let entry = self.lock_covering(key, level, Mode::Write, &mut None);
             if (*entry).is_head() || (*entry).header() != *key {
                 return self.remove_inner(key, entry, guard);
             }

@@ -52,9 +52,9 @@ bskip_index::stat_block! {
         /// (a writer overlapped the traversal); each restart retries from the
         /// top with backoff.
         pub optimistic_restarts: CachePadded<RelaxedCounter> => Counter "optimistic_restarts",
-        /// Point reads and cursor positionings (forward or reverse) that
-        /// exhausted their optimistic attempts and fell back to the
-        /// hand-over-hand read-locked descent.  Zero in any
+        /// Point reads and cursor positionings that exhausted their
+        /// optimistic attempts and fell back to the hand-over-hand
+        /// read-locked descent.  Zero in any
         /// single-threaded run — the acceptance gate for the lock-free path.
         pub locked_fallbacks: CachePadded<RelaxedCounter> => Counter "locked_fallbacks",
         /// Point writes (`insert`/`remove`) finished by the leaf kernel under

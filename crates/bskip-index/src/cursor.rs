@@ -4,12 +4,11 @@
 //! paper can express exactly one scan shape: "visit the `len` smallest
 //! entries at or above `start`".  Real consumers of an ordered index —
 //! memtable compaction, pagination, prefix scans, merge joins — need
-//! bounded scans, early termination, seek-then-resume and (sometimes)
-//! reverse steps.  This module provides the cursor abstraction those
-//! consumers program against:
+//! bounded scans, early termination and seek-then-resume.  This module
+//! provides the cursor abstraction those consumers program against:
 //!
 //! * [`IndexCursor`] — the raw traversal-state interface an index
-//!   implements (`next`, `prev`, `seek`, `entry`);
+//!   implements (`next`, `seek`, `entry`);
 //! * [`Cursor`] — the public, type-erased handle returned by
 //!   [`crate::ConcurrentIndex::scan`]; it implements [`Iterator`] so the
 //!   common forward-scan case is a plain `for` loop;
@@ -18,8 +17,8 @@
 //!   indices that cannot pause mid-traversal (lock-free structures have no
 //!   way to hold a position without pinning memory);
 //! * [`MergeCursor`] — the workspace's one K-way merge: sorted sources in
-//!   priority order composed into a single bidirectional cursor (the
-//!   shards of a [`crate::ShardedIndex`], the layers of the LSM engine).
+//!   priority order composed into a single cursor (the shards of a
+//!   [`crate::ShardedIndex`], the layers of the LSM engine).
 //!
 //! # Consistency contract
 //!
@@ -30,13 +29,11 @@
 //!   lifetime of the traversal is yielded exactly once;
 //! * entries inserted or removed while the cursor is open may or may not be
 //!   observed;
-//! * yielded keys are strictly ascending for `next` (strictly descending
-//!   for `prev`), so a cursor never yields duplicates even when the index
-//!   is restructured underneath it;
+//! * yielded keys are strictly ascending, so a cursor never yields
+//!   duplicates even when the index is restructured underneath it;
 //! * each yielded `(key, value)` pair is internally consistent (values are
 //!   read under the same lock/validation protocol as point lookups).
 
-use std::cmp::Ordering;
 use std::marker::PhantomData;
 use std::ops::Bound;
 
@@ -89,17 +86,6 @@ pub trait IndexCursor<K: IndexKey, V: IndexValue> {
     /// `None` when the range is exhausted.
     fn next(&mut self) -> Option<(K, V)>;
 
-    /// Steps back to and returns the previous entry in descending key
-    /// order: the greatest in-range entry strictly below the current
-    /// position.  On a fresh cursor this is the *last* entry of the range.
-    ///
-    /// Returns `None` at the start of the range — or unconditionally for
-    /// implementations that cannot iterate backwards; distinguish the two
-    /// with [`IndexCursor::supports_prev`].
-    fn prev(&mut self) -> Option<(K, V)> {
-        None
-    }
-
     /// Repositions at the first in-range entry with key `>= key` and
     /// returns it (`None` when no such entry exists).  Seeking below the
     /// range's lower bound clamps to the lower bound; subsequent calls to
@@ -107,14 +93,9 @@ pub trait IndexCursor<K: IndexKey, V: IndexValue> {
     fn seek(&mut self, key: &K) -> Option<(K, V)>;
 
     /// The entry the cursor currently rests on: the one most recently
-    /// returned by `next`, `prev` or `seek`.  `None` before the first
-    /// positioning call.
+    /// returned by `next` or `seek`.  `None` before the first positioning
+    /// call.
     fn entry(&self) -> Option<(K, V)>;
-
-    /// Whether this cursor implements backwards iteration.
-    fn supports_prev(&self) -> bool {
-        false
-    }
 }
 
 /// A seekable cursor over a range of a concurrent ordered index.
@@ -183,12 +164,6 @@ impl<'a, K: IndexKey, V: IndexValue> Cursor<'a, K, V> {
         self.raw.next()
     }
 
-    /// Steps back to and returns the previous entry (descending key
-    /// order); see [`IndexCursor::prev`].
-    pub fn prev(&mut self) -> Option<(K, V)> {
-        self.raw.prev()
-    }
-
     /// Repositions at the first in-range entry with key `>= key`; see
     /// [`IndexCursor::seek`].
     pub fn seek(&mut self, key: &K) -> Option<(K, V)> {
@@ -198,11 +173,6 @@ impl<'a, K: IndexKey, V: IndexValue> Cursor<'a, K, V> {
     /// The entry the cursor currently rests on.
     pub fn entry(&self) -> Option<(K, V)> {
         self.raw.entry()
-    }
-
-    /// Whether [`Cursor::prev`] is implemented by the underlying index.
-    pub fn supports_prev(&self) -> bool {
-        self.raw.supports_prev()
     }
 }
 
@@ -215,20 +185,12 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for Cursor<'_, K, V> {
         Cursor::next(self)
     }
 
-    fn prev(&mut self) -> Option<(K, V)> {
-        Cursor::prev(self)
-    }
-
     fn seek(&mut self, key: &K) -> Option<(K, V)> {
         Cursor::seek(self, key)
     }
 
     fn entry(&self) -> Option<(K, V)> {
         Cursor::entry(self)
-    }
-
-    fn supports_prev(&self) -> bool {
-        Cursor::supports_prev(self)
     }
 }
 
@@ -244,7 +206,6 @@ impl<K: IndexKey, V: IndexValue> std::fmt::Debug for Cursor<'_, K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cursor")
             .field("entry", &self.entry())
-            .field("supports_prev", &self.supports_prev())
             .finish()
     }
 }
@@ -267,9 +228,6 @@ pub type FetchBatch<'a, K, V> = Box<dyn FnMut(Bound<K>, usize, &mut Vec<(K, V)>)
 /// at or above the resume key, buffers them, and serves `next` from the
 /// buffer.  This is the "seek then resume" pattern; the batch size bounds
 /// how much work each re-entry repeats.
-///
-/// Reverse iteration ([`IndexCursor::prev`]) is not supported by this
-/// adapter.
 pub struct BatchCursor<'a, K: IndexKey, V: IndexValue> {
     fetch: FetchBatch<'a, K, V>,
     lo: Bound<K>,
@@ -380,28 +338,12 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
     }
 }
 
-/// Which direction a composed cursor last moved, which dictates what the
-/// cached per-source state means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// No positioning call has succeeded (or the last `seek` missed
-    /// entirely): cached state is invalid.
-    Fresh,
-    /// Cached state describes *next* candidates (keys above the current
-    /// position).
-    Forward,
-    /// Cached state describes *previous* candidates (keys below the
-    /// current position).
-    Backward,
-}
-
 /// One merge input: a source cursor with its cached frontier entry kept
 /// inline, so a merge owns a single allocation however many sources it has.
 struct MergeSource<K: IndexKey, T: IndexValue, S> {
     cursor: S,
-    /// In [`Mode::Forward`] the source's next unconsumed entry (strictly
-    /// above the merge's position), in [`Mode::Backward`] its greatest
-    /// entry strictly below it.
+    /// The source's next unconsumed entry (strictly above the merge's
+    /// position) once the merge is primed.
     head: Option<(K, T)>,
 }
 
@@ -409,8 +351,8 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 ///
 /// The merged stream holds every key any source holds, once: when several
 /// sources are at the same key, the *lowest-indexed* source supplies the
-/// entry and every tied source steps past the key — in `next`, `prev` and
-/// `seek` alike.  That single rule serves both users:
+/// entry and every tied source steps past the key — in `next` and `seek`
+/// alike.  That single rule serves both users:
 ///
 /// * hash shards of a [`crate::ShardedIndex`] never tie (each key routes
 ///   to exactly one shard), so the merge is a plain interleave;
@@ -419,11 +361,9 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 ///   compaction writes out (tombstones included, shadowed versions gone),
 ///   and filtering the tombstones out of it is the live view scans serve.
 ///
-/// Every step consumes the minimum (respectively maximum) head and refills
-/// only the sources that were at it, so the steady state costs one source
-/// step per tied source plus an O(sources) scan of the heads; direction
-/// changes resynchronize all sources with the `seek` / `seek`-then-`prev`
-/// primitives.  `prev` is supported when every source supports it.
+/// Every step consumes the minimum head and refills only the sources that
+/// were at it, so the steady state costs one source step per tied source
+/// plus an O(sources) scan of the heads.
 ///
 /// The sources are boxed [`Cursor`]s unless the caller names a concrete
 /// source type `S` (the LSM engine merges an enum of its two cursor kinds,
@@ -431,8 +371,9 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 pub struct MergeCursor<'a, K: IndexKey, T: IndexValue, S = Cursor<'a, K, T>> {
     sources: Vec<MergeSource<K, T, S>>,
     current: Option<(K, T)>,
-    mode: Mode,
-    supports_prev: bool,
+    /// Whether every source's `head` has been filled: by the first `next`,
+    /// or by any `seek`.
+    primed: bool,
     _sources: PhantomData<&'a ()>,
 }
 
@@ -446,31 +387,24 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> 
         let (lower, upper) = sources.size_hint();
         let mut merged = Vec::with_capacity(upper.unwrap_or(lower));
         merged.extend(sources.map(|cursor| MergeSource { cursor, head: None }));
-        let supports_prev = merged.iter().all(|source| source.cursor.supports_prev());
         MergeCursor {
             sources: merged,
             current: None,
-            mode: Mode::Fresh,
-            supports_prev,
+            primed: false,
             _sources: PhantomData,
         }
     }
 
-    /// Consumes the winning head: the minimum key when `forward`, else the
-    /// maximum, taken from the lowest-indexed source holding it.  Every
-    /// source at that key is stepped past it in the same direction.
-    fn take_winner(&mut self, forward: bool) -> Option<(K, T)> {
-        let wanted = if forward {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        };
+    /// Consumes the winning head: the minimum key, taken from the
+    /// lowest-indexed source holding it.  Every source at that key is
+    /// stepped past it.
+    fn take_winner(&mut self) -> Option<(K, T)> {
         let mut winner: Option<(K, T)> = None;
         for source in &self.sources {
             if let Some(head) = source.head {
                 // Strict comparison: an equal key later in priority order
                 // never displaces the earlier source.
-                if winner.is_none_or(|(best, _)| head.0.cmp(&best) == wanted) {
+                if winner.is_none_or(|(best, _)| head.0 < best) {
                     winner = Some(head);
                 }
             }
@@ -478,11 +412,7 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> 
         let (key, _) = winner?;
         for source in &mut self.sources {
             if source.head.is_some_and(|(k, _)| k == key) {
-                source.head = if forward {
-                    source.cursor.next()
-                } else {
-                    source.cursor.prev()
-                };
+                source.head = source.cursor.next();
             }
         }
         self.current = winner;
@@ -494,73 +424,29 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> IndexCursor<K, T>
     for MergeCursor<'_, K, T, S>
 {
     fn next(&mut self) -> Option<(K, T)> {
-        match (self.mode, self.current) {
-            (Mode::Forward, _) => {}
-            (Mode::Backward, Some((key, _))) => {
-                // Re-aim every source forward from the resting position:
-                // first entry at or above `key`, stepped past an exact hit
-                // (every source that holds `key` returns it again).
-                for source in &mut self.sources {
-                    source.head = source.cursor.seek(&key);
-                    if source.head.is_some_and(|(k, _)| k == key) {
-                        source.head = source.cursor.next();
-                    }
-                }
-            }
-            (Mode::Fresh, _) | (Mode::Backward, None) => {
-                for source in &mut self.sources {
-                    source.head = source.cursor.next();
-                }
-            }
-        }
-        self.mode = Mode::Forward;
-        self.take_winner(true)
-    }
-
-    fn prev(&mut self) -> Option<(K, T)> {
-        if !self.supports_prev {
-            return None;
-        }
-        if self.mode != Mode::Backward {
-            // Resynchronize every source to "greatest entry strictly
-            // below the current position" — `seek` then `prev` yields
-            // exactly that in every source state, including after the
-            // source was drained or a seek missed; a fresh `prev` yields
-            // the last entry of the source's range.
+        if !self.primed {
             for source in &mut self.sources {
-                if let Some((key, _)) = self.current {
-                    source.cursor.seek(&key);
-                }
-                source.head = source.cursor.prev();
+                source.head = source.cursor.next();
             }
-            self.mode = Mode::Backward;
+            self.primed = true;
         }
-        self.take_winner(false)
+        self.take_winner()
     }
 
     fn seek(&mut self, key: &K) -> Option<(K, T)> {
         for source in &mut self.sources {
             source.head = source.cursor.seek(key);
         }
-        self.mode = Mode::Forward;
-        let entry = self.take_winner(true);
-        if entry.is_none() {
-            // Total miss: like a single cursor's failed seek — `next`
-            // reports exhaustion, `prev` falls back to the last entry of
-            // the range (both delegated to the sources, which are now in
-            // exactly that state).
-            self.current = None;
-            self.mode = Mode::Fresh;
-        }
-        entry
+        self.primed = true;
+        // A total miss leaves every head empty: like a single cursor's
+        // failed seek, the merge then rests nowhere and `next` reports
+        // exhaustion.
+        self.current = None;
+        self.take_winner()
     }
 
     fn entry(&self) -> Option<(K, T)> {
         self.current
-    }
-
-    fn supports_prev(&self) -> bool {
-        self.supports_prev
     }
 }
 
@@ -633,14 +519,6 @@ mod tests {
         // Seek past the end of the data.
         assert_eq!(cursor.seek(&1000), None);
         assert_eq!(cursor.next(), None);
-    }
-
-    #[test]
-    fn prev_is_unsupported() {
-        let entries = sample();
-        let mut cursor = cursor_over(&entries, Bound::Unbounded, Bound::Unbounded, 4);
-        assert!(!cursor.supports_prev());
-        assert_eq!(cursor.prev(), None);
     }
 
     #[test]

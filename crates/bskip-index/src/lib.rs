@@ -22,9 +22,8 @@
 //!   every index opens cursors via [`ConcurrentIndex::scan`] (any
 //!   `RangeBounds` expression) or the object-safe
 //!   [`ConcurrentIndex::scan_bounds`], supporting bounded ranges, early
-//!   termination, `seek`-then-resume and — where the structure allows it —
-//!   reverse steps with `prev`.  [`BatchCursor`] adapts indices that
-//!   cannot pause mid-traversal.  The paper's `range(k, f, length)`
+//!   termination and `seek`-then-resume.  [`BatchCursor`] adapts indices
+//!   that cannot pause mid-traversal.  The paper's `range(k, f, length)`
 //!   callback operation survives as a provided compatibility method
 //!   implemented over cursors.
 //! * [`ShardedIndex`] — a partitioned front-end combinator: hash-shard
@@ -49,7 +48,7 @@
 //! Cursors do not freeze a snapshot of a live, concurrently-mutated index.
 //! The workspace-wide contract (see [`cursor`] for details) is: entries
 //! present in-range for the cursor's whole lifetime are yielded exactly
-//! once, in strictly ascending (for `next`) key order; concurrent inserts
+//! once, in strictly ascending key order; concurrent inserts
 //! and removes may or may not be observed; every yielded pair is read under
 //! the index's own synchronization protocol, so values are never torn.
 

@@ -16,8 +16,7 @@
 //!   the batches of up to 64 operations a server window makes;
 //! * **scans** ([`ConcurrentIndex::scan_bounds`]) open one cursor per
 //!   shard and *K-way merge* them with the shared [`MergeCursor`], which
-//!   supports `seek` and (when every shard's cursor does) `prev` across
-//!   shards.
+//!   supports `seek` across shards.
 //!
 //! Because the combinator needs nothing but the trait surface, it
 //! composes with every index in the workspace — the B-skiplist, the five
@@ -282,11 +281,9 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    /// A reference shard: `Mutex<BTreeMap>` with a native, prev-capable
-    /// cursor mirroring the B-skiplist leaf cursor's semantics (failed
-    /// seek leaves `prev` falling back to the last in-range entry;
-    /// draining backwards then calling `next` resumes from the resting
-    /// position).
+    /// A reference shard: `Mutex<BTreeMap>` with a native cursor mirroring
+    /// the B-skiplist leaf cursor's semantics (a failed seek leaves `next`
+    /// exhausted until the next `seek`).
     struct MirrorIndex {
         map: Mutex<BTreeMap<u64, u64>>,
         inserts: AtomicU64,
@@ -307,7 +304,7 @@ mod tests {
         hi: Bound<u64>,
         current: Option<u64>,
         /// Set by a missed seek: `next` reports exhaustion until the
-        /// cursor is repositioned by `prev` or another `seek`.
+        /// cursor is repositioned by another `seek`.
         dead_forward: bool,
     }
 
@@ -354,28 +351,6 @@ mod tests {
             entry
         }
 
-        fn prev(&mut self) -> Option<(u64, u64)> {
-            let upper = match self.current {
-                Some(key) => Bound::Excluded(key),
-                None => self.hi,
-            };
-            if !ordered(&self.lo, &upper) {
-                return None;
-            }
-            let guard = self.map.lock().unwrap();
-            let entry = guard
-                .range((self.lo, upper))
-                .next_back()
-                .map(|(k, v)| (*k, *v))
-                .filter(|(k, _)| self.in_range(k));
-            drop(guard);
-            if let Some((key, _)) = entry {
-                self.current = Some(key);
-                self.dead_forward = false;
-            }
-            entry
-        }
-
         fn seek(&mut self, key: &u64) -> Option<(u64, u64)> {
             let from = if crate::cursor::above_lower(key, &self.lo) {
                 Bound::Included(*key)
@@ -410,10 +385,6 @@ mod tests {
         fn entry(&self) -> Option<(u64, u64)> {
             let key = self.current?;
             self.map.lock().unwrap().get(&key).map(|v| (key, *v))
-        }
-
-        fn supports_prev(&self) -> bool {
-            true
         }
     }
 
@@ -501,8 +472,8 @@ mod tests {
     }
 
     /// Differential check of a composed cursor (one per `open` call)
-    /// against a `BTreeMap` over a battery of bounds, including seeks and
-    /// reverse steps that cross source boundaries.
+    /// against a `BTreeMap` over a battery of bounds, including seeks that
+    /// cross source boundaries.
     fn cursor_battery<'a>(
         open: impl Fn(Bound<u64>, Bound<u64>) -> Cursor<'a, u64, u64>,
         oracle: &BTreeMap<u64, u64>,
@@ -526,27 +497,8 @@ mod tests {
             let got: Vec<(u64, u64)> = open(lo, hi).collect();
             assert_eq!(got, expected, "forward drain over {lo:?}..{hi:?}");
 
-            // Reverse drain from a fresh cursor (prev starts at the last
-            // in-range entry).
-            let mut cursor = open(lo, hi);
-            assert!(cursor.supports_prev());
-            let mut reversed = Vec::new();
-            while let Some(entry) = cursor.prev() {
-                reversed.push(entry);
-            }
-            let mut expected_rev = expected.clone();
-            expected_rev.reverse();
-            assert_eq!(reversed, expected_rev, "reverse drain over {lo:?}..{hi:?}");
-            // Having drained to the start, forward resumes from the
-            // resting position.
-            assert_eq!(
-                cursor.next(),
-                expected.get(1).copied(),
-                "forward resume after reverse drain over {lo:?}..{hi:?}"
-            );
-
             // Seek battery: every probe lands where the oracle says, and
-            // both directions continue correctly from there.
+            // `next` continues correctly from there.
             for probe in [0u64, 13, 14, 42, 76, 77, 90, 200] {
                 let mut cursor = open(lo, hi);
                 let expect_at = expected.iter().find(|(k, _)| *k >= probe).copied();
@@ -555,51 +507,28 @@ mod tests {
                     expect_at,
                     "seek({probe}) over {lo:?}..{hi:?}"
                 );
-                match expect_at {
-                    Some((at, _)) => {
-                        let expect_next = expected.iter().find(|(k, _)| *k > at).copied();
-                        assert_eq!(cursor.next(), expect_next, "next after seek({probe})");
-                        // Step back twice: over the just-consumed entry,
-                        // then across whatever boundary precedes it.  A
-                        // `next` that hit the range end leaves the cursor
-                        // resting on the last yielded entry, so `prev`
-                        // continues strictly below it.
-                        let resting = expect_next.map_or(at, |(n, _)| n);
-                        let mut below: Vec<(u64, u64)> = expected
-                            .iter()
-                            .filter(|(k, _)| *k < resting)
-                            .copied()
-                            .collect();
-                        below.reverse();
-                        assert_eq!(cursor.prev(), below.first().copied());
-                        assert_eq!(cursor.prev(), below.get(1).copied());
-                    }
-                    None => {
-                        // Failed seek: `next` stays exhausted, `prev`
-                        // falls back to the last in-range entry.
-                        assert_eq!(cursor.next(), None, "next after failed seek({probe})");
-                        assert_eq!(
-                            cursor.prev(),
-                            expected.last().copied(),
-                            "prev after failed seek({probe})"
-                        );
-                    }
-                }
+                // A failed seek leaves `next` exhausted; a `next` that hits
+                // the range end leaves the cursor resting where it was.
+                let expect_next =
+                    expect_at.and_then(|(at, _)| expected.iter().find(|(k, _)| *k > at).copied());
+                assert_eq!(cursor.next(), expect_next, "next after seek({probe})");
+                assert_eq!(cursor.entry(), expect_next.or(expect_at));
             }
 
-            // Direction zigzag starting mid-range.
+            // A seek past every source leaves the merge resting nowhere,
+            // with nothing to give; a seek below the data revives it where
+            // the range starts.
             let mut cursor = open(lo, hi);
-            if expected.len() >= 3 {
-                let mid = expected[expected.len() / 2];
-                assert_eq!(cursor.seek(&mid.0), Some(mid));
-                let after = expected[expected.len() / 2 + 1];
-                let before = expected[expected.len() / 2 - 1];
-                assert_eq!(cursor.next(), Some(after));
-                assert_eq!(cursor.prev(), Some(mid));
-                assert_eq!(cursor.prev(), Some(before));
-                assert_eq!(cursor.next(), Some(mid));
-                assert_eq!(cursor.entry(), Some(mid));
-            }
+            assert_eq!(cursor.next(), expected.first().copied());
+            assert_eq!(cursor.seek(&u64::MAX), None, "seek past {lo:?}..{hi:?}");
+            assert_eq!(cursor.next(), None, "next after the missed seek");
+            assert_eq!(cursor.entry(), None);
+            assert_eq!(
+                cursor.seek(&0),
+                expected.first().copied(),
+                "revived over {lo:?}..{hi:?}"
+            );
+            assert_eq!(cursor.next(), expected.get(1).copied());
         }
     }
 
@@ -619,8 +548,8 @@ mod tests {
     /// The merge over *overlapping* sources in priority order — how the
     /// LSM engine stacks its layers, newest first.  The oracle applies
     /// the layers oldest to newest, so the newest version of every key
-    /// survives; the battery then checks `next`, `prev`, `seek`-then-
-    /// `prev` and direction changes against it.  That merged stream is
+    /// survives; the battery then checks `next`, `seek` and `seek`-then-
+    /// `next` against it.  That merged stream is
     /// the engine's raw view (tombstones included); dropping the
     /// tombstones from it must give the live view.
     #[test]

@@ -236,8 +236,6 @@ enum Source<'a, K: IndexKey, V: IndexValue> {
     Run(TableCursor<'a, K, V>),
 }
 
-// Merges over tables never step backwards (a table cursor cannot), so
-// `prev` keeps the trait's default.
 impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for Source<'_, K, V> {
     fn next(&mut self) -> Option<(K, Slot<V>)> {
         match self {

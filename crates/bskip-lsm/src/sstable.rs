@@ -1134,7 +1134,6 @@ mod tests {
         // Seek is a full reposition: the cursor recovers after a miss.
         assert_eq!(cursor.seek(&898), Some((898, Slot::Put(449))));
         assert_eq!(cursor.entry(), Some((898, Slot::Put(449))));
-        assert!(!cursor.supports_prev());
         std::fs::remove_file(&path).unwrap();
     }
 

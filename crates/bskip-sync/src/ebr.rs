@@ -286,6 +286,9 @@ pub struct EbrCollector {
 // SAFETY: all shared state is atomics or mutex-protected; `Deferred` is
 // `Send` (see above).
 unsafe impl Send for EbrCollector {}
+// SAFETY: every method takes `&self` and reaches shared state only through
+// atomics (epoch, slots, counters) or the bags' mutexes, so calls from many
+// threads at once never race on plain memory.
 unsafe impl Sync for EbrCollector {}
 
 impl Default for EbrCollector {
@@ -721,8 +724,15 @@ impl EbrGuard<'_> {
     /// * `T` must be safe to drop on another thread (`T: Send`-like); the
     ///   deferred drop runs on whichever thread drains the bag.
     pub unsafe fn retire_box<T>(&self, ptr: *mut T) {
+        /// # Safety
+        ///
+        /// `ptr` is the `Box<T>` a `retire_box::<T>` call was given, and
+        /// this is its one drop.
         unsafe fn drop_box<T>(ptr: *mut ()) {
-            drop(Box::from_raw(ptr as *mut T));
+            // SAFETY: per this function's contract, which `retire_box`'s
+            // caller upholds and the collector honours by running each
+            // `Deferred` once, after every guard that could reach it.
+            drop(unsafe { Box::from_raw(ptr as *mut T) });
         }
         // Slotted guards file under their advertised epoch, which the
         // global counter cannot be more than one ahead of.  An overflow
@@ -809,6 +819,8 @@ mod tests {
 
     fn retire_counted(guard: &EbrGuard<'_>, drops: &Arc<StdAtomicUsize>) {
         let ptr = Box::into_raw(Box::new(Counted(Arc::clone(drops))));
+        // SAFETY: `ptr` is a fresh `Box` that nothing else can reach,
+        // retired exactly once; `Counted` may drop on any thread.
         unsafe { guard.retire_box(ptr) };
     }
 

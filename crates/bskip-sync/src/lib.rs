@@ -36,6 +36,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Every index rests on this crate's `unsafe`: each operation inside an
+// `unsafe fn` is its own block, and every block states why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 mod backoff;
 mod counter;

@@ -101,10 +101,16 @@ pub unsafe fn load<T: Copy>(src: *const T) -> T {
         let src = src as *const A;
         let dst = out.as_mut_ptr() as *mut P;
         for i in 0..size_of::<T>() / size_of::<P>() {
-            dst.add(i).write((*src.add(i)).load(Ordering::Relaxed));
+            // SAFETY: chunk `i` lies inside the `T` at `src`, which the
+            // caller guarantees valid, initialized and `T`-aligned (hence
+            // aligned for `A`, never wider than `T`'s alignment), and
+            // inside `out`, which is ours.
+            unsafe { dst.add(i).write((*src.add(i)).load(Ordering::Relaxed)) };
         }
     });
-    out.assume_init()
+    // SAFETY: the loop wrote every chunk of `out`, and any mix of
+    // initialized chunks is a valid `T` (module contract).
+    unsafe { out.assume_init() }
 }
 
 /// Stores one `T` to `dst` with relaxed atomic chunks.
@@ -124,7 +130,11 @@ pub unsafe fn store<T: Copy>(dst: *mut T, value: T) {
         let src = src as *const P;
         let dst = dst as *const A;
         for i in 0..size_of::<T>() / size_of::<P>() {
-            (*dst.add(i)).store(src.add(i).read(), Ordering::Relaxed);
+            // SAFETY: chunk `i` lies inside `value`, every byte of which is
+            // initialized (no padding, module contract), and inside the `T`
+            // at `dst`, which the caller guarantees valid for writes and
+            // `T`-aligned (hence aligned for `A`, as in `load`).
+            unsafe { (*dst.add(i)).store(src.add(i).read(), Ordering::Relaxed) };
         }
     });
 }
@@ -149,8 +159,13 @@ pub unsafe fn copy<T: Copy>(src: *const T, dst: *mut T, count: usize) {
         let dst = dst as *const A;
         for step in 0..chunks {
             let i = if forward { step } else { chunks - 1 - step };
-            let value = (*src.add(i)).load(Ordering::Relaxed);
-            (*dst.add(i)).store(value, Ordering::Relaxed);
+            // SAFETY: chunk `i` lies inside both `count`-element regions,
+            // which the caller guarantees valid, initialized and
+            // `T`-aligned (hence aligned for `A`, as in `load`).
+            unsafe {
+                let value = (*src.add(i)).load(Ordering::Relaxed);
+                (*dst.add(i)).store(value, Ordering::Relaxed);
+            }
         }
     });
 }
@@ -174,6 +189,8 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip() {
+        // SAFETY: every pointer is to a live, initialized local of the
+        // accessed type, on this thread alone.
         unsafe {
             let mut slot = 0u64;
             store(&mut slot, 0xDEAD_BEEF_CAFE_F00Du64);
@@ -188,6 +205,8 @@ mod tests {
 
     #[test]
     fn copy_handles_overlap_like_memmove() {
+        // SAFETY: every region is inside a live, initialized local array
+        // of the copied type, on this thread alone.
         unsafe {
             // Shift right (dst above src, overlapping): must walk backward.
             let mut a = [1u64, 2, 3, 4, 5, 0];
@@ -213,6 +232,8 @@ mod tests {
 
     #[test]
     fn copy_byte_aligned_payloads() {
+        // SAFETY: both regions lie inside the live, initialized local
+        // array `a`, on this thread alone.
         unsafe {
             let mut a: [[u8; 3]; 4] = [[1; 3], [2; 3], [3; 3], [4; 3]];
             let base = a.as_mut_ptr();

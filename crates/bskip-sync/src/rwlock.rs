@@ -430,9 +430,12 @@ pub struct RwSpinLock<T> {
     data: UnsafeCell<T>,
 }
 
-// SAFETY: the lock protocol guarantees exclusive access for writers and
-// shared access for readers, which is exactly what Send/Sync require here.
+// SAFETY: the lock owns its one `T` (the lock word is plain atomics), so
+// moving the lock to another thread moves that `T`: `T: Send` suffices.
 unsafe impl<T: Send> Send for RwSpinLock<T> {}
+// SAFETY: a shared `RwSpinLock` hands `&mut T` to one writer at a time,
+// which may be any thread (`T: Send`), and `&T` to many readers at once
+// (`T: Sync`); the lock protocol keeps the two apart.
 unsafe impl<T: Send + Sync> Sync for RwSpinLock<T> {}
 
 impl<T> RwSpinLock<T> {

@@ -84,11 +84,11 @@ fn concurrent_mixed_readers_and_writers_agree_at_quiescence() {
                         }
                     }
                     if i % 128 == 0 {
-                        // Seek-then-resume and reverse steps under load.
+                        // Seek-then-resume under load.
                         let mut cursor = list.scan(..);
                         if let Some((at, _)) = cursor.seek(&key) {
-                            if let Some((before, _)) = cursor.prev() {
-                                assert!(before < at, "prev must move backwards");
+                            if let Some((after, _)) = cursor.next() {
+                                assert!(after > at, "next must move forwards");
                             }
                         }
                     }
