@@ -16,9 +16,7 @@
 //! index reports the slowest-to-fastest slice ratio — the number to watch
 //! for degradation.
 //!
-//! Scale via `BSKIP_RECORDS` / `BSKIP_OPS` / `BSKIP_THREADS`; set
-//! `BSKIP_BATCH` above 1 to drive the slices through the batched
-//! `execute` path instead of point operations.
+//! Scale via `BSKIP_RECORDS` / `BSKIP_OPS` / `BSKIP_THREADS`.
 
 use bskip_bench::{experiment_config, format_row, print_header, IndexKind};
 use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
@@ -28,20 +26,13 @@ use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
 const SLICES: usize = 8;
 
 fn main() {
-    let (mut config, _) = experiment_config();
-    let batch: usize = std::env::var("BSKIP_BATCH")
-        .ok()
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(1);
-    config = config.with_batch_size(batch);
+    let (config, _) = experiment_config();
     println!(
-        "Churn-mix throughput over time, {} records, {} ops/slice x {} slices, {} threads, \
-         batch size {}",
+        "Churn-mix throughput over time, {} records, {} ops/slice x {} slices, {} threads",
         config.record_count,
         config.operation_count / SLICES,
         SLICES,
         config.threads,
-        config.batch_size,
     );
 
     for kind in IndexKind::ALL {

@@ -52,8 +52,8 @@
 //! assert_eq!(cursor.seek(&150), Some((150, 150 % 1000)));
 //! assert_eq!(cursor.next(), Some((151, 151 % 1000)));
 //!
-//! // Bulk operations go through `execute`: one epoch pin per batch, one
-//! // leaf lock per run of neighbouring keys.
+//! // Bulk operations go through `execute`: the point operations in slot
+//! // order, under one epoch pin per batch.
 //! use bskip_index::Op;
 //! let mut batch: Vec<Op<u64, u64>> = (0..64u64).map(|k| Op::get(k * 10)).collect();
 //! index.execute(&mut batch);
@@ -92,17 +92,12 @@
 //!
 //! [`BSkipList::execute`] applies a whole `&mut [bskip_index::Op]` batch —
 //! gets, upserts and removes with in-place result slots — in one call.
-//! The batch is applied in sorted key order (same-key operations keep
-//! their relative order, so the batch behaves exactly like slot-order
-//! application): the epoch collector is pinned **once**, each *run* of
-//! operations landing in the same fat leaf executes under a single leaf
-//! write-lock acquisition, and the next run is reached by resuming the
-//! writers' optimistic descent from the level-1 node the last one
-//! validated — retained with its version, not with a lock.  Structural
-//! work (promoted inserts, splits, header removals) falls back to the
-//! per-op point path mid-batch.  This is the workspace's bulk ingest
-//! path — the YCSB driver's `batch_size` knob and the memtable example's
-//! write batches both feed it; see [`bskip_index::ops`] for the semantics.
+//! It runs the point operations in slot order under **one** epoch pin: a
+//! batch's gets are the lock-free optimistic read, its writes the
+//! leaf-first point writes, and nothing is sorted or held between them.
+//! Its callers are the network server, which folds each run of pipelined
+//! point requests into one batch, and `ShardedIndex`, which splits a batch
+//! per shard; see [`bskip_index::ops`] for the semantics.
 //!
 //! ## Memory reclamation
 //!

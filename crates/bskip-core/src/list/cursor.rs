@@ -152,7 +152,7 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
                     head
                 }
                 Bound::Included(key) | Bound::Excluded(key) => {
-                    list.lock_covering(key, 0, Mode::Read, &mut None)
+                    list.lock_covering(key, 0, Mode::Read)
                 }
             };
             self.snapshot(leaf, &bound);

@@ -97,32 +97,48 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.insert_impl(key, value, Some(height.min(self.top_level())))
     }
 
-    /// The one point-insert entry: leaf first, height second (steps 1–3 of
-    /// the module docs).  `height` is `None` to draw one.
+    /// Pins the collector for [`Self::insert_pinned`]; `height` is `None`
+    /// to draw one.
     pub(super) fn insert_impl(&self, key: K, value: V, height: Option<usize>) -> Option<V> {
         // One pin for the whole operation: the descents need epoch
         // protection and the pass runs under the same guard.
         let guard = self.collector().pin();
-        // SAFETY: the pin spans every descent; `lock_covering` returns the
-        // covering leaf write-locked, which is the kernel's contract; the
-        // lock is released here or handed to the pass, which releases it.
-        unsafe {
-            let leaf = self.lock_covering(&key, 0, Mode::Write, &mut None);
-            match self.upsert_in_leaf(leaf, key, value, height) {
-                Ok(previous) => {
-                    unlock_node(leaf, Mode::Write);
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.optimistic_writes.incr();
-                    }
-                    previous
+        // SAFETY: `guard` pins this list's collector; no lock is held.
+        unsafe { self.insert_pinned(key, value, height, &guard) }
+    }
+
+    /// The one point-insert entry, under the caller's epoch pin: leaf
+    /// first, height second (steps 1–3 of the module docs).
+    /// `lock_covering` returns the covering leaf write-locked, which is
+    /// the kernel's contract; the lock is released here or handed to the
+    /// pass, which releases it.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector; the caller must hold no
+    /// node lock; `height`, if given, is `<= top_level()`.
+    pub(super) unsafe fn insert_pinned(
+        &self,
+        key: K,
+        value: V,
+        height: Option<usize>,
+        guard: &EbrGuard<'_>,
+    ) -> Option<V> {
+        let leaf = self.lock_covering(&key, 0, Mode::Write);
+        match self.upsert_in_leaf(leaf, key, value, height) {
+            Ok(previous) => {
+                unlock_node(leaf, Mode::Write);
+                if let Some(stats) = self.stats_enabled() {
+                    stats.optimistic_writes.incr();
                 }
-                // Overflow split: it touches only this leaf and the node
-                // it allocates, so the pass starts right here.
-                Err(0) => self.insert_inner(key, value, Vec::new(), leaf, &guard),
-                Err(height) => {
-                    unlock_node(leaf, Mode::Write);
-                    self.insert_structural(key, value, height, &guard)
-                }
+                previous
+            }
+            // Overflow split: it touches only this leaf and the node it
+            // allocates, so the pass starts right here.
+            Err(0) => self.insert_inner(key, value, Vec::new(), leaf, guard),
+            Err(height) => {
+                unlock_node(leaf, Mode::Write);
+                self.insert_structural(key, value, height, guard)
             }
         }
     }
@@ -160,7 +176,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 prealloc.push(internal);
             }
         }
-        let entry = self.lock_covering(&key, height, Mode::Write, &mut None);
+        let entry = self.lock_covering(&key, height, Mode::Write);
         self.insert_inner(key, value, prealloc, entry, guard)
     }
 

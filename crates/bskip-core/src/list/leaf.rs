@@ -1,7 +1,7 @@
 //! The leaf-first write entry and the leaf kernel.
 //!
-//! Every point write and every batched operation funnels through the two
-//! halves of this module:
+//! Every write, alone or in a batch, funnels through the two halves of
+//! this module:
 //!
 //! * [`BSkipList::lock_covering`] — reach the node that covers a key at a
 //!   given level **without locking anything above it** and return it
@@ -11,9 +11,7 @@
 //! * the **leaf kernel**, [`BSkipList::upsert_in_leaf`] and
 //!   [`BSkipList::remove_in_leaf`] — apply one mutation under a held,
 //!   covering leaf lock, or say that it needs structural work.  The point
-//!   methods call it on the leaf `lock_covering` hands them, `execute`
-//!   on the leaf it holds across a run of operations; neither has a
-//!   second copy of the logic.
+//!   writers call it on the leaf `lock_covering` hands them.
 //!
 //! # Why header-less leaf mutations are complete
 //!
@@ -37,7 +35,7 @@
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Backoff;
 
-use super::{BSkipList, Mode, Position, OPTIMISTIC_ATTEMPTS};
+use super::{BSkipList, Mode, OPTIMISTIC_ATTEMPTS};
 use crate::node::{Node, NodeSearch};
 
 /// The key is the header of a non-head leaf: it may own a tower and its
@@ -59,26 +57,19 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// validations the descent falls back to hand-over-hand shared locks
     /// down to `level`, so no caller can livelock.
     ///
-    /// `position` is where the first attempt resumes from and what the
-    /// successful one leaves behind for the next call
-    /// (`try_descend_optimistic_to`); a failed attempt drops it.  Only a
-    /// batch keeps one; everyone else passes `&mut None`.
-    ///
     /// # Safety
     ///
-    /// The caller must hold an epoch pin across the call — the same one
-    /// since `position` was filled — and must release the returned node's
-    /// lock; `level <= top_level()`.
+    /// The caller must hold an epoch pin across the call and must release
+    /// the returned node's lock; `level <= top_level()`.
     pub(super) unsafe fn lock_covering(
         &self,
         key: &K,
         level: usize,
         mode: Mode,
-        position: &mut Option<Position<K, V, B>>,
     ) -> *mut Node<K, V, B> {
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level, position) {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level) {
                 #[cfg(test)]
                 tests::run_interleaved(level);
                 let unchanged = match mode {
@@ -98,8 +89,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                     return node;
                 }
             }
-            // Whatever failed, the next attempt starts from the top.
-            *position = None;
             if let Some(stats) = self.stats_enabled() {
                 stats.optimistic_restarts.incr();
             }
@@ -201,12 +190,8 @@ pub(super) mod tests {
     //! of another writer fits into it, so a stress test meets it a
     //! handful of times per second at best; these tests force it instead,
     //! by running the interfering operation from a hook at exactly that
-    //! point.
-    //!
-    //! A batch adds the level-1 node it resumes its next descent from,
-    //! retained unlocked and changed *between two descents*; the same hook
-    //! reaches that too — what runs after the first descent of a batch
-    //! runs before its second.
+    //! point.  A batch's writes are these same point writes under the
+    //! batch's one pin, and the hook meets them the same way.
     //!
     //! A header removal adds its probes: it reads the key's height off the
     //! structure one level at a time, with no lock held from one probe to
@@ -549,10 +534,14 @@ pub(super) mod tests {
         assert_eq!(list.len(), 6);
     }
 
-    /// Level 1 `head{100, 200, 300, 400}` over the leaves `head{50}`,
-    /// `{100, 110}`, `{200, 210, 220, 230}` (full), `{300, 310}`,
-    /// `{400, 410}`; every value is its key.
-    fn batch_scenario() -> Arc<List> {
+    #[test]
+    fn a_batch_write_follows_a_key_that_a_split_moved_away() {
+        // Leaves `head{50}`, `{100, 110}`, `{200, 210, 220, 230}` (full),
+        // `{300, 310}`, `{400, 410}`.  The update's descent reaches the
+        // full leaf; the insert of 240 splits it into
+        // `{200, 210} → {220, 230, 240}` before it is locked.  An update
+        // stored in the stale leaf would report a fresh key and leave a
+        // second 220 behind.
         let list = list();
         list.insert_with_height(50, 50, 0);
         for key in [100u64, 200, 300, 400] {
@@ -562,105 +551,18 @@ pub(super) mod tests {
         for key in [220u64, 230] {
             list.insert_with_height(key, key, 0);
         }
-        list
-    }
-
-    /// Runs a batch of gets and checks each found its key, then the
-    /// structure and the two counters every case here is about.
-    fn check_batch(list: &List, keys: &[u64], restarts: u64, fallbacks: u64) {
-        let mut batch: Vec<Op<u64, u64>> = keys.iter().map(|&key| Op::get(key)).collect();
-        list.execute(&mut batch);
-        for op in &batch {
-            assert_eq!(*op.result(), OpResult::Value(*op.key()), "{op:?}");
-        }
-        list.validate().expect("structure");
-        let stats = list.stats();
-        assert_eq!(stats.optimistic_restarts.get(), restarts);
-        assert_eq!(stats.write_descent_fallbacks.get(), fallbacks);
-    }
-
-    #[test]
-    fn batch_drops_a_position_that_was_split() {
-        // The first descent retains the level-1 head; before the second,
-        // a height-2 insert of 250 splits that node into
-        // `head{100, 200} → {250, 300, 400}` (and touches neither leaf the
-        // batch locks).  The stale head fails its first validation, once.
-        let list = batch_scenario();
         let other = Arc::clone(&list);
         interleave(0, move || {
-            assert_eq!(other.insert_with_height(250, 250, 2), None);
-            assert_eq!(other.level_shape()[1], (2, 5));
-        });
-        check_batch(&list, &[110, 310, 410], 1, 0);
-    }
-
-    #[test]
-    fn batch_drops_a_position_that_was_unlinked() {
-        // Level 1 is `head → {20} → {40}` and the first descent retains
-        // `{20}`, passing through it to the leaf `{24, 25, 26}`, two
-        // overflow splits to the right of `{20, 21}`.  Removing 20 empties
-        // and unlinks `{20}`; its frozen `next` still leads to `{40}`, and
-        // only its version says that it is dead.
-        let list = list();
-        for key in [20u64, 40] {
-            list.insert_with_height(key, key, 2);
-        }
-        for key in [21u64, 22, 23, 24, 25, 26, 41] {
-            list.insert_with_height(key, key, 0);
-        }
-        assert_eq!(list.level_shape(), [(5, 9), (3, 2), (1, 2), (1, 0)]);
-        let other = Arc::clone(&list);
-        interleave(0, move || {
-            assert_eq!(other.remove(&20), Some(20));
-            assert_eq!(other.level_shape()[1], (2, 1));
-        });
-        check_batch(&list, &[25, 41], 1, 0);
-    }
-
-    #[test]
-    fn batch_follows_a_key_that_a_split_moved_away_after_a_resumed_descent() {
-        // The second descent resumes from the (valid) level-1 head and
-        // reaches the full leaf `{200, 210, 220, 230}`; the insert of 240
-        // splits it into `{200, 210} → {220, 230, 240}` before it is
-        // locked.  An update stored in the stale leaf would report a
-        // fresh key and leave a second 220 behind.
-        let list = batch_scenario();
-        let other = Arc::clone(&list);
-        // Armed from inside the first lock attempt, so it runs in the second.
-        interleave(0, move || {
-            interleave(0, move || {
-                assert_eq!(other.insert_with_height(240, 240, 0), None);
-            });
+            assert_eq!(other.insert_with_height(240, 240, 0), None);
         });
         let mut batch = vec![Op::get(110), Op::update(220, 221), Op::get(230)];
         list.execute(&mut batch);
+        assert_eq!(*batch[0].result(), OpResult::Value(110));
         assert_eq!(*batch[1].result(), OpResult::Value(220));
         assert_eq!(*batch[2].result(), OpResult::Value(230));
         assert_eq!(list.get(&220), Some(221));
         assert_eq!(list.len(), 12);
-        assert_eq!(list.stats().batch_leaf_locks.get(), 2);
-        check_batch(&list, &[110, 230, 240], 1, 0);
-    }
-
-    #[test]
-    fn batch_repositioning_falls_back_to_the_locked_descent() {
-        // Every attempt of the second repositioning fails at the lock;
-        // the third, after the fallback, descends from the top again.
-        let list = batch_scenario();
-        let other = Arc::clone(&list);
-        interleave(0, move || {
-            interfere(&other, 310, super::OPTIMISTIC_ATTEMPTS)
-        });
-        let mut batch = vec![Op::get(110), Op::get(300), Op::get(410)];
-        list.execute(&mut batch);
-        assert_eq!(*batch[1].result(), OpResult::Value(300));
-        assert_eq!(list.get(&310), Some(1), "the last interfering overwrite");
-        list.insert(310, 310);
-        check_batch(
-            &list,
-            &[110, 300, 410],
-            super::OPTIMISTIC_ATTEMPTS as u64,
-            1,
-        );
+        assert_eq!(list.stats().optimistic_restarts.get(), 1);
+        list.validate().expect("structure");
     }
 }

@@ -33,6 +33,8 @@
 //!   top of *its* tower down and with nothing locked above that, folding
 //!   the survivors of every node it removes the header of back into the
 //!   left neighbour where they fit — the inverse of the split.
+//! * Batches ([`BSkipList::execute`]) are those point operations, in slot
+//!   order, under one epoch pin.
 //!
 //! The lock order — left-to-right within a level, then top-to-bottom across
 //! levels — is total, so the scheme is deadlock-free (Appendix B); a writer
@@ -110,23 +112,10 @@
 //! is the truth about the whole list, and the write-locked pass may start
 //! from it exactly as if it had lock-coupled its way down.
 //!
-//! **Corollary — the batch's retained position.**  [`BSkipList::execute`]
-//! applies its operations in ascending key order under one epoch pin, and
-//! between them keeps the level-1 node its last descent passed through
-//! together with the version that descent validated — and no lock on it.
-//! The next descent *resumes* there: it enters the node at the retained
-//! version, so its first validation fails unless the node is unchanged,
-//! and an unchanged node is, by the argument above, still linked and still
-//! begins at or below the key it was validated for — hence at or below
-//! the next, larger key — while its range can only have grown, which the
-//! resumed right-walk follows like any other.  The pin keeps the node
-//! readable if it was unlinked instead.  A position that fails is dropped
-//! and the descent starts over from the top; nothing else is new.
-//!
 //! After [`OPTIMISTIC_ATTEMPTS`] failed validations the descent takes
 //! hand-over-hand shared locks instead (`descend_locked`), the only place
-//! a write — point or batched, insert or removal — ever read-locks a node
-//! above the one it changes, so a writer cannot livelock.
+//! a write — insert or removal, alone or in a batch — ever read-locks a
+//! node above the one it changes, so a writer cannot livelock.
 
 pub(crate) mod cursor;
 mod execute;
@@ -161,11 +150,6 @@ pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
 /// and the whole descent must restart from the top-level head.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Restart;
-
-/// A node and the version an optimistic descent validated it at: what a
-/// descent returns, and — for a level-1 node — what a batch keeps between
-/// operations to resume from, with no lock held on it.
-pub(crate) type Position<K, V, const B: usize> = (*mut Node<K, V, B>, u64);
 
 /// Lock mode used during a traversal step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,13 +475,28 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// assert_eq!(list.peek(&8, |value| value[0]), None);
     /// ```
     pub fn peek<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+        let guard = self.collector.pin();
+        // SAFETY: `guard` pins this list's collector.
+        unsafe { self.peek_pinned(key, f, &guard) }
+    }
+
+    /// [`BSkipList::peek`] under the caller's epoch pin.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector.
+    pub(super) unsafe fn peek_pinned<R>(
+        &self,
+        key: &K,
+        f: impl FnOnce(&V) -> R,
+        _guard: &EbrGuard<'_>,
+    ) -> Option<R> {
         if let Some(stats) = self.stats_enabled() {
             stats.finds.incr();
         }
-        let _guard = self.collector.pin();
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
-            // SAFETY: the epoch pin above spans the attempt, and every
+            // SAFETY: the caller's epoch pin spans the attempt, and every
             // racy read inside is validated before being acted upon.
             match unsafe { self.try_peek_optimistic(key) } {
                 Ok(found) => {
@@ -550,7 +549,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     ///
     /// The caller must hold an epoch pin across the call.
     unsafe fn try_peek_optimistic(&self, key: &K) -> Result<Option<V>, Restart> {
-        let (leaf, version) = self.try_descend_optimistic_to(key, 0, &mut None)?;
+        let (leaf, version) = self.try_descend_optimistic_to(key, 0)?;
         let len = (*leaf).len();
         let found = match (*leaf).search_racy(key, len) {
             NodeSearch::Found(idx) => Some((*leaf).value_at_racy(idx)),
@@ -576,36 +575,18 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// validating the node the pointer was read from, so there is no
     /// window in which the traversal stands on unverified ground.
     ///
-    /// The descent starts from `position` instead of the top-level head
-    /// when the caller retained one (only the batch path does; see *The
-    /// write path* in the module docs).  The retained node is entered at
-    /// the version it was retained with, so the first validation below
-    /// rejects it if anything happened to it since (the caller then drops
-    /// it).  A descent that passes level 1 stores the node it validated
-    /// there.
-    ///
     /// # Safety
     ///
     /// The caller must hold an epoch pin across the call *and* across any
-    /// subsequent use of the returned pointer — one pin spanning every
-    /// descent that shares a `position`; additionally the starting level
-    /// — the list's top level, or 1 with a position — must be
-    /// `>= stop_level` (the caller checks; the level count never changes).
+    /// subsequent use of the returned pointer; `stop_level <= top_level()`.
     unsafe fn try_descend_optimistic_to(
         &self,
         key: &K,
         stop_level: usize,
-        position: &mut Option<Position<K, V, B>>,
-    ) -> Result<Position<K, V, B>, Restart> {
-        let (mut curr, mut version) = match *position {
-            Some(retained) => retained,
-            None => {
-                let head = self.head(self.top_level());
-                (head, (*head).lock.optimistic_version().ok_or(Restart)?)
-            }
-        };
-        let mut level = usize::from((*curr).level());
-        debug_assert!(level >= stop_level, "descent below its starting level");
+    ) -> Result<(*mut Node<K, V, B>, u64), Restart> {
+        let mut level = self.top_level();
+        let mut curr = self.head(level);
+        let mut version = (*curr).lock.optimistic_version().ok_or(Restart)?;
         loop {
             // Walk right while the successor's header is `<=` the key.
             loop {
@@ -672,9 +653,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             if !(*curr).lock.validate_version(version) {
                 return Err(Restart);
             }
-            if level == 1 {
-                *position = Some((curr, version));
-            }
             curr = child;
             version = child_version;
             level -= 1;
@@ -687,8 +665,8 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// Hand-over-hand locked descent to the node covering `key` at
     /// `stop_level`: the contention fallback behind every optimistic
     /// descent — point reads and cursor positioning (`stop_level` 0,
-    /// `Mode::Read`) and the writers' entry, point or batched
-    /// (`Mode::Write` at the level they start modifying).  Levels above
+    /// `Mode::Read`) and the writers' entry (`Mode::Write` at the level
+    /// they start modifying).  Levels above
     /// `stop_level` are read-locked; the returned node is locked in
     /// `mode`.
     ///
@@ -820,7 +798,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
 
     /// Removes `key`, returning its value if present.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.remove_impl(key)
+        // One pin for the whole operation: the descent needs epoch
+        // protection (like any read path), and every node the pass unlinks
+        // is retired under this guard.
+        let guard = self.collector.pin();
+        // SAFETY: `guard` pins this list's collector; no lock is held.
+        unsafe { self.remove_pinned(key, &guard) }
     }
 
     /// Moves right along a level while the successor's header is `<=`

@@ -51,28 +51,27 @@ use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
-    /// The one point-remove entry: leaf first (see the module docs).
-    pub(super) fn remove_impl(&self, key: &K) -> Option<V> {
-        // One pin for the whole operation: the descent needs epoch
-        // protection (like any read path), and every node the pass unlinks
-        // is retired under this guard.
-        let guard = self.collector().pin();
-        // SAFETY: the pin spans the descent; `lock_covering` returns the
-        // covering leaf write-locked, which is the kernel's contract, and
-        // the pass is entered with no lock held.
-        unsafe {
-            let leaf = self.lock_covering(key, 0, Mode::Write, &mut None);
-            let outcome = self.remove_in_leaf(leaf, key);
-            unlock_node(leaf, Mode::Write);
-            match outcome {
-                Ok(removed) => {
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.optimistic_writes.incr();
-                    }
-                    removed
+    /// The one point-remove entry, under the caller's epoch pin: leaf
+    /// first (see the module docs).  `lock_covering` returns the covering
+    /// leaf write-locked, which is the kernel's contract, and the pass is
+    /// entered with no lock held.
+    ///
+    /// # Safety
+    ///
+    /// `guard` must pin this list's collector; the caller must hold no
+    /// node lock.
+    pub(super) unsafe fn remove_pinned(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+        let leaf = self.lock_covering(key, 0, Mode::Write);
+        let outcome = self.remove_in_leaf(leaf, key);
+        unlock_node(leaf, Mode::Write);
+        match outcome {
+            Ok(removed) => {
+                if let Some(stats) = self.stats_enabled() {
+                    stats.optimistic_writes.incr();
                 }
-                Err(HeaderKey) => self.remove_structural(key, &guard),
+                removed
             }
+            Err(HeaderKey) => self.remove_structural(key, guard),
         }
     }
 
@@ -87,7 +86,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// node lock.
     pub(super) unsafe fn remove_structural(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
         for level in 1..=self.top_level() {
-            let entry = self.lock_covering(key, level, Mode::Write, &mut None);
+            let entry = self.lock_covering(key, level, Mode::Write);
             if (*entry).is_head() || (*entry).header() != *key {
                 return self.remove_inner(key, entry, guard);
             }

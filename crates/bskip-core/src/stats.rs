@@ -39,14 +39,9 @@ bskip_index::stat_block! {
         pub batch_executes: CachePadded<RelaxedCounter> => Counter "batch_executes",
         /// Operations carried by those batches.
         pub batched_ops: CachePadded<RelaxedCounter> => Counter "batched_ops",
-        /// Leaf write-lock acquisitions performed by the batch path, one per
-        /// repositioning; a whole same-leaf run costs one.
-        pub batch_leaf_locks: CachePadded<RelaxedCounter> => Counter "batch_leaf_locks",
-        /// Batch operations that fell back to the per-op point path (splits,
-        /// promoted inserts, header removals).
-        pub batch_fallbacks: CachePadded<RelaxedCounter> => Counter "batch_fallbacks",
-        /// Point reads (`get`/`peek`/`contains_key`) that completed through the
-        /// optimistic lock-free descent — zero lock acquisitions end to end.
+        /// Point reads (`get`/`peek`/`contains_key`, a batch's gets) that
+        /// completed through the optimistic lock-free descent — zero lock
+        /// acquisitions end to end.
         pub optimistic_reads: CachePadded<RelaxedCounter> => Counter "optimistic_reads",
         /// Optimistic descents abandoned because a version validation failed
         /// (a writer overlapped the traversal); each restart retries from the
@@ -57,19 +52,19 @@ bskip_index::stat_block! {
         /// read-locked descent.  Zero in any
         /// single-threaded run — the acceptance gate for the lock-free path.
         pub locked_fallbacks: CachePadded<RelaxedCounter> => Counter "locked_fallbacks",
-        /// Point writes (`insert`/`remove`) finished by the leaf kernel under
-        /// the leaf-first entry: one lock taken, the leaf's, and nothing
-        /// above it touched.
+        /// Writes (`insert`/`remove`, alone or in a batch) finished by the
+        /// leaf kernel under the leaf-first entry: one lock taken, the
+        /// leaf's, and nothing above it touched.
         pub optimistic_writes: CachePadded<RelaxedCounter> => Counter "optimistic_writes",
         /// Writes that entered a write-locked pass: an overflow split under
         /// the held leaf, a promoted insert from its level `h >= 1`, a header
-        /// removal from the top of its tower.  Every point write is exactly
-        /// one of the two; `execute`'s structural fallbacks count here as well.
+        /// removal from the top of its tower.  Every write, alone or in a
+        /// batch, is exactly one of the two.
         pub structural_writes: CachePadded<RelaxedCounter> => Counter "structural_writes",
-        /// Write descents — a point write's, or a batch repositioning — that
-        /// exhausted their optimistic attempts and reached their entry node
-        /// under hand-over-hand shared locks, the only place a write
-        /// read-locks anything above it.  Zero in any single-threaded run.
+        /// Write descents that exhausted their optimistic attempts and
+        /// reached their entry node under hand-over-hand shared locks, the
+        /// only place a write read-locks anything above it.  Zero in any
+        /// single-threaded run.
         pub write_descent_fallbacks: CachePadded<RelaxedCounter>
             => Counter "write_descent_fallbacks",
         /// Nodes, at any level, whose survivors a header removal folded
@@ -130,7 +125,7 @@ mod tests {
         let snapshot = stats.snapshot();
         assert_eq!(snapshot.get("finds"), Some(3));
         assert_eq!(snapshot.get("top_level_write_locks"), Some(1));
-        assert_eq!(snapshot.len(), 21);
+        assert_eq!(snapshot.len(), 19);
     }
 
     #[test]

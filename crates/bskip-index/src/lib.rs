@@ -13,11 +13,9 @@
 //! * [`Op`] / [`OpResult`] / [`ConcurrentIndex::execute`] — the **bulk
 //!   path**: a batch of first-class operations applied in one call, with
 //!   results written back in place.  A provided default loops over the
-//!   point methods, so every index takes batches; indices with exploitable
-//!   structure override it (the B-skiplist amortizes its epoch pin, its
-//!   descent and its leaf locks over every operation landing in the same
-//!   fat leaf; the baselines keep the default).  See [`ops`] for the batch
-//!   semantics.
+//!   point methods, so every index takes batches; the B-skiplist overrides
+//!   it only to run the same point operations under one epoch pin, and
+//!   the baselines keep the default.  See [`ops`] for the batch semantics.
 //! * [`Cursor`] / [`IndexCursor`] — the seekable-cursor scan interface:
 //!   every index opens cursors via [`ConcurrentIndex::scan`] (any
 //!   `RangeBounds` expression) or the object-safe

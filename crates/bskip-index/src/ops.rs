@@ -2,15 +2,13 @@
 //!
 //! Every method on [`ConcurrentIndex`] describes a
 //! *single* trip into the index: one traversal, one epoch pin, one lock
-//! protocol run.  Real write paths — LSM memtable ingest, YCSB-style
-//! drivers, replication apply loops, a network server draining a
-//! pipelined connection window (`bskip-net` folds each run of point
-//! requests between a window's scans into one batch) — hold *many*
-//! operations at once, and
-//! an index that concentrates neighbouring keys in fat nodes (the
-//! B-skiplist's whole design) can amortize traversal, pinning and locking
-//! across every operation that lands in the same node.  This module defines
-//! the vocabulary for that bulk path:
+//! protocol run.  Some callers hold *many* operations at once — a network
+//! server draining a pipelined connection window (`bskip-net` folds each
+//! run of point requests between a window's scans into one batch), and
+//! `ShardedIndex`, which splits such a batch per shard — and hand them
+//! over in one call, so that an index can share per-call work, such as
+//! the B-skiplist's epoch pin, across them.  This module defines the
+//! vocabulary for that bulk path:
 //!
 //! * [`Op`] — one dictionary operation (`Get`, `Insert`, `Update`,
 //!   `Remove`) carrying its own [`OpResult`] slot, so a batch is just
@@ -18,13 +16,6 @@
 //! * [`OpResult`] — `Pending` until executed, then `Value(previous)` or
 //!   [`OpResult::Missing`] with the same meaning the point methods give
 //!   `Option<V>`;
-//! * [`sorted_order`] — the key-order schedule a native batch path walks
-//!   (the B-skiplist's, so that a run of keys meets one leaf under one
-//!   lock).  Sorting alone is not such a path: the same point methods
-//!   called in key order measured slower than in slot order on the tree
-//!   baselines and no better overall on the skiplists, so an index without
-//!   a native path keeps the provided slot-order loop of
-//!   [`ConcurrentIndex::execute`];
 //! * [`with_scratch`] — per-batch scratch that stays on the stack for
 //!   batches of up to [`STACK_SCRATCH`] operations.
 //!
@@ -36,14 +27,16 @@
 //! concurrent threads may interleave between — never inside — the batch's
 //! operations).  Implementations may reorder operations on *distinct* keys
 //! (dictionary operations on different keys commute), but must preserve
-//! the relative order of operations on the *same* key; [`sorted_order`]
-//! computes exactly such an order.
+//! the relative order of operations on the *same* key.  Reordering alone
+//! buys nothing: the same point methods called in key order measured
+//! slower than in slot order on the tree baselines and no better overall
+//! on the skiplists, so every index here applies its batches in slot
+//! order.
 //!
 //! `Insert` and `Update` are both upserts returning the previous value —
 //! the same semantics as
 //! [`ConcurrentIndex::insert`] — and
-//! differ only in declared intent (YCSB drivers count them separately and
-//! coalesce them into separate batches).
+//! differ only in declared intent.
 
 use crate::{ConcurrentIndex, IndexKey, IndexValue};
 
@@ -153,8 +146,8 @@ pub enum Op<K, V> {
         result: OpResult<V>,
     },
     /// Upsert declared as a read-modify-write of an existing record.  Same
-    /// semantics as [`Op::Insert`]; the distinction lets drivers count and
-    /// coalesce the two intents separately.
+    /// semantics as [`Op::Insert`]; the distinction only records the
+    /// caller's intent.
     Update {
         /// Key to update.
         key: K,
@@ -234,9 +227,8 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
     }
 
     /// Executes this operation through the index's point methods, storing
-    /// the outcome in the result slot.  This is the building block of the
-    /// provided [`ConcurrentIndex::execute`]
-    /// default and of per-operation fallbacks inside native batch paths.
+    /// the outcome in the result slot: the building block of the provided
+    /// [`ConcurrentIndex::execute`] default.
     pub fn apply_point<I>(&mut self, index: &I)
     where
         I: ConcurrentIndex<K, V> + ?Sized,
@@ -251,27 +243,9 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
     }
 }
 
-/// Writes the key-order application schedule of a batch into `order`
-/// (one entry per operation): indices into `ops` sorted by key, with the
-/// original slot position as tie-break so that operations on the *same*
-/// key keep their relative order (the reordering constraint under which
-/// sorted application is observationally equivalent to slot-order
-/// application — see the module docs).
-///
-/// # Panics
-///
-/// If `order` and `ops` differ in length.
-pub fn sorted_order<K: IndexKey, V: IndexValue>(ops: &[Op<K, V>], order: &mut [usize]) {
-    assert_eq!(order.len(), ops.len(), "one schedule entry per operation");
-    for (slot, entry) in order.iter_mut().enumerate() {
-        *entry = slot;
-    }
-    order.sort_unstable_by_key(|&slot| (*ops[slot].key(), slot));
-}
-
 /// Batches of at most this many operations keep their per-batch scratch
 /// on the stack (see [`with_scratch`]): it covers a network server's
-/// 32-request windows and 64-op driver batches.
+/// 32-request windows.
 pub const STACK_SCRATCH: usize = 64;
 
 /// Runs `work` over `len` copies of `fill` — a stack array when `len` is
@@ -318,20 +292,6 @@ mod tests {
         assert_eq!(OpResult::Value(7u64).value(), Some(7));
         assert_eq!(OpResult::<u64>::Missing.value(), None);
         assert!(OpResult::<u64>::Missing.is_executed());
-    }
-
-    #[test]
-    fn sorted_order_is_stable_per_key() {
-        let ops: Vec<Op<u64, u64>> = vec![
-            Op::insert(5, 0), // slot 0
-            Op::remove(1),    // slot 1
-            Op::insert(5, 1), // slot 2: same key as slot 0, must stay after it
-            Op::get(3),       // slot 3
-            Op::remove(5),    // slot 4: same key again, must stay last
-        ];
-        let mut order = [0; 5];
-        sorted_order(&ops, &mut order);
-        assert_eq!(order, [1, 3, 0, 2, 4]);
     }
 
     #[test]

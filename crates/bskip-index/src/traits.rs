@@ -29,11 +29,10 @@ use crate::{IndexKey, IndexStats, IndexValue};
 /// slice of [`Op`]s (`Get`/`Insert`/`Update`/`Remove`, each carrying its
 /// own result slot) in one call.  The provided default simply loops over
 /// the point methods, so every implementation supports batches out of the
-/// box; indices with exploitable structure override it — the B-skiplist
-/// sort-groups the batch, pins its epoch collector **once**, and applies
-/// every run of keys landing in the same fat leaf under a single leaf lock
-/// acquisition; the baselines keep the default.  See [`crate::ops`] for
-/// the equivalence contract batches must satisfy.
+/// box; the B-skiplist overrides it only to pin its epoch collector
+/// **once** around the same point operations, and the baselines keep the
+/// default.  See [`crate::ops`] for the equivalence contract batches must
+/// satisfy.
 ///
 /// # Scanning
 ///
@@ -77,9 +76,9 @@ pub trait ConcurrentIndex<K: IndexKey, V: IndexValue>: Send + Sync {
     /// order, one linearizable point operation each (operations from other
     /// threads may interleave *between* them — the batch is a throughput
     /// construct, not a transaction).  The provided default does literally
-    /// that; overrides may reorder operations on distinct keys to amortize
-    /// traversal, pinning and locking, but must preserve the relative
-    /// order of operations on the same key (see [`crate::ops`]).
+    /// that; overrides may share per-call work such as an epoch pin, and
+    /// may reorder operations on distinct keys but must preserve the
+    /// relative order of operations on the same key (see [`crate::ops`]).
     fn execute(&self, ops: &mut [Op<K, V>]) {
         for op in ops.iter_mut() {
             op.apply_point(self);

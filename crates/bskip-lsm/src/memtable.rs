@@ -6,8 +6,7 @@
 //! *better* suited than the classic one-element-per-node skiplist — flush
 //! drains fat leaves sequentially.  The engine's group-commit ingest
 //! writes one WAL record per batch but applies it here op by op, each
-//! through [`Memtable::apply`] (a point `insert`), not through the list's
-//! native sorted batch path.
+//! through [`Memtable::apply`] (a point `insert`).
 //!
 //! A memtable stores `Slot<V>` values, not `V`: deletions insert
 //! [`Slot::Tombstone`] so they shadow older on-disk versions (see

@@ -18,15 +18,12 @@
 //! chase run-phase inserts and the index reaches a steady state in which
 //! reclamation, not accumulation, governs memory.
 //!
-//! With [`YcsbConfig::batch_size`] above 1, both phases coalesce runs of
-//! consecutive same-type operations into [`Op`] batches issued through
-//! [`ConcurrentIndex::execute`] — the bulk path that lets the B-skiplist
-//! amortize epoch pinning, descents and leaf locks across a batch.
+//! Both phases issue point operations only, one index call per operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bskip_index::{ConcurrentIndex, Op};
+use bskip_index::ConcurrentIndex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,12 +45,6 @@ pub struct YcsbConfig {
     pub distribution: Distribution,
     /// Base seed; every thread derives its own stream from it.
     pub seed: u64,
-    /// Operation-coalescing width: `1` (the default) issues every
-    /// operation through the point methods; larger values coalesce runs
-    /// of consecutive *same-type* operations into [`Op`] batches issued
-    /// through [`ConcurrentIndex::execute`], which indices with a native
-    /// batch path (the B-skiplist) amortize across shared leaves.
-    pub batch_size: usize,
 }
 
 impl Default for YcsbConfig {
@@ -64,7 +55,6 @@ impl Default for YcsbConfig {
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
             distribution: Distribution::Uniform,
             seed: 0xC0FFEE,
-            batch_size: 1,
         }
     }
 }
@@ -99,13 +89,6 @@ impl YcsbConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style setter for the operation-coalescing width (clamped
-    /// to at least 1; 1 means pure point operations).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
 }
 
 /// Result of one phase (load or run).
@@ -126,19 +109,6 @@ impl PhaseResult {
     /// [`PhaseResult::throughput_ops_per_us`], provided for readability).
     pub fn mops(&self) -> f64 {
         self.throughput_ops_per_us
-    }
-}
-
-/// Coalescing class of an operation: consecutive operations of the same
-/// class are batched together (scans never batch — they stay on the
-/// cursor path).
-fn operation_kind(operation: &Operation) -> u8 {
-    match operation {
-        Operation::Read { .. } => 0,
-        Operation::Insert { .. } => 1,
-        Operation::Update { .. } => 2,
-        Operation::Remove { .. } => 3,
-        Operation::Scan { .. } => 4,
     }
 }
 
@@ -173,39 +143,18 @@ where
                 scope.spawn(move || {
                     let lo = records * thread_id / threads;
                     let hi = records * (thread_id + 1) / threads;
-                    let coalesce = config.batch_size.max(1);
-                    let mut op_buffer: Vec<Op<u64, u64>> = Vec::with_capacity(coalesce);
                     let mut recorder = LatencyRecorder::with_capacity((hi - lo) / BATCH_SIZE + 1);
                     let mut batch_start = Instant::now();
                     let mut in_batch = 0usize;
                     for logical in lo..hi {
-                        let key = record_key(logical as u64);
-                        if coalesce > 1 {
-                            // Batched ingest: coalesce inserts and issue
-                            // them through the bulk path.
-                            op_buffer.push(Op::insert(key, logical as u64));
-                            if op_buffer.len() == coalesce {
-                                index_ref.execute(&mut op_buffer);
-                                op_buffer.clear();
-                            }
-                        } else {
-                            index_ref.insert(key, logical as u64);
-                        }
+                        index_ref.insert(record_key(logical as u64), logical as u64);
                         in_batch += 1;
-                        // Latency batches are recorded without forcing an
-                        // op-buffer flush: a sample whose ops are merely
-                        // buffered is balanced by the later sample that
-                        // absorbs the execute, so percentiles stay honest
-                        // on average and coalescing stays at full width.
                         if in_batch == BATCH_SIZE {
                             recorder
                                 .record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
                             batch_start = Instant::now();
                             in_batch = 0;
                         }
-                    }
-                    if !op_buffer.is_empty() {
-                        index_ref.execute(&mut op_buffer);
                     }
                     if in_batch > 0 {
                         recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
@@ -262,13 +211,6 @@ where
                     let mut scan_sink = 0u64;
                     let mut batch_start = Instant::now();
                     let mut in_batch = 0usize;
-                    // Operation coalescing: runs of consecutive same-type
-                    // operations are buffered and issued through
-                    // `execute` when the type changes, the buffer fills,
-                    // or a latency batch closes.
-                    let coalesce = config.batch_size.max(1);
-                    let mut op_buffer: Vec<Op<u64, u64>> = Vec::with_capacity(coalesce);
-                    let mut buffered_kind: Option<u8> = None;
                     for _ in 0..ops {
                         let operation = workload.next_operation(
                             &mut rng,
@@ -289,91 +231,47 @@ where
                             },
                             || insert_cursor.fetch_add(1, Ordering::Relaxed),
                         );
-                        if coalesce > 1 {
-                            let kind = operation_kind(&operation);
-                            if buffered_kind != Some(kind) || op_buffer.len() >= coalesce {
-                                if !op_buffer.is_empty() {
-                                    index_ref.execute(&mut op_buffer);
-                                    op_buffer.clear();
-                                }
-                                buffered_kind = Some(kind);
+                        match operation {
+                            Operation::Read { index: logical } => {
+                                let key = record_key(logical);
+                                let _ = index_ref.get(&key);
                             }
-                            match operation {
-                                Operation::Read { index: logical } => {
-                                    op_buffer.push(Op::get(record_key(logical)));
-                                }
-                                Operation::Insert { index: logical } => {
-                                    op_buffer.push(Op::insert(record_key(logical), logical));
-                                }
-                                Operation::Update { index: logical } => {
-                                    op_buffer.push(Op::update(
-                                        record_key(logical),
-                                        logical.wrapping_add(1),
-                                    ));
-                                }
-                                Operation::Remove { index: logical } => {
-                                    op_buffer.push(Op::remove(record_key(logical)));
-                                }
-                                Operation::Scan {
-                                    index: logical,
-                                    len,
-                                } => {
-                                    // Scans stay on the cursor path.
-                                    let key = record_key(logical);
-                                    for (_, value) in index_ref.scan(key..).take(len) {
-                                        scan_sink = scan_sink.wrapping_add(value);
-                                    }
-                                }
+                            Operation::Insert { index: logical } => {
+                                let key = record_key(logical);
+                                index_ref.insert(key, logical);
                             }
-                        } else {
-                            match operation {
-                                Operation::Read { index: logical } => {
-                                    let key = record_key(logical);
-                                    let _ = index_ref.get(&key);
-                                }
-                                Operation::Insert { index: logical } => {
-                                    let key = record_key(logical);
-                                    index_ref.insert(key, logical);
-                                }
-                                Operation::Update { index: logical } => {
-                                    // YCSB updates are field rewrites: an
-                                    // upsert of the (possibly removed)
-                                    // record.
-                                    let key = record_key(logical);
-                                    index_ref.insert(key, logical.wrapping_add(1));
-                                }
-                                Operation::Remove { index: logical } => {
-                                    let key = record_key(logical);
-                                    let _ = index_ref.remove(&key);
-                                }
-                                Operation::Scan {
-                                    index: logical,
-                                    len,
-                                } => {
-                                    // Workload E's SCAN: a bounded forward
-                                    // cursor, terminated by `take` — the
-                                    // cursor-native form of the paper's
-                                    // `range(k, f, length)`.
-                                    let key = record_key(logical);
-                                    for (_, value) in index_ref.scan(key..).take(len) {
-                                        scan_sink = scan_sink.wrapping_add(value);
-                                    }
+                            Operation::Update { index: logical } => {
+                                // YCSB updates are field rewrites: an
+                                // upsert of the (possibly removed)
+                                // record.
+                                let key = record_key(logical);
+                                index_ref.insert(key, logical.wrapping_add(1));
+                            }
+                            Operation::Remove { index: logical } => {
+                                let key = record_key(logical);
+                                let _ = index_ref.remove(&key);
+                            }
+                            Operation::Scan {
+                                index: logical,
+                                len,
+                            } => {
+                                // Workload E's SCAN: a bounded forward
+                                // cursor, terminated by `take` — the
+                                // cursor-native form of the paper's
+                                // `range(k, f, length)`.
+                                let key = record_key(logical);
+                                for (_, value) in index_ref.scan(key..).take(len) {
+                                    scan_sink = scan_sink.wrapping_add(value);
                                 }
                             }
                         }
                         in_batch += 1;
-                        // As in the load phase: latency batches do not
-                        // force an op-buffer flush, so coalescing keeps
-                        // its full width.
                         if in_batch == BATCH_SIZE {
                             recorder
                                 .record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
                             batch_start = Instant::now();
                             in_batch = 0;
                         }
-                    }
-                    if !op_buffer.is_empty() {
-                        index_ref.execute(&mut op_buffer);
                     }
                     if in_batch > 0 {
                         recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
@@ -416,58 +314,6 @@ mod tests {
         for logical in (0..config.record_count as u64).step_by(997) {
             assert!(index.contains_key(&record_key(logical)));
         }
-    }
-
-    #[test]
-    fn batched_load_phase_inserts_every_record() {
-        let index: BSkipList<u64, u64> = BSkipList::new();
-        let config = small_config().with_batch_size(64);
-        let result = run_load_phase(&index, &config);
-        assert_eq!(result.operations, config.record_count);
-        assert_eq!(index.len(), config.record_count);
-        for logical in (0..config.record_count as u64).step_by(997) {
-            assert!(index.contains_key(&record_key(logical)));
-        }
-    }
-
-    #[test]
-    fn batched_run_phase_matches_point_run_phase_contents() {
-        // The same seeded workload must leave identical index contents
-        // whether it is issued through point operations or coalesced
-        // batches — batching is a throughput construct, not a semantic
-        // change (single-threaded so the interleaving is deterministic).
-        let config = small_config()
-            .with_records(5_000)
-            .with_operations(5_000)
-            .with_threads(1);
-        let point: BSkipList<u64, u64> = BSkipList::new();
-        run_load_phase(&point, &config);
-        run_run_phase(&point, Workload::Churn, &config);
-
-        let batched: BSkipList<u64, u64> = BSkipList::new();
-        let batched_config = config.with_batch_size(32);
-        run_load_phase(&batched, &batched_config);
-        run_run_phase(&batched, Workload::Churn, &batched_config);
-
-        assert_eq!(point.len(), batched.len());
-        assert_eq!(point.to_vec(), batched.to_vec());
-    }
-
-    #[test]
-    fn batched_churn_exercises_the_native_batch_path() {
-        use bskip_core::BSkipConfig;
-        let index: BSkipList<u64, u64> =
-            BSkipList::with_config(BSkipConfig::paper_default().with_stats(true));
-        let config = small_config().with_batch_size(64);
-        run_load_phase(&index, &config);
-        let result = run_run_phase(&index, Workload::Churn, &config);
-        assert_eq!(result.operations, config.operation_count);
-        let stats = ConcurrentIndex::stats(&index);
-        assert!(
-            stats.get("batch_executes").unwrap() > 0,
-            "batched driver must reach the native execute path"
-        );
-        assert!(stats.get("batched_ops").unwrap() > 0);
     }
 
     #[test]
@@ -567,13 +413,10 @@ mod tests {
             .with_operations(20)
             .with_threads(0)
             .with_distribution(Distribution::Zipfian)
-            .with_seed(1)
-            .with_batch_size(0);
+            .with_seed(1);
         assert_eq!(config.record_count, 10);
         assert_eq!(config.operation_count, 20);
         assert_eq!(config.threads, 1, "thread count is clamped to at least 1");
         assert_eq!(config.distribution, Distribution::Zipfian);
-        assert_eq!(config.batch_size, 1, "batch size is clamped to at least 1");
-        assert_eq!(YcsbConfig::default().batch_size, 1);
     }
 }

@@ -1,9 +1,6 @@
 //! A miniature version of the paper's headline experiment: run YCSB Load,
 //! A, B, C and E against the B-skiplist and every baseline index and print
-//! a normalized throughput table (Figure 1 + Figure 7 in one), followed by
-//! a `batch_size` sweep: the same workload-A mix re-run with the driver
-//! coalescing runs of 1 / 64 / 256 / 1024 consecutive same-type operations
-//! through each index's bulk `execute` path.
+//! a throughput table (Figure 1 + Figure 7 in one).
 //!
 //! The last rows are the durable `bskip-lsm` engine (WAL + SSTables with
 //! the B-skiplist as its memtable) — the cost of durability in one table —
@@ -144,15 +141,11 @@ fn main() {
         "\n{:<18} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "index", "Load", "A", "B", "C", "E"
     );
-    let mut bskip_row = Vec::new();
     for (label, build) in &systems {
-        let mut row = Vec::new();
-        for workload in Workload::ALL {
-            row.push(measure(build, workload, &config));
-        }
-        if bskip_row.is_empty() {
-            bskip_row = row.clone();
-        }
+        let row: Vec<f64> = Workload::ALL
+            .into_iter()
+            .map(|workload| measure(build, workload, &config))
+            .collect();
         println!(
             "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             label, row[0], row[1], row[2], row[3], row[4]
@@ -160,31 +153,5 @@ fn main() {
     }
     println!("\n(throughput in ops/us; first row is the B-skiplist, the paper's contribution)");
 
-    // Batch-size sweep (workload A): how much each index gains when the
-    // driver coalesces consecutive same-type operations through `execute`.
-    const BATCH_SIZES: [usize; 4] = [1, 64, 256, 1024];
-    println!(
-        "\nbatch_size sweep, workload A (ops/us; batch 1 is the point path)\n\
-         {:<18} {:>8} {:>8} {:>8} {:>8}",
-        "index", "b=1", "b=64", "b=256", "b=1024"
-    );
-    for (label, build) in &systems {
-        let row: Vec<f64> = BATCH_SIZES
-            .iter()
-            .map(|&batch_size| {
-                let swept = config.with_batch_size(batch_size);
-                measure(build, Workload::A, &swept)
-            })
-            .collect();
-        println!(
-            "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            label, row[0], row[1], row[2], row[3]
-        );
-    }
-    println!(
-        "(larger batches amortize pins/descents; the B-skiplist's native \
-         sorted-batch path gains the most; for bskip-lsm a batch is one \
-         WAL record — the group-commit lane)"
-    );
     let _ = std::fs::remove_dir_all(lsm_scratch_parent());
 }

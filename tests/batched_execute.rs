@@ -43,8 +43,8 @@ proptest! {
     /// reassembles results into the original slots — must
     /// agree, result-for-result and in final contents, with a `BTreeMap`
     /// oracle that applies the same batch sequentially.  The B-skiplist
-    /// takes its native sorted-batch path, the baselines and the oracle
-    /// the slot-order default.
+    /// runs its point operations under one epoch pin, the baselines and
+    /// the oracle the trait's slot-order default.
     #[test]
     fn execute_matches_a_sequential_oracle_on_all_indices(
         batches in proptest::collection::vec(

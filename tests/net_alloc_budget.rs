@@ -4,8 +4,8 @@
 //! Once a connection is warm, a 32-request window of point requests makes
 //! exactly **one** heap allocation, the `Vec` the client's `drain` hands
 //! back: the server decodes into, coalesces into and answers from
-//! per-connection buffers, and the batch split of `ShardedIndex::execute`
-//! and the sorted schedule of `BSkipList::execute` sit on the stack.  Each
+//! per-connection buffers, the batch split of `ShardedIndex::execute`
+//! sits on the stack, and `BSkipList::execute` needs no scratch.  Each
 //! 100-entry `Scan` in the window adds exactly **seven**: the server's
 //! merged cursor (its box and source vector, and per shard a box and a
 //! leaf batch buffer — six) and the client's decoded `Entries` vector.
@@ -159,8 +159,8 @@ fn a_window_allocates_once_and_seven_times_more_per_scan() {
         );
     }
 
-    // The batch paths on their own: neither the split nor the schedule of
-    // a batch of up to 64 operations touches the heap.
+    // The batch paths on their own: neither the split nor the shard's
+    // execute of a batch of up to 64 operations touches the heap.
     let shard = BSkipList::<u64, u64>::new();
     for key in 0..KEYS {
         shard.insert(key, key);
