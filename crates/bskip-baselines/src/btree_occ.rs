@@ -51,12 +51,12 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ops::Bound;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{EbrCollector, RawRwSpinLock, RelaxedCounter};
+use bskip_sync::{EbrCollector, RawRwSpinLock, RelaxedCounter, StripedCounter};
 
 /// Masstree's node width: at most 15 keys per node.
 const MASSTREE_FANOUT: usize = 15;
@@ -268,7 +268,7 @@ pub struct OccBTree<K, V, const F: usize = 64> {
     /// exclusively ("the root write lock").
     tree_lock: RawRwSpinLock,
     root: AtomicPtr<Node<K, V, F>>,
-    len: AtomicUsize,
+    len: StripedCounter,
     counters: TreeCounters,
     /// Collector for merge victims and collapsed root shells.
     collector: EbrCollector,
@@ -307,7 +307,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         let tree = OccBTree {
             tree_lock: RawRwSpinLock::new(),
             root: AtomicPtr::new(Node::alloc_leaf()),
-            len: AtomicUsize::new(0),
+            len: StripedCounter::new(),
             counters: TreeCounters::default(),
             collector: EbrCollector::new(),
             nodes_allocated: RelaxedCounter::new(),
@@ -475,7 +475,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
                 Some(old)
             } else {
                 insert_into_leaf(inner, slot, key, value);
-                self.len.fetch_add(1, Ordering::Relaxed);
+                self.len.add(1);
                 None
             };
             (*node).lock.unlock_exclusive();
@@ -542,7 +542,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             let inner = (*node).inner_mut();
             let result = if slot < inner.len && inner.keys[slot].assume_init_ref() == key {
                 let old = remove_from_leaf(inner, slot);
-                self.len.fetch_sub(1, Ordering::Relaxed);
+                self.len.add(-1);
                 Some(old)
             } else {
                 None
@@ -1058,7 +1058,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
             if inner.len < F {
                 insert_into_leaf(inner, slot, key, value);
                 (*node).lock.unlock_exclusive();
-                self.len.fetch_add(1, Ordering::Relaxed);
+                self.len.add(1);
                 return None;
             }
             // Leaf is full: retire to the root and go pessimistic.
@@ -1127,7 +1127,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
                 if root_is_leaf || inner.len > Self::MIN_KEYS {
                     let old = remove_from_leaf(inner, slot);
                     (*node).lock.unlock_exclusive();
-                    self.len.fetch_sub(1, Ordering::Relaxed);
+                    self.len.add(-1);
                     return Some(old);
                 }
                 (*node).lock.unlock_exclusive();
@@ -1154,7 +1154,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
     }
 
     fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.sum().max(0) as usize
     }
 
     fn name(&self) -> &'static str {

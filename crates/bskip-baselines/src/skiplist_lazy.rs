@@ -29,12 +29,12 @@
 //! advancement instead of growing with the delete count.
 
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, RawRwSpinLock, RwSpinLock};
+use bskip_sync::{Backoff, EbrCollector, RawRwSpinLock, RwSpinLock, StripedCounter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,12 +109,12 @@ pub struct LazySkipList<K, V> {
     /// Lock standing in for the head sentinel's per-node lock (used when a
     /// new tower's predecessor at some level is the head itself).
     head_lock: RawRwSpinLock,
-    len: AtomicUsize,
+    len: StripedCounter,
     /// Epoch-based collector for towers unlinked by `remove`.
     collector: EbrCollector,
     /// Towers ever linked into the list; minus the collector's retired
     /// count this is the live structural node count.
-    towers_published: AtomicU64,
+    towers_published: StripedCounter,
 }
 
 // SAFETY: nodes are mutated only through atomics, the per-node locks and
@@ -137,9 +137,9 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             head_lock: RawRwSpinLock::new(),
-            len: AtomicUsize::new(0),
+            len: StripedCounter::new(),
             collector: EbrCollector::new(),
-            towers_published: AtomicU64::new(0),
+            towers_published: StripedCounter::new(),
         }
     }
 
@@ -343,8 +343,8 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
                 for pred in locked {
                     self.lock_of(pred).unlock_exclusive();
                 }
-                self.len.fetch_add(1, Ordering::Relaxed);
-                self.towers_published.fetch_add(1, Ordering::Relaxed);
+                self.len.add(1);
+                self.towers_published.add(1);
                 return None;
             }
         }
@@ -424,7 +424,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
                     backoff.snooze();
                 }
                 (*node).lock.unlock_exclusive();
-                self.len.fetch_sub(1, Ordering::Relaxed);
+                self.len.add(-1);
                 // SAFETY: the tower is unlinked from every level (no new
                 // traversal can reach it) and this thread won the `marked`
                 // race, so it is retired exactly once.
@@ -443,7 +443,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
         ))
     }
     fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.sum().max(0) as usize
     }
     /// Attempts one epoch advancement (see
     /// [`bskip_sync::EbrCollector::try_collect`]); returns the number of
@@ -457,7 +457,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
     /// `live_nodes` counts towers linked in minus towers retired.
     fn stats(&self) -> IndexStats {
         let reclamation = self.collector.stats();
-        let published = self.towers_published.load(Ordering::Relaxed);
+        let published = self.towers_published.sum() as u64;
         IndexStats::new()
             .with_kind("keys", StatKind::Gauge, self.len() as u64)
             .with_kind(

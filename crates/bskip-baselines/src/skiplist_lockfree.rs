@@ -47,12 +47,12 @@
 //! traversal is never handed to the collector.
 
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, RwSpinLock};
+use bskip_sync::{Backoff, EbrCollector, RwSpinLock, StripedCounter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,12 +159,12 @@ impl<K, V> Tower<K, V> {
 pub struct LockFreeSkipList<K, V> {
     /// Head forward pointers, one per level (`null` = end of level).
     head: Box<[AtomicPtr<Tower<K, V>>]>,
-    len: AtomicUsize,
+    len: StripedCounter,
     /// Epoch-based collector for towers unlinked by `remove`.
     collector: EbrCollector,
     /// Towers ever linked into the list; minus the collector's retired
     /// count this is the live structural node count.
-    towers_published: AtomicU64,
+    towers_published: StripedCounter,
 }
 
 // SAFETY: towers are only mutated through atomics and the per-node value
@@ -188,9 +188,9 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
             .into_boxed_slice();
         LockFreeSkipList {
             head,
-            len: AtomicUsize::new(0),
+            len: StripedCounter::new(),
             collector: EbrCollector::new(),
-            towers_published: AtomicU64::new(0),
+            towers_published: StripedCounter::new(),
         }
     }
 
@@ -478,8 +478,8 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
                     }
                 }
                 (*node).link_done.store(true, Ordering::Release);
-                self.len.fetch_add(1, Ordering::Relaxed);
-                self.towers_published.fetch_add(1, Ordering::Relaxed);
+                self.len.add(1);
+                self.towers_published.add(1);
                 return None;
             }
         }
@@ -508,7 +508,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
                 return None; // Another remover owns this tower.
             }
             let value = *(*node).value.read();
-            self.len.fetch_sub(1, Ordering::Relaxed);
+            self.len.add(-1);
 
             // Freeze the tower: mark every `next` pointer, top level down.
             // Each mark CAS races only with inserts using this tower as a
@@ -560,7 +560,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
         self.collector.try_collect()
     }
     fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.sum().max(0) as usize
     }
     fn name(&self) -> &'static str {
         "lock-free skiplist"
@@ -568,7 +568,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V
     /// `live_nodes` counts towers linked in minus towers retired.
     fn stats(&self) -> IndexStats {
         let reclamation = self.collector.stats();
-        let published = self.towers_published.load(Ordering::Relaxed);
+        let published = self.towers_published.sum() as u64;
         IndexStats::new()
             .with_kind("keys", StatKind::Gauge, self.len() as u64)
             .with_kind(

@@ -66,7 +66,7 @@ use std::time::Duration;
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{EbrCollector, RwSpinLock, SpinLatch};
+use bskip_sync::{EbrCollector, RwSpinLock, SpinLatch, StripedCounter};
 
 /// Every `INDEX_STRIDE`-th bottom-lane node becomes a guard in the index.
 const INDEX_STRIDE: usize = 16;
@@ -117,7 +117,7 @@ unsafe impl<K: IndexKey, V: IndexValue> Sync for IndexSnapshot<K, V> {}
 struct Inner<K, V> {
     head: AtomicPtr<NhsNode<K, V>>,
     index: RwSpinLock<Arc<IndexSnapshot<K, V>>>,
-    len: AtomicUsize,
+    len: StripedCounter,
     stop: SpinLatch,
     rebuilds: AtomicUsize,
     /// Epoch-based collector for unlinked nodes (final stage of the
@@ -130,11 +130,6 @@ struct Inner<K, V> {
     generation: AtomicU64,
     /// Serializes rebuilds so generation order matches walk order.
     rebuild_lock: Mutex<()>,
-    /// Nodes ever linked into the bottom lane.
-    published: AtomicU64,
-    /// Nodes marked + unlinked (structurally removed, possibly not yet
-    /// freed); `published - unlinked` is the live structural node count.
-    unlinked: AtomicU64,
     /// Structural mutations (fresh links + unlinks) since the last index
     /// publication; the background worker's signal that a rebuild would
     /// observe something new.  Reset at the start of every rebuild walk,
@@ -153,15 +148,13 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
         Inner {
             head: AtomicPtr::new(std::ptr::null_mut()),
             index: RwSpinLock::new(Arc::new(IndexSnapshot { guards: Vec::new() })),
-            len: AtomicUsize::new(0),
+            len: StripedCounter::new(),
             stop: SpinLatch::new(),
             rebuilds: AtomicUsize::new(0),
             collector: EbrCollector::new(),
             limbo: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             rebuild_lock: Mutex::new(()),
-            published: AtomicU64::new(0),
-            unlinked: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
         }
     }
@@ -491,8 +484,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
                     .compare_exchange(curr, node, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
-                    self.inner.len.fetch_add(1, Ordering::Relaxed);
-                    self.inner.published.fetch_add(1, Ordering::Relaxed);
+                    self.inner.len.add(1);
                     self.inner.mutations.fetch_add(1, Ordering::SeqCst);
                     return None;
                 }
@@ -532,8 +524,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
                     // An insert linked a new successor; retry the mark.
                 }
             };
-            self.inner.len.fetch_sub(1, Ordering::Relaxed);
-            self.inner.unlinked.fetch_add(1, Ordering::Relaxed);
+            self.inner.len.add(-1);
             self.inner.mutations.fetch_add(1, Ordering::SeqCst);
             // Physical unlink: the common case is one CAS on the
             // predecessor the lookup already found; if the neighbourhood
@@ -570,31 +561,27 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
         self.inner.rebuild_index()
     }
     fn len(&self) -> usize {
-        self.inner.len.load(Ordering::Relaxed)
+        self.inner.len.sum().max(0) as usize
     }
     fn name(&self) -> &'static str {
         "NHS skiplist"
     }
-    /// `rebuilds` counts index snapshot publications, `live_nodes` nodes
-    /// linked into the bottom lane minus nodes unlinked, and `limbo`
-    /// unlinked nodes still awaiting their retirement generation.
+    /// `rebuilds` counts index snapshot publications, `live_nodes` the
+    /// nodes in the bottom lane (one per key, so `keys`; a removal is
+    /// counted when it marks its node), and `limbo` unlinked nodes still
+    /// awaiting their retirement generation.
     fn stats(&self) -> IndexStats {
         let inner = &self.inner;
-        let published = inner.published.load(Ordering::Relaxed);
-        let unlinked = inner.unlinked.load(Ordering::Relaxed);
+        let keys = self.len() as u64;
         let limbo = inner
             .limbo
             .lock()
             .expect("no thread panics while holding the limbo lock")
             .len();
         IndexStats::new()
-            .with_kind("keys", StatKind::Gauge, self.len() as u64)
+            .with_kind("keys", StatKind::Gauge, keys)
             .with("rebuilds", inner.rebuilds.load(Ordering::Relaxed) as u64)
-            .with_kind(
-                "live_nodes",
-                StatKind::Gauge,
-                published.saturating_sub(unlinked),
-            )
+            .with_kind("live_nodes", StatKind::Gauge, keys)
             .with_kind("limbo", StatKind::Gauge, limbo as u64)
             .with_reclamation(inner.collector.stats())
     }

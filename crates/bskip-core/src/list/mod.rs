@@ -126,11 +126,10 @@ mod validate;
 
 use std::marker::PhantomData;
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use bskip_index::cursor::clone_bound;
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
-use bskip_sync::{Backoff, EbrCollector, EbrGuard, EbrStats};
+use bskip_sync::{Backoff, EbrCollector, EbrGuard, EbrStats, StripedCounter};
 
 use self::cursor::LeafCursor;
 
@@ -232,8 +231,9 @@ where
     denominator: u32,
     /// Copy of the construction-time configuration.
     config: BSkipConfig,
-    /// Number of keys stored.
-    len: AtomicUsize,
+    /// Number of keys stored, counted per thread so that writers share
+    /// no line for it.
+    len: StripedCounter,
     /// Structural statistics (only updated when `config.collect_stats`).
     stats: BSkipStats,
     /// Epoch-based collector that reclaims nodes unlinked by `remove` (and
@@ -244,7 +244,7 @@ where
     /// Nodes ever linked into the structure (splits, promotions); together
     /// with the head spine and the collector's retired count this yields
     /// the live structural node count ([`BSkipList::live_nodes`]).
-    nodes_linked: AtomicU64,
+    nodes_linked: StripedCounter,
     _marker: PhantomData<(K, V)>,
 }
 
@@ -293,10 +293,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             max_height,
             denominator: config.promotion_denominator(B),
             config,
-            len: AtomicUsize::new(0),
+            len: StripedCounter::new(),
             stats: BSkipStats::new(),
             collector: EbrCollector::new(),
-            nodes_linked: AtomicU64::new(0),
+            nodes_linked: StripedCounter::new(),
             _marker: PhantomData,
         }
     }
@@ -321,9 +321,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.max_height
     }
 
-    /// Number of keys currently stored.
+    /// Number of keys currently stored: exact once writers are quiescent,
+    /// approximate while they run.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.sum().max(0) as usize
     }
 
     /// Whether the list is empty.
@@ -360,12 +361,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
 
     #[inline]
     pub(crate) fn bump_len(&self) {
-        self.len.fetch_add(1, Ordering::Relaxed);
+        self.len.add(1);
     }
 
     #[inline]
     pub(crate) fn drop_len(&self) {
-        self.len.fetch_sub(1, Ordering::Relaxed);
+        self.len.add(-1);
     }
 
     /// The list's epoch-based collector; traversals pin it and unlinked
@@ -395,7 +396,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     #[inline]
     pub(crate) fn note_nodes_linked(&self, count: usize) {
         if count > 0 {
-            self.nodes_linked.fetch_add(count as u64, Ordering::Relaxed);
+            self.nodes_linked.add(count as i64);
         }
     }
 
@@ -405,7 +406,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     pub fn live_nodes(&self) -> u64 {
         // Saturating: with relaxed counters a racing link/retire pair may
         // transiently be observed in either order.
-        (self.max_height as u64 + self.nodes_linked.load(Ordering::Relaxed))
+        (self.max_height as u64 + self.nodes_linked.sum() as u64)
             .saturating_sub(self.collector.stats().retired)
     }
 

@@ -47,8 +47,10 @@
 //! the receive buffer (only multi-entry payloads allocate, with every
 //! count validated against the bytes actually present before a vector is
 //! sized), and the buffer
-//! compacts itself once the consumed prefix grows past a threshold, so a
-//! long-lived connection holds at most one frame plus one read chunk.
+//! compacts itself once the consumed prefix grows past a threshold and
+//! half the buffer.  A long-lived connection therefore holds at most the
+//! threshold plus twice its unread bytes (one frame plus one read chunk),
+//! and compaction moves no more bytes than decoding consumed.
 
 use std::fmt;
 
@@ -547,13 +549,17 @@ impl FrameDecoder {
         self.compact();
     }
 
-    /// Drops the consumed prefix when it is the whole buffer or has grown
-    /// past the compaction threshold.
+    /// Drops the consumed prefix when it is the whole buffer, or when it
+    /// has grown past the compaction threshold and is at least half the
+    /// buffer.  The second condition keeps decoding linear: a compaction
+    /// moves no more bytes than were consumed since the last one, where
+    /// the threshold alone would move a large buffer's whole tail every
+    /// time another threshold's worth was consumed.
     fn compact(&mut self) {
         if self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;
-        } else if self.pos > COMPACT_THRESHOLD {
+        } else if self.pos > COMPACT_THRESHOLD && self.pos >= self.buf.len() / 2 {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -809,6 +815,33 @@ mod tests {
             assert_eq!(decoder.buffered(), 0);
             assert!(decoder.buf.len() <= 2 * wire.len());
         }
+    }
+
+    /// A buffer holding many frames is not moved while more than half of
+    /// it is unread, even with the consumed prefix past the threshold, and
+    /// is compacted as soon as the consumed prefix reaches half.
+    #[test]
+    fn a_large_buffer_is_compacted_once_half_of_it_is_consumed() {
+        let mut frame = Vec::new();
+        encode_request(&Request::put(1, 1), &mut frame).unwrap();
+        let frames = 4 * COMPACT_THRESHOLD / frame.len();
+        let mut decoder = FrameDecoder::new();
+        for _ in 0..frames {
+            decoder.extend(&frame);
+        }
+        let total = decoder.buf.len();
+        let mut consumed = 0;
+        while consumed < total / 2 {
+            assert_eq!((decoder.pos, decoder.buf.len()), (consumed, total));
+            decoder.decode_request().unwrap().unwrap();
+            consumed += frame.len();
+        }
+        assert!(consumed > COMPACT_THRESHOLD);
+        assert_eq!((decoder.pos, decoder.buf.len()), (0, total - consumed));
+        while decoder.decode_request().unwrap().is_some() {
+            consumed += frame.len();
+        }
+        assert_eq!((consumed, decoder.buffered()), (total, 0));
     }
 
     /// Strategy for arbitrary (valid) requests.

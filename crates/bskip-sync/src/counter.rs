@@ -1,6 +1,9 @@
-//! Relaxed statistics counters.
+//! Relaxed statistics counters and the striped size counter.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+
+use crate::CachePadded;
 
 /// A monotonically increasing event counter with relaxed memory ordering.
 ///
@@ -77,6 +80,91 @@ impl Clone for RelaxedCounter {
     }
 }
 
+/// Number of cells a [`StripedCounter`] spreads its count over.
+const CELLS: usize = 16;
+
+/// Hands out cells round-robin, one per thread on its first `add`.  A
+/// ticket rather than a hash of the thread-local's address: every thread
+/// lays its thread-locals out alike, so such hashes can collide
+/// systematically, while tickets keep `CELLS` consecutive threads apart.
+static NEXT_CELL: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's cell, the same in every [`StripedCounter`].
+    static CELL: usize = NEXT_CELL.fetch_add(1, Ordering::Relaxed) % CELLS;
+}
+
+/// A signed count spread over 16 cache-padded cells, one per thread.
+///
+/// An index's size changes on every fresh insert and every removal, from
+/// every writer.  One shared word would move that cache line between
+/// cores on every write, so [`add`](Self::add) touches only the calling
+/// thread's cell and [`sum`](Self::sum) adds all of them.  A thread takes
+/// its cell round-robin on its first `add` to any striped counter, so 16
+/// threads that start one after another never share a cell.
+/// A cell may go negative (a key one thread inserted, another removed);
+/// only the sum means anything.  The sum is exact once the writers are
+/// quiescent.  While they run it is approximate: the cells are read one
+/// after another, so it may be a value the count never held, negative
+/// included — clamp it where a size must not be.  Every access is
+/// `Relaxed`; the count publishes no other data.  The cells live inline
+/// (2 KiB), with no allocation.
+///
+/// Use it for a count many threads change on their hot path and few read;
+/// use [`RelaxedCounter`] for statistics, which cost one word and support
+/// `reset` and high-water marks.
+///
+/// # Example
+///
+/// ```
+/// use bskip_sync::StripedCounter;
+///
+/// let len = StripedCounter::new();
+/// std::thread::scope(|scope| {
+///     scope.spawn(|| len.add(3));
+///     scope.spawn(|| len.add(-1));
+/// });
+/// assert_eq!(len.sum(), 2);
+/// ```
+pub struct StripedCounter {
+    cells: [CachePadded<AtomicI64>; CELLS],
+}
+
+impl StripedCounter {
+    /// Creates a counter at zero.
+    pub const fn new() -> Self {
+        StripedCounter {
+            cells: [const { CachePadded::new(AtomicI64::new(0)) }; CELLS],
+        }
+    }
+
+    /// Adds `delta` (which may be negative) to the calling thread's cell.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        let cell = CELL.with(|cell| *cell);
+        self.cells[cell].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// The count: the sum of every cell.
+    pub fn sum(&self) -> i64 {
+        self.cells.iter().fold(0, |sum, cell| {
+            sum.wrapping_add(cell.load(Ordering::Relaxed))
+        })
+    }
+}
+
+impl Default for StripedCounter {
+    fn default() -> Self {
+        StripedCounter::new()
+    }
+}
+
+impl fmt::Debug for StripedCounter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("StripedCounter").field(&self.sum()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,5 +228,53 @@ mod tests {
             }
         });
         assert_eq!(counter.get(), threads * per_thread);
+    }
+
+    #[test]
+    fn striped_counter_sums_mixed_sign_adds() {
+        let counter = StripedCounter::new();
+        assert_eq!(counter.sum(), 0);
+        counter.add(5);
+        counter.add(-8);
+        assert_eq!(counter.sum(), -3);
+        assert_eq!(format!("{counter:?}"), "StripedCounter(-3)");
+    }
+
+    #[test]
+    fn striped_counter_cells_are_inline() {
+        assert_eq!(
+            std::mem::size_of::<StripedCounter>(),
+            CELLS * std::mem::size_of::<CachePadded<AtomicI64>>()
+        );
+    }
+
+    /// More threads than cells, so cells are shared; the odd threads only
+    /// subtract, so the cells they own alone go negative.  The sum after
+    /// join is exact.
+    #[test]
+    fn striped_counter_is_exact_after_join_across_more_threads_than_cells() {
+        let counter = StripedCounter::new();
+        let threads = 24i64;
+        let per_thread = if cfg!(miri) { 20 } else { 10_000 };
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (counter, start) = (&counter, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..per_thread {
+                        if t % 2 == 0 {
+                            counter.add(if i % 3 == 0 { -1 } else { 2 });
+                        } else {
+                            counter.add(-1);
+                        }
+                    }
+                });
+            }
+        });
+        let evens = (0..per_thread)
+            .map(|i| if i % 3 == 0 { -1 } else { 2 })
+            .sum::<i64>();
+        assert_eq!(counter.sum(), threads / 2 * (evens - per_thread));
     }
 }

@@ -21,6 +21,12 @@
 //! * [`RelaxedCounter`] — a monotonically increasing statistics counter with
 //!   relaxed memory ordering, used for the paper's instrumentation
 //!   (root-write-lock counts, horizontal steps per level, ...).
+//! * [`StripedCounter`] — a signed count over 16 per-thread cache-padded
+//!   cells, for a count every writer changes on its hot path, such as an
+//!   index's size: an `add` touches only the caller's cell, so writers on
+//!   different cores share no line.  Use it instead of [`RelaxedCounter`]
+//!   when many threads write the count and few read it; keep
+//!   [`RelaxedCounter`] for statistics (one word, `reset`, high-water marks).
 //! * [`SpinLatch`] — a tiny one-shot latch used by tests and the NHS-style
 //!   baseline's background thread for start/stop signalling.
 //! * [`EbrCollector`] / [`EbrGuard`] — epoch-based memory reclamation: the
@@ -49,7 +55,7 @@ pub mod racy;
 mod rwlock;
 
 pub use backoff::Backoff;
-pub use counter::RelaxedCounter;
+pub use counter::{RelaxedCounter, StripedCounter};
 pub use ebr::{EbrCollector, EbrGuard, EbrStats};
 pub use latch::SpinLatch;
 pub use padded::CachePadded;

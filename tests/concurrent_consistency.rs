@@ -274,6 +274,79 @@ fn sharded_concurrent_batches_and_points_agree_at_quiescence() {
     }
 }
 
+/// Races 24 writers — more than a striped size counter has cells — on
+/// overlapping keys in three barrier-separated phases: insert, remove,
+/// insert again.  A key is often removed by a thread other than the one
+/// whose insert stored it, so that thread's cell of the count goes down
+/// for a key it never counted up.  Every value is its key, so each phase's
+/// outcome does not depend on which thread wins a key: the contents at
+/// quiescence are the sequential replay's.  `len()` must equal them, and
+/// so must the fresh inserts minus the successful removes the threads saw.
+fn race_overlapping_writers(index: &dyn ConcurrentIndex<u64, u64>) {
+    const THREADS: u64 = 24;
+    const SPAN: u64 = 300;
+    let inserted = |t: u64| t * SPAN..t * SPAN + 2 * SPAN;
+    let removed = |t: u64| (t * SPAN + SPAN..t * SPAN + 3 * SPAN).filter(|k| k % 3 != 0);
+    let reinserted = |t: u64| (t * SPAN + SPAN / 2..t * SPAN + 5 * SPAN / 2).step_by(2);
+
+    let barrier = std::sync::Barrier::new(THREADS as usize);
+    let net: i64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut net = 0i64;
+                    for key in inserted(t) {
+                        net += i64::from(index.insert(key, key).is_none());
+                    }
+                    barrier.wait();
+                    for key in removed(t) {
+                        net -= i64::from(index.remove(&key).is_some());
+                    }
+                    barrier.wait();
+                    for key in reinserted(t) {
+                        net += i64::from(index.insert(key, key).is_none());
+                    }
+                    net
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+
+    let mut oracle = BTreeMap::new();
+    for key in (0..THREADS).flat_map(inserted) {
+        oracle.insert(key, key);
+    }
+    for key in (0..THREADS).flat_map(removed) {
+        oracle.remove(&key);
+    }
+    for key in (0..THREADS).flat_map(reinserted) {
+        oracle.insert(key, key);
+    }
+    let name = index.name();
+    assert_eq!(index.len(), oracle.len(), "{name} len()");
+    assert_eq!(net, oracle.len() as i64, "{name} fresh inserts - removes");
+    let scanned: Vec<(u64, u64)> = index
+        .scan_bounds(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
+        .collect();
+    let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
+    assert_eq!(scanned, expected, "{name} contents");
+}
+
+#[test]
+fn len_is_exact_after_keys_are_removed_by_other_threads_on_every_index() {
+    use bskip_suite::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
+    let list: BSkipList<u64, u64, 8> = BSkipList::new();
+    race_overlapping_writers(&list);
+    list.validate().expect("structure after the race");
+    race_overlapping_writers(&LockFreeSkipList::<u64, u64>::new());
+    race_overlapping_writers(&LazySkipList::<u64, u64>::new());
+    race_overlapping_writers(&NhsSkipList::<u64, u64>::new());
+    race_overlapping_writers(&OccBTree::<u64, u64>::new());
+    race_overlapping_writers(&MasstreeLite::<u64, u64>::new());
+}
+
 #[test]
 fn all_indices_agree_under_the_same_operation_sequence() {
     use bskip_suite::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
