@@ -30,6 +30,7 @@ mod btree_occ;
 mod skiplist_lazy;
 mod skiplist_lockfree;
 mod skiplist_nhs;
+mod tower;
 
 pub use btree_occ::{MasstreeLite, OccBTree};
 pub use skiplist_lazy::LazySkipList;

@@ -35,30 +35,12 @@ use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{Backoff, EbrCollector, RawRwSpinLock, RwSpinLock, StripedCounter};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-const MAX_LEVELS: usize = 24;
+use crate::tower::{sample_tower_height, MAX_LEVELS};
 
 /// Entries fetched per cursor re-entry (one element per node, as for the
 /// lock-free skiplist).
 const SCAN_BATCH: usize = 64;
-
-thread_local! {
-    static LAZY_RNG: std::cell::RefCell<SmallRng> =
-        std::cell::RefCell::new(SmallRng::from_entropy());
-}
-
-fn sample_height() -> usize {
-    LAZY_RNG.with(|rng| {
-        let mut rng = rng.borrow_mut();
-        let mut height = 1;
-        while height < MAX_LEVELS && rng.gen_bool(0.5) {
-            height += 1;
-        }
-        height
-    })
-}
 
 struct LazyNode<K, V> {
     key: K,
@@ -262,7 +244,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
 
     /// Inserts `key → value` with upsert semantics.
     fn insert(&self, key: K, value: V) -> Option<V> {
-        let height = sample_height();
+        let height = sample_tower_height();
         let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
         let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
         let mut backoff = Backoff::new();

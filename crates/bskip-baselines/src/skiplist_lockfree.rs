@@ -53,55 +53,12 @@ use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{Backoff, EbrCollector, RwSpinLock, StripedCounter};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+
+use crate::tower::{is_marked, marked, sample_tower_height, unmark, MAX_LEVELS};
 
 /// Entries fetched per cursor re-entry; one tower per entry means one cache
 /// line per entry, so there is no node-granularity to align with.
 const SCAN_BATCH: usize = 64;
-
-/// Maximum number of levels in a tower.  With promotion probability 1/2
-/// this supports far more elements than any benchmark in the repository.
-const MAX_LEVELS: usize = 24;
-
-thread_local! {
-    static TOWER_RNG: std::cell::RefCell<SmallRng> =
-        std::cell::RefCell::new(SmallRng::from_entropy());
-}
-
-/// Samples a tower height in `1..=MAX_LEVELS` with the traditional
-/// promotion probability of 1/2.
-fn sample_tower_height() -> usize {
-    TOWER_RNG.with(|rng| {
-        let mut rng = rng.borrow_mut();
-        let mut height = 1;
-        while height < MAX_LEVELS && rng.gen_bool(0.5) {
-            height += 1;
-        }
-        height
-    })
-}
-
-/// The deletion mark: the low bit of a tower's `next` pointer.  Towers are
-/// `Box`-allocated and therefore at least word-aligned, so the bit is
-/// always free.  A set bit on `tower.next[level]` means "this tower is
-/// deleted; its successor at this level is frozen".
-const MARK: usize = 1;
-
-#[inline]
-fn marked<T>(ptr: *mut T) -> *mut T {
-    (ptr as usize | MARK) as *mut T
-}
-
-#[inline]
-fn unmark<T>(ptr: *mut T) -> *mut T {
-    (ptr as usize & !MARK) as *mut T
-}
-
-#[inline]
-fn is_marked<T>(ptr: *mut T) -> bool {
-    ptr as usize & MARK != 0
-}
 
 /// Per-level predecessor/successor arrays produced by `find_preds`.
 type TowerLanes<K, V> = [*mut Tower<K, V>; MAX_LEVELS];
@@ -585,25 +542,6 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
     use std::sync::Arc;
-
-    #[test]
-    fn tower_heights_are_in_range() {
-        for _ in 0..1000 {
-            let height = sample_tower_height();
-            assert!((1..=MAX_LEVELS).contains(&height));
-        }
-    }
-
-    #[test]
-    fn mark_helpers_round_trip() {
-        let raw = Box::into_raw(Box::new(0u64));
-        assert!(!is_marked(raw));
-        let tagged = marked(raw);
-        assert!(is_marked(tagged));
-        assert_eq!(unmark(tagged), raw);
-        assert_eq!(unmark(raw), raw);
-        unsafe { drop(Box::from_raw(raw)) };
-    }
 
     #[test]
     fn insert_get_update_remove() {

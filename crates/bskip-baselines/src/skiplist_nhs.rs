@@ -68,6 +68,8 @@ use bskip_index::{
 };
 use bskip_sync::{EbrCollector, RwSpinLock, SpinLatch, StripedCounter};
 
+use crate::tower::{is_marked, marked, unmark};
+
 /// Every `INDEX_STRIDE`-th bottom-lane node becomes a guard in the index.
 const INDEX_STRIDE: usize = 16;
 
@@ -75,30 +77,10 @@ const INDEX_STRIDE: usize = 16;
 /// refill typically pays one guard lookup plus one stride of lane walking.
 const SCAN_BATCH: usize = INDEX_STRIDE * 4;
 
-/// The deletion mark: the low bit of a node's `next` pointer.  Nodes are
-/// `Box`-allocated and word-aligned, so the bit is always free.  A set bit
-/// means "this node is logically deleted; its successor is frozen".
-const MARK: usize = 1;
-
-#[inline]
-fn marked<T>(ptr: *mut T) -> *mut T {
-    (ptr as usize | MARK) as *mut T
-}
-
-#[inline]
-fn unmark<T>(ptr: *mut T) -> *mut T {
-    (ptr as usize & !MARK) as *mut T
-}
-
-#[inline]
-fn is_marked<T>(ptr: *mut T) -> bool {
-    ptr as usize & MARK != 0
-}
-
 struct NhsNode<K, V> {
     key: K,
     value: RwSpinLock<V>,
-    /// Tagged successor pointer; see [`MARK`].
+    /// Successor pointer, tagged with the deletion mark (`marked`).
     next: AtomicPtr<NhsNode<K, V>>,
 }
 

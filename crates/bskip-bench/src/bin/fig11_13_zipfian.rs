@@ -4,67 +4,45 @@
 //! The paper finds the zipfian results within ~20% of the uniform ones with
 //! the same relative ordering.
 
-use bskip_bench::{experiment_config, format_row, print_header, run_workload_fresh, IndexKind};
-use bskip_ycsb::{Distribution, Workload};
+use bskip_bench::{latency_experiment, throughput_experiment, IndexKind};
+use bskip_ycsb::Distribution;
+
+const PAPER_NOTE: &str =
+    "Paper: zipfian results track the uniform results within ~20% with the same ordering.";
 
 fn main() {
-    let (config, _) = experiment_config();
-    let config = config.with_distribution(Distribution::Zipfian);
-    println!(
-        "Figures 11-13: zipfian run phase, {} records, {} ops, {} threads",
-        config.record_count, config.operation_count, config.threads
+    throughput_experiment(
+        &IndexKind::SKIPLISTS,
+        Distribution::Zipfian,
+        "Figure 11: skiplist throughput, zipfian run phase",
+        "Throughput (ops/us), zipfian keys; ratios as in Figure 1",
+        &[
+            (
+                "BSL/NHS",
+                IndexKind::BSkipList,
+                Some(IndexKind::NhsSkipList),
+            ),
+            ("BSL/best-other", IndexKind::BSkipList, None),
+        ],
+        PAPER_NOTE,
     );
-
-    // Figure 11: skiplist throughput, zipfian.
-    let mut columns = vec!["workload".to_string()];
-    columns.extend(IndexKind::SKIPLISTS.iter().map(|k| k.label().to_string()));
-    print_header(
-        "Figure 11 — skiplist throughput (ops/us), zipfian keys",
-        &columns.iter().map(String::as_str).collect::<Vec<_>>(),
+    throughput_experiment(
+        &IndexKind::TREES,
+        Distribution::Zipfian,
+        "Figure 12: tree vs B-skiplist throughput, zipfian run phase",
+        "Throughput (ops/us), zipfian keys, normalized to the B-skiplist",
+        &[
+            ("OBT/BSL", IndexKind::OccBTree, Some(IndexKind::BSkipList)),
+            ("MT/BSL", IndexKind::Masstree, Some(IndexKind::BSkipList)),
+        ],
+        PAPER_NOTE,
     );
-    for workload in Workload::ALL {
-        let mut cells = vec![workload.label().to_string()];
-        for kind in IndexKind::SKIPLISTS {
-            let (result, _) = run_workload_fresh(kind, workload, &config);
-            cells.push(format!("{:.2}", result.throughput_ops_per_us));
-        }
-        println!("{}", format_row(&cells));
-    }
-
-    // Figure 12: tree throughput normalized to the B-skiplist, zipfian.
-    print_header(
-        "Figure 12 — tree throughput (ops/us), zipfian keys",
-        &["workload", "B-skiplist", "OCC B+-tree", "Masstree-lite"],
-    );
-    for workload in Workload::ALL {
-        let mut cells = vec![workload.label().to_string()];
-        for kind in IndexKind::TREES {
-            let (result, _) = run_workload_fresh(kind, workload, &config);
-            cells.push(format!("{:.2}", result.throughput_ops_per_us));
-        }
-        println!("{}", format_row(&cells));
-    }
-
-    // Figure 13: latency percentiles of every index on workload A, zipfian.
-    print_header(
-        "Figure 13 — workload A latency (us), zipfian keys",
-        &["index", "p50", "p90", "p99", "p99.9"],
-    );
-    for kind in IndexKind::ALL {
-        let (result, _) = run_workload_fresh(kind, Workload::A, &config);
-        let latency = result.latency;
-        println!(
-            "{}",
-            format_row(&[
-                kind.label().to_string(),
-                format!("{:.2}", latency.p50_us),
-                format!("{:.2}", latency.p90_us),
-                format!("{:.2}", latency.p99_us),
-                format!("{:.2}", latency.p999_us),
-            ])
-        );
-    }
-    println!(
-        "\nPaper: zipfian results track the uniform results within ~20% with the same ordering."
+    latency_experiment(
+        &IndexKind::ALL,
+        Distribution::Zipfian,
+        "Figure 13: workload A latency percentiles, zipfian run phase",
+        Some(IndexKind::BSkipList),
+        false,
+        PAPER_NOTE,
     );
 }

@@ -7,10 +7,12 @@
 //! Scale with `BSKIP_RECORDS`, `BSKIP_OPS`, `BSKIP_THREADS`, `BSKIP_TRIALS`.
 
 use bskip_bench::{throughput_experiment, IndexKind};
+use bskip_ycsb::Distribution;
 
 fn main() {
     throughput_experiment(
         &IndexKind::SKIPLISTS,
+        Distribution::Uniform,
         "Figure 1 / Table 4: skiplist throughput",
         "Throughput (ops/us); ratios normalized as in Figure 1",
         &[

@@ -5,10 +5,12 @@
 //! latency than the other concurrent skiplists.
 
 use bskip_bench::{latency_experiment, IndexKind};
+use bskip_ycsb::Distribution;
 
 fn main() {
     latency_experiment(
         &IndexKind::SKIPLISTS,
+        Distribution::Uniform,
         "Figure 6: workload A latency percentiles",
         Some(IndexKind::BSkipList),
         false,

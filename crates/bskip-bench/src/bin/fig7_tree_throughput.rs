@@ -6,10 +6,12 @@
 //! range-scan workload E.
 
 use bskip_bench::{throughput_experiment, IndexKind};
+use bskip_ycsb::Distribution;
 
 fn main() {
     throughput_experiment(
         &IndexKind::TREES,
+        Distribution::Uniform,
         "Figure 7 / Table 5: tree vs B-skiplist throughput",
         "Throughput (ops/us), normalized to the B-skiplist",
         &[

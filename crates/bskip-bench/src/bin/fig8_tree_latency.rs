@@ -5,10 +5,12 @@
 //! retries that retire to the root with write locks.
 
 use bskip_bench::{latency_experiment, IndexKind};
+use bskip_ycsb::Distribution;
 
 fn main() {
     latency_experiment(
         &IndexKind::TREES,
+        Distribution::Uniform,
         "Figure 8: tree-index latency percentiles on workload A",
         None,
         true,

@@ -5,7 +5,8 @@ use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList,
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::ConcurrentIndex;
 use bskip_ycsb::{
-    median, run_load_phase, run_run_phase, run_trials, PhaseResult, Workload, YcsbConfig,
+    median, run_load_phase, run_run_phase, run_trials, Distribution, PhaseResult, Workload,
+    YcsbConfig,
 };
 
 /// The indices evaluated in the paper's Section 5.
@@ -193,17 +194,20 @@ pub fn scaling_experiment(workload: Workload, title: &str, paper_note: &str) {
 /// the denominator — an index, or `None` for the best of the others.
 pub type RatioColumn = (&'static str, IndexKind, Option<IndexKind>);
 
-/// Figures 1 and 7: throughput of every index in `kinds` on YCSB Load, A,
-/// B, C and E (median over `BSKIP_TRIALS` fresh runs), followed by the
-/// `ratios` columns the figure normalizes by.
+/// Figures 1 and 7 (uniform) and 11 and 12 (zipfian): throughput of every
+/// index in `kinds` on YCSB Load, A, B, C and E with the run phase drawing
+/// keys from `distribution` (median over `BSKIP_TRIALS` fresh runs),
+/// followed by the `ratios` columns the figure normalizes by.
 pub fn throughput_experiment(
     kinds: &[IndexKind],
+    distribution: Distribution,
     banner: &str,
     title: &str,
     ratios: &[RatioColumn],
     paper_note: &str,
 ) {
     let (config, trials) = experiment_config();
+    let config = config.with_distribution(distribution);
     println!(
         "{banner}, {} records, {} ops, {} threads, {} trial(s)",
         config.record_count, config.operation_count, config.threads, trials
@@ -247,19 +251,22 @@ pub fn throughput_experiment(
     println!("\n{paper_note}");
 }
 
-/// Figures 6 and 8: latency percentiles (50/90/99/99.9 and mean) of every
-/// index in `kinds` on YCSB workload A with uniform keys; optionally a
+/// Figures 6 and 8 (uniform) and 13 (zipfian): latency percentiles
+/// (50/90/99/99.9 and mean) of every index in `kinds` on YCSB workload A
+/// with the run phase drawing keys from `distribution`; optionally a
 /// column of root write locks taken (`-` for an index that does not export
 /// `root_write_locks`), and each index's p99 as a multiple of
 /// `p99_baseline`'s under the table.
 pub fn latency_experiment(
     kinds: &[IndexKind],
+    distribution: Distribution,
     banner: &str,
     p99_baseline: Option<IndexKind>,
     root_locks: bool,
     paper_note: &str,
 ) {
     let (config, _) = experiment_config();
+    let config = config.with_distribution(distribution);
     println!(
         "{banner}, {} records, {} ops, {} threads",
         config.record_count, config.operation_count, config.threads
@@ -268,7 +275,8 @@ pub fn latency_experiment(
     if root_locks {
         columns.push("root write locks");
     }
-    print_header("Latency (us) on YCSB A, uniform keys", &columns);
+    let title = format!("Latency (us) on YCSB A, {} keys", distribution.label());
+    print_header(&title, &columns);
     let mut p99 = Vec::new();
     for &kind in kinds {
         let (result, index) = run_workload_fresh(kind, Workload::A, &config);

@@ -10,7 +10,7 @@
 //! geometric whatever the operation history.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 thread_local! {
     /// Per-thread RNG used for promotion coin flips.  `SmallRng` keeps the
@@ -27,14 +27,17 @@ thread_local! {
 pub fn sample_height(denominator: u32, max_height: usize) -> usize {
     debug_assert!(denominator >= 2);
     debug_assert!(max_height >= 1);
-    HEIGHT_RNG.with(|rng| {
-        let mut rng = rng.borrow_mut();
-        let mut height = 0;
-        while height + 1 < max_height && rng.gen_range(0..denominator) == 0 {
-            height += 1;
-        }
-        height
-    })
+    HEIGHT_RNG.with(|rng| geometric(&mut rng.borrow_mut(), denominator, max_height))
+}
+
+/// The coin flips behind both samplers: successes of probability
+/// `1/denominator` in a row, stopping at `max_height - 1`.
+fn geometric(rng: &mut SmallRng, denominator: u32, max_height: usize) -> usize {
+    let mut height = 0;
+    while height + 1 < max_height && rng.gen_range(0..denominator) == 0 {
+        height += 1;
+    }
+    height
 }
 
 /// Reseeds this thread's height RNG.  Benchmarks use this to make runs
@@ -66,17 +69,7 @@ impl HeightSampler {
 
     /// Draws the next height in `0..max_height`.
     pub fn sample(&mut self) -> usize {
-        let mut height = 0;
-        while height + 1 < self.max_height && self.rng.gen_range(0..self.denominator) == 0 {
-            height += 1;
-        }
-        height
-    }
-
-    /// Draws a raw 64-bit value (exposed so tests can derive keys and
-    /// heights from one seed).
-    pub fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
+        geometric(&mut self.rng, self.denominator, self.max_height)
     }
 }
 

@@ -50,7 +50,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             unsafe {
                 match op {
                     Op::Get { key, result } => {
-                        *result = self.peek_pinned(key, |value| *value, &guard).into();
+                        *result = self.get_pinned(key, &guard).into();
                     }
                     Op::Insert { key, value, result } | Op::Update { key, value, result } => {
                         *result = self.insert_pinned(*key, *value, None, &guard).into();

@@ -417,34 +417,10 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             if !unlinked.is_null() {
                 self.defer_free(guard, unlinked);
             }
-            curr = descend_child;
-            prev = ptr::null_mut();
             level -= 1;
-
-            // ---- horizontal traversal at the new level: move right while
-            // the successor's header is not past the key, retaining the
-            // predecessor (the entry node needs none: it covers the key)
-            loop {
-                let next = (*curr).next();
-                if next.is_null() {
-                    break;
-                }
-                prefetch_node(next);
-                lock_node(next, Mode::Write);
-                if (*next).header_covers(&key) {
-                    if !prev.is_null() {
-                        unlock_node(prev, Mode::Write);
-                    }
-                    prev = curr;
-                    curr = next;
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.horizontal_steps.incr();
-                    }
-                } else {
-                    unlock_node(next, Mode::Write);
-                    break;
-                }
-            }
+            // The entry node needs no walk (it covers the key); every level
+            // below it does.
+            (prev, curr) = self.walk_right_keeping_prev(descend_child, &key);
         }
 
         // Discard pre-allocated nodes that were never linked in (only

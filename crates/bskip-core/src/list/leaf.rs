@@ -1,7 +1,10 @@
-//! The leaf-first write entry and the leaf kernel.
+//! The optimistic retry loop, the leaf-first write entry and the leaf
+//! kernel.
 //!
-//! Every write, alone or in a batch, funnels through the two halves of
-//! this module:
+//! [`BSkipList::optimistically`] is the one retry loop around the
+//! optimistic descent: a point read copies its value out inside it, and
+//! every write, alone or in a batch, funnels through the two halves of
+//! this module built on it:
 //!
 //! * [`BSkipList::lock_covering`] — reach the node that covers a key at a
 //!   given level **without locking anything above it** and return it
@@ -44,6 +47,41 @@ use crate::node::{Node, NodeSearch};
 pub(super) struct HeaderKey;
 
 impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+    /// The one optimistic retry loop, behind every point read and every
+    /// [`Self::lock_covering`]: up to [`OPTIMISTIC_ATTEMPTS`] passes of
+    /// "descend optimistically to the node covering `key` at `level`, then
+    /// `attempt` on it with the version the descent validated".  The first
+    /// `Some` an attempt returns is the answer; a failed descent or a
+    /// `None` counts one `optimistic_restarts` and backs off.  `None` after
+    /// the last pass leaves the fallback, and its counter, to the caller.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold an epoch pin across the call and across any
+    /// use of the node `attempt` is handed; `level <= top_level()`.
+    pub(super) unsafe fn optimistically<R>(
+        &self,
+        key: &K,
+        level: usize,
+        mut attempt: impl FnMut(*mut Node<K, V, B>, u64) -> Option<R>,
+    ) -> Option<R> {
+        let mut backoff = Backoff::new();
+        for _ in 0..OPTIMISTIC_ATTEMPTS {
+            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level) {
+                #[cfg(test)]
+                tests::run_interleaved(level);
+                if let Some(result) = attempt(node, version) {
+                    return Some(result);
+                }
+            }
+            if let Some(stats) = self.stats_enabled() {
+                stats.optimistic_restarts.incr();
+            }
+            backoff.spin();
+        }
+        None
+    }
+
     /// Returns the node covering `key` at `level`, locked in `mode`.
     ///
     /// The conflict-free path takes exactly that one lock: an optimistic
@@ -67,32 +105,24 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         level: usize,
         mode: Mode,
     ) -> *mut Node<K, V, B> {
-        let mut backoff = Backoff::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if let Ok((node, version)) = self.try_descend_optimistic_to(key, level) {
-                #[cfg(test)]
-                tests::run_interleaved(level);
-                let unchanged = match mode {
-                    Mode::Write => (*node).lock.lock_exclusive_at(version),
-                    Mode::Read => {
-                        (*node).lock.lock_shared();
-                        // The node changed (or was unlinked) between the
-                        // descent and the lock: it may cover something else.
-                        let unchanged = (*node).lock.validate_version(version);
-                        if !unchanged {
-                            (*node).lock.unlock_shared();
-                        }
-                        unchanged
+        let locked = self.optimistically(key, level, |node, version| {
+            let unchanged = match mode {
+                Mode::Write => (*node).lock.lock_exclusive_at(version),
+                Mode::Read => {
+                    (*node).lock.lock_shared();
+                    // The node changed (or was unlinked) between the
+                    // descent and the lock: it may cover something else.
+                    let unchanged = (*node).lock.validate_version(version);
+                    if !unchanged {
+                        (*node).lock.unlock_shared();
                     }
-                };
-                if unchanged {
-                    return node;
+                    unchanged
                 }
-            }
-            if let Some(stats) = self.stats_enabled() {
-                stats.optimistic_restarts.incr();
-            }
-            backoff.spin();
+            };
+            unchanged.then_some(node)
+        });
+        if let Some(node) = locked {
+            return node;
         }
         if let Some(stats) = self.stats_enabled() {
             match mode {
@@ -211,8 +241,9 @@ pub(super) mod tests {
     type Interleaved = (usize, Box<dyn FnOnce()>);
 
     thread_local! {
-        /// Runs once, on this thread, inside the next `lock_covering` for
-        /// the given level: after its descent validated, before it locks.
+        /// Runs once, on this thread, inside the next optimistic pass at
+        /// the given level — a point read's or a `lock_covering`'s: after
+        /// its descent validated, before it reads or locks the node.
         static INTERLEAVED: RefCell<Option<Interleaved>> = const { RefCell::new(None) };
     }
 
@@ -224,7 +255,7 @@ pub(super) mod tests {
                 _ => None,
             }
         });
-        // Taken out first: the operation re-enters `lock_covering`.
+        // Taken out first: the operation re-enters the loop.
         if let Some((_, operation)) = due {
             operation();
         }
@@ -234,8 +265,8 @@ pub(super) mod tests {
         INTERLEAVED.with(|cell| *cell.borrow_mut() = Some((level, Box::new(operation))));
     }
 
-    /// Overwrites `key` before each of the next `times` level-0 lock
-    /// attempts: every one of them finds its leaf's version moved.
+    /// Overwrites `key` before each of the next `times` level-0 optimistic
+    /// passes: every one of them finds its leaf's version moved.
     pub(in crate::list) fn interfere(list: &Arc<List>, key: u64, times: usize) {
         if times > 0 {
             let list = Arc::clone(list);
@@ -396,6 +427,25 @@ pub(super) mod tests {
         list.validate().expect("structure");
     }
 
+    #[test]
+    fn a_contended_get_falls_back_to_the_locked_descent() {
+        // The leaf moves under every optimistic copy-out, so the read
+        // gives up validating and copies the value out under the leaf's
+        // read lock.
+        let list = list();
+        list.insert_with_height(1, 10, 0);
+        interfere(&list, 1, super::OPTIMISTIC_ATTEMPTS);
+        assert_eq!(list.get(&1), Some(1), "the last overwrite");
+        let stats = list.stats();
+        assert_eq!(
+            stats.optimistic_restarts.get(),
+            super::OPTIMISTIC_ATTEMPTS as u64
+        );
+        assert_eq!(stats.locked_fallbacks.get(), 1);
+        assert_eq!(stats.optimistic_reads.get(), 0);
+        assert_unlocked(&list);
+    }
+
     /// No node of the list is locked in either mode (at quiescence).
     pub(in crate::list) fn assert_unlocked<const B: usize>(list: &BSkipList<u64, u64, B>) {
         for level in 0..list.max_height() {
@@ -551,9 +601,13 @@ pub(super) mod tests {
         for key in [220u64, 230] {
             list.insert_with_height(key, key, 0);
         }
+        // The leading get's pass meets the hook first; it re-arms it for
+        // the update's.
         let other = Arc::clone(&list);
         interleave(0, move || {
-            assert_eq!(other.insert_with_height(240, 240, 0), None);
+            interleave(0, move || {
+                assert_eq!(other.insert_with_height(240, 240, 0), None);
+            });
         });
         let mut batch = vec![Op::get(110), Op::update(220, 221), Op::get(230)];
         list.execute(&mut batch);

@@ -5,13 +5,13 @@
 //! structure exactly once, left-to-right within a level and top-to-bottom
 //! across levels, acquiring reader/writer locks hand-over-hand.
 //!
-//! * Point queries ([`BSkipList::get`], [`BSkipList::peek`],
-//!   [`BSkipList::contains_key`]) use **optimistic lock coupling**: they
-//!   acquire *no* locks at all on the conflict-free path, reading node
-//!   versions instead and validating `version-read → node-read →
-//!   version-recheck` at every step (see the protocol notes below).  After
-//!   [`OPTIMISTIC_ATTEMPTS`] failed validations they fall back to the
-//!   paper's hand-over-hand read-locked descent.
+//! * Point queries ([`BSkipList::get`], and [`BSkipList::contains_key`]
+//!   through it) use **optimistic lock coupling**: they acquire *no* locks
+//!   at all on the conflict-free path, reading node versions instead and
+//!   validating `version-read → node-read → version-recheck` at every step
+//!   (see the protocol notes below).  After [`OPTIMISTIC_ATTEMPTS`] failed
+//!   validations they fall back to the paper's hand-over-hand read-locked
+//!   descent.
 //! * Range queries ([`BSkipList::range`], cursors) take their per-leaf
 //!   snapshots under read locks (Section 4, "concurrent finds and range
 //!   queries"); the descent that positions a scan is optimistic.
@@ -43,10 +43,10 @@
 //!
 //! **Two ways down.**  Only `try_descend_optimistic_to`, and
 //! `descend_locked` behind it when validation keeps failing, walk down
-//! from the top-level head; `lock_covering` (`leaf.rs`) is the one retry
-//! loop around them, for every write and every cursor positioning.  Every
-//! descent looks for the same thing: the node holding the greatest key
-//! `<=` the one given.
+//! from the top-level head; `optimistically` (`leaf.rs`) is the one retry
+//! loop around the first, for every point read, every write and every
+//! cursor positioning.  Every descent looks for the same thing: the node
+//! holding the greatest key `<=` the one given.
 //!
 //! # The optimistic read protocol
 //!
@@ -55,9 +55,10 @@
 //! traversal never modifies the lock word; at each node it
 //!
 //! 1. reads the version (restarting if a writer holds the node),
-//! 2. reads whatever it needs from the node through relaxed-atomic
-//!    accessors (`len`, `next`, `*_racy` slot reads — possibly observing
-//!    torn or stale values),
+//! 2. reads whatever it needs from the node through the node's accessors
+//!    (`len`, `next`, `search`, `value_at`: relaxed-atomic loads, possibly
+//!    observing torn or stale values — the same accessors a lock holder
+//!    uses, exact only under the lock),
 //! 3. re-checks the version before *acting* on what it read: before
 //!    descending through a child pointer (the classic OLC/Masstree
 //!    hand-over-hand: read child pointer from the parent, capture the
@@ -126,10 +127,11 @@ mod validate;
 
 use std::marker::PhantomData;
 use std::ops::{Bound, RangeBounds};
+use std::ptr;
 
 use bskip_index::cursor::clone_bound;
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
-use bskip_sync::{Backoff, EbrCollector, EbrGuard, EbrStats, StripedCounter};
+use bskip_sync::{EbrCollector, EbrGuard, EbrStats, StripedCounter};
 
 use self::cursor::LeafCursor;
 
@@ -432,136 +434,62 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         sample_height(self.denominator, self.max_height)
     }
 
-    /// Point lookup (the paper's `find(k)`).
+    /// Point lookup (the paper's `find(k)`): a copy of the value stored
+    /// under `key`, or `None` when the key is absent.
     ///
-    /// Takes no lock on the conflict-free path — the optimistic descent
-    /// of [`BSkipList::peek`]; only after repeated failed validations does
-    /// it read-lock hand-over-hand, holding at most two locks at a time.
-    pub fn get(&self, key: &K) -> Option<V> {
-        // One shared read path: `peek` pins, descends and searches; values
-        // are `Copy`, so copying out of the borrow is the whole operation.
-        self.peek(key, |value| *value)
-    }
-
-    /// Applies `f` to the value stored under `key` and returns the result,
-    /// or `None` when the key is absent.
-    ///
-    /// This is the one shared point-read traversal: [`BSkipList::get`] is
-    /// `peek(key, |v| *v)` and [`BSkipList::contains_key`] is
-    /// `peek(key, |_| ())`.  The common case completes through the
-    /// optimistic lock-free descent: `f` then runs on a **validated
-    /// copy-out** of the value — the value is copied from the leaf with
-    /// racy atomic loads, the leaf's version is re-checked, and only a
-    /// copy that validated is handed to `f`.  Copying is the right
-    /// trade-off here because index values are small `Copy` payloads: a
-    /// copy costs a few relaxed loads, while holding even a read lock
-    /// across `f` would put every reader back on the lock word's cache
-    /// line (the cursor keeps the locked path for its multi-entry
-    /// snapshots, where one lock amortizes over a whole node).  Under
-    /// sustained conflicts the read falls back to the hand-over-hand
-    /// locked descent and `f` runs under the leaf's read lock; in both
-    /// cases `f` must be short, must not call back into this list, and
-    /// the borrow it receives cannot escape.
+    /// The common case takes no lock: the optimistic descent reaches the
+    /// covering leaf, the value is copied out of it with relaxed-atomic
+    /// loads, and the copy counts only if the leaf's version still
+    /// validates.  Copying is the right trade-off because index values
+    /// are small `Copy` payloads: a copy costs a few relaxed loads, while
+    /// even a read lock would put every reader back on the lock word's
+    /// cache line (the cursor keeps the locked path for its multi-entry
+    /// snapshots, where one lock amortizes over a whole node).  Only after
+    /// 8 failed validations does the read lock hand-over-hand, holding at
+    /// most two locks at a time, and copy the value out under the leaf's
+    /// read lock.
     ///
     /// The epoch collector stays pinned for the whole call — including
     /// every optimistic attempt — which is what makes chasing possibly
     /// stale pointers safe (see the module-level protocol notes).
-    ///
-    /// ```
-    /// use bskip_core::BSkipList;
-    ///
-    /// let list: BSkipList<u64, [u8; 32]> = BSkipList::new();
-    /// list.insert(7, [9u8; 32]);
-    /// assert_eq!(list.peek(&7, |value| value[0]), Some(9));
-    /// assert_eq!(list.peek(&8, |value| value[0]), None);
-    /// ```
-    pub fn peek<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+    pub fn get(&self, key: &K) -> Option<V> {
         let guard = self.collector.pin();
         // SAFETY: `guard` pins this list's collector.
-        unsafe { self.peek_pinned(key, f, &guard) }
+        unsafe { self.get_pinned(key, &guard) }
     }
 
-    /// [`BSkipList::peek`] under the caller's epoch pin.
+    /// [`BSkipList::get`] under the caller's epoch pin.
     ///
     /// # Safety
     ///
     /// `guard` must pin this list's collector.
-    pub(super) unsafe fn peek_pinned<R>(
-        &self,
-        key: &K,
-        f: impl FnOnce(&V) -> R,
-        _guard: &EbrGuard<'_>,
-    ) -> Option<R> {
+    unsafe fn get_pinned(&self, key: &K, _guard: &EbrGuard<'_>) -> Option<V> {
         if let Some(stats) = self.stats_enabled() {
             stats.finds.incr();
         }
-        let mut backoff = Backoff::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            // SAFETY: the caller's epoch pin spans the attempt, and every
-            // racy read inside is validated before being acted upon.
-            match unsafe { self.try_peek_optimistic(key) } {
-                Ok(found) => {
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.optimistic_reads.incr();
-                    }
-                    return found.map(|value| f(&value));
-                }
-                Err(Restart) => {
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.optimistic_restarts.incr();
-                    }
-                    backoff.spin();
-                }
+        let lookup = |leaf: *mut Node<K, V, B>| match (*leaf).search(key) {
+            NodeSearch::Found(slot) => Some((*leaf).value_at(slot)),
+            _ => None,
+        };
+        // The copy-out is only real if no writer overlapped the search and
+        // the copy: one final validation covers both.
+        let read = self.optimistically(key, 0, |leaf, version| {
+            let found = lookup(leaf);
+            (*leaf).lock.validate_version(version).then_some(found)
+        });
+        if let Some(found) = read {
+            if let Some(stats) = self.stats_enabled() {
+                stats.optimistic_reads.incr();
             }
+            return found;
         }
         if let Some(stats) = self.stats_enabled() {
             stats.locked_fallbacks.incr();
         }
-        // SAFETY: the leaf returned by the descent is read-locked; the
-        // value reference handed to `f` lives only inside the locked
-        // region (the closure signature keeps the borrow from escaping),
-        // and the unlock runs even if `f` panics (the drop guard below),
-        // keeping the spinlock protocol intact on unwind.
-        unsafe {
-            let leaf = self.descend_locked(key, 0, Mode::Read);
-            struct Unlock<K: IndexKey, V: IndexValue, const B: usize>(*mut Node<K, V, B>);
-            impl<K: IndexKey, V: IndexValue, const B: usize> Drop for Unlock<K, V, B> {
-                fn drop(&mut self) {
-                    // SAFETY: constructed only around a leaf this thread
-                    // read-locked and not yet unlocked.
-                    unsafe { unlock_node(self.0, Mode::Read) };
-                }
-            }
-            let unlock = Unlock(leaf);
-            let result = match (*leaf).search(key) {
-                NodeSearch::Found(idx) => Some(f((*leaf).value_ref_at(idx))),
-                _ => None,
-            };
-            drop(unlock);
-            result
-        }
-    }
-
-    /// One optimistic descent attempt for a point read: returns the
-    /// validated lookup result, or [`Restart`] if any version validation
-    /// failed along the way.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call.
-    unsafe fn try_peek_optimistic(&self, key: &K) -> Result<Option<V>, Restart> {
-        let (leaf, version) = self.try_descend_optimistic_to(key, 0)?;
-        let len = (*leaf).len();
-        let found = match (*leaf).search_racy(key, len) {
-            NodeSearch::Found(idx) => Some((*leaf).value_at_racy(idx)),
-            _ => None,
-        };
-        // The copy-out is only real if no writer overlapped the search
-        // and the copy: one final validation covers both.
-        if !(*leaf).lock.validate_version(version) {
-            return Err(Restart);
-        }
-        Ok(found)
+        let leaf = self.descend_locked(key, 0, Mode::Read);
+        let found = lookup(leaf);
+        unlock_node(leaf, Mode::Read);
+        found
     }
 
     /// Optimistic lock-coupled descent to the node whose range covers
@@ -597,14 +525,13 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 }
                 prefetch_node(next);
                 let next_version = (*next).lock.optimistic_version().ok_or(Restart)?;
-                let next_len = (*next).len();
-                if next_len == 0 {
+                if (*next).is_empty() {
                     // A linked node is never left empty (removal empties
                     // and unlinks under one exclusive hold), so this is a
                     // stale/torn read; restart rather than guess.
                     return Err(Restart);
                 }
-                let covers = (*next).key_at_racy(0) <= *key;
+                let covers = (*next).header() <= *key;
                 // The `next` pointer and the successor's header were read
                 // without locks: re-validate the node they were read from
                 // before acting on them.
@@ -629,8 +556,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             if level == stop_level {
                 return Ok((curr, version));
             }
-            let len = (*curr).len();
-            let child = match (*curr).search_racy(key, len) {
+            let child = match (*curr).search(key) {
                 NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
                 NodeSearch::Before => {
                     if !(*curr).is_head() {
@@ -707,10 +633,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         }
     }
 
-    /// Whether `key` is present.  Routed through [`BSkipList::peek`], so
-    /// the membership check never copies the value out of the leaf.
+    /// Whether `key` is present: [`BSkipList::get`] with the value dropped.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.peek(key, |_| ()).is_some()
+        self.get(key).is_some()
     }
 
     /// Opens a seekable [`Cursor`] over the entries whose keys lie in
@@ -771,16 +696,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         ))
     }
 
-    /// Visits every key-value pair in ascending key order.
-    ///
-    /// Equivalent to a full-index range scan; useful for validation and for
-    /// flushing a memtable.
-    pub fn for_each(&self, visit: &mut dyn FnMut(&K, &V)) {
-        for (key, value) in self.iter() {
-            visit(&key, &value);
-        }
-    }
-
     /// Collects the whole contents into a sorted `Vec` (convenience wrapper
     /// around [`BSkipList::iter`]).
     pub fn to_vec(&self) -> Vec<(K, V)> {
@@ -836,6 +751,43 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             } else {
                 unlock_node(next, mode);
                 return curr;
+            }
+        }
+    }
+
+    /// The write-locked passes' walk along one level: moves right while
+    /// the successor's header is `<=` `key`, keeping the node before the
+    /// current one locked too, so that a node the pass empties can be
+    /// unlinked from its predecessor at once.  Returns `(prev, curr)`, both
+    /// write-locked, `prev` null if the walk did not move.
+    ///
+    /// # Safety
+    ///
+    /// `curr` must be write-locked by this thread.
+    unsafe fn walk_right_keeping_prev(
+        &self,
+        mut curr: *mut Node<K, V, B>,
+        key: &K,
+    ) -> (*mut Node<K, V, B>, *mut Node<K, V, B>) {
+        let mut prev = ptr::null_mut();
+        loop {
+            let next = (*curr).next();
+            if next.is_null() {
+                return (prev, curr);
+            }
+            prefetch_node(next);
+            lock_node(next, Mode::Write);
+            if (*next).header() > *key {
+                unlock_node(next, Mode::Write);
+                return (prev, curr);
+            }
+            if !prev.is_null() {
+                unlock_node(prev, Mode::Write);
+            }
+            prev = curr;
+            curr = next;
+            if let Some(stats) = self.stats_enabled() {
+                stats.horizontal_steps.incr();
             }
         }
     }

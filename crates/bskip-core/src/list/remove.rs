@@ -124,33 +124,11 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
                 stats.top_level_write_locks.incr();
             }
         }
-        let mut curr = entry;
-        let mut prev: *mut Node<K, V, B> = ptr::null_mut();
+        let mut level_start = entry;
         let mut removed: Option<V> = None;
 
         loop {
-            // ---- horizontal traversal, retaining the predecessor ----
-            loop {
-                let next = (*curr).next();
-                if next.is_null() {
-                    break;
-                }
-                prefetch_node(next);
-                lock_node(next, Mode::Write);
-                if (*next).header_covers(key) {
-                    if !prev.is_null() {
-                        unlock_node(prev, Mode::Write);
-                    }
-                    prev = curr;
-                    curr = next;
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.horizontal_steps.incr();
-                    }
-                } else {
-                    unlock_node(next, Mode::Write);
-                    break;
-                }
-            }
+            let (prev, curr) = self.walk_right_keeping_prev(level_start, key);
             if let Some(stats) = self.stats_enabled() {
                 stats.levels_visited.incr();
             }
@@ -237,8 +215,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
             if !unlinked.is_null() {
                 self.defer_free(guard, unlinked);
             }
-            curr = descend_child;
-            prev = ptr::null_mut();
+            level_start = descend_child;
             level -= 1;
         }
 

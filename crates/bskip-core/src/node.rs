@@ -15,31 +15,31 @@
 //!
 //! Every node embeds a [`RawRwSpinLock`].  The guarded state (`len`,
 //! `next`, `head_child`, keys, values, children) may only be **written**
-//! while holding the node's lock in exclusive mode.  It may be read two
-//! ways:
+//! while holding the node's lock in exclusive mode.  It is **read** one
+//! way, through one accessor per field (`len`, `next`, `head_child`,
+//! `key_at`, `value_at`, `child_at`, and `header` and `search` on top of
+//! them), each a relaxed-atomic load.  What a read is worth depends on the
+//! caller, not on the accessor: under the lock, shared or exclusive, it is
+//! exact; without the lock it is provisional — possibly stale or *torn*
+//! by an overlapping writer — until the caller validates the version it
+//! captured before reading ([`RawRwSpinLock::optimistic_version`] /
+//! [`RawRwSpinLock::validate_version`]).  An unlocked reader must also
+//! hold an EBR guard pinned from before its first dereference: retired
+//! nodes stay mapped through the grace period, so even a pointer read from
+//! a torn slot is dereferenceable — just invalid, and rejected by
+//! validation.
 //!
-//! * **locked** — under the lock in shared or exclusive mode, through the
-//!   plain accessors (`len`, `key_at`, `search`, ...), which return exact
-//!   values;
-//! * **optimistic** — with *no* lock held, through the `*_racy` accessors,
-//!   bracketed by the lock's version protocol
-//!   ([`RawRwSpinLock::optimistic_version`] /
-//!   [`RawRwSpinLock::validate_version`]).  Racy reads may return *torn*
-//!   values when a writer overlaps; the caller must validate the version
-//!   before trusting anything it read, and must hold an EBR guard pinned
-//!   from before the first racy dereference (retired nodes stay mapped
-//!   through the grace period, so even a pointer read from a torn slot is
-//!   dereferenceable — just invalid, and rejected by validation).
-//!
-//! To make the optimistic races defined behaviour, every *mutator* routes
-//! its stores through relaxed atomics: single-word fields (`len`, `next`,
-//! `head_child`, children) are plain atomics, and the key/value arrays are
-//! written via [`bskip_sync::racy`] (chunked relaxed-atomic stores).  The
-//! slot arrays are zero-initialized at allocation so that racy loads never
-//! touch uninitialized bytes.  This constrains `K` and `V` to types where
-//! any initialized bit pattern is a valid value, which the index key/value
-//! traits' `Copy + 'static` universe (integers, byte arrays) satisfies; it
-//! is documented as part of the crate-level optimistic-read contract.
+//! To make those races defined behaviour, every store is a relaxed atomic
+//! too: single-word fields (`len`, `next`, `head_child`, children) are
+//! plain atomics, and the key/value arrays are read and written via
+//! [`bskip_sync::racy`] (chunked relaxed-atomic loads and stores).  A
+//! stored `len` is always `<= B`, so a slot index bounded by it stays in
+//! the array even when it is stale.  The slot arrays are zero-initialized
+//! at allocation so that loads never touch uninitialized bytes.  This
+//! constrains `K` and `V` to types where any initialized bit pattern is a
+//! valid value, which the index key/value traits' `Copy + 'static`
+//! universe (integers, byte arrays) satisfies; it is documented as part of
+//! the crate-level optimistic-read contract.
 //!
 //! The `level` and `is_head` fields are immutable after construction and
 //! may be read freely in either mode.
@@ -282,78 +282,38 @@ where
         self.head_child.store(child, Ordering::Relaxed);
     }
 
-    /// The header (smallest) key of the node.
+    /// The header (smallest) key of the node: [`Node::key_at`] of slot 0.
     ///
     /// # Safety
     ///
-    /// The node's lock must be held and the node must be non-empty.
+    /// As for [`Node::key_at`]; the node must be non-empty for the answer
+    /// to be a key (an empty node's slot 0 holds a stale or zeroed one).
     #[inline]
     pub(crate) unsafe fn header(&self) -> K {
-        debug_assert!(!self.is_empty());
         self.key_at(0)
     }
 
-    /// Key at slot `index`.
+    /// Key at slot `index`: exact under the node's lock when
+    /// `index < len()`, provisional without it (see the module docs).
     ///
     /// # Safety
     ///
-    /// The node's lock must be held and `index < len()`.
+    /// `index < B` (bounded by a length read through [`Node::len`]).
     #[inline]
     pub(crate) unsafe fn key_at(&self, index: usize) -> K {
-        debug_assert!(index < self.len());
-        (*self.keys_ptr().add(index)).assume_init()
-    }
-
-    /// Racy key read at slot `index`: the optimistic counterpart of
-    /// [`Node::key_at`].  May return a torn value if a writer overlaps.
-    ///
-    /// # Safety
-    ///
-    /// `index < B` (the caller bounds it by a length it read through
-    /// [`Node::len`]); the result must be discarded unless the node's
-    /// version validates afterwards.
-    #[inline]
-    pub(crate) unsafe fn key_at_racy(&self, index: usize) -> K {
         debug_assert!(index < B);
         racy::load(self.keys_ptr().add(index) as *const K)
     }
 
-    /// Value at slot `index` (leaf nodes only).
+    /// Value at slot `index` (leaf nodes only); read like [`Node::key_at`].
     ///
     /// # Safety
     ///
-    /// The node's lock must be held, the node must be a leaf and
-    /// `index < len()`.
+    /// The node must be a leaf and `index < B`.
     #[inline]
     pub(crate) unsafe fn value_at(&self, index: usize) -> V {
-        debug_assert!(index < self.len());
-        (*self.values_ptr().add(index)).assume_init()
-    }
-
-    /// Racy value read at slot `index`: the optimistic counterpart of
-    /// [`Node::value_at`].
-    ///
-    /// # Safety
-    ///
-    /// The node must be a leaf and `index < B`; the result must be
-    /// discarded unless the node's version validates afterwards.
-    #[inline]
-    pub(crate) unsafe fn value_at_racy(&self, index: usize) -> V {
         debug_assert!(index < B);
         racy::load(self.values_ptr().add(index) as *const V)
-    }
-
-    /// Borrow of the value at slot `index` (leaf nodes only): the no-copy
-    /// variant of [`Node::value_at`] behind the cursor's locked snapshots.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held, the node must be a leaf and
-    /// `index < len()`; the returned borrow must not outlive the lock.
-    #[inline]
-    pub(crate) unsafe fn value_ref_at(&self, index: usize) -> &V {
-        debug_assert!(index < self.len());
-        (*self.values_ptr().add(index)).assume_init_ref()
     }
 
     /// Overwrites the value at slot `index`, returning the previous value.
@@ -365,9 +325,8 @@ where
     #[inline]
     pub(crate) unsafe fn replace_value_at(&self, index: usize, value: V) -> V {
         debug_assert!(index < self.len());
-        let slot = self.values_ptr().add(index);
-        let old = (*slot).assume_init();
-        racy::store(slot as *mut V, value);
+        let old = self.value_at(index);
+        racy::store(self.values_ptr().add(index) as *mut V, value);
         old
     }
 
@@ -400,8 +359,8 @@ where
         self.children()[index].store(child, Ordering::Relaxed);
     }
 
-    /// Number of stored keys strictly less than `key`: the branchless
-    /// in-node search core.
+    /// Number of the first `len` keys strictly less than `key`: the
+    /// branchless in-node search core.
     ///
     /// Every node visit of every operation funnels through this, so it is
     /// written for the branch predictor rather than for the comparison
@@ -412,56 +371,28 @@ where
     /// the backend) instead of the classic three-way `Ordering` ladder
     /// whose per-probe taken/not-taken pattern is exactly what a random
     /// key stream makes unpredictable.  Equality is resolved once by the
-    /// caller ([`Node::search`]) after the loop, not per probe.
+    /// caller ([`Node::search`]) after the loop, not per probe.  The result
+    /// is in `0..=len` whatever the probes read.
     ///
     /// # Safety
     ///
-    /// The node's lock must be held (shared or exclusive).
+    /// `len <= B`.
     #[inline]
-    pub(crate) unsafe fn keys_below(&self, key: &K) -> usize {
-        let mut len = self.len();
+    unsafe fn keys_below(&self, key: &K, mut len: usize) -> usize {
         if len == 0 {
             return 0;
         }
-        let keys = self.keys_ptr();
         let mut low = 0usize;
         while len > 1 {
             let half = len / 2;
             // Select, not branch: both operands are computed and `low`
             // picks one.  (A conditional jump here would mispredict every
             // other probe on uniform keys.)
-            let probe = *(*keys.add(low + half - 1)).assume_init_ref();
+            let probe = self.key_at(low + half - 1);
             low = if probe < *key { low + half } else { low };
             len -= half;
         }
-        low + usize::from(*(*keys.add(low)).assume_init_ref() < *key)
-    }
-
-    /// Racy counterpart of [`Node::keys_below`]: the same branchless core
-    /// over relaxed-atomic key loads, bounded by a caller-snapshotted
-    /// `len`.  Torn probes can misdirect the search, so the result is only
-    /// meaningful after version validation — but it is always in
-    /// `0..=min(len, B)`, so it is *safe* to use as a slot index bound.
-    ///
-    /// # Safety
-    ///
-    /// None beyond the node being alive (an EBR pin); every slot is
-    /// initialized and every load is atomic.
-    #[inline]
-    pub(crate) unsafe fn keys_below_racy(&self, key: &K, len: usize) -> usize {
-        let mut len = len.min(B);
-        if len == 0 {
-            return 0;
-        }
-        let keys = self.keys_ptr() as *const K;
-        let mut low = 0usize;
-        while len > 1 {
-            let half = len / 2;
-            let probe = racy::load(keys.add(low + half - 1));
-            low = if probe < *key { low + half } else { low };
-            len -= half;
-        }
-        low + usize::from(racy::load(keys.add(low)) < *key)
+        low + usize::from(self.key_at(low) < *key)
     }
 
     /// Binary-searches the node for `key`.
@@ -471,56 +402,23 @@ where
     /// when `key` is smaller than every stored key (which only happens for
     /// head nodes during correct traversals).  Built on the branchless
     /// [`Node::keys_below`] core with a single trailing equality check.
+    /// Read like every other accessor: exact under the lock, provisional
+    /// without it, and any slot it names is `< len() <= B` either way.
     ///
     /// # Safety
     ///
-    /// The node's lock must be held (shared or exclusive).
+    /// None beyond the node being alive.
     #[inline]
     pub(crate) unsafe fn search(&self, key: &K) -> NodeSearch {
-        let below = self.keys_below(key);
-        if below < self.len() && *(*self.keys_ptr().add(below)).assume_init_ref() == *key {
+        let len = self.len();
+        let below = self.keys_below(key, len);
+        if below < len && self.key_at(below) == *key {
             NodeSearch::Found(below)
         } else if below == 0 {
             NodeSearch::Before
         } else {
             NodeSearch::Pred(below - 1)
         }
-    }
-
-    /// Racy counterpart of [`Node::search`] over a caller-snapshotted
-    /// `len`.  The classification (and any slot index inside it) is
-    /// provisional until the node's version validates; indices are always
-    /// `< min(len, B)`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::keys_below_racy`].
-    #[inline]
-    pub(crate) unsafe fn search_racy(&self, key: &K, len: usize) -> NodeSearch {
-        let len = len.min(B);
-        let below = self.keys_below_racy(key, len);
-        if below < len && racy::load(self.keys_ptr().add(below) as *const K) == *key {
-            NodeSearch::Found(below)
-        } else if below == 0 {
-            NodeSearch::Before
-        } else {
-            NodeSearch::Pred(below - 1)
-        }
-    }
-
-    /// Whether this node's header (smallest) key is `<= key` — the "does
-    /// the traversal advance into this node?" test that every horizontal
-    /// walk repeats once per visited node.  A single read of slot 0 and
-    /// one ordering comparison, no equality pass.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held (shared or exclusive) and the node
-    /// must be non-empty.
-    #[inline]
-    pub(crate) unsafe fn header_covers(&self, key: &K) -> bool {
-        debug_assert!(!self.is_empty());
-        *key >= *(*self.keys_ptr()).assume_init_ref()
     }
 
     /// Inserts `key`/`value` at slot `index`, shifting later slots right.
@@ -580,7 +478,7 @@ where
         let removed = match &self.data {
             Data::Leaf(_) => {
                 let values = self.values_ptr() as *mut V;
-                let value = (*(values.add(index) as *const MaybeUninit<V>)).assume_init();
+                let value = self.value_at(index);
                 racy::copy(values.add(index + 1), values.add(index), len - index - 1);
                 Some(value)
             }
@@ -739,37 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn racy_accessors_agree_with_locked_ones_at_quiescence() {
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            for i in 0..6u64 {
-                (*node).push_leaf(i * 10 + 5, i);
-            }
-            let len = (*node).len();
-            for i in 0..len {
-                assert_eq!((*node).key_at_racy(i), (*node).key_at(i));
-                assert_eq!((*node).value_at_racy(i), (*node).value_at(i));
-            }
-            for probe in 0..70u64 {
-                assert_eq!(
-                    (*node).keys_below_racy(&probe, len),
-                    (*node).keys_below(&probe),
-                    "probe {probe}"
-                );
-                assert_eq!((*node).search_racy(&probe, len), (*node).search(&probe));
-            }
-            // Over-long snapshotted lengths are clamped to B, staying in
-            // bounds even when the caller's len is stale garbage.
-            assert_eq!(
-                (*node).keys_below_racy(&u64::MAX, usize::MAX),
-                8,
-                "clamped to B"
-            );
-            TestNode::free(node);
-        }
-    }
-
-    #[test]
     fn replace_value_returns_old() {
         unsafe {
             let node = TestNode::alloc_leaf(false);
@@ -891,7 +758,7 @@ mod tests {
                 for probe in 0..90u64 {
                     let expected = (0..len).filter(|i| ((i + 1) as u64) * 10 < probe).count();
                     assert_eq!(
-                        (*node).keys_below(&probe),
+                        (*node).keys_below(&probe, (*node).len()),
                         expected,
                         "len {len} probe {probe}"
                     );
@@ -916,19 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn header_cover_checks_match_full_comparisons() {
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            (*node).push_leaf(50, 0);
-            (*node).push_leaf(60, 0);
-            for probe in [0u64, 49, 50, 51, 60, 100] {
-                assert_eq!((*node).header_covers(&probe), (*node).header() <= probe);
-            }
-            TestNode::free(node);
-        }
-    }
-
-    #[test]
     fn prefetch_is_a_harmless_hint() {
         unsafe {
             let node = TestNode::alloc_leaf(false);
@@ -945,7 +799,6 @@ mod tests {
             let head = TestNode::alloc_leaf(true);
             assert!((*head).is_head());
             assert_eq!((*head).search(&42), NodeSearch::Before);
-            assert_eq!((*head).search_racy(&42, (*head).len()), NodeSearch::Before);
             TestNode::free(head);
         }
     }

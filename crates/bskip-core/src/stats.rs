@@ -39,7 +39,7 @@ bskip_index::stat_block! {
         pub batch_executes: CachePadded<RelaxedCounter> => Counter "batch_executes",
         /// Operations carried by those batches.
         pub batched_ops: CachePadded<RelaxedCounter> => Counter "batched_ops",
-        /// Point reads (`get`/`peek`/`contains_key`, a batch's gets) that
+        /// Point reads (`get`/`contains_key`, a batch's gets) that
         /// completed through the optimistic lock-free descent — zero lock
         /// acquisitions end to end.
         pub optimistic_reads: CachePadded<RelaxedCounter> => Counter "optimistic_reads",

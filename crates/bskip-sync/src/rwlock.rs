@@ -127,15 +127,16 @@ const VERSION_MASK: u64 = !LOCK_MASK;
 /// let lock = RawRwSpinLock::new();
 /// lock.lock_shared();
 /// assert!(lock.try_lock_shared()); // readers share
-/// assert!(!lock.try_lock_exclusive()); // writer excluded
 /// lock.unlock_shared();
 /// lock.unlock_shared();
 ///
 /// // Optimistic validation: stable across a write-free window ...
 /// let version = lock.optimistic_version().unwrap();
 /// assert!(lock.validate_version(version));
-/// // ... and invalidated by an exclusive cycle.
+/// // ... and invalidated by an exclusive cycle, which excludes readers.
 /// lock.lock_exclusive();
+/// assert!(!lock.try_lock_shared());
+/// assert_eq!(lock.optimistic_version(), None);
 /// lock.unlock_exclusive();
 /// assert!(!lock.validate_version(version));
 /// ```
@@ -195,34 +196,6 @@ impl RawRwSpinLock {
             previous & READER_MASK > 0,
             "unlock_shared called without a matching lock_shared"
         );
-    }
-
-    /// Attempts to acquire the lock in exclusive (write) mode without
-    /// blocking.  Does not set the pending bit.
-    #[inline]
-    pub fn try_lock_exclusive(&self) -> bool {
-        let state = self.state.load(Ordering::Relaxed);
-        if state & LOCK_MASK != 0 {
-            return false;
-        }
-        if self
-            .state
-            .compare_exchange(
-                state,
-                state | WRITER_ACTIVE,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            // Publish the WRITER_ACTIVE store ahead of every data store in
-            // the critical section (the writer half of the seqlock fence
-            // pairing — see the module docs).  Free on x86; required for
-            // the protocol to be sound under the C++ memory model.
-            fence(Ordering::Release);
-            return true;
-        }
-        false
     }
 
     /// Acquires the lock in exclusive (write) mode, spinning until all
@@ -307,7 +280,10 @@ impl RawRwSpinLock {
                     drain.snooze();
                 }
             }
-            // Same fence as in `try_lock_exclusive`.
+            // Publish the WRITER_ACTIVE store ahead of every data store in
+            // the critical section (the writer half of the seqlock fence
+            // pairing — see the module docs).  Free on x86; required for
+            // the protocol to be sound under the C++ memory model.
             fence(Ordering::Release);
             return true;
         }
@@ -388,12 +364,6 @@ impl RawRwSpinLock {
     pub fn is_locked(&self) -> bool {
         self.state.load(Ordering::Relaxed) & (WRITER_ACTIVE | READER_MASK) != 0
     }
-
-    /// Returns `true` if the lock is currently held exclusively.
-    #[inline]
-    pub fn is_locked_exclusive(&self) -> bool {
-        self.state.load(Ordering::Relaxed) & WRITER_ACTIVE != 0
-    }
 }
 
 impl fmt::Debug for RawRwSpinLock {
@@ -410,9 +380,9 @@ impl fmt::Debug for RawRwSpinLock {
 
 /// An RAII reader-writer spinlock protecting a value of type `T`.
 ///
-/// The B-skiplist embeds [`RawRwSpinLock`] directly, but the test driver,
-/// latency recorder and several baselines want the conventional guard-based
-/// API; this type provides it with the same underlying protocol.
+/// The B-skiplist embeds [`RawRwSpinLock`] directly; the skiplist
+/// baselines guard each element's value with this type, the conventional
+/// guard-based API over the same protocol.
 ///
 /// # Example
 ///
@@ -467,16 +437,6 @@ impl<T> RwSpinLock<T> {
     pub fn try_read(&self) -> Option<RwSpinLockReadGuard<'_, T>> {
         if self.raw.try_lock_shared() {
             Some(RwSpinLockReadGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
-    /// Attempts to acquire a write guard without spinning.
-    #[inline]
-    pub fn try_write(&self) -> Option<RwSpinLockWriteGuard<'_, T>> {
-        if self.raw.try_lock_exclusive() {
-            Some(RwSpinLockWriteGuard { lock: self })
         } else {
             None
         }
@@ -575,12 +535,11 @@ mod tests {
         let lock = RawRwSpinLock::new();
         lock.lock_shared();
         assert!(lock.try_lock_shared());
-        assert!(!lock.try_lock_exclusive());
         lock.unlock_shared();
         lock.unlock_shared();
-        assert!(lock.try_lock_exclusive());
+        lock.lock_exclusive();
         assert!(!lock.try_lock_shared());
-        assert!(!lock.try_lock_exclusive());
+        assert!(lock.optimistic_version().is_none());
         lock.unlock_exclusive();
         assert!(!lock.is_locked());
     }
@@ -591,10 +550,11 @@ mod tests {
         assert!(!lock.is_locked());
         lock.lock_shared();
         assert!(lock.is_locked());
-        assert!(!lock.is_locked_exclusive());
+        assert!(lock.optimistic_version().is_some(), "a reader is no writer");
         lock.unlock_shared();
         lock.lock_exclusive();
-        assert!(lock.is_locked_exclusive());
+        assert!(lock.is_locked());
+        assert!(lock.optimistic_version().is_none());
         lock.unlock_exclusive();
     }
 
@@ -676,7 +636,8 @@ mod tests {
         );
         // The lock still works normally after wrapping.
         lock.lock_shared();
-        assert!(!lock.try_lock_exclusive());
+        assert!(lock.try_lock_shared());
+        lock.unlock_shared();
         lock.unlock_shared();
         lock.lock_exclusive();
         lock.unlock_exclusive();
@@ -690,7 +651,7 @@ mod tests {
         lock.unlock_exclusive();
         let version = lock.optimistic_version().unwrap();
         assert!(lock.lock_exclusive_at(version));
-        assert!(lock.is_locked_exclusive());
+        assert!(lock.optimistic_version().is_none());
         assert!(!lock.try_lock_shared());
         lock.unlock_exclusive();
         // The hold it took is an ordinary exclusive cycle: one bump.
@@ -768,7 +729,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert!(!lock.try_lock_shared(), "pending writer must block readers");
-        assert!(!lock.is_locked_exclusive());
+        assert!(lock.optimistic_version().is_some(), "pending, not active");
         lock.unlock_shared();
         assert!(writer.join().unwrap(), "reader drained: the claim succeeds");
         assert_eq!(lock.optimistic_version(), Some(version + VERSION_UNIT));
@@ -862,7 +823,6 @@ mod tests {
         let lock = RwSpinLock::new(1);
         let write = lock.write();
         assert!(lock.try_read().is_none());
-        assert!(lock.try_write().is_none());
         drop(write);
         assert!(lock.try_read().is_some());
     }

@@ -120,9 +120,9 @@ fn concurrent_upserts_of_the_same_keys_converge() {
     // thread actually wrote for that key.
     assert_eq!(list.len(), 2_000);
     list.validate().expect("structure after contended upserts");
-    list.for_each(&mut |k, v| {
-        assert_eq!(v % 10_000, *k, "value {v} was never written for key {k}");
-    });
+    for (k, v) in list.iter() {
+        assert_eq!(v % 10_000, k, "value {v} was never written for key {k}");
+    }
 }
 
 #[test]

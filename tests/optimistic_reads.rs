@@ -1,6 +1,6 @@
 //! Differential stress tests for the optimistic (lock-free) read path.
 //!
-//! Readers hammer `get`/`peek`/`contains_key` while writers force the
+//! Readers hammer `get`/`contains_key` while writers force the
 //! exact structure changes the optimistic descent must survive: promotion
 //! and overflow splits, header removals, node unlinks and leaf merges.
 //! The invariants under test:
@@ -157,7 +157,7 @@ fn reads_race_splits_removes_and_merges_without_tearing() {
                         }
                         let stable = STABLE + (i * 13 + r) % 2_048;
                         assert_eq!(
-                            list.peek(&stable, |v| *v),
+                            list.get(&stable),
                             Some(tag(stable, 0)),
                             "stable key {stable} lost or torn"
                         );
