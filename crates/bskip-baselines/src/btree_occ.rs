@@ -46,11 +46,38 @@
 //!
 //! Sibling pairs are always locked left-to-right, the same order as the
 //! leaf chain, so rebalancing cannot deadlock against range scans.
+//!
+//! # Node layout
+//!
+//! A node holds up to `F` keys, of which `keys[..len]` are live.  A leaf
+//! holds the values aligned with them; an internal node holds `len + 1`
+//! children, child `i` covering the keys in `[keys[i - 1], keys[i])`.
+//! The `F + 1` child slots are one array: stable Rust cannot spell
+//! `[_; F + 1]` for a const-generic `F`, so they are stored as a leading
+//! pointer followed by `F` more and always read through one `F + 1` slice
+//! view.  Entries move between and within nodes as `copy_from_slice` /
+//! `copy_within` over the `MaybeUninit` slots, which are `Copy` because
+//! keys and values are.
+//!
+//! # Safety
+//!
+//! The `unsafe` that remains is needed for three things:
+//!
+//! * **Following node pointers.**  Nodes are shared raw pointers; the
+//!   lock protocol above (a node is locked before it is read, its
+//!   predecessor's lock is dropped only after that) keeps every node a
+//!   thread dereferences linked and allocated.
+//! * **Reading a node through its `UnsafeCell`** (`Node::inner`,
+//!   `Node::inner_mut`), which is sound only under the node's lock.
+//! * **Three layout views**: the live key prefix as a `&[K]`, one live
+//!   value, and the child slots as one slice.  Each rests on a documented
+//!   invariant of `Inner` or on `Children`'s `repr(C)` layout.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::ptr;
+use std::slice;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use bskip_index::{
@@ -118,19 +145,41 @@ bskip_index::stat_block! {
     }
 }
 
+/// The `F + 1` child slots of an internal node, read as one slice through
+/// [`Children::as_slice`] / [`Children::as_mut_slice`].
+#[repr(C)]
+struct Children<K, V, const F: usize> {
+    first: *mut Node<K, V, F>,
+    rest: [*mut Node<K, V, F>; F],
+}
+
+impl<K, V, const F: usize> Children<K, V, F> {
+    fn as_slice(&self) -> &[*mut Node<K, V, F>] {
+        // SAFETY: `repr(C)` lays `rest` out directly after `first`, and
+        // both hold the same pointer type, so there is no padding: the
+        // struct is `F + 1` consecutive initialised pointers.
+        unsafe { slice::from_raw_parts(ptr::from_ref(self).cast(), F + 1) }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [*mut Node<K, V, F>] {
+        // SAFETY: as in `as_slice`; `&mut self` makes the view exclusive.
+        unsafe { slice::from_raw_parts_mut(ptr::from_mut(self).cast(), F + 1) }
+    }
+}
+
 /// Payload of a node: values in leaves, children in internal nodes.
 enum Payload<K, V, const F: usize> {
     /// Values aligned with `keys`.
     Leaf([MaybeUninit<V>; F]),
-    /// `first_child` covers keys below `keys[0]`; `children[i]` covers keys
-    /// in `[keys[i], keys[i+1])`.
-    Internal {
-        first_child: *mut Node<K, V, F>,
-        children: [*mut Node<K, V, F>; F],
-    },
+    /// Child `i` covers the keys in `[keys[i - 1], keys[i])`.
+    Internal(Children<K, V, F>),
 }
 
 /// Guarded interior of a node.
+///
+/// Invariant: `len <= F`, `keys[..len]` is initialised, and so is a
+/// leaf's `values[..len]`; an internal node's children `..=len` are live
+/// nodes.
 struct Inner<K, V, const F: usize> {
     len: usize,
     keys: [MaybeUninit<K>; F],
@@ -147,36 +196,7 @@ struct Node<K, V, const F: usize> {
     inner: UnsafeCell<Inner<K, V, F>>,
 }
 
-impl<K: Copy + Ord, V: Copy, const F: usize> Node<K, V, F> {
-    fn alloc_leaf() -> *mut Self {
-        Box::into_raw(Box::new(Node {
-            lock: RawRwSpinLock::new(),
-            is_leaf: true,
-            inner: UnsafeCell::new(Inner {
-                len: 0,
-                keys: [const { MaybeUninit::uninit() }; F],
-                payload: Payload::Leaf([const { MaybeUninit::uninit() }; F]),
-                next_leaf: ptr::null_mut(),
-            }),
-        }))
-    }
-
-    fn alloc_internal(first_child: *mut Self) -> *mut Self {
-        Box::into_raw(Box::new(Node {
-            lock: RawRwSpinLock::new(),
-            is_leaf: false,
-            inner: UnsafeCell::new(Inner {
-                len: 0,
-                keys: [const { MaybeUninit::uninit() }; F],
-                payload: Payload::Internal {
-                    first_child,
-                    children: [ptr::null_mut(); F],
-                },
-                next_leaf: ptr::null_mut(),
-            }),
-        }))
-    }
-
+impl<K, V, const F: usize> Node<K, V, F> {
     /// # Safety: caller must hold the node's lock (shared or exclusive).
     unsafe fn inner(&self) -> &Inner<K, V, F> {
         &*self.inner.get()
@@ -187,62 +207,230 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Node<K, V, F> {
     unsafe fn inner_mut(&self) -> &mut Inner<K, V, F> {
         &mut *self.inner.get()
     }
+}
 
-    /// Number of keys strictly less than `key`.
-    ///
-    /// # Safety: caller must hold the node's lock.
-    unsafe fn lower_bound(&self, key: &K) -> usize {
-        let inner = self.inner();
-        let mut lo = 0;
-        let mut hi = inner.len;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if inner.keys[mid].assume_init_ref() < key {
-                lo = mid + 1;
+impl<K, V, const F: usize> Inner<K, V, F> {
+    /// An empty leaf, or an empty internal node whose children are null.
+    fn new(leaf: bool) -> Self {
+        Inner {
+            len: 0,
+            keys: [const { MaybeUninit::uninit() }; F],
+            payload: if leaf {
+                Payload::Leaf([const { MaybeUninit::uninit() }; F])
             } else {
-                hi = mid;
-            }
+                Payload::Internal(Children {
+                    first: ptr::null_mut(),
+                    rest: [ptr::null_mut(); F],
+                })
+            },
+            next_leaf: ptr::null_mut(),
         }
-        lo
     }
 
-    /// Number of keys less than or equal to `key`.
-    ///
-    /// # Safety: caller must hold the node's lock.
-    unsafe fn upper_bound(&self, key: &K) -> usize {
-        let inner = self.inner();
-        let mut lo = 0;
-        let mut hi = inner.len;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if inner.keys[mid].assume_init_ref() <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    fn is_leaf(&self) -> bool {
+        matches!(self.payload, Payload::Leaf(_))
     }
 
-    /// Child to follow when searching for `key`.
-    ///
-    /// # Safety: caller must hold the node's lock; node must be internal.
-    unsafe fn child_for(&self, key: &K) -> *mut Self {
-        let slot = self.upper_bound(key);
-        match &self.inner().payload {
-            Payload::Internal {
-                first_child,
-                children,
-            } => {
-                if slot == 0 {
-                    *first_child
-                } else {
-                    children[slot - 1]
-                }
-            }
-            Payload::Leaf(_) => unreachable!("child_for on a leaf"),
+    /// Keys an entry move costs beyond the entries themselves: an
+    /// internal node's entries move through the parent separator (1), a
+    /// leaf's do not (0).
+    fn sep_cost(&self) -> usize {
+        usize::from(!self.is_leaf())
+    }
+
+    /// The live keys.
+    fn keys(&self) -> &[K] {
+        // SAFETY: `keys[..len]` is initialised (the struct invariant) and
+        // `MaybeUninit<K>` has the layout of `K`.
+        unsafe { slice::from_raw_parts(self.keys.as_ptr().cast(), self.len) }
+    }
+
+    /// A leaf's value slots.
+    fn values(&self) -> &[MaybeUninit<V>; F] {
+        match &self.payload {
+            Payload::Leaf(values) => values,
+            Payload::Internal(_) => unreachable!("values of an internal node"),
         }
     }
+
+    fn values_mut(&mut self) -> &mut [MaybeUninit<V>; F] {
+        match &mut self.payload {
+            Payload::Leaf(values) => values,
+            Payload::Internal(_) => unreachable!("values of an internal node"),
+        }
+    }
+
+    /// An internal node's `F + 1` child slots.
+    fn children(&self) -> &[*mut Node<K, V, F>] {
+        match &self.payload {
+            Payload::Internal(children) => children.as_slice(),
+            Payload::Leaf(_) => unreachable!("children of a leaf"),
+        }
+    }
+
+    fn children_mut(&mut self) -> &mut [*mut Node<K, V, F>] {
+        match &mut self.payload {
+            Payload::Internal(children) => children.as_mut_slice(),
+            Payload::Leaf(_) => unreachable!("children of a leaf"),
+        }
+    }
+}
+
+impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
+    /// Number of live keys below `key`.
+    fn lower_bound(&self, key: &K) -> usize {
+        self.keys().partition_point(|k| k < key)
+    }
+
+    /// Number of live keys at or below `key`.
+    fn upper_bound(&self, key: &K) -> usize {
+        self.keys().partition_point(|k| k <= key)
+    }
+
+    /// The child covering `key`.
+    fn child_for(&self, key: &K) -> *mut Node<K, V, F> {
+        self.children()[self.upper_bound(key)]
+    }
+
+    /// The value at `slot` of a leaf.
+    fn value(&self, slot: usize) -> V {
+        assert!(slot < self.len);
+        // SAFETY: a leaf's `values[..len]` is initialised.
+        unsafe { self.values()[slot].assume_init() }
+    }
+
+    /// Stores `key → value` in a leaf that has room for a new key and
+    /// returns the value it replaced.
+    fn upsert(&mut self, key: K, value: V) -> Option<V> {
+        let len = self.len;
+        match self.keys().binary_search(&key) {
+            Ok(slot) => {
+                let old = self.value(slot);
+                self.values_mut()[slot] = MaybeUninit::new(value);
+                Some(old)
+            }
+            Err(slot) => {
+                insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(key));
+                insert_at(
+                    &mut self.values_mut()[..=len],
+                    slot,
+                    MaybeUninit::new(value),
+                );
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    /// Removes the entry at `slot` of a leaf and returns its value.
+    fn remove_entry(&mut self, slot: usize) -> V {
+        let (len, old) = (self.len, self.value(slot));
+        remove_at(&mut self.keys[..len], slot);
+        remove_at(&mut self.values_mut()[..len], slot);
+        self.len -= 1;
+        old
+    }
+
+    /// Inserts `separator` and the child to its right into an internal
+    /// node that has room.
+    fn insert_child(&mut self, separator: K, right: *mut Node<K, V, F>) {
+        let (len, slot) = (self.len, self.lower_bound(&separator));
+        insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(separator));
+        insert_at(&mut self.children_mut()[..len + 2], slot + 1, right);
+        self.len += 1;
+    }
+
+    /// Copies payload slots (values or children) `from..from + count` of
+    /// `src`, a node of the same kind, to this node's slots from `to` on.
+    fn copy_payload(&mut self, to: usize, src: &Self, from: usize, count: usize) {
+        assert!(
+            from + count <= src.len + src.sep_cost(),
+            "copies a dead slot"
+        );
+        if self.is_leaf() {
+            self.values_mut()[to..to + count].copy_from_slice(&src.values()[from..from + count]);
+        } else {
+            self.children_mut()[to..to + count]
+                .copy_from_slice(&src.children()[from..from + count]);
+        }
+    }
+
+    /// Moves this node's payload slots `range` to start at slot `to`.
+    fn shift_payload(&mut self, range: Range<usize>, to: usize) {
+        if self.is_leaf() {
+            self.values_mut().copy_within(range, to);
+        } else {
+            self.children_mut().copy_within(range, to);
+        }
+    }
+
+    /// Appends `right` to `left`, the children either side of this
+    /// parent's separator `sep`, and drops the separator and `right`'s
+    /// child slot.  The combined entries must fit in one node; the caller
+    /// retires `right`.
+    fn merge(&mut self, sep: usize, left: &mut Self, right: &mut Self) {
+        let (ll, rl, c) = (left.len, right.len, left.sep_cost());
+        if c == 1 {
+            left.keys[ll] = MaybeUninit::new(self.keys()[sep]);
+        }
+        left.keys[ll + c..ll + c + rl].copy_from_slice(&right.keys[..rl]);
+        left.copy_payload(ll + c, right, 0, rl + c);
+        left.len = ll + c + rl;
+        left.next_leaf = right.next_leaf;
+        let len = self.len;
+        remove_at(&mut self.keys[..len], sep);
+        remove_at(&mut self.children_mut()[..=len], sep + 1);
+        self.len -= 1;
+    }
+
+    /// Evens out `left` and `right`, the children either side of this
+    /// parent's separator `sep`, whose entries do not fit in one node:
+    /// `left` ends with half of them, rounded down.  Entries move through
+    /// the separator, which is reset to bound `right`'s keys from below.
+    fn rebalance(&mut self, sep: usize, left: &mut Self, right: &mut Self) {
+        let (ll, rl, c) = (left.len, right.len, left.sep_cost());
+        let target = (ll + rl) / 2;
+        if ll > target {
+            // Left's last `n` entries go to the front of `right`.
+            let n = ll - target;
+            right.keys.copy_within(..rl, n);
+            if c == 1 {
+                right.keys[n - 1] = MaybeUninit::new(self.keys()[sep]);
+            }
+            right.keys[..n - c].copy_from_slice(&left.keys[ll - n + c..ll]);
+            right.shift_payload(0..rl + c, n);
+            right.copy_payload(0, left, ll - n + c, n);
+            self.keys[sep] = left.keys[ll - n];
+        } else if ll < target {
+            // Right's first `n` entries go to the end of `left`.
+            let n = target - ll;
+            if c == 1 {
+                left.keys[ll] = MaybeUninit::new(self.keys()[sep]);
+            }
+            left.keys[ll + c..ll + n].copy_from_slice(&right.keys[..n - c]);
+            left.copy_payload(ll + c, right, 0, n);
+            self.keys[sep] = right.keys[n - c];
+            right.keys.copy_within(n..rl, 0);
+            right.shift_payload(n..rl + c, 0);
+        }
+        left.len = target;
+        right.len = ll + rl - target;
+    }
+}
+
+/// Inserts `item` at `at` of `slots`, the live slots plus one free slot at
+/// the end, shifting the rest right.
+fn insert_at<T: Copy>(slots: &mut [T], at: usize, item: T) {
+    slots.copy_within(at..slots.len() - 1, at + 1);
+    slots[at] = item;
+}
+
+/// Removes and returns the item at `at` of the live `slots`, shifting the
+/// rest left.
+fn remove_at<T: Copy>(slots: &mut [T], at: usize) -> T {
+    let item = slots[at];
+    slots.copy_within(at + 1.., at);
+    item
 }
 
 /// A concurrent B+-tree with optimistic concurrency control.
@@ -278,9 +466,10 @@ pub struct OccBTree<K, V, const F: usize = 64> {
 }
 
 // SAFETY: node state is only accessed under per-node locks (plus the tree
-// lock for the root pointer), so sharing across threads is sound whenever
-// keys and values are shareable.
+// lock for the root pointer), so moving the tree to another thread is
+// sound whenever keys and values are shareable.
 unsafe impl<K: IndexKey, V: IndexValue, const F: usize> Send for OccBTree<K, V, F> {}
+// SAFETY: as for `Send`: every shared access goes through those locks.
 unsafe impl<K: IndexKey, V: IndexValue, const F: usize> Sync for OccBTree<K, V, F> {}
 
 impl<K: IndexKey, V: IndexValue, const F: usize> Default for OccBTree<K, V, F> {
@@ -306,14 +495,25 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         assert!(F >= 4, "fanout must be at least 4");
         let tree = OccBTree {
             tree_lock: RawRwSpinLock::new(),
-            root: AtomicPtr::new(Node::alloc_leaf()),
+            root: AtomicPtr::default(),
             len: StripedCounter::new(),
             counters: TreeCounters::default(),
             collector: EbrCollector::new(),
             nodes_allocated: RelaxedCounter::new(),
         };
-        tree.nodes_allocated.incr();
+        tree.root
+            .store(tree.alloc(Inner::new(true)), Ordering::Relaxed);
         tree
+    }
+
+    /// Boxes `inner` as a new, unlocked node.
+    fn alloc(&self, inner: Inner<K, V, F>) -> *mut Node<K, V, F> {
+        self.nodes_allocated.incr();
+        Box::into_raw(Box::new(Node {
+            lock: RawRwSpinLock::new(),
+            is_leaf: inner.is_leaf(),
+            inner: UnsafeCell::new(inner),
+        }))
     }
 
     /// Retires an unlinked node through the collector.
@@ -325,16 +525,76 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         unsafe { guard.retire_box(node) };
     }
 
-    /// Locks the root node in shared mode and returns it (the tree lock is
-    /// held only for the duration of the root acquisition).
-    ///
-    /// # Safety: internal; relies on nodes never being freed while shared.
-    unsafe fn acquire_root_shared(&self) -> *mut Node<K, V, F> {
-        self.tree_lock.lock_shared();
-        let root = self.root.load(Ordering::Acquire);
-        (*root).lock.lock_shared();
-        self.tree_lock.unlock_shared();
-        root
+    /// Moves the upper half of the full node `left` into a new right
+    /// sibling, returned unlocked and not yet in any parent together with
+    /// the separator for the parent.  A leaf keeps the separator as the
+    /// sibling's first key; an internal node moves it up.
+    fn split(&self, left: &mut Inner<K, V, F>) -> (*mut Node<K, V, F>, K) {
+        assert_eq!(left.len, F);
+        let (half, c) = (F / 2, left.sep_cost());
+        let separator = left.keys()[half];
+        let mut right = Inner::new(left.is_leaf());
+        right.keys[..F - half - c].copy_from_slice(&left.keys[half + c..]);
+        right.copy_payload(0, left, half + c, F - half);
+        right.len = F - half - c;
+        right.next_leaf = left.next_leaf;
+        left.len = half;
+        let right = self.alloc(right);
+        if left.is_leaf() {
+            left.next_leaf = right;
+        }
+        (right, separator)
+    }
+
+    /// The read-mode descent: read locks hand over hand from the root to
+    /// the leaf covering `key` (the leftmost leaf for `None`), which is
+    /// returned read-locked.
+    fn lock_leaf_shared(&self, key: Option<&K>) -> *mut Node<K, V, F> {
+        // SAFETY: each node is locked before it is read and its parent is
+        // unlocked only after that, so no node on the path can be unlinked
+        // under us; the tree lock covers the root pointer.
+        unsafe {
+            self.tree_lock.lock_shared();
+            let mut node = self.root.load(Ordering::Acquire);
+            (*node).lock.lock_shared();
+            self.tree_lock.unlock_shared();
+            while !(*node).is_leaf {
+                let inner = (*node).inner();
+                let child = inner.children()[key.map_or(0, |key| inner.upper_bound(key))];
+                (*child).lock.lock_shared();
+                (*node).lock.unlock_shared();
+                node = child;
+            }
+            node
+        }
+    }
+
+    /// The write-mode descent of the optimistic pass: read locks hand
+    /// over hand from the root, the leaf covering `key` write-locked.
+    /// Returns the leaf and whether it is the root.
+    fn lock_leaf_exclusive(&self, key: &K) -> (*mut Node<K, V, F>, bool) {
+        // SAFETY: as in `lock_leaf_shared`.
+        unsafe {
+            let lock = |node: *mut Node<K, V, F>| {
+                if (*node).is_leaf {
+                    (*node).lock.lock_exclusive();
+                } else {
+                    (*node).lock.lock_shared();
+                }
+            };
+            self.tree_lock.lock_shared();
+            let root = self.root.load(Ordering::Acquire);
+            lock(root);
+            self.tree_lock.unlock_shared();
+            let mut node = root;
+            while !(*node).is_leaf {
+                let child = (*node).inner().child_for(key);
+                lock(child);
+                (*node).lock.unlock_shared();
+                node = child;
+            }
+            (node, node == root)
+        }
     }
 
     /// Cursor batch-fetch primitive: appends up to `max` entries with keys
@@ -349,51 +609,25 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         if max == 0 {
             return;
         }
-        // SAFETY: HOH read locking down to the leaf and along the chain.
+        let mut node = self.lock_leaf_shared(match &from {
+            Bound::Unbounded => None,
+            Bound::Included(key) | Bound::Excluded(key) => Some(key),
+        });
+        // SAFETY: `node` stays read-locked; the chain is walked hand over
+        // hand.
         unsafe {
-            let mut node = self.acquire_root_shared();
-            match &from {
-                Bound::Unbounded => {
-                    // Leftmost descent: follow the first child at every level.
-                    while !(*node).is_leaf {
-                        let child = match &(*node).inner().payload {
-                            Payload::Internal { first_child, .. } => *first_child,
-                            Payload::Leaf(_) => unreachable!(),
-                        };
-                        (*child).lock.lock_shared();
-                        (*node).lock.unlock_shared();
-                        node = child;
-                    }
-                }
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    while !(*node).is_leaf {
-                        let child = (*node).child_for(key);
-                        (*child).lock.lock_shared();
-                        (*node).lock.unlock_shared();
-                        node = child;
-                    }
-                }
-            }
+            let inner = (*node).inner();
             let mut slot = match &from {
                 Bound::Unbounded => 0,
-                Bound::Included(key) => (*node).lower_bound(key),
-                Bound::Excluded(key) => (*node).upper_bound(key),
+                Bound::Included(key) => inner.lower_bound(key),
+                Bound::Excluded(key) => inner.upper_bound(key),
             };
             loop {
                 let inner = (*node).inner();
-                let values = match &inner.payload {
-                    Payload::Leaf(values) => values,
-                    Payload::Internal { .. } => unreachable!(),
-                };
-                while slot < inner.len && out.len() < max {
-                    out.push((inner.keys[slot].assume_init(), values[slot].assume_init()));
-                    slot += 1;
-                }
-                if out.len() == max {
-                    break;
-                }
+                let end = inner.len.min(slot + max - out.len());
+                out.extend((slot..end).map(|slot| (inner.keys()[slot], inner.value(slot))));
                 let next = inner.next_leaf;
-                if next.is_null() {
+                if out.len() == max || next.is_null() {
                     break;
                 }
                 (*next).lock.lock_shared();
@@ -414,72 +648,44 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         // until their parent (also exclusively locked) publishes them.
         unsafe {
             self.tree_lock.lock_exclusive();
-            let mut root = self.root.load(Ordering::Acquire);
-            (*root).lock.lock_exclusive();
-            if (*root).inner().len == F {
+            let mut node = self.root.load(Ordering::Acquire);
+            (*node).lock.lock_exclusive();
+            if (*node).inner().len == F {
                 // Split the root: the old root becomes the left half.
-                let (right, separator) = split_node(root);
-                self.nodes_allocated.incr();
-                let new_root = Node::alloc_internal(root);
-                self.nodes_allocated.incr();
-                {
-                    let inner = (*new_root).inner_mut();
-                    inner.keys[0] = MaybeUninit::new(separator);
-                    match &mut inner.payload {
-                        Payload::Internal { children, .. } => children[0] = right,
-                        Payload::Leaf(_) => unreachable!(),
-                    }
-                    inner.len = 1;
-                }
-                self.root.store(new_root, Ordering::Release);
-                (*new_root).lock.lock_exclusive();
-                (*root).lock.unlock_exclusive();
-                root = new_root;
+                let (right, separator) = self.split((*node).inner_mut());
+                let mut top = Inner::new(false);
+                top.children_mut()[0] = node;
+                top.insert_child(separator, right);
+                let top = self.alloc(top);
+                self.root.store(top, Ordering::Release);
+                (*top).lock.lock_exclusive();
+                (*node).lock.unlock_exclusive();
+                node = top;
             }
             self.tree_lock.unlock_exclusive();
 
             // Descend with writer latch crabbing; every full child is split
             // before we step into it, so parents always have room.
-            let mut node = root;
             while !(*node).is_leaf {
-                let child = (*node).child_for(&key);
+                let inner = (*node).inner_mut();
+                let mut child = inner.child_for(&key);
                 (*child).lock.lock_exclusive();
-                let child = if (*child).inner().len == F {
-                    let (right, separator) = split_node(child);
-                    self.nodes_allocated.incr();
-                    let position = (*node).lower_bound(&separator);
-                    insert_child(&mut *(*node).inner_mut(), position, separator, right);
+                if (*child).inner().len == F {
+                    let (right, separator) = self.split((*child).inner_mut());
+                    inner.insert_child(separator, right);
                     if key >= separator {
                         (*child).lock.unlock_exclusive();
                         (*right).lock.lock_exclusive();
-                        right
-                    } else {
-                        child
+                        child = right;
                     }
-                } else {
-                    child
-                };
+                }
                 (*node).lock.unlock_exclusive();
                 node = child;
             }
             // Leaf with room guaranteed.
-            let slot = (*node).lower_bound(&key);
-            let inner = (*node).inner_mut();
-            let result = if slot < inner.len && inner.keys[slot].assume_init_ref() == &key {
-                let values = match &mut inner.payload {
-                    Payload::Leaf(values) => values,
-                    Payload::Internal { .. } => unreachable!(),
-                };
-                let old = values[slot].assume_init();
-                values[slot] = MaybeUninit::new(value);
-                Some(old)
-            } else {
-                insert_into_leaf(inner, slot, key, value);
-                self.len.add(1);
-                None
-            };
+            let old = (*node).inner_mut().upsert(key, value);
             (*node).lock.unlock_exclusive();
-            result
+            old
         }
     }
 
@@ -492,7 +698,8 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         self.counters.root_write_locks.incr();
         // SAFETY: every touched node is locked exclusively before being
         // read or modified; root-pointer changes happen under the
-        // exclusive tree lock, which also excludes `acquire_root_shared`.
+        // exclusive tree lock, which also excludes the descents' root
+        // acquisition.
         unsafe {
             self.tree_lock.lock_exclusive();
             let mut node = self.root.load(Ordering::Acquire);
@@ -500,34 +707,26 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             // Root fixes under the tree lock: collapse single-child
             // shells, including one produced by rebalancing the root's
             // own children just below.
-            loop {
-                if (*node).is_leaf {
-                    break;
-                }
-                if (*node).inner().len == 0 {
-                    let child = child_at(node, 0);
+            while !(*node).is_leaf {
+                let child = if (*node).inner().len == 0 {
+                    let child = (*node).inner().children()[0];
                     (*child).lock.lock_exclusive();
-                    self.root.store(child, Ordering::Release);
-                    (*node).lock.unlock_exclusive();
-                    self.counters.root_collapses.incr();
-                    self.retire_node(node);
-                    node = child;
-                    continue;
-                }
-                let child = self.lock_child_rebalanced(node, key);
-                if (*node).inner().len == 0 {
+                    child
+                } else {
+                    let child = self.lock_child_rebalanced(node, key);
+                    if (*node).inner().len > 0 {
+                        (*node).lock.unlock_exclusive();
+                        node = child;
+                        break;
+                    }
                     // The rebalance merged the root's only two children.
-                    debug_assert_eq!(child_at(node, 0), child);
-                    self.root.store(child, Ordering::Release);
-                    (*node).lock.unlock_exclusive();
-                    self.counters.root_collapses.incr();
-                    self.retire_node(node);
-                    node = child;
-                    continue;
-                }
+                    child
+                };
+                self.root.store(child, Ordering::Release);
                 (*node).lock.unlock_exclusive();
+                self.counters.root_collapses.incr();
+                self.retire_node(node);
                 node = child;
-                break;
             }
             self.tree_lock.unlock_exclusive();
 
@@ -538,17 +737,11 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
                 node = child;
             }
             // The leaf is above the threshold (or it is the root leaf).
-            let slot = (*node).lower_bound(key);
             let inner = (*node).inner_mut();
-            let result = if slot < inner.len && inner.keys[slot].assume_init_ref() == key {
-                let old = remove_from_leaf(inner, slot);
-                self.len.add(-1);
-                Some(old)
-            } else {
-                None
-            };
+            let old = inner.keys().binary_search(key).ok();
+            let old = old.map(|slot| inner.remove_entry(slot));
             (*node).lock.unlock_exclusive();
-            result
+            old
         }
     }
 
@@ -568,8 +761,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         parent: *mut Node<K, V, F>,
         key: &K,
     ) -> *mut Node<K, V, F> {
-        let slot = (*parent).upper_bound(key);
-        let child = child_at(parent, slot);
+        let parent = (*parent).inner_mut();
+        let slot = parent.upper_bound(key);
+        let child = parent.children()[slot];
         (*child).lock.lock_exclusive();
         if (*child).inner().len > Self::MIN_KEYS {
             return child;
@@ -577,8 +771,8 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         // Pair the child with a neighbour under the same parent.  The
         // pair is always locked left-to-right — the leaf-chain order — so
         // rebalancing cannot deadlock against range scans.
-        let (left, right, sep_idx) = if slot == 0 {
-            let right = child_at(parent, 1);
+        let (left, right, sep) = if slot == 0 {
+            let right = parent.children()[1];
             (*right).lock.lock_exclusive();
             (child, right, 0)
         } else {
@@ -586,19 +780,22 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             // lock is safe because the parent's exclusive lock keeps every
             // descent (and thus every child mutation) out.
             (*child).lock.unlock_exclusive();
-            let left = child_at(parent, slot - 1);
+            let left = parent.children()[slot - 1];
             (*left).lock.lock_exclusive();
             (*child).lock.lock_exclusive();
             (left, child, slot - 1)
         };
-        let sep_cost = usize::from(!(*left).is_leaf);
-        if (*left).inner().len + (*right).inner().len + sep_cost <= F {
-            self.merge_into_left(parent, left, right, sep_idx);
+        let (left_inner, right_inner) = ((*left).inner_mut(), (*right).inner_mut());
+        if left_inner.len + right_inner.len + left_inner.sep_cost() <= F {
+            parent.merge(sep, left_inner, right_inner);
+            (*right).lock.unlock_exclusive();
+            self.counters.nodes_merged.incr();
+            self.retire_node(right);
             left
         } else {
-            self.rebalance_pair(parent, left, right, sep_idx);
-            let separator = (*parent).inner().keys[sep_idx].assume_init();
-            if &separator <= key {
+            parent.rebalance(sep, left_inner, right_inner);
+            self.counters.nodes_borrowed.incr();
+            if parent.keys()[sep] <= *key {
                 (*left).lock.unlock_exclusive();
                 right
             } else {
@@ -607,410 +804,18 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             }
         }
     }
-
-    /// Merges `right` into `left` (adjacent children of `parent` separated
-    /// by `parent.keys[sep_idx]`), removes the separator and `right`'s
-    /// child slot from the parent, and retires `right`.
-    ///
-    /// # Safety
-    ///
-    /// The caller holds exclusive locks on all three nodes and the
-    /// combined contents fit: `left.len + right.len + sep_cost <= F`.
-    unsafe fn merge_into_left(
-        &self,
-        parent: *mut Node<K, V, F>,
-        left: *mut Node<K, V, F>,
-        right: *mut Node<K, V, F>,
-        sep_idx: usize,
-    ) {
-        let parent_inner = (*parent).inner_mut();
-        let left_inner = (*left).inner_mut();
-        let right_inner = (*right).inner_mut();
-        let left_len = left_inner.len;
-        let right_len = right_inner.len;
-        if (*left).is_leaf {
-            for offset in 0..right_len {
-                left_inner.keys[left_len + offset] =
-                    MaybeUninit::new(right_inner.keys[offset].assume_init());
-            }
-            match (&mut left_inner.payload, &right_inner.payload) {
-                (Payload::Leaf(dst), Payload::Leaf(src)) => {
-                    for offset in 0..right_len {
-                        dst[left_len + offset] = MaybeUninit::new(src[offset].assume_init());
-                    }
-                }
-                _ => unreachable!(),
-            }
-            left_inner.len = left_len + right_len;
-            left_inner.next_leaf = right_inner.next_leaf;
-        } else {
-            // Pull the separator down, then append right's keys/children.
-            left_inner.keys[left_len] = MaybeUninit::new(parent_inner.keys[sep_idx].assume_init());
-            for offset in 0..right_len {
-                left_inner.keys[left_len + 1 + offset] =
-                    MaybeUninit::new(right_inner.keys[offset].assume_init());
-            }
-            let (right_first, right_children) = match &right_inner.payload {
-                Payload::Internal {
-                    first_child,
-                    children,
-                } => (*first_child, children),
-                Payload::Leaf(_) => unreachable!(),
-            };
-            match &mut left_inner.payload {
-                Payload::Internal { children, .. } => {
-                    children[left_len] = right_first;
-                    children[left_len + 1..left_len + 1 + right_len]
-                        .copy_from_slice(&right_children[..right_len]);
-                }
-                Payload::Leaf(_) => unreachable!(),
-            }
-            left_inner.len = left_len + 1 + right_len;
-        }
-        // Remove the separator and the right child's slot from the parent.
-        let parent_len = parent_inner.len;
-        let keys_ptr = parent_inner.keys.as_mut_ptr();
-        ptr::copy(
-            keys_ptr.add(sep_idx + 1),
-            keys_ptr.add(sep_idx),
-            parent_len - sep_idx - 1,
-        );
-        match &mut parent_inner.payload {
-            Payload::Internal { children, .. } => {
-                children.copy_within(sep_idx + 1..parent_len, sep_idx)
-            }
-            Payload::Leaf(_) => unreachable!(),
-        }
-        parent_inner.len = parent_len - 1;
-        (*right).lock.unlock_exclusive();
-        self.counters.nodes_merged.incr();
-        self.retire_node(right);
-    }
-
-    /// Redistributes entries between adjacent siblings until both sit at
-    /// roughly half of the combined total, updating the parent separator.
-    ///
-    /// # Safety
-    ///
-    /// The caller holds exclusive locks on all three nodes and the
-    /// combined contents do **not** fit in one node (so both halves end up
-    /// strictly above the underflow threshold).
-    unsafe fn rebalance_pair(
-        &self,
-        parent: *mut Node<K, V, F>,
-        left: *mut Node<K, V, F>,
-        right: *mut Node<K, V, F>,
-        sep_idx: usize,
-    ) {
-        let total = (*left).inner().len + (*right).inner().len;
-        let target_left = total / 2;
-        while (*left).inner().len > target_left {
-            rotate_right(parent, left, right, sep_idx);
-        }
-        while (*left).inner().len < target_left {
-            rotate_left(parent, left, right, sep_idx);
-        }
-        self.counters.nodes_borrowed.incr();
-    }
-}
-
-/// Removes the entry at `slot` from a leaf, returning its value.
-///
-/// # Safety: the caller holds the leaf's exclusive lock and `slot < len`.
-unsafe fn remove_from_leaf<K: Copy + Ord, V: Copy, const F: usize>(
-    inner: &mut Inner<K, V, F>,
-    slot: usize,
-) -> V {
-    let len = inner.len;
-    let keys_ptr = inner.keys.as_mut_ptr();
-    ptr::copy(keys_ptr.add(slot + 1), keys_ptr.add(slot), len - slot - 1);
-    let values = match &mut inner.payload {
-        Payload::Leaf(values) => values,
-        Payload::Internal { .. } => unreachable!("remove_from_leaf on an internal node"),
-    };
-    let old = values[slot].assume_init();
-    let values_ptr = values.as_mut_ptr();
-    ptr::copy(
-        values_ptr.add(slot + 1),
-        values_ptr.add(slot),
-        len - slot - 1,
-    );
-    inner.len -= 1;
-    old
-}
-
-/// Child at position `pos` of an internal node (`0` is `first_child`,
-/// `p >= 1` is `children[p - 1]`).
-///
-/// # Safety: the caller holds the node's lock; the node is internal and
-/// `pos <= len`.
-unsafe fn child_at<K: Copy + Ord, V: Copy, const F: usize>(
-    node: *mut Node<K, V, F>,
-    pos: usize,
-) -> *mut Node<K, V, F> {
-    match &(*node).inner().payload {
-        Payload::Internal {
-            first_child,
-            children,
-        } => {
-            if pos == 0 {
-                *first_child
-            } else {
-                children[pos - 1]
-            }
-        }
-        Payload::Leaf(_) => unreachable!("child_at on a leaf"),
-    }
-}
-
-/// Moves the last entry of `left` to the front of `right` through the
-/// parent separator at `sep_idx` (one step of a borrow).
-///
-/// # Safety: the caller holds exclusive locks on all three nodes;
-/// `left.len >= 1` and `right.len < F`.
-unsafe fn rotate_right<K: Copy + Ord, V: Copy, const F: usize>(
-    parent: *mut Node<K, V, F>,
-    left: *mut Node<K, V, F>,
-    right: *mut Node<K, V, F>,
-    sep_idx: usize,
-) {
-    let parent_inner = (*parent).inner_mut();
-    let left_inner = (*left).inner_mut();
-    let right_inner = (*right).inner_mut();
-    let left_len = left_inner.len;
-    let right_len = right_inner.len;
-    debug_assert!(left_len >= 1 && right_len < F);
-    let keys_ptr = right_inner.keys.as_mut_ptr();
-    ptr::copy(keys_ptr, keys_ptr.add(1), right_len);
-    if (*left).is_leaf {
-        right_inner.keys[0] = MaybeUninit::new(left_inner.keys[left_len - 1].assume_init());
-        match (&mut left_inner.payload, &mut right_inner.payload) {
-            (Payload::Leaf(src), Payload::Leaf(dst)) => {
-                let values_ptr = dst.as_mut_ptr();
-                ptr::copy(values_ptr, values_ptr.add(1), right_len);
-                dst[0] = MaybeUninit::new(src[left_len - 1].assume_init());
-            }
-            _ => unreachable!(),
-        }
-        // The leaf separator convention is "right's first key".
-        parent_inner.keys[sep_idx] = MaybeUninit::new(right_inner.keys[0].assume_init());
-    } else {
-        // The separator rotates down into `right`; left's last key
-        // rotates up to replace it; left's last child leads `right`.
-        right_inner.keys[0] = MaybeUninit::new(parent_inner.keys[sep_idx].assume_init());
-        let moved_child = match &left_inner.payload {
-            Payload::Internal { children, .. } => children[left_len - 1],
-            Payload::Leaf(_) => unreachable!(),
-        };
-        match &mut right_inner.payload {
-            Payload::Internal {
-                first_child,
-                children,
-            } => {
-                children.copy_within(0..right_len, 1);
-                children[0] = *first_child;
-                *first_child = moved_child;
-            }
-            Payload::Leaf(_) => unreachable!(),
-        }
-        parent_inner.keys[sep_idx] = MaybeUninit::new(left_inner.keys[left_len - 1].assume_init());
-    }
-    left_inner.len = left_len - 1;
-    right_inner.len = right_len + 1;
-}
-
-/// Moves the first entry of `right` to the end of `left` through the
-/// parent separator at `sep_idx` (one step of a borrow).
-///
-/// # Safety: the caller holds exclusive locks on all three nodes;
-/// `right.len >= 2` (so a first key remains for the new separator) and
-/// `left.len < F`.
-unsafe fn rotate_left<K: Copy + Ord, V: Copy, const F: usize>(
-    parent: *mut Node<K, V, F>,
-    left: *mut Node<K, V, F>,
-    right: *mut Node<K, V, F>,
-    sep_idx: usize,
-) {
-    let parent_inner = (*parent).inner_mut();
-    let left_inner = (*left).inner_mut();
-    let right_inner = (*right).inner_mut();
-    let left_len = left_inner.len;
-    let right_len = right_inner.len;
-    debug_assert!(right_len >= 2 && left_len < F);
-    if (*left).is_leaf {
-        left_inner.keys[left_len] = MaybeUninit::new(right_inner.keys[0].assume_init());
-        match (&mut left_inner.payload, &mut right_inner.payload) {
-            (Payload::Leaf(dst), Payload::Leaf(src)) => {
-                dst[left_len] = MaybeUninit::new(src[0].assume_init());
-                let values_ptr = src.as_mut_ptr();
-                ptr::copy(values_ptr.add(1), values_ptr, right_len - 1);
-            }
-            _ => unreachable!(),
-        }
-        let keys_ptr = right_inner.keys.as_mut_ptr();
-        ptr::copy(keys_ptr.add(1), keys_ptr, right_len - 1);
-        parent_inner.keys[sep_idx] = MaybeUninit::new(right_inner.keys[0].assume_init());
-    } else {
-        // The separator rotates down into `left`; right's first key
-        // rotates up to replace it; right's leading child joins `left`.
-        left_inner.keys[left_len] = MaybeUninit::new(parent_inner.keys[sep_idx].assume_init());
-        parent_inner.keys[sep_idx] = MaybeUninit::new(right_inner.keys[0].assume_init());
-        let keys_ptr = right_inner.keys.as_mut_ptr();
-        ptr::copy(keys_ptr.add(1), keys_ptr, right_len - 1);
-        let moved_child = match &mut right_inner.payload {
-            Payload::Internal {
-                first_child,
-                children,
-            } => {
-                let moved = *first_child;
-                *first_child = children[0];
-                children.copy_within(1..right_len, 0);
-                moved
-            }
-            Payload::Leaf(_) => unreachable!(),
-        };
-        match &mut left_inner.payload {
-            Payload::Internal { children, .. } => children[left_len] = moved_child,
-            Payload::Leaf(_) => unreachable!(),
-        }
-    }
-    left_inner.len = left_len + 1;
-    right_inner.len = right_len - 1;
-}
-
-/// Inserts a key/value pair into a (non-full) leaf at `slot`.
-///
-/// # Safety: the caller holds the leaf's exclusive lock and `slot <= len < F`.
-unsafe fn insert_into_leaf<K, V, const F: usize>(
-    inner: &mut Inner<K, V, F>,
-    slot: usize,
-    key: K,
-    value: V,
-) {
-    debug_assert!(inner.len < F);
-    let len = inner.len;
-    let keys_ptr = inner.keys.as_mut_ptr();
-    ptr::copy(keys_ptr.add(slot), keys_ptr.add(slot + 1), len - slot);
-    inner.keys[slot] = MaybeUninit::new(key);
-    match &mut inner.payload {
-        Payload::Leaf(values) => {
-            let values_ptr = values.as_mut_ptr();
-            ptr::copy(values_ptr.add(slot), values_ptr.add(slot + 1), len - slot);
-            values[slot] = MaybeUninit::new(value);
-        }
-        Payload::Internal { .. } => unreachable!("insert_into_leaf on an internal node"),
-    }
-    inner.len += 1;
-}
-
-/// Inserts a separator key and right-child pointer into a (non-full)
-/// internal node at key position `slot`.
-///
-/// # Safety: the caller holds the node's exclusive lock and `slot <= len < F`.
-unsafe fn insert_child<K, V, const F: usize>(
-    inner: &mut Inner<K, V, F>,
-    slot: usize,
-    separator: K,
-    right: *mut Node<K, V, F>,
-) {
-    debug_assert!(inner.len < F);
-    let len = inner.len;
-    let keys_ptr = inner.keys.as_mut_ptr();
-    ptr::copy(keys_ptr.add(slot), keys_ptr.add(slot + 1), len - slot);
-    inner.keys[slot] = MaybeUninit::new(separator);
-    match &mut inner.payload {
-        Payload::Internal { children, .. } => {
-            children.copy_within(slot..len, slot + 1);
-            children[slot] = right;
-        }
-        Payload::Leaf(_) => unreachable!("insert_child on a leaf"),
-    }
-    inner.len += 1;
-}
-
-/// Splits a full node in half, returning the new right sibling and the
-/// separator key that should be inserted into the parent.
-///
-/// # Safety: the caller holds the node's exclusive lock; the new sibling is
-/// returned unlocked but is unreachable until the caller publishes it.
-unsafe fn split_node<K: Copy + Ord, V: Copy, const F: usize>(
-    node: *mut Node<K, V, F>,
-) -> (*mut Node<K, V, F>, K) {
-    let inner = (*node).inner_mut();
-    debug_assert_eq!(inner.len, F);
-    let half = F / 2;
-    let moved = F - half;
-    if (*node).is_leaf {
-        let right = Node::<K, V, F>::alloc_leaf();
-        let right_inner = (*right).inner_mut();
-        for offset in 0..moved {
-            right_inner.keys[offset] = MaybeUninit::new(inner.keys[half + offset].assume_init());
-        }
-        match (&mut inner.payload, &mut right_inner.payload) {
-            (Payload::Leaf(src), Payload::Leaf(dst)) => {
-                for offset in 0..moved {
-                    dst[offset] = MaybeUninit::new(src[half + offset].assume_init());
-                }
-            }
-            _ => unreachable!(),
-        }
-        right_inner.len = moved;
-        inner.len = half;
-        // Link the leaf chain.
-        right_inner.next_leaf = inner.next_leaf;
-        inner.next_leaf = right;
-        let separator = right_inner.keys[0].assume_init();
-        (right, separator)
-    } else {
-        // Internal split: the middle key moves up to the parent; its child
-        // becomes the right node's first child.
-        let separator = inner.keys[half].assume_init();
-        let (first_child, moved_children) = match &inner.payload {
-            Payload::Internal { children, .. } => (children[half], children[half + 1..F].to_vec()),
-            Payload::Leaf(_) => unreachable!(),
-        };
-        let right = Node::<K, V, F>::alloc_internal(first_child);
-        let right_inner = (*right).inner_mut();
-        let moved_keys = F - half - 1;
-        for offset in 0..moved_keys {
-            right_inner.keys[offset] =
-                MaybeUninit::new(inner.keys[half + 1 + offset].assume_init());
-        }
-        match &mut right_inner.payload {
-            Payload::Internal { children, .. } => {
-                children[..moved_keys].copy_from_slice(&moved_children);
-            }
-            Payload::Leaf(_) => unreachable!(),
-        }
-        right_inner.len = moved_keys;
-        inner.len = half;
-        (right, separator)
-    }
 }
 
 impl<K, V, const F: usize> Drop for OccBTree<K, V, F> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` means no concurrent accessors; every node is
-        // reachable from the root exactly once.
-        unsafe {
-            let mut stack = vec![self.root.load(Ordering::Relaxed)];
-            while let Some(node) = stack.pop() {
-                if !(*node).is_leaf {
-                    let inner = &*(*node).inner.get();
-                    match &inner.payload {
-                        Payload::Internal {
-                            first_child,
-                            children,
-                        } => {
-                            stack.push(*first_child);
-                            for &child in &children[..inner.len] {
-                                stack.push(child);
-                            }
-                        }
-                        Payload::Leaf(_) => unreachable!(),
-                    }
-                }
-                drop(Box::from_raw(node));
+        let mut stack = vec![*self.root.get_mut()];
+        while let Some(node) = stack.pop() {
+            // SAFETY: `&mut self` means no concurrent accessors, and every
+            // node is reachable from the root exactly once.
+            let mut node = unsafe { Box::from_raw(node) };
+            let inner = node.inner.get_mut();
+            if !inner.is_leaf() {
+                stack.extend_from_slice(&inner.children()[..=inner.len]);
             }
         }
     }
@@ -1021,74 +826,32 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
     /// lock on the leaf); a full leaf retires to the root and goes
     /// pessimistic.
     fn insert(&self, key: K, value: V) -> Option<V> {
-        // SAFETY: HOH locking; leaf mutations only under its write lock.
-        unsafe {
-            self.tree_lock.lock_shared();
-            let root = self.root.load(Ordering::Acquire);
-            if (*root).is_leaf {
-                (*root).lock.lock_exclusive();
-            } else {
-                (*root).lock.lock_shared();
-            }
-            self.tree_lock.unlock_shared();
-            let mut node = root;
-            while !(*node).is_leaf {
-                let child = (*node).child_for(&key);
-                if (*child).is_leaf {
-                    (*child).lock.lock_exclusive();
-                } else {
-                    (*child).lock.lock_shared();
-                }
-                (*node).lock.unlock_shared();
-                node = child;
-            }
-            // `node` is the leaf, write-locked.
-            let slot = (*node).lower_bound(&key);
-            let inner = (*node).inner_mut();
-            if slot < inner.len && inner.keys[slot].assume_init_ref() == &key {
-                let values = match &mut inner.payload {
-                    Payload::Leaf(values) => values,
-                    Payload::Internal { .. } => unreachable!(),
-                };
-                let old = values[slot].assume_init();
-                values[slot] = MaybeUninit::new(value);
-                (*node).lock.unlock_exclusive();
-                return Some(old);
-            }
-            if inner.len < F {
-                insert_into_leaf(inner, slot, key, value);
-                (*node).lock.unlock_exclusive();
-                self.len.add(1);
-                return None;
-            }
-            // Leaf is full: retire to the root and go pessimistic.
-            (*node).lock.unlock_exclusive();
+        let (leaf, _) = self.lock_leaf_exclusive(&key);
+        // SAFETY: `leaf` is write-locked until the unlock below.
+        let result = unsafe {
+            let inner = (*leaf).inner_mut();
+            let full = inner.len == F && inner.keys().binary_search(&key).is_err();
+            let result = (!full).then(|| inner.upsert(key, value));
+            (*leaf).lock.unlock_exclusive();
+            result
+        };
+        // A full leaf retires to the root and goes pessimistic.
+        let old = result.unwrap_or_else(|| self.insert_pessimistic(key, value));
+        if old.is_none() {
+            self.len.add(1);
         }
-        self.insert_pessimistic(key, value)
+        old
     }
 
     fn get(&self, key: &K) -> Option<V> {
-        // SAFETY: hand-over-hand read locking from the root to the leaf.
+        let leaf = self.lock_leaf_shared(Some(key));
+        // SAFETY: `leaf` is read-locked until the unlock below.
         unsafe {
-            let mut node = self.acquire_root_shared();
-            while !(*node).is_leaf {
-                let child = (*node).child_for(key);
-                (*child).lock.lock_shared();
-                (*node).lock.unlock_shared();
-                node = child;
-            }
-            let slot = (*node).lower_bound(key);
-            let inner = (*node).inner();
-            let result = if slot < inner.len && inner.keys[slot].assume_init_ref() == key {
-                match &inner.payload {
-                    Payload::Leaf(values) => Some(values[slot].assume_init()),
-                    Payload::Internal { .. } => unreachable!(),
-                }
-            } else {
-                None
-            };
-            (*node).lock.unlock_shared();
-            result
+            let inner = (*leaf).inner();
+            let value = inner.keys().binary_search(key).ok();
+            let value = value.map(|slot| inner.value(slot));
+            (*leaf).lock.unlock_shared();
+            value
         }
     }
 
@@ -1097,46 +860,28 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
     /// the underflow threshold retires to the root and rebalances on the
     /// way down (see the module docs).
     fn remove(&self, key: &K) -> Option<V> {
-        // SAFETY: HOH locking with an exclusive lock on the leaf only.
-        unsafe {
-            self.tree_lock.lock_shared();
-            let root = self.root.load(Ordering::Acquire);
-            let root_is_leaf = (*root).is_leaf;
-            if root_is_leaf {
-                (*root).lock.lock_exclusive();
-            } else {
-                (*root).lock.lock_shared();
-            }
-            self.tree_lock.unlock_shared();
-            let mut node = root;
-            while !(*node).is_leaf {
-                let child = (*node).child_for(key);
-                if (*child).is_leaf {
-                    (*child).lock.lock_exclusive();
-                } else {
-                    (*child).lock.lock_shared();
-                }
-                (*node).lock.unlock_shared();
-                node = child;
-            }
-            let slot = (*node).lower_bound(key);
-            let inner = (*node).inner_mut();
-            if slot < inner.len && inner.keys[slot].assume_init_ref() == key {
+        let (leaf, is_root) = self.lock_leaf_exclusive(key);
+        // SAFETY: `leaf` is write-locked until the unlock below.
+        let result = unsafe {
+            let inner = (*leaf).inner_mut();
+            // `None`: the removal must retire to the root.
+            let result = match inner.keys().binary_search(key) {
                 // A root leaf may shrink to empty; any other leaf must
                 // stay above the threshold or rebalance pessimistically.
-                if root_is_leaf || inner.len > Self::MIN_KEYS {
-                    let old = remove_from_leaf(inner, slot);
-                    (*node).lock.unlock_exclusive();
-                    self.len.add(-1);
-                    return Some(old);
+                Ok(slot) if is_root || inner.len > Self::MIN_KEYS => {
+                    Some(Some(inner.remove_entry(slot)))
                 }
-                (*node).lock.unlock_exclusive();
-            } else {
-                (*node).lock.unlock_exclusive();
-                return None;
-            }
+                Ok(_) => None,
+                Err(_) => Some(None),
+            };
+            (*leaf).lock.unlock_exclusive();
+            result
+        };
+        let old = result.unwrap_or_else(|| self.remove_pessimistic(key));
+        if old.is_some() {
+            self.len.add(-1);
         }
-        self.remove_pessimistic(key)
+        old
     }
 
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
@@ -1195,13 +940,172 @@ mod tests {
         tree.stats().get(name).unwrap()
     }
 
+    type NodePtr<const F: usize> = *mut Node<u64, u64, F>;
+
+    /// Panics unless the quiescent `tree` is well-formed: keys ascend
+    /// inside each node and lie within the node's separators, all leaves
+    /// sit at one depth, the `next_leaf` chain is the in-order leaf
+    /// sequence and ends in null, and every non-root node holds at least
+    /// `MIN_KEYS` entries.
+    fn check_invariants<const F: usize>(tree: &OccBTree<u64, u64, F>) {
+        /// Checks the subtree at `node`, whose keys lie in `[lo, hi)`,
+        /// appends its leaves in order and returns its height.
+        fn walk<const F: usize>(
+            node: NodePtr<F>,
+            (lo, hi): (Option<u64>, Option<u64>),
+            is_root: bool,
+            leaves: &mut Vec<NodePtr<F>>,
+        ) -> usize {
+            // SAFETY: the tree is quiescent and every node reachable from
+            // the root is live.
+            let (node_is_leaf, inner) = unsafe { ((*node).is_leaf, (*node).inner()) };
+            let keys = inner.keys();
+            assert_eq!(node_is_leaf, inner.is_leaf());
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
+            assert!(
+                keys.iter()
+                    .all(|&k| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi)),
+                "a key outside its separators"
+            );
+            if !is_root {
+                assert!(
+                    inner.len >= OccBTree::<u64, u64, F>::MIN_KEYS,
+                    "underfull node"
+                );
+            }
+            if inner.is_leaf() {
+                leaves.push(node);
+                return 0;
+            }
+            let heights: Vec<usize> = (0..=inner.len)
+                .map(|i| {
+                    let lo = if i == 0 { lo } else { Some(keys[i - 1]) };
+                    let hi = keys.get(i).copied().or(hi);
+                    walk(inner.children()[i], (lo, hi), false, leaves)
+                })
+                .collect();
+            assert!(
+                heights.iter().all(|&h| h == heights[0]),
+                "uneven leaf depths"
+            );
+            heights[0] + 1
+        }
+        let mut leaves = Vec::new();
+        walk(
+            tree.root.load(Ordering::Acquire),
+            (None, None),
+            true,
+            &mut leaves,
+        );
+        let mut chain = vec![leaves[0]];
+        // SAFETY: as in `walk`.
+        let next_of = |leaf: NodePtr<F>| unsafe { (*leaf).inner().next_leaf };
+        let mut next = next_of(leaves[0]);
+        while !next.is_null() {
+            chain.push(next);
+            next = next_of(next);
+        }
+        assert!(chain == leaves, "the leaf chain is not the in-order leaves");
+        // SAFETY: as in `walk`.
+        let entries: usize = leaves
+            .iter()
+            .map(|&leaf| unsafe { (*leaf).inner().len })
+            .sum();
+        assert_eq!(entries, tree.len());
+    }
+
+    /// Replays the operation stream of
+    /// `differential_with_heavy_deletes_against_btreemap` on a fresh tree
+    /// of fanout `F`.
+    fn heavy_delete_stream<const F: usize>() -> OccBTree<u64, u64, F> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let tree = OccBTree::new();
+        for round in 0..6 {
+            let insert_weight = if round % 2 == 0 { 7 } else { 2 };
+            for _ in 0..4000 {
+                let key = rng.gen_range(0..1200u64);
+                if rng.gen_range(0..10) < insert_weight {
+                    tree.insert(key, rng.gen::<u64>());
+                } else {
+                    tree.remove(&key);
+                }
+            }
+        }
+        tree
+    }
+
+    /// Every split, merge, borrow and collapse decision shows in these
+    /// counters, which Figure 8 and `stat_root_locks` print; the node
+    /// sizes fix the layout.  Both are pinned at their measured values.
+    #[test]
+    fn heavy_delete_stream_keeps_the_parents_structure() {
+        fn counters<const F: usize>() -> [u64; 6] {
+            let tree = heavy_delete_stream::<F>();
+            check_invariants(&tree);
+            let names = [
+                "root_write_locks",
+                "nodes_merged",
+                "nodes_borrowed",
+                "root_collapses",
+                "live_nodes",
+            ];
+            let [a, b, c, d, e] = names.map(|name| stat(&tree, name));
+            [a, b, c, d, e, tree.len() as u64]
+        }
+        assert_eq!(counters::<4>(), [1663, 1042, 130, 19, 197, 261]);
+        assert_eq!(counters::<8>(), [759, 381, 18, 0, 78, 261]);
+        assert_eq!(counters::<15>(), [365, 167, 3, 0, 43, 261]);
+        assert_eq!(counters::<64>(), [69, 31, 0, 0, 9, 261]);
+        assert_eq!(size_of::<Node<u64, u64, 64>>(), 1088);
+        assert_eq!(size_of::<Node<u64, u64, 15>>(), 320);
+        assert_eq!(size_of::<Node<u64, u64, 8>>(), 192);
+    }
+
+    /// The shape holds throughout random churn and a full drain, at the
+    /// narrowest fanout, an odd one and the shipped ones.
+    #[test]
+    fn shape_holds_through_churn_and_a_drain() {
+        fn churn<const F: usize>() {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(F as u64);
+            let tree = OccBTree::<u64, u64, F>::new();
+            for op in 1..=40_000 {
+                let key = rng.gen_range(0..3000u64);
+                if rng.gen_bool(0.6) {
+                    tree.insert(key, key);
+                } else {
+                    tree.remove(&key);
+                }
+                if op % 4000 == 0 {
+                    check_invariants(&tree);
+                }
+            }
+            for (drained, key) in (0..3000u64).enumerate() {
+                tree.remove(&key);
+                if drained % 300 == 0 {
+                    check_invariants(&tree);
+                }
+            }
+            check_invariants(&tree);
+            assert_eq!(stat(&tree, "live_nodes"), 1);
+        }
+        churn::<4>();
+        churn::<5>();
+        churn::<8>();
+        churn::<15>();
+        churn::<64>();
+    }
+
     #[test]
     fn empty_tree_behaviour() {
         let tree = SmallTree::new();
         assert!(tree.is_empty());
         assert_eq!(tree.get(&5), None);
         assert_eq!(tree.remove(&5), None);
-        assert_eq!(tree.range(&0, 10, &mut |_, _| panic!("empty")), 0);
+        assert_eq!(tree.scan(0..).take(10).count(), 0);
     }
 
     #[test]
@@ -1248,7 +1152,7 @@ mod tests {
             assert_eq!(tree.get(&key), Some(!key));
         }
         let mut scanned = Vec::new();
-        tree.range(&0, 5000, &mut |k, _| scanned.push(*k));
+        scanned.extend(tree.scan(0..).take(5000).map(|(k, _)| k));
         assert_eq!(scanned, (0..3000).collect::<Vec<_>>());
     }
 
@@ -1259,7 +1163,8 @@ mod tests {
             tree.insert(key * 2, key);
         }
         let mut seen = Vec::new();
-        let count = tree.range(&101, 10, &mut |k, v| seen.push((*k, *v)));
+        seen.extend(tree.scan(101..).take(10));
+        let count = seen.len();
         assert_eq!(count, 10);
         assert_eq!(seen[0], (102, 51));
         assert_eq!(seen[9], (120, 60));
@@ -1285,8 +1190,9 @@ mod tests {
         }
         assert_eq!(tree.len(), oracle.len());
         let mut scanned = Vec::new();
-        tree.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+        scanned.extend(tree.scan(..));
         assert_eq!(scanned, oracle.into_iter().collect::<Vec<_>>());
+        check_invariants(&tree);
     }
 
     #[test]
@@ -1313,13 +1219,13 @@ mod tests {
         }
         let mut previous = None;
         let mut count = 0usize;
-        tree.range(&0, usize::MAX - 1, &mut |k, _| {
+        for (k, _) in tree.scan(..) {
             if let Some(p) = previous {
-                assert!(p < *k, "leaf chain out of order");
+                assert!(p < k, "leaf chain out of order");
             }
-            previous = Some(*k);
+            previous = Some(k);
             count += 1;
-        });
+        }
         assert_eq!(count as u64, threads * per_thread);
     }
 
@@ -1335,6 +1241,7 @@ mod tests {
             assert_eq!(tree.remove(&key), Some(key), "missing {key}");
         }
         assert!(tree.is_empty());
+        check_invariants(&tree);
         assert!(stat(&tree, "nodes_merged") > 0, "merges must have happened");
         assert!(
             stat(&tree, "root_collapses") > 0,
@@ -1378,12 +1285,12 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..300 {
                         let mut previous = None;
-                        tree.range(&0, 200, &mut |k, _| {
+                        for (k, _) in tree.scan(0..).take(200) {
                             if let Some(p) = previous {
-                                assert!(p < *k, "scan out of order under merges");
+                                assert!(p < k, "scan out of order under merges");
                             }
-                            previous = Some(*k);
-                        });
+                            previous = Some(k);
+                        }
                     }
                 });
             }
@@ -1398,7 +1305,7 @@ mod tests {
             assert_eq!(tree.get(&key), Some(key));
         }
         let mut scanned = Vec::new();
-        tree.range(&0, usize::MAX - 1, &mut |k, _| scanned.push(*k));
+        scanned.extend(tree.scan(..).map(|(k, _)| k));
         assert_eq!(scanned, (7200..8000).collect::<Vec<_>>());
     }
 
@@ -1424,11 +1331,12 @@ mod tests {
             }
             assert_eq!(tree.len(), oracle.len());
             let mut scanned = Vec::new();
-            tree.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+            scanned.extend(tree.scan(..));
             assert_eq!(
                 scanned,
                 oracle.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
             );
+            check_invariants(&tree);
         }
         assert!(stat(&tree, "nodes_merged") > 0);
     }
@@ -1483,6 +1391,7 @@ mod tests {
                 tree.insert(key, key);
             }
             assert_eq!(tree.len(), 5000);
+            check_invariants(&tree);
             // With 15-key nodes, a 5000-key build must have split many times.
             assert!(stat(&tree, "root_write_locks") > 100);
             for key in (0..5000u64).step_by(37) {
@@ -1509,8 +1418,9 @@ mod tests {
                 }
             }
             let mut scanned = Vec::new();
-            tree.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+            scanned.extend(tree.scan(..));
             assert_eq!(scanned, oracle.into_iter().collect::<Vec<_>>());
+            check_invariants(&tree);
         }
 
         #[test]
@@ -1527,6 +1437,7 @@ mod tests {
             // The emptied single trie layer degenerates to one root leaf —
             // the layered-Masstree equivalent of retiring the layer's tree.
             assert_eq!(stat(&tree, "live_nodes"), 1);
+            check_invariants(&tree);
             assert!(stat(&tree, "nodes_merged") > 0);
             for _ in 0..8 {
                 tree.try_reclaim();
@@ -1550,6 +1461,7 @@ mod tests {
                 }
             });
             assert_eq!(tree.len(), 18_000);
+            check_invariants(&tree);
             for key in (0..18_000u64).step_by(997) {
                 assert!(tree.contains_key(&key));
             }

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod btree_occ;
 mod skiplist_lazy;

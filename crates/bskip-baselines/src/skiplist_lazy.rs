@@ -102,6 +102,7 @@ pub struct LazySkipList<K, V> {
 // SAFETY: nodes are mutated only through atomics, the per-node locks and
 // the value lock; nodes are never freed while the list is shared.
 unsafe impl<K: IndexKey, V: IndexValue> Send for LazySkipList<K, V> {}
+// SAFETY: as for `Send`: shared access goes through the same atomics and locks.
 unsafe impl<K: IndexKey, V: IndexValue> Sync for LazySkipList<K, V> {}
 
 impl<K: IndexKey, V: IndexValue> Default for LazySkipList<K, V> {
@@ -483,7 +484,7 @@ mod tests {
             assert_eq!(list.get(key), Some(*value));
         }
         let mut scanned = Vec::new();
-        list.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+        scanned.extend(list.scan(..));
         assert_eq!(scanned, reference.into_iter().collect::<Vec<_>>());
     }
 
@@ -507,13 +508,13 @@ mod tests {
         assert_eq!(list.len() as u64, threads * per_thread);
         let mut previous = None;
         let mut count = 0u64;
-        list.range(&0, usize::MAX - 1, &mut |k, _| {
+        for (k, _) in list.scan(..) {
             if let Some(p) = previous {
-                assert!(p < *k);
+                assert!(p < k);
             }
-            previous = Some(*k);
+            previous = Some(k);
             count += 1;
-        });
+        }
         assert_eq!(count, threads * per_thread);
     }
 

@@ -128,6 +128,7 @@ pub struct LockFreeSkipList<K, V> {
 // lock; unlinked towers are retired to the epoch collector and freed only
 // after every traversal that could reach them has unpinned.
 unsafe impl<K: IndexKey, V: IndexValue> Send for LockFreeSkipList<K, V> {}
+// SAFETY: as for `Send`: shared access goes through the same atomics and lock.
 unsafe impl<K: IndexKey, V: IndexValue> Sync for LockFreeSkipList<K, V> {}
 
 impl<K: IndexKey, V: IndexValue> Default for LockFreeSkipList<K, V> {
@@ -572,7 +573,8 @@ mod tests {
             reference.insert(key, i);
         }
         let mut scanned = Vec::new();
-        let count = list.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+        scanned.extend(list.scan(..));
+        let count = scanned.len();
         assert_eq!(count, reference.len());
         assert_eq!(scanned, reference.into_iter().collect::<Vec<_>>());
     }
@@ -586,7 +588,8 @@ mod tests {
         list.remove(&3);
         list.remove(&4);
         let mut seen = Vec::new();
-        let count = list.range(&2, 4, &mut |k, _| seen.push(*k));
+        seen.extend(list.scan(2..).take(4).map(|(k, _)| k));
+        let count = seen.len();
         assert_eq!(count, 4);
         assert_eq!(seen, vec![2, 5, 6, 7]);
     }
@@ -641,12 +644,12 @@ mod tests {
         }
         // The bottom level must be fully sorted.
         let mut previous = None;
-        list.range(&0, usize::MAX - 1, &mut |k, _| {
+        for (k, _) in list.scan(..) {
             if let Some(p) = previous {
-                assert!(p < *k);
+                assert!(p < k);
             }
-            previous = Some(*k);
-        });
+            previous = Some(k);
+        }
     }
 
     #[test]
@@ -665,7 +668,7 @@ mod tests {
         assert_eq!(list.len(), 1);
         assert!(list.contains_key(&42));
         let mut seen = Vec::new();
-        list.range(&0, 10, &mut |k, _| seen.push(*k));
+        seen.extend(list.scan(0..).take(10).map(|(k, _)| k));
         assert_eq!(seen, vec![42]);
     }
 
@@ -697,7 +700,7 @@ mod tests {
             list.try_reclaim();
         }
         assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
-        assert!(list.range(&0, usize::MAX - 1, &mut |_, _| {}) == 0);
+        assert_eq!(list.scan(..).count(), 0);
     }
 
     #[test]
@@ -731,13 +734,13 @@ mod tests {
         assert_eq!(list.stats().reclamation().unwrap().backlog, 0);
         let mut live = 0usize;
         let mut previous = None;
-        list.range(&0, usize::MAX - 1, &mut |k, _| {
+        for (k, _) in list.scan(..) {
             if let Some(p) = previous {
-                assert!(p < *k, "bottom level out of order");
+                assert!(p < k, "bottom level out of order");
             }
-            previous = Some(*k);
+            previous = Some(k);
             live += 1;
-        });
+        }
         assert_eq!(live, list.len(), "len must match the live bottom level");
         assert_eq!(stats.retired, list.stats().reclamation().unwrap().freed);
     }

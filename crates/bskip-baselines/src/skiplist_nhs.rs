@@ -94,6 +94,7 @@ struct IndexSnapshot<K, V> {
 // hold a clone has unpinned (see the module docs); the snapshot itself is
 // immutable.
 unsafe impl<K: IndexKey, V: IndexValue> Send for IndexSnapshot<K, V> {}
+// SAFETY: as for `Send`: a shared snapshot is only read.
 unsafe impl<K: IndexKey, V: IndexValue> Sync for IndexSnapshot<K, V> {}
 
 struct Inner<K, V> {
@@ -123,6 +124,7 @@ struct Inner<K, V> {
 // value lock, and are freed only through the deferred retirement protocol
 // in the module docs.
 unsafe impl<K: IndexKey, V: IndexValue> Send for Inner<K, V> {}
+// SAFETY: as for `Send`: shared access goes through the same atomics and lock.
 unsafe impl<K: IndexKey, V: IndexValue> Sync for Inner<K, V> {}
 
 impl<K: IndexKey, V: IndexValue> Inner<K, V> {
@@ -632,7 +634,7 @@ mod tests {
         assert_eq!(stats.retired, 450);
         assert_eq!(stats.backlog, 0, "backlog drains at quiescence");
         let mut scanned = Vec::new();
-        list.range(&0, usize::MAX - 1, &mut |k, _| scanned.push(*k));
+        scanned.extend(list.scan(..).map(|(k, _)| k));
         assert_eq!(scanned, (450..500).collect::<Vec<_>>());
     }
 
@@ -656,7 +658,7 @@ mod tests {
             assert_eq!(list.get(key), Some(*value));
         }
         let mut scanned = Vec::new();
-        list.range(&0, usize::MAX - 1, &mut |k, v| scanned.push((*k, *v)));
+        scanned.extend(list.scan(..));
         assert_eq!(scanned, reference.into_iter().collect::<Vec<_>>());
     }
 
@@ -681,13 +683,13 @@ mod tests {
         list.try_reclaim();
         let mut previous = None;
         let mut count = 0u64;
-        list.range(&0, usize::MAX - 1, &mut |k, _| {
+        for (k, _) in list.scan(..) {
             if let Some(p) = previous {
-                assert!(p < *k);
+                assert!(p < k);
             }
-            previous = Some(*k);
+            previous = Some(k);
             count += 1;
-        });
+        }
         assert_eq!(count, threads * per_thread);
     }
 

@@ -356,8 +356,7 @@ mod tests {
             index.insert(1, 10);
             index.insert(2, 20);
             assert_eq!(index.get(&1), Some(10), "{}", kind.label());
-            let mut seen = Vec::new();
-            index.range(&1, 10, &mut |k, _| seen.push(*k));
+            let seen: Vec<u64> = index.scan(1..).take(10).map(|(k, _)| k).collect();
             assert_eq!(seen, vec![1, 2], "{}", kind.label());
             kind.settle_after_load(index.as_ref());
             assert_eq!(index.get(&2), Some(20), "{}", kind.label());

@@ -112,7 +112,43 @@ impl PhaseResult {
     }
 }
 
-fn make_result(operations: usize, elapsed_secs: f64, samples: Vec<f64>) -> PhaseResult {
+/// Runs one timed phase: `operations` operations split evenly over
+/// `threads` scoped threads.  Thread `t` builds its per-operation closure
+/// with `op_for(t)` and calls it on each index of its share of
+/// `0..operations`, timing batches of `BATCH_SIZE` operations.
+fn timed_phase<Op>(
+    threads: usize,
+    operations: usize,
+    op_for: impl Fn(usize) -> Op + Sync,
+) -> PhaseResult
+where
+    Op: FnMut(usize),
+{
+    let threads = threads.max(1);
+    let start = Instant::now();
+    let samples: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|thread_id| {
+                let op_for = &op_for;
+                scope.spawn(move || {
+                    let lo = operations * thread_id / threads;
+                    let hi = operations * (thread_id + 1) / threads;
+                    let mut op = op_for(thread_id);
+                    let mut recorder = LatencyRecorder::with_capacity((hi - lo) / BATCH_SIZE + 1);
+                    for batch_lo in (lo..hi).step_by(BATCH_SIZE) {
+                        let batch = batch_lo..hi.min(batch_lo + BATCH_SIZE);
+                        let in_batch = batch.len();
+                        let batch_start = Instant::now();
+                        batch.for_each(&mut op);
+                        recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
+                    }
+                    recorder.into_samples()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let elapsed_secs = start.elapsed().as_secs_f64();
     let throughput = if elapsed_secs > 0.0 {
         operations as f64 / (elapsed_secs * 1e6)
     } else {
@@ -122,7 +158,7 @@ fn make_result(operations: usize, elapsed_secs: f64, samples: Vec<f64>) -> Phase
         operations,
         elapsed_secs,
         throughput_ops_per_us: throughput,
-        latency: LatencySummary::from_samples(samples),
+        latency: LatencySummary::from_samples(samples.into_iter().flatten().collect()),
     }
 }
 
@@ -133,40 +169,11 @@ pub fn run_load_phase<I>(index: &I, config: &YcsbConfig) -> PhaseResult
 where
     I: ConcurrentIndex<u64, u64>,
 {
-    let threads = config.threads.max(1);
-    let records = config.record_count;
-    let start = Instant::now();
-    let samples: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|thread_id| {
-                let index_ref = &index;
-                scope.spawn(move || {
-                    let lo = records * thread_id / threads;
-                    let hi = records * (thread_id + 1) / threads;
-                    let mut recorder = LatencyRecorder::with_capacity((hi - lo) / BATCH_SIZE + 1);
-                    let mut batch_start = Instant::now();
-                    let mut in_batch = 0usize;
-                    for logical in lo..hi {
-                        index_ref.insert(record_key(logical as u64), logical as u64);
-                        in_batch += 1;
-                        if in_batch == BATCH_SIZE {
-                            recorder
-                                .record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
-                            batch_start = Instant::now();
-                            in_batch = 0;
-                        }
-                    }
-                    if in_batch > 0 {
-                        recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
-                    }
-                    recorder.into_samples()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    make_result(records, elapsed, samples.into_iter().flatten().collect())
+    timed_phase(config.threads, config.record_count, |_| {
+        |logical: usize| {
+            index.insert(record_key(logical as u64), logical as u64);
+        }
+    })
 }
 
 /// Executes a YCSB run phase for `workload` against an already-loaded
@@ -188,103 +195,62 @@ where
         workload != Workload::Load,
         "use run_load_phase for the load phase"
     );
-    let threads = config.threads.max(1);
-    let operations = config.operation_count;
-    let insert_cursor = AtomicU64::new(config.record_count as u64);
-    let start = Instant::now();
-    let samples: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|thread_id| {
-                let index_ref = &index;
-                let insert_cursor = &insert_cursor;
-                scope.spawn(move || {
-                    let ops = operations / threads + usize::from(thread_id < operations % threads);
-                    let mut rng = SmallRng::seed_from_u64(
-                        config.seed ^ (thread_id as u64).wrapping_mul(0x9E37),
-                    );
-                    let chooser =
-                        KeyChooser::new(config.distribution, config.record_count.max(1) as u64);
-                    // Workload D's "latest" distribution: a Zipfian over
-                    // recency, anchored at the shared insert watermark.
-                    let latest = ZipfianGenerator::new(config.record_count.max(2) as u64);
-                    let mut recorder = LatencyRecorder::with_capacity(ops / BATCH_SIZE + 1);
-                    let mut scan_sink = 0u64;
-                    let mut batch_start = Instant::now();
-                    let mut in_batch = 0usize;
-                    for _ in 0..ops {
-                        let operation = workload.next_operation(
-                            &mut rng,
-                            |rng| {
-                                if workload.reads_latest() {
-                                    let watermark = insert_cursor.load(Ordering::Relaxed).max(1);
-                                    let offset = latest.next_rank(rng) % watermark;
-                                    watermark - 1 - offset
-                                } else {
-                                    chooser.next_index(rng)
-                                }
-                            },
-                            // Updates and removes target everything
-                            // inserted so far, loaded or run-phase.
-                            |rng| {
-                                let watermark = insert_cursor.load(Ordering::Relaxed).max(1);
-                                rng.gen_range(0..watermark)
-                            },
-                            || insert_cursor.fetch_add(1, Ordering::Relaxed),
-                        );
-                        match operation {
-                            Operation::Read { index: logical } => {
-                                let key = record_key(logical);
-                                let _ = index_ref.get(&key);
-                            }
-                            Operation::Insert { index: logical } => {
-                                let key = record_key(logical);
-                                index_ref.insert(key, logical);
-                            }
-                            Operation::Update { index: logical } => {
-                                // YCSB updates are field rewrites: an
-                                // upsert of the (possibly removed)
-                                // record.
-                                let key = record_key(logical);
-                                index_ref.insert(key, logical.wrapping_add(1));
-                            }
-                            Operation::Remove { index: logical } => {
-                                let key = record_key(logical);
-                                let _ = index_ref.remove(&key);
-                            }
-                            Operation::Scan {
-                                index: logical,
-                                len,
-                            } => {
-                                // Workload E's SCAN: a bounded forward
-                                // cursor, terminated by `take` — the
-                                // cursor-native form of the paper's
-                                // `range(k, f, length)`.
-                                let key = record_key(logical);
-                                for (_, value) in index_ref.scan(key..).take(len) {
-                                    scan_sink = scan_sink.wrapping_add(value);
-                                }
-                            }
-                        }
-                        in_batch += 1;
-                        if in_batch == BATCH_SIZE {
-                            recorder
-                                .record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
-                            batch_start = Instant::now();
-                            in_batch = 0;
-                        }
+    let insert_cursor = &AtomicU64::new(config.record_count as u64);
+    timed_phase(config.threads, config.operation_count, |thread_id| {
+        let mut rng =
+            SmallRng::seed_from_u64(config.seed ^ (thread_id as u64).wrapping_mul(0x9E37));
+        let chooser = KeyChooser::new(config.distribution, config.record_count.max(1) as u64);
+        // Workload D's "latest" distribution: a Zipfian over recency,
+        // anchored at the shared insert watermark.
+        let latest = ZipfianGenerator::new(config.record_count.max(2) as u64);
+        move |_| {
+            let operation = workload.next_operation(
+                &mut rng,
+                |rng| {
+                    if workload.reads_latest() {
+                        let watermark = insert_cursor.load(Ordering::Relaxed).max(1);
+                        let offset = latest.next_rank(rng) % watermark;
+                        watermark - 1 - offset
+                    } else {
+                        chooser.next_index(rng)
                     }
-                    if in_batch > 0 {
-                        recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
-                    }
-                    std::hint::black_box(scan_sink);
-                    recorder.into_samples()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    make_result(operations, elapsed, samples.into_iter().flatten().collect())
+                },
+                // Updates and removes target everything inserted so far,
+                // loaded or run-phase.
+                |rng| {
+                    let watermark = insert_cursor.load(Ordering::Relaxed).max(1);
+                    rng.gen_range(0..watermark)
+                },
+                || insert_cursor.fetch_add(1, Ordering::Relaxed),
+            );
+            match operation {
+                Operation::Read { index: logical } => {
+                    let _ = index.get(&record_key(logical));
+                }
+                Operation::Insert { index: logical } => {
+                    index.insert(record_key(logical), logical);
+                }
+                Operation::Update { index: logical } => {
+                    // YCSB updates are field rewrites: an upsert of the
+                    // (possibly removed) record.
+                    index.insert(record_key(logical), logical.wrapping_add(1));
+                }
+                Operation::Remove { index: logical } => {
+                    let _ = index.remove(&record_key(logical));
+                }
+                Operation::Scan {
+                    index: logical,
+                    len,
+                } => {
+                    // Workload E's SCAN: a bounded forward cursor,
+                    // terminated by `take` — the cursor-native form of the
+                    // paper's `range(k, f, length)`.
+                    let scanned = index.scan(record_key(logical)..).take(len);
+                    std::hint::black_box(scanned.fold(0u64, |sum, (_, v)| sum.wrapping_add(v)));
+                }
+            }
+        }
+    })
 }
 
 #[cfg(test)]

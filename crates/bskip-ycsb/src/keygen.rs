@@ -150,11 +150,6 @@ impl KeyChooser {
             KeyChooser::Zipfian(zipf) => zipf.next_scrambled(rng),
         }
     }
-
-    /// Draws the next storage key (hashed logical index).
-    pub fn next_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        fnv_like_hash(self.next_index(rng))
-    }
 }
 
 /// Storage key of the `index`-th loaded record.
