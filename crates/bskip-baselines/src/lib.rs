@@ -74,22 +74,6 @@ mod cursor_contract_tests {
     }
 
     #[test]
-    fn seek_and_resume() {
-        for index in indices() {
-            for key in (0..100u64).map(|i| i * 3) {
-                index.insert(key, key);
-            }
-            let mut cursor =
-                index.scan_bounds(std::ops::Bound::Included(0), std::ops::Bound::Unbounded);
-            assert_eq!(cursor.next(), Some((0, 0)), "{}", index.name());
-            assert_eq!(cursor.seek(&100), Some((102, 102)), "{}", index.name());
-            assert_eq!(cursor.next(), Some((105, 105)), "{}", index.name());
-            assert_eq!(cursor.seek(&10_000), None, "{}", index.name());
-            assert_eq!(cursor.next(), None, "{}", index.name());
-        }
-    }
-
-    #[test]
     fn scans_skip_logically_removed_keys() {
         for index in indices() {
             for key in 0..32u64 {

@@ -377,9 +377,17 @@ mod tests {
                 .map(|(k, _)| k)
                 .collect();
             assert_eq!(window, (10..20).collect::<Vec<_>>(), "{}", kind.label());
-            let mut cursor = index.scan_bounds(Bound::Unbounded, Bound::Unbounded);
-            assert_eq!(cursor.seek(&60), Some((60, 120)), "{}", kind.label());
-            assert_eq!(cursor.seek(&64), None, "{}", kind.label());
+            // Opened near, at and past the end: every cursor drains to
+            // the last key and then stays exhausted.
+            for from in [59u64, 63, 64] {
+                let mut cursor = index.scan_bounds(Bound::Included(from), Bound::Unbounded);
+                let tail: Vec<u64> = std::iter::from_fn(|| cursor.next())
+                    .map(|(k, _)| k)
+                    .collect();
+                assert_eq!(tail, (from..64).collect::<Vec<_>>(), "{}", kind.label());
+                assert_eq!(cursor.next(), None, "{} from {from}", kind.label());
+                assert_eq!(cursor.next(), None, "{} from {from}", kind.label());
+            }
         }
     }
 

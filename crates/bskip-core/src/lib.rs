@@ -44,12 +44,12 @@
 //! assert_eq!(index.len(), 4000);
 //! assert_eq!(index.get(&2500), Some(500));
 //!
-//! // Range scans use seekable cursors (YCSB workload E takes the first
+//! // Range scans use forward cursors (YCSB workload E takes the first
 //! // `len` entries of a `scan`).
 //! let window: Vec<(u64, u64)> = index.scan(10..).take(5).collect();
 //! assert_eq!(window.len(), 5);
-//! let mut cursor = index.scan(100..=200);
-//! assert_eq!(cursor.seek(&150), Some((150, 150 % 1000)));
+//! let mut cursor = index.scan(150..=200);
+//! assert_eq!(cursor.next(), Some((150, 150 % 1000)));
 //! assert_eq!(cursor.next(), Some((151, 151 % 1000)));
 //!
 //! // Bulk operations go through `execute`: the point operations in slot
@@ -68,15 +68,15 @@
 //!
 //! ## Cursors
 //!
-//! [`BSkipList::scan`] returns a seekable cursor ([`bskip_index::Cursor`])
+//! [`BSkipList::scan`] returns a forward cursor ([`bskip_index::Cursor`])
 //! over any `RangeBounds` expression; [`BSkipList::iter`] scans everything.
 //! The cursor is implemented natively on the leaf level: it copies one
 //! read-locked node's in-range slots at a time into a batch buffer and
 //! serves entries from the buffer with no locks held, so a scan never
 //! blocks writers for longer than one node and streams whole
 //! cache-resident nodes (the property the paper's Section 4 range query
-//! has).  `seek` re-descends.  Like the paper's leaf level, the cursor
-//! moves forward only.
+//! has).  One descent positions it at the range's lower bound; from
+//! there, like the paper's leaf level, it moves forward only.
 //!
 //! **Consistency contract** (also documented in [`bskip_index::cursor`]):
 //! a cursor over a concurrently mutated list yields every in-range entry
@@ -141,6 +141,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod config;
 pub mod height;

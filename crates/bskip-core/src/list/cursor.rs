@@ -1,13 +1,13 @@
-//! The B-skiplist's native seekable cursor.
+//! The B-skiplist's native cursor.
 //!
-//! A [`LeafCursor`] walks the leaf level of the list, copying one
-//! read-locked node's in-range slots at a time into a batch buffer and then
-//! serving entries from the buffer with **no locks held**.  This keeps the
-//! lock hold time of a scan bounded by a single node — the same property
-//! the paper's `range` operation has (Section 4, "concurrent finds and
-//! range queries") — while adding the cursor capabilities the callback API
-//! could not express: bounded ranges, early termination and
-//! `seek`-then-resume.
+//! A [`LeafCursor`] walks the leaf level of the list forward from the
+//! range's lower bound, copying one read-locked node's in-range slots at a
+//! time into a batch buffer and then serving entries from the buffer with
+//! **no locks held**.  This keeps the lock hold time of a scan bounded by a
+//! single node — the same property the paper's `range` operation has
+//! (Section 4, "concurrent finds and range queries") — while adding what
+//! the callback API could not express: bounded ranges and early
+//! termination.
 //!
 //! # Traversal scheme
 //!
@@ -32,13 +32,11 @@
 //! lifetime, created *before* any pointer is captured: the collector
 //! never frees a node retired after the guard pinned, so every pointer
 //! the cursor captured since stays dereferenceable — long enough to lock
-//! the node and find it empty — until the cursor drops (or
-//! [`IndexCursor::seek`] re-pins, which first discards every captured
-//! pointer).
+//! the node and find it empty — until the cursor drops.
 //!
 //! The flip side: a cursor parked for a long time holds its epoch pinned
-//! and lets the retired-node backlog grow.  `seek` re-pins, and dropping
-//! the cursor releases the epoch entirely.
+//! and lets the retired-node backlog grow; dropping the cursor releases
+//! the epoch.
 //!
 //! # Consistency
 //!
@@ -53,7 +51,7 @@
 //! If that neighbour is the leaf the cursor last snapshotted, the folded
 //! keys now sit behind the captured `next_leaf`, which is exactly the
 //! leaf that was emptied.  So the rule is: **a refill that locks an empty
-//! leaf re-positions** through the optimistic descent at the resume bound
+//! leaf re-positions** through the optimistic descent at `from`
 //! (`Excluded(last emitted key)`), which lands in the leaf now holding the
 //! folded keys.  A fold always empties the leaf it folds, and a non-head
 //! leaf is empty only once unlinked, so the cursor cannot miss one.  This
@@ -78,27 +76,24 @@ where
     V: IndexValue,
 {
     list: &'a BSkipList<K, V, B>,
-    /// Epoch pin protecting every raw pointer the cursor captures
-    /// (notably `next_leaf`); see the module docs.  Held for the cursor's
-    /// lifetime, refreshed by `seek`.
-    guard: EbrGuard<'a>,
-    lo: Bound<K>,
+    /// Epoch pin held for the cursor's lifetime and never read: it keeps
+    /// every node the cursor captured a pointer to (notably `next_leaf`)
+    /// from being freed; see the module docs.
+    _guard: EbrGuard<'a>,
+    /// Lower bound of the next refill: the range's `lo` until an entry
+    /// is emitted, then `Excluded(last emitted key)`.
+    from: Bound<K>,
     hi: Bound<K>,
     /// Slots copied out of the most recently visited leaf, ascending and
     /// all within `hi`.
     batch: Vec<(K, V)>,
     /// Next unconsumed index into `batch`.
     pos: usize,
-    /// Entry the cursor rests on (last one emitted).
-    current: Option<(K, V)>,
-    /// Lower bound for refills while no entry has been emitted (the
-    /// range's `lo`, tightened by `seek`).
-    floor: Bound<K>,
     /// Right neighbour of the last snapshotted leaf, captured under its
     /// lock; null once positioned means the walk is over (the end of the
     /// leaf level, or a key beyond `hi`, was reached).
     next_leaf: *mut Node<K, V, B>,
-    /// Whether any positioning call has happened yet.
+    /// Whether the first `next` has positioned the cursor yet.
     started: bool,
     /// Whether leaf snapshots feed the `range_leaf_nodes` statistic —
     /// true for range queries (`scan`), false for full iterations
@@ -116,36 +111,25 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
     ) -> Self {
         LeafCursor {
             list,
-            guard: list.collector().pin(),
-            lo,
+            _guard: list.collector().pin(),
+            from: lo,
             hi,
             batch: Vec::with_capacity(B),
             pos: 0,
-            current: None,
-            floor: lo,
             next_leaf: ptr::null_mut(),
             started: false,
             record_stats,
         }
     }
 
-    /// The lower bound the next refill must respect.
-    fn resume_bound(&self) -> Bound<K> {
-        match &self.current {
-            Some((key, _)) => Bound::Excluded(*key),
-            None => self.floor,
-        }
-    }
-
-    /// Descends to the leaf covering the resume position and snapshots
-    /// it.  `bound` must be the value of [`Self::resume_bound`].
-    fn descend_and_snapshot(&mut self, bound: Bound<K>) {
+    /// Descends to the leaf covering `from` and snapshots it.
+    fn descend_and_snapshot(&mut self) {
         // SAFETY: the leaf either way is read-locked, as `snapshot`
-        // requires; `self.guard` supplies the epoch pin `lock_covering`'s
+        // requires; `self._guard` supplies the epoch pin `lock_covering`'s
         // optimistic descent requires.
         unsafe {
             let list = self.list;
-            let leaf = match &bound {
+            let leaf = match &self.from {
                 Bound::Unbounded => {
                     let head = list.head(0);
                     lock_node(head, Mode::Read);
@@ -155,21 +139,21 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
                     list.lock_covering(key, 0, Mode::Read)
                 }
             };
-            self.snapshot(leaf, &bound);
+            self.snapshot(leaf);
         }
     }
 
-    /// Copies the slots of `leaf` that satisfy the lower `bound` and the
-    /// upper bound into the batch, captures the leaf's `next` pointer and
-    /// unlocks it.
+    /// Copies the slots of `leaf` that satisfy `from` and the upper bound
+    /// into the batch, captures the leaf's `next` pointer and unlocks it.
     ///
     /// # Safety
     ///
     /// `leaf` must be a leaf node locked in read mode by this thread; the
     /// lock is released before returning.
-    unsafe fn snapshot(&mut self, leaf: *mut Node<K, V, B>, bound: &Bound<K>) {
+    unsafe fn snapshot(&mut self, leaf: *mut Node<K, V, B>) {
         self.batch.clear();
         self.pos = 0;
+        let bound = &self.from;
         let len = (*leaf).len();
         // Find the first qualifying slot by binary search where possible.
         let start = match bound {
@@ -224,13 +208,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
         loop {
             if let Some(&entry) = self.batch.get(self.pos) {
                 self.pos += 1;
-                self.current = Some(entry);
+                self.from = Bound::Excluded(entry.0);
                 return Some(entry);
             }
-            let bound = self.resume_bound();
             if !self.started {
                 self.started = true;
-                self.descend_and_snapshot(bound);
+                self.descend_and_snapshot();
                 continue;
             }
             // Steady-state walk: follow the captured neighbour.
@@ -238,7 +221,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
             if leaf.is_null() {
                 return None;
             }
-            // SAFETY: `leaf` was read from a locked node after `self.guard`
+            // SAFETY: `leaf` was read from a locked node after `self._guard`
             // pinned, so even if a concurrent remove has since unlinked and
             // retired it, the collector cannot free it while the guard is
             // alive; locking it (re-)establishes the protocol.
@@ -248,34 +231,12 @@ impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCurso
                     // Unlinked: its keys may have folded into a leaf
                     // behind the cursor (module docs, *Consistency*).
                     unlock_node(leaf, Mode::Read);
-                    self.descend_and_snapshot(bound);
+                    self.descend_and_snapshot();
                 } else {
-                    self.snapshot(leaf, &bound);
+                    self.snapshot(leaf);
                 }
             }
         }
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        let from = if above_lower(key, &self.lo) {
-            Bound::Included(*key)
-        } else {
-            self.lo
-        };
-        self.started = true;
-        self.current = None;
-        self.floor = from;
-        self.next_leaf = ptr::null_mut();
-        // Every captured pointer has just been discarded, so this is a
-        // safe point to re-pin: long-lived cursors that seek periodically
-        // do not hold the epoch (and thus the retired-node backlog) back.
-        self.guard.repin();
-        self.descend_and_snapshot(from);
-        self.next()
-    }
-
-    fn entry(&self) -> Option<(K, V)> {
-        self.current
     }
 }
 
@@ -318,29 +279,6 @@ mod tests {
             .next()
             .is_none());
         assert!(list.scan(1000..).next().is_none());
-    }
-
-    #[test]
-    fn seek_positions_and_resumes() {
-        let list = listing((0..50).map(|i| i * 3));
-        let mut cursor = list.scan(..);
-        assert_eq!(cursor.seek(&10), Some((12, 120)));
-        assert_eq!(cursor.next(), Some((15, 150)));
-        assert_eq!(cursor.seek(&147), Some((147, 1470)));
-        assert_eq!(cursor.entry(), Some((147, 1470)));
-        // Seeking past the end exhausts the cursor; seeking back revives it.
-        assert_eq!(cursor.seek(&1_000), None);
-        assert_eq!(cursor.next(), None);
-        assert_eq!(cursor.seek(&0), Some((0, 0)));
-    }
-
-    #[test]
-    fn seek_clamps_to_the_lower_bound() {
-        let list = listing(0..20);
-        let mut cursor = list.scan(10..15);
-        assert_eq!(cursor.seek(&0), Some((10, 100)));
-        assert_eq!(cursor.seek(&14), Some((14, 140)));
-        assert_eq!(cursor.next(), None, "15 is outside the half-open range");
     }
 
     /// Forty keys over three levels (a tower of height 1 every 8 keys, of
@@ -387,9 +325,9 @@ mod tests {
     fn empty_list_yields_nothing() {
         let list = listing(std::iter::empty());
         assert_eq!(list.scan(..).next(), None);
-        let mut cursor = list.scan(..);
-        assert_eq!(cursor.seek(&5), None);
-        assert_eq!(cursor.entry(), None);
+        let mut cursor = list.scan(5..);
+        assert_eq!(cursor.next(), None);
+        assert_eq!(cursor.next(), None);
     }
 
     #[test]

@@ -250,10 +250,15 @@ where
     _marker: PhantomData<(K, V)>,
 }
 
-// SAFETY: the raw node pointers are only dereferenced under the per-node
-// reader/writer locks (or with exclusive `&mut self` access), so the list
-// can be shared and sent across threads whenever its keys and values can.
+// SAFETY: the list owns every node its raw pointers reach, and a node
+// holds only keys and values, which `IndexKey` / `IndexValue` require to
+// be `Send`; moving the list moves that ownership whole.
 unsafe impl<K: IndexKey, V: IndexValue, const B: usize> Send for BSkipList<K, V, B> {}
+// SAFETY: through `&self` the raw node pointers are only dereferenced
+// under the per-node reader/writer locks, or read through the relaxed
+// atomic accessors and validated against the node's version, and an
+// unlinked node is freed only by the epoch collector once no thread can
+// reach it; keys and values are `Sync` by the same trait bounds.
 unsafe impl<K: IndexKey, V: IndexValue, const B: usize> Sync for BSkipList<K, V, B> {}
 
 impl<K: IndexKey, V: IndexValue, const B: usize> Default for BSkipList<K, V, B> {
@@ -638,14 +643,14 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
         self.get(key).is_some()
     }
 
-    /// Opens a seekable [`Cursor`] over the entries whose keys lie in
+    /// Opens a forward [`Cursor`] over the entries whose keys lie in
     /// `range` — the primary scan API.
     ///
-    /// The cursor walks the leaf level, snapshotting one read-locked node's
-    /// slots at a time into a batch buffer, so lock hold time stays bounded
-    /// by one node and the scan streams whole cache-resident nodes
-    /// (Section 4 of the paper).  It supports `seek`; see
-    /// [`bskip_index::cursor`] for the consistency contract under
+    /// The cursor descends once to the range's lower bound, then walks the
+    /// leaf level, snapshotting one read-locked node's slots at a time into
+    /// a batch buffer, so lock hold time stays bounded by one node and the
+    /// scan streams whole cache-resident nodes (Section 4 of the paper).
+    /// See [`bskip_index::cursor`] for the consistency contract under
     /// concurrent mutation.
     ///
     /// ```
@@ -655,8 +660,8 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     /// let window: Vec<(u64, u64)> = list.scan(3..6).collect();
     /// assert_eq!(window, vec![(3, 6), (4, 8), (5, 10)]);
     ///
-    /// let mut cursor = list.scan(..);
-    /// assert_eq!(cursor.seek(&7), Some((7, 14)));
+    /// let mut cursor = list.scan(7..);
+    /// assert_eq!(cursor.next(), Some((7, 14)));
     /// assert_eq!(cursor.next(), Some((8, 16)));
     /// ```
     pub fn scan<R: RangeBounds<K>>(&self, range: R) -> Cursor<'_, K, V> {

@@ -612,6 +612,10 @@ mod tests {
 
     #[test]
     fn leaf_insert_search_remove() {
+        // SAFETY: the leaf is allocated here and never shared: no other
+        // thread can reach it, so this thread's exclusive access stands in
+        // for the locks the mutators require; every index is within its
+        // length, and it is freed once, last.
         unsafe {
             let node = TestNode::alloc_leaf(false);
             let node_ref = &*node;
@@ -638,6 +642,10 @@ mod tests {
 
     #[test]
     fn replace_value_returns_old() {
+        // SAFETY: the leaf is allocated here and never shared: no other
+        // thread can reach it, so this thread's exclusive access stands in
+        // for the locks the mutators require; slot 0 is occupied, and the
+        // leaf is freed once, last.
         unsafe {
             let node = TestNode::alloc_leaf(false);
             (*node).insert_leaf_at(0, 1, 10);
@@ -649,6 +657,11 @@ mod tests {
 
     #[test]
     fn internal_insert_and_children_track_keys() {
+        // SAFETY: all four nodes are allocated here and never shared: no
+        // other thread can reach them, so this thread's exclusive access
+        // stands in for the locks the mutators require; the child accessors
+        // run on the internal node within its length, and each node is
+        // freed once, last.
         unsafe {
             let internal = TestNode::alloc_internal(1, false);
             let child_a = TestNode::alloc_leaf(false);
@@ -674,6 +687,10 @@ mod tests {
 
     #[test]
     fn move_suffix_splits_leaf() {
+        // SAFETY: both leaves are allocated here and never shared: no other
+        // thread can reach them, so this thread's exclusive access stands
+        // in for the locks the mutators require; the split point is within
+        // the source's length, and each leaf is freed once, last.
         unsafe {
             let left = TestNode::alloc_leaf(false);
             let right = TestNode::alloc_leaf(false);
@@ -691,6 +708,10 @@ mod tests {
 
     #[test]
     fn move_suffix_appends_after_existing_entries() {
+        // SAFETY: both leaves are allocated here and never shared: no other
+        // thread can reach them, so this thread's exclusive access stands
+        // in for the locks the mutators require; the moved entries fit the
+        // destination, and each leaf is freed once, last.
         unsafe {
             let left = TestNode::alloc_leaf(false);
             let right = TestNode::alloc_leaf(false);
@@ -710,6 +731,10 @@ mod tests {
     fn move_whole_prefix_empties_the_source() {
         // The fold: `from == 0` moves *everything* into the left
         // neighbour, leaving the source empty (ready for the unlink).
+        // SAFETY: both leaves are allocated here and never shared: no other
+        // thread can reach them, so this thread's exclusive access stands
+        // in for the locks the mutators require; all six entries fit the
+        // destination, and each leaf is freed once, last.
         unsafe {
             let left = TestNode::alloc_leaf(false);
             let right = TestNode::alloc_leaf(false);
@@ -728,6 +753,11 @@ mod tests {
 
     #[test]
     fn move_suffix_splits_internal_with_children() {
+        // SAFETY: every node is allocated here and never shared: no other
+        // thread can reach them, so this thread's exclusive access stands
+        // in for the locks the mutators require; both sides are internal
+        // nodes of one level, the moved entries fit, and each node is freed
+        // once, last.
         unsafe {
             let left = TestNode::alloc_internal(2, false);
             let right = TestNode::alloc_internal(2, false);
@@ -752,6 +782,9 @@ mod tests {
 
     #[test]
     fn keys_below_matches_a_linear_scan_for_every_occupancy() {
+        // SAFETY: the leaf is allocated here and never shared, so every
+        // read of it is exact; at most 8 entries are pushed into its 8
+        // slots, and it is freed once, last.
         unsafe {
             let node = TestNode::alloc_leaf(false);
             for len in 0..=8usize {
@@ -784,6 +817,7 @@ mod tests {
 
     #[test]
     fn prefetch_is_a_harmless_hint() {
+        // SAFETY: the leaf is allocated here, never shared, and freed once.
         unsafe {
             let node = TestNode::alloc_leaf(false);
             prefetch_node(node);
@@ -795,6 +829,9 @@ mod tests {
 
     #[test]
     fn search_on_empty_head_node_reports_before() {
+        // SAFETY: the head node is allocated here, never shared, and freed
+        // once after an unlocked search of it, which is exact while no
+        // other thread can reach it.
         unsafe {
             let head = TestNode::alloc_leaf(true);
             assert!((*head).is_head());
@@ -805,6 +842,10 @@ mod tests {
 
     #[test]
     fn full_node_detection() {
+        // SAFETY: the leaf is allocated here and never shared: no other
+        // thread can reach it, so this thread's exclusive access stands in
+        // for the locks the mutators require; exactly 8 entries fill its 8
+        // slots, and it is freed once, last.
         unsafe {
             let node = TestNode::alloc_leaf(false);
             for i in 0..8u64 {
@@ -817,6 +858,9 @@ mod tests {
 
     #[test]
     fn head_child_roundtrip() {
+        // SAFETY: both head nodes are allocated here and never shared, so
+        // the upper one is not yet visible to any other thread, as
+        // `set_head_child` requires; each is freed once, last.
         unsafe {
             let upper = TestNode::alloc_internal(1, true);
             let lower = TestNode::alloc_leaf(true);
@@ -829,6 +873,9 @@ mod tests {
 
     #[test]
     fn next_pointer_roundtrip() {
+        // SAFETY: both leaves are allocated here and never shared: no other
+        // thread can reach them, so this thread's exclusive access stands
+        // in for the locks the mutators require; each is freed once, last.
         unsafe {
             let a = TestNode::alloc_leaf(false);
             let b = TestNode::alloc_leaf(false);

@@ -1,14 +1,16 @@
-//! Seekable cursors over concurrent ordered indices.
+//! Forward cursors over concurrent ordered indices.
 //!
 //! The callback-based [`crate::ConcurrentIndex::range`] operation of the
 //! paper can express exactly one scan shape: "visit the `len` smallest
 //! entries at or above `start`".  Real consumers of an ordered index —
-//! memtable compaction, pagination, prefix scans, merge joins — need
-//! bounded scans, early termination and seek-then-resume.  This module
-//! provides the cursor abstraction those consumers program against:
+//! memtable flush and compaction, pagination, prefix scans, merge joins —
+//! need bounded scans and early termination.  This module provides the
+//! cursor abstraction those consumers program against.  A cursor is
+//! opened at its range's lower bound and only ever goes forward from
+//! there; a scan that wants to start elsewhere opens a new cursor.
 //!
 //! * [`IndexCursor`] — the raw traversal-state interface an index
-//!   implements (`next`, `seek`, `entry`);
+//!   implements (`next`);
 //! * [`Cursor`] — the public, type-erased handle returned by
 //!   [`crate::ConcurrentIndex::scan`]; it implements [`Iterator`] so the
 //!   common forward-scan case is a plain `for` loop;
@@ -76,7 +78,8 @@ pub fn below_upper<K: Ord>(key: &K, hi: &Bound<K>) -> bool {
 /// Implementations own their position (typically: the key last yielded plus
 /// whatever structure-specific resume state makes the next step cheap) and
 /// are constructed by [`crate::ConcurrentIndex::scan_bounds`] with the
-/// range bounds already applied.
+/// range bounds already applied.  Once `next` has returned `None` it keeps
+/// returning `None`.
 ///
 /// Keys and values are `Copy` (see [`IndexKey`] / [`IndexValue`]), so
 /// entries are yielded by value; nothing borrowed from the index escapes a
@@ -85,20 +88,9 @@ pub trait IndexCursor<K: IndexKey, V: IndexValue> {
     /// Advances to and returns the next entry in ascending key order, or
     /// `None` when the range is exhausted.
     fn next(&mut self) -> Option<(K, V)>;
-
-    /// Repositions at the first in-range entry with key `>= key` and
-    /// returns it (`None` when no such entry exists).  Seeking below the
-    /// range's lower bound clamps to the lower bound; subsequent calls to
-    /// [`IndexCursor::next`] continue from the returned entry.
-    fn seek(&mut self, key: &K) -> Option<(K, V)>;
-
-    /// The entry the cursor currently rests on: the one most recently
-    /// returned by `next` or `seek`.  `None` before the first positioning
-    /// call.
-    fn entry(&self) -> Option<(K, V)>;
 }
 
-/// A seekable cursor over a range of a concurrent ordered index.
+/// A forward cursor over a range of a concurrent ordered index.
 ///
 /// Created by [`crate::ConcurrentIndex::scan`] /
 /// [`crate::ConcurrentIndex::scan_bounds`].  `Cursor` implements
@@ -143,8 +135,8 @@ pub trait IndexCursor<K: IndexKey, V: IndexValue> {
 /// let window: Vec<(u64, u64)> = index.scan(2..=5).collect();
 /// assert_eq!(window, vec![(3, 30), (5, 50)]);
 ///
-/// let mut cursor = index.scan(..);
-/// assert_eq!(cursor.seek(&4), Some((5, 50)));
+/// let mut cursor = index.scan(4..);
+/// assert_eq!(cursor.next(), Some((5, 50)));
 /// assert_eq!(cursor.next(), Some((9, 90)));
 /// assert_eq!(cursor.next(), None);
 /// ```
@@ -163,17 +155,6 @@ impl<'a, K: IndexKey, V: IndexValue> Cursor<'a, K, V> {
     pub fn next(&mut self) -> Option<(K, V)> {
         self.raw.next()
     }
-
-    /// Repositions at the first in-range entry with key `>= key`; see
-    /// [`IndexCursor::seek`].
-    pub fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        self.raw.seek(key)
-    }
-
-    /// The entry the cursor currently rests on.
-    pub fn entry(&self) -> Option<(K, V)> {
-        self.raw.entry()
-    }
 }
 
 /// A [`Cursor`] is itself a raw cursor, so heterogeneous cursors (native
@@ -184,14 +165,6 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for Cursor<'_, K, V> {
     fn next(&mut self) -> Option<(K, V)> {
         Cursor::next(self)
     }
-
-    fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        Cursor::seek(self, key)
-    }
-
-    fn entry(&self) -> Option<(K, V)> {
-        Cursor::entry(self)
-    }
 }
 
 impl<K: IndexKey, V: IndexValue> Iterator for Cursor<'_, K, V> {
@@ -199,14 +172,6 @@ impl<K: IndexKey, V: IndexValue> Iterator for Cursor<'_, K, V> {
 
     fn next(&mut self) -> Option<(K, V)> {
         Cursor::next(self)
-    }
-}
-
-impl<K: IndexKey, V: IndexValue> std::fmt::Debug for Cursor<'_, K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cursor")
-            .field("entry", &self.entry())
-            .finish()
     }
 }
 
@@ -225,19 +190,16 @@ pub type FetchBatch<'a, K, V> = Box<dyn FnMut(Bound<K>, usize, &mut Vec<(K, V)>)
 /// the structure while the caller is away (nodes may be retired, snapshots
 /// invalidated).  `BatchCursor` instead re-enters the index once per batch:
 /// it asks the [`FetchBatch`] primitive for the next `batch_size` entries
-/// at or above the resume key, buffers them, and serves `next` from the
-/// buffer.  This is the "seek then resume" pattern; the batch size bounds
-/// how much work each re-entry repeats.
+/// above the last key it served, buffers them, and serves `next` from the
+/// buffer.  The batch size bounds how much work each re-entry repeats.
 pub struct BatchCursor<'a, K: IndexKey, V: IndexValue> {
     fetch: FetchBatch<'a, K, V>,
-    lo: Bound<K>,
+    /// Lower bound of the next refill: the range's `lo` until an entry is
+    /// emitted, then `Excluded(last emitted key)`.
+    from: Bound<K>,
     hi: Bound<K>,
     batch: Vec<(K, V)>,
     pos: usize,
-    current: Option<(K, V)>,
-    /// Lower bound for refills before any entry has been emitted (the
-    /// range's `lo`, tightened by `seek`).
-    floor: Bound<K>,
     /// Set when a fetch returned a short batch (index exhausted) and the
     /// buffer has been drained, or when an entry beyond `hi` was seen.
     finished: bool,
@@ -252,19 +214,18 @@ impl<'a, K: IndexKey, V: IndexValue> BatchCursor<'a, K, V> {
     pub fn new(lo: Bound<K>, hi: Bound<K>, batch_size: usize, fetch: FetchBatch<'a, K, V>) -> Self {
         BatchCursor {
             fetch,
-            lo,
+            from: lo,
             hi,
             batch: Vec::new(),
             pos: 0,
-            current: None,
-            floor: lo,
             finished: false,
             source_drained: false,
             batch_size: batch_size.max(1),
         }
     }
 
-    fn refill(&mut self, from: Bound<K>) {
+    fn refill(&mut self) {
+        let from = self.from;
         self.batch.clear();
         self.pos = 0;
         // The primitive may return the boundary key itself for an exclusive
@@ -296,7 +257,7 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
                     self.finished = true;
                     return None;
                 }
-                self.current = Some(entry);
+                self.from = Bound::Excluded(entry.0);
                 return Some(entry);
             }
             if self.finished || self.source_drained {
@@ -304,37 +265,12 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
                 self.finished = true;
                 return None;
             }
-            let from = match &self.current {
-                Some((key, _)) => Bound::Excluded(*key),
-                None => self.floor,
-            };
-            self.refill(from);
+            self.refill();
             if self.batch.is_empty() {
                 self.finished = true;
                 return None;
             }
         }
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        let from = if above_lower(key, &self.lo) {
-            Bound::Included(*key)
-        } else {
-            self.lo
-        };
-        self.finished = false;
-        self.current = None;
-        self.floor = from;
-        self.refill(from);
-        if self.batch.is_empty() {
-            self.finished = true;
-            return None;
-        }
-        self.next()
-    }
-
-    fn entry(&self) -> Option<(K, V)> {
-        self.current
     }
 }
 
@@ -351,8 +287,8 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 ///
 /// The merged stream holds every key any source holds, once: when several
 /// sources are at the same key, the *lowest-indexed* source supplies the
-/// entry and every tied source steps past the key — in `next` and `seek`
-/// alike.  That single rule serves both users:
+/// entry and every tied source steps past the key.  That single rule
+/// serves both users:
 ///
 /// * hash shards of a [`crate::ShardedIndex`] never tie (each key routes
 ///   to exactly one shard), so the merge is a plain interleave;
@@ -370,9 +306,7 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 /// so its merges box nothing).
 pub struct MergeCursor<'a, K: IndexKey, T: IndexValue, S = Cursor<'a, K, T>> {
     sources: Vec<MergeSource<K, T, S>>,
-    current: Option<(K, T)>,
-    /// Whether every source's `head` has been filled: by the first `next`,
-    /// or by any `seek`.
+    /// Whether every source's `head` has been filled (by the first `next`).
     primed: bool,
     _sources: PhantomData<&'a ()>,
 }
@@ -389,7 +323,6 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> 
         merged.extend(sources.map(|cursor| MergeSource { cursor, head: None }));
         MergeCursor {
             sources: merged,
-            current: None,
             primed: false,
             _sources: PhantomData,
         }
@@ -415,7 +348,6 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> 
                 source.head = source.cursor.next();
             }
         }
-        self.current = winner;
         winner
     }
 }
@@ -431,22 +363,6 @@ impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> IndexCursor<K, T>
             self.primed = true;
         }
         self.take_winner()
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, T)> {
-        for source in &mut self.sources {
-            source.head = source.cursor.seek(key);
-        }
-        self.primed = true;
-        // A total miss leaves every head empty: like a single cursor's
-        // failed seek, the merge then rests nowhere and `next` reports
-        // exhaustion.
-        self.current = None;
-        self.take_winner()
-    }
-
-    fn entry(&self) -> Option<(K, T)> {
-        self.current
     }
 }
 
@@ -491,7 +407,7 @@ mod tests {
         assert_eq!(seen, (0..10u64).map(|i| i * 10).collect::<Vec<_>>());
         // Exhausted cursors stay exhausted.
         assert_eq!(cursor.next(), None);
-        assert_eq!(cursor.entry(), Some((90, 9)));
+        assert_eq!(cursor.next(), None);
     }
 
     #[test]
@@ -505,20 +421,6 @@ mod tests {
 
         let mut empty = cursor_over(&entries, Bound::Excluded(40), Bound::Included(40), 2);
         assert_eq!(empty.next(), None);
-    }
-
-    #[test]
-    fn seek_repositions_and_clamps() {
-        let entries = sample();
-        let mut cursor = cursor_over(&entries, Bound::Included(30), Bound::Included(70), 2);
-        assert_eq!(cursor.seek(&55), Some((60, 6)));
-        assert_eq!(cursor.next(), Some((70, 7)));
-        assert_eq!(cursor.next(), None);
-        // Seek below the lower bound clamps to it.
-        assert_eq!(cursor.seek(&0), Some((30, 3)));
-        // Seek past the end of the data.
-        assert_eq!(cursor.seek(&1000), None);
-        assert_eq!(cursor.next(), None);
     }
 
     #[test]

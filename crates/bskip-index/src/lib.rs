@@ -16,14 +16,14 @@
 //!   point methods, so every index takes batches; the B-skiplist overrides
 //!   it only to run the same point operations under one epoch pin, and
 //!   the baselines keep the default.  See [`ops`] for the batch semantics.
-//! * [`Cursor`] / [`IndexCursor`] — the seekable-cursor scan interface:
+//! * [`Cursor`] / [`IndexCursor`] — the forward-cursor scan interface:
 //!   every index opens cursors via [`ConcurrentIndex::scan`] (any
 //!   `RangeBounds` expression) or the object-safe
-//!   [`ConcurrentIndex::scan_bounds`], supporting bounded ranges, early
-//!   termination and `seek`-then-resume.  [`BatchCursor`] adapts indices
-//!   that cannot pause mid-traversal.  The paper's `range(k, f, length)`
-//!   callback operation survives as a provided compatibility method
-//!   implemented over cursors.
+//!   [`ConcurrentIndex::scan_bounds`] at the range's lower bound, and the
+//!   caller pulls `next` until the range ends or it stops.  [`BatchCursor`]
+//!   adapts indices that cannot pause mid-traversal.  The paper's
+//!   `range(k, f, length)` callback operation survives as a provided
+//!   compatibility method implemented over cursors.
 //! * [`ShardedIndex`] — a partitioned front-end combinator: hash-shard
 //!   keys across N inner indices, route point operations, split batches
 //!   per shard (applied shard after shard on the calling thread), and
@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod cursor;
 mod key;

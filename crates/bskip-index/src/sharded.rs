@@ -15,8 +15,8 @@
 //!   scratch comes from [`crate::ops::with_scratch`], on the stack for
 //!   the batches of up to 64 operations a server window makes;
 //! * **scans** ([`ConcurrentIndex::scan_bounds`]) open one cursor per
-//!   shard and *K-way merge* them with the shared [`MergeCursor`], which
-//!   supports `seek` across shards.
+//!   shard and *K-way merge* them with the shared [`MergeCursor`] into
+//!   one ascending stream.
 //!
 //! Because the combinator needs nothing but the trait surface, it
 //! composes with every index in the workspace — the B-skiplist, the five
@@ -275,15 +275,15 @@ impl<K, V, I> fmt::Debug for ShardedIndex<K, V, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::above_lower;
     use crate::ops::STACK_SCRATCH;
     use crate::IndexCursor;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    /// A reference shard: `Mutex<BTreeMap>` with a native cursor mirroring
-    /// the B-skiplist leaf cursor's semantics (a failed seek leaves `next`
-    /// exhausted until the next `seek`).
+    /// A reference shard: `Mutex<BTreeMap>` with a native cursor that
+    /// re-enters the map once per entry.
     struct MirrorIndex {
         map: Mutex<BTreeMap<u64, u64>>,
         inserts: AtomicU64,
@@ -300,18 +300,10 @@ mod tests {
 
     struct MirrorCursor<'a> {
         map: &'a Mutex<BTreeMap<u64, u64>>,
-        lo: Bound<u64>,
+        /// The range's `lo` until an entry is yielded, then
+        /// `Excluded(last key)`.
+        from: Bound<u64>,
         hi: Bound<u64>,
-        current: Option<u64>,
-        /// Set by a missed seek: `next` reports exhaustion until the
-        /// cursor is repositioned by another `seek`.
-        dead_forward: bool,
-    }
-
-    impl MirrorCursor<'_> {
-        fn in_range(&self, key: &u64) -> bool {
-            crate::cursor::above_lower(key, &self.lo) && crate::cursor::below_upper(key, &self.hi)
-        }
     }
 
     /// `BTreeMap::range` panics on reversed bounds; treat those as empty
@@ -328,63 +320,20 @@ mod tests {
 
     impl IndexCursor<u64, u64> for MirrorCursor<'_> {
         fn next(&mut self) -> Option<(u64, u64)> {
-            if self.dead_forward {
+            if !ordered(&self.from, &self.hi) {
                 return None;
             }
-            let lower = match self.current {
-                Some(key) => Bound::Excluded(key),
-                None => self.lo,
-            };
-            if !ordered(&lower, &self.hi) {
-                return None;
-            }
-            let guard = self.map.lock().unwrap();
-            let entry = guard
-                .range((lower, self.hi))
+            let entry = self
+                .map
+                .lock()
+                .unwrap()
+                .range((self.from, self.hi))
                 .next()
-                .map(|(k, v)| (*k, *v))
-                .filter(|(k, _)| self.in_range(k));
-            drop(guard);
+                .map(|(k, v)| (*k, *v));
             if let Some((key, _)) = entry {
-                self.current = Some(key);
+                self.from = Bound::Excluded(key);
             }
             entry
-        }
-
-        fn seek(&mut self, key: &u64) -> Option<(u64, u64)> {
-            let from = if crate::cursor::above_lower(key, &self.lo) {
-                Bound::Included(*key)
-            } else {
-                self.lo
-            };
-            if !ordered(&from, &self.hi) {
-                self.current = None;
-                self.dead_forward = true;
-                return None;
-            }
-            let guard = self.map.lock().unwrap();
-            let entry = guard
-                .range((from, self.hi))
-                .next()
-                .map(|(k, v)| (*k, *v))
-                .filter(|(k, _)| self.in_range(k));
-            drop(guard);
-            match entry {
-                Some((key, _)) => {
-                    self.current = Some(key);
-                    self.dead_forward = false;
-                }
-                None => {
-                    self.current = None;
-                    self.dead_forward = true;
-                }
-            }
-            entry
-        }
-
-        fn entry(&self) -> Option<(u64, u64)> {
-            let key = self.current?;
-            self.map.lock().unwrap().get(&key).map(|v| (key, *v))
         }
     }
 
@@ -402,10 +351,8 @@ mod tests {
         fn scan_bounds(&self, lo: Bound<u64>, hi: Bound<u64>) -> Cursor<'_, u64, u64> {
             Cursor::new(MirrorCursor {
                 map: &self.map,
-                lo,
+                from: lo,
                 hi,
-                current: None,
-                dead_forward: false,
             })
         }
         fn len(&self) -> usize {
@@ -472,8 +419,8 @@ mod tests {
     }
 
     /// Differential check of a composed cursor (one per `open` call)
-    /// against a `BTreeMap` over a battery of bounds, including seeks that
-    /// cross source boundaries.
+    /// against a `BTreeMap` over a battery of bounds, including cursors
+    /// opened at probes that cross source boundaries.
     fn cursor_battery<'a>(
         open: impl Fn(Bound<u64>, Bound<u64>) -> Cursor<'a, u64, u64>,
         oracle: &BTreeMap<u64, u64>,
@@ -493,42 +440,29 @@ mod tests {
                 Vec::new()
             };
 
-            // Forward drain.
-            let got: Vec<(u64, u64)> = open(lo, hi).collect();
-            assert_eq!(got, expected, "forward drain over {lo:?}..{hi:?}");
-
-            // Seek battery: every probe lands where the oracle says, and
-            // `next` continues correctly from there.
-            for probe in [0u64, 13, 14, 42, 76, 77, 90, 200] {
-                let mut cursor = open(lo, hi);
-                let expect_at = expected.iter().find(|(k, _)| *k >= probe).copied();
-                assert_eq!(
-                    cursor.seek(&probe),
-                    expect_at,
-                    "seek({probe}) over {lo:?}..{hi:?}"
-                );
-                // A failed seek leaves `next` exhausted; a `next` that hits
-                // the range end leaves the cursor resting where it was.
-                let expect_next =
-                    expect_at.and_then(|(at, _)| expected.iter().find(|(k, _)| *k > at).copied());
-                assert_eq!(cursor.next(), expect_next, "next after seek({probe})");
-                assert_eq!(cursor.entry(), expect_next.or(expect_at));
-            }
-
-            // A seek past every source leaves the merge resting nowhere,
-            // with nothing to give; a seek below the data revives it where
-            // the range starts.
+            // Forward drain; a drained cursor stays drained.
             let mut cursor = open(lo, hi);
-            assert_eq!(cursor.next(), expected.first().copied());
-            assert_eq!(cursor.seek(&u64::MAX), None, "seek past {lo:?}..{hi:?}");
-            assert_eq!(cursor.next(), None, "next after the missed seek");
-            assert_eq!(cursor.entry(), None);
-            assert_eq!(
-                cursor.seek(&0),
-                expected.first().copied(),
-                "revived over {lo:?}..{hi:?}"
-            );
-            assert_eq!(cursor.next(), expected.get(1).copied());
+            let got: Vec<(u64, u64)> = cursor.by_ref().collect();
+            assert_eq!(got, expected, "forward drain over {lo:?}..{hi:?}");
+            assert_eq!(cursor.next(), None, "past the end of {lo:?}..{hi:?}");
+
+            // A cursor opened at each probe (clamped to `lo`) starts where
+            // the oracle says, and `next` continues correctly from there.
+            for probe in [0u64, 13, 14, 42, 76, 77, 90, 200] {
+                let from = if above_lower(&probe, &lo) {
+                    Bound::Included(probe)
+                } else {
+                    lo
+                };
+                let mut cursor = open(from, hi);
+                let mut expect = expected.iter().filter(|(k, _)| *k >= probe).copied();
+                assert_eq!(
+                    cursor.next(),
+                    expect.next(),
+                    "opened at {probe} over {lo:?}..{hi:?}"
+                );
+                assert_eq!(cursor.next(), expect.next(), "next after {probe}");
+            }
         }
     }
 
@@ -548,8 +482,8 @@ mod tests {
     /// The merge over *overlapping* sources in priority order — how the
     /// LSM engine stacks its layers, newest first.  The oracle applies
     /// the layers oldest to newest, so the newest version of every key
-    /// survives; the battery then checks `next`, `seek` and `seek`-then-
-    /// `next` against it.  That merged stream is
+    /// survives; the battery then checks full drains and cursors opened
+    /// at its probes against it.  That merged stream is
     /// the engine's raw view (tombstones included); dropping the
     /// tombstones from it must give the live view.
     #[test]

@@ -36,7 +36,7 @@ use crate::{IndexKey, IndexStats, IndexValue};
 ///
 /// # Scanning
 ///
-/// Range scans are expressed through **seekable cursors**: the one required
+/// Range scans are expressed through **forward cursors**: the one required
 /// scan primitive is [`ConcurrentIndex::scan_bounds`], which opens a
 /// [`Cursor`] over an explicit pair of [`Bound`]s.  Everything else is
 /// provided on top of it:
@@ -130,8 +130,7 @@ pub trait ConcurrentIndex<K: IndexKey, V: IndexValue>: Send + Sync {
     /// API; it is now a provided method driving a cursor.  New code should
     /// call [`ConcurrentIndex::scan`] (or [`ConcurrentIndex::scan_bounds`]
     /// through `dyn` references) directly — cursors also express bounded
-    /// ranges, early termination and seek-then-resume, which this callback
-    /// form cannot.
+    /// ranges and early termination, which this callback form cannot.
     fn range(&self, start: &K, len: usize, visit: &mut dyn FnMut(&K, &V)) -> usize {
         let mut cursor = self.scan_bounds(Bound::Included(*start), Bound::Unbounded);
         let mut visited = 0;
@@ -422,15 +421,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_supports_seek_and_early_termination() {
+    fn scan_opens_between_keys_and_terminates_early() {
         let index = MutexBTreeMap::new();
         for key in (0..100u64).step_by(10) {
             index.insert(key, key);
         }
-        let mut cursor = index.scan(..);
-        assert_eq!(cursor.entry(), None);
-        assert_eq!(cursor.seek(&35), Some((40, 40)));
-        assert_eq!(cursor.entry(), Some((40, 40)));
+        let mut cursor = index.scan(35..);
+        assert_eq!(cursor.next(), Some((40, 40)));
         assert_eq!(cursor.next(), Some((50, 50)));
         // Early termination is just dropping the cursor.
         drop(cursor);

@@ -243,20 +243,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for
             Source::Run(cursor) => cursor.next(),
         }
     }
-
-    fn seek(&mut self, key: &K) -> Option<(K, Slot<V>)> {
-        match self {
-            Source::Memtable(cursor) => cursor.seek(key),
-            Source::Run(cursor) => cursor.seek(key),
-        }
-    }
-
-    fn entry(&self) -> Option<(K, Slot<V>)> {
-        match self {
-            Source::Memtable(cursor) => cursor.entry(),
-            Source::Run(cursor) => cursor.entry(),
-        }
-    }
 }
 
 /// A scan: one newest-wins merge over the version it opened on, pulled an
@@ -268,7 +254,6 @@ struct Scan<'a, K: IndexKey, V: IndexValue> {
     merge: MergeCursor<'a, K, Slot<V>, Source<'a, K, V>>,
     /// Never read: it keeps the merge's layers alive.
     _version: Arc<Version<K, V>>,
-    current: Option<(K, V)>,
 }
 
 impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> Scan<'a, K, V> {
@@ -292,39 +277,20 @@ impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> Scan<'a, K, V> {
         Scan {
             merge: MergeCursor::new(sources),
             _version: version,
-            current: None,
         }
-    }
-
-    /// The first live entry from `entry` on: the merge already let the
-    /// newest version of every key win, so a tombstone just means the key
-    /// is deleted.
-    fn live_from(&mut self, mut entry: Option<(K, Slot<V>)>) -> Option<(K, V)> {
-        while let Some((key, slot)) = entry {
-            if let Some(value) = slot.value() {
-                self.current = Some((key, value));
-                return self.current;
-            }
-            entry = self.merge.next();
-        }
-        None
     }
 }
 
 impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, V> for Scan<'_, K, V> {
+    /// The next live entry: the merge already let the newest version of
+    /// every key win, so a tombstone just means the key is deleted.
     fn next(&mut self) -> Option<(K, V)> {
-        let entry = self.merge.next();
-        self.live_from(entry)
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, V)> {
-        self.current = None;
-        let entry = self.merge.seek(key);
-        self.live_from(entry)
-    }
-
-    fn entry(&self) -> Option<(K, V)> {
-        self.current
+        while let Some((key, slot)) = self.merge.next() {
+            if let Some(value) = slot.value() {
+                return Some((key, value));
+            }
+        }
+        None
     }
 }
 
@@ -1377,7 +1343,7 @@ mod tests {
     }
 
     #[test]
-    fn scans_observe_all_layers_with_bounds_and_seek() {
+    fn scans_observe_all_layers_with_bounds() {
         let dir = temp_dir("scan");
         let engine = open_small(&dir);
         for key in 0..1_500u64 {
@@ -1402,9 +1368,13 @@ mod tests {
             ]
         );
         {
-            let mut cursor = engine.scan(..);
-            assert_eq!(cursor.seek(&9), Some((10, 999)));
+            // Opened between keys, at the memtable's update and just
+            // below its tombstone.
+            let mut cursor = engine.scan(9..);
+            assert_eq!(cursor.next(), Some((10, 999)));
             assert_eq!(cursor.next(), Some((12, 6)));
+            let mut cursor = engine.scan(19..);
+            assert_eq!(cursor.next(), Some((22, 11)), "20 is deleted");
         }
         drop(engine);
         fs::remove_dir_all(&dir).unwrap();

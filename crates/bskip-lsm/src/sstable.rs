@@ -87,7 +87,7 @@ use std::ops::{Bound, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bskip_index::cursor::{above_lower, below_upper};
+use bskip_index::cursor::below_upper;
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::RelaxedCounter;
 
@@ -801,7 +801,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
             next_block: None,
             block: None,
             pending: None,
-            current: None,
             finished: false,
             io_error: false,
             error_counter: None,
@@ -825,7 +824,7 @@ fn first_reaching<T, K: Ord>(parts: &[T], last: impl Fn(&T) -> &K, lo: &Bound<K>
     }
 }
 
-/// A seekable streaming cursor over a sorted run of tables — one table
+/// A forward streaming cursor over a sorted run of tables — one table
 /// ([`Table::cursor`]) or a whole level ([`Table::run_cursor`]).
 ///
 /// Yields `(K, Slot<V>)` — tombstones included, because both consumers
@@ -845,14 +844,13 @@ pub struct TableCursor<'a, K: IndexKey, V: IndexValue> {
     lo: Bound<K>,
     hi: Bound<K>,
     /// `(table of the run, block in it)` to load next; `None` before the
-    /// initial position is resolved.
+    /// first `next` positions the cursor at `lo`.
     next_block: Option<(usize, usize)>,
     /// Decoder over the block being streamed, held from the first load on;
     /// its buffers are reused from block to block and cursor to cursor.
     block: Option<BlockIter>,
-    /// The entry a reposition landed on, not yet yielded.
+    /// The entry positioning landed on, not yet yielded.
     pending: Option<(K, Slot<V>)>,
-    current: Option<(K, Slot<V>)>,
     finished: bool,
     io_error: bool,
     error_counter: Option<&'a RelaxedCounter>,
@@ -931,17 +929,17 @@ impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'a, K, V> {
         }
     }
 
-    /// Positions at the first entry satisfying `from` (and `self.lo`).
-    fn position_at(&mut self, from: &Bound<K>) {
-        self.finished = false;
-        self.pending = None;
-        let table = first_reaching(self.run, |table| &table.max_key, from);
-        let first_block = |table: &Arc<Table<K, V>>| table.first_block_for(from);
+    /// Positions at the first entry satisfying `lo`; the first `next`
+    /// runs it.
+    fn position(&mut self) {
+        let lo = self.lo;
+        let table = first_reaching(self.run, |table| &table.max_key, &lo);
+        let first_block = |table: &Arc<Table<K, V>>| table.first_block_for(&lo);
         let block = self.run.get(table).map_or(0, first_block);
         if !self.load_block(table, block) {
             return;
         }
-        let (key, inclusive) = match from {
+        let (key, inclusive) = match &lo {
             Bound::Unbounded => return,
             Bound::Included(key) => (key, true),
             Bound::Excluded(key) => (key, false),
@@ -955,7 +953,7 @@ impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'a, K, V> {
             entry.map(typed).transpose()
         });
         match landed {
-            // `None`: the block ends below `from`, the stream resumes in
+            // `None`: the block ends below `lo`, the stream resumes in
             // the next one.
             Ok(entry) => self.pending = entry,
             Err(_) => self.fail(),
@@ -976,8 +974,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
 {
     fn next(&mut self) -> Option<(K, Slot<V>)> {
         if self.next_block.is_none() {
-            let lo = self.lo;
-            self.position_at(&lo);
+            self.position();
         }
         while !self.finished {
             if let Some(entry) = self.pending.take().or_else(|| self.step()) {
@@ -985,7 +982,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
                     self.finished = true;
                     return None;
                 }
-                self.current = Some(entry);
                 return Some(entry);
             }
             // End of the block (or of the stream, if `step` failed); past
@@ -998,22 +994,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
             }
         }
         None
-    }
-
-    fn seek(&mut self, key: &K) -> Option<(K, Slot<V>)> {
-        // Seeking below the range's lower bound clamps to the bound.
-        let from = if above_lower(key, &self.lo) {
-            Bound::Included(*key)
-        } else {
-            self.lo
-        };
-        self.current = None;
-        self.position_at(&from);
-        self.next()
-    }
-
-    fn entry(&self) -> Option<(K, Slot<V>)> {
-        self.current
     }
 }
 
@@ -1105,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_scans_ranges_and_seeks() {
+    fn cursor_scans_ranges_from_any_bound() {
         let path = temp_path("cursor");
         let table = build_table(&path, (0..500u64).map(|k| (k * 2, Slot::Put(k))));
         // Full scan.
@@ -1123,17 +1103,19 @@ mod tests {
             .collect();
         assert_eq!(window, (51..=100).map(|k| k * 2).collect::<Vec<_>>());
 
-        // Seek forward, backward, past the end, and below the lower bound.
-        let mut cursor = table.cursor(Bound::Included(100), Bound::Included(900));
-        assert_eq!(cursor.seek(&500), Some((500, Slot::Put(250))));
+        // Cursors opened between keys, at a key, past `hi` and past the
+        // end of the table.
+        let table = &table;
+        let open = move |lo: u64| table.cursor(Bound::Included(lo), Bound::Included(900));
+        let mut cursor = open(499);
+        assert_eq!(cursor.next(), Some((500, Slot::Put(250))));
         assert_eq!(cursor.next(), Some((502, Slot::Put(251))));
-        assert_eq!(cursor.seek(&499), Some((500, Slot::Put(250))));
-        assert_eq!(cursor.seek(&0), Some((100, Slot::Put(50))), "clamps to lo");
-        assert_eq!(cursor.seek(&901), None);
-        assert_eq!(cursor.seek(&2000), None);
-        // Seek is a full reposition: the cursor recovers after a miss.
-        assert_eq!(cursor.seek(&898), Some((898, Slot::Put(449))));
-        assert_eq!(cursor.entry(), Some((898, Slot::Put(449))));
+        let mut cursor = open(898);
+        assert_eq!(cursor.next(), Some((898, Slot::Put(449))));
+        assert_eq!(cursor.next(), Some((900, Slot::Put(450))));
+        assert_eq!(cursor.next(), None, "hi");
+        assert_eq!(open(901).next(), None);
+        assert_eq!(open(2000).next(), None);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1455,13 +1437,16 @@ mod tests {
                 let mut cursor = table.cursor(Bound::Unbounded, Bound::Unbounded);
                 let streamed = drain(&mut cursor).len();
                 assert!(streamed <= entries.len() + len as usize);
-                let mut seeker = table.cursor(Bound::Excluded(keys[3]), Bound::Unbounded);
-                let _ = seeker.next();
-                let _ = seeker.seek(&keys[keys.len() - 2]);
+                let mut early = table.cursor(Bound::Excluded(keys[3]), Bound::Unbounded);
+                let _ = early.next();
+                let late_key = Bound::Included(keys[keys.len() - 2]);
+                let mut late = table.cursor(late_key, Bound::Unbounded);
+                let _ = late.next();
                 for footprint in [
                     scratch_footprint(),
                     cursor.block.as_ref().map_or(0, BlockIter::footprint),
-                    seeker.block.as_ref().map_or(0, BlockIter::footprint),
+                    early.block.as_ref().map_or(0, BlockIter::footprint),
+                    late.block.as_ref().map_or(0, BlockIter::footprint),
                 ] {
                     assert!(
                         footprint <= 4 * largest,
@@ -1602,28 +1587,32 @@ mod tests {
     }
 
     #[test]
-    fn run_cursor_seeks_across_table_boundaries() {
+    fn run_cursor_opens_across_table_boundaries() {
         let fs = FaultFs::new();
         let run = spaced_run(&fs);
-        let mut cursor = Table::run_cursor(&run, Bound::Included(100), Bound::Included(3300));
-        assert_eq!(cursor.seek(&2100), Some((2100, Slot::Put(50))));
+        let run = &run[..];
+        let open =
+            move |lo: u64| Table::run_cursor(run, Bound::Included(lo), Bound::Included(3300));
+        let mut cursor = open(2100);
+        assert_eq!(cursor.next(), Some((2100, Slot::Put(50))));
         assert_eq!(cursor.next(), Some((2102, Slot::Put(51))));
-        // Backwards into an earlier table, forwards over a gap.
-        assert_eq!(cursor.seek(&50), Some((100, Slot::Put(50))), "clamps to lo");
-        assert_eq!(cursor.seek(&396), Some((396, Slot::Put(198))));
+        // At a table's tail, then on into the next table; over a gap.
+        let mut cursor = open(396);
+        assert_eq!(cursor.next(), Some((396, Slot::Put(198))));
         assert_eq!(cursor.next(), Some((398, Slot::Put(199))));
         assert_eq!(cursor.next(), Some((1000, Slot::Put(0))), "next table");
-        assert_eq!(cursor.seek(&1399), Some((2000, Slot::Put(0))), "over a gap");
-        assert_eq!(cursor.entry(), Some((2000, Slot::Put(0))));
-        // Past `hi` and past the run; then a seek repositions all the same.
+        assert_eq!(open(1399).next(), Some((2000, Slot::Put(0))), "over a gap");
+        assert_eq!(open(1001).next(), Some((1002, Slot::Put(1))));
+        // Past `hi` and past the run.
         let before = fs.read_count();
-        assert_eq!(cursor.seek(&3302), None);
-        assert_eq!(cursor.seek(&9000), None);
+        let mut cursor = open(3302);
         assert_eq!(cursor.next(), None);
+        assert_eq!(cursor.next(), None);
+        assert_eq!(open(9000).next(), None);
         assert_eq!(fs.read_count() - before, 1, "only 3302 lies in a table");
-        assert_eq!(cursor.seek(&3299), Some((3300, Slot::Put(150))));
+        let mut cursor = open(3299);
+        assert_eq!(cursor.next(), Some((3300, Slot::Put(150))));
         assert_eq!(cursor.next(), None, "hi");
-        assert_eq!(cursor.seek(&1001), Some((1002, Slot::Put(1))));
     }
 
     #[test]
@@ -1747,14 +1736,7 @@ mod tests {
 
         for &edge in &edges {
             for key in [edge.saturating_sub(1), edge, edge.saturating_add(1)] {
-                // seek + a few steps on a long-lived cursor ...
-                let expected: Vec<_> = oracle.range(key..).take(3).map(|(k, v)| (*k, *v)).collect();
-                let mut got: Vec<_> = full.seek(&key).into_iter().collect();
-                got.extend(
-                    std::iter::from_fn(|| full.next()).take(expected.len().saturating_sub(1)),
-                );
-                prop_assert_eq!(got, expected, "seek {}", key);
-                // ... and fresh bounded cursors with the key on either end.
+                // Cursors opened at the key, bounded a few restarts on.
                 let hi = key.saturating_add(5 * interval as u64);
                 for (lo, hi) in [
                     (Bound::Included(key), Bound::Excluded(hi)),
@@ -1772,8 +1754,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `get`, `next` and `seek` agree with a `BTreeMap` for every
-        /// restart interval and across block boundaries.
+        /// `get` and cursors opened at every block edge agree with a
+        /// `BTreeMap` for every restart interval and across block
+        /// boundaries.
         #[test]
         fn block_iterator_agrees_with_a_btreemap(
             raw_keys in proptest::collection::btree_set(1u64..3_000, 1..300),
@@ -1807,8 +1790,7 @@ mod tests {
 
         /// A run cursor over the same entries cut into several tables
         /// agrees with a `BTreeMap`: drains, windows with either kind of
-        /// bound on either end at every table's first and last key ± 1,
-        /// and seeks on a long-lived cursor.
+        /// bound on either end at every table's first and last key ± 1.
         #[test]
         fn run_cursor_agrees_with_a_btreemap(
             raw_keys in proptest::collection::btree_set(1u64..3_000, 1..300),
@@ -1840,10 +1822,6 @@ mod tests {
             prop_assert_eq!(drain(&mut full), entries);
             for edge in run.iter().flat_map(|table| [table.min_key, table.max_key]) {
                 for key in [edge - 1, edge, edge + 1] {
-                    let expected: Vec<_> = oracle.range(key..).take(3).map(|(k, v)| (*k, *v)).collect();
-                    let mut got: Vec<_> = full.seek(&key).into_iter().collect();
-                    got.extend(std::iter::from_fn(|| full.next()).take(expected.len().saturating_sub(1)));
-                    prop_assert_eq!(got, expected, "seek {}", key);
                     for (lo, hi) in [
                         (Bound::Included(key), Bound::Unbounded),
                         (Bound::Excluded(key), Bound::Unbounded),

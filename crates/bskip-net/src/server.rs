@@ -26,7 +26,7 @@
 //! coalescing factor observable through the protocol's own `Stats`
 //! request, which the loadgen turns into a CI tripwire.
 //!
-//! `Scan` is answered through the index's seekable-cursor API
+//! `Scan` is answered through a cursor opened at the request's bounds
 //! ([`ConcurrentIndex::scan_bounds`]), its pairs encoded straight from
 //! the cursor into the write buffer, and `Stats` merges the server's own
 //! counters with the backend's [`bskip_index::IndexStats`] snapshot

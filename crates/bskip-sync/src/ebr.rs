@@ -754,25 +754,6 @@ impl EbrGuard<'_> {
             },
         );
     }
-
-    /// Re-pins the guard at the current epoch, letting the global epoch
-    /// advance past the guard's original pin.  Long-lived holders
-    /// (cursors) call this at points where they hold **no** pointers into
-    /// the protected structure — any pointer obtained before `repin` must
-    /// be considered dangling afterwards.
-    pub fn repin(&mut self) {
-        if self.slot == OVERFLOW_SLOT {
-            // Overflow guards advertise no epoch, so there is nothing to
-            // republish; just refresh the recorded (informational) value.
-            self.epoch = self.collector.global.load(Ordering::SeqCst);
-            return;
-        }
-        // Republish directly at the current epoch.  The slot word must
-        // never pass through VACANT here: a transient vacancy would let a
-        // concurrent cold-path pin CAS-claim the slot, leaving two guards
-        // sharing it — and the first one to drop would un-pin the other.
-        self.epoch = self.collector.advertise(self.slot);
-    }
 }
 
 impl Drop for EbrGuard<'_> {
@@ -857,17 +838,6 @@ mod tests {
         collector.try_collect();
         assert_eq!(collector.try_collect(), 0);
         assert!(collector.stats().epoch <= before + 1);
-    }
-
-    #[test]
-    fn repin_unblocks_advancement() {
-        let collector = EbrCollector::new();
-        let mut guard = collector.pin();
-        for _ in 0..3 {
-            collector.try_collect();
-            guard.repin();
-        }
-        assert!(collector.stats().epoch >= 3);
     }
 
     #[test]
@@ -1096,7 +1066,7 @@ mod tests {
         // Register far more simultaneous guards than there are slots; this
         // must neither panic nor spin forever.
         let total = SLOTS + 40;
-        let mut guards: Vec<_> = (0..total).map(|_| collector.pin()).collect();
+        let guards: Vec<_> = (0..total).map(|_| collector.pin()).collect();
         assert_eq!(collector.stats().pins, total as u64);
         assert_eq!(collector.stats().overflow_pins, 40);
         // Overflow guards still support retirement, and their protection
@@ -1108,8 +1078,6 @@ mod tests {
         }
         assert_eq!(collector.stats().epoch, epoch_before);
         assert_eq!(drops.load(Ordering::Relaxed), 0);
-        // Overflow repin is a safe no-op (the epoch cannot move anyway).
-        guards.last_mut().unwrap().repin();
         // Dropping back under the slot count unfreezes the epoch and lets
         // the backlog drain at the next quiescent point.
         drop(guards);

@@ -6,7 +6,7 @@
 //! and request distribution.  Both phases report throughput (operations per
 //! microsecond, the paper's unit) and batched-latency percentiles.
 //!
-//! Workload E's `SCAN` operation drives the index's seekable-cursor API
+//! Workload E's `SCAN` operation drives the index's cursor API
 //! ([`ConcurrentIndex::scan`]): it opens a cursor at the chosen record key
 //! and takes the drawn number of entries, which exercises the same
 //! cursor path real scan consumers (pagination, compaction) use.

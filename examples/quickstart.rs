@@ -1,6 +1,6 @@
 //! Quickstart: build a concurrent B-skiplist, fill it from several threads,
 //! and use the dictionary operations the paper defines (find, insert,
-//! range) — with range queries expressed through the seekable cursor API.
+//! range) — with range queries expressed through the cursor API.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -36,7 +36,7 @@ fn main() {
     assert_eq!(index.get(&999_999_999), None);
     println!("find(123456) = {:?}", index.get(&123_456));
 
-    // Range scans open a seekable cursor over any `RangeBounds`
+    // Range scans open a forward cursor over any `RangeBounds`
     // expression.  The paper's `range(k, f, len)` is `scan(k..).take(len)`.
     let window: Vec<(u64, u64)> = index.scan(500_000..).take(5).collect();
     println!("scan(500000..).take(5) = {window:?}");
@@ -47,12 +47,11 @@ fn main() {
     let bounded: Vec<u64> = index.scan(100..=103).map(|(k, _)| k).collect();
     assert_eq!(bounded, vec![100, 101, 102, 103]);
 
-    // Cursors can seek (jump to the first entry at or above a key) and
-    // resume from there.
-    let mut cursor = index.scan(..);
-    assert_eq!(cursor.seek(&777_000), Some((777_000, 7_770_000)));
+    // A cursor starts at its range's lower bound and moves forward.
+    let mut cursor = index.scan(777_000..);
+    assert_eq!(cursor.next(), Some((777_000, 7_770_000)));
     assert_eq!(cursor.next(), Some((777_001, 7_770_010)));
-    println!("seek/next around 777000 behave like a database cursor");
+    println!("scan(777000..) starts at 777000 and moves forward");
 
     // `iter` and `FromIterator` round-trip the whole contents.
     let rebuilt: BSkipList<u64, u64> = index.scan(..10).collect();

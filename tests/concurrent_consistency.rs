@@ -5,6 +5,7 @@
 //! followed by full structural validation at quiescence.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use bskip_suite::{BSkipConfig, BSkipList, ConcurrentIndex};
@@ -84,9 +85,11 @@ fn concurrent_mixed_readers_and_writers_agree_at_quiescence() {
                         }
                     }
                     if i % 128 == 0 {
-                        // Seek-then-resume under load.
-                        let mut cursor = list.scan(..);
-                        if let Some((at, _)) = cursor.seek(&key) {
+                        // A cursor opened above a key under load starts
+                        // above it and moves forwards.
+                        let mut cursor = list.scan_bounds(Bound::Excluded(key), Bound::Unbounded);
+                        if let Some((at, _)) = cursor.next() {
+                            assert!(at > key, "opened above {key}, yielded {at}");
                             if let Some((after, _)) = cursor.next() {
                                 assert!(after > at, "next must move forwards");
                             }
@@ -398,12 +401,11 @@ fn all_indices_agree_under_the_same_operation_sequence() {
         let expected: Vec<(u64, u64)> = oracle.range(2_000..4_000).map(|(k, v)| (*k, *v)).collect();
         assert_eq!(cursed, expected, "{} cursor scan", index.name());
 
-        let mut cursor = index.scan_bounds(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
         let oracle_at = oracle.range(5_000..).next().map(|(k, v)| (*k, *v));
         assert_eq!(
-            cursor.seek(&5_000),
+            index.scan(5_000..).next(),
             oracle_at,
-            "{} cursor seek",
+            "{} cursor opened at 5000",
             index.name()
         );
     }

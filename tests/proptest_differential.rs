@@ -155,17 +155,18 @@ proptest! {
     /// front-end (hash-partitioned with a K-way merging cursor) —
     /// `scan_bounds` must agree with `BTreeMap::range` for arbitrary
     /// bounded ranges (half-open and inclusive), empty ranges, full scans,
-    /// trait-level `range` calls, and seeks past the end of the data.
+    /// trait-level `range` calls, and cursors opened at any key, past the
+    /// end of the data included.
     /// The LSM engine runs with a tiny memtable and is pumped mid-load, so
     /// its cursors merge memtable, immutables and SSTables; the sharded
-    /// ranges and seeks cross shard boundaries (hashed keys interleave
+    /// ranges cross shard boundaries (hashed keys interleave
     /// across shards).
     #[test]
     fn cursors_match_btreemap_range_on_all_implementations(
         pairs in proptest::collection::vec((0u64..600, any::<u64>()), 0..250),
         lo in 0u64..700,
         span in 0u64..300,
-        seek_to in 0u64..900,
+        from in 0u64..900,
     ) {
         use std::ops::Bound;
         use bskip_suite::{
@@ -247,14 +248,12 @@ proptest! {
             prop_assert_eq!(visited, expected.len(), "{} shim count", index.name());
             prop_assert_eq!(via_shim, expected, "{} shim entries", index.name());
 
-            // Seek agrees with the oracle, including seeks past the end.
-            let mut cursor = index.scan_bounds(Bound::Unbounded, Bound::Unbounded);
-            let landed = cursor.seek(&seek_to);
-            let expected = oracle.range(seek_to..).next().map(|(k, v)| (*k, *v));
-            prop_assert_eq!(landed, expected, "{} seek", index.name());
-            let after = cursor.next();
-            let expected = oracle.range(seek_to..).nth(1).map(|(k, v)| (*k, *v));
-            prop_assert_eq!(after, expected, "{} entry after seek", index.name());
+            // A cursor opened at any key agrees with the oracle, including
+            // one opened past the end.
+            let mut cursor = index.scan(from..);
+            let mut expected = oracle.range(from..).map(|(k, v)| (*k, *v));
+            prop_assert_eq!(cursor.next(), expected.next(), "{} first", index.name());
+            prop_assert_eq!(cursor.next(), expected.next(), "{} second", index.name());
         }
         drop(indices);
         drop(lsm);
@@ -323,16 +322,16 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Seek differential for the sharded front-end: its K-way merging
-    /// cursor must land on arbitrary seek targets within a window, clamp
-    /// targets below it, and resume across shard boundaries exactly like a
-    /// single index would.
+    /// Positioning differential for the sharded front-end: its K-way
+    /// merging cursor, opened at an arbitrary key inside or outside a
+    /// window, must start where a single index would and continue across
+    /// shard boundaries.
     #[test]
-    fn sharded_cursors_match_btreemap_after_seeks(
+    fn sharded_cursors_match_btreemap_from_any_bound(
         keys in proptest::collection::btree_set(0u64..2_000, 0..300),
         lo in 0u64..2_200,
         span in 0u64..800,
-        seek_to in 0u64..2_400,
+        from in 0u64..2_400,
     ) {
         use bskip_suite::{ConcurrentIndex, ShardedIndex};
 
@@ -342,16 +341,17 @@ proptest! {
             sharded.insert(key, key ^ 0xF0F0);
         }
         let hi = lo.saturating_add(span);
+        let from = from.max(lo);
         let mut cursor = sharded.scan_bounds(
-            std::ops::Bound::Included(lo),
+            std::ops::Bound::Included(from),
             std::ops::Bound::Included(hi),
         );
         let mut expected = keys
-            .range(seek_to.max(lo)..)
+            .range(from..)
             .take_while(|k| **k <= hi)
             .map(|k| (*k, *k ^ 0xF0F0));
-        prop_assert_eq!(cursor.seek(&seek_to), expected.next(), "seek");
-        prop_assert_eq!(cursor.next(), expected.next(), "next after seek");
+        prop_assert_eq!(cursor.next(), expected.next(), "first");
+        prop_assert_eq!(cursor.next(), expected.next(), "second");
     }
 
     /// The baselines also agree with BTreeMap on insert/get/range sequences
