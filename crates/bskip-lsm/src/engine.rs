@@ -1235,6 +1235,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn rotation_flush_compaction_preserve_contents() {
         let dir = temp_dir("layers");
         let engine = open_small(&dir);
@@ -1266,6 +1267,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn reopen_recovers_everything() {
         let dir = temp_dir("reopen");
         let engine = open_small(&dir);
@@ -1291,6 +1293,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn explicit_maintenance_pump() {
         let dir = temp_dir("manual");
         let mut config = LsmConfig::small();
@@ -1343,6 +1346,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn scans_observe_all_layers_with_bounds() {
         let dir = temp_dir("scan");
         let engine = open_small(&dir);
@@ -1381,6 +1385,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn concurrent_readers_and_writer() {
         let dir = temp_dir("mt");
         let engine = Arc::new(open_small(&dir));
@@ -1766,6 +1771,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn a_corrupt_table_in_a_run_ends_the_scan_at_the_bad_block() {
         let dir = temp_dir("run-corrupt");
         let engine = single_run(Arc::new(StdFs), &dir);
@@ -1797,6 +1803,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn compaction_aborts_on_an_unreadable_input_and_leaves_everything_in_place() {
         let dir = temp_dir("compact-abort");
         let engine = single_run(Arc::new(StdFs), &dir);
@@ -2090,8 +2097,28 @@ mod tests {
 
     #[test]
     fn a_scan_outlives_the_version_it_opened_on() {
-        let fs = FaultFs::new();
-        let engine = open_manual(&fs);
+        scan_across_maintenance(Arc::new(FaultFs::new()), Path::new("/db"));
+    }
+
+    /// The same over real files: the tables the parked scan pinned are
+    /// unlinked while it still reads them.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_parked_scan_reads_real_tables_a_compaction_unlinked() {
+        let dir = temp_dir("parked-scan");
+        scan_across_maintenance(Arc::new(StdFs), &dir);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Parks a scan, lets rotation, flush and a compaction replace and
+    /// unlink what it pinned, then drains it against the oracle.
+    fn scan_across_maintenance(storage: Arc<dyn Storage>, dir: &Path) {
+        let listing = || {
+            let mut names = storage.read_dir(dir).unwrap();
+            names.sort();
+            names
+        };
+        let engine = LsmEngine::open_with(Arc::clone(&storage), dir, manual_config()).unwrap();
         // Two level-0 tables and a sealed memtable, their keys interleaved.
         flushed_rounds(&engine, 2);
         let oracle: BTreeMap<u64, u64> = engine.scan(..).collect();
@@ -2101,7 +2128,7 @@ mod tests {
             .collect();
         assert_eq!(pinned.len(), 2);
         let unlinked = || {
-            let listing = dir_listing(&fs);
+            let listing = listing();
             let listed = |path: &PathBuf| listing.iter().any(|name| path.ends_with(name));
             !pinned.iter().any(listed)
         };
@@ -2129,7 +2156,7 @@ mod tests {
             before.iter().zip(&after).all(|(b, a)| a > b),
             "{before:?} {after:?}"
         );
-        assert!(unlinked(), "{:?}", dir_listing(&fs));
+        assert!(unlinked(), "{:?}", listing());
 
         // The cursor drains its own version, unlinked tables included.
         scanned.extend(cursor.by_ref());
@@ -2153,7 +2180,7 @@ mod tests {
         expected.extend(fresh.map(|key| (key, key)));
         let now: Vec<(u64, u64)> = engine.scan(..).collect();
         assert_eq!(now, expected.into_iter().collect::<Vec<_>>());
-        assert!(unlinked(), "{:?}", dir_listing(&fs));
+        assert!(unlinked(), "{:?}", listing());
     }
 
     /// What a failed commit must leave as it was.

@@ -44,9 +44,11 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The crate has two `unsafe` blocks: the checksum kernel's dispatch
-// (`crc.rs`) and a scan's borrow of the version it owns (`engine.rs`).
-// Whatever joins them has to argue its case the same way.
+// The crate's `unsafe` is in three places: the checksum kernel's dispatch
+// (`crc.rs`), a scan's borrow of the version it owns (`engine.rs`), and
+// the read-only table mapping on 64-bit unix (`storage.rs`: `mmap`,
+// `munmap`, the copy out, and its `Send` / `Sync`).  Whatever joins them
+// has to argue its case the same way.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;

@@ -48,9 +48,12 @@
 //!
 //! [`Table::open`] reads the footer, index and filter once and keeps them
 //! in memory (the per-table resident footprint is a few bytes per block
-//! plus the filter); data blocks are read on demand with positioned reads,
-//! so concurrent lookups and cursors share one file handle without a seek
-//! lock.  All file access goes through the [`Storage`] trait.
+//! plus the filter); data blocks are read on demand, each copied into the
+//! reader's own buffer by one positioned `read_at`, so concurrent lookups
+//! and cursors share one file handle without a seek lock.  All file access
+//! goes through the [`Storage`] trait; over [`crate::StdFs`] on 64-bit
+//! unix a `read_at` is a copy out of a read-only mapping of the file, not
+//! a syscall.
 //!
 //! Every reader goes through one decoder, `BlockIter`: a bounds-checked
 //! entry-at-a-time walk over a block whose CRC has been verified, with a
@@ -1038,6 +1041,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn build_open_get_round_trip() {
         let path = temp_path("roundtrip");
         let table = build_table(
@@ -1071,6 +1075,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn bloom_rejects_most_absent_keys_without_io() {
         let path = temp_path("bloom");
         let table = build_table(&path, (0..5_000u64).map(|k| (k * 2, Slot::Put(k))));
@@ -1085,6 +1090,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn cursor_scans_ranges_from_any_bound() {
         let path = temp_path("cursor");
         let table = build_table(&path, (0..500u64).map(|k| (k * 2, Slot::Put(k))));
@@ -1120,6 +1126,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn tombstones_stream_through_cursors() {
         let path = temp_path("tombs");
         let table = build_table(
@@ -1135,6 +1142,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn single_entry_table() {
         let path = temp_path("single");
         let table = build_table(&path, [(42, Slot::Put(7))]);
@@ -1150,6 +1158,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn open_rejects_corruption() {
         let path = temp_path("badmagic");
         build_table(&path, [(1u64, Slot::Put(1u64))]);
@@ -1164,6 +1173,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn every_block_flip_is_a_detected_checksum_error() {
         // Flip one byte in *every* data block of a multi-block table; each
         // read targeting the corrupt block must return a checksum error
@@ -1209,6 +1219,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn counted_cursor_survives_corrupt_block_and_counts_it() {
         let path = temp_path("cursor-corrupt");
         let clean = build_table(&path, (0..1_000u64).map(|k| (k * 2, Slot::Put(k))));
@@ -1238,6 +1249,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn prefix_compression_shrinks_dense_keys() {
         // Dense ascending u64 keys share 7-byte prefixes within a restart
         // window; the on-disk size must reflect that.

@@ -3,13 +3,14 @@
 //! Every file operation the engine performs — create, append, positional
 //! read, sync, rename, remove, directory listing — goes through the
 //! [`Storage`] / [`StorageFile`] traits instead of `std::fs` directly.
-//! Production uses [`StdFs`], a zero-state passthrough to the real
-//! filesystem. Tests use [`FaultFs`], a deterministic in-memory
-//! filesystem with scripted fault schedules and buffer-until-fsync crash
-//! semantics, which makes crash consistency *provable* instead of
-//! assumed: a simulated crash discards every byte not covered by a
-//! successful sync, and reopening the engine against the survivor image
-//! must recover exactly the acknowledged prefix.
+//! Production uses [`StdFs`], the real filesystem with no state of its
+//! own; on 64-bit unix it reads a table out of one read-only mapping of
+//! the file instead of one `pread` per block. Tests use [`FaultFs`], a
+//! deterministic in-memory filesystem with scripted fault schedules and
+//! buffer-until-fsync crash semantics, which makes crash consistency
+//! *provable* instead of assumed: a simulated crash discards every byte
+//! not covered by a successful sync, and reopening the engine against the
+//! survivor image must recover exactly the acknowledged prefix.
 //!
 //! The model mirrors the LevelDB/RocksDB `Env` split: the engine holds an
 //! `Arc<dyn Storage>` and threads `&dyn Storage` into the WAL, SSTable
@@ -79,10 +80,26 @@ pub trait Storage: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// StdFs — the production passthrough
+// StdFs — the production filesystem
 // ---------------------------------------------------------------------------
 
-/// Zero-cost production [`Storage`]: a stateless passthrough to `std::fs`.
+/// Zero-state production [`Storage`] over `std::fs`.
+///
+/// Writes, syncs and metadata operations go straight to `std::fs`. On a
+/// 64-bit unix host, [`open_read`](Storage::open_read) maps the whole
+/// file read-only once, at open, and a positioned read is a bounds check
+/// plus a copy out of that mapping — no syscall per block. Elsewhere it
+/// is one positioned read (`pread`) per call. Either way every read
+/// copies into the caller's buffer, so the block checksums above see
+/// exactly the bytes a `pread` would have returned.
+///
+/// The mapping relies on the engine owning its directory: a table file
+/// is never shrunk while it is open, only unlinked, and an unlinked file
+/// stays mapped until its last handle drops. If another process
+/// truncates a live table file, reading the cut-off part raises `SIGBUS`
+/// rather than returning an [`io::Error`]; bytes another process
+/// changes in place are caught by the block checksum like any other
+/// corruption.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
 
@@ -128,6 +145,163 @@ impl StorageFile for StdFile {
     }
 }
 
+/// The read-only handle [`StdFs::open_read`] returns: the file opened
+/// for reading plus one shared, read-only mapping of all of it.
+#[cfg(all(unix, target_pointer_width = "64"))]
+fn open_for_reads(file: File) -> io::Result<Box<dyn StorageFile>> {
+    Ok(Box::new(mapped::MappedFile::new(file)?))
+}
+
+/// The read-only handle [`StdFs::open_read`] returns where the mapping
+/// is not built: one positioned read per call.
+#[cfg(not(all(unix, target_pointer_width = "64")))]
+fn open_for_reads(file: File) -> io::Result<Box<dyn StorageFile>> {
+    Ok(Box::new(StdFile { file }))
+}
+
+/// A whole file mapped `PROT_READ` / `MAP_SHARED` at open; reads copy out
+/// of the mapping. `MAP_SHARED` makes a write through another descriptor
+/// visible here, as it would be to a `pread`.
+#[cfg(all(unix, target_pointer_width = "64"))]
+mod mapped {
+    use super::StorageFile;
+    use std::ffi::{c_int, c_void};
+    use std::fs::File;
+    use std::io::{self, Write};
+    use std::os::fd::AsRawFd;
+    use std::ptr::{self, NonNull};
+
+    // On a 64-bit unix target `off_t` is 64 bits wide, and `PROT_READ`
+    // and `MAP_SHARED` are both 1 on Linux and macOS. std links libc, so
+    // the two calls need no crate.
+    const PROT_READ: c_int = 1;
+    const MAP_SHARED: c_int = 1;
+    const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+    unsafe extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    pub(super) struct MappedFile {
+        /// Kept for the syncs, and so `append` fails as a read-only
+        /// descriptor's does.
+        file: File,
+        /// First byte of the mapping; dangling when `len` is 0, for which
+        /// nothing is mapped.
+        base: NonNull<u8>,
+        /// Length of the file at open, and of the mapping.
+        len: usize,
+    }
+
+    // SAFETY: `file` and `len` are `Send`.  `base` is the one field that
+    // is not: it points at a mapping this handle owns alone (mapped in
+    // `new`, unmapped in `Drop`, and no reference into it is handed out),
+    // which is process-wide memory, valid from any thread.
+    unsafe impl Send for MappedFile {}
+
+    // SAFETY: `file` and `len` are `Sync`.  Through `&self`, `base` is only
+    // read from — the mapping is `PROT_READ`, every `&self` method copies
+    // out of it — and it stays mapped until `Drop`, which needs `&mut self`.
+    unsafe impl Sync for MappedFile {}
+
+    impl MappedFile {
+        pub(super) fn new(file: File) -> io::Result<Self> {
+            // Lossless: `usize` is 64 bits wide on this target.
+            let len = file.metadata()?.len() as usize;
+            let mut base = NonNull::dangling();
+            if len > 0 {
+                // SAFETY: a fresh mapping at an address the kernel picks
+                // (no `MAP_FIXED`), so it replaces nothing; the descriptor
+                // is open for reading, which is all `PROT_READ` needs.
+                let addr = unsafe {
+                    mmap(
+                        ptr::null_mut(),
+                        len,
+                        PROT_READ,
+                        MAP_SHARED,
+                        file.as_raw_fd(),
+                        0,
+                    )
+                };
+                if addr == MAP_FAILED {
+                    return Err(io::Error::last_os_error());
+                }
+                base =
+                    NonNull::new(addr.cast()).expect("mmap without MAP_FIXED never maps address 0");
+            }
+            Ok(MappedFile { file, base, len })
+        }
+    }
+
+    impl Drop for MappedFile {
+        fn drop(&mut self) {
+            if self.len > 0 {
+                // SAFETY: `base` and `len` are the mapping `mmap` returned
+                // in `new`, unmapped only here; `&mut self` rules out a copy
+                // in flight, and nothing else points into it.
+                unsafe { munmap(self.base.as_ptr().cast(), self.len) };
+            }
+        }
+    }
+
+    impl StorageFile for MappedFile {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            self.file.write_all(data)
+        }
+
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            // An empty read succeeds at any offset, as `read_exact_at`'s does.
+            if buf.is_empty() {
+                return Ok(());
+            }
+            let start = usize::try_from(offset).ok().filter(|start| {
+                start
+                    .checked_add(buf.len())
+                    .is_some_and(|end| end <= self.len)
+            });
+            let Some(start) = start else {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "read past end of file",
+                ));
+            };
+            // SAFETY: `start..start + buf.len()` lies inside the `len` bytes
+            // mapped at `base` (checked just above), which stay mapped until
+            // `Drop` and so for all of `&self`; `buf` is a distinct, writable
+            // buffer of exactly that many bytes.  Every page in range is
+            // backed by the file: the engine never shrinks a table after
+            // `TableBuilder::finish`, it removes tables only by unlink, and
+            // an unlinked inode stays mapped (see `StdFs`).  A byte another
+            // descriptor changes meanwhile is still some `u8`, and the
+            // block checksum above rejects it.
+            unsafe {
+                ptr::copy_nonoverlapping(self.base.as_ptr().add(start), buf.as_mut_ptr(), buf.len())
+            };
+            Ok(())
+        }
+
+        fn sync_data(&self) -> io::Result<()> {
+            self.file.sync_data()
+        }
+
+        fn sync_all(&self) -> io::Result<()> {
+            self.file.sync_all()
+        }
+
+        fn len(&self) -> io::Result<u64> {
+            Ok(self.len as u64)
+        }
+    }
+}
+
 impl Storage for StdFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
         let file = OpenOptions::new()
@@ -146,8 +320,7 @@ impl Storage for StdFs {
     }
 
     fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
-        let file = File::open(path)?;
-        Ok(Box::new(StdFile { file }))
+        open_for_reads(File::open(path)?)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -620,12 +793,19 @@ mod tests {
         PathBuf::from("/db").join(name)
     }
 
-    #[test]
-    fn std_fs_round_trip() {
-        let dir = std::env::temp_dir().join(format!("bskip-storage-{}", std::process::id()));
+    /// An empty directory of its own for one real-file test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bskip-storage-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn std_fs_round_trip() {
+        let dir = scratch_dir("round-trip");
         let fs = StdFs;
-        fs.create_dir_all(&dir).expect("mkdir");
 
         let file_a = dir.join("a.log");
         let mut handle = fs.create(&file_a).expect("create");
@@ -659,6 +839,110 @@ mod tests {
         fs.remove(&file_b).expect("remove");
         assert!(fs.read(&file_b).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bytes one `read_at` of `len` bytes at `offset` fills in, or the
+    /// kind of error it fails with.
+    fn read_outcome(
+        file: &dyn StorageFile,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, io::ErrorKind> {
+        let mut buf = vec![0u8; len];
+        match file.read_at(&mut buf, offset) {
+            Ok(()) => Ok(buf),
+            Err(error) => Err(error.kind()),
+        }
+    }
+
+    #[test]
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    #[cfg_attr(miri, ignore)]
+    fn mapped_reads_answer_like_pread() {
+        let dir = scratch_dir("mapped");
+        let contents: Vec<u8> = (0..10_000u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        let open = |bytes: &[u8], name: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).expect("write");
+            let pread = StdFile {
+                file: File::open(&path).expect("open"),
+            };
+            let mapped = mapped::MappedFile::new(File::open(&path).expect("open")).expect("map");
+            (pread, mapped)
+        };
+        for (bytes, name) in [(&contents[..], "full"), (&[][..], "empty")] {
+            let (pread, mapped) = open(bytes, name);
+            let len = bytes.len() as u64;
+            assert_eq!(pread.len().expect("len"), len);
+            assert_eq!(mapped.len().expect("len"), len);
+            let k = 7;
+            for offset in [0, len / 2, len.saturating_sub(k), len, len + 1] {
+                let to_end = len.saturating_sub(offset) as usize;
+                for read_len in [0, 1, k as usize, to_end, to_end + 1] {
+                    let expected = read_outcome(&pread, offset, read_len);
+                    if let Ok(read) = &expected {
+                        let start = offset as usize;
+                        assert!(read.is_empty() || read[..] == bytes[start..start + read_len]);
+                    }
+                    assert_eq!(
+                        read_outcome(&mapped, offset, read_len),
+                        expected,
+                        "{name}: {read_len} bytes at {offset}"
+                    );
+                }
+            }
+        }
+
+        // Four threads read random 4 KiB windows out of one handle at once.
+        let (_, mapped) = open(&contents, "shared");
+        let window = 4_096;
+        std::thread::scope(|scope| {
+            for seed in 1..=4u64 {
+                let (mapped, contents) = (&mapped, &contents);
+                scope.spawn(move || {
+                    let mut draw = seed;
+                    let mut buf = vec![0u8; window];
+                    for _ in 0..2_000 {
+                        draw = draw.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                        let offset = (draw >> 33) as usize % (contents.len() - window + 1);
+                        mapped.read_at(&mut buf, offset as u64).expect("in range");
+                        assert_eq!(buf[..], contents[offset..offset + window]);
+                    }
+                });
+            }
+        });
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn std_fs_handle_reads_an_unlinked_file() {
+        let dir = scratch_dir("unlinked");
+        unlinked_file_stays_readable(&StdFs, &dir.join("tab"));
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn std_fs_handle_sees_a_byte_written_in_place() {
+        let dir = scratch_dir("in-place");
+        let fs = StdFs;
+        let path = dir.join("tab");
+        std::fs::write(&path, b"block").expect("write");
+        let reader = fs.open_read(&path).expect("open_read");
+        let mut buf = [0u8; 5];
+        reader.read_at(&mut buf, 0).expect("read");
+        assert_eq!(&buf, b"block");
+        // A second descriptor changes one byte in place, as a bit flip on
+        // disk would; the open handle must read it, not a stale copy.
+        let mut other = OpenOptions::new().write(true).open(&path).expect("open");
+        other.seek(SeekFrom::Start(2)).expect("seek");
+        other.write_all(b"O").expect("write in place");
+        reader.read_at(&mut buf, 0).expect("read");
+        assert_eq!(&buf, b"blOck");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]
@@ -758,17 +1042,22 @@ mod tests {
         assert!(fs.read(&path("tmp")).is_err());
     }
 
-    #[test]
-    fn unlinked_file_stays_readable_through_open_handle() {
-        let fs = FaultFs::new();
-        let mut writer = fs.create(&path("tab")).expect("create");
+    /// Writes a file at `path`, opens it for reads, unlinks it, and reads
+    /// it through the open handle.
+    fn unlinked_file_stays_readable(fs: &dyn Storage, path: &Path) {
+        let mut writer = fs.create(path).expect("create");
         writer.append(b"block").expect("append");
-        let reader = fs.open_read(&path("tab")).expect("open_read");
-        fs.remove(&path("tab")).expect("remove");
-        assert!(fs.read(&path("tab")).is_err(), "name is gone");
+        let reader = fs.open_read(path).expect("open_read");
+        fs.remove(path).expect("remove");
+        assert!(fs.read(path).is_err(), "name is gone");
         let mut buf = [0u8; 5];
         reader.read_at(&mut buf, 0).expect("handle still reads");
         assert_eq!(&buf, b"block");
+    }
+
+    #[test]
+    fn unlinked_file_stays_readable_through_open_handle() {
+        unlinked_file_stays_readable(&FaultFs::new(), &path("tab"));
     }
 
     #[test]
