@@ -2285,4 +2285,163 @@ mod tests {
             .iter()
             .any(|name| name.contains("MANIFEST")));
     }
+
+    // ---- Table geometry: the default block size and staged appends ----
+
+    /// Pumped by hand, never rotating by size, tables of ~16 KiB on two
+    /// deeper levels, each written with `table`.
+    fn geometry_config(table: TableOptions) -> LsmConfig {
+        LsmConfig {
+            memtable_bytes: 64 << 20,
+            auto_maintain: false,
+            l0_compaction_trigger: 3,
+            level_base_bytes: 48 << 10,
+            level_multiplier: 4,
+            table_target_bytes: 16 << 10,
+            table,
+            ..LsmConfig::default()
+        }
+    }
+
+    /// Every key of `oracle` through `get`, and a full scan against it.
+    fn check_oracle(engine: &LsmEngine<u64, u64>, oracle: &BTreeMap<u64, u64>) {
+        for (key, value) in oracle {
+            assert_eq!(engine.get(key), Some(*value), "key {key}");
+        }
+        let scanned: Vec<(u64, u64)> = engine.scan(..).collect();
+        let expected: Vec<(u64, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(scanned, expected);
+        assert_eq!(engine.io_errors(), 0);
+    }
+
+    /// Data blocks per file byte over `tables`.
+    fn blocks_per_byte<'a>(tables: impl IntoIterator<Item = &'a Arc<Table<u64, u64>>>) -> f64 {
+        let (blocks, bytes) = tables.into_iter().fold((0, 0), |(blocks, bytes), table| {
+            (blocks + table.blocks() as u64, bytes + table.bytes)
+        });
+        blocks as f64 / bytes as f64
+    }
+
+    #[test]
+    fn a_directory_written_at_4_kib_blocks_reads_and_compacts_under_the_default() {
+        let fs = FaultFs::new();
+        let open = |table| -> LsmEngine<u64, u64> {
+            LsmEngine::open_with(Arc::new(fs.clone()), "/db", geometry_config(table)).unwrap()
+        };
+        // 12 000 scattered keys of a 16 Ki key space, settled at 4 KiB.
+        let four_kib = TableOptions {
+            block_bytes: 4096,
+            ..TableOptions::default()
+        };
+        let engine = open(four_kib);
+        let mut oracle = BTreeMap::new();
+        for i in 0..12_000u64 {
+            let key = (i * 40_503) & 0x3FFF;
+            engine.insert(key, i);
+            oracle.insert(key, i);
+            if i % 3_000 == 2_999 {
+                engine.rotate().unwrap();
+                engine.flush().unwrap();
+            }
+        }
+        engine.maintain().unwrap();
+        let (old_ids, old_density): (HashSet<u64>, f64) = {
+            let state = engine.read_state();
+            let tables = || state.levels.iter().flatten();
+            (
+                tables().map(|table| table.id).collect(),
+                blocks_per_byte(tables()),
+            )
+        };
+        let levels = engine.tables_per_level();
+        assert!(
+            levels.len() == 3 && levels[1] > 1 && levels[2] > 1,
+            "{levels:?}"
+        );
+        drop(engine);
+
+        // Reopened at the default: the 4 KiB tables answer, and the
+        // compactions that take them as inputs write 1 KiB blocks.
+        let engine = open(TableOptions::default());
+        check_oracle(&engine, &oracle);
+        let (mut both_at_once, mut compacted) = (false, false);
+        for step in 0..6u64 {
+            for j in 0..2_000u64 {
+                let key = ((j * 13 + step * 577) * 40_503) & 0x3FFF;
+                if j % 4 == 0 {
+                    engine.remove(&key);
+                    oracle.remove(&key);
+                } else {
+                    engine.insert(key, step << 32 | j);
+                    oracle.insert(key, step << 32 | j);
+                }
+            }
+            engine.rotate().unwrap();
+            engine.flush().unwrap();
+            engine.compact().unwrap();
+            check_oracle(&engine, &oracle);
+            // Flushes and compactions write 1 KiB blocks beside the 4 KiB
+            // tables still live; the ones compactions wrote hold ≥ 3× the
+            // blocks per byte.
+            let state = engine.read_state();
+            let fresh = |table: &&Arc<Table<u64, u64>>| !old_ids.contains(&table.id);
+            let outputs: Vec<_> = state
+                .levels
+                .iter()
+                .skip(1)
+                .flatten()
+                .filter(fresh)
+                .collect();
+            if !outputs.is_empty() {
+                let density = blocks_per_byte(outputs);
+                assert!(density >= 3.0 * old_density, "{density} vs {old_density}");
+                compacted = true;
+            }
+            let written = state.levels.iter().flatten().filter(fresh).count();
+            let tables = state.levels.iter().map(Vec::len).sum::<usize>();
+            both_at_once |= written > 0 && written < tables;
+        }
+        assert!(both_at_once && compacted);
+        let state = engine.read_state();
+        let live: HashSet<u64> = state.levels.iter().flatten().map(|t| t.id).collect();
+        assert!(
+            old_ids.iter().any(|id| !live.contains(id)),
+            "no 4 KiB input"
+        );
+        drop(state);
+        drop(engine);
+        check_oracle(&open(TableOptions::default()), &oracle);
+    }
+
+    #[test]
+    fn a_flush_that_fails_a_staged_append_leaves_no_table_behind() {
+        // The flush writes over 192 KiB of data blocks, so its first two
+        // appends are staged ones, each made from inside an `add`.
+        for nth in 1..=2 {
+            let fs = FaultFs::new();
+            let config = geometry_config(TableOptions::default());
+            let engine: LsmEngine<u64, u64> =
+                LsmEngine::open_with(Arc::new(fs.clone()), "/db", config).unwrap();
+            for key in 0..20_000u64 {
+                engine.insert(key * 5, key);
+            }
+            engine.rotate().unwrap();
+            let before = observe(&engine, &fs);
+            assert_eq!(before.sealed, Some(1));
+            fs.fail_nth_write(nth, io::ErrorKind::StorageFull);
+            let error = engine
+                .flush()
+                .expect_err("the flush meets the failed append");
+            assert_eq!(error.kind(), io::ErrorKind::StorageFull, "append {nth}");
+            // The memtable stays sealed, and no table file is left.
+            assert_eq!(observe(&engine, &fs), before, "append {nth}");
+            assert!(!before.names.iter().any(|name| name.ends_with(".sst")));
+            // The next pump writes the table.
+            assert_eq!(engine.flush().unwrap(), 1);
+            assert_eq!(engine.tables_per_level(), [1]);
+            let data = engine.read_state().levels[0][0].bytes;
+            assert!(data > 3 * (64 << 10), "{data} bytes");
+            assert_eq!(observe(&engine, &fs).contents, before.contents);
+        }
+    }
 }
