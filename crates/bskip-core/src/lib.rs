@@ -64,7 +64,7 @@
 //!
 //! The number of keys per node is the const generic `B`; the paper sweeps
 //! node sizes from 512 B to 8192 B (32–512 two-word pairs) and settles on
-//! 2048 B.  Aliases [`BSkipList32`] … [`BSkipList512`] mirror that sweep.
+//! 2048 B.
 //!
 //! ## Cursors
 //!
@@ -153,14 +153,3 @@ mod stats;
 pub use config::BSkipConfig;
 pub use list::BSkipList;
 pub use stats::BSkipStats;
-
-/// B-skiplist with 32 keys per node (512-byte nodes for 16-byte pairs).
-pub type BSkipList32<K, V> = BSkipList<K, V, 32>;
-/// B-skiplist with 64 keys per node (1024-byte nodes for 16-byte pairs).
-pub type BSkipList64<K, V> = BSkipList<K, V, 64>;
-/// B-skiplist with 128 keys per node (2048-byte nodes, the paper's default).
-pub type BSkipList128<K, V> = BSkipList<K, V, 128>;
-/// B-skiplist with 256 keys per node (4096-byte nodes for 16-byte pairs).
-pub type BSkipList256<K, V> = BSkipList<K, V, 256>;
-/// B-skiplist with 512 keys per node (8192-byte nodes for 16-byte pairs).
-pub type BSkipList512<K, V> = BSkipList<K, V, 512>;

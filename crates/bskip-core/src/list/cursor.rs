@@ -63,7 +63,7 @@ use std::ptr;
 
 use bskip_index::cursor::{above_lower, below_upper};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
-use bskip_sync::EbrGuard;
+use bskip_sync::{EbrGuard, Racy};
 
 use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
@@ -72,8 +72,8 @@ use crate::node::{prefetch_node, Node, NodeSearch};
 /// [`bskip_index::Cursor`] by [`BSkipList::scan`].
 pub(crate) struct LeafCursor<'a, K, V, const B: usize>
 where
-    K: IndexKey,
-    V: IndexValue,
+    K: IndexKey + Racy,
+    V: IndexValue + Racy,
 {
     list: &'a BSkipList<K, V, B>,
     /// Epoch pin held for the cursor's lifetime and never read: it keeps
@@ -102,7 +102,7 @@ where
     record_stats: bool,
 }
 
-impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
+impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a, K, V, B> {
     pub(crate) fn new(
         list: &'a BSkipList<K, V, B>,
         lo: Bound<K>,
@@ -154,7 +154,9 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
         self.batch.clear();
         self.pos = 0;
         let bound = &self.from;
-        let len = (*leaf).len();
+        // Read-locked, so `len <= B`; saying so lets the copy loop below
+        // drop its per-slot bounds checks.
+        let len = (*leaf).len().min(B);
         // Find the first qualifying slot by binary search where possible.
         let start = match bound {
             Bound::Unbounded => 0,
@@ -203,7 +205,9 @@ impl<'a, K: IndexKey, V: IndexValue, const B: usize> LeafCursor<'a, K, V, B> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const B: usize> IndexCursor<K, V> for LeafCursor<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IndexCursor<K, V>
+    for LeafCursor<'_, K, V, B>
+{
     fn next(&mut self) -> Option<(K, V)> {
         loop {
             if let Some(&entry) = self.batch.get(self.pos) {

@@ -10,10 +10,11 @@
 
 use bskip_index::ops::Op;
 use bskip_index::{IndexKey, IndexValue};
+use bskip_sync::Racy;
 
 use super::BSkipList;
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Executes a batch of operations, writing each outcome into the
     /// operation's own [`bskip_index::OpResult`] slot — the native
     /// override of [`bskip_index::ConcurrentIndex::execute`].

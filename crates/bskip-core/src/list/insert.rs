@@ -38,7 +38,7 @@
 use std::ptr;
 
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::EbrGuard;
+use bskip_sync::{EbrGuard, Racy};
 
 use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
@@ -52,11 +52,7 @@ struct ReleaseSet<K, V, const B: usize> {
     len: usize,
 }
 
-impl<K, V, const B: usize> ReleaseSet<K, V, B>
-where
-    K: Copy + Ord,
-    V: Copy,
-{
+impl<K, V, const B: usize> ReleaseSet<K, V, B> {
     fn new() -> Self {
         ReleaseSet {
             nodes: [ptr::null_mut(); 5],
@@ -82,7 +78,7 @@ where
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Inserts `key → value` with an explicit promotion height instead of a
     /// randomly sampled one.  Returns the previous value if the key was
     /// already present — in which case only the value changes and `height`

@@ -36,7 +36,7 @@
 //! level, whatever the key's height.
 
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::Backoff;
+use bskip_sync::{Backoff, Racy};
 
 use super::{BSkipList, Mode, OPTIMISTIC_ATTEMPTS};
 use crate::node::{Node, NodeSearch};
@@ -46,7 +46,7 @@ use crate::node::{Node, NodeSearch};
 /// the write-locked removal pass.
 pub(super) struct HeaderKey;
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// The one optimistic retry loop, behind every point read and every
     /// [`Self::lock_covering`]: up to [`OPTIMISTIC_ATTEMPTS`] passes of
     /// "descend optimistically to the node covering `key` at `level`, then

@@ -131,7 +131,7 @@ use std::ptr;
 
 use bskip_index::cursor::clone_bound;
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
-use bskip_sync::{EbrCollector, EbrGuard, EbrStats, StripedCounter};
+use bskip_sync::{EbrCollector, EbrGuard, EbrStats, Racy, StripedCounter};
 
 use self::cursor::LeafCursor;
 
@@ -167,11 +167,7 @@ pub(crate) enum Mode {
 ///
 /// `node` must point to a live node.
 #[inline]
-pub(crate) unsafe fn lock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode)
-where
-    K: Copy + Ord,
-    V: Copy,
-{
+pub(crate) unsafe fn lock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode) {
     match mode {
         Mode::Read => (*node).lock.lock_shared(),
         Mode::Write => (*node).lock.lock_exclusive(),
@@ -185,11 +181,7 @@ where
 /// `node` must point to a live node currently locked in `mode` by this
 /// thread.
 #[inline]
-pub(crate) unsafe fn unlock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode)
-where
-    K: Copy + Ord,
-    V: Copy,
-{
+pub(crate) unsafe fn unlock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode) {
     match mode {
         Mode::Read => (*node).lock.unlock_shared(),
         Mode::Write => (*node).lock.unlock_exclusive(),
@@ -218,10 +210,25 @@ where
 /// All operations take `&self` and may be called concurrently from any
 /// number of threads (e.g. through an `Arc<BSkipList<_, _>>` or a scoped
 /// thread borrow).
+///
+/// Keys and values are [`Racy`] as well as [`IndexKey`] / [`IndexValue`]:
+/// lock-free readers copy them while writers may be overwriting them, so
+/// a torn copy must still be a valid value.  A type that could tear into
+/// an invalid one does not compile, such as a reference:
+///
+/// ```compile_fail
+/// let list: bskip_core::BSkipList<&'static str, u64> = bskip_core::BSkipList::new();
+/// ```
+///
+/// or a value with padding bytes:
+///
+/// ```compile_fail
+/// let list: bskip_core::BSkipList<u64, (u8, u64)> = bskip_core::BSkipList::new();
+/// ```
 pub struct BSkipList<K, V, const B: usize = 128>
 where
-    K: IndexKey,
-    V: IndexValue,
+    K: IndexKey + Racy,
+    V: IndexValue + Racy,
 {
     /// Left sentinel ("head") node of every level; `heads[0]` is the leaf
     /// level, `heads[max_height - 1]` the top.
@@ -253,21 +260,21 @@ where
 // SAFETY: the list owns every node its raw pointers reach, and a node
 // holds only keys and values, which `IndexKey` / `IndexValue` require to
 // be `Send`; moving the list moves that ownership whole.
-unsafe impl<K: IndexKey, V: IndexValue, const B: usize> Send for BSkipList<K, V, B> {}
+unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Send for BSkipList<K, V, B> {}
 // SAFETY: through `&self` the raw node pointers are only dereferenced
 // under the per-node reader/writer locks, or read through the relaxed
 // atomic accessors and validated against the node's version, and an
 // unlinked node is freed only by the epoch collector once no thread can
 // reach it; keys and values are `Sync` by the same trait bounds.
-unsafe impl<K: IndexKey, V: IndexValue, const B: usize> Sync for BSkipList<K, V, B> {}
+unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Sync for BSkipList<K, V, B> {}
 
-impl<K: IndexKey, V: IndexValue, const B: usize> Default for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Default for BSkipList<K, V, B> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Creates an empty B-skiplist with the default configuration.
     pub fn new() -> Self {
         Self::with_config(BSkipConfig::default())
@@ -826,7 +833,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const B: usize> Drop for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Drop for BSkipList<K, V, B> {
     fn drop(&mut self) {
         // SAFETY: `&mut self` guarantees no concurrent accessors; every node
         // reachable from a head belongs to this list and is freed exactly
@@ -846,7 +853,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> Drop for BSkipList<K, V, B> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const B: usize> ConcurrentIndex<K, V> for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> ConcurrentIndex<K, V>
+    for BSkipList<K, V, B>
+{
     fn insert(&self, key: K, value: V) -> Option<V> {
         BSkipList::insert(self, key, value)
     }
@@ -905,7 +914,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> ConcurrentIndex<K, V> for BSkip
 /// assert_eq!(list.len(), 2);
 /// assert_eq!(list.get(&3), Some(31));
 /// ```
-impl<K: IndexKey, V: IndexValue, const B: usize> FromIterator<(K, V)> for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> FromIterator<(K, V)>
+    for BSkipList<K, V, B>
+{
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let list = BSkipList::new();
         for (key, value) in iter {
@@ -929,7 +940,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> FromIterator<(K, V)> for BSkipL
 /// list.extend([(2u64, 21u64)]);
 /// assert_eq!(list.to_vec(), vec![(1, 10), (2, 21)]);
 /// ```
-impl<K: IndexKey, V: IndexValue, const B: usize> Extend<(K, V)> for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Extend<(K, V)>
+    for BSkipList<K, V, B>
+{
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (key, value) in iter {
             self.insert(key, value);
@@ -949,7 +962,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> Extend<(K, V)> for BSkipList<K,
 /// }
 /// assert_eq!(seen, vec![0, 1, 2]);
 /// ```
-impl<'a, K: IndexKey, V: IndexValue, const B: usize> IntoIterator for &'a BSkipList<K, V, B> {
+impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IntoIterator
+    for &'a BSkipList<K, V, B>
+{
     type Item = (K, V);
     type IntoIter = Cursor<'a, K, V>;
 

@@ -44,13 +44,13 @@
 use std::ptr;
 
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::EbrGuard;
+use bskip_sync::{EbrGuard, Racy};
 
 use super::leaf::HeaderKey;
 use super::{lock_node, unlock_node, BSkipList, Mode};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// The one point-remove entry, under the caller's epoch pin: leaf
     /// first (see the module docs).  `lock_covering` returns the covering
     /// leaf write-locked, which is the kernel's contract, and the pass is

@@ -21,10 +21,11 @@
 use std::collections::BTreeSet;
 
 use bskip_index::{IndexKey, IndexValue};
+use bskip_sync::Racy;
 
 use super::{lock_node, unlock_node, BSkipList, Mode};
 
-impl<K: IndexKey, V: IndexValue, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Checks every structural invariant, returning a description of the
     /// first violation found.
     ///

@@ -15,13 +15,14 @@
 //!
 //! Every node embeds a [`RawRwSpinLock`].  The guarded state (`len`,
 //! `next`, `head_child`, keys, values, children) may only be **written**
-//! while holding the node's lock in exclusive mode.  It is **read** one
-//! way, through one accessor per field (`len`, `next`, `head_child`,
-//! `key_at`, `value_at`, `child_at`, and `header` and `search` on top of
-//! them), each a relaxed-atomic load.  What a read is worth depends on the
-//! caller, not on the accessor: under the lock, shared or exclusive, it is
-//! exact; without the lock it is provisional — possibly stale or *torn*
-//! by an overlapping writer — until the caller validates the version it
+//! while holding the node's lock in exclusive mode, which is why every
+//! mutator is `unsafe`.  It is **read** one way, through one safe
+//! accessor per field (`len`, `next`, `head_child`, `key_at`, `value_at`,
+//! `child_at`, and `header` and `search` on top of them), each a
+//! relaxed-atomic load.  What a read is worth depends on the caller, not
+//! on the accessor: under the lock, shared or exclusive, it is exact;
+//! without the lock it is provisional — possibly stale or *torn* by an
+//! overlapping writer — until the caller validates the version it
 //! captured before reading ([`RawRwSpinLock::optimistic_version`] /
 //! [`RawRwSpinLock::validate_version`]).  An unlocked reader must also
 //! hold an EBR guard pinned from before its first dereference: retired
@@ -29,27 +30,20 @@
 //! a torn slot is dereferenceable — just invalid, and rejected by
 //! validation.
 //!
-//! To make those races defined behaviour, every store is a relaxed atomic
-//! too: single-word fields (`len`, `next`, `head_child`, children) are
-//! plain atomics, and the key/value arrays are read and written via
-//! [`bskip_sync::racy`] (chunked relaxed-atomic loads and stores).  A
-//! stored `len` is always `<= B`, so a slot index bounded by it stays in
-//! the array even when it is stale.  The slot arrays are zero-initialized
-//! at allocation so that loads never touch uninitialized bytes.  This
-//! constrains `K` and `V` to types where any initialized bit pattern is a
-//! valid value, which the index key/value traits' `Copy + 'static`
-//! universe (integers, byte arrays) satisfies; it is documented as part of
-//! the crate-level optimistic-read contract.
+//! Every field is a cell whose races are defined behaviour: single-word
+//! fields (`len`, `next`, `head_child`, children) are plain atomics, and
+//! keys and values are [`RacyCell`]s, which is why `K` and `V` are bound
+//! by [`Racy`]: a torn key is still a key, so comparing it before
+//! validation is harmless.  Slots start out holding [`Racy::ZERO`], and a
+//! slot index is bounds-checked against `B`.
 //!
 //! The `level` and `is_head` fields are immutable after construction and
 //! may be read freely in either mode.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use bskip_sync::{racy, RawRwSpinLock};
+use bskip_sync::{Racy, RacyCell, RawRwSpinLock};
 
 /// Outcome of searching for a key inside one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +66,7 @@ pub(crate) enum NodeSearch {
 /// follow the node's safety protocol.
 pub(crate) enum Data<K, V, const B: usize> {
     /// Leaf payload: one value per key.
-    Leaf(UnsafeCell<[MaybeUninit<V>; B]>),
+    Leaf([RacyCell<V>; B]),
     /// Internal payload: one down pointer per key; `children[i]` points to
     /// the node at the level below whose header key equals `keys[i]`.
     Internal([AtomicPtr<Node<K, V, B>>; B]),
@@ -95,42 +89,55 @@ pub(crate) struct Node<K, V, const B: usize> {
     is_head: bool,
     /// Number of occupied key slots.  A single word, so racy readers see a
     /// genuine (if possibly stale) length, never a torn one; every stored
-    /// value is `<= B`, which keeps unvalidated slot indices in bounds.
+    /// value is `<= B`.
     len: AtomicUsize,
     /// Right neighbour at the same level; null at the end of the level.
     next: AtomicPtr<Self>,
     /// Down pointer of the implicit `-∞` entry; only used by head nodes at
     /// levels greater than zero.
     head_child: AtomicPtr<Self>,
-    /// Sorted keys; slots `0..len` are live, all `B` slots are initialized
-    /// (zeroed at allocation) so racy loads are always defined.
-    keys: UnsafeCell<[MaybeUninit<K>; B]>,
+    /// Sorted keys; slots `0..len` are live.
+    keys: [RacyCell<K>; B],
     /// Values (leaf) or children (internal) aligned with `keys`.
     data: Data<K, V, B>,
 }
 
+/// Moves `cells[..n - 1]` one slot right into `cells[1..]`, last first so
+/// every cell is read before it is overwritten; `cells[0]` keeps its value.
+fn shift_right<T: Racy>(cells: &[RacyCell<T>]) {
+    for slot in (1..cells.len()).rev() {
+        cells[slot].set(cells[slot - 1].get());
+    }
+}
+
+/// Moves `cells[1..]` one slot left into `cells[..n - 1]`, first first;
+/// the last cell keeps its value.
+fn shift_left<T: Racy>(cells: &[RacyCell<T>]) {
+    for slot in 1..cells.len() {
+        cells[slot - 1].set(cells[slot].get());
+    }
+}
+
 impl<K, V, const B: usize> Node<K, V, B>
 where
-    K: Copy + Ord,
-    V: Copy,
+    K: Racy + Ord,
+    V: Racy,
 {
     /// Allocates an empty leaf node and leaks it, returning the raw pointer.
     pub(crate) fn alloc_leaf(is_head: bool) -> *mut Self {
-        Box::into_raw(Box::new(Node {
-            lock: RawRwSpinLock::new(),
-            level: 0,
-            is_head,
-            len: AtomicUsize::new(0),
-            next: AtomicPtr::new(ptr::null_mut()),
-            head_child: AtomicPtr::new(ptr::null_mut()),
-            keys: UnsafeCell::new([const { MaybeUninit::zeroed() }; B]),
-            data: Data::Leaf(UnsafeCell::new([const { MaybeUninit::zeroed() }; B])),
-        }))
+        let values = [const { RacyCell::new(V::ZERO) }; B];
+        Self::alloc(0, is_head, Data::Leaf(values))
     }
 
     /// Allocates an empty internal node at `level > 0` and leaks it.
     pub(crate) fn alloc_internal(level: u8, is_head: bool) -> *mut Self {
         debug_assert!(level > 0, "internal nodes live at levels above zero");
+        let children = [const { AtomicPtr::new(ptr::null_mut()) }; B];
+        Self::alloc(level, is_head, Data::Internal(children))
+    }
+
+    /// Allocates a node holding `data` and leaks it.
+    fn alloc(level: u8, is_head: bool, data: Data<K, V, B>) -> *mut Self {
         Box::into_raw(Box::new(Node {
             lock: RawRwSpinLock::new(),
             level,
@@ -138,8 +145,8 @@ where
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
             head_child: AtomicPtr::new(ptr::null_mut()),
-            keys: UnsafeCell::new([const { MaybeUninit::zeroed() }; B]),
-            data: Data::Internal([const { AtomicPtr::new(ptr::null_mut()) }; B]),
+            keys: [const { RacyCell::new(K::ZERO) }; B],
+            data,
         }))
     }
 
@@ -168,18 +175,12 @@ where
         self.is_head
     }
 
-    /// Base pointer of the key slot array.
+    /// The value slots (leaf nodes only).
     #[inline]
-    fn keys_ptr(&self) -> *mut MaybeUninit<K> {
-        self.keys.get() as *mut MaybeUninit<K>
-    }
-
-    /// Base pointer of the value slot array (leaf nodes only).
-    #[inline]
-    fn values_ptr(&self) -> *mut MaybeUninit<V> {
+    fn values(&self) -> &[RacyCell<V>; B] {
         match &self.data {
-            Data::Leaf(values) => values.get() as *mut MaybeUninit<V>,
-            Data::Internal(_) => unreachable!("values_ptr called on an internal node"),
+            Data::Leaf(values) => values,
+            Data::Internal(_) => unreachable!("values called on an internal node"),
         }
     }
 
@@ -203,48 +204,29 @@ where
         self.len.store(len, Ordering::Relaxed);
     }
 
-    /// Number of keys stored.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held (shared or exclusive) for an exact
-    /// answer; optimistic readers may call it unlocked and treat the
-    /// result as provisional until their version validates.  Either way
-    /// the value is a genuine previously-published length (`<= B`), never
-    /// a torn word.
+    /// Number of keys stored: exact under the node's lock, provisional
+    /// without it, and never torn (a single word, `<= B`).
     #[inline]
-    pub(crate) unsafe fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
 
-    /// Whether the node holds no keys.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::len`].
+    /// Whether the node holds no keys; read like [`Node::len`].
     #[inline]
-    pub(crate) unsafe fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Whether the node is full.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::len`].
+    /// Whether the node is full; read like [`Node::len`].
     #[inline]
-    pub(crate) unsafe fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.len() == B
     }
 
-    /// Right neighbour at this level (null if none).
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::len`]: exact under the lock, provisional (but never
-    /// torn — single word) for optimistic readers.
+    /// Right neighbour at this level (null if none); read like
+    /// [`Node::len`].
     #[inline]
-    pub(crate) unsafe fn next(&self) -> *mut Self {
+    pub(crate) fn next(&self) -> *mut Self {
         self.next.load(Ordering::Relaxed)
     }
 
@@ -258,13 +240,10 @@ where
         self.next.store(next, Ordering::Relaxed);
     }
 
-    /// Down pointer of the implicit `-∞` entry (head nodes only).
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::len`] (head nodes only).
+    /// Down pointer of the implicit `-∞` entry (head nodes only); read
+    /// like [`Node::len`].
     #[inline]
-    pub(crate) unsafe fn head_child(&self) -> *mut Self {
+    pub(crate) fn head_child(&self) -> *mut Self {
         debug_assert!(self.is_head);
         self.head_child.load(Ordering::Relaxed)
     }
@@ -282,38 +261,25 @@ where
         self.head_child.store(child, Ordering::Relaxed);
     }
 
-    /// The header (smallest) key of the node: [`Node::key_at`] of slot 0.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::key_at`]; the node must be non-empty for the answer
-    /// to be a key (an empty node's slot 0 holds a stale or zeroed one).
+    /// The header (smallest) key of the node: [`Node::key_at`] of slot 0,
+    /// a key only if the node is non-empty (an empty node's slot 0 holds a
+    /// stale or zero one).
     #[inline]
-    pub(crate) unsafe fn header(&self) -> K {
+    pub(crate) fn header(&self) -> K {
         self.key_at(0)
     }
 
     /// Key at slot `index`: exact under the node's lock when
     /// `index < len()`, provisional without it (see the module docs).
-    ///
-    /// # Safety
-    ///
-    /// `index < B` (bounded by a length read through [`Node::len`]).
     #[inline]
-    pub(crate) unsafe fn key_at(&self, index: usize) -> K {
-        debug_assert!(index < B);
-        racy::load(self.keys_ptr().add(index) as *const K)
+    pub(crate) fn key_at(&self, index: usize) -> K {
+        self.keys[index].get()
     }
 
     /// Value at slot `index` (leaf nodes only); read like [`Node::key_at`].
-    ///
-    /// # Safety
-    ///
-    /// The node must be a leaf and `index < B`.
     #[inline]
-    pub(crate) unsafe fn value_at(&self, index: usize) -> V {
-        debug_assert!(index < B);
-        racy::load(self.values_ptr().add(index) as *const V)
+    pub(crate) fn value_at(&self, index: usize) -> V {
+        self.values()[index].get()
     }
 
     /// Overwrites the value at slot `index`, returning the previous value.
@@ -325,8 +291,9 @@ where
     #[inline]
     pub(crate) unsafe fn replace_value_at(&self, index: usize, value: V) -> V {
         debug_assert!(index < self.len());
-        let old = self.value_at(index);
-        racy::store(self.values_ptr().add(index) as *mut V, value);
+        let slot = &self.values()[index];
+        let old = slot.get();
+        slot.set(value);
         old
     }
 
@@ -336,14 +303,8 @@ where
     /// optimistically it is never torn — but possibly stale or belonging
     /// to a different separator key than the reader thinks, and only
     /// validation makes it meaningful.
-    ///
-    /// # Safety
-    ///
-    /// The node must be internal and `index < len()` under its lock,
-    /// `index < B` without.
     #[inline]
-    pub(crate) unsafe fn child_at(&self, index: usize) -> *mut Self {
-        debug_assert!(index < B);
+    pub(crate) fn child_at(&self, index: usize) -> *mut Self {
         self.children()[index].load(Ordering::Relaxed)
     }
 
@@ -372,13 +333,9 @@ where
     /// whose per-probe taken/not-taken pattern is exactly what a random
     /// key stream makes unpredictable.  Equality is resolved once by the
     /// caller ([`Node::search`]) after the loop, not per probe.  The result
-    /// is in `0..=len` whatever the probes read.
-    ///
-    /// # Safety
-    ///
-    /// `len <= B`.
+    /// is in `0..=len` whatever the probes read; `len` must be `<= B`.
     #[inline]
-    unsafe fn keys_below(&self, key: &K, mut len: usize) -> usize {
+    fn keys_below(&self, key: &K, mut len: usize) -> usize {
         if len == 0 {
             return 0;
         }
@@ -404,12 +361,8 @@ where
     /// [`Node::keys_below`] core with a single trailing equality check.
     /// Read like every other accessor: exact under the lock, provisional
     /// without it, and any slot it names is `< len() <= B` either way.
-    ///
-    /// # Safety
-    ///
-    /// None beyond the node being alive.
     #[inline]
-    pub(crate) unsafe fn search(&self, key: &K) -> NodeSearch {
+    pub(crate) fn search(&self, key: &K) -> NodeSearch {
         let len = self.len();
         let below = self.keys_below(key, len);
         if below < len && self.key_at(below) == *key {
@@ -431,12 +384,11 @@ where
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
-        let keys = self.keys_ptr() as *mut K;
-        racy::copy(keys.add(index), keys.add(index + 1), len - index);
-        racy::store(keys.add(index), key);
-        let values = self.values_ptr() as *mut V;
-        racy::copy(values.add(index), values.add(index + 1), len - index);
-        racy::store(values.add(index), value);
+        shift_right(&self.keys[index..=len]);
+        self.keys[index].set(key);
+        let values = self.values();
+        shift_right(&values[index..=len]);
+        values[index].set(value);
         self.set_len(len + 1);
     }
 
@@ -451,9 +403,8 @@ where
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
-        let keys = self.keys_ptr() as *mut K;
-        racy::copy(keys.add(index), keys.add(index + 1), len - index);
-        racy::store(keys.add(index), key);
+        shift_right(&self.keys[index..=len]);
+        self.keys[index].set(key);
         let children = self.children();
         for slot in (index..len).rev() {
             let moved = children[slot].load(Ordering::Relaxed);
@@ -473,13 +424,11 @@ where
     pub(crate) unsafe fn remove_at(&self, index: usize) -> Option<V> {
         let len = self.len();
         debug_assert!(index < len);
-        let keys = self.keys_ptr() as *mut K;
-        racy::copy(keys.add(index + 1), keys.add(index), len - index - 1);
+        shift_left(&self.keys[index..len]);
         let removed = match &self.data {
-            Data::Leaf(_) => {
-                let values = self.values_ptr() as *mut V;
-                let value = self.value_at(index);
-                racy::copy(values.add(index + 1), values.add(index), len - index - 1);
+            Data::Leaf(values) => {
+                let value = values[index].get();
+                shift_left(&values[index..len]);
                 Some(value)
             }
             Data::Internal(children) => {
@@ -511,22 +460,13 @@ where
         let dst_len = dst.len();
         let count = src_len - from;
         debug_assert!(dst_len + count <= B);
-        let src_keys = self.keys_ptr() as *const K;
-        let dst_keys = dst.keys_ptr() as *mut K;
         for offset in 0..count {
-            // Plain read from `self` (exclusively locked: nothing races a
-            // read), racy store into `dst` (optimistic readers may probe).
-            racy::store(dst_keys.add(dst_len + offset), *src_keys.add(from + offset));
+            dst.keys[dst_len + offset].set(self.keys[from + offset].get());
         }
         match (&self.data, &dst.data) {
-            (Data::Leaf(_), Data::Leaf(_)) => {
-                let src_values = self.values_ptr() as *const V;
-                let dst_values = dst.values_ptr() as *mut V;
+            (Data::Leaf(src_values), Data::Leaf(dst_values)) => {
                 for offset in 0..count {
-                    racy::store(
-                        dst_values.add(dst_len + offset),
-                        *src_values.add(from + offset),
-                    );
+                    dst_values[dst_len + offset].set(src_values[from + offset].get());
                 }
             }
             (Data::Internal(src_children), Data::Internal(dst_children)) => {
@@ -564,14 +504,10 @@ where
     }
 
     /// Copies the keys in slots `0..len()` into a `Vec` (test/validation
-    /// helper).
+    /// helper); exact under the node's lock.
     #[cfg_attr(not(test), allow(dead_code))]
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held (shared or exclusive).
-    pub(crate) unsafe fn keys_vec(&self) -> Vec<K> {
-        (0..self.len()).map(|i| self.key_at(i)).collect()
+    pub(crate) fn keys_vec(&self) -> Vec<K> {
+        self.keys[..self.len()].iter().map(RacyCell::get).collect()
     }
 }
 

@@ -3,13 +3,13 @@
 //! Everything the engine persists — WAL records, SSTable blocks, manifest
 //! counters — reduces to two encodings:
 //!
-//! * [`Persist`] — how a key or value type serializes itself.  The in-memory
-//!   indices only require `Copy + Ord`; durability additionally needs a byte
-//!   round trip.  Implementations must be **order-preserving** for key types
-//!   (`a < b` ⟺ `encode(a) < encode(b)` lexicographically), which is what
-//!   makes the SSTable's restart-point prefix compression and block index
-//!   meaningful: neighbouring keys share prefixes exactly when they are
-//!   numerically close.  Fixed-width big-endian encodings of the unsigned
+//! * [`Persist`] — how a key or value type serializes itself.  The memtable
+//!   already requires [`Racy`] (a torn copy is still a value); durability
+//!   additionally needs a byte round trip.  Implementations must be
+//!   **order-preserving** for key types (`a < b` ⟺ `encode(a) < encode(b)`
+//!   lexicographically), which is what makes the SSTable's restart-point
+//!   prefix compression and block index meaningful: neighbouring keys
+//!   share prefixes exactly when they are numerically close.  Fixed-width big-endian encodings of the unsigned
 //!   integers have this property for free; `i64` applies the usual
 //!   sign-flip.
 //! * LEB128-style **uvarints** ([`put_uvarint`] / [`get_uvarint`]) for the
@@ -17,11 +17,13 @@
 //!   where small numbers dominate and fixed 4-byte fields would double the
 //!   size of a block of 16-byte entries.
 
+use bskip_sync::Racy;
+
 /// A type that can round-trip through a byte encoding.
 ///
 /// Key implementations must be order-preserving (see the module docs);
 /// value implementations only need the round trip.
-pub trait Persist: Sized {
+pub trait Persist: Racy {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 

@@ -6,7 +6,7 @@
 //! Every mutation is (1) appended to the write-ahead log as one framed
 //! record — a whole [`ConcurrentIndex::execute`] batch becomes a *single*
 //! record, the group-commit unit — and (2) applied to the mutable
-//! memtable, a `BSkipList<K, Slot<V>>`.  Writes are acknowledged after the
+//! memtable, a B-skiplist of [`Slot`]s.  Writes are acknowledged after the
 //! WAL append returns, so an acknowledged write survives process death
 //! (and, with [`SyncPolicy::Always`], power loss).  All mutations and all
 //! maintenance serialize on one writer mutex; reads — point gets, scans
@@ -136,7 +136,7 @@ use crate::entry::Slot;
 use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
 };
-use crate::memtable::Memtable;
+use crate::memtable::{Memtable, MemtableCursor};
 use crate::sstable::{Table, TableBuilder, TableCursor, TableOptions};
 use crate::storage::{StdFs, Storage};
 use crate::wal::{decode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
@@ -219,7 +219,7 @@ struct WriteState {
 /// (`commit_version`), so a reader that cloned the `Arc` keeps every layer
 /// it opened on for as long as it holds it.
 #[derive(Clone)]
-struct Version<K: IndexKey, V: IndexValue> {
+struct Version<K: IndexKey + Persist, V: IndexValue + Persist> {
     /// The memtable writes apply to.
     memtable: Arc<Memtable<K, V>>,
     /// Sealed memtables awaiting flush, newest first.
@@ -232,7 +232,7 @@ struct Version<K: IndexKey, V: IndexValue> {
 /// One merge source: a memtable's cursor, or a sorted run of tables.  An
 /// enum, not a boxed [`Cursor`], so a merge allocates no box per source.
 enum Source<'a, K: IndexKey, V: IndexValue> {
-    Memtable(Cursor<'a, K, Slot<V>>),
+    Memtable(MemtableCursor<'a, K, V>),
     Run(TableCursor<'a, K, V>),
 }
 
@@ -250,7 +250,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>> for
 ///
 /// The merge borrows the layers of the version the scan owns, so `merge`
 /// is declared first: it drops first.
-struct Scan<'a, K: IndexKey, V: IndexValue> {
+struct Scan<'a, K: IndexKey + Persist, V: IndexValue + Persist> {
     merge: MergeCursor<'a, K, Slot<V>, Source<'a, K, V>>,
     /// Never read: it keeps the merge's layers alive.
     _version: Arc<Version<K, V>>,

@@ -12,8 +12,9 @@ use bskip_index::IndexValue;
 /// the bottom level finally drops tombstones (there is nothing left to
 /// shadow below).
 ///
-/// `Slot<V>` is itself a valid [`IndexValue`], which is what lets a plain
-/// `BSkipList<K, Slot<V>>` serve as the memtable unchanged.
+/// In memory the memtable keeps each slot in a padding-free form that a
+/// lock-free reader may copy torn (see [`crate::memtable`]); the WAL and
+/// the SSTables encode `Slot` explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Slot<V> {
     /// A live value.

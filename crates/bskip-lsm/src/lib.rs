@@ -6,7 +6,7 @@
 //! ingest — is the job description of an LSM **memtable** (the role
 //! skiplists famously play in LevelDB/RocksDB and in bLSM).  This crate
 //! closes that loop: a log-structured merge engine whose write buffer is a
-//! `BSkipList<K, Slot<V>>`, layered as
+//! `BSkipList` of [`Slot`]s, layered as
 //!
 //! ```text
 //! writes ──▶ WAL (group commit) ──▶ memtable ──▶ immutable memtables
@@ -44,11 +44,12 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The crate's `unsafe` is in three places: the checksum kernel's dispatch
-// (`crc.rs`), a scan's borrow of the version it owns (`engine.rs`), and
-// the read-only table mapping on 64-bit unix (`storage.rs`: `mmap`,
-// `munmap`, the copy out, and its `Send` / `Sync`).  Whatever joins them
-// has to argue its case the same way.
+// The crate's `unsafe` is in four places: the checksum kernel's dispatch
+// (`crc.rs`), a scan's borrow of the version it owns (`engine.rs`), the
+// read-only table mapping on 64-bit unix (`storage.rs`: `mmap`, `munmap`,
+// the copy out, and its `Send` / `Sync`), and the memtable's padding-free
+// slot (`memtable.rs`: `Racy` for `Stored`).  Whatever joins them has to
+// argue its case the same way.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;
@@ -65,7 +66,7 @@ pub mod wal;
 pub use codec::Persist;
 pub use engine::{LsmConfig, LsmEngine};
 pub use entry::Slot;
-pub use memtable::Memtable;
+pub use memtable::{Memtable, MemtableCursor};
 pub use sstable::{Table, TableBuilder, TableCursor, TableOptions};
 pub use storage::{FaultFs, StdFs, Storage, StorageFile};
 pub use wal::{SyncPolicy, WalOp, WalWriter};

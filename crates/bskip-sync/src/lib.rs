@@ -10,9 +10,10 @@
 //!   word so readers can *validate* instead of locking (optimistic lock
 //!   coupling).  This is the lock used by every node of the B-skiplist and
 //!   of the lock-based baselines.
-//! * [`racy`] — chunked relaxed-atomic loads/stores/copies that make the
-//!   optimistic readers' deliberately racy data accesses defined
-//!   behaviour (torn values are tolerated and rejected by validation).
+//! * [`RacyCell`] — a cell whose chunked relaxed-atomic `get`/`set` make
+//!   the optimistic readers' deliberately racy data accesses defined
+//!   behaviour, for payloads whose [`Racy`] bound promises that a torn
+//!   value is still a valid one (torn values are rejected by validation).
 //! * [`RwSpinLock`] — an RAII wrapper around [`RawRwSpinLock`] guarding a
 //!   value, used where a conventional `RwLock<T>`-style API is convenient.
 //! * [`Backoff`] — bounded exponential backoff used while spinning.
@@ -59,4 +60,5 @@ pub use counter::{RelaxedCounter, StripedCounter};
 pub use ebr::{EbrCollector, EbrGuard, EbrStats};
 pub use latch::SpinLatch;
 pub use padded::CachePadded;
+pub use racy::{Racy, RacyCell};
 pub use rwlock::{RawRwSpinLock, RwSpinLock, RwSpinLockReadGuard, RwSpinLockWriteGuard};

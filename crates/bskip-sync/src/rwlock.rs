@@ -31,7 +31,7 @@
 //!    node is mid-mutation).  A merely *pending* writer is fine: it has
 //!    not touched the data yet.
 //! 2. read the protected data **with relaxed atomic accesses** (see the
-//!    [`crate::racy`] module — the reads may race the writer's stores, so
+//!    [`crate::RacyCell`] type — the reads may race the writer's stores, so
 //!    they must be atomic to be defined behaviour, and the values obtained
 //!    are only trusted after step 3),
 //! 3. [`validate_version`](RawRwSpinLock::validate_version) — an `Acquire`
