@@ -704,9 +704,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     }
 
     /// The fallible group-commit lane behind [`ConcurrentIndex::execute`]:
-    /// the batch's mutations become **one** WAL record (one `write(2)`,
-    /// one `fdatasync` under [`SyncPolicy::Always`]), then the operations
-    /// apply in slot order.
+    /// the batch's mutations become **one** WAL record (one storage
+    /// append, one `fdatasync` under [`SyncPolicy::Always`]), then the
+    /// operations apply in slot order.
     ///
     /// On `Err` nothing was applied and every result slot is untouched.
     /// A read-only batch takes neither the writer mutex nor the WAL — it

@@ -25,7 +25,9 @@
 //! difference from the in-memory indices is that its contents survive a
 //! kill.  Behind the network server the group-commit lane lines up end
 //! to end: one pipelined client window becomes one `execute` batch
-//! becomes one WAL record and one `write(2)`.
+//! becomes one WAL record and one storage append (a copy into a mapped
+//! extent for a small record over [`StdFs`] on 64-bit Linux, one
+//! `pwrite` or `write(2)` otherwise).
 //!
 //! Module map: [`storage`] (the pluggable filesystem — [`StdFs`] in
 //! production, the fault-injecting [`FaultFs`] in tests), [`wal`]
@@ -44,12 +46,14 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-// The crate's `unsafe` is in four places: the checksum kernel's dispatch
+// The crate's `unsafe` is in five places: the checksum kernel's dispatch
 // (`crc.rs`), a scan's borrow of the version it owns (`engine.rs`), the
 // read-only table mapping on 64-bit unix (`storage.rs`: `mmap`, `munmap`,
-// the copy out, and its `Send` / `Sync`), and the memtable's padding-free
-// slot (`memtable.rs`: `Racy` for `Stored`).  Whatever joins them has to
-// argue its case the same way.
+// the copy out, and its `Send` / `Sync`), the mapped append handle on
+// 64-bit Linux (`storage.rs`: `posix_fallocate`, the offset into and the
+// copy into the extent, `munmap`, and its `Send` / `Sync`), and the
+// memtable's padding-free slot (`memtable.rs`: `Racy` for `Stored`).
+// Whatever joins them has to argue its case the same way.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;

@@ -19,7 +19,9 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -85,42 +87,48 @@ pub trait Storage: Send + Sync {
 
 /// Zero-state production [`Storage`] over `std::fs`.
 ///
-/// Writes, syncs and metadata operations go straight to `std::fs`. On a
-/// 64-bit unix host, [`open_read`](Storage::open_read) maps the whole
-/// file read-only once, at open, and a positioned read is a bounds check
-/// plus a copy out of that mapping — no syscall per block. Elsewhere it
-/// is one positioned read (`pread`) per call. Either way every read
-/// copies into the caller's buffer, so the block checksums above see
-/// exactly the bytes a `pread` would have returned.
+/// Syncs and metadata operations go straight to `std::fs`. On a 64-bit
+/// unix host, [`open_read`](Storage::open_read) maps the whole file
+/// read-only once, at open, and a positioned read is a bounds check plus
+/// a copy out of that mapping — no syscall per block. Elsewhere it is one
+/// positioned read (`pread`) per call. Either way every read copies into
+/// the caller's buffer, so the block checksums above see exactly the
+/// bytes a `pread` would have returned.
 ///
-/// The mapping relies on the engine owning its directory: a table file
+/// On 64-bit Linux, a handle from [`create`](Storage::create) or
+/// [`open_append`](Storage::open_append) maps the 64 KiB-aligned extent
+/// it is writing into, shared and writable, after reserving it with
+/// `posix_fallocate`; an append of fewer than 1 KiB is a bounds check
+/// plus a copy into that mapping — the page cache, so it survives the
+/// death of the process as a `write` would — and a larger one is one
+/// `pwrite` at the end, as is the first small one after the handle opens
+/// or syncs. Until the handle is synced or dropped the file may run on
+/// into up to 64 KiB of zeros past what was appended;
+/// [`len`](StorageFile::len) is always the appended length, and a sync
+/// or a drop cuts the file back to it, so the bytes on disk after either
+/// are the ones a `write` per append would have left. Elsewhere an
+/// append is one `write`.
+///
+/// The mappings rely on the engine owning its directory: a table file
 /// is never shrunk while it is open, only unlinked, and an unlinked file
-/// stays mapped until its last handle drops. If another process
-/// truncates a live table file, reading the cut-off part raises `SIGBUS`
-/// rather than returning an [`io::Error`]; bytes another process
-/// changes in place are caught by the block checksum like any other
-/// corruption.
+/// stays mapped until its last handle drops; no other process writes
+/// the file an append handle has open. If another process truncates a
+/// live table file, reading the cut-off part raises `SIGBUS` rather than
+/// returning an [`io::Error`]; if it truncates a file an append handle
+/// has reserved, the next append into the cut-off part raises `SIGBUS`.
+/// Bytes another process changes in place are caught by the block or
+/// frame checksum like any other corruption.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
 
+/// A file handle that does every append and read with one syscall.  On
+/// 64-bit Linux only the tests build one, as the `pread` reference.
+#[cfg_attr(
+    all(target_os = "linux", target_pointer_width = "64"),
+    allow(dead_code)
+)]
 struct StdFile {
     file: File,
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    // `Seek`/`Read` are implemented for `&File`; the shared cursor makes
-    // this racy under concurrent readers, matching the previous in-tree
-    // non-unix fallback.
-    let mut handle = file;
-    handle.seek(SeekFrom::Start(offset))?;
-    handle.read_exact(buf)
 }
 
 impl StorageFile for StdFile {
@@ -128,8 +136,21 @@ impl StorageFile for StdFile {
         self.file.write_all(data)
     }
 
+    #[cfg(unix)]
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        read_exact_at(&self.file, buf, offset)
+        use std::os::unix::fs::FileExt;
+        self.file.read_exact_at(buf, offset)
+    }
+
+    #[cfg(not(unix))]
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        // `Seek`/`Read` are implemented for `&File`; the shared cursor makes
+        // this racy under concurrent readers, matching the previous in-tree
+        // non-unix fallback.
+        use std::io::Read;
+        let mut handle = &self.file;
+        handle.seek(SeekFrom::Start(offset))?;
+        handle.read_exact(buf)
     }
 
     fn sync_data(&self) -> io::Result<()> {
@@ -159,9 +180,29 @@ fn open_for_reads(file: File) -> io::Result<Box<dyn StorageFile>> {
     Ok(Box::new(StdFile { file }))
 }
 
-/// A whole file mapped `PROT_READ` / `MAP_SHARED` at open; reads copy out
-/// of the mapping. `MAP_SHARED` makes a write through another descriptor
-/// visible here, as it would be to a `pread`.
+/// The append handle [`StdFs::create`] and [`StdFs::open_append`] return
+/// for `file`, opened for reading and writing and `len` bytes long: small
+/// appends copy into a mapped, reserved extent.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn open_for_appends(file: File, len: u64) -> io::Result<Box<dyn StorageFile>> {
+    Ok(Box::new(mapped::appender::MappedAppender::new(file, len)))
+}
+
+/// The append handle where appends are not mapped: one `write` each, at
+/// the file's cursor.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn open_for_appends(mut file: File, len: u64) -> io::Result<Box<dyn StorageFile>> {
+    file.seek(SeekFrom::Start(len))?;
+    Ok(Box::new(StdFile { file }))
+}
+
+/// The mapped handles: a whole table file mapped `PROT_READ` /
+/// `MAP_SHARED` at open, read by copying out of the mapping, and (on
+/// Linux) an append handle that copies small appends into a mapped,
+/// reserved extent. `MAP_SHARED` makes the mappings views of the page
+/// cache, so a write through another descriptor is visible in them, and
+/// a byte copied into one is visible to every `pread`, survives the
+/// process, and is written back by `fsync` like one a `write` put there.
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod mapped {
     use super::StorageFile;
@@ -171,9 +212,9 @@ mod mapped {
     use std::os::fd::AsRawFd;
     use std::ptr::{self, NonNull};
 
-    // On a 64-bit unix target `off_t` is 64 bits wide, and `PROT_READ`
-    // and `MAP_SHARED` are both 1 on Linux and macOS. std links libc, so
-    // the two calls need no crate.
+    // On a 64-bit unix target `off_t` is 64 bits wide, and `PROT_READ`,
+    // `PROT_WRITE` and `MAP_SHARED` are 1, 2 and 1 on Linux and macOS.
+    // std links libc, so the calls need no crate.
     const PROT_READ: c_int = 1;
     const MAP_SHARED: c_int = 1;
     const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
@@ -188,6 +229,30 @@ mod mapped {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    /// Maps `len > 0` bytes of `file` from `offset` (a multiple of the
+    /// page size) shared, with protection `prot`.
+    fn map(file: &File, len: usize, offset: u64, prot: c_int) -> io::Result<NonNull<u8>> {
+        let offset =
+            i64::try_from(offset).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput))?;
+        // SAFETY: a fresh mapping at an address the kernel picks (no
+        // `MAP_FIXED`), so it replaces nothing; the kernel checks `prot`
+        // against the descriptor's access mode and `offset`'s alignment.
+        let addr = unsafe {
+            mmap(
+                ptr::null_mut(),
+                len,
+                prot,
+                MAP_SHARED,
+                file.as_raw_fd(),
+                offset,
+            )
+        };
+        if addr == MAP_FAILED {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(NonNull::new(addr.cast()).expect("mmap without MAP_FIXED never maps address 0"))
     }
 
     pub(super) struct MappedFile {
@@ -216,27 +281,11 @@ mod mapped {
         pub(super) fn new(file: File) -> io::Result<Self> {
             // Lossless: `usize` is 64 bits wide on this target.
             let len = file.metadata()?.len() as usize;
-            let mut base = NonNull::dangling();
-            if len > 0 {
-                // SAFETY: a fresh mapping at an address the kernel picks
-                // (no `MAP_FIXED`), so it replaces nothing; the descriptor
-                // is open for reading, which is all `PROT_READ` needs.
-                let addr = unsafe {
-                    mmap(
-                        ptr::null_mut(),
-                        len,
-                        PROT_READ,
-                        MAP_SHARED,
-                        file.as_raw_fd(),
-                        0,
-                    )
-                };
-                if addr == MAP_FAILED {
-                    return Err(io::Error::last_os_error());
-                }
-                base =
-                    NonNull::new(addr.cast()).expect("mmap without MAP_FIXED never maps address 0");
-            }
+            let base = if len > 0 {
+                map(&file, len, 0, PROT_READ)?
+            } else {
+                NonNull::dangling()
+            };
             Ok(MappedFile { file, base, len })
         }
     }
@@ -300,23 +349,231 @@ mod mapped {
             Ok(self.len as u64)
         }
     }
+
+    #[cfg(target_os = "linux")]
+    pub(super) mod appender {
+        use super::{map, munmap, PROT_READ};
+        use crate::storage::StorageFile;
+        use std::ffi::c_int;
+        use std::fs::File;
+        use std::io;
+        use std::os::fd::AsRawFd;
+        use std::os::unix::fs::FileExt;
+        use std::ptr::{self, NonNull};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        const PROT_WRITE: c_int = 2;
+
+        unsafe extern "C" {
+            // Returns an error number (0 on success) and leaves `errno`
+            // alone.
+            fn posix_fallocate(fd: c_int, offset: i64, len: i64) -> c_int;
+        }
+
+        /// The reservation unit, and the alignment of a reserved extent:
+        /// RocksDB's mapped-write region size.
+        pub(in crate::storage) const EXTENT: u64 = 64 << 10;
+
+        /// Appends shorter than this may be copied into the mapped
+        /// extent; longer ones are one `pwrite`.  A point write's WAL
+        /// record (≈ 40 B) is far below it; a table build's 64 KiB staged
+        /// appends and a 64-operation `execute` record (≈ 1.2 KiB) are
+        /// above it, where a copy would trade one syscall for a zero-fill
+        /// page fault per fresh 4 KiB page.
+        pub(in crate::storage) const MAPPED_APPEND_BELOW: usize = 1 << 10;
+
+        /// An append handle: appends go to the logical end `len`, small
+        /// ones as copies into the mapped extent `[start, start + EXTENT)`
+        /// that contains it, which is reserved (allocated, and inside the
+        /// file) before the first copy.  The first small append after the
+        /// handle opens or syncs is a `pwrite` all the same: a reservation
+        /// pays for itself only across several appends before the sync
+        /// that cuts it off, and a table's footer, a manifest or a
+        /// `SyncPolicy::Always` record is one.
+        pub(in crate::storage) struct MappedAppender {
+            file: File,
+            /// Bytes appended: where the next append goes, and the length
+            /// a sync or a drop cuts the file back to.
+            len: u64,
+            /// The file is at least this long: the end of the extent this
+            /// handle reserved, or `len` once a sync cut the reservation
+            /// off (a sync has only `&self`, hence the atomic).  More than
+            /// `len` means a zero tail that a sync or a drop must cut.
+            reserved_to: AtomicU64,
+            /// First byte of the mapped extent, and its offset in the
+            /// file; `None` before the first mapped append.
+            extent: Option<(NonNull<u8>, u64)>,
+            /// Whether a small append came since the handle opened or
+            /// last synced: the next one is mapped.
+            warm: AtomicBool,
+        }
+
+        // SAFETY: `file`, `len`, `reserved_to` and `warm` are `Send`.  The
+        // extent's pointer is a mapping this handle owns alone (mapped in
+        // `mapped_tail`, unmapped in `unmap`), which is process-wide
+        // memory, valid from any thread.
+        unsafe impl Send for MappedAppender {}
+
+        // SAFETY: through `&self` the extent is neither read nor written:
+        // the copies into it take `&mut self`, `read_at` reads through the
+        // descriptor, and a sync only shortens the file (it never touches
+        // the mapping).
+        unsafe impl Sync for MappedAppender {}
+
+        impl MappedAppender {
+            pub(in crate::storage) fn new(file: File, len: u64) -> Self {
+                MappedAppender {
+                    file,
+                    len,
+                    reserved_to: AtomicU64::new(len),
+                    extent: None,
+                    warm: AtomicBool::new(false),
+                }
+            }
+
+            /// Where the `n` bytes of an append go in the mapped extent,
+            /// once it is the one that holds `len..len + n`, reserved and
+            /// mapped; `None` if the append would run past the extent or
+            /// the reservation or the mapping failed (the append is then a
+            /// `pwrite`).
+            fn mapped_tail(&mut self, n: usize) -> Option<*mut u8> {
+                let start = self.len & !(EXTENT - 1);
+                if self.len + n as u64 > start + EXTENT {
+                    return None;
+                }
+                let reserved_to = self.reserved_to.get_mut();
+                if *reserved_to < start + EXTENT {
+                    // Allocates the extent's blocks, so a copy into it can
+                    // not meet a full disk, and grows the file over it.
+                    // SAFETY: the call touches no memory of this process;
+                    // it only allocates in, and lengthens, the file behind
+                    // a descriptor this handle owns.
+                    let status = unsafe {
+                        posix_fallocate(self.file.as_raw_fd(), start as i64, EXTENT as i64)
+                    };
+                    if status != 0 {
+                        return None;
+                    }
+                    *reserved_to = start + EXTENT;
+                }
+                let base = match self.extent {
+                    Some((base, mapped)) if mapped == start => base,
+                    _ => {
+                        self.unmap();
+                        let base =
+                            map(&self.file, EXTENT as usize, start, PROT_READ | PROT_WRITE).ok()?;
+                        self.extent = Some((base, start));
+                        base
+                    }
+                };
+                Some(base.as_ptr().wrapping_add((self.len - start) as usize))
+            }
+
+            fn unmap(&mut self) {
+                if let Some((base, _)) = self.extent.take() {
+                    // SAFETY: `base` is the `EXTENT`-byte mapping made in
+                    // `mapped_tail`, unmapped only here, once (`take`);
+                    // nothing else points into it.
+                    unsafe { munmap(base.as_ptr().cast(), EXTENT as usize) };
+                }
+            }
+
+            /// Cuts the file back to `len` if a reservation runs past it;
+            /// the next small append is a `pwrite` again.
+            fn cut_reservation(&self) -> io::Result<()> {
+                self.warm.store(false, Ordering::Relaxed);
+                if self.reserved_to.load(Ordering::Relaxed) > self.len {
+                    self.file.set_len(self.len)?;
+                    self.reserved_to.store(self.len, Ordering::Relaxed);
+                }
+                Ok(())
+            }
+        }
+
+        impl Drop for MappedAppender {
+            fn drop(&mut self) {
+                self.unmap();
+                // Nowhere to report a failure: the zero tail then stays,
+                // and WAL replay ends at it.
+                let _ = self.cut_reservation();
+            }
+        }
+
+        impl StorageFile for MappedAppender {
+            fn append(&mut self, data: &[u8]) -> io::Result<()> {
+                if (1..MAPPED_APPEND_BELOW).contains(&data.len())
+                    && std::mem::replace(self.warm.get_mut(), true)
+                {
+                    if let Some(tail) = self.mapped_tail(data.len()) {
+                        // SAFETY: `mapped_tail` returned where `len` lies in
+                        // a live, writable mapping of the extent holding all
+                        // of `len..len + data.len()` (it checked that the
+                        // range ends inside the extent); the file runs at
+                        // least to the extent's end (`reserved_to`: only a
+                        // sync cuts it back, and a sync cannot run during
+                        // this `&mut self` call), so every page is backed.
+                        // `data` is caller memory, not the mapping.
+                        unsafe { ptr::copy_nonoverlapping(data.as_ptr(), tail, data.len()) };
+                        self.len += data.len() as u64;
+                        return Ok(());
+                    }
+                }
+                self.file.write_all_at(data, self.len)?;
+                self.len += data.len() as u64;
+                Ok(())
+            }
+
+            fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+                // The file may run on past `len` into its reservation; a
+                // read that does must fail as one past the end does.
+                if buf.is_empty() {
+                    return Ok(());
+                }
+                if offset
+                    .checked_add(buf.len() as u64)
+                    .is_none_or(|end| end > self.len)
+                {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "read past end of file",
+                    ));
+                }
+                self.file.read_exact_at(buf, offset)
+            }
+
+            fn sync_data(&self) -> io::Result<()> {
+                self.cut_reservation()?;
+                self.file.sync_data()
+            }
+
+            fn sync_all(&self) -> io::Result<()> {
+                self.cut_reservation()?;
+                self.file.sync_all()
+            }
+
+            fn len(&self) -> io::Result<u64> {
+                Ok(self.len)
+            }
+        }
+    }
 }
 
 impl Storage for StdFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+        // Readable as well: a shared writable mapping needs it.
         let file = OpenOptions::new()
             .create(true)
+            .read(true)
             .write(true)
             .truncate(true)
             .open(path)?;
-        Ok(Box::new(StdFile { file }))
+        open_for_appends(file, 0)
     }
 
     fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn StorageFile>> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
-        file.seek(SeekFrom::Start(valid_len))?;
-        Ok(Box::new(StdFile { file }))
+        open_for_appends(file, valid_len)
     }
 
     fn open_read(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
@@ -788,6 +1045,7 @@ impl StorageFile for FaultFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Seek, SeekFrom};
 
     fn path(name: &str) -> PathBuf {
         PathBuf::from("/db").join(name)
@@ -942,6 +1200,159 @@ mod tests {
         other.write_all(b"O").expect("write in place");
         reader.read_at(&mut buf, 0).expect("read");
         assert_eq!(&buf, b"blOck");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    /// The bytes of `path` and its length as the filesystem reports it.
+    fn on_disk(path: &Path) -> (Vec<u8>, u64) {
+        let len = std::fs::metadata(path).expect("stat").len();
+        (std::fs::read(path).expect("read"), len)
+    }
+
+    /// A `StdFs` append handle against a `Vec<u8>` model: random appends
+    /// on both sides of the mapped-append threshold and across 64 KiB
+    /// extents, interleaved with reads, syncs, and drops followed by a
+    /// re-open.  Between syncs the file may run on into a reservation,
+    /// never more than 64 KiB past the appended length; after every sync
+    /// and drop it is exactly the model.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn std_fs_appends_answer_like_a_vec() {
+        const EXTENT: u64 = 64 << 10;
+        let dir = scratch_dir("appends");
+        let path = dir.join("log");
+        let fs = StdFs;
+        let mut model: Vec<u8> = Vec::new();
+        let mut handle = fs.create(&path).expect("create");
+        let mut draw = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |below: u64| {
+            draw = draw.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+            (draw >> 33) % below
+        };
+        let (mut syncs, mut reopens) = (0, 0);
+        for step in 0..2_000 {
+            match next(100) {
+                0..=79 => {
+                    let len = match next(100) {
+                        0..=64 => 1 + next(64),
+                        65..=74 => 1_000 + next(50),
+                        75..=89 => 1 + next(3_000),
+                        90..=92 => 60_000 + next(10_000),
+                        _ => 0,
+                    };
+                    let data: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                    handle.append(&data).expect("append");
+                    model.extend_from_slice(&data);
+                }
+                80..=89 => {
+                    let len = model.len() as u64;
+                    let offset = next(len + 1);
+                    let mut buf = vec![0u8; next(len - offset + 1) as usize];
+                    handle.read_at(&mut buf, offset).expect("read inside");
+                    assert_eq!(buf[..], model[offset as usize..offset as usize + buf.len()]);
+                    let past = handle.read_at(&mut [0u8; 1], len).expect_err("read past");
+                    assert_eq!(past.kind(), io::ErrorKind::UnexpectedEof, "step {step}");
+                }
+                90..=94 => {
+                    if step % 2 == 0 {
+                        handle.sync_data().expect("sync_data");
+                    } else {
+                        handle.sync_all().expect("sync_all");
+                    }
+                    syncs += 1;
+                    assert_eq!(
+                        on_disk(&path),
+                        (model.clone(), model.len() as u64),
+                        "step {step}"
+                    );
+                }
+                _ => {
+                    drop(handle);
+                    reopens += 1;
+                    assert_eq!(
+                        on_disk(&path),
+                        (model.clone(), model.len() as u64),
+                        "step {step}"
+                    );
+                    handle = fs.open_append(&path, model.len() as u64).expect("reopen");
+                }
+            }
+            assert_eq!(handle.len().expect("len"), model.len() as u64);
+            let file_len = std::fs::metadata(&path).expect("stat").len();
+            let reserved = file_len - model.len() as u64;
+            assert!(reserved <= EXTENT, "step {step}: {reserved} bytes reserved");
+        }
+        assert!(
+            syncs > 50 && reopens > 50,
+            "{syncs} syncs, {reopens} reopens"
+        );
+        assert!(model.len() > 4 * EXTENT as usize, "{} bytes", model.len());
+        drop(handle);
+        assert_eq!(on_disk(&path), (model.clone(), model.len() as u64));
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+
+    /// Where the mapping is built, a small append — the second since the
+    /// handle opened or synced — reserves the extent it lands in, a large
+    /// one or one crossing the extent's end is written at the end, and a
+    /// sync or a drop cuts the reservation off.
+    #[test]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[cfg_attr(miri, ignore)]
+    fn small_appends_reserve_one_extent_at_a_time() {
+        use mapped::appender::{EXTENT, MAPPED_APPEND_BELOW};
+        let dir = scratch_dir("extent");
+        let path = dir.join("log");
+        let file_len = || std::fs::metadata(&path).expect("stat").len();
+        let mut handle = StdFs.create(&path).expect("create");
+        let mut model = Vec::new();
+        let mut append = |handle: &mut Box<dyn StorageFile>, len: usize| {
+            let data: Vec<u8> = (0..len).map(|i| (model.len() + i) as u8 | 1).collect();
+            handle.append(&data).expect("append");
+            model.extend_from_slice(&data);
+            model.len() as u64
+        };
+
+        assert_eq!(append(&mut handle, 28), 28);
+        assert_eq!(file_len(), 28, "the first small append is written");
+        assert_eq!(append(&mut handle, 28), 56);
+        assert_eq!(file_len(), EXTENT, "the second reserves its extent");
+        let mut past = [0u8; 1];
+        let error = handle.read_at(&mut past, 56).expect_err("past the appends");
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        handle.sync_data().expect("sync");
+        assert_eq!(file_len(), 56, "a sync cuts the reservation off");
+        append(&mut handle, 28);
+        assert_eq!(
+            file_len(),
+            84,
+            "the first small append after a sync is written"
+        );
+        append(&mut handle, 28);
+        assert_eq!(file_len(), EXTENT, "the second reserves again");
+        let len = append(&mut handle, MAPPED_APPEND_BELOW);
+        assert_eq!(file_len(), EXTENT, "a large append inside it keeps it");
+        // Up to 10 bytes short of the extent's end, then 20 across it: the
+        // crossing append is written at the end, past the reservation.
+        let len = append(&mut handle, (EXTENT - 10 - len) as usize);
+        assert_eq!(len, EXTENT - 10);
+        let len = append(&mut handle, 20);
+        assert_eq!(file_len(), len, "an append crossing the extent is written");
+        append(&mut handle, 5);
+        assert_eq!(
+            file_len(),
+            2 * EXTENT,
+            "the next small append reserves the next extent"
+        );
+        let mut all = vec![0u8; model.len()];
+        handle.read_at(&mut all, 0).expect("read back");
+        assert_eq!(all, model);
+        drop(handle);
+        assert_eq!(
+            on_disk(&path),
+            (model.clone(), model.len() as u64),
+            "a drop cuts"
+        );
         std::fs::remove_dir_all(&dir).expect("clean up");
     }
 

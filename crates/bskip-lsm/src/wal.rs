@@ -23,16 +23,26 @@
 //!
 //! # Durability contract
 //!
-//! [`WalWriter::append`] issues the whole frame as a single append
-//! before the operation is acknowledged, so an acknowledged write survives
-//! process death (it is in the kernel page cache) — and with
-//! [`SyncPolicy::Always`] also power loss (`fdatasync` per append).
-//! Recovery ([`read_segment`]) walks frames until the first torn or
-//! corrupt one — a short header, a length running past EOF, or a CRC
-//! mismatch — and reports the byte length of the valid prefix; the engine
-//! truncates the segment there and resumes appending, which is exactly the
-//! "lose nothing acknowledged, tolerate a torn tail" guarantee the crash
-//! tests assert.
+//! [`WalWriter::append`] hands the whole frame to one
+//! [`StorageFile::append`] before the operation is acknowledged, so an
+//! acknowledged write survives process death — and with
+//! [`SyncPolicy::Always`] also power loss (`fdatasync` per append).  Over
+//! [`crate::StdFs`] on 64-bit Linux that append is a copy into a shared
+//! mapping of a reserved extent of the segment, which is the kernel page
+//! cache just as a `write(2)` would be; elsewhere it is one `write(2)`.
+//!
+//! A segment written through a mapping runs on into up to 64 KiB of
+//! zeros past its last frame until the writer syncs or drops, so after
+//! process death a live segment can end in zeros.  No frame starts with
+//! eight zero bytes — a payload is never empty, and [`WalWriter`] refuses
+//! one — so recovery ([`read_segment`]) reads frames up to the first
+//! all-zero frame header, or to the first torn or corrupt frame — a short
+//! header, a length running past EOF, or a CRC mismatch — and reports the
+//! byte length of the valid prefix.  Zeros to the end of the file are a
+//! clean end; anything else after the valid prefix is a torn tail.  The
+//! engine truncates the segment there and resumes appending, which is
+//! exactly the "lose nothing acknowledged, tolerate a torn tail"
+//! guarantee the crash tests assert.
 //!
 //! All file access goes through the [`Storage`] trait, so the same code
 //! runs over the real filesystem ([`crate::StdFs`]) and the
@@ -211,7 +221,9 @@ impl WalWriter {
     }
 
     /// Appends one framed record; the operation is acknowledged when this
-    /// returns.  Returns the frame size in bytes.
+    /// returns.  Returns the frame size in bytes.  An empty `payload` is
+    /// an [`io::ErrorKind::InvalidInput`] error: its frame would be eight
+    /// zero bytes, which replay reads as the end of the segment.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.append_with(|frame| frame.extend_from_slice(payload))
     }
@@ -232,6 +244,12 @@ impl WalWriter {
         self.frame.extend_from_slice(&[0; FRAME_HEADER]);
         payload(&mut self.frame);
         let (header, payload) = self.frame.split_at_mut(FRAME_HEADER);
+        if payload.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "empty WAL record",
+            ));
+        }
         assert!(
             payload.len() as u64 <= MAX_RECORD as u64,
             "oversized record"
@@ -273,39 +291,39 @@ pub struct SegmentScan {
     /// Byte length of the valid prefix (truncate the file here to drop a
     /// torn tail).
     pub valid_len: u64,
-    /// Whether a torn or corrupt tail was detected after the valid prefix.
+    /// Whether a torn or corrupt tail was detected after the valid prefix
+    /// (zeros to the end of the file are not one).
     pub torn_tail: bool,
 }
 
-/// Reads a segment, stopping at the first torn or corrupt frame.
+/// Reads a segment, stopping at the first all-zero frame header or the
+/// first torn or corrupt frame.
 pub fn read_segment(storage: &dyn Storage, path: &Path) -> io::Result<SegmentScan> {
     let bytes = storage.read(path)?;
     let mut records = Vec::new();
     let mut at = 0usize;
-    let mut torn_tail = false;
-    loop {
-        if at == bytes.len() {
-            break;
+    let torn_tail = loop {
+        let rest = &bytes[at..];
+        if rest[..rest.len().min(FRAME_HEADER)].iter().all(|&b| b == 0) {
+            // The end of the file, or of the frames: what follows is the
+            // zero tail of a reserved extent, torn only if not all zero.
+            break rest.iter().any(|&b| b != 0);
         }
-        if bytes.len() - at < FRAME_HEADER {
-            torn_tail = true;
-            break;
+        if rest.len() < FRAME_HEADER {
+            break true;
         }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        let body_start = at + FRAME_HEADER;
-        if len > MAX_RECORD || bytes.len() - body_start < len as usize {
-            torn_tail = true;
-            break;
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(rest[4..FRAME_HEADER].try_into().unwrap());
+        if len > MAX_RECORD || rest.len() - FRAME_HEADER < len as usize {
+            break true;
         }
-        let payload = &bytes[body_start..body_start + len as usize];
+        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len as usize];
         if crc32(payload) != crc {
-            torn_tail = true;
-            break;
+            break true;
         }
         records.push(payload.to_vec());
-        at = body_start + len as usize;
-    }
+        at += FRAME_HEADER + len as usize;
+    };
     Ok(SegmentScan {
         records,
         valid_len: at as u64,
@@ -372,7 +390,70 @@ mod tests {
         assert_eq!(scan.records, payloads);
         assert!(!scan.torn_tail);
         assert_eq!(scan.valid_len, writer.bytes());
+        // A dropped writer leaves the file exactly as long as its frames.
+        let bytes = writer.bytes();
+        drop(writer);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn frames_followed_by_zeros_end_cleanly() {
+        let fs = FaultFs::new();
+        let frames_path = PathBuf::from("/db/frames.log");
+        let mut writer = WalWriter::create(&fs, &frames_path, SyncPolicy::Never).unwrap();
+        let payloads: Vec<Vec<u8>> = (1..=5u8).map(|i| vec![i; 3 * i as usize]).collect();
+        for payload in &payloads {
+            writer.append(payload).unwrap();
+        }
+        let frames = fs.live_contents(&frames_path).unwrap();
+        let scan_of = |tail: &[u8]| {
+            let path = PathBuf::from("/db/tail.log");
+            let mut file = fs.create(&path).unwrap();
+            file.append(&frames).unwrap();
+            file.append(tail).unwrap();
+            read_segment(&fs, &path).unwrap()
+        };
+        // Zeros of any length — none, a partial header, a whole one, a
+        // reserved extent's worth — end the segment after its last frame.
+        for zeros in [0, 1, FRAME_HEADER - 1, FRAME_HEADER, 100, 64 << 10] {
+            let scan = scan_of(&vec![0; zeros]);
+            assert_eq!(scan.records, payloads, "{zeros} zeros");
+            assert_eq!(scan.valid_len, frames.len() as u64, "{zeros} zeros");
+            assert!(!scan.torn_tail, "{zeros} zeros are a clean end");
+        }
+        // A non-zero byte anywhere in the zeros makes the tail torn, and
+        // still loses no frame before it.
+        for (zeros, flip) in [(100, 0), (100, FRAME_HEADER), (100, 99), (64 << 10, 40_000)] {
+            let mut tail = vec![0; zeros];
+            tail[flip] = 1;
+            let scan = scan_of(&tail);
+            assert_eq!(scan.records, payloads, "byte {flip} of {zeros}");
+            assert_eq!(
+                scan.valid_len,
+                frames.len() as u64,
+                "byte {flip} of {zeros}"
+            );
+            assert!(scan.torn_tail, "byte {flip} of {zeros} is a torn tail");
+        }
+    }
+
+    #[test]
+    fn an_empty_record_is_refused() {
+        let fs = FaultFs::new();
+        let path = PathBuf::from("/db/wal-00000001.log");
+        let mut writer = WalWriter::create(&fs, &path, SyncPolicy::Never).unwrap();
+        writer.append(b"one").unwrap();
+        let (bytes, writes) = (writer.bytes(), fs.write_count());
+        let error = writer.append(&[]).expect_err("an empty record");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
+        // Nothing reached the file, and the writer goes on.
+        assert_eq!((writer.bytes(), writer.records()), (bytes, 1));
+        assert_eq!(fs.write_count(), writes);
+        writer.append(b"two").unwrap();
+        let scan = read_segment(&fs, &path).unwrap();
+        assert_eq!(scan.records, vec![b"one".to_vec(), b"two".to_vec()]);
+        assert!(!scan.torn_tail);
     }
 
     #[test]

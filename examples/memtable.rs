@@ -57,7 +57,7 @@ fn main() {
         std::thread::scope(|scope| {
             // Bulk writers: group-commit ingest.  Each full batch goes
             // through `execute`, which the engine turns into ONE framed WAL
-            // record (one `write(2)`) and one bulk apply into the
+            // record (one storage append) and one bulk apply into the
             // B-skiplist memtable — the write shape LevelDB calls a
             // WriteBatch.  Tombstones ride along as deletes.
             for writer in 0..writers {
