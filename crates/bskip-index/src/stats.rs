@@ -155,19 +155,13 @@ type ReclamationField = (
 /// names and kinds; export and read-back both walk it.  `backlog` is a
 /// level and `epoch` a clock (an aggregate over shards reports the most
 /// advanced collector); everything else counts events.
-const RECLAMATION_FIELDS: [ReclamationField; 9] = [
+const RECLAMATION_FIELDS: [ReclamationField; 7] = [
     ("ebr_retired", StatKind::Counter, |s| &mut s.retired),
     ("ebr_freed", StatKind::Counter, |s| &mut s.freed),
     ("ebr_backlog", StatKind::Gauge, |s| &mut s.backlog),
     ("ebr_epoch", StatKind::Max, |s| &mut s.epoch),
     ("ebr_advances", StatKind::Counter, |s| &mut s.advances),
     ("ebr_pins", StatKind::Counter, |s| &mut s.pins),
-    ("ebr_slot_cache_hits", StatKind::Counter, |s| {
-        &mut s.slot_cache_hits
-    }),
-    ("ebr_slot_registrations", StatKind::Counter, |s| {
-        &mut s.slot_registrations
-    }),
     ("ebr_overflow_pins", StatKind::Counter, |s| {
         &mut s.overflow_pins
     }),
@@ -314,8 +308,6 @@ mod tests {
             epoch: 7,
             advances: 6,
             pins: 1_000,
-            slot_cache_hits: 990,
-            slot_registrations: 10,
             overflow_pins: 0,
         };
         let stats = IndexStats::new()
@@ -323,7 +315,7 @@ mod tests {
             .with_reclamation(reclamation);
         assert_eq!(stats.get("finds"), Some(1));
         assert_eq!(stats.get("ebr_backlog"), Some(10));
-        assert_eq!(stats.len(), 10);
+        assert_eq!(stats.len(), 8);
         assert_eq!(stats.reclamation(), Some(reclamation));
         // Indices without a collector export no reclamation block.
         assert_eq!(IndexStats::new().with("keys", 3).reclamation(), None);

@@ -770,12 +770,7 @@ impl FaultFs {
         self.lock().crash_at = Some(at);
     }
 
-    /// Crash immediately: every mutating op fails until `reboot`.
-    pub fn crash_now(&self) {
-        self.lock().crashed = true;
-    }
-
-    /// Whether a scheduled or explicit crash has fired.
+    /// Whether a scheduled crash has fired.
     pub fn crashed(&self) -> bool {
         self.lock().crashed
     }

@@ -135,11 +135,6 @@ impl Connection {
         Ok(())
     }
 
-    /// The resolved peer address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// The configured in-flight window.
     pub fn window(&self) -> usize {
         self.window

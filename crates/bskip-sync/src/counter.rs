@@ -1,8 +1,9 @@
 //! Relaxed statistics counters and the striped size counter.
 
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
+use crate::thread_index::thread_index;
 use crate::CachePadded;
 
 /// A monotonically increasing event counter with relaxed memory ordering.
@@ -83,25 +84,15 @@ impl Clone for RelaxedCounter {
 /// Number of cells a [`StripedCounter`] spreads its count over.
 const CELLS: usize = 16;
 
-/// Hands out cells round-robin, one per thread on its first `add`.  A
-/// ticket rather than a hash of the thread-local's address: every thread
-/// lays its thread-locals out alike, so such hashes can collide
-/// systematically, while tickets keep `CELLS` consecutive threads apart.
-static NEXT_CELL: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's cell, the same in every [`StripedCounter`].
-    static CELL: usize = NEXT_CELL.fetch_add(1, Ordering::Relaxed) % CELLS;
-}
-
 /// A signed count spread over 16 cache-padded cells, one per thread.
 ///
 /// An index's size changes on every fresh insert and every removal, from
 /// every writer.  One shared word would move that cache line between
 /// cores on every write, so [`add`](Self::add) touches only the calling
 /// thread's cell and [`sum`](Self::sum) adds all of them.  A thread takes
-/// its cell round-robin on its first `add` to any striped counter, so 16
-/// threads that start one after another never share a cell.
+/// the cell its thread number picks (the same in every striped counter),
+/// and live threads hold distinct numbers, so up to 16 live threads never
+/// share a cell.
 /// A cell may go negative (a key one thread inserted, another removed);
 /// only the sum means anything.  The sum is exact once the writers are
 /// quiescent.  While they run it is approximate: the cells are read one
@@ -141,7 +132,7 @@ impl StripedCounter {
     /// Adds `delta` (which may be negative) to the calling thread's cell.
     #[inline]
     pub fn add(&self, delta: i64) {
-        let cell = CELL.with(|cell| *cell);
+        let cell = thread_index().unwrap_or(0) % CELLS;
         self.cells[cell].fetch_add(delta, Ordering::Relaxed);
     }
 

@@ -30,39 +30,33 @@
 //! backlog stays bounded by a small constant times the number of active
 //! participants — it does not grow with the total operation count.
 //!
-//! # Thread-local participant handles
+//! # A thread pins its own slot
 //!
-//! Pinning is the one EBR cost *every* operation pays, so it is engineered
-//! for the steady state: the first time a thread pins a given collector it
-//! claims a slot with a CAS scan (the **cold registration path**) and
-//! caches the slot in a thread-local registration table; every later pin
-//! by that thread reuses the cached slot — one uncontended publication
-//! store plus one validating load of the global epoch, no CAS, no scan.
-//! The slot word distinguishes three states:
+//! Pinning is the one EBR cost *every* operation pays, so it touches one
+//! slot and nothing else.  Every live thread holds a small process-wide
+//! number, claimed on its first pin and returned when it exits for a later
+//! thread to reuse, and slot *i* of every collector belongs to the thread
+//! holding number *i*.  A slot carries its owner's guard depth and pin
+//! count, which only the owner writes, and a word that is either `IDLE`
+//! (0) or, when odd, the advertised epoch `value >> 1`.  The outermost pin
+//! publishes the epoch — one publication store and one validating load, no
+//! compare-exchange, no scan, no table lookup.  A nested pin (a batched
+//! `execute` falling back to a point operation, a `get` under an open
+//! cursor) only raises the depth and shares the epoch already advertised,
+//! as crossbeam-epoch's re-entrant pins do.  The word returns to `IDLE`
+//! when the thread's last guard drops, in whatever order its guards drop;
+//! that is why a guard is not `Send`.
 //!
-//! * `VACANT` (0) — claimable by any thread's cold scan;
-//! * `IDLE` (2) — *owned* by a registered thread but not currently pinned;
-//!   invisible to `try_collect` (it does not block advancement) and not
-//!   claimable by other threads;
-//! * odd values — pinned, advertising epoch `value >> 1`.
+//! A thread's number is returned by a thread-local destructor, so a guard
+//! must not live in a thread-local: it could outlive the number, and the
+//! next thread to claim the number would share its slot.
 //!
-//! A registered slot returns to `IDLE` (not `VACANT`) on guard drop, and
-//! to `VACANT` when the owning thread exits (the thread-local table's
-//! destructor releases every registration) or when the collector itself is
-//! dropped first (registrations hold only a [`Weak`] reference to the slot
-//! array, so a late-exiting thread never touches freed memory).  Nested
-//! pins of the same collector on one thread — rare, but real: a batched
-//! `execute` falls back to a point operation mid-batch — find the cached
-//! slot busy and take the cold path with an *uncached* slot that drops
-//! back to `VACANT`.  [`EbrStats::slot_cache_hits`] /
-//! [`EbrStats::slot_registrations`] expose the split; under any
-//! steady-state workload the hits dominate.
-//!
-//! When every participant slot is taken, `pin` degrades instead of
-//! blocking: it hands out an **overflow-mode** guard that suspends all
-//! reclamation (no bag is drained while any overflow guard is alive,
-//! though the epoch counter itself may still move) until the guard
-//! population drops back under the slot count; see [`EbrCollector::pin`].
+//! A thread whose number is at or beyond the slot count (more threads
+//! alive at once than slots), or that pins while its thread-locals are
+//! torn down, does not block: it gets an **overflow-mode** guard that
+//! suspends all reclamation (no bag is drained while any overflow guard is
+//! alive, though the epoch counter itself may still move) until the guard
+//! drops; see [`EbrCollector::pin`].
 //!
 //! # Grace period
 //!
@@ -85,33 +79,25 @@
 //! it only happens when a remove empties a whole node), and collectors are
 //! owned per index instance so dropping the index drains everything.
 
+use core::marker::PhantomData;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Mutex;
 
-use crate::{Backoff, CachePadded};
+use crate::thread_index::thread_index;
+use crate::CachePadded;
 
-/// Default number of participant slots: the number of simultaneously
-/// pinned guards the collector tracks individually.  The workspace never
-/// holds more than a few guards per thread, so this accommodates far more
-/// threads than any benchmark configuration; guards beyond it fall back to
-/// the degraded overflow mode (see [`EbrCollector::pin`]).
+/// Default number of participant slots: the number of threads alive at
+/// once that pin the collector individually.  This accommodates far more
+/// threads than any benchmark configuration; threads beyond it fall back
+/// to the degraded overflow mode (see [`EbrCollector::pin`]).
 const SLOTS: usize = 256;
 
 /// Sentinel slot index marking an overflow-mode guard (one that holds the
 /// shared overflow pin instead of a participant slot).
 const OVERFLOW_SLOT: usize = usize::MAX;
 
-/// Slot word: claimable by any thread's cold registration scan.
-const VACANT: usize = 0;
-
-/// Slot word: owned by a registered thread, not currently pinned.  Even
-/// (so `try_collect` ignores it) and nonzero (so no CAS can claim it).
-const IDLE: usize = 2;
-
-/// Scan passes over the slot array before `pin` gives up and takes the
-/// overflow path.
-const PIN_ATTEMPTS: usize = 2;
+/// Slot word: not pinned.  Even, so `try_collect` ignores it.
+const IDLE: usize = 0;
 
 /// Retirements between amortized collection attempts.
 const RETIRES_PER_COLLECT: u64 = 64;
@@ -153,79 +139,23 @@ pub struct EbrStats {
     /// Number of successful epoch advancements.
     pub advances: u64,
     /// Guards created since construction ([`EbrCollector::pin`] calls,
-    /// including overflow-mode pins).  Lets callers verify that a batched
-    /// operation really pinned once rather than once per element.
+    /// nested and overflow-mode pins included).  Lets callers verify that
+    /// a batched operation really pinned once rather than once per element.
     pub pins: u64,
-    /// Pins served by a thread's cached participant slot — one
-    /// publication store, no CAS slot scan.  Under steady state this
-    /// dominates [`EbrStats::slot_registrations`].
-    pub slot_cache_hits: u64,
-    /// Cold-path slot claims that registered the slot as a thread's
-    /// cached participant handle (at most one per live thread per
-    /// collector; re-registration only happens after a thread exit
-    /// returns the slot).
-    pub slot_registrations: u64,
-    /// Overflow-mode pins taken because every slot was occupied.
+    /// Overflow-mode pins taken by threads without a slot.
     pub overflow_pins: u64,
 }
 
-/// The participant-slot array, shared between the collector and the
-/// thread-local registrations pointing into it.
-///
-/// Split out of [`EbrCollector`] behind an [`Arc`] so that a thread
-/// exiting *after* the collector was dropped can still resolve its cached
-/// registration: the registration holds a [`Weak`] reference, and when the
-/// upgrade fails there is no slot left to release.
-struct SlotArray {
-    /// `VACANT`, `IDLE` or `pinned_word(epoch)`; see the module docs.
-    slots: Box<[CachePadded<AtomicUsize>]>,
+/// The participant state of the one live thread whose number is this
+/// slot's position.  Only that thread writes `depth` and `pins`.
+struct Slot {
+    /// `IDLE` or `pinned_word(epoch)`; see the module docs.
+    word: AtomicUsize,
+    /// The owner's live guards on this slot; pinned while non-zero.
+    depth: AtomicUsize,
+    /// Guards this slot has served, summed by [`EbrCollector::stats`].
+    pins: AtomicU64,
 }
-
-/// One thread's cached claim on a participant slot of one collector.
-struct Registration {
-    /// Identity of the collector the slot belongs to (collector ids are
-    /// unique for the lifetime of the process, so a dead collector's id is
-    /// never reused even if its allocation address is).
-    collector_id: u64,
-    slots: Weak<SlotArray>,
-    slot: usize,
-}
-
-impl Drop for Registration {
-    fn drop(&mut self) {
-        // Thread exit (or table pruning): return the slot to the claimable
-        // pool.  Release publishes everything this thread's guards did
-        // before another thread can claim and re-publish the slot.  When
-        // the collector died first the upgrade fails and there is nothing
-        // to release.
-        if let Some(array) = self.slots.upgrade() {
-            array.slots[self.slot].store(VACANT, Ordering::Release);
-        }
-    }
-}
-
-thread_local! {
-    /// This thread's registrations, one per collector it has pinned.  The
-    /// table is a plain vector: a thread touches a handful of collectors
-    /// (one per index instance it operates on), and the lookup is a short
-    /// scan of ids.  Dead entries (collector dropped) are pruned on the
-    /// cold path.
-    static REGISTRATIONS: RefCell<Vec<Registration>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Outcome of the thread-local registration lookup in `pin`.
-enum CacheLookup {
-    /// The thread owns an idle slot for this collector: fast path.
-    Hit(usize),
-    /// The thread owns a slot but an outer guard is pinning it (nested
-    /// pin): cold path, and do not re-register.
-    Busy,
-    /// No registration for this collector yet: cold path, register.
-    Unregistered,
-}
-
-/// Process-unique collector ids; see [`Registration::collector_id`].
-static COLLECTOR_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// An epoch-based garbage collector for one concurrent data structure.
 ///
@@ -252,44 +182,25 @@ static COLLECTOR_IDS: AtomicU64 = AtomicU64::new(1);
 pub struct EbrCollector {
     /// Global epoch.
     global: CachePadded<AtomicUsize>,
-    /// Process-unique identity, matched against cached registrations.
-    id: u64,
-    /// Participant slots (shared with thread-local registrations).
-    slot_array: Arc<SlotArray>,
-    /// Per-slot pin counters (same indexing as the slot array); split from
-    /// the slot words and padded so counting a pin never contends with
-    /// another thread's slot access.
-    slot_pins: Box<[CachePadded<AtomicU64>]>,
+    /// Participant slots, indexed by thread number; padded so one thread's
+    /// pin never contends with another thread's slot.
+    slots: Box<[CachePadded<Slot>]>,
     /// Deferred-drop bags, indexed by `epoch % BAGS`.
     bags: [Mutex<Vec<Deferred>>; BAGS],
-    /// Guards currently alive in overflow mode (pinned while every slot
-    /// was taken).  While this is non-zero the global epoch is frozen:
-    /// overflow guards advertise no epoch of their own, so the only safe
-    /// course is to refuse advancement (and therefore all reclamation)
-    /// until they drop — degraded, but never unsound.
+    /// Guards currently alive in overflow mode (pinned by a thread with no
+    /// slot).  While this is non-zero no bag is drained: overflow guards
+    /// advertise no epoch of their own, so the only safe course is to
+    /// refuse all reclamation until they drop — degraded, but never
+    /// unsound.
     overflow_pins: CachePadded<AtomicUsize>,
     /// Total overflow-mode pins since construction.
     overflow_pin_total: AtomicU64,
-    /// Cold-path slot claims (CAS scans that found a vacant slot); the
-    /// complement of the cache hits, which are derived in [`Self::stats`]
-    /// so the fast path never touches a shared counter.
-    cold_pins: AtomicU64,
-    /// Cold-path claims that became cached registrations.
-    slot_registrations: AtomicU64,
     retired: AtomicU64,
     freed: AtomicU64,
     advances: AtomicU64,
     /// Retirements since the last collection attempt.
     since_collect: AtomicU64,
 }
-
-// SAFETY: all shared state is atomics or mutex-protected; `Deferred` is
-// `Send` (see above).
-unsafe impl Send for EbrCollector {}
-// SAFETY: every method takes `&self` and reaches shared state only through
-// atomics (epoch, slots, counters) or the bags' mutexes, so calls from many
-// threads at once never race on plain memory.
-unsafe impl Sync for EbrCollector {}
 
 impl Default for EbrCollector {
     fn default() -> Self {
@@ -303,31 +214,23 @@ impl EbrCollector {
         Self::with_slots(SLOTS)
     }
 
-    /// Creates a collector with an explicit participant-slot count.
-    ///
-    /// `new` uses a count that accommodates far more threads than any
-    /// realistic configuration; tests use small counts to exercise the
-    /// registration-release and overflow paths deterministically.
-    pub fn with_slots(slots: usize) -> Self {
-        assert!(slots > 0, "a collector needs at least one slot");
+    /// Creates a collector with `slots` participant slots; tests use small
+    /// counts (`0` included) to reach the overflow mode.
+    fn with_slots(slots: usize) -> Self {
         EbrCollector {
             global: CachePadded::new(AtomicUsize::new(0)),
-            id: COLLECTOR_IDS.fetch_add(1, Ordering::Relaxed),
-            slot_array: Arc::new(SlotArray {
-                slots: (0..slots)
-                    .map(|_| CachePadded::new(AtomicUsize::new(VACANT)))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            }),
-            slot_pins: (0..slots)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            slots: (0..slots)
+                .map(|_| {
+                    CachePadded::new(Slot {
+                        word: AtomicUsize::new(IDLE),
+                        depth: AtomicUsize::new(0),
+                        pins: AtomicU64::new(0),
+                    })
+                })
+                .collect(),
             bags: [const { Mutex::new(Vec::new()) }; BAGS],
             overflow_pins: CachePadded::new(AtomicUsize::new(0)),
             overflow_pin_total: AtomicU64::new(0),
-            cold_pins: AtomicU64::new(0),
-            slot_registrations: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             freed: AtomicU64::new(0),
             advances: AtomicU64::new(0),
@@ -345,83 +248,57 @@ impl EbrCollector {
     ///
     /// # Cost
     ///
-    /// The steady-state path — this thread has pinned this collector
-    /// before, and no other guard of this thread currently pins it — is a
-    /// thread-local table lookup plus one publication store and one
-    /// validating load of the global epoch.  No compare-exchange, no scan.
-    /// The first pin per (thread, collector) pair claims a slot with a CAS
-    /// scan and registers it; the slot is returned when the thread exits.
+    /// The thread's own slot, found by its thread number: for the
+    /// outermost guard, one publication store and one validating load of
+    /// the global epoch; for a nested guard, a load of the epoch the slot
+    /// already advertises.  No compare-exchange, no scan, no shared
+    /// counter.
     ///
     /// # Slot exhaustion
     ///
-    /// When every participant slot is taken (more than the slot count of
-    /// simultaneously live guards), `pin` does **not** block or panic: it
-    /// returns an *overflow-mode* guard after a couple of scan passes.
-    /// Overflow guards provide the full safety guarantee by suspending
-    /// reclamation for as long as any of them is alive — `try_collect`
-    /// refuses to drain any bag while an overflow pin is visible (checked
-    /// again after its epoch CAS, so racing collectors may advance the
-    /// counter but never free), and overflow retirements file under the
-    /// live epoch so the grace arithmetic holds even across such
-    /// advances.  No object can be freed, so every pointer an overflow
-    /// guard protects stays valid.  The cost is that reclamation stalls
-    /// (the retired backlog grows) until the guard population drops back
-    /// under the slot count; this degraded mode trades memory for
-    /// guaranteed progress.
+    /// A thread without a slot — more threads alive at once than the slot
+    /// count, or a pin during thread-local teardown — does **not** block
+    /// or panic: it gets an *overflow-mode* guard.  Overflow guards
+    /// provide the full safety guarantee by suspending reclamation for as
+    /// long as any of them is alive — `try_collect` refuses to drain any
+    /// bag while an overflow pin is visible (checked again after its epoch
+    /// CAS, so racing collectors may advance the counter but never free),
+    /// and overflow retirements file under the live epoch so the grace
+    /// arithmetic holds even across such advances.  No object can be
+    /// freed, so every pointer an overflow guard protects stays valid.
+    /// The cost is that reclamation stalls (the retired backlog grows)
+    /// until the overflow guards drop; this degraded mode trades memory
+    /// for guaranteed progress.
     pub fn pin(&self) -> EbrGuard<'_> {
-        match self.lookup_cached_slot() {
-            CacheLookup::Hit(slot) => {
-                // The only bookkeeping on the fast path is the per-slot
-                // (padded, thread-owned) pin counter: cache hits are
-                // *derived* in `stats()` as slotted pins minus cold
-                // claims, so steady-state pinning touches no shared
-                // counter line.
-                self.slot_pins[slot].fetch_add(1, Ordering::Relaxed);
-                let epoch = self.advertise(slot);
-                EbrGuard {
-                    collector: self,
-                    slot,
-                    epoch,
-                    release_word: IDLE,
-                }
-            }
-            CacheLookup::Busy => self.pin_cold(false),
-            CacheLookup::Unregistered => self.pin_cold(true),
+        let Some(slot) = thread_index().filter(|&index| index < self.slots.len()) else {
+            return self.pin_overflow();
+        };
+        let owned = &self.slots[slot];
+        // Only this thread writes its slot's depth and pin count, so a load
+        // and a store do what a `fetch_add` would.
+        owned
+            .pins
+            .store(owned.pins.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        let depth = owned.depth.load(Ordering::Relaxed);
+        owned.depth.store(depth + 1, Ordering::Relaxed);
+        let epoch = if depth == 0 {
+            self.advertise(&owned.word)
+        } else {
+            // Nested: the slot stays pinned at the outer guard's epoch
+            // until the last guard drops, which covers this guard too.
+            owned.word.load(Ordering::Relaxed) >> 1
+        };
+        EbrGuard {
+            collector: self,
+            slot,
+            epoch,
+            _not_send: PhantomData,
         }
     }
 
-    /// Consults the thread-local registration table for this collector.
-    fn lookup_cached_slot(&self) -> CacheLookup {
-        REGISTRATIONS
-            .try_with(|table| {
-                let table = table.borrow();
-                for registration in table.iter() {
-                    if registration.collector_id == self.id {
-                        // The slot word is written only by this thread
-                        // while registered (other threads can claim only
-                        // VACANT slots), so a relaxed read of our own
-                        // store suffices to tell idle from pinned.
-                        let word = self.slot_array.slots[registration.slot].load(Ordering::Relaxed);
-                        return if word == IDLE {
-                            CacheLookup::Hit(registration.slot)
-                        } else {
-                            CacheLookup::Busy
-                        };
-                    }
-                }
-                CacheLookup::Unregistered
-            })
-            // Thread-local storage is gone (pin during thread teardown):
-            // behave as an unregistered cold pin, minus the registration.
-            .unwrap_or(CacheLookup::Busy)
-    }
-
-    /// Publishes `slot` as pinned at the current global epoch and returns
+    /// Publishes `word` as pinned at the current global epoch and returns
     /// the epoch it settled on (the store-then-validate pin protocol).
-    ///
-    /// The caller must own `slot` (hold it `IDLE`, or have just claimed it
-    /// via CAS with any advertised epoch).
-    fn advertise(&self, slot: usize) -> usize {
+    fn advertise(&self, word: &AtomicUsize) -> usize {
         // The initial epoch read is only a guess, so Relaxed suffices: the
         // loop below re-publishes until a post-publication load agrees.
         let mut advertised = self.global.load(Ordering::Relaxed);
@@ -432,7 +309,7 @@ impl EbrCollector {
             // otherwise a collector could read the slot as idle *after*
             // this thread read the (old) epoch, advance twice, and free an
             // object the guard is about to reach.
-            self.slot_array.slots[slot].store(pinned_word(advertised), Ordering::SeqCst);
+            word.store(pinned_word(advertised), Ordering::SeqCst);
             let now = self.global.load(Ordering::SeqCst);
             if now == advertised {
                 return advertised;
@@ -441,57 +318,16 @@ impl EbrCollector {
         }
     }
 
-    /// The cold pin path: CAS-scan for a vacant slot (registering it as
-    /// this thread's cached handle when `register` holds), falling back to
-    /// an overflow-mode guard when every slot stays taken.
-    fn pin_cold(&self, register: bool) -> EbrGuard<'_> {
-        let slot_count = self.slot_array.slots.len();
-        let start = slot_hint(slot_count);
-        let mut backoff = Backoff::new();
-        for attempt in 0..PIN_ATTEMPTS {
-            let epoch = self.global.load(Ordering::Relaxed);
-            for offset in 0..slot_count {
-                let slot = (start + offset) % slot_count;
-                if self.slot_array.slots[slot]
-                    .compare_exchange(
-                        VACANT,
-                        pinned_word(epoch),
-                        Ordering::SeqCst,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    self.slot_pins[slot].fetch_add(1, Ordering::Relaxed);
-                    self.cold_pins.fetch_add(1, Ordering::Relaxed);
-                    let release_word = if register && self.register(slot) {
-                        self.slot_registrations.fetch_add(1, Ordering::Relaxed);
-                        IDLE
-                    } else {
-                        VACANT
-                    };
-                    let epoch = self.advertise(slot);
-                    return EbrGuard {
-                        collector: self,
-                        slot,
-                        epoch,
-                        release_word,
-                    };
-                }
-            }
-            // All slots taken; retry once after a pause in case another
-            // guard is just ending, then fall back to overflow mode.
-            if attempt + 1 < PIN_ATTEMPTS {
-                backoff.snooze();
-            }
-        }
-        // Overflow mode.  The guard advertises no epoch; safety instead
-        // comes from `try_collect` re-checking `overflow_pins` *after*
-        // its epoch CAS and refusing to drain while any overflow pin is
-        // visible — so in-flight collectors may keep advancing the
-        // counter, but nothing is freed while this guard lives.  Because
-        // the counter can run ahead, overflow retirements file under the
-        // *current* epoch at retire time (see [`EbrGuard::retire_box`]),
-        // not the value recorded here.
+    /// Pins a thread that has no slot: an overflow-mode guard.
+    fn pin_overflow(&self) -> EbrGuard<'_> {
+        // The guard advertises no epoch; safety instead comes from
+        // `try_collect` re-checking `overflow_pins` *after* its epoch CAS
+        // and refusing to drain while any overflow pin is visible — so
+        // in-flight collectors may keep advancing the counter, but nothing
+        // is freed while this guard lives.  Because the counter can run
+        // ahead, overflow retirements file under the *current* epoch at
+        // retire time (see [`EbrGuard::retire_box`]), not the value
+        // recorded here.
         self.overflow_pins.fetch_add(1, Ordering::SeqCst);
         self.overflow_pin_total.fetch_add(1, Ordering::Relaxed);
         let epoch = self.global.load(Ordering::SeqCst);
@@ -499,30 +335,8 @@ impl EbrCollector {
             collector: self,
             slot: OVERFLOW_SLOT,
             epoch,
-            release_word: VACANT,
+            _not_send: PhantomData,
         }
-    }
-
-    /// Records `slot` in the thread-local registration table.  Returns
-    /// whether the registration was stored (it is not during thread
-    /// teardown, when the table is already gone).
-    fn register(&self, slot: usize) -> bool {
-        REGISTRATIONS
-            .try_with(|table| {
-                let mut table = table.borrow_mut();
-                // The cold path only registers when the lookup found no
-                // entry, so no duplicate check is needed — but collectors
-                // come and go (one per index instance), so prune entries
-                // whose collector died to keep the table a handful long.
-                table.retain(|registration| registration.slots.strong_count() > 0);
-                table.push(Registration {
-                    collector_id: self.id,
-                    slots: Arc::downgrade(&self.slot_array),
-                    slot,
-                });
-                true
-            })
-            .unwrap_or(false)
     }
 
     /// Files a deferred drop under `epoch` and occasionally collects.
@@ -551,10 +365,9 @@ impl EbrCollector {
             return 0;
         }
         let epoch = self.global.load(Ordering::SeqCst);
-        for slot in self.slot_array.slots.iter() {
-            let value = slot.load(Ordering::SeqCst);
-            // Even words (VACANT and registered-but-IDLE) advertise no
-            // epoch and never block advancement.
+        for slot in self.slots.iter() {
+            let value = slot.word.load(Ordering::SeqCst);
+            // `IDLE` advertises no epoch and never blocks advancement.
             if value & 1 == 1 && (value >> 1) != epoch {
                 return 0; // A participant has not yet observed `epoch`.
             }
@@ -609,12 +422,11 @@ impl EbrCollector {
         let retired = self.retired.load(Ordering::Relaxed);
         let freed = self.freed.load(Ordering::Relaxed);
         let slotted_pins = self
-            .slot_pins
+            .slots
             .iter()
-            .map(|count| count.load(Ordering::Relaxed))
+            .map(|slot| slot.pins.load(Ordering::Relaxed))
             .sum::<u64>();
         let overflow_pins = self.overflow_pin_total.load(Ordering::Relaxed);
-        let cold_pins = self.cold_pins.load(Ordering::Relaxed);
         EbrStats {
             retired,
             freed,
@@ -622,12 +434,6 @@ impl EbrCollector {
             epoch: self.global.load(Ordering::Relaxed) as u64,
             advances: self.advances.load(Ordering::Relaxed),
             pins: slotted_pins + overflow_pins,
-            // Every slotted pin is either a cold CAS claim or a cached-slot
-            // reuse; deriving the hits here keeps the fast path free of any
-            // shared counter.  (Saturating: the relaxed counters may be
-            // read mid-pin in either order.)
-            slot_cache_hits: slotted_pins.saturating_sub(cold_pins),
-            slot_registrations: self.slot_registrations.load(Ordering::Relaxed),
             overflow_pins,
         }
     }
@@ -641,8 +447,6 @@ impl EbrCollector {
     ///
     /// `&mut self` guarantees no guard is alive (guards borrow the
     /// collector), so every bag can be drained regardless of epochs.
-    /// Registered-idle slots of live threads are no obstacle — they
-    /// advertise no epoch.
     pub fn drain_all(&mut self) {
         let mut freed = 0u64;
         for bag in &self.bags {
@@ -675,32 +479,23 @@ impl std::fmt::Debug for EbrCollector {
     }
 }
 
-/// Spreads cold-path `pin` scans across the slot array so threads do not
-/// all contend on slot 0.  Derived from the address of a thread-local, so
-/// it is stable per thread and needs no registration.
-fn slot_hint(slot_count: usize) -> usize {
-    thread_local! {
-        static HINT: u8 = const { 0 };
-    }
-    HINT.try_with(|hint| {
-        let address = hint as *const u8 as usize;
-        // Fibonacci hash of the TLS address.
-        address.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (usize::BITS - 8)
-    })
-    .unwrap_or(0)
-        % slot_count
-}
-
 /// An active participant handle; while alive, objects retired after its
 /// creation are not freed.  Created by [`EbrCollector::pin`], un-pins on
 /// drop.
+///
+/// A guard stays on the thread that pinned it, because its drop updates
+/// that thread's slot:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<bskip_sync::EbrGuard<'static>>();
+/// ```
 pub struct EbrGuard<'a> {
     collector: &'a EbrCollector,
     slot: usize,
     epoch: usize,
-    /// What the slot word returns to on drop: `IDLE` for the thread's
-    /// cached (registered) slot, `VACANT` for an uncached cold-path slot.
-    release_word: usize,
+    /// Makes the guard `!Send`.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl EbrGuard<'_> {
@@ -764,12 +559,17 @@ impl Drop for EbrGuard<'_> {
             // decides whether a drain saw this overflow pin.
             self.collector.overflow_pins.fetch_sub(1, Ordering::SeqCst);
         } else {
-            // Release suffices for un-pinning (cached slots return to
-            // IDLE, uncached ones to VACANT): the next epoch advance
-            // reads the word with SeqCst and only needs to observe that
-            // every access this guard protected happened-before the slot
-            // stopped advertising its epoch.
-            self.collector.slot_array.slots[self.slot].store(self.release_word, Ordering::Release);
+            let owned = &self.collector.slots[self.slot];
+            let depth = owned.depth.load(Ordering::Relaxed) - 1;
+            owned.depth.store(depth, Ordering::Relaxed);
+            if depth == 0 {
+                // The thread's last guard.  Release suffices for
+                // un-pinning: the next epoch advance reads the word with
+                // SeqCst and only needs to observe that every access the
+                // guards protected happened-before the slot stopped
+                // advertising its epoch.
+                owned.word.store(IDLE, Ordering::Release);
+            }
         }
     }
 }
@@ -856,34 +656,20 @@ mod tests {
     }
 
     #[test]
-    fn same_thread_pins_reuse_the_registered_slot() {
-        let collector = EbrCollector::new();
-        for _ in 0..5 {
-            drop(collector.pin());
-        }
-        let stats = collector.stats();
-        assert_eq!(stats.pins, 5);
-        assert_eq!(
-            stats.slot_registrations, 1,
-            "one cold registration per (thread, collector)"
-        );
-        assert_eq!(
-            stats.slot_cache_hits, 4,
-            "every pin after the first must hit the cached slot"
-        );
-        assert_eq!(stats.overflow_pins, 0);
-    }
-
-    #[test]
-    fn nested_pins_take_an_uncached_slot_and_protect_independently() {
+    fn nested_guards_share_the_slot_until_the_inner_one_drops() {
         let collector = EbrCollector::new();
         let drops = Arc::new(StdAtomicUsize::new(0));
         let outer = collector.pin();
-        let inner = collector.pin(); // cached slot busy: cold, uncached
+        let inner = collector.pin();
+        assert_eq!(
+            inner.epoch(),
+            outer.epoch(),
+            "a nested pin shares the epoch"
+        );
         retire_counted(&inner, &drops);
         drop(inner);
         // The outer guard still pins its epoch: nothing may be freed.
-        for _ in 0..8 {
+        for _ in 0..2 * BAGS {
             collector.try_collect();
         }
         assert_eq!(drops.load(Ordering::Relaxed), 0);
@@ -894,51 +680,24 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 1);
         let stats = collector.stats();
         assert_eq!(stats.pins, 2);
-        assert_eq!(stats.slot_registrations, 1);
-        assert_eq!(stats.slot_cache_hits, 0, "both pins found the slot cold");
-        // The registered slot is idle again: the next pin is a cache hit.
-        drop(collector.pin());
-        assert_eq!(collector.stats().slot_cache_hits, 1);
+        assert_eq!(stats.overflow_pins, 0, "a nested pin needs no second slot");
     }
 
     #[test]
-    fn thread_exit_returns_the_slot() {
-        // One single slot: if a thread's registration were not released on
-        // exit, every later thread would be forced into overflow mode.
-        let collector = Arc::new(EbrCollector::with_slots(1));
-        for round in 0..3 {
-            let worker = Arc::clone(&collector);
-            std::thread::spawn(move || {
-                drop(worker.pin());
-                drop(worker.pin());
-            })
-            .join()
-            .unwrap();
-            let stats = collector.stats();
-            assert_eq!(
-                stats.overflow_pins, 0,
-                "round {round}: exited threads must return their slot"
-            );
-        }
-        let stats = collector.stats();
-        assert_eq!(stats.pins, 6);
-        assert_eq!(stats.slot_registrations, 3, "one registration per thread");
-        assert_eq!(stats.slot_cache_hits, 3, "second pin of each thread hits");
-    }
-
-    #[test]
-    fn occupied_singleton_slot_overflows_safely() {
-        let collector = EbrCollector::with_slots(1);
+    fn nested_guards_dropped_outer_first_keep_the_slot_pinned() {
+        let collector = EbrCollector::new();
         let drops = Arc::new(StdAtomicUsize::new(0));
-        let outer = collector.pin(); // claims + registers the only slot
-        let inner = collector.pin(); // no slot left: overflow mode
-        assert_eq!(collector.stats().overflow_pins, 1);
+        let outer = collector.pin();
+        let inner = collector.pin();
         retire_counted(&inner, &drops);
-        for _ in 0..4 {
-            assert_eq!(collector.try_collect(), 0, "overflow freezes reclamation");
-        }
-        drop(inner);
+        // Dropping the outer guard first must not un-pin the slot the
+        // inner guard still relies on.
         drop(outer);
+        for _ in 0..2 * BAGS {
+            collector.try_collect();
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(inner);
         for _ in 0..2 * BAGS {
             collector.try_collect();
         }
@@ -947,18 +706,26 @@ mod tests {
     }
 
     #[test]
-    fn dead_collector_registrations_are_pruned_not_dereferenced() {
-        // A thread that registered with a collector that has since been
-        // dropped must neither crash at exit nor leak table entries: the
-        // weak upgrade fails and the next cold pin prunes the entry.
-        let first = Box::new(EbrCollector::new());
-        drop(first.pin());
-        drop(first); // slot array freed; our registration now dangles
-        let second = EbrCollector::new();
-        drop(second.pin()); // cold path prunes the dead entry, registers
-        assert_eq!(second.stats().slot_registrations, 1);
-        drop(second.pin());
-        assert_eq!(second.stats().slot_cache_hits, 1);
+    fn a_collector_without_slots_pins_in_overflow_mode_safely() {
+        let collector = EbrCollector::with_slots(0);
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let outer = collector.pin();
+        let inner = collector.pin();
+        assert_eq!(collector.stats().overflow_pins, 2);
+        retire_counted(&inner, &drops);
+        for _ in 0..4 {
+            assert_eq!(collector.try_collect(), 0, "overflow freezes reclamation");
+        }
+        drop(inner);
+        for _ in 0..4 {
+            assert_eq!(collector.try_collect(), 0, "one overflow guard is enough");
+        }
+        drop(outer);
+        for _ in 0..2 * BAGS {
+            collector.try_collect();
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(collector.stats().backlog, 0);
     }
 
     // Long-running stress case; Miri runs the short protocol tests only.
@@ -980,9 +747,7 @@ mod tests {
             "backlog {} did not stay bounded",
             stats.backlog
         );
-        // Steady-state pinning must be pure cache hits.
-        assert_eq!(stats.slot_registrations, 1);
-        assert_eq!(stats.slot_cache_hits, 10_000 - 1);
+        assert_eq!(stats.overflow_pins, 0);
     }
 
     // Long-running stress case; Miri runs the short protocol tests only.
@@ -1012,9 +777,7 @@ mod tests {
             drops.load(Ordering::Relaxed) as u64,
             "freed counter must match actual drops"
         );
-        // Every thread registers once; everything else is cache hits.
-        assert_eq!(stats.slot_registrations, threads);
-        assert_eq!(stats.slot_cache_hits, threads * (per_thread - 1));
+        assert_eq!(stats.pins, threads * per_thread);
         assert_eq!(stats.overflow_pins, 0);
         // Quiescent: a handful of collections drain everything.
         for _ in 0..BAGS {
@@ -1024,8 +787,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed) as u64, threads * per_thread);
     }
 
-    // Spawns hundreds of OS threads; too slow under Miri (the singleton
-    // variant `thread_exit_returns_the_slot` keeps Miri coverage).
+    // Spawns hundreds of OS threads; too slow under Miri.
     #[cfg(not(miri))]
     #[test]
     fn sequential_thread_churn_never_exhausts_the_slots() {
@@ -1039,53 +801,66 @@ mod tests {
         }
         let stats = collector.stats();
         assert_eq!(stats.pins, total as u64);
-        assert_eq!(stats.slot_registrations, total as u64);
         assert_eq!(
             stats.overflow_pins, 0,
-            "released slots must be re-claimable across more than SLOTS thread lifetimes"
+            "exited threads' numbers must be reused across more than SLOTS thread lifetimes"
         );
     }
 
     #[test]
-    fn many_simultaneous_guards_fit_in_the_slot_array() {
+    fn many_nested_guards_share_one_slot() {
         let collector = EbrCollector::new();
-        let guards: Vec<_> = (0..64).map(|_| collector.pin()).collect();
+        let guards: Vec<_> = (0..SLOTS + 40).map(|_| collector.pin()).collect();
         assert!(guards.iter().all(|g| g.epoch() == guards[0].epoch()));
         drop(guards);
         collector.try_collect();
         assert!(collector.stats().epoch >= 1);
-        assert_eq!(collector.stats().pins, 64);
+        assert_eq!(collector.stats().pins, (SLOTS + 40) as u64);
+        assert_eq!(collector.stats().overflow_pins, 0);
     }
 
-    // Scans the full slot array hundreds of times; too slow under Miri.
+    // Spawns threads that wait at barriers; kept off Miri with the other
+    // thread-heavy cases.
     #[cfg(not(miri))]
     #[test]
-    fn slot_exhaustion_falls_back_to_a_safe_overflow_mode() {
-        let collector = EbrCollector::new();
+    fn threads_beyond_the_slot_count_overflow_safely() {
+        let collector = EbrCollector::with_slots(2);
         let drops = Arc::new(StdAtomicUsize::new(0));
-        // Register far more simultaneous guards than there are slots; this
-        // must neither panic nor spin forever.
-        let total = SLOTS + 40;
-        let guards: Vec<_> = (0..total).map(|_| collector.pin()).collect();
-        assert_eq!(collector.stats().pins, total as u64);
-        assert_eq!(collector.stats().overflow_pins, 40);
-        // Overflow guards still support retirement, and their protection
-        // holds: with the epoch frozen, nothing can be freed.
-        retire_counted(guards.last().unwrap(), &drops);
-        let epoch_before = collector.stats().epoch;
-        for _ in 0..8 {
-            assert_eq!(collector.try_collect(), 0, "epoch must be frozen");
-        }
-        assert_eq!(collector.stats().epoch, epoch_before);
-        assert_eq!(drops.load(Ordering::Relaxed), 0);
-        // Dropping back under the slot count unfreezes the epoch and lets
-        // the backlog drain at the next quiescent point.
-        drop(guards);
+        let threads = 6;
+        let pinned = std::sync::Barrier::new(threads + 1);
+        let checked = std::sync::Barrier::new(threads + 1);
+        // Measured while every guard is alive, asserted after the threads
+        // are released (a failed assertion inside would leave them waiting).
+        let (overflow_pins, freed) = std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    let guard = collector.pin();
+                    retire_counted(&guard, &drops);
+                    pinned.wait();
+                    checked.wait();
+                });
+            }
+            pinned.wait();
+            let overflow_pins = collector.stats().overflow_pins;
+            for _ in 0..2 * BAGS {
+                collector.try_collect();
+            }
+            let freed = drops.load(Ordering::Relaxed);
+            checked.wait();
+            (overflow_pins, freed)
+        });
+        // At most two of the six live threads hold a number below the slot
+        // count; the rest pinned in overflow mode, and their protection
+        // held: nothing was freed.
+        assert!(overflow_pins >= 4, "{overflow_pins} overflow pins");
+        assert_eq!(freed, 0, "overflow freezes reclamation");
+        // Every guard has dropped: the next quiescent point drains it all.
         for _ in 0..2 * BAGS {
             collector.try_collect();
         }
-        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), threads);
         assert_eq!(collector.stats().backlog, 0);
+        assert_eq!(collector.stats().pins, threads as u64);
         // The collector is fully usable after the episode.
         let guard = collector.pin();
         retire_counted(&guard, &drops);

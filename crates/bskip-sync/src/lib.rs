@@ -24,8 +24,8 @@
 //!   (root-write-lock counts, horizontal steps per level, ...).
 //! * [`StripedCounter`] — a signed count over 16 per-thread cache-padded
 //!   cells, for a count every writer changes on its hot path, such as an
-//!   index's size: an `add` touches only the caller's cell, so writers on
-//!   different cores share no line.  Use it instead of [`RelaxedCounter`]
+//!   index's size: an `add` touches only the caller's cell, so up to 16
+//!   live writers share no line.  Use it instead of [`RelaxedCounter`]
 //!   when many threads write the count and few read it; keep
 //!   [`RelaxedCounter`] for statistics (one word, `reset`, high-water marks).
 //! * [`SpinLatch`] — a tiny one-shot latch used by tests and the NHS-style
@@ -33,7 +33,13 @@
 //! * [`EbrCollector`] / [`EbrGuard`] — epoch-based memory reclamation: the
 //!   deferred-drop machinery that lets every index physically unlink and
 //!   eventually free removed nodes while lock-free readers and paused
-//!   cursors may still hold pointers to them.  See [`ebr`] for the scheme.
+//!   cursors may still hold pointers to them.  A pin touches only the
+//!   calling thread's own slot.  See [`ebr`] for the scheme.
+//!
+//! Both per-thread structures are plain arrays indexed by a small number
+//! each live thread holds: claimed on its first use, returned when the
+//! thread exits, and reused by later threads, so no two live threads share
+//! one and the numbers stay below the peak count of live threads.
 //!
 //! All primitives are `no_std`-friendly in spirit (they only rely on
 //! `core::sync::atomic` plus `std::thread::yield_now` for politeness under
@@ -54,6 +60,7 @@ mod latch;
 mod padded;
 pub mod racy;
 mod rwlock;
+mod thread_index;
 
 pub use backoff::Backoff;
 pub use counter::{RelaxedCounter, StripedCounter};

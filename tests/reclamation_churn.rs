@@ -79,22 +79,8 @@ where
     assert_eq!(settled.freed, settled.retired);
     assert!(index.is_empty(), "every inserted key was removed");
 
-    // Steady-state pinning must go through the thread-local participant
-    // handles: tens of thousands of pins, a handful of registrations (one
-    // per thread), and the overwhelming majority cache hits — never a CAS
-    // slot scan, never the reclamation-suspending overflow mode.
-    assert!(
-        settled.slot_cache_hits > settled.pins / 2,
-        "cache hits must dominate pins ({} of {})",
-        settled.slot_cache_hits,
-        settled.pins
-    );
-    assert!(
-        settled.slot_registrations <= 2 * THREADS,
-        "at most one registration per churn thread (plus maintenance \
-         threads), got {}",
-        settled.slot_registrations
-    );
+    // Every pin went through the pinning thread's own slot — never the
+    // reclamation-suspending overflow mode.
     assert_eq!(settled.overflow_pins, 0);
 
     // The index stays fully usable after heavy churn.
