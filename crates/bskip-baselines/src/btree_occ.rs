@@ -199,13 +199,16 @@ struct Node<K, V, const F: usize> {
 impl<K, V, const F: usize> Node<K, V, F> {
     /// # Safety: caller must hold the node's lock (shared or exclusive).
     unsafe fn inner(&self) -> &Inner<K, V, F> {
-        &*self.inner.get()
+        // SAFETY: the caller holds the lock, so no writer has the cell.
+        unsafe { &*self.inner.get() }
     }
 
     /// # Safety: caller must hold the node's lock exclusively.
     #[allow(clippy::mut_from_ref)]
     unsafe fn inner_mut(&self) -> &mut Inner<K, V, F> {
-        &mut *self.inner.get()
+        // SAFETY: the caller holds the lock exclusively: no other reference
+        // to the cell exists.
+        unsafe { &mut *self.inner.get() }
     }
 }
 
@@ -761,34 +764,47 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         parent: *mut Node<K, V, F>,
         key: &K,
     ) -> *mut Node<K, V, F> {
-        let parent = (*parent).inner_mut();
+        // SAFETY: the caller holds `parent`'s exclusive lock.
+        let parent = unsafe { (*parent).inner_mut() };
         let slot = parent.upper_bound(key);
         let child = parent.children()[slot];
-        (*child).lock.lock_exclusive();
-        if (*child).inner().len > Self::MIN_KEYS {
-            return child;
+        // SAFETY: `child` is a live child of the exclusively locked parent,
+        // and its lock is held for the `inner` read.
+        unsafe {
+            (*child).lock.lock_exclusive();
+            if (*child).inner().len > Self::MIN_KEYS {
+                return child;
+            }
         }
         // Pair the child with a neighbour under the same parent.  The
         // pair is always locked left-to-right — the leaf-chain order — so
         // rebalancing cannot deadlock against range scans.
         let (left, right, sep) = if slot == 0 {
             let right = parent.children()[1];
-            (*right).lock.lock_exclusive();
+            // SAFETY: a live child of the exclusively locked parent.
+            unsafe { (*right).lock.lock_exclusive() };
             (child, right, 0)
         } else {
             // The left sibling must be locked first; dropping the child's
             // lock is safe because the parent's exclusive lock keeps every
             // descent (and thus every child mutation) out.
-            (*child).lock.unlock_exclusive();
-            let left = parent.children()[slot - 1];
-            (*left).lock.lock_exclusive();
-            (*child).lock.lock_exclusive();
+            // SAFETY: `child` is locked by this thread; both are live
+            // children of the exclusively locked parent.
+            let left = unsafe {
+                (*child).lock.unlock_exclusive();
+                let left = parent.children()[slot - 1];
+                (*left).lock.lock_exclusive();
+                (*child).lock.lock_exclusive();
+                left
+            };
             (left, child, slot - 1)
         };
-        let (left_inner, right_inner) = ((*left).inner_mut(), (*right).inner_mut());
+        // SAFETY: both siblings are exclusively locked by this thread.
+        let (left_inner, right_inner) = unsafe { ((*left).inner_mut(), (*right).inner_mut()) };
         if left_inner.len + right_inner.len + left_inner.sep_cost() <= F {
             parent.merge(sep, left_inner, right_inner);
-            (*right).lock.unlock_exclusive();
+            // SAFETY: `right` is live and exclusively locked by this thread.
+            unsafe { (*right).lock.unlock_exclusive() };
             self.counters.nodes_merged.incr();
             self.retire_node(right);
             left
@@ -796,10 +812,12 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             parent.rebalance(sep, left_inner, right_inner);
             self.counters.nodes_borrowed.incr();
             if parent.keys()[sep] <= *key {
-                (*left).lock.unlock_exclusive();
+                // SAFETY: `left` is live and exclusively locked by this thread.
+                unsafe { (*left).lock.unlock_exclusive() };
                 right
             } else {
-                (*right).lock.unlock_exclusive();
+                // SAFETY: `right` is live and exclusively locked by this thread.
+                unsafe { (*right).lock.unlock_exclusive() };
                 left
             }
         }

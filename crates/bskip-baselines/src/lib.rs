@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod btree_occ;
 mod skiplist_lazy;

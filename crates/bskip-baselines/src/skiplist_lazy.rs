@@ -132,7 +132,9 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         if pred.is_null() {
             &self.head[level]
         } else {
-            &(*pred).next[level]
+            // SAFETY: per this function's contract `pred` is live and tall
+            // enough.
+            unsafe { &(*pred).next[level] }
         }
     }
 
@@ -140,7 +142,8 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         if pred.is_null() {
             &self.head_lock
         } else {
-            &(*pred).lock
+            // SAFETY: the caller passes null or a live node.
+            unsafe { &(*pred).lock }
         }
     }
 
@@ -158,14 +161,20 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         let mut found = None;
         let mut pred: *mut LazyNode<K, V> = std::ptr::null_mut();
         for level in (0..MAX_LEVELS).rev() {
-            let mut curr = self.slot(pred, level).load(Ordering::Acquire);
-            while !curr.is_null() && (*curr).key < *key {
-                pred = curr;
-                curr = (*curr).next[level].load(Ordering::Acquire);
-            }
-            if found.is_none() && !curr.is_null() && (*curr).key == *key {
-                found = Some(level);
-            }
+            // SAFETY: nodes are never freed while the list is shared (this
+            // function's contract), so `pred` and every `curr` loaded from a
+            // link at `level` are live nodes at least `level + 1` tall.
+            let curr = unsafe {
+                let mut curr = self.slot(pred, level).load(Ordering::Acquire);
+                while !curr.is_null() && (*curr).key < *key {
+                    pred = curr;
+                    curr = (*curr).next[level].load(Ordering::Acquire);
+                }
+                if found.is_none() && !curr.is_null() && (*curr).key == *key {
+                    found = Some(level);
+                }
+                curr
+            };
             preds[level] = pred;
             succs[level] = curr;
         }

@@ -162,7 +162,9 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
         if pred.is_null() {
             &self.head[level]
         } else {
-            &(*pred).next[level]
+            // SAFETY: per this function's contract `pred` is a live tower
+            // taller than `level`.
+            unsafe { &(*pred).next[level] }
         }
     }
 
@@ -179,39 +181,45 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
             let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
             let mut pred: *mut Tower<K, V> = std::ptr::null_mut();
             for level in (0..MAX_LEVELS).rev() {
-                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-                loop {
-                    if curr.is_null() {
-                        break;
-                    }
-                    let next_raw = (*curr).next[level].load(Ordering::Acquire);
-                    if is_marked(next_raw) {
-                        // `curr` is deleted at this level: help unlink it
-                        // so marked towers never serve as predecessors.
-                        if self
-                            .slot(pred, level)
-                            .compare_exchange(
-                                curr,
-                                unmark(next_raw),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            // The predecessor changed under us (possibly
-                            // marked itself): recompute from the top.
-                            continue 'retry;
+                // SAFETY: the caller's pinned guard keeps every tower
+                // reachable from a link alive, and `pred` is null or a tower
+                // reached at this level, hence taller than `level`.
+                let curr = unsafe {
+                    let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
+                    loop {
+                        if curr.is_null() {
+                            break;
                         }
-                        curr = unmark(next_raw);
-                        continue;
+                        let next_raw = (*curr).next[level].load(Ordering::Acquire);
+                        if is_marked(next_raw) {
+                            // `curr` is deleted at this level: help unlink it
+                            // so marked towers never serve as predecessors.
+                            if self
+                                .slot(pred, level)
+                                .compare_exchange(
+                                    curr,
+                                    unmark(next_raw),
+                                    Ordering::AcqRel,
+                                    Ordering::Acquire,
+                                )
+                                .is_err()
+                            {
+                                // The predecessor changed under us (possibly
+                                // marked itself): recompute from the top.
+                                continue 'retry;
+                            }
+                            curr = unmark(next_raw);
+                            continue;
+                        }
+                        if (*curr).key < *key {
+                            pred = curr;
+                            curr = unmark(next_raw);
+                        } else {
+                            break;
+                        }
                     }
-                    if (*curr).key < *key {
-                        pred = curr;
-                        curr = unmark(next_raw);
-                    } else {
-                        break;
-                    }
-                }
+                    curr
+                };
                 preds[level] = pred;
                 succs[level] = curr;
             }
@@ -231,55 +239,61 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
     /// The caller must hold a pinned guard; `node` must have all levels
     /// marked and `link_done` set (no concurrent raising).
     unsafe fn unlink_level(&self, node: *mut Tower<K, V>, level: usize) {
-        let key = &(*node).key;
+        // SAFETY: `node` is live under the caller's pinned guard.
+        let key = unsafe { &(*node).key };
         'restart: loop {
-            // Position near the key with a full descent (which also helps
-            // unlink the victim wherever it is directly reachable), so the
-            // identity walk below only crosses the few equal-key towers
-            // that may shadow the victim — not the whole level.
-            let (preds, _) = self.find_preds(key);
-            let mut pred = preds[level];
-            let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-            loop {
-                if curr.is_null() {
-                    return; // End of level: not (or no longer) linked.
-                }
-                if curr == node {
-                    let next = unmark((*node).next[level].load(Ordering::Acquire));
-                    if self
-                        .slot(pred, level)
-                        .compare_exchange(node, next, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return;
+            // SAFETY: the caller's pinned guard keeps every tower reachable
+            // from a link alive, so `node`, `pred` and each `curr` are live;
+            // `pred` was reached at `level`, hence is taller than it.
+            unsafe {
+                // Position near the key with a full descent (which also helps
+                // unlink the victim wherever it is directly reachable), so the
+                // identity walk below only crosses the few equal-key towers
+                // that may shadow the victim — not the whole level.
+                let (preds, _) = self.find_preds(key);
+                let mut pred = preds[level];
+                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
+                loop {
+                    if curr.is_null() {
+                        return; // End of level: not (or no longer) linked.
                     }
-                    // The predecessor moved (or is itself marked): retry.
-                    continue 'restart;
-                }
-                if (*curr).key > *key {
-                    return; // Walked past the victim's position: unlinked.
-                }
-                let next_raw = (*curr).next[level].load(Ordering::Acquire);
-                if is_marked(next_raw) {
-                    // Another deleted tower blocks the walk: help unlink
-                    // it so a marked predecessor cannot stall us.
-                    if self
-                        .slot(pred, level)
-                        .compare_exchange(
-                            curr,
-                            unmark(next_raw),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_err()
-                    {
+                    if curr == node {
+                        let next = unmark((*node).next[level].load(Ordering::Acquire));
+                        if self
+                            .slot(pred, level)
+                            .compare_exchange(node, next, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok()
+                        {
+                            return;
+                        }
+                        // The predecessor moved (or is itself marked): retry.
                         continue 'restart;
                     }
+                    if (*curr).key > *key {
+                        return; // Walked past the victim's position: unlinked.
+                    }
+                    let next_raw = (*curr).next[level].load(Ordering::Acquire);
+                    if is_marked(next_raw) {
+                        // Another deleted tower blocks the walk: help unlink
+                        // it so a marked predecessor cannot stall us.
+                        if self
+                            .slot(pred, level)
+                            .compare_exchange(
+                                curr,
+                                unmark(next_raw),
+                                Ordering::AcqRel,
+                                Ordering::Acquire,
+                            )
+                            .is_err()
+                        {
+                            continue 'restart;
+                        }
+                        curr = unmark(next_raw);
+                        continue;
+                    }
+                    pred = curr;
                     curr = unmark(next_raw);
-                    continue;
                 }
-                pred = curr;
-                curr = unmark(next_raw);
             }
         }
     }

@@ -172,7 +172,9 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
         if pred.is_null() {
             &self.head
         } else {
-            &(*pred).next
+            // SAFETY: per this function's contract `pred` is still
+            // protected by the caller's pin.
+            unsafe { &(*pred).next }
         }
     }
 
@@ -194,36 +196,45 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
                 std::ptr::null_mut()
             };
             attempt += 1;
-            // A guard at or past the key (or one already marked) cannot
-            // serve as the CAS predecessor; fall back to the head.
-            if !pred.is_null()
-                && ((*pred).key >= *key || is_marked((*pred).next.load(Ordering::SeqCst)))
-            {
-                pred = std::ptr::null_mut();
-            }
-            let mut curr = unmark(self.slot(pred).load(Ordering::SeqCst));
-            loop {
-                if curr.is_null() {
-                    return (pred, curr);
+            // SAFETY: the caller's pinned guard keeps every node reachable
+            // from a link, and the guard node `start_for` hands out, alive.
+            unsafe {
+                // A guard at or past the key (or one already marked) cannot
+                // serve as the CAS predecessor; fall back to the head.
+                if !pred.is_null()
+                    && ((*pred).key >= *key || is_marked((*pred).next.load(Ordering::SeqCst)))
+                {
+                    pred = std::ptr::null_mut();
                 }
-                let next = (*curr).next.load(Ordering::SeqCst);
-                if is_marked(next) {
-                    // Help unlink the marked node before moving past it.
-                    if self
-                        .slot(pred)
-                        .compare_exchange(curr, unmark(next), Ordering::SeqCst, Ordering::SeqCst)
-                        .is_err()
-                    {
-                        continue 'retry;
+                let mut curr = unmark(self.slot(pred).load(Ordering::SeqCst));
+                loop {
+                    if curr.is_null() {
+                        return (pred, curr);
                     }
-                    curr = unmark(next);
-                    continue;
-                }
-                if (*curr).key < *key {
-                    pred = curr;
-                    curr = unmark(next);
-                } else {
-                    return (pred, curr);
+                    let next = (*curr).next.load(Ordering::SeqCst);
+                    if is_marked(next) {
+                        // Help unlink the marked node before moving past it.
+                        if self
+                            .slot(pred)
+                            .compare_exchange(
+                                curr,
+                                unmark(next),
+                                Ordering::SeqCst,
+                                Ordering::SeqCst,
+                            )
+                            .is_err()
+                        {
+                            continue 'retry;
+                        }
+                        curr = unmark(next);
+                        continue;
+                    }
+                    if (*curr).key < *key {
+                        pred = curr;
+                        curr = unmark(next);
+                    } else {
+                        return (pred, curr);
+                    }
                 }
             }
         }

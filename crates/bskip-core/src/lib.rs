@@ -142,8 +142,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod config;
+mod guard;
 pub mod height;
 mod list;
 mod node;

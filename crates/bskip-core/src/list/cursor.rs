@@ -25,14 +25,17 @@
 //!
 //! # Why the paused pointer walk is memory-safe
 //!
-//! Between refills the cursor holds a raw pointer (`next_leaf`) to a node
-//! it is *not* locking — and a concurrent `remove` may unlink exactly that
-//! node and retire it to the list's epoch-based collector.  The cursor is
-//! safe because it holds a **pinned [`EbrGuard`]** for its entire
+//! Between refills the cursor holds a parked raw pointer (`next_leaf`) to
+//! a node it is *not* locking — and a concurrent `remove` may unlink
+//! exactly that node and retire it to the list's epoch-based collector.
+//! The cursor is safe because it holds a **[`Pin`]** for its entire
 //! lifetime, created *before* any pointer is captured: the collector
-//! never frees a node retired after the guard pinned, so every pointer
+//! never frees a node retired after the pin was taken, so every pointer
 //! the cursor captured since stays dereferenceable — long enough to lock
-//! the node and find it empty — until the cursor drops.
+//! the node and find it empty — until the cursor drops.  A node handle
+//! cannot be stored next to the pin it borrows, so the refill re-wraps the
+//! parked pointer under the cursor's own pin (`Pin::unpark`), the one
+//! `unsafe` step of the walk.
 //!
 //! The flip side: a cursor parked for a long time holds its epoch pinned
 //! and lets the retired-node backlog grow; dropping the cursor releases
@@ -63,10 +66,12 @@ use std::ptr;
 
 use bskip_index::cursor::{above_lower, below_upper};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
-use bskip_sync::{EbrGuard, Racy};
+use bskip_sync::Racy;
 
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::BSkipList;
+use crate::guard::{NodeRef, Pin, ReadGuard};
 use crate::node::{prefetch_node, Node, NodeSearch};
+use crate::stats::BSkipStats;
 
 /// The native cursor over a [`BSkipList`]; wrapped in
 /// [`bskip_index::Cursor`] by [`BSkipList::scan`].
@@ -75,11 +80,18 @@ where
     K: IndexKey + Racy,
     V: IndexValue + Racy,
 {
-    list: &'a BSkipList<K, V, B>,
-    /// Epoch pin held for the cursor's lifetime and never read: it keeps
-    /// every node the cursor captured a pointer to (notably `next_leaf`)
-    /// from being freed; see the module docs.
-    _guard: EbrGuard<'a>,
+    /// Epoch pin held for the cursor's lifetime: every descent runs under
+    /// it, and it keeps every node the cursor captured a pointer to
+    /// (notably `next_leaf`) from being freed; see the module docs.
+    pin: Pin<'a, K, V, B>,
+    /// What a snapshot writes: a field of its own, so that a snapshot can
+    /// borrow it while its leaf's guard borrows the pin.
+    window: Window<'a, K, V, B>,
+    /// Whether the first `next` has positioned the cursor yet.
+    started: bool,
+}
+
+struct Window<'a, K, V, const B: usize> {
     /// Lower bound of the next refill: the range's `lo` until an entry
     /// is emitted, then `Excluded(last emitted key)`.
     from: Bound<K>,
@@ -90,16 +102,15 @@ where
     /// Next unconsumed index into `batch`.
     pos: usize,
     /// Right neighbour of the last snapshotted leaf, captured under its
-    /// lock; null once positioned means the walk is over (the end of the
-    /// leaf level, or a key beyond `hi`, was reached).
+    /// lock and parked as a pointer; null once positioned means the walk
+    /// is over (the end of the leaf level, or a key beyond `hi`, was
+    /// reached).
     next_leaf: *mut Node<K, V, B>,
-    /// Whether the first `next` has positioned the cursor yet.
-    started: bool,
-    /// Whether leaf snapshots feed the `range_leaf_nodes` statistic —
-    /// true for range queries (`scan`), false for full iterations
-    /// (`iter`), which would otherwise skew the paper's "leaf nodes per
-    /// range query" ratio.
-    record_stats: bool,
+    /// The statistics block when leaf snapshots feed `range_leaf_nodes`:
+    /// for range queries (`scan`) on a list that collects, not for full
+    /// iterations (`iter`), which would otherwise skew the paper's "leaf
+    /// nodes per range query" ratio.
+    stats: Option<&'a BSkipStats>,
 }
 
 impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a, K, V, B> {
@@ -110,57 +121,44 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a
         record_stats: bool,
     ) -> Self {
         LeafCursor {
-            list,
-            _guard: list.collector().pin(),
-            from: lo,
-            hi,
-            batch: Vec::with_capacity(B),
-            pos: 0,
-            next_leaf: ptr::null_mut(),
+            pin: list.pin(),
+            window: Window {
+                from: lo,
+                hi,
+                batch: Vec::with_capacity(B),
+                pos: 0,
+                next_leaf: ptr::null_mut(),
+                stats: list.stats_enabled().filter(|_| record_stats),
+            },
             started: false,
-            record_stats,
         }
     }
 
     /// Descends to the leaf covering `from` and snapshots it.
     fn descend_and_snapshot(&mut self) {
-        // SAFETY: the leaf either way is read-locked, as `snapshot`
-        // requires; `self._guard` supplies the epoch pin `lock_covering`'s
-        // optimistic descent requires.
-        unsafe {
-            let list = self.list;
-            let leaf = match &self.from {
-                Bound::Unbounded => {
-                    let head = list.head(0);
-                    lock_node(head, Mode::Read);
-                    head
-                }
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    list.lock_covering(key, 0, Mode::Read)
-                }
-            };
-            self.snapshot(leaf);
-        }
+        let leaf = match &self.window.from {
+            Bound::Unbounded => self.pin.head(0).lock(),
+            Bound::Included(key) | Bound::Excluded(key) => self.pin.lock_covering(key, 0),
+        };
+        self.window.snapshot(leaf);
     }
+}
 
-    /// Copies the slots of `leaf` that satisfy `from` and the upper bound
-    /// into the batch, captures the leaf's `next` pointer and unlocks it.
-    ///
-    /// # Safety
-    ///
-    /// `leaf` must be a leaf node locked in read mode by this thread; the
-    /// lock is released before returning.
-    unsafe fn snapshot(&mut self, leaf: *mut Node<K, V, B>) {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, B> {
+    /// Copies the slots of the read-locked `leaf` that satisfy `from` and
+    /// the upper bound into the batch, parks the leaf's `next` pointer and
+    /// drops the guard.
+    fn snapshot(&mut self, leaf: ReadGuard<'_, K, V, B>) {
         self.batch.clear();
         self.pos = 0;
         let bound = &self.from;
         // Read-locked, so `len <= B`; saying so lets the copy loop below
         // drop its per-slot bounds checks.
-        let len = (*leaf).len().min(B);
+        let len = leaf.len().min(B);
         // Find the first qualifying slot by binary search where possible.
         let start = match bound {
             Bound::Unbounded => 0,
-            Bound::Included(key) | Bound::Excluded(key) => match (*leaf).search(key) {
+            Bound::Included(key) | Bound::Excluded(key) => match leaf.search(key) {
                 NodeSearch::Found(idx) => {
                     if matches!(bound, Bound::Included(_)) {
                         idx
@@ -174,7 +172,7 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a
         };
         let mut clamped = false;
         for slot in start..len {
-            let key = (*leaf).key_at(slot);
+            let key = leaf.key_at(slot);
             debug_assert!(above_lower(&key, bound), "leaf slots must be sorted");
             if !below_upper(&key, &self.hi) {
                 // Nothing at or after this slot can be in range; stop
@@ -183,24 +181,19 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a
                 clamped = true;
                 break;
             }
-            self.batch.push((key, (*leaf).value_at(slot)));
+            self.batch.push((key, leaf.value_at(slot)));
         }
-        self.next_leaf = if clamped {
-            ptr::null_mut()
-        } else {
-            (*leaf).next()
-        };
-        if !self.next_leaf.is_null() {
+        let next = if clamped { None } else { leaf.next() };
+        self.next_leaf = next.map_or(ptr::null_mut(), NodeRef::as_ptr);
+        if let Some(next) = next {
             // The whole buffered batch is served before the neighbour is
             // touched again — ample distance for the line fill, so the
             // next refill's lock acquisition starts warm.
-            prefetch_node(self.next_leaf);
+            prefetch_node(next.as_ptr());
         }
-        unlock_node(leaf, Mode::Read);
-        if self.record_stats {
-            if let Some(stats) = self.list.stats_enabled() {
-                stats.range_leaf_nodes.incr();
-            }
+        drop(leaf);
+        if let Some(stats) = self.stats {
+            stats.range_leaf_nodes.incr();
         }
     }
 }
@@ -210,9 +203,10 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IndexCursor<K, V>
 {
     fn next(&mut self) -> Option<(K, V)> {
         loop {
-            if let Some(&entry) = self.batch.get(self.pos) {
-                self.pos += 1;
-                self.from = Bound::Excluded(entry.0);
+            let window = &mut self.window;
+            if let Some(&entry) = window.batch.get(window.pos) {
+                window.pos += 1;
+                window.from = Bound::Excluded(entry.0);
                 return Some(entry);
             }
             if !self.started {
@@ -220,25 +214,20 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IndexCursor<K, V>
                 self.descend_and_snapshot();
                 continue;
             }
-            // Steady-state walk: follow the captured neighbour.
-            let leaf = self.next_leaf;
-            if leaf.is_null() {
-                return None;
-            }
-            // SAFETY: `leaf` was read from a locked node after `self._guard`
-            // pinned, so even if a concurrent remove has since unlinked and
-            // retired it, the collector cannot free it while the guard is
-            // alive; locking it (re-)establishes the protocol.
-            unsafe {
-                lock_node(leaf, Mode::Read);
-                if (*leaf).is_empty() {
-                    // Unlinked: its keys may have folded into a leaf
-                    // behind the cursor (module docs, *Consistency*).
-                    unlock_node(leaf, Mode::Read);
-                    self.descend_and_snapshot();
-                } else {
-                    self.snapshot(leaf);
-                }
+            // Steady-state walk: follow the parked neighbour.
+            // SAFETY: `next_leaf` was read from a locked node after
+            // `self.pin` pinned, so even if a concurrent remove has since
+            // unlinked and retired it, the collector cannot free it while
+            // the pin is alive — the module docs' argument, and the parent
+            // module's "Why racing structure changes is safe".
+            let leaf: ReadGuard<'_, K, V, B> = unsafe { self.pin.unpark(window.next_leaf) }?.lock();
+            if leaf.is_empty() {
+                // Unlinked: its keys may have folded into a leaf
+                // behind the cursor (module docs, *Consistency*).
+                drop(leaf);
+                self.descend_and_snapshot();
+            } else {
+                window.snapshot(leaf);
             }
         }
     }

@@ -44,22 +44,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             stats.batch_executes.incr();
             stats.batched_ops.add(ops.len() as u64);
         }
-        let guard = self.collector().pin();
+        let pin = self.pin();
         for op in ops {
-            // SAFETY: `guard` pins this list's collector for the whole
-            // batch, and no operation returns with a node lock held.
-            unsafe {
-                match op {
-                    Op::Get { key, result } => {
-                        *result = self.get_pinned(key, &guard).into();
-                    }
-                    Op::Insert { key, value, result } | Op::Update { key, value, result } => {
-                        *result = self.insert_pinned(*key, *value, None, &guard).into();
-                    }
-                    Op::Remove { key, result } => {
-                        *result = self.remove_pinned(key, &guard).into();
-                    }
+            match op {
+                Op::Get { key, result } => *result = pin.get_pinned(key).into(),
+                Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+                    *result = pin.insert_pinned(*key, *value, None).into();
                 }
+                Op::Remove { key, result } => *result = pin.remove_pinned(key).into(),
             }
         }
     }
@@ -181,14 +173,12 @@ mod tests {
 
     /// The lock word of every leaf, head first.
     fn leaf_versions(list: &List) -> Vec<Option<u64>> {
+        let pin = list.pin();
         let mut versions = Vec::new();
-        let mut leaf = list.head(0);
-        while !leaf.is_null() {
-            // SAFETY: single-threaded walk over linked, live nodes.
-            unsafe {
-                versions.push((*leaf).lock.optimistic_version());
-                leaf = (*leaf).next();
-            }
+        let mut leaf = Some(pin.head(0));
+        while let Some(curr) = leaf {
+            versions.push(curr.lock.optimistic_version());
+            leaf = curr.next();
         }
         versions
     }

@@ -21,7 +21,7 @@
 //!    one of them becomes reachable (via a down pointer installed at the
 //!    level above) any concurrent traversal blocks until this insert has
 //!    finished populating and linking it.
-//! 4. The **pass** ([`BSkipList::insert_inner`]) runs once from level `h`
+//! 4. The **pass** (`Pin::insert_inner`) runs once from level `h`
 //!    down to the leaf under write locks, hand-over-hand within and across
 //!    levels, with nothing locked above `h`: at level `h` it writes the
 //!    key into the node that contains its predecessor (overflow-splitting
@@ -35,48 +35,12 @@
 //! distribution of the stored keys exactly geometric, whatever the
 //! overwrite history.
 
-use std::ptr;
-
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::{EbrGuard, Racy};
+use bskip_sync::Racy;
 
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::BSkipList;
+use crate::guard::{NodeRef, Pin, WriteGuard};
 use crate::node::{prefetch_node, Node, NodeSearch};
-
-/// Write-locked nodes of the current level that must be released before
-/// moving to the next level (after the child has been locked).  At most
-/// five nodes are ever held at once: the retained predecessor, the current
-/// node, the pre-allocated node, a spill node and a just-locked successor.
-struct ReleaseSet<K, V, const B: usize> {
-    nodes: [*mut Node<K, V, B>; 5],
-    len: usize,
-}
-
-impl<K, V, const B: usize> ReleaseSet<K, V, B> {
-    fn new() -> Self {
-        ReleaseSet {
-            nodes: [ptr::null_mut(); 5],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, node: *mut Node<K, V, B>) {
-        debug_assert!(self.len < self.nodes.len());
-        self.nodes[self.len] = node;
-        self.len += 1;
-    }
-
-    /// Unlocks every registered node.
-    ///
-    /// # Safety
-    ///
-    /// Every registered node must still be write-locked by this thread.
-    unsafe fn release(&self) {
-        for &node in &self.nodes[..self.len] {
-            unlock_node(node, Mode::Write);
-        }
-    }
-}
 
 impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Inserts `key → value` with an explicit promotion height instead of a
@@ -93,37 +57,26 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         self.insert_impl(key, value, Some(height.min(self.top_level())))
     }
 
-    /// Pins the collector for [`Self::insert_pinned`]; `height` is `None`
+    /// Pins the collector for [`Pin::insert_pinned`]; `height` is `None`
     /// to draw one.
     pub(super) fn insert_impl(&self, key: K, value: V, height: Option<usize>) -> Option<V> {
         // One pin for the whole operation: the descents need epoch
-        // protection and the pass runs under the same guard.
-        let guard = self.collector().pin();
-        // SAFETY: `guard` pins this list's collector; no lock is held.
-        unsafe { self.insert_pinned(key, value, height, &guard) }
+        // protection and the pass runs under the same pin.
+        self.pin().insert_pinned(key, value, height)
     }
+}
 
-    /// The one point-insert entry, under the caller's epoch pin: leaf
-    /// first, height second (steps 1–3 of the module docs).
-    /// `lock_covering` returns the covering leaf write-locked, which is
-    /// the kernel's contract; the lock is released here or handed to the
-    /// pass, which releases it.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must pin this list's collector; the caller must hold no
-    /// node lock; `height`, if given, is `<= top_level()`.
-    pub(super) unsafe fn insert_pinned(
-        &self,
-        key: K,
-        value: V,
-        height: Option<usize>,
-        guard: &EbrGuard<'_>,
-    ) -> Option<V> {
-        let leaf = self.lock_covering(&key, 0, Mode::Write);
-        match self.upsert_in_leaf(leaf, key, value, height) {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+    /// The one point-insert entry, under this pin: leaf first, height
+    /// second (steps 1–3 of the module docs).  `lock_covering` returns the
+    /// covering leaf write-locked, which is the kernel's contract; the
+    /// guard is dropped here or handed to the pass.  `height`, if given,
+    /// is `<= top_level()`.
+    pub(super) fn insert_pinned(&self, key: K, value: V, height: Option<usize>) -> Option<V> {
+        let leaf = self.lock_covering(&key, 0);
+        match self.upsert_in_leaf(&leaf, key, value, height) {
             Ok(previous) => {
-                unlock_node(leaf, Mode::Write);
+                drop(leaf);
                 if let Some(stats) = self.stats_enabled() {
                     stats.optimistic_writes.incr();
                 }
@@ -131,10 +84,10 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             }
             // Overflow split: it touches only this leaf and the node it
             // allocates, so the pass starts right here.
-            Err(0) => self.insert_inner(key, value, Vec::new(), leaf, guard),
+            Err(0) => self.insert_inner(key, value, Vec::new(), leaf),
             Err(height) => {
-                unlock_node(leaf, Mode::Write);
-                self.insert_structural(key, value, height, guard)
+                drop(leaf);
+                self.insert_structural(key, value, height)
             }
         }
     }
@@ -142,57 +95,36 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// Inserts a key that the leaf kernel found absent and could not place
     /// leaf-locally, with the height already drawn for it: pre-allocates
     /// the key's tower (before any lock is taken), reaches the node
-    /// covering the key at level `height` and runs the pass from there.
-    /// The key may have appeared since the kernel looked; the pass handles
-    /// that.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must pin this list's collector; the caller must hold no
-    /// node lock; `height <= top_level()`.
-    pub(super) unsafe fn insert_structural(
-        &self,
-        key: K,
-        value: V,
-        height: usize,
-        guard: &EbrGuard<'_>,
-    ) -> Option<V> {
-        // The nodes for levels `height-1 .. 0`, pre-locked and chained
+    /// covering the key at level `height <= top_level()` and runs the pass
+    /// from there.  The key may have appeared since the kernel looked; the
+    /// pass handles that.
+    pub(super) fn insert_structural(&self, key: K, value: V, height: usize) -> Option<V> {
+        // The nodes for levels `0 .. height`, pre-locked and chained
         // through their first child pointer.
-        let mut prealloc: Vec<*mut Node<K, V, B>> = Vec::with_capacity(height);
-        if height > 0 {
-            let leaf = Node::<K, V, B>::alloc_leaf(false);
-            (*leaf).lock.lock_exclusive();
-            (*leaf).push_leaf(key, value);
-            prealloc.push(leaf);
-            for level in 1..height {
-                let internal = Node::<K, V, B>::alloc_internal(level as u8, false);
-                (*internal).lock.lock_exclusive();
-                (*internal).push_internal(key, prealloc[level - 1]);
-                prealloc.push(internal);
+        let mut prealloc: Vec<WriteGuard<'_, K, V, B>> = Vec::with_capacity(height);
+        for level in 0..height {
+            let node = self.alloc(level);
+            match prealloc.last() {
+                None => node.push_leaf(key, value),
+                Some(below) => node.push_internal(key, **below),
             }
+            prealloc.push(node);
         }
-        let entry = self.lock_covering(&key, height, Mode::Write);
-        self.insert_inner(key, value, prealloc, entry, guard)
+        let entry = self.lock_covering(&key, height);
+        self.insert_inner(key, value, prealloc, entry)
     }
 
     /// The write-locked pass (step 4 of the module docs) for a key of
     /// promotion height `prealloc.len()`: from `entry` — the node covering
-    /// `key` at that level, write-locked by the caller — down to the leaf,
-    /// linking in `prealloc[level]` at every level below.  Releases every
-    /// lock it is handed or takes.
-    ///
-    /// # Safety
-    ///
-    /// As stated for `entry`; `prealloc` as built by
-    /// [`Self::insert_structural`]; `guard` must pin this list's collector.
-    pub(super) unsafe fn insert_inner(
-        &self,
+    /// `key` at that level — down to the leaf, linking in `prealloc[level]`
+    /// at every level below.  `prealloc` is as built by
+    /// [`Self::insert_structural`], and is consumed from the top down.
+    pub(super) fn insert_inner<'p>(
+        &'p self,
         key: K,
         value: V,
-        prealloc: Vec<*mut Node<K, V, B>>,
-        entry: *mut Node<K, V, B>,
-        guard: &EbrGuard<'_>,
+        mut prealloc: Vec<WriteGuard<'p, K, V, B>>,
+        entry: WriteGuard<'p, K, V, B>,
     ) -> Option<V> {
         let height = prealloc.len();
         if let Some(stats) = self.stats_enabled() {
@@ -202,17 +134,12 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                 stats.top_level_write_locks.incr();
             }
         }
-        // Pre-allocated nodes below `free_below` have not been linked into
-        // the structure (they are consumed from the top down); whatever
-        // remains unconsumed when the pass finishes is freed.
-        let mut free_below = height;
-
         let mut level = height;
         let mut curr = entry;
         // Predecessor node retained (locked) below the entry level so that
         // a node emptied by a duplicate-key splice can be unlinked
         // immediately.
-        let mut prev: *mut Node<K, V, B> = ptr::null_mut();
+        let mut prev: Option<WriteGuard<'p, K, V, B>> = None;
         let mut existing_found = false;
         let mut old_value: Option<V> = None;
 
@@ -222,18 +149,17 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             }
 
             // ---- per-level processing ----
-            let mut release = ReleaseSet::new();
-            if !prev.is_null() {
-                release.push(prev);
-            }
-            release.push(curr);
-            // Node unlinked at this level (duplicate-key splice that emptied
-            // a non-head node); reclaimed after its lock is dropped.
-            let mut unlinked: *mut Node<K, V, B> = ptr::null_mut();
-            let mut descend_child: *mut Node<K, V, B> = ptr::null_mut();
+            // The node this level links in right after `curr` (pre-allocated
+            // or split off) and a spill node: locked until the child is.
+            let mut right: Option<WriteGuard<'p, K, V, B>> = None;
+            let mut spill: Option<WriteGuard<'p, K, V, B>> = None;
+            // `curr` was emptied by a duplicate-key splice and unlinked: it
+            // is retired once its lock is dropped.
+            let mut emptied = false;
+            let mut descend_child: Option<NodeRef<'p, K, V, B>> = None;
 
             if !existing_found {
-                let found = (*curr).search(&key);
+                let found = curr.search(&key);
                 match found {
                     // The key was absent when the leaf kernel looked, so
                     // finding it means another thread inserted it since.
@@ -244,9 +170,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                             // existing tower and just update the value at
                             // the leaf.
                             if level == 0 {
-                                old_value = Some((*curr).replace_value_at(idx, value));
+                                old_value = Some(curr.replace_value_at(idx, value));
                             } else {
-                                descend_child = (*curr).child_at(idx);
+                                descend_child = curr.child_at(idx);
                             }
                         } else {
                             // The level above now points at the
@@ -255,30 +181,27 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                             // Make the key the header of that node,
                             // reusing its existing downward structure, and
                             // splice it in right after `curr`.
-                            let pnode = prealloc[level];
-                            free_below = level;
+                            let pnode = prealloc.pop().expect("a node per level below");
                             if level == 0 {
-                                old_value = Some((*curr).value_at(idx));
+                                old_value = Some(curr.value_at(idx));
                             } else {
-                                (*pnode).set_child_at(0, (*curr).child_at(idx));
-                                descend_child = (*pnode).child_at(0);
+                                descend_child = curr.child_at(idx);
+                                pnode.set_child_at(0, descend_child);
                             }
-                            (*curr).move_suffix_to(idx + 1, &*pnode);
-                            (*curr).remove_at(idx);
-                            (*pnode).set_next((*curr).next());
-                            (*curr).set_next(pnode);
-                            release.push(pnode);
+                            curr.move_suffix_to(idx + 1, &pnode);
+                            curr.remove_at(idx);
+                            pnode.set_next(curr.next());
+                            curr.set_next(Some(*pnode));
                             if let Some(stats) = self.stats_enabled() {
                                 stats.promotion_splits.incr();
                             }
-                            if (*curr).is_empty() && !(*curr).is_head() {
-                                debug_assert!(
-                                    !prev.is_null(),
-                                    "emptied a non-head node without a locked predecessor"
-                                );
-                                (*prev).set_next(pnode);
-                                unlinked = curr;
+                            if curr.is_empty() && !curr.is_head() {
+                                prev.as_ref()
+                                    .expect("emptied a non-head node without a locked predecessor")
+                                    .set_next(Some(*pnode));
+                                emptied = true;
                             }
+                            right = Some(pnode);
                         }
                     }
                     NodeSearch::Pred(_) | NodeSearch::Before => {
@@ -291,53 +214,46 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                             // Plain insertion at the key's topmost level,
                             // preceded by an overflow split if the node is at
                             // capacity (Algorithm 1, lines 21–35).
-                            let (target, local_pos) = if (*curr).is_full() {
-                                let new_node = if level == 0 {
-                                    Node::<K, V, B>::alloc_leaf(false)
-                                } else {
-                                    Node::<K, V, B>::alloc_internal(level as u8, false)
-                                };
-                                (*new_node).lock.lock_exclusive();
-                                let half = B / 2;
-                                (*curr).move_suffix_to(half, &*new_node);
-                                (*new_node).set_next((*curr).next());
-                                (*curr).set_next(new_node);
-                                release.push(new_node);
+                            let half = B / 2;
+                            if curr.is_full() {
+                                let new_node = self.alloc(level);
+                                curr.move_suffix_to(half, &new_node);
+                                new_node.set_next(curr.next());
+                                curr.set_next(Some(*new_node));
                                 self.note_nodes_linked(1);
                                 if let Some(stats) = self.stats_enabled() {
                                     stats.overflow_splits.incr();
                                 }
-                                if insert_pos <= half {
-                                    (curr, insert_pos)
-                                } else {
+                                right = Some(new_node);
+                            }
+                            let (target, local_pos) = match &right {
+                                Some(new_node) if insert_pos > half => {
                                     (new_node, insert_pos - half)
                                 }
-                            } else {
-                                (curr, insert_pos)
+                                _ => (&curr, insert_pos),
                             };
-                            if level == 0 {
-                                (*target).insert_leaf_at(local_pos, key, value);
-                            } else {
-                                (*target).insert_internal_at(local_pos, key, prealloc[level - 1]);
-                            }
-                            if level > 0 {
+                            // The node below is the last pre-allocated
+                            // one, and there is one exactly when level > 0.
+                            if let Some(below) = prealloc.last() {
+                                target.insert_internal_at(local_pos, key, **below);
                                 // Descend from the predecessor, which sits
                                 // immediately to the left of the freshly
                                 // inserted key.
                                 descend_child = if local_pos == 0 {
-                                    debug_assert!((*target).is_head());
-                                    (*target).head_child()
+                                    debug_assert!(target.is_head());
+                                    target.head_child()
                                 } else {
-                                    (*target).child_at(local_pos - 1)
+                                    target.child_at(local_pos - 1)
                                 };
+                            } else {
+                                target.insert_leaf_at(local_pos, key, value);
                             }
                         } else {
                             // Promotion split (Algorithm 1, lines 39–47): the
                             // pre-allocated node becomes the right half of
                             // `curr`, headed by the new key.
-                            let pnode = prealloc[level];
-                            free_below = level;
-                            let move_count = (*curr).len() - insert_pos;
+                            let pnode = prealloc.pop().expect("a node per level below");
+                            let move_count = curr.len() - insert_pos;
                             if 1 + move_count > B {
                                 // The moved run plus the key exceeds the fixed
                                 // node size (only possible when the split
@@ -345,38 +261,33 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                                 // spill the tail into one extra node — an
                                 // overflow split combined with the promotion
                                 // split.
-                                let spill = if level == 0 {
-                                    Node::<K, V, B>::alloc_leaf(false)
-                                } else {
-                                    Node::<K, V, B>::alloc_internal(level as u8, false)
-                                };
-                                (*spill).lock.lock_exclusive();
+                                let new_spill = self.alloc(level);
                                 let spill_from = insert_pos + (B - 1);
-                                (*curr).move_suffix_to(spill_from, &*spill);
-                                (*curr).move_suffix_to(insert_pos, &*pnode);
-                                (*spill).set_next((*curr).next());
-                                (*pnode).set_next(spill);
-                                (*curr).set_next(pnode);
-                                release.push(spill);
+                                curr.move_suffix_to(spill_from, &new_spill);
+                                curr.move_suffix_to(insert_pos, &pnode);
+                                new_spill.set_next(curr.next());
+                                pnode.set_next(Some(*new_spill));
+                                curr.set_next(Some(*pnode));
+                                spill = Some(new_spill);
                                 self.note_nodes_linked(1);
                                 if let Some(stats) = self.stats_enabled() {
                                     stats.overflow_splits.incr();
                                 }
                             } else {
-                                (*curr).move_suffix_to(insert_pos, &*pnode);
-                                (*pnode).set_next((*curr).next());
-                                (*curr).set_next(pnode);
+                                curr.move_suffix_to(insert_pos, &pnode);
+                                pnode.set_next(curr.next());
+                                curr.set_next(Some(*pnode));
                             }
-                            release.push(pnode);
+                            right = Some(pnode);
                             if let Some(stats) = self.stats_enabled() {
                                 stats.promotion_splits.incr();
                             }
                             if level > 0 {
                                 descend_child = if insert_pos == 0 {
-                                    debug_assert!((*curr).is_head());
-                                    (*curr).head_child()
+                                    debug_assert!(curr.is_head());
+                                    curr.head_child()
                                 } else {
-                                    (*curr).child_at(insert_pos - 1)
+                                    curr.child_at(insert_pos - 1)
                                 };
                             }
                         }
@@ -385,9 +296,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             } else if level == 0 {
                 // Reached the leaf after detecting that the key already
                 // exists higher up: update its value in place.
-                if let NodeSearch::Found(idx) = (*curr).search(&key) {
+                if let NodeSearch::Found(idx) = curr.search(&key) {
                     if old_value.is_none() {
-                        old_value = Some((*curr).replace_value_at(idx, value));
+                        old_value = Some(curr.replace_value_at(idx, value));
                     }
                 }
                 // Otherwise a concurrent remove raced this insert on the
@@ -395,39 +306,39 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             } else {
                 // Post-duplicate navigation: follow the down pointer of
                 // the largest key not exceeding the search key.
-                descend_child = self.descend_pointer(curr, &key);
+                descend_child = Some(self.descend_pointer(*curr, &key));
             }
 
-            // ---- descend or finish ----
-            if level == 0 {
-                release.release();
-                if !unlinked.is_null() {
-                    self.defer_free(guard, unlinked);
-                }
-                break;
+            // ---- descend or finish: hand-over-hand, the child is locked
+            // before this level's locks are dropped ----
+            debug_assert_eq!(descend_child.is_some(), level > 0);
+            let child = descend_child.map(|child| {
+                prefetch_node(child.as_ptr());
+                child.lock()
+            });
+            drop((prev, right, spill));
+            if emptied {
+                self.defer_free(curr);
+            } else {
+                drop(curr);
             }
-            debug_assert!(!descend_child.is_null());
-            prefetch_node(descend_child);
-            lock_node(descend_child, Mode::Write);
-            release.release();
-            if !unlinked.is_null() {
-                self.defer_free(guard, unlinked);
-            }
+            let Some(child) = child else { break };
             level -= 1;
             // The entry node needs no walk (it covers the key); every level
             // below it does.
-            (prev, curr) = self.walk_right_keeping_prev(descend_child, &key);
+            (prev, curr) = self.walk_right_keeping_prev(child, &key);
         }
 
-        // Discard pre-allocated nodes that were never linked in (only
-        // happens when the key turned out to exist).  They were never
-        // reachable from any head, so no other thread can hold a pointer
-        // to them and they are freed directly rather than retired.
-        for &node in &prealloc[..free_below] {
-            Node::free(node);
+        // Pre-allocated nodes still here were never linked in (only
+        // happens when the key turned out to exist); the rest were.
+        self.note_nodes_linked(height - prealloc.len());
+        for node in prealloc {
+            // SAFETY: a pre-allocated node still in `prealloc` was never
+            // reachable from any head — only from other unlinked
+            // pre-allocations — so no other thread can hold a pointer to
+            // it, and it is freed directly rather than retired.
+            unsafe { Node::free(node) };
         }
-        // Pre-allocated nodes at `free_below..height` were linked in.
-        self.note_nodes_linked(height - free_below);
         if old_value.is_none() {
             self.bump_len();
         }
@@ -538,24 +449,21 @@ mod tests {
         }
         list.insert_with_height(40, 40, 1);
         let nodes = list.live_nodes();
-        let guard = list.collector().pin();
-        // SAFETY: the guard pins this list's collector and no node lock is
-        // held; heights are below `max_height`.
-        unsafe {
-            // Interior key of a leaf, taller tower: spliced in as a header.
-            assert_eq!(list.insert_structural(9, 900, 3, &guard), Some(9));
-            // Header of a non-head leaf (the overflow splits of a B = 4
-            // build leave one every two keys): the splice empties that
-            // leaf, which must be unlinked and retired.
-            let retired = list.reclamation().retired;
-            assert_eq!(list.insert_structural(2, 200, 2, &guard), Some(2));
-            assert_eq!(list.reclamation().retired, retired + 1);
-            // Same height as the tower that is there: reused as it is.
-            assert_eq!(list.insert_structural(40, 400, 1, &guard), Some(40));
-            // Shorter than the tower that is there: only the value moves.
-            assert_eq!(list.insert_structural(9, 901, 1, &guard), Some(900));
-        }
-        drop(guard);
+        // Heights are below `max_height`.
+        let pin = list.pin();
+        // Interior key of a leaf, taller tower: spliced in as a header.
+        assert_eq!(pin.insert_structural(9, 900, 3), Some(9));
+        // Header of a non-head leaf (the overflow splits of a B = 4
+        // build leave one every two keys): the splice empties that
+        // leaf, which must be unlinked and retired.
+        let retired = list.reclamation().retired;
+        assert_eq!(pin.insert_structural(2, 200, 2), Some(2));
+        assert_eq!(list.reclamation().retired, retired + 1);
+        // Same height as the tower that is there: reused as it is.
+        assert_eq!(pin.insert_structural(40, 400, 1), Some(40));
+        // Shorter than the tower that is there: only the value moves.
+        assert_eq!(pin.insert_structural(9, 901, 1), Some(900));
+        drop(pin);
         list.validate().expect("structure after duplicate splices");
         assert_eq!(list.len(), 33);
         // Three new nodes for key 9 and two for key 2, one leaf retired;
@@ -570,6 +478,7 @@ mod tests {
             };
             assert_eq!(list.get(&key), Some(expected), "key {key}");
         }
+        crate::list::leaf::tests::assert_unlocked(&list);
     }
 
     #[test]

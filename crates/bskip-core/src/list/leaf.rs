@@ -38,15 +38,16 @@
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::{Backoff, Racy};
 
-use super::{BSkipList, Mode, OPTIMISTIC_ATTEMPTS};
-use crate::node::{Node, NodeSearch};
+use super::{BSkipList, OPTIMISTIC_ATTEMPTS};
+use crate::guard::{Locked, NodeRef, Pin, WriteGuard};
+use crate::node::NodeSearch;
 
 /// The key is the header of a non-head leaf: it may own a tower and its
 /// removal may empty (and thus unlink and retire) nodes, which is work for
 /// the write-locked removal pass.
 pub(super) struct HeaderKey;
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
     /// The one optimistic retry loop, behind every point read and every
     /// [`Self::lock_covering`]: up to [`OPTIMISTIC_ATTEMPTS`] passes of
     /// "descend optimistically to the node covering `key` at `level`, then
@@ -54,16 +55,12 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// `Some` an attempt returns is the answer; a failed descent or a
     /// `None` counts one `optimistic_restarts` and backs off.  `None` after
     /// the last pass leaves the fallback, and its counter, to the caller.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call and across any
-    /// use of the node `attempt` is handed; `level <= top_level()`.
-    pub(super) unsafe fn optimistically<R>(
-        &self,
+    /// `level <= top_level()`.
+    pub(super) fn optimistically<'p, R>(
+        &'p self,
         key: &K,
         level: usize,
-        mut attempt: impl FnMut(*mut Node<K, V, B>, u64) -> Option<R>,
+        mut attempt: impl FnMut(NodeRef<'p, K, V, B>, u64) -> Option<R>,
     ) -> Option<R> {
         let mut backoff = Backoff::new();
         for _ in 0..OPTIMISTIC_ATTEMPTS {
@@ -82,124 +79,94 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         None
     }
 
-    /// Returns the node covering `key` at `level`, locked in `mode`.
+    /// Returns the node covering `key` at `level`, locked in `G`'s mode.
     ///
     /// The conflict-free path takes exactly that one lock: an optimistic
     /// descent reaches the node with its version, and the node is kept
-    /// only if the version is still the validated one under the lock —
-    /// [`lock_exclusive_at`](bskip_sync::RawRwSpinLock::lock_exclusive_at)
-    /// for a writer, `lock_shared` then `validate_version` for a snapshot
-    /// (shared acquisitions do not bump the version).  An unchanged
-    /// version under the hold means the node still covers what it covered
-    /// and is still linked.  After [`OPTIMISTIC_ATTEMPTS`] failed
-    /// validations the descent falls back to hand-over-hand shared locks
-    /// down to `level`, so no caller can livelock.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call and must release
-    /// the returned node's lock; `level <= top_level()`.
-    pub(super) unsafe fn lock_covering(
-        &self,
-        key: &K,
-        level: usize,
-        mode: Mode,
-    ) -> *mut Node<K, V, B> {
-        let locked = self.optimistically(key, level, |node, version| {
-            let unchanged = match mode {
-                Mode::Write => (*node).lock.lock_exclusive_at(version),
-                Mode::Read => {
-                    (*node).lock.lock_shared();
-                    // The node changed (or was unlinked) between the
-                    // descent and the lock: it may cover something else.
-                    let unchanged = (*node).lock.validate_version(version);
-                    if !unchanged {
-                        (*node).lock.unlock_shared();
-                    }
-                    unchanged
-                }
-            };
-            unchanged.then_some(node)
-        });
-        if let Some(node) = locked {
+    /// only if the version is still the validated one under the lock
+    /// ([`Locked::lock_at`]: for a writer
+    /// [`lock_exclusive_at`](bskip_sync::RawRwSpinLock::lock_exclusive_at),
+    /// for a snapshot a shared lock, then `validate_version`).  After
+    /// [`OPTIMISTIC_ATTEMPTS`] failed validations the descent falls back to
+    /// hand-over-hand shared locks down to `level`, so no caller can
+    /// livelock.  `level <= top_level()`.
+    pub(super) fn lock_covering<'p, G: Locked<'p, K, V, B>>(&'p self, key: &K, level: usize) -> G {
+        if let Some(node) = self.optimistically(key, level, G::lock_at) {
             return node;
         }
         if let Some(stats) = self.stats_enabled() {
-            match mode {
-                Mode::Read => stats.locked_fallbacks.incr(),
-                Mode::Write => stats.write_descent_fallbacks.incr(),
+            if G::EXCLUSIVE {
+                stats.write_descent_fallbacks.incr();
+            } else {
+                stats.locked_fallbacks.incr();
             }
         }
-        self.descend_locked(key, level, mode)
+        self.descend_locked(key, level)
     }
+}
 
-    /// Upserts `key → value` under the held leaf lock: replaces the value
-    /// of a present key (no height is drawn — an overwrite never reshapes
-    /// the list), or inserts an absent one when that is leaf-local.
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+    /// Upserts `key → value` in the write-locked `leaf`, whose key range
+    /// covers `key` (its header is `<=` the key, or it is the head
+    /// sentinel, and its successor's header — if any — is `>` the key):
+    /// replaces the value of a present key (no height is drawn — an
+    /// overwrite never reshapes the list), or inserts an absent one when
+    /// that is leaf-local.
     ///
     /// `height` is the promotion height to use should the key turn out to
     /// be absent; `None` draws one, *after* the search.  An absent key
     /// that is promoted (`height > 0`) or meets a full leaf is structural
     /// work: `Err` carries the height so that it is drawn exactly once
     /// per inserted key, whichever path finishes the job.
-    ///
-    /// # Safety
-    ///
-    /// `leaf` must be a leaf node, write-locked by this thread, whose key
-    /// range covers `key` (its header is `<=` the key, or it is the head
-    /// sentinel, and its successor's header — if any — is `>` the key).
-    pub(super) unsafe fn upsert_in_leaf(
+    pub(super) fn upsert_in_leaf(
         &self,
-        leaf: *mut Node<K, V, B>,
+        leaf: &WriteGuard<'_, K, V, B>,
         key: K,
         value: V,
         height: Option<usize>,
     ) -> Result<Option<V>, usize> {
-        let position = match (*leaf).search(&key) {
+        let position = match leaf.search(&key) {
             NodeSearch::Found(slot) => {
                 if let Some(stats) = self.stats_enabled() {
                     stats.inserts.incr();
                 }
-                return Ok(Some((*leaf).replace_value_at(slot, value)));
+                return Ok(Some(leaf.replace_value_at(slot, value)));
             }
             NodeSearch::Pred(slot) => slot + 1,
             NodeSearch::Before => {
                 debug_assert!(
-                    (*leaf).is_head(),
+                    leaf.is_head(),
                     "positioned a key below a non-head leaf's header"
                 );
                 0
             }
         };
         let height = height.unwrap_or_else(|| self.sample_height());
-        if height > 0 || (*leaf).is_full() {
+        if height > 0 || leaf.is_full() {
             return Err(height);
         }
         if let Some(stats) = self.stats_enabled() {
             stats.inserts.incr();
         }
-        (*leaf).insert_leaf_at(position, key, value);
+        leaf.insert_leaf_at(position, key, value);
         self.bump_len();
         Ok(None)
     }
 
-    /// Removes `key` under the held leaf lock unless it is the header of
-    /// a non-head leaf (see [`HeaderKey`]); an absent key is `Ok(None)`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Self::upsert_in_leaf`].
-    pub(super) unsafe fn remove_in_leaf(
+    /// Removes `key` from the write-locked, covering `leaf` (as for
+    /// [`Self::upsert_in_leaf`]) unless it is the header of a non-head
+    /// leaf (see [`HeaderKey`]); an absent key is `Ok(None)`.
+    pub(super) fn remove_in_leaf(
         &self,
-        leaf: *mut Node<K, V, B>,
+        leaf: &WriteGuard<'_, K, V, B>,
         key: &K,
     ) -> Result<Option<V>, HeaderKey> {
-        let removed = match (*leaf).search(key) {
+        let removed = match leaf.search(key) {
             // Not a (non-head) node header, hence height 0 and present
             // only in this leaf; removing it cannot empty a non-head node.
-            NodeSearch::Found(slot) if slot > 0 || (*leaf).is_head() => {
+            NodeSearch::Found(slot) if slot > 0 || leaf.is_head() => {
                 self.drop_len();
-                (*leaf).remove_at(slot)
+                leaf.remove_at(slot)
             }
             NodeSearch::Found(_) => return Err(HeaderKey),
             NodeSearch::Pred(_) | NodeSearch::Before => None,
@@ -425,6 +392,7 @@ pub(super) mod tests {
         );
         assert_eq!(list.get(&2), Some(20));
         list.validate().expect("structure");
+        assert_unlocked(&list);
     }
 
     #[test]
@@ -448,14 +416,12 @@ pub(super) mod tests {
 
     /// No node of the list is locked in either mode (at quiescence).
     pub(in crate::list) fn assert_unlocked<const B: usize>(list: &BSkipList<u64, u64, B>) {
+        let pin = list.pin();
         for level in 0..list.max_height() {
-            let mut node = list.head(level);
-            while !node.is_null() {
-                // SAFETY: single-threaded walk over linked, live nodes.
-                unsafe {
-                    assert!(!(*node).lock.is_locked(), "a level-{level} node is locked");
-                    node = (*node).next();
-                }
+            let mut node = Some(pin.head(level));
+            while let Some(curr) = node {
+                assert!(!curr.lock.is_locked(), "a level-{level} node is locked");
+                node = curr.next();
             }
         }
     }

@@ -87,6 +87,13 @@
 //! was therefore — at the validation instant — the genuine, reachable
 //! node for the reader's key, which is the linearization argument.
 //!
+//! The types carry this protocol (`guard.rs`).  The epoch pin is a `Pin`,
+//! made only by `BSkipList::pin`, and every traversal is a method of it; a
+//! node is reached only through a `NodeRef` made under that pin, which
+//! cannot outlive it; a node is written only through the `WriteGuard` its
+//! `lock` returns, and every guard unlocks on drop, so a hand-over-hand
+//! step is "lock the child, drop the parent".
+//!
 //! # The write path
 //!
 //! The paper's rule is that an insert with promotion height `h` *modifies*
@@ -126,16 +133,18 @@ mod remove;
 mod validate;
 
 use std::marker::PhantomData;
+use std::mem;
 use std::ops::{Bound, RangeBounds};
-use std::ptr;
+use std::ptr::{self, NonNull};
 
 use bskip_index::cursor::clone_bound;
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
-use bskip_sync::{EbrCollector, EbrGuard, EbrStats, Racy, StripedCounter};
+use bskip_sync::{EbrCollector, EbrStats, Racy, StripedCounter};
 
 use self::cursor::LeafCursor;
 
 use crate::config::BSkipConfig;
+use crate::guard::{Locked, NodeRef, Pin, ReadGuard, WriteGuard};
 use crate::height::sample_height;
 use crate::node::{prefetch_node, Node, NodeSearch};
 use crate::stats::BSkipStats;
@@ -151,42 +160,6 @@ pub(crate) const OPTIMISTIC_ATTEMPTS: usize = 8;
 /// and the whole descent must restart from the top-level head.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Restart;
-
-/// Lock mode used during a traversal step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// Shared (reader) mode.
-    Read,
-    /// Exclusive (writer) mode.
-    Write,
-}
-
-/// Locks `node` in the given mode.
-///
-/// # Safety
-///
-/// `node` must point to a live node.
-#[inline]
-pub(crate) unsafe fn lock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode) {
-    match mode {
-        Mode::Read => (*node).lock.lock_shared(),
-        Mode::Write => (*node).lock.lock_exclusive(),
-    }
-}
-
-/// Unlocks `node` from the given mode.
-///
-/// # Safety
-///
-/// `node` must point to a live node currently locked in `mode` by this
-/// thread.
-#[inline]
-pub(crate) unsafe fn unlock_node<K, V, const B: usize>(node: *mut Node<K, V, B>, mode: Mode) {
-    match mode {
-        Mode::Read => (*node).lock.unlock_shared(),
-        Mode::Write => (*node).lock.unlock_exclusive(),
-    }
-}
 
 /// A concurrent, locality-optimized B-skiplist.
 ///
@@ -232,7 +205,7 @@ where
 {
     /// Left sentinel ("head") node of every level; `heads[0]` is the leaf
     /// level, `heads[max_height - 1]` the top.
-    heads: Box<[*mut Node<K, V, B>]>,
+    heads: Box<[NonNull<Node<K, V, B>>]>,
     /// Number of levels.
     max_height: usize,
     /// Promotion denominator: a key is promoted one further level with
@@ -261,10 +234,11 @@ where
 // holds only keys and values, which `IndexKey` / `IndexValue` require to
 // be `Send`; moving the list moves that ownership whole.
 unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Send for BSkipList<K, V, B> {}
-// SAFETY: through `&self` the raw node pointers are only dereferenced
-// under the per-node reader/writer locks, or read through the relaxed
-// atomic accessors and validated against the node's version, and an
-// unlinked node is freed only by the epoch collector once no thread can
+// SAFETY: through `&self` nodes are only reached through handles made
+// under an epoch pin, written only through a write guard (the node's
+// exclusive lock), and read through the relaxed atomic accessors — exact
+// under the lock, validated against the node's version without it — and
+// an unlinked node is freed only by the epoch collector once no pin can
 // reach it; keys and values are `Sync` by the same trait bounds.
 unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Sync for BSkipList<K, V, B> {}
 
@@ -294,13 +268,10 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         let max_height = config.max_height;
         // Build the spine of head (left-sentinel) nodes, one per level,
         // linked downward through their implicit -infinity entry.
-        let mut heads = Vec::with_capacity(max_height);
-        heads.push(Node::<K, V, B>::alloc_leaf(true));
-        for level in 1..max_height {
-            let head = Node::<K, V, B>::alloc_internal(level as u8, true);
-            // SAFETY: the node was just allocated and is not yet shared.
-            unsafe { (*head).set_head_child(heads[level - 1]) };
-            heads.push(head);
+        let mut heads: Vec<NonNull<Node<K, V, B>>> = Vec::with_capacity(max_height);
+        for level in 0..max_height {
+            let below = heads.last().map_or(ptr::null_mut(), |head| head.as_ptr());
+            heads.push(Node::alloc(level, true, below));
         }
         BSkipList {
             heads: heads.into_boxed_slice(),
@@ -363,8 +334,10 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         }
     }
 
+    /// The head (left sentinel) node of `level`; `Pin::head` is the
+    /// handle form.
     #[inline]
-    pub(crate) fn head(&self, level: usize) -> *mut Node<K, V, B> {
+    pub(crate) fn head_ptr(&self, level: usize) -> NonNull<Node<K, V, B>> {
         self.heads[level]
     }
 
@@ -388,20 +361,6 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     #[inline]
     pub(crate) fn collector(&self) -> &EbrCollector {
         &self.collector
-    }
-
-    /// Retires an unlinked node to the collector; its memory is freed once
-    /// every traversal that could still reach it has finished.
-    ///
-    /// The caller must have physically unlinked `node` (no head-reachable
-    /// pointer leads to it) while holding the write locks the unlink
-    /// protocol requires, and must retire each node exactly once.
-    pub(crate) fn defer_free(&self, guard: &EbrGuard<'_>, node: *mut Node<K, V, B>) {
-        // SAFETY: per the contract above, `node` is unreachable for new
-        // traversals and retired once; nodes are allocated by
-        // `Box::into_raw` in `Node::alloc_*` and their keys/values are
-        // `Copy` + `Send`, so the deferred drop may run on any thread.
-        unsafe { guard.retire_box(node) };
     }
 
     /// Records that `count` freshly allocated nodes were linked into the
@@ -465,184 +424,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// every optimistic attempt — which is what makes chasing possibly
     /// stale pointers safe (see the module-level protocol notes).
     pub fn get(&self, key: &K) -> Option<V> {
-        let guard = self.collector.pin();
-        // SAFETY: `guard` pins this list's collector.
-        unsafe { self.get_pinned(key, &guard) }
-    }
-
-    /// [`BSkipList::get`] under the caller's epoch pin.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must pin this list's collector.
-    unsafe fn get_pinned(&self, key: &K, _guard: &EbrGuard<'_>) -> Option<V> {
-        if let Some(stats) = self.stats_enabled() {
-            stats.finds.incr();
-        }
-        let lookup = |leaf: *mut Node<K, V, B>| match (*leaf).search(key) {
-            NodeSearch::Found(slot) => Some((*leaf).value_at(slot)),
-            _ => None,
-        };
-        // The copy-out is only real if no writer overlapped the search and
-        // the copy: one final validation covers both.
-        let read = self.optimistically(key, 0, |leaf, version| {
-            let found = lookup(leaf);
-            (*leaf).lock.validate_version(version).then_some(found)
-        });
-        if let Some(found) = read {
-            if let Some(stats) = self.stats_enabled() {
-                stats.optimistic_reads.incr();
-            }
-            return found;
-        }
-        if let Some(stats) = self.stats_enabled() {
-            stats.locked_fallbacks.incr();
-        }
-        let leaf = self.descend_locked(key, 0, Mode::Read);
-        let found = lookup(leaf);
-        unlock_node(leaf, Mode::Read);
-        found
-    }
-
-    /// Optimistic lock-coupled descent to the node whose range covers
-    /// `key` at `stop_level`: the one holding the greatest key `<=` it.
-    /// On success the returned node was — at the moment its parent
-    /// validated — the reachable node for the key, and the returned
-    /// version is the one the caller must re-validate after reading from
-    /// it (or after locking it: `lock_covering`).
-    ///
-    /// Every internal step follows the OLC discipline (see the module
-    /// docs): capture the child's or successor's version *before*
-    /// validating the node the pointer was read from, so there is no
-    /// window in which the traversal stands on unverified ground.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold an epoch pin across the call *and* across any
-    /// subsequent use of the returned pointer; `stop_level <= top_level()`.
-    unsafe fn try_descend_optimistic_to(
-        &self,
-        key: &K,
-        stop_level: usize,
-    ) -> Result<(*mut Node<K, V, B>, u64), Restart> {
-        let mut level = self.top_level();
-        let mut curr = self.head(level);
-        let mut version = (*curr).lock.optimistic_version().ok_or(Restart)?;
-        loop {
-            // Walk right while the successor's header is `<=` the key.
-            loop {
-                let next = (*curr).next();
-                if next.is_null() {
-                    break;
-                }
-                prefetch_node(next);
-                let next_version = (*next).lock.optimistic_version().ok_or(Restart)?;
-                if (*next).is_empty() {
-                    // A linked node is never left empty (removal empties
-                    // and unlinks under one exclusive hold), so this is a
-                    // stale/torn read; restart rather than guess.
-                    return Err(Restart);
-                }
-                let covers = (*next).header() <= *key;
-                // The `next` pointer and the successor's header were read
-                // without locks: re-validate the node they were read from
-                // before acting on them.
-                if !(*curr).lock.validate_version(version) {
-                    return Err(Restart);
-                }
-                if covers {
-                    curr = next;
-                    version = next_version;
-                    if let Some(stats) = self.stats_enabled() {
-                        stats.horizontal_steps.incr();
-                    }
-                } else {
-                    // Not advancing: the header that justified stopping
-                    // must itself be genuine.
-                    if !(*next).lock.validate_version(next_version) {
-                        return Err(Restart);
-                    }
-                    break;
-                }
-            }
-            if level == stop_level {
-                return Ok((curr, version));
-            }
-            let child = match (*curr).search(key) {
-                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
-                NodeSearch::Before => {
-                    if !(*curr).is_head() {
-                        // A non-head node whose header is above the key
-                        // is a torn read (the locked walk can never stand
-                        // here); restart.
-                        return Err(Restart);
-                    }
-                    (*curr).head_child()
-                }
-            };
-            if child.is_null() {
-                return Err(Restart);
-            }
-            prefetch_node(child);
-            let child_version = (*child).lock.optimistic_version().ok_or(Restart)?;
-            // Classic OLC hand-over-hand: the child pointer is only
-            // trustworthy if the parent did not change since we started
-            // reading it — validate the parent *after* capturing the
-            // child's version, *before* descending.
-            if !(*curr).lock.validate_version(version) {
-                return Err(Restart);
-            }
-            curr = child;
-            version = child_version;
-            level -= 1;
-            if let Some(stats) = self.stats_enabled() {
-                stats.levels_visited.incr();
-            }
-        }
-    }
-
-    /// Hand-over-hand locked descent to the node covering `key` at
-    /// `stop_level`: the contention fallback behind every optimistic
-    /// descent — point reads and cursor positioning (`stop_level` 0,
-    /// `Mode::Read`) and the writers' entry (`Mode::Write` at the level
-    /// they start modifying).  Levels above
-    /// `stop_level` are read-locked; the returned node is locked in
-    /// `mode`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must release the returned node's lock;
-    /// `stop_level <= top_level()`.
-    pub(crate) unsafe fn descend_locked(
-        &self,
-        key: &K,
-        stop_level: usize,
-        mode: Mode,
-    ) -> *mut Node<K, V, B> {
-        let mode_at = |level: usize| {
-            if level == stop_level {
-                mode
-            } else {
-                Mode::Read
-            }
-        };
-        let mut level = self.top_level();
-        let mut curr = self.head(level);
-        lock_node(curr, mode_at(level));
-        loop {
-            curr = self.walk_right(curr, key, mode_at(level));
-            if level == stop_level {
-                return curr;
-            }
-            let child = self.descend_pointer(curr, key);
-            lock_node(child, mode_at(level - 1));
-            unlock_node(curr, Mode::Read);
-            curr = child;
-            level -= 1;
-            if let Some(stats) = self.stats_enabled() {
-                stats.levels_visited.incr();
-            }
-        }
+        self.pin().get_pinned(key)
     }
 
     /// Whether `key` is present: [`BSkipList::get`] with the value dropped.
@@ -728,124 +510,242 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     pub fn remove(&self, key: &K) -> Option<V> {
         // One pin for the whole operation: the descent needs epoch
         // protection (like any read path), and every node the pass unlinks
-        // is retired under this guard.
-        let guard = self.collector.pin();
-        // SAFETY: `guard` pins this list's collector; no lock is held.
-        unsafe { self.remove_pinned(key, &guard) }
+        // is retired under this pin.
+        self.pin().remove_pinned(key)
+    }
+}
+
+/// The descents and walks every operation is built from, under the pin
+/// that makes following node pointers safe.
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+    /// [`BSkipList::get`] under this pin.
+    pub(crate) fn get_pinned(&self, key: &K) -> Option<V> {
+        if let Some(stats) = self.stats_enabled() {
+            stats.finds.incr();
+        }
+        let lookup = |leaf: NodeRef<'_, K, V, B>| match leaf.search(key) {
+            NodeSearch::Found(slot) => Some(leaf.value_at(slot)),
+            _ => None,
+        };
+        // The copy-out is only real if no writer overlapped the search and
+        // the copy: one final validation covers both.
+        let read = self.optimistically(key, 0, |leaf, version| {
+            let found = lookup(leaf);
+            leaf.lock.validate_version(version).then_some(found)
+        });
+        if let Some(found) = read {
+            if let Some(stats) = self.stats_enabled() {
+                stats.optimistic_reads.incr();
+            }
+            return found;
+        }
+        if let Some(stats) = self.stats_enabled() {
+            stats.locked_fallbacks.incr();
+        }
+        let leaf: ReadGuard<'_, K, V, B> = self.descend_locked(key, 0);
+        lookup(*leaf)
     }
 
-    /// Moves right along a level while the successor's header is `<=`
-    /// `key`, maintaining HOH locks in `mode`.  Returns the final node,
-    /// locked in `mode`.
+    /// Optimistic lock-coupled descent to the node whose range covers
+    /// `key` at `stop_level`: the one holding the greatest key `<=` it.
+    /// On success the returned node was — at the moment its parent
+    /// validated — the reachable node for the key, and the returned
+    /// version is the one the caller must re-validate after reading from
+    /// it (or after locking it: `lock_covering`).
     ///
-    /// # Safety
-    ///
-    /// `curr` must be locked in `mode` by this thread.
-    unsafe fn walk_right(
+    /// Every internal step follows the OLC discipline (see the module
+    /// docs): capture the child's or successor's version *before*
+    /// validating the node the pointer was read from, so there is no
+    /// window in which the traversal stands on unverified ground.
+    /// `stop_level <= top_level()`.
+    fn try_descend_optimistic_to(
         &self,
-        mut curr: *mut Node<K, V, B>,
         key: &K,
-        mode: Mode,
-    ) -> *mut Node<K, V, B> {
+        stop_level: usize,
+    ) -> Result<(NodeRef<'_, K, V, B>, u64), Restart> {
+        let mut level = self.top_level();
+        let mut curr = self.head(level);
+        let mut version = curr.lock.optimistic_version().ok_or(Restart)?;
         loop {
-            let next = (*curr).next();
-            if next.is_null() {
-                return curr;
-            }
-            prefetch_node(next);
-            lock_node(next, mode);
-            if (*next).header() <= *key {
-                unlock_node(curr, mode);
-                curr = next;
-                if let Some(stats) = self.stats_enabled() {
-                    stats.horizontal_steps.incr();
+            // Walk right while the successor's header is `<=` the key.
+            while let Some(next) = curr.next() {
+                prefetch_node(next.as_ptr());
+                let next_version = next.lock.optimistic_version().ok_or(Restart)?;
+                if next.is_empty() {
+                    // A linked node is never left empty (removal empties
+                    // and unlinks under one exclusive hold), so this is a
+                    // stale/torn read; restart rather than guess.
+                    return Err(Restart);
                 }
-            } else {
-                unlock_node(next, mode);
-                return curr;
+                let covers = next.header() <= *key;
+                // The `next` pointer and the successor's header were read
+                // without locks: re-validate the node they were read from
+                // before acting on them.
+                if !curr.lock.validate_version(version) {
+                    return Err(Restart);
+                }
+                if covers {
+                    curr = next;
+                    version = next_version;
+                    if let Some(stats) = self.stats_enabled() {
+                        stats.horizontal_steps.incr();
+                    }
+                } else {
+                    // Not advancing: the header that justified stopping
+                    // must itself be genuine.
+                    if !next.lock.validate_version(next_version) {
+                        return Err(Restart);
+                    }
+                    break;
+                }
+            }
+            if level == stop_level {
+                return Ok((curr, version));
+            }
+            let child = match curr.search(key) {
+                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => curr.child_at(idx),
+                NodeSearch::Before => {
+                    if !curr.is_head() {
+                        // A non-head node whose header is above the key
+                        // is a torn read (the locked walk can never stand
+                        // here); restart.
+                        return Err(Restart);
+                    }
+                    curr.head_child()
+                }
+            };
+            let child = child.ok_or(Restart)?;
+            prefetch_node(child.as_ptr());
+            let child_version = child.lock.optimistic_version().ok_or(Restart)?;
+            // Classic OLC hand-over-hand: the child pointer is only
+            // trustworthy if the parent did not change since we started
+            // reading it — validate the parent *after* capturing the
+            // child's version, *before* descending.
+            if !curr.lock.validate_version(version) {
+                return Err(Restart);
+            }
+            curr = child;
+            version = child_version;
+            level -= 1;
+            if let Some(stats) = self.stats_enabled() {
+                stats.levels_visited.incr();
             }
         }
     }
 
-    /// The write-locked passes' walk along one level: moves right while
-    /// the successor's header is `<=` `key`, keeping the node before the
-    /// current one locked too, so that a node the pass empties can be
-    /// unlinked from its predecessor at once.  Returns `(prev, curr)`, both
-    /// write-locked, `prev` null if the walk did not move.
-    ///
-    /// # Safety
-    ///
-    /// `curr` must be write-locked by this thread.
-    unsafe fn walk_right_keeping_prev(
-        &self,
-        mut curr: *mut Node<K, V, B>,
+    /// Hand-over-hand locked descent to the node covering `key` at
+    /// `stop_level`: the contention fallback behind every optimistic
+    /// descent — point reads and cursor positioning (`stop_level` 0, a
+    /// [`ReadGuard`]) and the writers' entry (a [`WriteGuard`] at the level
+    /// they start modifying).  Levels above `stop_level` are read-locked,
+    /// each child locked before its parent is dropped; the returned node is
+    /// locked in `G`'s mode.  `stop_level <= top_level()`.
+    pub(crate) fn descend_locked<'p, G: Locked<'p, K, V, B>>(
+        &'p self,
         key: &K,
-    ) -> (*mut Node<K, V, B>, *mut Node<K, V, B>) {
-        let mut prev = ptr::null_mut();
+        stop_level: usize,
+    ) -> G {
+        let mut level = self.top_level();
+        if level == stop_level {
+            return self.walk_right(self.head(level).lock(), key);
+        }
+        let mut curr: ReadGuard<'p, K, V, B> = self.walk_right(self.head(level).lock(), key);
         loop {
-            let next = (*curr).next();
-            if next.is_null() {
-                return (prev, curr);
+            let child = self.descend_pointer(*curr, key);
+            level -= 1;
+            if let Some(stats) = self.stats_enabled() {
+                stats.levels_visited.incr();
             }
-            prefetch_node(next);
-            lock_node(next, Mode::Write);
-            if (*next).header() > *key {
-                unlock_node(next, Mode::Write);
-                return (prev, curr);
+            if level == stop_level {
+                let child: G = child.lock();
+                drop(curr);
+                return self.walk_right(child, key);
             }
-            if !prev.is_null() {
-                unlock_node(prev, Mode::Write);
+            let child = child.lock();
+            drop(curr);
+            curr = self.walk_right(child, key);
+        }
+    }
+
+    /// Moves right along a level while the successor's header is `<=`
+    /// `key`, hand-over-hand in `G`'s mode, and returns the last node.
+    fn walk_right<'g, G: Locked<'g, K, V, B>>(&self, mut curr: G, key: &K) -> G {
+        while let Some(next) = curr.next() {
+            prefetch_node(next.as_ptr());
+            let next: G = next.lock();
+            if next.header() > *key {
+                break;
             }
-            prev = curr;
             curr = next;
             if let Some(stats) = self.stats_enabled() {
                 stats.horizontal_steps.incr();
             }
         }
+        curr
     }
 
-    /// Returns the child pointer to follow when descending from `curr` for
-    /// `key`: the down pointer of the greatest key `<=` it, or the head
-    /// child when there is none.
-    ///
-    /// # Safety
-    ///
-    /// `curr` must be locked by this thread and must be an internal node.
-    pub(crate) unsafe fn descend_pointer(
+    /// The write-locked passes' walk along one level: moves right while
+    /// the successor's header is `<=` `key`, keeping the node before the
+    /// current one locked too, so that a node the pass empties can be
+    /// unlinked from its predecessor at once.  Returns `(prev, curr)`,
+    /// `prev` `None` if the walk did not move.
+    fn walk_right_keeping_prev<'g>(
         &self,
-        curr: *mut Node<K, V, B>,
+        mut curr: WriteGuard<'g, K, V, B>,
         key: &K,
-    ) -> *mut Node<K, V, B> {
-        let child = match (*curr).search(key) {
-            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => (*curr).child_at(idx),
+    ) -> (Option<WriteGuard<'g, K, V, B>>, WriteGuard<'g, K, V, B>) {
+        let mut prev = None;
+        while let Some(next) = curr.next() {
+            prefetch_node(next.as_ptr());
+            let next: WriteGuard<'g, K, V, B> = next.lock();
+            if next.header() > *key {
+                break;
+            }
+            prev = Some(mem::replace(&mut curr, next));
+            if let Some(stats) = self.stats_enabled() {
+                stats.horizontal_steps.incr();
+            }
+        }
+        (prev, curr)
+    }
+
+    /// Returns the child to follow when descending from the locked
+    /// internal node `curr` for `key`: the down pointer of the greatest key
+    /// `<=` it, or the head child when there is none.
+    fn descend_pointer<'g>(&self, curr: NodeRef<'g, K, V, B>, key: &K) -> NodeRef<'g, K, V, B> {
+        let child = match curr.search(key) {
+            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => curr.child_at(idx),
             NodeSearch::Before => {
                 debug_assert!(
-                    (*curr).is_head(),
+                    curr.is_head(),
                     "descended into a non-head node whose header is above the key"
                 );
-                (*curr).head_child()
+                curr.head_child()
             }
         };
+        let child = child.expect("a locked internal node has every down pointer");
         // Start pulling the child's first line in while the caller is
         // still busy on this level (stat bumps, unlocking `curr`).
-        prefetch_node(child);
+        prefetch_node(child.as_ptr());
         child
     }
 }
 
 impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Drop for BSkipList<K, V, B> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` guarantees no concurrent accessors; every node
-        // reachable from a head belongs to this list and is freed exactly
-        // once.  Retired nodes were unlinked (and are therefore not
-        // reachable from any head); the collector's own `Drop` drains them
-        // right after this body runs.
-        unsafe {
-            for &head in self.heads.iter() {
-                let mut node = head;
-                while !node.is_null() {
-                    let next = (*node).next();
-                    Node::free(node);
+        for &head in self.heads.iter() {
+            let mut node = head.as_ptr();
+            while !node.is_null() {
+                // SAFETY: `&mut self` guarantees no concurrent accessors and
+                // no live pin; every node reachable from a head belongs to
+                // this list, was made by `Node::alloc` with `Box::leak`, and
+                // is freed exactly once here.  Retired nodes were unlinked
+                // (and are therefore not reachable from any head); the
+                // collector's own `Drop` drains them right after this body
+                // runs.  Keys and values are `Copy`: no per-element drop.
+                unsafe {
+                    let next = (*node).next_ptr();
+                    drop(Box::from_raw(node));
                     node = next;
                 }
             }

@@ -41,29 +41,22 @@
 //! cursor about to lock it and find it empty) has finished.  See the
 //! crate-level documentation for the full reclamation discussion.
 
-use std::ptr;
-
 use bskip_index::{IndexKey, IndexValue};
-use bskip_sync::{EbrGuard, Racy};
+use bskip_sync::Racy;
 
 use super::leaf::HeaderKey;
-use super::{lock_node, unlock_node, BSkipList, Mode};
-use crate::node::{prefetch_node, Node, NodeSearch};
+use crate::guard::{NodeRef, Pin, WriteGuard};
+use crate::node::{prefetch_node, NodeSearch};
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
-    /// The one point-remove entry, under the caller's epoch pin: leaf
-    /// first (see the module docs).  `lock_covering` returns the covering
-    /// leaf write-locked, which is the kernel's contract, and the pass is
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+    /// The one point-remove entry, under this pin: leaf first (see the
+    /// module docs).  `lock_covering` returns the covering leaf
+    /// write-locked, which is the kernel's contract, and the pass is
     /// entered with no lock held.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must pin this list's collector; the caller must hold no
-    /// node lock.
-    pub(super) unsafe fn remove_pinned(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
-        let leaf = self.lock_covering(key, 0, Mode::Write);
-        let outcome = self.remove_in_leaf(leaf, key);
-        unlock_node(leaf, Mode::Write);
+    pub(super) fn remove_pinned(&self, key: &K) -> Option<V> {
+        let leaf = self.lock_covering(key, 0);
+        let outcome = self.remove_in_leaf(&leaf, key);
+        drop(leaf);
         match outcome {
             Ok(removed) => {
                 if let Some(stats) = self.stats_enabled() {
@@ -71,7 +64,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                 }
                 removed
             }
-            Err(HeaderKey) => self.remove_structural(key, guard),
+            Err(HeaderKey) => self.remove_structural(key),
         }
     }
 
@@ -79,44 +72,25 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// finds the level the pass enters at (module docs) and runs it.  The
     /// key may be removed, re-inserted with another height or moved
     /// between any two probes; the pass handles whatever it meets.
-    ///
-    /// # Safety
-    ///
-    /// `guard` must pin this list's collector; the caller must hold no
-    /// node lock.
-    pub(super) unsafe fn remove_structural(&self, key: &K, guard: &EbrGuard<'_>) -> Option<V> {
+    pub(super) fn remove_structural(&self, key: &K) -> Option<V> {
         for level in 1..=self.top_level() {
-            let entry = self.lock_covering(key, level, Mode::Write);
-            if (*entry).is_head() || (*entry).header() != *key {
-                return self.remove_inner(key, entry, guard);
+            let entry: WriteGuard<'_, K, V, B> = self.lock_covering(key, level);
+            if entry.is_head() || entry.header() != *key {
+                return self.remove_inner(key, entry);
             }
-            unlock_node(entry, Mode::Write);
         }
         // Unlinking a top-level node needs its predecessor, which the
         // pass retains while it walks right from the head.
-        let head = self.head(self.top_level());
-        lock_node(head, Mode::Write);
-        self.remove_inner(key, head, guard)
+        self.remove_inner(key, self.head(self.top_level()).lock())
     }
 
     /// The write-locked removal pass, from `entry` down to the leaf.  Makes
     /// no assumption about `key` — it may be gone, or no longer a header,
-    /// by the time the pass reaches its leaf.  Releases every lock it is
-    /// handed or takes.
-    ///
-    /// # Safety
-    ///
-    /// `entry` must be write-locked by this thread, must not be a non-head
-    /// node headed by `key`, and must cover `key` at its level or — the
-    /// top head — lie to the left of the node that does; `guard` must pin
-    /// this list's collector.
-    unsafe fn remove_inner(
-        &self,
-        key: &K,
-        entry: *mut Node<K, V, B>,
-        guard: &EbrGuard<'_>,
-    ) -> Option<V> {
-        let mut level = usize::from((*entry).level());
+    /// by the time the pass reaches its leaf.  `entry` is not a non-head
+    /// node headed by `key`, and covers `key` at its level or — the top
+    /// head — lies to the left of the node that does.
+    fn remove_inner<'p>(&'p self, key: &K, entry: WriteGuard<'p, K, V, B>) -> Option<V> {
+        let mut level = usize::from(entry.level());
         if let Some(stats) = self.stats_enabled() {
             stats.removes.incr();
             stats.structural_writes.incr();
@@ -133,20 +107,21 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                 stats.levels_visited.incr();
             }
 
-            let mut descend_child: *mut Node<K, V, B> = ptr::null_mut();
-            let mut unlinked: *mut Node<K, V, B> = ptr::null_mut();
+            let mut descend_child: Option<NodeRef<'p, K, V, B>> = None;
+            // `curr` lost its header and every survivor: it is unlinked,
+            // and retired once its lock is dropped.
+            let mut emptied = false;
 
-            match (*curr).search(key) {
+            match curr.search(key) {
                 NodeSearch::Found(idx) => {
-                    let value = (*curr).remove_at(idx);
+                    let value = curr.remove_at(idx);
                     if level == 0 {
                         removed = value;
                     }
-                    let header = idx == 0 && !(*curr).is_head();
-                    debug_assert!(
-                        !header || !prev.is_null(),
-                        "removed the header of the first node after the head"
-                    );
+                    let header = idx == 0 && !curr.is_head();
+                    // Only a header's removal needs `prev`, and the walk
+                    // to a non-head node always retains one.
+                    let retained = || prev.as_ref().expect("a header has a locked predecessor");
                     if level > 0 {
                         // Descend from the predecessor of the removed key: if
                         // the key was not the first entry its predecessor is
@@ -154,14 +129,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                         // the retained previous node (or that node's implicit
                         // -infinity entry).
                         descend_child = if idx > 0 {
-                            (*curr).child_at(idx - 1)
-                        } else if (*curr).is_head() {
-                            (*curr).head_child()
-                        } else if (*prev).is_empty() {
-                            debug_assert!((*prev).is_head());
-                            (*prev).head_child()
+                            curr.child_at(idx - 1)
+                        } else if curr.is_head() {
+                            curr.head_child()
+                        } else if retained().is_empty() {
+                            debug_assert!(retained().is_head());
+                            retained().head_child()
                         } else {
-                            (*prev).child_at((*prev).len() - 1)
+                            retained().child_at(retained().len() - 1)
                         };
                     }
                     if header {
@@ -170,52 +145,47 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
                         // They are interior keys, so nothing above points
                         // at them (this pass already removed the header's
                         // upper entries); `prev` keeps its own header.
-                        if !(*curr).is_empty() && (*prev).len() + (*curr).len() <= B {
-                            (*curr).move_suffix_to(0, &*prev);
+                        let prev = retained();
+                        if !curr.is_empty() && prev.len() + curr.len() <= B {
+                            curr.move_suffix_to(0, prev);
                             if let Some(stats) = self.stats_enabled() {
                                 stats.nodes_merged.incr();
                             }
                         }
-                        if (*curr).is_empty() {
-                            (*prev).set_next((*curr).next());
-                            unlinked = curr;
+                        if curr.is_empty() {
+                            prev.set_next(curr.next());
+                            emptied = true;
                         }
                     }
                 }
                 NodeSearch::Pred(idx) => {
                     if level > 0 {
-                        descend_child = (*curr).child_at(idx);
+                        descend_child = curr.child_at(idx);
                     }
                 }
                 NodeSearch::Before => {
                     if level > 0 {
-                        debug_assert!((*curr).is_head());
-                        descend_child = (*curr).head_child();
+                        debug_assert!(curr.is_head());
+                        descend_child = curr.head_child();
                     }
                 }
             }
 
-            if level == 0 {
-                if !prev.is_null() {
-                    unlock_node(prev, Mode::Write);
-                }
-                unlock_node(curr, Mode::Write);
-                if !unlinked.is_null() {
-                    self.defer_free(guard, unlinked);
-                }
-                break;
+            // ---- descend or finish: hand-over-hand, the child is locked
+            // before this level's locks are dropped ----
+            debug_assert_eq!(descend_child.is_some(), level > 0);
+            let child = descend_child.map(|child| {
+                prefetch_node(child.as_ptr());
+                child.lock()
+            });
+            drop(prev);
+            if emptied {
+                self.defer_free(curr);
+            } else {
+                drop(curr);
             }
-            debug_assert!(!descend_child.is_null());
-            prefetch_node(descend_child);
-            lock_node(descend_child, Mode::Write);
-            if !prev.is_null() {
-                unlock_node(prev, Mode::Write);
-            }
-            unlock_node(curr, Mode::Write);
-            if !unlinked.is_null() {
-                self.defer_free(guard, unlinked);
-            }
-            level_start = descend_child;
+            let Some(child) = child else { break };
+            level_start = child;
             level -= 1;
         }
 

@@ -23,7 +23,8 @@ use std::collections::BTreeSet;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Racy;
 
-use super::{lock_node, unlock_node, BSkipList, Mode};
+use super::BSkipList;
+use crate::guard::{NodeRef, Pin, ReadGuard};
 
 impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
     /// Checks every structural invariant, returning a description of the
@@ -31,11 +32,12 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     ///
     /// Intended for tests and debugging; the full walk is `O(n)` per level.
     pub fn validate(&self) -> Result<(), String> {
+        let pin = self.pin();
         let mut keys_below: Option<BTreeSet<K>> = None;
         // Walk levels bottom-up so the inclusion check always has the level
         // below available.
         for level in 0..self.max_height() {
-            let level_keys = self.validate_level(level)?;
+            let level_keys = pin.validate_level(level)?;
             if level > 0 {
                 let below = keys_below.as_ref().expect("level below was validated");
                 for key in &level_keys {
@@ -68,127 +70,92 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// like [`BSkipList::validate`] it may run against a live list but is
     /// only exact at quiescence.
     pub fn level_shape(&self) -> Vec<(usize, usize)> {
+        let pin = self.pin();
         (0..self.max_height())
             .map(|level| {
                 let (mut nodes, mut keys) = (0, 0);
-                // SAFETY: HOH read locking along the level, so every node
-                // is read under its own shared lock and reached through a
-                // pointer read under its predecessor's.
-                unsafe {
-                    let mut curr = self.head(level);
-                    lock_node(curr, Mode::Read);
-                    loop {
-                        nodes += 1;
-                        keys += (*curr).len();
-                        let next = (*curr).next();
-                        if next.is_null() {
-                            unlock_node(curr, Mode::Read);
-                            break;
-                        }
-                        lock_node(next, Mode::Read);
-                        unlock_node(curr, Mode::Read);
-                        curr = next;
-                    }
+                let mut curr: ReadGuard<'_, K, V, B> = pin.head(level).lock();
+                loop {
+                    nodes += 1;
+                    keys += curr.len();
+                    let Some(next) = curr.next() else { break };
+                    curr = next.lock();
                 }
                 (nodes, keys)
             })
             .collect()
     }
+}
 
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
     /// Validates a single level and returns the set of keys stored in it.
+    /// The walk is hand-over-hand under read locks; child headers are read
+    /// under the child's own read lock while the parent is held.
     fn validate_level(&self, level: usize) -> Result<BTreeSet<K>, String> {
         let mut keys = BTreeSet::new();
         let mut last_key: Option<K> = None;
-        // SAFETY: HOH read locking along the level; child headers are read
-        // under the child's own read lock while the parent is held.
-        unsafe {
-            let mut curr = self.head(level);
-            let mut is_first = true;
-            lock_node(curr, Mode::Read);
-            loop {
-                let node = &*curr;
-                if node.is_head() != is_first {
-                    unlock_node(curr, Mode::Read);
+        let mut curr: ReadGuard<'_, K, V, B> = self.head(level).lock();
+        let mut is_first = true;
+        loop {
+            if curr.is_head() != is_first {
+                return Err(format!(
+                    "level {level}: node at position {} has is_head={} ",
+                    keys.len(),
+                    curr.is_head()
+                ));
+            }
+            if !curr.is_head() && curr.is_empty() {
+                return Err(format!("level {level}: empty non-head node"));
+            }
+            if curr.len() > B {
+                return Err(format!("level {level}: node exceeds capacity"));
+            }
+            if level > 0 && curr.is_head() {
+                let expected = self.head(level - 1).as_ptr();
+                if curr.head_child().map(NodeRef::as_ptr) != Some(expected) {
                     return Err(format!(
-                        "level {level}: node at position {} has is_head={} ",
-                        keys.len(),
-                        node.is_head()
+                        "level {level}: head node's -infinity child does not point \
+                         to the head of level {}",
+                        level - 1
                     ));
                 }
-                if !node.is_head() && node.is_empty() {
-                    unlock_node(curr, Mode::Read);
-                    return Err(format!("level {level}: empty non-head node"));
-                }
-                if node.len() > B {
-                    unlock_node(curr, Mode::Read);
-                    return Err(format!("level {level}: node exceeds capacity"));
-                }
-                if level > 0 && node.is_head() {
-                    let expected = self.head(level - 1);
-                    if node.head_child() != expected {
-                        unlock_node(curr, Mode::Read);
+            }
+            for index in 0..curr.len() {
+                let key = curr.key_at(index);
+                if let Some(previous) = last_key {
+                    if previous >= key {
                         return Err(format!(
-                            "level {level}: head node's -infinity child does not point \
-                             to the head of level {}",
-                            level - 1
+                            "level {level}: keys out of order ({previous:?} before {key:?})"
                         ));
                     }
                 }
-                for index in 0..node.len() {
-                    let key = node.key_at(index);
-                    if let Some(previous) = last_key {
-                        if previous >= key {
-                            unlock_node(curr, Mode::Read);
-                            return Err(format!(
-                                "level {level}: keys out of order ({previous:?} before {key:?})"
-                            ));
-                        }
+                last_key = Some(key);
+                keys.insert(key);
+                if level > 0 {
+                    let Some(child) = curr.child_at(index) else {
+                        return Err(format!("level {level}: null child for key {key:?}"));
+                    };
+                    let child: ReadGuard<'_, K, V, B> = child.lock();
+                    let child_level = child.level();
+                    let child_header = (!child.is_empty()).then(|| child.header());
+                    if child_level as usize != level - 1 {
+                        return Err(format!(
+                            "level {level}: child of {key:?} is at level {child_level}"
+                        ));
                     }
-                    last_key = Some(key);
-                    keys.insert(key);
-                    if level > 0 {
-                        let child = node.child_at(index);
-                        if child.is_null() {
-                            unlock_node(curr, Mode::Read);
-                            return Err(format!("level {level}: null child for key {key:?}"));
-                        }
-                        lock_node(child, Mode::Read);
-                        let child_level = (*child).level();
-                        let child_is_head = (*child).is_head();
-                        let child_header = if (*child).is_empty() {
-                            None
-                        } else {
-                            Some((*child).header())
-                        };
-                        unlock_node(child, Mode::Read);
-                        if child_level as usize != level - 1 {
-                            unlock_node(curr, Mode::Read);
-                            return Err(format!(
-                                "level {level}: child of {key:?} is at level {child_level}"
-                            ));
-                        }
-                        if child_header != Some(key) {
-                            unlock_node(curr, Mode::Read);
-                            return Err(format!(
-                                "level {level}: child of {key:?} has header {child_header:?}"
-                            ));
-                        }
-                        if child_is_head {
-                            unlock_node(curr, Mode::Read);
-                            return Err(format!("level {level}: child of {key:?} is a head node"));
-                        }
+                    if child_header != Some(key) {
+                        return Err(format!(
+                            "level {level}: child of {key:?} has header {child_header:?}"
+                        ));
+                    }
+                    if child.is_head() {
+                        return Err(format!("level {level}: child of {key:?} is a head node"));
                     }
                 }
-                let next = node.next();
-                if next.is_null() {
-                    unlock_node(curr, Mode::Read);
-                    break;
-                }
-                lock_node(next, Mode::Read);
-                unlock_node(curr, Mode::Read);
-                curr = next;
-                is_first = false;
             }
+            let Some(next) = curr.next() else { break };
+            curr = next.lock();
+            is_first = false;
         }
         Ok(keys)
     }
@@ -197,6 +164,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
 #[cfg(test)]
 mod tests {
     use crate::config::BSkipConfig;
+    use crate::guard::WriteGuard;
+    use crate::list::leaf::tests::assert_unlocked;
     use crate::BSkipList;
 
     #[test]
@@ -230,27 +199,32 @@ mod tests {
             BSkipList::with_config(BSkipConfig::default().with_max_height(3));
         list.insert_with_height(10, 100, 0);
         list.validate().expect("healthy before the corruption");
-        // SAFETY: single-threaded; both heads are live nodes of this list.
-        unsafe { (*list.head(1)).insert_internal_at(0, 10, list.head(0)) };
+        let pin = list.pin();
+        let head: WriteGuard<'_, u64, u64, 4> = pin.head(1).lock();
+        head.insert_internal_at(0, 10, pin.head(0));
+        drop(head);
         let error = list.validate().expect_err("head-targeting down pointer");
         assert!(error.contains("is a head node"), "{error}");
+        assert_unlocked(&list);
         // Undo it, so that dropping the list frees every node once.
-        // SAFETY: as above.
-        unsafe { (*list.head(1)).remove_at(0) };
+        let head: WriteGuard<'_, u64, u64, 4> = pin.head(1).lock();
+        head.remove_at(0);
+        drop(head);
         list.validate().expect("healthy again");
     }
 
     #[test]
     fn validation_detects_length_mismatch() {
-        // White-box check that validate() actually reports problems: build a
-        // healthy list, then lie about its length by inserting through the
-        // private counter. Easiest observable inconsistency: an empty list
-        // claiming one element.
+        // White-box check of invariant 6: build a healthy list, then lie
+        // about its length through the private counter.
         let list: BSkipList<u64, u64, 4> =
             BSkipList::with_config(BSkipConfig::default().with_max_height(3));
         list.insert(1, 1);
-        // Remove via the leaf only by using remove(), then re-check.
-        assert_eq!(list.remove(&1), Some(1));
-        list.validate().expect("list is consistent after remove");
+        list.validate().expect("consistent before the lie");
+        list.bump_len();
+        let error = list.validate().expect_err("one key held, two reported");
+        assert!(error.contains("len() reports"), "{error}");
+        list.drop_len();
+        list.validate().expect("consistent again");
     }
 }

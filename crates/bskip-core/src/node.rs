@@ -16,19 +16,20 @@
 //! Every node embeds a [`RawRwSpinLock`].  The guarded state (`len`,
 //! `next`, `head_child`, keys, values, children) may only be **written**
 //! while holding the node's lock in exclusive mode, which is why every
-//! mutator is `unsafe`.  It is **read** one way, through one safe
-//! accessor per field (`len`, `next`, `head_child`, `key_at`, `value_at`,
-//! `child_at`, and `header` and `search` on top of them), each a
-//! relaxed-atomic load.  What a read is worth depends on the caller, not
+//! mutator is a method of the lock's [`WriteGuard`] and of nothing else:
+//! holding one is the proof (`guard.rs`).  It is **read** one way, through
+//! one safe accessor per field (`len`, `next`, `head_child`, `key_at`,
+//! `value_at`, `child_at`, and `header` and `search` on top of them), each
+//! a relaxed-atomic load.  What a read is worth depends on the caller, not
 //! on the accessor: under the lock, shared or exclusive, it is exact;
 //! without the lock it is provisional — possibly stale or *torn* by an
 //! overlapping writer — until the caller validates the version it
 //! captured before reading ([`RawRwSpinLock::optimistic_version`] /
-//! [`RawRwSpinLock::validate_version`]).  An unlocked reader must also
-//! hold an EBR guard pinned from before its first dereference: retired
-//! nodes stay mapped through the grace period, so even a pointer read from
-//! a torn slot is dereferenceable — just invalid, and rejected by
-//! validation.
+//! [`RawRwSpinLock::validate_version`]).  Nodes are reached through
+//! [`NodeRef`] handles, which exist only under an epoch pin taken before
+//! the first dereference: retired nodes stay mapped through the grace
+//! period, so even a pointer read from a torn slot is dereferenceable —
+//! just invalid, and rejected by validation.
 //!
 //! Every field is a cell whose races are defined behaviour: single-word
 //! fields (`len`, `next`, `head_child`, children) are plain atomics, and
@@ -40,10 +41,13 @@
 //! The `level` and `is_head` fields are immutable after construction and
 //! may be read freely in either mode.
 
-use std::ptr;
+use std::mem;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use bskip_sync::{Racy, RacyCell, RawRwSpinLock};
+
+use crate::guard::{NodeRef, WriteGuard};
 
 /// Outcome of searching for a key inside one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,44 +127,41 @@ where
     K: Racy + Ord,
     V: Racy,
 {
-    /// Allocates an empty leaf node and leaks it, returning the raw pointer.
-    pub(crate) fn alloc_leaf(is_head: bool) -> *mut Self {
-        let values = [const { RacyCell::new(V::ZERO) }; B];
-        Self::alloc(0, is_head, Data::Leaf(values))
-    }
-
-    /// Allocates an empty internal node at `level > 0` and leaks it.
-    pub(crate) fn alloc_internal(level: u8, is_head: bool) -> *mut Self {
-        debug_assert!(level > 0, "internal nodes live at levels above zero");
-        let children = [const { AtomicPtr::new(ptr::null_mut()) }; B];
-        Self::alloc(level, is_head, Data::Internal(children))
-    }
-
-    /// Allocates a node holding `data` and leaks it.
-    fn alloc(level: u8, is_head: bool, data: Data<K, V, B>) -> *mut Self {
-        Box::into_raw(Box::new(Node {
+    /// Allocates an empty node at `level` and leaks it: a leaf at level 0,
+    /// an internal node above.  `head_child` is a head node's `-∞` down
+    /// pointer, null otherwise; it is never changed afterwards.
+    pub(crate) fn alloc(level: usize, is_head: bool, head_child: *mut Self) -> NonNull<Self> {
+        let data = if level == 0 {
+            Data::Leaf([const { RacyCell::new(V::ZERO) }; B])
+        } else {
+            Data::Internal([const { AtomicPtr::new(ptr::null_mut()) }; B])
+        };
+        NonNull::from(Box::leak(Box::new(Node {
             lock: RawRwSpinLock::new(),
-            level,
+            level: level as u8,
             is_head,
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
-            head_child: AtomicPtr::new(ptr::null_mut()),
+            head_child: AtomicPtr::new(head_child),
             keys: [const { RacyCell::new(K::ZERO) }; B],
             data,
-        }))
+        })))
     }
 
-    /// Frees a node previously allocated by [`Node::alloc_leaf`] or
-    /// [`Node::alloc_internal`].
+    /// Frees a node that was never published, consuming its write guard
+    /// without unlocking it.
     ///
     /// # Safety
     ///
-    /// `node` must be a valid pointer obtained from one of the allocation
-    /// functions, must not be referenced by any other thread, and must not
-    /// be freed twice.  Keys and values are `Copy`, so no per-element drop
-    /// is required.
-    pub(crate) unsafe fn free(node: *mut Self) {
-        drop(Box::from_raw(node));
+    /// No pointer to the node was ever stored where another thread can
+    /// read it, and no other handle on it is used again.
+    pub(crate) unsafe fn free(node: WriteGuard<'_, K, V, B>) {
+        let ptr = node.as_ptr();
+        mem::forget(node);
+        // SAFETY: `Node::alloc` made the node with `Box::leak`, and per the
+        // contract above nothing else can reach it; its keys and values are
+        // `Copy`, so no per-element drop is owed.
+        drop(unsafe { Box::from_raw(ptr) });
     }
 
     /// Level of the node (immutable, lock-free).
@@ -193,13 +194,10 @@ where
         }
     }
 
-    /// Publishes a new length.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively and `len <= B`.
+    /// Publishes a new length (`<= B`); only the write guard's mutators
+    /// call it.
     #[inline]
-    unsafe fn set_len(&self, len: usize) {
+    fn set_len(&self, len: usize) {
         debug_assert!(len <= B);
         self.len.store(len, Ordering::Relaxed);
     }
@@ -223,42 +221,19 @@ where
         self.len() == B
     }
 
-    /// Right neighbour at this level (null if none); read like
-    /// [`Node::len`].
+    /// Right neighbour at this level (null if none), read like
+    /// [`Node::len`]; [`NodeRef::next`] is the handle form.
     #[inline]
-    pub(crate) fn next(&self) -> *mut Self {
+    pub(crate) fn next_ptr(&self) -> *mut Self {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Sets the right neighbour.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively.
+    /// Down pointer of the implicit `-∞` entry (head nodes only), read
+    /// like [`Node::len`]; [`NodeRef::head_child`] is the handle form.
     #[inline]
-    pub(crate) unsafe fn set_next(&self, next: *mut Self) {
-        self.next.store(next, Ordering::Relaxed);
-    }
-
-    /// Down pointer of the implicit `-∞` entry (head nodes only); read
-    /// like [`Node::len`].
-    #[inline]
-    pub(crate) fn head_child(&self) -> *mut Self {
+    pub(crate) fn head_child_ptr(&self) -> *mut Self {
         debug_assert!(self.is_head);
         self.head_child.load(Ordering::Relaxed)
-    }
-
-    /// Sets the `-∞` down pointer (head nodes only; done once at
-    /// construction of the skiplist spine).
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, or the node must not yet be
-    /// shared with other threads.
-    #[inline]
-    pub(crate) unsafe fn set_head_child(&self, child: *mut Self) {
-        debug_assert!(self.is_head);
-        self.head_child.store(child, Ordering::Relaxed);
     }
 
     /// The header (smallest) key of the node: [`Node::key_at`] of slot 0,
@@ -282,42 +257,16 @@ where
         self.values()[index].get()
     }
 
-    /// Overwrites the value at slot `index`, returning the previous value.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, the node must be a leaf and
-    /// `index < len()`.
-    #[inline]
-    pub(crate) unsafe fn replace_value_at(&self, index: usize, value: V) -> V {
-        debug_assert!(index < self.len());
-        let slot = &self.values()[index];
-        let old = slot.get();
-        slot.set(value);
-        old
-    }
-
     /// Child pointer at slot `index` (internal nodes only).  One
     /// single-word atomic load, so it serves both read modes: under the
     /// node's lock it is the down pointer of `keys[index]`; read
     /// optimistically it is never torn — but possibly stale or belonging
     /// to a different separator key than the reader thinks, and only
-    /// validation makes it meaningful.
+    /// validation makes it meaningful.  [`NodeRef::child_at`] is the
+    /// handle form.
     #[inline]
-    pub(crate) fn child_at(&self, index: usize) -> *mut Self {
+    pub(crate) fn child_ptr(&self, index: usize) -> *mut Self {
         self.children()[index].load(Ordering::Relaxed)
-    }
-
-    /// Overwrites the child pointer at slot `index` (internal nodes only).
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, the node must be internal
-    /// and `index < len()`.
-    #[inline]
-    pub(crate) unsafe fn set_child_at(&self, index: usize, child: *mut Self) {
-        debug_assert!(index < self.len());
-        self.children()[index].store(child, Ordering::Relaxed);
     }
 
     /// Number of the first `len` keys strictly less than `key`: the
@@ -373,14 +322,41 @@ where
             NodeSearch::Pred(below - 1)
         }
     }
+}
 
-    /// Inserts `key`/`value` at slot `index`, shifting later slots right.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, the node must be a leaf,
-    /// not full, and `index <= len()`.
-    pub(crate) unsafe fn insert_leaf_at(&self, index: usize, key: K, value: V) {
+/// The mutators: methods of the write guard alone, so that holding the
+/// node's exclusive lock is a precondition the compiler checks.
+impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
+    /// Sets the right neighbour.
+    #[inline]
+    pub(crate) fn set_next(&self, next: Option<NodeRef<'_, K, V, B>>) {
+        let next = next.map_or(ptr::null_mut(), NodeRef::as_ptr);
+        self.next.store(next, Ordering::Relaxed);
+    }
+
+    /// Overwrites the value at slot `index < len()` of a leaf, returning
+    /// the previous value.
+    #[inline]
+    pub(crate) fn replace_value_at(&self, index: usize, value: V) -> V {
+        debug_assert!(index < self.len());
+        let slot = &self.values()[index];
+        let old = slot.get();
+        slot.set(value);
+        old
+    }
+
+    /// Overwrites the down pointer at slot `index < len()` of an internal
+    /// node.
+    #[inline]
+    pub(crate) fn set_child_at(&self, index: usize, child: Option<NodeRef<'_, K, V, B>>) {
+        debug_assert!(index < self.len());
+        let child = child.map_or(ptr::null_mut(), NodeRef::as_ptr);
+        self.children()[index].store(child, Ordering::Relaxed);
+    }
+
+    /// Inserts `key`/`value` at slot `index <= len()` of a non-full leaf,
+    /// shifting later slots right.
+    pub(crate) fn insert_leaf_at(&self, index: usize, key: K, value: V) {
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
@@ -392,14 +368,9 @@ where
         self.set_len(len + 1);
     }
 
-    /// Inserts `key` with down pointer `child` at slot `index`, shifting
-    /// later slots right.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively, the node must be internal,
-    /// not full, and `index <= len()`.
-    pub(crate) unsafe fn insert_internal_at(&self, index: usize, key: K, child: *mut Self) {
+    /// Inserts `key` with down pointer `child` at slot `index <= len()` of
+    /// a non-full internal node, shifting later slots right.
+    pub(crate) fn insert_internal_at(&self, index: usize, key: K, child: NodeRef<'_, K, V, B>) {
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
@@ -410,18 +381,14 @@ where
             let moved = children[slot].load(Ordering::Relaxed);
             children[slot + 1].store(moved, Ordering::Relaxed);
         }
-        children[index].store(child, Ordering::Relaxed);
+        children[index].store(child.as_ptr(), Ordering::Relaxed);
         self.set_len(len + 1);
     }
 
-    /// Removes the entry at slot `index`, shifting later slots left.
-    /// Returns the removed value for leaf nodes and `None` for internal
-    /// nodes.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively and `index < len()`.
-    pub(crate) unsafe fn remove_at(&self, index: usize) -> Option<V> {
+    /// Removes the entry at slot `index < len()`, shifting later slots
+    /// left.  Returns the removed value for leaf nodes and `None` for
+    /// internal nodes.
+    pub(crate) fn remove_at(&self, index: usize) -> Option<V> {
         let len = self.len();
         debug_assert!(index < len);
         shift_left(&self.keys[index..len]);
@@ -450,12 +417,9 @@ where
     /// undoes a split when a header removal leaves survivors that fit
     /// back into the node they were split from.
     ///
-    /// # Safety
-    ///
-    /// Both nodes' locks must be held exclusively, both nodes must be at the
-    /// same level and of the same kind (leaf/internal), `from <= self.len()`
-    /// and `dst.len() + (self.len() - from) <= B`.
-    pub(crate) unsafe fn move_suffix_to(&self, from: usize, dst: &Self) {
+    /// Both nodes are at the same level, `from <= self.len()` and
+    /// `dst.len() + (self.len() - from) <= B`.
+    pub(crate) fn move_suffix_to(&self, from: usize, dst: &Self) {
         let src_len = self.len();
         let dst_len = dst.len();
         let count = src_len - from;
@@ -481,33 +445,16 @@ where
         self.set_len(from);
     }
 
-    /// Appends a single `key`/`value` pair to a leaf node.
-    ///
-    /// # Safety
-    ///
-    /// The node's lock must be held exclusively (or the node must be
-    /// thread-private), the node must be a non-full leaf, and `key` must be
-    /// greater than every key already stored.
-    pub(crate) unsafe fn push_leaf(&self, key: K, value: V) {
-        let len = self.len();
-        self.insert_leaf_at(len, key, value);
+    /// Appends `key`/`value` to a non-full leaf; `key` is greater than
+    /// every key already stored.
+    pub(crate) fn push_leaf(&self, key: K, value: V) {
+        self.insert_leaf_at(self.len(), key, value);
     }
 
-    /// Appends a single `key`/`child` pair to an internal node.
-    ///
-    /// # Safety
-    ///
-    /// As for [`Node::push_leaf`], but for internal nodes.
-    pub(crate) unsafe fn push_internal(&self, key: K, child: *mut Self) {
-        let len = self.len();
-        self.insert_internal_at(len, key, child);
-    }
-
-    /// Copies the keys in slots `0..len()` into a `Vec` (test/validation
-    /// helper); exact under the node's lock.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn keys_vec(&self) -> Vec<K> {
-        self.keys[..self.len()].iter().map(RacyCell::get).collect()
+    /// Appends `key`/`child` to a non-full internal node; `key` is greater
+    /// than every key already stored.
+    pub(crate) fn push_internal(&self, key: K, child: NodeRef<'_, K, V, B>) {
+        self.insert_internal_at(self.len(), key, child);
     }
 }
 
@@ -538,8 +485,25 @@ pub(crate) fn prefetch_node<K, V, const B: usize>(ptr: *mut Node<K, V, B>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BSkipConfig;
+    use crate::list::BSkipList;
 
     type TestNode = Node<u64, u64, 8>;
+    type List = BSkipList<u64, u64, 8>;
+
+    impl<K: Racy + Ord, V: Racy, const B: usize> Node<K, V, B> {
+        /// Copies the keys in slots `0..len()` into a `Vec`; exact under
+        /// the node's lock.
+        fn keys_vec(&self) -> Vec<K> {
+            self.keys[..self.len()].iter().map(RacyCell::get).collect()
+        }
+    }
+
+    /// A list to pin, for write-locked nodes of its own allocation: each
+    /// test's nodes are never linked in, and retired at the end.
+    fn list() -> List {
+        List::with_config(BSkipConfig::default().with_max_height(3))
+    }
 
     #[test]
     fn node_is_cache_line_aligned() {
@@ -548,278 +512,223 @@ mod tests {
 
     #[test]
     fn leaf_insert_search_remove() {
-        // SAFETY: the leaf is allocated here and never shared: no other
-        // thread can reach it, so this thread's exclusive access stands in
-        // for the locks the mutators require; every index is within its
-        // length, and it is freed once, last.
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            let node_ref = &*node;
-            assert!(node_ref.is_empty());
-            node_ref.insert_leaf_at(0, 10, 100);
-            node_ref.insert_leaf_at(1, 30, 300);
-            node_ref.insert_leaf_at(1, 20, 200);
-            assert_eq!(node_ref.len(), 3);
-            assert_eq!(node_ref.keys_vec(), vec![10, 20, 30]);
-            assert_eq!(node_ref.header(), 10);
-            assert_eq!(node_ref.value_at(1), 200);
+        let list = list();
+        let pin = list.pin();
+        let node = pin.alloc(0);
+        assert!(node.is_empty());
+        node.insert_leaf_at(0, 10, 100);
+        node.insert_leaf_at(1, 30, 300);
+        node.insert_leaf_at(1, 20, 200);
+        assert_eq!(node.len(), 3);
+        assert_eq!(node.keys_vec(), vec![10, 20, 30]);
+        assert_eq!(node.header(), 10);
+        assert_eq!(node.value_at(1), 200);
 
-            assert_eq!(node_ref.search(&20), NodeSearch::Found(1));
-            assert_eq!(node_ref.search(&25), NodeSearch::Pred(1));
-            assert_eq!(node_ref.search(&5), NodeSearch::Before);
-            assert_eq!(node_ref.search(&35), NodeSearch::Pred(2));
+        assert_eq!(node.search(&20), NodeSearch::Found(1));
+        assert_eq!(node.search(&25), NodeSearch::Pred(1));
+        assert_eq!(node.search(&5), NodeSearch::Before);
+        assert_eq!(node.search(&35), NodeSearch::Pred(2));
 
-            assert_eq!(node_ref.remove_at(1), Some(200));
-            assert_eq!(node_ref.keys_vec(), vec![10, 30]);
-            assert_eq!(node_ref.value_at(1), 300);
-            TestNode::free(node);
-        }
+        assert_eq!(node.remove_at(1), Some(200));
+        assert_eq!(node.keys_vec(), vec![10, 30]);
+        assert_eq!(node.value_at(1), 300);
+        pin.defer_free(node);
     }
 
     #[test]
     fn replace_value_returns_old() {
-        // SAFETY: the leaf is allocated here and never shared: no other
-        // thread can reach it, so this thread's exclusive access stands in
-        // for the locks the mutators require; slot 0 is occupied, and the
-        // leaf is freed once, last.
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            (*node).insert_leaf_at(0, 1, 10);
-            assert_eq!((*node).replace_value_at(0, 11), 10);
-            assert_eq!((*node).value_at(0), 11);
-            TestNode::free(node);
-        }
+        let list = list();
+        let pin = list.pin();
+        let node = pin.alloc(0);
+        node.insert_leaf_at(0, 1, 10);
+        assert_eq!(node.replace_value_at(0, 11), 10);
+        assert_eq!(node.value_at(0), 11);
+        pin.defer_free(node);
     }
 
     #[test]
     fn internal_insert_and_children_track_keys() {
-        // SAFETY: all four nodes are allocated here and never shared: no
-        // other thread can reach them, so this thread's exclusive access
-        // stands in for the locks the mutators require; the child accessors
-        // run on the internal node within its length, and each node is
-        // freed once, last.
-        unsafe {
-            let internal = TestNode::alloc_internal(1, false);
-            let child_a = TestNode::alloc_leaf(false);
-            let child_b = TestNode::alloc_leaf(false);
-            (*internal).insert_internal_at(0, 5, child_a);
-            (*internal).insert_internal_at(1, 9, child_b);
-            assert_eq!((*internal).child_at(0), child_a);
-            assert_eq!((*internal).child_at(1), child_b);
-            // Insert in the middle shifts children along with keys.
-            let child_c = TestNode::alloc_leaf(false);
-            (*internal).insert_internal_at(1, 7, child_c);
-            assert_eq!((*internal).keys_vec(), vec![5, 7, 9]);
-            assert_eq!((*internal).child_at(1), child_c);
-            assert_eq!((*internal).child_at(2), child_b);
-            (*internal).remove_at(1);
-            assert_eq!((*internal).child_at(1), child_b);
-            TestNode::free(child_a);
-            TestNode::free(child_b);
-            TestNode::free(child_c);
-            TestNode::free(internal);
+        let list = list();
+        let pin = list.pin();
+        let internal = pin.alloc(1);
+        let (child_a, child_b, child_c) = (pin.alloc(0), pin.alloc(0), pin.alloc(0));
+        let child = |index| internal.child_at(index).map(NodeRef::as_ptr);
+        internal.insert_internal_at(0, 5, *child_a);
+        internal.insert_internal_at(1, 9, *child_b);
+        assert_eq!(child(0), Some(child_a.as_ptr()));
+        assert_eq!(child(1), Some(child_b.as_ptr()));
+        // Insert in the middle shifts children along with keys.
+        internal.insert_internal_at(1, 7, *child_c);
+        assert_eq!(internal.keys_vec(), vec![5, 7, 9]);
+        assert_eq!(child(1), Some(child_c.as_ptr()));
+        assert_eq!(child(2), Some(child_b.as_ptr()));
+        internal.remove_at(1);
+        assert_eq!(child(1), Some(child_b.as_ptr()));
+        internal.set_child_at(0, Some(*child_c));
+        assert_eq!(child(0), Some(child_c.as_ptr()));
+        for node in [child_a, child_b, child_c, internal] {
+            pin.defer_free(node);
         }
     }
 
     #[test]
     fn move_suffix_splits_leaf() {
-        // SAFETY: both leaves are allocated here and never shared: no other
-        // thread can reach them, so this thread's exclusive access stands
-        // in for the locks the mutators require; the split point is within
-        // the source's length, and each leaf is freed once, last.
-        unsafe {
-            let left = TestNode::alloc_leaf(false);
-            let right = TestNode::alloc_leaf(false);
-            for i in 0..6u64 {
-                (*left).push_leaf(i, i * 10);
-            }
-            (*left).move_suffix_to(3, &*right);
-            assert_eq!((*left).keys_vec(), vec![0, 1, 2]);
-            assert_eq!((*right).keys_vec(), vec![3, 4, 5]);
-            assert_eq!((*right).value_at(2), 50);
-            TestNode::free(left);
-            TestNode::free(right);
+        let list = list();
+        let pin = list.pin();
+        let (left, right) = (pin.alloc(0), pin.alloc(0));
+        for i in 0..6u64 {
+            left.push_leaf(i, i * 10);
         }
+        left.move_suffix_to(3, &right);
+        assert_eq!(left.keys_vec(), vec![0, 1, 2]);
+        assert_eq!(right.keys_vec(), vec![3, 4, 5]);
+        assert_eq!(right.value_at(2), 50);
+        pin.defer_free(left);
+        pin.defer_free(right);
     }
 
     #[test]
     fn move_suffix_appends_after_existing_entries() {
-        // SAFETY: both leaves are allocated here and never shared: no other
-        // thread can reach them, so this thread's exclusive access stands
-        // in for the locks the mutators require; the moved entries fit the
-        // destination, and each leaf is freed once, last.
-        unsafe {
-            let left = TestNode::alloc_leaf(false);
-            let right = TestNode::alloc_leaf(false);
-            for i in 0..4u64 {
-                (*left).push_leaf(10 + i, i);
-            }
-            (*right).push_leaf(9, 999);
-            (*left).move_suffix_to(2, &*right);
-            assert_eq!((*right).keys_vec(), vec![9, 12, 13]);
-            assert_eq!((*left).keys_vec(), vec![10, 11]);
-            TestNode::free(left);
-            TestNode::free(right);
+        let list = list();
+        let pin = list.pin();
+        let (left, right) = (pin.alloc(0), pin.alloc(0));
+        for i in 0..4u64 {
+            left.push_leaf(10 + i, i);
         }
+        right.push_leaf(9, 999);
+        left.move_suffix_to(2, &right);
+        assert_eq!(right.keys_vec(), vec![9, 12, 13]);
+        assert_eq!(left.keys_vec(), vec![10, 11]);
+        pin.defer_free(left);
+        pin.defer_free(right);
     }
 
     #[test]
     fn move_whole_prefix_empties_the_source() {
         // The fold: `from == 0` moves *everything* into the left
         // neighbour, leaving the source empty (ready for the unlink).
-        // SAFETY: both leaves are allocated here and never shared: no other
-        // thread can reach them, so this thread's exclusive access stands
-        // in for the locks the mutators require; all six entries fit the
-        // destination, and each leaf is freed once, last.
-        unsafe {
-            let left = TestNode::alloc_leaf(false);
-            let right = TestNode::alloc_leaf(false);
-            for i in 0..3u64 {
-                (*left).push_leaf(i, i);
-                (*right).push_leaf(100 + i, i);
-            }
-            (*right).move_suffix_to(0, &*left);
-            assert!((*right).is_empty());
-            assert_eq!((*left).keys_vec(), vec![0, 1, 2, 100, 101, 102]);
-            assert_eq!((*left).value_at(5), 2);
-            TestNode::free(left);
-            TestNode::free(right);
+        let list = list();
+        let pin = list.pin();
+        let (left, right) = (pin.alloc(0), pin.alloc(0));
+        for i in 0..3u64 {
+            left.push_leaf(i, i);
+            right.push_leaf(100 + i, i);
         }
+        right.move_suffix_to(0, &left);
+        assert!(right.is_empty());
+        assert_eq!(left.keys_vec(), vec![0, 1, 2, 100, 101, 102]);
+        assert_eq!(left.value_at(5), 2);
+        pin.defer_free(left);
+        pin.defer_free(right);
     }
 
     #[test]
     fn move_suffix_splits_internal_with_children() {
-        // SAFETY: every node is allocated here and never shared: no other
-        // thread can reach them, so this thread's exclusive access stands
-        // in for the locks the mutators require; both sides are internal
-        // nodes of one level, the moved entries fit, and each node is freed
-        // once, last.
-        unsafe {
-            let left = TestNode::alloc_internal(2, false);
-            let right = TestNode::alloc_internal(2, false);
-            let mut children = Vec::new();
-            for i in 0..5u64 {
-                let child = TestNode::alloc_internal(1, false);
-                children.push(child);
-                (*left).push_internal(i, child);
-            }
-            (*left).move_suffix_to(2, &*right);
-            assert_eq!((*left).keys_vec(), vec![0, 1]);
-            assert_eq!((*right).keys_vec(), vec![2, 3, 4]);
-            assert_eq!((*right).child_at(0), children[2]);
-            assert_eq!((*right).child_at(2), children[4]);
-            for child in children {
-                TestNode::free(child);
-            }
-            TestNode::free(left);
-            TestNode::free(right);
+        let list = list();
+        let pin = list.pin();
+        let (left, right) = (pin.alloc(2), pin.alloc(2));
+        let children: Vec<_> = (0..5).map(|_| pin.alloc(1)).collect();
+        for (key, child) in (0..5u64).zip(&children) {
+            left.push_internal(key, **child);
+        }
+        left.move_suffix_to(2, &right);
+        assert_eq!(left.keys_vec(), vec![0, 1]);
+        assert_eq!(right.keys_vec(), vec![2, 3, 4]);
+        assert_eq!(
+            right.child_at(0).map(NodeRef::as_ptr),
+            Some(children[2].as_ptr())
+        );
+        assert_eq!(
+            right.child_at(2).map(NodeRef::as_ptr),
+            Some(children[4].as_ptr())
+        );
+        for node in children.into_iter().chain([left, right]) {
+            pin.defer_free(node);
         }
     }
 
     #[test]
     fn keys_below_matches_a_linear_scan_for_every_occupancy() {
-        // SAFETY: the leaf is allocated here and never shared, so every
-        // read of it is exact; at most 8 entries are pushed into its 8
-        // slots, and it is freed once, last.
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            for len in 0..=8usize {
-                for probe in 0..90u64 {
-                    let expected = (0..len).filter(|i| ((i + 1) as u64) * 10 < probe).count();
-                    assert_eq!(
-                        (*node).keys_below(&probe, (*node).len()),
-                        expected,
-                        "len {len} probe {probe}"
-                    );
-                    // And the full search agrees with the classic one.
-                    let search = (*node).search(&probe);
-                    let stored = (1..=len as u64).map(|i| i * 10).collect::<Vec<_>>();
-                    match search {
-                        NodeSearch::Found(idx) => assert_eq!(stored[idx], probe),
-                        NodeSearch::Pred(idx) => {
-                            assert!(stored[idx] < probe);
-                            assert!(stored.get(idx + 1).is_none_or(|next| *next > probe));
-                        }
-                        NodeSearch::Before => assert!(stored.first().is_none_or(|k| *k > probe)),
+        let list = list();
+        let pin = list.pin();
+        let node = pin.alloc(0);
+        for len in 0..=8usize {
+            for probe in 0..90u64 {
+                let expected = (0..len).filter(|i| ((i + 1) as u64) * 10 < probe).count();
+                assert_eq!(
+                    node.keys_below(&probe, node.len()),
+                    expected,
+                    "len {len} probe {probe}"
+                );
+                // And the full search agrees with the classic one.
+                let search = node.search(&probe);
+                let stored = (1..=len as u64).map(|i| i * 10).collect::<Vec<_>>();
+                match search {
+                    NodeSearch::Found(idx) => assert_eq!(stored[idx], probe),
+                    NodeSearch::Pred(idx) => {
+                        assert!(stored[idx] < probe);
+                        assert!(stored.get(idx + 1).is_none_or(|next| *next > probe));
                     }
-                }
-                if len < 8 {
-                    (*node).push_leaf(((len + 1) as u64) * 10, 0);
+                    NodeSearch::Before => assert!(stored.first().is_none_or(|k| *k > probe)),
                 }
             }
-            TestNode::free(node);
+            if len < 8 {
+                node.push_leaf(((len + 1) as u64) * 10, 0);
+            }
         }
+        pin.defer_free(node);
     }
 
     #[test]
     fn prefetch_is_a_harmless_hint() {
-        // SAFETY: the leaf is allocated here, never shared, and freed once.
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            prefetch_node(node);
-            TestNode::free(node);
-        }
+        let list = list();
+        prefetch_node(list.pin().head(0).as_ptr());
         // Even a dangling-but-non-null pointer must not fault.
         prefetch_node(std::ptr::NonNull::<TestNode>::dangling().as_ptr());
     }
 
     #[test]
     fn search_on_empty_head_node_reports_before() {
-        // SAFETY: the head node is allocated here, never shared, and freed
-        // once after an unlocked search of it, which is exact while no
-        // other thread can reach it.
-        unsafe {
-            let head = TestNode::alloc_leaf(true);
-            assert!((*head).is_head());
-            assert_eq!((*head).search(&42), NodeSearch::Before);
-            TestNode::free(head);
-        }
+        let list = list();
+        let pin = list.pin();
+        let head = pin.head(0);
+        assert!(head.is_head());
+        assert_eq!(head.search(&42), NodeSearch::Before);
     }
 
     #[test]
     fn full_node_detection() {
-        // SAFETY: the leaf is allocated here and never shared: no other
-        // thread can reach it, so this thread's exclusive access stands in
-        // for the locks the mutators require; exactly 8 entries fill its 8
-        // slots, and it is freed once, last.
-        unsafe {
-            let node = TestNode::alloc_leaf(false);
-            for i in 0..8u64 {
-                (*node).push_leaf(i, i);
-            }
-            assert!((*node).is_full());
-            TestNode::free(node);
+        let list = list();
+        let pin = list.pin();
+        let node = pin.alloc(0);
+        for i in 0..8u64 {
+            node.push_leaf(i, i);
         }
+        assert!(node.is_full());
+        pin.defer_free(node);
     }
 
     #[test]
-    fn head_child_roundtrip() {
-        // SAFETY: both head nodes are allocated here and never shared, so
-        // the upper one is not yet visible to any other thread, as
-        // `set_head_child` requires; each is freed once, last.
-        unsafe {
-            let upper = TestNode::alloc_internal(1, true);
-            let lower = TestNode::alloc_leaf(true);
-            (*upper).set_head_child(lower);
-            assert_eq!((*upper).head_child(), lower);
-            TestNode::free(upper);
-            TestNode::free(lower);
+    fn head_child_links_the_spine() {
+        let list = list();
+        let pin = list.pin();
+        for level in 1..3 {
+            let child = pin.head(level).head_child().map(NodeRef::as_ptr);
+            assert_eq!(child, Some(pin.head(level - 1).as_ptr()));
         }
     }
 
     #[test]
     fn next_pointer_roundtrip() {
-        // SAFETY: both leaves are allocated here and never shared: no other
-        // thread can reach them, so this thread's exclusive access stands
-        // in for the locks the mutators require; each is freed once, last.
-        unsafe {
-            let a = TestNode::alloc_leaf(false);
-            let b = TestNode::alloc_leaf(false);
-            assert!((*a).next().is_null());
-            (*a).set_next(b);
-            assert_eq!((*a).next(), b);
-            TestNode::free(a);
-            TestNode::free(b);
-        }
+        let list = list();
+        let pin = list.pin();
+        let (a, b) = (pin.alloc(0), pin.alloc(0));
+        assert!(a.next().is_none());
+        a.set_next(Some(*b));
+        assert_eq!(a.next().map(NodeRef::as_ptr), Some(b.as_ptr()));
+        a.set_next(None);
+        assert!(a.next().is_none());
+        pin.defer_free(a);
+        pin.defer_free(b);
     }
 }

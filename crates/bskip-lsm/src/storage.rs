@@ -109,6 +109,9 @@ pub trait Storage: Send + Sync {
 /// are the ones a `write` per append would have left. Elsewhere an
 /// append is one `write`.
 ///
+/// CI builds and tests only 64-bit Linux, so the `write(2)` append and
+/// `pread` read fallbacks, and the non-unix ones, are never compiled there.
+///
 /// The mappings rely on the engine owning its directory: a table file
 /// is never shrunk while it is open, only unlinked, and an unlinked file
 /// stays mapped until its last handle drops; no other process writes
