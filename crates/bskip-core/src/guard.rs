@@ -9,7 +9,7 @@
 //!   the pin borrow `'g` it was made under.  It is made only by the pin (a
 //!   head, a fresh allocation) or by another handle (its `next`, a child),
 //!   so it always points at a node reached under that pin.  Reading
-//!   through one is safe: every node reader is a relaxed-atomic load
+//!   through one is safe: every node reader is one atomic load
 //!   (`node.rs`), exact under the node's lock and provisional without it.
 //! * [`NodeRef::lock`] returns a [`ReadGuard`] or a [`WriteGuard`], which
 //!   unlock on drop.  The node mutators are methods of the write guard
@@ -126,7 +126,11 @@ impl<K, V, const B: usize> Deref for NodeRef<'_, K, V, B> {
         // retired, and then only once every pin that could have reached it
         // is dropped, so even a pointer read from a stale or torn slot
         // stays dereferenceable for `'g` — the module docs' "Why racing
-        // structure changes is safe" argument.  Every field is a cell whose
+        // structure changes is safe" argument.  Pointers are published by
+        // `Release` stores and read by `Acquire` loads (`node.rs`'s
+        // publication rule), so the node a loaded pointer names was
+        // initialised before the load, and a slot below a loaded `len` was
+        // written before it — on any CPU.  Every field is a cell whose
         // races are defined behaviour, so a shared reference is sound
         // while writers store through theirs.
         unsafe { self.ptr.as_ref() }

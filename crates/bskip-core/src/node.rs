@@ -20,7 +20,7 @@
 //! holding one is the proof (`guard.rs`).  It is **read** one way, through
 //! one safe accessor per field (`len`, `next`, `head_child`, `key_at`,
 //! `value_at`, `child_at`, and `header` and `search` on top of them), each
-//! a relaxed-atomic load.  What a read is worth depends on the caller, not
+//! one atomic load.  What a read is worth depends on the caller, not
 //! on the accessor: under the lock, shared or exclusive, it is exact;
 //! without the lock it is provisional — possibly stale or *torn* by an
 //! overlapping writer — until the caller validates the version it
@@ -37,6 +37,18 @@
 //! by [`Racy`]: a torn key is still a key, so comparing it before
 //! validation is harmless.  Slots start out holding [`Racy::ZERO`], and a
 //! slot index is bounds-checked against `B`.
+//!
+//! Publication follows one rule: every mutator store that can make a slot
+//! or a node visible — `len`, `next` and the child slots — is `Release`,
+//! and every accessor load of those fields (`len`, `next_ptr`,
+//! `child_ptr`, `head_child_ptr`) is `Acquire`.  So a reader that sees a
+//! new `len` also sees the slots written before it, and a reader that
+//! loads a pointer to a node also sees that node's initialisation and
+//! every store made before the pointer was published — on any CPU, not
+//! only on x86-64, where both are plain `mov`s.  Keys and values stay
+//! relaxed: a stale or torn one is a value, and validation rejects it.
+//! The mutators' own loads of child slots run under the exclusive lock,
+//! which already orders them, and stay relaxed.
 //!
 //! The `level` and `is_head` fields are immutable after construction and
 //! may be read freely in either mode.
@@ -78,11 +90,15 @@ pub(crate) enum Data<K, V, const B: usize> {
 
 /// A fixed-size B-skiplist node.
 ///
-/// Aligned to a cache-line boundary so that the lock word, length and the
-/// first few keys of a node share a line — the point of blocking the
-/// skiplist is that a node scan touches `⌈B·sizeof(K)/64⌉` consecutive lines
-/// instead of one line per element.
-#[repr(align(64))]
+/// Header first: `repr(C)` keeps the declaration order and the 64-byte
+/// alignment starts it on a line, so the lock word, `level`, `is_head`,
+/// `len`, `next`, `head_child` and the first three keys (at `K = u64`)
+/// share line 0 — the line every lock acquire, walk-right peek and
+/// [`prefetch_node`] touches first.  The keys follow contiguously, so an
+/// in-node search touches only the consecutive lines of `keys[..len]`
+/// (the point of blocking the skiplist), which [`Node::search`]
+/// prefetches before its first probe; the payload comes last.
+#[repr(C, align(64))]
 pub(crate) struct Node<K, V, const B: usize> {
     /// Reader-writer lock (with optimistic version word) guarding the
     /// mutable state below.
@@ -199,14 +215,14 @@ where
     #[inline]
     fn set_len(&self, len: usize) {
         debug_assert!(len <= B);
-        self.len.store(len, Ordering::Relaxed);
+        self.len.store(len, Ordering::Release);
     }
 
     /// Number of keys stored: exact under the node's lock, provisional
     /// without it, and never torn (a single word, `<= B`).
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether the node holds no keys; read like [`Node::len`].
@@ -225,7 +241,7 @@ where
     /// [`Node::len`]; [`NodeRef::next`] is the handle form.
     #[inline]
     pub(crate) fn next_ptr(&self) -> *mut Self {
-        self.next.load(Ordering::Relaxed)
+        self.next.load(Ordering::Acquire)
     }
 
     /// Down pointer of the implicit `-∞` entry (head nodes only), read
@@ -233,7 +249,7 @@ where
     #[inline]
     pub(crate) fn head_child_ptr(&self) -> *mut Self {
         debug_assert!(self.is_head);
-        self.head_child.load(Ordering::Relaxed)
+        self.head_child.load(Ordering::Acquire)
     }
 
     /// The header (smallest) key of the node: [`Node::key_at`] of slot 0,
@@ -266,7 +282,7 @@ where
     /// handle form.
     #[inline]
     pub(crate) fn child_ptr(&self, index: usize) -> *mut Self {
-        self.children()[index].load(Ordering::Relaxed)
+        self.children()[index].load(Ordering::Acquire)
     }
 
     /// Number of the first `len` keys strictly less than `key`: the
@@ -310,9 +326,14 @@ where
     /// [`Node::keys_below`] core with a single trailing equality check.
     /// Read like every other accessor: exact under the lock, provisional
     /// without it, and any slot it names is `< len() <= B` either way.
+    ///
+    /// Before the first probe it prefetches every line of `keys[..len]`
+    /// (at most 17 at `B = 128`, `K = u64`), so a cold node's key lines
+    /// arrive in one burst instead of one dependent miss per probe.
     #[inline]
     pub(crate) fn search(&self, key: &K) -> NodeSearch {
         let len = self.len();
+        prefetch_span(&self.keys[..len]);
         let below = self.keys_below(key, len);
         if below < len && self.key_at(below) == *key {
             NodeSearch::Found(below)
@@ -331,7 +352,7 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
     #[inline]
     pub(crate) fn set_next(&self, next: Option<NodeRef<'_, K, V, B>>) {
         let next = next.map_or(ptr::null_mut(), NodeRef::as_ptr);
-        self.next.store(next, Ordering::Relaxed);
+        self.next.store(next, Ordering::Release);
     }
 
     /// Overwrites the value at slot `index < len()` of a leaf, returning
@@ -351,7 +372,7 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
     pub(crate) fn set_child_at(&self, index: usize, child: Option<NodeRef<'_, K, V, B>>) {
         debug_assert!(index < self.len());
         let child = child.map_or(ptr::null_mut(), NodeRef::as_ptr);
-        self.children()[index].store(child, Ordering::Relaxed);
+        self.children()[index].store(child, Ordering::Release);
     }
 
     /// Inserts `key`/`value` at slot `index <= len()` of a non-full leaf,
@@ -379,9 +400,9 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
         let children = self.children();
         for slot in (index..len).rev() {
             let moved = children[slot].load(Ordering::Relaxed);
-            children[slot + 1].store(moved, Ordering::Relaxed);
+            children[slot + 1].store(moved, Ordering::Release);
         }
-        children[index].store(child.as_ptr(), Ordering::Relaxed);
+        children[index].store(child.as_ptr(), Ordering::Release);
         self.set_len(len + 1);
     }
 
@@ -401,7 +422,7 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
             Data::Internal(children) => {
                 for slot in index + 1..len {
                     let moved = children[slot].load(Ordering::Relaxed);
-                    children[slot - 1].store(moved, Ordering::Relaxed);
+                    children[slot - 1].store(moved, Ordering::Release);
                 }
                 None
             }
@@ -436,7 +457,7 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
             (Data::Internal(src_children), Data::Internal(dst_children)) => {
                 for offset in 0..count {
                     let moved = src_children[from + offset].load(Ordering::Relaxed);
-                    dst_children[dst_len + offset].store(moved, Ordering::Relaxed);
+                    dst_children[dst_len + offset].store(moved, Ordering::Release);
                 }
             }
             _ => unreachable!("move_suffix_to across node kinds"),
@@ -459,8 +480,9 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
 }
 
 /// Best-effort prefetch of the first cache line of the node `ptr` points
-/// at (lock word, level, `len`, `next` and the leading keys all share it —
-/// see the `#[repr(align(64))]` layout note on [`Node`]).
+/// at: its header (lock word, `level`, `is_head`, `len`, `next`,
+/// `head_child`) and leading keys, which the `repr(C, align(64))` layout of
+/// [`Node`] puts on that line.
 ///
 /// Traversals call this as soon as a neighbour/child pointer is *known*
 /// but before it is *locked*, overlapping the line fill with the work
@@ -479,6 +501,35 @@ pub(crate) fn prefetch_node<K, V, const B: usize>(ptr: *mut Node<K, V, B>) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = ptr;
+    }
+}
+
+/// Best-effort prefetch of every cache line `cells` occupies, from the line
+/// holding its first byte to the one holding its last; [`Node::search`]'s
+/// key-span prefetch.  A hint like [`prefetch_node`], and nothing off
+/// x86-64.
+#[inline(always)]
+fn prefetch_span<T>(cells: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let first = cells.as_ptr().cast::<i8>();
+        let lead = first as usize % 64;
+        let line = first.wrapping_sub(lead);
+        let mut offset = 0;
+        while offset < lead + mem::size_of_val(cells) {
+            // SAFETY: as in `prefetch_node`: `_mm_prefetch` cannot fault,
+            // whatever address it is given, and SSE is baseline on x86_64.
+            unsafe {
+                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                    line.wrapping_add(offset),
+                );
+            }
+            offset += 64;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = cells;
     }
 }
 
@@ -647,23 +698,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn keys_below_matches_a_linear_scan_for_every_occupancy() {
-        let list = list();
+    /// Checks `keys_below` and `search` on a leaf holding `10, 20, …,
+    /// 10·len` against a linear scan, for every occupancy `0..=B` and for
+    /// probes below, between, equal to and above the stored keys.
+    fn check_search_against_a_linear_scan<const B: usize>() {
+        let list = BSkipList::<u64, u64, B>::with_config(BSkipConfig::default().with_max_height(3));
         let pin = list.pin();
         let node = pin.alloc(0);
-        for len in 0..=8usize {
-            for probe in 0..90u64 {
-                let expected = (0..len).filter(|i| ((i + 1) as u64) * 10 < probe).count();
+        for len in 0..=B {
+            let stored = (1..=len as u64).map(|i| i * 10).collect::<Vec<_>>();
+            for probe in 0..(B as u64 + 1) * 10 {
+                let expected = stored.iter().filter(|key| **key < probe).count();
                 assert_eq!(
                     node.keys_below(&probe, node.len()),
                     expected,
                     "len {len} probe {probe}"
                 );
                 // And the full search agrees with the classic one.
-                let search = node.search(&probe);
-                let stored = (1..=len as u64).map(|i| i * 10).collect::<Vec<_>>();
-                match search {
+                match node.search(&probe) {
                     NodeSearch::Found(idx) => assert_eq!(stored[idx], probe),
                     NodeSearch::Pred(idx) => {
                         assert!(stored[idx] < probe);
@@ -672,11 +724,41 @@ mod tests {
                     NodeSearch::Before => assert!(stored.first().is_none_or(|k| *k > probe)),
                 }
             }
-            if len < 8 {
+            if len < B {
                 node.push_leaf(((len + 1) as u64) * 10, 0);
             }
         }
         pin.defer_free(node);
+    }
+
+    #[test]
+    fn keys_below_matches_a_linear_scan_for_every_occupancy() {
+        check_search_against_a_linear_scan::<8>();
+    }
+
+    /// `B = 128` spans 17 key lines, so the key-span prefetch covers many
+    /// lines and `len == B` fills the last one.
+    #[test]
+    fn keys_below_matches_a_linear_scan_for_every_occupancy_at_b128() {
+        check_search_against_a_linear_scan::<128>();
+    }
+
+    #[test]
+    fn header_fields_share_the_first_cache_line() {
+        type Wide = Node<u64, u64, 128>;
+        assert_eq!(mem::offset_of!(Wide, lock), 0);
+        for offset in [
+            mem::offset_of!(Wide, len),
+            mem::offset_of!(Wide, next),
+            mem::offset_of!(Wide, head_child),
+            mem::offset_of!(Wide, keys),
+        ] {
+            assert!(offset < 64, "header field at {offset}");
+        }
+        // Node sizes are unchanged by the field order: the list's leaves
+        // and the memtable's (16-byte values).
+        assert_eq!(mem::size_of::<Wide>(), 2112);
+        assert_eq!(mem::size_of::<Node<u64, [u64; 2], 128>>(), 3136);
     }
 
     #[test]
