@@ -97,7 +97,7 @@ mod cursor_contract_tests {
             let mut batch = vec![
                 Op::get(10),
                 Op::insert(100, 1),
-                Op::update(10, 11),
+                Op::insert(10, 11),
                 Op::remove(20),
                 Op::remove(500),
                 Op::get(10),

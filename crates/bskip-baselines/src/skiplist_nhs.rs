@@ -59,14 +59,14 @@
 //! unlink stamped before it.
 
 use std::ops::Bound;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{EbrCollector, RwSpinLock, SpinLatch, StripedCounter};
+use bskip_sync::{EbrCollector, RwSpinLock, StripedCounter};
 
 use crate::tower::{is_marked, marked, unmark};
 
@@ -101,7 +101,9 @@ struct Inner<K, V> {
     head: AtomicPtr<NhsNode<K, V>>,
     index: RwSpinLock<Arc<IndexSnapshot<K, V>>>,
     len: StripedCounter,
-    stop: SpinLatch,
+    /// Set once, by the drop, to stop the background worker (`Release`
+    /// store, `Acquire` load; the drop then joins the worker).
+    stop: AtomicBool,
     rebuilds: AtomicUsize,
     /// Epoch-based collector for unlinked nodes (final stage of the
     /// two-stage retirement described in the module docs).
@@ -133,7 +135,7 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
             head: AtomicPtr::new(std::ptr::null_mut()),
             index: RwSpinLock::new(Arc::new(IndexSnapshot { guards: Vec::new() })),
             len: StripedCounter::new(),
-            stop: SpinLatch::new(),
+            stop: AtomicBool::new(false),
             rebuilds: AtomicUsize::new(0),
             collector: EbrCollector::new(),
             limbo: Mutex::new(Vec::new()),
@@ -361,7 +363,7 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
             let idle_cap = base.max(Duration::from_millis(50));
             let mut interval = base;
             let mut elapsed = Duration::ZERO;
-            while !worker_inner.stop.is_set() {
+            while !worker_inner.stop.load(Ordering::Acquire) {
                 std::thread::sleep(slice);
                 elapsed += slice;
                 if elapsed < interval {
@@ -427,7 +429,7 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
 
 impl<K, V> Drop for NhsSkipList<K, V> {
     fn drop(&mut self) {
-        self.inner.stop.set();
+        self.inner.stop.store(true, Ordering::Release);
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }

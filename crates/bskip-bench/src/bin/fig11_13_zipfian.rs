@@ -42,7 +42,6 @@ fn main() {
         Distribution::Zipfian,
         "Figure 13: workload A latency percentiles, zipfian run phase",
         Some(IndexKind::BSkipList),
-        false,
         PAPER_NOTE,
     );
 }

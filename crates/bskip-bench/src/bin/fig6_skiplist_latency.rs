@@ -13,7 +13,6 @@ fn main() {
         Distribution::Uniform,
         "Figure 6: workload A latency percentiles",
         Some(IndexKind::BSkipList),
-        false,
         "Paper: B-skiplist p99 is 3.5x-103x lower than the other skiplists on workload A.",
     );
 }

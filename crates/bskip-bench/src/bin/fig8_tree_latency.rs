@@ -2,7 +2,8 @@
 //! B-skiplist and the tree-based indices on YCSB workload A, uniform keys.
 //!
 //! The paper attributes the B+-tree's and Masstree's heavier tails to OCC
-//! retries that retire to the root with write locks.
+//! retries that retire to the root with write locks; `stat_root_locks`
+//! counts those locks for all three indices, per phase.
 
 use bskip_bench::{latency_experiment, IndexKind};
 use bskip_ycsb::Distribution;
@@ -13,7 +14,6 @@ fn main() {
         Distribution::Uniform,
         "Figure 8: tree-index latency percentiles on workload A",
         None,
-        true,
         "Paper: the B-skiplist has the lowest p99/p99.9 because it never retires to the root.",
     );
 }

@@ -1,12 +1,17 @@
-//! Live-vs-retired node tracking under the delete-churn workloads.
+//! Throughput and live-vs-retired node tracking under the delete-churn
+//! workloads.
 //!
 //! The paper's YCSB mixes (Load, A, B, C, E) never delete, so they cannot
 //! observe the one failure mode that disqualifies an index for sustained
-//! production traffic: memory that grows linearly with the remove count.
-//! This experiment runs the churn mix (25/25/25/25 insert/read/update/
-//! remove) in time slices against every index that retires removed nodes
-//! through the epoch-based collector, and prints, per slice:
+//! production traffic: throughput or memory that degrades with the remove
+//! count.  This experiment loads each of the six indices once, runs the
+//! churn mix (25/25/25/25 insert/read/update/remove) on it in consecutive
+//! time slices, and prints, per slice:
 //!
+//! * `ops` / `mops` / `p50 us` / `p999 us` — the slice's throughput and
+//!   latency: a flat column means the index sustains churn indefinitely, a
+//!   decaying one exposes a structure that degrades as deletions
+//!   accumulate;
 //! * `live keys` — the index's logical size;
 //! * `retired` / `freed` — cumulative nodes handed to and released by the
 //!   collector;
@@ -16,43 +21,45 @@
 //! * `epoch` — the collector's global epoch (advancing epochs are what
 //!   drain the bags).
 //!
-//! A workload D (read-latest) pass is included for throughput context.
+//! Each index's table ends with its slowest-to-fastest slice ratio and its
+//! largest backlog as a share of its retirements.  A workload D
+//! (read-latest) pass is included for throughput context.
 //!
 //! Scale via `BSKIP_RECORDS` / `BSKIP_OPS` / `BSKIP_THREADS` as usual.
 
 use bskip_bench::{experiment_config, format_row, print_header, IndexKind};
 use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
 
-/// Churn slices per index: enough to see whether the backlog trends flat
-/// or linear.
+/// Churn slices per index: enough to see whether throughput and backlog
+/// trend flat or not.
 const SLICES: usize = 8;
-
-/// Every index retires removed nodes through the collector now — the
-/// skiplists per removed tower, the trees per merged/collapsed node, the
-/// NHS list through its rebuild-generation limbo.
-const RECLAIMING: [IndexKind; 6] = IndexKind::ALL;
 
 fn main() {
     let (config, _) = experiment_config();
     println!(
-        "Delete-churn reclamation tracking, {} records, {} ops/slice x {} slices, {} threads",
+        "Delete-churn throughput and reclamation, {} records, {} ops/slice x {} slices, {} threads",
         config.record_count,
         config.operation_count / SLICES,
         SLICES,
         config.threads
     );
 
-    for kind in RECLAIMING {
+    // Every index retires removed nodes through the collector: the
+    // skiplists per removed tower, the trees per merged/collapsed node, the
+    // NHS list through its rebuild-generation limbo.
+    for kind in IndexKind::ALL {
         let index = kind.build();
         run_load_phase(&index, &config);
         kind.settle_after_load(index.as_ref());
 
         print_header(
-            &format!("{} — churn mix", kind.label()),
+            &format!("{} — 25/25/25/25 churn", kind.label()),
             &[
                 "slice",
                 "ops",
                 "mops",
+                "p50 us",
+                "p999 us",
                 "live keys",
                 "retired",
                 "freed",
@@ -64,9 +71,11 @@ fn main() {
             operation_count: (config.operation_count / SLICES).max(1),
             ..config
         };
+        let mut throughputs = Vec::with_capacity(SLICES);
         let mut max_backlog = 0u64;
         for slice in 0..SLICES {
             let result = run_run_phase(&index, Workload::Churn, &slice_config);
+            throughputs.push(result.mops());
             let stats = index.stats();
             let reclamation = stats
                 .reclamation()
@@ -78,6 +87,8 @@ fn main() {
                     slice.to_string(),
                     result.operations.to_string(),
                     format!("{:.3}", result.mops()),
+                    format!("{:.2}", result.latency.p50_us),
+                    format!("{:.2}", result.latency.p999_us),
                     index.len().to_string(),
                     reclamation.retired.to_string(),
                     reclamation.freed.to_string(),
@@ -86,14 +97,24 @@ fn main() {
                 ])
             );
         }
-        let final_stats = index.stats();
-        let reclamation = final_stats.reclamation().unwrap();
+        let slowest = throughputs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let fastest = throughputs.iter().cloned().fold(0.0f64, f64::max);
+        println!(
+            "slowest/fastest slice: {:.2} (1.00 = perfectly flat; a decaying ratio means \
+             churn degrades this index)",
+            if fastest > 0.0 {
+                slowest / fastest
+            } else {
+                0.0
+            }
+        );
+        let retired = index.stats().reclamation().unwrap().retired;
         println!(
             "max backlog {} over {} retirements ({:.2}% of retired kept in flight)",
             max_backlog,
-            reclamation.retired,
-            if reclamation.retired > 0 {
-                100.0 * max_backlog as f64 / reclamation.retired as f64
+            retired,
+            if retired > 0 {
+                100.0 * max_backlog as f64 / retired as f64
             } else {
                 0.0
             }
@@ -119,5 +140,8 @@ fn main() {
             ])
         );
     }
-    println!("\nA bounded backlog column (flat, not growing with slices) is the pass criterion.");
+    println!(
+        "\nFlat mops columns and a bounded backlog column (flat, not growing with slices) \
+         are the pass criterion."
+    );
 }

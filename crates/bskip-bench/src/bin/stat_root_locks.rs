@@ -4,15 +4,16 @@
 //!
 //! The paper reports 26 K root write locks for the B+-tree versus 7 for the
 //! B-skiplist during the load phase (8.3 K vs 3 during workload A) — the
-//! structural explanation for the B+-tree's heavier latency tail.  Deletes
-//! are symmetric (footnote 3): a removal write-locks the B-skiplist's top
-//! level only when the removed key's tower reaches it.
+//! structural explanation for the B+-tree's and Masstree's heavier latency
+//! tails in Figure 8.  Deletes are symmetric (footnote 3): a removal
+//! write-locks the B-skiplist's top level only when the removed key's
+//! tower reaches it.
 //!
 //! Each run column runs on its own freshly loaded index, the protocol of
 //! `run_workload_fresh`: a second run phase on the same index would start
 //! its fresh inserts at the keys the first one already inserted.
 
-use bskip_baselines::OccBTree;
+use bskip_baselines::{MasstreeLite, OccBTree};
 use bskip_bench::{experiment_config, format_row, print_header};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::ConcurrentIndex;
@@ -38,6 +39,12 @@ fn main() {
         "OCC B+-tree",
         "root_write_locks",
         OccBTree::<u64, u64>::new,
+        &config,
+    );
+    print_row(
+        "Masstree-lite",
+        "root_write_locks",
+        MasstreeLite::<u64, u64>::new,
         &config,
     );
 

@@ -5,11 +5,12 @@
 //! * average leaf nodes visited per range query in workload E — the paper
 //!   reports ~2 for the B-skiplist (vs ~1.5 for the B+-tree);
 //! * node counts per level and average node fill, which explain both —
-//!   for a fresh build, and for the concurrent list before and after a
-//!   FIFO insert/delete churn, which must leave its shape as loaded.
+//!   for the concurrent list as loaded and after a FIFO insert/delete
+//!   churn, which must leave its shape as loaded.
 
 use bskip_bench::{experiment_config, format_row, print_header};
-use bskip_core::{seq::SeqBSkipList, BSkipConfig, BSkipList};
+use bskip_core::height::reseed_thread_rng;
+use bskip_core::{BSkipConfig, BSkipList};
 use bskip_ycsb::keygen::record_key;
 use bskip_ycsb::{run_load_phase, run_run_phase, Workload};
 
@@ -48,34 +49,13 @@ fn main() {
         );
     }
 
-    // Node-count / fill statistics from the sequential reference structure.
-    let mut seq: SeqBSkipList<u64, u64> =
-        SeqBSkipList::with_config_and_seed(BSkipConfig::paper_default(), 42);
-    for i in 0..config.record_count as u64 {
-        seq.insert(record_key(i), i);
-    }
-    let per_level = seq.nodes_per_level();
-    print_header(
-        "Structure shape (sequential reference build)",
-        &["level", "nodes", "avg keys/node"],
-    );
-    for (level, nodes) in per_level.iter().enumerate() {
-        let keys_at_level = if level == 0 { seq.len() } else { 0 };
-        let fill = if *nodes > 0 && level == 0 {
-            format!("{:.1}", keys_at_level as f64 / *nodes as f64)
-        } else {
-            "-".to_string()
-        };
-        println!(
-            "{}",
-            format_row(&[level.to_string(), nodes.to_string(), fill])
-        );
-    }
     // Occupancy under FIFO churn: the concurrent list loaded with the
-    // records, then one fresh key per operation, each paired with the
-    // removal of the oldest live key (a memtable's steady state).  Header
-    // removals fold survivors back into the left neighbour, so the shape
-    // after the churn should be the loaded one.
+    // records from this one thread, with its height stream seeded so the
+    // table is reproducible, then one fresh key per operation, each paired
+    // with the removal of the oldest live key (a memtable's steady state).
+    // Header removals fold survivors back into the left neighbour, so the
+    // shape after the churn should be the loaded one.
+    reseed_thread_rng(42);
     let list: BSkipList<u64, u64> = BSkipList::with_config(BSkipConfig::paper_default());
     let records = config.record_count as u64;
     for i in 0..records {

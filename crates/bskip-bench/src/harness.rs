@@ -4,10 +4,7 @@
 use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::ConcurrentIndex;
-use bskip_ycsb::{
-    median, run_load_phase, run_run_phase, run_trials, Distribution, PhaseResult, Workload,
-    YcsbConfig,
-};
+use bskip_ycsb::{run_load_phase, run_run_phase, Distribution, PhaseResult, Workload, YcsbConfig};
 
 /// The indices evaluated in the paper's Section 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,11 +217,15 @@ pub fn throughput_experiment(
         let throughput: Vec<f64> = kinds
             .iter()
             .map(|&kind| {
-                median(&run_trials(trials, false, |_| {
-                    run_workload_fresh(kind, workload, &config)
-                        .0
-                        .throughput_ops_per_us
-                }))
+                median(
+                    (0..trials)
+                        .map(|_| {
+                            run_workload_fresh(kind, workload, &config)
+                                .0
+                                .throughput_ops_per_us
+                        })
+                        .collect(),
+                )
             })
             .collect();
         let of = |wanted| kinds.iter().position(|&kind| kind == wanted);
@@ -253,16 +254,13 @@ pub fn throughput_experiment(
 
 /// Figures 6 and 8 (uniform) and 13 (zipfian): latency percentiles
 /// (50/90/99/99.9 and mean) of every index in `kinds` on YCSB workload A
-/// with the run phase drawing keys from `distribution`; optionally a
-/// column of root write locks taken (`-` for an index that does not export
-/// `root_write_locks`), and each index's p99 as a multiple of
-/// `p99_baseline`'s under the table.
+/// with the run phase drawing keys from `distribution`, and each index's
+/// p99 as a multiple of `p99_baseline`'s under the table.
 pub fn latency_experiment(
     kinds: &[IndexKind],
     distribution: Distribution,
     banner: &str,
     p99_baseline: Option<IndexKind>,
-    root_locks: bool,
     paper_note: &str,
 ) {
     let (config, _) = experiment_config();
@@ -271,15 +269,11 @@ pub fn latency_experiment(
         "{banner}, {} records, {} ops, {} threads",
         config.record_count, config.operation_count, config.threads
     );
-    let mut columns = vec!["index", "p50", "p90", "p99", "p99.9", "mean"];
-    if root_locks {
-        columns.push("root write locks");
-    }
     let title = format!("Latency (us) on YCSB A, {} keys", distribution.label());
-    print_header(&title, &columns);
+    print_header(&title, &["index", "p50", "p90", "p99", "p99.9", "mean"]);
     let mut p99 = Vec::new();
     for &kind in kinds {
-        let (result, index) = run_workload_fresh(kind, Workload::A, &config);
+        let (result, _) = run_workload_fresh(kind, Workload::A, &config);
         let latency = result.latency;
         p99.push(latency.p99_us);
         let percentiles = [
@@ -291,17 +285,7 @@ pub fn latency_experiment(
         ];
         let mut cells = vec![kind.label().to_string()];
         cells.extend(percentiles.iter().map(|us| format!("{us:.2}")));
-        if root_locks {
-            let locks = index.stats().get("root_write_locks");
-            cells.push(locks.map_or("-".into(), |locks| locks.to_string()));
-        }
         println!("{}", format_row(&cells));
-    }
-    if root_locks {
-        println!(
-            "(`-`: the index does not export root_write_locks; stat_root_locks counts \
-             the B-skiplist's top-level write locks with statistics on.)"
-        );
     }
     if let Some(baseline) = p99_baseline {
         let slot = kinds.iter().position(|&kind| kind == baseline);
@@ -315,6 +299,21 @@ pub fn latency_experiment(
         }
     }
     println!("\n{paper_note}");
+}
+
+/// Median of `values` (average of the two middle elements for even
+/// lengths); 0 when there are none.
+fn median(mut values: Vec<f64>) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.sort_by(|a, b| a.partial_cmp(b).expect("measurements are finite"));
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
 }
 
 /// Powers of two below `max_threads`, then `max_threads` itself.
@@ -418,6 +417,14 @@ mod tests {
         assert!(config.record_count > 0);
         assert!(config.threads > 0);
         assert!(trials >= 1);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_lengths() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(median(vec![]), 0.0);
+        assert_eq!(median(vec![7.0]), 7.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper
 //! (the README's "Running the experiments" section is the index), with
-//! two exceptions: `stat_reclamation` and `stat_churn_throughput` run the
-//! delete-churn mix, which the paper's YCSB workloads never exercise.
-//! They all share the helpers here:
+//! one exception: `stat_reclamation` runs the delete-churn mix, which the
+//! paper's YCSB workloads never exercise.  They all share the helpers
+//! here, and the `ycsb_shootout` example shares the index registry:
 //!
 //! * [`IndexKind`] — the six evaluated indices (B-skiplist + five
 //!   baselines); [`IndexKind::build`] hands out a fresh one as a

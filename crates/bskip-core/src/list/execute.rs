@@ -48,7 +48,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         for op in ops {
             match op {
                 Op::Get { key, result } => *result = pin.get_pinned(key).into(),
-                Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+                Op::Insert { key, value, result } => {
                     *result = pin.insert_pinned(*key, *value, None).into();
                 }
                 Op::Remove { key, result } => *result = pin.remove_pinned(key).into(),
@@ -87,7 +87,7 @@ mod tests {
         for key in 0..100u64 {
             batch.push(Op::get(key * 2));
             batch.push(Op::insert(key * 2 + 1, key));
-            batch.push(Op::update(key * 2, key + 1000));
+            batch.push(Op::insert(key * 2, key + 1000));
             if key % 3 == 0 {
                 batch.push(Op::remove(key * 2 + 1));
             }
@@ -98,7 +98,7 @@ mod tests {
         for op in expected.iter_mut() {
             match op {
                 Op::Get { key, result } => *result = oracle.get(key).copied().into(),
-                Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+                Op::Insert { key, value, result } => {
                     *result = oracle.insert(*key, *value).into();
                 }
                 Op::Remove { key, result } => *result = oracle.remove(key).into(),
@@ -118,7 +118,7 @@ mod tests {
             Op::remove(5),
             Op::insert(5, 2),
             Op::get(5),
-            Op::update(5, 3),
+            Op::insert(5, 3),
             Op::remove(5),
             Op::get(5),
         ];
@@ -144,12 +144,12 @@ mod tests {
 
         let mut batch = vec![
             Op::get(10),
-            Op::update(20, 21),
+            Op::insert(20, 21),
             Op::get(25),
             Op::remove(30),
             Op::get(40),
             Op::remove(50),
-            Op::update(60, 61),
+            Op::insert(60, 61),
         ];
         list.execute(&mut batch);
 
@@ -262,8 +262,7 @@ mod tests {
                     let key = rng.gen_range(0..300u64);
                     match rng.gen_range(0..4) {
                         0 => Op::get(key),
-                        1 => Op::insert(key, rng.gen()),
-                        2 => Op::update(key, rng.gen()),
+                        1 | 2 => Op::insert(key, rng.gen()),
                         _ => Op::remove(key),
                     }
                 })
@@ -273,7 +272,7 @@ mod tests {
             for op in expected.iter_mut() {
                 match op {
                     Op::Get { key, result } => *result = oracle.get(key).copied().into(),
-                    Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+                    Op::Insert { key, value, result } => {
                         *result = oracle.insert(*key, *value).into();
                     }
                     Op::Remove { key, result } => *result = oracle.remove(key).into(),

@@ -575,7 +575,7 @@ pub(super) mod tests {
                 assert_eq!(other.insert_with_height(240, 240, 0), None);
             });
         });
-        let mut batch = vec![Op::get(110), Op::update(220, 221), Op::get(230)];
+        let mut batch = vec![Op::get(110), Op::insert(220, 221), Op::get(230)];
         list.execute(&mut batch);
         assert_eq!(*batch[0].result(), OpResult::Value(110));
         assert_eq!(*batch[1].result(), OpResult::Value(220));

@@ -10,8 +10,8 @@
 //! the B-skiplist's epoch pin, across them.  This module defines the
 //! vocabulary for that bulk path:
 //!
-//! * [`Op`] — one dictionary operation (`Get`, `Insert`, `Update`,
-//!   `Remove`) carrying its own [`OpResult`] slot, so a batch is just
+//! * [`Op`] — one dictionary operation (`Get`, `Insert`, `Remove`)
+//!   carrying its own [`OpResult`] slot, so a batch is just
 //!   `&mut [Op<K, V>]` and results come back in place;
 //! * [`OpResult`] — `Pending` until executed, then `Value(previous)` or
 //!   [`OpResult::Missing`] with the same meaning the point methods give
@@ -33,10 +33,8 @@
 //! on the skiplists, so every index here applies its batches in slot
 //! order.
 //!
-//! `Insert` and `Update` are both upserts returning the previous value —
-//! the same semantics as
-//! [`ConcurrentIndex::insert`] — and
-//! differ only in declared intent.
+//! `Insert` is an upsert returning the previous value — the same semantics
+//! as [`ConcurrentIndex::insert`].
 
 use crate::{ConcurrentIndex, IndexKey, IndexValue};
 
@@ -48,11 +46,11 @@ pub enum OpResult<V> {
     #[default]
     Pending,
     /// The operation observed this value: the current value for a get, the
-    /// displaced previous value for an insert/update, the removed value
-    /// for a remove.
+    /// displaced previous value for an insert, the removed value for a
+    /// remove.
     Value(V),
     /// The key was absent: a miss for a get/remove, a fresh insertion for
-    /// an insert/update.
+    /// an insert.
     Missing,
 }
 
@@ -84,10 +82,9 @@ impl<V> From<Option<V>> for OpResult<V> {
 
 /// One dictionary operation of a batch, with an in-place result slot.
 ///
-/// Construct with [`Op::get`], [`Op::insert`], [`Op::update`] or
-/// [`Op::remove`]; execute through
-/// [`ConcurrentIndex::execute`]; read the
-/// outcome back with [`Op::result`].
+/// Construct with [`Op::get`], [`Op::insert`] or [`Op::remove`]; execute
+/// through [`ConcurrentIndex::execute`]; read the outcome back with
+/// [`Op::result`].
 ///
 /// ```
 /// use bskip_index::{ConcurrentIndex, Op, OpResult};
@@ -145,17 +142,6 @@ pub enum Op<K, V> {
         /// Result slot (the displaced previous value, if any).
         result: OpResult<V>,
     },
-    /// Upsert declared as a read-modify-write of an existing record.  Same
-    /// semantics as [`Op::Insert`]; the distinction only records the
-    /// caller's intent.
-    Update {
-        /// Key to update.
-        key: K,
-        /// Value to store.
-        value: V,
-        /// Result slot (the displaced previous value, if any).
-        result: OpResult<V>,
-    },
     /// Removal.
     Remove {
         /// Key to remove.
@@ -183,16 +169,6 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
         }
     }
 
-    /// A pending update (upsert declared as read-modify-write) of
-    /// `key → value`.
-    pub fn update(key: K, value: V) -> Self {
-        Op::Update {
-            key,
-            value,
-            result: OpResult::Pending,
-        }
-    }
-
     /// A pending removal of `key`.
     pub fn remove(key: K) -> Self {
         Op::Remove {
@@ -204,20 +180,16 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
     /// The key this operation targets.
     pub fn key(&self) -> &K {
         match self {
-            Op::Get { key, .. }
-            | Op::Insert { key, .. }
-            | Op::Update { key, .. }
-            | Op::Remove { key, .. } => key,
+            Op::Get { key, .. } | Op::Insert { key, .. } | Op::Remove { key, .. } => key,
         }
     }
 
     /// The operation's result slot.
     pub fn result(&self) -> &OpResult<V> {
         match self {
-            Op::Get { result, .. }
-            | Op::Insert { result, .. }
-            | Op::Update { result, .. }
-            | Op::Remove { result, .. } => result,
+            Op::Get { result, .. } | Op::Insert { result, .. } | Op::Remove { result, .. } => {
+                result
+            }
         }
     }
 
@@ -235,9 +207,7 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
     {
         match self {
             Op::Get { key, result } => *result = index.get(key).into(),
-            Op::Insert { key, value, result } | Op::Update { key, value, result } => {
-                *result = index.insert(*key, *value).into();
-            }
+            Op::Insert { key, value, result } => *result = index.insert(*key, *value).into(),
             Op::Remove { key, result } => *result = index.remove(key).into(),
         }
     }
@@ -269,7 +239,7 @@ mod tests {
         let ops: [Op<u64, u64>; 4] = [
             Op::get(1),
             Op::insert(2, 20),
-            Op::update(3, 30),
+            Op::insert(3, 30),
             Op::remove(4),
         ];
         for op in &ops {

@@ -26,8 +26,8 @@ use crate::{IndexKey, IndexStats, IndexValue};
 /// # Batched execution
 ///
 /// [`ConcurrentIndex::execute`] is the bulk entry point: it applies a whole
-/// slice of [`Op`]s (`Get`/`Insert`/`Update`/`Remove`, each carrying its
-/// own result slot) in one call.  The provided default simply loops over
+/// slice of [`Op`]s (`Get`/`Insert`/`Remove`, each carrying its own
+/// result slot) in one call.  The provided default simply loops over
 /// the point methods, so every implementation supports batches out of the
 /// box; the B-skiplist overrides it only to pin its epoch collector
 /// **once** around the same point operations, and the baselines keep the
@@ -346,7 +346,7 @@ mod tests {
         let mut batch = vec![
             Op::get(1),
             Op::insert(1, 11),
-            Op::update(2, 20),
+            Op::insert(2, 20),
             Op::get(2),
             Op::remove(1),
             Op::remove(3),

@@ -585,7 +585,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             .iter()
             .map(std::slice::from_ref)
             .chain(runs.iter().map(Vec::as_slice).filter(|run| !run.is_empty()))
-            .map(move |run| Source::Run(Table::run_cursor(run, lo, hi).counted(errors)));
+            .map(move |run| Source::Run(Table::run_cursor(run, lo, hi, errors)));
         memtables
             .into_iter()
             .map(move |memtable| Source::Memtable(memtable.cursor(lo, hi)))
@@ -733,7 +733,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             return Err(degraded_error());
         }
         let wal_ops = ops.iter().filter_map(|op| match op {
-            Op::Insert { key, value, .. } | Op::Update { key, value, .. } => Some(WalOp::Put {
+            Op::Insert { key, value, .. } => Some(WalOp::Put {
                 key: *key,
                 value: *value,
             }),
@@ -746,7 +746,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             for op in ops.iter_mut() {
                 match op {
                     Op::Get { key, result } => *result = get(&state, key),
-                    Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+                    Op::Insert { key, value, result } => {
                         *result = self.apply_slot(&state, *key, Slot::Put(*value)).into();
                     }
                     Op::Remove { key, result } => {

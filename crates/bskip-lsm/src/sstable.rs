@@ -805,9 +805,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
     }
 
     /// Opens a streaming cursor over `[lo, hi]` of this table: a sorted run
-    /// of one (see [`Table::run_cursor`]).
+    /// of one (see [`Table::run_cursor`]), for a caller that reads one
+    /// table outside an engine.  Its read failures still end the stream
+    /// early but count in a process-wide counter nothing reads.
     pub fn cursor(self: &Arc<Self>, lo: Bound<K>, hi: Bound<K>) -> TableCursor<'_, K, V> {
-        Self::run_cursor(std::slice::from_ref(self), lo, hi)
+        static UNREAD: RelaxedCounter = RelaxedCounter::new();
+        Self::run_cursor(std::slice::from_ref(self), lo, hi, &UNREAD)
     }
 
     /// Opens a streaming cursor over `[lo, hi]` of a *sorted run*: tables in
@@ -817,8 +820,15 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
     /// next one only when the one before it is exhausted, and holds one
     /// block at a time, so positioning it costs one block read however many
     /// tables the run has (none if the run ends below `lo` or begins above
-    /// `hi`).
-    pub fn run_cursor(run: &[Arc<Self>], lo: Bound<K>, hi: Bound<K>) -> TableCursor<'_, K, V> {
+    /// `hi`).  Each read failure increments `errors` — the engine passes
+    /// its `io_errors` health counter, so degraded media shows up in stats
+    /// rather than vanishing.
+    pub fn run_cursor<'a>(
+        run: &'a [Arc<Self>],
+        lo: Bound<K>,
+        hi: Bound<K>,
+        errors: &'a RelaxedCounter,
+    ) -> TableCursor<'a, K, V> {
         debug_assert!(
             run.windows(2).all(|pair| pair[0].max_key < pair[1].min_key),
             "a run's tables must ascend without overlapping"
@@ -831,8 +841,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
             block: None,
             pending: None,
             finished: false,
-            io_error: false,
-            error_counter: None,
+            errors,
         }
     }
 
@@ -860,10 +869,9 @@ fn first_reaching<T, K: Ord>(parts: &[T], last: impl Fn(&T) -> &K, lo: &Bound<K>
 /// (the merged read path and compaction) need to see them.  A disk or
 /// checksum error mid-stream ends the cursor early instead of panicking —
 /// where it happened: the rest of the run is *not* streamed, so a consumer
-/// never sees a run with a hole in it.  [`TableCursor::had_io_error`]
-/// reports it, and cursors built with [`TableCursor::counted`] also bump a
-/// shared error counter, so callers that cannot tolerate a silently short
-/// stream (compaction) can detect and abort.
+/// never sees a run with a hole in it.  The failure increments the error
+/// counter the cursor was opened with, so callers that cannot tolerate a
+/// silently short stream (compaction) can detect and abort.
 ///
 /// The block decoder comes from a small per-thread free list with the
 /// first block the cursor loads and goes back when the cursor drops, so a
@@ -881,8 +889,7 @@ pub struct TableCursor<'a, K: IndexKey, V: IndexValue> {
     /// The entry positioning landed on, not yet yielded.
     pending: Option<(K, Slot<V>)>,
     finished: bool,
-    io_error: bool,
-    error_counter: Option<&'a RelaxedCounter>,
+    errors: &'a RelaxedCounter,
 }
 
 fn typed<K: Persist, V: Persist>(entry: Entry<'_>) -> io::Result<(K, Slot<V>)> {
@@ -891,30 +898,13 @@ fn typed<K: Persist, V: Persist>(entry: Entry<'_>) -> io::Result<(K, Slot<V>)> {
         .ok_or_else(|| corrupt("bad data block"))
 }
 
-impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'a, K, V> {
-    /// Read failures additionally increment `errors` — the engine plugs its
-    /// `io_errors` health counter in here so degraded media shows up in
-    /// stats rather than vanishing.
-    pub fn counted(mut self, errors: &'a RelaxedCounter) -> Self {
-        self.error_counter = Some(errors);
-        self
-    }
-
-    /// Whether any block read failed during this cursor's lifetime (the
-    /// stream ended early at the failure point).
-    pub fn had_io_error(&self) -> bool {
-        self.io_error
-    }
-
+impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'_, K, V> {
     /// Degrade, don't panic: the stream ends here and the failure is
-    /// observable via had_io_error / the counter.
+    /// counted in the cursor's error counter.
     fn fail(&mut self) {
         self.pending = None;
         self.finished = true;
-        self.io_error = true;
-        if let Some(counter) = self.error_counter {
-            counter.incr();
-        }
+        self.errors.incr();
     }
 
     /// Loads block `block` of the run's table `table` and positions before
@@ -1260,15 +1250,13 @@ mod tests {
 
         let table: Arc<Table<u64, u64>> = Arc::new(Table::open(&StdFs, &path, 1).unwrap());
         let errors = RelaxedCounter::new();
-        let mut cursor = table
-            .cursor(Bound::Unbounded, Bound::Unbounded)
-            .counted(&errors);
+        let run = std::slice::from_ref(&table);
+        let mut cursor = Table::run_cursor(run, Bound::Unbounded, Bound::Unbounded, &errors);
         let streamed = std::iter::from_fn(|| cursor.next()).count();
         assert!(
             streamed < 1_000,
             "the stream must end at the corrupt block, not fabricate entries"
         );
-        assert!(cursor.had_io_error());
         assert_eq!(errors.get(), 1, "one block, one error");
         assert_eq!(cursor.next(), None, "the cursor stays cleanly finished");
         std::fs::remove_file(&path).unwrap();
@@ -1565,9 +1553,11 @@ mod tests {
         let error = table.get(&3).expect_err("walks over the swapped pair");
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
         // A cursor hands out what precedes the violation and stops there.
-        let mut cursor = table.cursor(Bound::Unbounded, Bound::Unbounded);
+        let errors = RelaxedCounter::new();
+        let run = std::slice::from_ref(&table);
+        let mut cursor = Table::run_cursor(run, Bound::Unbounded, Bound::Unbounded, &errors);
         assert_eq!(drain(&mut cursor), [(0, Slot::Put(0)), (2, Slot::Put(2))]);
-        assert!(cursor.had_io_error());
+        assert_eq!(errors.get(), 1);
     }
 
     // ---- Sorted runs: one cursor over several tables ----
@@ -1608,11 +1598,12 @@ mod tests {
     fn run_cursor_opens_only_the_tables_it_reads() {
         let fs = FaultFs::new();
         let run = spaced_run(&fs);
+        let errors = RelaxedCounter::new();
         // What `next` yields first from `[lo, hi]`, and the block reads
         // that took.
         let first = |lo: Bound<u64>, hi: Bound<u64>| {
             let before = fs.read_count();
-            let entry = Table::run_cursor(&run, lo, hi).next();
+            let entry = Table::run_cursor(&run, lo, hi, &errors).next();
             (entry.map(|(key, _)| key), fs.read_count() - before)
         };
         let (unbounded, at, after) = (Bound::Unbounded, Bound::Included, Bound::Excluded);
@@ -1632,7 +1623,7 @@ mod tests {
         assert_eq!(first(at(400), at(999)), (None, 0), "a gap holds nothing");
         assert_eq!(first(at(400), at(1000)), (Some(1000), 1));
         assert_eq!(
-            Table::run_cursor(&run[..0], unbounded, unbounded).next(),
+            Table::run_cursor(&run[..0], unbounded, unbounded, &errors).next(),
             None
         );
 
@@ -1646,7 +1637,7 @@ mod tests {
             (at(1000), 1000, tail_blocks + 1),
         ] {
             let before = fs.read_count();
-            let mut cursor = Table::run_cursor(&run, at(390), hi);
+            let mut cursor = Table::run_cursor(&run, at(390), hi, &errors);
             let window = drain(&mut cursor);
             assert_eq!(window.first().map(|entry| entry.0), Some(390));
             assert_eq!(window.last().map(|entry| entry.0), Some(last), "{hi:?}");
@@ -1655,7 +1646,7 @@ mod tests {
 
         // A full drain reads every block once and crosses every boundary.
         let before = fs.read_count();
-        let mut cursor = Table::run_cursor(&run, unbounded, unbounded);
+        let mut cursor = Table::run_cursor(&run, unbounded, unbounded, &errors);
         let all: Vec<u64> = drain(&mut cursor).into_iter().map(|(key, _)| key).collect();
         let expected: Vec<u64> = [0, 1000, 2000, 3000]
             .into_iter()
@@ -1664,16 +1655,17 @@ mod tests {
         assert_eq!(all, expected);
         let blocks: usize = run.iter().map(|table| table.blocks()).sum();
         assert_eq!(fs.read_count() - before, blocks as u64);
-        assert!(!cursor.had_io_error());
+        assert_eq!(errors.get(), 0);
     }
 
     #[test]
     fn run_cursor_opens_across_table_boundaries() {
         let fs = FaultFs::new();
         let run = spaced_run(&fs);
-        let run = &run[..];
-        let open =
-            move |lo: u64| Table::run_cursor(run, Bound::Included(lo), Bound::Included(3300));
+        let (run, errors) = (&run[..], &RelaxedCounter::new());
+        let open = move |lo: u64| {
+            Table::run_cursor(run, Bound::Included(lo), Bound::Included(3300), errors)
+        };
         let mut cursor = open(2100);
         assert_eq!(cursor.next(), Some((2100, Slot::Put(50))));
         assert_eq!(cursor.next(), Some((2102, Slot::Put(51))));
@@ -1712,8 +1704,7 @@ mod tests {
         let run = [run[0].clone(), reopened, run[2].clone(), run[3].clone()];
 
         let errors = RelaxedCounter::new();
-        let mut cursor =
-            Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded).counted(&errors);
+        let mut cursor = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors);
         let streamed: Vec<u64> = drain(&mut cursor).into_iter().map(|(key, _)| key).collect();
         // Everything below the bad block, nothing of the run above it: the
         // cursor does not skip ahead to the third table.
@@ -1726,7 +1717,6 @@ mod tests {
             )
             .collect();
         assert_eq!(streamed, expected);
-        assert!(cursor.had_io_error());
         assert_eq!(cursor.next(), None, "the cursor stays cleanly finished");
         assert_eq!(errors.get(), 1, "one failed load, one error");
 
@@ -1734,10 +1724,10 @@ mod tests {
         // a cursor that starts behind it never meets it.
         let (bad_last, _, _) = run[1].block_extent(victim);
         let mut into =
-            Table::run_cursor(&run, Bound::Included(bad_last), Bound::Unbounded).counted(&errors);
+            Table::run_cursor(&run, Bound::Included(bad_last), Bound::Unbounded, &errors);
         assert_eq!((into.next(), errors.get()), (None, 2));
         let mut behind =
-            Table::run_cursor(&run, Bound::Excluded(bad_last), Bound::Unbounded).counted(&errors);
+            Table::run_cursor(&run, Bound::Excluded(bad_last), Bound::Unbounded, &errors);
         assert_eq!(
             drain(&mut behind).len(),
             200 - (bad_last - 1000) as usize / 2 - 1 + 400
@@ -1749,10 +1739,11 @@ mod tests {
     fn dropped_cursors_park_a_bounded_number_of_decoders() {
         let fs = FaultFs::new();
         let run = spaced_run(&fs);
+        let errors = RelaxedCounter::new();
         let parked = || SCRATCH.with(|scratch| scratch.borrow().parked.len());
         // Tests share threads: start from whatever is parked already.
         let mut cursors: Vec<_> = (0..2 * PARKED_DECODERS)
-            .map(|_| Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded))
+            .map(|_| Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors))
             .collect();
         for cursor in &mut cursors {
             assert_eq!(cursor.next(), Some((0, Slot::Put(0))));
@@ -1763,13 +1754,14 @@ mod tests {
             &run,
             Bound::Included(9_000),
             Bound::Unbounded,
+            &errors,
         ));
         assert_eq!(parked(), 0);
         drop(cursors);
         assert_eq!(parked(), PARKED_DECODERS);
         // The next cursor streams through a parked decoder's buffers.
         let warm = SCRATCH.with(|scratch| scratch.borrow().parked.last().unwrap().footprint());
-        let mut cursor = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded);
+        let mut cursor = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors);
         assert_eq!(drain(&mut cursor).len(), 800);
         assert_eq!(parked(), PARKED_DECODERS - 1);
         assert_eq!(cursor.block.as_ref().map(BlockIter::footprint), Some(warm));
@@ -1899,7 +1891,8 @@ mod tests {
             let fs = FaultFs::new();
             let run = build_run(&fs, options, &tables);
 
-            let mut full = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded);
+            let errors = RelaxedCounter::new();
+            let mut full = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors);
             prop_assert_eq!(drain(&mut full), entries);
             for edge in run.iter().flat_map(|table| [table.min_key, table.max_key]) {
                 for key in [edge - 1, edge, edge + 1] {
@@ -1912,7 +1905,7 @@ mod tests {
                         (Bound::Included(key.saturating_sub(90)), Bound::Excluded(key)),
                     ] {
                         let expected: Vec<_> = oracle.range((lo, hi)).map(|(k, v)| (*k, *v)).collect();
-                        let mut cursor = Table::run_cursor(&run, lo, hi);
+                        let mut cursor = Table::run_cursor(&run, lo, hi, &errors);
                         prop_assert_eq!(drain(&mut cursor), expected, "range {:?}..{:?}", lo, hi);
                     }
                 }

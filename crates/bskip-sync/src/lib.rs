@@ -28,8 +28,6 @@
 //!   live writers share no line.  Use it instead of [`RelaxedCounter`]
 //!   when many threads write the count and few read it; keep
 //!   [`RelaxedCounter`] for statistics (one word, `reset`, high-water marks).
-//! * [`SpinLatch`] — a tiny one-shot latch used by tests and the NHS-style
-//!   baseline's background thread for start/stop signalling.
 //! * [`EbrCollector`] / [`EbrGuard`] — epoch-based memory reclamation: the
 //!   deferred-drop machinery that lets every index physically unlink and
 //!   eventually free removed nodes while lock-free readers and paused
@@ -56,7 +54,6 @@
 mod backoff;
 mod counter;
 pub mod ebr;
-mod latch;
 mod padded;
 pub mod racy;
 mod rwlock;
@@ -65,7 +62,6 @@ mod thread_index;
 pub use backoff::Backoff;
 pub use counter::{RelaxedCounter, StripedCounter};
 pub use ebr::{EbrCollector, EbrGuard, EbrStats};
-pub use latch::SpinLatch;
 pub use padded::CachePadded;
 pub use racy::{Racy, RacyCell};
 pub use rwlock::{RawRwSpinLock, RwSpinLock, RwSpinLockReadGuard, RwSpinLockWriteGuard};

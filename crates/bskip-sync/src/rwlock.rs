@@ -866,14 +866,14 @@ mod tests {
         // Writers keep two fields equal; readers must never observe a
         // mismatch, which would indicate broken exclusion.
         let lock = Arc::new(RwSpinLock::new((0u64, 0u64)));
-        let stop = Arc::new(crate::SpinLatch::new());
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let lock = Arc::clone(&lock);
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
                     let mut value = 1;
-                    while !stop.is_set() {
+                    while !stop.load(Ordering::Acquire) {
                         let mut guard = lock.write();
                         guard.0 = value;
                         guard.1 = value;
@@ -885,14 +885,14 @@ mod tests {
                 let lock = Arc::clone(&lock);
                 let stop = Arc::clone(&stop);
                 scope.spawn(move || {
-                    while !stop.is_set() {
+                    while !stop.load(Ordering::Acquire) {
                         let guard = lock.read();
                         assert_eq!(guard.0, guard.1, "torn read under RW lock");
                     }
                 });
             }
             std::thread::sleep(std::time::Duration::from_millis(50));
-            stop.set();
+            stop.store(true, Ordering::Release);
         });
     }
 

@@ -28,7 +28,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::keygen::{record_key, Distribution, KeyChooser, ZipfianGenerator};
-use crate::latency::{LatencyRecorder, LatencySummary, BATCH_SIZE};
+use crate::latency::{LatencySummary, BATCH_SIZE};
 use crate::workload::{Operation, Workload};
 
 /// Configuration of a YCSB experiment (both phases).
@@ -115,7 +115,8 @@ impl PhaseResult {
 /// Runs one timed phase: `operations` operations split evenly over
 /// `threads` scoped threads.  Thread `t` builds its per-operation closure
 /// with `op_for(t)` and calls it on each index of its share of
-/// `0..operations`, timing batches of `BATCH_SIZE` operations.
+/// `0..operations`, timing batches of `BATCH_SIZE` operations: each batch
+/// is one latency sample, its average nanoseconds per operation.
 fn timed_phase<Op>(
     threads: usize,
     operations: usize,
@@ -134,15 +135,15 @@ where
                     let lo = operations * thread_id / threads;
                     let hi = operations * (thread_id + 1) / threads;
                     let mut op = op_for(thread_id);
-                    let mut recorder = LatencyRecorder::with_capacity((hi - lo) / BATCH_SIZE + 1);
+                    let mut samples_ns = Vec::with_capacity((hi - lo).div_ceil(BATCH_SIZE));
                     for batch_lo in (lo..hi).step_by(BATCH_SIZE) {
                         let batch = batch_lo..hi.min(batch_lo + BATCH_SIZE);
-                        let in_batch = batch.len();
+                        let in_batch = batch.len() as f64;
                         let batch_start = Instant::now();
                         batch.for_each(&mut op);
-                        recorder.record_batch(batch_start.elapsed().as_nanos() as u64, in_batch);
+                        samples_ns.push(batch_start.elapsed().as_nanos() as f64 / in_batch);
                     }
-                    recorder.into_samples()
+                    samples_ns
                 })
             })
             .collect();
@@ -280,6 +281,20 @@ mod tests {
         for logical in (0..config.record_count as u64).step_by(997) {
             assert!(index.contains_key(&record_key(logical)));
         }
+    }
+
+    #[test]
+    fn one_latency_sample_per_batch_of_ten() {
+        let index: BSkipList<u64, u64> = BSkipList::new();
+        // One thread: batches of 10, 10 and 5 operations.
+        let config = small_config().with_records(25).with_threads(1);
+        assert_eq!(run_load_phase(&index, &config).latency.samples, 3);
+        // Two threads split 12 + 13: batches of 10 and 2, 10 and 3.
+        let config = config.with_operations(25).with_threads(2);
+        assert_eq!(
+            run_run_phase(&index, Workload::C, &config).latency.samples,
+            4
+        );
     }
 
     #[test]

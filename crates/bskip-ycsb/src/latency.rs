@@ -1,4 +1,4 @@
-//! Latency recording and percentile extraction.
+//! Latency percentile extraction.
 //!
 //! The paper's methodology (Section 5, "Systems setup"): *"each thread
 //! measures the average time taken for a batch of ten operations and
@@ -6,50 +6,11 @@
 //! the latency at each percentile after running each benchmark."*  Batch
 //! measurement is deliberate — timing each operation individually would
 //! remove the contention between threads that the benchmark is trying to
-//! capture.
+//! capture.  [`crate::driver`] takes one sample per batch; [`LatencySummary`]
+//! sorts the merged samples and reads the percentiles off them.
 
 /// Number of operations per latency sample (the paper uses 10).
 pub const BATCH_SIZE: usize = 10;
-
-/// Per-thread latency recorder: collects one sample (average nanoseconds
-/// per operation) per completed batch.
-#[derive(Debug, Default, Clone)]
-pub struct LatencyRecorder {
-    samples_ns: Vec<f64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder with room for `expected_batches` samples.
-    pub fn with_capacity(expected_batches: usize) -> Self {
-        LatencyRecorder {
-            samples_ns: Vec::with_capacity(expected_batches),
-        }
-    }
-
-    /// Records a batch that took `elapsed_ns` nanoseconds for `ops`
-    /// operations.
-    pub fn record_batch(&mut self, elapsed_ns: u64, ops: usize) {
-        if ops == 0 {
-            return;
-        }
-        self.samples_ns.push(elapsed_ns as f64 / ops as f64);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples_ns.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples_ns.is_empty()
-    }
-
-    /// Consumes the recorder, returning the raw samples.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples_ns
-    }
-}
 
 /// Percentile summary of merged latency samples, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -109,17 +70,6 @@ impl LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recorder_averages_batches() {
-        let mut recorder = LatencyRecorder::with_capacity(4);
-        recorder.record_batch(10_000, 10); // 1000 ns/op
-        recorder.record_batch(20_000, 10); // 2000 ns/op
-        recorder.record_batch(0, 0); // ignored
-        assert_eq!(recorder.len(), 2);
-        let samples = recorder.into_samples();
-        assert_eq!(samples, vec![1000.0, 2000.0]);
-    }
 
     #[test]
     fn summary_of_empty_samples_is_zero() {

@@ -14,9 +14,7 @@
 //! * [`driver`] — the load-phase and run-phase executors that fan the
 //!   operations out over worker threads against any
 //!   [`bskip_index::ConcurrentIndex`], returning throughput and latency
-//!   summaries;
-//! * [`trial`] — warm-up plus median-of-N-trials aggregation, as used for
-//!   every number reported in the paper.
+//!   summaries.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,11 +23,9 @@
 pub mod driver;
 pub mod keygen;
 pub mod latency;
-pub mod trial;
 pub mod workload;
 
 pub use driver::{run_load_phase, run_run_phase, PhaseResult, YcsbConfig};
 pub use keygen::{Distribution, KeyChooser, ZipfianGenerator};
 pub use latency::{LatencySummary, BATCH_SIZE};
-pub use trial::{median, run_trials};
 pub use workload::{Operation, Workload};

@@ -15,8 +15,7 @@ use bskip_suite::{
 fn op_strategy(key_space: u64) -> impl Strategy<Value = Op<u64, u64>> {
     prop_oneof![
         2 => (0..key_space).prop_map(Op::get),
-        3 => (0..key_space, any::<u64>()).prop_map(|(key, value)| Op::insert(key, value)),
-        2 => (0..key_space, any::<u64>()).prop_map(|(key, value)| Op::update(key, value)),
+        5 => (0..key_space, any::<u64>()).prop_map(|(key, value)| Op::insert(key, value)),
         2 => (0..key_space).prop_map(Op::remove),
     ]
 }
@@ -27,7 +26,7 @@ fn oracle_apply(oracle: &mut BTreeMap<u64, u64>, ops: &mut [Op<u64, u64>]) {
     for op in ops.iter_mut() {
         match op {
             Op::Get { key, result } => *result = oracle.get(key).copied().into(),
-            Op::Insert { key, value, result } | Op::Update { key, value, result } => {
+            Op::Insert { key, value, result } => {
                 *result = oracle.insert(*key, *value).into();
             }
             Op::Remove { key, result } => *result = oracle.remove(key).into(),
@@ -138,7 +137,7 @@ fn concurrent_batch_and_point_mutations_stay_consistent() {
                                     if i % 2 == 0 {
                                         Op::remove(key)
                                     } else {
-                                        Op::update(key, round + 1)
+                                        Op::insert(key, round + 1)
                                     }
                                 })
                                 .collect();

@@ -206,7 +206,7 @@ fn sharded_concurrent_batches_and_points_agree_at_quiescence() {
                                 if i % 2 == 0 {
                                     Op::remove(key)
                                 } else {
-                                    Op::update(key, round + 1)
+                                    Op::insert(key, round + 1)
                                 }
                             })
                             .collect();
