@@ -47,6 +47,17 @@
 //! Sibling pairs are always locked left-to-right, the same order as the
 //! leaf chain, so rebalancing cannot deadlock against range scans.
 //!
+//! # Tracing
+//!
+//! The last type parameter is a [`Tracer`], the cache simulator's view of
+//! the tree (Table 1); a node's id is its address.  Every node a descent
+//! lands on, leaf included, is reported searched, and so is the read value
+//! of a `get`, the replaced value or shifted suffix of an upsert, a
+//! separator insert, both halves of a split and the run `fetch_batch`
+//! copies from each leaf.  A removal's leaf edit and rebalancing report
+//! nothing, because Table 1 deletes nothing.  The default, [`NoTrace`], is
+//! zero-sized and compiles to nothing.
+//!
 //! # Node layout
 //!
 //! A node holds up to `F` keys, of which `keys[..len]` are live.  A leaf
@@ -80,6 +91,7 @@ use std::ptr;
 use std::slice;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
@@ -303,16 +315,18 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
     }
 
     /// Stores `key → value` in a leaf that has room for a new key and
-    /// returns the value it replaced.
-    fn upsert(&mut self, key: K, value: V) -> Option<V> {
+    /// returns the value it replaced; `written` is told the slots written.
+    fn upsert(&mut self, key: K, value: V, written: impl FnOnce(usize, usize)) -> Option<V> {
         let len = self.len;
         match self.keys().binary_search(&key) {
             Ok(slot) => {
+                written(slot, 1);
                 let old = self.value(slot);
                 self.values_mut()[slot] = MaybeUninit::new(value);
                 Some(old)
             }
             Err(slot) => {
+                written(slot, len + 1 - slot);
                 insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(key));
                 insert_at(
                     &mut self.values_mut()[..=len],
@@ -335,9 +349,15 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
     }
 
     /// Inserts `separator` and the child to its right into an internal
-    /// node that has room.
-    fn insert_child(&mut self, separator: K, right: *mut Node<K, V, F>) {
+    /// node that has room; `written` is told the slots written.
+    fn insert_child(
+        &mut self,
+        separator: K,
+        right: *mut Node<K, V, F>,
+        written: impl FnOnce(usize, usize),
+    ) {
         let (len, slot) = (self.len, self.lower_bound(&separator));
+        written(slot, len + 1 - slot);
         insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(separator));
         insert_at(&mut self.children_mut()[..len + 2], slot + 1, right);
         self.len += 1;
@@ -453,7 +473,7 @@ fn remove_at<T: Copy>(slots: &mut [T], at: usize) -> T {
 /// // No split has retired to the root yet.
 /// assert_eq!(tree.stats().get("root_write_locks"), Some(0));
 /// ```
-pub struct OccBTree<K, V, const F: usize = 64> {
+pub struct OccBTree<K, V, const F: usize = 64, T: Tracer = NoTrace> {
     /// Tree-level lock guarding the root pointer: readers hold it shared
     /// just long enough to lock the root node; pessimistic writers hold it
     /// exclusively ("the root write lock").
@@ -466,14 +486,23 @@ pub struct OccBTree<K, V, const F: usize = 64> {
     /// Nodes ever allocated (root, splits); `nodes_allocated - retired`
     /// is the live structural node count.
     nodes_allocated: RelaxedCounter,
+    /// Observer of the nodes and slots operations touch (module docs).
+    tracer: T,
 }
 
 // SAFETY: node state is only accessed under per-node locks (plus the tree
 // lock for the root pointer), so moving the tree to another thread is
-// sound whenever keys and values are shareable.
-unsafe impl<K: IndexKey, V: IndexValue, const F: usize> Send for OccBTree<K, V, F> {}
-// SAFETY: as for `Send`: every shared access goes through those locks.
-unsafe impl<K: IndexKey, V: IndexValue, const F: usize> Sync for OccBTree<K, V, F> {}
+// sound whenever keys and values are shareable; the tracer moves with it.
+unsafe impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send> Send
+    for OccBTree<K, V, F, T>
+{
+}
+// SAFETY: as for `Send`: every shared access goes through those locks, and
+// the tracer is only shared as `&T`.
+unsafe impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Sync> Sync
+    for OccBTree<K, V, F, T>
+{
+}
 
 impl<K: IndexKey, V: IndexValue, const F: usize> Default for OccBTree<K, V, F> {
     fn default() -> Self {
@@ -482,6 +511,17 @@ impl<K: IndexKey, V: IndexValue, const F: usize> Default for OccBTree<K, V, F> {
 }
 
 impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
+    /// Creates an empty tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `F < 4`.
+    pub fn new() -> Self {
+        Self::with_tracer(NoTrace)
+    }
+}
+
+impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T> {
     /// Underflow threshold: a node holding this many entries or fewer is
     /// rebalanced (borrow or merge) before a removal may shrink it
     /// further.  It lies in `1..=F / 2 - 1` for every `F >= 4`, so fresh
@@ -489,12 +529,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
     /// above it.
     const MIN_KEYS: usize = F / 4;
 
-    /// Creates an empty tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `F < 4`.
-    pub fn new() -> Self {
+    /// [`OccBTree::new`], reporting to `tracer` from the allocation of the
+    /// root leaf on.
+    pub fn with_tracer(tracer: T) -> Self {
         assert!(F >= 4, "fanout must be at least 4");
         let tree = OccBTree {
             tree_lock: RawRwSpinLock::new(),
@@ -503,20 +540,33 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             counters: TreeCounters::default(),
             collector: EbrCollector::new(),
             nodes_allocated: RelaxedCounter::new(),
+            tracer,
         };
         tree.root
             .store(tree.alloc(Inner::new(true)), Ordering::Relaxed);
         tree
     }
 
+    /// The tracer the tree reports to.
+    pub fn tracer(&self) -> &T {
+        &self.tracer
+    }
+
     /// Boxes `inner` as a new, unlocked node.
     fn alloc(&self, inner: Inner<K, V, F>) -> *mut Node<K, V, F> {
         self.nodes_allocated.incr();
-        Box::into_raw(Box::new(Node {
+        let node = Box::into_raw(Box::new(Node {
             lock: RawRwSpinLock::new(),
             is_leaf: inner.is_leaf(),
             inner: UnsafeCell::new(inner),
-        }))
+        }));
+        self.tracer.node_allocated(node as usize);
+        node
+    }
+
+    /// Reports slots of `node` written, as `Inner`'s mutators tell them.
+    fn written(&self, node: *mut Node<K, V, F>) -> impl FnOnce(usize, usize) + '_ {
+        move |from, count| self.tracer.slots_written(node as usize, from, count)
     }
 
     /// Retires an unlinked node through the collector.
@@ -528,11 +578,16 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         unsafe { guard.retire_box(node) };
     }
 
-    /// Moves the upper half of the full node `left` into a new right
-    /// sibling, returned unlocked and not yet in any parent together with
-    /// the separator for the parent.  A leaf keeps the separator as the
-    /// sibling's first key; an internal node moves it up.
-    fn split(&self, left: &mut Inner<K, V, F>) -> (*mut Node<K, V, F>, K) {
+    /// Moves the upper half of the full node `node`, whose interior is
+    /// `left`, into a new right sibling, returned unlocked and not yet in
+    /// any parent together with the separator for the parent.  A leaf
+    /// keeps the separator as the sibling's first key; an internal node
+    /// moves it up.
+    fn split(
+        &self,
+        node: *mut Node<K, V, F>,
+        left: &mut Inner<K, V, F>,
+    ) -> (*mut Node<K, V, F>, K) {
         assert_eq!(left.len, F);
         let (half, c) = (F / 2, left.sep_cost());
         let separator = left.keys()[half];
@@ -543,6 +598,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         right.next_leaf = left.next_leaf;
         left.len = half;
         let right = self.alloc(right);
+        let moved = F - half - c;
+        self.tracer.slots_read(node as usize, half + c, moved);
+        self.tracer.slots_written(right as usize, 0, moved);
         if left.is_leaf() {
             left.next_leaf = right;
         }
@@ -551,7 +609,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
 
     /// The read-mode descent: read locks hand over hand from the root to
     /// the leaf covering `key` (the leftmost leaf for `None`), which is
-    /// returned read-locked.
+    /// returned read-locked.  Every node on the way is reported searched.
     fn lock_leaf_shared(&self, key: Option<&K>) -> *mut Node<K, V, F> {
         // SAFETY: each node is locked before it is read and its parent is
         // unlocked only after that, so no node on the path can be unlinked
@@ -561,20 +619,24 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             let mut node = self.root.load(Ordering::Acquire);
             (*node).lock.lock_shared();
             self.tree_lock.unlock_shared();
-            while !(*node).is_leaf {
+            loop {
                 let inner = (*node).inner();
+                self.tracer.node_searched(node as usize, inner.len);
+                if (*node).is_leaf {
+                    return node;
+                }
                 let child = inner.children()[key.map_or(0, |key| inner.upper_bound(key))];
                 (*child).lock.lock_shared();
                 (*node).lock.unlock_shared();
                 node = child;
             }
-            node
         }
     }
 
     /// The write-mode descent of the optimistic pass: read locks hand
     /// over hand from the root, the leaf covering `key` write-locked.
-    /// Returns the leaf and whether it is the root.
+    /// Returns the leaf and whether it is the root.  Every node on the way
+    /// is reported searched.
     fn lock_leaf_exclusive(&self, key: &K) -> (*mut Node<K, V, F>, bool) {
         // SAFETY: as in `lock_leaf_shared`.
         unsafe {
@@ -590,13 +652,17 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             lock(root);
             self.tree_lock.unlock_shared();
             let mut node = root;
-            while !(*node).is_leaf {
+            loop {
+                self.tracer
+                    .node_searched(node as usize, (*node).inner().len);
+                if (*node).is_leaf {
+                    return (node, node == root);
+                }
                 let child = (*node).inner().child_for(key);
                 lock(child);
                 (*node).lock.unlock_shared();
                 node = child;
             }
-            (node, node == root)
         }
     }
 
@@ -628,6 +694,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             loop {
                 let inner = (*node).inner();
                 let end = inner.len.min(slot + max - out.len());
+                self.tracer.slots_read(node as usize, slot, end - slot);
                 out.extend((slot..end).map(|slot| (inner.keys()[slot], inner.value(slot))));
                 let next = inner.next_leaf;
                 if out.len() == max || next.is_null() {
@@ -648,20 +715,21 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
         self.counters.root_write_locks.incr();
         // SAFETY: every node on the descent path is locked exclusively
         // before being read or modified; newly allocated nodes are private
-        // until their parent (also exclusively locked) publishes them.
+        // until their parent (also exclusively locked) or, for a new root,
+        // the root pointer under the exclusive tree lock publishes them.
         unsafe {
             self.tree_lock.lock_exclusive();
             let mut node = self.root.load(Ordering::Acquire);
             (*node).lock.lock_exclusive();
             if (*node).inner().len == F {
                 // Split the root: the old root becomes the left half.
-                let (right, separator) = self.split((*node).inner_mut());
-                let mut top = Inner::new(false);
-                top.children_mut()[0] = node;
-                top.insert_child(separator, right);
-                let top = self.alloc(top);
-                self.root.store(top, Ordering::Release);
+                let (right, separator) = self.split(node, (*node).inner_mut());
+                let top = self.alloc(Inner::new(false));
                 (*top).lock.lock_exclusive();
+                let inner = (*top).inner_mut();
+                inner.children_mut()[0] = node;
+                inner.insert_child(separator, right, self.written(top));
+                self.root.store(top, Ordering::Release);
                 (*node).lock.unlock_exclusive();
                 node = top;
             }
@@ -671,11 +739,12 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
             // before we step into it, so parents always have room.
             while !(*node).is_leaf {
                 let inner = (*node).inner_mut();
+                self.tracer.node_searched(node as usize, inner.len);
                 let mut child = inner.child_for(&key);
                 (*child).lock.lock_exclusive();
                 if (*child).inner().len == F {
-                    let (right, separator) = self.split((*child).inner_mut());
-                    inner.insert_child(separator, right);
+                    let (right, separator) = self.split(child, (*child).inner_mut());
+                    inner.insert_child(separator, right, self.written(node));
                     if key >= separator {
                         (*child).lock.unlock_exclusive();
                         (*right).lock.lock_exclusive();
@@ -686,7 +755,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
                 node = child;
             }
             // Leaf with room guaranteed.
-            let old = (*node).inner_mut().upsert(key, value);
+            let inner = (*node).inner_mut();
+            self.tracer.node_searched(node as usize, inner.len);
+            let old = inner.upsert(key, value, self.written(node));
             (*node).lock.unlock_exclusive();
             old
         }
@@ -824,7 +895,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> OccBTree<K, V, F> {
     }
 }
 
-impl<K, V, const F: usize> Drop for OccBTree<K, V, F> {
+impl<K, V, const F: usize, T: Tracer> Drop for OccBTree<K, V, F, T> {
     fn drop(&mut self) {
         let mut stack = vec![*self.root.get_mut()];
         while let Some(node) = stack.pop() {
@@ -839,7 +910,9 @@ impl<K, V, const F: usize> Drop for OccBTree<K, V, F> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBTree<K, V, F> {
+impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
+    for OccBTree<K, V, F, T>
+{
     /// Inserts `key → value` optimistically (reader locks down, writer
     /// lock on the leaf); a full leaf retires to the root and goes
     /// pessimistic.
@@ -849,7 +922,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
         let result = unsafe {
             let inner = (*leaf).inner_mut();
             let full = inner.len == F && inner.keys().binary_search(&key).is_err();
-            let result = (!full).then(|| inner.upsert(key, value));
+            let result = (!full).then(|| inner.upsert(key, value, self.written(leaf)));
             (*leaf).lock.unlock_exclusive();
             result
         };
@@ -866,8 +939,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize> ConcurrentIndex<K, V> for OccBT
         // SAFETY: `leaf` is read-locked until the unlock below.
         unsafe {
             let inner = (*leaf).inner();
-            let value = inner.keys().binary_search(key).ok();
-            let value = value.map(|slot| inner.value(slot));
+            let slot = inner.keys().binary_search(key).ok();
+            let slot = slot.inspect(|&slot| self.tracer.slots_read(leaf as usize, slot, 1));
+            let value = slot.map(|slot| inner.value(slot));
             (*leaf).lock.unlock_shared();
             value
         }
@@ -964,8 +1038,10 @@ mod tests {
     /// inside each node and lie within the node's separators, all leaves
     /// sit at one depth, the `next_leaf` chain is the in-order leaf
     /// sequence and ends in null, and every non-root node holds at least
-    /// `MIN_KEYS` entries.
-    fn check_invariants<const F: usize>(tree: &OccBTree<u64, u64, F>) {
+    /// `MIN_KEYS` entries.  Returns the number of levels.
+    fn check_invariants<const F: usize, T: Tracer + Send + Sync>(
+        tree: &OccBTree<u64, u64, F, T>,
+    ) -> usize {
         /// Checks the subtree at `node`, whose keys lie in `[lo, hi)`,
         /// appends its leaves in order and returns its height.
         fn walk<const F: usize>(
@@ -1009,7 +1085,7 @@ mod tests {
             heights[0] + 1
         }
         let mut leaves = Vec::new();
-        walk(
+        let height = walk(
             tree.root.load(Ordering::Acquire),
             (None, None),
             true,
@@ -1030,6 +1106,7 @@ mod tests {
             .map(|&leaf| unsafe { (*leaf).inner().len })
             .sum();
         assert_eq!(entries, tree.len());
+        height + 1
     }
 
     /// Replays the operation stream of
@@ -1115,6 +1192,92 @@ mod tests {
         churn::<8>();
         churn::<15>();
         churn::<64>();
+    }
+
+    /// Counts the events of each kind, in trait order.
+    #[derive(Default)]
+    struct Counting([std::sync::atomic::AtomicU64; 5]);
+
+    impl Counting {
+        fn bump(&self, kind: usize) {
+            self.0[kind].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn counts(&self) -> [u64; 5] {
+            self.0.each_ref().map(|count| count.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Tracer for Counting {
+        fn node_allocated(&self, _: usize) {
+            self.bump(0);
+        }
+        fn header_peeked(&self, _: usize) {
+            self.bump(1);
+        }
+        fn node_searched(&self, _: usize, _: usize) {
+            self.bump(2);
+        }
+        fn slots_read(&self, _: usize, _: usize, _: usize) {
+            self.bump(3);
+        }
+        fn slots_written(&self, _: usize, _: usize, _: usize) {
+            self.bump(4);
+        }
+    }
+
+    /// One random insert / get / scan / remove stream applied to `tree`;
+    /// returns every result and the final statistics.
+    fn observe<T: Tracer + Send + Sync>(
+        tree: &OccBTree<u64, u64, 8, T>,
+    ) -> (Vec<Option<u64>>, IndexStats) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut results = Vec::new();
+        for _ in 0..6000 {
+            let key = rng.gen_range(0..1500u64);
+            match rng.gen_range(0..10) {
+                0..=4 => results.push(tree.insert(key, rng.gen())),
+                5..=6 => results.push(tree.get(&key)),
+                7 => results.extend(tree.scan(key..).take(20).map(|(k, v)| Some(k ^ v))),
+                _ => results.push(tree.remove(&key)),
+            }
+        }
+        check_invariants(tree);
+        (results, tree.stats())
+    }
+
+    #[test]
+    fn tracing_changes_nothing_and_sees_every_kind_of_event() {
+        let traced = OccBTree::with_tracer(Counting::default());
+        assert_eq!(observe(&SmallTree::new()), observe(&traced));
+        let counts = traced.tracer().counts();
+        assert_eq!(counts[1], 0, "a B+-tree peeks at no right neighbour");
+        assert!(counts
+            .iter()
+            .enumerate()
+            .all(|(kind, &n)| kind == 1 || n > 0));
+        let live_nodes = traced.stats().get("live_nodes").unwrap();
+        assert!(counts[0] >= live_nodes, "every node was announced");
+        assert_eq!(size_of::<NoTrace>(), 0);
+    }
+
+    #[test]
+    fn a_get_searches_one_node_per_level() {
+        let tree = OccBTree::<u64, u64, 4, _>::with_tracer(Counting::default());
+        for key in 0..1000u64 {
+            tree.insert(key, key);
+        }
+        let levels = check_invariants(&tree) as u64;
+        assert!(levels >= 4, "{levels} levels");
+        for key in [0, 499, 999, 1000] {
+            let before = tree.tracer().counts();
+            let found = tree.get(&key);
+            let after = tree.tracer().counts();
+            assert_eq!(after[2] - before[2], levels, "nodes searched for {key}");
+            assert_eq!(after[3] - before[3], u64::from(found.is_some()));
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! | Paper system | This crate | Design |
 //! |---|---|---|
-//! | Facebook Folly `ConcurrentSkipList` | [`LockFreeSkipList`] | one element per node, towers of atomic `next` pointers, CAS insertion |
-//! | Java `ConcurrentSkipListMap` | [`LazySkipList`] | optimistic traversal + per-node locks with validation (Herlihy et al. style) |
+//! | Java `ConcurrentSkipListMap` | [`LockFreeSkipList`] | one element per node, towers of atomic `next` pointers, CAS insertion |
+//! | Facebook Folly `ConcurrentSkipList` | [`LazySkipList`] | optimistic traversal + per-node locks with validation (Herlihy et al. style) |
 //! | No Hot Spot skiplist (NHS) | [`NhsSkipList`] | lock-free bottom lane, background thread rebuilds the index lanes |
 //! | tlx/BP-tree concurrent B+-tree (OBT) | [`OccBTree`] | reader-lock descent, writer-locked leaf, *retire to the root* with write locks on structural modification (classical OCC) |
 //! | Masstree | [`MasstreeLite`] | an alias: `OccBTree` with 15-key nodes, the one trie layer Masstree is for 8-byte keys |

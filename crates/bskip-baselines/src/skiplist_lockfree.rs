@@ -1,7 +1,8 @@
 //! A classic lock-free concurrent skiplist: one element per node.
 //!
-//! This is the stand-in for Facebook Folly's `ConcurrentSkipList` (and,
-//! structurally, for Java's `ConcurrentSkipListMap`): every element gets its
+//! This is the stand-in for Java's `ConcurrentSkipListMap`, which is
+//! lock-free too (Folly's `ConcurrentSkipList` locks per node and is
+//! [`crate::LazySkipList`]'s original): every element gets its
 //! own *tower* node with one atomic `next` pointer per level, towers are
 //! linked bottom-up with compare-and-swap, and readers traverse without any
 //! locks.  It is exactly the design whose cache behaviour the paper

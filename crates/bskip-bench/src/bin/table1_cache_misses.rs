@@ -11,7 +11,7 @@
 
 use bskip_bench::{experiment_config, format_row, print_header};
 use bskip_cachesim::{
-    CacheConfig, CacheSim, TraceBTree, TraceIndexModel, TraceSkipList, TracedBSkipList,
+    CacheConfig, CacheSim, TraceIndexModel, TraceSkipList, TracedBSkipList, TracedBTree,
 };
 use bskip_core::BSkipConfig;
 use rand::rngs::SmallRng;
@@ -19,8 +19,8 @@ use rand::{Rng, SeedableRng};
 
 /// Runs Load followed by the given run phase against one model, returning
 /// total simulated cache misses.
-fn run_model<M: TraceIndexModel>(
-    model: &mut M,
+fn run_model(
+    model: &mut dyn TraceIndexModel,
     records: usize,
     operations: usize,
     workload_e: bool,
@@ -54,6 +54,20 @@ fn run_model<M: TraceIndexModel>(
     cache.stats().misses
 }
 
+/// The SL, BT and BSL miss counts of one row of the table.
+fn row(records: usize, operations: usize, workload_e: bool) -> [u64; 3] {
+    let run =
+        |model: &mut dyn TraceIndexModel| run_model(model, records, operations, workload_e, 11);
+    [
+        run(&mut TraceSkipList::new(1)),
+        run(&mut TracedBTree::<64>::default()),
+        run(&mut TracedBSkipList::<128>::new(
+            BSkipConfig::paper_default(),
+            1,
+        )),
+    ]
+}
+
 fn main() {
     let (config, _) = experiment_config();
     let records = config.record_count;
@@ -73,27 +87,7 @@ fn main() {
         ],
     );
     for (label, workload_e) in [("Load + C", false), ("Load + E", true)] {
-        let sl = run_model(
-            &mut TraceSkipList::new(1),
-            records,
-            operations,
-            workload_e,
-            11,
-        );
-        let bt = run_model(
-            &mut TraceBTree::new(64),
-            records,
-            operations,
-            workload_e,
-            11,
-        );
-        let bsl = run_model(
-            &mut TracedBSkipList::<128>::new(BSkipConfig::paper_default(), 1),
-            records,
-            operations,
-            workload_e,
-            11,
-        );
+        let [sl, bt, bsl] = row(records, operations, workload_e);
         println!(
             "{}",
             format_row(&[
@@ -107,4 +101,17 @@ fn main() {
         );
     }
     println!("\nPaper (100M keys, hardware LLC): Load+C -> SL/BSL 3.2, BT/BSL 1.4; Load+E -> SL/BSL 5.6, BT/BSL 1.2");
+}
+
+#[cfg(test)]
+mod tests {
+    /// The SL and BSL columns at CI scale, pinned at their measured
+    /// counts: both share the layout constants with the BT column, and a
+    /// change to those or to either structure moves them.
+    #[test]
+    fn skiplist_and_bskiplist_columns_hold_at_ci_scale() {
+        let [sl_c, _, bsl_c] = super::row(4000, 4000, false);
+        let [sl_e, _, bsl_e] = super::row(4000, 4000, true);
+        assert_eq!([sl_c, bsl_c, sl_e, bsl_e], [4575, 1745, 4787, 1795]);
+    }
 }

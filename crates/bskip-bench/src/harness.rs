@@ -11,9 +11,9 @@ use bskip_ycsb::{run_load_phase, run_run_phase, Distribution, PhaseResult, Workl
 pub enum IndexKind {
     /// The paper's contribution (this repository's `bskip-core`).
     BSkipList,
-    /// Lock-free CAS skiplist (Folly stand-in).
+    /// Lock-free CAS skiplist (Java ConcurrentSkipListMap stand-in).
     LockFreeSkipList,
-    /// Optimistic lock-based skiplist (Java ConcurrentSkipListMap stand-in).
+    /// Optimistic lock-based skiplist (Folly ConcurrentSkipList stand-in).
     LazySkipList,
     /// No-Hot-Spot skiplist with a background adaptation thread.
     NhsSkipList,
@@ -54,8 +54,8 @@ impl IndexKind {
     pub fn label(&self) -> &'static str {
         match self {
             IndexKind::BSkipList => "B-skiplist",
-            IndexKind::LockFreeSkipList => "Folly-style SL",
-            IndexKind::LazySkipList => "Java-style SL",
+            IndexKind::LockFreeSkipList => "Java-style SL",
+            IndexKind::LazySkipList => "Folly-style SL",
             IndexKind::NhsSkipList => "NoHotSpot SL",
             IndexKind::OccBTree => "OCC B+-tree",
             IndexKind::Masstree => "Masstree-lite",

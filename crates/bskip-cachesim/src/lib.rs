@@ -9,9 +9,11 @@
 //!
 //! * [`TraceSkipList`] — a structural traversal model of a traditional
 //!   skiplist, one element per node;
-//! * [`TraceBTree`] — the same for a B+-tree with multi-kilobyte nodes;
+//! * [`TracedBTree`] — the B+-tree of Figures 7 and 8 itself: the
+//!   baselines' OCC B+-tree with 1 KiB nodes, reporting through its
+//!   `Tracer` (`bskip_index::trace`);
 //! * [`TracedBSkipList`] — the B-skiplist itself: `bskip-core`'s
-//!   sequential reference list reporting through its `Tracer`, so the
+//!   sequential reference list reporting through the same `Tracer`, so the
 //!   structure and the algorithm are the code the differential tests verify.
 //!
 //! All three live in a synthetic address space (nodes laid out in
@@ -30,4 +32,4 @@ mod cache;
 mod models;
 
 pub use cache::{CacheConfig, CacheSim, CacheStats};
-pub use models::{TraceBTree, TraceIndexModel, TraceSkipList, TracedBSkipList};
+pub use models::{TraceIndexModel, TraceSkipList, TracedBSkipList, TracedBTree};

@@ -1,21 +1,25 @@
 //! The three indices compared in Table 1, as sources of cache touches.
 //!
-//! [`TraceSkipList`] and [`TraceBTree`] are *models*: each keeps the
-//! node/pointer structure of its index in an arena and touches in the
-//! [`CacheSim`] the byte ranges the real implementation reads or writes.
-//! [`TracedBSkipList`] is not a model of the traversal: it runs
-//! `bskip-core`'s sequential reference list and turns the events of its
-//! [`Tracer`] (header peeks of a right-walk, in-node searches, the shifted
-//! suffix of an insertion, both sides of a split, ...) into touches.  What
-//! all three share, and what *is* modelled, is the byte layout: nodes at
-//! synthetic addresses in allocation order (as a bump allocator would place
-//! them), a fixed header, and 16-byte entries for `u64` keys with 8-byte
-//! values or child pointers, as in the paper.
+//! [`TraceSkipList`] is a *model*: it keeps the node/pointer structure of a
+//! skiplist in an arena and touches in the [`CacheSim`] the byte ranges a
+//! real implementation reads or writes.  [`TracedBSkipList`] and
+//! [`TracedBTree`] are not models of a traversal: they run `bskip-core`'s
+//! sequential reference list and the baselines' OCC B+-tree and turn the
+//! events of their [`Tracer`] (header peeks of a right-walk, in-node
+//! searches, the shifted suffix of an insertion, both sides of a split,
+//! ...) into touches.  What all three share, and what *is* modelled, is the
+//! byte layout: nodes at synthetic addresses in allocation order (as a bump
+//! allocator would place them), a fixed header, and 16-byte entries for
+//! `u64` keys with 8-byte values or child pointers, as in the paper.
 
-use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
-use bskip_core::seq::{SeqBSkipList, Tracer};
+use bskip_baselines::OccBTree;
+use bskip_core::seq::SeqBSkipList;
 use bskip_core::BSkipConfig;
+use bskip_index::trace::Tracer;
+use bskip_index::ConcurrentIndex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -212,246 +216,56 @@ impl TraceIndexModel for TraceSkipList {
 }
 
 // ---------------------------------------------------------------------------
-// B+-tree with blocked nodes.
+// B-skiplist and B+-tree: the real structures, traced.
 // ---------------------------------------------------------------------------
 
-struct BtNode {
-    addr: u64,
-    is_leaf: bool,
-    keys: Vec<u64>,
-    /// children.len() == keys.len() + 1 for internal nodes.
-    children: Vec<usize>,
-    next: usize,
-}
-
-/// Traversal model of a B+-tree with `node_keys` entries per node
-/// (64 entries ≈ the paper's 1024-byte nodes).
-pub struct TraceBTree {
-    arena: Vec<BtNode>,
-    root: usize,
-    node_keys: usize,
-    next_addr: u64,
-    len: usize,
-}
-
-impl TraceBTree {
-    /// Creates an empty tree with `node_keys` entries per node.
-    pub fn new(node_keys: usize) -> Self {
-        assert!(node_keys >= 4);
-        let mut model = TraceBTree {
-            arena: Vec::new(),
-            root: 0,
-            node_keys,
-            next_addr: 0,
-            len: 0,
-        };
-        model.root = model.alloc_node(true);
-        model
-    }
-
-    fn node_footprint(&self) -> u64 {
-        NODE_HEADER_BYTES + self.node_keys as u64 * ENTRY_BYTES
-    }
-
-    fn alloc_node(&mut self, is_leaf: bool) -> usize {
-        let addr = self.next_addr;
-        self.next_addr += self.node_footprint().div_ceil(64) * 64;
-        self.arena.push(BtNode {
-            addr,
-            is_leaf,
-            keys: Vec::new(),
-            children: Vec::new(),
-            next: NIL,
-        });
-        self.arena.len() - 1
-    }
-
-    fn child_slot(&self, node: usize, key: u64) -> usize {
-        self.arena[node].keys.partition_point(|k| *k <= key)
-    }
-
-    /// Splits the full child at `child_slot` of `parent`; both nodes'
-    /// touched bytes are charged to the cache.
-    fn split_child(&mut self, parent: usize, child: usize, cache: &mut CacheSim) {
-        let is_leaf = self.arena[child].is_leaf;
-        let right = self.alloc_node(is_leaf);
-        let half = self.node_keys / 2;
-        let (separator, moved_keys, moved_children) = {
-            let node = &mut self.arena[child];
-            if is_leaf {
-                let moved = node.keys.split_off(half);
-                (moved[0], moved, Vec::new())
-            } else {
-                let mut moved = node.keys.split_off(half);
-                let separator = moved.remove(0);
-                let children = node.children.split_off(half + 1);
-                (separator, moved, children)
-            }
-        };
-        // The split copies the moved half: reads from the left node, writes
-        // to the right node.
-        let moved_bytes = (moved_keys.len().max(1) as u64) * ENTRY_BYTES;
-        cache.touch(
-            self.arena[child].addr + half as u64 * ENTRY_BYTES,
-            moved_bytes as usize,
-        );
-        cache.touch(self.arena[right].addr, moved_bytes as usize);
-        {
-            let right_node = &mut self.arena[right];
-            right_node.keys = moved_keys;
-            right_node.children = moved_children;
-        }
-        if is_leaf {
-            let old_next = self.arena[child].next;
-            self.arena[right].next = old_next;
-            self.arena[child].next = right;
-        }
-        // Insert the separator into the parent (a write into the parent).
-        let position = self.arena[parent].keys.partition_point(|k| *k < separator);
-        cache.touch(
-            self.arena[parent].addr + position as u64 * ENTRY_BYTES,
-            ((self.arena[parent].keys.len() - position + 1) as u64 * ENTRY_BYTES) as usize,
-        );
-        self.arena[parent].keys.insert(position, separator);
-        self.arena[parent].children.insert(position + 1, right);
-    }
-}
-
-impl TraceIndexModel for TraceBTree {
-    fn name(&self) -> &'static str {
-        "B+-tree"
-    }
-
-    fn insert(&mut self, key: u64, cache: &mut CacheSim) {
-        // Preemptive-split descent (matches the OCC B+-tree's pessimistic
-        // pass; the optimistic pass touches the same nodes).
-        if self.arena[self.root].keys.len() == self.node_keys {
-            let old_root = self.root;
-            let new_root = self.alloc_node(false);
-            self.arena[new_root].children.push(old_root);
-            self.root = new_root;
-            self.split_child(new_root, old_root, cache);
-        }
-        let mut node = self.root;
-        loop {
-            cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
-            touch_binary_search(
-                |address, bytes| cache.touch(address, bytes),
-                self.arena[node].addr + NODE_HEADER_BYTES,
-                self.arena[node].keys.len(),
-            );
-            if self.arena[node].is_leaf {
-                let position = self.arena[node].keys.partition_point(|k| *k < key);
-                if self.arena[node].keys.get(position) == Some(&key) {
-                    cache.touch(self.arena[node].addr + position as u64 * ENTRY_BYTES, 8);
-                    return;
-                }
-                // Shifting the suffix to make room is a write.
-                let shifted = (self.arena[node].keys.len() - position + 1) as u64 * ENTRY_BYTES;
-                cache.touch(
-                    self.arena[node].addr + NODE_HEADER_BYTES + position as u64 * ENTRY_BYTES,
-                    shifted as usize,
-                );
-                self.arena[node].keys.insert(position, key);
-                self.len += 1;
-                return;
-            }
-            let slot = self.child_slot(node, key);
-            let child = self.arena[node].children[slot];
-            if self.arena[child].keys.len() == self.node_keys {
-                self.split_child(node, child, cache);
-                let slot = self.child_slot(node, key);
-                node = self.arena[node].children[slot];
-            } else {
-                node = child;
-            }
-        }
-    }
-
-    fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
-        let mut node = self.root;
-        loop {
-            cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
-            touch_binary_search(
-                |address, bytes| cache.touch(address, bytes),
-                self.arena[node].addr + NODE_HEADER_BYTES,
-                self.arena[node].keys.len(),
-            );
-            if self.arena[node].is_leaf {
-                return self.arena[node].keys.binary_search(&key).is_ok();
-            }
-            let slot = self.child_slot(node, key);
-            node = self.arena[node].children[slot];
-        }
-    }
-
-    fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
-        let mut node = self.root;
-        loop {
-            cache.touch(self.arena[node].addr, NODE_HEADER_BYTES as usize);
-            touch_binary_search(
-                |address, bytes| cache.touch(address, bytes),
-                self.arena[node].addr + NODE_HEADER_BYTES,
-                self.arena[node].keys.len(),
-            );
-            if self.arena[node].is_leaf {
-                break;
-            }
-            let slot = self.child_slot(node, start);
-            node = self.arena[node].children[slot];
-        }
-        let mut visited = 0;
-        let mut position = self.arena[node].keys.partition_point(|k| *k < start);
-        loop {
-            let keys = &self.arena[node].keys;
-            let take = (keys.len() - position).min(len - visited);
-            if take > 0 {
-                cache.touch(
-                    self.arena[node].addr + NODE_HEADER_BYTES + position as u64 * ENTRY_BYTES,
-                    take * ENTRY_BYTES as usize,
-                );
-                visited += take;
-            }
-            if visited == len || self.arena[node].next == NIL {
-                break;
-            }
-            node = self.arena[node].next;
-            position = 0;
-        }
-        visited
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-// ---------------------------------------------------------------------------
-// B-skiplist: the real sequential list, traced.
-// ---------------------------------------------------------------------------
-
-/// [`Tracer`] that lays the `B`-entry nodes of a [`SeqBSkipList`] out in
-/// allocation order and records every event as the byte range `(address,
-/// bytes)` it covers under the layout constants above.
+/// [`Tracer`] that lays the `B`-entry nodes of an index out in allocation
+/// order and records every event as the byte range `(address, bytes)` it
+/// covers under the layout constants above.  A node id maps to the
+/// allocation-order slot it was announced with, so the sequential list's
+/// arena ids map to themselves and the B+-tree's addresses to dense slots.
 #[derive(Default)]
-struct LayoutTracer<const B: usize> {
-    allocated: Cell<usize>,
-    touches: RefCell<Vec<(u64, usize)>>,
+struct LayoutTracer<const B: usize>(Mutex<Layout>);
+
+/// What a [`LayoutTracer`] has recorded.
+#[derive(Default)]
+struct Layout {
+    /// Nodes announced so far.
+    allocated: u64,
+    /// Allocation-order slot of every announced id.
+    slots: HashMap<usize, u64>,
+    /// Touches not yet charged to a cache.
+    touches: Vec<(u64, usize)>,
 }
 
 impl<const B: usize> LayoutTracer<B> {
+    /// Bytes from one node to the next: its footprint in whole lines.
+    const STRIDE: u64 = (NODE_HEADER_BYTES + B as u64 * ENTRY_BYTES).div_ceil(64) * 64;
+
     fn touch(&self, id: usize, offset: u64, bytes: usize) {
-        assert!(id < self.allocated.get(), "event for unallocated node {id}");
-        let stride = (NODE_HEADER_BYTES + B as u64 * ENTRY_BYTES).div_ceil(64) * 64;
-        self.touches
-            .borrow_mut()
-            .push((id as u64 * stride + offset, bytes));
+        let mut layout = self.0.lock().expect("a tracer event panicked");
+        let slot = layout.slots.get(&id).copied();
+        let slot = slot.unwrap_or_else(|| panic!("event for unannounced node {id}"));
+        layout.touches.push((slot * Self::STRIDE + offset, bytes));
+    }
+
+    /// Replays the touches recorded since the last call into `cache`.
+    fn charge(&self, cache: &mut CacheSim) {
+        let mut layout = self.0.lock().expect("a tracer event panicked");
+        for (address, bytes) in layout.touches.drain(..) {
+            cache.touch(address, bytes);
+        }
     }
 }
 
 impl<const B: usize> Tracer for LayoutTracer<B> {
     fn node_allocated(&self, id: usize) {
-        assert_eq!(id, self.allocated.replace(id + 1), "node ids are dense");
+        {
+            let mut layout = self.0.lock().expect("a tracer event panicked");
+            let slot = layout.allocated;
+            layout.allocated += 1;
+            layout.slots.insert(id, slot);
+        }
         // Initialising the fresh node's header is a write to it.
         self.touch(id, 0, NODE_HEADER_BYTES as usize);
     }
@@ -491,13 +305,6 @@ impl<const B: usize> TracedBSkipList<B> {
         let list = SeqBSkipList::with_tracer(config, seed, LayoutTracer::default());
         TracedBSkipList { list }
     }
-
-    /// Replays the touches recorded since the last call into `cache`.
-    fn charge(&self, cache: &mut CacheSim) {
-        for (address, bytes) in self.list.tracer().touches.borrow_mut().drain(..) {
-            cache.touch(address, bytes);
-        }
-    }
 }
 
 impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
@@ -507,18 +314,18 @@ impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
 
     fn insert(&mut self, key: u64, cache: &mut CacheSim) {
         self.list.insert(key, key);
-        self.charge(cache);
+        self.list.tracer().charge(cache);
     }
 
     fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
         let found = self.list.get(&key).is_some();
-        self.charge(cache);
+        self.list.tracer().charge(cache);
         found
     }
 
     fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
         let visited = self.list.range(&start, len, &mut |_, _| {});
-        self.charge(cache);
+        self.list.tracer().charge(cache);
         visited
     }
 
@@ -527,10 +334,53 @@ impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
     }
 }
 
+/// The B+-tree of Table 1: the baselines' [`OccBTree`] (the tree Figures 7
+/// and 8 measure) with `F`-key nodes, reporting to the same tracer as
+/// [`TracedBSkipList`].  It runs through its `ConcurrentIndex` surface, so
+/// a scan is a cursor: even a short one copies a whole cursor batch (the
+/// `F` entries from its start key on), as the shipped tree does.
+pub struct TracedBTree<const F: usize> {
+    tree: OccBTree<u64, u64, F, LayoutTracer<F>>,
+}
+
+impl<const F: usize> Default for TracedBTree<F> {
+    fn default() -> Self {
+        let tree = OccBTree::with_tracer(LayoutTracer::default());
+        TracedBTree { tree }
+    }
+}
+
+impl<const F: usize> TraceIndexModel for TracedBTree<F> {
+    fn name(&self) -> &'static str {
+        "B+-tree"
+    }
+
+    fn insert(&mut self, key: u64, cache: &mut CacheSim) {
+        self.tree.insert(key, key);
+        self.tree.tracer().charge(cache);
+    }
+
+    fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
+        let found = self.tree.get(&key).is_some();
+        self.tree.tracer().charge(cache);
+        found
+    }
+
+    fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
+        let visited = self.tree.range(&start, len, &mut |_, _| {});
+        self.tree.tracer().charge(cache);
+        visited
+    }
+
+    fn len(&self) -> usize {
+        self.tree.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, CacheSim};
+    use crate::cache::{CacheConfig, CacheSim, CacheStats};
 
     /// A B-skiplist of `B`-entry nodes, promotion probability `1/(c·B)`
     /// with `c` = 0.5, and `max_height` levels.
@@ -550,7 +400,7 @@ mod tests {
     fn models_store_and_find_their_keys() {
         let mut cache = CacheSim::new(CacheConfig::default());
         let mut skip = TraceSkipList::new(1);
-        let mut btree = TraceBTree::new(16);
+        let mut btree = TracedBTree::<16>::default();
         let mut bskip = bskip::<16>(4, 1);
         for i in 0..5000u64 {
             let key = i.wrapping_mul(0x9E3779B97F4A7C15);
@@ -575,7 +425,7 @@ mod tests {
     #[test]
     fn duplicate_inserts_do_not_grow_models() {
         let mut cache = CacheSim::new(CacheConfig::default());
-        let mut btree = TraceBTree::new(8);
+        let mut btree = TracedBTree::<8>::default();
         let mut bskip = bskip::<8>(4, 2);
         let mut skip = TraceSkipList::new(2);
         for _ in 0..3 {
@@ -594,7 +444,7 @@ mod tests {
     fn scans_return_requested_counts() {
         let mut cache = CacheSim::new(CacheConfig::default());
         let mut bskip = bskip::<16>(4, 3);
-        let mut btree = TraceBTree::new(16);
+        let mut btree = TracedBTree::<16>::default();
         for key in 0..1000u64 {
             bskip.insert(key * 2, &mut cache);
             btree.insert(key * 2, &mut cache);
@@ -613,7 +463,7 @@ mod tests {
         // misses than the blocked structures.
         let keys = 60_000u64;
         let skip_cache = drive(&mut TraceSkipList::new(7), keys);
-        let btree_cache = drive(&mut TraceBTree::new(64), keys);
+        let btree_cache = drive(&mut TracedBTree::<64>::default(), keys);
         let bskip_cache = drive(&mut bskip::<128>(5, 7), keys);
         let skip_misses = skip_cache.stats().misses as f64;
         let btree_misses = btree_cache.stats().misses as f64;
@@ -628,21 +478,28 @@ mod tests {
         );
     }
 
+    /// Load + C on a fresh model.
+    fn load_c<M: TraceIndexModel>(mut model: M) -> CacheStats {
+        let mut cache = drive(&mut model, 20_000);
+        for i in (0..20_000u64).rev() {
+            assert!(model.get(i.wrapping_mul(0x9E3779B97F4A7C15), &mut cache));
+        }
+        cache.stats()
+    }
+
     #[test]
     fn traced_runs_are_deterministic() {
-        // Load + C twice: addresses derived from pointers or hash order
-        // would show up as differing counts.
-        let run = || {
-            let mut model = bskip::<128>(5, 1);
-            let mut cache = drive(&mut model, 20_000);
-            for i in (0..20_000u64).rev() {
-                assert!(model.get(i.wrapping_mul(0x9E3779B97F4A7C15), &mut cache));
-            }
-            cache.stats()
-        };
-        let first = run();
-        assert!(first.misses > 0 && first.accesses > 20 * 20_000);
-        assert_eq!(first, run());
+        // Each traced structure twice: addresses derived from pointers or
+        // hash order would show up as differing counts.
+        let runs: [fn() -> CacheStats; 2] = [
+            || load_c(bskip::<128>(5, 1)),
+            || load_c(TracedBTree::<64>::default()),
+        ];
+        for run in runs {
+            let first = run();
+            assert!(first.misses > 0 && first.accesses > 20 * 20_000);
+            assert_eq!(first, run());
+        }
     }
 
     #[test]

@@ -286,11 +286,6 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         }
     }
 
-    /// The configuration this list was created with.
-    pub fn config(&self) -> &BSkipConfig {
-        &self.config
-    }
-
     /// Number of key slots per node (the const generic `B`).
     pub const fn node_capacity(&self) -> usize {
         B

@@ -15,20 +15,20 @@
 //!    machinery of Section 4, which makes it the easiest entry point for
 //!    readers of the code.
 //!
-//! Removal does not fold: [`SeqBSkipList::remove`] leaves the survivors
-//! of a removed header in their node, where [`crate::BSkipList::remove`]
-//! folds them into the left neighbour.  After removals the two lists hold
-//! the same entries, but not necessarily the same nodes.
+//! It inserts, reads and scans; it has no removal, which neither the
+//! differential tests nor the cache simulator perform.
 //!
-//! The last type parameter is a [`Tracer`], told which nodes an operation
-//! allocates, peeks at, searches, reads and writes (`to_vec`,
-//! `nodes_per_level` and `validate` are diagnostics and report nothing).
-//! It only observes; the default, [`NoTrace`], is zero-sized and its empty
-//! inlined methods compile to nothing.  An insertion reports both of its
-//! descents — `replace_existing`, then `insert_absent` from the top again:
-//! the second revisits nodes the first just loaded, so a cache model sees
-//! more accesses, not more misses.
+//! The last type parameter is a [`Tracer`] (`bskip_index::trace`), told
+//! which nodes an operation allocates, peeks at, searches, reads and
+//! writes; a node's id is its arena index, so the `n`-th node allocated
+//! has id `n` (`to_vec`, `nodes_per_level` and `validate` are diagnostics
+//! and report nothing).  It only observes; the default, [`NoTrace`], is
+//! zero-sized and its empty inlined methods compile to nothing.  An
+//! insertion reports both of its descents — `replace_existing`, then
+//! `insert_absent` from the top again: the second revisits nodes the first
+//! just loaded, so a cache model sees more accesses, not more misses.
 
+use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{IndexKey, IndexValue};
 
 use crate::config::BSkipConfig;
@@ -39,38 +39,6 @@ type NodeId = usize;
 
 /// Sentinel meaning "no node".
 const NIL: NodeId = usize::MAX;
-
-/// Observer of the memory a [`SeqBSkipList`] operation touches.  The `n`-th
-/// node allocated has id `n`, announced by [`Tracer::node_allocated`] before
-/// any other event names it.  Slot `i` of a node is its `i`-th key with the
-/// value or child pointer aligned with it; `count` may be zero (an empty
-/// split half, a scan starting behind a node's last key).
-pub trait Tracer {
-    /// Node `id` was allocated: a level head, a tower, split or spill node.
-    #[inline]
-    fn node_allocated(&self, _id: usize) {}
-    /// A right-walk read successor `id`'s first key to decide on stepping.
-    #[inline]
-    fn header_peeked(&self, _id: usize) {}
-    /// Node `id`'s header was read and its `len` keys binary-searched.
-    #[inline]
-    fn node_searched(&self, _id: usize, _len: usize) {}
-    /// `count` slots of node `id` from slot `from` were read: the value of
-    /// a `get`, the run a scan visits, the source of a split.
-    #[inline]
-    fn slots_read(&self, _id: usize, _from: usize, _count: usize) {}
-    /// `count` slots of node `id` from slot `from` were written: a replaced
-    /// value, the suffix an insert (new entry included) or remove shifts,
-    /// the destination of a split, a pre-allocated tower's entry.
-    #[inline]
-    fn slots_written(&self, _id: usize, _from: usize, _count: usize) {}
-}
-
-/// The default [`Tracer`]: zero-sized, observes nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoTrace;
-
-impl Tracer for NoTrace {}
 
 /// A node of the sequential B-skiplist.
 #[derive(Debug, Clone)]
@@ -290,11 +258,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B
         let index = self.searched(leaf).keys.binary_search(key).ok()?;
         self.tracer.slots_read(leaf, index, 1);
         Some(self.node(leaf).values[index])
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
     }
 
     /// Range scan: visits up to `len` pairs with keys `>= start` in order.
@@ -525,87 +488,6 @@ impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B
         self.node_mut(node).next = new_node;
     }
 
-    /// Removes `key`, returning its value if it was present.  Symmetric to
-    /// insertion: one top-down pass removing the key from every level.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let mut level = self.config.max_height - 1;
-        let mut node = self.heads[level];
-        let mut prev = NIL;
-        let mut removed = None;
-        loop {
-            // Walk right, remembering the predecessor node.
-            loop {
-                let next = self.node(node).next;
-                if next == NIL || self.peek(next) > *key {
-                    break;
-                }
-                prev = node;
-                node = next;
-            }
-            let position = self.searched(node).keys.binary_search(key);
-            let mut descend_from = node;
-            let mut descend_index: Option<usize> = None;
-            if let Ok(index) = position {
-                let shifted = self.node(node).keys.len() - 1 - index;
-                self.tracer.slots_written(node, index, shifted);
-                let n = self.node_mut(node);
-                n.keys.remove(index);
-                let value = if n.level == 0 {
-                    Some(n.values.remove(index))
-                } else {
-                    n.children.remove(index);
-                    None
-                };
-                if level == 0 {
-                    removed = value;
-                }
-                if level > 0 {
-                    if index > 0 {
-                        descend_index = Some(index - 1);
-                    } else if self.node(node).is_head {
-                        descend_index = None;
-                    } else {
-                        descend_from = prev;
-                        let prev_len = self.node(prev).keys.len();
-                        descend_index = if prev_len > 0 {
-                            Some(prev_len - 1)
-                        } else {
-                            None
-                        };
-                        if let Some(last) = descend_index {
-                            self.tracer.slots_read(prev, last, 1);
-                        }
-                    }
-                }
-                // Unlink the node if it became empty (head nodes may stay).
-                if self.node(node).keys.is_empty() && !self.node(node).is_head {
-                    let next = self.node(node).next;
-                    self.node_mut(prev).next = next;
-                }
-            } else if level > 0 {
-                let pos = self.node(node).keys.partition_point(|k| k < key);
-                descend_index = if pos > 0 { Some(pos - 1) } else { None };
-            }
-
-            if level == 0 {
-                break;
-            }
-            node = match descend_index {
-                Some(index) => self.node(descend_from).children[index],
-                None => {
-                    debug_assert!(self.node(descend_from).is_head);
-                    self.node(descend_from).head_child
-                }
-            };
-            prev = NIL;
-            level -= 1;
-        }
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
     /// Checks the structural invariants (sorted levels, fixed node size,
     /// child headers, inclusion).  Returns a description of the first
     /// violation.
@@ -734,17 +616,11 @@ mod tests {
         let mut oracle = BTreeMap::new();
         for _ in 0..4000 {
             let key = rng.gen_range(0..800u64);
-            match rng.gen_range(0..10) {
-                0..=5 => {
-                    let value = rng.gen::<u64>();
-                    assert_eq!(list.insert(key, value), oracle.insert(key, value));
-                }
-                6..=7 => {
-                    assert_eq!(list.remove(&key), oracle.remove(&key));
-                }
-                _ => {
-                    assert_eq!(list.get(&key), oracle.get(&key).copied());
-                }
+            if rng.gen_range(0..10) < 6 {
+                let value = rng.gen::<u64>();
+                assert_eq!(list.insert(key, value), oracle.insert(key, value));
+            } else {
+                assert_eq!(list.get(&key), oracle.get(&key).copied());
             }
         }
         list.validate().unwrap();
@@ -780,7 +656,7 @@ mod tests {
     }
 
     /// One operation stream — forced heights with an overflow, a spill and
-    /// promotion splits, overwrites, removes, gets and ranges — applied to
+    /// promotion splits, overwrites, gets and ranges — applied to
     /// `list`; returns everything observable about the run.
     #[allow(clippy::type_complexity)]
     fn observe<const B: usize, T: Tracer>(
@@ -816,20 +692,12 @@ mod tests {
             let key = 100 + (i * 40503) % (1_000 * b);
             results.push(list.insert(key, i)); // overwrites and fresh keys
             results.push(list.get(&(key + i % 2)));
-            if i % 3 == 0 {
-                results.push(list.remove(&key));
-            }
             let mut seen = Vec::new();
             let visited = list.range(&key, 1 + (i as usize % (3 * B)), &mut |k, v| {
                 seen.push(Some(*k ^ *v));
             });
             assert_eq!(visited, seen.len());
             results.extend(seen);
-        }
-        // Header keys of non-head nodes: removal continues in the
-        // predecessor node.
-        for key in list.to_vec().iter().map(|(key, _)| *key).step_by(B / 2) {
-            results.push(list.remove(&key));
         }
         list.validate().unwrap();
         (results, list.to_vec(), list.nodes_per_level())

@@ -40,6 +40,8 @@
 //! * [`cursor::MergeCursor`] — the one K-way merging cursor: sorted
 //!   sources in priority order, lowest index wins a tie.  Hash shards and
 //!   the LSM engine's layers (newest first) both merge through it.
+//! * [`trace::Tracer`] — the observer the cache simulator of Table 1 hands
+//!   to the indices it runs, told which node slots an operation touches.
 //!
 //! # Cursor consistency contract
 //!
@@ -59,6 +61,7 @@ mod key;
 pub mod ops;
 pub mod sharded;
 mod stats;
+pub mod trace;
 mod traits;
 
 pub use cursor::{BatchCursor, Cursor, IndexCursor, MergeCursor};

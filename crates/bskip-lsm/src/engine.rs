@@ -488,16 +488,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         Ok(engine)
     }
 
-    /// The engine's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &LsmConfig {
-        &self.config
-    }
-
     /// Whether the engine is in sticky read-only mode after a foreground
     /// write failure.  Reads and scans keep working; mutations return
     /// errors (or are dropped on the infallible surface).  Cleared only

@@ -193,9 +193,9 @@ impl KvServer {
     }
 
     /// Runs the accept loop on the current thread until a
-    /// [`ServerHandle::shutdown`] (or [`Self::shutdown_flag`] raised by
-    /// other means) stops it.  Connection threads may outlive the loop by
-    /// up to one poll interval; the listener closes when this returns.
+    /// [`ServerHandle::shutdown`] stops it.  Connection threads may
+    /// outlive the loop by up to one poll interval; the listener closes
+    /// when this returns.
     pub fn run(self) {
         let KvServer { listener, shared } = self;
         while !shared.shutdown.load(Ordering::Acquire) {
@@ -236,13 +236,6 @@ impl KvServer {
             shared,
             accept_thread: Some(accept_thread),
         })
-    }
-
-    /// The shutdown flag shared with every connection thread; raising it
-    /// stops the accept loop at its next wakeup.  [`ServerHandle`] wraps
-    /// this together with the accept-unblocking connect.
-    pub fn shutdown_flag(&self) -> &AtomicBool {
-        &self.shared.shutdown
     }
 }
 

@@ -438,11 +438,6 @@ impl EbrCollector {
         }
     }
 
-    /// Number of objects retired but not yet freed.
-    pub fn backlog(&self) -> u64 {
-        self.stats().backlog
-    }
-
     /// Runs every pending deferred drop immediately.
     ///
     /// `&mut self` guarantees no guard is alive (guards borrow the

@@ -51,7 +51,6 @@ pub struct ZipfianGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl ZipfianGenerator {
@@ -77,7 +76,6 @@ impl ZipfianGenerator {
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -87,11 +85,6 @@ impl ZipfianGenerator {
             sum += 1.0 / (i as f64).powf(theta);
         }
         sum
-    }
-
-    /// Number of items the generator draws from.
-    pub fn items(&self) -> u64 {
-        self.items
     }
 
     /// Draws the next rank (0 = most popular).
@@ -114,11 +107,6 @@ impl ZipfianGenerator {
     pub fn next_scrambled<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let rank = self.next_rank(rng);
         fnv_like_hash(rank) % self.items
-    }
-
-    /// Exposes `zeta(2, theta)`; used by tests to validate the constants.
-    pub fn zeta2theta(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
