@@ -50,11 +50,11 @@
 //! # Tracing
 //!
 //! The last type parameter is a [`Tracer`], the cache simulator's view of
-//! the tree (Table 1); a node's id is its address.  Every node a descent
-//! lands on, leaf included, is reported searched, and so is the read value
-//! of a `get`, the replaced value or shifted suffix of an upsert, a
-//! separator insert, both halves of a split and the run `fetch_batch`
-//! copies from each leaf.  A removal's leaf edit and rebalancing report
+//! the tree (Table 1); a node's id is its address and its footprint its
+//! size.  Every node a descent lands on, leaf included, is reported
+//! searched, and so is the read value of a `get`, the replaced value or
+//! shifted suffix of an upsert, a separator insert, both halves of a split
+//! and the run `fetch_batch` copies from each leaf.  A removal's leaf edit and rebalancing report
 //! nothing, because Table 1 deletes nothing.  The default, [`NoTrace`], is
 //! zero-sized and compiles to nothing.
 //!
@@ -560,7 +560,8 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             is_leaf: inner.is_leaf(),
             inner: UnsafeCell::new(inner),
         }));
-        self.tracer.node_allocated(node as usize);
+        self.tracer
+            .node_allocated(node as usize, size_of::<Node<K, V, F>>());
         node
     }
 
@@ -1209,7 +1210,7 @@ mod tests {
     }
 
     impl Tracer for Counting {
-        fn node_allocated(&self, _: usize) {
+        fn node_allocated(&self, _: usize, _: usize) {
             self.bump(0);
         }
         fn header_peeked(&self, _: usize) {

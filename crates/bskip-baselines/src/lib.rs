@@ -19,9 +19,12 @@
 //!
 //! The goal is not to beat the original C++/Java systems on absolute
 //! numbers but to preserve the *shape* of the comparison: unblocked
-//! skiplists pay one cache line per element, the OCC B+-tree pays root
-//! retries on splits, and so on.  The README's *Substitutions* section
-//! records what stands in for what.
+//! skiplists pay two cache lines per visited element (the node, for its
+//! key, and its separately allocated `next` array, for the pointer
+//! followed), the OCC B+-tree pays root retries on splits, and so on.
+//! Table 1 traces the lazy skiplist and the OCC B+-tree through their
+//! `Tracer` parameter (`bskip_index::trace`).  The README's
+//! *Substitutions* section records what stands in for what.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,6 +41,7 @@ pub use btree_occ::{MasstreeLite, OccBTree};
 pub use skiplist_lazy::LazySkipList;
 pub use skiplist_lockfree::LockFreeSkipList;
 pub use skiplist_nhs::NhsSkipList;
+pub use tower::reseed_tower_rng;
 
 #[cfg(test)]
 mod cursor_contract_tests {

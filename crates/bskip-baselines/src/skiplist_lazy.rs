@@ -9,8 +9,11 @@
 //! `marked` flag implements logical deletion.
 //!
 //! Like the other unblocked skiplist baselines, every element lives in its
-//! own heap node, so point operations touch one cache line per visited
-//! element — the behaviour the B-skiplist is designed to avoid.
+//! own heap node and its tower of forward pointers in a second allocation,
+//! the boxed `next` array, so a traversal touches two cache lines per
+//! visited element (the node's, for its key, and the line of `next`
+//! holding the pointer it follows) — the behaviour the B-skiplist is
+//! designed to avoid.
 //!
 //! # Removal and reclamation
 //!
@@ -27,10 +30,24 @@
 //! and every operation therefore pins the collector for its duration.
 //! The retired-but-unfreed backlog stays bounded by amortized epoch
 //! advancement instead of growing with the delete count.
+//!
+//! # Tracing
+//!
+//! The last type parameter is a [`Tracer`], the cache simulator's view of
+//! the list (Table 1).  A tower is announced as two nodes, each with its
+//! address as id and its size as footprint: the element and its `next`
+//! array; the constructor announces the head's array.  Every forward
+//! pointer loaded or stored through `slot` is reported (`link_used`), and
+//! so are the key of every node `find` compares against
+//! (`header_peeked`), the value `get` reads or `insert` replaces and each
+//! element `fetch_batch` copies (slot 0, the element's key and value).
+//! Locks and flags share the element's line and report nothing.  The
+//! default, [`NoTrace`], is zero-sized and compiles to nothing.
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
+use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
@@ -86,7 +103,7 @@ impl<K, V> LazyNode<K, V> {
 /// list.insert(5, 50);
 /// assert_eq!(list.get(&5), Some(50));
 /// ```
-pub struct LazySkipList<K, V> {
+pub struct LazySkipList<K, V, T: Tracer = NoTrace> {
     head: Box<[AtomicPtr<LazyNode<K, V>>]>,
     /// Lock standing in for the head sentinel's per-node lock (used when a
     /// new tower's predecessor at some level is the head itself).
@@ -97,13 +114,17 @@ pub struct LazySkipList<K, V> {
     /// Towers ever linked into the list; minus the collector's retired
     /// count this is the live structural node count.
     towers_published: StripedCounter,
+    /// Observer of the nodes and pointers operations touch (module docs).
+    tracer: T,
 }
 
 // SAFETY: nodes are mutated only through atomics, the per-node locks and
-// the value lock; nodes are never freed while the list is shared.
-unsafe impl<K: IndexKey, V: IndexValue> Send for LazySkipList<K, V> {}
-// SAFETY: as for `Send`: shared access goes through the same atomics and locks.
-unsafe impl<K: IndexKey, V: IndexValue> Sync for LazySkipList<K, V> {}
+// the value lock; nodes are never freed while the list is shared.  The
+// tracer moves with the list.
+unsafe impl<K: IndexKey, V: IndexValue, T: Tracer + Send> Send for LazySkipList<K, V, T> {}
+// SAFETY: as for `Send`: shared access goes through the same atomics and
+// locks, and the tracer is only shared as `&T`.
+unsafe impl<K: IndexKey, V: IndexValue, T: Tracer + Sync> Sync for LazySkipList<K, V, T> {}
 
 impl<K: IndexKey, V: IndexValue> Default for LazySkipList<K, V> {
     fn default() -> Self {
@@ -114,28 +135,56 @@ impl<K: IndexKey, V: IndexValue> Default for LazySkipList<K, V> {
 impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
     /// Creates an empty skiplist.
     pub fn new() -> Self {
+        Self::with_tracer(NoTrace)
+    }
+}
+
+impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
+    /// [`LazySkipList::new`], reporting to `tracer` from the allocation of
+    /// the head's forward pointers on.
+    pub fn with_tracer(tracer: T) -> Self {
+        let head: Box<[_]> = (0..MAX_LEVELS)
+            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+            .collect();
+        tracer.node_allocated(head.as_ptr() as usize, size_of_val(&*head));
         LazySkipList {
-            head: (0..MAX_LEVELS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+            head,
             head_lock: RawRwSpinLock::new(),
             len: StripedCounter::new(),
             collector: EbrCollector::new(),
             towers_published: StripedCounter::new(),
+            tracer,
         }
     }
 
+    /// The tracer the list reports to.
+    pub fn tracer(&self) -> &T {
+        &self.tracer
+    }
+
+    /// Forward pointer `level` of `pred`, or of the head for a null
+    /// `pred`, reported used.
+    ///
     /// # Safety: `pred`, when non-null, must point to a live node of
     /// sufficient height.
     unsafe fn slot(&self, pred: *mut LazyNode<K, V>, level: usize) -> &AtomicPtr<LazyNode<K, V>> {
-        if pred.is_null() {
-            &self.head[level]
+        let links = if pred.is_null() {
+            &self.head
         } else {
-            // SAFETY: per this function's contract `pred` is live and tall
-            // enough.
-            unsafe { &(*pred).next[level] }
-        }
+            // SAFETY: per this function's contract `pred` is live.
+            unsafe { &(*pred).next }
+        };
+        self.tracer.link_used(links.as_ptr() as usize, level);
+        &links[level]
+    }
+
+    /// The key of the live node `node`, reported peeked.
+    ///
+    /// # Safety: `node` must point to a live node.
+    unsafe fn peek(&self, node: *mut LazyNode<K, V>) -> K {
+        self.tracer.header_peeked(node as usize);
+        // SAFETY: per this function's contract `node` is live.
+        unsafe { (*node).key }
     }
 
     unsafe fn lock_of(&self, pred: *mut LazyNode<K, V>) -> &RawRwSpinLock {
@@ -166,9 +215,9 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
             // link at `level` are live nodes at least `level + 1` tall.
             let curr = unsafe {
                 let mut curr = self.slot(pred, level).load(Ordering::Acquire);
-                while !curr.is_null() && (*curr).key < *key {
+                while !curr.is_null() && self.peek(curr) < *key {
                     pred = curr;
-                    curr = (*curr).next[level].load(Ordering::Acquire);
+                    curr = self.slot(curr, level).load(Ordering::Acquire);
                 }
                 if found.is_none() && !curr.is_null() && (*curr).key == *key {
                     found = Some(level);
@@ -197,25 +246,26 @@ impl<K: IndexKey, V: IndexValue> LazySkipList<K, V> {
         // forward pointers stay intact) remain dereferenceable.
         unsafe {
             let mut curr = match &from {
-                Bound::Unbounded => self.head[0].load(Ordering::Acquire),
+                Bound::Unbounded => self.slot(std::ptr::null_mut(), 0).load(Ordering::Acquire),
                 Bound::Included(key) | Bound::Excluded(key) => {
                     self.find(key, &mut preds, &mut succs);
                     succs[0]
                 }
             };
             while !curr.is_null() && out.len() < max {
+                self.tracer.slots_read(curr as usize, 0, 1);
                 if (*curr).fully_linked.load(Ordering::Acquire)
                     && !(*curr).marked.load(Ordering::Acquire)
                 {
                     out.push(((*curr).key, *(*curr).value.read()));
                 }
-                curr = (*curr).next[0].load(Ordering::Acquire);
+                curr = self.slot(curr, 0).load(Ordering::Acquire);
             }
         }
     }
 }
 
-impl<K, V> Drop for LazySkipList<K, V> {
+impl<K, V, T: Tracer> Drop for LazySkipList<K, V, T> {
     fn drop(&mut self) {
         // SAFETY: exclusive access; every still-linked tower appears on the
         // bottom level exactly once.  Removed towers were unlinked from
@@ -232,7 +282,9 @@ impl<K, V> Drop for LazySkipList<K, V> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
+impl<K: IndexKey, V: IndexValue, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
+    for LazySkipList<K, V, T>
+{
     fn get(&self, key: &K) -> Option<V> {
         let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
         let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
@@ -242,6 +294,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
         unsafe {
             let found = self.find(key, &mut preds, &mut succs)?;
             let node = succs[found];
+            self.tracer.slots_read(node as usize, 0, 1);
             if (*node).fully_linked.load(Ordering::Acquire)
                 && !(*node).marked.load(Ordering::Acquire)
             {
@@ -292,6 +345,7 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
                         continue; // Lost to a remove: wait, then re-insert.
                     }
                     let old = std::mem::replace(&mut *value_guard, value);
+                    self.tracer.slots_written(node as usize, 0, 1);
                     return Some(old);
                 }
 
@@ -325,8 +379,13 @@ impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LazySkipList<K, V> {
                 }
 
                 let node = Box::into_raw(LazyNode::new(key, value, height));
-                for (slot, &succ) in (*node).next.iter().zip(succs.iter().take(height)) {
-                    slot.store(succ, Ordering::Relaxed);
+                let next = &*(*node).next;
+                self.tracer
+                    .node_allocated(node as usize, size_of::<LazyNode<K, V>>());
+                self.tracer
+                    .node_allocated(next.as_ptr() as usize, size_of_val(next));
+                for (level, &succ) in succs.iter().enumerate().take(height) {
+                    self.slot(node, level).store(succ, Ordering::Relaxed);
                 }
                 for (level, &pred) in preds.iter().enumerate().take(height) {
                     self.slot(pred, level).store(node, Ordering::Release);
@@ -495,6 +554,80 @@ mod tests {
         let mut scanned = Vec::new();
         scanned.extend(list.scan(..));
         assert_eq!(scanned, reference.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Counts the events of each kind, in trait order.
+    #[derive(Default)]
+    struct Counting([std::sync::atomic::AtomicU64; 6]);
+
+    impl Counting {
+        fn bump(&self, kind: usize) {
+            self.0[kind].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn counts(&self) -> [u64; 6] {
+            self.0.each_ref().map(|count| count.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Tracer for Counting {
+        fn node_allocated(&self, _: usize, _: usize) {
+            self.bump(0);
+        }
+        fn header_peeked(&self, _: usize) {
+            self.bump(1);
+        }
+        fn node_searched(&self, _: usize, _: usize) {
+            self.bump(2);
+        }
+        fn slots_read(&self, _: usize, _: usize, _: usize) {
+            self.bump(3);
+        }
+        fn slots_written(&self, _: usize, _: usize, _: usize) {
+            self.bump(4);
+        }
+        fn link_used(&self, _: usize, _: usize) {
+            self.bump(5);
+        }
+    }
+
+    /// One random insert / get / scan / remove stream applied to `list`,
+    /// its towers as tall as in every other run; returns every result and
+    /// the final statistics.
+    fn observe<T: Tracer + Send + Sync>(
+        list: &LazySkipList<u64, u64, T>,
+    ) -> (Vec<Option<u64>>, IndexStats) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        crate::tower::reseed_tower_rng(5);
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut results = Vec::new();
+        for _ in 0..6000 {
+            let key = rng.gen_range(0..1500u64);
+            match rng.gen_range(0..10) {
+                0..=4 => results.push(list.insert(key, rng.gen())),
+                5..=6 => results.push(list.get(&key)),
+                7 => results.extend(list.scan(key..).take(20).map(|(k, v)| Some(k ^ v))),
+                _ => results.push(list.remove(&key)),
+            }
+        }
+        (results, list.stats())
+    }
+
+    #[test]
+    fn tracing_changes_nothing_and_sees_every_kind_of_event() {
+        let traced = LazySkipList::with_tracer(Counting::default());
+        assert_eq!(observe(&LazySkipList::new()), observe(&traced));
+        let counts = traced.tracer().counts();
+        assert_eq!(counts[2], 0, "a skiplist searches no node");
+        assert!(counts
+            .iter()
+            .enumerate()
+            .all(|(kind, &n)| kind == 2 || n > 0));
+        // The head's array, then every tower ever linked as two nodes.
+        let stats = traced.stats();
+        let towers = stats.get("live_nodes").unwrap() + stats.reclamation().unwrap().retired;
+        assert_eq!(counts[0], 1 + 2 * towers);
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! own *tower* node with one atomic `next` pointer per level, towers are
 //! linked bottom-up with compare-and-swap, and readers traverse without any
 //! locks.  It is exactly the design whose cache behaviour the paper
-//! criticizes — a point lookup touches one cache line per visited element —
-//! which is what the Table 1 / Figure 1 experiments need to reproduce.
+//! criticizes — the pointers live in a second allocation, the boxed `next`
+//! array, so a point lookup touches two cache lines per visited element
+//! (the node's key and the line of `next` it follows) — which is what the
+//! Figure 1 experiment needs to reproduce (Table 1 traces the lazy list,
+//! laid out the same way).
 //!
 //! Scope notes:
 //!

@@ -26,6 +26,13 @@ pub(crate) fn sample_tower_height() -> usize {
     })
 }
 
+/// Reseeds this thread's tower-height RNG, which the lazy and lock-free
+/// skiplists draw from.  The cache simulator uses this to make Table 1
+/// reproducible without threading an RNG through the hot path.
+pub fn reseed_tower_rng(seed: u64) {
+    TOWER_RNG.with(|rng| *rng.borrow_mut() = SmallRng::seed_from_u64(seed));
+}
+
 /// The deletion mark: the low bit of a node's `next` pointer.  Nodes are
 /// `Box`-allocated and therefore at least word-aligned, so the bit is
 /// always free.  A set bit means "this node is deleted; its successor is

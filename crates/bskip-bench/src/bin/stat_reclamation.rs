@@ -21,9 +21,12 @@
 //! * `epoch` — the collector's global epoch (advancing epochs are what
 //!   drain the bags).
 //!
-//! Each index's table ends with its slowest-to-fastest slice ratio and its
-//! largest backlog as a share of its retirements.  A workload D
-//! (read-latest) pass is included for throughput context.
+//! Each index's table ends with its slowest-to-fastest slice ratio, its
+//! largest backlog as a share of its retirements, and the backlog left
+//! once `try_reclaim` has run at quiescence until it drains (at most
+//! [`DRAIN_ROUNDS`] times).  A workload D (read-latest) pass is included
+//! for throughput context.  The run fails if any index still holds a
+//! retired node after draining: its collector does not free.
 //!
 //! Scale via `BSKIP_RECORDS` / `BSKIP_OPS` / `BSKIP_THREADS` as usual.
 
@@ -34,7 +37,11 @@ use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
 /// trend flat or not.
 const SLICES: usize = 8;
 
-fn main() {
+/// `try_reclaim` calls at quiescence after which every retired node must
+/// have been freed.
+const DRAIN_ROUNDS: usize = 8;
+
+fn main() -> Result<(), String> {
     let (config, _) = experiment_config();
     println!(
         "Delete-churn throughput and reclamation, {} records, {} ops/slice x {} slices, {} threads",
@@ -47,6 +54,7 @@ fn main() {
     // Every index retires removed nodes through the collector: the
     // skiplists per removed tower, the trees per merged/collapsed node, the
     // NHS list through its rebuild-generation limbo.
+    let mut undrained = Vec::new();
     for kind in IndexKind::ALL {
         let index = kind.build();
         run_load_phase(&index, &config);
@@ -75,7 +83,7 @@ fn main() {
         let mut max_backlog = 0u64;
         for slice in 0..SLICES {
             let result = run_run_phase(&index, Workload::Churn, &slice_config);
-            throughputs.push(result.mops());
+            throughputs.push(result.throughput_ops_per_us);
             let stats = index.stats();
             let reclamation = stats
                 .reclamation()
@@ -86,7 +94,7 @@ fn main() {
                 format_row(&[
                     slice.to_string(),
                     result.operations.to_string(),
-                    format!("{:.3}", result.mops()),
+                    format!("{:.3}", result.throughput_ops_per_us),
                     format!("{:.2}", result.latency.p50_us),
                     format!("{:.2}", result.latency.p999_us),
                     index.len().to_string(),
@@ -119,6 +127,20 @@ fn main() {
                 0.0
             }
         );
+        let backlog = || index.stats().reclamation().unwrap().backlog;
+        let before = backlog();
+        let mut rounds = 0;
+        while backlog() > 0 && rounds < DRAIN_ROUNDS {
+            index.try_reclaim();
+            rounds += 1;
+        }
+        println!(
+            "drained at quiescence: backlog {before} -> {} after {rounds} try_reclaim rounds",
+            backlog()
+        );
+        if backlog() > 0 {
+            undrained.push(kind.label());
+        }
     }
 
     print_header(
@@ -134,7 +156,7 @@ fn main() {
             "{}",
             format_row(&[
                 kind.label().to_string(),
-                format!("{:.3}", result.mops()),
+                format!("{:.3}", result.throughput_ops_per_us),
                 format!("{:.2}", result.latency.p50_us),
                 format!("{:.2}", result.latency.p999_us),
             ])
@@ -144,4 +166,12 @@ fn main() {
         "\nFlat mops columns and a bounded backlog column (flat, not growing with slices) \
          are the pass criterion."
     );
+    if undrained.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "retired nodes left after {DRAIN_ROUNDS} try_reclaim rounds at quiescence: {}",
+            undrained.join(", ")
+        ))
+    }
 }

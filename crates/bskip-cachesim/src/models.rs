@@ -1,27 +1,25 @@
 //! The three indices compared in Table 1, as sources of cache touches.
 //!
-//! [`TraceSkipList`] is a *model*: it keeps the node/pointer structure of a
-//! skiplist in an arena and touches in the [`CacheSim`] the byte ranges a
-//! real implementation reads or writes.  [`TracedBSkipList`] and
-//! [`TracedBTree`] are not models of a traversal: they run `bskip-core`'s
-//! sequential reference list and the baselines' OCC B+-tree and turn the
-//! events of their [`Tracer`] (header peeks of a right-walk, in-node
+//! None of them is a model of a traversal: [`TracedBSkipList`] runs
+//! `bskip-core`'s sequential reference list, and [`TracedIndex`] runs the
+//! baselines' OCC B+-tree or Folly-style skiplist.  Each reports to a
+//! [`Tracer`] that turns its events (header peeks of a right-walk, in-node
 //! searches, the shifted suffix of an insertion, both sides of a split,
-//! ...) into touches.  What all three share, and what *is* modelled, is the
-//! byte layout: nodes at synthetic addresses in allocation order (as a bump
-//! allocator would place them), a fixed header, and 16-byte entries for
-//! `u64` keys with 8-byte values or child pointers, as in the paper.
+//! the forward pointers a tower walk follows, ...) into touches.  What
+//! *is* modelled is the byte layout: every node at a synthetic address in
+//! allocation order (as a bump allocator would place it), starting on a
+//! fresh cache line and as long as the footprint the index announced for
+//! it; a fixed header, 16-byte slots for `u64` keys with 8-byte values or
+//! child pointers, as in the paper, and 8-byte forward pointers.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use bskip_baselines::OccBTree;
+use bskip_baselines::{reseed_tower_rng, LazySkipList, OccBTree};
 use bskip_core::seq::SeqBSkipList;
 use bskip_core::BSkipConfig;
 use bskip_index::trace::Tracer;
 use bskip_index::ConcurrentIndex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::cache::CacheSim;
 
@@ -29,12 +27,14 @@ use crate::cache::CacheSim;
 const ENTRY_BYTES: u64 = 16;
 /// Fixed per-node header footprint (lock word, length, next pointer, ...).
 const NODE_HEADER_BYTES: u64 = 24;
+/// Bytes per forward pointer of a pointer array.
+const LINK_BYTES: u64 = 8;
+/// Bytes per cache line: every node starts on a fresh one.
+const LINE_BYTES: u64 = 64;
 
-/// Common interface of the traversal models, as driven by the Table 1
+/// Common interface of the traced indices, as driven by the Table 1
 /// harness.
 pub trait TraceIndexModel {
-    /// Display name used in the experiment output.
-    fn name(&self) -> &'static str;
     /// Inserts `key`, touching the cache with every byte the insert reads
     /// or writes.
     fn insert(&mut self, key: u64, cache: &mut CacheSim);
@@ -66,208 +66,62 @@ fn touch_binary_search(mut touch: impl FnMut(u64, usize), base: u64, len: usize)
     }
 }
 
-const NIL: usize = usize::MAX;
-
-// ---------------------------------------------------------------------------
-// Traditional skiplist: one element per node.
-// ---------------------------------------------------------------------------
-
-struct SkipNode {
-    key: u64,
-    addr: u64,
-    next: Vec<usize>,
-}
-
-/// Traversal model of a traditional (unblocked) skiplist with promotion
-/// probability 1/2: every element is its own heap node, so every visited
-/// element costs at least one cache line.
-pub struct TraceSkipList {
-    arena: Vec<SkipNode>,
-    head: Vec<usize>,
-    max_levels: usize,
-    rng: SmallRng,
-    next_addr: u64,
-    len: usize,
-}
-
-impl TraceSkipList {
-    /// Creates an empty model with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
-        let max_levels = 28;
-        TraceSkipList {
-            arena: Vec::new(),
-            head: vec![NIL; max_levels],
-            max_levels,
-            rng: SmallRng::seed_from_u64(seed),
-            next_addr: 0,
-            len: 0,
-        }
-    }
-
-    fn alloc_addr(&mut self, bytes: u64) -> u64 {
-        let addr = self.next_addr;
-        self.next_addr += bytes.div_ceil(64) * 64;
-        addr
-    }
-
-    fn sample_height(&mut self) -> usize {
-        let mut height = 1;
-        while height < self.max_levels && self.rng.gen_bool(0.5) {
-            height += 1;
-        }
-        height
-    }
-
-    /// Walks towards `key`, touching every visited node, and returns the
-    /// predecessor arena index per level.
-    fn find_preds(&self, key: u64, cache: &mut CacheSim) -> Vec<usize> {
-        let mut preds = vec![NIL; self.max_levels];
-        let mut pred = NIL;
-        for level in (0..self.max_levels).rev() {
-            let mut curr = if pred == NIL {
-                self.head[level]
-            } else {
-                self.arena[pred].next[level]
-            };
-            while curr != NIL && self.arena[curr].key < key {
-                // Reading the candidate's key and next pointer touches its
-                // cache line.
-                cache.touch(self.arena[curr].addr, 16);
-                pred = curr;
-                curr = self.arena[curr].next[level];
-            }
-            if curr != NIL {
-                cache.touch(self.arena[curr].addr, 8);
-            }
-            preds[level] = pred;
-        }
-        preds
-    }
-
-    fn succ_of(&self, pred: usize, level: usize) -> usize {
-        if pred == NIL {
-            self.head[level]
-        } else {
-            self.arena[pred].next[level]
-        }
-    }
-}
-
-impl TraceIndexModel for TraceSkipList {
-    fn name(&self) -> &'static str {
-        "skiplist"
-    }
-
-    fn insert(&mut self, key: u64, cache: &mut CacheSim) {
-        let preds = self.find_preds(key, cache);
-        let succ0 = self.succ_of(preds[0], 0);
-        if succ0 != NIL && self.arena[succ0].key == key {
-            // Update in place.
-            cache.touch(self.arena[succ0].addr + 8, 8);
-            return;
-        }
-        let height = self.sample_height();
-        let footprint = 16 + NODE_HEADER_BYTES + 8 * height as u64;
-        let addr = self.alloc_addr(footprint);
-        let id = self.arena.len();
-        let mut next = vec![NIL; self.max_levels];
-        #[allow(clippy::needless_range_loop)]
-        for level in 0..height {
-            next[level] = self.succ_of(preds[level], level);
-        }
-        // Writing the freshly allocated node.
-        cache.touch(addr, footprint as usize);
-        self.arena.push(SkipNode { key, addr, next });
-        #[allow(clippy::needless_range_loop)]
-        for level in 0..height {
-            // Updating each predecessor's forward pointer is a write to
-            // that predecessor's cache line.
-            if preds[level] == NIL {
-                self.head[level] = id;
-            } else {
-                cache.touch(self.arena[preds[level]].addr + 16 + 8 * level as u64, 8);
-                self.arena[preds[level]].next[level] = id;
-            }
-        }
-        self.len += 1;
-    }
-
-    fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
-        let preds = self.find_preds(key, cache);
-        let succ = self.succ_of(preds[0], 0);
-        succ != NIL && self.arena[succ].key == key
-    }
-
-    fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
-        let preds = self.find_preds(start, cache);
-        let mut curr = self.succ_of(preds[0], 0);
-        let mut visited = 0;
-        while curr != NIL && visited < len {
-            cache.touch(self.arena[curr].addr, 24);
-            visited += 1;
-            curr = self.arena[curr].next[0];
-        }
-        visited
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-// ---------------------------------------------------------------------------
-// B-skiplist and B+-tree: the real structures, traced.
-// ---------------------------------------------------------------------------
-
-/// [`Tracer`] that lays the `B`-entry nodes of an index out in allocation
-/// order and records every event as the byte range `(address, bytes)` it
-/// covers under the layout constants above.  A node id maps to the
-/// allocation-order slot it was announced with, so the sequential list's
-/// arena ids map to themselves and the B+-tree's addresses to dense slots.
-#[derive(Default)]
-struct LayoutTracer<const B: usize>(Mutex<Layout>);
+/// [`Tracer`] that lays the nodes of an index out in allocation order and
+/// records every event as the byte range `(address, bytes)` it covers
+/// under the layout constants above.  A handle: its clones share one
+/// layout, so an index can report to one while its model charges the
+/// other.
+#[derive(Clone, Default)]
+struct LayoutTracer(Arc<Mutex<Layout>>);
 
 /// What a [`LayoutTracer`] has recorded.
 #[derive(Default)]
 struct Layout {
-    /// Nodes announced so far.
-    allocated: u64,
-    /// Allocation-order slot of every announced id.
-    slots: HashMap<usize, u64>,
+    /// The first free address, on a line boundary.
+    end: u64,
+    /// Address and footprint, in whole lines, of every announced id.
+    nodes: HashMap<usize, (u64, u64)>,
     /// Touches not yet charged to a cache.
     touches: Vec<(u64, usize)>,
 }
 
-impl<const B: usize> LayoutTracer<B> {
-    /// Bytes from one node to the next: its footprint in whole lines.
-    const STRIDE: u64 = (NODE_HEADER_BYTES + B as u64 * ENTRY_BYTES).div_ceil(64) * 64;
+impl LayoutTracer {
+    fn layout(&self) -> std::sync::MutexGuard<'_, Layout> {
+        self.0.lock().expect("a tracer event panicked")
+    }
 
     fn touch(&self, id: usize, offset: u64, bytes: usize) {
-        let mut layout = self.0.lock().expect("a tracer event panicked");
-        let slot = layout.slots.get(&id).copied();
-        let slot = slot.unwrap_or_else(|| panic!("event for unannounced node {id}"));
-        layout.touches.push((slot * Self::STRIDE + offset, bytes));
+        let mut layout = self.layout();
+        let node = layout.nodes.get(&id).copied();
+        let (address, footprint) =
+            node.unwrap_or_else(|| panic!("event for unannounced node {id}"));
+        let end = offset + bytes as u64;
+        assert!(
+            end <= footprint,
+            "event up to byte {end} of node {id}, {footprint} long"
+        );
+        layout.touches.push((address + offset, bytes));
     }
 
     /// Replays the touches recorded since the last call into `cache`.
     fn charge(&self, cache: &mut CacheSim) {
-        let mut layout = self.0.lock().expect("a tracer event panicked");
-        for (address, bytes) in layout.touches.drain(..) {
+        for (address, bytes) in self.layout().touches.drain(..) {
             cache.touch(address, bytes);
         }
     }
 }
 
-impl<const B: usize> Tracer for LayoutTracer<B> {
-    fn node_allocated(&self, id: usize) {
+impl Tracer for LayoutTracer {
+    fn node_allocated(&self, id: usize, bytes: usize) {
+        let bytes = bytes as u64;
         {
-            let mut layout = self.0.lock().expect("a tracer event panicked");
-            let slot = layout.allocated;
-            layout.allocated += 1;
-            layout.slots.insert(id, slot);
+            let mut layout = self.layout();
+            let (address, footprint) = (layout.end, bytes.div_ceil(LINE_BYTES) * LINE_BYTES);
+            layout.end += footprint;
+            layout.nodes.insert(id, (address, footprint));
         }
         // Initialising the fresh node's header is a write to it.
-        self.touch(id, 0, NODE_HEADER_BYTES as usize);
+        self.touch(id, 0, bytes.min(NODE_HEADER_BYTES) as usize);
     }
 
     fn header_peeked(&self, id: usize) {
@@ -288,6 +142,10 @@ impl<const B: usize> Tracer for LayoutTracer<B> {
     fn slots_written(&self, id: usize, from: usize, count: usize) {
         self.slots_read(id, from, count); // a write touches the same lines
     }
+
+    fn link_used(&self, id: usize, index: usize) {
+        self.touch(id, index as u64 * LINK_BYTES, LINK_BYTES as usize);
+    }
 }
 
 /// The B-skiplist of Table 1: `bskip-core`'s sequential reference list
@@ -295,7 +153,7 @@ impl<const B: usize> Tracer for LayoutTracer<B> {
 /// verify against the concurrent list) with `B`-entry nodes, reporting to
 /// a tracer that turns its events into cache touches.
 pub struct TracedBSkipList<const B: usize> {
-    list: SeqBSkipList<u64, u64, B, LayoutTracer<B>>,
+    list: SeqBSkipList<u64, u64, B, LayoutTracer>,
 }
 
 impl<const B: usize> TracedBSkipList<B> {
@@ -308,10 +166,6 @@ impl<const B: usize> TracedBSkipList<B> {
 }
 
 impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
-    fn name(&self) -> &'static str {
-        "B-skiplist"
-    }
-
     fn insert(&mut self, key: u64, cache: &mut CacheSim) {
         self.list.insert(key, key);
         self.list.tracer().charge(cache);
@@ -334,46 +188,56 @@ impl<const B: usize> TraceIndexModel for TracedBSkipList<B> {
     }
 }
 
-/// The B+-tree of Table 1: the baselines' [`OccBTree`] (the tree Figures 7
-/// and 8 measure) with `F`-key nodes, reporting to the same tracer as
-/// [`TracedBSkipList`].  It runs through its `ConcurrentIndex` surface, so
-/// a scan is a cursor: even a short one copies a whole cursor batch (the
-/// `F` entries from its start key on), as the shipped tree does.
-pub struct TracedBTree<const F: usize> {
-    tree: OccBTree<u64, u64, F, LayoutTracer<F>>,
+/// The B+-tree and the skiplist of Table 1: a `bskip-baselines` index
+/// reporting to the same tracer as [`TracedBSkipList`] — the [`OccBTree`]
+/// Figures 7 and 8 measure, or the Folly-style [`LazySkipList`] of
+/// Figures 1 and 6.  It runs through its `ConcurrentIndex` surface, so a
+/// scan is a cursor: even a short one copies a whole cursor batch, as the
+/// shipped index does.
+pub struct TracedIndex {
+    index: Box<dyn ConcurrentIndex<u64, u64>>,
+    layout: LayoutTracer,
 }
 
-impl<const F: usize> Default for TracedBTree<F> {
-    fn default() -> Self {
-        let tree = OccBTree::with_tracer(LayoutTracer::default());
-        TracedBTree { tree }
+impl TracedIndex {
+    /// The B+-tree, with `F`-key nodes.
+    pub fn btree<const F: usize>() -> Self {
+        let layout = LayoutTracer::default();
+        let index = Box::new(OccBTree::<u64, u64, F, _>::with_tracer(layout.clone()));
+        TracedIndex { index, layout }
+    }
+
+    /// The skiplist, drawing its tower heights from this thread's tower
+    /// RNG reseeded with `seed`: a run is reproducible when this thread
+    /// inserts and no other tower skiplist draws in between.
+    pub fn skiplist(seed: u64) -> Self {
+        reseed_tower_rng(seed);
+        let layout = LayoutTracer::default();
+        let index = Box::new(LazySkipList::with_tracer(layout.clone()));
+        TracedIndex { index, layout }
     }
 }
 
-impl<const F: usize> TraceIndexModel for TracedBTree<F> {
-    fn name(&self) -> &'static str {
-        "B+-tree"
-    }
-
+impl TraceIndexModel for TracedIndex {
     fn insert(&mut self, key: u64, cache: &mut CacheSim) {
-        self.tree.insert(key, key);
-        self.tree.tracer().charge(cache);
+        self.index.insert(key, key);
+        self.layout.charge(cache);
     }
 
     fn get(&self, key: u64, cache: &mut CacheSim) -> bool {
-        let found = self.tree.get(&key).is_some();
-        self.tree.tracer().charge(cache);
+        let found = self.index.get(&key).is_some();
+        self.layout.charge(cache);
         found
     }
 
     fn scan(&self, start: u64, len: usize, cache: &mut CacheSim) -> usize {
-        let visited = self.tree.range(&start, len, &mut |_, _| {});
-        self.tree.tracer().charge(cache);
+        let visited = self.index.range(&start, len, &mut |_, _| {});
+        self.layout.charge(cache);
         visited
     }
 
     fn len(&self) -> usize {
-        self.tree.len()
+        self.index.len()
     }
 }
 
@@ -399,8 +263,8 @@ mod tests {
     #[test]
     fn models_store_and_find_their_keys() {
         let mut cache = CacheSim::new(CacheConfig::default());
-        let mut skip = TraceSkipList::new(1);
-        let mut btree = TracedBTree::<16>::default();
+        let mut skip = TracedIndex::skiplist(1);
+        let mut btree = TracedIndex::btree::<16>();
         let mut bskip = bskip::<16>(4, 1);
         for i in 0..5000u64 {
             let key = i.wrapping_mul(0x9E3779B97F4A7C15);
@@ -425,9 +289,9 @@ mod tests {
     #[test]
     fn duplicate_inserts_do_not_grow_models() {
         let mut cache = CacheSim::new(CacheConfig::default());
-        let mut btree = TracedBTree::<8>::default();
+        let mut btree = TracedIndex::btree::<8>();
         let mut bskip = bskip::<8>(4, 2);
-        let mut skip = TraceSkipList::new(2);
+        let mut skip = TracedIndex::skiplist(2);
         for _ in 0..3 {
             for key in 0..100u64 {
                 btree.insert(key, &mut cache);
@@ -444,16 +308,20 @@ mod tests {
     fn scans_return_requested_counts() {
         let mut cache = CacheSim::new(CacheConfig::default());
         let mut bskip = bskip::<16>(4, 3);
-        let mut btree = TracedBTree::<16>::default();
+        let mut btree = TracedIndex::btree::<16>();
+        let mut skip = TracedIndex::skiplist(3);
         for key in 0..1000u64 {
             bskip.insert(key * 2, &mut cache);
             btree.insert(key * 2, &mut cache);
+            skip.insert(key * 2, &mut cache);
         }
         assert_eq!(bskip.scan(100, 50, &mut cache), 50);
         assert_eq!(btree.scan(100, 50, &mut cache), 50);
+        assert_eq!(skip.scan(100, 50, &mut cache), 50);
         // Scanning past the end returns fewer.
         assert!(bskip.scan(1990, 50, &mut cache) < 50);
         assert!(btree.scan(1990, 50, &mut cache) < 50);
+        assert!(skip.scan(1990, 50, &mut cache) < 50);
     }
 
     #[test]
@@ -462,8 +330,8 @@ mod tests {
         // than the cache, the unblocked skiplist incurs several times more
         // misses than the blocked structures.
         let keys = 60_000u64;
-        let skip_cache = drive(&mut TraceSkipList::new(7), keys);
-        let btree_cache = drive(&mut TracedBTree::<64>::default(), keys);
+        let skip_cache = drive(&mut TracedIndex::skiplist(7), keys);
+        let btree_cache = drive(&mut TracedIndex::btree::<64>(), keys);
         let bskip_cache = drive(&mut bskip::<128>(5, 7), keys);
         let skip_misses = skip_cache.stats().misses as f64;
         let btree_misses = btree_cache.stats().misses as f64;
@@ -491,9 +359,10 @@ mod tests {
     fn traced_runs_are_deterministic() {
         // Each traced structure twice: addresses derived from pointers or
         // hash order would show up as differing counts.
-        let runs: [fn() -> CacheStats; 2] = [
+        let runs: [fn() -> CacheStats; 3] = [
             || load_c(bskip::<128>(5, 1)),
-            || load_c(TracedBTree::<64>::default()),
+            || load_c(TracedIndex::btree::<64>()),
+            || load_c(TracedIndex::skiplist(1)),
         ];
         for run in runs {
             let first = run();

@@ -21,9 +21,11 @@
 //! The last type parameter is a [`Tracer`] (`bskip_index::trace`), told
 //! which nodes an operation allocates, peeks at, searches, reads and
 //! writes; a node's id is its arena index, so the `n`-th node allocated
-//! has id `n` (`to_vec`, `nodes_per_level` and `validate` are diagnostics
-//! and report nothing).  It only observes; the default, [`NoTrace`], is
-//! zero-sized and its empty inlined methods compile to nothing.  An
+//! has id `n`, and its footprint is that of the concurrent list's node
+//! with the same `B` (`to_vec`, `nodes_per_level` and `validate` are
+//! diagnostics and report nothing).  It only observes; the default,
+//! [`NoTrace`], is zero-sized and its empty inlined methods compile to
+//! nothing.  An
 //! insertion reports both of its descents — `replace_existing`, then
 //! `insert_absent` from the top again: the second revisits nodes the first
 //! just loaded, so a cache model sees more accesses, not more misses.
@@ -118,6 +120,9 @@ impl<K: IndexKey, V: IndexValue, const B: usize> SeqBSkipList<K, V, B> {
 }
 
 impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B, T> {
+    /// The footprint a node is announced with: the concurrent list's.
+    const NODE_BYTES: usize = size_of::<crate::node::Node<K, V, B>>();
+
     /// [`SeqBSkipList::with_config_and_seed`], reporting to `tracer` from
     /// the allocation of the level heads on.
     pub fn with_tracer(config: BSkipConfig, seed: u64, tracer: T) -> Self {
@@ -135,7 +140,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B
             }
             arena.push(node);
             heads.push(id);
-            tracer.node_allocated(id);
+            tracer.node_allocated(id, Self::NODE_BYTES);
         }
         let denominator = config.promotion_denominator(B);
         SeqBSkipList {
@@ -198,7 +203,7 @@ impl<K: IndexKey, V: IndexValue, const B: usize, T: Tracer> SeqBSkipList<K, V, B
     fn alloc(&mut self, level: usize) -> NodeId {
         let id = self.arena.len();
         self.arena.push(SeqNode::new(level, false));
-        self.tracer.node_allocated(id);
+        self.tracer.node_allocated(id, Self::NODE_BYTES);
         id
     }
 
@@ -638,7 +643,7 @@ mod tests {
     }
 
     impl Tracer for Counting {
-        fn node_allocated(&self, _: usize) {
+        fn node_allocated(&self, _: usize, _: usize) {
             self.bump(0);
         }
         fn header_peeked(&self, _: usize) {

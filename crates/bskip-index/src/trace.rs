@@ -2,25 +2,28 @@
 //!
 //! The cache simulator of Table 1 (`bskip-cachesim`) runs real indices —
 //! `bskip-core`'s sequential reference B-skiplist and the baselines' OCC
-//! B+-tree — and turns what they report to a [`Tracer`] into cache
-//! touches.  The trait lives here, below both, so the baselines do not
-//! depend on the structure they are compared against.
+//! B+-tree and Folly-style skiplist — and turns what they report to a
+//! [`Tracer`] into cache touches.  The trait lives here, below all three,
+//! so the baselines do not depend on the structure they are compared
+//! against.
 
 /// Observer of the memory an index operation touches.
 ///
 /// A node id is any value unique among the live nodes (an arena index, an
-/// address); [`Tracer::node_allocated`] announces it before any other
-/// event names it, and a freed node's id may be announced again.  Slot `i`
-/// of a node is its `i`-th key with the value or child pointer aligned
-/// with it; `count` may be zero (an empty split half, a scan starting
-/// behind a node's last key).  Each index documents which of its
-/// operations report.  Removal reports next to nothing (the reference
-/// list has none, the B+-tree reports only a removal's descent), because
-/// Table 1 deletes nothing.
+/// address); [`Tracer::node_allocated`] announces it, with its footprint,
+/// before any other event names it, and a freed node's id may be announced
+/// again.  A node is anything allocated on its own: a tower skiplist
+/// announces an element and its `next` array as two.  Slot `i` of a node
+/// is its `i`-th key with the value or child pointer aligned with it;
+/// `count` may be zero (an empty split half, a scan starting behind a
+/// node's last key).  Each index documents which of its operations
+/// report.  Removal reports next to nothing (the reference list has none,
+/// the baselines only the descents and pointer accesses it shares with
+/// the other operations), because Table 1 deletes nothing.
 pub trait Tracer {
-    /// Node `id` was allocated.
+    /// Node `id`, `bytes` long, was allocated.
     #[inline]
-    fn node_allocated(&self, _id: usize) {}
+    fn node_allocated(&self, _id: usize, _bytes: usize) {}
     /// A right-walk read successor `id`'s first key to decide on stepping.
     #[inline]
     fn header_peeked(&self, _id: usize) {}
@@ -36,6 +39,10 @@ pub trait Tracer {
     /// destination of a split, a pre-allocated tower's entry.
     #[inline]
     fn slots_written(&self, _id: usize, _from: usize, _count: usize) {}
+    /// Pointer `index` of node `id`, an array of forward pointers (a
+    /// tower's `next` array, a head's), was loaded or stored.
+    #[inline]
+    fn link_used(&self, _id: usize, _index: usize) {}
 }
 
 /// The default [`Tracer`]: zero-sized, observes nothing, costs nothing.

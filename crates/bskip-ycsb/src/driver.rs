@@ -104,14 +104,6 @@ pub struct PhaseResult {
     pub latency: LatencySummary,
 }
 
-impl PhaseResult {
-    /// Throughput in million operations per second (same number as
-    /// [`PhaseResult::throughput_ops_per_us`], provided for readability).
-    pub fn mops(&self) -> f64 {
-        self.throughput_ops_per_us
-    }
-}
-
 /// Runs one timed phase: `operations` operations split evenly over
 /// `threads` scoped threads.  Thread `t` builds its per-operation closure
 /// with `op_for(t)` and calls it on each index of its share of

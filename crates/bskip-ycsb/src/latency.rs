@@ -54,17 +54,6 @@ impl LatencySummary {
             samples: samples_ns.len(),
         }
     }
-
-    /// The percentile values in the order the paper's latency figures use:
-    /// 50%, 90%, 99%, 99.9%.
-    pub fn percentiles(&self) -> [(f64, f64); 4] {
-        [
-            (50.0, self.p50_us),
-            (90.0, self.p90_us),
-            (99.0, self.p99_us),
-            (99.9, self.p999_us),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -101,14 +90,5 @@ mod tests {
         assert!((summary.p50_us - 5.0).abs() < 1e-9);
         assert!((summary.p999_us - 5.0).abs() < 1e-9);
         assert_eq!(summary.samples, 1);
-    }
-
-    #[test]
-    fn percentiles_accessor_orders_entries() {
-        let summary = LatencySummary::from_samples((1..=100).map(|v| v as f64 * 100.0).collect());
-        let points = summary.percentiles();
-        assert_eq!(points[0].0, 50.0);
-        assert_eq!(points[3].0, 99.9);
-        assert!(points[0].1 <= points[3].1);
     }
 }
