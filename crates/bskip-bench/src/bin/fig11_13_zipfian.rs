@@ -41,7 +41,6 @@ fn main() {
         &IndexKind::ALL,
         Distribution::Zipfian,
         "Figure 13: workload A latency percentiles, zipfian run phase",
-        Some(IndexKind::BSkipList),
         PAPER_NOTE,
     );
 }

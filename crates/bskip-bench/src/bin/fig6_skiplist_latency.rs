@@ -12,7 +12,6 @@ fn main() {
         &IndexKind::SKIPLISTS,
         Distribution::Uniform,
         "Figure 6: workload A latency percentiles",
-        Some(IndexKind::BSkipList),
         "Paper: B-skiplist p99 is 3.5x-103x lower than the other skiplists on workload A.",
     );
 }

@@ -13,7 +13,6 @@ fn main() {
         &IndexKind::TREES,
         Distribution::Uniform,
         "Figure 8: tree-index latency percentiles on workload A",
-        None,
         "Paper: the B-skiplist has the lowest p99/p99.9 because it never retires to the root.",
     );
 }

@@ -30,7 +30,7 @@
 //!
 //! Scale via `BSKIP_RECORDS` / `BSKIP_OPS` / `BSKIP_THREADS` as usual.
 
-use bskip_bench::{experiment_config, format_row, print_header, IndexKind};
+use bskip_bench::{experiment_config, format_row, latency_us, print_header, IndexKind};
 use bskip_ycsb::{run_load_phase, run_run_phase, Workload, YcsbConfig};
 
 /// Churn slices per index: enough to see whether throughput and backlog
@@ -95,8 +95,8 @@ fn main() -> Result<(), String> {
                     slice.to_string(),
                     result.operations.to_string(),
                     format!("{:.3}", result.throughput_ops_per_us),
-                    format!("{:.2}", result.latency.p50_us),
-                    format!("{:.2}", result.latency.p999_us),
+                    latency_us(&result.latency, 0.5),
+                    latency_us(&result.latency, 0.999),
                     index.len().to_string(),
                     reclamation.retired.to_string(),
                     reclamation.freed.to_string(),
@@ -157,8 +157,8 @@ fn main() -> Result<(), String> {
             format_row(&[
                 kind.label().to_string(),
                 format!("{:.3}", result.throughput_ops_per_us),
-                format!("{:.2}", result.latency.p50_us),
-                format!("{:.2}", result.latency.p999_us),
+                latency_us(&result.latency, 0.5),
+                latency_us(&result.latency, 0.999),
             ])
         );
     }

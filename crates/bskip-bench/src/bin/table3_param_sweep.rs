@@ -7,7 +7,7 @@
 //! sweep.  Reported metrics: throughput (ops/us) and 90/99/99.9 percentile
 //! latencies for both workloads.
 
-use bskip_bench::{experiment_config, format_row, print_header};
+use bskip_bench::{experiment_config, format_row, latency_us, print_header};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_ycsb::{run_load_phase, run_run_phase, PhaseResult, Workload, YcsbConfig};
 
@@ -77,13 +77,13 @@ fn print_sweep_row(bytes: usize, elts: usize, c: f64, finds: &PhaseResult, inser
             elts.to_string(),
             format!("{c:.1}"),
             format!("{:.2}", finds.throughput_ops_per_us),
-            format!("{:.2}", finds.latency.p90_us),
-            format!("{:.2}", finds.latency.p99_us),
-            format!("{:.2}", finds.latency.p999_us),
+            latency_us(&finds.latency, 0.9),
+            latency_us(&finds.latency, 0.99),
+            latency_us(&finds.latency, 0.999),
             format!("{:.2}", inserts.throughput_ops_per_us),
-            format!("{:.2}", inserts.latency.p90_us),
-            format!("{:.2}", inserts.latency.p99_us),
-            format!("{:.2}", inserts.latency.p999_us),
+            latency_us(&inserts.latency, 0.9),
+            latency_us(&inserts.latency, 0.99),
+            latency_us(&inserts.latency, 0.999),
         ])
     );
 }

@@ -4,6 +4,7 @@
 use bskip_baselines::{LazySkipList, LockFreeSkipList, MasstreeLite, NhsSkipList, OccBTree};
 use bskip_core::{BSkipConfig, BSkipList};
 use bskip_index::ConcurrentIndex;
+use bskip_sync::Histogram;
 use bskip_ycsb::{run_load_phase, run_run_phase, Distribution, PhaseResult, Workload, YcsbConfig};
 
 /// The indices evaluated in the paper's Section 5.
@@ -255,12 +256,13 @@ pub fn throughput_experiment(
 /// Figures 6 and 8 (uniform) and 13 (zipfian): latency percentiles
 /// (50/90/99/99.9 and mean) of every index in `kinds` on YCSB workload A
 /// with the run phase drawing keys from `distribution`, and each index's
-/// p99 as a multiple of `p99_baseline`'s under the table.
+/// p99 as a multiple of the B-skiplist's under the table.  The latencies
+/// are the driver's sampled single operations ([`PhaseResult::latency`]),
+/// each including about one clock read.
 pub fn latency_experiment(
     kinds: &[IndexKind],
     distribution: Distribution,
     banner: &str,
-    p99_baseline: Option<IndexKind>,
     paper_note: &str,
 ) {
     let (config, _) = experiment_config();
@@ -273,32 +275,31 @@ pub fn latency_experiment(
     print_header(&title, &["index", "p50", "p90", "p99", "p99.9", "mean"]);
     let mut p99 = Vec::new();
     for &kind in kinds {
-        let (result, _) = run_workload_fresh(kind, Workload::A, &config);
-        let latency = result.latency;
-        p99.push(latency.p99_us);
-        let percentiles = [
-            latency.p50_us,
-            latency.p90_us,
-            latency.p99_us,
-            latency.p999_us,
-            latency.mean_us,
-        ];
+        let latency = run_workload_fresh(kind, Workload::A, &config).0.latency;
+        p99.push(latency.value_at_quantile(0.99));
         let mut cells = vec![kind.label().to_string()];
-        cells.extend(percentiles.iter().map(|us| format!("{us:.2}")));
+        cells.extend([0.5, 0.9, 0.99, 0.999].map(|quantile| latency_us(&latency, quantile)));
+        let mean_us = latency.sum() as f64 / latency.count().max(1) as f64 / 1e3;
+        cells.push(format!("{mean_us:.2}"));
         println!("{}", format_row(&cells));
     }
-    if let Some(baseline) = p99_baseline {
-        let slot = kinds.iter().position(|&kind| kind == baseline);
-        let base = p99[slot.expect("baseline not in the table")];
-        println!();
-        for (kind, p99) in kinds.iter().zip(&p99) {
-            if *kind != baseline && base > 0.0 {
-                let (label, base_label) = (kind.label(), baseline.label());
-                println!("p99 ratio {label} / {base_label} = {:.1}x", p99 / base);
-            }
+    let baseline = IndexKind::BSkipList;
+    let base = kinds
+        .iter()
+        .position(|&kind| kind == baseline)
+        .map_or(0, |slot| p99[slot]);
+    println!();
+    for (kind, &p99) in kinds.iter().zip(&p99) {
+        if *kind != baseline && base > 0 {
+            let (label, base_label) = (kind.label(), baseline.label());
+            println!(
+                "p99 ratio {label} / {base_label} = {:.1}x",
+                p99 as f64 / base as f64
+            );
         }
     }
     println!("\n{paper_note}");
+    println!("Paper: means of 10-op batches; here: single operations, one in ten timed.");
 }
 
 /// Median of `values` (average of the two middle elements for even
@@ -341,6 +342,11 @@ pub fn print_header(title: &str, columns: &[&str]) {
 /// Formats one row of mixed string/number cells separated like the header.
 pub fn format_row(cells: &[String]) -> String {
     cells.join(" | ")
+}
+
+/// The `quantile` of a phase's latency histogram as a cell in µs.
+pub fn latency_us(latency: &Histogram, quantile: f64) -> String {
+    format!("{:.2}", latency.value_at_quantile(quantile) as f64 / 1e3)
 }
 
 #[cfg(test)]

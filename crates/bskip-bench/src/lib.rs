@@ -30,6 +30,6 @@
 pub mod harness;
 
 pub use harness::{
-    experiment_config, format_row, latency_experiment, print_header, run_workload_fresh,
-    scaling_experiment, throughput_experiment, IndexKind, RatioColumn,
+    experiment_config, format_row, latency_experiment, latency_us, print_header,
+    run_workload_fresh, scaling_experiment, throughput_experiment, IndexKind, RatioColumn,
 };

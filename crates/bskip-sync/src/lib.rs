@@ -19,6 +19,10 @@
 //! * [`Backoff`] — bounded exponential backoff used while spinning.
 //! * [`CachePadded`] — aligns a value to a 128-byte boundary so that hot
 //!   shared counters and per-thread slots do not false-share.
+//! * [`Histogram`] — a log-bucketed nanosecond latency histogram (16
+//!   sub-buckets per power of two, within 1/16 of each value): a plain
+//!   owned value each thread records into without allocating, merged
+//!   bucket-wise when the threads join.
 //! * [`RelaxedCounter`] — a monotonically increasing statistics counter with
 //!   relaxed memory ordering, used for the paper's instrumentation
 //!   (root-write-lock counts, horizontal steps per level, ...).
@@ -54,6 +58,7 @@
 mod backoff;
 mod counter;
 pub mod ebr;
+mod histogram;
 mod padded;
 pub mod racy;
 mod rwlock;
@@ -62,6 +67,7 @@ mod thread_index;
 pub use backoff::Backoff;
 pub use counter::{RelaxedCounter, StripedCounter};
 pub use ebr::{EbrCollector, EbrGuard, EbrStats};
+pub use histogram::Histogram;
 pub use padded::CachePadded;
 pub use racy::{Racy, RacyCell};
 pub use rwlock::{RawRwSpinLock, RwSpinLock, RwSpinLockReadGuard, RwSpinLockWriteGuard};

@@ -4,7 +4,8 @@
 //! `record_count` records concurrently from all threads, then a run phase
 //! executes `operation_count` operations drawn from the chosen workload mix
 //! and request distribution.  Both phases report throughput (operations per
-//! microsecond, the paper's unit) and batched-latency percentiles.
+//! microsecond, the paper's unit) and a latency histogram of single
+//! operations, one in ten timed (see [`PhaseResult::latency`]).
 //!
 //! Workload E's `SCAN` operation drives the index's cursor API
 //! ([`ConcurrentIndex::scan`]): it opens a cursor at the chosen record key
@@ -24,11 +25,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bskip_index::ConcurrentIndex;
+use bskip_sync::Histogram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::keygen::{record_key, Distribution, KeyChooser, ZipfianGenerator};
-use crate::latency::{LatencySummary, BATCH_SIZE};
 use crate::workload::{Operation, Workload};
 
 /// Configuration of a YCSB experiment (both phases).
@@ -92,23 +93,30 @@ impl YcsbConfig {
 }
 
 /// Result of one phase (load or run).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct PhaseResult {
     /// Operations executed.
     pub operations: usize,
-    /// Wall-clock time in seconds.
-    pub elapsed_secs: f64,
     /// Throughput in operations per microsecond (the paper's unit).
     pub throughput_ops_per_us: f64,
-    /// Latency percentile summary over 10-operation batches.
-    pub latency: LatencySummary,
+    /// Latencies in ns of single operations: each thread times the first
+    /// of every ten operations of its share on its own and runs the other
+    /// nine untimed, so the sampled operations run under the contention
+    /// of the whole phase, and a stall is one slow sample rather than a
+    /// tenth of ten.  Every sample includes about one clock read (an
+    /// empty timed region reads ≈ 43 ns on a 2-vCPU Intel Xeon VM), the
+    /// same offset for every index.
+    pub latency: Histogram,
 }
+
+/// One operation in this many is timed.
+const SAMPLE_EVERY: usize = 10;
 
 /// Runs one timed phase: `operations` operations split evenly over
 /// `threads` scoped threads.  Thread `t` builds its per-operation closure
 /// with `op_for(t)` and calls it on each index of its share of
-/// `0..operations`, timing batches of `BATCH_SIZE` operations: each batch
-/// is one latency sample, its average nanoseconds per operation.
+/// `0..operations`, timing one operation in [`SAMPLE_EVERY`] into its own
+/// histogram; the histograms are merged at join.
 fn timed_phase<Op>(
     threads: usize,
     operations: usize,
@@ -119,7 +127,7 @@ where
 {
     let threads = threads.max(1);
     let start = Instant::now();
-    let samples: Vec<Vec<f64>> = std::thread::scope(|scope| {
+    let latency = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|thread_id| {
                 let op_for = &op_for;
@@ -127,31 +135,35 @@ where
                     let lo = operations * thread_id / threads;
                     let hi = operations * (thread_id + 1) / threads;
                     let mut op = op_for(thread_id);
-                    let mut samples_ns = Vec::with_capacity((hi - lo).div_ceil(BATCH_SIZE));
-                    for batch_lo in (lo..hi).step_by(BATCH_SIZE) {
-                        let batch = batch_lo..hi.min(batch_lo + BATCH_SIZE);
-                        let in_batch = batch.len() as f64;
-                        let batch_start = Instant::now();
-                        batch.for_each(&mut op);
-                        samples_ns.push(batch_start.elapsed().as_nanos() as f64 / in_batch);
+                    let mut latency = Histogram::default();
+                    for timed in (lo..hi).step_by(SAMPLE_EVERY) {
+                        let op_start = Instant::now();
+                        op(timed);
+                        latency
+                            .record(op_start.elapsed().as_nanos().try_into().unwrap_or(u64::MAX));
+                        (timed + 1..hi.min(timed + SAMPLE_EVERY)).for_each(&mut op);
                     }
-                    samples_ns
+                    latency
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .fold(Histogram::default(), |mut all, h| {
+                all.merge(&h.join().unwrap());
+                all
+            })
     });
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    let throughput = if elapsed_secs > 0.0 {
-        operations as f64 / (elapsed_secs * 1e6)
+    let secs = start.elapsed().as_secs_f64();
+    let throughput = if secs > 0.0 {
+        operations as f64 / (secs * 1e6)
     } else {
         0.0
     };
     PhaseResult {
         operations,
-        elapsed_secs,
         throughput_ops_per_us: throughput,
-        latency: LatencySummary::from_samples(samples.into_iter().flatten().collect()),
+        latency,
     }
 }
 
@@ -268,7 +280,7 @@ mod tests {
         assert_eq!(result.operations, config.record_count);
         assert_eq!(index.len(), config.record_count);
         assert!(result.throughput_ops_per_us > 0.0);
-        assert!(result.latency.samples > 0);
+        assert!(result.latency.count() > 0);
         // Spot-check that loaded keys are present.
         for logical in (0..config.record_count as u64).step_by(997) {
             assert!(index.contains_key(&record_key(logical)));
@@ -276,17 +288,33 @@ mod tests {
     }
 
     #[test]
-    fn one_latency_sample_per_batch_of_ten() {
+    fn one_latency_sample_per_ten_operations() {
         let index: BSkipList<u64, u64> = BSkipList::new();
-        // One thread: batches of 10, 10 and 5 operations.
+        // One thread: operations 0, 10 and 20 of 25 are timed.
         let config = small_config().with_records(25).with_threads(1);
-        assert_eq!(run_load_phase(&index, &config).latency.samples, 3);
-        // Two threads split 12 + 13: batches of 10 and 2, 10 and 3.
+        assert_eq!(run_load_phase(&index, &config).latency.count(), 3);
+        // Two threads split 12 + 13: operations 0 and 10, 12 and 22.
         let config = config.with_operations(25).with_threads(2);
         assert_eq!(
-            run_run_phase(&index, Workload::C, &config).latency.samples,
+            run_run_phase(&index, Workload::C, &config).latency.count(),
             4
         );
+    }
+
+    #[test]
+    fn a_slow_operation_is_one_slow_sample() {
+        // Operation 0 stalls for 2 ms and is timed on its own: the stall
+        // is not divided among the nine fast operations after it.
+        let result = timed_phase(1, 10, |_| {
+            |i: usize| {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+            }
+        });
+        assert_eq!(result.latency.count(), 1);
+        let max_us = result.latency.value_at_quantile(1.0) / 1_000;
+        assert!(max_us >= 2_000, "slowest sample {max_us} us");
     }
 
     #[test]
@@ -298,7 +326,7 @@ mod tests {
         let result = run_run_phase(&index, Workload::A, &config);
         assert_eq!(result.operations, config.operation_count);
         assert!(index.len() > before, "workload A must insert new records");
-        assert!(result.latency.p999_us >= result.latency.p50_us);
+        assert!(result.latency.value_at_quantile(0.999) >= result.latency.value_at_quantile(0.5));
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn exercise(index: &dyn ConcurrentIndex<u64, u64>, name: &str) {
     assert_eq!(load.operations, config.record_count, "{name} load ops");
     assert_eq!(index.len(), config.record_count, "{name} loaded size");
     assert!(load.throughput_ops_per_us > 0.0, "{name} load throughput");
-    assert!(load.latency.samples > 0, "{name} load latency samples");
+    assert!(load.latency.count() > 0, "{name} load latency samples");
 
     for workload in [
         Workload::A,
@@ -36,7 +36,7 @@ fn exercise(index: &dyn ConcurrentIndex<u64, u64>, name: &str) {
             "{name} {workload:?} ops"
         );
         assert!(
-            result.latency.p50_us <= result.latency.p999_us,
+            result.latency.value_at_quantile(0.5) <= result.latency.value_at_quantile(0.999),
             "{name} {workload:?} percentiles must be monotone"
         );
     }
