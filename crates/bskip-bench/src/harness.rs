@@ -258,26 +258,34 @@ pub fn throughput_experiment(
 /// with the run phase drawing keys from `distribution`, and each index's
 /// p99 as a multiple of the B-skiplist's under the table.  The latencies
 /// are the driver's sampled single operations ([`PhaseResult::latency`]),
-/// each including about one clock read.
+/// each including about one clock read, pooled over `BSKIP_TRIALS` fresh
+/// runs; a percentile with too few samples beyond it prints as a dash
+/// (see [`latency_us`]) and gets no ratio.
 pub fn latency_experiment(
     kinds: &[IndexKind],
     distribution: Distribution,
     banner: &str,
     paper_note: &str,
 ) {
-    let (config, _) = experiment_config();
+    let (config, trials) = experiment_config();
     let config = config.with_distribution(distribution);
     println!(
-        "{banner}, {} records, {} ops, {} threads",
-        config.record_count, config.operation_count, config.threads
+        "{banner}, {} records, {} ops, {} threads, {} trial(s)",
+        config.record_count, config.operation_count, config.threads, trials
     );
     let title = format!("Latency (us) on YCSB A, {} keys", distribution.label());
-    print_header(&title, &["index", "p50", "p90", "p99", "p99.9", "mean"]);
+    print_header(
+        &title,
+        &["index", "samples", "p50", "p90", "p99", "p99.9", "mean"],
+    );
     let mut p99 = Vec::new();
     for &kind in kinds {
-        let latency = run_workload_fresh(kind, Workload::A, &config).0.latency;
-        p99.push(latency.value_at_quantile(0.99));
-        let mut cells = vec![kind.label().to_string()];
+        let mut latency = Histogram::default();
+        for _ in 0..trials {
+            latency.merge(&run_workload_fresh(kind, Workload::A, &config).0.latency);
+        }
+        p99.push(tail_quantile(&latency, 0.99));
+        let mut cells = vec![kind.label().to_string(), latency.count().to_string()];
         cells.extend([0.5, 0.9, 0.99, 0.999].map(|quantile| latency_us(&latency, quantile)));
         let mean_us = latency.sum() as f64 / latency.count().max(1) as f64 / 1e3;
         cells.push(format!("{mean_us:.2}"));
@@ -287,17 +295,21 @@ pub fn latency_experiment(
     let base = kinds
         .iter()
         .position(|&kind| kind == baseline)
-        .map_or(0, |slot| p99[slot]);
+        .and_then(|slot| p99[slot])
+        .filter(|&base| base > 0);
     println!();
     for (kind, &p99) in kinds.iter().zip(&p99) {
-        if *kind != baseline && base > 0 {
-            let (label, base_label) = (kind.label(), baseline.label());
-            println!(
-                "p99 ratio {label} / {base_label} = {:.1}x",
-                p99 as f64 / base as f64
-            );
+        if let (Some(p99), Some(base)) = (p99, base) {
+            if *kind != baseline {
+                let (label, base_label) = (kind.label(), baseline.label());
+                println!(
+                    "p99 ratio {label} / {base_label} = {:.1}x",
+                    p99 as f64 / base as f64
+                );
+            }
         }
     }
+    println!("– : fewer than {TAIL_SAMPLES} samples beyond that percentile (no ratio is printed for it).");
     println!("\n{paper_note}");
     println!("Paper: means of 10-op batches; here: single operations, one in ten timed.");
 }
@@ -344,9 +356,24 @@ pub fn format_row(cells: &[String]) -> String {
     cells.join(" | ")
 }
 
-/// The `quantile` of a phase's latency histogram as a cell in µs.
+/// Fewest samples a printed percentile needs beyond its rank: with fewer,
+/// p99.9 of 400 samples say, it is the maximum or next to it, one stall's
+/// worth, and says nothing about a tail.
+const TAIL_SAMPLES: u64 = 10;
+
+/// The nearest-rank `quantile` of `latency` in ns, or `None` when fewer
+/// than [`TAIL_SAMPLES`] samples lie beyond it.
+fn tail_quantile(latency: &Histogram, quantile: f64) -> Option<u64> {
+    let count = latency.count();
+    let rank = (quantile * count as f64).ceil() as u64;
+    (count.saturating_sub(rank) >= TAIL_SAMPLES).then(|| latency.value_at_quantile(quantile))
+}
+
+/// The `quantile` of a phase's latency histogram as a cell in µs, or `–`
+/// when fewer than 10 samples lie beyond it.
 pub fn latency_us(latency: &Histogram, quantile: f64) -> String {
-    format!("{:.2}", latency.value_at_quantile(quantile) as f64 / 1e3)
+    tail_quantile(latency, quantile)
+        .map_or_else(|| "–".to_string(), |ns| format!("{:.2}", ns as f64 / 1e3))
 }
 
 #[cfg(test)]
@@ -431,6 +458,27 @@ mod tests {
         assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(vec![]), 0.0);
         assert_eq!(median(vec![7.0]), 7.0);
+    }
+
+    #[test]
+    fn a_percentile_with_fewer_than_ten_samples_beyond_it_is_a_dash() {
+        let histogram = |count: u64| {
+            let mut histogram = Histogram::default();
+            (1..=count).for_each(|ns| histogram.record(ns * 1_000));
+            histogram
+        };
+        // 400 samples, the CI scale's phase: p99 has 4 beyond it, p99.9
+        // is the maximum.
+        let printed = |count| {
+            [0.5, 0.9, 0.99, 0.999].map(|q| latency_us(&histogram(count), q).parse::<f64>().is_ok())
+        };
+        assert_eq!(printed(400), [true, true, false, false]);
+        assert_eq!(latency_us(&histogram(400), 0.99), "–");
+        assert_eq!(printed(100_000), [true; 4]);
+        // The edge: p99 of 1 000 samples has 10 beyond it, of 999 nine.
+        assert_ne!(latency_us(&histogram(1_000), 0.99), "–");
+        assert_eq!(latency_us(&histogram(999), 0.99), "–");
+        assert_eq!(latency_us(&Histogram::default(), 0.5), "–");
     }
 
     #[test]

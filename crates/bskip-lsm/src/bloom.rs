@@ -9,7 +9,9 @@
 //! The implementation is LevelDB's double-hashing scheme: one 32-bit base
 //! hash, a rotation-derived delta, `k` probes at `h + i·delta`.  Serialized
 //! form: `[k: u8][bit bytes…]`, embedded in the table file and checked via
-//! [`Bloom::may_contain`] before any block is read.
+//! [`Bloom::may_contain`] before any block is read.  Every table hashes
+//! the same encoded key bytes the same way, so the engine computes one
+//! base hash per key per lookup and probes each table's filter with it.
 
 /// A serializable bloom filter over encoded key bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -99,7 +99,9 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads a uvarint from the front of `bytes`, returning the value and the
-/// number of bytes consumed; `None` on truncation or overlong encodings.
+/// number of bytes consumed; `None` when the encoding is truncated or runs
+/// past 64 bits (more than ten bytes, or a tenth byte above 1).  A
+/// non-minimal encoding, such as `0x88 0x00` for 8, is accepted.
 pub fn get_uvarint(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut value: u64 = 0;
     for (i, &byte) in bytes.iter().enumerate().take(10) {
@@ -192,6 +194,8 @@ mod tests {
         assert_eq!(get_uvarint(&[0x80; 10]), None);
         // An 11-byte continuation chain can never be a valid u64.
         assert_eq!(get_uvarint(&[0xFF; 11]), None);
+        // Non-minimal, but neither truncated nor past 64 bits.
+        assert_eq!(get_uvarint(&[0x88, 0x00]), Some((8, 2)));
     }
 
     #[test]

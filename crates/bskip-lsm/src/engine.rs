@@ -44,7 +44,9 @@
 //! mutable memtable, immutable memtables, L0 tables by recency, then one
 //! candidate table per deeper level — under the state read guard, and
 //! resolves at the first layer that mentions the key (a
-//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).
+//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).  Past
+//! the memtables it encodes and hashes the key once, and every table's
+//! bloom filter is probed with that one hash.
 //!
 //! A range scan clones the current version's `Arc` once and opens one
 //! K-way [`MergeCursor`] over its layers, newest first, so the merge's
@@ -137,7 +139,7 @@ use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
 };
 use crate::memtable::{Memtable, MemtableCursor};
-use crate::sstable::{Table, TableBuilder, TableCursor, TableOptions};
+use crate::sstable::{filter_hash, Table, TableBuilder, TableCursor, TableOptions};
 use crate::storage::{StdFs, Storage};
 use crate::wal::{decode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
 
@@ -583,8 +585,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     }
 
     /// Newest-first lookup across every layer; a tombstone answer settles
-    /// the key as deleted.  `skip_memtable` serves the write path, which
-    /// has already consulted the mutable memtable.
+    /// the key as deleted.  The key's filter hash is computed once, when
+    /// the memtables miss, and serves every table probed.  `skip_memtable`
+    /// serves the write path, which has already consulted the mutable
+    /// memtable.
     fn lookup(
         &self,
         state: &Version<K, V>,
@@ -601,10 +605,11 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 return Ok(Some(slot));
             }
         }
+        let hash = filter_hash(key);
         for (at, level) in state.levels.iter().enumerate() {
             if at == 0 {
                 for table in level {
-                    if table.may_contain(key) {
+                    if table.may_contain_hashed(key, hash) {
                         if let Some(slot) = self.table_get(table, key)? {
                             return Ok(Some(slot));
                         }
@@ -614,7 +619,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
                 // Non-overlapping: at most one candidate table.
                 let candidate = level.partition_point(|table| table.max_key < *key);
                 if let Some(table) = level.get(candidate) {
-                    if table.may_contain(key) {
+                    if table.may_contain_hashed(key, hash) {
                         if let Some(slot) = self.table_get(table, key)? {
                             return Ok(Some(slot));
                         }

@@ -61,7 +61,13 @@
 //! `seek` that binary-searches the restart array (restart entries carry
 //! full keys, and the codec is order-preserving, so probes compare encoded
 //! bytes) and then walks at most `restart_interval` entries.  No block is
-//! ever decoded as a whole.
+//! ever decoded as a whole.  Two shortcuts keep the per-entry cost down
+//! without skipping a check: a length field below 0x80 is read as its one
+//! byte (every length in a block of small keys is one; longer and
+//! non-minimal encodings take `get_uvarint`'s loop), and the strict-ascent
+//! check is decided on the first byte past the shared prefix, where the
+//! new suffix and the predecessor's key usually differ; only when those
+//! bytes tie, or either side is empty, does it compare whole suffixes.
 //!
 //! * [`Table::get`] seeks and stops.  It validates the block's checksum
 //!   and framing, the restart entries its binary search probes, and every
@@ -69,7 +75,9 @@
 //!   tag, keys strictly ascending) — not the entries it never visits.
 //!   Together with [`Table::may_contain`] it works out of one per-thread
 //!   scratch (encoded probe key, block bytes, current entry key), so a
-//!   point lookup allocates nothing once the thread is warm.
+//!   point lookup allocates nothing once the thread is warm.  The engine
+//!   encodes and hashes a key once per lookup and probes every table's
+//!   filter with that one hash.
 //! * [`TableCursor`] streams a bounded range block by block through the
 //!   same decoder, and plugs into the same [`IndexCursor`] interface every
 //!   in-memory index serves.  It validates every entry it yields, as it
@@ -128,7 +136,13 @@ fn corrupt(what: &str) -> io::Error {
 
 /// Reads the uvarint at `*at` and advances past it.
 fn take_uvarint(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let (value, used) = get_uvarint(bytes.get(*at..)?)?;
+    let rest = bytes.get(*at..)?;
+    // Every length field of a block of small keys is one byte.
+    if let Some(&byte) = rest.first().filter(|&&byte| byte < 0x80) {
+        *at += 1;
+        return Some(u64::from(byte));
+    }
+    let (value, used) = get_uvarint(rest)?;
     *at += used;
     Some(value)
 }
@@ -540,8 +554,19 @@ impl BlockIter {
         }
         let raw = parse_entry(entries, self.at)
             .filter(|raw| {
-                raw.shared <= self.key.len()
-                    && (!self.valid || entries[raw.unshared.clone()] > self.key[raw.shared..])
+                if raw.shared > self.key.len() {
+                    return false;
+                }
+                if !self.valid {
+                    return true;
+                }
+                // Strict ascent, decided on the first byte past the shared
+                // prefix unless that byte ties or either side is empty.
+                let (suffix, before) = (&entries[raw.unshared.clone()], &self.key[raw.shared..]);
+                match (suffix.first(), before.first()) {
+                    (Some(new), Some(old)) if new != old => new > old,
+                    _ => suffix > before,
+                }
             })
             .ok_or_else(|| corrupt("bad data block"))?;
         self.key.truncate(raw.shared);
@@ -651,6 +676,12 @@ fn with_scratch<K: Persist, R>(key: &K, f: impl FnOnce(&[u8], &mut BlockIter) ->
         key.encode(probe);
         f(probe, block)
     })
+}
+
+/// The filter hash of `key`'s encoding: computed once per lookup and
+/// handed to every table it probes ([`Table::may_contain_hashed`]).
+pub(crate) fn filter_hash<K: Persist>(key: &K) -> u32 {
+    with_scratch(key, |probe, _| bloom_hash(probe))
 }
 
 /// An open, immutable table: resident index + filter, on-demand blocks.
@@ -772,10 +803,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
     /// Whether `key` could be in this table: range check plus bloom probe.
     /// `false` means definitely absent (no IO was performed).
     pub fn may_contain(&self, key: &K) -> bool {
-        if *key < self.min_key || *key > self.max_key {
-            return false;
-        }
-        with_scratch(key, |probe, _| self.filter.may_contain(bloom_hash(probe)))
+        self.may_contain_hashed(key, filter_hash(key))
+    }
+
+    /// [`Table::may_contain`] for a key whose [`filter_hash`] the caller
+    /// has already computed.
+    pub(crate) fn may_contain_hashed(&self, key: &K, hash: u32) -> bool {
+        self.min_key <= *key && *key <= self.max_key && self.filter.may_contain(hash)
     }
 
     /// Point lookup.  The caller is expected to have consulted
@@ -1558,6 +1592,94 @@ mod tests {
         let mut cursor = Table::run_cursor(run, Bound::Unbounded, Bound::Unbounded, &errors);
         assert_eq!(drain(&mut cursor), [(0, Slot::Put(0)), (2, Slot::Put(2))]);
         assert_eq!(errors.get(), 1);
+    }
+
+    /// `entries` sealed as the writer seals a data block: one restart point
+    /// at offset 0, the restart count, the CRC.
+    fn seal_block(entries: &[u8]) -> Vec<u8> {
+        let mut block = entries.to_vec();
+        block.extend_from_slice(&0u32.to_le_bytes());
+        block.extend_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&block);
+        block.extend_from_slice(&crc.to_le_bytes());
+        block
+    }
+
+    #[test]
+    fn the_fast_paths_decode_what_the_general_paths_do() {
+        const K0: [u8; 8] = [0, 0, 0, 0, 0, 0, 1, 0];
+        const K1: [u8; 8] = [0, 0, 0, 0, 0, 0, 1, 5];
+        // The restart entry's key length is 8 as the non-minimal varint
+        // `0x88 0x00`, which the one-byte fast path hands to `get_uvarint`.
+        let mut entries = vec![0, 0x88, 0x00, TAG_PUT, 1];
+        entries.extend_from_slice(&K0);
+        entries.push(10);
+        // K1 shares 6 bytes where it could share 7: its first unshared
+        // byte ties with K0's byte 6, and the whole suffix decides.
+        entries.extend_from_slice(&[6, 2, TAG_PUT, 1, 1, 5, 11]);
+        let ascending = entries.len();
+        // Ties on that byte again and sorts below K1 on the next one.
+        entries.extend_from_slice(&[6, 2, TAG_TOMBSTONE, 1, 3]);
+
+        let fs = FaultFs::new();
+        let load = |block: &[u8]| {
+            fs.create(&mem_path()).unwrap().append(block).unwrap();
+            let mut iter = BlockIter::new();
+            let file = fs.open_read(&mem_path()).unwrap();
+            iter.load(file.as_ref(), 0, block.len() as u32).unwrap();
+            iter
+        };
+        let owned = |entry: Option<Entry<'_>>| {
+            entry.map(|entry| (entry.key.to_vec(), entry.value.map(<[u8]>::to_vec)))
+        };
+        let expected = [(K0.to_vec(), Some(vec![10])), (K1.to_vec(), Some(vec![11]))];
+
+        let mut iter = load(&seal_block(&entries[..ascending]));
+        let stepped: Vec<_> = std::iter::from_fn(|| owned(iter.step().unwrap())).collect();
+        assert_eq!(stepped, expected);
+        let below = [0u8; 8];
+        let between = [0, 0, 0, 0, 0, 0, 1, 2];
+        let above = [0, 0, 0, 0, 0, 0, 1, 6];
+        for (probe, lands) in [(&below, 0), (&K0, 0), (&between, 1), (&K1, 1)] {
+            assert_eq!(
+                owned(iter.seek(probe).unwrap()),
+                Some(expected[lands].clone())
+            );
+        }
+        assert_eq!(owned(iter.seek(&above).unwrap()), None);
+
+        let bad_data = |error: io::Error| {
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert!(error.to_string().contains("bad data block"), "{error}");
+        };
+        let mut iter = load(&seal_block(&entries));
+        assert_eq!(owned(iter.step().unwrap()), Some(expected[0].clone()));
+        assert_eq!(owned(iter.step().unwrap()), Some(expected[1].clone()));
+        bad_data(iter.step().err().expect("the third entry descends"));
+        assert_eq!(owned(iter.seek(&K1).unwrap()), Some(expected[1].clone()));
+        bad_data(iter.seek(&above).err().expect("walks over the third entry"));
+    }
+
+    #[test]
+    fn may_contain_is_its_hashed_form() {
+        let fs = FaultFs::new();
+        let entries = (1..=2_000u64).map(|k| (k * 3, Slot::Put(k)));
+        let table = open_bytes(&fs, &write_table(&fs, small_options(), entries)).unwrap();
+        // Every key of the table, the absent ones between them, and absent
+        // ones on both sides of `[min_key, max_key]` = `[3, 6000]`: enough
+        // of those that the filter alone would admit some.
+        for key in (0..=16_000u64).chain([u64::MAX]) {
+            let hash = bloom_hash(&key.to_be_bytes());
+            assert_eq!(filter_hash(&key), hash);
+            let admitted = table.may_contain(&key);
+            assert_eq!(admitted, table.may_contain_hashed(&key, hash), "key {key}");
+            if key % 3 == 0 && (3..=6_000).contains(&key) {
+                assert!(admitted, "key {key} is in the table");
+            }
+            if !(3..=6_000).contains(&key) {
+                assert!(!admitted, "key {key} is outside the table's range");
+            }
+        }
     }
 
     // ---- Sorted runs: one cursor over several tables ----
