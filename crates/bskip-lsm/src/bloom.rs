@@ -11,7 +11,9 @@
 //! form: `[k: u8][bit bytes…]`, embedded in the table file and checked via
 //! [`Bloom::may_contain`] before any block is read.  Every table hashes
 //! the same encoded key bytes the same way, so the engine computes one
-//! base hash per key per lookup and probes each table's filter with it.
+//! base hash per key per lookup and probes each table's filter with it —
+//! and each memtable's in-memory key filter (`memtable.rs`), which is
+//! blocked to one word per key and built from the same hash.
 
 /// A serializable bloom filter over encoded key bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

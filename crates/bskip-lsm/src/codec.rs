@@ -19,6 +19,8 @@
 
 use bskip_sync::Racy;
 
+use crate::bloom::bloom_hash;
+
 /// A type that can round-trip through a byte encoding.
 ///
 /// Key implementations must be order-preserving (see the module docs);
@@ -40,6 +42,16 @@ pub trait Persist: Racy {
         self.encode(&mut scratch);
         scratch.len()
     }
+
+    /// The bloom filters' hash of a key: [`bloom_hash`] of its encoding,
+    /// computed once per engine operation and checked against every
+    /// memtable's and every table's filter.  The default encodes into the
+    /// calling thread's probe buffer; fixed-width types override it to
+    /// hash their bytes on the stack.  An override must return what the
+    /// default does, or the filters will turn away keys they hold.
+    fn filter_hash(&self) -> u32 {
+        crate::sstable::encoded_filter_hash(self)
+    }
 }
 
 impl Persist for u64 {
@@ -54,6 +66,10 @@ impl Persist for u64 {
     fn encoded_len(&self) -> usize {
         8
     }
+
+    fn filter_hash(&self) -> u32 {
+        bloom_hash(&self.to_be_bytes())
+    }
 }
 
 impl Persist for u32 {
@@ -67,6 +83,10 @@ impl Persist for u32 {
 
     fn encoded_len(&self) -> usize {
         4
+    }
+
+    fn filter_hash(&self) -> u32 {
+        bloom_hash(&self.to_be_bytes())
     }
 }
 
@@ -85,6 +105,10 @@ impl Persist for i64 {
 
     fn encoded_len(&self) -> usize {
         8
+    }
+
+    fn filter_hash(&self) -> u32 {
+        (*self as u64 ^ (1 << 63)).filter_hash()
     }
 }
 
@@ -132,6 +156,8 @@ mod tests {
         value.encode(&mut buf);
         assert_eq!(buf.len(), value.encoded_len());
         assert_eq!(T::decode(&buf), Some(value));
+        // A stack-hashing override agrees with the encoding's hash.
+        assert_eq!(value.filter_hash(), bloom_hash(&buf), "{value:?}");
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! Every mutation is (1) appended to the write-ahead log as one framed
 //! record — a whole [`ConcurrentIndex::execute`] batch becomes a *single*
 //! record, the group-commit unit — and (2) applied to the mutable
-//! memtable, a B-skiplist of [`Slot`]s.  Writes are acknowledged after the
-//! WAL append returns, so an acknowledged write survives process death
-//! (and, with [`SyncPolicy::Always`], power loss).  All mutations and all
+//! memtable, a B-skiplist of [`Slot`]s.  Applying a key hashes it once:
+//! the hash sets the key's bits in the memtable's key filter before the
+//! list sees the key, and, when the memtable held no version of it, serves
+//! the previous-value lookup through the older layers' filters.  Writes
+//! are acknowledged after the WAL append returns, so an acknowledged
+//! write survives process death (and, with [`SyncPolicy::Always`], power
+//! loss).  All mutations and all
 //! maintenance serialize on one writer mutex; reads — point gets, scans
 //! and batches made only of gets — never take it.
 //!
@@ -44,9 +48,12 @@
 //! mutable memtable, immutable memtables, L0 tables by recency, then one
 //! candidate table per deeper level — under the state read guard, and
 //! resolves at the first layer that mentions the key (a
-//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).  Past
-//! the memtables it encodes and hashes the key once, and every table's
-//! bloom filter is probed with that one hash.
+//! [`Slot::Tombstone`] answer means *deleted*, not *keep looking*).  It
+//! encodes and hashes the key once, up front, and checks every layer's
+//! filter with that one hash: a memtable whose key filter rules the key
+//! out is skipped without a walk down its list (and without an epoch
+//! pin), a table whose bloom filter does without a block read.  So a key
+//! the tables answer costs the memtables a word load each.
 //!
 //! A range scan clones the current version's `Arc` once and opens one
 //! K-way [`MergeCursor`] over its layers, newest first, so the merge's
@@ -139,7 +146,7 @@ use crate::manifest::{
     scan_table_ids, scan_wal_ids, table_file, wal_file, Manifest, ManifestTable,
 };
 use crate::memtable::{Memtable, MemtableCursor};
-use crate::sstable::{filter_hash, Table, TableBuilder, TableCursor, TableOptions};
+use crate::sstable::{Table, TableBuilder, TableCursor, TableOptions};
 use crate::storage::{StdFs, Storage};
 use crate::wal::{decode_batch, read_segment, SyncPolicy, WalOp, WalWriter};
 
@@ -424,11 +431,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         // later records overwrite earlier ones exactly as the original
         // applies did.
         let wal_ids = scan_wal_ids(storage.as_ref(), &dir)?;
-        let memtable: Arc<Memtable<K, V>> = Arc::new(Memtable::new(if wal_ids.is_empty() {
+        let backing = if wal_ids.is_empty() {
             vec![0]
         } else {
             wal_ids.clone()
-        }));
+        };
+        let memtable: Arc<Memtable<K, V>> =
+            Arc::new(Memtable::with_budget(backing, config.memtable_bytes));
         let mut newest_valid_len = 0u64;
         for (at, &id) in wal_ids.iter().enumerate() {
             let scan = read_segment(storage.as_ref(), &wal_file(&dir, id))?;
@@ -585,27 +594,26 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     }
 
     /// Newest-first lookup across every layer; a tombstone answer settles
-    /// the key as deleted.  The key's filter hash is computed once, when
-    /// the memtables miss, and serves every table probed.  `skip_memtable`
+    /// the key as deleted.  `hash` is the key's [`Persist::filter_hash`],
+    /// computed once by the caller: every memtable's key filter and every
+    /// probed table's bloom filter is checked with it, and a layer whose
+    /// filter rules the key out is skipped without being read.
+    /// `skip_memtable`
     /// serves the write path, which has already consulted the mutable
     /// memtable.
     fn lookup(
         &self,
         state: &Version<K, V>,
         key: &K,
+        hash: u32,
         skip_memtable: bool,
     ) -> io::Result<Option<Slot<V>>> {
-        if !skip_memtable {
-            if let Some(slot) = state.memtable.get(key) {
+        let memtables = std::iter::once(&state.memtable).skip(usize::from(skip_memtable));
+        for memtable in memtables.chain(&state.immutables) {
+            if let Some(slot) = memtable.get_hashed(key, hash) {
                 return Ok(Some(slot));
             }
         }
-        for immutable in &state.immutables {
-            if let Some(slot) = immutable.get(key) {
-                return Ok(Some(slot));
-            }
-        }
-        let hash = filter_hash(key);
         for (at, level) in state.levels.iter().enumerate() {
             if at == 0 {
                 for table in level {
@@ -639,15 +647,18 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// Applies one slot to the mutable memtable and returns the live
     /// value it displaced — taken from the older layers when the memtable
     /// held no version of the key — keeping `live_keys` exact, which is
-    /// why the callers hold the writer mutex across it.
+    /// why the callers hold the writer mutex across it.  The key's filter
+    /// hash is computed once: the memtable sets its filter bits with it,
+    /// and the previous-value lookup checks the older layers' filters.
     fn apply_slot(&self, state: &Version<K, V>, key: K, slot: Slot<V>) -> Option<V> {
-        let previous = match state.memtable.apply(key, slot) {
+        let hash = key.filter_hash();
+        let previous = match state.memtable.apply_hashed(key, slot, hash) {
             Some(slot) => Some(slot),
             // A table-read failure here loses only the previous-value
             // answer (already counted in io_errors); the mutation itself
             // is durable and applied.  live_keys may drift until the next
             // reopen recounts it.
-            None => self.lookup(state, &key, true).unwrap_or(None),
+            None => self.lookup(state, &key, hash, true).unwrap_or(None),
         }
         .and_then(Slot::value);
         match (previous.is_some(), slot.is_tombstone()) {
@@ -695,7 +706,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// (counted in `io_errors`) instead of silently answering `None`.
     pub fn try_get(&self, key: &K) -> io::Result<Option<V>> {
         let state = self.read_state();
-        Ok(self.lookup(&state, key, false)?.and_then(Slot::value))
+        let hash = key.filter_hash();
+        Ok(self.lookup(&state, key, hash, false)?.and_then(Slot::value))
     }
 
     /// The fallible group-commit lane behind [`ConcurrentIndex::execute`]:
@@ -709,7 +721,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// served even on a degraded engine.
     pub fn try_execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
         let get = |state: &Version<K, V>, key: &K| {
-            self.lookup(state, key, false)
+            self.lookup(state, key, key.filter_hash(), false)
                 .unwrap_or(None)
                 .and_then(Slot::value)
                 .into()
@@ -833,7 +845,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         )?;
         write.next_wal_id = new_id + 1;
         write.wal = new_wal;
-        let fresh = Arc::new(Memtable::new(vec![new_id]));
+        let fresh = Arc::new(Memtable::with_budget(
+            vec![new_id],
+            self.config.memtable_bytes,
+        ));
         self.commit_version(write, |next| {
             let sealed = std::mem::replace(&mut next.memtable, fresh);
             next.immutables.insert(0, sealed);
@@ -1165,6 +1180,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
             .with_kind("live_keys", gauge, self.live_keys.load(Ordering::Relaxed))
             .with_kind("memtable_bytes", gauge, state.memtable.bytes())
             .with_kind("memtable_live_nodes", gauge, state.memtable.live_nodes())
+            // A fraction, so merged shards report the fullest filter
+            // rather than a sum.
+            .with_kind(
+                "memtable_filter_fill_ppm",
+                StatKind::Max,
+                state.memtable.filter_fill_ppm(),
+            )
             .with_kind("immutable_memtables", gauge, state.immutables.len() as u64)
             // Which checksum kernel this process runs: a property of the
             // CPU, so merged shards still read 0 or 1.
@@ -2438,5 +2460,164 @@ mod tests {
             assert!(data > 3 * (64 << 10), "{data} bytes");
             assert_eq!(observe(&engine, &fs).contents, before.contents);
         }
+    }
+
+    // ---- The memtables' key filters ----
+
+    /// An in-memory engine pumped by hand, its memtable big enough that
+    /// nothing here rotates it unasked, holding generation 0 of keys
+    /// `0..keys` — value `key` — in tables and nothing in a memtable.
+    fn table_held(fs: &FaultFs, keys: u64) -> LsmEngine<u64, u64> {
+        let config = LsmConfig {
+            memtable_bytes: 1 << 20,
+            auto_maintain: false,
+            ..LsmConfig::small()
+        };
+        let engine = LsmEngine::open_with(Arc::new(fs.clone()), "/db", config).unwrap();
+        for key in 0..keys {
+            engine.insert(key, key);
+        }
+        engine.maintain().unwrap();
+        assert!(engine.read_state().memtable.is_empty());
+        assert!(!engine.tables_per_level().is_empty());
+        engine
+    }
+
+    #[test]
+    fn every_write_path_publishes_into_the_memtable_filter() {
+        const KEYS: u64 = 200;
+        let fs = FaultFs::new();
+        let engine = table_held(&fs, KEYS);
+        // Keys below 50: point puts; 50..100: point removes; 100..150 a
+        // batch's puts and 150..200 its removes.  A write path that left a
+        // key out of its memtable's filter would let the table's
+        // generation-0 value through.
+        let expected = |key: u64| match key {
+            0..50 => Some(1_000 + key),
+            100..150 => Some(2_000 + key),
+            _ => None,
+        };
+        let check = |engine: &LsmEngine<u64, u64>, path: &str| {
+            for key in 0..KEYS {
+                assert_eq!(engine.get(&key), expected(key), "{path}: key {key}");
+            }
+        };
+        for key in 0..50 {
+            assert_eq!(engine.insert(key, 1_000 + key), Some(key));
+        }
+        for key in 50..100 {
+            assert_eq!(engine.remove(&key), Some(key));
+        }
+        let mut batch: Vec<Op<u64, u64>> = (100..150)
+            .map(|key| Op::insert(key, 2_000 + key))
+            .chain((150..KEYS).map(Op::remove))
+            .collect();
+        engine.execute(&mut batch);
+        check(&engine, "the mutable memtable");
+        engine.rotate().unwrap();
+        assert_eq!(engine.stats().get("immutable_memtables"), Some(1));
+        check(&engine, "an immutable memtable");
+        drop(engine);
+        // Reopened under a 4 KiB budget: the replay overfills the
+        // memtable's filter, which must still admit every key it holds.
+        let engine = LsmEngine::open_with(Arc::new(fs.clone()), "/db", manual_config()).unwrap();
+        assert!(!engine.read_state().memtable.is_empty(), "the WAL replayed");
+        check(&engine, "WAL replay");
+    }
+
+    #[test]
+    fn table_answered_gets_never_enter_the_memtable_list() {
+        const KEYS: u64 = 400;
+        let fs = FaultFs::new();
+        let engine = table_held(&fs, KEYS);
+        for key in KEYS..KEYS + 50 {
+            engine.insert(key, key);
+        }
+        // `ebr_pins` counts the mutable memtable's epoch pins, one per
+        // list read.
+        let pins = || engine.stats().get("ebr_pins").unwrap();
+        let before = pins();
+        for key in 0..KEYS {
+            assert_eq!(engine.get(&key), Some(key));
+        }
+        for key in 10 * KEYS..11 * KEYS {
+            assert_eq!(engine.get(&key), None);
+        }
+        assert_eq!(pins(), before, "gets of keys the memtable does not hold");
+        for key in KEYS..KEYS + 50 {
+            assert_eq!(engine.get(&key), Some(key));
+        }
+        assert_eq!(pins(), before + 50, "gets of keys the memtable holds");
+    }
+
+    #[test]
+    fn the_filter_fill_gauge_reads_the_mutable_memtable() {
+        let fs = FaultFs::new();
+        let engine: LsmEngine<u64, u64> =
+            LsmEngine::open_with(Arc::new(fs), "/db", manual_config()).unwrap();
+        let fill = || engine.stats().get("memtable_filter_fill_ppm").unwrap();
+        assert_eq!(fill(), 0, "a fresh engine");
+        engine.insert(1, 10);
+        let one = fill();
+        assert!(one > 0, "one put");
+        for key in 2..60 {
+            engine.insert(key, key);
+        }
+        assert!(fill() > one && fill() <= 1_000_000, "{}", fill());
+        engine.rotate().unwrap();
+        assert_eq!(fill(), 0, "the fresh memtable after a rotation");
+    }
+
+    // One writer moves table-held keys through generations — each put to
+    // a fresh memtable sets its filter bits first — while memtables
+    // rotate, flush and compact under it; a reader that ever read a key's
+    // newer generation must never read an older one.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn readers_never_see_a_key_go_back_a_generation() {
+        const KEYS: u64 = 256;
+        const GENERATIONS: u64 = 24;
+        let dir = temp_dir("generations");
+        let engine = open_small(&dir);
+        for key in 0..KEYS {
+            engine.insert(key, key);
+        }
+        engine.maintain().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (engine, stop) = (&engine, &stop);
+            scope.spawn(move || {
+                for generation in 1..=GENERATIONS {
+                    for key in 0..KEYS {
+                        engine.insert(key, generation * KEYS + key);
+                    }
+                }
+                stop.store(true, Ordering::Release);
+            });
+            for reader in 0..2u64 {
+                scope.spawn(move || {
+                    let mut seen = [0u64; KEYS as usize];
+                    let mut step = reader;
+                    while !stop.load(Ordering::Acquire) {
+                        let key = step * 97 % KEYS;
+                        step += 1;
+                        let value = engine.get(&key).expect("no key is ever removed");
+                        assert_eq!(value % KEYS, key, "read another key's value");
+                        let generation = value / KEYS;
+                        assert!(
+                            generation >= seen[key as usize],
+                            "key {key} went back from generation {} to {generation}",
+                            seen[key as usize]
+                        );
+                        seen[key as usize] = generation;
+                    }
+                });
+            }
+        });
+        let stats = engine.stats();
+        assert!(stats.get("memtable_rotations").unwrap() > 10, "{stats}");
+        assert!(stats.get("compactions").unwrap() > 0, "{stats}");
+        drop(engine);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

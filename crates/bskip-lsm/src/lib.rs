@@ -29,15 +29,22 @@
 //! extent for a small record over [`StdFs`] on 64-bit Linux, one
 //! `pwrite` or `write(2)` otherwise).
 //!
+//! A point read hashes its key once and checks every layer's filter with
+//! that hash before reading the layer: each memtable keeps a concurrent
+//! whole-key bloom filter, one 64-bit word per key, beside its list, and
+//! each table its on-disk bloom filter.  A read the tables answer walks no
+//! memtable list.
+//!
 //! Module map: [`storage`] (the pluggable filesystem — [`StdFs`] in
 //! production, the fault-injecting [`FaultFs`] in tests), [`wal`]
 //! (framed, CRC-checked log with torn-tail recovery), [`memtable`] (the
-//! B-skiplist write buffer), [`sstable`] (block-structured tables with
-//! prefix compression, bloom filters and per-block CRC32), [`manifest`]
-//! (the durable table listing), [`engine`] (the assembled engine), with
-//! [`codec`], [`crc`] and [`entry`] underneath.  The newest-wins K-way
-//! merge behind scans and compaction is the workspace's shared
-//! [`bskip_index::MergeCursor`] over the layers in newest-first order:
+//! B-skiplist write buffer and its key filter), [`sstable`]
+//! (block-structured tables with prefix compression, bloom filters and
+//! per-block CRC32), [`manifest`] (the durable table listing), [`engine`]
+//! (the assembled engine), with [`codec`], [`crc`] and [`entry`]
+//! underneath.  The newest-wins K-way merge behind scans and compaction
+//! is the workspace's shared [`bskip_index::MergeCursor`] over the layers
+//! in newest-first order:
 //! one source per memtable and per level-0 table, and one per deeper
 //! level — a sorted run of non-overlapping tables behind a single
 //! [`TableCursor`] that opens the tables it reads and no others.  A scan

@@ -15,6 +15,42 @@
 //! converts at the API.  Each memtable also remembers which WAL segments
 //! its contents came from; flushing it to an SSTable is what makes those
 //! segments deletable.
+//!
+//! # The key filter
+//!
+//! Once the data lives in tables, most point lookups are ones the
+//! memtable cannot answer, and each would still walk the list from its
+//! top level to a leaf to miss there.  So every memtable keeps a
+//! whole-key bloom filter beside its list — RocksDB's
+//! `memtable_whole_key_filtering` — and the engine reads the list only
+//! when the filter admits the key (`Memtable::get_hashed`).
+//!
+//! * **Layout.**  A fixed array of `AtomicU64` words, blocked to one word
+//!   per key: the cache-blocked filter of Putze, Sanders and Singler
+//!   (WEA 2007) at its smallest block.  The key's filter hash — the one
+//!   the tables' filters use, computed once per engine operation — picks
+//!   the word by a multiply-shift, and one multiply of the same hash gives
+//!   the four bit positions within it.  Adding a key is one `fetch_or`,
+//!   skipped when its bits are already set; checking one is one `Acquire`
+//!   load.  Bits are never cleared: a memtable only grows until it is
+//!   flushed and dropped.
+//! * **Sizing.**  Fixed when the memtable is made, from the engine's
+//!   rotation budget ([`Memtable::with_budget`]): 10 bits for each key
+//!   that budget can admit at most — every entry charges at least its
+//!   encoded key and `ENTRY_OVERHEAD` — so 160 KiB for the default
+//!   4 MiB budget over `u64` keys.
+//! * **False positives.**  At that capacity a word holds 6.4 keys on
+//!   average, a third of the bits are set, and 1.8 % of absent keys pass
+//!   (a classic filter with the same bits passes about 1 %; a unit test
+//!   bounds it at 3 %).  A false positive costs the list walk the filter
+//!   would have saved, nothing more.  There are no false negatives.
+//! * **Order.**  A key's bits are set *before* the list is given the key
+//!   (the argument is at the `fetch_or`), so a reader that could know the
+//!   key is here finds its bits set.
+//! * **Oversized memtables.**  The memtable that recovery replays every
+//!   WAL segment into can hold more keys than one budget admits, and so
+//!   can one whose rotation an I/O failure deferred.  Its filter keeps its
+//!   size and only admits more absent keys.
 
 use std::mem::size_of;
 use std::ops::Bound;
@@ -25,11 +61,93 @@ use bskip_index::{Cursor, IndexKey, IndexValue, ReclamationStats};
 use bskip_sync::Racy;
 
 use crate::codec::Persist;
+use crate::engine::LsmConfig;
 use crate::entry::Slot;
 
 /// Per-entry bookkeeping overhead charged against the rotation budget, on
 /// top of the encoded key/value bytes (tower pointers, slot headers).
 const ENTRY_OVERHEAD: u64 = 24;
+
+/// Filter bits per key at the most keys a memtable's budget admits.
+const FILTER_BITS_PER_KEY: u64 = 10;
+
+/// Bits a key sets in its filter word.
+const FILTER_PROBES: u32 = 4;
+
+/// A concurrent bloom filter blocked to one 64-bit word per key (see the
+/// module docs).
+struct KeyFilter {
+    words: Box<[AtomicU64]>,
+}
+
+impl KeyFilter {
+    /// An empty filter with [`FILTER_BITS_PER_KEY`] bits for each of
+    /// `keys` keys.  A 32-bit hash reaches 2^32 words at most.
+    fn with_capacity(keys: u64) -> Self {
+        let words = keys
+            .saturating_mul(FILTER_BITS_PER_KEY)
+            .div_ceil(64)
+            .clamp(1, 1 << 32);
+        KeyFilter {
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// The word `hash` selects and the bits it sets there.  The word comes
+    /// from the hash's high bits (multiply-shift, no division), the bits
+    /// from the top 24 of a Fibonacci multiply, six to a position.
+    fn locate(&self, hash: u32) -> (&AtomicU64, u64) {
+        let at = (u64::from(hash) * self.words.len() as u64) >> 32;
+        let mut mix = u64::from(hash).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut bits = 0;
+        for _ in 0..FILTER_PROBES {
+            bits |= 1 << (mix >> 58);
+            mix <<= 6;
+        }
+        (&self.words[at as usize], bits)
+    }
+
+    /// Adds the key hashing to `hash`.
+    fn insert(&self, hash: u32) {
+        let (word, bits) = self.locate(hash);
+        // No false negative, even mid-race.  `Memtable::apply_hashed`
+        // sets the bits here *before* it hands the key to the list, and
+        // the list publishes a new key with a `Release` store that a
+        // reader finding the key loads with `Acquire`.  So every thread
+        // that can know the key is in the memtable — it found the key in
+        // the list, or the put returned to it, or it heard of either from
+        // a thread that did — has this `fetch_or` (or the load that found
+        // the bits already set) in its happens-before past, and coherence
+        // makes its own load of the word return that value or a later one.
+        // Bits are never cleared, so every later value has them too.  A
+        // check that races the apply may miss the bits; it then answers
+        // as if it ran before the apply, which is what it raced.  Coherence
+        // alone carries this; `Release` pairs with the check's `Acquire`
+        // so the filter's own orderings are the usual publication pair, at
+        // no cost on x86 (a locked `or` and a plain load either way).
+        if word.load(Ordering::Relaxed) & bits != bits {
+            word.fetch_or(bits, Ordering::Release);
+        }
+    }
+
+    /// Whether the key hashing to `hash` may have been added (false ⇒
+    /// definitely not).
+    fn may_contain(&self, hash: u32) -> bool {
+        let (word, bits) = self.locate(hash);
+        word.load(Ordering::Acquire) & bits == bits
+    }
+
+    /// The fraction of bits set, in parts per million, rounded up so that
+    /// one key reads above zero.
+    fn fill_ppm(&self) -> u64 {
+        let set: u64 = self
+            .words
+            .iter()
+            .map(|word| u64::from(word.load(Ordering::Relaxed).count_ones()))
+            .sum();
+        (set * 1_000_000).div_ceil(self.words.len() as u64 * 64)
+    }
+}
 
 /// A [`Slot`] as the list stores it: a whole word for the put/tombstone
 /// tag ahead of the value, so no byte is padding.  A tombstone is
@@ -83,6 +201,8 @@ impl<V> From<Stored<V>> for Slot<V> {
 /// the WAL segments that back it.
 pub struct Memtable<K: IndexKey + Persist, V: IndexValue + Persist> {
     list: BSkipList<K, Stored<V>>,
+    /// Every key ever applied, set before the list sees it.
+    filter: KeyFilter,
     /// Approximate encoded payload bytes, maintained on every apply; the
     /// engine rotates the memtable when this crosses its threshold.
     bytes: AtomicU64,
@@ -92,10 +212,19 @@ pub struct Memtable<K: IndexKey + Persist, V: IndexValue + Persist> {
 }
 
 impl<K: IndexKey + Persist, V: IndexValue + Persist> Memtable<K, V> {
-    /// Creates an empty memtable backed by the given WAL segments.
+    /// Creates an empty memtable backed by the given WAL segments, its
+    /// filter sized for the default configuration's rotation budget.
     pub fn new(wal_ids: Vec<u64>) -> Self {
+        Self::with_budget(wal_ids, LsmConfig::default().memtable_bytes)
+    }
+
+    /// Creates an empty memtable backed by the given WAL segments, its
+    /// filter sized for the most keys `budget_bytes` of ingest admits.
+    pub fn with_budget(wal_ids: Vec<u64>, budget_bytes: u64) -> Self {
+        let smallest_charge = K::ZERO.encoded_len() as u64 + ENTRY_OVERHEAD;
         Memtable {
             list: BSkipList::new(),
+            filter: KeyFilter::with_capacity(budget_bytes / smallest_charge),
             bytes: AtomicU64::new(0),
             wal_ids,
         }
@@ -103,19 +232,44 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Memtable<K, V> {
 
     /// Applies one upsert-or-tombstone, returning the slot it displaced.
     pub fn apply(&self, key: K, slot: Slot<V>) -> Option<Slot<V>> {
+        self.apply_hashed(key, slot, key.filter_hash())
+    }
+
+    /// [`Memtable::apply`] for a key whose filter hash the caller has
+    /// already computed.
+    pub(crate) fn apply_hashed(&self, key: K, slot: Slot<V>, hash: u32) -> Option<Slot<V>> {
         let mut charge = key.encoded_len() as u64 + ENTRY_OVERHEAD;
         if let Slot::Put(value) = &slot {
             charge += value.encoded_len() as u64;
         }
         self.bytes.fetch_add(charge, Ordering::Relaxed);
+        // The filter first: see `KeyFilter::insert`.
+        self.filter.insert(hash);
         self.list.insert(key, slot.into()).map(Slot::from)
     }
 
-    /// The slot this memtable holds for `key`, if any.  `Some(Tombstone)`
-    /// and `None` are different answers: the former settles the lookup
-    /// (deleted), the latter sends it to older layers.
+    /// The slot this memtable's list holds for `key`, if any.
+    /// `Some(Tombstone)` and `None` are different answers: the former
+    /// settles the lookup (deleted), the latter sends it to older layers.
     pub fn get(&self, key: &K) -> Option<Slot<V>> {
         self.list.get(key).map(Slot::from)
+    }
+
+    /// [`Memtable::get`] behind the key filter: `None` without touching
+    /// the list when the filter rules out the key hashing to `hash`.
+    pub(crate) fn get_hashed(&self, key: &K, hash: u32) -> Option<Slot<V>> {
+        if self.filter.may_contain(hash) {
+            self.get(key)
+        } else {
+            None
+        }
+    }
+
+    /// The fraction of the key filter's bits that are set, in parts per
+    /// million (rounded up, so any key reads above zero).  Counts the
+    /// bits, so it costs a pass over the filter.
+    pub fn filter_fill_ppm(&self) -> u64 {
+        self.filter.fill_ppm()
     }
 
     /// Approximate encoded payload bytes applied so far.  Monotonic:
@@ -293,5 +447,57 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(window, vec![2, 3]);
+    }
+
+    /// The `i`-th of a pseudo-random sequence of distinct keys (SplitMix64's
+    /// finalizer, a bijection).
+    fn random_key(i: u64) -> u64 {
+        let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn the_filter_has_no_false_negatives() {
+        const KEYS: u64 = 100_000;
+        let memtable: Memtable<u64, u64> = Memtable::with_budget(Vec::new(), KEYS * 32);
+        let slot = |i: u64| match i % 3 {
+            0 => Slot::Tombstone,
+            _ => Slot::Put(i),
+        };
+        for i in 0..KEYS {
+            memtable.apply(random_key(i), slot(i));
+        }
+        for i in 0..KEYS {
+            let key = random_key(i);
+            assert!(memtable.filter.may_contain(key.filter_hash()), "key {key}");
+            assert_eq!(memtable.get_hashed(&key, key.filter_hash()), Some(slot(i)));
+        }
+    }
+
+    #[test]
+    fn the_filter_admits_few_absent_keys_at_its_capacity() {
+        const ABSENT: u64 = 100_000;
+        let budget = LsmConfig::default().memtable_bytes;
+        let memtable: Memtable<u64, u64> = Memtable::with_budget(Vec::new(), budget);
+        // Tombstones charge the least, so the budget admits the most of them.
+        let capacity = budget / (8 + ENTRY_OVERHEAD);
+        for i in 0..capacity {
+            memtable.apply(random_key(i), Slot::Tombstone);
+        }
+        assert_eq!(memtable.bytes(), budget);
+        let admitted = (capacity..capacity + ABSENT)
+            .filter(|&i| memtable.filter.may_contain(random_key(i).filter_hash()))
+            .count() as u64;
+        assert!(
+            admitted * 100 <= 3 * ABSENT,
+            "{admitted} of {ABSENT} absent keys admitted"
+        );
+        let fill = memtable.filter_fill_ppm();
+        assert!(
+            (300_000..=500_000).contains(&fill),
+            "{fill} ppm of bits set"
+        );
     }
 }

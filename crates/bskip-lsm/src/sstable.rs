@@ -76,8 +76,9 @@
 //!   Together with [`Table::may_contain`] it works out of one per-thread
 //!   scratch (encoded probe key, block bytes, current entry key), so a
 //!   point lookup allocates nothing once the thread is warm.  The engine
-//!   encodes and hashes a key once per lookup and probes every table's
-//!   filter with that one hash.
+//!   hashes a key once per lookup ([`Persist::filter_hash`], on the stack
+//!   for the fixed-width integers) and probes every table's filter with
+//!   that one hash.
 //! * [`TableCursor`] streams a bounded range block by block through the
 //!   same decoder, and plugs into the same [`IndexCursor`] interface every
 //!   in-memory index serves.  It validates every entry it yields, as it
@@ -678,9 +679,9 @@ fn with_scratch<K: Persist, R>(key: &K, f: impl FnOnce(&[u8], &mut BlockIter) ->
     })
 }
 
-/// The filter hash of `key`'s encoding: computed once per lookup and
-/// handed to every table it probes ([`Table::may_contain_hashed`]).
-pub(crate) fn filter_hash<K: Persist>(key: &K) -> u32 {
+/// [`Persist::filter_hash`]'s default: the filter hash of `key`'s
+/// encoding, encoded into the calling thread's probe buffer.
+pub(crate) fn encoded_filter_hash<K: Persist>(key: &K) -> u32 {
     with_scratch(key, |probe, _| bloom_hash(probe))
 }
 
@@ -803,11 +804,11 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Table<K, V> {
     /// Whether `key` could be in this table: range check plus bloom probe.
     /// `false` means definitely absent (no IO was performed).
     pub fn may_contain(&self, key: &K) -> bool {
-        self.may_contain_hashed(key, filter_hash(key))
+        self.may_contain_hashed(key, key.filter_hash())
     }
 
-    /// [`Table::may_contain`] for a key whose [`filter_hash`] the caller
-    /// has already computed.
+    /// [`Table::may_contain`] for a key whose [`Persist::filter_hash`] the
+    /// caller has already computed.
     pub(crate) fn may_contain_hashed(&self, key: &K, hash: u32) -> bool {
         self.min_key <= *key && *key <= self.max_key && self.filter.may_contain(hash)
     }
@@ -1670,7 +1671,8 @@ mod tests {
         // of those that the filter alone would admit some.
         for key in (0..=16_000u64).chain([u64::MAX]) {
             let hash = bloom_hash(&key.to_be_bytes());
-            assert_eq!(filter_hash(&key), hash);
+            assert_eq!(key.filter_hash(), hash);
+            assert_eq!(encoded_filter_hash(&key), hash);
             let admitted = table.may_contain(&key);
             assert_eq!(admitted, table.may_contain_hashed(&key, hash), "key {key}");
             if key % 3 == 0 && (3..=6_000).contains(&key) {
