@@ -12,16 +12,17 @@
 //! the previous-value lookup through the older layers' filters.  Writes
 //! are acknowledged after the WAL append returns, so an acknowledged
 //! write survives process death (and, with [`SyncPolicy::Always`], power
-//! loss).  All mutations and all
-//! maintenance serialize on one writer mutex; reads — point gets, scans
-//! and batches made only of gets — never take it.
+//! loss).  All mutations serialize on one writer mutex, which owns the
+//! WAL and the segment ids; reads — point gets, scans and batches made
+//! only of gets — never take it, and no flush or compaction runs under
+//! it.
 //!
 //! # Rotation, flush, compaction
 //!
 //! When the memtable's ingested bytes cross
-//! [`LsmConfig::memtable_bytes`], it is sealed (pushed onto the immutable
-//! list, still serving reads) and a fresh memtable + WAL segment take
-//! over.  A *flush* drains the oldest immutable memtable through its
+//! [`LsmConfig::memtable_bytes`], the writer seals it (pushed onto the
+//! immutable list, still serving reads) and a fresh memtable + WAL segment
+//! take over.  A *flush* drains the oldest immutable memtable through its
 //! cursor into a level-0 SSTable, commits the manifest, and only then
 //! deletes the WAL segments the memtable covered.  *Compaction* merges
 //! level 0 into level 1 once enough L0 tables pile up, and spills
@@ -30,17 +31,26 @@
 //!
 //! Both change the table layout one way (`write_tables`, `install`): the
 //! outputs are written, the *next* level set is built aside and its
-//! manifest committed under the writer mutex alone.  The layer set itself
-//! is an immutable *version* — memtables and levels — behind an
-//! `RwLock<Arc<_>>`: rotation and `install` build the next version aside
-//! and swap the `Arc` (`commit_version`), so the exclusive state lock
-//! covers a pointer swap and never I/O, and no read waits for an fsync.
+//! manifest committed under the maintenance mutex, which owns the table
+//! ids, the manifest and every change to the levels.  The layer set
+//! itself is an immutable *version* — memtables and levels — behind an
+//! `RwLock<Arc<_>>`: rotation and `install` each make a changed copy of
+//! the current version and swap the `Arc` under the state write lock
+//! (`commit_version`), so the exclusive state lock covers a copy of a few
+//! pointers and never I/O, and no read waits for an fsync.
 //!
-//! With [`LsmConfig::auto_maintain`] (the default) flush and compaction
-//! run inline on the writer thread at rotation points — the LevelDB-style
-//! write stall, deterministic and sanitizer-friendly (no background
-//! thread).  With it off, callers pump [`LsmEngine::flush`] /
-//! [`LsmEngine::compact`] explicitly.
+//! With [`LsmConfig::auto_maintain`] (the default) every engine has one
+//! maintenance worker thread, and each rotation hands it one *job*: flush
+//! every sealed memtable, then compact while a trigger fires.  The writer
+//! goes straight back to the WAL and the fresh memtable.  The hand-off
+//! holds one job: a rotation — and each explicit [`LsmEngine::rotate`],
+//! [`LsmEngine::flush`], [`LsmEngine::compact`] and [`LsmEngine::maintain`]
+//! — first waits for the previous job to finish (the wait is counted in
+//! `writer_stall_us`), so every job starts from the state an inline pump
+//! at the same rotation would have started from, and the engine writes
+//! the same tables, byte for byte, as one that maintained inline.  With it
+//! off there is no thread: sealed memtables pile up until the caller
+//! pumps the explicit entry points, which run on the caller's thread.
 //!
 //! # Read path
 //!
@@ -80,12 +90,12 @@
 //!
 //! # Crash recovery
 //!
-//! There is no shutdown path at all — dropping the engine flushes nothing,
-//! so reopening *always* exercises recovery: orphan tables from an
-//! uncommitted flush are deleted (their WAL segments still exist), the
-//! manifest's tables are opened, and every WAL segment replays its valid
-//! prefix into a fresh memtable.  A torn final frame is truncated and the
-//! segment resumes appending.
+//! There is no shutdown path at all — dropping the engine lets a job in
+//! flight finish and flushes nothing more, so reopening *always* exercises
+//! recovery: orphan tables from an uncommitted flush are deleted (their
+//! WAL segments still exist), the manifest's tables are opened, and every
+//! WAL segment replays its valid prefix into a fresh memtable.  A torn
+//! final frame is truncated and the segment resumes appending.
 //!
 //! All file access goes through the [`Storage`] trait
 //! ([`LsmEngine::open_with`]), so the whole stack — WAL, tables, manifest
@@ -121,17 +131,26 @@
 //!   counts one `io_error`, and leaves the engine serving — the WAL still
 //!   covers everything, so durability is unaffected; only disk shape is
 //!   behind.
+//! - A maintenance job that **panics** on the worker is a bug, not an I/O
+//!   failure: the worker catches it, counts it in `maint_panics`, frees
+//!   the hand-off so the next rotation does not wait for it forever, and
+//!   takes the next job.  Like a failed job it leaves the WAL covering
+//!   everything, but files it had begun are left for the next open to
+//!   remove.  An explicit pump runs on the caller's thread, so a panic
+//!   there reaches the caller.
 //!
-//! The three health indicators are exported through
-//! [`ConcurrentIndex::stats`] as `io_errors`, `write_failures` and
-//! `degraded`.
+//! The health indicators are exported through [`ConcurrentIndex::stats`]
+//! as `io_errors`, `write_failures`, `maint_panics` and `degraded`.
 
 use std::collections::HashSet;
 use std::io;
 use std::ops::Bound;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use bskip_index::{
     ConcurrentIndex, Cursor, IndexCursor, IndexKey, IndexStats, IndexValue, MergeCursor, Op,
@@ -165,7 +184,9 @@ pub struct LsmConfig {
     pub sync: SyncPolicy,
     /// SSTable block / restart / bloom parameters.
     pub table: TableOptions,
-    /// Run flush + compaction inline at rotation points (default).  Off:
+    /// Give the engine a maintenance worker thread and hand it a flush +
+    /// compaction job at every rotation (default); a rotation waits only
+    /// while the previous job is still running.  Off: no thread, and
     /// immutable memtables accumulate until [`LsmEngine::flush`] /
     /// [`LsmEngine::compact`] are pumped explicitly.
     pub auto_maintain: bool,
@@ -216,11 +237,41 @@ impl LsmConfig {
     }
 }
 
-/// Everything the serialized write path owns.
+/// What the writer mutex owns.
 struct WriteState {
     wal: WalWriter,
     next_wal_id: u64,
+}
+
+/// What the maintenance mutex owns besides the manifest and every change
+/// to the levels.
+struct MaintState {
     next_table_id: u64,
+}
+
+/// The hand-off between rotations and the maintenance worker: one job at
+/// most, queued or running.
+#[derive(Default)]
+struct JobSlot {
+    queued: bool,
+    running: bool,
+    /// Set by the engine's `Drop`: the worker takes no further job.
+    shutdown: bool,
+    /// Keeps a queued job from being taken, so a test can act between a
+    /// hand-off and the worker's take.
+    #[cfg(test)]
+    held: bool,
+}
+
+impl JobSlot {
+    /// Whether the worker may take a job now.
+    fn takeable(&self) -> bool {
+        #[cfg(test)]
+        if self.held {
+            return false;
+        }
+        self.queued
+    }
 }
 
 /// One layer set, immutable once shared: rotation, flush and compaction
@@ -282,7 +333,7 @@ impl<'a, K: IndexKey + Persist, V: IndexValue + Persist> Scan<'a, K, V> {
         // borrow of the layers leaves the scan.
         let layers: &'a Version<K, V> = unsafe { &*Arc::as_ptr(&version) };
         let memtables = std::iter::once(&layers.memtable).chain(&layers.immutables);
-        let sources = LsmEngine::sources(memtables, &layers.levels, lo, hi, errors);
+        let sources = Core::sources(memtables, &layers.levels, lo, hi, errors);
         Scan {
             merge: MergeCursor::new(sources),
             _version: version,
@@ -304,14 +355,21 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, V> for Scan<
 }
 
 bskip_index::stat_block! {
-    /// The engine's event counters; the last two are the I/O-health pair
-    /// behind the degraded-mode contract (see the module docs).
+    /// The engine's event counters; `maint_panics` and the last two are
+    /// the health indicators of the degraded-mode contract (see the
+    /// module docs).
     struct Counters {
         wal_bytes: RelaxedCounter => Counter "wal_bytes",
         wal_records: RelaxedCounter => Counter "wal_records",
         rotations: RelaxedCounter => Counter "memtable_rotations",
         flushes: RelaxedCounter => Counter "sst_flushes",
         compactions: RelaxedCounter => Counter "compactions",
+        /// Jobs the maintenance worker ran.
+        maint_jobs: RelaxedCounter => Counter "maint_jobs",
+        /// Microseconds rotations spent waiting for the previous job.
+        writer_stall_us: RelaxedCounter => Counter "writer_stall_us",
+        /// Worker jobs that panicked (each is also in `maint_jobs`).
+        maint_panics: RelaxedCounter => Counter "maint_panics",
         /// Read-path and maintenance I/O failures (including checksum
         /// mismatches).  Table cursors count into it too.
         io_errors: RelaxedCounter => Counter "io_errors",
@@ -359,17 +417,29 @@ struct CompactionPlan<K: IndexKey, V: IndexValue> {
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub struct LsmEngine<K: IndexKey + Persist, V: IndexValue + Persist> {
+    core: Arc<Core<K, V>>,
+    /// The maintenance worker, with [`LsmConfig::auto_maintain`]; joined
+    /// on drop.
+    worker: Option<JoinHandle<()>>,
+}
+
+/// Everything the engine and its maintenance worker share.
+struct Core<K: IndexKey + Persist, V: IndexValue + Persist> {
     storage: Arc<dyn Storage>,
     dir: PathBuf,
     config: LsmConfig,
     write: Mutex<WriteState>,
+    maint: Mutex<MaintState>,
+    job: Mutex<JobSlot>,
+    /// Signalled whenever `job` changes.
+    job_changed: Condvar,
     /// The current version.  Point reads look through the read guard;
     /// a scan clones the `Arc` and reads its version without the lock.
     state: RwLock<Arc<Version<K, V>>>,
     /// Exact number of live (non-deleted) keys across all layers;
     /// maintained from the previous-value of every mutation, so written
     /// only with the writer mutex held — and read without it: `len` and
-    /// `stats` must answer while a flush or compaction holds that mutex.
+    /// `stats` must answer while a rotation holds that mutex.
     live_keys: AtomicU64,
     counters: Counters,
     /// Sticky read-only flag; set on the first write failure, cleared
@@ -391,7 +461,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// Opens (or creates) an engine directory over an arbitrary
     /// [`Storage`] backend, running full recovery: the manifest's tables
     /// are opened, orphan files are removed, and every WAL segment's
-    /// valid prefix is replayed into a fresh memtable.
+    /// valid prefix is replayed into a fresh memtable.  With
+    /// [`LsmConfig::auto_maintain`] it then starts the maintenance worker;
+    /// a failed thread spawn is an error here.
     pub fn open_with(
         storage: Arc<dyn Storage>,
         dir: impl AsRef<Path>,
@@ -424,7 +496,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             }
             levels[entry.level].push(table);
         }
-        Self::sort_levels(&mut levels);
+        Core::sort_levels(&mut levels);
         let next_table_id = manifest.tables.iter().map(|t| t.id + 1).max().unwrap_or(0);
 
         // Replay every WAL segment, oldest first, into one fresh memtable;
@@ -472,30 +544,42 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             ),
         };
 
-        let engine = LsmEngine {
-            storage,
-            dir,
-            config,
-            write: Mutex::new(WriteState {
-                wal,
-                next_wal_id,
-                next_table_id,
+        let mut engine = LsmEngine {
+            core: Arc::new(Core {
+                storage,
+                dir,
+                config,
+                write: Mutex::new(WriteState { wal, next_wal_id }),
+                maint: Mutex::new(MaintState { next_table_id }),
+                job: Mutex::new(JobSlot::default()),
+                job_changed: Condvar::new(),
+                state: RwLock::new(Arc::new(Version {
+                    memtable,
+                    immutables: Vec::new(),
+                    levels,
+                })),
+                live_keys: AtomicU64::new(0),
+                counters: Counters::default(),
+                degraded: AtomicBool::new(false),
             }),
-            state: RwLock::new(Arc::new(Version {
-                memtable,
-                immutables: Vec::new(),
-                levels,
-            })),
-            live_keys: AtomicU64::new(0),
-            counters: Counters::default(),
-            degraded: AtomicBool::new(false),
+            worker: None,
         };
 
         // Exact live-key count: one merged sweep over every layer.
         let live_keys = engine
             .scan_bounds(Bound::Unbounded, Bound::Unbounded)
             .count();
-        engine.live_keys.store(live_keys as u64, Ordering::Relaxed);
+        engine
+            .core
+            .live_keys
+            .store(live_keys as u64, Ordering::Relaxed);
+        if config.auto_maintain {
+            let core = Arc::clone(&engine.core);
+            let worker = std::thread::Builder::new()
+                .name("bskip-lsm-maint".into())
+                .spawn(move || core.work())?;
+            engine.worker = Some(worker);
+        }
         Ok(engine)
     }
 
@@ -504,48 +588,221 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// errors (or are dropped on the infallible surface).  Cleared only
     /// by reopening the engine.
     pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
+        self.core.degraded()
     }
 
     /// Read-path and maintenance I/O failures observed so far (including
     /// block checksum mismatches).
     pub fn io_errors(&self) -> u64 {
-        self.counters.io_errors.get()
+        self.core.counters.io_errors.get()
     }
 
     /// Foreground WAL append failures observed so far.
     pub fn write_failures(&self) -> u64 {
-        self.counters.write_failures.get()
+        self.core.counters.write_failures.get()
     }
 
     /// Number of tables at each level, `[l0, l1, …]`.
     pub fn tables_per_level(&self) -> Vec<usize> {
-        self.read_state().levels.iter().map(Vec::len).collect()
+        self.core.read_state().levels.iter().map(Vec::len).collect()
+    }
+
+    /// Fallible insert: the previous value, or the error that prevented
+    /// the write from being made durable (which also degrades the
+    /// engine).
+    pub fn try_insert(&self, key: K, value: V) -> io::Result<Option<V>> {
+        self.core.put_slot(key, Slot::Put(value))
+    }
+
+    /// Fallible remove; see [`LsmEngine::try_insert`].
+    pub fn try_remove(&self, key: &K) -> io::Result<Option<V>> {
+        self.core.put_slot(*key, Slot::Tombstone)
+    }
+
+    /// Fallible lookup: `Err` on a table read or checksum failure
+    /// (counted in `io_errors`) instead of silently answering `None`.
+    pub fn try_get(&self, key: &K) -> io::Result<Option<V>> {
+        let core = &self.core;
+        let state = core.read_state();
+        let hash = key.filter_hash();
+        Ok(core.lookup(&state, key, hash, false)?.and_then(Slot::value))
+    }
+
+    /// The fallible group-commit lane behind [`ConcurrentIndex::execute`]:
+    /// the batch's mutations become **one** WAL record (one storage
+    /// append, one `fdatasync` under [`SyncPolicy::Always`]), then the
+    /// operations apply in slot order.
+    ///
+    /// On `Err` nothing was applied and every result slot is untouched.
+    /// A read-only batch takes neither the writer mutex nor the WAL — it
+    /// never queues behind writers or rotations — and is served even on a
+    /// degraded engine.
+    pub fn try_execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
+        self.core.execute(ops)
+    }
+
+    /// Seals the current memtable unconditionally (if non-empty), making
+    /// its contents flushable.  Waits for a maintenance job in flight
+    /// first.
+    pub fn rotate(&self) -> io::Result<()> {
+        let (mut write, _maint) = self.core.quiesce();
+        self.core.rotate_if_non_empty(&mut write)
+    }
+
+    /// Flushes every sealed memtable to level-0 tables, oldest first, on
+    /// the calling thread.  Returns the number of memtables drained.
+    pub fn flush(&self) -> io::Result<usize> {
+        let core = &self.core;
+        let (_write, mut maint) = core.quiesce();
+        let mut drained = 0;
+        while core.count_failure(core.flush_locked(&mut maint))? {
+            drained += 1;
+        }
+        Ok(drained)
+    }
+
+    /// Runs compactions until no trigger fires, on the calling thread.
+    /// Returns the number of compactions performed.
+    pub fn compact(&self) -> io::Result<usize> {
+        let core = &self.core;
+        let (_write, mut maint) = core.quiesce();
+        let mut ran = 0;
+        while core.count_failure(core.compact_locked(&mut maint))? {
+            ran += 1;
+        }
+        Ok(ran)
+    }
+
+    /// Full maintenance pump: seal, flush everything, compact to
+    /// quiescence — the job a rotation hands the worker, run on the
+    /// calling thread.
+    pub fn maintain(&self) -> io::Result<()> {
+        let core = &self.core;
+        let (mut write, mut maint) = core.quiesce();
+        core.rotate_if_non_empty(&mut write)?;
+        core.count_failure(core.maintain_locked(&mut maint))
+    }
+}
+
+impl<K: IndexKey + Persist, V: IndexValue + Persist> Drop for LsmEngine<K, V> {
+    /// Stops the worker: a job in flight finishes, a queued one is left
+    /// to the WAL, and nothing is flushed on the way out.
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            self.core.job_lock().shutdown = true;
+            self.core.job_changed.notify_all();
+            let _ = worker.join();
+        }
+    }
+}
+
+impl<K: IndexKey + Persist, V: IndexValue + Persist> Core<K, V> {
+    fn degraded(&self) -> bool {
+        self.degraded.load(Ordering::Acquire)
     }
 
     // Lock acquisition recovers from poisoning: a panic elsewhere (e.g. a
-    // caller's closure) must not cascade into panics on the read path of
-    // an otherwise healthy — or deliberately degraded — engine.  The
-    // guarded structures are kept consistent by commit-point discipline,
-    // not by unwind-freedom, so the inner value is safe to use.
+    // caller's closure, or a maintenance job) must not cascade into panics
+    // on the read path of an otherwise healthy — or deliberately degraded
+    // — engine.  The guarded structures are kept consistent by
+    // commit-point discipline, not by unwind-freedom, so the inner value
+    // is safe to use.
 
     fn write_lock(&self) -> MutexGuard<'_, WriteState> {
         self.write.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn maint_lock(&self) -> MutexGuard<'_, MaintState> {
+        self.maint.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn job_lock(&self) -> MutexGuard<'_, JobSlot> {
+        self.job.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn read_state(&self) -> RwLockReadGuard<'_, Arc<Version<K, V>>> {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Makes a changed copy of the current version current.  Only the
-    /// holder of the writer mutex (`_write`) swaps versions, so the version
-    /// copied here is still current at the swap, and the exclusive state
-    /// lock covers the pointer swap alone.  Readers that pinned the old
-    /// version keep it; the last one to let go frees it.
-    fn commit_version(&self, _write: &mut WriteState, change: impl FnOnce(&mut Version<K, V>)) {
-        let mut next = Version::clone(&self.read_state());
-        change(&mut next);
+    // ---- The hand-off to the maintenance worker ----
+
+    /// The worker's loop: one job per hand-off until the engine drops.
+    fn work(&self) {
+        loop {
+            {
+                let mut slot = self.job_lock();
+                while !slot.takeable() && !slot.shutdown {
+                    slot = self.wait_job(slot);
+                }
+                if slot.shutdown {
+                    return;
+                }
+                slot.queued = false;
+                slot.running = true;
+            }
+            // A job that panics is counted and ends here: the slot is freed
+            // below, so no rotation waits for it forever.
+            let job = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut maint = self.maint_lock();
+                let _ = self.retry_maintenance(|| self.maintain_locked(&mut maint));
+            }));
+            if job.is_err() {
+                self.counters.maint_panics.incr();
+            }
+            self.counters.maint_jobs.incr();
+            self.job_lock().running = false;
+            self.job_changed.notify_all();
+        }
+    }
+
+    fn wait_job<'a>(&self, slot: MutexGuard<'a, JobSlot>) -> MutexGuard<'a, JobSlot> {
+        self.job_changed
+            .wait(slot)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns once no job is queued or running, with the microseconds it
+    /// waited.  Free when there is nothing to wait for.
+    fn wait_for_job(&self) -> u64 {
+        let mut slot = self.job_lock();
+        if !slot.queued && !slot.running {
+            return 0;
+        }
+        let start = Instant::now();
+        while slot.queued || slot.running {
+            slot = self.wait_job(slot);
+        }
+        start.elapsed().as_micros() as u64
+    }
+
+    /// Hands the worker the job at this rotation; the slot is free (every
+    /// rotation waits for it first).
+    fn hand_off_job(&self) {
+        self.job_lock().queued = true;
+        self.job_changed.notify_all();
+    }
+
+    /// What an explicit maintenance entry point runs under: the writer
+    /// mutex, so no rotation hands off a job meanwhile; no job in flight;
+    /// and the maintenance mutex.
+    fn quiesce(&self) -> (MutexGuard<'_, WriteState>, MutexGuard<'_, MaintState>) {
+        let write = self.write_lock();
+        self.wait_for_job();
+        (write, self.maint_lock())
+    }
+
+    // ---- Versions ----
+
+    /// Makes a changed copy of the current version current.  The copy and
+    /// the swap happen under the exclusive state lock — the writer's
+    /// rotation and the maintenance mutex's holder both commit versions,
+    /// so neither can lose the other's change — and `change` only moves
+    /// pointers.  Readers that pinned the old version keep it; the last
+    /// one to let go frees it.
+    fn commit_version(&self, change: impl FnOnce(&mut Version<K, V>)) {
         let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        let mut next = Version::clone(&state);
+        change(&mut next);
         let old = std::mem::replace(&mut *state, Arc::new(next));
         drop(state);
         // Outside the lock: this may be the last reference to a memtable
@@ -592,6 +849,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             .map(move |memtable| Source::Memtable(memtable.cursor(lo, hi)))
             .chain(runs)
     }
+
+    // ---- The write path ----
 
     /// Newest-first lookup across every layer; a tombstone answer settles
     /// the key as deleted.  `hash` is the key's [`Persist::filter_hash`],
@@ -675,7 +934,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
 
     /// The serialized write path shared by the insert and remove lanes:
     /// degraded check, WAL append, memtable apply, rotation check.
-    fn try_put_slot(&self, key: K, slot: Slot<V>) -> io::Result<Option<V>> {
+    fn put_slot(&self, key: K, slot: Slot<V>) -> io::Result<Option<V>> {
         let mut write = self.write_lock();
         if self.degraded() {
             return Err(degraded_error());
@@ -690,36 +949,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         Ok(previous)
     }
 
-    /// Fallible insert: the previous value, or the error that prevented
-    /// the write from being made durable (which also degrades the
-    /// engine).
-    pub fn try_insert(&self, key: K, value: V) -> io::Result<Option<V>> {
-        self.try_put_slot(key, Slot::Put(value))
-    }
-
-    /// Fallible remove; see [`LsmEngine::try_insert`].
-    pub fn try_remove(&self, key: &K) -> io::Result<Option<V>> {
-        self.try_put_slot(*key, Slot::Tombstone)
-    }
-
-    /// Fallible lookup: `Err` on a table read or checksum failure
-    /// (counted in `io_errors`) instead of silently answering `None`.
-    pub fn try_get(&self, key: &K) -> io::Result<Option<V>> {
-        let state = self.read_state();
-        let hash = key.filter_hash();
-        Ok(self.lookup(&state, key, hash, false)?.and_then(Slot::value))
-    }
-
-    /// The fallible group-commit lane behind [`ConcurrentIndex::execute`]:
-    /// the batch's mutations become **one** WAL record (one storage
-    /// append, one `fdatasync` under [`SyncPolicy::Always`]), then the
-    /// operations apply in slot order.
-    ///
-    /// On `Err` nothing was applied and every result slot is untouched.
-    /// A read-only batch takes neither the writer mutex nor the WAL — it
-    /// never queues behind writers, flushes or compactions — and is
-    /// served even on a degraded engine.
-    pub fn try_execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
+    /// [`LsmEngine::try_execute`].
+    fn execute(&self, ops: &mut [Op<K, V>]) -> io::Result<()> {
         let get = |state: &Version<K, V>, key: &K| {
             self.lookup(state, key, key.filter_hash(), false)
                 .unwrap_or(None)
@@ -787,9 +1018,11 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
     }
 
+    // ---- Maintenance ----
+
     /// The one place a failed maintenance operation is counted: once in
-    /// `io_errors`, whether it was retried (rotation points) or called
-    /// directly (`rotate` / `flush` / `compact` / `maintain`).
+    /// `io_errors`, whether it was retried (rotation points and jobs) or
+    /// called directly (`rotate` / `flush` / `compact` / `maintain`).
     fn count_failure<T>(&self, result: io::Result<T>) -> io::Result<T> {
         result.inspect_err(|_| self.counters.io_errors.incr())
     }
@@ -812,8 +1045,9 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         self.count_failure(Err(last))
     }
 
-    /// Seals the memtable if it has outgrown its budget, then (in
-    /// auto-maintain mode) flushes and compacts inline.  Failures are
+    /// Seals the memtable if it has outgrown its budget — after waiting
+    /// for the previous job, the writer's one stall — and (in
+    /// auto-maintain mode) hands the worker the next job.  Failures are
     /// retried with backoff and then deferred to the next rotation point
     /// — never panicked on: the current WAL keeps the data safe while the
     /// memtable overshoots its budget.
@@ -825,6 +1059,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         if !over {
             return;
         }
+        self.counters.writer_stall_us.add(self.wait_for_job());
         if self
             .retry_maintenance(|| self.rotate_locked(write))
             .is_err()
@@ -832,10 +1067,20 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             return;
         }
         if self.config.auto_maintain {
-            let _ = self.retry_maintenance(|| self.maintain_locked(write));
+            self.hand_off_job();
         }
     }
 
+    fn rotate_if_non_empty(&self, write: &mut WriteState) -> io::Result<()> {
+        let non_empty = !self.read_state().memtable.is_empty();
+        if non_empty {
+            self.count_failure(self.rotate_locked(write))?;
+        }
+        Ok(())
+    }
+
+    /// Seals the mutable memtable behind a fresh one and a fresh WAL
+    /// segment: changes `memtable` and `immutables`, never `levels`.
     fn rotate_locked(&self, write: &mut WriteState) -> io::Result<()> {
         let new_id = write.next_wal_id;
         let new_wal = WalWriter::create(
@@ -849,7 +1094,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             vec![new_id],
             self.config.memtable_bytes,
         ));
-        self.commit_version(write, |next| {
+        self.commit_version(|next| {
             let sealed = std::mem::replace(&mut next.memtable, fresh);
             next.immutables.insert(0, sealed);
         });
@@ -857,9 +1102,12 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         Ok(())
     }
 
-    fn maintain_locked(&self, write: &mut WriteState) -> io::Result<()> {
-        while self.flush_locked(write)? {}
-        while self.compact_locked(write)? {}
+    /// The job: flush every sealed memtable, then compact while a trigger
+    /// fires.  The worker runs it at every hand-off, `maintain` on the
+    /// caller's thread.
+    fn maintain_locked(&self, maint: &mut MaintState) -> io::Result<()> {
+        while self.flush_locked(maint)? {}
+        while self.compact_locked(maint)? {}
         Ok(())
     }
 
@@ -867,7 +1115,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// whether an immutable memtable was drained.  On error nothing in
     /// memory has changed and partial output files are removed; the
     /// memtable stays sealed and flushable.
-    fn flush_locked(&self, write: &mut WriteState) -> io::Result<bool> {
+    fn flush_locked(&self, maint: &mut MaintState) -> io::Result<bool> {
         let Some(immutable) = self.read_state().immutables.last().cloned() else {
             return Ok(false);
         };
@@ -876,13 +1124,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             next.immutables.pop();
         };
         if immutable.is_empty() {
-            self.commit_version(write, retire);
+            self.commit_version(retire);
         } else {
             let entries = immutable.cursor(Bound::Unbounded, Bound::Unbounded);
-            let outputs = self.write_tables(write, entries, u64::MAX, || Ok(()))?;
+            let outputs = self.write_tables(maint, entries, u64::MAX, || Ok(()))?;
             // The table becomes visible in the version that retires the
             // memtable it replaces.
-            self.install(write, &HashSet::new(), &outputs, 0, retire)?;
+            self.install(maint, &HashSet::new(), &outputs, 0, retire)?;
             self.counters.flushes.incr();
         }
         // The manifest now covers (or never needed) this memtable's data;
@@ -900,7 +1148,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// was done.  On any failure — an input read error, an output write
     /// error, a manifest commit error — the level set was never touched,
     /// partial outputs are deleted, and the inputs stay live.
-    fn compact_locked(&self, write: &mut WriteState) -> io::Result<bool> {
+    fn compact_locked(&self, maint: &mut MaintState) -> io::Result<bool> {
         let Some(plan) = self.plan_compaction() else {
             return Ok(false);
         };
@@ -909,7 +1157,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         let mut merge = MergeCursor::new(Self::sources([], &plan.inputs, lo, hi, &read_errors));
         let kept = std::iter::from_fn(|| merge.next())
             .filter(|(_, slot)| !(plan.drop_tombstones && slot.is_tombstone()));
-        let outputs = self.write_tables(write, kept, self.config.table_target_bytes, || {
+        let outputs = self.write_tables(maint, kept, self.config.table_target_bytes, || {
             // An input cursor that hit a read error ended its stream
             // early; committing would silently drop the unread suffix.
             if read_errors.get() > 0 {
@@ -921,7 +1169,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             Ok(())
         })?;
         let input_ids: HashSet<u64> = plan.inputs.iter().flatten().map(|table| table.id).collect();
-        self.install(write, &input_ids, &outputs, plan.output_level, |_| {})?;
+        self.install(maint, &input_ids, &outputs, plan.output_level, |_| {})?;
         for table in plan.inputs.iter().flatten() {
             let _ = self.storage.remove(table.path());
         }
@@ -937,21 +1185,21 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
     /// and the ids given back.
     fn write_tables(
         &self,
-        write: &mut WriteState,
+        maint: &mut MaintState,
         entries: impl Iterator<Item = (K, Slot<V>)>,
         split_bytes: u64,
         verify: impl FnOnce() -> io::Result<()>,
     ) -> io::Result<Vec<Arc<Table<K, V>>>> {
-        let first_id = write.next_table_id;
-        let build = |write: &mut WriteState| -> io::Result<Vec<Arc<Table<K, V>>>> {
+        let first_id = maint.next_table_id;
+        let build = |maint: &mut MaintState| -> io::Result<Vec<Arc<Table<K, V>>>> {
             let mut builder: Option<TableBuilder<K, V>> = None;
             let mut finished = Vec::new();
             for (key, slot) in entries {
                 let active = match builder.as_mut() {
                     Some(active) => active,
                     None => {
-                        let path = table_file(&self.dir, write.next_table_id);
-                        write.next_table_id += 1;
+                        let path = table_file(&self.dir, maint.next_table_id);
+                        maint.next_table_id += 1;
                         let storage = self.storage.as_ref();
                         builder.insert(TableBuilder::create(storage, &path, self.config.table)?)
                     }
@@ -972,28 +1220,29 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
             };
             finished.iter().zip(first_id..).map(open).collect()
         };
-        build(write).inspect_err(|_| self.discard_tables(write, first_id))
+        build(maint).inspect_err(|_| self.discard_tables(maint, first_id))
     }
 
     /// Undoes a maintenance job that will not commit: removes the table
     /// files it wrote — ids `first_id` and up — and gives the ids back.
-    fn discard_tables(&self, write: &mut WriteState, first_id: u64) {
-        for id in first_id..write.next_table_id {
+    fn discard_tables(&self, maint: &mut MaintState, first_id: u64) {
+        for id in first_id..maint.next_table_id {
             let _ = self.storage.remove(&table_file(&self.dir, id));
         }
-        write.next_table_id = first_id;
+        maint.next_table_id = first_id;
     }
 
     /// The one commit path of the level set: builds the next `levels`
     /// aside — `inputs` out, `outputs` in at `level` — commits its manifest
     /// with no state lock held, and only then commits the version holding
-    /// it, changed further by `retire`.  The writer mutex (`write`) is what
-    /// keeps `levels` from changing in between; readers carry on over the
-    /// old version until the swap, and scans opened on it after that.  A
+    /// it, changed further by `retire`.  The maintenance mutex (`maint`)
+    /// is what keeps `levels` from changing in between: its holder is the
+    /// only thread that changes them.  Readers carry on over the old
+    /// version until the swap, and scans opened on it after that.  A
     /// failed commit discards the outputs and swaps nothing.
     fn install(
         &self,
-        write: &mut WriteState,
+        maint: &mut MaintState,
         inputs: &HashSet<u64>,
         outputs: &[Arc<Table<K, V>>],
         level: usize,
@@ -1010,10 +1259,10 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         Self::sort_levels(&mut levels);
         if let Err(error) = self.persist_manifest(&levels) {
             // The outputs hold the newest ids: `write_tables` handed them out.
-            self.discard_tables(write, write.next_table_id - outputs.len() as u64);
+            self.discard_tables(maint, maint.next_table_id - outputs.len() as u64);
             return Err(error);
         }
-        self.commit_version(write, |next| {
+        self.commit_version(|next| {
             next.levels = levels;
             retire(next);
         });
@@ -1075,48 +1324,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> LsmEngine<K, V> {
         }
         Manifest { tables }.store(self.storage.as_ref(), &self.dir)
     }
-
-    /// Seals the current memtable unconditionally (if non-empty), making
-    /// its contents flushable.
-    pub fn rotate(&self) -> io::Result<()> {
-        let mut write = self.write_lock();
-        let non_empty = !self.read_state().memtable.is_empty();
-        if non_empty {
-            self.count_failure(self.rotate_locked(&mut write))?;
-        }
-        Ok(())
-    }
-
-    /// Flushes every sealed memtable to level-0 tables, oldest first.
-    /// Returns the number of memtables drained.
-    pub fn flush(&self) -> io::Result<usize> {
-        let mut write = self.write_lock();
-        let mut drained = 0;
-        while self.count_failure(self.flush_locked(&mut write))? {
-            drained += 1;
-        }
-        Ok(drained)
-    }
-
-    /// Runs compactions until no trigger fires.  Returns the number of
-    /// compactions performed.
-    pub fn compact(&self) -> io::Result<usize> {
-        let mut write = self.write_lock();
-        let mut ran = 0;
-        while self.count_failure(self.compact_locked(&mut write))? {
-            ran += 1;
-        }
-        Ok(ran)
-    }
-
-    /// Full maintenance pump: seal, flush everything, compact to
-    /// quiescence.  What auto-maintain mode does at rotation points, made
-    /// explicit.
-    pub fn maintain(&self) -> io::Result<()> {
-        self.rotate()?;
-        let mut write = self.write_lock();
-        self.count_failure(self.maintain_locked(&mut write))
-    }
 }
 
 impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for LsmEngine<K, V> {
@@ -1147,16 +1354,16 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     /// its memtable before the memtable rotates and none after, and it
     /// reads tables that a compaction has unlinked since.
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
-        let version = Arc::clone(&self.read_state());
-        Cursor::new(Scan::new(version, lo, hi, &self.counters.io_errors))
+        let version = Arc::clone(&self.core.read_state());
+        Cursor::new(Scan::new(version, lo, hi, &self.core.counters.io_errors))
     }
 
     fn try_reclaim(&self) -> usize {
-        self.read_state().memtable.try_reclaim()
+        self.core.read_state().memtable.try_reclaim()
     }
 
     fn len(&self) -> usize {
-        self.live_keys.load(Ordering::Relaxed) as usize
+        self.core.live_keys.load(Ordering::Relaxed) as usize
     }
 
     fn name(&self) -> &'static str {
@@ -1164,20 +1371,21 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     }
 
     fn degraded(&self) -> bool {
-        LsmEngine::degraded(self)
+        self.core.degraded()
     }
 
     fn stats(&self) -> IndexStats {
         // The state read lock only: like `len`, this must answer while a
-        // flush or compaction holds the writer mutex.
-        let state = self.read_state();
+        // rotation holds the writer mutex or a job the maintenance mutex.
+        let core = &self.core;
+        let state = core.read_state();
         // Everything below the counters is a level read at snapshot time.
         let gauge = StatKind::Gauge;
-        let mut stats = self
+        let mut stats = core
             .counters
             .snapshot()
-            .with_kind("degraded", gauge, LsmEngine::degraded(self) as u64)
-            .with_kind("live_keys", gauge, self.live_keys.load(Ordering::Relaxed))
+            .with_kind("degraded", gauge, core.degraded() as u64)
+            .with_kind("live_keys", gauge, core.live_keys.load(Ordering::Relaxed))
             .with_kind("memtable_bytes", gauge, state.memtable.bytes())
             .with_kind("memtable_live_nodes", gauge, state.memtable.live_nodes())
             // A fraction, so merged shards report the fullest filter
@@ -1210,7 +1418,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> ConcurrentIndex<K, V> for L
     fn reset_stats(&self) {
         // The error counters reset too, but the sticky degraded flag does
         // not — only a reopen clears that.
-        self.counters.reset();
+        self.core.counters.reset();
     }
 }
 
@@ -1611,14 +1819,14 @@ mod tests {
     fn a_scan_merges_one_source_per_sorted_run() {
         let fs = FaultFs::new();
         let (engine, _) = layered(&fs);
-        let state = engine.read_state();
+        let state = engine.core.read_state();
         let tables: Vec<usize> = state.levels.iter().map(Vec::len).collect();
         assert_eq!(tables, [6, 5, 5]);
         assert_eq!(state.immutables.len(), 1);
         let errors = RelaxedCounter::new();
         let count = |memtables: &[&Arc<Memtable<u64, u64>>], levels, lo, hi| {
             let memtables = memtables.iter().copied();
-            let sources = LsmEngine::sources(memtables, levels, lo, hi, &errors);
+            let sources = Core::sources(memtables, levels, lo, hi, &errors);
             // The merge sizes its one vector from the upper bound.
             let upper = sources.size_hint().1;
             let count = sources.count();
@@ -1667,7 +1875,7 @@ mod tests {
         };
         // Windows that end (and begin) exactly on a table's last key ...
         let edges: Vec<u64> = {
-            let state = engine.read_state();
+            let state = engine.core.read_state();
             let tables = state.levels.iter().flatten();
             tables
                 .flat_map(|table| [table.min_key, table.max_key])
@@ -1699,7 +1907,7 @@ mod tests {
 
         // A three-key window costs no more block reads than positioning
         // each table source once.
-        let state = engine.read_state();
+        let state = engine.core.read_state();
         let sources = state.levels[0].len() + 2;
         drop(state);
         let before = fs.read_count();
@@ -1717,7 +1925,7 @@ mod tests {
 
     /// Data blocks of every table `engine` holds.
     fn blocks_held(engine: &LsmEngine<u64, u64>) -> u64 {
-        let state = engine.read_state();
+        let state = engine.core.read_state();
         state
             .levels
             .iter()
@@ -1793,7 +2001,7 @@ mod tests {
         let dir = temp_dir("run-corrupt");
         let engine = single_run(Arc::new(StdFs), &dir);
         let (table_min, after, up_to) = {
-            let state = engine.read_state();
+            let state = engine.core.read_state();
             let middle = &state.levels[1][state.levels[1].len() / 2];
             let (after, up_to) = corrupt_middle_block(middle);
             (middle.min_key, after, up_to)
@@ -1836,7 +2044,7 @@ mod tests {
         let tables_before = engine.tables_per_level();
         assert_eq!(tables_before[0], 3);
         let (after, up_to) = {
-            let state = engine.read_state();
+            let state = engine.core.read_state();
             corrupt_middle_block(&state.levels[1][state.levels[1].len() / 2])
         };
         let table_files = || table_files(&StdFs, &dir);
@@ -1871,9 +2079,11 @@ mod tests {
     }
 
     /// A [`FaultFs`] that can be made to park inside a file's `append`
-    /// (while `armed`) or inside `rename` — the manifest's commit point —
+    /// (while `armed`), inside the `create` of a table file (while
+    /// `create_armed`) or inside `rename` — the manifest's commit point —
     /// (while `rename_armed`): the call announces itself to `wait_parked`
-    /// and then waits for `release`.  `rename_fails` fails the next rename.
+    /// and then waits for `release`.  `rename_fails` fails the next rename,
+    /// and `create_panics` panics the next table `create`.
     struct GateFs {
         inner: FaultFs,
         gate: Arc<Gate>,
@@ -1881,6 +2091,8 @@ mod tests {
 
     struct Gate {
         armed: AtomicBool,
+        create_armed: AtomicBool,
+        create_panics: AtomicBool,
         rename_armed: AtomicBool,
         rename_fails: AtomicBool,
         entered: mpsc::Sender<()>,
@@ -1905,6 +2117,7 @@ mod tests {
         /// Disarms the gate and lets the parked call go.
         fn release(&self) {
             self.armed.store(false, Ordering::SeqCst);
+            self.create_armed.store(false, Ordering::SeqCst);
             self.rename_armed.store(false, Ordering::SeqCst);
             self.release.send(()).unwrap();
         }
@@ -1917,6 +2130,8 @@ mod tests {
         let (release, released) = mpsc::channel();
         let gate = Arc::new(Gate {
             armed: AtomicBool::new(false),
+            create_armed: AtomicBool::new(false),
+            create_panics: AtomicBool::new(false),
             rename_armed: AtomicBool::new(false),
             rename_fails: AtomicBool::new(false),
             entered,
@@ -1948,6 +2163,12 @@ mod tests {
 
     impl Storage for GateFs {
         fn create(&self, path: &Path) -> io::Result<Box<dyn StorageFile>> {
+            if path.extension().is_some_and(|ext| ext == "sst") {
+                self.gate.park_if(&self.gate.create_armed);
+                if self.gate.create_panics.swap(false, Ordering::SeqCst) {
+                    panic!("GateFs: injected panic in a table create");
+                }
+            }
             Ok(self.gated(self.inner.create(path)?))
         }
         fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn StorageFile>> {
@@ -2139,7 +2360,7 @@ mod tests {
         // Two level-0 tables and a sealed memtable, their keys interleaved.
         flushed_rounds(&engine, 2);
         let oracle: BTreeMap<u64, u64> = engine.scan(..).collect();
-        let pinned: Vec<PathBuf> = engine.read_state().levels[0]
+        let pinned: Vec<PathBuf> = engine.core.read_state().levels[0]
             .iter()
             .map(|table| table.path().to_path_buf())
             .collect();
@@ -2291,7 +2512,10 @@ mod tests {
         let fs = FaultFs::new();
         let engine = open_manual(&fs);
         // `rotate()` never seals an empty memtable; the step under it does.
-        engine.rotate_locked(&mut engine.write_lock()).unwrap();
+        engine
+            .core
+            .rotate_locked(&mut engine.core.write_lock())
+            .unwrap();
         assert_eq!(engine.stats().get("immutable_memtables"), Some(1));
         let (writes, syncs) = (fs.write_count(), fs.sync_count());
         assert_eq!(engine.flush().unwrap(), 1);
@@ -2363,7 +2587,7 @@ mod tests {
         }
         engine.maintain().unwrap();
         let (old_ids, old_density): (HashSet<u64>, f64) = {
-            let state = engine.read_state();
+            let state = engine.core.read_state();
             let tables = || state.levels.iter().flatten();
             (
                 tables().map(|table| table.id).collect(),
@@ -2400,7 +2624,7 @@ mod tests {
             // Flushes and compactions write 1 KiB blocks beside the 4 KiB
             // tables still live; the ones compactions wrote hold ≥ 3× the
             // blocks per byte.
-            let state = engine.read_state();
+            let state = engine.core.read_state();
             let fresh = |table: &&Arc<Table<u64, u64>>| !old_ids.contains(&table.id);
             let outputs: Vec<_> = state
                 .levels
@@ -2419,7 +2643,7 @@ mod tests {
             both_at_once |= written > 0 && written < tables;
         }
         assert!(both_at_once && compacted);
-        let state = engine.read_state();
+        let state = engine.core.read_state();
         let live: HashSet<u64> = state.levels.iter().flatten().map(|t| t.id).collect();
         assert!(
             old_ids.iter().any(|id| !live.contains(id)),
@@ -2456,7 +2680,7 @@ mod tests {
             // The next pump writes the table.
             assert_eq!(engine.flush().unwrap(), 1);
             assert_eq!(engine.tables_per_level(), [1]);
-            let data = engine.read_state().levels[0][0].bytes;
+            let data = engine.core.read_state().levels[0][0].bytes;
             assert!(data > 3 * (64 << 10), "{data} bytes");
             assert_eq!(observe(&engine, &fs).contents, before.contents);
         }
@@ -2478,7 +2702,7 @@ mod tests {
             engine.insert(key, key);
         }
         engine.maintain().unwrap();
-        assert!(engine.read_state().memtable.is_empty());
+        assert!(engine.core.read_state().memtable.is_empty());
         assert!(!engine.tables_per_level().is_empty());
         engine
     }
@@ -2521,7 +2745,10 @@ mod tests {
         // Reopened under a 4 KiB budget: the replay overfills the
         // memtable's filter, which must still admit every key it holds.
         let engine = LsmEngine::open_with(Arc::new(fs.clone()), "/db", manual_config()).unwrap();
-        assert!(!engine.read_state().memtable.is_empty(), "the WAL replayed");
+        assert!(
+            !engine.core.read_state().memtable.is_empty(),
+            "the WAL replayed"
+        );
         check(&engine, "WAL replay");
     }
 
@@ -2619,5 +2846,330 @@ mod tests {
         assert!(stats.get("compactions").unwrap() > 0, "{stats}");
         drop(engine);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // ---- The maintenance worker ----
+
+    #[test]
+    fn the_engine_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<LsmEngine<u64, u64>>();
+    }
+
+    /// A fixed stream of `ops` calls over a 4 Ki key space: point puts,
+    /// point removes (one call in seven) and 8-op batches of puts and
+    /// removes (one call in seven).
+    fn mixed_stream(engine: &LsmEngine<u64, u64>, ops: u64) {
+        for i in 0..ops {
+            let key = i.wrapping_mul(0x9E37_79B9) % 4_096;
+            match i % 7 {
+                3 => {
+                    engine.remove(&key);
+                }
+                6 => {
+                    let mut batch: Vec<Op<u64, u64>> = (0..8u64)
+                        .map(|j| match (key + j * 131) % 4_096 {
+                            other if j % 4 == 3 => Op::remove(other),
+                            other => Op::insert(other, i << 8 | j),
+                        })
+                        .collect();
+                    engine.execute(&mut batch);
+                }
+                _ => {
+                    engine.insert(key, i);
+                }
+            }
+        }
+    }
+
+    /// Every job starts from the state an inline pump at the same rotation
+    /// started from, so the worker leaves the same tables behind.
+    #[test]
+    fn auto_maintenance_writes_the_inline_tables() {
+        // Rotations, flushes and compactions, then the name, length and
+        // whole-file CRC of every table, captured from the engine as it
+        // stood when each rotation flushed and compacted inline on the
+        // writer thread; one row per memtable budget in KiB.
+        type Golden = (u64, [u64; 3], &'static [(&'static str, usize, u32)]);
+        let golden: [Golden; 3] = [
+            (
+                1,
+                [429, 429, 160],
+                &[
+                    ("tab-00000751.sst", 0x239B, 0x8452_C70A),
+                    ("tab-00000752.sst", 0x239A, 0xB457_F492),
+                    ("tab-00000753.sst", 0x239B, 0xDF58_3E23),
+                    ("tab-00000754.sst", 0x239C, 0x42C0_DAB6),
+                    ("tab-00000755.sst", 0x239A, 0xD78E_5098),
+                    ("tab-00000756.sst", 0x138A, 0x1C77_FA15),
+                    ("tab-00000761.sst", 0x00F3, 0xD390_21C4),
+                    ("tab-00000775.sst", 0x23E2, 0x7113_C3B6),
+                    ("tab-00000776.sst", 0x0CF1, 0x6C67_3D2B),
+                ],
+            ),
+            (
+                4,
+                [108, 108, 53],
+                &[
+                    ("tab-00000266.sst", 0x1F76, 0xCD98_E4A5),
+                    ("tab-00000267.sst", 0x239A, 0x8D84_8583),
+                    ("tab-00000268.sst", 0x239B, 0xCE0F_7F3B),
+                    ("tab-00000269.sst", 0x239A, 0xAEA8_71CB),
+                    ("tab-00000270.sst", 0x239B, 0xC24A_D632),
+                    ("tab-00000271.sst", 0x239A, 0x3CCA_4773),
+                    ("tab-00000272.sst", 0x114C, 0xB1F1_E4D3),
+                ],
+            ),
+            (
+                16,
+                [28, 28, 24],
+                &[
+                    ("tab-00000090.sst", 0x239B, 0xD41A_E283),
+                    ("tab-00000091.sst", 0x239B, 0x5D9F_EF98),
+                    ("tab-00000092.sst", 0x1289, 0xBE9C_7A22),
+                    ("tab-00000097.sst", 0x23FA, 0x6FCA_D8A2),
+                    ("tab-00000098.sst", 0x1B81, 0x4CBE_E77F),
+                    ("tab-00000099.sst", 0x239B, 0x8452_C70A),
+                    ("tab-00000100.sst", 0x239A, 0x9DFF_159D),
+                    ("tab-00000101.sst", 0x239A, 0x9C03_DCC6),
+                    ("tab-00000102.sst", 0x119B, 0xCF92_B586),
+                ],
+            ),
+        ];
+        for (budget, counters, files) in golden {
+            let fs = FaultFs::new();
+            let config = LsmConfig {
+                memtable_bytes: budget << 10,
+                ..LsmConfig::small()
+            };
+            let engine: LsmEngine<u64, u64> =
+                LsmEngine::open_with(Arc::new(fs.clone()), "/db", config).unwrap();
+            mixed_stream(&engine, 6_000);
+            engine.maintain().unwrap();
+            let stats = engine.stats();
+            let ran = ["memtable_rotations", "sst_flushes", "compactions"]
+                .map(|name| stats.get(name).unwrap());
+            assert_eq!(ran, counters, "{budget} KiB");
+            assert!(stats.get("maint_jobs").unwrap() > 0, "{budget} KiB");
+            let written = table_files(&fs, Path::new("/db"));
+            let written: Vec<_> = written
+                .iter()
+                .map(|(name, len, crc)| (name.as_str(), *len, *crc))
+                .collect();
+            assert_eq!(written, files, "{budget} KiB");
+        }
+    }
+
+    #[test]
+    fn the_worker_counters_read_zero_without_a_worker() {
+        for auto_maintain in [false, true] {
+            let config = LsmConfig {
+                auto_maintain,
+                ..LsmConfig::small()
+            };
+            let engine: LsmEngine<u64, u64> =
+                LsmEngine::open_with(Arc::new(FaultFs::new()), "/db", config).unwrap();
+            for key in 0..2_000u64 {
+                engine.insert(key, key);
+            }
+            engine.maintain().unwrap();
+            let stats = engine.stats();
+            assert!(stats.get("memtable_rotations").unwrap() > 5, "{stats}");
+            let (jobs, stalled) = (stats.get("maint_jobs"), stats.get("writer_stall_us"));
+            if auto_maintain {
+                assert!(jobs.unwrap() > 0, "{stats}");
+            } else {
+                assert_eq!((jobs, stalled), (Some(0), Some(0)), "{stats}");
+            }
+            assert_eq!(stats.get("maint_panics"), Some(0), "{stats}");
+        }
+    }
+
+    #[test]
+    fn a_rotation_hands_its_job_to_the_worker_and_the_next_one_waits() {
+        let (storage, fs, gate) = gate_fs();
+        let engine: LsmEngine<u64, u64> =
+            LsmEngine::open_with(Arc::new(storage), "/db", LsmConfig::small()).unwrap();
+        let stat = |name: &str| engine.stats().get(name).unwrap();
+        // The first rotation's job parks in its table's `create`, holding
+        // the maintenance mutex.
+        gate.create_armed.store(true, Ordering::SeqCst);
+        let mut sealed = 0u64;
+        while stat("memtable_rotations") == 0 {
+            engine.insert(sealed, sealed);
+            sealed += 1;
+        }
+        gate.wait_parked();
+
+        let (served, stalled, resumed) = std::thread::scope(|scope| {
+            let engine = &engine;
+            let (done, answered) = mpsc::channel();
+            scope.spawn(move || {
+                // Puts into the fresh memtable are acknowledged, and gets
+                // and scans answered, the sealed memtable's keys included.
+                for key in 10_000..10_020u64 {
+                    engine.try_insert(key, key).unwrap();
+                }
+                let answers = (
+                    engine.get(&10_007),
+                    engine.get(&(sealed - 1)),
+                    engine.scan(..).count(),
+                );
+                done.send(answers).unwrap();
+            });
+            let served = answered.recv_timeout(Duration::from_secs(5));
+            // The next rotation waits for the parked job.
+            let (rotated, rotation_done) = mpsc::channel();
+            scope.spawn(move || {
+                let mut key = 20_000u64;
+                while engine.stats().get("memtable_rotations") == Some(1) {
+                    engine.insert(key, key);
+                    key += 1;
+                }
+                rotated.send(()).unwrap();
+            });
+            // Once the fresh memtable is over its budget, the insert that
+            // filled it is in its rotation, waiting.
+            let budget = LsmConfig::small().memtable_bytes;
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while engine.stats().get("memtable_bytes") < Some(budget) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stalled = rotation_done.recv_timeout(Duration::from_millis(100));
+            // Let the job go whatever happened, so the scope can join.
+            gate.release();
+            let resumed = rotation_done.recv_timeout(Duration::from_secs(5));
+            (served, stalled, resumed)
+        });
+        let answers = served.expect("puts, gets and scans must not wait for a flush");
+        assert_eq!(
+            answers,
+            (Some(10_007), Some(sealed - 1), sealed as usize + 20)
+        );
+        assert!(
+            stalled.is_err(),
+            "a rotation must wait for the job before it"
+        );
+        resumed.expect("the rotation goes on once the job ends");
+        assert_eq!(stat("memtable_rotations"), 2);
+        // It waited from its insert to the release, 100 ms after.
+        assert!(stat("writer_stall_us") >= 50_000, "{}", engine.stats());
+
+        // Once the second job is done, a third parks; dropping the engine
+        // lets it finish and then stops the storage traffic.
+        while stat("maint_jobs") < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate.create_armed.store(true, Ordering::SeqCst);
+        let mut key = 30_000u64;
+        while stat("memtable_rotations") == 2 {
+            engine.insert(key, key);
+            key += 1;
+        }
+        gate.wait_parked();
+        let live = engine.len();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                gate.release();
+            });
+            drop(engine);
+        });
+        let ops = fs.op_count();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(fs.op_count(), ops, "storage traffic after the drop");
+        // The job flushed the sealed memtable: its WAL segment is gone.
+        let listing = dir_listing(&fs);
+        let segments = listing.iter().filter(|name| name.ends_with(".log"));
+        assert_eq!(segments.count(), 1, "{listing:?}");
+        let reopened = open_manual(&fs);
+        assert_eq!(reopened.scan(..).count(), live);
+    }
+
+    #[test]
+    fn a_job_that_panics_leaves_no_rotation_waiting() {
+        let (storage, _, gate) = gate_fs();
+        let engine: Arc<LsmEngine<u64, u64>> =
+            Arc::new(LsmEngine::open_with(Arc::new(storage), "/db", LsmConfig::small()).unwrap());
+        gate.create_panics.store(true, Ordering::SeqCst);
+        let (done, finished) = mpsc::channel();
+        // Detached: a writer that waited forever must fail the test, not
+        // hang it.
+        std::thread::spawn({
+            let engine = Arc::clone(&engine);
+            move || {
+                for key in 0..2_000u64 {
+                    engine.insert(key, key);
+                }
+                done.send(()).unwrap();
+            }
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a rotation waited for a job that panicked");
+        engine.maintain().unwrap();
+        let stats = engine.stats();
+        assert!(
+            !gate.create_panics.load(Ordering::SeqCst),
+            "the panic fired"
+        );
+        assert!(stats.get("maint_jobs").unwrap() > 1, "{stats}");
+        assert_eq!(stats.get("maint_panics"), Some(1), "{stats}");
+        assert!(stats.get("sst_flushes").unwrap() > 0, "{stats}");
+        assert_eq!(stats.get("immutable_memtables"), Some(0), "{stats}");
+        for key in (0..2_000u64).step_by(7) {
+            assert_eq!(engine.get(&key), Some(key));
+        }
+    }
+
+    /// An explicit pump called while a handed-off job is still queued —
+    /// not yet taken by the worker, so the maintenance mutex is free —
+    /// waits for that job too, and runs after it as it would inline.
+    #[test]
+    fn an_explicit_call_waits_for_a_job_the_worker_has_not_taken() {
+        let engine: LsmEngine<u64, u64> =
+            LsmEngine::open_with(Arc::new(FaultFs::new()), "/db", LsmConfig::small()).unwrap();
+        let stat = |name: &str| engine.stats().get(name).unwrap();
+        // Two level-0 tables, pumped by hand: one short of the trigger.
+        let mut key = 0u64;
+        for _ in 0..2 {
+            for _ in 0..10 {
+                engine.insert(key, key);
+                key += 1;
+            }
+            engine.rotate().unwrap();
+            engine.flush().unwrap();
+        }
+        assert_eq!(engine.tables_per_level(), [2]);
+
+        // The next rotation queues its job, and the worker may not take it.
+        engine.core.job_lock().held = true;
+        while stat("memtable_rotations") == 2 {
+            engine.insert(key, key);
+            key += 1;
+        }
+        assert!(engine.core.job_lock().queued, "the rotation handed off");
+        for _ in 0..10 {
+            engine.insert(key, key);
+            key += 1;
+        }
+        let (waited, maintained) = std::thread::scope(|scope| {
+            let pump = scope.spawn(|| engine.maintain());
+            std::thread::sleep(Duration::from_millis(200));
+            let waited = !pump.is_finished();
+            engine.core.job_lock().held = false;
+            engine.core.job_changed.notify_all();
+            (waited, pump.join().unwrap())
+        });
+        maintained.unwrap();
+        assert!(waited, "`maintain` ran while a job was queued");
+        // Inline, the rotation's flush made the third level-0 table and its
+        // compaction moved all three to level 1; `maintain` then sealed
+        // and flushed the last ten keys alone.  Run first, it would have
+        // flushed both memtables and compacted all four tables.
+        assert_eq!(engine.tables_per_level()[0], 1, "{}", engine.stats());
+        assert_eq!((stat("sst_flushes"), stat("compactions")), (4, 1));
+        assert_eq!(stat("maint_jobs"), 1);
+        assert_eq!(engine.scan(..).count(), key as usize);
     }
 }

@@ -434,10 +434,11 @@ fn process_death_keeps_every_acknowledged_operation() {
 
 /// The child half of `process_death_keeps_every_acknowledged_operation`,
 /// run only as its child: ignored, and without the seed its parent wrote
-/// into [`abort_dir`] it does nothing.  Rotation, flush and compaction run
-/// inline (`LsmConfig::small()` maintains automatically) besides the
-/// explicit ones, so the abort can find sealed memtables on old segments
-/// and tables on several levels.
+/// into [`abort_dir`] it does nothing.  Rotations hand flush and
+/// compaction to the engine's maintenance worker thread
+/// (`LsmConfig::small()` maintains automatically) besides the explicit
+/// calls, so the abort can find sealed memtables on old segments, tables
+/// on several levels and, at times, a job in flight.
 #[cfg(unix)]
 #[test]
 #[ignore = "the child process of process_death_keeps_every_acknowledged_operation"]
