@@ -51,12 +51,16 @@
 //!
 //! The last type parameter is a [`Tracer`], the cache simulator's view of
 //! the tree (Table 1); a node's id is its address and its footprint its
-//! size.  Every node a descent lands on, leaf included, is reported
-//! searched, and so is the read value of a `get`, the replaced value or
-//! shifted suffix of an upsert, a separator insert, both halves of a split
-//! and the run `fetch_batch` copies from each leaf.  A removal's leaf edit and rebalancing report
-//! nothing, because Table 1 deletes nothing.  The default, [`NoTrace`], is
-//! zero-sized and compiles to nothing.
+//! size, and every range it reports is at the offsets `Node` and `Inner`
+//! ship with.  Every node a descent lands on reports the fields the visit
+//! reads (lock word, `is_leaf`, `len`), and every search of a node's keys
+//! reports each key its comparator is called on (`probe`); a descent also
+//! reports the child slot it follows.  So do the read value of a `get`,
+//! the replaced value or shifted suffix of an upsert, a separator insert,
+//! both halves of a split and the run `fetch_batch` copies from each leaf.
+//! A removal's leaf edit and rebalancing report nothing, because Table 1
+//! deletes nothing.  The default, [`NoTrace`], is zero-sized and compiles
+//! to nothing.
 //!
 //! # Node layout
 //!
@@ -85,7 +89,7 @@
 //!   invariant of `Inner` or on `Children`'s `repr(C)` layout.
 
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::mem::{self, MaybeUninit};
 use std::ops::{Bound, Range};
 use std::ptr;
 use std::slice;
@@ -209,6 +213,14 @@ struct Node<K, V, const F: usize> {
 }
 
 impl<K, V, const F: usize> Node<K, V, F> {
+    /// Byte offsets of `inner`'s fields in the node, for the tracer:
+    /// `UnsafeCell` is `repr(transparent)`, so a field of `Inner` sits at
+    /// `inner`'s offset plus its own.
+    const LEN: usize = mem::offset_of!(Self, inner) + mem::offset_of!(Inner<K, V, F>, len);
+    const KEYS: usize = mem::offset_of!(Self, inner) + mem::offset_of!(Inner<K, V, F>, keys);
+    const NEXT_LEAF: usize =
+        mem::offset_of!(Self, inner) + mem::offset_of!(Inner<K, V, F>, next_leaf);
+
     /// # Safety: caller must hold the node's lock (shared or exclusive).
     unsafe fn inner(&self) -> &Inner<K, V, F> {
         // SAFETY: the caller holds the lock, so no writer has the cell.
@@ -292,19 +304,29 @@ impl<K, V, const F: usize> Inner<K, V, F> {
 }
 
 impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
-    /// Number of live keys below `key`.
-    fn lower_bound(&self, key: &K) -> usize {
-        self.keys().partition_point(|k| k < key)
+    /// Number of live keys below `key`; `probe` is shown each key the
+    /// search compares.
+    fn lower_bound(&self, key: &K, probe: impl Fn(&K)) -> usize {
+        self.keys().partition_point(|k| {
+            probe(k);
+            k < key
+        })
     }
 
-    /// Number of live keys at or below `key`.
-    fn upper_bound(&self, key: &K) -> usize {
-        self.keys().partition_point(|k| k <= key)
+    /// Number of live keys at or below `key`; `probe` as in `lower_bound`.
+    fn upper_bound(&self, key: &K, probe: impl Fn(&K)) -> usize {
+        self.keys().partition_point(|k| {
+            probe(k);
+            k <= key
+        })
     }
 
-    /// The child covering `key`.
-    fn child_for(&self, key: &K) -> *mut Node<K, V, F> {
-        self.children()[self.upper_bound(key)]
+    /// `binary_search` of the live keys; `probe` as in `lower_bound`.
+    fn search(&self, key: &K, probe: impl Fn(&K)) -> Result<usize, usize> {
+        self.keys().binary_search_by(|k| {
+            probe(k);
+            k.cmp(key)
+        })
     }
 
     /// The value at `slot` of a leaf.
@@ -315,18 +337,25 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
     }
 
     /// Stores `key → value` in a leaf that has room for a new key and
-    /// returns the value it replaced; `written` is told the slots written.
-    fn upsert(&mut self, key: K, value: V, written: impl FnOnce(usize, usize)) -> Option<V> {
+    /// returns the value it replaced; `probe` is shown the keys its search
+    /// compares, and `written` is told the key and payload slots written.
+    fn upsert(
+        &mut self,
+        key: K,
+        value: V,
+        probe: impl Fn(&K),
+        written: impl FnOnce(&Self, Range<usize>, Range<usize>),
+    ) -> Option<V> {
         let len = self.len;
-        match self.keys().binary_search(&key) {
+        match self.search(&key, probe) {
             Ok(slot) => {
-                written(slot, 1);
+                written(self, slot..slot, slot..slot + 1);
                 let old = self.value(slot);
                 self.values_mut()[slot] = MaybeUninit::new(value);
                 Some(old)
             }
             Err(slot) => {
-                written(slot, len + 1 - slot);
+                written(self, slot..len + 1, slot..len + 1);
                 insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(key));
                 insert_at(
                     &mut self.values_mut()[..=len],
@@ -349,15 +378,17 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
     }
 
     /// Inserts `separator` and the child to its right into an internal
-    /// node that has room; `written` is told the slots written.
+    /// node that has room; `probe` and `written` as in `upsert`, `written`
+    /// told the key and child slots.
     fn insert_child(
         &mut self,
         separator: K,
         right: *mut Node<K, V, F>,
-        written: impl FnOnce(usize, usize),
+        probe: impl Fn(&K),
+        written: impl FnOnce(&Self, Range<usize>, Range<usize>),
     ) {
-        let (len, slot) = (self.len, self.lower_bound(&separator));
-        written(slot, len + 1 - slot);
+        let (len, slot) = (self.len, self.lower_bound(&separator, probe));
+        written(self, slot..len + 1, slot + 1..len + 2);
         insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(separator));
         insert_at(&mut self.children_mut()[..len + 2], slot + 1, right);
         self.len += 1;
@@ -561,13 +592,75 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             inner: UnsafeCell::new(inner),
         }));
         self.tracer
-            .node_allocated(node as usize, size_of::<Node<K, V, F>>());
+            .node_allocated(node.addr(), size_of::<Node<K, V, F>>());
         node
     }
 
-    /// Reports slots of `node` written, as `Inner`'s mutators tell them.
-    fn written(&self, node: *mut Node<K, V, F>) -> impl FnOnce(usize, usize) + '_ {
-        move |from, count| self.tracer.slots_written(node as usize, from, count)
+    /// Reports the fields every visit of `node` reads: the lock word,
+    /// `is_leaf` and `len`.
+    fn visited(&self, node: *mut Node<K, V, F>) {
+        let id = node.addr();
+        let lock = mem::offset_of!(Node<K, V, F>, lock);
+        self.tracer.touched(id, lock, size_of::<RawRwSpinLock>());
+        let is_leaf = mem::offset_of!(Node<K, V, F>, is_leaf);
+        self.tracer.touched(id, is_leaf, size_of::<bool>());
+        self.tracer
+            .touched(id, Node::<K, V, F>::LEN, size_of::<usize>());
+    }
+
+    /// The per-probe callback of a search of `node`'s keys: reports each
+    /// key compared, at its address minus the node's.
+    fn probe(&self, node: *mut Node<K, V, F>) -> impl Fn(&K) + '_ {
+        move |key| {
+            let offset = ptr::from_ref(key).addr() - node.addr();
+            self.tracer.touched(node.addr(), offset, size_of::<K>());
+        }
+    }
+
+    /// Reports key slots `keys` and payload slots `payload` of `node`,
+    /// whose interior is `inner`, read or written.
+    fn slots(
+        &self,
+        node: *mut Node<K, V, F>,
+        inner: &Inner<K, V, F>,
+        keys: Range<usize>,
+        payload: Range<usize>,
+    ) {
+        let id = node.addr();
+        let key_bytes = size_of::<K>();
+        let offset = Node::<K, V, F>::KEYS + keys.start * key_bytes;
+        self.tracer.touched(id, offset, keys.len() * key_bytes);
+        let (base, width) = match &inner.payload {
+            Payload::Leaf(values) => (values.as_ptr().addr(), size_of::<V>()),
+            Payload::Internal(children) => {
+                let children = children.as_slice();
+                (children.as_ptr().addr(), size_of_val(&children[0]))
+            }
+        };
+        let offset = base - id + payload.start * width;
+        self.tracer.touched(id, offset, payload.len() * width);
+    }
+
+    /// Reports the slots `Inner`'s mutators tell them they wrote to `node`.
+    fn written(
+        &self,
+        node: *mut Node<K, V, F>,
+    ) -> impl FnOnce(&Inner<K, V, F>, Range<usize>, Range<usize>) + '_ {
+        move |inner, keys, payload| self.slots(node, inner, keys, payload)
+    }
+
+    /// The child of the locked internal node `node`, whose interior is
+    /// `inner`, covering `key` (the first child for `None`); reports the
+    /// probes of the search and the child slot read.
+    fn child(
+        &self,
+        node: *mut Node<K, V, F>,
+        inner: &Inner<K, V, F>,
+        key: Option<&K>,
+    ) -> *mut Node<K, V, F> {
+        let slot = key.map_or(0, |key| inner.upper_bound(key, self.probe(node)));
+        self.slots(node, inner, 0..0, slot..slot + 1);
+        inner.children()[slot]
     }
 
     /// Retires an unlinked node through the collector.
@@ -599,9 +692,10 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
         right.next_leaf = left.next_leaf;
         left.len = half;
         let right = self.alloc(right);
-        let moved = F - half - c;
-        self.tracer.slots_read(node as usize, half + c, moved);
-        self.tracer.slots_written(right as usize, 0, moved);
+        self.slots(node, left, half + c..F, half + c..F + c);
+        // SAFETY: `right` is not published yet, so nothing else reads it.
+        let moved = unsafe { (*right).inner() };
+        self.slots(right, moved, 0..F - half - c, 0..F - half);
         if left.is_leaf() {
             left.next_leaf = right;
         }
@@ -610,7 +704,8 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
 
     /// The read-mode descent: read locks hand over hand from the root to
     /// the leaf covering `key` (the leftmost leaf for `None`), which is
-    /// returned read-locked.  Every node on the way is reported searched.
+    /// returned read-locked.  Every node on the way reports its visit, and
+    /// every internal one its search.
     fn lock_leaf_shared(&self, key: Option<&K>) -> *mut Node<K, V, F> {
         // SAFETY: each node is locked before it is read and its parent is
         // unlocked only after that, so no node on the path can be unlinked
@@ -622,11 +717,11 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             self.tree_lock.unlock_shared();
             loop {
                 let inner = (*node).inner();
-                self.tracer.node_searched(node as usize, inner.len);
+                self.visited(node);
                 if (*node).is_leaf {
                     return node;
                 }
-                let child = inner.children()[key.map_or(0, |key| inner.upper_bound(key))];
+                let child = self.child(node, inner, key);
                 (*child).lock.lock_shared();
                 (*node).lock.unlock_shared();
                 node = child;
@@ -637,7 +732,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
     /// The write-mode descent of the optimistic pass: read locks hand
     /// over hand from the root, the leaf covering `key` write-locked.
     /// Returns the leaf and whether it is the root.  Every node on the way
-    /// is reported searched.
+    /// reports its visit, and every internal one its search.
     fn lock_leaf_exclusive(&self, key: &K) -> (*mut Node<K, V, F>, bool) {
         // SAFETY: as in `lock_leaf_shared`.
         unsafe {
@@ -654,12 +749,11 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             self.tree_lock.unlock_shared();
             let mut node = root;
             loop {
-                self.tracer
-                    .node_searched(node as usize, (*node).inner().len);
+                self.visited(node);
                 if (*node).is_leaf {
                     return (node, node == root);
                 }
-                let child = (*node).inner().child_for(key);
+                let child = self.child(node, (*node).inner(), Some(key));
                 lock(child);
                 (*node).lock.unlock_shared();
                 node = child;
@@ -689,15 +783,18 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             let inner = (*node).inner();
             let mut slot = match &from {
                 Bound::Unbounded => 0,
-                Bound::Included(key) => inner.lower_bound(key),
-                Bound::Excluded(key) => inner.upper_bound(key),
+                Bound::Included(key) => inner.lower_bound(key, self.probe(node)),
+                Bound::Excluded(key) => inner.upper_bound(key, self.probe(node)),
             };
             loop {
                 let inner = (*node).inner();
                 let end = inner.len.min(slot + max - out.len());
-                self.tracer.slots_read(node as usize, slot, end - slot);
+                self.slots(node, inner, slot..end, slot..end);
                 out.extend((slot..end).map(|slot| (inner.keys()[slot], inner.value(slot))));
                 let next = inner.next_leaf;
+                let next_leaf = Node::<K, V, F>::NEXT_LEAF;
+                self.tracer
+                    .touched(node.addr(), next_leaf, size_of::<usize>());
                 if out.len() == max || next.is_null() {
                     break;
                 }
@@ -705,6 +802,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
                 (*node).lock.unlock_shared();
                 node = next;
                 slot = 0;
+                self.visited(node);
             }
             (*node).lock.unlock_shared();
         }
@@ -729,7 +827,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
                 (*top).lock.lock_exclusive();
                 let inner = (*top).inner_mut();
                 inner.children_mut()[0] = node;
-                inner.insert_child(separator, right, self.written(top));
+                inner.insert_child(separator, right, self.probe(top), self.written(top));
                 self.root.store(top, Ordering::Release);
                 (*node).lock.unlock_exclusive();
                 node = top;
@@ -739,13 +837,13 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             // Descend with writer latch crabbing; every full child is split
             // before we step into it, so parents always have room.
             while !(*node).is_leaf {
+                self.visited(node);
+                let mut child = self.child(node, (*node).inner(), Some(&key));
                 let inner = (*node).inner_mut();
-                self.tracer.node_searched(node as usize, inner.len);
-                let mut child = inner.child_for(&key);
                 (*child).lock.lock_exclusive();
                 if (*child).inner().len == F {
                     let (right, separator) = self.split(child, (*child).inner_mut());
-                    inner.insert_child(separator, right, self.written(node));
+                    inner.insert_child(separator, right, self.probe(node), self.written(node));
                     if key >= separator {
                         (*child).lock.unlock_exclusive();
                         (*right).lock.lock_exclusive();
@@ -756,9 +854,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
                 node = child;
             }
             // Leaf with room guaranteed.
+            self.visited(node);
             let inner = (*node).inner_mut();
-            self.tracer.node_searched(node as usize, inner.len);
-            let old = inner.upsert(key, value, self.written(node));
+            let old = inner.upsert(key, value, self.probe(node), self.written(node));
             (*node).lock.unlock_exclusive();
             old
         }
@@ -838,7 +936,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
     ) -> *mut Node<K, V, F> {
         // SAFETY: the caller holds `parent`'s exclusive lock.
         let parent = unsafe { (*parent).inner_mut() };
-        let slot = parent.upper_bound(key);
+        let slot = parent.upper_bound(key, |_| ());
         let child = parent.children()[slot];
         // SAFETY: `child` is a live child of the exclusively locked parent,
         // and its lock is held for the `inner` read.
@@ -922,8 +1020,9 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> Concur
         // SAFETY: `leaf` is write-locked until the unlock below.
         let result = unsafe {
             let inner = (*leaf).inner_mut();
-            let full = inner.len == F && inner.keys().binary_search(&key).is_err();
-            let result = (!full).then(|| inner.upsert(key, value, self.written(leaf)));
+            let full = inner.len == F && inner.search(&key, self.probe(leaf)).is_err();
+            let result =
+                (!full).then(|| inner.upsert(key, value, self.probe(leaf), self.written(leaf)));
             (*leaf).lock.unlock_exclusive();
             result
         };
@@ -940,8 +1039,8 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> Concur
         // SAFETY: `leaf` is read-locked until the unlock below.
         unsafe {
             let inner = (*leaf).inner();
-            let slot = inner.keys().binary_search(key).ok();
-            let slot = slot.inspect(|&slot| self.tracer.slots_read(leaf as usize, slot, 1));
+            let slot = inner.search(key, self.probe(leaf)).ok();
+            let slot = slot.inspect(|&slot| self.slots(leaf, inner, slot..slot, slot..slot + 1));
             let value = slot.map(|slot| inner.value(slot));
             (*leaf).lock.unlock_shared();
             value
@@ -1195,38 +1294,6 @@ mod tests {
         churn::<64>();
     }
 
-    /// Counts the events of each kind, in trait order.
-    #[derive(Default)]
-    struct Counting([std::sync::atomic::AtomicU64; 5]);
-
-    impl Counting {
-        fn bump(&self, kind: usize) {
-            self.0[kind].fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn counts(&self) -> [u64; 5] {
-            self.0.each_ref().map(|count| count.load(Ordering::Relaxed))
-        }
-    }
-
-    impl Tracer for Counting {
-        fn node_allocated(&self, _: usize, _: usize) {
-            self.bump(0);
-        }
-        fn header_peeked(&self, _: usize) {
-            self.bump(1);
-        }
-        fn node_searched(&self, _: usize, _: usize) {
-            self.bump(2);
-        }
-        fn slots_read(&self, _: usize, _: usize, _: usize) {
-            self.bump(3);
-        }
-        fn slots_written(&self, _: usize, _: usize, _: usize) {
-            self.bump(4);
-        }
-    }
-
     /// One random insert / get / scan / remove stream applied to `tree`;
     /// returns every result and the final statistics.
     fn observe<T: Tracer + Send + Sync>(
@@ -1251,33 +1318,44 @@ mod tests {
 
     #[test]
     fn tracing_changes_nothing_and_sees_every_kind_of_event() {
-        let traced = OccBTree::with_tracer(Counting::default());
+        let traced = OccBTree::with_tracer(crate::Recording::default());
         assert_eq!(observe(&SmallTree::new()), observe(&traced));
-        let counts = traced.tracer().counts();
-        assert_eq!(counts[1], 0, "a B+-tree peeks at no right neighbour");
-        assert!(counts
-            .iter()
-            .enumerate()
-            .all(|(kind, &n)| kind == 1 || n > 0));
+        // Every touch lay inside an announced node (`Recording` checks).
+        let announced = traced.tracer().nodes.lock().unwrap().len() as u64;
         let live_nodes = traced.stats().get("live_nodes").unwrap();
-        assert!(counts[0] >= live_nodes, "every node was announced");
+        assert!(announced >= live_nodes, "every node was announced");
+        assert!(!traced.tracer().touched.lock().unwrap().is_empty());
         assert_eq!(size_of::<NoTrace>(), 0);
     }
 
     #[test]
     fn a_get_searches_one_node_per_level() {
-        let tree = OccBTree::<u64, u64, 4, _>::with_tracer(Counting::default());
+        let tree = OccBTree::<u64, u64, 4, _>::with_tracer(crate::Recording::default());
         for key in 0..1000u64 {
             tree.insert(key, key);
         }
-        let levels = check_invariants(&tree) as u64;
+        let levels = check_invariants(&tree);
         assert!(levels >= 4, "{levels} levels");
         for key in [0, 499, 999, 1000] {
-            let before = tree.tracer().counts();
+            let leaf = tree.lock_leaf_shared(Some(&key));
+            // SAFETY: `leaf` is read-locked until the unlock below.
+            let values = unsafe {
+                let values = (*leaf).inner().values().as_ptr_range();
+                (*leaf).lock.unlock_shared();
+                values.start.addr() - leaf.addr()..values.end.addr() - leaf.addr()
+            };
+            tree.tracer().touched.lock().unwrap().clear();
             let found = tree.get(&key);
-            let after = tree.tracer().counts();
-            assert_eq!(after[2] - before[2], levels, "nodes searched for {key}");
-            assert_eq!(after[3] - before[3], u64::from(found.is_some()));
+            let touched = tree.tracer().touched.lock().unwrap();
+            let nodes: std::collections::HashSet<usize> =
+                touched.iter().map(|&(id, ..)| id).collect();
+            assert_eq!(nodes.len(), levels, "nodes touched for {key}");
+            // A value slot is read exactly when the key is found.
+            let value_reads = touched
+                .iter()
+                .filter(|&&(id, offset, _)| id == leaf.addr() && values.contains(&offset))
+                .count();
+            assert_eq!(value_reads, usize::from(found.is_some()), "{key}");
         }
     }
 

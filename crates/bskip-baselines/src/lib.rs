@@ -43,6 +43,40 @@ pub use skiplist_lockfree::LockFreeSkipList;
 pub use skiplist_nhs::NhsSkipList;
 pub use tower::reseed_tower_rng;
 
+/// A tracer for the baselines' tests: records every announced node and
+/// every touched range, and checks that each range lies inside a node
+/// announced before it.
+#[cfg(test)]
+#[derive(Default)]
+struct Recording {
+    /// Footprint by id, of every node announced (a reused id keeps its
+    /// latest announcement).
+    nodes: std::sync::Mutex<std::collections::HashMap<usize, usize>>,
+    /// Number of `node_allocated` calls.
+    allocations: std::sync::atomic::AtomicU64,
+    /// `(id, offset, bytes)` of every touch, in order.
+    touched: std::sync::Mutex<Vec<(usize, usize, usize)>>,
+}
+
+#[cfg(test)]
+impl bskip_index::trace::Tracer for Recording {
+    fn node_allocated(&self, id: usize, bytes: usize) {
+        self.nodes.lock().unwrap().insert(id, bytes);
+        self.allocations
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn touched(&self, id: usize, offset: usize, bytes: usize) {
+        let footprint = self.nodes.lock().unwrap().get(&id).copied();
+        let footprint = footprint.unwrap_or_else(|| panic!("unannounced node {id}"));
+        assert!(
+            offset + bytes <= footprint,
+            "{offset} + {bytes} > {footprint}"
+        );
+        self.touched.lock().unwrap().push((id, offset, bytes));
+    }
+}
+
 #[cfg(test)]
 mod cursor_contract_tests {
     //! Every baseline implements the cursor scan interface through a

@@ -37,12 +37,12 @@
 //! the list (Table 1).  A tower is announced as two nodes, each with its
 //! address as id and its size as footprint: the element and its `next`
 //! array; the constructor announces the head's array.  Every forward
-//! pointer loaded or stored through `slot` is reported (`link_used`), and
-//! so are the key of every node `find` compares against
-//! (`header_peeked`), the value `get` reads or `insert` replaces and each
-//! element `fetch_batch` copies (slot 0, the element's key and value).
-//! Locks and flags share the element's line and report nothing.  The
-//! default, [`NoTrace`], is zero-sized and compiles to nothing.
+//! pointer loaded or stored through `slot` reports its bytes of the array,
+//! and so do the key of every node `find` compares against (`peek`), the
+//! value `get` reads or `insert` replaces, and the key and value of each
+//! element `fetch_batch` copies, at their offsets in `LazyNode`.  Locks
+//! and flags share the element's line and report nothing.  The default,
+//! [`NoTrace`], is zero-sized and compiles to nothing.
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -146,7 +146,7 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
         let head: Box<[_]> = (0..MAX_LEVELS)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect();
-        tracer.node_allocated(head.as_ptr() as usize, size_of_val(&*head));
+        tracer.node_allocated(head.as_ptr().addr(), size_of_val(&*head));
         LazySkipList {
             head,
             head_lock: RawRwSpinLock::new(),
@@ -174,7 +174,9 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
             // SAFETY: per this function's contract `pred` is live.
             unsafe { &(*pred).next }
         };
-        self.tracer.link_used(links.as_ptr() as usize, level);
+        let width = size_of::<AtomicPtr<LazyNode<K, V>>>();
+        self.tracer
+            .touched(links.as_ptr().addr(), level * width, width);
         &links[level]
     }
 
@@ -182,9 +184,17 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
     ///
     /// # Safety: `node` must point to a live node.
     unsafe fn peek(&self, node: *mut LazyNode<K, V>) -> K {
-        self.tracer.header_peeked(node as usize);
+        let offset = std::mem::offset_of!(LazyNode<K, V>, key);
+        self.tracer.touched(node.addr(), offset, size_of::<K>());
         // SAFETY: per this function's contract `node` is live.
         unsafe { (*node).key }
+    }
+
+    /// Reports the value of `node` read or written.
+    fn value_used(&self, node: *mut LazyNode<K, V>) {
+        let offset = std::mem::offset_of!(LazyNode<K, V>, value);
+        self.tracer
+            .touched(node.addr(), offset, size_of::<RwSpinLock<V>>());
     }
 
     unsafe fn lock_of(&self, pred: *mut LazyNode<K, V>) -> &RawRwSpinLock {
@@ -253,11 +263,11 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
                 }
             };
             while !curr.is_null() && out.len() < max {
-                self.tracer.slots_read(curr as usize, 0, 1);
                 if (*curr).fully_linked.load(Ordering::Acquire)
                     && !(*curr).marked.load(Ordering::Acquire)
                 {
-                    out.push(((*curr).key, *(*curr).value.read()));
+                    self.value_used(curr);
+                    out.push((self.peek(curr), *(*curr).value.read()));
                 }
                 curr = self.slot(curr, 0).load(Ordering::Acquire);
             }
@@ -294,10 +304,10 @@ impl<K: IndexKey, V: IndexValue, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
         unsafe {
             let found = self.find(key, &mut preds, &mut succs)?;
             let node = succs[found];
-            self.tracer.slots_read(node as usize, 0, 1);
             if (*node).fully_linked.load(Ordering::Acquire)
                 && !(*node).marked.load(Ordering::Acquire)
             {
+                self.value_used(node);
                 Some(*(*node).value.read())
             } else {
                 None
@@ -345,7 +355,7 @@ impl<K: IndexKey, V: IndexValue, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
                         continue; // Lost to a remove: wait, then re-insert.
                     }
                     let old = std::mem::replace(&mut *value_guard, value);
-                    self.tracer.slots_written(node as usize, 0, 1);
+                    self.value_used(node);
                     return Some(old);
                 }
 
@@ -381,9 +391,9 @@ impl<K: IndexKey, V: IndexValue, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
                 let node = Box::into_raw(LazyNode::new(key, value, height));
                 let next = &*(*node).next;
                 self.tracer
-                    .node_allocated(node as usize, size_of::<LazyNode<K, V>>());
+                    .node_allocated(node.addr(), size_of::<LazyNode<K, V>>());
                 self.tracer
-                    .node_allocated(next.as_ptr() as usize, size_of_val(next));
+                    .node_allocated(next.as_ptr().addr(), size_of_val(next));
                 for (level, &succ) in succs.iter().enumerate().take(height) {
                     self.slot(node, level).store(succ, Ordering::Relaxed);
                 }
@@ -556,41 +566,6 @@ mod tests {
         assert_eq!(scanned, reference.into_iter().collect::<Vec<_>>());
     }
 
-    /// Counts the events of each kind, in trait order.
-    #[derive(Default)]
-    struct Counting([std::sync::atomic::AtomicU64; 6]);
-
-    impl Counting {
-        fn bump(&self, kind: usize) {
-            self.0[kind].fetch_add(1, Ordering::Relaxed);
-        }
-
-        fn counts(&self) -> [u64; 6] {
-            self.0.each_ref().map(|count| count.load(Ordering::Relaxed))
-        }
-    }
-
-    impl Tracer for Counting {
-        fn node_allocated(&self, _: usize, _: usize) {
-            self.bump(0);
-        }
-        fn header_peeked(&self, _: usize) {
-            self.bump(1);
-        }
-        fn node_searched(&self, _: usize, _: usize) {
-            self.bump(2);
-        }
-        fn slots_read(&self, _: usize, _: usize, _: usize) {
-            self.bump(3);
-        }
-        fn slots_written(&self, _: usize, _: usize, _: usize) {
-            self.bump(4);
-        }
-        fn link_used(&self, _: usize, _: usize) {
-            self.bump(5);
-        }
-    }
-
     /// One random insert / get / scan / remove stream applied to `list`,
     /// its towers as tall as in every other run; returns every result and
     /// the final statistics.
@@ -616,18 +591,15 @@ mod tests {
 
     #[test]
     fn tracing_changes_nothing_and_sees_every_kind_of_event() {
-        let traced = LazySkipList::with_tracer(Counting::default());
+        let traced = LazySkipList::with_tracer(crate::Recording::default());
         assert_eq!(observe(&LazySkipList::new()), observe(&traced));
-        let counts = traced.tracer().counts();
-        assert_eq!(counts[2], 0, "a skiplist searches no node");
-        assert!(counts
-            .iter()
-            .enumerate()
-            .all(|(kind, &n)| kind == 2 || n > 0));
+        // Every touch lay inside an announced node (`Recording` checks).
+        assert!(!traced.tracer().touched.lock().unwrap().is_empty());
         // The head's array, then every tower ever linked as two nodes.
         let stats = traced.stats();
         let towers = stats.get("live_nodes").unwrap() + stats.reclamation().unwrap().retired;
-        assert_eq!(counts[0], 1 + 2 * towers);
+        let allocations = traced.tracer().allocations.load(Ordering::Relaxed);
+        assert_eq!(allocations, 1 + 2 * towers);
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //!
 //! The paper measures hardware LLC load misses with `perf`; this harness
 //! uses the `bskip-cachesim` I/O-model simulator instead (see the README's
-//! *Substitutions* section), fed by the baselines' Folly-style lazy
-//! skiplist and OCC B+-tree and `bskip-core`'s reference B-skiplist, each
-//! reporting what it touches through its tracer.
+//! *Substitutions* section), fed by the shipped indices — the baselines'
+//! Folly-style lazy skiplist and OCC B+-tree and `bskip-core`'s
+//! B-skiplist — each reporting the bytes it touches, at its own node
+//! layout's offsets, through its tracer.
 //! The interesting output is the ratio columns SL/BSL and BT/BSL, which the
 //! paper reports as 3.2/1.4 (Load + C) and 5.6/1.2 (Load + E).
 //!
 //! Scale with `BSKIP_RECORDS` / `BSKIP_OPS` (defaults: 200 000 each).
 
 use bskip_bench::{experiment_config, format_row, print_header};
-use bskip_cachesim::{CacheConfig, CacheSim, TraceIndexModel, TracedBSkipList, TracedIndex};
+use bskip_cachesim::{CacheConfig, CacheSim, TracedIndex};
 use bskip_core::BSkipConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +21,7 @@ use rand::{Rng, SeedableRng};
 /// Runs Load followed by the given run phase against one model, returning
 /// total simulated cache misses.
 fn run_model(
-    model: &mut dyn TraceIndexModel,
+    model: &TracedIndex,
     records: usize,
     operations: usize,
     workload_e: bool,
@@ -56,12 +57,11 @@ fn run_model(
 
 /// The SL, BT and BSL miss counts of one row of the table.
 fn row(records: usize, operations: usize, workload_e: bool) -> [u64; 3] {
-    let run =
-        |model: &mut dyn TraceIndexModel| run_model(model, records, operations, workload_e, 11);
+    let run = |model: TracedIndex| run_model(&model, records, operations, workload_e, 11);
     [
-        run(&mut TracedIndex::skiplist(1)),
-        run(&mut TracedIndex::btree::<64>()),
-        run(&mut TracedBSkipList::<128>::new(
+        run(TracedIndex::skiplist(1)),
+        run(TracedIndex::btree::<64>()),
+        run(TracedIndex::bskiplist::<128>(
             BSkipConfig::paper_default(),
             1,
         )),
@@ -106,11 +106,11 @@ fn main() {
 #[cfg(test)]
 mod tests {
     /// The three columns at CI scale, pinned at their measured counts:
-    /// they share the layout constants, and a change to those or to any of
-    /// the three structures moves them.
+    /// each index reports at its own node type's offsets, so a change to
+    /// any of the three structures or their layouts moves them.
     #[test]
     fn all_three_columns_hold_at_ci_scale() {
-        assert_eq!(super::row(4000, 4000, false), [8029, 1298, 1745]);
-        assert_eq!(super::row(4000, 4000, true), [8410, 1355, 1795]);
+        assert_eq!(super::row(4000, 4000, false), [7966, 1371, 1854]);
+        assert_eq!(super::row(4000, 4000, true), [8410, 1434, 1908]);
     }
 }

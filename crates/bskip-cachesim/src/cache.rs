@@ -1,12 +1,14 @@
 //! A set-associative LRU cache simulator over 64-byte lines.
 
+/// Bytes per cache line (64 on the paper's machine): the simulator's line
+/// and the unit the layout places nodes on.
+pub(crate) const LINE_BYTES: u64 = 64;
+
 /// Configuration of the simulated cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
-    /// Cache line size in bytes (64 on the paper's machine).
-    pub line_bytes: usize,
     /// Associativity (ways per set).
     pub ways: usize,
 }
@@ -17,7 +19,6 @@ impl Default for CacheConfig {
         // datasets used by the reproduction (the paper's Xeon has 96 MiB).
         CacheConfig {
             capacity_bytes: 8 * 1024 * 1024,
-            line_bytes: 64,
             ways: 16,
         }
     }
@@ -28,14 +29,13 @@ impl CacheConfig {
     pub fn tiny() -> Self {
         CacheConfig {
             capacity_bytes: 4096,
-            line_bytes: 64,
             ways: 4,
         }
     }
 
     /// Number of sets implied by the configuration.
     pub fn sets(&self) -> usize {
-        (self.capacity_bytes / self.line_bytes / self.ways).max(1)
+        (self.capacity_bytes / LINE_BYTES as usize / self.ways).max(1)
     }
 }
 
@@ -47,17 +47,6 @@ pub struct CacheStats {
     /// Accesses that missed in the simulated cache (the stand-in for the
     /// paper's LLC load misses).
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction (0 when no accesses were recorded).
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            1.0 - self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A set-associative LRU cache simulator.
@@ -99,28 +88,9 @@ impl CacheSim {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the counters but keeps the cache contents (used between the
-    /// load and run phases when only run-phase misses are of interest).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Flushes the cache contents and counters.
-    pub fn clear(&mut self) {
-        self.lines.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.clock = 0;
-        self.stats = CacheStats::default();
     }
 
     /// Accesses one cache line by address, returning `true` on a hit.
@@ -160,9 +130,8 @@ impl CacheSim {
         if bytes == 0 {
             return;
         }
-        let line = self.config.line_bytes as u64;
-        let first = address / line;
-        let last = (address + bytes as u64 - 1) / line;
+        let first = address / LINE_BYTES;
+        let last = (address + bytes as u64 - 1) / LINE_BYTES;
         for line_address in first..=last {
             self.access_line(line_address);
         }
@@ -177,7 +146,6 @@ mod tests {
     fn config_sets_calculation() {
         let config = CacheConfig {
             capacity_bytes: 64 * 1024,
-            line_bytes: 64,
             ways: 8,
         };
         assert_eq!(config.sets(), 128);
@@ -191,7 +159,6 @@ mod tests {
         assert!(cache.access_line(7));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().accesses, 2);
-        assert!(cache.stats().hit_rate() > 0.49);
     }
 
     #[test]
@@ -234,18 +201,8 @@ mod tests {
             let _ = round;
         }
         // Cyclic sweep over 4x the capacity defeats LRU: hit rate stays low.
-        assert!(cache.stats().hit_rate() < 0.05);
-    }
-
-    #[test]
-    fn reset_and_clear() {
-        let mut cache = CacheSim::new(CacheConfig::tiny());
-        cache.access_line(1);
-        cache.reset_stats();
-        assert_eq!(cache.stats().accesses, 0);
-        assert!(cache.access_line(1), "contents survive reset_stats");
-        cache.clear();
-        assert!(!cache.access_line(1), "clear drops contents");
+        let stats = cache.stats();
+        assert!(stats.misses as f64 / stats.accesses as f64 > 0.95);
     }
 
     #[test]

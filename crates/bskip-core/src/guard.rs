@@ -22,21 +22,23 @@ use std::marker::PhantomData;
 use std::ops::Deref;
 use std::ptr::{self, NonNull};
 
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::{EbrGuard, Racy};
 
 use crate::list::BSkipList;
 use crate::node::Node;
 
-/// An epoch pin on one list; dereferences to the list.
-pub(crate) struct Pin<'l, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> {
-    list: &'l BSkipList<K, V, B>,
+/// An epoch pin on one list; dereferences to the list, and so reaches
+/// its tracer.
+pub(crate) struct Pin<'l, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> {
+    list: &'l BSkipList<K, V, B, T>,
     guard: EbrGuard<'l>,
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
     /// Pins this list's epoch collector: the only way to make a [`Pin`].
-    pub(crate) fn pin(&self) -> Pin<'_, K, V, B> {
+    pub(crate) fn pin(&self) -> Pin<'_, K, V, B, T> {
         Pin {
             list: self,
             guard: self.collector().pin(),
@@ -44,15 +46,17 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Deref for Pin<'_, K, V, B> {
-    type Target = BSkipList<K, V, B>;
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Deref
+    for Pin<'_, K, V, B, T>
+{
+    type Target = BSkipList<K, V, B, T>;
 
-    fn deref(&self) -> &BSkipList<K, V, B> {
+    fn deref(&self) -> &BSkipList<K, V, B, T> {
         self.list
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// The head (left sentinel) of `level`.
     #[inline]
     pub(crate) fn head(&self, level: usize) -> NodeRef<'_, K, V, B> {
@@ -64,7 +68,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
     /// writer is done with it.  Freed either by the retire of a later
     /// unlink or, never linked in, by [`Node::free`].
     pub(crate) fn alloc(&self, level: usize) -> WriteGuard<'_, K, V, B> {
-        NodeRef::new(Node::alloc(level, false, ptr::null_mut())).lock()
+        NodeRef::new(Node::alloc(level, false, ptr::null_mut(), self.tracer())).lock()
     }
 
     /// Unlocks a node and retires it to the collector; its memory is freed
@@ -285,6 +289,8 @@ impl<'g, K, V, const B: usize> Locked<'g, K, V, B> for WriteGuard<'g, K, V, B> {
 mod tests {
     use std::mem::size_of;
 
+    use bskip_index::trace::NoTrace;
+
     use super::*;
     use crate::config::BSkipConfig;
 
@@ -353,7 +359,7 @@ mod tests {
         assert!(leaf_head.next().is_none());
         // Link a fresh leaf behind the head leaf, follow it, unlink it.
         let fresh = pin.alloc(0);
-        fresh.push_leaf(7, 70);
+        fresh.push_leaf(7, 70, &NoTrace);
         let head: WriteGuard<'_, u64, u64, 4> = leaf_head.lock();
         head.set_next(Some(*fresh));
         assert_eq!(head.next().map(NodeRef::as_ptr), Some(fresh.as_ptr()));

@@ -30,9 +30,11 @@ pub fn sample_height(denominator: u32, max_height: usize) -> usize {
     HEIGHT_RNG.with(|rng| geometric(&mut rng.borrow_mut(), denominator, max_height))
 }
 
-/// The coin flips behind both samplers: successes of probability
-/// `1/denominator` in a row, stopping at `max_height - 1`.
-fn geometric(rng: &mut SmallRng, denominator: u32, max_height: usize) -> usize {
+/// The coin flips behind [`sample_height`]: successes of probability
+/// `1/denominator` in a row, stopping at `max_height - 1`.  Driven by a
+/// `SmallRng` seeded like [`reseed_thread_rng`], it replays this thread's
+/// draws.
+pub fn geometric(rng: &mut SmallRng, denominator: u32, max_height: usize) -> usize {
     let mut height = 0;
     while height + 1 < max_height && rng.gen_range(0..denominator) == 0 {
         height += 1;
@@ -44,33 +46,6 @@ fn geometric(rng: &mut SmallRng, denominator: u32, max_height: usize) -> usize {
 /// reproducible without threading an RNG through the hot path.
 pub fn reseed_thread_rng(seed: u64) {
     HEIGHT_RNG.with(|rng| *rng.borrow_mut() = SmallRng::seed_from_u64(seed));
-}
-
-/// A deterministic height sequence driven by an explicit RNG, used by the
-/// sequential reference implementation and by property tests that need to
-/// replay the exact same structure twice.
-#[derive(Debug, Clone)]
-pub struct HeightSampler {
-    denominator: u32,
-    max_height: usize,
-    rng: SmallRng,
-}
-
-impl HeightSampler {
-    /// Creates a sampler with the given promotion denominator, maximum
-    /// height and seed.
-    pub fn new(denominator: u32, max_height: usize, seed: u64) -> Self {
-        HeightSampler {
-            denominator: denominator.max(2),
-            max_height: max_height.max(1),
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Draws the next height in `0..max_height`.
-    pub fn sample(&mut self) -> usize {
-        geometric(&mut self.rng, self.denominator, self.max_height)
-    }
 }
 
 #[cfg(test)]
@@ -95,10 +70,12 @@ mod tests {
     #[test]
     fn geometric_distribution_roughly_matches_probability() {
         // With denominator d, the fraction of heights >= 1 should be close
-        // to 1/d.  Use a deterministic sampler so the test cannot flake.
-        let mut sampler = HeightSampler::new(8, 10, 42);
+        // to 1/d.  Use a seeded RNG so the test cannot flake.
+        let mut rng = SmallRng::seed_from_u64(42);
         let trials = 200_000;
-        let promoted = (0..trials).filter(|_| sampler.sample() >= 1).count();
+        let promoted = (0..trials)
+            .filter(|_| geometric(&mut rng, 8, 10) >= 1)
+            .count();
         let observed = promoted as f64 / trials as f64;
         let expected = 1.0 / 8.0;
         assert!(
@@ -108,18 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_sampler_replays_identically() {
-        let mut a = HeightSampler::new(16, 6, 7);
-        let mut b = HeightSampler::new(16, 6, 7);
-        let seq_a: Vec<_> = (0..1000).map(|_| a.sample()).collect();
-        let seq_b: Vec<_> = (0..1000).map(|_| b.sample()).collect();
-        assert_eq!(seq_a, seq_b);
-    }
-
-    #[test]
-    fn sampler_clamps_degenerate_parameters() {
-        let mut sampler = HeightSampler::new(0, 0, 1);
-        assert_eq!(sampler.sample(), 0);
+    fn a_seeded_rng_replays_the_thread_draws() {
+        reseed_thread_rng(7);
+        let mut replay = SmallRng::seed_from_u64(7);
+        for _ in 0..1000 {
+            assert_eq!(sample_height(16, 6), geometric(&mut replay, 16, 6));
+        }
     }
 
     #[test]

@@ -149,7 +149,6 @@ mod guard;
 pub mod height;
 mod list;
 mod node;
-pub mod seq;
 mod stats;
 
 pub use config::BSkipConfig;

@@ -65,6 +65,7 @@ use std::ops::Bound;
 use std::ptr;
 
 use bskip_index::cursor::{above_lower, below_upper};
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::Racy;
 
@@ -75,15 +76,16 @@ use crate::stats::BSkipStats;
 
 /// The native cursor over a [`BSkipList`]; wrapped in
 /// [`bskip_index::Cursor`] by [`BSkipList::scan`].
-pub(crate) struct LeafCursor<'a, K, V, const B: usize>
+pub(crate) struct LeafCursor<'a, K, V, const B: usize, T>
 where
     K: IndexKey + Racy,
     V: IndexValue + Racy,
+    T: Tracer,
 {
     /// Epoch pin held for the cursor's lifetime: every descent runs under
     /// it, and it keeps every node the cursor captured a pointer to
     /// (notably `next_leaf`) from being freed; see the module docs.
-    pin: Pin<'a, K, V, B>,
+    pin: Pin<'a, K, V, B, T>,
     /// What a snapshot writes: a field of its own, so that a snapshot can
     /// borrow it while its leaf's guard borrows the pin.
     window: Window<'a, K, V, B>,
@@ -113,9 +115,11 @@ struct Window<'a, K, V, const B: usize> {
     stats: Option<&'a BSkipStats>,
 }
 
-impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a, K, V, B> {
+impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer>
+    LeafCursor<'a, K, V, B, T>
+{
     pub(crate) fn new(
-        list: &'a BSkipList<K, V, B>,
+        list: &'a BSkipList<K, V, B, T>,
         lo: Bound<K>,
         hi: Bound<K>,
         record_stats: bool,
@@ -140,15 +144,16 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> LeafCursor<'a
             Bound::Unbounded => self.pin.head(0).lock(),
             Bound::Included(key) | Bound::Excluded(key) => self.pin.lock_covering(key, 0),
         };
-        self.window.snapshot(leaf);
+        self.window.snapshot(leaf, self.pin.tracer());
     }
 }
 
 impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, B> {
     /// Copies the slots of the read-locked `leaf` that satisfy `from` and
     /// the upper bound into the batch, parks the leaf's `next` pointer and
-    /// drops the guard.
-    fn snapshot(&mut self, leaf: ReadGuard<'_, K, V, B>) {
+    /// drops the guard; reports the header and the slots it read to
+    /// `tracer`.
+    fn snapshot(&mut self, leaf: ReadGuard<'_, K, V, B>, tracer: &impl Tracer) {
         self.batch.clear();
         self.pos = 0;
         let bound = &self.from;
@@ -157,8 +162,11 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, 
         let len = leaf.len().min(B);
         // Find the first qualifying slot by binary search where possible.
         let start = match bound {
-            Bound::Unbounded => 0,
-            Bound::Included(key) | Bound::Excluded(key) => match leaf.search(key) {
+            Bound::Unbounded => {
+                leaf.trace_prefix(tracer, 0);
+                0
+            }
+            Bound::Included(key) | Bound::Excluded(key) => match leaf.search(key, tracer) {
                 NodeSearch::Found(idx) => {
                     if matches!(bound, Bound::Included(_)) {
                         idx
@@ -183,6 +191,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, 
             }
             self.batch.push((key, leaf.value_at(slot)));
         }
+        let copied = start..start + self.batch.len();
+        leaf.trace_keys(tracer, copied.start..copied.end + usize::from(clamped));
+        leaf.trace_payload(tracer, copied);
         let next = if clamped { None } else { leaf.next() };
         self.next_leaf = next.map_or(ptr::null_mut(), NodeRef::as_ptr);
         if let Some(next) = next {
@@ -198,8 +209,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, 
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IndexCursor<K, V>
-    for LeafCursor<'_, K, V, B>
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> IndexCursor<K, V>
+    for LeafCursor<'_, K, V, B, T>
 {
     fn next(&mut self) -> Option<(K, V)> {
         loop {
@@ -227,7 +238,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IndexCursor<K, V>
                 drop(leaf);
                 self.descend_and_snapshot();
             } else {
-                window.snapshot(leaf);
+                window.snapshot(leaf, self.pin.tracer());
             }
         }
     }

@@ -9,12 +9,13 @@
 //! point loop is one pin per operation.
 
 use bskip_index::ops::Op;
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Racy;
 
 use super::BSkipList;
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
     /// Executes a batch of operations, writing each outcome into the
     /// operation's own [`bskip_index::OpResult`] slot — the native
     /// override of [`bskip_index::ConcurrentIndex::execute`].

@@ -35,6 +35,7 @@
 //! distribution of the stored keys exactly geometric, whatever the
 //! overwrite history.
 
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Racy;
 
@@ -42,7 +43,7 @@ use super::BSkipList;
 use crate::guard::{NodeRef, Pin, WriteGuard};
 use crate::node::{prefetch_node, Node, NodeSearch};
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
     /// Inserts `key → value` with an explicit promotion height instead of a
     /// randomly sampled one.  Returns the previous value if the key was
     /// already present — in which case only the value changes and `height`
@@ -66,7 +67,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// The one point-insert entry, under this pin: leaf first, height
     /// second (steps 1–3 of the module docs).  `lock_covering` returns the
     /// covering leaf write-locked, which is the kernel's contract; the
@@ -105,8 +106,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
         for level in 0..height {
             let node = self.alloc(level);
             match prealloc.last() {
-                None => node.push_leaf(key, value),
-                Some(below) => node.push_internal(key, **below),
+                None => node.push_leaf(key, value, self.tracer()),
+                Some(below) => node.push_internal(key, **below, self.tracer()),
             }
             prealloc.push(node);
         }
@@ -159,7 +160,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             let mut descend_child: Option<NodeRef<'p, K, V, B>> = None;
 
             if !existing_found {
-                let found = curr.search(&key);
+                let found = curr.search(&key, self.tracer());
                 match found {
                     // The key was absent when the leaf kernel looked, so
                     // finding it means another thread inserted it since.
@@ -170,9 +171,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                             // existing tower and just update the value at
                             // the leaf.
                             if level == 0 {
-                                old_value = Some(curr.replace_value_at(idx, value));
+                                old_value = Some(curr.replace_value_at(idx, value, self.tracer()));
                             } else {
-                                descend_child = curr.child_at(idx);
+                                descend_child = self.child_at(*curr, idx);
                             }
                         } else {
                             // The level above now points at the
@@ -183,13 +184,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                             // splice it in right after `curr`.
                             let pnode = prealloc.pop().expect("a node per level below");
                             if level == 0 {
+                                curr.trace_payload(self.tracer(), idx..idx + 1);
                                 old_value = Some(curr.value_at(idx));
                             } else {
-                                descend_child = curr.child_at(idx);
-                                pnode.set_child_at(0, descend_child);
+                                descend_child = self.child_at(*curr, idx);
+                                pnode.set_child_at(0, descend_child, self.tracer());
                             }
-                            curr.move_suffix_to(idx + 1, &pnode);
-                            curr.remove_at(idx);
+                            curr.move_suffix_to(idx + 1, &pnode, self.tracer());
+                            curr.remove_at(idx, self.tracer());
                             pnode.set_next(curr.next());
                             curr.set_next(Some(*pnode));
                             if let Some(stats) = self.stats_enabled() {
@@ -217,7 +219,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                             let half = B / 2;
                             if curr.is_full() {
                                 let new_node = self.alloc(level);
-                                curr.move_suffix_to(half, &new_node);
+                                curr.move_suffix_to(half, &new_node, self.tracer());
                                 new_node.set_next(curr.next());
                                 curr.set_next(Some(*new_node));
                                 self.note_nodes_linked(1);
@@ -235,7 +237,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                             // The node below is the last pre-allocated
                             // one, and there is one exactly when level > 0.
                             if let Some(below) = prealloc.last() {
-                                target.insert_internal_at(local_pos, key, **below);
+                                target.insert_internal_at(local_pos, key, **below, self.tracer());
                                 // Descend from the predecessor, which sits
                                 // immediately to the left of the freshly
                                 // inserted key.
@@ -243,10 +245,10 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                                     debug_assert!(target.is_head());
                                     target.head_child()
                                 } else {
-                                    target.child_at(local_pos - 1)
+                                    self.child_at(**target, local_pos - 1)
                                 };
                             } else {
-                                target.insert_leaf_at(local_pos, key, value);
+                                target.insert_leaf_at(local_pos, key, value, self.tracer());
                             }
                         } else {
                             // Promotion split (Algorithm 1, lines 39–47): the
@@ -263,8 +265,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                                 // split.
                                 let new_spill = self.alloc(level);
                                 let spill_from = insert_pos + (B - 1);
-                                curr.move_suffix_to(spill_from, &new_spill);
-                                curr.move_suffix_to(insert_pos, &pnode);
+                                curr.move_suffix_to(spill_from, &new_spill, self.tracer());
+                                curr.move_suffix_to(insert_pos, &pnode, self.tracer());
                                 new_spill.set_next(curr.next());
                                 pnode.set_next(Some(*new_spill));
                                 curr.set_next(Some(*pnode));
@@ -274,7 +276,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                                     stats.overflow_splits.incr();
                                 }
                             } else {
-                                curr.move_suffix_to(insert_pos, &pnode);
+                                curr.move_suffix_to(insert_pos, &pnode, self.tracer());
                                 pnode.set_next(curr.next());
                                 curr.set_next(Some(*pnode));
                             }
@@ -287,7 +289,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                                     debug_assert!(curr.is_head());
                                     curr.head_child()
                                 } else {
-                                    curr.child_at(insert_pos - 1)
+                                    self.child_at(*curr, insert_pos - 1)
                                 };
                             }
                         }
@@ -296,9 +298,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             } else if level == 0 {
                 // Reached the leaf after detecting that the key already
                 // exists higher up: update its value in place.
-                if let NodeSearch::Found(idx) = curr.search(&key) {
+                if let NodeSearch::Found(idx) = curr.search(&key, self.tracer()) {
                     if old_value.is_none() {
-                        old_value = Some(curr.replace_value_at(idx, value));
+                        old_value = Some(curr.replace_value_at(idx, value, self.tracer()));
                     }
                 }
                 // Otherwise a concurrent remove raced this insert on the

@@ -35,6 +35,7 @@
 //! value needs no such argument at all: values live only at the leaf
 //! level, whatever the key's height.
 
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::{Backoff, Racy};
 
@@ -47,7 +48,7 @@ use crate::node::NodeSearch;
 /// the write-locked removal pass.
 pub(super) struct HeaderKey;
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// The one optimistic retry loop, behind every point read and every
     /// [`Self::lock_covering`]: up to [`OPTIMISTIC_ATTEMPTS`] passes of
     /// "descend optimistically to the node covering `key` at `level`, then
@@ -105,7 +106,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
     /// Upserts `key → value` in the write-locked `leaf`, whose key range
     /// covers `key` (its header is `<=` the key, or it is the head
     /// sentinel, and its successor's header — if any — is `>` the key):
@@ -125,12 +126,12 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         value: V,
         height: Option<usize>,
     ) -> Result<Option<V>, usize> {
-        let position = match leaf.search(&key) {
+        let position = match leaf.search(&key, self.tracer()) {
             NodeSearch::Found(slot) => {
                 if let Some(stats) = self.stats_enabled() {
                     stats.inserts.incr();
                 }
-                return Ok(Some(leaf.replace_value_at(slot, value)));
+                return Ok(Some(leaf.replace_value_at(slot, value, self.tracer())));
             }
             NodeSearch::Pred(slot) => slot + 1,
             NodeSearch::Before => {
@@ -148,7 +149,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         if let Some(stats) = self.stats_enabled() {
             stats.inserts.incr();
         }
-        leaf.insert_leaf_at(position, key, value);
+        leaf.insert_leaf_at(position, key, value, self.tracer());
         self.bump_len();
         Ok(None)
     }
@@ -161,12 +162,12 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         leaf: &WriteGuard<'_, K, V, B>,
         key: &K,
     ) -> Result<Option<V>, HeaderKey> {
-        let removed = match leaf.search(key) {
+        let removed = match leaf.search(key, self.tracer()) {
             // Not a (non-head) node header, hence height 0 and present
             // only in this leaf; removing it cannot empty a non-head node.
             NodeSearch::Found(slot) if slot > 0 || leaf.is_head() => {
                 self.drop_len();
-                leaf.remove_at(slot)
+                leaf.remove_at(slot, self.tracer())
             }
             NodeSearch::Found(_) => return Err(HeaderKey),
             NodeSearch::Pred(_) | NodeSearch::Before => None,

@@ -138,6 +138,7 @@ use std::ops::{Bound, RangeBounds};
 use std::ptr::{self, NonNull};
 
 use bskip_index::cursor::clone_bound;
+use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
 use bskip_sync::{EbrCollector, EbrStats, Racy, StripedCounter};
 
@@ -166,6 +167,15 @@ pub(crate) struct Restart;
 /// `B` is the number of key slots per node (the paper's "node size"; with
 /// 8-byte keys and values, `B = 128` corresponds to the paper's 2048-byte
 /// nodes).  See [`BSkipConfig`] for the runtime knobs.
+///
+/// `T` is a [`Tracer`], the cache simulator's view of the list (Table 1):
+/// a node's id is its address and its footprint its size.  Every search
+/// reports the node's header and `keys[..len]` (the span it prefetches),
+/// every walk-right peek the header and `keys[0]`; a read value or
+/// followed down pointer reports its payload slot, and each mutator, split
+/// move and cursor copy the key and payload slots it reads or writes.
+/// Diagnostics (`validate`, `level_shape`) report nothing.  The default,
+/// [`NoTrace`], is zero-sized and compiles to nothing.
 ///
 /// # Example
 ///
@@ -198,7 +208,7 @@ pub(crate) struct Restart;
 /// ```compile_fail
 /// let list: bskip_core::BSkipList<u64, (u8, u64)> = bskip_core::BSkipList::new();
 /// ```
-pub struct BSkipList<K, V, const B: usize = 128>
+pub struct BSkipList<K, V, const B: usize = 128, T: Tracer = NoTrace>
 where
     K: IndexKey + Racy,
     V: IndexValue + Racy,
@@ -227,20 +237,30 @@ where
     /// with the head spine and the collector's retired count this yields
     /// the live structural node count ([`BSkipList::live_nodes`]).
     nodes_linked: StripedCounter,
+    /// Observer of the bytes operations touch (see the type docs).
+    tracer: T,
     _marker: PhantomData<(K, V)>,
 }
 
 // SAFETY: the list owns every node its raw pointers reach, and a node
 // holds only keys and values, which `IndexKey` / `IndexValue` require to
-// be `Send`; moving the list moves that ownership whole.
-unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Send for BSkipList<K, V, B> {}
+// be `Send`; moving the list moves that ownership whole.  The tracer moves
+// with it.
+unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer + Send> Send
+    for BSkipList<K, V, B, T>
+{
+}
 // SAFETY: through `&self` nodes are only reached through handles made
 // under an epoch pin, written only through a write guard (the node's
 // exclusive lock), and read through the relaxed atomic accessors — exact
 // under the lock, validated against the node's version without it — and
 // an unlinked node is freed only by the epoch collector once no pin can
-// reach it; keys and values are `Sync` by the same trait bounds.
-unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Sync for BSkipList<K, V, B> {}
+// reach it; keys and values are `Sync` by the same trait bounds, and the
+// tracer is only shared as `&T`.
+unsafe impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer + Sync> Sync
+    for BSkipList<K, V, B, T>
+{
+}
 
 impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Default for BSkipList<K, V, B> {
     fn default() -> Self {
@@ -261,6 +281,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     /// Panics if the configuration is invalid (see [`BSkipConfig::validate`])
     /// or if `B < 2`.
     pub fn with_config(config: BSkipConfig) -> Self {
+        Self::with_tracer(config, NoTrace)
+    }
+}
+
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
+    /// [`BSkipList::with_config`], reporting to `tracer` from the
+    /// allocation of the head spine on.
+    pub fn with_tracer(config: BSkipConfig, tracer: T) -> Self {
         config
             .validate()
             .unwrap_or_else(|err| panic!("invalid BSkipConfig: {err}"));
@@ -271,7 +299,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
         let mut heads: Vec<NonNull<Node<K, V, B>>> = Vec::with_capacity(max_height);
         for level in 0..max_height {
             let below = heads.last().map_or(ptr::null_mut(), |head| head.as_ptr());
-            heads.push(Node::alloc(level, true, below));
+            heads.push(Node::alloc(level, true, below, &tracer));
         }
         BSkipList {
             heads: heads.into_boxed_slice(),
@@ -282,8 +310,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
             stats: BSkipStats::new(),
             collector: EbrCollector::new(),
             nodes_linked: StripedCounter::new(),
+            tracer,
             _marker: PhantomData,
         }
+    }
+
+    /// The tracer the list reports to.
+    pub fn tracer(&self) -> &T {
+        &self.tracer
     }
 
     /// Number of key slots per node (the const generic `B`).
@@ -512,20 +546,32 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
 
 /// The descents and walks every operation is built from, under the pin
 /// that makes following node pointers safe.
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// [`BSkipList::get`] under this pin.
     pub(crate) fn get_pinned(&self, key: &K) -> Option<V> {
         if let Some(stats) = self.stats_enabled() {
             stats.finds.incr();
         }
-        let lookup = |leaf: NodeRef<'_, K, V, B>| match leaf.search(key) {
-            NodeSearch::Found(slot) => Some(leaf.value_at(slot)),
-            _ => None,
-        };
+        /// The read of `key` in its covering `leaf`, at both call sites
+        /// below: the hot path of every point read, so always inlined.
+        #[inline(always)]
+        fn lookup<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize>(
+            leaf: NodeRef<'_, K, V, B>,
+            key: &K,
+            tracer: &impl Tracer,
+        ) -> Option<V> {
+            match leaf.search(key, tracer) {
+                NodeSearch::Found(slot) => {
+                    leaf.trace_payload(tracer, slot..slot + 1);
+                    Some(leaf.value_at(slot))
+                }
+                _ => None,
+            }
+        }
         // The copy-out is only real if no writer overlapped the search and
         // the copy: one final validation covers both.
         let read = self.optimistically(key, 0, |leaf, version| {
-            let found = lookup(leaf);
+            let found = lookup(leaf, key, self.tracer());
             leaf.lock.validate_version(version).then_some(found)
         });
         if let Some(found) = read {
@@ -538,7 +584,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             stats.locked_fallbacks.incr();
         }
         let leaf: ReadGuard<'_, K, V, B> = self.descend_locked(key, 0);
-        lookup(*leaf)
+        lookup(*leaf, key, self.tracer())
     }
 
     /// Optimistic lock-coupled descent to the node whose range covers
@@ -566,6 +612,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             while let Some(next) = curr.next() {
                 prefetch_node(next.as_ptr());
                 let next_version = next.lock.optimistic_version().ok_or(Restart)?;
+                next.trace_prefix(self.tracer(), 1);
                 if next.is_empty() {
                     // A linked node is never left empty (removal empties
                     // and unlinks under one exclusive hold), so this is a
@@ -597,8 +644,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             if level == stop_level {
                 return Ok((curr, version));
             }
-            let child = match curr.search(key) {
-                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => curr.child_at(idx),
+            let child = match curr.search(key, self.tracer()) {
+                NodeSearch::Found(idx) | NodeSearch::Pred(idx) => self.child_at(curr, idx),
                 NodeSearch::Before => {
                     if !curr.is_head() {
                         // A non-head node whose header is above the key
@@ -668,6 +715,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
         while let Some(next) = curr.next() {
             prefetch_node(next.as_ptr());
             let next: G = next.lock();
+            next.trace_prefix(self.tracer(), 1);
             if next.header() > *key {
                 break;
             }
@@ -693,6 +741,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
         while let Some(next) = curr.next() {
             prefetch_node(next.as_ptr());
             let next: WriteGuard<'g, K, V, B> = next.lock();
+            next.trace_prefix(self.tracer(), 1);
             if next.header() > *key {
                 break;
             }
@@ -704,12 +753,18 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
         (prev, curr)
     }
 
+    /// Down pointer `idx` of the internal node `node`, reported read.
+    fn child_at<'g>(&self, node: NodeRef<'g, K, V, B>, idx: usize) -> Option<NodeRef<'g, K, V, B>> {
+        node.trace_payload(self.tracer(), idx..idx + 1);
+        node.child_at(idx)
+    }
+
     /// Returns the child to follow when descending from the locked
     /// internal node `curr` for `key`: the down pointer of the greatest key
     /// `<=` it, or the head child when there is none.
     fn descend_pointer<'g>(&self, curr: NodeRef<'g, K, V, B>, key: &K) -> NodeRef<'g, K, V, B> {
-        let child = match curr.search(key) {
-            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => curr.child_at(idx),
+        let child = match curr.search(key, self.tracer()) {
+            NodeSearch::Found(idx) | NodeSearch::Pred(idx) => self.child_at(curr, idx),
             NodeSearch::Before => {
                 debug_assert!(
                     curr.is_head(),
@@ -726,7 +781,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Drop for BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Drop
+    for BSkipList<K, V, B, T>
+{
     fn drop(&mut self) {
         for &head in self.heads.iter() {
             let mut node = head.as_ptr();
@@ -748,8 +805,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Drop for BSkipLis
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> ConcurrentIndex<K, V>
-    for BSkipList<K, V, B>
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer + Send + Sync>
+    ConcurrentIndex<K, V> for BSkipList<K, V, B, T>
 {
     fn insert(&self, key: K, value: V) -> Option<V> {
         BSkipList::insert(self, key, value)
@@ -857,8 +914,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Extend<(K, V)>
 /// }
 /// assert_eq!(seen, vec![0, 1, 2]);
 /// ```
-impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> IntoIterator
-    for &'a BSkipList<K, V, B>
+impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> IntoIterator
+    for &'a BSkipList<K, V, B, T>
 {
     type Item = (K, V);
     type IntoIter = Cursor<'a, K, V>;
@@ -1098,6 +1155,45 @@ mod tests {
             list.try_reclaim();
         }
         assert_eq!(list.reclamation().backlog, 0);
+    }
+
+    /// One seeded stream of inserts with explicit heights, gets, scans and
+    /// removes applied to `list`; returns every result.
+    fn observe<T: Tracer>(list: &BSkipList<u64, u64, 8, T>) -> Vec<Option<u64>> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut results = Vec::new();
+        for _ in 0..6000 {
+            let key = rng.gen_range(0..1500u64);
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    let height = crate::height::geometric(&mut rng, 4, 4);
+                    results.push(list.insert_with_height(key, rng.gen(), height));
+                }
+                5..=6 => results.push(list.get(&key)),
+                7 => results.extend(list.scan(key..).take(20).map(|(k, v)| Some(k ^ v))),
+                _ => results.push(list.remove(&key)),
+            }
+        }
+        list.validate().expect("structure");
+        results
+    }
+
+    #[test]
+    fn tracing_changes_nothing_and_sees_every_kind_of_event() {
+        use crate::node::tests::Recording;
+        let plain = List::with_config(small_config());
+        let traced = BSkipList::with_tracer(small_config(), Recording::default());
+        assert_eq!(observe(&plain), observe(&traced));
+        assert_eq!(plain.to_vec(), traced.to_vec());
+        assert_eq!(plain.level_shape(), traced.level_shape());
+        // Every touch lay inside an announced node (`Recording` checks),
+        // and both kinds of event were seen.
+        let announced = traced.tracer().nodes.borrow().len() as u64;
+        assert!(announced >= traced.live_nodes(), "every node was announced");
+        assert!(!traced.tracer().touched.borrow().is_empty());
+        assert_eq!(size_of::<NoTrace>(), 0);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! cursor about to lock it and find it empty) has finished.  See the
 //! crate-level documentation for the full reclamation discussion.
 
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Racy;
 
@@ -48,7 +49,7 @@ use super::leaf::HeaderKey;
 use crate::guard::{NodeRef, Pin, WriteGuard};
 use crate::node::{prefetch_node, NodeSearch};
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// The one point-remove entry, under this pin: leaf first (see the
     /// module docs).  `lock_covering` returns the covering leaf
     /// write-locked, which is the kernel's contract, and the pass is
@@ -112,9 +113,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
             // and retired once its lock is dropped.
             let mut emptied = false;
 
-            match curr.search(key) {
+            match curr.search(key, self.tracer()) {
                 NodeSearch::Found(idx) => {
-                    let value = curr.remove_at(idx);
+                    let value = curr.remove_at(idx, self.tracer());
                     if level == 0 {
                         removed = value;
                     }
@@ -129,14 +130,14 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                         // the retained previous node (or that node's implicit
                         // -infinity entry).
                         descend_child = if idx > 0 {
-                            curr.child_at(idx - 1)
+                            self.child_at(*curr, idx - 1)
                         } else if curr.is_head() {
                             curr.head_child()
                         } else if retained().is_empty() {
                             debug_assert!(retained().is_head());
                             retained().head_child()
                         } else {
-                            retained().child_at(retained().len() - 1)
+                            self.child_at(**retained(), retained().len() - 1)
                         };
                     }
                     if header {
@@ -147,7 +148,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                         // upper entries); `prev` keeps its own header.
                         let prev = retained();
                         if !curr.is_empty() && prev.len() + curr.len() <= B {
-                            curr.move_suffix_to(0, prev);
+                            curr.move_suffix_to(0, prev, self.tracer());
                             if let Some(stats) = self.stats_enabled() {
                                 stats.nodes_merged.incr();
                             }
@@ -160,7 +161,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
                 }
                 NodeSearch::Pred(idx) => {
                     if level > 0 {
-                        descend_child = curr.child_at(idx);
+                        descend_child = self.child_at(*curr, idx);
                     }
                 }
                 NodeSearch::Before => {

@@ -20,13 +20,14 @@
 
 use std::collections::BTreeSet;
 
+use bskip_index::trace::Tracer;
 use bskip_index::{IndexKey, IndexValue};
 use bskip_sync::Racy;
 
 use super::BSkipList;
 use crate::guard::{NodeRef, Pin, ReadGuard};
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipList<K, V, B, T> {
     /// Checks every structural invariant, returning a description of the
     /// first violation found.
     ///
@@ -87,7 +88,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> BSkipList<K, V, B
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Pin<'_, K, V, B, T> {
     /// Validates a single level and returns the set of keys stored in it.
     /// The walk is hand-over-hand under read locks; child headers are read
     /// under the child's own read lock while the parent is held.
@@ -163,6 +164,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Pin<'_, K, V, B> 
 
 #[cfg(test)]
 mod tests {
+    use bskip_index::trace::NoTrace;
+
     use crate::config::BSkipConfig;
     use crate::guard::WriteGuard;
     use crate::list::leaf::tests::assert_unlocked;
@@ -201,14 +204,14 @@ mod tests {
         list.validate().expect("healthy before the corruption");
         let pin = list.pin();
         let head: WriteGuard<'_, u64, u64, 4> = pin.head(1).lock();
-        head.insert_internal_at(0, 10, pin.head(0));
+        head.insert_internal_at(0, 10, pin.head(0), &NoTrace);
         drop(head);
         let error = list.validate().expect_err("head-targeting down pointer");
         assert!(error.contains("is a head node"), "{error}");
         assert_unlocked(&list);
         // Undo it, so that dropping the list frees every node once.
         let head: WriteGuard<'_, u64, u64, 4> = pin.head(1).lock();
-        head.remove_at(0);
+        head.remove_at(0, &NoTrace);
         drop(head);
         list.validate().expect("healthy again");
     }

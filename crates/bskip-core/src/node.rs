@@ -52,11 +52,24 @@
 //!
 //! The `level` and `is_head` fields are immutable after construction and
 //! may be read freely in either mode.
+//!
+//! # Tracing
+//!
+//! What a node tells a [`Tracer`] are byte ranges of this type's own
+//! layout, with the node's address as its id: the header and a prefix of
+//! `keys` ([`Node::trace_prefix`], what a search or a walk-right peek
+//! reads), runs of key and payload slots, and the node's footprint when
+//! [`Node::alloc`] announces it.  [`Node::search`] and the mutators report
+//! what they read or write themselves; the lock word, `len` and `next` sit
+//! in the header that every search and peek reports, so their own writes
+//! report nothing.
 
 use std::mem;
+use std::ops::Range;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
+use bskip_index::trace::Tracer;
 use bskip_sync::{Racy, RacyCell, RawRwSpinLock};
 
 use crate::guard::{NodeRef, WriteGuard};
@@ -143,16 +156,22 @@ where
     K: Racy + Ord,
     V: Racy,
 {
-    /// Allocates an empty node at `level` and leaks it: a leaf at level 0,
-    /// an internal node above.  `head_child` is a head node's `-∞` down
-    /// pointer, null otherwise; it is never changed afterwards.
-    pub(crate) fn alloc(level: usize, is_head: bool, head_child: *mut Self) -> NonNull<Self> {
+    /// Allocates an empty node at `level`, leaks it and announces it to
+    /// `tracer`: a leaf at level 0, an internal node above.  `head_child`
+    /// is a head node's `-∞` down pointer, null otherwise; it is never
+    /// changed afterwards.
+    pub(crate) fn alloc(
+        level: usize,
+        is_head: bool,
+        head_child: *mut Self,
+        tracer: &impl Tracer,
+    ) -> NonNull<Self> {
         let data = if level == 0 {
             Data::Leaf([const { RacyCell::new(V::ZERO) }; B])
         } else {
             Data::Internal([const { AtomicPtr::new(ptr::null_mut()) }; B])
         };
-        NonNull::from(Box::leak(Box::new(Node {
+        let node = NonNull::from(Box::leak(Box::new(Node {
             lock: RawRwSpinLock::new(),
             level: level as u8,
             is_head,
@@ -161,7 +180,9 @@ where
             head_child: AtomicPtr::new(head_child),
             keys: [const { RacyCell::new(K::ZERO) }; B],
             data,
-        })))
+        })));
+        tracer.node_allocated(node.as_ptr().addr(), mem::size_of::<Self>());
+        node
     }
 
     /// Frees a node that was never published, consuming its write guard
@@ -329,11 +350,13 @@ where
     ///
     /// Before the first probe it prefetches every line of `keys[..len]`
     /// (at most 17 at `B = 128`, `K = u64`), so a cold node's key lines
-    /// arrive in one burst instead of one dependent miss per probe.
+    /// arrive in one burst instead of one dependent miss per probe; it
+    /// reports the header and that span to `tracer`.
     #[inline]
-    pub(crate) fn search(&self, key: &K) -> NodeSearch {
+    pub(crate) fn search(&self, key: &K, tracer: &impl Tracer) -> NodeSearch {
         let len = self.len();
         prefetch_span(&self.keys[..len]);
+        self.trace_prefix(tracer, len);
         let below = self.keys_below(key, len);
         if below < len && self.key_at(below) == *key {
             NodeSearch::Found(below)
@@ -342,6 +365,46 @@ where
         } else {
             NodeSearch::Pred(below - 1)
         }
+    }
+}
+
+/// The byte ranges a node reports to a [`Tracer`] (module docs).
+impl<K, V, const B: usize> Node<K, V, B> {
+    /// Reports the header — lock word through `head_child` — and
+    /// `keys[..count]`, which follow it on line 0 and beyond.
+    #[inline]
+    pub(crate) fn trace_prefix(&self, tracer: &impl Tracer, count: usize) {
+        let bytes = mem::offset_of!(Self, keys) + count * mem::size_of::<RacyCell<K>>();
+        tracer.touched(ptr::from_ref(self).addr(), 0, bytes);
+    }
+
+    /// Reports `keys[slots]`.
+    #[inline]
+    pub(crate) fn trace_keys(&self, tracer: &impl Tracer, slots: Range<usize>) {
+        let width = mem::size_of::<RacyCell<K>>();
+        let offset = mem::offset_of!(Self, keys) + slots.start * width;
+        tracer.touched(ptr::from_ref(self).addr(), offset, slots.len() * width);
+    }
+
+    /// Reports the value (leaf) or child (internal) slots `slots`.
+    #[inline]
+    pub(crate) fn trace_payload(&self, tracer: &impl Tracer, slots: Range<usize>) {
+        let (payload, width) = match &self.data {
+            Data::Leaf(values) => (values.as_ptr().addr(), mem::size_of::<RacyCell<V>>()),
+            Data::Internal(children) => {
+                (children.as_ptr().addr(), mem::size_of::<AtomicPtr<Self>>())
+            }
+        };
+        let node = ptr::from_ref(self).addr();
+        let offset = payload - node + slots.start * width;
+        tracer.touched(node, offset, slots.len() * width);
+    }
+
+    /// Reports the key and payload slots `slots`.
+    #[inline]
+    pub(crate) fn trace_slots(&self, tracer: &impl Tracer, slots: Range<usize>) {
+        self.trace_keys(tracer, slots.clone());
+        self.trace_payload(tracer, slots);
     }
 }
 
@@ -358,8 +421,9 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
     /// Overwrites the value at slot `index < len()` of a leaf, returning
     /// the previous value.
     #[inline]
-    pub(crate) fn replace_value_at(&self, index: usize, value: V) -> V {
+    pub(crate) fn replace_value_at(&self, index: usize, value: V, tracer: &impl Tracer) -> V {
         debug_assert!(index < self.len());
+        self.trace_payload(tracer, index..index + 1);
         let slot = &self.values()[index];
         let old = slot.get();
         slot.set(value);
@@ -369,15 +433,21 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
     /// Overwrites the down pointer at slot `index < len()` of an internal
     /// node.
     #[inline]
-    pub(crate) fn set_child_at(&self, index: usize, child: Option<NodeRef<'_, K, V, B>>) {
+    pub(crate) fn set_child_at(
+        &self,
+        index: usize,
+        child: Option<NodeRef<'_, K, V, B>>,
+        tracer: &impl Tracer,
+    ) {
         debug_assert!(index < self.len());
+        self.trace_payload(tracer, index..index + 1);
         let child = child.map_or(ptr::null_mut(), NodeRef::as_ptr);
         self.children()[index].store(child, Ordering::Release);
     }
 
     /// Inserts `key`/`value` at slot `index <= len()` of a non-full leaf,
     /// shifting later slots right.
-    pub(crate) fn insert_leaf_at(&self, index: usize, key: K, value: V) {
+    pub(crate) fn insert_leaf_at(&self, index: usize, key: K, value: V, tracer: &impl Tracer) {
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
@@ -387,11 +457,18 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
         shift_right(&values[index..=len]);
         values[index].set(value);
         self.set_len(len + 1);
+        self.trace_slots(tracer, index..len + 1);
     }
 
     /// Inserts `key` with down pointer `child` at slot `index <= len()` of
     /// a non-full internal node, shifting later slots right.
-    pub(crate) fn insert_internal_at(&self, index: usize, key: K, child: NodeRef<'_, K, V, B>) {
+    pub(crate) fn insert_internal_at(
+        &self,
+        index: usize,
+        key: K,
+        child: NodeRef<'_, K, V, B>,
+        tracer: &impl Tracer,
+    ) {
         let len = self.len();
         debug_assert!(len < B);
         debug_assert!(index <= len);
@@ -404,14 +481,16 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
         }
         children[index].store(child.as_ptr(), Ordering::Release);
         self.set_len(len + 1);
+        self.trace_slots(tracer, index..len + 1);
     }
 
     /// Removes the entry at slot `index < len()`, shifting later slots
     /// left.  Returns the removed value for leaf nodes and `None` for
     /// internal nodes.
-    pub(crate) fn remove_at(&self, index: usize) -> Option<V> {
+    pub(crate) fn remove_at(&self, index: usize, tracer: &impl Tracer) -> Option<V> {
         let len = self.len();
         debug_assert!(index < len);
+        self.trace_slots(tracer, index..len);
         shift_left(&self.keys[index..len]);
         let removed = match &self.data {
             Data::Leaf(values) => {
@@ -440,11 +519,13 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
     ///
     /// Both nodes are at the same level, `from <= self.len()` and
     /// `dst.len() + (self.len() - from) <= B`.
-    pub(crate) fn move_suffix_to(&self, from: usize, dst: &Self) {
+    pub(crate) fn move_suffix_to(&self, from: usize, dst: &Self, tracer: &impl Tracer) {
         let src_len = self.len();
         let dst_len = dst.len();
         let count = src_len - from;
         debug_assert!(dst_len + count <= B);
+        self.trace_slots(tracer, from..src_len);
+        dst.trace_slots(tracer, dst_len..dst_len + count);
         for offset in 0..count {
             dst.keys[dst_len + offset].set(self.keys[from + offset].get());
         }
@@ -468,14 +549,14 @@ impl<K: Racy + Ord, V: Racy, const B: usize> WriteGuard<'_, K, V, B> {
 
     /// Appends `key`/`value` to a non-full leaf; `key` is greater than
     /// every key already stored.
-    pub(crate) fn push_leaf(&self, key: K, value: V) {
-        self.insert_leaf_at(self.len(), key, value);
+    pub(crate) fn push_leaf(&self, key: K, value: V, tracer: &impl Tracer) {
+        self.insert_leaf_at(self.len(), key, value, tracer);
     }
 
     /// Appends `key`/`child` to a non-full internal node; `key` is greater
     /// than every key already stored.
-    pub(crate) fn push_internal(&self, key: K, child: NodeRef<'_, K, V, B>) {
-        self.insert_internal_at(self.len(), key, child);
+    pub(crate) fn push_internal(&self, key: K, child: NodeRef<'_, K, V, B>, tracer: &impl Tracer) {
+        self.insert_internal_at(self.len(), key, child, tracer);
     }
 }
 
@@ -534,13 +615,82 @@ fn prefetch_span<T>(cells: &[T]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::cell::RefCell;
+    use std::collections::{BTreeSet, HashMap};
+
+    use bskip_index::trace::NoTrace;
+
     use super::*;
     use crate::config::BSkipConfig;
     use crate::list::BSkipList;
 
     type TestNode = Node<u64, u64, 8>;
     type List = BSkipList<u64, u64, 8>;
+
+    /// A tracer that records every touched range, and checks that each
+    /// one lies inside a node announced before it.
+    #[derive(Default)]
+    pub(crate) struct Recording {
+        /// Footprint of every announced id.
+        pub(crate) nodes: RefCell<HashMap<usize, usize>>,
+        /// Every `touched` event, in order.
+        pub(crate) touched: RefCell<Vec<(usize, usize, usize)>>,
+    }
+
+    impl Tracer for Recording {
+        fn node_allocated(&self, id: usize, bytes: usize) {
+            self.nodes.borrow_mut().insert(id, bytes);
+        }
+
+        fn touched(&self, id: usize, offset: usize, bytes: usize) {
+            let footprint = self.nodes.borrow().get(&id).copied();
+            let footprint = footprint.unwrap_or_else(|| panic!("unannounced node {id}"));
+            assert!(
+                offset + bytes <= footprint,
+                "{offset} + {bytes} > {footprint}"
+            );
+            self.touched.borrow_mut().push((id, offset, bytes));
+        }
+    }
+
+    #[test]
+    fn a_get_reports_line_zero_the_key_span_and_one_payload_line() {
+        const B: usize = 128;
+        const LINE: usize = 64;
+        let config = BSkipConfig::default().with_max_height(1);
+        let list = BSkipList::<u64, u64, B, _>::with_tracer(config, Recording::default());
+        for key in 0..B as u64 {
+            list.insert(key, key * 10);
+        }
+        let pin = list.pin();
+        let leaf = pin.head(0);
+        assert!(leaf.is_full(), "one full leaf");
+        list.tracer().touched.borrow_mut().clear();
+        let slot = 77;
+        assert_eq!(list.get(&(slot as u64)), Some(slot as u64 * 10));
+
+        let lines = |offset: usize, bytes: usize| offset / LINE..(offset + bytes).div_ceil(LINE);
+        let keys = mem::offset_of!(Node<u64, u64, B>, keys);
+        let payload = leaf.values().as_ptr().addr() - leaf.as_ptr().addr();
+        let mut expected: BTreeSet<usize> = lines(0, keys).collect();
+        expected.extend(lines(keys, B * mem::size_of::<u64>()));
+        let key_lines = expected.len();
+        expected.extend(lines(
+            payload + slot * mem::size_of::<u64>(),
+            mem::size_of::<u64>(),
+        ));
+        assert_eq!(expected.len(), key_lines + 1, "one payload line");
+        let touched = list.tracer().touched.borrow();
+        let reported: BTreeSet<usize> = touched
+            .iter()
+            .flat_map(|&(id, offset, bytes)| {
+                assert_eq!(id, leaf.as_ptr().addr(), "a node other than the leaf");
+                lines(offset, bytes)
+            })
+            .collect();
+        assert_eq!(reported, expected);
+    }
 
     impl<K: Racy + Ord, V: Racy, const B: usize> Node<K, V, B> {
         /// Copies the keys in slots `0..len()` into a `Vec`; exact under
@@ -567,20 +717,20 @@ mod tests {
         let pin = list.pin();
         let node = pin.alloc(0);
         assert!(node.is_empty());
-        node.insert_leaf_at(0, 10, 100);
-        node.insert_leaf_at(1, 30, 300);
-        node.insert_leaf_at(1, 20, 200);
+        node.insert_leaf_at(0, 10, 100, &NoTrace);
+        node.insert_leaf_at(1, 30, 300, &NoTrace);
+        node.insert_leaf_at(1, 20, 200, &NoTrace);
         assert_eq!(node.len(), 3);
         assert_eq!(node.keys_vec(), vec![10, 20, 30]);
         assert_eq!(node.header(), 10);
         assert_eq!(node.value_at(1), 200);
 
-        assert_eq!(node.search(&20), NodeSearch::Found(1));
-        assert_eq!(node.search(&25), NodeSearch::Pred(1));
-        assert_eq!(node.search(&5), NodeSearch::Before);
-        assert_eq!(node.search(&35), NodeSearch::Pred(2));
+        assert_eq!(node.search(&20, &NoTrace), NodeSearch::Found(1));
+        assert_eq!(node.search(&25, &NoTrace), NodeSearch::Pred(1));
+        assert_eq!(node.search(&5, &NoTrace), NodeSearch::Before);
+        assert_eq!(node.search(&35, &NoTrace), NodeSearch::Pred(2));
 
-        assert_eq!(node.remove_at(1), Some(200));
+        assert_eq!(node.remove_at(1, &NoTrace), Some(200));
         assert_eq!(node.keys_vec(), vec![10, 30]);
         assert_eq!(node.value_at(1), 300);
         pin.defer_free(node);
@@ -591,8 +741,8 @@ mod tests {
         let list = list();
         let pin = list.pin();
         let node = pin.alloc(0);
-        node.insert_leaf_at(0, 1, 10);
-        assert_eq!(node.replace_value_at(0, 11), 10);
+        node.insert_leaf_at(0, 1, 10, &NoTrace);
+        assert_eq!(node.replace_value_at(0, 11, &NoTrace), 10);
         assert_eq!(node.value_at(0), 11);
         pin.defer_free(node);
     }
@@ -604,18 +754,18 @@ mod tests {
         let internal = pin.alloc(1);
         let (child_a, child_b, child_c) = (pin.alloc(0), pin.alloc(0), pin.alloc(0));
         let child = |index| internal.child_at(index).map(NodeRef::as_ptr);
-        internal.insert_internal_at(0, 5, *child_a);
-        internal.insert_internal_at(1, 9, *child_b);
+        internal.insert_internal_at(0, 5, *child_a, &NoTrace);
+        internal.insert_internal_at(1, 9, *child_b, &NoTrace);
         assert_eq!(child(0), Some(child_a.as_ptr()));
         assert_eq!(child(1), Some(child_b.as_ptr()));
         // Insert in the middle shifts children along with keys.
-        internal.insert_internal_at(1, 7, *child_c);
+        internal.insert_internal_at(1, 7, *child_c, &NoTrace);
         assert_eq!(internal.keys_vec(), vec![5, 7, 9]);
         assert_eq!(child(1), Some(child_c.as_ptr()));
         assert_eq!(child(2), Some(child_b.as_ptr()));
-        internal.remove_at(1);
+        internal.remove_at(1, &NoTrace);
         assert_eq!(child(1), Some(child_b.as_ptr()));
-        internal.set_child_at(0, Some(*child_c));
+        internal.set_child_at(0, Some(*child_c), &NoTrace);
         assert_eq!(child(0), Some(child_c.as_ptr()));
         for node in [child_a, child_b, child_c, internal] {
             pin.defer_free(node);
@@ -628,9 +778,9 @@ mod tests {
         let pin = list.pin();
         let (left, right) = (pin.alloc(0), pin.alloc(0));
         for i in 0..6u64 {
-            left.push_leaf(i, i * 10);
+            left.push_leaf(i, i * 10, &NoTrace);
         }
-        left.move_suffix_to(3, &right);
+        left.move_suffix_to(3, &right, &NoTrace);
         assert_eq!(left.keys_vec(), vec![0, 1, 2]);
         assert_eq!(right.keys_vec(), vec![3, 4, 5]);
         assert_eq!(right.value_at(2), 50);
@@ -644,10 +794,10 @@ mod tests {
         let pin = list.pin();
         let (left, right) = (pin.alloc(0), pin.alloc(0));
         for i in 0..4u64 {
-            left.push_leaf(10 + i, i);
+            left.push_leaf(10 + i, i, &NoTrace);
         }
-        right.push_leaf(9, 999);
-        left.move_suffix_to(2, &right);
+        right.push_leaf(9, 999, &NoTrace);
+        left.move_suffix_to(2, &right, &NoTrace);
         assert_eq!(right.keys_vec(), vec![9, 12, 13]);
         assert_eq!(left.keys_vec(), vec![10, 11]);
         pin.defer_free(left);
@@ -662,10 +812,10 @@ mod tests {
         let pin = list.pin();
         let (left, right) = (pin.alloc(0), pin.alloc(0));
         for i in 0..3u64 {
-            left.push_leaf(i, i);
-            right.push_leaf(100 + i, i);
+            left.push_leaf(i, i, &NoTrace);
+            right.push_leaf(100 + i, i, &NoTrace);
         }
-        right.move_suffix_to(0, &left);
+        right.move_suffix_to(0, &left, &NoTrace);
         assert!(right.is_empty());
         assert_eq!(left.keys_vec(), vec![0, 1, 2, 100, 101, 102]);
         assert_eq!(left.value_at(5), 2);
@@ -680,9 +830,9 @@ mod tests {
         let (left, right) = (pin.alloc(2), pin.alloc(2));
         let children: Vec<_> = (0..5).map(|_| pin.alloc(1)).collect();
         for (key, child) in (0..5u64).zip(&children) {
-            left.push_internal(key, **child);
+            left.push_internal(key, **child, &NoTrace);
         }
-        left.move_suffix_to(2, &right);
+        left.move_suffix_to(2, &right, &NoTrace);
         assert_eq!(left.keys_vec(), vec![0, 1]);
         assert_eq!(right.keys_vec(), vec![2, 3, 4]);
         assert_eq!(
@@ -715,7 +865,7 @@ mod tests {
                     "len {len} probe {probe}"
                 );
                 // And the full search agrees with the classic one.
-                match node.search(&probe) {
+                match node.search(&probe, &NoTrace) {
                     NodeSearch::Found(idx) => assert_eq!(stored[idx], probe),
                     NodeSearch::Pred(idx) => {
                         assert!(stored[idx] < probe);
@@ -725,7 +875,7 @@ mod tests {
                 }
             }
             if len < B {
-                node.push_leaf(((len + 1) as u64) * 10, 0);
+                node.push_leaf(((len + 1) as u64) * 10, 0, &NoTrace);
             }
         }
         pin.defer_free(node);
@@ -775,7 +925,7 @@ mod tests {
         let pin = list.pin();
         let head = pin.head(0);
         assert!(head.is_head());
-        assert_eq!(head.search(&42), NodeSearch::Before);
+        assert_eq!(head.search(&42, &NoTrace), NodeSearch::Before);
     }
 
     #[test]
@@ -784,7 +934,7 @@ mod tests {
         let pin = list.pin();
         let node = pin.alloc(0);
         for i in 0..8u64 {
-            node.push_leaf(i, i);
+            node.push_leaf(i, i, &NoTrace);
         }
         assert!(node.is_full());
         pin.defer_free(node);

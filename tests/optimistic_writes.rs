@@ -20,7 +20,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use bskip_suite::core::height::{reseed_thread_rng, sample_height, HeightSampler};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+use bskip_suite::core::height::{geometric, reseed_thread_rng, sample_height};
 use bskip_suite::lsm::{Memtable, Slot};
 use bskip_suite::ycsb::keygen::record_key;
 use bskip_suite::{BSkipConfig, BSkipList, ConcurrentIndex};
@@ -28,11 +31,11 @@ use bskip_suite::{BSkipConfig, BSkipList, ConcurrentIndex};
 /// Asserts that this thread's height RNG is exactly where `replay` is:
 /// the next draws of both agree.  Any height drawn behind the replay's
 /// back (or any replayed draw that did not happen) desynchronizes them.
-fn assert_rng_in_step(replay: &mut HeightSampler, denominator: u32, max_height: usize) {
+fn assert_rng_in_step(replay: &mut SmallRng, denominator: u32, max_height: usize) {
     for draw in 0..256 {
         assert_eq!(
             sample_height(denominator, max_height),
-            replay.sample(),
+            geometric(replay, denominator, max_height),
             "thread RNG out of step with the replay at draw {draw}: a height was drawn for an overwrite"
         );
     }
@@ -50,10 +53,10 @@ fn overwrites_never_reshape_the_list_and_draw_no_height() {
     // The replay draws from a clone of the thread RNG's state: one draw
     // per *fresh* key keeps the two in step, anything else does not.
     reseed_thread_rng(SEED);
-    let mut replay = HeightSampler::new(denominator, max_height, SEED);
+    let mut replay = SmallRng::seed_from_u64(SEED);
     for record in 0..KEYS {
         assert_eq!(list.insert(record_key(record), 0), None);
-        replay.sample();
+        geometric(&mut replay, denominator, max_height);
     }
     let structure = |list: &BSkipList<u64, u64, 16>| {
         (
@@ -87,10 +90,10 @@ fn overwrites_never_reshape_the_list_and_draw_no_height() {
     let probe: BSkipList<u64, u64> = BSkipList::new();
     let (denominator, max_height) = (probe.promotion_denominator(), probe.max_height());
     reseed_thread_rng(SEED);
-    let mut replay = HeightSampler::new(denominator, max_height, SEED);
+    let mut replay = SmallRng::seed_from_u64(SEED);
     for record in 0..KEYS {
         assert_eq!(memtable.apply(record_key(record), Slot::Put(0)), None);
-        replay.sample();
+        geometric(&mut replay, denominator, max_height);
     }
     let built = (
         memtable.live_nodes(),
@@ -130,13 +133,16 @@ fn heights_of_stored_keys_stay_geometric_under_overwrites() {
         BSkipList::with_config(BSkipConfig::default().with_max_height(5));
     let (denominator, max_height) = (list.promotion_denominator(), list.max_height());
     reseed_thread_rng(SEED);
-    let mut replay = HeightSampler::new(denominator, max_height, SEED);
+    let mut replay = SmallRng::seed_from_u64(SEED);
     // How many replayed draws reached each level: the towers the list
     // must hold if every fresh key drew once and no overwrite drew at all.
     let mut towers = vec![0usize; max_height];
     for record in 0..KEYS {
         assert_eq!(list.insert(record_key(record), record), None);
-        for reached in towers.iter_mut().take(replay.sample() + 1) {
+        for reached in towers
+            .iter_mut()
+            .take(geometric(&mut replay, denominator, max_height) + 1)
+        {
             *reached += 1;
         }
         // Interleave overwrites of keys inserted earlier, three per fresh
@@ -176,12 +182,12 @@ fn single_threaded_writes_take_one_lock_and_never_restart() {
         BSkipList::with_config(BSkipConfig::paper_default().with_stats(true));
     let (denominator, max_height) = (list.promotion_denominator(), list.max_height());
     reseed_thread_rng(SEED);
-    let mut replay = HeightSampler::new(denominator, max_height, SEED);
+    let mut replay = SmallRng::seed_from_u64(SEED);
     let pins_before = list.reclamation().pins;
     let (mut promoted, mut top_draws) = (0u64, 0u64);
     for record in 0..FRESH {
         assert_eq!(list.insert(record_key(record), 0), None);
-        let height = replay.sample();
+        let height = geometric(&mut replay, denominator, max_height);
         promoted += u64::from(height > 0);
         top_draws += u64::from(height == max_height - 1);
     }

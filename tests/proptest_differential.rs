@@ -1,14 +1,21 @@
 //! Property-based differential tests: the concurrent B-skiplist, the
-//! sequential reference B-skiplist and `std::collections::BTreeMap` must
-//! agree on arbitrary operation sequences, and the structural invariants
-//! must hold after every sequence.
+//! sequential reference B-skiplist (`support/seq_bskiplist.rs`) and
+//! `std::collections::BTreeMap` must agree on arbitrary operation
+//! sequences, and the structural invariants must hold after every
+//! sequence.
+
+#[path = "support/seq_bskiplist.rs"]
+mod seq_bskiplist;
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-use bskip_suite::core::seq::SeqBSkipList;
+use bskip_suite::core::height::geometric;
 use bskip_suite::{BSkipConfig, BSkipList, ConcurrentIndex};
+use seq_bskiplist::SeqBSkipList;
 
 /// A single dictionary operation drawn by proptest.
 #[derive(Debug, Clone)]
@@ -30,6 +37,28 @@ fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
         2 => (0..key_space).prop_map(|key| Op::Get { key }),
         1 => (0..key_space, 0usize..50).prop_map(|(start, len)| Op::Range { start, len }),
     ]
+}
+
+/// The sequential and concurrent lists, driven with the same 5000 keys
+/// and geometric heights, agree exactly on their contents and on their
+/// node counts per level (head sentinels included on both sides).
+#[test]
+fn matches_concurrent_list_structure() {
+    let config = BSkipConfig::default().with_max_height(4);
+    let mut seq: SeqBSkipList<u64, u64, 8> = SeqBSkipList::with_config(config);
+    let conc: BSkipList<u64, u64, 8> = BSkipList::with_config(config);
+    let mut rng = SmallRng::seed_from_u64(1234);
+    for i in 0..5000u64 {
+        let key = (i * 2654435761) % 100_000;
+        let height = geometric(&mut rng, 8, 4);
+        seq.insert_with_height(key, i, height);
+        conc.insert_with_height(key, i, height);
+    }
+    assert_eq!(seq.to_vec(), conc.to_vec());
+    let conc_nodes: Vec<usize> = conc.level_shape().iter().map(|&(nodes, _)| nodes).collect();
+    assert_eq!(seq.nodes_per_level(), conc_nodes);
+    seq.validate().unwrap();
+    conc.validate().unwrap();
 }
 
 /// A dictionary operation against the durable LSM engine; `Pump` forces a
@@ -110,9 +139,8 @@ proptest! {
     fn sequential_and_concurrent_structures_agree(
         inserts in proptest::collection::vec((0u64..500, any::<u64>(), 0usize..4), 1..300)
     ) {
-        let seq_list: &mut SeqBSkipList<u64, u64, 8> = &mut SeqBSkipList::with_config_and_seed(
-            BSkipConfig::default().with_max_height(4), 9,
-        );
+        let seq_list: &mut SeqBSkipList<u64, u64, 8> =
+            &mut SeqBSkipList::with_config(BSkipConfig::default().with_max_height(4));
         let conc_list: BSkipList<u64, u64, 8> =
             BSkipList::with_config(BSkipConfig::default().with_max_height(4));
         for (key, value, height) in &inserts {
