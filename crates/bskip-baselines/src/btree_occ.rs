@@ -76,30 +76,28 @@
 //!
 //! # Safety
 //!
-//! The `unsafe` that remains is needed for three things:
-//!
-//! * **Following node pointers.**  Nodes are shared raw pointers; the
-//!   lock protocol above (a node is locked before it is read, its
-//!   predecessor's lock is dropped only after that) keeps every node a
-//!   thread dereferences linked and allocated.
-//! * **Reading a node through its `UnsafeCell`** (`Node::inner`,
-//!   `Node::inner_mut`), which is sound only under the node's lock.
-//! * **Three layout views**: the live key prefix as a `&[K]`, one live
-//!   value, and the child slots as one slice.  Each rests on a documented
-//!   invariant of `Inner` or on `Children`'s `repr(C)` layout.
+//! Nodes are reached only through `handle.rs`'s guards: the root under
+//! the tree lock, every other node from a locked parent or left neighbour,
+//! locked before that lock is dropped.  `Node`'s `Latched` impl states why
+//! that keeps every node a guard holds allocated.  The `unsafe` left here
+//! is that impl, the tree's drop, the retire of an unlinked node, and three
+//! layout views: the live key prefix as a `&[K]`, one live value, and the
+//! child slots as one slice.  Each view rests on a documented invariant of
+//! `Inner` or on `Children`'s `repr(C)` layout.
 
 use std::cell::UnsafeCell;
 use std::mem::{self, MaybeUninit};
 use std::ops::{Bound, Range};
 use std::ptr;
 use std::slice;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
 use bskip_sync::{EbrCollector, RawRwSpinLock, RelaxedCounter, StripedCounter};
+
+use crate::handle::{Guard, Latch, Latched, ReadGuard, Root, WriteGuard};
 
 /// Masstree's node width: at most 15 keys per node.
 const MASSTREE_FANOUT: usize = 15;
@@ -221,18 +219,43 @@ impl<K, V, const F: usize> Node<K, V, F> {
     const NEXT_LEAF: usize =
         mem::offset_of!(Self, inner) + mem::offset_of!(Inner<K, V, F>, next_leaf);
 
-    /// # Safety: caller must hold the node's lock (shared or exclusive).
-    unsafe fn inner(&self) -> &Inner<K, V, F> {
-        // SAFETY: the caller holds the lock, so no writer has the cell.
-        unsafe { &*self.inner.get() }
+    /// A fresh, unlocked node holding `inner`.
+    fn new(inner: Inner<K, V, F>) -> Box<Self> {
+        Box::new(Node {
+            lock: RawRwSpinLock::new(),
+            is_leaf: inner.is_leaf(),
+            inner: UnsafeCell::new(inner),
+        })
+    }
+}
+
+impl<K, V, const F: usize> Latch for Node<K, V, F> {
+    fn latch(&self) -> &RawRwSpinLock {
+        &self.lock
+    }
+}
+
+// SAFETY: `inner` is reached only through this impl, so only under `lock`,
+// or through the `&mut` of a node not yet or no longer shared (a fresh
+// node's `Box`, the tree's drop).  `child` and `next` read the live child slots and the leaf link, which
+// name linked nodes.  A node is unlinked only under the exclusive locks of
+// every node linking it — a merge holds the parent and both siblings (the
+// left one the victim's only leaf-chain predecessor), a root collapse the
+// tree lock and the old root — and retired to the collector only after
+// they are released; nothing else frees a node while the tree is shared.
+unsafe impl<K, V, const F: usize> Latched for Node<K, V, F> {
+    type Inner = Inner<K, V, F>;
+
+    fn interior(&self) -> &UnsafeCell<Inner<K, V, F>> {
+        &self.inner
     }
 
-    /// # Safety: caller must hold the node's lock exclusively.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn inner_mut(&self) -> &mut Inner<K, V, F> {
-        // SAFETY: the caller holds the lock exclusively: no other reference
-        // to the cell exists.
-        unsafe { &mut *self.inner.get() }
+    fn child(inner: &Inner<K, V, F>, slot: usize) -> *mut Self {
+        inner.children()[..=inner.len][slot]
+    }
+
+    fn next(inner: &Inner<K, V, F>) -> *mut Self {
+        inner.next_leaf
     }
 }
 
@@ -378,20 +401,21 @@ impl<K: Copy + Ord, V: Copy, const F: usize> Inner<K, V, F> {
     }
 
     /// Inserts `separator` and the child to its right into an internal
-    /// node that has room; `probe` and `written` as in `upsert`, `written`
-    /// told the key and child slots.
+    /// node that has room, and returns that child's slot; `probe` and
+    /// `written` as in `upsert`, `written` told the key and child slots.
     fn insert_child(
         &mut self,
         separator: K,
         right: *mut Node<K, V, F>,
         probe: impl Fn(&K),
         written: impl FnOnce(&Self, Range<usize>, Range<usize>),
-    ) {
+    ) -> usize {
         let (len, slot) = (self.len, self.lower_bound(&separator, probe));
         written(self, slot..len + 1, slot + 1..len + 2);
         insert_at(&mut self.keys[..=len], slot, MaybeUninit::new(separator));
         insert_at(&mut self.children_mut()[..len + 2], slot + 1, right);
         self.len += 1;
+        slot + 1
     }
 
     /// Copies payload slots (values or children) `from..from + count` of
@@ -505,11 +529,10 @@ fn remove_at<T: Copy>(slots: &mut [T], at: usize) -> T {
 /// assert_eq!(tree.stats().get("root_write_locks"), Some(0));
 /// ```
 pub struct OccBTree<K, V, const F: usize = 64, T: Tracer = NoTrace> {
-    /// Tree-level lock guarding the root pointer: readers hold it shared
-    /// just long enough to lock the root node; pessimistic writers hold it
-    /// exclusively ("the root write lock").
-    tree_lock: RawRwSpinLock,
-    root: AtomicPtr<Node<K, V, F>>,
+    /// The root pointer and the tree-level lock guarding it: readers hold
+    /// the lock shared just long enough to lock the root node; pessimistic
+    /// writers hold it exclusively ("the root write lock").
+    root: Root<Node<K, V, F>>,
     len: StripedCounter,
     counters: TreeCounters,
     /// Collector for merge victims and collapsed root shells.
@@ -564,17 +587,16 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
     /// root leaf on.
     pub fn with_tracer(tracer: T) -> Self {
         assert!(F >= 4, "fanout must be at least 4");
-        let tree = OccBTree {
-            tree_lock: RawRwSpinLock::new(),
-            root: AtomicPtr::default(),
+        let mut tree = OccBTree {
+            root: Root::new(Node::new(Inner::new(true))),
             len: StripedCounter::new(),
             counters: TreeCounters::default(),
             collector: EbrCollector::new(),
             nodes_allocated: RelaxedCounter::new(),
             tracer,
         };
-        tree.root
-            .store(tree.alloc(Inner::new(true)), Ordering::Relaxed);
+        let root = tree.root.as_mut_ptr();
+        tree.announce(root.addr());
         tree
     }
 
@@ -583,23 +605,22 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
         &self.tracer
     }
 
-    /// Boxes `inner` as a new, unlocked node.
-    fn alloc(&self, inner: Inner<K, V, F>) -> *mut Node<K, V, F> {
+    /// Counts and reports the allocation of the node at `id`.
+    fn announce(&self, id: usize) {
         self.nodes_allocated.incr();
-        let node = Box::into_raw(Box::new(Node {
-            lock: RawRwSpinLock::new(),
-            is_leaf: inner.is_leaf(),
-            inner: UnsafeCell::new(inner),
-        }));
-        self.tracer
-            .node_allocated(node.addr(), size_of::<Node<K, V, F>>());
+        self.tracer.node_allocated(id, size_of::<Node<K, V, F>>());
+    }
+
+    /// Boxes `inner` as a new, unlocked node, not yet linked anywhere.
+    fn alloc(&self, inner: Inner<K, V, F>) -> Box<Node<K, V, F>> {
+        let node = Node::new(inner);
+        self.announce(ptr::from_ref(&*node).addr());
         node
     }
 
-    /// Reports the fields every visit of `node` reads: the lock word,
+    /// Reports the fields every visit of node `id` reads: the lock word,
     /// `is_leaf` and `len`.
-    fn visited(&self, node: *mut Node<K, V, F>) {
-        let id = node.addr();
+    fn visited(&self, id: usize) {
         let lock = mem::offset_of!(Node<K, V, F>, lock);
         self.tracer.touched(id, lock, size_of::<RawRwSpinLock>());
         let is_leaf = mem::offset_of!(Node<K, V, F>, is_leaf);
@@ -608,25 +629,18 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
             .touched(id, Node::<K, V, F>::LEN, size_of::<usize>());
     }
 
-    /// The per-probe callback of a search of `node`'s keys: reports each
-    /// key compared, at its address minus the node's.
-    fn probe(&self, node: *mut Node<K, V, F>) -> impl Fn(&K) + '_ {
+    /// The per-probe callback of a search of node `id`'s keys: reports
+    /// each key compared, at its address minus the node's.
+    fn probe(&self, id: usize) -> impl Fn(&K) + '_ {
         move |key| {
-            let offset = ptr::from_ref(key).addr() - node.addr();
-            self.tracer.touched(node.addr(), offset, size_of::<K>());
+            let offset = ptr::from_ref(key).addr() - id;
+            self.tracer.touched(id, offset, size_of::<K>());
         }
     }
 
-    /// Reports key slots `keys` and payload slots `payload` of `node`,
+    /// Reports key slots `keys` and payload slots `payload` of node `id`,
     /// whose interior is `inner`, read or written.
-    fn slots(
-        &self,
-        node: *mut Node<K, V, F>,
-        inner: &Inner<K, V, F>,
-        keys: Range<usize>,
-        payload: Range<usize>,
-    ) {
-        let id = node.addr();
+    fn slots(&self, id: usize, inner: &Inner<K, V, F>, keys: Range<usize>, payload: Range<usize>) {
         let key_bytes = size_of::<K>();
         let offset = Node::<K, V, F>::KEYS + keys.start * key_bytes;
         self.tracer.touched(id, offset, keys.len() * key_bytes);
@@ -641,47 +655,40 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
         self.tracer.touched(id, offset, payload.len() * width);
     }
 
-    /// Reports the slots `Inner`'s mutators tell them they wrote to `node`.
-    fn written(
-        &self,
-        node: *mut Node<K, V, F>,
-    ) -> impl FnOnce(&Inner<K, V, F>, Range<usize>, Range<usize>) + '_ {
-        move |inner, keys, payload| self.slots(node, inner, keys, payload)
+    /// Reports the slots `Inner`'s mutators tell them they wrote to node
+    /// `id`.
+    fn written(&self, id: usize) -> impl FnOnce(&Inner<K, V, F>, Range<usize>, Range<usize>) + '_ {
+        move |inner, keys, payload| self.slots(id, inner, keys, payload)
     }
 
-    /// The child of the locked internal node `node`, whose interior is
-    /// `inner`, covering `key` (the first child for `None`); reports the
-    /// probes of the search and the child slot read.
-    fn child(
-        &self,
-        node: *mut Node<K, V, F>,
-        inner: &Inner<K, V, F>,
-        key: Option<&K>,
-    ) -> *mut Node<K, V, F> {
-        let slot = key.map_or(0, |key| inner.upper_bound(key, self.probe(node)));
-        self.slots(node, inner, 0..0, slot..slot + 1);
-        inner.children()[slot]
+    /// The slot of the child of the locked internal node `id`, whose
+    /// interior is `node`, covering `key` (the first child for `None`);
+    /// reports the probes of the search and the child slot read.
+    fn child_slot(&self, id: usize, node: &Inner<K, V, F>, key: Option<&K>) -> usize {
+        let slot = key.map_or(0, |key| node.upper_bound(key, self.probe(id)));
+        self.slots(id, node, 0..0, slot..slot + 1);
+        slot
     }
 
-    /// Retires an unlinked node through the collector.
-    fn retire_node(&self, node: *mut Node<K, V, F>) {
-        let guard = self.collector.pin();
-        // SAFETY: the caller unlinked `node` while holding the exclusive
-        // locks the rebalance protocol requires (so no traversal can reach
-        // it any more) and retires it exactly once.
-        unsafe { guard.retire_box(node) };
+    /// Unlocks `node`, which the caller unlinked under the exclusive locks
+    /// the rebalance protocol requires, and retires it through the
+    /// collector.
+    fn retire_node(&self, node: WriteGuard<'_, Node<K, V, F>>) {
+        let ptr = node.as_ptr();
+        drop(node);
+        // SAFETY: no traversal can reach the node any more (`Latched`'s
+        // impl), the caller retires it exactly once, and it was allocated
+        // by `alloc` as a `Box`.
+        unsafe { self.collector.pin().retire_box(ptr) };
     }
 
-    /// Moves the upper half of the full node `node`, whose interior is
-    /// `left`, into a new right sibling, returned unlocked and not yet in
-    /// any parent together with the separator for the parent.  A leaf
-    /// keeps the separator as the sibling's first key; an internal node
-    /// moves it up.
-    fn split(
-        &self,
-        node: *mut Node<K, V, F>,
-        left: &mut Inner<K, V, F>,
-    ) -> (*mut Node<K, V, F>, K) {
+    /// Moves the upper half of the full node `node` into a new right
+    /// sibling, returned unlocked and not yet in any parent together with
+    /// the separator for the parent.  A leaf keeps the separator as the
+    /// sibling's first key; an internal node moves it up.
+    fn split(&self, node: &mut WriteGuard<'_, Node<K, V, F>>) -> (*mut Node<K, V, F>, K) {
+        let id = node.addr();
+        let left = &mut **node;
         assert_eq!(left.len, F);
         let (half, c) = (F / 2, left.sep_cost());
         let separator = left.keys()[half];
@@ -691,79 +698,49 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
         right.len = F - half - c;
         right.next_leaf = left.next_leaf;
         left.len = half;
-        let right = self.alloc(right);
-        self.slots(node, left, half + c..F, half + c..F + c);
-        // SAFETY: `right` is not published yet, so nothing else reads it.
-        let moved = unsafe { (*right).inner() };
-        self.slots(right, moved, 0..F - half - c, 0..F - half);
+        let mut right = self.alloc(right);
+        self.slots(id, left, half + c..F, half + c..F + c);
+        let right_id = ptr::from_ref(&*right).addr();
+        let moved = right.inner.get_mut();
+        self.slots(right_id, moved, 0..F - half - c, 0..F - half);
+        let right = Box::into_raw(right);
         if left.is_leaf() {
             left.next_leaf = right;
         }
         (right, separator)
     }
 
-    /// The read-mode descent: read locks hand over hand from the root to
+    /// The optimistic descent: read locks hand over hand from the root to
     /// the leaf covering `key` (the leftmost leaf for `None`), which is
-    /// returned read-locked.  Every node on the way reports its visit, and
-    /// every internal one its search.
-    fn lock_leaf_shared(&self, key: Option<&K>) -> *mut Node<K, V, F> {
-        // SAFETY: each node is locked before it is read and its parent is
-        // unlocked only after that, so no node on the path can be unlinked
-        // under us; the tree lock covers the root pointer.
-        unsafe {
-            self.tree_lock.lock_shared();
-            let mut node = self.root.load(Ordering::Acquire);
-            (*node).lock.lock_shared();
-            self.tree_lock.unlock_shared();
-            loop {
-                let inner = (*node).inner();
-                self.visited(node);
-                if (*node).is_leaf {
-                    return node;
-                }
-                let child = self.child(node, inner, key);
-                (*child).lock.lock_shared();
-                (*node).lock.unlock_shared();
-                node = child;
-            }
+    /// locked exclusively if `W`.  Returns the leaf and whether it is the
+    /// root.  Every node on the way reports its visit, and every internal
+    /// one its search.
+    fn lock_leaf<const W: bool>(&self, key: Option<&K>) -> (Guard<'_, Node<K, V, F>, W>, bool) {
+        let tree = ReadGuard::lock(&self.root);
+        if tree.root().is_leaf {
+            let leaf = tree.lock_root();
+            drop(tree);
+            self.visited(leaf.addr());
+            return (leaf, true);
         }
-    }
-
-    /// The write-mode descent of the optimistic pass: read locks hand
-    /// over hand from the root, the leaf covering `key` write-locked.
-    /// Returns the leaf and whether it is the root.  Every node on the way
-    /// reports its visit, and every internal one its search.
-    fn lock_leaf_exclusive(&self, key: &K) -> (*mut Node<K, V, F>, bool) {
-        // SAFETY: as in `lock_leaf_shared`.
-        unsafe {
-            let lock = |node: *mut Node<K, V, F>| {
-                if (*node).is_leaf {
-                    (*node).lock.lock_exclusive();
-                } else {
-                    (*node).lock.lock_shared();
-                }
-            };
-            self.tree_lock.lock_shared();
-            let root = self.root.load(Ordering::Acquire);
-            lock(root);
-            self.tree_lock.unlock_shared();
-            let mut node = root;
-            loop {
-                self.visited(node);
-                if (*node).is_leaf {
-                    return (node, node == root);
-                }
-                let child = self.child(node, (*node).inner(), Some(key));
-                lock(child);
-                (*node).lock.unlock_shared();
-                node = child;
+        let mut node: ReadGuard<'_, _> = tree.lock_root();
+        drop(tree);
+        loop {
+            self.visited(node.addr());
+            let slot = self.child_slot(node.addr(), &node, key);
+            if node.child(slot).is_leaf {
+                let leaf = node.lock_child(slot);
+                drop(node);
+                self.visited(leaf.addr());
+                return (leaf, false);
             }
+            node = node.lock_child(slot);
         }
     }
 
     /// Cursor batch-fetch primitive: appends up to `max` entries with keys
     /// satisfying `from` in ascending order, descending with hand-over-hand
-    /// read locks and then streaming along the leaf chain.
+    /// read locks and then streaming along the leaf chain hand over hand.
     ///
     /// The OCC scheme cannot park a cursor on a locked leaf (a pessimistic
     /// pass retiring to the root would deadlock against it), so cursors
@@ -773,38 +750,29 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
         if max == 0 {
             return;
         }
-        let mut node = self.lock_leaf_shared(match &from {
+        let (mut node, _) = self.lock_leaf::<false>(match &from {
             Bound::Unbounded => None,
             Bound::Included(key) | Bound::Excluded(key) => Some(key),
         });
-        // SAFETY: `node` stays read-locked; the chain is walked hand over
-        // hand.
-        unsafe {
-            let inner = (*node).inner();
-            let mut slot = match &from {
-                Bound::Unbounded => 0,
-                Bound::Included(key) => inner.lower_bound(key, self.probe(node)),
-                Bound::Excluded(key) => inner.upper_bound(key, self.probe(node)),
-            };
-            loop {
-                let inner = (*node).inner();
-                let end = inner.len.min(slot + max - out.len());
-                self.slots(node, inner, slot..end, slot..end);
-                out.extend((slot..end).map(|slot| (inner.keys()[slot], inner.value(slot))));
-                let next = inner.next_leaf;
-                let next_leaf = Node::<K, V, F>::NEXT_LEAF;
-                self.tracer
-                    .touched(node.addr(), next_leaf, size_of::<usize>());
-                if out.len() == max || next.is_null() {
-                    break;
-                }
-                (*next).lock.lock_shared();
-                (*node).lock.unlock_shared();
-                node = next;
-                slot = 0;
-                self.visited(node);
+        let mut slot = match &from {
+            Bound::Unbounded => 0,
+            Bound::Included(key) => node.lower_bound(key, self.probe(node.addr())),
+            Bound::Excluded(key) => node.upper_bound(key, self.probe(node.addr())),
+        };
+        loop {
+            let end = node.len.min(slot + max - out.len());
+            self.slots(node.addr(), &node, slot..end, slot..end);
+            out.extend((slot..end).map(|slot| (node.keys()[slot], node.value(slot))));
+            let next_leaf = Node::<K, V, F>::NEXT_LEAF;
+            self.tracer
+                .touched(node.addr(), next_leaf, size_of::<usize>());
+            if out.len() == max {
+                break;
             }
-            (*node).lock.unlock_shared();
+            let Some(next) = node.lock_next() else { break };
+            node = next;
+            slot = 0;
+            self.visited(node.addr());
         }
     }
 
@@ -812,54 +780,43 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
     /// with writer locks, splitting full nodes preemptively.
     fn insert_pessimistic(&self, key: K, value: V) -> Option<V> {
         self.counters.root_write_locks.incr();
-        // SAFETY: every node on the descent path is locked exclusively
-        // before being read or modified; newly allocated nodes are private
-        // until their parent (also exclusively locked) or, for a new root,
-        // the root pointer under the exclusive tree lock publishes them.
-        unsafe {
-            self.tree_lock.lock_exclusive();
-            let mut node = self.root.load(Ordering::Acquire);
-            (*node).lock.lock_exclusive();
-            if (*node).inner().len == F {
-                // Split the root: the old root becomes the left half.
-                let (right, separator) = self.split(node, (*node).inner_mut());
-                let top = self.alloc(Inner::new(false));
-                (*top).lock.lock_exclusive();
-                let inner = (*top).inner_mut();
-                inner.children_mut()[0] = node;
-                inner.insert_child(separator, right, self.probe(top), self.written(top));
-                self.root.store(top, Ordering::Release);
-                (*node).lock.unlock_exclusive();
-                node = top;
-            }
-            self.tree_lock.unlock_exclusive();
-
-            // Descend with writer latch crabbing; every full child is split
-            // before we step into it, so parents always have room.
-            while !(*node).is_leaf {
-                self.visited(node);
-                let mut child = self.child(node, (*node).inner(), Some(&key));
-                let inner = (*node).inner_mut();
-                (*child).lock.lock_exclusive();
-                if (*child).inner().len == F {
-                    let (right, separator) = self.split(child, (*child).inner_mut());
-                    inner.insert_child(separator, right, self.probe(node), self.written(node));
-                    if key >= separator {
-                        (*child).lock.unlock_exclusive();
-                        (*right).lock.lock_exclusive();
-                        child = right;
-                    }
-                }
-                (*node).lock.unlock_exclusive();
-                node = child;
-            }
-            // Leaf with room guaranteed.
-            self.visited(node);
-            let inner = (*node).inner_mut();
-            let old = inner.upsert(key, value, self.probe(node), self.written(node));
-            (*node).lock.unlock_exclusive();
-            old
+        let tree = WriteGuard::lock(&self.root);
+        let mut node = tree.lock_root();
+        if node.len == F {
+            // Split the root: the old root becomes the left half of a new
+            // root, which is published locked.
+            let (right, separator) = self.split(&mut node);
+            let mut top = self.alloc(Inner::new(false));
+            let id = ptr::from_ref(&*top).addr();
+            let inner = top.inner.get_mut();
+            inner.children_mut()[0] = node.as_ptr();
+            inner.insert_child(separator, right, self.probe(id), self.written(id));
+            node = tree.install(top);
         }
+        drop(tree);
+
+        // Descend with writer latch crabbing; every full child is split
+        // before we step into it, so parents always have room.
+        while !node.target().is_leaf {
+            let id = node.addr();
+            self.visited(id);
+            let slot = self.child_slot(id, &node, Some(&key));
+            let mut child = node.lock_child(slot);
+            if child.len == F {
+                let (right, separator) = self.split(&mut child);
+                let right_slot =
+                    node.insert_child(separator, right, self.probe(id), self.written(id));
+                if key >= separator {
+                    drop(child);
+                    child = node.lock_child(right_slot);
+                }
+            }
+            node = child;
+        }
+        // Leaf with room guaranteed.
+        let id = node.addr();
+        self.visited(id);
+        node.upsert(key, value, self.probe(id), self.written(id))
     }
 
     /// The pessimistic removal: take the tree lock in write mode, fix the
@@ -869,125 +826,82 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
     /// never underflow a node.
     fn remove_pessimistic(&self, key: &K) -> Option<V> {
         self.counters.root_write_locks.incr();
-        // SAFETY: every touched node is locked exclusively before being
-        // read or modified; root-pointer changes happen under the
-        // exclusive tree lock, which also excludes the descents' root
-        // acquisition.
-        unsafe {
-            self.tree_lock.lock_exclusive();
-            let mut node = self.root.load(Ordering::Acquire);
-            (*node).lock.lock_exclusive();
-            // Root fixes under the tree lock: collapse single-child
-            // shells, including one produced by rebalancing the root's
-            // own children just below.
-            while !(*node).is_leaf {
-                let child = if (*node).inner().len == 0 {
-                    let child = (*node).inner().children()[0];
-                    (*child).lock.lock_exclusive();
-                    child
-                } else {
-                    let child = self.lock_child_rebalanced(node, key);
-                    if (*node).inner().len > 0 {
-                        (*node).lock.unlock_exclusive();
-                        node = child;
-                        break;
-                    }
-                    // The rebalance merged the root's only two children.
-                    child
-                };
-                self.root.store(child, Ordering::Release);
-                (*node).lock.unlock_exclusive();
-                self.counters.root_collapses.incr();
-                self.retire_node(node);
-                node = child;
-            }
-            self.tree_lock.unlock_exclusive();
-
-            // Crab down with writer locks, pre-balancing each child.
-            while !(*node).is_leaf {
-                let child = self.lock_child_rebalanced(node, key);
-                (*node).lock.unlock_exclusive();
-                node = child;
-            }
-            // The leaf is above the threshold (or it is the root leaf).
-            let inner = (*node).inner_mut();
-            let old = inner.keys().binary_search(key).ok();
-            let old = old.map(|slot| inner.remove_entry(slot));
-            (*node).lock.unlock_exclusive();
-            old
+        let tree = WriteGuard::lock(&self.root);
+        let mut node = tree.lock_root();
+        // Root fixes under the tree lock: collapse single-child shells,
+        // including one produced by rebalancing the root's own children
+        // just below.
+        while !node.target().is_leaf {
+            let child = if node.len == 0 {
+                node.lock_child(0)
+            } else {
+                let child = self.lock_child_rebalanced(&mut node, key);
+                if node.len > 0 {
+                    node = child;
+                    break;
+                }
+                // The rebalance merged the root's only two children.
+                child
+            };
+            tree.replace(&child);
+            self.counters.root_collapses.incr();
+            self.retire_node(mem::replace(&mut node, child));
         }
+        drop(tree);
+
+        // Crab down with writer locks, pre-balancing each child.
+        while !node.target().is_leaf {
+            node = self.lock_child_rebalanced(&mut node, key);
+        }
+        // The leaf is above the threshold (or it is the root leaf).
+        let slot = node.keys().binary_search(key).ok();
+        slot.map(|slot| node.remove_entry(slot))
     }
 
-    /// Locks the child of `parent` covering `key`; if the child sits at
+    /// Locks the child of `parent`, an internal node with at least one key
+    /// (so a sibling always exists), covering `key`; if the child sits at
     /// the underflow threshold, rebalances it with an adjacent sibling
     /// first (borrow or merge) so one removal below cannot underflow it.
     /// Returns the (exclusively locked) child covering `key` after the
     /// fix; the parent stays exclusively locked and loses at most one
     /// separator.
-    ///
-    /// # Safety
-    ///
-    /// The caller holds `parent`'s exclusive lock; `parent` is internal
-    /// with at least one key (so a sibling always exists).
-    unsafe fn lock_child_rebalanced(
+    fn lock_child_rebalanced<'t>(
         &self,
-        parent: *mut Node<K, V, F>,
+        parent: &mut WriteGuard<'t, Node<K, V, F>>,
         key: &K,
-    ) -> *mut Node<K, V, F> {
-        // SAFETY: the caller holds `parent`'s exclusive lock.
-        let parent = unsafe { (*parent).inner_mut() };
+    ) -> WriteGuard<'t, Node<K, V, F>> {
         let slot = parent.upper_bound(key, |_| ());
-        let child = parent.children()[slot];
-        // SAFETY: `child` is a live child of the exclusively locked parent,
-        // and its lock is held for the `inner` read.
-        unsafe {
-            (*child).lock.lock_exclusive();
-            if (*child).inner().len > Self::MIN_KEYS {
-                return child;
-            }
+        let child = parent.lock_child(slot);
+        if child.len > Self::MIN_KEYS {
+            return child;
         }
         // Pair the child with a neighbour under the same parent.  The
         // pair is always locked left-to-right — the leaf-chain order — so
         // rebalancing cannot deadlock against range scans.
-        let (left, right, sep) = if slot == 0 {
-            let right = parent.children()[1];
-            // SAFETY: a live child of the exclusively locked parent.
-            unsafe { (*right).lock.lock_exclusive() };
-            (child, right, 0)
+        let (mut left, mut right, sep) = if slot == 0 {
+            (child, parent.lock_child(1), 0)
         } else {
             // The left sibling must be locked first; dropping the child's
             // lock is safe because the parent's exclusive lock keeps every
             // descent (and thus every child mutation) out.
-            // SAFETY: `child` is locked by this thread; both are live
-            // children of the exclusively locked parent.
-            let left = unsafe {
-                (*child).lock.unlock_exclusive();
-                let left = parent.children()[slot - 1];
-                (*left).lock.lock_exclusive();
-                (*child).lock.lock_exclusive();
-                left
-            };
-            (left, child, slot - 1)
+            drop(child);
+            (
+                parent.lock_child(slot - 1),
+                parent.lock_child(slot),
+                slot - 1,
+            )
         };
-        // SAFETY: both siblings are exclusively locked by this thread.
-        let (left_inner, right_inner) = unsafe { ((*left).inner_mut(), (*right).inner_mut()) };
-        if left_inner.len + right_inner.len + left_inner.sep_cost() <= F {
-            parent.merge(sep, left_inner, right_inner);
-            // SAFETY: `right` is live and exclusively locked by this thread.
-            unsafe { (*right).lock.unlock_exclusive() };
-            self.counters.nodes_merged.incr();
+        if left.len + right.len + left.sep_cost() <= F {
+            parent.merge(sep, &mut left, &mut right);
             self.retire_node(right);
+            self.counters.nodes_merged.incr();
             left
         } else {
-            parent.rebalance(sep, left_inner, right_inner);
+            parent.rebalance(sep, &mut left, &mut right);
             self.counters.nodes_borrowed.incr();
             if parent.keys()[sep] <= *key {
-                // SAFETY: `left` is live and exclusively locked by this thread.
-                unsafe { (*left).lock.unlock_exclusive() };
                 right
             } else {
-                // SAFETY: `right` is live and exclusively locked by this thread.
-                unsafe { (*right).lock.unlock_exclusive() };
                 left
             }
         }
@@ -996,7 +910,7 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer> OccBTree<K, V, F, T>
 
 impl<K, V, const F: usize, T: Tracer> Drop for OccBTree<K, V, F, T> {
     fn drop(&mut self) {
-        let mut stack = vec![*self.root.get_mut()];
+        let mut stack = vec![self.root.as_mut_ptr()];
         while let Some(node) = stack.pop() {
             // SAFETY: `&mut self` means no concurrent accessors, and every
             // node is reachable from the root exactly once.
@@ -1016,16 +930,11 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> Concur
     /// lock on the leaf); a full leaf retires to the root and goes
     /// pessimistic.
     fn insert(&self, key: K, value: V) -> Option<V> {
-        let (leaf, _) = self.lock_leaf_exclusive(&key);
-        // SAFETY: `leaf` is write-locked until the unlock below.
-        let result = unsafe {
-            let inner = (*leaf).inner_mut();
-            let full = inner.len == F && inner.search(&key, self.probe(leaf)).is_err();
-            let result =
-                (!full).then(|| inner.upsert(key, value, self.probe(leaf), self.written(leaf)));
-            (*leaf).lock.unlock_exclusive();
-            result
-        };
+        let (mut leaf, _) = self.lock_leaf::<true>(Some(&key));
+        let id = leaf.addr();
+        let full = leaf.len == F && leaf.search(&key, self.probe(id)).is_err();
+        let result = (!full).then(|| leaf.upsert(key, value, self.probe(id), self.written(id)));
+        drop(leaf);
         // A full leaf retires to the root and goes pessimistic.
         let old = result.unwrap_or_else(|| self.insert_pessimistic(key, value));
         if old.is_none() {
@@ -1035,16 +944,11 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> Concur
     }
 
     fn get(&self, key: &K) -> Option<V> {
-        let leaf = self.lock_leaf_shared(Some(key));
-        // SAFETY: `leaf` is read-locked until the unlock below.
-        unsafe {
-            let inner = (*leaf).inner();
-            let slot = inner.search(key, self.probe(leaf)).ok();
-            let slot = slot.inspect(|&slot| self.slots(leaf, inner, slot..slot, slot..slot + 1));
-            let value = slot.map(|slot| inner.value(slot));
-            (*leaf).lock.unlock_shared();
-            value
-        }
+        let (leaf, _) = self.lock_leaf::<false>(Some(key));
+        let id = leaf.addr();
+        let slot = leaf.search(key, self.probe(id)).ok();
+        let slot = slot.inspect(|&slot| self.slots(id, &leaf, slot..slot, slot..slot + 1));
+        slot.map(|slot| leaf.value(slot))
     }
 
     /// Removes `key`.  The common case is optimistic (reader locks down,
@@ -1052,23 +956,16 @@ impl<K: IndexKey, V: IndexValue, const F: usize, T: Tracer + Send + Sync> Concur
     /// the underflow threshold retires to the root and rebalances on the
     /// way down (see the module docs).
     fn remove(&self, key: &K) -> Option<V> {
-        let (leaf, is_root) = self.lock_leaf_exclusive(key);
-        // SAFETY: `leaf` is write-locked until the unlock below.
-        let result = unsafe {
-            let inner = (*leaf).inner_mut();
-            // `None`: the removal must retire to the root.
-            let result = match inner.keys().binary_search(key) {
-                // A root leaf may shrink to empty; any other leaf must
-                // stay above the threshold or rebalance pessimistically.
-                Ok(slot) if is_root || inner.len > Self::MIN_KEYS => {
-                    Some(Some(inner.remove_entry(slot)))
-                }
-                Ok(_) => None,
-                Err(_) => Some(None),
-            };
-            (*leaf).lock.unlock_exclusive();
-            result
+        let (mut leaf, is_root) = self.lock_leaf::<true>(Some(key));
+        // `None`: the removal must retire to the root.
+        let result = match leaf.keys().binary_search(key) {
+            // A root leaf may shrink to empty; any other leaf must stay
+            // above the threshold or rebalance pessimistically.
+            Ok(slot) if is_root || leaf.len > Self::MIN_KEYS => Some(Some(leaf.remove_entry(slot))),
+            Ok(_) => None,
+            Err(_) => Some(None),
         };
+        drop(leaf);
         let old = result.unwrap_or_else(|| self.remove_pessimistic(key));
         if old.is_some() {
             self.len.add(-1);
@@ -1128,11 +1025,12 @@ mod tests {
     type SmallTree = OccBTree<u64, u64, 8>;
 
     /// One statistic of `tree`'s `stats()` snapshot.
-    fn stat<const F: usize>(tree: &OccBTree<u64, u64, F>, name: &str) -> u64 {
+    fn stat<const F: usize, T: Tracer + Send + Sync>(
+        tree: &OccBTree<u64, u64, F, T>,
+        name: &str,
+    ) -> u64 {
         tree.stats().get(name).unwrap()
     }
-
-    type NodePtr<const F: usize> = *mut Node<u64, u64, F>;
 
     /// Panics unless the quiescent `tree` is well-formed: keys ascend
     /// inside each node and lie within the node's separators, all leaves
@@ -1145,14 +1043,12 @@ mod tests {
         /// Checks the subtree at `node`, whose keys lie in `[lo, hi)`,
         /// appends its leaves in order and returns its height.
         fn walk<const F: usize>(
-            node: NodePtr<F>,
+            node: &ReadGuard<'_, Node<u64, u64, F>>,
             (lo, hi): (Option<u64>, Option<u64>),
             is_root: bool,
-            leaves: &mut Vec<NodePtr<F>>,
+            leaves: &mut Vec<usize>,
         ) -> usize {
-            // SAFETY: the tree is quiescent and every node reachable from
-            // the root is live.
-            let (node_is_leaf, inner) = unsafe { ((*node).is_leaf, (*node).inner()) };
+            let (node_is_leaf, inner) = (node.target().is_leaf, &**node);
             let keys = inner.keys();
             assert_eq!(node_is_leaf, inner.is_leaf());
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
@@ -1168,14 +1064,14 @@ mod tests {
                 );
             }
             if inner.is_leaf() {
-                leaves.push(node);
+                leaves.push(node.addr());
                 return 0;
             }
             let heights: Vec<usize> = (0..=inner.len)
                 .map(|i| {
                     let lo = if i == 0 { lo } else { Some(keys[i - 1]) };
                     let hi = keys.get(i).copied().or(hi);
-                    walk(inner.children()[i], (lo, hi), false, leaves)
+                    walk(&node.lock_child(i), (lo, hi), false, leaves)
                 })
                 .collect();
             assert!(
@@ -1186,25 +1082,22 @@ mod tests {
         }
         let mut leaves = Vec::new();
         let height = walk(
-            tree.root.load(Ordering::Acquire),
+            &ReadGuard::lock(&tree.root).lock_root(),
             (None, None),
             true,
             &mut leaves,
         );
-        let mut chain = vec![leaves[0]];
-        // SAFETY: as in `walk`.
-        let next_of = |leaf: NodePtr<F>| unsafe { (*leaf).inner().next_leaf };
-        let mut next = next_of(leaves[0]);
-        while !next.is_null() {
-            chain.push(next);
-            next = next_of(next);
+        let mut leaf: ReadGuard<'_, _> = ReadGuard::lock(&tree.root).lock_root();
+        while !leaf.is_leaf() {
+            leaf = leaf.lock_child(0);
+        }
+        let (mut chain, mut entries) = (vec![leaf.addr()], leaf.len);
+        while let Some(next) = leaf.lock_next() {
+            chain.push(next.addr());
+            entries += next.len;
+            leaf = next;
         }
         assert!(chain == leaves, "the leaf chain is not the in-order leaves");
-        // SAFETY: as in `walk`.
-        let entries: usize = leaves
-            .iter()
-            .map(|&leaf| unsafe { (*leaf).inner().len })
-            .sum();
         assert_eq!(entries, tree.len());
         height + 1
     }
@@ -1337,12 +1230,11 @@ mod tests {
         let levels = check_invariants(&tree);
         assert!(levels >= 4, "{levels} levels");
         for key in [0, 499, 999, 1000] {
-            let leaf = tree.lock_leaf_shared(Some(&key));
-            // SAFETY: `leaf` is read-locked until the unlock below.
-            let values = unsafe {
-                let values = (*leaf).inner().values().as_ptr_range();
-                (*leaf).lock.unlock_shared();
-                values.start.addr() - leaf.addr()..values.end.addr() - leaf.addr()
+            let (leaf, values) = {
+                let (leaf, _) = tree.lock_leaf::<false>(Some(&key));
+                let values = leaf.values().as_ptr_range();
+                let id = leaf.addr();
+                (id, values.start.addr() - id..values.end.addr() - id)
             };
             tree.tracer().touched.lock().unwrap().clear();
             let found = tree.get(&key);
@@ -1353,10 +1245,54 @@ mod tests {
             // A value slot is read exactly when the key is found.
             let value_reads = touched
                 .iter()
-                .filter(|&&(id, offset, _)| id == leaf.addr() && values.contains(&offset))
+                .filter(|&&(id, offset, _)| id == leaf && values.contains(&offset))
                 .count();
             assert_eq!(value_reads, usize::from(found.is_some()), "{key}");
         }
+    }
+
+    /// A panic under the tree's locks releases them: a tracer panics at
+    /// each event of one insert in turn, across a run of inserts into the
+    /// rightmost leaf that includes a split retiring to the root.
+    #[test]
+    fn a_panic_under_a_lock_releases_it() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::Ordering::Relaxed;
+        type Tree = OccBTree<u64, u64, 4, crate::Tripwire>;
+        /// Reads every lock of `tree` before taking it, so a leaked lock
+        /// fails here instead of hanging.
+        fn assert_unlocked(tree: &Tree) {
+            fn walk(node: &ReadGuard<'_, Node<u64, u64, 4>>) {
+                for slot in (0..=node.len).filter(|_| !node.is_leaf()) {
+                    assert!(!node.child(slot).lock.is_locked(), "a node lock");
+                    walk(&node.lock_child(slot));
+                }
+            }
+            assert!(!tree.root.latch().is_locked(), "the tree lock");
+            let root = ReadGuard::lock(&tree.root);
+            assert!(!root.root().lock.is_locked(), "the root's lock");
+            walk(&root.lock_root());
+        }
+        let mut splits = 0;
+        for probe in 0..4 {
+            for fuse in 1.. {
+                let tree = Tree::with_tracer(crate::Tripwire::default());
+                for key in (0..200).chain(1000..1000 + probe) {
+                    tree.insert(key, key);
+                }
+                let root_write_locks = stat(&tree, "root_write_locks");
+                tree.tracer().fuse.store(fuse, Relaxed);
+                let key = 1000 + probe;
+                if catch_unwind(AssertUnwindSafe(|| tree.insert(key, key))).is_ok() {
+                    splits += stat(&tree, "root_write_locks") - root_write_locks;
+                    break;
+                }
+                assert_unlocked(&tree);
+                assert_eq!(tree.insert(key, 7), None, "probe {probe}, fuse {fuse}");
+                assert_eq!(tree.get(&key), Some(7), "probe {probe}, fuse {fuse}");
+            }
+        }
+        assert!(splits > 0, "some probe retired to the root");
     }
 
     #[test]

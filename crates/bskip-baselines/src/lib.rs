@@ -30,8 +30,10 @@
 #![warn(rust_2018_idioms)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::multiple_unsafe_ops_per_block)]
 
 mod btree_occ;
+mod handle;
 mod skiplist_lazy;
 mod skiplist_lockfree;
 mod skiplist_nhs;
@@ -74,6 +76,40 @@ impl bskip_index::trace::Tracer for Recording {
             "{offset} + {bytes} > {footprint}"
         );
         self.touched.lock().unwrap().push((id, offset, bytes));
+    }
+}
+
+/// A tracer for the lock-release tests: panics on its first `touched`
+/// call once armed, by a countdown of `touched` calls or by the next
+/// `node_allocated`.
+#[cfg(test)]
+#[derive(Default)]
+struct Tripwire {
+    /// `touched` calls to let through, plus one; 0 is disarmed.
+    fuse: std::sync::atomic::AtomicUsize,
+    /// Whether the next `node_allocated` arms the next `touched`.
+    arm_on_alloc: std::sync::atomic::AtomicBool,
+}
+
+#[cfg(test)]
+impl bskip_index::trace::Tracer for Tripwire {
+    fn node_allocated(&self, _: usize, _: usize) {
+        use std::sync::atomic::Ordering::Relaxed;
+        if self.arm_on_alloc.swap(false, Relaxed) {
+            self.fuse.store(1, Relaxed);
+        }
+    }
+
+    fn touched(&self, _: usize, _: usize, _: usize) {
+        use std::sync::atomic::Ordering::Relaxed;
+        match self.fuse.load(Relaxed) {
+            0 => {}
+            1 => {
+                self.fuse.store(0, Relaxed);
+                panic!("tripwire");
+            }
+            left => self.fuse.store(left - 1, Relaxed),
+        }
     }
 }
 

@@ -51,8 +51,9 @@ use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, RawRwSpinLock, RwSpinLock, StripedCounter};
+use bskip_sync::{Backoff, EbrCollector, EbrGuard, RawRwSpinLock, RwSpinLock, StripedCounter};
 
+use crate::handle::{NodeRef, WriteGuard};
 use crate::tower::{sample_tower_height, MAX_LEVELS};
 
 /// Entries fetched per cursor re-entry (one element per node, as for the
@@ -70,6 +71,16 @@ struct LazyNode<K, V> {
     fully_linked: AtomicBool,
     next: Box<[AtomicPtr<LazyNode<K, V>>]>,
 }
+
+/// A tower reached under a pin; as a predecessor, `None` is the head.
+type Tower<'g, K, V> = Option<NodeRef<'g, LazyNode<K, V>>>;
+
+/// One tower per level, as `find` leaves them.
+type Lanes<'g, K, V> = [Tower<'g, K, V>; MAX_LEVELS];
+
+/// What `find` returns: the tower holding the key, then the predecessors
+/// and successors at every level.
+type Found<'g, K, V> = (Tower<'g, K, V>, Lanes<'g, K, V>, Lanes<'g, K, V>);
 
 impl<K, V> LazyNode<K, V> {
     fn height(&self) -> usize {
@@ -89,6 +100,11 @@ impl<K, V> LazyNode<K, V> {
                 .into_boxed_slice(),
         })
     }
+}
+
+/// Whether `tower` is the head or a tower not logically deleted.
+fn unmarked<K, V>(tower: Tower<'_, K, V>) -> bool {
+    tower.is_none_or(|tower| !tower.marked.load(Ordering::Acquire))
 }
 
 /// An optimistic lock-based concurrent skiplist with one element per node.
@@ -119,8 +135,9 @@ pub struct LazySkipList<K, V, T: Tracer = NoTrace> {
 }
 
 // SAFETY: nodes are mutated only through atomics, the per-node locks and
-// the value lock; nodes are never freed while the list is shared.  The
-// tracer moves with the list.
+// the value lock.  A node is freed by the collector after `remove` retired
+// it, once every pin that could still reach it is dropped (`handle.rs`'s
+// pin argument), or by the list's drop.  The tracer moves with the list.
 unsafe impl<K: IndexKey, V: IndexValue, T: Tracer + Send> Send for LazySkipList<K, V, T> {}
 // SAFETY: as for `Send`: shared access goes through the same atomics and
 // locks, and the tracer is only shared as `&T`.
@@ -162,82 +179,78 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
         &self.tracer
     }
 
-    /// Forward pointer `level` of `pred`, or of the head for a null
-    /// `pred`, reported used.
-    ///
-    /// # Safety: `pred`, when non-null, must point to a live node of
-    /// sufficient height.
-    unsafe fn slot(&self, pred: *mut LazyNode<K, V>, level: usize) -> &AtomicPtr<LazyNode<K, V>> {
-        let links = if pred.is_null() {
-            &self.head
-        } else {
-            // SAFETY: per this function's contract `pred` is live.
-            unsafe { &(*pred).next }
-        };
+    /// Forward pointer `level` of `pred`, or of the head for `None`,
+    /// reported used.
+    fn slot<'g>(&'g self, pred: Tower<'g, K, V>, level: usize) -> &'g AtomicPtr<LazyNode<K, V>> {
+        let links = pred.map_or(&*self.head, |pred| &*pred.get().next);
         let width = size_of::<AtomicPtr<LazyNode<K, V>>>();
         self.tracer
             .touched(links.as_ptr().addr(), level * width, width);
         &links[level]
     }
 
-    /// The key of the live node `node`, reported peeked.
-    ///
-    /// # Safety: `node` must point to a live node.
-    unsafe fn peek(&self, node: *mut LazyNode<K, V>) -> K {
+    /// The key of `node`, reported peeked.
+    fn peek(&self, node: NodeRef<'_, LazyNode<K, V>>) -> K {
         let offset = std::mem::offset_of!(LazyNode<K, V>, key);
-        self.tracer.touched(node.addr(), offset, size_of::<K>());
-        // SAFETY: per this function's contract `node` is live.
-        unsafe { (*node).key }
+        self.tracer
+            .touched(node.as_ptr().addr(), offset, size_of::<K>());
+        node.key
     }
 
     /// Reports the value of `node` read or written.
-    fn value_used(&self, node: *mut LazyNode<K, V>) {
+    fn value_used(&self, node: NodeRef<'_, LazyNode<K, V>>) {
         let offset = std::mem::offset_of!(LazyNode<K, V>, value);
         self.tracer
-            .touched(node.addr(), offset, size_of::<RwSpinLock<V>>());
+            .touched(node.as_ptr().addr(), offset, size_of::<RwSpinLock<V>>());
     }
 
-    unsafe fn lock_of(&self, pred: *mut LazyNode<K, V>) -> &RawRwSpinLock {
-        if pred.is_null() {
-            &self.head_lock
-        } else {
-            // SAFETY: the caller passes null or a live node.
-            unsafe { &(*pred).lock }
-        }
+    /// The lock of `pred`, or the head's for `None`.
+    fn lock_of<'g>(&'g self, pred: Tower<'g, K, V>) -> &'g RawRwSpinLock {
+        pred.map_or(&self.head_lock, |pred| &pred.get().lock)
     }
 
     /// Optimistic (lock-free) search for the predecessors and successors of
-    /// `key` at every level.  Returns the highest level at which the key was
-    /// found, if any.
-    ///
-    /// # Safety: nodes are never freed while the list is shared.
-    unsafe fn find(
-        &self,
-        key: &K,
-        preds: &mut [*mut LazyNode<K, V>; MAX_LEVELS],
-        succs: &mut [*mut LazyNode<K, V>; MAX_LEVELS],
-    ) -> Option<usize> {
+    /// `key` at every level; the tower holding the key is the one found at
+    /// the highest level.
+    fn find<'g>(&'g self, key: &K, pin: &'g EbrGuard<'_>) -> Found<'g, K, V> {
+        let (mut preds, mut succs) = ([None; MAX_LEVELS], [None; MAX_LEVELS]);
         let mut found = None;
-        let mut pred: *mut LazyNode<K, V> = std::ptr::null_mut();
+        let mut pred = None;
         for level in (0..MAX_LEVELS).rev() {
-            // SAFETY: nodes are never freed while the list is shared (this
-            // function's contract), so `pred` and every `curr` loaded from a
-            // link at `level` are live nodes at least `level + 1` tall.
-            let curr = unsafe {
-                let mut curr = self.slot(pred, level).load(Ordering::Acquire);
-                while !curr.is_null() && self.peek(curr) < *key {
-                    pred = curr;
-                    curr = self.slot(curr, level).load(Ordering::Acquire);
-                }
-                if found.is_none() && !curr.is_null() && (*curr).key == *key {
-                    found = Some(level);
-                }
-                curr
-            };
+            let mut curr = NodeRef::load(self.slot(pred, level), Ordering::Acquire, pin);
+            while let Some(node) = curr.filter(|&node| self.peek(node) < *key) {
+                pred = Some(node);
+                curr = NodeRef::load(self.slot(pred, level), Ordering::Acquire, pin);
+            }
+            if found.is_none() {
+                found = curr.filter(|node| node.key == *key);
+            }
             preds[level] = pred;
             succs[level] = curr;
         }
-        found
+        (found, preds, succs)
+    }
+
+    /// Locks the distinct predecessors `preds[..height]` bottom-up, checking
+    /// each level with `valid` under its lock; the held locks, or `None`,
+    /// holding nothing, once a level fails.
+    fn lock_preds<'g>(
+        &'g self,
+        preds: &Lanes<'g, K, V>,
+        height: usize,
+        valid: impl Fn(usize, Tower<'g, K, V>) -> bool,
+    ) -> Option<Vec<WriteGuard<'g, RawRwSpinLock>>> {
+        let mut locked: Vec<WriteGuard<'g, RawRwSpinLock>> = Vec::with_capacity(height);
+        for (level, &pred) in preds.iter().enumerate().take(height) {
+            let lock = self.lock_of(pred);
+            if !locked.iter().any(|held| std::ptr::eq(held.target(), lock)) {
+                locked.push(WriteGuard::lock(lock));
+            }
+            if !valid(level, pred) {
+                return None;
+            }
+        }
+        Some(locked)
     }
 
     /// Cursor batch-fetch primitive: appends up to `max` live, fully
@@ -246,48 +259,34 @@ impl<K: IndexKey, V: IndexValue, T: Tracer> LazySkipList<K, V, T> {
     ///
     /// The optimistic traversal cannot pause mid-walk (a parked position
     /// could be invalidated by a concurrent validate-and-link), so cursors
-    /// re-enter through [`LazySkipList::find`] once per batch.
+    /// re-enter through [`LazySkipList::find`] once per batch, pinned for
+    /// the batch.
     fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
-        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
-        let _guard = self.collector.pin();
-        // SAFETY: optimistic traversal; the guard pins the epoch for the
-        // duration of the batch, so concurrently unlinked towers (whose
-        // forward pointers stay intact) remain dereferenceable.
-        unsafe {
-            let mut curr = match &from {
-                Bound::Unbounded => self.slot(std::ptr::null_mut(), 0).load(Ordering::Acquire),
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    self.find(key, &mut preds, &mut succs);
-                    succs[0]
-                }
-            };
-            while !curr.is_null() && out.len() < max {
-                if (*curr).fully_linked.load(Ordering::Acquire)
-                    && !(*curr).marked.load(Ordering::Acquire)
-                {
-                    self.value_used(curr);
-                    out.push((self.peek(curr), *(*curr).value.read()));
-                }
-                curr = self.slot(curr, 0).load(Ordering::Acquire);
+        let pin = self.collector.pin();
+        let mut curr = match &from {
+            Bound::Unbounded => NodeRef::load(self.slot(None, 0), Ordering::Acquire, &pin),
+            Bound::Included(key) | Bound::Excluded(key) => self.find(key, &pin).2[0],
+        };
+        while let Some(node) = curr.filter(|_| out.len() < max) {
+            if node.fully_linked.load(Ordering::Acquire) && !node.marked.load(Ordering::Acquire) {
+                self.value_used(node);
+                out.push((self.peek(node), *node.value.read()));
             }
+            curr = NodeRef::load(self.slot(curr, 0), Ordering::Acquire, &pin);
         }
     }
 }
 
 impl<K, V, T: Tracer> Drop for LazySkipList<K, V, T> {
     fn drop(&mut self) {
-        // SAFETY: exclusive access; every still-linked tower appears on the
-        // bottom level exactly once.  Removed towers were unlinked from
-        // every level and retired, so the collector (dropped right after
-        // this body) frees them — nothing is freed twice.
-        unsafe {
-            let mut curr = self.head[0].load(Ordering::Relaxed);
-            while !curr.is_null() {
-                let next = (*curr).next[0].load(Ordering::Relaxed);
-                drop(Box::from_raw(curr));
-                curr = next;
-            }
+        let mut curr = *self.head[0].get_mut();
+        while !curr.is_null() {
+            // SAFETY: exclusive access; every still-linked tower appears on
+            // the bottom level exactly once.  Removed towers were unlinked
+            // from every level and retired, so the collector (dropped right
+            // after this body) frees them: nothing is freed twice.
+            let mut node = unsafe { Box::from_raw(curr) };
+            curr = *node.next[0].get_mut();
         }
     }
 }
@@ -296,202 +295,145 @@ impl<K: IndexKey, V: IndexValue, T: Tracer + Send + Sync> ConcurrentIndex<K, V>
     for LazySkipList<K, V, T>
 {
     fn get(&self, key: &K) -> Option<V> {
-        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
-        let _guard = self.collector.pin();
-        // SAFETY: optimistic traversal; the pinned guard keeps every tower
-        // the walk can reach alive even if concurrently unlinked.
-        unsafe {
-            let found = self.find(key, &mut preds, &mut succs)?;
-            let node = succs[found];
-            if (*node).fully_linked.load(Ordering::Acquire)
-                && !(*node).marked.load(Ordering::Acquire)
-            {
-                self.value_used(node);
-                Some(*(*node).value.read())
-            } else {
-                None
-            }
+        let pin = self.collector.pin();
+        let node = self.find(key, &pin).0?;
+        if node.fully_linked.load(Ordering::Acquire) && !node.marked.load(Ordering::Acquire) {
+            self.value_used(node);
+            Some(*node.value.read())
+        } else {
+            None
         }
     }
 
     /// Inserts `key → value` with upsert semantics.
     fn insert(&self, key: K, value: V) -> Option<V> {
         let height = sample_tower_height();
-        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
         let mut backoff = Backoff::new();
-        let _guard = self.collector.pin();
-        // SAFETY: lazy-skiplist protocol — predecessors are locked and
-        // validated before any pointer is written; the pinned guard keeps
-        // every traversed tower alive.
-        unsafe {
-            loop {
-                if let Some(found) = self.find(&key, &mut preds, &mut succs) {
-                    let node = succs[found];
-                    if (*node).marked.load(Ordering::Acquire) {
-                        // A remover is physically unlinking this tower;
-                        // wait it out, then insert a fresh tower (deleted
-                        // towers are never revived — their remover owns
-                        // them up to retirement).
-                        backoff.snooze();
-                        continue;
-                    }
-                    if !(*node).fully_linked.load(Ordering::Acquire) {
-                        // Another insert of the same key is in flight: wait
-                        // for it to become visible, then update.
-                        backoff.snooze();
-                        continue;
-                    }
-                    let mut value_guard = (*node).value.write();
-                    // Re-validate under the value lock: `remove` reads the
-                    // victim's value (through this same lock) only *after*
-                    // setting `marked`, so seeing it still clear here means
-                    // a racing remove will observe — and report — this
-                    // update rather than silently discarding it.
-                    if (*node).marked.load(Ordering::Acquire) {
-                        drop(value_guard);
-                        backoff.snooze();
-                        continue; // Lost to a remove: wait, then re-insert.
-                    }
-                    let old = std::mem::replace(&mut *value_guard, value);
-                    self.value_used(node);
-                    return Some(old);
-                }
-
-                // Lock the predecessors bottom-up, skipping duplicates, and
-                // validate the snapshot.
-                let mut locked: Vec<*mut LazyNode<K, V>> = Vec::with_capacity(height);
-                let mut valid = true;
-                for level in 0..height {
-                    let pred = preds[level];
-                    if !locked.contains(&pred) {
-                        self.lock_of(pred).lock_exclusive();
-                        locked.push(pred);
-                    }
-                    let succ = succs[level];
-                    let pred_ok = pred.is_null() || !(*pred).marked.load(Ordering::Acquire);
-                    let succ_ok = succ.is_null() || !(*succ).marked.load(Ordering::Acquire);
-                    if !(pred_ok
-                        && succ_ok
-                        && self.slot(pred, level).load(Ordering::Acquire) == succ)
-                    {
-                        valid = false;
-                        break;
-                    }
-                }
-                if !valid {
-                    for pred in locked {
-                        self.lock_of(pred).unlock_exclusive();
-                    }
+        let pin = self.collector.pin();
+        loop {
+            let (found, preds, succs) = self.find(&key, &pin);
+            if let Some(node) = found {
+                if node.marked.load(Ordering::Acquire) {
+                    // A remover is physically unlinking this tower; wait it
+                    // out, then insert a fresh tower (deleted towers are
+                    // never revived — their remover owns them up to
+                    // retirement).
                     backoff.snooze();
                     continue;
                 }
-
-                let node = Box::into_raw(LazyNode::new(key, value, height));
-                let next = &*(*node).next;
-                self.tracer
-                    .node_allocated(node.addr(), size_of::<LazyNode<K, V>>());
-                self.tracer
-                    .node_allocated(next.as_ptr().addr(), size_of_val(next));
-                for (level, &succ) in succs.iter().enumerate().take(height) {
-                    self.slot(node, level).store(succ, Ordering::Relaxed);
+                if !node.fully_linked.load(Ordering::Acquire) {
+                    // Another insert of the same key is in flight: wait for
+                    // it to become visible, then update.
+                    backoff.snooze();
+                    continue;
                 }
-                for (level, &pred) in preds.iter().enumerate().take(height) {
-                    self.slot(pred, level).store(node, Ordering::Release);
+                let mut value_guard = node.value.write();
+                // Re-validate under the value lock: `remove` reads the
+                // victim's value (through this same lock) only *after*
+                // setting `marked`, so seeing it still clear here means a
+                // racing remove will observe — and report — this update
+                // rather than silently discarding it.
+                if node.marked.load(Ordering::Acquire) {
+                    drop(value_guard);
+                    backoff.snooze();
+                    continue; // Lost to a remove: wait, then re-insert.
                 }
-                (*node).fully_linked.store(true, Ordering::Release);
-                for pred in locked {
-                    self.lock_of(pred).unlock_exclusive();
-                }
-                self.len.add(1);
-                self.towers_published.add(1);
-                return None;
+                let old = std::mem::replace(&mut *value_guard, value);
+                self.value_used(node);
+                return Some(old);
             }
+
+            // Lock the predecessors bottom-up, skipping duplicates, and
+            // validate the snapshot.
+            let Some(locked) = self.lock_preds(&preds, height, |level, pred| {
+                let succ = succs[level];
+                let (pred_ok, succ_ok) = (unmarked(pred), unmarked(succ));
+                pred_ok
+                    && succ_ok
+                    && self.slot(pred, level).load(Ordering::Acquire) == NodeRef::or_null(succ)
+            }) else {
+                backoff.snooze();
+                continue;
+            };
+
+            let node = NodeRef::alloc(LazyNode::new(key, value, height), &pin);
+            let next = &*node.get().next;
+            self.tracer
+                .node_allocated(node.as_ptr().addr(), size_of::<LazyNode<K, V>>());
+            self.tracer
+                .node_allocated(next.as_ptr().addr(), size_of_val(next));
+            for (level, &succ) in succs.iter().enumerate().take(height) {
+                self.slot(Some(node), level)
+                    .store(NodeRef::or_null(succ), Ordering::Relaxed);
+            }
+            for (level, &pred) in preds.iter().enumerate().take(height) {
+                self.slot(pred, level)
+                    .store(node.as_ptr(), Ordering::Release);
+            }
+            node.fully_linked.store(true, Ordering::Release);
+            drop(locked);
+            self.len.add(1);
+            self.towers_published.add(1);
+            return None;
         }
     }
 
     /// Removes `key`: logical deletion (`marked`) followed by physical
     /// unlinking at every level and retirement to the epoch collector.
     fn remove(&self, key: &K) -> Option<V> {
-        let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-        let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
         let mut backoff = Backoff::new();
-        let epoch_guard = self.collector.pin();
-        // SAFETY: the full lazy-skiplist removal protocol described in the
-        // module docs; the pinned guard keeps traversed towers alive.
-        unsafe {
-            loop {
-                let found = self.find(key, &mut preds, &mut succs)?;
-                let node = succs[found];
-                if (*node).marked.load(Ordering::Acquire) {
-                    // Another remover owns this tower.
-                    return None;
-                }
-                if !(*node).fully_linked.load(Ordering::Acquire) {
-                    // The inserting thread has not finished linking; wait
-                    // so the unlink below sees a complete tower.
-                    backoff.snooze();
-                    continue;
-                }
-                // Commit the logical delete under the victim's own lock;
-                // holding it for the rest of the removal keeps the
-                // victim's forward pointers frozen (inserts that would
-                // link behind the victim must lock it as a predecessor).
-                (*node).lock.lock_exclusive();
-                if (*node).marked.load(Ordering::Acquire) {
-                    (*node).lock.unlock_exclusive();
-                    return None;
-                }
-                (*node).marked.store(true, Ordering::Release);
-                let value = *(*node).value.read();
-                let height = (*node).height();
-
-                // Physically unlink: lock the predecessors bottom-up
-                // (descending key order, consistent with insert), validate
-                // that each still points at the victim, and splice it out
-                // top-down.
-                loop {
-                    let mut unlink_preds = [std::ptr::null_mut(); MAX_LEVELS];
-                    let mut unlink_succs = [std::ptr::null_mut(); MAX_LEVELS];
-                    self.find(key, &mut unlink_preds, &mut unlink_succs);
-                    let mut locked: Vec<*mut LazyNode<K, V>> = Vec::with_capacity(height);
-                    let mut valid = true;
-                    for (level, &pred) in unlink_preds.iter().enumerate().take(height) {
-                        if !locked.contains(&pred) {
-                            self.lock_of(pred).lock_exclusive();
-                            locked.push(pred);
-                        }
-                        let pred_ok = pred.is_null() || !(*pred).marked.load(Ordering::Acquire);
-                        if !(pred_ok && self.slot(pred, level).load(Ordering::Acquire) == node) {
-                            valid = false;
-                            break;
-                        }
-                    }
-                    if valid {
-                        for level in (0..height).rev() {
-                            let next = (*node).next[level].load(Ordering::Relaxed);
-                            self.slot(unlink_preds[level], level)
-                                .store(next, Ordering::Release);
-                        }
-                        for pred in locked {
-                            self.lock_of(pred).unlock_exclusive();
-                        }
-                        break;
-                    }
-                    for pred in locked {
-                        self.lock_of(pred).unlock_exclusive();
-                    }
-                    backoff.snooze();
-                }
-                (*node).lock.unlock_exclusive();
-                self.len.add(-1);
-                // SAFETY: the tower is unlinked from every level (no new
-                // traversal can reach it) and this thread won the `marked`
-                // race, so it is retired exactly once.
-                epoch_guard.retire_box(node);
-                return Some(value);
+        let pin = self.collector.pin();
+        loop {
+            let node = self.find(key, &pin).0?;
+            if node.marked.load(Ordering::Acquire) {
+                // Another remover owns this tower.
+                return None;
             }
+            if !node.fully_linked.load(Ordering::Acquire) {
+                // The inserting thread has not finished linking; wait so
+                // the unlink below sees a complete tower.
+                backoff.snooze();
+                continue;
+            }
+            // Commit the logical delete under the victim's own lock;
+            // holding it for the rest of the removal keeps the victim's
+            // forward pointers frozen (inserts that would link behind the
+            // victim must lock it as a predecessor).
+            let victim = WriteGuard::lock(&node.lock);
+            if node.marked.load(Ordering::Acquire) {
+                return None;
+            }
+            node.marked.store(true, Ordering::Release);
+            let value = *node.value.read();
+            let height = node.height();
+
+            // Physically unlink: lock the predecessors bottom-up
+            // (descending key order, consistent with insert), validate that
+            // each still points at the victim, and splice it out top-down.
+            loop {
+                let (_, unlink_preds, _) = self.find(key, &pin);
+                let locked = self.lock_preds(&unlink_preds, height, |level, pred| {
+                    unmarked(pred)
+                        && self.slot(pred, level).load(Ordering::Acquire) == node.as_ptr()
+                });
+                if locked.is_some() {
+                    for level in (0..height).rev() {
+                        let next = node.next[level].load(Ordering::Relaxed);
+                        self.slot(unlink_preds[level], level)
+                            .store(next, Ordering::Release);
+                    }
+                    break;
+                }
+                backoff.snooze();
+            }
+            drop(victim);
+            self.len.add(-1);
+            // SAFETY: the tower is unlinked from every level (no new
+            // traversal can reach it), this thread won the `marked` race, so
+            // it is retired exactly once, and it was allocated by
+            // `NodeRef::alloc`, a `Box`.
+            unsafe { pin.retire_box(node.as_ptr()) };
+            return Some(value);
         }
     }
 
@@ -600,6 +542,31 @@ mod tests {
         let towers = stats.get("live_nodes").unwrap() + stats.reclamation().unwrap().retired;
         let allocations = traced.tracer().allocations.load(Ordering::Relaxed);
         assert_eq!(allocations, 1 + 2 * towers);
+    }
+
+    #[test]
+    fn a_panic_under_the_link_locks_releases_them() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let list = LazySkipList::with_tracer(crate::Tripwire::default());
+        for key in 0..100u64 {
+            list.insert(key * 2, key);
+        }
+        // The new tower's `node_allocated` arms the tripwire, and its first
+        // link store fires it, with every predecessor locked.
+        list.tracer().arm_on_alloc.store(true, Ordering::Relaxed);
+        let inserted = catch_unwind(AssertUnwindSafe(|| list.insert(51, 0)));
+        assert!(inserted.is_err(), "the tripwire fired");
+        // Read every lock before taking any, so a leaked one fails here.
+        assert!(!list.head_lock.is_locked(), "head lock");
+        let pin = list.collector.pin();
+        let mut curr = NodeRef::load(&list.head[0], Ordering::Acquire, &pin);
+        while let Some(node) = curr {
+            assert!(!node.lock.is_locked(), "the lock of {}", node.key);
+            curr = NodeRef::load(&node.next[0], Ordering::Acquire, &pin);
+        }
+        drop(pin);
+        assert_eq!(list.insert(51, 5), None);
+        assert_eq!(list.get(&51), Some(5));
     }
 
     #[test]

@@ -56,16 +56,20 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{Backoff, EbrCollector, RwSpinLock, StripedCounter};
+use bskip_sync::{Backoff, EbrCollector, EbrGuard, RwSpinLock, StripedCounter};
 
+use crate::handle::NodeRef;
 use crate::tower::{is_marked, marked, sample_tower_height, unmark, MAX_LEVELS};
 
 /// Entries fetched per cursor re-entry; one tower per entry means one cache
 /// line per entry, so there is no node-granularity to align with.
 const SCAN_BATCH: usize = 64;
 
+/// A tower reached under a pin; as a predecessor, `None` is the head.
+type TowerRef<'g, K, V> = Option<NodeRef<'g, Tower<K, V>>>;
+
 /// Per-level predecessor/successor arrays produced by `find_preds`.
-type TowerLanes<K, V> = [*mut Tower<K, V>; MAX_LEVELS];
+type TowerLanes<'g, K, V> = [TowerRef<'g, K, V>; MAX_LEVELS];
 
 /// One element of the skiplist: a key, its value, and a tower of atomic
 /// forward pointers.
@@ -156,74 +160,66 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
         }
     }
 
-    /// The forward-pointer slot following `pred` at `level` (`pred == null`
+    /// The forward-pointer slot following `pred` at `level` (`None`
     /// addresses the head).
-    ///
-    /// # Safety
-    ///
-    /// `pred`, when non-null, must point to a live tower of height > `level`.
-    unsafe fn slot(&self, pred: *mut Tower<K, V>, level: usize) -> &AtomicPtr<Tower<K, V>> {
-        if pred.is_null() {
-            &self.head[level]
-        } else {
-            // SAFETY: per this function's contract `pred` is a live tower
-            // taller than `level`.
-            unsafe { &(*pred).next[level] }
-        }
+    fn slot<'g>(&'g self, pred: TowerRef<'g, K, V>, level: usize) -> &'g AtomicPtr<Tower<K, V>> {
+        pred.map_or(&self.head[level], |pred| &pred.get().next[level])
     }
 
-    /// Computes, for every level, the last tower with key `< key` (`null`
+    /// Swings `pred`'s link at `level` from `node` to `next`, unlinking
+    /// `node` there; false if the link no longer points at `node`.
+    fn swing(
+        &self,
+        pred: TowerRef<'_, K, V>,
+        level: usize,
+        node: NodeRef<'_, Tower<K, V>>,
+        next: TowerRef<'_, K, V>,
+    ) -> bool {
+        self.slot(pred, level)
+            .compare_exchange(
+                node.as_ptr(),
+                NodeRef::or_null(next),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok()
+    }
+
+    /// Computes, for every level, the last tower with key `< key` (`None`
     /// meaning the head) and its successor at that level, **helping to
     /// unlink** any marked (deleted) tower encountered on the way.
-    ///
-    /// # Safety
-    ///
-    /// Internal: the caller must hold a pinned guard on `self.collector`.
-    unsafe fn find_preds(&self, key: &K) -> (TowerLanes<K, V>, TowerLanes<K, V>) {
+    fn find_preds<'g>(
+        &'g self,
+        key: &K,
+        pin: &'g EbrGuard<'_>,
+    ) -> (TowerLanes<'g, K, V>, TowerLanes<'g, K, V>) {
         'retry: loop {
-            let mut preds = [std::ptr::null_mut(); MAX_LEVELS];
-            let mut succs = [std::ptr::null_mut(); MAX_LEVELS];
-            let mut pred: *mut Tower<K, V> = std::ptr::null_mut();
+            let mut preds = [None; MAX_LEVELS];
+            let mut succs = [None; MAX_LEVELS];
+            let mut pred = None;
             for level in (0..MAX_LEVELS).rev() {
-                // SAFETY: the caller's pinned guard keeps every tower
-                // reachable from a link alive, and `pred` is null or a tower
-                // reached at this level, hence taller than `level`.
-                let curr = unsafe {
-                    let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-                    loop {
-                        if curr.is_null() {
-                            break;
+                let mut curr = NodeRef::load(self.slot(pred, level), Ordering::Acquire, pin);
+                while let Some(node) = curr {
+                    let (next, deleted) =
+                        NodeRef::load_marked(&node.next[level], Ordering::Acquire, pin);
+                    if deleted {
+                        // `node` is deleted at this level: help unlink it so
+                        // marked towers never serve as predecessors.
+                        if !self.swing(pred, level, node, next) {
+                            // The predecessor changed under us (possibly
+                            // marked itself): recompute from the top.
+                            continue 'retry;
                         }
-                        let next_raw = (*curr).next[level].load(Ordering::Acquire);
-                        if is_marked(next_raw) {
-                            // `curr` is deleted at this level: help unlink it
-                            // so marked towers never serve as predecessors.
-                            if self
-                                .slot(pred, level)
-                                .compare_exchange(
-                                    curr,
-                                    unmark(next_raw),
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_err()
-                            {
-                                // The predecessor changed under us (possibly
-                                // marked itself): recompute from the top.
-                                continue 'retry;
-                            }
-                            curr = unmark(next_raw);
-                            continue;
-                        }
-                        if (*curr).key < *key {
-                            pred = curr;
-                            curr = unmark(next_raw);
-                        } else {
-                            break;
-                        }
+                        curr = next;
+                        continue;
                     }
-                    curr
-                };
+                    if node.key < *key {
+                        pred = curr;
+                        curr = next;
+                    } else {
+                        break;
+                    }
+                }
                 preds[level] = pred;
                 succs[level] = curr;
             }
@@ -236,69 +232,45 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
     ///
     /// The walk searches by **pointer identity** and keeps going through
     /// towers with a key equal to the victim's, because a fresh tower for
-    /// the same key may already be linked in front of it.
-    ///
-    /// # Safety
-    ///
-    /// The caller must hold a pinned guard; `node` must have all levels
-    /// marked and `link_done` set (no concurrent raising).
-    unsafe fn unlink_level(&self, node: *mut Tower<K, V>, level: usize) {
-        // SAFETY: `node` is live under the caller's pinned guard.
-        let key = unsafe { &(*node).key };
+    /// the same key may already be linked in front of it.  `node` must
+    /// have all levels marked and `link_done` set (no concurrent raising).
+    fn unlink_level(&self, node: NodeRef<'_, Tower<K, V>>, level: usize, pin: &EbrGuard<'_>) {
+        let key = &node.get().key;
         'restart: loop {
-            // SAFETY: the caller's pinned guard keeps every tower reachable
-            // from a link alive, so `node`, `pred` and each `curr` are live;
-            // `pred` was reached at `level`, hence is taller than it.
-            unsafe {
-                // Position near the key with a full descent (which also helps
-                // unlink the victim wherever it is directly reachable), so the
-                // identity walk below only crosses the few equal-key towers
-                // that may shadow the victim — not the whole level.
-                let (preds, _) = self.find_preds(key);
-                let mut pred = preds[level];
-                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-                loop {
-                    if curr.is_null() {
-                        return; // End of level: not (or no longer) linked.
+            // Position near the key with a full descent (which also helps
+            // unlink the victim wherever it is directly reachable), so the
+            // identity walk below only crosses the few equal-key towers
+            // that may shadow the victim — not the whole level.
+            let (preds, _) = self.find_preds(key, pin);
+            let mut pred = preds[level];
+            let mut curr = NodeRef::load(self.slot(pred, level), Ordering::Acquire, pin);
+            while let Some(tower) = curr {
+                if tower.as_ptr() == node.as_ptr() {
+                    let next = NodeRef::load(&node.next[level], Ordering::Acquire, pin);
+                    if self.swing(pred, level, node, next) {
+                        return;
                     }
-                    if curr == node {
-                        let next = unmark((*node).next[level].load(Ordering::Acquire));
-                        if self
-                            .slot(pred, level)
-                            .compare_exchange(node, next, Ordering::AcqRel, Ordering::Acquire)
-                            .is_ok()
-                        {
-                            return;
-                        }
-                        // The predecessor moved (or is itself marked): retry.
+                    // The predecessor moved (or is itself marked): retry.
+                    continue 'restart;
+                }
+                if tower.key > *key {
+                    return; // Walked past the victim's position: unlinked.
+                }
+                let (next, deleted) =
+                    NodeRef::load_marked(&tower.next[level], Ordering::Acquire, pin);
+                if deleted {
+                    // Another deleted tower blocks the walk: help unlink it
+                    // so a marked predecessor cannot stall us.
+                    if !self.swing(pred, level, tower, next) {
                         continue 'restart;
                     }
-                    if (*curr).key > *key {
-                        return; // Walked past the victim's position: unlinked.
-                    }
-                    let next_raw = (*curr).next[level].load(Ordering::Acquire);
-                    if is_marked(next_raw) {
-                        // Another deleted tower blocks the walk: help unlink
-                        // it so a marked predecessor cannot stall us.
-                        if self
-                            .slot(pred, level)
-                            .compare_exchange(
-                                curr,
-                                unmark(next_raw),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue 'restart;
-                        }
-                        curr = unmark(next_raw);
-                        continue;
-                    }
-                    pred = curr;
-                    curr = unmark(next_raw);
+                    curr = next;
+                    continue;
                 }
+                pred = curr;
+                curr = next;
             }
+            return; // End of level: not (or no longer) linked.
         }
     }
 
@@ -312,213 +284,185 @@ impl<K: IndexKey, V: IndexValue> LockFreeSkipList<K, V> {
     /// re-enter through [`LockFreeSkipList::find_preds`] once per batch,
     /// pinning only for the batch's duration.
     fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
-        let _guard = self.collector.pin();
-        // SAFETY: the pinned guard keeps every reachable tower alive for
-        // the duration of the batch.
-        unsafe {
-            let mut curr = match &from {
-                Bound::Unbounded => unmark(self.head[0].load(Ordering::Acquire)),
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    let (_, succs) = self.find_preds(key);
-                    succs[0]
-                }
-            };
-            while !curr.is_null() && out.len() < max {
-                if !(*curr).deleted.load(Ordering::Acquire) {
-                    out.push(((*curr).key, *(*curr).value.read()));
-                }
-                curr = unmark((*curr).next[0].load(Ordering::Acquire));
+        let pin = self.collector.pin();
+        let mut curr = match &from {
+            Bound::Unbounded => NodeRef::load(&self.head[0], Ordering::Acquire, &pin),
+            Bound::Included(key) | Bound::Excluded(key) => self.find_preds(key, &pin).1[0],
+        };
+        while let Some(node) = curr.filter(|_| out.len() < max) {
+            if !node.deleted.load(Ordering::Acquire) {
+                out.push((node.key, *node.value.read()));
             }
+            curr = NodeRef::load(&node.next[0], Ordering::Acquire, &pin);
         }
     }
 }
 
 impl<K, V> Drop for LockFreeSkipList<K, V> {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` means no concurrent accessors remain; every
-        // still-linked tower is reachable from the bottom level exactly
-        // once.  Removed towers were unlinked from every level and retired,
-        // so the collector (dropped right after this body) frees them —
-        // nothing is freed twice.
-        unsafe {
-            let mut curr = unmark(self.head[0].load(Ordering::Relaxed));
-            while !curr.is_null() {
-                let next = unmark((*curr).next[0].load(Ordering::Relaxed));
-                drop(Box::from_raw(curr));
-                curr = next;
-            }
+        let mut curr = unmark(*self.head[0].get_mut());
+        while !curr.is_null() {
+            // SAFETY: `&mut self` means no concurrent accessors remain;
+            // every still-linked tower is reachable from the bottom level
+            // exactly once.  Removed towers were unlinked from every level
+            // and retired, so the collector (dropped right after this body)
+            // frees them: nothing is freed twice.
+            let mut tower = unsafe { Box::from_raw(curr) };
+            curr = unmark(*tower.next[0].get_mut());
         }
     }
 }
 
 impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for LockFreeSkipList<K, V> {
     fn get(&self, key: &K) -> Option<V> {
-        let _guard = self.collector.pin();
-        // SAFETY: the pinned guard keeps every reachable tower alive, even
-        // ones concurrently unlinked and retired.
-        unsafe {
-            let mut pred: *mut Tower<K, V> = std::ptr::null_mut();
-            for level in (0..MAX_LEVELS).rev() {
-                let mut curr = unmark(self.slot(pred, level).load(Ordering::Acquire));
-                while !curr.is_null() && (*curr).key < *key {
-                    pred = curr;
-                    curr = unmark((*curr).next[level].load(Ordering::Acquire));
-                }
-                // On a key match, report the value only if the tower is
-                // live.  A *deleted* match must not end the search: a
-                // fresh live tower for the same key may exist in front of
-                // it at lower levels (inserts link new same-key towers
-                // before mid-unlink old ones), so keep descending.
-                if !curr.is_null()
-                    && (*curr).key == *key
-                    && !(*curr).deleted.load(Ordering::Acquire)
-                {
-                    return Some(*(*curr).value.read());
-                }
+        let pin = self.collector.pin();
+        let mut pred = None;
+        for level in (0..MAX_LEVELS).rev() {
+            let mut curr = NodeRef::load(self.slot(pred, level), Ordering::Acquire, &pin);
+            while let Some(node) = curr.filter(|node| node.key < *key) {
+                pred = curr;
+                curr = NodeRef::load(&node.next[level], Ordering::Acquire, &pin);
             }
-            None
+            // On a key match, report the value only if the tower is live.
+            // A *deleted* match must not end the search: a fresh live tower
+            // for the same key may exist in front of it at lower levels
+            // (inserts link new same-key towers before mid-unlink old
+            // ones), so keep descending.
+            if let Some(node) =
+                curr.filter(|node| node.key == *key && !node.deleted.load(Ordering::Acquire))
+            {
+                return Some(*node.value.read());
+            }
         }
+        None
     }
 
     /// Inserts `key → value`, returning the previous value when the key was
     /// already present (upsert semantics).
     fn insert(&self, key: K, value: V) -> Option<V> {
-        let _guard = self.collector.pin();
-        // SAFETY: CAS-linking protocol described in the module docs; the
-        // guard keeps traversed towers alive.
-        unsafe {
-            loop {
-                let (mut preds, mut succs) = self.find_preds(&key);
-                // Key already present and live: update the value in place.
-                // (A deleted same-key tower may still be mid-unlink; the
-                // fresh tower below is simply linked in front of it.)
-                if !succs[0].is_null()
-                    && (*succs[0]).key == key
-                    && !(*succs[0]).deleted.load(Ordering::Acquire)
-                {
-                    let node = succs[0];
-                    let mut value_guard = (*node).value.write();
-                    // Re-validate under the value lock: `remove` reads the
-                    // victim's value (through this same lock) only *after*
-                    // setting `deleted`, so seeing it still clear here
-                    // means a racing remove will observe — and report —
-                    // this update rather than silently discarding it.
-                    if (*node).deleted.load(Ordering::Acquire) {
-                        drop(value_guard);
-                        continue; // Lost to a remove: insert a fresh tower.
-                    }
-                    let old = std::mem::replace(&mut *value_guard, value);
-                    return Some(old);
+        let pin = self.collector.pin();
+        loop {
+            let (mut preds, mut succs) = self.find_preds(&key, &pin);
+            // Key already present and live: update the value in place.  (A
+            // deleted same-key tower may still be mid-unlink; the fresh
+            // tower below is simply linked in front of it.)
+            if let Some(node) =
+                succs[0].filter(|node| node.key == key && !node.deleted.load(Ordering::Acquire))
+            {
+                let mut value_guard = node.value.write();
+                // Re-validate under the value lock: `remove` reads the
+                // victim's value (through this same lock) only *after*
+                // setting `deleted`, so seeing it still clear here means a
+                // racing remove will observe — and report — this update
+                // rather than silently discarding it.
+                if node.deleted.load(Ordering::Acquire) {
+                    drop(value_guard);
+                    continue; // Lost to a remove: insert a fresh tower.
                 }
-
-                let height = sample_tower_height();
-                let node = Box::into_raw(Tower::new(key, value, height));
-                (*node).next[0].store(succs[0], Ordering::Relaxed);
-                if self
-                    .slot(preds[0], 0)
-                    .compare_exchange(succs[0], node, Ordering::Release, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Lost the race at the bottom level: reclaim and retry.
-                    // The tower was never shared, so a direct free is fine.
-                    drop(Box::from_raw(node));
-                    continue;
-                }
-
-                // Linked at the bottom level; now raise the upper levels.
-                // Only this thread writes `node.next[level]` until the
-                // level is linked (a marked predecessor makes the slot CAS
-                // fail, never this tower's own pointers: `remove` waits
-                // for `link_done` before touching them).
-                for level in 1..height {
-                    loop {
-                        let succ = succs[level];
-                        (*node).next[level].store(succ, Ordering::Relaxed);
-                        if self
-                            .slot(preds[level], level)
-                            .compare_exchange(succ, node, Ordering::Release, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            break;
-                        }
-                        // The neighbourhood changed: recompute it.
-                        let (new_preds, new_succs) = self.find_preds(&key);
-                        preds = new_preds;
-                        succs = new_succs;
-                        if succs[level] == node {
-                            // Another retry already linked this level (cannot
-                            // happen for distinct keys, but keeps the loop
-                            // robust).
-                            break;
-                        }
-                    }
-                }
-                (*node).link_done.store(true, Ordering::Release);
-                self.len.add(1);
-                self.towers_published.add(1);
-                return None;
+                let old = std::mem::replace(&mut *value_guard, value);
+                return Some(old);
             }
+
+            let height = sample_tower_height();
+            let tower = Tower::new(key, value, height);
+            let succ = NodeRef::or_null(succs[0]);
+            tower.next[0].store(succ, Ordering::Relaxed);
+            let link = self.slot(preds[0], 0);
+            let Ok(node) = NodeRef::publish(
+                link,
+                succ,
+                tower,
+                Ordering::Release,
+                Ordering::Relaxed,
+                &pin,
+            ) else {
+                // Lost the race at the bottom level: the tower, handed
+                // back unshared, is freed here; retry.
+                continue;
+            };
+
+            // Linked at the bottom level; now raise the upper levels.  Only
+            // this thread writes `node.next[level]` until the level is
+            // linked (a marked predecessor makes the slot CAS fail, never
+            // this tower's own pointers: `remove` waits for `link_done`
+            // before touching them).
+            for level in 1..height {
+                loop {
+                    let succ = NodeRef::or_null(succs[level]);
+                    node.next[level].store(succ, Ordering::Relaxed);
+                    if self
+                        .slot(preds[level], level)
+                        .compare_exchange(succ, node.as_ptr(), Ordering::Release, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        break;
+                    }
+                    // The neighbourhood changed: recompute it.
+                    (preds, succs) = self.find_preds(&key, &pin);
+                    if NodeRef::or_null(succs[level]) == node.as_ptr() {
+                        // Another retry already linked this level (cannot
+                        // happen for distinct keys, but keeps the loop
+                        // robust).
+                        break;
+                    }
+                }
+            }
+            node.link_done.store(true, Ordering::Release);
+            self.len.add(1);
+            self.towers_published.add(1);
+            return None;
         }
     }
 
     /// Removes `key`: logical deletion, pointer marking, physical unlink
     /// from every level, and retirement to the epoch collector.
     fn remove(&self, key: &K) -> Option<V> {
-        let guard = self.collector.pin();
-        // SAFETY: the marking/unlink protocol described in the module
-        // docs; the guard keeps traversed towers alive and covers the
-        // retirement.
-        unsafe {
-            let (_, succs) = self.find_preds(key);
-            let node = succs[0];
-            if node.is_null() || (*node).key != *key {
-                return None;
-            }
-            // Wait for the inserting thread to finish raising the tower,
-            // so marking and unlinking below see every level.
-            let mut backoff = Backoff::new();
-            while !(*node).link_done.load(Ordering::Acquire) {
-                backoff.snooze();
-            }
-            if (*node).deleted.swap(true, Ordering::AcqRel) {
-                return None; // Another remover owns this tower.
-            }
-            let value = *(*node).value.read();
-            self.len.add(-1);
+        let pin = self.collector.pin();
+        let node = self.find_preds(key, &pin).1[0].filter(|node| node.key == *key)?;
+        // Wait for the inserting thread to finish raising the tower, so
+        // marking and unlinking below see every level.
+        let mut backoff = Backoff::new();
+        while !node.link_done.load(Ordering::Acquire) {
+            backoff.snooze();
+        }
+        if node.deleted.swap(true, Ordering::AcqRel) {
+            return None; // Another remover owns this tower.
+        }
+        let value = *node.value.read();
+        self.len.add(-1);
 
-            // Freeze the tower: mark every `next` pointer, top level down.
-            // Each mark CAS races only with inserts using this tower as a
-            // predecessor; once set, no such insert can succeed.
-            let height = (*node).height();
-            for level in (0..height).rev() {
-                loop {
-                    let current = (*node).next[level].load(Ordering::Acquire);
-                    if is_marked(current) {
-                        break;
-                    }
-                    if (*node).next[level]
-                        .compare_exchange(
-                            current,
-                            marked(current),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        break;
-                    }
+        // Freeze the tower: mark every `next` pointer, top level down.  Each
+        // mark CAS races only with inserts using this tower as a
+        // predecessor; once set, no such insert can succeed.
+        let height = node.height();
+        for level in (0..height).rev() {
+            loop {
+                let current = node.next[level].load(Ordering::Acquire);
+                if is_marked(current) {
+                    break;
+                }
+                if node.next[level]
+                    .compare_exchange(
+                        current,
+                        marked(current),
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    )
+                    .is_ok()
+                {
+                    break;
                 }
             }
-            // Physically unlink from every level (traversals may help).
-            for level in (0..height).rev() {
-                self.unlink_level(node, level);
-            }
-            // SAFETY: the tower is confirmed unlinked from every level and
-            // this thread won the `deleted` race, so it is retired exactly
-            // once.
-            guard.retire_box(node);
-            Some(value)
         }
+        // Physically unlink from every level (traversals may help).
+        for level in (0..height).rev() {
+            self.unlink_level(node, level, &pin);
+        }
+        // SAFETY: the tower is confirmed unlinked from every level, this
+        // thread won the `deleted` race, so it is retired exactly once, and
+        // it was allocated by `NodeRef::alloc`, a `Box`.
+        unsafe { pin.retire_box(node.as_ptr()) };
+        Some(value)
     }
 
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {

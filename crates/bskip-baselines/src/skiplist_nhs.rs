@@ -66,8 +66,9 @@ use std::time::Duration;
 use bskip_index::{
     BatchCursor, ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, StatKind,
 };
-use bskip_sync::{EbrCollector, RwSpinLock, StripedCounter};
+use bskip_sync::{EbrCollector, EbrGuard, RwSpinLock, StripedCounter};
 
+use crate::handle::NodeRef;
 use crate::tower::{is_marked, marked, unmark};
 
 /// Every `INDEX_STRIDE`-th bottom-lane node becomes a guard in the index.
@@ -84,18 +85,18 @@ struct NhsNode<K, V> {
     next: AtomicPtr<NhsNode<K, V>>,
 }
 
-/// An immutable snapshot of index guards (key → bottom-lane node).
-struct IndexSnapshot<K, V> {
-    guards: Vec<(K, *mut NhsNode<K, V>)>,
-}
+/// A lane node reached under a pin; as a predecessor, `None` is the head.
+type Lane<'g, K, V> = Option<NodeRef<'g, NhsNode<K, V>>>;
 
-// SAFETY: guard pointers refer to nodes whose retirement is deferred until
-// no snapshot that may reference them is current and every reader that may
-// hold a clone has unpinned (see the module docs); the snapshot itself is
-// immutable.
-unsafe impl<K: IndexKey, V: IndexValue> Send for IndexSnapshot<K, V> {}
-// SAFETY: as for `Send`: a shared snapshot is only read.
-unsafe impl<K: IndexKey, V: IndexValue> Sync for IndexSnapshot<K, V> {}
+/// An immutable snapshot of index guards (key → bottom-lane node).
+///
+/// A guard is a link in `handle.rs`'s sense: a reader clones the snapshot
+/// under its pin, and a node a snapshot names is retired only once no
+/// snapshot a later clone can return names it (the module docs' limbo
+/// argument), so the pin keeps the guard's node allocated.
+struct IndexSnapshot<K, V> {
+    guards: Vec<(K, AtomicPtr<NhsNode<K, V>>)>,
+}
 
 struct Inner<K, V> {
     head: AtomicPtr<NhsNode<K, V>>,
@@ -148,97 +149,84 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
     /// Starting point for a bottom-lane walk towards `key`: the guard with
     /// the largest key **strictly below** `key`, or the list head.
     ///
-    /// Strictly below, because [`NhsInner::find`] needs the start as a CAS
+    /// Strictly below, because [`Inner::find`] needs the start as a CAS
     /// *predecessor* and discards any guard with `guard.key >= key`
     /// (restarting from the head).  A `<=` floor here made every lookup
     /// that landed exactly on a guard key — one in `INDEX_STRIDE` of all
     /// hits — pay a full unindexed lane walk, which dominated the measured
     /// get latency at scale.
     ///
-    /// The snapshot `Arc` clone is dropped before returning; the caller's
-    /// pin keeps the returned pointer safe (guards may point at marked or
-    /// even unlinked nodes, whose frozen `next` chains remain walkable).
-    fn start_for(&self, key: &K) -> *mut NhsNode<K, V> {
+    /// The snapshot `Arc` clone is dropped before returning; `pin` keeps
+    /// the returned node allocated (guards may point at marked or even
+    /// unlinked nodes, whose frozen `next` chains remain walkable).
+    fn start_for<'g>(&self, key: &K, pin: &'g EbrGuard<'_>) -> Lane<'g, K, V> {
         let snapshot = self.index.read().clone();
         let position = snapshot.guards.partition_point(|(guard, _)| guard < key);
-        if position == 0 {
-            std::ptr::null_mut()
-        } else {
-            snapshot.guards[position - 1].1
-        }
+        let (_, start) = snapshot.guards.get(position.checked_sub(1)?)?;
+        NodeRef::load(start, Ordering::Relaxed, pin)
     }
 
-    /// # Safety: `pred`, when non-null, must point to a node that is still
-    /// protected by the caller's pin.
-    unsafe fn slot(&self, pred: *mut NhsNode<K, V>) -> &AtomicPtr<NhsNode<K, V>> {
-        if pred.is_null() {
-            &self.head
-        } else {
-            // SAFETY: per this function's contract `pred` is still
-            // protected by the caller's pin.
-            unsafe { &(*pred).next }
-        }
+    /// The link following `pred` (`None` addresses the head).
+    fn slot<'g>(&'g self, pred: Lane<'g, K, V>) -> &'g AtomicPtr<NhsNode<K, V>> {
+        pred.map_or(&self.head, |pred| &pred.get().next)
     }
 
-    /// Finds the last unmarked node with key `< key` (null = head position)
-    /// and the first unmarked node with key `>= key`, **helping to unlink**
-    /// every marked node encountered on the way (Harris-style).
+    /// Swings `pred`'s link from `node` to `next`, unlinking `node`; false
+    /// if the link no longer points at `node`.
+    fn swing(
+        &self,
+        pred: Lane<'_, K, V>,
+        node: *mut NhsNode<K, V>,
+        next: *mut NhsNode<K, V>,
+    ) -> bool {
+        self.slot(pred)
+            .compare_exchange(node, next, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// Finds the last unmarked node with key `< key` (`None` = head
+    /// position) and the first unmarked node with key `>= key`, **helping
+    /// to unlink** every marked node encountered on the way
+    /// (Harris-style).
     ///
     /// The first attempt starts from the index-provided guard; helping
     /// failures (a predecessor changed or was itself marked) restart from
     /// the head, which guarantees progress even when the guard is stale.
-    ///
-    /// # Safety: the caller must hold a pinned guard on `self.collector`.
-    unsafe fn find(&self, key: &K) -> (*mut NhsNode<K, V>, *mut NhsNode<K, V>) {
+    fn find<'g>(&'g self, key: &K, pin: &'g EbrGuard<'_>) -> (Lane<'g, K, V>, Lane<'g, K, V>) {
         let mut attempt = 0usize;
         'retry: loop {
             let mut pred = if attempt == 0 {
-                self.start_for(key)
+                self.start_for(key, pin)
             } else {
-                std::ptr::null_mut()
+                None
             };
             attempt += 1;
-            // SAFETY: the caller's pinned guard keeps every node reachable
-            // from a link, and the guard node `start_for` hands out, alive.
-            unsafe {
-                // A guard at or past the key (or one already marked) cannot
-                // serve as the CAS predecessor; fall back to the head.
-                if !pred.is_null()
-                    && ((*pred).key >= *key || is_marked((*pred).next.load(Ordering::SeqCst)))
-                {
-                    pred = std::ptr::null_mut();
+            // A guard at or past the key (or one already marked) cannot
+            // serve as the CAS predecessor; fall back to the head.
+            if pred
+                .is_some_and(|pred| pred.key >= *key || is_marked(pred.next.load(Ordering::SeqCst)))
+            {
+                pred = None;
+            }
+            let mut curr = NodeRef::load(self.slot(pred), Ordering::SeqCst, pin);
+            while let Some(node) = curr {
+                let (next, marked) = NodeRef::load_marked(&node.next, Ordering::SeqCst, pin);
+                if marked {
+                    // Help unlink the marked node before moving past it.
+                    if !self.swing(pred, node.as_ptr(), NodeRef::or_null(next)) {
+                        continue 'retry;
+                    }
+                    curr = next;
+                    continue;
                 }
-                let mut curr = unmark(self.slot(pred).load(Ordering::SeqCst));
-                loop {
-                    if curr.is_null() {
-                        return (pred, curr);
-                    }
-                    let next = (*curr).next.load(Ordering::SeqCst);
-                    if is_marked(next) {
-                        // Help unlink the marked node before moving past it.
-                        if self
-                            .slot(pred)
-                            .compare_exchange(
-                                curr,
-                                unmark(next),
-                                Ordering::SeqCst,
-                                Ordering::SeqCst,
-                            )
-                            .is_err()
-                        {
-                            continue 'retry;
-                        }
-                        curr = unmark(next);
-                        continue;
-                    }
-                    if (*curr).key < *key {
-                        pred = curr;
-                        curr = unmark(next);
-                    } else {
-                        return (pred, curr);
-                    }
+                if node.key < *key {
+                    pred = curr;
+                    curr = next;
+                } else {
+                    break;
                 }
             }
+            return (pred, curr);
         }
     }
 
@@ -250,22 +238,19 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
     fn rebuild_index(&self) -> usize {
         let _serialize = self.rebuild_lock.lock().unwrap();
         self.mutations.store(0, Ordering::SeqCst);
-        let guard = self.collector.pin();
+        let pin = self.collector.pin();
         let mut guards = Vec::new();
-        // SAFETY: the pin protects every node reached through the lane.
-        unsafe {
-            let mut curr = self.head.load(Ordering::SeqCst);
-            let mut position = 0usize;
-            while !curr.is_null() {
-                let next = (*curr).next.load(Ordering::SeqCst);
-                if !is_marked(next) {
-                    if position.is_multiple_of(INDEX_STRIDE) {
-                        guards.push(((*curr).key, curr));
-                    }
-                    position += 1;
+        let mut curr = NodeRef::load(&self.head, Ordering::SeqCst, &pin);
+        let mut position = 0usize;
+        while let Some(node) = curr {
+            let (next, marked) = NodeRef::load_marked(&node.next, Ordering::SeqCst, &pin);
+            if !marked {
+                if position.is_multiple_of(INDEX_STRIDE) {
+                    guards.push((node.key, AtomicPtr::new(node.as_ptr())));
                 }
-                curr = unmark(next);
+                position += 1;
             }
+            curr = next;
         }
         *self.index.write() = Arc::new(IndexSnapshot { guards });
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
@@ -278,15 +263,15 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
                 // SAFETY: `node` was unlinked from the lane by the remove
                 // protocol, is referenced by no current snapshot per the
                 // generation argument, and is retired exactly once (it
-                // leaves the limbo list here).
-                unsafe { guard.retire_box(node) };
+                // leaves the limbo list here); it is a `Box` allocation.
+                unsafe { pin.retire_box(node) };
                 false
             } else {
                 true
             }
         });
         drop(limbo);
-        drop(guard);
+        drop(pin);
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.collector.try_collect()
     }
@@ -294,20 +279,19 @@ impl<K: IndexKey, V: IndexValue> Inner<K, V> {
 
 impl<K, V> Drop for Inner<K, V> {
     fn drop(&mut self) {
-        // SAFETY: the background thread has been joined; exclusive access.
-        // Limbo nodes are unlinked (disjoint from the lane) and have not
-        // been handed to the collector; lane nodes are walked from the
-        // head; nodes already retired are freed by the collector's drop.
-        unsafe {
-            for &(_, node) in self.limbo.get_mut().unwrap().iter() {
-                drop(Box::from_raw(node));
-            }
-            let mut curr = self.head.load(Ordering::Relaxed);
-            while !curr.is_null() {
-                let next = unmark((*curr).next.load(Ordering::Relaxed));
-                drop(Box::from_raw(curr));
-                curr = next;
-            }
+        for &(_, node) in self.limbo.get_mut().unwrap().iter() {
+            // SAFETY: the background thread has been joined, so access is
+            // exclusive; a limbo node is a `Box` listed once, unlinked from
+            // the lane and not yet handed to the collector.
+            drop(unsafe { Box::from_raw(node) });
+        }
+        let mut curr = *self.head.get_mut();
+        while !curr.is_null() {
+            // SAFETY: exclusive access, as above; each lane node is a `Box`
+            // reached once from the head (nodes already retired are the
+            // collector's to free, in its drop).
+            let mut node = unsafe { Box::from_raw(curr) };
+            curr = unmark(*node.next.get_mut());
         }
     }
 }
@@ -405,24 +389,19 @@ impl<K: IndexKey, V: IndexValue> NhsSkipList<K, V> {
     /// how far the walk starts from the target key, never which entries are
     /// produced, so cursors see the same contract as the other baselines.
     fn fetch_batch(&self, from: Bound<K>, max: usize, out: &mut Vec<(K, V)>) {
-        let _guard = self.inner.collector.pin();
-        // SAFETY: the pin protects the whole walk; marked nodes are
-        // skipped but their frozen `next` pointers remain walkable.
-        unsafe {
-            let mut curr = match &from {
-                Bound::Unbounded => self.inner.head.load(Ordering::SeqCst),
-                Bound::Included(key) | Bound::Excluded(key) => {
-                    let (_, curr) = self.inner.find(key);
-                    curr
-                }
-            };
-            while !curr.is_null() && out.len() < max {
-                let next = (*curr).next.load(Ordering::SeqCst);
-                if !is_marked(next) {
-                    out.push(((*curr).key, *(*curr).value.read()));
-                }
-                curr = unmark(next);
+        let pin = self.inner.collector.pin();
+        let mut curr = match &from {
+            Bound::Unbounded => NodeRef::load(&self.inner.head, Ordering::SeqCst, &pin),
+            Bound::Included(key) | Bound::Excluded(key) => self.inner.find(key, &pin).1,
+        };
+        // Marked nodes are skipped, but their frozen `next` pointers remain
+        // walkable.
+        while let Some(node) = curr.filter(|_| out.len() < max) {
+            let (next, marked) = NodeRef::load_marked(&node.next, Ordering::SeqCst, &pin);
+            if !marked {
+                out.push((node.key, *node.value.read()));
             }
+            curr = next;
         }
     }
 }
@@ -438,107 +417,90 @@ impl<K, V> Drop for NhsSkipList<K, V> {
 
 impl<K: IndexKey, V: IndexValue> ConcurrentIndex<K, V> for NhsSkipList<K, V> {
     fn get(&self, key: &K) -> Option<V> {
-        let _guard = self.inner.collector.pin();
-        // SAFETY: the pin protects every node the traversal can reach.
-        unsafe {
-            let (_, curr) = self.inner.find(key);
-            if !curr.is_null() && (*curr).key == *key {
-                Some(*(*curr).value.read())
-            } else {
-                None
-            }
-        }
+        let pin = self.inner.collector.pin();
+        let (_, curr) = self.inner.find(key, &pin);
+        curr.filter(|node| node.key == *key)
+            .map(|node| *node.value.read())
     }
 
     /// Inserts `key → value` with upsert semantics (bottom lane only; the
     /// index catches up at the next adaptation).
     fn insert(&self, key: K, value: V) -> Option<V> {
-        let _guard = self.inner.collector.pin();
-        // SAFETY: CAS insertion into the bottom lane under the pin.
-        unsafe {
-            loop {
-                let (pred, curr) = self.inner.find(&key);
-                if !curr.is_null() && (*curr).key == key {
-                    // Upsert in place.  The value lock serializes us with a
-                    // racing remove (which marks while holding it): if the
-                    // node is marked by the time we hold the lock, the
-                    // remove linearized first and we must insert afresh.
-                    let mut slot = (*curr).value.write();
-                    if is_marked((*curr).next.load(Ordering::SeqCst)) {
-                        drop(slot);
-                        continue;
-                    }
-                    return Some(std::mem::replace(&mut *slot, value));
+        let pin = self.inner.collector.pin();
+        loop {
+            let (pred, curr) = self.inner.find(&key, &pin);
+            if let Some(node) = curr.filter(|node| node.key == key) {
+                // Upsert in place.  The value lock serializes us with a
+                // racing remove (which marks while holding it): if the node
+                // is marked by the time we hold the lock, the remove
+                // linearized first and we must insert afresh.
+                let mut slot = node.value.write();
+                if is_marked(node.next.load(Ordering::SeqCst)) {
+                    drop(slot);
+                    continue;
                 }
-                let node = Box::into_raw(Box::new(NhsNode {
-                    key,
-                    value: RwSpinLock::new(value),
-                    next: AtomicPtr::new(curr),
-                }));
-                if self
-                    .inner
-                    .slot(pred)
-                    .compare_exchange(curr, node, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    self.inner.len.add(1);
-                    self.inner.mutations.fetch_add(1, Ordering::SeqCst);
-                    return None;
-                }
-                drop(Box::from_raw(node));
+                return Some(std::mem::replace(&mut *slot, value));
             }
+            let curr = NodeRef::or_null(curr);
+            let node = Box::new(NhsNode {
+                key,
+                value: RwSpinLock::new(value),
+                next: AtomicPtr::new(curr),
+            });
+            let link = self.inner.slot(pred);
+            if NodeRef::publish(link, curr, node, Ordering::SeqCst, Ordering::SeqCst, &pin).is_ok()
+            {
+                self.inner.len.add(1);
+                self.inner.mutations.fetch_add(1, Ordering::SeqCst);
+                return None;
+            }
+            // The CAS failed: the node, handed back unshared, is freed here.
         }
     }
 
     /// Removes `key`: marks the node (freezing its successor), physically
     /// unlinks it from the bottom lane, and queues it for retirement (see
-    /// the module docs for the deferral protocol).
+    /// the module docs for the deferral protocol).  Only the winning marker
+    /// pushes the node to limbo, so it is pushed once.
     fn remove(&self, key: &K) -> Option<V> {
-        let _guard = self.inner.collector.pin();
-        // SAFETY: mark-then-unlink under the pin; the victim is pushed to
-        // limbo exactly once (only the winning marker reaches that code).
-        unsafe {
-            let (pred, curr) = self.inner.find(key);
-            if curr.is_null() || (*curr).key != *key {
-                return None;
-            }
-            // Mark while holding the value lock so racing upserts cannot
-            // write into a node whose removal already linearized.
-            let (value, successor) = {
-                let slot = (*curr).value.write();
-                loop {
-                    let next = (*curr).next.load(Ordering::SeqCst);
-                    if is_marked(next) {
-                        return None; // another remover won
-                    }
-                    if (*curr)
-                        .next
-                        .compare_exchange(next, marked(next), Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                    {
-                        break (*slot, next);
-                    }
-                    // An insert linked a new successor; retry the mark.
+        let pin = self.inner.collector.pin();
+        let (pred, curr) = self.inner.find(key, &pin);
+        let node = curr.filter(|node| node.key == *key)?;
+        // Mark while holding the value lock so racing upserts cannot write
+        // into a node whose removal already linearized.
+        let (value, successor) = {
+            let slot = node.value.write();
+            loop {
+                let next = node.next.load(Ordering::SeqCst);
+                if is_marked(next) {
+                    return None; // another remover won
                 }
-            };
-            self.inner.len.add(-1);
-            self.inner.mutations.fetch_add(1, Ordering::SeqCst);
-            // Physical unlink: the common case is one CAS on the
-            // predecessor the lookup already found; if the neighbourhood
-            // changed (or `pred` was itself marked) one helping traversal
-            // guarantees the node is no longer lane-reachable on return.
-            if self
-                .inner
-                .slot(pred)
-                .compare_exchange(curr, successor, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                let _ = self.inner.find(key);
+                if node
+                    .next
+                    .compare_exchange(next, marked(next), Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    break (*slot, next);
+                }
+                // An insert linked a new successor; retry the mark.
             }
-            let generation = self.inner.generation.load(Ordering::SeqCst);
-            self.inner.limbo.lock().unwrap().push((generation, curr));
-            Some(value)
+        };
+        self.inner.len.add(-1);
+        self.inner.mutations.fetch_add(1, Ordering::SeqCst);
+        // Physical unlink: the common case is one CAS on the predecessor
+        // the lookup already found; if the neighbourhood changed (or `pred`
+        // was itself marked) one helping traversal guarantees the node is
+        // no longer lane-reachable on return.
+        if !self.inner.swing(pred, node.as_ptr(), successor) {
+            let _ = self.inner.find(key, &pin);
         }
+        let generation = self.inner.generation.load(Ordering::SeqCst);
+        self.inner
+            .limbo
+            .lock()
+            .unwrap()
+            .push((generation, node.as_ptr()));
+        Some(value)
     }
 
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
