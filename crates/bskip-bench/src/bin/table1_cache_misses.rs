@@ -92,9 +92,9 @@ fn main() {
             "{}",
             format_row(&[
                 label.to_string(),
-                format!("{sl:.3e}"),
-                format!("{bt:.3e}"),
-                format!("{bsl:.3e}"),
+                sl.to_string(),
+                bt.to_string(),
+                bsl.to_string(),
                 format!("{:.1}", sl as f64 / bsl as f64),
                 format!("{:.1}", bt as f64 / bsl as f64),
             ])

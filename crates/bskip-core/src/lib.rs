@@ -68,8 +68,12 @@
 //!
 //! ## Cursors
 //!
-//! [`BSkipList::scan`] returns a forward cursor ([`bskip_index::Cursor`])
-//! over any `RangeBounds` expression; [`BSkipList::iter`] scans everything.
+//! [`BSkipList::scan`] returns a forward cursor, the named
+//! [`LeafCursor`] (an [`Iterator`]), over any `RangeBounds` expression;
+//! [`BSkipList::iter`] scans everything.  The cursor is boxed only where
+//! [`bskip_index::ConcurrentIndex::scan_bounds`] erases its type, and its
+//! batch buffer is a window the thread parks between scans, so a warm
+//! scan through the list's own API allocates nothing.
 //! The cursor is implemented natively on the leaf level: it copies one
 //! read-locked node's in-range slots at a time into a batch buffer and
 //! serves entries from the buffer with no locks held, so a scan never
@@ -152,5 +156,5 @@ mod node;
 mod stats;
 
 pub use config::BSkipConfig;
-pub use list::BSkipList;
+pub use list::{BSkipList, LeafCursor};
 pub use stats::BSkipStats;

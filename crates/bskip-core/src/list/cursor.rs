@@ -64,8 +64,8 @@
 use std::ops::Bound;
 use std::ptr;
 
-use bskip_index::cursor::{above_lower, below_upper};
-use bskip_index::trace::Tracer;
+use bskip_index::cursor::{above_lower, below_upper, Window};
+use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::Racy;
 
@@ -74,9 +74,13 @@ use crate::guard::{NodeRef, Pin, ReadGuard};
 use crate::node::{prefetch_node, Node, NodeSearch};
 use crate::stats::BSkipStats;
 
-/// The native cursor over a [`BSkipList`]; wrapped in
-/// [`bskip_index::Cursor`] by [`BSkipList::scan`].
-pub(crate) struct LeafCursor<'a, K, V, const B: usize, T>
+/// The native cursor over a [`BSkipList`], returned by
+/// [`BSkipList::scan`], [`BSkipList::scan_bounds`] and [`BSkipList::iter`]:
+/// an [`Iterator`] over the range's entries in ascending key order.  It is
+/// boxed only where [`bskip_index::ConcurrentIndex::scan_bounds`] erases
+/// its type; its batch buffer is a [`Window`] on loan from the calling
+/// thread, so a warm scan through the inherent API allocates nothing.
+pub struct LeafCursor<'a, K, V, const B: usize = 128, T = NoTrace>
 where
     K: IndexKey + Racy,
     V: IndexValue + Racy,
@@ -88,19 +92,19 @@ where
     pin: Pin<'a, K, V, B, T>,
     /// What a snapshot writes: a field of its own, so that a snapshot can
     /// borrow it while its leaf's guard borrows the pin.
-    window: Window<'a, K, V, B>,
+    walk: Walk<'a, K, V, B>,
     /// Whether the first `next` has positioned the cursor yet.
     started: bool,
 }
 
-struct Window<'a, K, V, const B: usize> {
+struct Walk<'a, K: 'static, V: 'static, const B: usize> {
     /// Lower bound of the next refill: the range's `lo` until an entry
     /// is emitted, then `Excluded(last emitted key)`.
     from: Bound<K>,
     hi: Bound<K>,
     /// Slots copied out of the most recently visited leaf, ascending and
     /// all within `hi`.
-    batch: Vec<(K, V)>,
+    batch: Window<(K, V)>,
     /// Next unconsumed index into `batch`.
     pos: usize,
     /// Right neighbour of the last snapshotted leaf, captured under its
@@ -126,10 +130,10 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer>
     ) -> Self {
         LeafCursor {
             pin: list.pin(),
-            window: Window {
+            walk: Walk {
                 from: lo,
                 hi,
-                batch: Vec::with_capacity(B),
+                batch: Window::take(B),
                 pos: 0,
                 next_leaf: ptr::null_mut(),
                 stats: list.stats_enabled().filter(|_| record_stats),
@@ -140,15 +144,15 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer>
 
     /// Descends to the leaf covering `from` and snapshots it.
     fn descend_and_snapshot(&mut self) {
-        let leaf = match &self.window.from {
+        let leaf = match &self.walk.from {
             Bound::Unbounded => self.pin.head(0).lock(),
             Bound::Included(key) | Bound::Excluded(key) => self.pin.lock_covering(key, 0),
         };
-        self.window.snapshot(leaf, self.pin.tracer());
+        self.walk.snapshot(leaf, self.pin.tracer());
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, B> {
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Walk<'_, K, V, B> {
     /// Copies the slots of the read-locked `leaf` that satisfy `from` and
     /// the upper bound into the batch, parks the leaf's `next` pointer and
     /// drops the guard; reports the header and the slots it read to
@@ -209,15 +213,17 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize> Window<'_, K, V, 
     }
 }
 
-impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> IndexCursor<K, V>
+impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> Iterator
     for LeafCursor<'_, K, V, B, T>
 {
+    type Item = (K, V);
+
     fn next(&mut self) -> Option<(K, V)> {
         loop {
-            let window = &mut self.window;
-            if let Some(&entry) = window.batch.get(window.pos) {
-                window.pos += 1;
-                window.from = Bound::Excluded(entry.0);
+            let walk = &mut self.walk;
+            if let Some(&entry) = walk.batch.get(walk.pos) {
+                walk.pos += 1;
+                walk.from = Bound::Excluded(entry.0);
                 return Some(entry);
             }
             if !self.started {
@@ -231,16 +237,28 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> IndexC
             // unlinked and retired it, the collector cannot free it while
             // the pin is alive — the module docs' argument, and the parent
             // module's "Why racing structure changes is safe".
-            let leaf: ReadGuard<'_, K, V, B> = unsafe { self.pin.unpark(window.next_leaf) }?.lock();
+            let leaf: ReadGuard<'_, K, V, B> = unsafe { self.pin.unpark(walk.next_leaf) }?.lock();
             if leaf.is_empty() {
                 // Unlinked: its keys may have folded into a leaf
                 // behind the cursor (module docs, *Consistency*).
                 drop(leaf);
                 self.descend_and_snapshot();
             } else {
-                window.snapshot(leaf, self.pin.tracer());
+                walk.snapshot(leaf, self.pin.tracer());
             }
         }
+    }
+}
+
+/// A cursor as the trait's [`IndexCursor`], for the box
+/// [`bskip_index::ConcurrentIndex::scan_bounds`] returns.  A wrapper, not
+/// a second impl on [`LeafCursor`]: with both, `list.scan(..).next()`
+/// would be ambiguous.
+pub(super) struct Erased<C>(pub(super) C);
+
+impl<K: IndexKey, V: IndexValue, C: Iterator<Item = (K, V)>> IndexCursor<K, V> for Erased<C> {
+    fn next(&mut self) -> Option<(K, V)> {
+        self.0.next()
     }
 }
 
@@ -323,6 +341,50 @@ mod tests {
             drop(cursor);
             assert_unlocked(&list);
         }
+    }
+
+    #[test]
+    fn a_cursor_dropped_mid_leaf_leaves_nothing_for_the_next_one() {
+        // Leaves of four: the first cursor stops inside `{0, 1, 2, 3}`
+        // with three entries still buffered; its window is parked and the
+        // next cursor on this thread takes it back.
+        let list = listing(0..40);
+        let mut first = list.scan(..);
+        assert_eq!(first.next(), Some((0, 0)));
+        drop(first);
+        let second: Vec<u64> = list.scan(20..30).map(|(k, _)| k).collect();
+        assert_eq!(second, (20..30).collect::<Vec<_>>());
+        // The same with an empty second range: nothing at all.
+        let mut third = list.scan(..);
+        assert_eq!(third.nth(5), Some((5, 50)));
+        drop(third);
+        assert_eq!(list.scan(100..).next(), None);
+    }
+
+    #[test]
+    fn a_thread_parks_at_most_its_cap_of_windows() {
+        use bskip_index::cursor::{parked_windows, PARKED_WINDOWS};
+
+        let list = listing(0..40);
+        // Tests may share a thread, so this one starts from whatever its
+        // thread has parked already.
+        let mut cursors: Vec<_> = (0..2 * PARKED_WINDOWS as u64)
+            .map(|from| list.scan(from..))
+            .collect();
+        for (from, cursor) in (0u64..).zip(&mut cursors) {
+            assert_eq!(cursor.next(), Some((from, from * 10)));
+        }
+        assert!(parked_windows() <= PARKED_WINDOWS);
+        drop(cursors);
+        assert_eq!(parked_windows(), PARKED_WINDOWS);
+        // Every open cursor held a window of its own: all of them stream
+        // their own ranges side by side.
+        let mut pair = (list.scan(10..14), list.scan(30..34));
+        let interleaved: Vec<(u64, u64)> =
+            std::iter::from_fn(|| Some((pair.0.next()?.0, pair.1.next()?.0))).collect();
+        assert_eq!(interleaved, vec![(10, 30), (11, 31), (12, 32), (13, 33)]);
+        drop(pair);
+        assert_eq!(parked_windows(), PARKED_WINDOWS);
     }
 
     #[test]

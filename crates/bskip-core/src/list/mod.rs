@@ -125,7 +125,7 @@
 //! a write — insert or removal, alone or in a batch — ever read-locks a
 //! node above the one it changes, so a writer cannot livelock.
 
-pub(crate) mod cursor;
+mod cursor;
 mod execute;
 mod insert;
 mod leaf;
@@ -142,7 +142,8 @@ use bskip_index::trace::{NoTrace, Tracer};
 use bskip_index::{ConcurrentIndex, Cursor, IndexKey, IndexStats, IndexValue, Op, StatKind};
 use bskip_sync::{EbrCollector, EbrStats, Racy, StripedCounter};
 
-use self::cursor::LeafCursor;
+use self::cursor::Erased;
+pub use self::cursor::LeafCursor;
 
 use crate::config::BSkipConfig;
 use crate::guard::{Locked, NodeRef, Pin, ReadGuard, WriteGuard};
@@ -461,8 +462,9 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipL
         self.get(key).is_some()
     }
 
-    /// Opens a forward [`Cursor`] over the entries whose keys lie in
-    /// `range` — the primary scan API.
+    /// Opens a forward [`LeafCursor`] over the entries whose keys lie in
+    /// `range` — the primary scan API.  The cursor is an [`Iterator`];
+    /// on a thread that has scanned before, opening it allocates nothing.
     ///
     /// The cursor descends once to the range's lower bound, then walks the
     /// leaf level, snapshotting one read-locked node's slots at a time into
@@ -482,20 +484,20 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipL
     /// assert_eq!(cursor.next(), Some((7, 14)));
     /// assert_eq!(cursor.next(), Some((8, 16)));
     /// ```
-    pub fn scan<R: RangeBounds<K>>(&self, range: R) -> Cursor<'_, K, V> {
+    pub fn scan<R: RangeBounds<K>>(&self, range: R) -> LeafCursor<'_, K, V, B, T> {
         self.scan_bounds(
             clone_bound(range.start_bound()),
             clone_bound(range.end_bound()),
         )
     }
 
-    /// Opens a [`Cursor`] over an explicit pair of bounds (the object-safe
-    /// form of [`BSkipList::scan`]).
-    pub fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
+    /// Opens a [`LeafCursor`] over an explicit pair of bounds (the
+    /// non-generic form of [`BSkipList::scan`]).
+    pub fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> LeafCursor<'_, K, V, B, T> {
         if let Some(stats) = self.stats_enabled() {
             stats.ranges.incr();
         }
-        Cursor::new(LeafCursor::new(self, lo, hi, true))
+        LeafCursor::new(self, lo, hi, true)
     }
 
     /// Iterates over every entry in ascending key order.
@@ -510,13 +512,8 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> BSkipL
     /// let list: BSkipList<u64, u64> = [(2u64, 20u64), (1, 10)].into_iter().collect();
     /// assert_eq!(list.iter().collect::<Vec<_>>(), vec![(1, 10), (2, 20)]);
     /// ```
-    pub fn iter(&self) -> Cursor<'_, K, V> {
-        Cursor::new(LeafCursor::new(
-            self,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            false,
-        ))
+    pub fn iter(&self) -> LeafCursor<'_, K, V, B, T> {
+        LeafCursor::new(self, Bound::Unbounded, Bound::Unbounded, false)
     }
 
     /// Collects the whole contents into a sorted `Vec` (convenience wrapper
@@ -829,7 +826,7 @@ impl<K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer + Send 
     }
 
     fn scan_bounds(&self, lo: Bound<K>, hi: Bound<K>) -> Cursor<'_, K, V> {
-        BSkipList::scan_bounds(self, lo, hi)
+        Cursor::new(Erased(BSkipList::scan_bounds(self, lo, hi)))
     }
 
     fn try_reclaim(&self) -> usize {
@@ -918,9 +915,9 @@ impl<'a, K: IndexKey + Racy, V: IndexValue + Racy, const B: usize, T: Tracer> In
     for &'a BSkipList<K, V, B, T>
 {
     type Item = (K, V);
-    type IntoIter = Cursor<'a, K, V>;
+    type IntoIter = LeafCursor<'a, K, V, B, T>;
 
-    fn into_iter(self) -> Cursor<'a, K, V> {
+    fn into_iter(self) -> LeafCursor<'a, K, V, B, T> {
         self.iter()
     }
 }
@@ -1146,7 +1143,7 @@ mod tests {
         // already-snapshotted entries may still be yielded, in ascending
         // order, and the walk terminates.
         let mut previous = 0u64;
-        while let Some((key, _)) = cursor.next() {
+        for (key, _) in cursor.by_ref() {
             assert!(key > previous, "cursor went backwards after churn");
             previous = key;
         }

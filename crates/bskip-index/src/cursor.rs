@@ -20,7 +20,11 @@
 //!   way to hold a position without pinning memory);
 //! * [`MergeCursor`] — the workspace's one K-way merge: sorted sources in
 //!   priority order composed into a single cursor (the shards of a
-//!   [`crate::ShardedIndex`], the layers of the LSM engine).
+//!   [`crate::ShardedIndex`], the layers of the LSM engine);
+//! * [`Window`] — a cursor's batch buffer, lent by the calling thread's
+//!   small list of parked windows and handed back when the cursor drops,
+//!   so a warm scan allocates no buffer ([`BatchCursor`] and the
+//!   B-skiplist's leaf cursor both take theirs here).
 //!
 //! # Consistency contract
 //!
@@ -36,8 +40,10 @@
 //! * each yielded `(key, value)` pair is internally consistent (values are
 //!   read under the same lock/validation protocol as point lookups).
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::ops::Bound;
+use std::ops::{Bound, Deref, DerefMut};
 
 use crate::{IndexKey, IndexValue};
 
@@ -70,6 +76,99 @@ pub fn below_upper<K: Ord>(key: &K, hi: &Bound<K>) -> bool {
         Bound::Included(bound) => key <= bound,
         Bound::Excluded(bound) => key < bound,
         Bound::Unbounded => true,
+    }
+}
+
+/// How many windows a thread keeps parked for its next cursors.  A scan
+/// holds one per batched cursor it merges — one per shard of a
+/// [`crate::ShardedIndex`], one per memtable of an LSM scan — and past
+/// this many a parked window pushes out the thread's oldest.  A window is
+/// a leaf's worth of entries: 2 KiB for `(u64, u64)` at `B = 128`.
+pub const PARKED_WINDOWS: usize = 8;
+
+thread_local! {
+    /// Cleared windows of every entry type, oldest first; a window is
+    /// found by its type, so the list is type-erased.
+    static PARKED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How many windows, of every entry type, the calling thread has parked.
+pub fn parked_windows() -> usize {
+    PARKED.with(|parked| parked.borrow().len())
+}
+
+/// A cursor's batch buffer, on loan from the calling thread.
+///
+/// [`Window::take`] hands out the thread's most recently parked window of
+/// this entry type, or a fresh one; dropping the `Window` clears it and
+/// parks it again, at most [`PARKED_WINDOWS`] per thread.  So a thread
+/// that keeps scanning allocates no buffer once warm, and several cursors
+/// open at once on one thread each hold a window of their own.  A window
+/// is a boxed `Vec` so that it can be parked type-erased and taken back
+/// without a new allocation either way.
+pub struct Window<T: 'static> {
+    /// `None` only inside `drop`, once the window is handed back.
+    #[allow(
+        clippy::box_collection,
+        reason = "the box is what parks type-erased: it is allocated once per window, not per scan"
+    )]
+    vec: Option<Box<Vec<T>>>,
+}
+
+impl<T: 'static> Window<T> {
+    /// An empty window with room for at least `capacity` entries.
+    pub fn take(capacity: usize) -> Self {
+        let parked = PARKED
+            .try_with(|parked| {
+                let mut parked = parked.try_borrow_mut().ok()?;
+                let at = parked.iter().rposition(|window| window.is::<Vec<T>>())?;
+                parked.remove(at).downcast().ok()
+            })
+            .ok()
+            .flatten();
+        let mut vec: Box<Vec<T>> = parked.unwrap_or_default();
+        vec.reserve(capacity);
+        Window { vec: Some(vec) }
+    }
+}
+
+impl<T: 'static> Deref for Window<T> {
+    type Target = Vec<T>;
+
+    #[inline]
+    fn deref(&self) -> &Vec<T> {
+        self.vec
+            .as_deref()
+            .expect("a window is parked only on drop")
+    }
+}
+
+impl<T: 'static> DerefMut for Window<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        self.vec
+            .as_deref_mut()
+            .expect("a window is parked only on drop")
+    }
+}
+
+/// Clears the window — the next cursor must not serve this one's entries
+/// — and parks it.  A thread-local already torn down, or borrowed, just
+/// frees it.
+impl<T: 'static> Drop for Window<T> {
+    fn drop(&mut self) {
+        let Some(mut vec) = self.vec.take() else {
+            return;
+        };
+        vec.clear();
+        let _ = PARKED.try_with(|parked| {
+            if let Ok(mut parked) = parked.try_borrow_mut() {
+                if parked.len() == PARKED_WINDOWS {
+                    parked.remove(0);
+                }
+                parked.push(vec);
+            }
+        });
     }
 }
 
@@ -198,7 +297,7 @@ pub struct BatchCursor<'a, K: IndexKey, V: IndexValue> {
     /// emitted, then `Excluded(last emitted key)`.
     from: Bound<K>,
     hi: Bound<K>,
-    batch: Vec<(K, V)>,
+    batch: Window<(K, V)>,
     pos: usize,
     /// Set when a fetch returned a short batch (index exhausted) and the
     /// buffer has been drained, or when an entry beyond `hi` was seen.
@@ -212,15 +311,18 @@ impl<'a, K: IndexKey, V: IndexValue> BatchCursor<'a, K, V> {
     /// Creates a batch cursor over `[lo, hi]` fetching `batch_size` entries
     /// per re-entry into the index.
     pub fn new(lo: Bound<K>, hi: Bound<K>, batch_size: usize, fetch: FetchBatch<'a, K, V>) -> Self {
+        let batch_size = batch_size.max(1);
         BatchCursor {
             fetch,
             from: lo,
             hi,
-            batch: Vec::new(),
+            // Sized once for the largest request (see `refill`):
+            // primitives fill it from iterators of unknown length.
+            batch: Window::take(batch_size + 1),
             pos: 0,
             finished: false,
             source_drained: false,
-            batch_size: batch_size.max(1),
+            batch_size,
         }
     }
 
@@ -232,8 +334,6 @@ impl<'a, K: IndexKey, V: IndexValue> BatchCursor<'a, K, V> {
         // bound; request one extra entry so dropping it below cannot turn a
         // full batch into a short one.
         let request = self.batch_size + usize::from(matches!(from, Bound::Excluded(_)));
-        // Sized once: primitives fill it from iterators of unknown length.
-        self.batch.reserve(request);
         (self.fetch)(from, request, &mut self.batch);
         self.source_drained = self.batch.len() < request;
         // Enforce the lower bound here so fetch primitives only need

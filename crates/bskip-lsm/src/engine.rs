@@ -290,8 +290,10 @@ struct Version<K: IndexKey + Persist, V: IndexValue + Persist> {
 }
 
 /// One merge source: a memtable's cursor, or a sorted run of tables.  An
-/// enum, not a boxed [`Cursor`], so a merge allocates no box per source.
-enum Source<'a, K: IndexKey, V: IndexValue> {
+/// enum, not a boxed [`Cursor`], over two unboxed cursors — the memtable's
+/// is its list's own `LeafCursor` — so a merge allocates no box per
+/// source.
+enum Source<'a, K: IndexKey + Persist, V: IndexValue + Persist> {
     Memtable(MemtableCursor<'a, K, V>),
     Run(TableCursor<'a, K, V>),
 }

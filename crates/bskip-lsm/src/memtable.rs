@@ -56,8 +56,8 @@ use std::mem::size_of;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bskip_core::BSkipList;
-use bskip_index::{Cursor, IndexKey, IndexValue, ReclamationStats};
+use bskip_core::{BSkipList, LeafCursor};
+use bskip_index::{IndexKey, IndexValue, ReclamationStats};
 use bskip_sync::Racy;
 
 use crate::codec::Persist;
@@ -317,11 +317,13 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> Memtable<K, V> {
     }
 }
 
-/// A [`Memtable::cursor`]: the list's cursor, its entries mapped back to
-/// [`Slot`]s.
-pub struct MemtableCursor<'a, K: IndexKey, V: IndexValue>(Cursor<'a, K, Stored<V>>);
+/// A [`Memtable::cursor`]: the list's own cursor, unboxed, its entries
+/// mapped back to [`Slot`]s.
+pub struct MemtableCursor<'a, K: IndexKey + Persist, V: IndexValue + Persist>(
+    LeafCursor<'a, K, Stored<V>>,
+);
 
-impl<K: IndexKey, V: IndexValue> Iterator for MemtableCursor<'_, K, V> {
+impl<K: IndexKey + Persist, V: IndexValue + Persist> Iterator for MemtableCursor<'_, K, V> {
     type Item = (K, Slot<V>);
 
     fn next(&mut self) -> Option<(K, Slot<V>)> {

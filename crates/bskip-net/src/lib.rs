@@ -311,7 +311,7 @@ mod tests {
             lo: std::ops::Bound<u64>,
             hi: std::ops::Bound<u64>,
         ) -> bskip_index::Cursor<'_, u64, u64> {
-            self.inner.scan_bounds(lo, hi)
+            bskip_index::ConcurrentIndex::scan_bounds(&self.inner, lo, hi)
         }
         fn len(&self) -> usize {
             bskip_index::ConcurrentIndex::len(&self.inner)

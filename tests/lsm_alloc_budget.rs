@@ -6,9 +6,11 @@
 //! framing, checksum, append.  A scan merges one source per memtable, per
 //! level-0 table and per deeper *level*: positioning it reads one block
 //! per table source however many tables the levels hold, and a warm
-//! 100-entry scan allocates four times (its own box, the merge's vector,
-//! the memtable cursor's box and leaf buffer — no block or key buffer).
-//! The budgets are ordinary tests so
+//! 100-entry scan allocates twice (its own box and the merge's vector —
+//! no cursor box, leaf window, block or key buffer).  Under it, a warm
+//! B-skiplist scan allocates nothing through the list's own API and one
+//! box through `&dyn ConcurrentIndex`, and a baseline's batched scan
+//! allocates its two boxes.  The budgets are ordinary tests so
 //! that they cannot rot: a `Vec` that creeps back into `Table::get` or
 //! `WalWriter::append_ops`, or a scan that opens a cursor per table
 //! again, fails here, not in a benchmark somebody has to read.
@@ -22,7 +24,10 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use bskip_suite::lsm::{Table, WalOp, WalWriter};
-use bskip_suite::{ConcurrentIndex, FaultFs, IndexCursor, LsmConfig, LsmEngine, StdFs, SyncPolicy};
+use bskip_suite::{
+    BSkipList, ConcurrentIndex, FaultFs, IndexCursor, LsmConfig, LsmEngine, OccBTree, StdFs,
+    SyncPolicy,
+};
 
 thread_local! {
     // Const-initialised and without a destructor, so touching it from
@@ -258,7 +263,7 @@ fn a_scan_reads_one_block_per_sorted_run_however_many_tables_it_has() {
 }
 
 #[test]
-fn a_warm_hundred_entry_scan_allocates_four_times_at_most() {
+fn a_warm_hundred_entry_scan_allocates_twice_at_most() {
     let fs = FaultFs::new();
     let engine = settled(&fs, 64 << 10);
     let levels = engine.tables_per_level();
@@ -273,14 +278,81 @@ fn a_warm_hundred_entry_scan_allocates_four_times_at_most() {
     };
     scan(0);
     // 1. the `Cursor` box around the scan;
-    // 2. the merge's one vector of sources;
-    // 3. the memtable cursor's box;
-    // 4. that cursor's leaf buffer.
-    // The table sources are unboxed, and their block and key buffers come
-    // off the thread's free list.
+    // 2. the merge's one vector of sources.
+    // The memtable source is the list's own cursor, unboxed, its leaf
+    // window and the table sources' block and key buffers come off the
+    // thread's free lists.
     // Start keys from the lower half: the top would run out of entries.
     for i in (1..).filter(|&i| present(i) < KEYS).take(50) {
         let allocs = allocations_in(|| scan(i));
-        assert!(allocs <= 4, "scan {i}: {allocs} allocations, {levels:?}");
+        assert!(allocs <= 2, "scan {i}: {allocs} allocations, {levels:?}");
+    }
+}
+
+#[test]
+fn a_warm_b_skiplist_scan_allocates_only_the_box_the_trait_returns() {
+    let list = BSkipList::<u64, u64>::new();
+    for key in 0..KEYS {
+        list.insert(key, key * 3);
+    }
+    let index: &dyn ConcurrentIndex<u64, u64> = &list;
+    let expect = |from: u64| (from..from + 100).map(|key| (key, key * 3));
+    let starts = || (0..50).map(|i| draw(i) % (KEYS - 100));
+    assert!(list.scan(0..).take(100).eq(expect(0)), "warm-up");
+    for from in starts() {
+        let allocs = allocations_in(|| assert!(list.scan(from..).take(100).eq(expect(from))));
+        assert_eq!(allocs, 0, "BSkipList::scan from {from}");
+        let allocs = allocations_in(|| {
+            assert!(index
+                .scan_bounds(Bound::Included(from), Bound::Unbounded)
+                .take(100)
+                .eq(expect(from)))
+        });
+        assert_eq!(allocs, 1, "ConcurrentIndex::scan from {from}");
+    }
+
+    // Two cursors open at once: each has a window of its own, so the two
+    // interleaved streams are each exactly their own range.  The second
+    // window is the one fresh one: its box and its buffer.
+    let allocs = allocations_in(|| {
+        let mut low = list.scan(1_000..);
+        let mut high = list.scan(30_000..);
+        for step in 0..300 {
+            assert_eq!(low.next(), Some((1_000 + step, (1_000 + step) * 3)));
+            assert_eq!(high.next(), Some((30_000 + step, (30_000 + step) * 3)));
+        }
+    });
+    assert!(allocs <= 2, "two open cursors: {allocs} allocations");
+    // Both windows are parked again: scans allocate nothing beyond their
+    // boxes, one at a time or two at once.
+    for from in starts() {
+        let allocs = allocations_in(|| {
+            assert!(list.scan(from..).take(100).eq(expect(from)));
+            let mut pair = (
+                index.scan_bounds(Bound::Included(from), Bound::Unbounded),
+                list.scan(KEYS - from - 100..),
+            );
+            for key in from..from + 100 {
+                assert_eq!(pair.0.next(), Some((key, key * 3)));
+                assert!(pair.1.next().is_some());
+            }
+        });
+        assert_eq!(allocs, 1, "scans from {from} after two cursors");
+    }
+}
+
+#[test]
+fn a_warm_baseline_scan_allocates_only_its_two_boxes() {
+    let tree = OccBTree::<u64, u64, 64>::new();
+    for key in 0..KEYS {
+        tree.insert(key, key * 3);
+    }
+    let expect = |from: u64| (from..from + 100).map(|key| (key, key * 3));
+    assert!(tree.scan(0..).take(100).eq(expect(0)), "warm-up");
+    // The `Cursor` box and the fetch closure's box: the batch window is
+    // a parked one.
+    for from in (0..50).map(|i| draw(i) % (KEYS - 100)) {
+        let allocs = allocations_in(|| assert!(tree.scan(from..).take(100).eq(expect(from))));
+        assert_eq!(allocs, 2, "OccBTree scan from {from}");
     }
 }
