@@ -363,20 +363,20 @@ mod tests {
 
     #[test]
     fn a_thread_parks_at_most_its_cap_of_windows() {
-        use bskip_index::cursor::{parked_windows, PARKED_WINDOWS};
+        use bskip_index::cursor::{parked_buffers, PARKED_BUFFERS};
 
         let list = listing(0..40);
         // Tests may share a thread, so this one starts from whatever its
         // thread has parked already.
-        let mut cursors: Vec<_> = (0..2 * PARKED_WINDOWS as u64)
+        let mut cursors: Vec<_> = (0..2 * PARKED_BUFFERS as u64)
             .map(|from| list.scan(from..))
             .collect();
         for (from, cursor) in (0u64..).zip(&mut cursors) {
             assert_eq!(cursor.next(), Some((from, from * 10)));
         }
-        assert!(parked_windows() <= PARKED_WINDOWS);
+        assert!(parked_buffers() <= PARKED_BUFFERS);
         drop(cursors);
-        assert_eq!(parked_windows(), PARKED_WINDOWS);
+        assert_eq!(parked_buffers(), PARKED_BUFFERS);
         // Every open cursor held a window of its own: all of them stream
         // their own ranges side by side.
         let mut pair = (list.scan(10..14), list.scan(30..34));
@@ -384,7 +384,7 @@ mod tests {
             std::iter::from_fn(|| Some((pair.0.next()?.0, pair.1.next()?.0))).collect();
         assert_eq!(interleaved, vec![(10, 30), (11, 31), (12, 32), (13, 33)]);
         drop(pair);
-        assert_eq!(parked_windows(), PARKED_WINDOWS);
+        assert_eq!(parked_buffers(), PARKED_BUFFERS);
     }
 
     #[test]

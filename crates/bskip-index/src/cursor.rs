@@ -21,10 +21,11 @@
 //! * [`MergeCursor`] — the workspace's one K-way merge: sorted sources in
 //!   priority order composed into a single cursor (the shards of a
 //!   [`crate::ShardedIndex`], the layers of the LSM engine);
-//! * [`Window`] — a cursor's batch buffer, lent by the calling thread's
-//!   small list of parked windows and handed back when the cursor drops,
-//!   so a warm scan allocates no buffer ([`BatchCursor`] and the
-//!   B-skiplist's leaf cursor both take theirs here).
+//! * [`Lent`] — a cursor's scan buffer, lent by the calling thread's one
+//!   small list of parked buffers and handed back, reset, when the cursor
+//!   drops, so a warm scan allocates no buffer: a [`Window`] of entries
+//!   for [`BatchCursor`] and the B-skiplist's leaf cursor, a block
+//!   decoder for the LSM engine's table cursor.
 //!
 //! # Consistency contract
 //!
@@ -79,96 +80,114 @@ pub fn below_upper<K: Ord>(key: &K, hi: &Bound<K>) -> bool {
     }
 }
 
-/// How many windows a thread keeps parked for its next cursors.  A scan
-/// holds one per batched cursor it merges — one per shard of a
-/// [`crate::ShardedIndex`], one per memtable of an LSM scan — and past
-/// this many a parked window pushes out the thread's oldest.  A window is
-/// a leaf's worth of entries: 2 KiB for `(u64, u64)` at `B = 128`.
-pub const PARKED_WINDOWS: usize = 8;
+/// How many buffers, of every type, a thread keeps parked for its next
+/// cursors.  A scan holds one per cursor it merges — a window per shard of
+/// a [`crate::ShardedIndex`] or per memtable of an LSM scan, a block
+/// decoder per table source — and past this many a parked buffer pushes
+/// out the thread's oldest.  A buffer is a leaf's or a block's worth:
+/// 2–3 KiB.
+pub const PARKED_BUFFERS: usize = 16;
 
 thread_local! {
-    /// Cleared windows of every entry type, oldest first; a window is
-    /// found by its type, so the list is type-erased.
+    /// Reset buffers of every type, oldest first; a buffer is found by its
+    /// type, so the list is type-erased.
     static PARKED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// How many windows, of every entry type, the calling thread has parked.
-pub fn parked_windows() -> usize {
+/// How many buffers, of every type, the calling thread has parked.
+pub fn parked_buffers() -> usize {
     PARKED.with(|parked| parked.borrow().len())
 }
 
-/// A cursor's batch buffer, on loan from the calling thread.
-///
-/// [`Window::take`] hands out the thread's most recently parked window of
-/// this entry type, or a fresh one; dropping the `Window` clears it and
-/// parks it again, at most [`PARKED_WINDOWS`] per thread.  So a thread
-/// that keeps scanning allocates no buffer once warm, and several cursors
-/// open at once on one thread each hold a window of their own.  A window
-/// is a boxed `Vec` so that it can be parked type-erased and taken back
-/// without a new allocation either way.
-pub struct Window<T: 'static> {
-    /// `None` only inside `drop`, once the window is handed back.
-    #[allow(
-        clippy::box_collection,
-        reason = "the box is what parks type-erased: it is allocated once per window, not per scan"
-    )]
-    vec: Option<Box<Vec<T>>>,
+/// A scan buffer that [`Lent`] can park: [`Reset::reset`] empties it of
+/// everything a cursor put in it and keeps its capacity.
+pub trait Reset: Default + 'static {
+    /// Forgets the contents, keeps the memory.
+    fn reset(&mut self);
 }
 
-impl<T: 'static> Window<T> {
-    /// An empty window with room for at least `capacity` entries.
-    pub fn take(capacity: usize) -> Self {
+impl<T: 'static> Reset for Vec<T> {
+    fn reset(&mut self) {
+        self.clear();
+    }
+}
+
+/// A cursor's scan buffer, on loan from the calling thread.
+///
+/// [`Lent::lend`] hands out the thread's most recently parked buffer of
+/// type `T`, or a fresh one; dropping the `Lent` resets it and parks it
+/// again, at most [`PARKED_BUFFERS`] per thread.  So a thread that keeps
+/// scanning allocates no buffer once warm, and several cursors open at
+/// once on one thread each hold a buffer of their own.  The buffer is
+/// boxed so that it parks type-erased and comes back without a new
+/// allocation either way.
+pub struct Lent<T: Reset> {
+    /// `None` only inside `drop`, once the buffer is handed back.
+    value: Option<Box<T>>,
+}
+
+impl<T: Reset> Lent<T> {
+    /// The thread's most recently parked `T`, or a fresh one.
+    pub fn lend() -> Self {
         let parked = PARKED
             .try_with(|parked| {
                 let mut parked = parked.try_borrow_mut().ok()?;
-                let at = parked.iter().rposition(|window| window.is::<Vec<T>>())?;
+                let at = parked.iter().rposition(|value| value.is::<T>())?;
                 parked.remove(at).downcast().ok()
             })
             .ok()
             .flatten();
-        let mut vec: Box<Vec<T>> = parked.unwrap_or_default();
-        vec.reserve(capacity);
-        Window { vec: Some(vec) }
+        Lent {
+            value: Some(parked.unwrap_or_default()),
+        }
     }
 }
 
-impl<T: 'static> Deref for Window<T> {
-    type Target = Vec<T>;
+impl<T: Reset> Deref for Lent<T> {
+    type Target = T;
 
     #[inline]
-    fn deref(&self) -> &Vec<T> {
-        self.vec
-            .as_deref()
-            .expect("a window is parked only on drop")
+    fn deref(&self) -> &T {
+        self.value.as_deref().expect("lent until dropped")
     }
 }
 
-impl<T: 'static> DerefMut for Window<T> {
+impl<T: Reset> DerefMut for Lent<T> {
     #[inline]
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        self.vec
-            .as_deref_mut()
-            .expect("a window is parked only on drop")
+    fn deref_mut(&mut self) -> &mut T {
+        self.value.as_deref_mut().expect("lent until dropped")
     }
 }
 
-/// Clears the window — the next cursor must not serve this one's entries
+/// Resets the buffer — the next cursor must not serve this one's entries
 /// — and parks it.  A thread-local already torn down, or borrowed, just
 /// frees it.
-impl<T: 'static> Drop for Window<T> {
+impl<T: Reset> Drop for Lent<T> {
     fn drop(&mut self) {
-        let Some(mut vec) = self.vec.take() else {
-            return;
-        };
-        vec.clear();
-        let _ = PARKED.try_with(|parked| {
-            if let Ok(mut parked) = parked.try_borrow_mut() {
-                if parked.len() == PARKED_WINDOWS {
-                    parked.remove(0);
+        if let Some(mut value) = self.value.take() {
+            value.reset();
+            let _ = PARKED.try_with(|parked| {
+                if let Ok(mut parked) = parked.try_borrow_mut() {
+                    if parked.len() == PARKED_BUFFERS {
+                        parked.remove(0);
+                    }
+                    parked.push(value);
                 }
-                parked.push(vec);
-            }
-        });
+            });
+        }
+    }
+}
+
+/// A cursor's batch buffer: a lent `Vec` of entries ([`BatchCursor`] and
+/// the B-skiplist's leaf cursor both take theirs here).
+pub type Window<T> = Lent<Vec<T>>;
+
+impl<T: 'static> Window<T> {
+    /// An empty window with room for at least `capacity` entries.
+    pub fn take(capacity: usize) -> Self {
+        let mut window = Self::lend();
+        window.reserve(capacity);
+        window
     }
 }
 
@@ -521,6 +540,39 @@ mod tests {
 
         let mut empty = cursor_over(&entries, Bound::Excluded(40), Bound::Included(40), 2);
         assert_eq!(empty.next(), None);
+    }
+
+    #[test]
+    fn the_lender_keeps_its_newest_buffers_reset_and_apart_by_type() {
+        // A thread of its own, so that nothing is parked at the start.
+        std::thread::spawn(|| {
+            let capacities = || (1..PARKED_BUFFERS + 3).map(|i| 100 * i);
+            let windows: Vec<Window<u64>> = capacities()
+                .map(|capacity| {
+                    let mut window = Window::take(capacity);
+                    window.push(7);
+                    window
+                })
+                .collect();
+            assert_eq!(parked_buffers(), 0);
+            drop(windows);
+            assert_eq!(parked_buffers(), PARKED_BUFFERS);
+            // A buffer of another type is never handed out for this one.
+            let bytes = Window::<u8>::take(0);
+            assert_eq!(bytes.capacity(), 0);
+            // Newest first, each emptied when it was parked; the two
+            // oldest were pushed out.
+            let taken: Vec<Window<u64>> = (0..PARKED_BUFFERS).map(|_| Window::take(0)).collect();
+            assert!(taken.iter().all(|window| window.is_empty()));
+            let kept: Vec<usize> = taken.iter().map(|window| window.capacity()).collect();
+            assert_eq!(kept, capacities().skip(2).rev().collect::<Vec<_>>());
+            assert_eq!(parked_buffers(), 0);
+            assert_eq!(Window::<u64>::take(0).capacity(), 0);
+            drop(bytes);
+            assert_eq!(parked_buffers(), 2);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl<K: IndexKey, V: IndexValue> Op<K, V> {
         }
     }
 
-    /// Whether the operation mutates the index.
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, Op::Get { .. })
-    }
-
     /// Executes this operation through the index's point methods, storing
     /// the outcome in the result slot: the building block of the provided
     /// [`ConcurrentIndex::execute`] default.
@@ -249,10 +244,6 @@ mod tests {
         }
         assert_eq!(*ops[0].key(), 1);
         assert_eq!(*ops[3].key(), 4);
-        assert!(!ops[0].is_mutation());
-        assert!(ops[1].is_mutation());
-        assert!(ops[2].is_mutation());
-        assert!(ops[3].is_mutation());
     }
 
     #[test]

@@ -89,9 +89,9 @@
 //!   one.  The run's first table is found by binary search on the resident
 //!   `max_key`s, table `i + 1` is opened only when table `i` is exhausted,
 //!   and one block is held at a time, so positioning a cursor costs one
-//!   block read whatever the run's length.  Its decoder is borrowed from a
-//!   per-thread free list of at most eight (≈ 16 KiB per scanning thread
-//!   at the default block size), so a warm scan allocates no buffer.
+//!   block read whatever the run's length.  Its decoder is lent by the
+//!   thread's one list of parked scan buffers
+//!   ([`bskip_index::cursor::Lent`]), so a warm scan allocates no buffer.
 
 use std::cell::RefCell;
 use std::io;
@@ -100,7 +100,7 @@ use std::ops::{Bound, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bskip_index::cursor::below_upper;
+use bskip_index::cursor::{below_upper, Lent, Reset};
 use bskip_index::{IndexCursor, IndexKey, IndexValue};
 use bskip_sync::RelaxedCounter;
 
@@ -455,12 +455,13 @@ fn parse_entry(entries: &[u8], mut at: usize) -> Option<RawEntry> {
 /// through the restart array.  It owns the block's bytes and the current
 /// key, and both buffers are reused from block to block: the per-thread
 /// point-read scratch holds one, every [`TableCursor`] that has loaded a
-/// block another, on loan from the thread's free list.
+/// block another, [`Lent`] by the thread.
 ///
 /// Nothing read from the block is trusted beyond its checksum: lengths
 /// are cut with [`take`], tags are matched, and keys must ascend strictly
 /// from one step to the next.  The buffers only ever hold bytes copied
 /// out of the block, so no length in it can make them outgrow it.
+#[derive(Default)]
 struct BlockIter {
     /// The block as it sits in the file: entries, restart array, CRC.
     bytes: Vec<u8>,
@@ -481,18 +482,6 @@ struct BlockIter {
 }
 
 impl BlockIter {
-    const fn new() -> Self {
-        BlockIter {
-            bytes: Vec::new(),
-            entries_end: 0,
-            restarts: 0,
-            at: 0,
-            key: Vec::new(),
-            value: None,
-            valid: false,
-        }
-    }
-
     /// Reads the `len`-byte block at `offset`, verifies its checksum and
     /// framing, and positions before its first entry.  On `Err` the
     /// iterator holds an empty block.
@@ -620,51 +609,28 @@ impl BlockIter {
     }
 }
 
-/// Per-thread buffers of the read paths.
+/// A parked decoder holds an empty block: its bytes cannot reach the
+/// cursor it is lent to next.
+impl Reset for BlockIter {
+    fn reset(&mut self) {
+        self.bytes.clear();
+        self.entries_end = 0;
+        self.restarts = 0;
+        self.rewind(0);
+    }
+}
+
+/// Per-thread buffers of the point-read path.
+#[derive(Default)]
 struct ReadScratch {
     /// Encoding of the key being looked up.
     probe: Vec<u8>,
     /// The point-read path's decoder.
     block: BlockIter,
-    /// Decoders parked by dropped cursors, at most [`PARKED_DECODERS`].
-    parked: Vec<BlockIter>,
 }
-
-/// How many decoders a thread keeps for its next cursors — a scan holds one
-/// per merge source that has loaded a block, and past this many the extra
-/// ones are freed on drop.  A decoder's buffers fit the largest block it
-/// has streamed, rounded up to a power of two, plus one key: ≈ 2 KiB at the
-/// default 1 KiB block size, so ≈ 16 KiB per thread that has scanned.
-const PARKED_DECODERS: usize = 8;
 
 thread_local! {
-    static SCRATCH: RefCell<ReadScratch> = const {
-        RefCell::new(ReadScratch {
-            probe: Vec::new(),
-            block: BlockIter::new(),
-            parked: Vec::new(),
-        })
-    };
-}
-
-/// A decoder for a cursor's first block: a parked one, buffers warm, if the
-/// thread has any.  Not to be called from inside [`with_scratch`].
-fn take_decoder() -> BlockIter {
-    SCRATCH
-        .with(|scratch| scratch.borrow_mut().parked.pop())
-        .unwrap_or(BlockIter::new())
-}
-
-/// Parks a dropped cursor's decoder for the thread's next one.  Runs in
-/// `Drop`, so a thread-local already torn down, or borrowed, just frees it.
-fn park_decoder(decoder: BlockIter) {
-    let _ = SCRATCH.try_with(|scratch| {
-        if let Ok(mut scratch) = scratch.try_borrow_mut() {
-            if scratch.parked.len() < PARKED_DECODERS {
-                scratch.parked.push(decoder);
-            }
-        }
-    });
+    static SCRATCH: RefCell<ReadScratch> = RefCell::default();
 }
 
 /// Runs `f` on the encoding of `key` and the calling thread's block
@@ -672,7 +638,7 @@ fn park_decoder(decoder: BlockIter) {
 /// thread's point reads do not allocate.  `f` may not come back here.
 fn with_scratch<K: Persist, R>(key: &K, f: impl FnOnce(&[u8], &mut BlockIter) -> R) -> R {
     SCRATCH.with(|scratch| {
-        let ReadScratch { probe, block, .. } = &mut *scratch.borrow_mut();
+        let ReadScratch { probe, block } = &mut *scratch.borrow_mut();
         probe.clear();
         key.encode(probe);
         f(probe, block)
@@ -908,9 +874,10 @@ fn first_reaching<T, K: Ord>(parts: &[T], last: impl Fn(&T) -> &K, lo: &Bound<K>
 /// counter the cursor was opened with, so callers that cannot tolerate a
 /// silently short stream (compaction) can detect and abort.
 ///
-/// The block decoder comes from a small per-thread free list with the
-/// first block the cursor loads and goes back when the cursor drops, so a
-/// thread that has scanned before allocates no block or key buffer.
+/// The block decoder is a [`Lent`] one, taken from the calling thread's
+/// parked scan buffers with the first block the cursor loads and parked
+/// again, reset, when the cursor drops, so a thread that has scanned
+/// before allocates no block or key buffer.
 pub struct TableCursor<'a, K: IndexKey, V: IndexValue> {
     run: &'a [Arc<Table<K, V>>],
     lo: Bound<K>,
@@ -920,7 +887,7 @@ pub struct TableCursor<'a, K: IndexKey, V: IndexValue> {
     next_block: Option<(usize, usize)>,
     /// Decoder over the block being streamed, held from the first load on;
     /// its buffers are reused from block to block and cursor to cursor.
-    block: Option<BlockIter>,
+    block: Option<Lent<BlockIter>>,
     /// The entry positioning landed on, not yet yielded.
     pending: Option<(K, Slot<V>)>,
     finished: bool,
@@ -958,7 +925,7 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'_, K, V> {
         } else {
             (table + 1, 0)
         });
-        let decoder = self.block.get_or_insert_with(take_decoder);
+        let decoder = self.block.get_or_insert_with(Lent::lend);
         let loaded = source.read_block(block, decoder).is_ok();
         if !loaded {
             self.fail();
@@ -1015,14 +982,6 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> TableCursor<'_, K, V> {
     }
 }
 
-impl<K: IndexKey, V: IndexValue> Drop for TableCursor<'_, K, V> {
-    fn drop(&mut self) {
-        if let Some(decoder) = self.block.take() {
-            park_decoder(decoder);
-        }
-    }
-}
-
 impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
     for TableCursor<'_, K, V>
 {
@@ -1055,6 +1014,8 @@ impl<K: IndexKey + Persist, V: IndexValue + Persist> IndexCursor<K, Slot<V>>
 mod tests {
     use super::*;
     use crate::storage::{FaultFs, StdFs};
+    use bskip_core::BSkipList;
+    use bskip_index::cursor::{parked_buffers, PARKED_BUFFERS};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use std::collections::BTreeMap;
@@ -1548,9 +1509,9 @@ mod tests {
                 let _ = late.next();
                 for footprint in [
                     scratch_footprint(),
-                    cursor.block.as_ref().map_or(0, BlockIter::footprint),
-                    early.block.as_ref().map_or(0, BlockIter::footprint),
-                    late.block.as_ref().map_or(0, BlockIter::footprint),
+                    cursor.block.as_deref().map_or(0, BlockIter::footprint),
+                    early.block.as_deref().map_or(0, BlockIter::footprint),
+                    late.block.as_deref().map_or(0, BlockIter::footprint),
                 ] {
                     assert!(
                         footprint <= 4 * largest,
@@ -1625,7 +1586,7 @@ mod tests {
         let fs = FaultFs::new();
         let load = |block: &[u8]| {
             fs.create(&mem_path()).unwrap().append(block).unwrap();
-            let mut iter = BlockIter::new();
+            let mut iter = BlockIter::default();
             let file = fs.open_read(&mem_path()).unwrap();
             iter.load(file.as_ref(), 0, block.len() as u32).unwrap();
             iter
@@ -1864,31 +1825,80 @@ mod tests {
         let fs = FaultFs::new();
         let run = spaced_run(&fs);
         let errors = RelaxedCounter::new();
-        let parked = || SCRATCH.with(|scratch| scratch.borrow().parked.len());
-        // Tests share threads: start from whatever is parked already.
-        let mut cursors: Vec<_> = (0..2 * PARKED_DECODERS)
-            .map(|_| Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors))
-            .collect();
-        for cursor in &mut cursors {
-            assert_eq!(cursor.next(), Some((0, Slot::Put(0))));
+        let open = || Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors);
+        // A thread of its own: the lender counts buffers of every type,
+        // and a test thread may have parked windows already.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut cursors: Vec<_> = (0..2 * PARKED_BUFFERS).map(|_| open()).collect();
+                for cursor in &mut cursors {
+                    assert_eq!(cursor.next(), Some((0, Slot::Put(0))));
+                }
+                assert_eq!(parked_buffers(), 0, "every decoder is on loan");
+                // One that never loaded a block holds no decoder to give back.
+                drop(Table::run_cursor(
+                    &run,
+                    Bound::Included(9_000),
+                    Bound::Unbounded,
+                    &errors,
+                ));
+                assert_eq!(parked_buffers(), 0);
+                // The last one dropped is the one the next cursor takes.
+                let warm = cursors
+                    .last()
+                    .unwrap()
+                    .block
+                    .as_deref()
+                    .unwrap()
+                    .footprint();
+                assert!(warm > 0);
+                drop(cursors);
+                assert_eq!(parked_buffers(), PARKED_BUFFERS);
+                // The next cursor streams through a parked decoder's buffers.
+                let mut cursor = open();
+                assert_eq!(drain(&mut cursor).len(), 800);
+                assert_eq!(parked_buffers(), PARKED_BUFFERS - 1);
+                assert_eq!(
+                    cursor.block.as_deref().map(BlockIter::footprint),
+                    Some(warm)
+                );
+            });
+        });
+    }
+
+    #[test]
+    fn cursors_dropped_at_thread_exit_free_their_buffers() {
+        thread_local! {
+            static HELD: RefCell<Vec<Box<dyn std::any::Any>>> = const { RefCell::new(Vec::new()) };
         }
-        assert_eq!(parked(), 0, "every parked decoder is on loan");
-        // One that never loaded a block holds no decoder to give back.
-        drop(Table::run_cursor(
-            &run,
-            Bound::Included(9_000),
-            Bound::Unbounded,
-            &errors,
-        ));
-        assert_eq!(parked(), 0);
-        drop(cursors);
-        assert_eq!(parked(), PARKED_DECODERS);
-        // The next cursor streams through a parked decoder's buffers.
-        let warm = SCRATCH.with(|scratch| scratch.borrow().parked.last().unwrap().footprint());
-        let mut cursor = Table::run_cursor(&run, Bound::Unbounded, Bound::Unbounded, &errors);
-        assert_eq!(drain(&mut cursor).len(), 800);
-        assert_eq!(parked(), PARKED_DECODERS - 1);
-        assert_eq!(cursor.block.as_ref().map(BlockIter::footprint), Some(warm));
+        // `'static` borrows, so that the cursors can sit in a thread-local.
+        let run: &'static [Arc<Table<u64, u64>>] = spaced_run(&FaultFs::new()).leak();
+        let errors: &'static RelaxedCounter = Box::leak(Box::default());
+        let list: &'static BSkipList<u64, u64> = Box::leak(Box::default());
+        for key in 0..1_000 {
+            list.insert(key, key);
+        }
+        // Thread-locals are torn down in the reverse order of their first
+        // use: touching `HELD` first leaves the cursors to drop after the
+        // lender's list is gone, touching it last while the list is live.
+        for held_first in [true, false] {
+            std::thread::spawn(move || {
+                if held_first {
+                    HELD.with(|_| ());
+                }
+                let mut leaves = list.scan(500..);
+                assert_eq!(leaves.next(), Some((500, 500)));
+                let mut blocks = Table::run_cursor(run, Bound::Unbounded, Bound::Unbounded, errors);
+                assert_eq!(blocks.next(), Some((0, Slot::Put(0))));
+                assert_eq!(parked_buffers(), 0);
+                HELD.with(|held| {
+                    held.borrow_mut().push(Box::new(leaves));
+                    held.borrow_mut().push(Box::new(blocks));
+                });
+            })
+            .join()
+            .expect("a cursor dropped at thread exit does not panic");
+        }
     }
 
     /// Every `get` and every cursor stream of `table` against the oracle.

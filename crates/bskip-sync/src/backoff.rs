@@ -22,7 +22,6 @@ use std::hint;
 ///     tries += 1;
 ///     backoff.snooze();
 /// }
-/// assert!(backoff.is_completed());
 /// ```
 #[derive(Debug, Default)]
 pub struct Backoff {
@@ -74,13 +73,6 @@ impl Backoff {
             }
         }
     }
-
-    /// Returns `true` once the backoff has escalated to yielding; callers
-    /// that want to park or take a slow path can use this as a hint.
-    #[inline]
-    pub fn is_completed(&self) -> bool {
-        self.step > SPIN_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +82,7 @@ mod tests {
     #[test]
     fn starts_incomplete() {
         let backoff = Backoff::new();
-        assert!(!backoff.is_completed());
+        assert_eq!(backoff.step, 0);
     }
 
     #[test]
@@ -99,7 +91,7 @@ mod tests {
         for _ in 0..64 {
             backoff.spin();
         }
-        assert!(backoff.is_completed());
+        assert!(backoff.step > SPIN_LIMIT);
         // Saturation: further spins do not overflow the step counter.
         for _ in 0..64 {
             backoff.spin();
@@ -113,7 +105,7 @@ mod tests {
         for _ in 0..(SPIN_LIMIT + 2) {
             backoff.snooze();
         }
-        assert!(backoff.is_completed());
+        assert!(backoff.step > SPIN_LIMIT);
     }
 
     #[test]
@@ -123,7 +115,6 @@ mod tests {
             backoff.snooze();
         }
         backoff.reset();
-        assert!(!backoff.is_completed());
         assert_eq!(backoff.step, 0);
     }
 

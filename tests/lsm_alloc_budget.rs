@@ -356,3 +356,52 @@ fn a_warm_baseline_scan_allocates_only_its_two_boxes() {
         assert_eq!(allocs, 2, "OccBTree scan from {from}");
     }
 }
+
+#[test]
+fn windows_and_decoders_share_one_list_without_mixing_types() {
+    use bskip_suite::index::cursor::{parked_buffers, PARKED_BUFFERS};
+
+    let fs = FaultFs::new();
+    let engine = settled(&fs, 64 << 10);
+    // Odd keys in the memtable, even ones in the tables: a scan merges
+    // the memtable's window with a decoder per table source.
+    for key in (1..400).step_by(2) {
+        engine.insert(key, key * 7);
+    }
+    let levels = engine.tables_per_level();
+    assert!(
+        levels[0] >= 1 && levels[1..].iter().all(|&tables| tables > 0),
+        "{levels:?}"
+    );
+    let list = BSkipList::<u64, u64>::new();
+    for key in 0..KEYS {
+        list.insert(key, key * 3);
+    }
+    let index: &dyn ConcurrentIndex<u64, u64> = &list;
+    let merged = |key: u64| (key, if key % 2 == 1 { key * 7 } else { key / 2 });
+
+    // Both cursors open at once, stepped in turn; a decoder handed out
+    // as a window, or one cursor's buffer shared with the other, would
+    // break one of the two streams.
+    let round = || {
+        let mut lsm = engine.scan_bounds(Bound::Included(100), Bound::Unbounded);
+        let mut leaves = index.scan_bounds(Bound::Included(1_000), Bound::Unbounded);
+        for step in 0..250 {
+            assert_eq!(lsm.next(), Some(merged(100 + step)));
+            assert_eq!(leaves.next(), Some((1_000 + step, (1_000 + step) * 3)));
+            assert!(parked_buffers() <= PARKED_BUFFERS);
+        }
+    };
+    round();
+    // Maintenance ran on the engine's own thread, so this one has parked
+    // exactly what the round lent: two windows and a decoder per table
+    // source.
+    let parked = parked_buffers();
+    assert_eq!(parked, 2 + levels[0] + (levels.len() - 1), "{levels:?}");
+    // Warm: the two `Cursor` boxes and the merge's vector of sources;
+    // every window and decoder comes off the thread's list and goes back.
+    for _ in 0..10 {
+        assert_eq!(allocations_in(round), 3);
+        assert_eq!(parked_buffers(), parked);
+    }
+}
