@@ -394,12 +394,63 @@ impl<K: IndexKey, V: IndexValue> IndexCursor<K, V> for BatchCursor<'_, K, V> {
 }
 
 /// One merge input: a source cursor with its cached frontier entry kept
-/// inline, so a merge owns a single allocation however many sources it has.
+/// beside it, so a merge's sources and heads are one slice.
 struct MergeSource<K: IndexKey, T: IndexValue, S> {
     cursor: S,
     /// The source's next unconsumed entry (strictly above the merge's
     /// position) once the merge is primed.
     head: Option<(K, T)>,
+}
+
+/// How many sources a merge keeps inline; past this many it moves them
+/// all to one heap vector.  An LSM scan merges the mutable memtable, the
+/// one sealed memtable a rotation hands the flush job, up to
+/// `l0_compaction_trigger` level-0 tables (4 by default) and one run per
+/// deeper level: 1 + 1 + 4 + 2 = 8 holds a store of two deeper levels
+/// whole, and the benchmark's LSM scans merge five sources on average
+/// and seven at most.  A [`crate::ShardedIndex`] merges one per shard.
+/// Not a knob: every merge is this wide (an LSM scan ≈ 1.2 KiB), and a
+/// wider merge costs one allocation more, not a failure.
+pub(crate) const INLINE_SOURCES: usize = 8;
+
+/// A merge's sources, in priority order: inline up to
+/// [`INLINE_SOURCES`], all on the heap past that.  The heap's slots are
+/// `Option`s too, so that either way the live sources are one slice of
+/// the same type, every slot filled.
+enum Sources<K: IndexKey, T: IndexValue, S> {
+    Inline {
+        /// `slots[..len]` are filled, the rest `None`.
+        slots: [Option<MergeSource<K, T, S>>; INLINE_SOURCES],
+        len: usize,
+    },
+    Spilled(Vec<Option<MergeSource<K, T, S>>>),
+}
+
+impl<K: IndexKey, T: IndexValue, S> Sources<K, T, S> {
+    fn push(&mut self, source: MergeSource<K, T, S>) {
+        match self {
+            Sources::Inline { slots, len } if *len < INLINE_SOURCES => {
+                slots[*len] = Some(source);
+                *len += 1;
+            }
+            Sources::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_SOURCES);
+                spilled.extend(slots.iter_mut().map(Option::take));
+                spilled.push(Some(source));
+                *self = Sources::Spilled(spilled);
+            }
+            Sources::Spilled(spilled) => spilled.push(Some(source)),
+        }
+    }
+
+    /// The live sources, every slot filled.
+    #[inline]
+    fn live(&mut self) -> &mut [Option<MergeSource<K, T, S>>] {
+        match self {
+            Sources::Inline { slots, len } => &mut slots[..*len],
+            Sources::Spilled(spilled) => spilled,
+        }
+    }
 }
 
 /// K-way merging cursor over sorted sources given in **priority order**.
@@ -422,9 +473,10 @@ struct MergeSource<K: IndexKey, T: IndexValue, S> {
 ///
 /// The sources are boxed [`Cursor`]s unless the caller names a concrete
 /// source type `S` (the LSM engine merges an enum of its two cursor kinds,
-/// so its merges box nothing).
+/// so its merges box nothing).  Up to [`INLINE_SOURCES`] of them are held
+/// inline, so such a merge allocates nothing of its own.
 pub struct MergeCursor<'a, K: IndexKey, T: IndexValue, S = Cursor<'a, K, T>> {
-    sources: Vec<MergeSource<K, T, S>>,
+    sources: Sources<K, T, S>,
     /// Whether every source's `head` has been filled (by the first `next`).
     primed: bool,
     _sources: PhantomData<&'a ()>,
@@ -432,56 +484,61 @@ pub struct MergeCursor<'a, K: IndexKey, T: IndexValue, S = Cursor<'a, K, T>> {
 
 impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> MergeCursor<'_, K, T, S> {
     /// Builds a merge over `sources`, highest priority first: index 0
-    /// shadows index 1 shadows index 2 …  The one vector is sized from the
-    /// iterator's upper size hint, so a filtered source list still
-    /// allocates once.
+    /// shadows index 1 shadows index 2 …  Up to [`INLINE_SOURCES`]
+    /// sources are kept inline; past that they all move to one vector.
     pub fn new(sources: impl IntoIterator<Item = S>) -> Self {
-        let sources = sources.into_iter();
-        let (lower, upper) = sources.size_hint();
-        let mut merged = Vec::with_capacity(upper.unwrap_or(lower));
-        merged.extend(sources.map(|cursor| MergeSource { cursor, head: None }));
+        let mut merged = Sources::Inline {
+            slots: [const { None }; INLINE_SOURCES],
+            len: 0,
+        };
+        for cursor in sources {
+            merged.push(MergeSource { cursor, head: None });
+        }
         MergeCursor {
             sources: merged,
             primed: false,
             _sources: PhantomData,
         }
     }
+}
 
-    /// Consumes the winning head: the minimum key, taken from the
-    /// lowest-indexed source holding it.  Every source at that key is
-    /// stepped past it.
-    fn take_winner(&mut self) -> Option<(K, T)> {
-        let mut winner: Option<(K, T)> = None;
-        for source in &self.sources {
-            if let Some(head) = source.head {
-                // Strict comparison: an equal key later in priority order
-                // never displaces the earlier source.
-                if winner.is_none_or(|(best, _)| head.0 < best) {
-                    winner = Some(head);
-                }
+/// Consumes the winning head of `sources`: the minimum key, taken from
+/// the lowest-indexed source holding it.  Every source at that key is
+/// stepped past it.
+fn take_winner<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>>(
+    sources: &mut [Option<MergeSource<K, T, S>>],
+) -> Option<(K, T)> {
+    let mut winner: Option<(K, T)> = None;
+    for source in sources.iter().flatten() {
+        if let Some(head) = source.head {
+            // Strict comparison: an equal key later in priority order
+            // never displaces the earlier source.
+            if winner.is_none_or(|(best, _)| head.0 < best) {
+                winner = Some(head);
             }
         }
-        let (key, _) = winner?;
-        for source in &mut self.sources {
-            if source.head.is_some_and(|(k, _)| k == key) {
-                source.head = source.cursor.next();
-            }
-        }
-        winner
     }
+    let (key, _) = winner?;
+    for source in sources.iter_mut().flatten() {
+        if source.head.is_some_and(|(k, _)| k == key) {
+            source.head = source.cursor.next();
+        }
+    }
+    winner
 }
 
 impl<K: IndexKey, T: IndexValue, S: IndexCursor<K, T>> IndexCursor<K, T>
     for MergeCursor<'_, K, T, S>
 {
     fn next(&mut self) -> Option<(K, T)> {
+        let sources = self.sources.live();
         if !self.primed {
-            for source in &mut self.sources {
+            for source in sources.iter_mut().flatten() {
                 source.head = source.cursor.next();
             }
             self.primed = true;
         }
-        self.take_winner()
+        take_winner(sources)
     }
 }
 

@@ -275,7 +275,7 @@ impl<K, V, I> fmt::Debug for ShardedIndex<K, V, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::above_lower;
+    use crate::cursor::{above_lower, INLINE_SOURCES};
     use crate::ops::STACK_SCRATCH;
     use crate::IndexCursor;
     use std::collections::BTreeMap;
@@ -497,7 +497,7 @@ mod tests {
                 .map(|k| (k, value(k)))
                 .collect()
         };
-        let cases: Vec<(&str, Vec<Layer>)> = vec![
+        let mut cases: Vec<(&str, Vec<Layer>)> = vec![
             (
                 "newest source wins ties",
                 vec![vec![(1, 100), (3, 300)], vec![(1, 1), (2, 2), (3, 3)]],
@@ -530,6 +530,24 @@ mod tests {
                 ],
             ),
         ];
+        // Merges as wide as the inline reserve, one past it and well past
+        // it.  Source `i` of `count` holds 23 keys from `10 i` (from the
+        // top down when mirrored), so neighbouring sources tie on three
+        // keys and three sources on each key they all hold: the ties
+        // straddle index `INLINE_SOURCES`, and the lowest-indexed source
+        // must win whichever side of it sits on.  Every third source
+        // holds tombstones.
+        let window = |count: usize, i: usize, mirrored: bool| -> Layer {
+            let from = 10 * if mirrored { count - 1 - i } else { i } as u64;
+            let value = |k: u64| if i % 3 == 2 { TOMB } else { k * 100 + i as u64 };
+            (from..=from + 22).map(|k| (k, value(k))).collect()
+        };
+        for count in [INLINE_SOURCES, INLINE_SOURCES + 1, 2 * INLINE_SOURCES + 3] {
+            for mirrored in [false, true] {
+                let layers = (0..count).map(|i| window(count, i, mirrored));
+                cases.push(("windows across the inline reserve", layers.collect()));
+            }
+        }
         for (label, layers) in cases {
             let mut oracle = BTreeMap::new();
             for layer in layers.iter().rev() {
@@ -559,7 +577,12 @@ mod tests {
                 .map(|(k, v)| (*k, *v))
                 .filter(|&(_, value)| value != TOMB)
                 .collect();
-            assert_eq!(live, expected, "live view of {label}");
+            assert_eq!(
+                live,
+                expected,
+                "live view of {label}, {} sources",
+                layers.len()
+            );
         }
     }
 

@@ -292,7 +292,8 @@ struct Version<K: IndexKey + Persist, V: IndexValue + Persist> {
 /// One merge source: a memtable's cursor, or a sorted run of tables.  An
 /// enum, not a boxed [`Cursor`], over two unboxed cursors — the memtable's
 /// is its list's own `LeafCursor` — so a merge allocates no box per
-/// source.
+/// source, and no vector for them either while it keeps them all inline
+/// (up to eight: see `bskip_index::cursor`).
 enum Source<'a, K: IndexKey + Persist, V: IndexValue + Persist> {
     Memtable(MemtableCursor<'a, K, V>),
     Run(TableCursor<'a, K, V>),
@@ -1827,13 +1828,7 @@ mod tests {
         assert_eq!(state.immutables.len(), 1);
         let errors = RelaxedCounter::new();
         let count = |memtables: &[&Arc<Memtable<u64, u64>>], levels, lo, hi| {
-            let memtables = memtables.iter().copied();
-            let sources = Core::sources(memtables, levels, lo, hi, &errors);
-            // The merge sizes its one vector from the upper bound.
-            let upper = sources.size_hint().1;
-            let count = sources.count();
-            assert!(upper.is_some_and(|upper| upper >= count), "{upper:?}");
-            count
+            Core::sources(memtables.iter().copied(), levels, lo, hi, &errors).count()
         };
         let memtables = [&state.memtable, &state.immutables[0]];
         let (memtables, levels) = (&memtables[..], &state.levels[..]);
@@ -1955,6 +1950,80 @@ mod tests {
             let tables = engine.tables_per_level();
             assert_eq!(fs.read_count() - before, blocks_held(&engine), "{tables:?}");
         }
+        assert_eq!(engine.io_errors(), 0);
+    }
+
+    /// A merge keeps eight sources inline and moves them all to the heap
+    /// past that: a scan over two memtables and nineteen level-0 tables,
+    /// and the one compaction that merges those tables into level 1,
+    /// must both take the wide path and agree with a `BTreeMap`.
+    #[test]
+    fn a_merge_of_more_sources_than_it_keeps_inline_scans_and_compacts_exactly() {
+        const TABLES: usize = 19;
+        let fs = FaultFs::new();
+        let dir = Path::new("/db");
+        let open = |config: LsmConfig| -> LsmEngine<u64, u64> {
+            LsmEngine::open_with(Arc::new(fs.clone()), dir, config).unwrap()
+        };
+        // Only explicit rotations, and level 1 holds everything; at
+        // first, level 0 never triggers a compaction either.
+        let roomy = LsmConfig {
+            memtable_bytes: 1 << 20,
+            level_base_bytes: 1 << 30,
+            ..manual_config()
+        };
+        let engine = open(LsmConfig {
+            l0_compaction_trigger: usize::MAX,
+            ..roomy
+        });
+        let mut oracle = BTreeMap::new();
+        let mut write = |engine: &LsmEngine<u64, u64>, round: u64| {
+            for i in 0..150u64 {
+                let key = (i * 37 + round * 11) % 1_500;
+                if (i + round).is_multiple_of(5) {
+                    engine.remove(&key);
+                    oracle.remove(&key);
+                } else {
+                    engine.insert(key, round << 32 | i);
+                    oracle.insert(key, round << 32 | i);
+                }
+            }
+        };
+        for round in 0..TABLES as u64 {
+            write(&engine, round);
+            engine.rotate().unwrap();
+            engine.flush().unwrap();
+        }
+        assert_eq!(engine.tables_per_level(), [TABLES]);
+        // A sealed memtable and a live one over the tables.
+        write(&engine, TABLES as u64);
+        engine.rotate().unwrap();
+        write(&engine, TABLES as u64 + 1);
+        let check = |engine: &LsmEngine<u64, u64>| {
+            for (lo, hi) in [
+                (Bound::Unbounded, Bound::Unbounded),
+                (Bound::Included(300), Bound::Excluded(900)),
+                (Bound::Excluded(1_111), Bound::Unbounded),
+            ] {
+                let expected: Vec<(u64, u64)> = oracle
+                    .range((lo, hi))
+                    .map(|(key, value)| (*key, *value))
+                    .collect();
+                let scanned: Vec<(u64, u64)> = engine.scan_bounds(lo, hi).collect();
+                assert_eq!(scanned, expected, "{lo:?}..{hi:?}");
+            }
+        };
+        check(&engine);
+        // The sealed memtable goes to level 0 too; then one compaction,
+        // under the usual trigger, merges all twenty tables.
+        engine.flush().unwrap();
+        drop(engine);
+        let engine = open(roomy);
+        check(&engine);
+        assert_eq!(engine.compact().unwrap(), 1);
+        let tables = engine.tables_per_level();
+        assert!(tables[0] == 0 && tables[1] > 0, "{tables:?}");
+        check(&engine);
         assert_eq!(engine.io_errors(), 0);
     }
 

@@ -6,8 +6,10 @@
 //! framing, checksum, append.  A scan merges one source per memtable, per
 //! level-0 table and per deeper *level*: positioning it reads one block
 //! per table source however many tables the levels hold, and a warm
-//! 100-entry scan allocates twice (its own box and the merge's vector —
-//! no cursor box, leaf window, block or key buffer).  Under it, a warm
+//! 100-entry scan allocates once: its own box.  The merge keeps up to
+//! eight sources inline, and no cursor box, leaf window, block or key
+//! buffer is allocated; a scan that merges a ninth source allocates one
+//! vector more for them.  Under it, a warm
 //! B-skiplist scan allocates nothing through the list's own API and one
 //! box through `&dyn ConcurrentIndex`, and a baseline's batched scan
 //! allocates its two boxes.  The budgets are ordinary tests so
@@ -263,7 +265,7 @@ fn a_scan_reads_one_block_per_sorted_run_however_many_tables_it_has() {
 }
 
 #[test]
-fn a_warm_hundred_entry_scan_allocates_twice_at_most() {
+fn a_warm_hundred_entry_scan_allocates_once() {
     let fs = FaultFs::new();
     let engine = settled(&fs, 64 << 10);
     let levels = engine.tables_per_level();
@@ -277,16 +279,60 @@ fn a_warm_hundred_entry_scan_allocates_twice_at_most() {
         assert_eq!(scanned.count(), 100);
     };
     scan(0);
-    // 1. the `Cursor` box around the scan;
-    // 2. the merge's one vector of sources.
-    // The memtable source is the list's own cursor, unboxed, its leaf
-    // window and the table sources' block and key buffers come off the
-    // thread's free lists.
+    // The `Cursor` box around the scan, and nothing else: the merge
+    // holds its six sources or fewer inline, the memtable source is the
+    // list's own cursor, unboxed, and its leaf window and the table
+    // sources' block and key buffers come off the thread's free list.
     // Start keys from the lower half: the top would run out of entries.
     for i in (1..).filter(|&i| present(i) < KEYS).take(50) {
         let allocs = allocations_in(|| scan(i));
-        assert!(allocs <= 2, "scan {i}: {allocs} allocations, {levels:?}");
+        assert_eq!(allocs, 1, "scan {i}: {allocs} allocations, {levels:?}");
     }
+}
+
+/// How many sources the merge under a scan keeps inline
+/// (`bskip_index::cursor`'s reserve, private to that crate).  The test
+/// below finds the cliff exactly where this says it is.
+const INLINE_SOURCES: usize = 8;
+
+#[test]
+fn a_scan_over_one_source_past_the_inline_reserve_allocates_one_vector_more() {
+    // No maintenance and an unreachable level-0 trigger: every flush adds
+    // one level-0 table, and a scan merges the memtable and each of them.
+    let config = LsmConfig {
+        auto_maintain: false,
+        l0_compaction_trigger: usize::MAX,
+        ..LsmConfig::default()
+    };
+    let engine: LsmEngine<u64, u64> =
+        LsmEngine::open_with(Arc::new(FaultFs::new()), "/db", config).expect("open engine");
+    // Table `t` holds the keys below `16 * 2_000` congruent to `t`
+    // modulo 16.
+    let mut tables = 0;
+    let mut scans_over = |sources: usize| {
+        while 1 + tables < sources {
+            for i in 0..2_000 {
+                engine.insert(i * 16 + tables as u64, i);
+            }
+            engine.rotate().expect("seal the memtable");
+            engine.flush().expect("flush it to level 0");
+            tables += 1;
+        }
+        assert_eq!(engine.tables_per_level(), [tables]);
+        let scan = |from: u64| {
+            let scanned = engine.scan_bounds(Bound::Included(from), Bound::Unbounded);
+            assert_eq!(scanned.take(100).count(), 100);
+        };
+        scan(0);
+        (0..20)
+            .map(|i| allocations_in(|| scan(draw(i) % 20_000)))
+            .max()
+            .expect("twenty scans")
+    };
+    // The `Cursor` box; past the reserve, the one vector the merge moves
+    // its sources to.
+    assert_eq!(scans_over(INLINE_SOURCES), 1);
+    assert_eq!(scans_over(INLINE_SOURCES + 1), 2);
 }
 
 #[test]
@@ -398,10 +444,11 @@ fn windows_and_decoders_share_one_list_without_mixing_types() {
     // source.
     let parked = parked_buffers();
     assert_eq!(parked, 2 + levels[0] + (levels.len() - 1), "{levels:?}");
-    // Warm: the two `Cursor` boxes and the merge's vector of sources;
-    // every window and decoder comes off the thread's list and goes back.
+    // Warm: the two `Cursor` boxes; the merge holds its sources inline,
+    // and every window and decoder comes off the thread's list and goes
+    // back.
     for _ in 0..10 {
-        assert_eq!(allocations_in(round), 3);
+        assert_eq!(allocations_in(round), 2);
         assert_eq!(parked_buffers(), parked);
     }
 }

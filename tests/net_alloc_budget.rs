@@ -6,10 +6,11 @@
 //! back: the server decodes into, coalesces into and answers from
 //! per-connection buffers, the batch split of `ShardedIndex::execute`
 //! sits on the stack, and `BSkipList::execute` needs no scratch.  Each
-//! 100-entry `Scan` in the window adds exactly **five**: the server's
-//! merged cursor (its box and source vector, and per shard only the box
-//! `ConcurrentIndex::scan_bounds` returns — four; each shard's leaf window
-//! is a parked one) and the client's decoded `Entries` vector.
+//! 100-entry `Scan` in the window adds exactly **four**: the server's
+//! merged cursor (its box, and per shard only the box
+//! `ConcurrentIndex::scan_bounds` returns — three; the merge holds the
+//! shards' cursors inline, and each shard's leaf window is a parked one)
+//! and the client's decoded `Entries` vector.
 //! Its pairs go from the cursor straight into the write buffer.  A buffer
 //! that creeps back into the window's path fails here.
 //!
@@ -115,7 +116,7 @@ fn batch(round: u64) -> Vec<Op<u64, u64>> {
 }
 
 #[test]
-fn a_window_allocates_once_and_five_times_more_per_scan() {
+fn a_window_allocates_once_and_four_times_more_per_scan() {
     let backend = Arc::new(ShardedIndex::hash(2, |_| BSkipList::<u64, u64>::new()));
     for key in 0..KEYS {
         backend.insert(key, key);
@@ -155,7 +156,7 @@ fn a_window_allocates_once_and_five_times_more_per_scan() {
         let allocs = serve(&window(round, scans));
         assert_eq!(
             allocs,
-            1 + 5 * scans as u64,
+            1 + 4 * scans as u64,
             "window {round} with {scans} scans"
         );
     }
